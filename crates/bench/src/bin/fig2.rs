@@ -22,15 +22,18 @@ fn main() {
         .expect("planted paper 1");
     let row = papers_table.row_for(usable).expect("row for paper 1");
     let authors_col = papers_table.column_index("Authors").expect("Authors col");
-    let first_author = row.cells[authors_col].refs().expect("refs")[0].clone();
+    let first_author = row.cells[authors_col].refs().expect("refs")[0];
 
     println!("Starting table: Papers ({} rows)\n", papers_table.len());
 
     // (a) Click an author's name -> single-row Authors table.
     let mut a = Session::new(tgdb.clone());
     a.open_by_name("Papers").unwrap();
-    a.single(first_author.node).expect("click reference");
-    println!("(a) Click reference '{}':", first_author.label);
+    a.single(first_author).expect("click reference");
+    println!(
+        "(a) Click reference '{}':",
+        papers_table.label(first_author)
+    );
     println!("{}", render_etable(&a.etable().unwrap(), &opts));
 
     // (b) Click the author count -> all authors of that paper.

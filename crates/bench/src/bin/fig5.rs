@@ -7,10 +7,7 @@ fn main() {
     let center = tgdb.node_by_pk(papers, &1.into()).expect("planted paper");
 
     println!("== Figure 5: instance graph excerpt ==\n");
-    println!(
-        "center node [Papers] \"{}\"",
-        tgdb.instances.label(&tgdb.schema, center)
-    );
+    println!("center node [Papers] \"{}\"", tgdb.instances.label(center));
     for (et_id, et) in tgdb.schema.outgoing(papers) {
         let neighbors = tgdb.instances.neighbors(et_id, center);
         if neighbors.is_empty() {
@@ -18,7 +15,7 @@ fn main() {
         }
         println!("  --{}-->", et.name);
         for &n in neighbors.iter().take(6) {
-            let label = tgdb.instances.label(&tgdb.schema, n);
+            let label = tgdb.instances.label(n);
             let type_name = &tgdb.schema.node_type(tgdb.instances.type_of(n)).name;
             println!("      [{type_name}] \"{label}\"");
             // One hop further for entity neighbors, as the figure shows
@@ -30,7 +27,7 @@ fn main() {
                     for &i in tgdb.instances.neighbors(inst_edge, n).iter().take(1) {
                         println!(
                             "          --Institutions--> \"{}\"",
-                            tgdb.instances.label(&tgdb.schema, i)
+                            tgdb.instances.label(i)
                         );
                     }
                 }

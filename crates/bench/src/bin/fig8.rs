@@ -47,7 +47,7 @@ fn main() {
                 format!(
                     "[{}] {}",
                     ty,
-                    etable_core::render::truncate(&tgdb.instances.label(&tgdb.schema, n), 18)
+                    etable_core::render::truncate(&tgdb.instances.label(n).to_string(), 18)
                 )
             })
             .collect();

@@ -270,7 +270,7 @@ impl Engine {
                 .checked_sub(1)
                 .ok_or("references are numbered from 1")?,
         )
-        .map(|e| e.node)
+        .copied()
         .ok_or_else(|| format!("cell has only {} reference(s)", refs.len()))
     }
 }

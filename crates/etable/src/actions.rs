@@ -119,7 +119,7 @@ pub fn apply(
             let ty = tgdb.instances.type_of(*node);
             let q = ops::initiate(tgdb, ty)?;
             let pattern = ops::select(tgdb, &q, NodeFilter::node_is(*node))?;
-            let label = tgdb.instances.label(&tgdb.schema, *node);
+            let label = tgdb.instances.label(*node);
             Ok(ActionOutcome {
                 pattern,
                 description: format!("See '{label}'"),
@@ -133,7 +133,7 @@ pub fn apply(
                 .ok_or_else(|| Error::UnknownColumn(column.clone()))?;
             // Select the clicked row first (C = {u | u = vk}).
             let selected = ops::select(tgdb, q, NodeFilter::node_is(*row))?;
-            let label = tgdb.instances.label(&tgdb.schema, *row);
+            let label = tgdb.instances.label(*row);
             match &spec.kind {
                 ColumnKind::Neighbor { edge } => {
                     let pattern = ops::add(tgdb, &selected, *edge)?;

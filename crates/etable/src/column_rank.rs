@@ -12,6 +12,7 @@
 //! purpose.
 
 use crate::etable::{Cell, ColumnKind, EnrichedTable};
+use etable_relational::value::Value;
 use std::collections::HashSet;
 
 /// A scored column.
@@ -40,8 +41,13 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
             let mut filled = 0usize;
             let mut refs_total = 0usize;
             let mut all_ints = true;
-            let mut distinct: HashSet<String> = HashSet::new();
+            // A cell's content is its value, or the sorted labels of its
+            // references: label values, not their text, so nothing is
+            // formatted, and a key is allocated only when it is new.
+            let mut distinct: HashSet<Vec<Value>> = HashSet::new();
+            let mut content: Vec<Value> = Vec::new();
             for row in &table.rows {
+                content.clear();
                 match &row.cells[ci] {
                     Cell::Atomic(v) => {
                         if !v.is_null() {
@@ -50,17 +56,19 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
                         if v.as_int().is_none() {
                             all_ints = false;
                         }
-                        distinct.insert(v.to_string());
+                        content.push(*v);
                     }
                     Cell::Refs(refs) => {
                         if !refs.is_empty() {
                             filled += 1;
                         }
                         refs_total += refs.len();
-                        let mut labels: Vec<&str> = refs.iter().map(|r| r.label.as_str()).collect();
-                        labels.sort_unstable();
-                        distinct.insert(labels.join("\u{1f}"));
+                        content.extend(refs.iter().map(|&r| table.label(r)));
+                        content.sort_unstable();
                     }
+                }
+                if !distinct.contains(content.as_slice()) {
+                    distinct.insert(content.clone());
                 }
             }
             let fill_rate = filled as f64 / n;

@@ -4,29 +4,30 @@
 //! base attributes `Ab`, participating node columns `At`, or neighbor node
 //! columns `Ah` (§5.4.2). Entity-reference cells hold clickable labels, not
 //! foreign keys, mirroring hyperlinks (§5.1).
+//!
+//! A table holds node ids only. A reference cell is a shared run of ids
+//! ([`IdSlice`]) — of the graph's CSR target array for a neighbor column,
+//! of one buffer per column for a participating column — and label text is
+//! looked up in the graph's label column, which the table shares, only for
+//! the cells that are rendered, exported or ranked. Both are `Arc`s, so a
+//! table stays self-contained and `Send` after the graph handle is gone.
 
 use crate::pattern::PatternNodeId;
 use etable_relational::value::Value;
-use etable_tgm::{EdgeTypeId, NodeId};
+use etable_tgm::{EdgeTypeId, IdSlice, NodeId};
+use std::borrow::Cow;
 use std::fmt;
-
-/// A reference to another entity, presented as a clickable label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntityRef {
-    /// The referenced node.
-    pub node: NodeId,
-    /// Its label (`label(v) = v[β]`).
-    pub label: String,
-}
+use std::sync::Arc;
 
 /// One cell of an enriched table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// An atomic value (base-attribute column).
     Atomic(Value),
-    /// A set of entity references (entity-reference column). The count shown
-    /// in the cell corner of the UI is `refs.len()`.
-    Refs(Vec<EntityRef>),
+    /// A set of entity references (entity-reference column), each a
+    /// clickable label in the UI ([`EnrichedTable::label`]). The count shown
+    /// in the cell corner is the slice's length.
+    Refs(IdSlice),
 }
 
 impl Cell {
@@ -38,8 +39,8 @@ impl Cell {
         }
     }
 
-    /// The references, if this is a reference cell.
-    pub fn refs(&self) -> Option<&[EntityRef]> {
+    /// The referenced nodes, if this is a reference cell.
+    pub fn refs(&self) -> Option<&[NodeId]> {
         match self {
             Cell::Atomic(_) => None,
             Cell::Refs(r) => Some(r),
@@ -107,6 +108,9 @@ pub struct EnrichedTable {
     pub columns: Vec<ColumnSpec>,
     /// The rows, one per matched primary node.
     pub rows: Vec<ETableRow>,
+    /// The instance graph's label column (`label(v) = v[β]` by node id),
+    /// shared, not copied.
+    pub labels: Arc<[Value]>,
 }
 
 impl EnrichedTable {
@@ -128,6 +132,23 @@ impl EnrichedTable {
     /// Column spec by display name.
     pub fn column(&self, name: &str) -> Option<&ColumnSpec> {
         self.columns.iter().find(|c| c.name == name)
+    }
+
+    /// The label of a referenced node (`NULL` for a node the label column
+    /// does not cover).
+    pub fn label(&self, node: NodeId) -> Value {
+        self.labels
+            .get(node.index())
+            .copied()
+            .unwrap_or(Value::Null)
+    }
+
+    /// The label as display text; interned text is borrowed, not copied.
+    pub fn label_text(&self, node: NodeId) -> Cow<'static, str> {
+        match self.label(node) {
+            Value::Text(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.to_string()),
+        }
     }
 
     /// The row presenting `node`, if present.
@@ -181,6 +202,8 @@ mod tests {
     use super::*;
 
     fn table() -> EnrichedTable {
+        let refs: Arc<[NodeId]> = vec![NodeId(1), NodeId(2), NodeId(1)].into();
+        let run = |range| Cell::Refs(IdSlice::new(&refs, range).unwrap());
         EnrichedTable {
             primary_type_name: "Papers".into(),
             filter_desc: String::new(),
@@ -199,32 +222,30 @@ mod tests {
             rows: vec![
                 ETableRow {
                     node: NodeId(0),
-                    cells: vec![
-                        Cell::Atomic("B-paper".into()),
-                        Cell::Refs(vec![
-                            EntityRef {
-                                node: NodeId(5),
-                                label: "X".into(),
-                            },
-                            EntityRef {
-                                node: NodeId(6),
-                                label: "Y".into(),
-                            },
-                        ]),
-                    ],
+                    cells: vec![Cell::Atomic("B-paper".into()), run(0..2)],
                 },
                 ETableRow {
                     node: NodeId(1),
-                    cells: vec![
-                        Cell::Atomic("A-paper".into()),
-                        Cell::Refs(vec![EntityRef {
-                            node: NodeId(5),
-                            label: "X".into(),
-                        }]),
-                    ],
+                    cells: vec![Cell::Atomic("A-paper".into()), run(2..3)],
                 },
             ],
+            labels: vec![Value::Null, "X".into(), 7.into()].into(),
         }
+    }
+
+    #[test]
+    fn labels_resolve_through_the_shared_column() {
+        let t = table();
+        assert_eq!(t.rows[0].cells[1].refs(), Some(&[NodeId(1), NodeId(2)][..]));
+        assert_eq!(t.label(NodeId(1)), "X".into());
+        assert_eq!(t.label_text(NodeId(1)), "X");
+        assert_eq!(t.label_text(NodeId(2)), "7");
+        assert_eq!(t.label(NodeId(99)), Value::Null);
+        // Cells compare by content, not by which buffer they point into.
+        assert_eq!(t.rows[1].cells[1], {
+            let other: Arc<[NodeId]> = vec![NodeId(1)].into();
+            Cell::Refs(IdSlice::new(&other, 0..1).unwrap())
+        });
     }
 
     #[test]

@@ -101,8 +101,8 @@ pub fn to_json(table: &EnrichedTable) -> String {
                         let _ = write!(
                             out,
                             "{{\"node\":{},\"label\":\"{}\"}}",
-                            r.node.0,
-                            json_escape(&r.label)
+                            r.0,
+                            json_escape(&table.label_text(*r))
                         );
                     }
                     out.push_str("]}");
@@ -140,12 +140,8 @@ pub fn to_csv(table: &EnrichedTable) -> String {
                 Cell::Atomic(v) if v.is_null() => String::new(),
                 Cell::Atomic(v) => csv_escape(&v.to_string()),
                 Cell::Refs(refs) => {
-                    let joined = refs
-                        .iter()
-                        .map(|r| r.label.as_str())
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    csv_escape(&joined)
+                    let labels: Vec<_> = refs.iter().map(|&r| table.label_text(r)).collect();
+                    csv_escape(&labels.join("; "))
                 }
             })
             .collect();
@@ -223,6 +219,7 @@ mod tests {
                 node: etable_tgm::NodeId(0),
                 cells: vec![Cell::Atomic(etable_relational::value::Value::Null)],
             }],
+            labels: Vec::new().into(),
         };
         assert!(to_json(&t).contains("null"));
         assert_eq!(to_csv(&t).lines().nth(1), Some(""));

@@ -28,15 +28,14 @@ impl GraphRelation {
         node_type: etable_tgm::NodeTypeId,
         filter: &NodeFilter,
     ) -> Result<GraphRelation> {
-        let mut tuples = Vec::new();
-        for &n in tgdb.instances.nodes_of_type(node_type) {
-            if filter.eval(tgdb, n)? {
-                tuples.push(vec![n]);
-            }
-        }
+        let filter = filter.bind(tgdb, node_type)?;
+        let nodes = tgdb.instances.nodes_of_type(node_type).iter();
         Ok(GraphRelation {
             attrs: vec![attr],
-            tuples,
+            tuples: nodes
+                .filter(|&&n| filter.eval(tgdb, n))
+                .map(|&n| vec![n])
+                .collect(),
         })
     }
 
@@ -67,12 +66,15 @@ impl GraphRelation {
         filter: &NodeFilter,
     ) -> Result<GraphRelation> {
         let pos = self.attr_pos(attr)?;
-        let mut tuples = Vec::new();
-        for t in &self.tuples {
-            if filter.eval(tgdb, t[pos])? {
-                tuples.push(t.clone());
+        // Every tuple binds `attr` to a node of one type.
+        let tuples = match self.tuples.first() {
+            None => Vec::new(),
+            Some(first) => {
+                let filter = filter.bind(tgdb, tgdb.instances.type_of(first[pos]))?;
+                let kept = self.tuples.iter().filter(|t| filter.eval(tgdb, t[pos]));
+                kept.cloned().collect()
             }
-        }
+        };
         Ok(GraphRelation {
             attrs: self.attrs.clone(),
             tuples,
@@ -129,12 +131,13 @@ impl GraphRelation {
         filter: &NodeFilter,
     ) -> Result<GraphRelation> {
         let lpos = self.attr_pos(left_attr)?;
+        let filter = filter.bind(tgdb, tgdb.schema.edge_type(edge_type).target)?;
         let mut attrs = self.attrs.clone();
         attrs.push(new_attr);
         let mut tuples = Vec::new();
         for lt in &self.tuples {
             for &nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
-                if filter.eval(tgdb, nb)? {
+                if filter.eval(tgdb, nb) {
                     let mut t = Vec::with_capacity(attrs.len());
                     t.extend(lt.iter().copied());
                     t.push(nb);

@@ -19,8 +19,29 @@
 use crate::graph_relation::GraphRelation;
 use crate::pattern::{PatternNodeId, QueryPattern};
 use crate::Result;
-use etable_tgm::{NodeId, Tgdb};
-use std::collections::HashSet;
+use etable_tgm::{EdgeTypeId, NodeId, Tgdb};
+
+/// A set of instance nodes: one bit per node id of the graph.
+#[derive(Debug, Clone, Default)]
+struct Bitmap(Vec<u64>);
+
+impl Bitmap {
+    fn new(tgdb: &Tgdb) -> Bitmap {
+        Bitmap(vec![0; tgdb.instances.node_count() / 64 + 1])
+    }
+
+    fn contains(&self, node: NodeId) -> bool {
+        let word = self.0.get(node.index() / 64);
+        word.is_some_and(|w| (w >> (node.0 % 64)) & 1 == 1)
+    }
+
+    /// Adds (`present`) or removes a node; ids beyond the graph are ignored.
+    fn set(&mut self, node: NodeId, present: bool) {
+        if let Some(w) = self.0.get_mut(node.index() / 64) {
+            *w = (*w & !(1 << (node.0 % 64))) | (u64::from(present) << (node.0 % 64));
+        }
+    }
+}
 
 /// The decomposed matching result.
 #[derive(Debug, Clone)]
@@ -30,8 +51,28 @@ pub struct MatchResult {
     /// Per pattern node: the instance nodes that appear in at least one
     /// complete match, in instance-graph order.
     pub allowed: Vec<Vec<NodeId>>,
-    /// Per pattern node: the same sets in hash form for O(1) membership.
-    pub allowed_sets: Vec<HashSet<NodeId>>,
+    /// Per pattern node: the same sets as bitmaps, for O(1) membership.
+    member: Vec<Bitmap>,
+}
+
+/// Buffers [`MatchResult::related_into`] reuses from row to row.
+#[derive(Debug)]
+pub struct RelatedScratch {
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+    /// All-zero between hops: every bit a hop sets it clears again.
+    seen: Bitmap,
+}
+
+impl RelatedScratch {
+    /// Scratch space for walks over `tgdb`.
+    pub fn new(tgdb: &Tgdb) -> Self {
+        RelatedScratch {
+            frontier: Vec::new(),
+            next: Vec::new(),
+            seen: Bitmap::new(tgdb),
+        }
+    }
 }
 
 impl MatchResult {
@@ -42,7 +83,7 @@ impl MatchResult {
 
     /// Whether `node` participates in a match at pattern node `at`.
     pub fn contains(&self, at: PatternNodeId, node: NodeId) -> bool {
-        self.allowed_sets[at.0].contains(&node)
+        self.member[at.0].contains(node)
     }
 
     /// The nodes related to `row` (a matched primary node) at pattern node
@@ -50,20 +91,50 @@ impl MatchResult {
     /// unique pattern path and intersecting with the allowed sets.
     pub fn related(&self, tgdb: &Tgdb, row: NodeId, target: PatternNodeId) -> Result<Vec<NodeId>> {
         let path = self.pattern.path(tgdb, self.pattern.primary, target)?;
-        let mut frontier: Vec<NodeId> = vec![row];
-        for (step_node, edge) in path {
-            let mut next = Vec::new();
-            let mut seen = HashSet::new();
-            for &f in &frontier {
+        let mut out = Vec::new();
+        self.related_into(tgdb, &path, row, &mut RelatedScratch::new(tgdb), &mut out);
+        Ok(out)
+    }
+
+    /// [`MatchResult::related`] for callers that walk one `path` (from the
+    /// primary node, as [`QueryPattern::path`] returns it) for many rows:
+    /// appends the related nodes to `out`, first-reached first.
+    pub fn related_into(
+        &self,
+        tgdb: &Tgdb,
+        path: &[(PatternNodeId, EdgeTypeId)],
+        row: NodeId,
+        scratch: &mut RelatedScratch,
+        out: &mut Vec<NodeId>,
+    ) {
+        let RelatedScratch {
+            frontier,
+            next,
+            seen,
+        } = scratch;
+        frontier.clear();
+        frontier.push(row);
+        for &(step, edge) in path {
+            // One node's neighbor list holds no duplicates (an edge is a key
+            // of its source relation); only a wider frontier needs `seen`.
+            let dedup = frontier.len() > 1;
+            next.clear();
+            for &f in frontier.iter() {
                 for &nb in tgdb.instances.neighbors(edge, f) {
-                    if self.allowed_sets[step_node.0].contains(&nb) && seen.insert(nb) {
+                    if self.member[step.0].contains(nb) && !(dedup && seen.contains(nb)) {
+                        if dedup {
+                            seen.set(nb, true);
+                        }
                         next.push(nb);
                     }
                 }
             }
-            frontier = next;
+            if dedup {
+                next.iter().for_each(|&nb| seen.set(nb, false));
+            }
+            std::mem::swap(frontier, next);
         }
-        Ok(frontier)
+        out.extend_from_slice(frontier);
     }
 }
 
@@ -105,7 +176,7 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
     let root = pattern.primary;
 
     // Tree orders: parents/children from the primary root.
-    let mut parent: Vec<Option<(PatternNodeId, etable_tgm::EdgeTypeId)>> = vec![None; n];
+    let mut parent: Vec<Option<(PatternNodeId, EdgeTypeId)>> = vec![None; n];
     let mut order = Vec::with_capacity(n); // BFS pre-order
     let mut visited = vec![false; n];
     visited[root.0] = true;
@@ -123,81 +194,65 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
         }
     }
 
-    // Initial candidates: local filters only.
-    let mut allowed_sets: Vec<HashSet<NodeId>> = Vec::with_capacity(n);
+    // Initial candidates: local filters only, in instance order.
+    let mut allowed: Vec<Vec<NodeId>> = Vec::with_capacity(n);
+    let mut member: Vec<Bitmap> = Vec::with_capacity(n);
     for id in pattern.node_ids() {
         let node = pattern.node(id);
-        let mut set = HashSet::new();
-        for &v in tgdb.instances.nodes_of_type(node.node_type) {
-            if node.filter.eval(tgdb, v)? {
-                set.insert(v);
-            }
+        let all = tgdb.instances.nodes_of_type(node.node_type);
+        let mut candidates = all.to_vec();
+        if !node.filter.is_empty() {
+            let filter = node.filter.bind(tgdb, node.node_type)?;
+            candidates.retain(|&v| filter.eval(tgdb, v));
         }
-        allowed_sets.push(set);
+        let mut bits = Bitmap::new(tgdb);
+        for &v in &candidates {
+            bits.set(v, true);
+        }
+        allowed.push(candidates);
+        member.push(bits);
     }
+
+    // Drops from `cur`'s candidates, and from its bitmap, every node that
+    // has no member of pattern node `other` among its `edge` neighbors.
+    let semi_join = |allowed: &mut [Vec<NodeId>],
+                     member: &mut [Bitmap],
+                     cur: PatternNodeId,
+                     other: PatternNodeId,
+                     edge: EdgeTypeId| {
+        let mut bits = std::mem::take(&mut member[cur.0]);
+        allowed[cur.0].retain(|&v| {
+            let neighbors = tgdb.instances.neighbors(edge, v);
+            let keep = neighbors.iter().any(|&nb| member[other.0].contains(nb));
+            if !keep {
+                bits.set(v, false);
+            }
+            keep
+        });
+        member[cur.0] = bits;
+    };
 
     // Upward pass (post-order): a node survives only if, for every child,
     // it has at least one allowed neighbor.
     for &cur in order.iter().rev() {
-        let children: Vec<(PatternNodeId, etable_tgm::EdgeTypeId)> = pattern
-            .incident(tgdb, cur)
-            .into_iter()
-            .filter(|(nb, _)| parent[nb.0].map(|(p, _)| p) == Some(cur))
-            .collect();
-        if children.is_empty() {
-            continue;
+        if let Some((p, up_edge)) = parent[cur.0] {
+            let down_edge = tgdb.schema.edge_type(up_edge).reverse;
+            semi_join(&mut allowed, &mut member, p, cur, down_edge);
         }
-        let survivors: HashSet<NodeId> = allowed_sets[cur.0]
-            .iter()
-            .copied()
-            .filter(|&v| {
-                children.iter().all(|&(child, et)| {
-                    tgdb.instances
-                        .neighbors(et, v)
-                        .iter()
-                        .any(|nb| allowed_sets[child.0].contains(nb))
-                })
-            })
-            .collect();
-        allowed_sets[cur.0] = survivors;
     }
 
     // Downward pass (pre-order): a node survives only if it has an allowed
     // parent.
     for &cur in &order {
         if let Some((p, up_edge)) = parent[cur.0] {
-            let survivors: HashSet<NodeId> = allowed_sets[cur.0]
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    tgdb.instances
-                        .neighbors(up_edge, v)
-                        .iter()
-                        .any(|nb| allowed_sets[p.0].contains(nb))
-                })
-                .collect();
-            allowed_sets[cur.0] = survivors;
+            semi_join(&mut allowed, &mut member, cur, p, up_edge);
         }
-    }
-
-    // Materialize ordered vectors (instance insertion order for determinism).
-    let mut allowed = Vec::with_capacity(n);
-    for id in pattern.node_ids() {
-        let node = pattern.node(id);
-        let ordered: Vec<NodeId> = tgdb
-            .instances
-            .nodes_of_type(node.node_type)
-            .iter()
-            .copied()
-            .filter(|v| allowed_sets[id.0].contains(v))
-            .collect();
-        allowed.push(ordered);
     }
 
     Ok(MatchResult {
         pattern: pattern.clone(),
         allowed,
-        allowed_sets,
+        member,
     })
 }
 
@@ -205,7 +260,7 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
 mod tests {
     use super::*;
     use crate::ops;
-    use crate::pattern::NodeFilter;
+    use crate::pattern::{NodeFilter, PatternNodeId};
     use crate::testutil::academic_tgdb;
     use etable_relational::expr::CmpOp;
 
@@ -229,6 +284,108 @@ mod tests {
         let q = ops::add(tgdb, &q, ie).unwrap();
         let q = ops::select(tgdb, &q, NodeFilter::like("country", "%Korea%")).unwrap();
         ops::shift(&q, crate::pattern::PatternNodeId(2)).unwrap()
+    }
+
+    #[test]
+    fn bitmap_membership_agrees_with_allowed_lists() {
+        let tgdb = academic_tgdb();
+        let korea = korea_pattern(&tgdb);
+        // The same shape without the year filter and at KDD, so that every
+        // pattern node keeps some members.
+        let mut kdd = korea.clone();
+        kdd.nodes[0].filter = NodeFilter::cmp("acronym", CmpOp::Eq, "KDD");
+        kdd.nodes[1].filter = NodeFilter::none();
+        for q in [korea, kdd] {
+            let m = match_primary(&tgdb, &q).unwrap();
+            for id in q.node_ids() {
+                for n in tgdb.instances.node_ids() {
+                    assert_eq!(m.contains(id, n), m.allowed[id.0].contains(&n), "{id} {n}");
+                }
+            }
+        }
+    }
+
+    /// Two citation chains 1 -> 2 -> 3 and 4 -> 5 -> 6; author 30 wrote
+    /// papers 1 and 6, author 10 wrote paper 3.
+    fn citation_chains() -> etable_tgm::Tgdb {
+        use etable_relational::database::Database;
+        use etable_relational::schema::{Column, ForeignKey, TableSchema};
+        use etable_relational::value::DataType::Int;
+        let mut db = Database::new();
+        let entity =
+            |name| TableSchema::new(name, vec![Column::new("id", Int)]).with_primary_key(&["id"]);
+        let link = |name, l, lt, r, rt| {
+            TableSchema::new(name, vec![Column::new(l, Int), Column::new(r, Int)])
+                .with_primary_key(&[l, r])
+                .with_foreign_key(ForeignKey::single(l, lt, "id"))
+                .with_foreign_key(ForeignKey::single(r, rt, "id"))
+        };
+        db.create_table(entity("P")).unwrap();
+        db.create_table(entity("A")).unwrap();
+        db.create_table(link("Cites", "src", "P", "dst", "P"))
+            .unwrap();
+        db.create_table(link("Wrote", "p", "P", "a", "A")).unwrap();
+        for p in 1..=6 {
+            db.insert("P", vec![p.into()]).unwrap();
+        }
+        for a in [10, 30] {
+            db.insert("A", vec![a.into()]).unwrap();
+        }
+        for (src, dst) in [(1, 2), (2, 3), (4, 5), (5, 6)] {
+            db.insert("Cites", vec![src.into(), dst.into()]).unwrap();
+        }
+        for (p, a) in [(1, 30), (3, 10), (6, 30)] {
+            db.insert("Wrote", vec![p.into(), a.into()]).unwrap();
+        }
+        etable_tgm::translate(&db, &etable_tgm::TranslateOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn related_over_long_paths_matches_the_full_relation() {
+        // Papers -> cited papers -> papers those cite -> their authors:
+        // three hops, two of them through nodes of the primary's own type.
+        // Paper 1's own author also wrote paper 6, so she is a member of
+        // the last pattern node — a frontier left over from an earlier hop
+        // or row would leak her into paper 1's authors. With one scratch
+        // reused for every row, each row's related set must be exactly its
+        // projection of the full graph relation, without duplicates.
+        let tgdb = citation_chains();
+        let (papers, _) = tgdb.schema.node_type_by_name("P").unwrap();
+        let (ce, _) = tgdb
+            .schema
+            .outgoing_by_name(papers, "P (referenced)")
+            .unwrap();
+        let (ae, _) = tgdb.schema.outgoing_by_name(papers, "A").unwrap();
+        let q = ops::initiate(&tgdb, papers).unwrap();
+        let q = ops::add(&tgdb, &q, ce).unwrap();
+        let q = ops::add(&tgdb, &q, ce).unwrap();
+        let q = ops::add(&tgdb, &q, ae).unwrap();
+        let q = ops::shift(&q, PatternNodeId(0)).unwrap();
+        let m = match_primary(&tgdb, &q).unwrap();
+        assert_eq!(m.rows().len(), 2);
+        let full = match_full(&tgdb, &q).unwrap();
+        let primary_pos = full.attr_pos(q.primary).unwrap();
+        let mut scratch = RelatedScratch::new(&tgdb);
+        for target in q.node_ids() {
+            let path = q.path(&tgdb, q.primary, target).unwrap();
+            let target_pos = full.attr_pos(target).unwrap();
+            for &row in m.rows() {
+                let mut got = Vec::new();
+                m.related_into(&tgdb, &path, row, &mut scratch, &mut got);
+                assert_eq!(got, m.related(&tgdb, row, target).unwrap());
+                let mut want: Vec<NodeId> = full
+                    .tuples
+                    .iter()
+                    .filter(|t| t[primary_pos] == row)
+                    .map(|t| t[target_pos])
+                    .collect();
+                want.sort();
+                want.dedup();
+                assert_eq!(got.len(), want.len(), "duplicates at {target} from {row}");
+                got.sort();
+                assert_eq!(got, want, "{target} from {row}");
+            }
+        }
     }
 
     #[test]
@@ -287,7 +444,7 @@ mod tests {
         let names: Vec<String> = m
             .rows()
             .iter()
-            .map(|&a| tgdb.instances.label(&tgdb.schema, a))
+            .map(|&a| tgdb.instances.label(a).to_string())
             .collect();
         assert_eq!(names, vec!["Minsuk Kim"]);
     }
@@ -328,7 +485,7 @@ mod tests {
             .unwrap();
         let names: Vec<String> = related
             .iter()
-            .map(|&a| tgdb.instances.label(&tgdb.schema, a))
+            .map(|&a| tgdb.instances.label(a).to_string())
             .collect();
         assert_eq!(names, vec!["H. V. Jagadish", "Arnab Nandi"]);
     }
@@ -358,7 +515,7 @@ mod tests {
             .unwrap();
         let names: Vec<String> = authors
             .iter()
-            .map(|&a| tgdb.instances.label(&tgdb.schema, a))
+            .map(|&a| tgdb.instances.label(a).to_string())
             .collect();
         assert_eq!(names, vec!["Minsuk Kim"]);
     }

@@ -7,9 +7,10 @@
 //! per-node selection conditions, and one node marked primary.
 
 use crate::{Error, Result};
-use etable_relational::expr::CmpOp;
+use etable_relational::expr::{CmpOp, LikePattern};
 use etable_relational::value::Value;
 use etable_tgm::{EdgeTypeId, NodeId, NodeTypeId, Tgdb};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifies a pattern node (an occurrence of a node type) within one
@@ -131,14 +132,43 @@ impl NodeFilter {
         self
     }
 
-    /// Evaluates the filter against an instance node.
-    pub fn eval(&self, tgdb: &Tgdb, node: NodeId) -> Result<bool> {
+    /// Resolves the filter against `node_type` ahead of a scan: attribute
+    /// names become positions and LIKE patterns are compiled, once, and
+    /// [`BoundFilter::eval`] then tests one node after another.
+    pub fn bind(&self, tgdb: &Tgdb, node_type: NodeTypeId) -> Result<BoundFilter<'_>> {
+        let nt = tgdb.schema.node_type(node_type);
+        let attr = |name: &String| {
+            nt.attr_index(name).ok_or_else(|| Error::UnknownAttribute {
+                node_type: nt.name.clone(),
+                attr: name.clone(),
+            })
+        };
+        let mut atoms = Vec::with_capacity(self.atoms.len());
         for atom in &self.atoms {
-            if !eval_atom(atom, tgdb, node)? {
-                return Ok(false);
-            }
+            atoms.push(match atom {
+                FilterAtom::Cmp { attr: a, op, value } => BoundAtom::Cmp(attr(a)?, *op, value),
+                FilterAtom::Like { attr: a, pattern } => {
+                    BoundAtom::Like(attr(a)?, LikePattern::new(pattern), true)
+                }
+                FilterAtom::NotLike { attr: a, pattern } => {
+                    BoundAtom::Like(attr(a)?, LikePattern::new(pattern), false)
+                }
+                FilterAtom::In { attr: a, values } => BoundAtom::In(attr(a)?, values),
+                FilterAtom::IsNull { attr: a } => BoundAtom::IsNull(attr(a)?),
+                FilterAtom::NodeIs(target) => BoundAtom::NodeIs(*target),
+                FilterAtom::NeighborLabelLike { edge, pattern } => {
+                    let et = tgdb.schema.edge_type(*edge);
+                    if et.source != node_type {
+                        return Err(Error::InvalidEdge(format!(
+                            "edge `{}` does not leave node type `{}`",
+                            et.name, nt.name
+                        )));
+                    }
+                    BoundAtom::NeighborLabelLike(*edge, LikePattern::new(pattern))
+                }
+            });
         }
-        Ok(true)
+        Ok(BoundFilter { atoms })
     }
 
     /// Renders the filter for the schema view, e.g. `year > 2005`.
@@ -185,7 +215,7 @@ fn atom_display(atom: &FilterAtom, tgdb: Option<&Tgdb>) -> String {
         }
         FilterAtom::IsNull { attr } => format!("{attr} is null"),
         FilterAtom::NodeIs(n) => match tgdb {
-            Some(t) => format!("node = '{}'", t.instances.label(&t.schema, *n)),
+            Some(t) => format!("node = '{}'", t.instances.label(*n)),
             None => format!("node = {n}"),
         },
         FilterAtom::NeighborLabelLike { edge, pattern } => match tgdb {
@@ -195,67 +225,63 @@ fn atom_display(atom: &FilterAtom, tgdb: Option<&Tgdb>) -> String {
     }
 }
 
-fn eval_atom(atom: &FilterAtom, tgdb: &Tgdb, node: NodeId) -> Result<bool> {
-    let attr_value = |attr: &str| -> Result<&Value> {
-        tgdb.instances
-            .attr(&tgdb.schema, node, attr)
-            .ok_or_else(|| {
-                let nt = tgdb.schema.node_type(tgdb.instances.type_of(node));
-                Error::UnknownAttribute {
-                    node_type: nt.name.clone(),
-                    attr: attr.to_string(),
-                }
-            })
-    };
-    match atom {
-        FilterAtom::Cmp { attr, op, value } => {
-            let v = attr_value(attr)?;
-            let ord = v.sql_cmp(value);
-            Ok(match ord {
+/// A [`NodeFilter`] resolved against one node type (see
+/// [`NodeFilter::bind`]); evaluating it looks nothing up by name and
+/// copies no text.
+#[derive(Debug)]
+pub struct BoundFilter<'a> {
+    atoms: Vec<BoundAtom<'a>>,
+}
+
+/// A [`FilterAtom`] with its attribute position resolved.
+#[derive(Debug)]
+enum BoundAtom<'a> {
+    Cmp(usize, CmpOp, &'a Value),
+    /// The flag is the outcome wanted of the match: `false` for NOT LIKE.
+    Like(usize, LikePattern, bool),
+    In(usize, &'a [Value]),
+    IsNull(usize),
+    NodeIs(NodeId),
+    NeighborLabelLike(EdgeTypeId, LikePattern),
+}
+
+/// LIKE over a value's display text; only non-text values are formatted.
+fn like_text(pattern: &LikePattern, v: &Value) -> bool {
+    match v {
+        Value::Text(s) => pattern.matches(s.as_str()),
+        other => pattern.matches(&other.to_string()),
+    }
+}
+
+impl BoundFilter<'_> {
+    /// Whether `node`, of the node type the filter was bound to, satisfies
+    /// every atom (SQL three-valued logic: unknown is not a match).
+    pub fn eval(&self, tgdb: &Tgdb, node: NodeId) -> bool {
+        let values = &tgdb.instances.node(node).values;
+        self.atoms.iter().all(|atom| match atom {
+            BoundAtom::Cmp(attr, op, value) => match values[*attr].sql_cmp(value) {
                 None => false,
                 Some(o) => match op {
-                    CmpOp::Eq => o == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => o != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => o == std::cmp::Ordering::Less,
-                    CmpOp::Le => o != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => o == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => o != std::cmp::Ordering::Less,
+                    CmpOp::Eq => o == Ordering::Equal,
+                    CmpOp::Ne => o != Ordering::Equal,
+                    CmpOp::Lt => o == Ordering::Less,
+                    CmpOp::Le => o != Ordering::Greater,
+                    CmpOp::Gt => o == Ordering::Greater,
+                    CmpOp::Ge => o != Ordering::Less,
                 },
-            })
-        }
-        FilterAtom::Like { attr, pattern } => {
-            let v = attr_value(attr)?;
-            Ok(match v {
-                Value::Null => false,
-                other => etable_relational::expr::like_match(&other.to_string(), pattern),
-            })
-        }
-        FilterAtom::NotLike { attr, pattern } => {
-            let v = attr_value(attr)?;
-            Ok(match v {
-                Value::Null => false,
-                other => !etable_relational::expr::like_match(&other.to_string(), pattern),
-            })
-        }
-        FilterAtom::In { attr, values } => {
-            let v = attr_value(attr)?;
-            Ok(values.iter().any(|w| v.sql_eq(w) == Some(true)))
-        }
-        FilterAtom::IsNull { attr } => Ok(attr_value(attr)?.is_null()),
-        FilterAtom::NodeIs(target) => Ok(node == *target),
-        FilterAtom::NeighborLabelLike { edge, pattern } => {
-            let et = tgdb.schema.edge_type(*edge);
-            if et.source != tgdb.instances.type_of(node) {
-                return Err(Error::InvalidEdge(format!(
-                    "edge `{}` does not leave node type `{}`",
-                    et.name,
-                    tgdb.schema.node_type(tgdb.instances.type_of(node)).name
-                )));
+            },
+            // NULL is neither LIKE nor NOT LIKE anything.
+            BoundAtom::Like(attr, pattern, wanted) => {
+                !values[*attr].is_null() && like_text(pattern, &values[*attr]) == *wanted
             }
-            Ok(tgdb.instances.neighbors(*edge, node).iter().any(|&n| {
-                etable_relational::expr::like_match(&tgdb.instances.label(&tgdb.schema, n), pattern)
-            }))
-        }
+            BoundAtom::In(attr, list) => list.iter().any(|w| values[*attr].sql_eq(w) == Some(true)),
+            BoundAtom::IsNull(attr) => values[*attr].is_null(),
+            BoundAtom::NodeIs(target) => node == *target,
+            BoundAtom::NeighborLabelLike(edge, pattern) => {
+                let mut neighbors = tgdb.instances.neighbors(*edge, node).iter();
+                neighbors.any(|&n| like_text(pattern, &tgdb.instances.label(n)))
+            }
+        })
     }
 }
 

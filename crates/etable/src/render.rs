@@ -48,14 +48,14 @@ pub fn truncate(s: &str, n: usize) -> String {
     }
 }
 
-fn render_cell(cell: &Cell, opts: &RenderOptions) -> String {
+fn render_cell(t: &EnrichedTable, cell: &Cell, opts: &RenderOptions) -> String {
     match cell {
         Cell::Atomic(v) => truncate(&v.to_string(), opts.max_cell),
         Cell::Refs(refs) => {
             let shown: Vec<String> = refs
                 .iter()
                 .take(opts.max_refs)
-                .map(|r| truncate(&r.label, opts.max_label))
+                .map(|&r| truncate(&t.label_text(r), opts.max_label))
                 .collect();
             let mut text = format!("{} | {}", refs.len(), shown.join(", "));
             if refs.len() > opts.max_refs {
@@ -83,7 +83,7 @@ pub fn render_etable(t: &EnrichedTable, opts: &RenderOptions) -> String {
         .collect();
     let mut body: Vec<Vec<String>> = Vec::new();
     for row in t.rows.iter().take(opts.max_rows) {
-        body.push(row.cells.iter().map(|c| render_cell(c, opts)).collect());
+        body.push(row.cells.iter().map(|c| render_cell(t, c, opts)).collect());
     }
     // Column widths.
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
@@ -173,7 +173,7 @@ pub fn render_markdown(t: &EnrichedTable, opts: &RenderOptions) -> String {
                     let shown: Vec<String> = refs
                         .iter()
                         .take(opts.max_refs)
-                        .map(|r| escape(&truncate(&r.label, opts.max_label)))
+                        .map(|&r| escape(&truncate(&t.label_text(r), opts.max_label)))
                         .collect();
                     let ellipsis = if refs.len() > opts.max_refs {
                         "…"

@@ -100,35 +100,29 @@ impl Session {
             }
         }
         if !self.hidden.is_empty() {
-            let keep: Vec<usize> = t
+            // Drop the hidden cells in place; nothing is cloned.
+            let keep: Vec<bool> = t
                 .columns
                 .iter()
-                .enumerate()
-                .filter(|(_, c)| !self.hidden.contains(&c.name))
-                .map(|(i, _)| i)
+                .map(|c| !self.hidden.contains(&c.name))
                 .collect();
-            t.columns = keep.iter().map(|&i| t.columns[i].clone()).collect();
+            let mut kept = keep.iter();
+            t.columns.retain(|_| kept.next() == Some(&true));
             for row in &mut t.rows {
-                row.cells = keep.iter().map(|&i| row.cells[i].clone()).collect();
+                let mut kept = keep.iter();
+                row.cells.retain(|_| kept.next() == Some(&true));
             }
         }
         Ok(t)
     }
 
-    fn raw_etable(&mut self) -> Result<Option<EnrichedTable>> {
-        match self.current_pattern() {
-            None => Ok(None),
-            Some(pattern) => {
-                let pattern = pattern.clone();
-                let m = self.cache.get_or_compute(&self.tgdb, &pattern)?;
-                Ok(Some(transform::transform(&self.tgdb, &m)?))
-            }
-        }
-    }
-
     fn push(&mut self, action: &UserAction) -> Result<()> {
-        let etable = self.raw_etable()?;
-        let outcome = apply(&self.tgdb, self.current_pattern(), etable.as_ref(), action)?;
+        // An action reads the column specs of the table it is applied to,
+        // never its rows: hand it the header and match nothing here.
+        let shown = self
+            .current_pattern()
+            .map(|pattern| transform::header(&self.tgdb, pattern));
+        let outcome = apply(&self.tgdb, self.current_pattern(), shown.as_ref(), action)?;
         self.history.push(HistoryStep {
             description: outcome.description,
             pattern: outcome.pattern,
@@ -361,6 +355,32 @@ mod tests {
         for name in &kept {
             assert!(t.column(name).is_some());
         }
+    }
+
+    #[test]
+    fn one_cache_lookup_per_table_shown_and_none_per_action() {
+        fn is_send<T: Send>(_: &T) {}
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
+        let nandi = tgdb.node_by_label(authors, "Arnab Nandi").unwrap();
+        let mut s = Session::new(tgdb.clone());
+        is_send(&s);
+        let lookups = |s: &Session| s.cache_stats().0 + s.cache_stats().1;
+        for shown in 0..4 {
+            // Applying an action reads the shown table's header only.
+            match shown {
+                0 => s.open_by_name("Papers"),
+                1 => s.filter(NodeFilter::cmp("year", CmpOp::Lt, 2012)),
+                2 => s.pivot("Authors"),
+                _ => s.seeall(nandi, "Institutions"),
+            }
+            .unwrap();
+            assert_eq!(lookups(&s), shown);
+            let t = s.etable().unwrap();
+            is_send(&t);
+            assert_eq!(lookups(&s), shown + 1);
+        }
+        assert_eq!(s.history().len(), 4);
     }
 
     #[test]

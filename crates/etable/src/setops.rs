@@ -8,12 +8,11 @@
 //! attributes plus the neighbor columns (participating columns are
 //! pattern-specific and do not survive combination).
 
-use crate::etable::{Cell, ColumnKind, ColumnSpec, ETableRow, EnrichedTable, EntityRef};
+use crate::etable::EnrichedTable;
 use crate::matching::match_primary;
 use crate::pattern::QueryPattern;
-use crate::{Error, Result};
+use crate::{ops, transform, Error, Result};
 use etable_tgm::{NodeId, Tgdb};
-use std::collections::HashSet;
 
 /// Which set operation to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,91 +70,29 @@ pub fn combine(
     }
     let lm = match_primary(tgdb, left)?;
     let rm = match_primary(tgdb, right)?;
-    let rset: HashSet<NodeId> = rm.rows().iter().copied().collect();
-    let lset: HashSet<NodeId> = lm.rows().iter().copied().collect();
+    let in_left = |n: &NodeId| lm.contains(left.primary, *n);
+    let in_right = |n: &NodeId| rm.contains(right.primary, *n);
 
-    // Keep instance order for determinism.
+    // Every side is in instance order, which keeps the result deterministic.
     let rows: Vec<NodeId> = match op {
         SetOp::Union => {
-            let mut out: Vec<NodeId> = lm.rows().to_vec();
-            out.extend(rm.rows().iter().filter(|n| !lset.contains(n)));
-            // Restore instance order across both sides.
-            let all: HashSet<NodeId> = out.iter().copied().collect();
-            tgdb.instances
-                .nodes_of_type(lt)
-                .iter()
-                .copied()
-                .filter(|n| all.contains(n))
-                .collect()
+            let all = tgdb.instances.nodes_of_type(lt).iter().copied();
+            all.filter(|n| in_left(n) || in_right(n)).collect()
         }
-        SetOp::Intersect => lm
-            .rows()
-            .iter()
-            .copied()
-            .filter(|n| rset.contains(n))
-            .collect(),
-        SetOp::Difference => lm
-            .rows()
-            .iter()
-            .copied()
-            .filter(|n| !rset.contains(n))
-            .collect(),
+        SetOp::Intersect => lm.rows().iter().copied().filter(in_right).collect(),
+        SetOp::Difference => lm.rows().iter().copied().filter(|n| !in_right(n)).collect(),
     };
 
-    // Columns: base attributes + all neighbor columns of the shared type.
-    let nt = tgdb.schema.node_type(lt);
-    let mut columns: Vec<ColumnSpec> = nt
-        .attrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| ColumnSpec {
-            name: a.name.clone(),
-            kind: ColumnKind::Base { attr: i },
-        })
-        .collect();
-    for (et_id, et) in tgdb.schema.outgoing(lt) {
-        columns.push(ColumnSpec {
-            name: et.name.clone(),
-            kind: ColumnKind::Neighbor { edge: et_id },
-        });
-    }
-
-    let table_rows = rows
-        .into_iter()
-        .map(|node| {
-            let cells = columns
-                .iter()
-                .map(|col| match &col.kind {
-                    ColumnKind::Base { attr } => {
-                        Cell::Atomic(tgdb.instances.node(node).values[*attr])
-                    }
-                    ColumnKind::Neighbor { edge } => Cell::Refs(
-                        tgdb.instances
-                            .neighbors(*edge, node)
-                            .iter()
-                            .map(|&n| EntityRef {
-                                node: n,
-                                label: tgdb.instances.label(&tgdb.schema, n),
-                            })
-                            .collect(),
-                    ),
-                    ColumnKind::Participating { .. } => unreachable!("not built here"),
-                })
-                .collect();
-            ETableRow { node, cells }
-        })
-        .collect();
-
-    Ok(EnrichedTable {
-        primary_type_name: nt.name.clone(),
-        filter_desc: format!(
-            "{op} of ({}) and ({})",
-            describe(tgdb, left),
-            describe(tgdb, right)
-        ),
-        columns,
-        rows: table_rows,
-    })
+    // Base attributes + all neighbor columns of the shared type: the table
+    // of the bare type, with the combined rows.
+    let mut table = transform::header(tgdb, &ops::initiate(tgdb, lt)?);
+    table.filter_desc = format!(
+        "{op} of ({}) and ({})",
+        describe(tgdb, left),
+        describe(tgdb, right)
+    );
+    transform::fill_rows(tgdb, &mut table, &rows);
+    Ok(table)
 }
 
 fn describe(tgdb: &Tgdb, q: &QueryPattern) -> String {
@@ -214,7 +151,7 @@ mod tests {
         let diff = combine(&tgdb, &all, &recent, SetOp::Difference).unwrap();
         assert_eq!(inter.len() + diff.len(), 4);
         // Disjoint.
-        let inter_nodes: HashSet<_> = inter.rows.iter().map(|r| r.node).collect();
+        let inter_nodes: std::collections::HashSet<_> = inter.rows.iter().map(|r| r.node).collect();
         assert!(diff.rows.iter().all(|r| !inter_nodes.contains(&r.node)));
     }
 

@@ -12,12 +12,14 @@
 //! the primary node to a participating node — "some of these columns are
 //! the same as the participating node columns" (Figure 8 caption).
 
-use crate::etable::{Cell, ColumnKind, ColumnSpec, ETableRow, EnrichedTable, EntityRef};
-use crate::matching::{match_primary, MatchResult};
+use crate::etable::{Cell, ColumnKind, ColumnSpec, ETableRow, EnrichedTable};
+use crate::matching::{match_primary, MatchResult, RelatedScratch};
 use crate::pattern::QueryPattern;
-use crate::Result;
-use etable_tgm::Tgdb;
+use crate::{Error, Result};
+use etable_relational::value::Value;
+use etable_tgm::{IdSlice, NodeId, Tgdb};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Executes a query pattern and transforms the result into an enriched
 /// table (instance matching + format transformation, Figure 8).
@@ -26,9 +28,12 @@ pub fn execute(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
     transform(tgdb, &m)
 }
 
-/// Transforms an existing matching result into an enriched table.
-pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
-    let pattern = &m.pattern;
+/// The enriched table of `pattern` without its rows: heading, filter
+/// description and column specs, which depend on the pattern and the
+/// schema only. This is all a user action needs of the table it is
+/// applied to ([`crate::actions::apply`]), so a session never builds rows
+/// it will not show.
+pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> EnrichedTable {
     let primary = pattern.primary;
     let primary_ty = pattern.primary_node().node_type;
     let nt = tgdb.schema.node_type(primary_ty);
@@ -43,29 +48,33 @@ pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
         });
     }
 
-    // 2. Participating node columns At (every pattern node except the
-    //    primary), named after the node type, disambiguated by occurrence.
+    // Display names are disambiguated by occurrence: "Papers", "Papers (2)".
     let mut used_names: HashSet<String> = columns.iter().map(|c| c.name.clone()).collect();
+    let mut unique = |base: &str| {
+        let mut name = base.to_string();
+        let mut k = 2;
+        while !used_names.insert(name.clone()) {
+            name = format!("{base} ({k})");
+            k += 1;
+        }
+        name
+    };
+
+    // 2. Participating node columns At (every pattern node except the
+    //    primary), named after the node type.
     // Edge types that connect the primary node to an adjacent participating
     // node; their neighbor columns would duplicate the participating column.
-    let mut covered_edges: HashSet<etable_tgm::EdgeTypeId> = HashSet::new();
-    for (nb, et) in pattern.incident(tgdb, primary) {
-        let _ = nb;
-        covered_edges.insert(et);
-    }
+    let covered_edges: HashSet<etable_tgm::EdgeTypeId> = pattern
+        .incident(tgdb, primary)
+        .into_iter()
+        .map(|(_, et)| et)
+        .collect();
     for id in pattern.node_ids() {
         if id == primary {
             continue;
         }
-        let tname = &tgdb.schema.node_type(pattern.node(id).node_type).name;
-        let mut name = tname.clone();
-        let mut k = 2;
-        while !used_names.insert(name.clone()) {
-            name = format!("{tname} ({k})");
-            k += 1;
-        }
         columns.push(ColumnSpec {
-            name,
+            name: unique(&tgdb.schema.node_type(pattern.node(id).node_type).name),
             kind: ColumnKind::Participating { node: id },
         });
     }
@@ -76,51 +85,10 @@ pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
         if covered_edges.contains(&et_id) {
             continue;
         }
-        let mut name = et.name.clone();
-        let mut k = 2;
-        while !used_names.insert(name.clone()) {
-            name = format!("{} ({k})", et.name);
-            k += 1;
-        }
         columns.push(ColumnSpec {
-            name,
+            name: unique(&et.name),
             kind: ColumnKind::Neighbor { edge: et_id },
         });
-    }
-
-    // Rows.
-    let mut rows = Vec::with_capacity(m.rows().len());
-    for &node in m.rows() {
-        let mut cells = Vec::with_capacity(columns.len());
-        for col in &columns {
-            let cell = match &col.kind {
-                ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.node(node).values[*attr]),
-                ColumnKind::Participating { node: target } => {
-                    let related = m.related(tgdb, node, *target)?;
-                    Cell::Refs(
-                        related
-                            .into_iter()
-                            .map(|n| EntityRef {
-                                node: n,
-                                label: tgdb.instances.label(&tgdb.schema, n),
-                            })
-                            .collect(),
-                    )
-                }
-                ColumnKind::Neighbor { edge } => Cell::Refs(
-                    tgdb.instances
-                        .neighbors(*edge, node)
-                        .iter()
-                        .map(|&n| EntityRef {
-                            node: n,
-                            label: tgdb.instances.label(&tgdb.schema, n),
-                        })
-                        .collect(),
-                ),
-            };
-            cells.push(cell);
-        }
-        rows.push(ETableRow { node, cells });
     }
 
     // Filter description, e.g. "Papers filtered by year > 2005 AND ...".
@@ -138,12 +106,68 @@ pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
         format!("filtered by {}", filters.join(" AND "))
     };
 
-    Ok(EnrichedTable {
+    EnrichedTable {
         primary_type_name: nt.name.clone(),
         filter_desc,
         columns,
-        rows,
-    })
+        rows: Vec::new(),
+        labels: Arc::clone(tgdb.instances.labels()),
+    }
+}
+
+/// Gives `table` one row per node of `rows`, with its base and neighbor
+/// cells; a neighbor cell is the node's run of the CSR target array.
+/// Participating cells are left `NULL` for [`transform`] to fill in.
+pub(crate) fn fill_rows(tgdb: &Tgdb, table: &mut EnrichedTable, rows: &[NodeId]) {
+    let row = |&node| {
+        let cells = table.columns.iter().map(|col| match col.kind {
+            ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.node(node).values[attr]),
+            ColumnKind::Neighbor { edge } => Cell::Refs(tgdb.instances.neighbor_slice(edge, node)),
+            ColumnKind::Participating { .. } => Cell::Atomic(Value::Null),
+        });
+        ETableRow {
+            node,
+            cells: cells.collect(),
+        }
+    };
+    table.rows = rows.iter().map(row).collect();
+}
+
+/// Transforms an existing matching result into an enriched table:
+/// [`header`] plus one row of ids per matched primary node. No label is
+/// read and nothing is allocated per reference or per neighbor cell.
+pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
+    let mut table = header(tgdb, &m.pattern);
+    let rows = m.rows();
+    fill_rows(tgdb, &mut table, rows);
+
+    // A participating column is one flat id buffer: the pattern path is
+    // resolved once, every row appends its related nodes, and each cell is
+    // that row's run of the buffer.
+    let mut scratch = RelatedScratch::new(tgdb);
+    let mut ends = Vec::with_capacity(rows.len());
+    for (ci, col) in table.columns.iter().enumerate() {
+        let ColumnKind::Participating { node: target } = col.kind else {
+            continue;
+        };
+        let path = m.pattern.path(tgdb, m.pattern.primary, target)?;
+        let mut ids: Vec<NodeId> = Vec::new();
+        ends.clear();
+        for &row in rows {
+            m.related_into(tgdb, &path, row, &mut scratch, &mut ids);
+            ends.push(ids.len());
+        }
+        let ids: Arc<[NodeId]> = ids.into();
+        let mut start = 0;
+        for (row, &end) in table.rows.iter_mut().zip(&ends) {
+            let run = IdSlice::new(&ids, start..end).ok_or_else(|| {
+                Error::InvalidAction(format!("column `{}` holds too many references", col.name))
+            })?;
+            row.cells[ci] = Cell::Refs(run);
+            start = end;
+        }
+    }
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -229,7 +253,7 @@ mod tests {
         for row in &t.rows {
             let refs = row.cells[col].refs().unwrap();
             assert_eq!(refs.len(), 1);
-            assert_eq!(refs[0].label, "SIGMOD");
+            assert_eq!(t.label(refs[0]), "SIGMOD".into());
         }
     }
 

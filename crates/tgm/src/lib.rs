@@ -2,10 +2,10 @@
 //!
 //! The **Typed Graph Model** (TGM) of the ETable paper (§4): relational
 //! databases are reverse engineered into a *schema graph* (node types and
-//! bidirectional edge types) plus an *instance graph* (nodes, edges,
-//! per-edge-type adjacency), so that users can browse data at the
-//! entity-relationship level and the ETable layer can answer neighbor
-//! lookups with hash probes instead of joins.
+//! bidirectional edge types) plus an *instance graph* (nodes, a label
+//! column, per-edge-type CSR adjacency), so that users can browse data at
+//! the entity-relationship level and the ETable layer can answer neighbor
+//! lookups with two offset loads instead of joins.
 //!
 //! The translation procedure implements the paper's Appendix A, covering
 //! all five categories of Table 1: entity tables, one-to-many and
@@ -22,7 +22,7 @@ pub mod stats;
 pub mod translate;
 
 pub use ids::{EdgeTypeId, NodeId, NodeTypeId};
-pub use instance_graph::{InstanceGraph, Node};
+pub use instance_graph::{GraphBuilder, IdSlice, InstanceGraph, Node};
 pub use schema_graph::{
     AttrDef, EdgeProvenance, EdgeType, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };

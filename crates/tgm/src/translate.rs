@@ -9,7 +9,7 @@
 //! 4. a multivalued-attribute relation has exactly two columns.
 
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
-use crate::instance_graph::InstanceGraph;
+use crate::instance_graph::{GraphBuilder, InstanceGraph};
 use crate::schema_graph::{
     AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
@@ -106,11 +106,15 @@ impl Tgdb {
     /// Finds a node of any type by its label text (first match in insertion
     /// order). Mirrors clicking an entity reference in the UI.
     pub fn node_by_label(&self, nt: NodeTypeId, label: &str) -> Option<NodeId> {
+        let matches = |id: &NodeId| match self.instances.label(*id) {
+            Value::Text(s) => s.as_str() == label,
+            other => other.to_string() == label,
+        };
         self.instances
             .nodes_of_type(nt)
             .iter()
             .copied()
-            .find(|&id| self.instances.label(&self.schema, id) == label)
+            .find(matches)
     }
 }
 
@@ -190,6 +194,21 @@ fn pick_label(schema: &TableSchema, attrs: &[AttrDef], override_col: Option<&str
         }
     }
     best
+}
+
+/// Adds one single-attribute node of type `vt` per non-NULL value, in the
+/// order given (`distinct_values` is already in total order). The returned
+/// map is only a lookup, so it hashes on the value (interned text hashes by
+/// symbol id — no arena reads).
+fn add_value_nodes(
+    instances: &mut GraphBuilder,
+    vt: NodeTypeId,
+    values: impl IntoIterator<Item = Value>,
+) -> HashMap<Value, NodeId> {
+    let values = values.into_iter().filter(|v| !v.is_null());
+    values
+        .map(|v| (v, instances.add_node(vt, vec![v])))
+        .collect()
 }
 
 /// Translates `db` into a typed graph database.
@@ -527,7 +546,7 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
     }
 
     // --- Instance graph. --------------------------------------------------
-    let mut instances = InstanceGraph::for_schema(&schema);
+    let mut instances = InstanceGraph::builder(&schema);
     let mut pk_index: HashMap<NodeTypeId, HashMap<Value, NodeId>> = HashMap::new();
 
     // Entity nodes.
@@ -606,17 +625,7 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
         let tschema = table.schema();
         let fi = tschema.column_index(fk_col).expect("fk column");
         let vi = tschema.column_index(value_col).expect("value column");
-        // Node creation order comes from `distinct_values` (already in
-        // total order); the map itself is only a lookup, so hash on the
-        // value (interned text hashes by symbol id — no arena reads).
-        let mut value_nodes: HashMap<Value, NodeId> = HashMap::new();
-        for v in table.distinct_values(vi) {
-            if v.is_null() {
-                continue;
-            }
-            let node = instances.add_node(*vt, vec![v]);
-            value_nodes.insert(v, node);
-        }
+        let value_nodes = add_value_nodes(&mut instances, *vt, table.distinct_values(vi));
         let fc = table.column(fi);
         let vc = table.column(vi);
         for r in 0..table.len() {
@@ -639,15 +648,7 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
         let pk_idx = tschema
             .column_index(&tschema.primary_key[0])
             .expect("entity pk");
-        // Lookup-only map, as above: hash by symbol id, never compare text.
-        let mut value_nodes: HashMap<Value, NodeId> = HashMap::new();
-        for v in table.distinct_values(ci) {
-            if v.is_null() {
-                continue;
-            }
-            let node = instances.add_node(*vt, vec![v]);
-            value_nodes.insert(v, node);
-        }
+        let value_nodes = add_value_nodes(&mut instances, *vt, table.distinct_values(ci));
         let cc = table.column(ci);
         let pks = table.column(pk_idx);
         for r in 0..table.len() {
@@ -659,6 +660,7 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
         }
     }
 
+    let instances = instances.finish(&schema)?;
     Ok(Tgdb {
         schema,
         instances,

@@ -46,16 +46,16 @@ fn main() {
     // Figure 2: three routes to author information.
     let row = table.rows.first().expect("at least one row");
     let authors_col = table.column_index("Authors").expect("Authors column");
-    let first_author = row.cells[authors_col].refs().expect("refs")[0].clone();
+    let first_author = row.cells[authors_col].refs().expect("refs")[0];
     let row_node = row.node;
 
     // (a) click one author's name.
     let mut a = Session::new(tgdb.clone());
     a.open_by_name("Papers").unwrap();
-    a.single(first_author.node).expect("single");
+    a.single(first_author).expect("single");
     println!(
         "(a) clicking '{}' opens a one-row Authors table: {} row(s)",
-        first_author.label,
+        table.label(first_author),
         a.etable().unwrap().len()
     );
 

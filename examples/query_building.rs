@@ -51,7 +51,7 @@ fn main() {
     let m = matching::match_primary(&tgdb, &q).expect("match");
     println!("matched researchers: {}", m.rows().len());
     for &node in m.rows().iter().take(8) {
-        println!("  - {}", tgdb.instances.label(&tgdb.schema, node));
+        println!("  - {}", tgdb.instances.label(node));
     }
 
     // §8: the pattern as the paper's general SQL form, and an executable

@@ -76,7 +76,7 @@ fn random_action(session: &mut Session, rng: &mut StdRng) {
             for r in t.rows.iter().take(5) {
                 for c in &r.cells {
                     if let Some(rs) = c.refs() {
-                        refs.extend(rs.iter().map(|e| e.node));
+                        refs.extend(rs);
                     }
                 }
             }
