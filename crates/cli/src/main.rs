@@ -30,7 +30,7 @@
 use etable_cli::engine::Engine;
 use etable_core::connection::Connection;
 use etable_datagen::{load_or_generate, GenConfig};
-use etable_relational::algebra::Relation;
+use etable_relational::relation::Relation;
 use etable_relational::shared::SharedDatabase;
 use etable_server::{Client, Server};
 use etable_tgm::{translate, Tgdb, TranslateOptions};

@@ -15,7 +15,7 @@
 //! database.
 
 use crate::session::Session;
-use etable_relational::algebra::Relation;
+use etable_relational::relation::Relation;
 use etable_relational::shared::{SharedDatabase, Snapshot};
 use etable_tgm::Tgdb;
 use std::sync::Arc;

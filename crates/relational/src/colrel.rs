@@ -2,7 +2,7 @@
 //!
 //! The optimizing executor's pipeline between the base-table scan and the
 //! final projection runs on [`ColRelation`]s instead of materialized
-//! [`Relation`](crate::algebra::Relation)s. A `ColRelation` is a set of
+//! [`Relation`]s. A `ColRelation` is a set of
 //! borrowed base [`Table`]s plus **one row-id vector per table**: logical
 //! row `r` of the relation reads row `row_ids[r]` of each source table.
 //! Every operator — pushdown scan, hash join, cross product, residual
@@ -25,26 +25,24 @@
 //! No intermediate row is copied anywhere in that pipeline; the final
 //! projection ([`ColRelation::project`]) gathers each output cell exactly
 //! once, straight out of the base tables' column stores. Grouped queries
-//! never materialize rows at all: [`ColRelation::group_by`] feeds the
-//! shared vectorized grouping kernel ([`crate::algebra`]'s `GroupAcc`)
-//! through a cell accessor over the row-id vectors — one accumulator per
-//! morsel when the aggregates merge exactly, partials merged in chunk
-//! order.
+//! never materialize rows at all: [`ColRelation::group_by`]
+//! ([`crate::exec::agg`]) aggregates through a cell accessor over the
+//! row-id vectors.
 //!
 //! Row ids are `u32` ([`Table`]s are capped at `u32::MAX` rows, and the
 //! cardinality-growing operators error past `u32::MAX` logical rows
 //! rather than truncate), so a selection vector is a quarter the size of
 //! even a single-column materialized row vector.
 
-use crate::algebra::{resolve_name, AggSpec, RelColumn, Relation, SortKey};
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
-use crate::exec::pool::{self, CHUNK_ROWS};
+use crate::exec::pool;
 use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
+use crate::relation::{RelColumn, Relation, SortKey};
 use crate::storage::spill::{self, SpillKey};
 use crate::table::{ColumnData, ColumnStore, Table};
-use crate::value::{DataType, SortCell, Value};
+use crate::value::{SortCell, Value};
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,7 +94,7 @@ struct Source<'a> {
 /// row-id vectors (see the module docs). The executor's join tail operates
 /// entirely on this type; rows are materialized only by
 /// [`ColRelation::project`] (final projection) or consumed cell-at-a-time
-/// by [`ColRelation::group_by`].
+/// by [`ColRelation::group_by`] ([`crate::exec::agg`]).
 #[derive(Debug, Clone)]
 pub struct ColRelation<'a> {
     columns: Vec<RelColumn>,
@@ -116,17 +114,22 @@ pub enum Pick {
     Lit(Value),
 }
 
-/// Whether the plan-invariant validator runs: always in debug builds,
-/// opt-in through `ETABLE_VALIDATE=1` in release builds (the nightly
-/// deep-verify fuzzer sets it, so every fuzz case exercises the checks).
-fn validate_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        cfg!(debug_assertions)
-            || std::env::var("ETABLE_VALIDATE")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-    })
+/// An owned handle on one output column of a [`ColRelation`]: the column
+/// store and the row-id vector behind it. Both are `Arc`-backed, so the
+/// handle copies no data and is `'static` — the cell accessor morsel
+/// kernels carry onto pool workers.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnCells {
+    store: ColumnStore,
+    ids: RowIds,
+}
+
+impl ColumnCells {
+    /// The cell at logical row `row`.
+    #[inline]
+    pub(crate) fn get(&self, row: usize) -> Value {
+        self.store.get(self.ids.get(row))
+    }
 }
 
 impl<'a> ColRelation<'a> {
@@ -134,6 +137,9 @@ impl<'a> ColRelation<'a> {
     /// therefore the plan-invariant checkpoint: logical row count within
     /// [`crate::table::MAX_ROWS`], every source's row-id vector the same
     /// length as the relation, and every row id in bounds for its table.
+    /// The validator runs wherever debug assertions are compiled in: debug
+    /// builds, and release builds made with
+    /// `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true` (the nightly fuzzer's).
     fn from_sources(columns: Vec<RelColumn>, sources: Vec<Source<'a>>, n_rows: usize) -> Self {
         let mut col_map = Vec::with_capacity(columns.len());
         for (si, s) in sources.iter().enumerate() {
@@ -142,7 +148,7 @@ impl<'a> ColRelation<'a> {
             }
         }
         debug_assert_eq!(col_map.len(), columns.len());
-        if validate_enabled() {
+        if cfg!(debug_assertions) {
             assert!(
                 n_rows <= crate::table::MAX_ROWS,
                 "plan invariant violated: {n_rows} logical rows exceed MAX_ROWS"
@@ -224,18 +230,20 @@ impl<'a> ColRelation<'a> {
         &self.columns
     }
 
-    /// Resolves a (possibly qualified) column name to its position; errors
-    /// on unknown and ambiguous names, exactly like
-    /// [`Relation::resolve`](crate::algebra::Relation::resolve).
-    pub fn resolve(&self, name: &str) -> Result<usize> {
-        resolve_name(&self.columns, name)
-    }
-
     /// The column store and row-id vector behind output column `col`.
     fn col_source(&self, col: usize) -> (&'a ColumnStore, &RowIds) {
         let (si, ci) = self.col_map[col];
         let s = &self.sources[si as usize];
         (s.table.column(ci as usize), &s.row_ids)
+    }
+
+    /// An owned cell accessor for output column `col` (see [`ColumnCells`]).
+    pub(crate) fn column_cells(&self, col: usize) -> ColumnCells {
+        let (store, ids) = self.col_source(col);
+        ColumnCells {
+            store: store.clone(),
+            ids: ids.clone(),
+        }
     }
 
     /// Materializes the cell at (`row`, `col`).
@@ -306,9 +314,9 @@ impl<'a> ColRelation<'a> {
     /// inputs' existing selections — no row of either side is copied. When
     /// both key columns are `INT` (or both `TEXT`), keys hash straight off
     /// the `i64` (or interned `u32` symbol) column words; mixed-type keys
-    /// fall back to [`Value`] keys with the same NULL-never-matches and
-    /// `Int`/`Float` widening semantics as the row-at-a-time reference
-    /// join. Output columns are `self.columns ++ other.columns`.
+    /// fall back to [`Value`] keys with the same NULL-never-matches
+    /// semantics and `Int`/`Float` widening. Output columns are
+    /// `self.columns ++ other.columns`.
     pub fn hash_join(
         &self,
         other: &ColRelation<'a>,
@@ -409,106 +417,6 @@ impl<'a> ColRelation<'a> {
         Ok(self.composed(&left_pos, Some((other, &right_pos))))
     }
 
-    /// GROUP BY + aggregates straight off the selection vectors: feeds the
-    /// shared vectorized grouping kernel with a cell accessor over the
-    /// row-id vectors, so grouped join queries never materialize an input
-    /// row. Semantics are identical to materializing the join and calling
-    /// [`Relation::group_by`](crate::algebra::Relation::group_by).
-    ///
-    /// Multi-morsel inputs aggregate in parallel: each morsel builds a
-    /// partial group table and the partials merge in fixed chunk order,
-    /// which preserves first-occurrence group order. The parallel path is
-    /// taken only when every aggregate merges *exactly* — COUNT/MIN/MAX
-    /// always, SUM/AVG only over statically-`INT` inputs (integer sums
-    /// accumulate in `i128`, so chunking cannot change the result).
-    /// Float SUM/AVG falls back to the sequential kernel rather than
-    /// risk order-dependent rounding.
-    pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Relation> {
-        let pool = pool::current();
-        if pool.threads() > 1 && self.n_rows > CHUNK_ROWS && self.aggs_merge_exactly(aggs) {
-            return self.group_by_parallel(&pool, group_cols, aggs);
-        }
-        crate::algebra::group_core(
-            self.n_rows,
-            |r, c| self.cell(r, c),
-            &self.columns,
-            group_cols,
-            aggs,
-        )
-    }
-
-    /// Whether every aggregate's partial states merge bit-exactly (the
-    /// precondition for the parallel grouped path): COUNT/MIN/MAX always
-    /// do; SUM/AVG only when the input column is statically `INT`.
-    fn aggs_merge_exactly(&self, aggs: &[AggSpec]) -> bool {
-        use crate::algebra::AggFunc;
-        aggs.iter().all(|a| match a.func {
-            AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
-            AggFunc::Sum | AggFunc::Avg => a
-                .input
-                .and_then(|c| self.columns.get(c))
-                .is_some_and(|c| c.data_type == DataType::Int),
-        })
-    }
-
-    /// The parallel grouped-aggregation path: per-morsel partial
-    /// [`crate::algebra::GroupAcc`] tables on the worker pool, merged in
-    /// fixed chunk order. Column positions are remapped to dense indexes
-    /// into an owned vector of `Arc`-backed (store, row-id) handles so the
-    /// morsel closure is `'static`; one rank snapshot is taken up front
-    /// and shared by every partial, keeping MIN/MAX candidates comparable
-    /// across morsels.
-    fn group_by_parallel(
-        &self,
-        pool: &pool::Pool,
-        group_cols: &[usize],
-        aggs: &[AggSpec],
-    ) -> Result<Relation> {
-        let mut needed: Vec<usize> = group_cols.to_vec();
-        needed.extend(aggs.iter().filter_map(|a| a.input));
-        needed.sort_unstable();
-        needed.dedup();
-        let handles: Vec<(ColumnStore, RowIds)> = needed
-            .iter()
-            .map(|&c| {
-                let (store, ids) = self.col_source(c);
-                (store.clone(), ids.clone())
-            })
-            .collect();
-        // Every position is present in `needed` by construction; an
-        // (impossible) miss maps to an out-of-range handle index rather
-        // than panicking here.
-        let local = |c: usize| needed.binary_search(&c).unwrap_or(usize::MAX);
-        let lgroup: Vec<usize> = group_cols.iter().map(|&c| local(c)).collect();
-        let laggs: Vec<AggSpec> = aggs
-            .iter()
-            .map(|a| AggSpec::new(a.func, a.input.map(local), a.output_name.clone()))
-            .collect();
-        let ranks = crate::algebra::aggs_need_ranks(aggs).then(crate::intern::rank_map);
-        let partials = {
-            let (lgroup, laggs, ranks) = (lgroup.clone(), laggs.clone(), ranks.clone());
-            pool.run_chunks(self.n_rows, move |range| {
-                let mut acc = crate::algebra::GroupAcc::new(&lgroup, &laggs, ranks.clone());
-                for r in range {
-                    acc.update(|c| {
-                        let (store, ids) = &handles[c];
-                        store.get(ids.get(r))
-                    })?;
-                }
-                Ok(vec![acc])
-            })?
-        };
-        let mut acc = crate::algebra::GroupAcc::new(&lgroup, &laggs, ranks);
-        for partial in partials {
-            acc.merge(partial)?;
-        }
-        Ok(acc.finish(crate::algebra::group_output_columns(
-            &self.columns,
-            group_cols,
-            aggs,
-        )))
-    }
-
     /// The permutation ORDER BY `keys` induces (stable: ties keep input
     /// order), computed over rank-decorated key columns hoisted once per
     /// key — the engine's sort policy, without materializing any row.
@@ -550,15 +458,12 @@ impl<'a> ColRelation<'a> {
         picks: &[Pick],
         order: Option<&[u32]>,
     ) -> Relation {
-        let validate = validate_enabled();
-        if validate {
-            assert!(
-                picks.len() == columns.len(),
-                "plan invariant violated: {} picks for {} output columns",
-                picks.len(),
-                columns.len()
-            );
-        }
+        debug_assert!(
+            picks.len() == columns.len(),
+            "plan invariant violated: {} picks for {} output columns",
+            picks.len(),
+            columns.len()
+        );
         let mut rows = Vec::with_capacity(self.n_rows);
         let mut emit = |r: usize| {
             let row: Vec<Value> = picks
@@ -568,7 +473,7 @@ impl<'a> ColRelation<'a> {
                     Pick::Lit(v) => *v,
                 })
                 .collect();
-            if validate {
+            if cfg!(debug_assertions) {
                 for (v, c) in row.iter().zip(&columns) {
                     assert!(
                         v.fits(c.data_type),
@@ -639,7 +544,7 @@ where
 /// side's keys into a chained index (`head` maps a key to its latest
 /// one-based build position; `next` links each build position to the
 /// previous one holding the same key, with 0 terminating the chain), then
-/// probes the probe side's keys in [`CHUNK_ROWS`]-sized morsels on the
+/// probes the probe side's keys in [`pool::CHUNK_ROWS`]-sized morsels on the
 /// worker pool, emitting paired (build-position, probe-position) vectors.
 /// Each morsel's pairs are concatenated in chunk order, so the emitted
 /// pair sequence — probe order major, chain order minor — is byte-identical
@@ -693,8 +598,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{AggFunc, Relation};
+    use crate::database::Database;
+    use crate::exec::agg::{AggFunc, AggSpec};
     use crate::schema::{Column, TableSchema};
+    use crate::sql::naive::execute_naive;
     use crate::value::DataType;
 
     fn table(name: &str, cols: Vec<Column>, rows: Vec<Vec<Value>>) -> Table {
@@ -730,6 +637,18 @@ mod tests {
     fn materialize(rel: &ColRelation) -> Relation {
         let (cols, picks) = all_picks(rel);
         rel.project(cols, &picks, None)
+    }
+
+    /// The reference answer: `sql` run by the naive oracle (cross product,
+    /// then filter, then linear-scan grouping) over a database holding
+    /// copies of `tables`.
+    fn oracle(tables: &[&Table], sql: &str) -> Relation {
+        let mut db = Database::new();
+        for t in tables {
+            db.create_table(t.schema().clone()).unwrap();
+            db.append_rows(&t.schema().name, t.to_rows()).unwrap();
+        }
+        execute_naive(&db, sql).unwrap()
     }
 
     /// The invariant validator always runs under `cfg(test)` (debug
@@ -784,9 +703,7 @@ mod tests {
         let cl = ColRelation::from_table(&l, "l");
         let cr = ColRelation::from_table(&r, "r");
         let col = cl.hash_join(&cr, 0, 0).unwrap();
-        let reference = Relation::from_table(&l, "l")
-            .hash_join(&Relation::from_table(&r, "r"), 0, 0)
-            .unwrap();
+        let reference = oracle(&[&l, &r], "SELECT l.k, r.k FROM l, r WHERE l.k = r.k");
         // 2x2 duplicate multiplicity + 1x1; NULLs never match: 5 rows.
         assert_eq!(col.len(), 5);
         assert_eq!(sorted_rows(&materialize(&col)), sorted_rows(&reference));
@@ -811,6 +728,11 @@ mod tests {
         assert_eq!(out.len(), 2);
         let rows = materialize(&out).rows;
         assert!(rows.iter().all(|row| row[0] == "colrel-aa".into()));
+        let reference = oracle(
+            &[&l, &r],
+            "SELECT l.tag, r.tag FROM l, r WHERE l.tag = r.tag",
+        );
+        assert_eq!(sorted_rows(&materialize(&out)), sorted_rows(&reference));
     }
 
     #[test]
@@ -869,7 +791,7 @@ mod tests {
 
     /// The grouped variant of the same regression: 2^63 floats and
     /// i64::MAX ints are distinct group keys; -0.0/0.0/Int(0) collapse
-    /// into one group on both the columnar and materialized paths.
+    /// into one group in the engine and in the oracle alike.
     #[test]
     fn boundary_float_keys_group_exactly() {
         let t = table(
@@ -887,7 +809,7 @@ mod tests {
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
         let grouped = rel.group_by(&[0], &aggs).unwrap();
         assert_eq!(grouped.rows.len(), 3, "rows: {:?}", grouped.rows);
-        let reference = materialize(&rel).group_by(&[0], &aggs).unwrap();
+        let reference = oracle(&[&t], "SELECT t.f, COUNT(*) AS n FROM t GROUP BY t.f");
         assert_eq!(sorted_rows(&grouped), sorted_rows(&reference));
     }
 
@@ -932,10 +854,7 @@ mod tests {
         assert_eq!(crossed.len(), 6);
         let picked = crossed.select(&Expr::col(1).gt(Expr::lit(15))).unwrap();
         assert_eq!(picked.len(), 4);
-        let reference = Relation::from_table(&l, "l")
-            .cross(&Relation::from_table(&r, "r"))
-            .select(&Expr::col(1).gt(Expr::lit(15)))
-            .unwrap();
+        let reference = oracle(&[&l, &r], "SELECT l.k, r.k FROM l, r WHERE r.k > 15");
         assert_eq!(sorted_rows(&materialize(&picked)), sorted_rows(&reference));
     }
 
@@ -948,7 +867,10 @@ mod tests {
             .unwrap();
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
         let grouped = joined.group_by(&[1], &aggs).unwrap();
-        let reference = materialize(&joined).group_by(&[1], &aggs).unwrap();
+        let reference = oracle(
+            &[&l, &r],
+            "SELECT r.k, COUNT(*) AS n FROM l, r WHERE l.k = r.k GROUP BY r.k",
+        );
         assert_eq!(sorted_rows(&grouped), sorted_rows(&reference));
     }
 

@@ -1,7 +1,10 @@
 //! Morsel-driven execution infrastructure shared by the columnar executor.
 //!
-//! Four pieces live here:
+//! Five pieces live here:
 //!
+//! * [`agg`] — grouped aggregation: the aggregate vocabulary, per-group
+//!   running states, the mergeable group accumulator and the
+//!   `ColRelation::group_by` driver over it.
 //! * [`pool`] — one lazily-started persistent worker pool that serves every
 //!   data-parallel kernel (filtered scans, the hash-join probe loop, grouped
 //!   aggregation) via fixed-size per-morsel work items with a deterministic
@@ -14,6 +17,7 @@
 //!   ([`crate::storage::spill`]).
 //! * [`hash`] — the join-key hasher shared by the in-memory join and the
 //!   spill partitioner.
+pub mod agg;
 pub mod budget;
 pub(crate) mod hash;
 pub mod pool;

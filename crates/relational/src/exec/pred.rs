@@ -30,37 +30,23 @@ use crate::intern::{self, Sym};
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI8, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, LazyLock, Mutex};
 
-/// Runtime toggle: -1 = follow `ETABLE_DICT_PREDS`, 0 = forced off,
-/// 1 = forced on. Exists so benches can measure dict-on vs dict-off in one
-/// process without touching the environment.
-static DICT_FORCE: AtomicI8 = AtomicI8::new(-1);
+/// On by default; [`set_dict_predicates`] is the in-process switch benches
+/// and tests use to compare dict-on vs dict-off without touching the
+/// environment.
+static DICT_PREDICATES: AtomicBool = AtomicBool::new(true);
 
-/// `ETABLE_DICT_PREDS` default, read once.
-static DICT_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Whether predicate compilation uses dictionary encodings. Defaults to
-/// on; `ETABLE_DICT_PREDS=0` disables it process-wide, and
-/// [`set_dict_predicates`] overrides either way at runtime.
+/// Whether predicate compilation uses dictionary encodings.
 pub fn dict_predicates_enabled() -> bool {
-    match DICT_FORCE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *DICT_ENV.get_or_init(|| {
-            !matches!(
-                std::env::var("ETABLE_DICT_PREDS").as_deref(),
-                Ok("0") | Ok("false") | Ok("off")
-            )
-        }),
-    }
+    DICT_PREDICATES.load(Ordering::Relaxed)
 }
 
-/// Forces dictionary-encoded predicates on or off for the whole process
-/// (bench A/B switch; takes precedence over `ETABLE_DICT_PREDS`).
+/// Turns dictionary-encoded predicates on or off for the whole process
+/// (bench A/B switch).
 pub fn set_dict_predicates(enabled: bool) {
-    DICT_FORCE.store(enabled as i8, Ordering::Relaxed);
+    DICT_PREDICATES.store(enabled, Ordering::Relaxed);
 }
 
 /// A per-pattern membership bitmap over the interner arena: bit `id` is

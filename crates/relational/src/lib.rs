@@ -10,13 +10,15 @@
 //!   and schemas with primary/foreign keys,
 //! * constraint-checked columnar storage ([`table::ColumnData`]) with hash
 //!   indexes and a row-facade API,
-//! * a relational algebra ([`algebra::Relation`]) with selection, projection,
-//!   hash/nested-loop joins, grouping and sorting,
-//! * columnar intermediate relations ([`colrel::ColRelation`]): selection
-//!   vectors over base tables with build/probe hash joins, which the SQL
-//!   executor carries from the scan to the final projection without
-//!   materializing intermediate rows,
-//! * a small SQL dialect ([`sql`]) with a greedy hash-join planner.
+//! * one evaluator — columnar intermediate relations
+//!   ([`colrel::ColRelation`]): selection vectors over base tables with
+//!   build/probe hash joins and grouped aggregation ([`exec::agg`]), which
+//!   the SQL executor carries from the scan to the final projection
+//!   without materializing intermediate rows,
+//! * a result container ([`relation::Relation`]) with the row kernels of
+//!   the result tail (HAVING, projection, sort, DISTINCT, OFFSET/LIMIT),
+//! * a small SQL dialect ([`sql`]) with a greedy hash-join planner, and
+//!   one oracle ([`sql::naive`]) the evaluator is checked against.
 //!
 //! ```
 //! use etable_relational::database::Database;
@@ -32,13 +34,13 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algebra;
 pub mod colrel;
 pub mod csv;
 pub mod database;
 pub mod exec;
 pub mod expr;
 pub mod intern;
+pub mod relation;
 pub mod scan;
 pub mod schema;
 pub mod shared;

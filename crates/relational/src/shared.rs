@@ -27,8 +27,8 @@
 //! [`crate::sql::is_read_only`] decides snapshot read vs. serialized
 //! write — no double tokenization, no statement re-analysis.
 
-use crate::algebra::Relation;
 use crate::database::Database;
+use crate::relation::Relation;
 use crate::sql;
 use crate::Result;
 use std::ops::Deref;

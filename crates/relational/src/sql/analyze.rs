@@ -25,9 +25,10 @@
 //! mutations the same guarantee: an invalid statement touches zero rows.
 
 use super::ast::{OrderItem, Query, SelectItem, SqlExpr, TableRef};
-use crate::algebra::{AggFunc, RelColumn, Relation};
 use crate::database::Database;
+use crate::exec::agg::AggFunc;
 use crate::expr::{CmpOp, Expr};
+use crate::relation::{RelColumn, Relation};
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
 

@@ -143,7 +143,7 @@ pub enum SqlExpr {
     /// Aggregate call; input `None` means `COUNT(*)`.
     Aggregate {
         /// Which function.
-        func: crate::algebra::AggFunc,
+        func: crate::exec::agg::AggFunc,
         /// Input column reference.
         input: Option<Box<SqlExpr>>,
     },
@@ -235,11 +235,11 @@ impl fmt::Display for SqlExpr {
             SqlExpr::Literal(v) => write!(f, "{v}"),
             SqlExpr::Aggregate { func, input } => {
                 let name = match func {
-                    crate::algebra::AggFunc::Count => "COUNT",
-                    crate::algebra::AggFunc::Sum => "SUM",
-                    crate::algebra::AggFunc::Avg => "AVG",
-                    crate::algebra::AggFunc::Min => "MIN",
-                    crate::algebra::AggFunc::Max => "MAX",
+                    crate::exec::agg::AggFunc::Count => "COUNT",
+                    crate::exec::agg::AggFunc::Sum => "SUM",
+                    crate::exec::agg::AggFunc::Avg => "AVG",
+                    crate::exec::agg::AggFunc::Min => "MIN",
+                    crate::exec::agg::AggFunc::Max => "MAX",
                 };
                 match input {
                     Some(e) => write!(f, "{name}({e})"),
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn aggregate_detection() {
         let agg = SqlExpr::Aggregate {
-            func: crate::algebra::AggFunc::Count,
+            func: crate::exec::agg::AggFunc::Count,
             input: None,
         };
         assert!(agg.contains_aggregate());

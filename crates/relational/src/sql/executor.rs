@@ -23,10 +23,11 @@ use super::analyze::{
     TypedPick, TypedPlan,
 };
 use super::ast::{Query, Statement};
-use crate::algebra::{AggSpec, RelColumn, Relation, SortKey};
 use crate::colrel::{ColRelation, Pick};
 use crate::database::Database;
+use crate::exec::agg::AggSpec;
 use crate::expr::Expr;
+use crate::relation::{RelColumn, Relation, SortKey};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -57,10 +58,7 @@ pub fn execute_read(db: &Database, stmt: &Statement) -> Result<Relation> {
         Statement::Explain(q) => {
             let lines = explain_query(db, q)?;
             Ok(Relation::new(
-                vec![crate::algebra::RelColumn::bare(
-                    "plan",
-                    crate::value::DataType::Text,
-                )],
+                vec![RelColumn::bare("plan", crate::value::DataType::Text)],
                 lines.into_iter().map(|l| vec![Value::from(l)]).collect(),
             ))
         }
@@ -355,7 +353,7 @@ fn execute_typed(
             .collect::<Result<Vec<_>>>()?;
         let specs = agg_specs(g, &jpos)?;
         let grouped = current.group_by(&group_cols, &specs)?;
-        let out = grouped_tail(plan, g, grouped, &ENGINE_KERNELS)?;
+        let out = grouped_tail(plan, g, grouped)?;
         log!("output: {} rows x {} columns", out.len(), out.columns.len());
         return Ok(out);
     }
@@ -413,135 +411,28 @@ fn columnar_plain_tail(
             .collect::<Result<Vec<_>>>()?;
         Some(input.sort_order(&keys))
     };
-    let mut out = input.project(out_cols, &picks, order.as_deref());
+    let out = input.project(out_cols, &picks, order.as_deref());
+    Ok(distinct_offset_limit(plan, out))
+}
+
+/// DISTINCT, OFFSET and LIMIT over the already-projected output — the
+/// last step of both tails.
+fn distinct_offset_limit(plan: &TypedPlan, mut out: Relation) -> Relation {
     if plan.distinct {
         out = out.distinct();
     }
-    if plan.offset > 0 {
-        out = out.offset(plan.offset);
-    }
-    if let Some(n) = plan.limit {
-        out = out.limit(n);
-    }
-    Ok(out)
-}
-
-/// The data-movement kernels the materialized-relation query tail
-/// dispatches through.
-///
-/// The typed plan is shared between the optimizing executor and the
-/// naive oracle (it is *specification*, not optimization), but the
-/// kernels that actually group, sort and deduplicate rows are injected.
-/// The executor's own pipeline is columnar ([`crate::colrel`]) and only
-/// reaches these kernels for the post-aggregation tail over the (small,
-/// materialized) grouped relation; [`super::naive`] runs its whole tail
-/// through independent row-at-a-time kernels — so a bug in a vectorized
-/// kernel cannot cancel out in differential tests.
-pub(crate) struct TailKernels {
-    pub(crate) group: fn(&Relation, &[usize], &[AggSpec]) -> Result<Relation>,
-    pub(crate) sort: fn(&Relation, &[SortKey]) -> Relation,
-    pub(crate) distinct: fn(&Relation) -> Relation,
-}
-
-/// The optimizing executor's kernels (vectorized grouping, rank-keyed
-/// sort, hashed DISTINCT).
-pub(crate) const ENGINE_KERNELS: TailKernels = TailKernels {
-    group: |rel, cols, aggs| rel.group_by(cols, aggs),
-    sort: |rel, keys| rel.sort_by(keys),
-    distinct: |rel| rel.distinct(),
-};
-
-/// The planner-free tail of query execution over a materialized relation
-/// (the syntactic cross product of the plan's tables) and
-/// caller-supplied kernels (see [`TailKernels`]): grouping, HAVING,
-/// ORDER BY, projection, DISTINCT, LIMIT. Used by the naive oracle; the
-/// executor's columnar pipeline has its own tail.
-pub(crate) fn finish_query_with(
-    plan: &TypedPlan,
-    current: Relation,
-    kernels: &TailKernels,
-) -> Result<Relation> {
-    if let Some(g) = &plan.grouping {
-        let pos = |c: ColumnId| Some(plan.flat_pos(c));
-        let group_cols: Vec<usize> = g.keys.iter().map(|&k| plan.flat_pos(k)).collect();
-        let specs = agg_specs(g, &pos)?;
-        let grouped = (kernels.group)(&current, &group_cols, &specs)?;
-        grouped_tail(plan, g, grouped, kernels)
-    } else {
-        execute_plain(plan, current, kernels)
+    out = out.offset(plan.offset);
+    match plan.limit {
+        Some(n) => out.limit(n),
+        None => out,
     }
 }
 
-/// Executes the tail of a non-grouped query over a materialized
-/// relation: ORDER BY, projection, DISTINCT, LIMIT. Only the naive
-/// oracle takes this path (see [`columnar_plain_tail`] for the
-/// executor's).
-fn execute_plain(plan: &TypedPlan, input: Relation, kernels: &TailKernels) -> Result<Relation> {
-    let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
-    let mut picks: Vec<Pick> = Vec::with_capacity(plan.output.len());
-    for o in &plan.output {
-        out_cols.push(o.column.clone());
-        picks.push(match o.pick {
-            TypedPick::Input(c) => Pick::Col(plan.flat_pos(c)),
-            TypedPick::Lit(v) => Pick::Lit(v),
-            TypedPick::Group(_) => return Err(plan_desync()),
-        });
-    }
-
-    let mut rel = input;
-    if !plan.order_by.is_empty() {
-        let keys = plan
-            .order_by
-            .iter()
-            .map(|o| match o.target {
-                OrderTarget::Input(c) => Ok(SortKey {
-                    column: plan.flat_pos(c),
-                    descending: o.descending,
-                }),
-                OrderTarget::Group(_) => Err(plan_desync()),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        rel = (kernels.sort)(&rel, &keys);
-    }
-
-    // Projection.
-    let rows = rel
-        .rows
-        .iter()
-        .map(|r| {
-            picks
-                .iter()
-                .map(|p| match p {
-                    Pick::Col(i) => r[*i],
-                    Pick::Lit(v) => *v,
-                })
-                .collect()
-        })
-        .collect();
-    let mut out = Relation::new(out_cols, rows);
-    if plan.distinct {
-        out = (kernels.distinct)(&out);
-    }
-    if plan.offset > 0 {
-        out = out.offset(plan.offset);
-    }
-    if let Some(n) = plan.limit {
-        out = out.limit(n);
-    }
-    Ok(out)
-}
-
-/// The post-aggregation tail shared by the oracle and the executor's
-/// columnar grouped path: HAVING, projection, ORDER BY, DISTINCT,
-/// LIMIT/OFFSET over the (small, materialized) grouped relation. The
+/// The post-aggregation tail: HAVING, ORDER BY, projection, DISTINCT,
+/// OFFSET/LIMIT over the (small, materialized) grouped relation. The
 /// plan's grouped picks and sort targets are already positions into
 /// `grouped`, so this is pure data movement.
-fn grouped_tail(
-    plan: &TypedPlan,
-    g: &TypedGrouping,
-    grouped: Relation,
-    kernels: &TailKernels,
-) -> Result<Relation> {
+fn grouped_tail(plan: &TypedPlan, g: &TypedGrouping, grouped: Relation) -> Result<Relation> {
     // HAVING over grouped-relation positions.
     let mut rel = grouped;
     if let Some(h) = &g.having {
@@ -573,21 +464,12 @@ fn grouped_tail(
                 OrderTarget::Input(_) => Err(plan_desync()),
             })
             .collect::<Result<Vec<_>>>()?;
-        rel = (kernels.sort)(&rel, &keys);
+        rel = rel.sort_by(&keys);
     }
 
     let mut out = rel.project(&picks)?;
     out.columns = out_cols;
-    if plan.distinct {
-        out = (kernels.distinct)(&out);
-    }
-    if plan.offset > 0 {
-        out = out.offset(plan.offset);
-    }
-    if let Some(n) = plan.limit {
-        out = out.limit(n);
-    }
-    Ok(out)
+    Ok(distinct_offset_limit(plan, out))
 }
 
 #[cfg(test)]

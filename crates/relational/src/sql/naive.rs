@@ -1,14 +1,15 @@
 //! A deliberately naive reference evaluator for SELECT queries: cross
-//! product of all FROM/JOIN tables, then filter, then the query tail over
-//! naive row-at-a-time kernels.
+//! product of all FROM/JOIN tables, then filter, then the query tail —
+//! every step a row-at-a-time loop over plain `Vec<Row>`s in this file.
 //!
 //! It shares no planning logic with [`super::executor`] — no predicate
-//! pushdown, no join ordering, no hash joins — and none of the executor's
-//! data-movement kernels either: grouping here is a linear key scan with
-//! per-group recomputation (no `group_core`, no `AggState` vectors, no
+//! pushdown, no join ordering, no hash joins — and none of the engine's
+//! kernels either: grouping here is a linear key scan with per-group
+//! recomputation (no `GroupAcc`, no `AggState` vectors, no
 //! dictionary-rank snapshots), sorting compares values through
-//! [`Value::total_cmp`] directly (no rank-decorated key columns), and
-//! DISTINCT is a quadratic first-occurrence scan (no hashing). The
+//! [`Value::total_cmp`] directly (no rank-decorated key columns),
+//! DISTINCT is a quadratic first-occurrence scan (no hashing), and
+//! predicates run uncompiled. The
 //! [`TypedPlan`](super::analyze::TypedPlan) *is* shared (the analyzer's
 //! name resolution, typing and output shaping are the query's
 //! specification, not an optimization), so both engines accept and
@@ -19,12 +20,13 @@
 //! filters over the cross product, in syntactic column order
 //! ([`TypedPlan::flat_pos`](super::analyze::TypedPlan::flat_pos)).
 
-use super::analyze::{analyze, ColumnId};
+use super::analyze::{analyze, ColumnId, OrderTarget, TypedPick};
 use super::ast::{Query, Statement};
-use super::executor::TailKernels;
-use crate::algebra::{AggFunc, AggSpec, Relation, SortKey};
+use crate::colrel::Pick;
 use crate::database::Database;
+use crate::exec::agg::AggFunc;
 use crate::expr::Expr;
+use crate::relation::{Relation, SortKey};
 use crate::table::Row;
 use crate::value::Value;
 use crate::{Error, Result};
@@ -38,65 +40,134 @@ pub fn execute_naive(db: &Database, sql: &str) -> Result<Relation> {
 }
 
 /// Executes a parsed SELECT with the naive strategy: analyze into the
-/// same [`TypedPlan`] the optimizing executor consumes, then evaluate it
-/// with no planning at all.
+/// same [`TypedPlan`](super::analyze::TypedPlan) the optimizing executor
+/// consumes, then evaluate it with no planning at all.
 pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
     let plan = analyze(db, q)?;
+    let desync = || Error::Eval("internal: typed plan out of sync with the oracle".into());
 
     // Cross product of every table, in syntactic order — the layout
     // `TypedPlan::flat_pos` describes.
-    let mut current: Option<Relation> = None;
+    let mut rows: Vec<Row> = vec![Vec::new()];
     for t in &plan.tables {
-        let rel = Relation::from_table(db.table(&t.name)?, &t.alias);
-        current = Some(match current {
-            None => rel,
-            Some(acc) => acc.cross(&rel),
-        });
+        rows = cross(&rows, &db.table(&t.name)?.to_rows());
     }
-    let mut current = current.ok_or_else(|| Error::Parse("empty FROM".into()))?;
 
     // Apply every typed predicate post hoc: pushed-down scan filters,
     // join edges (as plain equality filters), residuals.
     let pos = |c: ColumnId| Some(plan.flat_pos(c));
-    for preds in &plan.scans {
-        for p in preds {
-            current = current.select(&p.expr.to_expr(&pos)?)?;
-        }
+    for p in plan.scans.iter().flatten() {
+        rows = filter(rows, &p.expr.to_expr(&pos)?)?;
     }
     for e in &plan.edges {
-        let l = plan.flat_pos(e.left);
-        let r = plan.flat_pos(e.right);
-        current = current.select(&Expr::col(l).eq(Expr::col(r)))?;
+        let (l, r) = (plan.flat_pos(e.left), plan.flat_pos(e.right));
+        rows = filter(rows, &Expr::col(l).eq(Expr::col(r)))?;
     }
     for p in &plan.residual {
-        current = current.select(&p.expr.to_expr(&pos)?)?;
+        rows = filter(rows, &p.expr.to_expr(&pos)?)?;
     }
 
-    // Run the tail (grouping, HAVING, ORDER BY, projection, DISTINCT,
-    // LIMIT) on the filtered cross product, over this module's independent
-    // row-at-a-time kernels.
-    super::executor::finish_query_with(&plan, current, &NAIVE_KERNELS)
+    // Grouping and HAVING. From here on a grouped query's picks and sort
+    // targets are positions of the grouped rows; a plain query's are
+    // positions of the filtered cross product.
+    if let Some(g) = &plan.grouping {
+        let keys: Vec<usize> = g.keys.iter().map(|&k| plan.flat_pos(k)).collect();
+        let aggs: Vec<(AggFunc, Option<usize>)> = g
+            .aggregates
+            .iter()
+            .map(|a| (a.func, a.input.map(|c| plan.flat_pos(c))))
+            .collect();
+        rows = naive_group(&rows, &keys, &aggs)?;
+        if let Some(h) = &g.having {
+            rows = filter(rows, &h.to_expr(&Some)?)?;
+        }
+    }
+    let grouped = plan.grouping.is_some();
+
+    // ORDER BY, projection, DISTINCT, OFFSET, LIMIT.
+    let keys = plan
+        .order_by
+        .iter()
+        .map(|o| {
+            let column = match o.target {
+                OrderTarget::Input(c) if !grouped => plan.flat_pos(c),
+                OrderTarget::Group(i) if grouped => i,
+                _ => return Err(desync()),
+            };
+            Ok(SortKey {
+                column,
+                descending: o.descending,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    naive_sort(&mut rows, &keys);
+    let picks = plan
+        .output
+        .iter()
+        .map(|o| match o.pick {
+            TypedPick::Input(c) if !grouped => Ok(Pick::Col(plan.flat_pos(c))),
+            TypedPick::Group(i) if grouped => Ok(Pick::Col(i)),
+            TypedPick::Lit(v) if !grouped => Ok(Pick::Lit(v)),
+            _ => Err(desync()),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let project = |r: &Row| -> Row {
+        picks
+            .iter()
+            .map(|p| match p {
+                Pick::Col(i) => r[*i],
+                Pick::Lit(v) => *v,
+            })
+            .collect()
+    };
+    let mut rows: Vec<Row> = rows.iter().map(project).collect();
+    if plan.distinct {
+        rows = naive_distinct(rows);
+    }
+    let rows = rows
+        .into_iter()
+        .skip(plan.offset)
+        .take(plan.limit.unwrap_or(usize::MAX))
+        .collect();
+    let columns = plan.output.iter().map(|o| o.column.clone()).collect();
+    Ok(Relation::new(columns, rows))
 }
 
-/// The oracle's kernels: independent reimplementations of grouping,
-/// sorting and DISTINCT (see the module docs for what they deliberately do
-/// *not* share with the engine).
-const NAIVE_KERNELS: TailKernels = TailKernels {
-    group: naive_group,
-    sort: naive_sort,
-    distinct: naive_distinct,
-};
+/// Cartesian product: every row of `left` followed by every row of `right`.
+fn cross(left: &[Row], right: &[Row]) -> Vec<Row> {
+    let mut rows = Vec::with_capacity(left.len() * right.len());
+    for l in left {
+        for r in right {
+            rows.push(l.iter().chain(r).copied().collect());
+        }
+    }
+    rows
+}
+
+/// Keeps the rows satisfying `pred`, evaluated uncompiled.
+fn filter(rows: Vec<Row>, pred: &Expr) -> Result<Vec<Row>> {
+    let mut kept = Vec::new();
+    for r in rows {
+        if pred.matches(&r)? {
+            kept.push(r);
+        }
+    }
+    Ok(kept)
+}
 
 /// GROUP BY + aggregates by linear key scan: groups are discovered in
 /// first-occurrence order with `Vec<Value>` keys compared by value
-/// equality, and each aggregate is recomputed per group from the member
-/// rows. Output shape (keys, then one column per aggregate, `COUNT` ->
-/// INT, `AVG` -> FLOAT, `SUM`/`MIN`/`MAX` -> input type) mirrors the
-/// engine's documented semantics.
-fn naive_group(rel: &Relation, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Relation> {
+/// equality, and each aggregate (function, input position) is recomputed
+/// per group from the member rows. Output rows are the keys followed by
+/// one cell per aggregate.
+fn naive_group(
+    rows: &[Row],
+    group_cols: &[usize],
+    aggs: &[(AggFunc, Option<usize>)],
+) -> Result<Vec<Row>> {
     let mut keys: Vec<Vec<Value>> = Vec::new();
     let mut members: Vec<Vec<usize>> = Vec::new();
-    for (ri, row) in rel.rows.iter().enumerate() {
+    for (ri, row) in rows.iter().enumerate() {
         let key: Vec<Value> = group_cols.iter().map(|&c| row[c]).collect();
         match keys.iter().position(|k| *k == key) {
             Some(g) => members[g].push(ri),
@@ -112,113 +183,86 @@ fn naive_group(rel: &Relation, group_cols: &[usize], aggs: &[AggSpec]) -> Result
         keys.push(Vec::new());
         members.push(Vec::new());
     }
-    let mut columns: Vec<crate::algebra::RelColumn> =
-        group_cols.iter().map(|&i| rel.columns[i].clone()).collect();
-    for spec in aggs {
-        let ty = match spec.func {
-            AggFunc::Count => crate::value::DataType::Int,
-            AggFunc::Avg => crate::value::DataType::Float,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => spec
-                .input
-                .map(|c| rel.columns[c].data_type)
-                .unwrap_or(crate::value::DataType::Int),
-        };
-        columns.push(crate::algebra::RelColumn::bare(
-            spec.output_name.clone(),
-            ty,
-        ));
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(keys.len());
-    for (key, idxs) in keys.iter().zip(&members) {
-        let mut out = key.clone();
-        for spec in aggs {
-            out.push(naive_agg(rel, idxs, spec)?);
+    let mut out: Vec<Row> = Vec::with_capacity(keys.len());
+    for (mut row, idxs) in keys.into_iter().zip(&members) {
+        for &(func, input) in aggs {
+            row.push(naive_agg(rows, idxs, func, input)?);
         }
-        rows.push(out);
+        out.push(row);
     }
-    Ok(Relation::new(columns, rows))
+    Ok(out)
 }
 
 /// One aggregate over one group's member rows, recomputed from scratch.
-fn naive_agg(rel: &Relation, idxs: &[usize], spec: &AggSpec) -> Result<Value> {
+fn naive_agg(rows: &[Row], idxs: &[usize], func: AggFunc, input: Option<usize>) -> Result<Value> {
     // Non-NULL input values for the column-fed aggregates; an input-less
     // aggregate other than COUNT(*) sees no values (and yields NULL),
     // matching the engine.
-    let values = |col: Option<usize>| -> Vec<Value> {
-        col.map_or_else(Vec::new, |c| {
-            idxs.iter()
-                .map(|&r| rel.rows[r][c])
-                .filter(|v| !v.is_null())
-                .collect()
-        })
-    };
-    match spec.func {
+    let vals: Vec<Value> = input.map_or_else(Vec::new, |c| {
+        idxs.iter()
+            .map(|&r| rows[r][c])
+            .filter(|v| !v.is_null())
+            .collect()
+    });
+    match func {
         AggFunc::Count => {
-            let n = match spec.input {
-                None => idxs.len(),
-                Some(_) => values(spec.input).len(),
+            // COUNT(*) counts rows; COUNT(col) skips NULLs.
+            let n = if input.is_some() {
+                vals.len()
+            } else {
+                idxs.len()
             };
             Ok(Value::Int(n as i64))
         }
-        AggFunc::Sum => {
-            let vals = values(spec.input);
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut sum = 0.0f64;
-            let mut int_only = true;
-            for v in vals {
-                sum += v
-                    .as_float()
-                    .ok_or_else(|| Error::Eval(format!("SUM over non-number {v}")))?;
-                if !matches!(v, Value::Int(_)) {
-                    int_only = false;
-                }
-            }
-            Ok(if int_only {
-                Value::Int(sum as i64)
-            } else {
-                Value::Float(sum)
-            })
-        }
+        _ if vals.is_empty() => Ok(Value::Null),
+        AggFunc::Sum => Ok(match numeric_sum("SUM", &vals)? {
+            // An integer sum saturates into the `i64` value domain.
+            (ints, None) => Value::Int(ints.clamp(i64::MIN.into(), i64::MAX.into()) as i64),
+            (ints, Some(floats)) => Value::Float(ints as f64 + floats),
+        }),
         AggFunc::Avg => {
-            let vals = values(spec.input);
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut sum = 0.0f64;
-            for v in &vals {
-                sum += v
-                    .as_float()
-                    .ok_or_else(|| Error::Eval(format!("AVG over non-number {v}")))?;
-            }
-            Ok(Value::Float(sum / vals.len() as f64))
+            let (ints, floats) = numeric_sum("AVG", &vals)?;
+            Ok(Value::Float(
+                (ints as f64 + floats.unwrap_or(0.0)) / vals.len() as f64,
+            ))
         }
         AggFunc::Min | AggFunc::Max => {
-            let want = if spec.func == AggFunc::Min {
+            let want = if func == AggFunc::Min {
                 std::cmp::Ordering::Less
             } else {
                 std::cmp::Ordering::Greater
             };
-            let mut best: Option<Value> = None;
-            for v in values(spec.input) {
-                let better = match best {
-                    Some(b) => v.total_cmp(&b) == want,
-                    None => true,
-                };
-                if better {
-                    best = Some(v);
+            let mut best = vals[0];
+            for v in &vals[1..] {
+                if v.total_cmp(&best) == want {
+                    best = *v;
                 }
             }
-            Ok(best.unwrap_or(Value::Null))
+            Ok(best)
         }
     }
 }
 
+/// The documented SUM/AVG accumulation, written independently of the
+/// engine's: integer inputs sum exactly (an `i128` cannot overflow on
+/// `i64` inputs, however many), float inputs sum in row order, and the
+/// float part is `None` unless a float input appeared.
+fn numeric_sum(what: &str, vals: &[Value]) -> Result<(i128, Option<f64>)> {
+    let mut ints: i128 = 0;
+    let mut floats: Option<f64> = None;
+    for v in vals {
+        match v {
+            Value::Int(i) => ints += i128::from(*i),
+            Value::Float(f) => floats = Some(floats.unwrap_or(0.0) + f),
+            _ => return Err(Error::Eval(format!("{what} over non-number {v}"))),
+        }
+    }
+    Ok((ints, floats))
+}
+
 /// Stable multi-key sort comparing through [`Value::total_cmp`] per probe —
 /// ties keep input order, exactly the engine's ties policy.
-fn naive_sort(rel: &Relation, keys: &[SortKey]) -> Relation {
-    let mut rows = rel.rows.clone();
+fn naive_sort(rows: &mut [Row], keys: &[SortKey]) {
     rows.sort_by(|a, b| {
         for k in keys {
             let ord = a[k.column].total_cmp(&b[k.column]);
@@ -229,18 +273,17 @@ fn naive_sort(rel: &Relation, keys: &[SortKey]) -> Relation {
         }
         std::cmp::Ordering::Equal
     });
-    Relation::new(rel.columns.clone(), rows)
 }
 
 /// First-occurrence DISTINCT by quadratic value-equality scan.
-fn naive_distinct(rel: &Relation) -> Relation {
-    let mut rows: Vec<Row> = Vec::new();
-    for r in &rel.rows {
-        if !rows.iter().any(|seen| seen == r) {
-            rows.push(r.clone());
+fn naive_distinct(rows: Vec<Row>) -> Vec<Row> {
+    let mut kept: Vec<Row> = Vec::new();
+    for r in rows {
+        if !kept.contains(&r) {
+            kept.push(r);
         }
     }
-    Relation::new(rel.columns.clone(), rows)
+    kept
 }
 
 #[cfg(test)]

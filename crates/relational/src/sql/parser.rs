@@ -2,7 +2,7 @@
 
 use super::ast::*;
 use super::lexer::{tokenize, Symbol, Token};
-use crate::algebra::AggFunc;
+use crate::exec::agg::AggFunc;
 use crate::expr::CmpOp;
 use crate::value::{DataType, Value};
 use crate::{Error, Result};

@@ -2,13 +2,13 @@
 //! rounding over ints, SUM overflow behavior, grouped queries on empty
 //! input, HAVING that eliminates every group, and MIN/MAX over interned
 //! text under adversarial intern order — each exercised through both the
-//! vectorized single-table group scan (the executor fast path) and the
-//! materialized-relation grouping used after joins.
+//! single-table group scan and grouping after a join, and where the
+//! answer is not hand-computable cell by cell, against the naive oracle.
 
-use etable_relational::algebra::{AggFunc, AggSpec, RelColumn, Relation};
 use etable_relational::database::Database;
 use etable_relational::sql::execute;
-use etable_relational::value::{DataType, Value};
+use etable_relational::sql::naive::execute_naive;
+use etable_relational::value::Value;
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -71,29 +71,55 @@ fn avg_over_ints_is_exact_float_division() {
     );
 }
 
-/// SUM accumulates in f64 and casts back for int-only inputs; Rust's
-/// float→int cast saturates, so a sum past `i64::MAX` pins to `i64::MAX`
-/// (and symmetrically to `i64::MIN`) instead of wrapping or panicking.
-/// This documents the current contract — both engines share the
-/// accumulator, so the differential fuzzer cannot see it.
+/// Integer SUM accumulates exactly and saturates: a sum past `i64::MAX`
+/// pins to `i64::MAX` (and symmetrically to `i64::MIN`) instead of
+/// wrapping or panicking — in the engine and in the oracle, which keep
+/// independent accumulators.
 #[test]
 fn sum_overflow_saturates_at_i64_bounds() {
-    let rel = Relation::new(
-        vec![RelColumn::bare("v", DataType::Int)],
-        vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MAX)]],
+    for bound in [i64::MAX, i64::MIN] {
+        let mut d = Database::new();
+        execute(&mut d, "CREATE TABLE big (id INT PRIMARY KEY, v INT)").unwrap();
+        for id in [1, 2] {
+            d.insert("big", vec![Value::Int(id), Value::Int(bound)])
+                .unwrap();
+        }
+        let sql = "SELECT SUM(v) AS s FROM big";
+        assert_eq!(run(&mut d, sql), vec![vec![Value::Int(bound)]]);
+        assert_eq!(
+            execute_naive(&d, sql).unwrap().rows[0][0],
+            Value::Int(bound)
+        );
+    }
+}
+
+/// One group mixing values and NULLs: COUNT(*) counts rows, COUNT(col)
+/// and every other aggregate skip the NULL.
+#[test]
+fn aggregates_skip_nulls_inside_a_group() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE g (id INT PRIMARY KEY, k INT NOT NULL, v INT)",
+        "INSERT INTO g VALUES (1, 1, 10), (2, 1, NULL), (3, 2, 30)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    let sql = "SELECT k, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, AVG(v) AS a, \
+               MIN(v) AS mn, MAX(v) AS mx FROM g GROUP BY k ORDER BY k";
+    let rows = run(&mut d, sql);
+    assert_eq!(rows, execute_naive(&d, sql).unwrap().rows);
+    assert_eq!(
+        rows[0],
+        vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(1),
+            Value::Int(10),
+            Value::Float(10.0),
+            Value::Int(10),
+            Value::Int(10),
+        ]
     );
-    let out = rel
-        .group_by(&[], &[AggSpec::new(AggFunc::Sum, Some(0), "s")])
-        .unwrap();
-    assert_eq!(out.rows[0][0], Value::Int(i64::MAX));
-    let rel = Relation::new(
-        vec![RelColumn::bare("v", DataType::Int)],
-        vec![vec![Value::Int(i64::MIN)], vec![Value::Int(i64::MIN)]],
-    );
-    let out = rel
-        .group_by(&[], &[AggSpec::new(AggFunc::Sum, Some(0), "s")])
-        .unwrap();
-    assert_eq!(out.rows[0][0], Value::Int(i64::MIN));
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! `ETABLE_MEM_BUDGET`-style spill budget, where every thread's joins go
 //! through their own on-disk spill directories concurrently.
 
-use etable_relational::algebra::Relation;
 use etable_relational::database::Database;
 use etable_relational::exec::budget::with_budget;
+use etable_relational::relation::Relation;
 use etable_relational::shared::SharedDatabase;
 use etable_relational::sql::execute;
 use etable_relational::value::Value;

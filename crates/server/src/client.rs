@@ -9,7 +9,7 @@
 use crate::proto::{
     decode, encode, error_from_wire, read_frame, write_frame, Message, WIRE_MAGIC, WIRE_VERSION,
 };
-use etable_relational::algebra::Relation;
+use etable_relational::relation::Relation;
 use etable_relational::{Error, Result};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};

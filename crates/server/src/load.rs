@@ -7,7 +7,7 @@
 //! server integration tests.
 
 use crate::client::Client;
-use etable_relational::algebra::Relation;
+use etable_relational::relation::Relation;
 use etable_relational::shared::SharedDatabase;
 use etable_relational::{Error, Result};
 use std::time::{Duration, Instant};

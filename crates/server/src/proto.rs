@@ -29,8 +29,8 @@
 //! **before** it sizes any allocation, so a tiny frame claiming
 //! `u64::MAX` rows is a typed refusal, not a giant allocation.
 
-use etable_relational::algebra::{RelColumn, Relation};
 use etable_relational::intern::Sym;
+use etable_relational::relation::{RelColumn, Relation};
 use etable_relational::storage::codec::{crc32, PayloadReader, PayloadWriter};
 use etable_relational::value::{DataType, Value};
 use etable_relational::{Error, ErrorCode, Result};
