@@ -13,7 +13,7 @@ fn main() {
     );
     // Group report entries by (form, source).
     let mut groups: BTreeMap<(&str, String), (Vec<String>, String)> = BTreeMap::new();
-    for e in &tgdb.report {
+    for e in &tgdb.report() {
         let entry = groups
             .entry((e.form, e.source.clone()))
             .or_insert_with(|| (Vec::new(), e.determining_factor.clone()));

@@ -12,6 +12,7 @@ use etable_core::export;
 use etable_core::pattern::{FilterAtom, NodeFilter};
 use etable_core::render::{render_etable, RenderOptions};
 use etable_core::sql_translate;
+use etable_core::transform;
 
 /// The interpreter state.
 pub struct Engine {
@@ -140,14 +141,17 @@ impl Engine {
                 self.render_current(None)
             }
             Command::Sort { column, descending } => {
+                self.check_column(&column)?;
                 self.conn.session_mut().sort(&column, descending);
                 self.render_current(None)
             }
             Command::Hide(c) => {
+                self.check_column(&c)?;
                 self.conn.session_mut().hide(&c);
                 self.render_current(None)
             }
             Command::Show(c) => {
+                self.check_column(&c)?;
                 self.conn.session_mut().show(&c);
                 self.render_current(None)
             }
@@ -228,6 +232,17 @@ impl Engine {
                     ExportFormat::Csv => export::to_csv(&t),
                 })
             }
+        }
+    }
+
+    /// Fails unless `column` names a column of the open table, hidden or
+    /// not. Reads the table's header only; no rows are built.
+    fn check_column(&self, column: &str) -> Result<(), String> {
+        let session = self.conn.session();
+        let q = session.current_pattern().ok_or("no table is open")?;
+        match transform::header(session.tgdb(), q).column(column) {
+            Some(_) => Ok(()),
+            None => Err(etable_core::Error::UnknownColumn(column.into()).to_string()),
         }
     }
 
@@ -409,6 +424,10 @@ mod tests {
             "pivot year",          // base column
             "seeall 9999 Authors", // bad row
             "single 1 title 1",    // atomic column
+            "sort nosuch desc",    // presentation commands naming no column
+            "hide nosuch",
+            "show nosuch",
+            "focus 0", // a table with no columns
             "gibberish",
         ]);
         for (i, r) in out.iter().enumerate() {

@@ -65,13 +65,6 @@ impl BenchmarkId {
             name: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    /// An id that is just the parameter, for single-function groups.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            name: parameter.to_string(),
-        }
-    }
 }
 
 impl From<&str> for BenchmarkId {
@@ -214,13 +207,7 @@ fn fmt_ns(ns: f64) -> String {
 }
 
 fn report(group: &str, id: &str, samples: &[Duration]) {
-    let full = if group.is_empty() {
-        id.to_string()
-    } else if id.is_empty() {
-        group.to_string()
-    } else {
-        format!("{group}/{id}")
-    };
+    let full = format!("{group}/{id}");
     let Some(stats) = compute_stats(samples) else {
         println!("{full:<48} (no samples)");
         return;
@@ -557,20 +544,6 @@ impl Criterion {
             _criterion: self,
         }
     }
-
-    /// Benchmarks a single function outside any group.
-    pub fn bench_function<F>(&mut self, id: &str, mut routine: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            sample_size: self.default_sample_size,
-        };
-        routine(&mut b);
-        report("", id, &b.samples);
-        self
-    }
 }
 
 /// Declares a benchmark group function, mirroring
@@ -607,6 +580,13 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
+    /// Records one trivial benchmark named `shim/{id}`.
+    fn record(id: &str) {
+        let mut c = Criterion::default();
+        c.benchmark_group("shim")
+            .bench_function(id, |b| b.iter(|| 1 + 1));
+    }
+
     #[test]
     fn group_runs_and_samples() {
         let mut c = Criterion::default();
@@ -630,7 +610,6 @@ mod tests {
             BenchmarkId::new("translate", 300).to_string(),
             "translate/300"
         );
-        assert_eq!(BenchmarkId::from_parameter(42).to_string(), "42");
     }
 
     #[test]
@@ -679,12 +658,14 @@ mod tests {
 
     #[test]
     fn results_json_is_well_formed() {
-        let mut c = Criterion::default();
-        c.bench_function("json-shape-test", |b| b.iter(|| 1 + 1));
+        record("json-shape-test");
         let json = results_json();
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"name\": \"json-shape-test\""), "{json}");
+        assert!(
+            json.contains("\"name\": \"shim/json-shape-test\""),
+            "{json}"
+        );
         assert!(json.contains("\"median_ns\""));
         assert!(json.contains("\"stddev_ns\""));
         assert!(json.contains("\"outliers_rejected\""));
@@ -692,13 +673,12 @@ mod tests {
 
     #[test]
     fn parse_results_round_trips_writer_output() {
-        let mut c = Criterion::default();
-        c.bench_function("parse-round-trip", |b| b.iter(|| 3 + 3));
+        record("parse-round-trip");
         let json = results_json();
         let parsed = parse_results(&json);
         let hit = parsed
             .iter()
-            .find(|(n, _)| n == "parse-round-trip")
+            .find(|(n, _)| n == "shim/parse-round-trip")
             .expect("recorded benchmark parses back");
         assert!(hit.1 >= 0.0);
     }
@@ -745,8 +725,7 @@ mod tests {
             "[\n  {\n    \"name\": \"pretty/case\",\n    \"median_ns\": 1.0\n  }\n]\n",
         )
         .unwrap();
-        let mut c = Criterion::default();
-        c.bench_function("bad-baseline-guard", |b| b.iter(|| 2 + 2));
+        record("bad-baseline-guard");
         let ok = check_baseline_at(path.to_str().unwrap(), 25.0);
         assert!(!ok, "unreadable baseline must fail the gate");
         let _ = std::fs::remove_dir_all(&dir);
@@ -765,8 +744,7 @@ mod tests {
              \"min_ns\": 42.0, \"max_ns\": 42.0}\n]\n",
         )
         .unwrap();
-        let mut c = Criterion::default();
-        c.bench_function("merge-keeps-others", |b| b.iter(|| 5 + 5));
+        record("merge-keeps-others");
         write_results_to(path.to_str().unwrap());
         let merged = std::fs::read_to_string(&path).unwrap();
         assert!(merged.contains("other-bench/case"), "{merged}");
@@ -779,8 +757,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("criterion-shim-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_results.json");
-        let mut c = Criterion::default();
-        c.bench_function("write-results-test", |b| b.iter(|| 2 + 2));
+        record("write-results-test");
         write_results_to(path.to_str().unwrap());
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.contains("write-results-test"));

@@ -104,8 +104,8 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
     scores
 }
 
-/// Names of the `k` highest-scoring columns (always keeping the label-ish
-/// first base column so rows remain identifiable).
+/// Names of the `k` highest-scoring columns, best first — by score alone:
+/// no column is kept unconditionally.
 pub fn top_k_columns(table: &EnrichedTable, k: usize) -> Vec<String> {
     let ranked = rank_columns(table);
     ranked.into_iter().take(k).map(|c| c.name).collect()

@@ -212,6 +212,11 @@ impl Session {
     /// result, using the column ranker (§9 future-work item 3; see
     /// [`crate::column_rank`]). Returns the kept column names.
     pub fn focus_top_columns(&mut self, k: usize) -> Result<Vec<String>> {
+        if k == 0 {
+            return Err(Error::InvalidAction(
+                "focus keeps at least one column".into(),
+            ));
+        }
         // Rank on the unhidden table.
         let hidden_before = std::mem::take(&mut self.hidden);
         let table = match self.etable() {
@@ -347,6 +352,11 @@ mod tests {
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
         let total = s.etable().unwrap().columns.len();
+        assert!(matches!(
+            s.focus_top_columns(0),
+            Err(Error::InvalidAction(_))
+        ));
+        assert_eq!(s.etable().unwrap().columns.len(), total);
         let kept = s.focus_top_columns(3).unwrap();
         assert_eq!(kept.len(), 3);
         let t = s.etable().unwrap();

@@ -31,9 +31,10 @@
 //!    not a bigger number. Test modules never count against the budget,
 //!    so adding tests is always free.
 //! 5. **Allowlists ratchet** — an allowlist entry that names a file that
-//!    no longer exists, or a panic budget larger than the file's actual
-//!    count, is itself a violation: an entry that outlives what it
-//!    excused is room for a new panic nobody reviewed.
+//!    no longer exists, a panic budget larger than the file's actual
+//!    count, or a size ceiling more than 50 lines above the file's
+//!    actual size is itself a violation: an entry that outlives what it
+//!    excused is room for a new panic, or unreviewed growth.
 //!
 //! `tests/` files are walked for rule 3 only: they are exempt from the
 //! panic budget (a failing test *should* panic) and are never crate
@@ -69,7 +70,7 @@ const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
 /// budget of zero. Keep this list sorted by path.
-const PANIC_BUDGET: [(&str, usize); 20] = [
+const PANIC_BUDGET: [(&str, usize); 19] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
@@ -88,7 +89,6 @@ const PANIC_BUDGET: [(&str, usize); 20] = [
     ("crates/study/src/runner.rs", 1),
     ("crates/study/src/scripts.rs", 11),
     ("crates/tgm/src/ids.rs", 1),
-    ("crates/tgm/src/translate.rs", 10),
     ("src/lib.rs", 1),
 ];
 
@@ -100,14 +100,16 @@ const SIZE_BUDGET_DEFAULT: usize = 600;
 /// [`count_module_lines`]. Ceilings sit modestly above each file's
 /// current size: growth prompts a split, shrinking is always fine. Keep
 /// this list sorted by path.
-const SIZE_BUDGET: [(&str, usize); 6] = [
-    ("crates/compat/criterion/src/lib.rs", 650),
+const SIZE_BUDGET: [(&str, usize); 4] = [
     ("crates/etable/src/sql_translate.rs", 1000),
-    ("crates/relational/src/sql/analyze.rs", 1200),
-    ("crates/relational/src/storage/format.rs", 700),
-    ("crates/relational/src/table.rs", 850),
-    ("crates/tgm/src/translate.rs", 700),
+    ("crates/relational/src/sql/analyze.rs", 1180),
+    ("crates/relational/src/storage/format.rs", 660),
+    ("crates/relational/src/table.rs", 800),
 ];
+
+/// How far a size ceiling may sit above its file before it counts as
+/// stale (rule 5).
+const SIZE_SLACK: usize = 50;
 
 /// One rule violation at one location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -284,8 +286,9 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
 
 /// Rule 5: lints the allowlists themselves. `read` returns the text of a
 /// workspace-relative path, or `None` when there is no such file. An
-/// entry of either list whose file is gone, or a panic budget above the
-/// file's actual count, is stale.
+/// entry of either list whose file is gone, a panic budget above the
+/// file's actual count, or a size ceiling more than [`SIZE_SLACK`] lines
+/// above the file's actual size, is stale.
 fn check_allowlists(
     panic_budget: &[(&str, usize)],
     size_budget: &[(&str, usize)],
@@ -315,12 +318,21 @@ fn check_allowlists(
             }
         }
     }
-    for &(rel, _) in size_budget {
-        if read(rel).is_none() {
-            out.push(stale(
+    for &(rel, ceiling) in size_budget {
+        match read(rel).map(|content| count_module_lines(&content)) {
+            None => out.push(stale(
                 rel,
                 "size ceiling for a file that does not exist".into(),
-            ));
+            )),
+            Some(lines) if ceiling > lines + SIZE_SLACK => out.push(stale(
+                rel,
+                format!(
+                    "size ceiling is {ceiling}, the file has {lines} lines \
+                     (lower it to at most {})",
+                    lines + SIZE_SLACK
+                ),
+            )),
+            Some(_) => {}
         }
     }
     out
@@ -485,13 +497,13 @@ mod tests {
 
     #[test]
     fn allowlisted_size_ceiling_is_a_ceiling() {
-        // table.rs carries an 850-line ceiling.
-        let under = "pub fn f() {}\n".repeat(840);
+        // table.rs carries an 800-line ceiling.
+        let under = "pub fn f() {}\n".repeat(790);
         assert!(check_file("crates/relational/src/table.rs", &under).is_empty());
-        let over = "pub fn f() {}\n".repeat(851);
+        let over = "pub fn f() {}\n".repeat(801);
         let v = check_file("crates/relational/src/table.rs", &over);
         assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("ceiling is 850"), "{}", v[0].message);
+        assert!(v[0].message.contains("ceiling is 800"), "{}", v[0].message);
     }
 
     #[test]
@@ -499,8 +511,9 @@ mod tests {
         let pat = PANIC_PATTERNS[0];
         let one_panic = format!("pub fn f(o: Option<u32>) -> u32 {{ o{pat} }}\n");
         let read = |rel: &str| (rel != "gone.rs").then(|| one_panic.clone());
-        // Exact budgets and ceilings on files that exist are fine.
-        assert!(check_allowlists(&[("a.rs", 1)], &[("a.rs", 700)], read).is_empty());
+        // Exact budgets, and ceilings within the slack of the one-line
+        // file, are fine.
+        assert!(check_allowlists(&[("a.rs", 1)], &[("a.rs", 51)], read).is_empty());
         // A budget above the actual count, and entries for missing files.
         let v = check_allowlists(&[("a.rs", 2), ("gone.rs", 1)], &[("gone.rs", 700)], read);
         assert_eq!(v.len(), 3, "{v:?}");
@@ -508,6 +521,11 @@ mod tests {
         assert!(v[0].message.contains("budget is 2, the file has 1"));
         assert!(v[1].message.contains("does not exist"));
         assert_eq!(v[2].file, "gone.rs");
+        // A ceiling the file has shrunk well below.
+        let v = check_allowlists(&[], &[("a.rs", 52)], read);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "stale-allowlist");
+        assert!(v[0].message.contains("ceiling is 52, the file has 1 lines"));
     }
 
     #[test]

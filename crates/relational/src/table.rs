@@ -1,5 +1,4 @@
-//! Columnar storage for a single table, with a primary-key hash index and
-//! optional secondary indexes.
+//! Columnar storage for a single table, with a primary-key index.
 //!
 //! Rows are stored as typed per-column vectors ([`ColumnData`]) plus a null
 //! bitmap per column — text cells hold interned [`Sym`]bols, so a column of
@@ -359,8 +358,6 @@ pub struct Table {
     pk_cols: Vec<usize>,
     /// PK lookup structure. Only maintained when the schema has a PK.
     pk_index: PkIndex,
-    /// column position -> (value -> row indices), built on demand.
-    secondary: HashMap<usize, HashMap<Value, Vec<usize>>>,
 }
 
 impl Table {
@@ -379,7 +376,6 @@ impl Table {
             len: 0,
             pk_cols,
             pk_index: PkIndex::Hash(HashMap::new()),
-            secondary: HashMap::new(),
         })
     }
 
@@ -411,7 +407,6 @@ impl Table {
             len,
             pk_cols,
             pk_index,
-            secondary: HashMap::new(),
         })
     }
 
@@ -603,8 +598,6 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<usize> {
         self.validate_row(&row)?;
         self.index_pk(&row, self.len)?;
-        // Secondary indexes are invalidated by mutation; drop them lazily.
-        self.secondary.clear();
         for (c, v) in self.cols.iter_mut().zip(&row) {
             c.push(v);
         }
@@ -613,11 +606,9 @@ impl Table {
     }
 
     /// Bulk columnar append: validates and indexes every row, then pushes
-    /// column-by-column. One secondary-index invalidation for the whole
-    /// batch; constraint semantics are identical to repeated
+    /// column-by-column. Constraint semantics are identical to repeated
     /// [`Table::insert`] (rows before the failing row stay inserted).
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
-        self.secondary.clear();
         let mut n = 0usize;
         for row in rows {
             self.validate_row(&row)?;
@@ -639,35 +630,6 @@ impl Table {
     /// Position of the row with the given primary key.
     pub fn pk_row_index(&self, key: &[Value]) -> Option<usize> {
         self.pk_lookup(key)
-    }
-
-    /// Ensures a secondary hash index exists on the column at `col` and
-    /// returns the row positions whose value equals `key`.
-    pub fn lookup_indexed(&mut self, col: usize, key: &Value) -> &[usize] {
-        if !self.secondary.contains_key(&col) {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, v) in self.cols[col].iter().enumerate() {
-                map.entry(v).or_default().push(i);
-            }
-            self.secondary.insert(col, map);
-        }
-        self.secondary
-            .get(&col)
-            .and_then(|m| m.get(key))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Scans for rows whose column `col` equals `key` without an index.
-    pub fn scan_eq<'a>(&'a self, col: usize, key: &Value) -> impl Iterator<Item = Row> + 'a {
-        let key = *key;
-        (0..self.len).filter_map(move |i| {
-            if self.cols[col].get(i).sql_eq(&key) == Some(true) {
-                self.row(i)
-            } else {
-                None
-            }
-        })
     }
 
     /// Deletes all rows satisfying `pred`; returns how many were removed.
@@ -747,10 +709,8 @@ impl Table {
         Ok(changed)
     }
 
-    /// Rebuilds the PK index (checking uniqueness) and drops secondary
-    /// indexes.
+    /// Rebuilds the PK index (checking uniqueness).
     fn rebuild_indexes(&mut self) -> Result<()> {
-        self.secondary.clear();
         if self.pk_cols.is_empty() {
             self.pk_index = PkIndex::Hash(HashMap::new());
             return Ok(());
@@ -838,32 +798,6 @@ mod tests {
     fn rejects_null_in_non_nullable() {
         let mut t = make();
         assert!(t.insert(vec![Value::Null, "a".into()]).is_err());
-    }
-
-    #[test]
-    fn secondary_index_matches_scan() {
-        let mut t = make();
-        for i in 0..10 {
-            t.insert(vec![i.into(), Value::text(format!("n{}", i % 3))])
-                .unwrap();
-        }
-        let via_index: Vec<usize> = t.lookup_indexed(1, &"n1".into()).to_vec();
-        let via_scan: Vec<usize> = t
-            .iter_rows()
-            .enumerate()
-            .filter(|(_, r)| r[1] == "n1".into())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(via_index, via_scan);
-    }
-
-    #[test]
-    fn index_invalidated_on_insert() {
-        let mut t = make();
-        t.insert(vec![1.into(), "x".into()]).unwrap();
-        assert_eq!(t.lookup_indexed(1, &"x".into()).len(), 1);
-        t.insert(vec![2.into(), "x".into()]).unwrap();
-        assert_eq!(t.lookup_indexed(1, &"x".into()).len(), 2);
     }
 
     #[test]
@@ -975,17 +909,5 @@ mod tests {
             before,
             "failed update must not commit partial writes"
         );
-    }
-
-    #[test]
-    fn scan_eq_finds_matches() {
-        let mut t = make();
-        t.insert(vec![1.into(), "a".into()]).unwrap();
-        t.insert(vec![2.into(), "b".into()]).unwrap();
-        t.insert(vec![3.into(), "a".into()]).unwrap();
-        let hits: Vec<Row> = t.scan_eq(1, &"a".into()).collect();
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0][0], 1.into());
-        assert_eq!(hits[1][0], 3.into());
     }
 }

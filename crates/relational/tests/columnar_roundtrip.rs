@@ -137,26 +137,6 @@ proptest! {
     }
 }
 
-/// The secondary index over an interned text column returns exactly the
-/// scan results.
-#[test]
-fn text_secondary_index_matches_scan() {
-    let rows = random_rows(7, 200);
-    let mut table = Table::new(wide_schema()).unwrap();
-    table.append_rows(rows.clone()).unwrap();
-    for key in ["a", "ab", "abc", ""] {
-        let key: Value = key.into();
-        let via_index: Vec<usize> = table.lookup_indexed(3, &key).to_vec();
-        let via_shadow: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r[3] == key)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(via_index, via_shadow, "key {key}");
-    }
-}
-
 /// ORDER BY over interned text must be lexicographic even when symbols were
 /// interned in an adversarial (reverse) order.
 #[test]

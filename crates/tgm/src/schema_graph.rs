@@ -22,6 +22,26 @@ pub enum NodeTypeKind {
     Categorical,
 }
 
+impl NodeTypeKind {
+    /// The kind's row of paper Table 1: "Source" and "Determining factor".
+    pub(crate) fn table1_row(self) -> (&'static str, &'static str) {
+        match self {
+            NodeTypeKind::Entity => (
+                "Entity tables",
+                "Relation with a single-attribute primary key",
+            ),
+            NodeTypeKind::MultiValued => (
+                "Multi-valued attributes",
+                "Relation with two attributes; one of them is a foreign key of an entity relation",
+            ),
+            NodeTypeKind::Categorical => (
+                "Single-valued categorical attributes",
+                "Attribute of low cardinality",
+            ),
+        }
+    }
+}
+
 impl fmt::Display for NodeTypeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -43,6 +63,30 @@ pub enum EdgeTypeKind {
     MultiValued,
     /// From an entity table to a categorical attribute node type.
     Categorical,
+}
+
+impl EdgeTypeKind {
+    /// The kind's row of paper Table 1: "Source" and "Determining factor".
+    pub(crate) fn table1_row(self) -> (&'static str, &'static str) {
+        match self {
+            EdgeTypeKind::OneToMany => (
+                "One-to-many relationships",
+                "Foreign key between two entity relations",
+            ),
+            EdgeTypeKind::ManyToMany => (
+                "Many-to-many relationships",
+                "Relation with a composite primary key; both are foreign keys of entity relations",
+            ),
+            EdgeTypeKind::MultiValued => (
+                "Multi-valued attributes",
+                "From an entity table to a multi-valued attribute",
+            ),
+            EdgeTypeKind::Categorical => (
+                "Single-valued categorical attributes",
+                "From an entity table to a categorical attribute",
+            ),
+        }
+    }
 }
 
 impl fmt::Display for EdgeTypeKind {
@@ -93,6 +137,28 @@ pub enum EdgeProvenance {
         /// The categorical column.
         column: String,
     },
+}
+
+impl EdgeProvenance {
+    /// Where a forward edge's instances are read from: the relation, the
+    /// column holding the source node's key — `None` when every row *is*
+    /// the source entity — and the column holding the target node's key.
+    pub(crate) fn key_columns(&self) -> (&str, Option<&str>, &str) {
+        match self {
+            EdgeProvenance::ForeignKey { table, column }
+            | EdgeProvenance::Categorical { table, column } => (table, None, column),
+            EdgeProvenance::Relation {
+                table,
+                left_col,
+                right_col,
+            } => (table, Some(left_col), right_col),
+            EdgeProvenance::MultiValued {
+                table,
+                fk_col,
+                value_col,
+            } => (table, Some(fk_col), value_col),
+        }
+    }
 }
 
 impl fmt::Display for EdgeProvenance {

@@ -7,6 +7,12 @@
 //! 3. attributes of relationship relations beyond the two foreign keys are
 //!    ignored (e.g. `Paper_Authors.order`);
 //! 4. a multivalued-attribute relation has exactly two columns.
+//!
+//! The schema graph is the only record of the mapping: `schema_of` writes
+//! on each node type (`source_table`, attribute names) and each edge type
+//! ([`EdgeProvenance`]) which relation and columns it came from, and
+//! `instances_of` loads the instance graph from the database and that
+//! record alone.
 
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
 use crate::instance_graph::{GraphBuilder, InstanceGraph};
@@ -15,7 +21,7 @@ use crate::schema_graph::{
 };
 use crate::{Error, Result};
 use etable_relational::database::Database;
-use etable_relational::schema::TableSchema;
+use etable_relational::schema::{Column, TableSchema};
 use etable_relational::value::{DataType, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -82,6 +88,10 @@ pub struct ReportEntry {
     pub determining_factor: String,
 }
 
+/// Key value -> node, for the nodes of one type: an entity's primary-key
+/// value, or a value node's value.
+type KeyIndex = HashMap<Value, NodeId>;
+
 /// The translated typed graph database.
 #[derive(Debug, Clone)]
 pub struct Tgdb {
@@ -91,16 +101,15 @@ pub struct Tgdb {
     pub instances: InstanceGraph,
     /// Classification of every input relation.
     pub categories: BTreeMap<String, RelationCategory>,
-    /// Table-1-style report entries, in creation order.
-    pub report: Vec<ReportEntry>,
-    /// Per node type: primary-key value -> node id (entity types only).
-    pk_index: HashMap<NodeTypeId, HashMap<Value, NodeId>>,
+    /// Indexed by node type id, for the entity types (which come first):
+    /// primary-key value -> node id.
+    pk_index: Vec<KeyIndex>,
 }
 
 impl Tgdb {
     /// Finds an entity node by its relational primary-key value.
     pub fn node_by_pk(&self, nt: NodeTypeId, pk: &Value) -> Option<NodeId> {
-        self.pk_index.get(&nt).and_then(|m| m.get(pk)).copied()
+        self.pk_index.get(nt.index())?.get(pk).copied()
     }
 
     /// Finds a node of any type by its label text (first match in insertion
@@ -115,6 +124,22 @@ impl Tgdb {
             .iter()
             .copied()
             .find(matches)
+    }
+
+    /// Paper Table 1 as this schema graph instantiates it: one entry per
+    /// node type, then one per forward edge type, each in id order.
+    pub fn report(&self) -> Vec<ReportEntry> {
+        let entry = |form, name: &str, (source, factor): (&str, &str)| ReportEntry {
+            form,
+            name: name.to_string(),
+            source: source.to_string(),
+            determining_factor: factor.to_string(),
+        };
+        let nodes = self.schema.node_types();
+        let nodes = nodes.map(|(_, t)| entry("Node type", &t.name, t.kind.table1_row()));
+        let edges = self.schema.edge_types().filter(|(_, e)| e.forward);
+        let edges = edges.map(|(_, e)| entry("Edge type", &e.name, e.kind.table1_row()));
+        nodes.chain(edges).collect()
     }
 }
 
@@ -164,12 +189,17 @@ fn classify_one(schema: &TableSchema) -> Result<RelationCategory> {
 /// Chooses the label attribute `β` for an entity relation.
 ///
 /// Heuristics from Appendix A: text is generally more interpretable than
-/// numbers, and key columns make poor labels. Users can override.
-fn pick_label(schema: &TableSchema, attrs: &[AttrDef], override_col: Option<&str>) -> usize {
-    if let Some(name) = override_col {
-        if let Some(i) = attrs.iter().position(|a| a.name == name) {
-            return i;
-        }
+/// numbers, and key columns make poor labels. A user's override wins, and
+/// must name one of `attrs`.
+fn pick_label(schema: &TableSchema, attrs: &[AttrDef], chosen: Option<&String>) -> Result<usize> {
+    if let Some(name) = chosen {
+        return attrs.iter().position(|a| a.name == *name).ok_or_else(|| {
+            Error::Unsupported(format!(
+                "label override `{}.{name}` names no attribute of the node type \
+                 (foreign-key columns become edges)",
+                schema.name
+            ))
+        });
     }
     let mut best = 0usize;
     let mut best_score = i32::MIN;
@@ -193,37 +223,119 @@ fn pick_label(schema: &TableSchema, attrs: &[AttrDef], override_col: Option<&str
             best = i;
         }
     }
-    best
+    Ok(best)
 }
 
-/// Adds one single-attribute node of type `vt` per non-NULL value, in the
-/// order given (`distinct_values` is already in total order). The returned
-/// map is only a lookup, so it hashes on the value (interned text hashes by
-/// symbol id — no arena reads).
-fn add_value_nodes(
-    instances: &mut GraphBuilder,
-    vt: NodeTypeId,
-    values: impl IntoIterator<Item = Value>,
-) -> HashMap<Value, NodeId> {
-    let values = values.into_iter().filter(|v| !v.is_null());
-    values
-        .map(|v| (v, instances.add_node(vt, vec![v])))
-        .collect()
+/// Position of column `col` in `schema` — the one place a column name the
+/// translation recorded is resolved against a relation.
+fn column_index(schema: &TableSchema, col: &str) -> Result<usize> {
+    schema.column_index(col).ok_or_else(|| {
+        Error::Unsupported(format!("relation `{}` has no column `{col}`", schema.name))
+    })
 }
 
-/// Translates `db` into a typed graph database.
-pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
+fn attr_of(col: &Column) -> AttrDef {
+    AttrDef {
+        name: col.name.clone(),
+        data_type: col.data_type,
+    }
+}
+
+/// The entity node type referenced by the single-column foreign key on `col`.
+fn entity_of_fk(schema: &SchemaGraph, tschema: &TableSchema, col: &str) -> Result<NodeTypeId> {
+    let fk = tschema.fk_on_column(col).ok_or_else(|| {
+        Error::Unsupported(format!(
+            "column `{col}` of `{}` is not a single-column FK",
+            tschema.name
+        ))
+    })?;
+    match schema.node_type_by_name(&fk.referenced_table) {
+        Some((id, t)) if t.kind == NodeTypeKind::Entity => Ok(id),
+        _ => Err(Error::Unsupported(format!(
+            "FK target `{}` is not an entity relation",
+            fk.referenced_table
+        ))),
+    }
+}
+
+/// Edge names already taken, per source node type.
+type UsedNames = HashSet<(NodeTypeId, String)>;
+
+/// Edge-name disambiguation per source node type (Appendix A: "If the label
+/// is used by another edge type, a slightly different label will be
+/// created").
+fn unique_name(used: &mut UsedNames, source: NodeTypeId, base: &str, hint: &str) -> String {
+    let mut candidate = base.to_string();
+    let mut attempt = 1;
+    while !used.insert((source, candidate.clone())) {
+        candidate = match attempt {
+            1 => format!("{base} ({hint})"),
+            i => format!("{base} ({hint} {i})"),
+        };
+        attempt += 1;
+    }
+    candidate
+}
+
+/// Adds the single-attribute value node type `"{table}: {column}"` and the
+/// edge type pair linking `owner` to it, `table` being the relation
+/// `provenance` names.
+fn add_value_type(
+    schema: &mut SchemaGraph,
+    used: &mut UsedNames,
+    owner: NodeTypeId,
+    column: &Column,
+    (node_kind, edge_kind): (NodeTypeKind, EdgeTypeKind),
+    provenance: EdgeProvenance,
+) {
+    let (table, ..) = provenance.key_columns();
+    let nt_name = format!("{table}: {}", column.name);
+    let vt = schema.add_node_type(NodeType {
+        name: nt_name.clone(),
+        attrs: vec![attr_of(column)],
+        label_attr: 0,
+        kind: node_kind,
+        source_table: table.to_string(),
+    });
+    let fwd_name = unique_name(used, owner, &nt_name, table);
+    let rev_name = unique_name(used, vt, &schema.node_type(owner).name, table);
+    schema.add_edge_type_pair(fwd_name, rev_name, owner, vt, edge_kind, provenance);
+}
+
+/// Appendix A over the relational schema: classifies every relation and
+/// builds the schema graph.
+fn schema_of(
+    db: &Database,
+    opts: &TranslateOptions,
+) -> Result<(SchemaGraph, BTreeMap<String, RelationCategory>)> {
     let categories = classify(db)?;
-    let mut schema = SchemaGraph::new();
-    let mut report = Vec::new();
+    let is_entity = |table: &String| categories.get(table) == Some(&RelationCategory::Entity);
+
+    // An explicit choice (Appendix A: "users can select") that names
+    // nothing is an error, not a silent fall-back to the heuristics.
+    if let Some(table) = opts.label_overrides.keys().find(|t| !is_entity(t)) {
+        return Err(Error::Unsupported(format!(
+            "label override for `{table}`, which is not an entity relation"
+        )));
+    }
+    for (table, col) in &opts.categorical_columns {
+        let eligible = is_entity(table) && {
+            let tschema = db.table(table)?.schema();
+            tschema.column(col).is_some()
+                && !tschema.is_pk_column(col)
+                && !tschema.is_fk_column(col)
+        };
+        if !eligible {
+            return Err(Error::Unsupported(format!(
+                "categorical column `{table}.{col}` is not a non-key attribute of an entity relation"
+            )));
+        }
+    }
 
     // --- Node types from entity relations. -------------------------------
-    let mut entity_type: BTreeMap<String, NodeTypeId> = BTreeMap::new();
-    let mut entity_label: BTreeMap<String, String> = BTreeMap::new();
-    for (name, cat) in &categories {
-        if *cat != RelationCategory::Entity {
-            continue;
-        }
+    let mut schema = SchemaGraph::new();
+    let mut entities: Vec<(NodeTypeId, &String)> = Vec::new();
+    for name in categories.keys().filter(|t| is_entity(t)) {
         let tschema = db.table(name)?.schema();
         // FK columns become edges, not attributes: the paper's Figure 1
         // shows e.g. `Conferences` as an entity-reference column instead of
@@ -232,17 +344,9 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
             .columns
             .iter()
             .filter(|c| !tschema.is_fk_column(&c.name))
-            .map(|c| AttrDef {
-                name: c.name.clone(),
-                data_type: c.data_type,
-            })
+            .map(attr_of)
             .collect();
-        let label_attr = pick_label(
-            tschema,
-            &attrs,
-            opts.label_overrides.get(name).map(String::as_str),
-        );
-        let label_name = attrs[label_attr].name.clone();
+        let label_attr = pick_label(tschema, &attrs, opts.label_overrides.get(name))?;
         let id = schema.add_node_type(NodeType {
             name: name.clone(),
             attrs,
@@ -250,141 +354,58 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
             kind: NodeTypeKind::Entity,
             source_table: name.clone(),
         });
-        entity_type.insert(name.clone(), id);
-        entity_label.insert(name.clone(), label_name);
-        report.push(ReportEntry {
-            form: "Node type",
-            name: name.clone(),
-            source: "Entity tables".into(),
-            determining_factor: "Relation with a single-attribute primary key".into(),
-        });
+        entities.push((id, name));
     }
-
-    let entity_of_fk = |tschema: &TableSchema, col: &str| -> Result<NodeTypeId> {
-        let fk = tschema.fk_on_column(col).ok_or_else(|| {
-            Error::Unsupported(format!(
-                "column `{col}` of `{}` is not a single-column FK",
-                tschema.name
-            ))
-        })?;
-        entity_type
-            .get(&fk.referenced_table)
-            .copied()
-            .ok_or_else(|| {
-                Error::Unsupported(format!(
-                    "FK target `{}` is not an entity relation",
-                    fk.referenced_table
-                ))
-            })
-    };
-
-    // Edge-name disambiguation per source node type (Appendix A: "If the
-    // label is used by another edge type, a slightly different label will
-    // be created").
-    let mut used_names: HashSet<(NodeTypeId, String)> = HashSet::new();
-    let unique_name = |used: &mut HashSet<(NodeTypeId, String)>,
-                       source: NodeTypeId,
-                       base: &str,
-                       hint: &str|
-     -> String {
-        if used.insert((source, base.to_string())) {
-            return base.to_string();
-        }
-        let with_hint = format!("{base} ({hint})");
-        if used.insert((source, with_hint.clone())) {
-            return with_hint;
-        }
-        let mut i = 2;
-        loop {
-            let candidate = format!("{base} ({hint} {i})");
-            if used.insert((source, candidate.clone())) {
-                return candidate;
-            }
-            i += 1;
-        }
-    };
+    let mut used = UsedNames::new();
 
     // --- Edge types from FKs between entity relations (1:1 / 1:n). -------
-    // (src type, tgt type, edge type, fk column, source table name)
-    let mut fk_edges: Vec<(NodeTypeId, NodeTypeId, EdgeTypeId, String, String)> = Vec::new();
-    for (name, cat) in &categories {
-        if *cat != RelationCategory::Entity {
-            continue;
-        }
-        let tschema = db.table(name)?.schema().clone();
-        let src = entity_type[name];
+    for &(src, name) in &entities {
+        let tschema = db.table(name)?.schema();
         for fk in &tschema.foreign_keys {
-            if fk.columns.len() != 1 {
+            let [col] = fk.columns.as_slice() else {
                 return Err(Error::Unsupported(format!(
                     "composite FK on entity relation `{name}` is not supported"
                 )));
-            }
-            let tgt = entity_of_fk(&tschema, &fk.columns[0])?;
-            let fwd_name = unique_name(
-                &mut used_names,
-                src,
-                &schema.node_type(tgt).name,
-                &fk.columns[0],
-            );
-            let rev_name = unique_name(&mut used_names, tgt, &schema.node_type(src).name, name);
-            let et = schema.add_edge_type_pair(
-                fwd_name.clone(),
+            };
+            let tgt = entity_of_fk(&schema, tschema, col)?;
+            let fwd_name = unique_name(&mut used, src, &schema.node_type(tgt).name, col);
+            let rev_name = unique_name(&mut used, tgt, name, name);
+            schema.add_edge_type_pair(
+                fwd_name,
                 rev_name,
                 src,
                 tgt,
                 EdgeTypeKind::OneToMany,
                 EdgeProvenance::ForeignKey {
                     table: name.clone(),
-                    column: fk.columns[0].clone(),
+                    column: col.clone(),
                 },
             );
-            fk_edges.push((src, tgt, et, fk.columns[0].clone(), name.clone()));
-            report.push(ReportEntry {
-                form: "Edge type",
-                name: fwd_name,
-                source: "One-to-many relationships".into(),
-                determining_factor: "Foreign key between two entity relations".into(),
-            });
         }
     }
 
     // --- Edge types from relationship relations (m:n). -------------------
-    // (relation name, edge type, left entity, right entity, left col, right col)
-    let mut mn_edges: Vec<(String, EdgeTypeId, NodeTypeId, NodeTypeId, String, String)> =
-        Vec::new();
     for (name, cat) in &categories {
         let RelationCategory::Relationship { left_fk, right_fk } = cat else {
             continue;
         };
-        let tschema = db.table(name)?.schema().clone();
-        let left = entity_of_fk(&tschema, left_fk)?;
-        let right = entity_of_fk(&tschema, right_fk)?;
-        let (fwd_name, rev_name) = if left == right {
-            // Self-relationship, e.g. citations: both directions are
-            // meaningful and get distinguishing labels (Figure 1 shows
-            // "Papers (referenced)" and "Papers (referencing)").
-            (
-                unique_name(
-                    &mut used_names,
-                    left,
-                    &format!("{} (referenced)", schema.node_type(right).name),
-                    name,
-                ),
-                unique_name(
-                    &mut used_names,
-                    right,
-                    &format!("{} (referencing)", schema.node_type(left).name),
-                    name,
-                ),
-            )
+        let tschema = db.table(name)?.schema();
+        let left = entity_of_fk(&schema, tschema, left_fk)?;
+        let right = entity_of_fk(&schema, tschema, right_fk)?;
+        // Self-relationship, e.g. citations: both directions are meaningful
+        // and get distinguishing labels (Figure 1 shows "Papers
+        // (referenced)" and "Papers (referencing)").
+        let (fwd_tag, rev_tag) = if left == right {
+            (" (referenced)", " (referencing)")
         } else {
-            (
-                unique_name(&mut used_names, left, &schema.node_type(right).name, name),
-                unique_name(&mut used_names, right, &schema.node_type(left).name, name),
-            )
+            ("", "")
         };
-        let et = schema.add_edge_type_pair(
-            fwd_name.clone(),
+        let fwd_base = format!("{}{fwd_tag}", schema.node_type(right).name);
+        let rev_base = format!("{}{rev_tag}", schema.node_type(left).name);
+        let fwd_name = unique_name(&mut used, left, &fwd_base, name);
+        let rev_name = unique_name(&mut used, right, &rev_base, name);
+        schema.add_edge_type_pair(
+            fwd_name,
             rev_name,
             left,
             right,
@@ -395,97 +416,35 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
                 right_col: right_fk.clone(),
             },
         );
-        mn_edges.push((
-            name.clone(),
-            et,
-            left,
-            right,
-            left_fk.clone(),
-            right_fk.clone(),
-        ));
-        report.push(ReportEntry {
-            form: "Edge type",
-            name: fwd_name,
-            source: "Many-to-many relationships".into(),
-            determining_factor:
-                "Relation with a composite primary key; both are foreign keys of entity relations"
-                    .into(),
-        });
     }
 
     // --- Node + edge types from multivalued attribute relations. ---------
-    // (relation, value node type, edge type, entity type, fk col, value col)
-    let mut mva_defs: Vec<(String, NodeTypeId, EdgeTypeId, NodeTypeId, String, String)> =
-        Vec::new();
     for (name, cat) in &categories {
         let RelationCategory::MultiValuedAttr { fk_col, value_col } = cat else {
             continue;
         };
-        let tschema = db.table(name)?.schema().clone();
-        let owner = entity_of_fk(&tschema, fk_col)?;
-        let value_ty = tschema
-            .column(value_col)
-            .expect("classified column exists")
-            .data_type;
-        let nt_name = format!("{name}: {value_col}");
-        let vt = schema.add_node_type(NodeType {
-            name: nt_name.clone(),
-            attrs: vec![AttrDef {
-                name: value_col.clone(),
-                data_type: value_ty,
-            }],
-            label_attr: 0,
-            kind: NodeTypeKind::MultiValued,
-            source_table: name.clone(),
-        });
-        report.push(ReportEntry {
-            form: "Node type",
-            name: nt_name.clone(),
-            source: "Multi-valued attributes".into(),
-            determining_factor:
-                "Relation with two attributes; one of them is a foreign key of an entity relation"
-                    .into(),
-        });
-        let fwd_name = unique_name(&mut used_names, owner, &nt_name, name);
-        let rev_name = unique_name(&mut used_names, vt, &schema.node_type(owner).name, name);
-        let et = schema.add_edge_type_pair(
-            fwd_name.clone(),
-            rev_name,
+        let tschema = db.table(name)?.schema();
+        let owner = entity_of_fk(&schema, tschema, fk_col)?;
+        add_value_type(
+            &mut schema,
+            &mut used,
             owner,
-            vt,
-            EdgeTypeKind::MultiValued,
+            &tschema.columns[column_index(tschema, value_col)?],
+            (NodeTypeKind::MultiValued, EdgeTypeKind::MultiValued),
             EdgeProvenance::MultiValued {
                 table: name.clone(),
                 fk_col: fk_col.clone(),
                 value_col: value_col.clone(),
             },
         );
-        mva_defs.push((
-            name.clone(),
-            vt,
-            et,
-            owner,
-            fk_col.clone(),
-            value_col.clone(),
-        ));
-        report.push(ReportEntry {
-            form: "Edge type",
-            name: fwd_name,
-            source: "Multi-valued attributes".into(),
-            determining_factor: "From an entity table to a multi-valued attribute".into(),
-        });
     }
 
     // --- Node + edge types from categorical attributes. ------------------
-    // (entity table, cat node type, edge type, entity type, column)
-    let mut cat_defs: Vec<(String, NodeTypeId, EdgeTypeId, NodeTypeId, String)> = Vec::new();
-    for (name, cat) in &categories {
-        if *cat != RelationCategory::Entity {
-            continue;
-        }
+    for &(owner, name) in &entities {
         let table = db.table(name)?;
-        let tschema = table.schema().clone();
-        let owner = entity_type[name];
+        let tschema = table.schema();
+        let owner_type = schema.node_type(owner);
+        let label = owner_type.attrs[owner_type.label_attr].name.clone();
         for (ci, col) in tschema.columns.iter().enumerate() {
             if tschema.is_pk_column(&col.name) || tschema.is_fk_column(&col.name) {
                 continue;
@@ -497,175 +456,135 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
             // A type's own label attribute identifies its nodes; promoting
             // it to a categorical grouping would be redundant, so automatic
             // detection skips it (explicit selection still wins).
-            let is_label = entity_label.get(name) == Some(&col.name);
             let auto = opts.categorical_threshold > 0
-                && !is_label
+                && col.name != label
                 && !table.is_empty()
                 && table.distinct_values(ci).len() <= opts.categorical_threshold;
-            if !(explicit || auto) {
-                continue;
+            if explicit || auto {
+                add_value_type(
+                    &mut schema,
+                    &mut used,
+                    owner,
+                    col,
+                    (NodeTypeKind::Categorical, EdgeTypeKind::Categorical),
+                    EdgeProvenance::Categorical {
+                        table: name.clone(),
+                        column: col.name.clone(),
+                    },
+                );
             }
-            let nt_name = format!("{name}: {}", col.name);
-            let vt = schema.add_node_type(NodeType {
-                name: nt_name.clone(),
-                attrs: vec![AttrDef {
-                    name: col.name.clone(),
-                    data_type: col.data_type,
-                }],
-                label_attr: 0,
-                kind: NodeTypeKind::Categorical,
-                source_table: name.clone(),
-            });
-            report.push(ReportEntry {
-                form: "Node type",
-                name: nt_name.clone(),
-                source: "Single-valued categorical attributes".into(),
-                determining_factor: "Attribute of low cardinality".into(),
-            });
-            let fwd_name = unique_name(&mut used_names, owner, &nt_name, name);
-            let rev_name = unique_name(&mut used_names, vt, name, &col.name);
-            let et = schema.add_edge_type_pair(
-                fwd_name.clone(),
-                rev_name,
-                owner,
-                vt,
-                EdgeTypeKind::Categorical,
-                EdgeProvenance::Categorical {
-                    table: name.clone(),
-                    column: col.name.clone(),
-                },
-            );
-            cat_defs.push((name.clone(), vt, et, owner, col.name.clone()));
-            report.push(ReportEntry {
-                form: "Edge type",
-                name: fwd_name,
-                source: "Single-valued categorical attributes".into(),
-                determining_factor: "From an entity table to a categorical attribute".into(),
-            });
         }
     }
+    Ok((schema, categories))
+}
 
-    // --- Instance graph. --------------------------------------------------
-    let mut instances = InstanceGraph::builder(&schema);
-    let mut pk_index: HashMap<NodeTypeId, HashMap<Value, NodeId>> = HashMap::new();
-
-    // Entity nodes.
-    for (name, &nt) in &entity_type {
-        let table = db.table(name)?;
-        let tschema = table.schema();
-        let attr_cols: Vec<usize> = tschema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !tschema.is_fk_column(&c.name))
-            .map(|(i, _)| i)
-            .collect();
-        let pk_col = tschema
-            .column_index(&tschema.primary_key[0])
-            .expect("entity pk exists");
-        let index = pk_index.entry(nt).or_default();
-        // Stream the attribute and PK columns directly out of columnar
-        // storage: no full-row materialization, and every text attribute
-        // re-uses the symbol the table already interned.
-        let cols: Vec<_> = attr_cols.iter().map(|&i| table.column(i)).collect();
-        let pk = table.column(pk_col);
-        for r in 0..table.len() {
-            let values: Vec<Value> = cols.iter().map(|c| c.get(r)).collect();
-            let node = instances.add_node(nt, values);
-            index.insert(pk.get(r), node);
+/// Adds every edge of the forward edge type `et`, one per row of the
+/// relation its provenance names, in row order. `keys[nt]` resolves a key
+/// value to the node of type `nt` it identifies.
+fn load_edges(
+    db: &Database,
+    schema: &SchemaGraph,
+    et: EdgeTypeId,
+    keys: &[KeyIndex],
+    graph: &mut GraphBuilder,
+) -> Result<()> {
+    let def = schema.edge_type(et);
+    let (table_name, src_col, tgt_col) = def.provenance.key_columns();
+    let table = db.table(table_name)?;
+    let tschema = table.schema();
+    let src_keys = match src_col {
+        Some(col) => Some((col, table.column(column_index(tschema, col)?))),
+        None => None,
+    };
+    let tgt_keys = table.column(column_index(tschema, tgt_col)?);
+    let node_of = |nt: NodeTypeId, col: &str, key: Value| {
+        let node = keys[nt.index()].get(&key).copied();
+        node.ok_or_else(|| Error::Integrity(format!("dangling FK {table_name}.{col} = {key}")))
+    };
+    for r in 0..table.len() {
+        if tgt_keys.is_null(r) {
+            continue;
         }
+        let src = match src_keys {
+            Some((col, column)) => node_of(def.source, col, column.get(r))?,
+            // The edge hangs off the row's own entity: row `r` of an
+            // entity relation is the `r`-th node of its type.
+            None => graph
+                .node_at(def.source, r)
+                .ok_or_else(|| Error::Integrity(format!("`{table_name}` row {r} has no node")))?,
+        };
+        let tgt = node_of(def.target, tgt_col, tgt_keys.get(r))?;
+        graph.add_edge(schema, et, src, tgt);
     }
+    Ok(())
+}
 
-    // FK edges between entities.
-    for (src_ty, tgt_ty, et, fk_col, table_name) in &fk_edges {
-        let table = db.table(table_name)?;
+/// Loads the instance graph that `schema` describes out of `db`, reading
+/// nothing but the two: nodes type by type in id order (so a node's id is
+/// fixed by its type and its source row or value rank), then edges, forward
+/// edge type by forward edge type. Also returns the entity types' key
+/// indexes.
+fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<(InstanceGraph, Vec<KeyIndex>)> {
+    let mut graph = InstanceGraph::builder(schema);
+    let mut keys: Vec<KeyIndex> = Vec::with_capacity(schema.node_type_count());
+    for (nt, def) in schema.node_types() {
+        let table = db.table(&def.source_table)?;
         let tschema = table.schema();
-        let fk_idx = tschema.column_index(fk_col).expect("fk column");
-        let pk_idx = tschema
-            .column_index(&tschema.primary_key[0])
-            .expect("entity pk");
-        let fks = table.column(fk_idx);
-        let pks = table.column(pk_idx);
-        for r in 0..table.len() {
-            if fks.is_null(r) {
-                continue;
+        keys.push(match def.kind {
+            NodeTypeKind::Entity => {
+                let [pk] = tschema.primary_key.as_slice() else {
+                    return Err(Error::Unsupported(format!(
+                        "entity relation `{}` has no single-attribute primary key",
+                        tschema.name
+                    )));
+                };
+                // Stream the attribute and PK columns directly out of
+                // columnar storage: no full-row materialization, and every
+                // text attribute re-uses the symbol the table already
+                // interned.
+                let pk = table.column(column_index(tschema, pk)?);
+                let cols = def
+                    .attrs
+                    .iter()
+                    .map(|a| Ok(table.column(column_index(tschema, &a.name)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                (0..table.len())
+                    .map(|r| {
+                        let values = cols.iter().map(|c| c.get(r)).collect();
+                        (pk.get(r), graph.add_node(nt, values))
+                    })
+                    .collect()
             }
-            let fk_val = fks.get(r);
-            let src = pk_index[src_ty][&pks.get(r)];
-            let tgt = *pk_index[tgt_ty].get(&fk_val).ok_or_else(|| {
-                Error::Integrity(format!("dangling FK {table_name}.{fk_col} = {fk_val}"))
-            })?;
-            instances.add_edge(&schema, *et, src, tgt);
-        }
-    }
-
-    // M:N edges.
-    for (table_name, et, left_ty, right_ty, left_col, right_col) in &mn_edges {
-        let table = db.table(table_name)?;
-        let tschema = table.schema();
-        let li = tschema.column_index(left_col).expect("left fk");
-        let ri = tschema.column_index(right_col).expect("right fk");
-        let lc = table.column(li);
-        let rc = table.column(ri);
-        for r in 0..table.len() {
-            let (lv, rv) = (lc.get(r), rc.get(r));
-            let src = *pk_index[left_ty].get(&lv).ok_or_else(|| {
-                Error::Integrity(format!("dangling FK {table_name}.{left_col} = {lv}"))
-            })?;
-            let tgt = *pk_index[right_ty].get(&rv).ok_or_else(|| {
-                Error::Integrity(format!("dangling FK {table_name}.{right_col} = {rv}"))
-            })?;
-            instances.add_edge(&schema, *et, src, tgt);
-        }
-    }
-
-    // MVA value nodes + edges.
-    for (table_name, vt, et, owner_ty, fk_col, value_col) in &mva_defs {
-        let table = db.table(table_name)?;
-        let tschema = table.schema();
-        let fi = tschema.column_index(fk_col).expect("fk column");
-        let vi = tschema.column_index(value_col).expect("value column");
-        let value_nodes = add_value_nodes(&mut instances, *vt, table.distinct_values(vi));
-        let fc = table.column(fi);
-        let vc = table.column(vi);
-        for r in 0..table.len() {
-            if vc.is_null(r) {
-                continue;
+            // One node per non-NULL value, in the value total order. The
+            // index hashes on the value (interned text hashes by symbol id:
+            // no arena reads).
+            NodeTypeKind::MultiValued | NodeTypeKind::Categorical => {
+                let col = column_index(tschema, &def.attrs[0].name)?;
+                let values = table
+                    .distinct_values(col)
+                    .into_iter()
+                    .filter(|v| !v.is_null());
+                values.map(|v| (v, graph.add_node(nt, vec![v]))).collect()
             }
-            let fv = fc.get(r);
-            let src = *pk_index[owner_ty].get(&fv).ok_or_else(|| {
-                Error::Integrity(format!("dangling FK {table_name}.{fk_col} = {fv}"))
-            })?;
-            instances.add_edge(&schema, *et, src, value_nodes[&vc.get(r)]);
-        }
+        });
     }
-
-    // Categorical value nodes + edges.
-    for (table_name, vt, et, owner_ty, col_name) in &cat_defs {
-        let table = db.table(table_name)?;
-        let tschema = table.schema();
-        let ci = tschema.column_index(col_name).expect("categorical column");
-        let pk_idx = tschema
-            .column_index(&tschema.primary_key[0])
-            .expect("entity pk");
-        let value_nodes = add_value_nodes(&mut instances, *vt, table.distinct_values(ci));
-        let cc = table.column(ci);
-        let pks = table.column(pk_idx);
-        for r in 0..table.len() {
-            if cc.is_null(r) {
-                continue;
-            }
-            let src = pk_index[owner_ty][&pks.get(r)];
-            instances.add_edge(&schema, *et, src, value_nodes[&cc.get(r)]);
-        }
+    for (et, _) in schema.edge_types().filter(|(_, e)| e.forward) {
+        load_edges(db, schema, et, &keys, &mut graph)?;
     }
+    // Only the entity indexes outlive the edge pass; `schema_of` creates
+    // the entity types first, so they are a prefix.
+    keys.truncate(schema.entity_types().len());
+    Ok((graph.finish(schema)?, keys))
+}
 
-    let instances = instances.finish(&schema)?;
+/// Translates `db` into a typed graph database.
+pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
+    let (schema, categories) = schema_of(db, opts)?;
+    let (instances, pk_index) = instances_of(db, &schema)?;
     Ok(Tgdb {
         schema,
         instances,
         categories,
-        report,
         pk_index,
     })
 }
@@ -968,12 +887,182 @@ mod tests {
     fn report_covers_all_categories() {
         let db = academic_db();
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
-        let sources: HashSet<&str> = tgdb.report.iter().map(|r| r.source.as_str()).collect();
+        let report = tgdb.report();
+        let sources: HashSet<&str> = report.iter().map(|r| r.source.as_str()).collect();
         assert!(sources.contains("Entity tables"));
         assert!(sources.contains("One-to-many relationships"));
         assert!(sources.contains("Many-to-many relationships"));
         assert!(sources.contains("Multi-valued attributes"));
         assert!(sources.contains("Single-valued categorical attributes"));
+    }
+
+    /// Pins the instance-graph layout every consumer of `NodeId`s relies
+    /// on: ids ascend by node-type id, then source-row order (entities) or
+    /// the value total order (value types); each CSR run lists targets in
+    /// the row order of the edge type's source relation.
+    #[test]
+    fn graph_layout_is_pinned() {
+        let mut db = academic_db();
+        // Keys that arrive out of order, so row order differs from key order.
+        let rows: [(&str, Vec<Value>); 6] = [
+            (
+                "Papers",
+                vec![9.into(), 2.into(), "Early".into(), 1999.into()],
+            ),
+            ("Paper_Authors", vec![12.into(), 101.into(), 1.into()]),
+            ("Paper_Authors", vec![12.into(), 100.into(), 2.into()]),
+            ("Paper_Keywords", vec![12.into(), "zeta".into()]),
+            ("Paper_Keywords", vec![12.into(), "alpha".into()]),
+            ("Paper_References", vec![9.into(), 12.into()]),
+        ];
+        for (table, row) in rows {
+            db.insert(table, row).unwrap();
+        }
+        let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
+        let g = &tgdb.instances;
+        let labels = |ids: &[NodeId]| -> Vec<String> {
+            ids.iter().map(|&n| g.label(n).to_string()).collect()
+        };
+
+        let type_names: Vec<&str> = tgdb
+            .schema
+            .node_types()
+            .map(|(_, t)| t.name.as_str())
+            .collect();
+        assert_eq!(
+            type_names,
+            [
+                "Authors",
+                "Conferences",
+                "Papers",
+                "Paper_Keywords: keyword",
+                "Papers: year"
+            ]
+        );
+        let by_type: Vec<NodeId> = tgdb
+            .schema
+            .node_types()
+            .flat_map(|(nt, _)| g.nodes_of_type(nt).iter().copied())
+            .collect();
+        assert_eq!(by_type, g.node_ids().collect::<Vec<_>>());
+        assert_eq!(
+            labels(&by_type),
+            [
+                "Jagadish",
+                "Nandi",
+                "SIGMOD",
+                "KDD",
+                "Usable DBs",
+                "SkewTune",
+                "Deep stuff",
+                "Early",
+                "alpha",
+                "skew",
+                "usability",
+                "user interface",
+                "zeta",
+                "1999",
+                "2007",
+                "2012"
+            ]
+        );
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        assert_eq!(tgdb.node_by_pk(papers, &9.into()), Some(NodeId(7)));
+        let deep = tgdb.node_by_pk(papers, &12.into()).unwrap();
+
+        let neighbors = |from: NodeTypeId, edge: &str, node: NodeId| {
+            let (et, _) = tgdb.schema.outgoing_by_name(from, edge).unwrap();
+            labels(g.neighbors(et, node))
+        };
+        // ForeignKey (Papers.conference_id), read from the referenced side.
+        let (confs, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
+        let kdd = tgdb.node_by_label(confs, "KDD").unwrap();
+        assert_eq!(neighbors(confs, "Papers", kdd), ["Deep stuff", "Early"]);
+        // Relation (Paper_Authors): row order, not author-id order.
+        assert_eq!(neighbors(papers, "Authors", deep), ["Nandi", "Jagadish"]);
+        assert_eq!(neighbors(papers, "Papers (referencing)", deep), ["Early"]);
+        // MultiValued (Paper_Keywords): row order, not value order.
+        assert_eq!(
+            neighbors(papers, "Paper_Keywords: keyword", deep),
+            ["zeta", "alpha"]
+        );
+        // Categorical (Papers.year), read from the value side.
+        let (years, _) = tgdb.schema.node_type_by_name("Papers: year").unwrap();
+        let y2012 = tgdb.node_by_label(years, "2012").unwrap();
+        assert_eq!(
+            neighbors(years, "Papers", y2012),
+            ["SkewTune", "Deep stuff"]
+        );
+        g.check_consistency(&tgdb.schema).unwrap();
+    }
+
+    /// Every key column an edge is loaded through reports a value that
+    /// identifies no node as `table.column = value`. (A `Categorical` edge
+    /// cannot dangle: its source is the row itself and its target a value
+    /// of the very column being read.)
+    #[test]
+    fn dangling_keys_are_integrity_errors() {
+        let cases: [(&str, Vec<Value>, &str); 4] = [
+            (
+                "Papers",
+                vec![13.into(), 99.into(), "Lost".into(), 2001.into()],
+                "Papers.conference_id = 99",
+            ),
+            (
+                "Paper_Authors",
+                vec![77.into(), 100.into(), 1.into()],
+                "Paper_Authors.paper_id = 77",
+            ),
+            (
+                "Paper_Authors",
+                vec![10.into(), 999.into(), 1.into()],
+                "Paper_Authors.author_id = 999",
+            ),
+            (
+                "Paper_Keywords",
+                vec![78.into(), "orphan".into()],
+                "Paper_Keywords.paper_id = 78",
+            ),
+        ];
+        for (table, row, dangling) in cases {
+            let mut db = academic_db();
+            db.insert_unchecked(table, row).unwrap();
+            match translate(&db, &TranslateOptions::default()) {
+                Err(Error::Integrity(m)) => assert_eq!(m, format!("dangling FK {dangling}")),
+                other => panic!("{dangling}: expected an integrity error, got {other:?}"),
+            }
+        }
+    }
+
+    /// An explicit choice that names nothing is refused, naming the table
+    /// and column, instead of silently falling back to the heuristics.
+    #[test]
+    fn unresolvable_options_are_rejected() {
+        let label = |table: &str, col: &str| TranslateOptions {
+            label_overrides: [(table.to_string(), col.to_string())].into(),
+            ..TranslateOptions::default()
+        };
+        let categorical = |table: &str, col: &str| TranslateOptions {
+            categorical_columns: vec![(table.into(), col.into())],
+            ..TranslateOptions::default()
+        };
+        let cases = [
+            (label("Papers", "nosuch"), "`Papers.nosuch`"),
+            (categorical("Papers", "nosuch"), "`Papers.nosuch`"),
+            (categorical("Nosuch", "x"), "`Nosuch.x`"),
+            (categorical("Papers", "id"), "`Papers.id`"),
+            (
+                categorical("Papers", "conference_id"),
+                "`Papers.conference_id`",
+            ),
+        ];
+        let db = academic_db();
+        for (opts, named) in cases {
+            match translate(&db, &opts) {
+                Err(Error::Unsupported(m)) => assert!(m.contains(named), "{m}"),
+                other => panic!("{named}: expected `Unsupported`, got {other:?}"),
+            }
+        }
     }
 
     #[test]
