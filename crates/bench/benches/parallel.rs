@@ -1,19 +1,17 @@
 //! Morsel-execution benchmarks: the same filtered scan, join probe, and
 //! grouped aggregation measured at pool sizes 1 and 4 (installed
 //! in-process via `exec::pool::with_pool`, never through the
-//! environment), plus the dictionary-predicate ablation — `scan_like_title`
-//! with per-symbol bitmap evaluation on versus the generic per-row path.
+//! environment), plus `scan_like_title_dict` — a LIKE scan answered by one
+//! per-symbol bitmap probe per row.
 //!
 //! On the 1-CPU dev container the pool-4 numbers measure dispatch overhead
 //! rather than speedup; the committed baseline pins them anyway so that
-//! overhead cannot silently regress. The dict on/off pair is the
-//! acceptance evidence for the dictionary fast path.
+//! overhead cannot silently regress.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_bench::parse_select as parse;
 use etable_datagen::{generate, GenConfig};
 use etable_relational::exec::pool::{with_pool, Pool, PoolConfig};
-use etable_relational::exec::pred::set_dict_predicates;
 use etable_relational::sql::executor::execute_query;
 
 fn bench_parallel(c: &mut Criterion) {
@@ -49,26 +47,18 @@ fn bench_parallel(c: &mut Criterion) {
             });
         }
     }
-    // Dictionary-predicate ablation on the LIKE scan: one bitmap probe per
-    // row versus pattern-matching every row's string.
+    // The dictionary-predicate LIKE scan: one bitmap probe per row.
     let like = parse("SELECT id FROM Papers WHERE title LIKE '%data%'");
     let pool = Pool::new(PoolConfig::fixed(1));
-    for (label, dict) in [
-        ("scan_like_title_dict", true),
-        ("scan_like_title_nodict", false),
-    ] {
-        group.bench_function(label, |b| {
-            set_dict_predicates(dict);
-            with_pool(&pool, || {
-                b.iter(|| {
-                    execute_query(&db, &like)
-                        .expect("benchmark query executes")
-                        .len()
-                })
-            });
-            set_dict_predicates(true);
+    group.bench_function("scan_like_title_dict", |b| {
+        with_pool(&pool, || {
+            b.iter(|| {
+                execute_query(&db, &like)
+                    .expect("benchmark query executes")
+                    .len()
+            })
         });
-    }
+    });
     group.finish();
 }
 

@@ -3,9 +3,7 @@
 //! pair — opening the saved binary corpus must beat regenerating it by
 //! at least 5x (the CI bench gate holds each family to its baseline, so
 //! a regression in either side of the ratio is caught). `save_medium`
-//! prices snapshot creation (paid once per cache miss) and
-//! `open_touch_all` prices a worst-case read that defeats column
-//! laziness by materializing every column of every table.
+//! prices snapshot creation (paid once per cache miss).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
@@ -18,22 +16,6 @@ fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("etable-bench-storage-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Opens the snapshot and forces every column of every table resident,
-/// returning a checksum-ish row count so the work cannot be elided.
-fn open_and_touch_all(dir: &std::path::Path) -> usize {
-    let db = Database::open(dir).expect("bench snapshot opens");
-    let mut cells = 0usize;
-    for name in db.table_names() {
-        let t = db.table(name).expect("table exists");
-        for c in 0..t.schema().arity() {
-            let col = t.column(c);
-            let _ = col.data(); // first touch loads the column from disk
-            cells += col.len();
-        }
-    }
-    cells
 }
 
 fn bench_storage(c: &mut Criterion) {
@@ -53,8 +35,9 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("save_medium", |b| {
         b.iter(|| db.save(&save_dir).expect("save succeeds"))
     });
-    // The warm path: open is lazy, so this is the interactive cold-start
-    // cost — it must undercut datagen_medium by >= 5x.
+    // The warm path: open reads, verifies and decodes every column, so
+    // this is the whole interactive cold-start cost — it must undercut
+    // datagen_medium by >= 5x.
     group.bench_function("open_snapshot", |b| {
         b.iter(|| {
             Database::open(&dir)
@@ -63,8 +46,6 @@ fn bench_storage(c: &mut Criterion) {
                 .len()
         })
     });
-    // Worst case: a reader that immediately touches every column.
-    group.bench_function("open_touch_all", |b| b.iter(|| open_and_touch_all(&dir)));
     group.finish();
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -49,8 +49,7 @@ pub fn pin_scan_pool() {
 
 /// Builds a dataset at an arbitrary scale and its TGDB. The database
 /// loads through the datagen snapshot cache (first run generates and
-/// saves; later runs open the binary snapshot — `ETABLE_SNAPSHOT=off`
-/// restores plain generation for generator-sensitive measurements).
+/// saves; later runs open the binary snapshot).
 pub fn dataset(cfg: &GenConfig) -> (Database, Arc<Tgdb>) {
     let db = load_or_generate(cfg);
     let tgdb = translate(&db, &TranslateOptions::default()).expect("translation succeeds");

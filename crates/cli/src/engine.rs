@@ -164,10 +164,13 @@ impl Engine {
                 Ok(format!("keeping columns: {}", kept.join(", ")))
             }
             Command::Revert(step) => {
-                self.conn
-                    .session_mut()
-                    .revert(step.checked_sub(1).ok_or("steps are numbered from 1")?)
-                    .map_err(|e| e.to_string())?;
+                // Steps are numbered from 1 at the prompt, from 0 in the
+                // session; the message names the number that was typed.
+                let session = self.conn.session_mut();
+                if step == 0 || step > session.history().len() {
+                    return Err(format!("history step {step} does not exist"));
+                }
+                session.revert(step - 1).map_err(|e| e.to_string())?;
                 self.render_current(None)
             }
             Command::ShowTable(limit) => self.render_current(limit),
@@ -429,6 +432,11 @@ mod tests {
             "show nosuch",
             "focus 0", // a table with no columns
             "gibberish",
+            // Ill-typed filters (TEXT literal vs INT attribute, LIKE over
+            // INT), then a history step that does not exist.
+            "filter year > abc",
+            "filter year like 201%",
+            "revert 99",
         ]);
         for (i, r) in out.iter().enumerate() {
             if i == 2 {
@@ -437,6 +445,11 @@ mod tests {
                 assert!(r.is_err(), "command {i} should fail: {r:?}");
             }
         }
+        let msg = |i: usize| out[i].as_ref().unwrap_err().to_string();
+        assert!(msg(12).contains("`Papers.year` (INT)"), "{}", msg(12));
+        assert!(msg(12).contains("(TEXT)"), "{}", msg(12));
+        assert!(msg(13).contains("`Papers.year` is INT"), "{}", msg(13));
+        assert!(msg(14).contains("step 99"), "{}", msg(14));
     }
 
     #[test]

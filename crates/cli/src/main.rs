@@ -73,7 +73,7 @@ fn load_environment() -> (SharedDatabase, Arc<Tgdb>) {
         cfg.papers
     );
     // Cold starts hit the content-addressed snapshot cache when one
-    // exists for this exact configuration (ETABLE_SNAPSHOT=off disables).
+    // exists for this exact configuration.
     let db = load_or_generate(&cfg);
     let tgdb = translate(&db, &TranslateOptions::default()).expect("translation");
     eprintln!(

@@ -15,9 +15,9 @@
 //! can never be served for a generator that would now produce different
 //! data.
 //!
-//! Cache root resolution: `ETABLE_SNAPSHOT=off` disables the cache
-//! entirely; `ETABLE_SNAPSHOT_DIR` names the root; otherwise snapshots
-//! live under the system temp directory (`etable-snapshots/`). Every hit
+//! Cache root resolution: `ETABLE_SNAPSHOT_DIR` names the root; otherwise
+//! snapshots live under the system temp directory (`etable-snapshots/`);
+//! a caller that wants no cache calls [`generate`]. Every hit
 //! or miss prints one line to stderr so harnesses can assert cache
 //! behavior. Publication is atomic (write to a process-private directory,
 //! then `rename`), so concurrent cold starts race safely; a corrupt
@@ -81,30 +81,22 @@ pub fn snapshot_key(cfg: &GenConfig) -> String {
     format!("p{}-s{}-{h:016x}", cfg.papers, cfg.seed)
 }
 
-/// The cache root, or `None` when caching is disabled
-/// (`ETABLE_SNAPSHOT=off`/`0`).
-fn snapshot_root() -> Option<PathBuf> {
-    if let Ok(v) = std::env::var("ETABLE_SNAPSHOT") {
-        if v == "off" || v == "0" {
-            return None;
-        }
+/// The cache root: `ETABLE_SNAPSHOT_DIR`, or `etable-snapshots/` under the
+/// system temp directory.
+fn snapshot_root() -> PathBuf {
+    match std::env::var_os("ETABLE_SNAPSHOT_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::temp_dir().join("etable-snapshots"),
     }
-    if let Some(dir) = std::env::var_os("ETABLE_SNAPSHOT_DIR") {
-        return Some(PathBuf::from(dir));
-    }
-    Some(std::env::temp_dir().join("etable-snapshots"))
 }
 
 /// Like [`generate`], but backed by the snapshot cache: a prior save of
-/// the same key is opened (column data pages in lazily) instead of
-/// re-running the generator; a miss generates, publishes the snapshot
-/// atomically, and returns the fresh database. Cache failures are never
-/// fatal — worst case this degrades to plain generation.
+/// the same key is opened instead of re-running the generator; a miss
+/// generates, publishes the snapshot atomically, and returns the fresh
+/// database. Cache failures are never fatal — worst case this degrades to
+/// plain generation.
 pub fn load_or_generate(cfg: &GenConfig) -> Database {
-    match snapshot_root() {
-        Some(root) => load_or_generate_in(cfg, &root),
-        None => generate(cfg),
-    }
+    load_or_generate_in(cfg, &snapshot_root())
 }
 
 /// Best-effort reclamation of orphaned `.tmp-*` publication directories:

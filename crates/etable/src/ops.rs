@@ -22,6 +22,8 @@
 
 use crate::pattern::{NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern};
 use crate::{Error, Result};
+use etable_relational::sql::analyze::lub;
+use etable_relational::value::DataType;
 use etable_tgm::{EdgeTypeId, NodeTypeId, Tgdb};
 
 /// `Initiate(τk)`: a fresh pattern with a single node of type `τk`.
@@ -63,7 +65,9 @@ pub fn select_on(
     if node.0 >= q.nodes.len() {
         return Err(Error::InvalidNode(format!("pattern node {node} missing")));
     }
-    // Validate attribute names eagerly so errors surface at operator time.
+    // Validate attribute names and literal types eagerly so errors surface
+    // at operator time — under the SQL analyzer's own rules, so the session
+    // never accepts a filter its SQL translation rejects.
     let nt = tgdb.schema.node_type(q.nodes[node.0].node_type);
     for atom in &filter.atoms {
         use crate::pattern::FilterAtom::*;
@@ -76,11 +80,31 @@ pub fn select_on(
             NodeIs(_) | NeighborLabelLike { .. } => None,
         };
         if let Some(attr) = attr {
-            if nt.attr_index(attr).is_none() {
+            let Some(def) = nt.attr_index(attr).map(|i| &nt.attrs[i]) else {
                 return Err(Error::UnknownAttribute {
                     node_type: nt.name.clone(),
                     attr: attr.clone(),
                 });
+            };
+            let literals = match atom {
+                Cmp { value, .. } => std::slice::from_ref(value),
+                In { values, .. } => values.as_slice(),
+                _ => &[],
+            };
+            for v in literals {
+                // A NULL literal meets every type, so a failed meet has one.
+                if let (None, Some(ty)) = (lub(Some(def.data_type), v.data_type()), v.data_type()) {
+                    return Err(Error::InvalidAction(format!(
+                        "cannot compare `{}.{attr}` ({}) with `{v}` ({ty})",
+                        nt.name, def.data_type
+                    )));
+                }
+            }
+            if matches!(atom, Like { .. } | NotLike { .. }) && def.data_type != DataType::Text {
+                return Err(Error::InvalidAction(format!(
+                    "LIKE needs a TEXT attribute, `{}.{attr}` is {}",
+                    nt.name, def.data_type
+                )));
             }
         }
         if let NeighborLabelLike { edge, .. } = atom {
@@ -209,6 +233,48 @@ mod tests {
         let q = initiate(&tgdb, papers).unwrap();
         assert!(select(&tgdb, &q, NodeFilter::cmp("nope", CmpOp::Eq, 1)).is_err());
         assert!(select(&tgdb, &q, NodeFilter::cmp("year", CmpOp::Eq, 2007)).is_ok());
+    }
+
+    #[test]
+    fn select_types_literals_the_way_the_sql_analyzer_does() {
+        use crate::pattern::FilterAtom;
+        use etable_relational::value::Value;
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let q = initiate(&tgdb, papers).unwrap();
+        let in_list = |attr: &str, values: Vec<Value>| {
+            NodeFilter::atom(FilterAtom::In {
+                attr: attr.into(),
+                values,
+            })
+        };
+        let rejected = [
+            NodeFilter::cmp("year", CmpOp::Gt, "abc"),
+            NodeFilter::cmp("title", CmpOp::Eq, 3),
+            in_list("year", vec![2007.into(), "abc".into()]),
+            NodeFilter::like("year", "201%"),
+            NodeFilter::atom(FilterAtom::NotLike {
+                attr: "year".into(),
+                pattern: "201%".into(),
+            }),
+        ];
+        for filter in rejected {
+            let err = select(&tgdb, &q, filter.clone()).unwrap_err();
+            assert!(matches!(err, Error::InvalidAction(_)), "{filter:?}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("`Papers."), "{msg}");
+            assert!(msg.contains("INT") || msg.contains("TEXT"), "{msg}");
+        }
+        // INT widens to FLOAT and NULL meets every type, as in `analyze::lub`.
+        let accepted = [
+            NodeFilter::cmp("year", CmpOp::Lt, 2007.5),
+            NodeFilter::cmp("year", CmpOp::Eq, Value::Null),
+            in_list("year", vec![2007.into(), Value::Null, Value::Float(2008.0)]),
+            NodeFilter::like("title", "%data%"),
+        ];
+        for filter in accepted {
+            select(&tgdb, &q, filter).unwrap();
+        }
     }
 
     #[test]

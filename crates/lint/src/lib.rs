@@ -27,7 +27,7 @@
 //! 4. **File-size budget** — the non-test region of a source file may
 //!    not exceed 600 lines unless the file carries an allowlisted
 //!    ceiling. Outgrowing the ceiling means the module wants splitting
-//!    (the storage subsystem's codec/format/paged split is the model),
+//!    (the storage subsystem's codec/format/spill split is the model),
 //!    not a bigger number. Test modules never count against the budget,
 //!    so adding tests is always free.
 //! 5. **Allowlists ratchet** — an allowlist entry that names a file that
@@ -70,7 +70,7 @@ const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
 /// budget of zero. Keep this list sorted by path.
-const PANIC_BUDGET: [(&str, usize); 19] = [
+const PANIC_BUDGET: [(&str, usize); 18] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
@@ -83,8 +83,7 @@ const PANIC_BUDGET: [(&str, usize); 19] = [
     ("crates/relational/src/database.rs", 2),
     ("crates/relational/src/intern.rs", 13),
     ("crates/relational/src/storage/codec.rs", 1),
-    ("crates/relational/src/storage/paged.rs", 1),
-    ("crates/relational/src/table.rs", 5),
+    ("crates/relational/src/table.rs", 4),
     ("crates/study/src/participant.rs", 1),
     ("crates/study/src/runner.rs", 1),
     ("crates/study/src/scripts.rs", 11),
@@ -100,11 +99,10 @@ const SIZE_BUDGET_DEFAULT: usize = 600;
 /// [`count_module_lines`]. Ceilings sit modestly above each file's
 /// current size: growth prompts a split, shrinking is always fine. Keep
 /// this list sorted by path.
-const SIZE_BUDGET: [(&str, usize); 4] = [
+const SIZE_BUDGET: [(&str, usize); 3] = [
     ("crates/etable/src/sql_translate.rs", 1000),
     ("crates/relational/src/sql/analyze.rs", 1180),
-    ("crates/relational/src/storage/format.rs", 660),
-    ("crates/relational/src/table.rs", 800),
+    ("crates/relational/src/table.rs", 720),
 ];
 
 /// How far a size ceiling may sit above its file before it counts as
@@ -497,13 +495,13 @@ mod tests {
 
     #[test]
     fn allowlisted_size_ceiling_is_a_ceiling() {
-        // table.rs carries an 800-line ceiling.
-        let under = "pub fn f() {}\n".repeat(790);
+        // table.rs carries a 720-line ceiling.
+        let under = "pub fn f() {}\n".repeat(710);
         assert!(check_file("crates/relational/src/table.rs", &under).is_empty());
-        let over = "pub fn f() {}\n".repeat(801);
+        let over = "pub fn f() {}\n".repeat(721);
         let v = check_file("crates/relational/src/table.rs", &over);
         assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("ceiling is 800"), "{}", v[0].message);
+        assert!(v[0].message.contains("ceiling is 720"), "{}", v[0].message);
     }
 
     #[test]

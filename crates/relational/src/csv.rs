@@ -200,9 +200,8 @@ mod tests {
     #[test]
     fn loads_into_a_reopened_database() {
         // CSV ingest composes with disk snapshots: loading into a
-        // reopened (paged-backend) database behaves exactly like loading
-        // into the resident original — inserts force the touched columns
-        // resident and FK enforcement still sees the on-disk rows.
+        // reopened database behaves exactly like loading into the
+        // original, and FK enforcement still sees the reopened rows.
         let mut resident = db();
         load_csv(
             &mut resident,

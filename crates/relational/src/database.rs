@@ -35,9 +35,9 @@ impl Database {
         crate::storage::save_database(self, dir)
     }
 
-    /// Opens a database saved by [`Database::save`]. Every file checksum
-    /// is verified now (corruption surfaces here as [`Error::Storage`]);
-    /// column data pages in lazily on first touch.
+    /// Opens a database saved by [`Database::save`]. Every file is read,
+    /// checksum-verified and decoded now, once: corruption surfaces here
+    /// as [`Error::Storage`], and the files are never looked at again.
     pub fn open(dir: &std::path::Path) -> Result<Self> {
         crate::storage::open_database(dir)
     }

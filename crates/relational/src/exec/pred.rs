@@ -30,24 +30,7 @@ use crate::intern::{self, Sym};
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
-
-/// On by default; [`set_dict_predicates`] is the in-process switch benches
-/// and tests use to compare dict-on vs dict-off without touching the
-/// environment.
-static DICT_PREDICATES: AtomicBool = AtomicBool::new(true);
-
-/// Whether predicate compilation uses dictionary encodings.
-pub fn dict_predicates_enabled() -> bool {
-    DICT_PREDICATES.load(Ordering::Relaxed)
-}
-
-/// Turns dictionary-encoded predicates on or off for the whole process
-/// (bench A/B switch).
-pub fn set_dict_predicates(enabled: bool) {
-    DICT_PREDICATES.store(enabled, Ordering::Relaxed);
-}
 
 /// A per-pattern membership bitmap over the interner arena: bit `id` is
 /// set iff symbol `id` matches the pattern. `covered` is the arena length
@@ -175,14 +158,8 @@ impl CompiledPred {
     /// Compiles `pred`, consulting `col_type` for the declared type of each
     /// column position (dictionary rewrites apply only where the input is
     /// statically TEXT — the rewrite relies on cells being interned
-    /// symbols). With dictionary predicates disabled this is a plain
-    /// wrapper around [`Expr::eval_truth`].
+    /// symbols); every other node evaluates as the plain [`Expr`].
     pub fn compile(pred: &Expr, col_type: impl Fn(usize) -> Option<DataType>) -> CompiledPred {
-        if !dict_predicates_enabled() {
-            return CompiledPred {
-                root: CNode::Plain(pred.clone()),
-            };
-        }
         CompiledPred {
             root: compile_node(pred, &col_type),
         }

@@ -1,5 +1,8 @@
 //! Byte-level primitives for the on-disk table format: little-endian
-//! encode/decode helpers and the CRC32 used to checksum every segment.
+//! encode/decode helpers, the CRC32 used to checksum every segment, and
+//! the one reader and one writer of the `len | payload | crc32` segment
+//! framing ([`read_segment`], [`write_segment`]) that table files, the
+//! manifest and join-spill partition files all share.
 //!
 //! Everything here is bounds-checked and returns typed [`Error::Storage`]
 //! values naming the file and segment a malformed read came from — the
@@ -8,18 +11,14 @@
 //! error plumbing.
 
 use crate::{Error, Result};
-
-/// Fixed chunk size for streaming file reads (checksum verification and
-/// paged column loads). 64 KiB keeps peak transient memory independent of
-/// segment size without paying a syscall per value.
-pub const CHUNK: usize = 64 * 1024;
+use std::io::Read;
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven and
 /// incremental so large segments can be checksummed in streamed chunks.
 /// Eight tables implement "slicing-by-8": the update loop folds eight
 /// input bytes per iteration instead of one, which matters because `open`
 /// checksums every byte of every snapshot file before trusting it — the
-/// sweep sits directly on the cold-start path the snapshot cache exists
+/// checksum sits directly on the cold-start path the snapshot cache exists
 /// to shorten.
 const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
@@ -107,6 +106,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
+}
+
+/// Appends one `payload_len u64 | payload | crc32(payload) u32` segment to
+/// a file image — the only writer of the framing.
+pub fn write_segment(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Reads the next segment from `src` and returns its checksum-verified
+/// payload, or `None` at a clean end of file — the only parser of the
+/// framing. `left` is how many bytes of the file remain unread; it is
+/// counted down here, and the declared payload length is bounded against
+/// it *before* the payload is allocated, so a corrupt length can never
+/// size an allocation past the real file. `ctx` (`"<path>: <segment>"`)
+/// names the source in every error.
+pub fn read_segment(src: &mut impl Read, left: &mut u64, ctx: &str) -> Result<Option<Vec<u8>>> {
+    if *left == 0 {
+        return Ok(None);
+    }
+    if *left < 8 {
+        return Err(Error::Storage(format!(
+            "{ctx}: truncated length prefix ({left} bytes remain)"
+        )));
+    }
+    let read_failed = |e| Error::Storage(format!("{ctx}: read failed: {e}"));
+    let mut lenbuf = [0u8; 8];
+    src.read_exact(&mut lenbuf).map_err(read_failed)?;
+    *left -= 8;
+    let len = u64::from_le_bytes(lenbuf);
+    let n = match usize::try_from(len) {
+        Ok(n) if len.checked_add(4).is_some_and(|need| need <= *left) => n,
+        _ => {
+            return Err(Error::Storage(format!(
+                "{ctx}: declared payload of {len} bytes overruns the file ({left} bytes remain)"
+            )))
+        }
+    };
+    let mut payload = vec![0u8; n];
+    src.read_exact(&mut payload).map_err(read_failed)?;
+    let mut crcbuf = [0u8; 4];
+    src.read_exact(&mut crcbuf).map_err(read_failed)?;
+    *left -= len + 4;
+    let (stored, computed) = (u32::from_le_bytes(crcbuf), crc32(&payload));
+    if stored != computed {
+        return Err(Error::Storage(format!(
+            "{ctx}: checksum mismatch (stored {stored:08x}, computed {computed:08x})"
+        )));
+    }
+    Ok(Some(payload))
 }
 
 /// Little-endian payload builder for segment bodies.

@@ -22,7 +22,7 @@
 //! what the file actually holds before any allocation sized by it, and
 //! every failure is a typed [`Error::Storage`] naming the path and segment.
 
-use super::codec::{Crc32, PayloadReader, PayloadWriter, CHUNK};
+use super::codec::{write_segment, PayloadReader, PayloadWriter};
 use crate::intern::Sym;
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::table::{ColumnData, NullBitmap, Table};
@@ -30,7 +30,7 @@ use crate::value::DataType;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::Path;
 
 /// Magic bytes opening every table file.
@@ -38,7 +38,7 @@ pub const MAGIC_TABLE: [u8; 4] = *b"ETBL";
 /// Magic bytes opening the manifest file.
 pub const MAGIC_MANIFEST: [u8; 4] = *b"ETBM";
 /// Current format version; files written by this build carry it, and
-/// [`scan_file`] rejects any other value (no cross-version reads in v1).
+/// [`open_file`] rejects any other value (no cross-version reads in v1).
 pub const FORMAT_VERSION: u32 = 1;
 /// File-local arena id written at NULL positions of a `Sym` column
 /// (canonical placeholder: NULL cells never reference the arena).
@@ -77,44 +77,11 @@ pub fn table_segment_name(index: usize) -> String {
     }
 }
 
-/// Semantic name of segment `index` in the manifest (error messages).
-pub fn manifest_segment_name(_index: usize) -> String {
-    "manifest segment".to_string()
-}
-
-/// Location and checksum of one segment's payload inside its file.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentRef {
-    /// Byte offset of the payload (past the length prefix).
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// CRC-32 of the payload, as stored in the file.
-    pub crc: u32,
-}
-
-/// Result of [`scan_file`]: every segment's location, plus the decoded
-/// payload bytes of the first `keep_payloads` segments.
-#[derive(Debug)]
-pub struct ScannedFile {
-    /// All segments, in file order.
-    pub segments: Vec<SegmentRef>,
-    /// Payload bytes of segments `0..keep_payloads`.
-    pub payloads: Vec<Vec<u8>>,
-}
-
-/// Opens `path`, validates magic and version, then walks every segment
-/// verifying its CRC in fixed-size chunk reads — without decoding — so all
-/// corruption classes (truncation anywhere, bad magic, wrong version, bit
-/// flips in any segment) surface here as typed errors, never later as a
-/// panic. Payloads of the first `keep_payloads` segments are returned;
-/// `name_of` maps a segment index to its semantic name for errors.
-pub fn scan_file(
-    path: &Path,
-    magic: [u8; 4],
-    keep_payloads: usize,
-    name_of: fn(usize) -> String,
-) -> Result<ScannedFile> {
+/// Opens `path` and validates its header (magic, format version).
+/// Returns the file positioned at the first segment together with the
+/// number of bytes that remain — what [`read_segment`](super::codec::read_segment)
+/// bounds every declared length against.
+pub fn open_file(path: &Path, magic: [u8; 4]) -> Result<(File, u64)> {
     let ctx = path.display();
     let mut f = File::open(path).map_err(|e| Error::Storage(format!("{ctx}: cannot open: {e}")))?;
     let file_len = f
@@ -140,99 +107,7 @@ pub fn scan_file(
             "{ctx}: unsupported format version {version} (this build reads {FORMAT_VERSION})"
         )));
     }
-    let mut segments = Vec::new();
-    let mut payloads = Vec::new();
-    let mut offset = 8u64;
-    while offset < file_len {
-        let name = name_of(segments.len());
-        if file_len - offset < 8 {
-            return Err(Error::Storage(format!(
-                "{ctx}: {name}: truncated length prefix at offset {offset}"
-            )));
-        }
-        let mut lenbuf = [0u8; 8];
-        f.read_exact(&mut lenbuf)
-            .map_err(|e| Error::Storage(format!("{ctx}: {name}: read failed: {e}")))?;
-        let len = u64::from_le_bytes(lenbuf);
-        offset += 8;
-        let needed = len.checked_add(4);
-        if needed.is_none() || needed.unwrap_or(u64::MAX) > file_len - offset {
-            return Err(Error::Storage(format!(
-                "{ctx}: {name}: declared payload of {len} bytes overruns the file \
-                 ({} bytes remain)",
-                file_len - offset
-            )));
-        }
-        let keep = payloads.len() < keep_payloads;
-        // `len` was just bounds-checked against the real file size, so this
-        // capacity cannot be driven past the file length by corruption.
-        let mut kept: Vec<u8> = Vec::with_capacity(if keep { len as usize } else { 0 });
-        let mut crc = Crc32::new();
-        let mut left = len;
-        let mut chunk = vec![0u8; CHUNK.min(len as usize).max(1)];
-        while left > 0 {
-            let n = CHUNK.min(left as usize);
-            f.read_exact(&mut chunk[..n])
-                .map_err(|e| Error::Storage(format!("{ctx}: {name}: read failed: {e}")))?;
-            crc.update(&chunk[..n]);
-            if keep {
-                kept.extend_from_slice(&chunk[..n]);
-            }
-            left -= n as u64;
-        }
-        let mut crcbuf = [0u8; 4];
-        f.read_exact(&mut crcbuf)
-            .map_err(|e| Error::Storage(format!("{ctx}: {name}: read failed: {e}")))?;
-        let stored = u32::from_le_bytes(crcbuf);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(Error::Storage(format!(
-                "{ctx}: {name}: checksum mismatch (stored {stored:08x}, computed {computed:08x})"
-            )));
-        }
-        segments.push(SegmentRef {
-            offset,
-            len,
-            crc: stored,
-        });
-        if keep {
-            payloads.push(kept);
-        }
-        offset += len + 4;
-    }
-    Ok(ScannedFile { segments, payloads })
-}
-
-/// Re-reads and re-verifies one segment's payload (the paged column load
-/// path; a mismatch here means the file changed after a successful open).
-pub fn read_segment_payload(f: &mut File, seg: &SegmentRef, ctx: &str) -> Result<Vec<u8>> {
-    f.seek(SeekFrom::Start(seg.offset))
-        .map_err(|e| Error::Storage(format!("{ctx}: seek failed: {e}")))?;
-    let mut payload = Vec::with_capacity(seg.len as usize);
-    let mut left = seg.len;
-    let mut chunk = vec![0u8; CHUNK.min(seg.len as usize).max(1)];
-    while left > 0 {
-        let n = CHUNK.min(left as usize);
-        f.read_exact(&mut chunk[..n])
-            .map_err(|e| Error::Storage(format!("{ctx}: read failed: {e}")))?;
-        payload.extend_from_slice(&chunk[..n]);
-        left -= n as u64;
-    }
-    let computed = super::codec::crc32(&payload);
-    if computed != seg.crc {
-        return Err(Error::Storage(format!(
-            "{ctx}: checksum mismatch on lazy load (stored {:08x}, computed {computed:08x})",
-            seg.crc
-        )));
-    }
-    Ok(payload)
-}
-
-/// Appends one `payload_len | payload | crc` segment to a file image.
-pub fn append_segment(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&super::codec::crc32(payload).to_le_bytes());
+    Ok((f, file_len.saturating_sub(8)))
 }
 
 /// The null bitmap as exactly `ceil(rows / 64)` words, zero-extended and
@@ -307,7 +182,7 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut column_payloads: Vec<Vec<u8>> = Vec::with_capacity(schema.arity());
     for (ci, col) in schema.columns.iter().enumerate() {
         let store = table.column(ci);
-        let (data, nulls) = store.raw_parts();
+        let (data, nulls) = (store.data(), store.nulls());
         let mut w = PayloadWriter::new();
         w.u8(type_code(col.data_type));
         w.u64(rows as u64);
@@ -389,10 +264,10 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC_TABLE);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    append_segment(&mut out, &sw.into_bytes());
-    append_segment(&mut out, &aw.into_bytes());
+    write_segment(&mut out, &sw.into_bytes());
+    write_segment(&mut out, &aw.into_bytes());
     for p in &column_payloads {
-        append_segment(&mut out, p);
+        write_segment(&mut out, p);
     }
     out
 }
@@ -600,7 +475,7 @@ pub fn encode_manifest(entries: &[(String, String)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC_MANIFEST);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    append_segment(&mut out, &w.into_bytes());
+    write_segment(&mut out, &w.into_bytes());
     out
 }
 
@@ -628,7 +503,6 @@ mod tests {
         assert_eq!(table_segment_name(1), "arena segment");
         assert_eq!(table_segment_name(2), "column segment 0");
         assert_eq!(table_segment_name(5), "column segment 3");
-        assert_eq!(manifest_segment_name(0), "manifest segment");
     }
 
     #[test]

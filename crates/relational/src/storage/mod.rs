@@ -7,14 +7,14 @@
 //! the catalog's deterministic order). Every file is magic + version +
 //! checksummed, length-prefixed segments ([`format`]).
 //!
-//! `open` verifies **every** segment checksum up front (streamed in fixed
-//! 64 KiB chunks, nothing decoded), then decodes only the schema and
-//! string-arena segments eagerly; column segments come back as `Paged`
-//! [`crate::table::ColumnStore`]s that load on first touch ([`paged`]).
-//! The up-front sweep is what lets the lazy path stay infallible-looking
-//! to the executor: any truncation, magic/version mismatch or bit flip
-//! surfaces at `open` as a typed [`crate::Error::Storage`] naming the
-//! offending path and segment — never a panic.
+//! `open` reads each file front to back exactly once: header, then per
+//! segment its length (bounded against the bytes that remain before any
+//! allocation), payload and CRC ([`codec::read_segment`]) — and decodes
+//! that payload immediately. Any truncation, magic/version mismatch, bit
+//! flip, or correctly checksummed segment whose body disagrees with the
+//! schema therefore surfaces at `open` as a typed [`crate::Error::Storage`]
+//! naming the offending path and segment — never a panic — and an opened
+//! database never looks at its files again.
 //!
 //! Symbols rehydrate deterministically: each table file carries its own
 //! string arena (distinct strings in first-use order), re-interned in
@@ -23,7 +23,6 @@
 
 pub mod codec;
 pub mod format;
-pub mod paged;
 pub mod spill;
 
 pub use format::{FORMAT_VERSION, MANIFEST_FILE};
@@ -32,15 +31,14 @@ use crate::database::Database;
 use crate::intern::intern_all;
 use crate::table::{ColumnStore, Table};
 use crate::{Error, Result};
+use codec::read_segment;
 use format::{
-    decode_arena, decode_manifest, decode_schema, encode_manifest, encode_table,
-    manifest_segment_name, scan_file, table_segment_name, MAGIC_MANIFEST, MAGIC_TABLE,
+    decode_arena, decode_column, decode_manifest, decode_schema, encode_manifest, encode_table,
+    open_file, table_segment_name, MAGIC_MANIFEST, MAGIC_TABLE,
 };
-use paged::ColumnPart;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Saves every table of `db` under `dir` (created if missing): one
 /// `t<index>.etb` per table in catalog order plus the manifest. Existing
@@ -63,21 +61,20 @@ pub fn save_database(db: &Database, dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Opens a database saved by [`save_database`]. All file checksums are
-/// verified now; column data is paged in lazily on first touch (only the
-/// primary-key columns load eagerly, to rebuild the PK indexes).
+/// Opens a database saved by [`save_database`]: every file is read,
+/// checksum-verified and decoded now, once.
 pub fn open_database(dir: &Path) -> Result<Database> {
     let mpath = dir.join(MANIFEST_FILE);
-    let scanned = scan_file(&mpath, MAGIC_MANIFEST, 1, manifest_segment_name)?;
-    if scanned.segments.len() != 1 {
-        return Err(Error::Storage(format!(
-            "{}: expected exactly one segment, found {}",
-            mpath.display(),
-            scanned.segments.len()
-        )));
-    }
     let mctx = format!("{}: manifest segment", mpath.display());
-    let entries = decode_manifest(&scanned.payloads[0], &mctx)?;
+    let (mut f, mut left) = open_file(&mpath, MAGIC_MANIFEST)?;
+    let payload = read_segment(&mut f, &mut left, &mctx)?;
+    let (Some(payload), 0) = (payload, left) else {
+        return Err(Error::Storage(format!(
+            "{}: expected exactly one segment",
+            mpath.display()
+        )));
+    };
+    let entries = decode_manifest(&payload, &mctx)?;
     let mut tables = BTreeMap::new();
     for (name, file) in entries {
         let tpath = dir.join(&file);
@@ -97,45 +94,37 @@ pub fn open_database(dir: &Path) -> Result<Database> {
 }
 
 fn open_table(path: &Path) -> Result<Table> {
-    let scanned = scan_file(path, MAGIC_TABLE, 2, table_segment_name)?;
-    let seg_ctx = |i: usize| format!("{}: {}", path.display(), table_segment_name(i));
-    if scanned.segments.len() < 2 {
+    let (mut f, mut left) = open_file(path, MAGIC_TABLE)?;
+    // Segment `i`'s error context and verified payload; a table file holds
+    // exactly schema + arena + one segment per schema column.
+    let mut segment = |i: usize| -> Result<(String, Vec<u8>)> {
+        let ctx = format!("{}: {}", path.display(), table_segment_name(i));
+        match read_segment(&mut f, &mut left, &ctx)? {
+            Some(payload) => Ok((ctx, payload)),
+            None => Err(Error::Storage(format!(
+                "{ctx}: truncated: the file ends before this segment"
+            ))),
+        }
+    };
+    let (ctx, payload) = segment(0)?;
+    let (schema, rows, pk_order) = decode_schema(&payload, &ctx)?;
+    let (ctx, payload) = segment(1)?;
+    let syms = intern_all(&decode_arena(&payload, &ctx)?);
+    let mut cols = Vec::with_capacity(schema.arity());
+    for (ci, col) in schema.columns.iter().enumerate() {
+        let (ctx, payload) = segment(2 + ci)?;
+        let ctx = format!("{ctx} (`{}.{}`)", schema.name, col.name);
+        let (data, nulls) = decode_column(&payload, &ctx, col.data_type, rows, &syms)?;
+        cols.push(ColumnStore::from_parts(data, nulls, rows));
+    }
+    let ctx = format!("{}: after the last column segment", path.display());
+    if read_segment(&mut f, &mut left, &ctx)?.is_some() {
         return Err(Error::Storage(format!(
-            "{}: only {} segment(s); a table file needs schema + arena + columns",
+            "{}: more segments than the schema's {} column(s)",
             path.display(),
-            scanned.segments.len()
+            schema.arity()
         )));
     }
-    let (schema, rows, pk_order) = decode_schema(&scanned.payloads[0], &seg_ctx(0))?;
-    if scanned.segments.len() != 2 + schema.arity() {
-        return Err(Error::Storage(format!(
-            "{}: {} segment(s) for {} schema column(s) (expected {})",
-            path.display(),
-            scanned.segments.len(),
-            schema.arity(),
-            2 + schema.arity()
-        )));
-    }
-    let arena_strings = decode_arena(&scanned.payloads[1], &seg_ctx(1))?;
-    let syms = Arc::new(intern_all(&arena_strings));
-    let shared_path = Arc::new(path.to_path_buf());
-    let cols: Vec<ColumnStore> = schema
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(ci, col)| {
-            let ctx = format!("{} (`{}.{}`)", seg_ctx(2 + ci), schema.name, col.name);
-            let part = ColumnPart::new(
-                Arc::clone(&shared_path),
-                scanned.segments[2 + ci],
-                ctx,
-                col.data_type,
-                rows,
-                Arc::clone(&syms),
-            );
-            ColumnStore::paged(Arc::new(part), rows)
-        })
-        .collect();
     verify_pk_order(path, &schema, &cols, rows, &pk_order)?;
     Table::from_parts(schema, cols, rows, pk_order)
 }
@@ -144,10 +133,10 @@ fn open_table(path: &Path) -> Result<Table> {
 /// the key sequence read through the permutation (identity when empty)
 /// must be **strictly** ascending. Strictness is the uniqueness proof —
 /// a duplicate key or a repeated permutation entry both surface as a
-/// non-ascending adjacent pair. Touches only the PK columns, so non-key
-/// columns stay lazy; comparisons run over the typed column bodies
-/// directly (same order as [`crate::value::Value::total_cmp`] on non-NULL
-/// same-type cells, NULLs first) to keep open-time cost one linear sweep.
+/// non-ascending adjacent pair. Comparisons run over the typed column
+/// bodies directly (same order as [`crate::value::Value::total_cmp`] on
+/// non-NULL same-type cells, NULLs first) to keep open-time cost one
+/// linear sweep.
 /// Entry bounds were checked by `decode_schema`.
 fn verify_pk_order(
     path: &Path,
@@ -174,7 +163,10 @@ fn verify_pk_order(
         }
         return Ok(());
     }
-    let parts: Vec<_> = pk_cols.iter().map(|&c| cols[c].raw_parts()).collect();
+    let parts: Vec<_> = pk_cols
+        .iter()
+        .map(|&c| (cols[c].data(), cols[c].nulls()))
+        .collect();
     let cmp_rows = |a: usize, b: usize| -> Ordering {
         for &(data, nulls) in &parts {
             let o = match (nulls.get(a), nulls.get(b)) {

@@ -27,7 +27,7 @@
 //! disk, so a reader never trusts an unverified length beyond the
 //! per-segment plausibility check.
 
-use super::codec::{crc32, PayloadReader, PayloadWriter};
+use super::codec::{read_segment, write_segment, PayloadReader, PayloadWriter};
 use crate::exec::hash::KeyHasher;
 use crate::exec::{budget, pool};
 use crate::intern::Sym;
@@ -251,9 +251,9 @@ impl PartWriter {
                 self.file.insert(w)
             }
         };
-        file.write_all(&(payload.len() as u64).to_le_bytes())
-            .and_then(|()| file.write_all(&payload))
-            .and_then(|()| file.write_all(&crc32(&payload).to_le_bytes()))
+        let mut segment = Vec::with_capacity(payload.len() + 12);
+        write_segment(&mut segment, &payload);
+        file.write_all(&segment)
             .map_err(|e| io_err(&self.path, "spill write failed", e))
     }
 
@@ -299,35 +299,8 @@ fn for_each_segment<K: SpillKey>(
     if &magic != MAGIC {
         return Err(Error::Storage(format!("{ctx}: bad spill magic")));
     }
-    let mut offset = MAGIC.len() as u64;
-    while offset < total {
-        let remaining = total - offset;
-        if remaining < 12 {
-            return Err(Error::Storage(format!(
-                "{ctx}: truncated spill segment header at offset {offset}"
-            )));
-        }
-        let mut len_bytes = [0u8; 8];
-        file.read_exact(&mut len_bytes)
-            .map_err(|e| io_err(path, "spill read failed", e))?;
-        let len = u64::from_le_bytes(len_bytes);
-        if len > remaining - 12 {
-            return Err(Error::Storage(format!(
-                "{ctx}: implausible spill segment length {len} at offset {offset}"
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        file.read_exact(&mut payload)
-            .map_err(|e| io_err(path, "spill read failed", e))?;
-        let mut crc_bytes = [0u8; 4];
-        file.read_exact(&mut crc_bytes)
-            .map_err(|e| io_err(path, "spill read failed", e))?;
-        if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-            return Err(Error::Storage(format!(
-                "{ctx}: spill segment checksum mismatch at offset {offset}"
-            )));
-        }
-        offset += 12 + len;
+    let mut left = total.saturating_sub(MAGIC.len() as u64);
+    while let Some(payload) = read_segment(&mut file, &mut left, &ctx)? {
         let mut r = PayloadReader::new(&payload, &ctx);
         let mut records = Vec::new();
         while r.remaining() > 0 {

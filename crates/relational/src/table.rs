@@ -18,11 +18,10 @@
 
 use crate::intern::Sym;
 use crate::schema::TableSchema;
-use crate::storage::paged::ColumnPart;
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A tuple of values, positionally matching the table's columns.
 ///
@@ -97,31 +96,12 @@ pub enum ColumnData {
     Bool(Arc<Vec<bool>>),
 }
 
-/// The physical residence of one column: today's Arc-backed vectors, or a
-/// lazily-loaded handle into an on-disk table file ([`crate::storage`]).
-///
-/// `Paged` columns materialize on first touch — a checksummed chunked read
-/// of the column's segment — and cache the result in an `Arc<OnceLock>`, so
-/// every clone of the [`ColumnStore`] (scan handles, worker-pool closures)
-/// shares the one materialization. Mutation always converts to `Resident`
-/// first: the disk file is a snapshot, never a live write target.
-#[derive(Debug, Clone)]
-enum Backing {
-    /// Fully in memory (the only state a mutated column can be in).
-    Resident { data: ColumnData, nulls: NullBitmap },
-    /// On disk, loaded on first touch and cached.
-    Paged {
-        part: Arc<ColumnPart>,
-        cell: Arc<OnceLock<(ColumnData, NullBitmap)>>,
-    },
-}
-
 /// One column of a table: typed data plus its null bitmap. `Clone` is
-/// O(1): both the data buffer and the null bitmap are `Arc`-shared (and a
-/// paged column's lazy-load cache is shared across clones too).
+/// O(1): both the data buffer and the null bitmap are `Arc`-shared.
 #[derive(Debug, Clone)]
 pub struct ColumnStore {
-    backing: Backing,
+    data: ColumnData,
+    nulls: NullBitmap,
     len: usize,
 }
 
@@ -135,57 +115,16 @@ impl ColumnStore {
             DataType::Bool => ColumnData::Bool(Arc::default()),
         };
         ColumnStore {
-            backing: Backing::Resident {
-                data,
-                nulls: NullBitmap::default(),
-            },
+            data,
+            nulls: NullBitmap::default(),
             len: 0,
         }
     }
 
-    /// A paged column: `part` describes the on-disk segment; nothing is
-    /// read until the first touch.
-    pub(crate) fn paged(part: Arc<ColumnPart>, len: usize) -> Self {
-        ColumnStore {
-            backing: Backing::Paged {
-                part,
-                cell: Arc::new(OnceLock::new()),
-            },
-            len,
-        }
-    }
-
-    /// The typed body and null bitmap, materializing a paged column on
-    /// first touch.
-    fn parts(&self) -> (&ColumnData, &NullBitmap) {
-        match &self.backing {
-            Backing::Resident { data, nulls } => (data, nulls),
-            Backing::Paged { part, cell } => {
-                let (data, nulls) = cell.get_or_init(|| part.load_or_die());
-                (data, nulls)
-            }
-        }
-    }
-
-    /// Converts a paged column to resident (an `Arc` handoff of the cached
-    /// materialization, not a copy) so mutation never writes at the disk
-    /// snapshot.
-    fn ensure_resident(&mut self) {
-        if let Backing::Paged { .. } = self.backing {
-            let (data, nulls) = {
-                let (d, n) = self.parts();
-                (d.clone(), n.clone())
-            };
-            self.backing = Backing::Resident { data, nulls };
-        }
-    }
-
-    fn parts_mut(&mut self) -> (&mut ColumnData, &mut NullBitmap) {
-        self.ensure_resident();
-        match &mut self.backing {
-            Backing::Resident { data, nulls } => (data, nulls),
-            Backing::Paged { .. } => unreachable!("ensure_resident converted the backing"),
-        }
+    /// A column around an already-decoded body and null bitmap of `len`
+    /// rows (the on-disk reader's path).
+    pub(crate) fn from_parts(data: ColumnData, nulls: NullBitmap, len: usize) -> Self {
+        ColumnStore { data, nulls, len }
     }
 
     /// Number of rows.
@@ -198,32 +137,21 @@ impl ColumnStore {
         self.len == 0
     }
 
-    /// True when the column's data is in memory — trivially for resident
-    /// columns, or after the first touch of a paged one. Lets tests pin
-    /// the laziness contract (`open` must not read column segments).
-    pub fn is_materialized(&self) -> bool {
-        match &self.backing {
-            Backing::Resident { .. } => true,
-            Backing::Paged { cell, .. } => cell.get().is_some(),
-        }
-    }
-
     /// Whether the cell at `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
-        self.parts().1.get(i)
+        self.nulls.get(i)
     }
 
     /// The typed column body (column-at-a-time access). Check
-    /// [`ColumnStore::is_null`] before trusting a position. Materializes a
-    /// paged column on first touch.
+    /// [`ColumnStore::is_null`] before trusting a position.
     pub fn data(&self) -> &ColumnData {
-        self.parts().0
+        &self.data
     }
 
-    /// The null bitmap alongside the body (single materialization for
-    /// consumers that need both — the on-disk writer).
-    pub(crate) fn raw_parts(&self) -> (&ColumnData, &NullBitmap) {
-        self.parts()
+    /// The null bitmap alongside the body (the on-disk writer reads its
+    /// packed words).
+    pub(crate) fn nulls(&self) -> &NullBitmap {
+        &self.nulls
     }
 
     /// Materializes the cell at `i` as a [`Value`].
@@ -236,11 +164,10 @@ impl ColumnStore {
             "column row {i} out of range (len {})",
             self.len
         );
-        let (data, nulls) = self.parts();
-        if nulls.get(i) {
+        if self.nulls.get(i) {
             return Value::Null;
         }
-        match data {
+        match &self.data {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Sym(v) => Value::Text(v[i]),
@@ -257,10 +184,9 @@ impl ColumnStore {
     fn push(&mut self, v: &Value) {
         let i = self.len;
         self.len += 1;
-        let (data, nulls) = self.parts_mut();
         if v.is_null() {
-            nulls.set(i, true);
-            match data {
+            self.nulls.set(i, true);
+            match &mut self.data {
                 ColumnData::Int(d) => Arc::make_mut(d).push(0),
                 ColumnData::Float(d) => Arc::make_mut(d).push(0.0),
                 ColumnData::Sym(d) => Arc::make_mut(d).push(Sym::intern("")),
@@ -268,7 +194,7 @@ impl ColumnStore {
             }
             return;
         }
-        match (data, v) {
+        match (&mut self.data, v) {
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d).push(*x),
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d).push(*x),
             // Int widened into a FLOAT column (Value::Int(2) == Float(2.0),
@@ -282,13 +208,12 @@ impl ColumnStore {
 
     /// Overwrites the cell at `i`. The caller has already validated `fits`.
     fn set(&mut self, i: usize, v: &Value) {
-        let (data, nulls) = self.parts_mut();
         if v.is_null() {
-            nulls.set(i, true);
+            self.nulls.set(i, true);
             return;
         }
-        nulls.set(i, false);
-        match (data, v) {
+        self.nulls.set(i, false);
+        match (&mut self.data, v) {
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x as f64,
@@ -311,8 +236,7 @@ impl ColumnStore {
             }
             d.truncate(w);
         }
-        let (data, nulls) = self.parts_mut();
-        match data {
+        match &mut self.data {
             ColumnData::Int(d) => retain(Arc::make_mut(d), keep),
             ColumnData::Float(d) => retain(Arc::make_mut(d), keep),
             ColumnData::Sym(d) => retain(Arc::make_mut(d), keep),
@@ -322,19 +246,19 @@ impl ColumnStore {
         let mut w = 0usize;
         for (r, &k) in keep.iter().enumerate() {
             if k {
-                packed.set(w, nulls.get(r));
+                packed.set(w, self.nulls.get(r));
                 w += 1;
             }
         }
-        *nulls = packed;
+        self.nulls = packed;
         self.len = w;
     }
 }
 
 /// How primary-key lookups are answered.
 ///
-/// Resident tables maintain a hash map incrementally. Tables opened from
-/// a disk snapshot start in `Ordered` form instead: the snapshot stores
+/// Tables built in memory maintain a hash map incrementally. Tables opened
+/// from a disk snapshot start in `Ordered` form instead: the snapshot stores
 /// (and `open` verifies) a permutation of row indices in ascending PK
 /// order, so uniqueness is already proven and lookups binary-search the
 /// columns directly — no per-row hashing on the cold-start path. The
@@ -385,9 +309,8 @@ impl Table {
     /// ascending PK order that the **caller must already have verified**
     /// (strictly ascending through the permutation, every index in
     /// bounds; strictness is what proves uniqueness). `open` does that
-    /// verification with full path context, touching only the PK columns,
-    /// so non-key paged columns stay unmaterialized until a query first
-    /// reads them — and no hash index is built until the first mutation.
+    /// verification with full path context, and no hash index is built
+    /// until the first mutation.
     pub(crate) fn from_parts(
         schema: TableSchema,
         cols: Vec<ColumnStore>,

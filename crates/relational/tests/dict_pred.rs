@@ -5,11 +5,11 @@
 //! snapshot must be (re)evaluated, either by extending the bitmap on the
 //! next compile or by the per-row direct-match fallback. These tests grow
 //! the arena between queries and check both the extension path and
-//! dict-on/dict-off equivalence.
+//! equivalence with the naive oracle, which evaluates uncompiled `Expr`s.
 
 use etable_relational::database::Database;
-use etable_relational::exec::pred::set_dict_predicates;
 use etable_relational::sql::execute;
+use etable_relational::sql::naive::execute_naive;
 use etable_relational::value::Value;
 
 fn ids(db: &mut Database, sql: &str) -> Vec<i64> {
@@ -113,11 +113,8 @@ fn dict_and_generic_evaluation_agree() {
         "SELECT id FROM m WHERE NOT (tag LIKE '%pear%') ORDER BY id",
     ];
     for sql in queries {
-        set_dict_predicates(false);
-        let generic = ids(&mut db, sql);
-        set_dict_predicates(true);
-        let dict = ids(&mut db, sql);
+        let generic = execute_naive(&db, sql).unwrap().rows;
+        let dict = execute(&mut db, sql).unwrap().rows;
         assert_eq!(dict, generic, "dict/generic divergence on `{sql}`");
     }
-    set_dict_predicates(true);
 }

@@ -5,6 +5,7 @@
 
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
+use etable_relational::storage::codec::crc32;
 use etable_relational::storage::FORMAT_VERSION;
 use etable_relational::value::{DataType, Value};
 use etable_relational::Error;
@@ -177,6 +178,51 @@ fn bit_flips_fail_the_checksum_naming_the_segment() {
                 || msg.contains("overruns"),
             "flip at {pos}: {msg}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Edits the payload of segment `index` of a table file in place and
+/// re-seals it with a valid CRC, so the checksum cannot notice — only
+/// decoding the payload against the schema can.
+fn forge_segment(path: &Path, index: usize, forge: impl FnOnce(&mut [u8])) {
+    let mut bytes = fs::read(path).unwrap();
+    let len_at = |bytes: &[u8], pos: usize| {
+        u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize
+    };
+    let mut pos = 8;
+    for _ in 0..index {
+        pos += 8 + len_at(&bytes, pos) + 4;
+    }
+    let end = pos + 8 + len_at(&bytes, pos);
+    forge(&mut bytes[pos + 8..end]);
+    let crc = crc32(&bytes[pos + 8..end]);
+    bytes[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+    fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn checksummed_column_that_disagrees_with_the_schema_fails_at_open() {
+    // Table `T` is t0.etb: segments 0 and 1 are schema and arena, then
+    // one per column — `s` TEXT is segment 4, `b` BOOL segment 5. A column
+    // payload is type code u8, row count u64, null-word count u32, the
+    // bitmap words (200 rows = 4 words), then the body.
+    const BODY: usize = 1 + 8 + 4 + 4 * 8;
+    type Forgery = (usize, fn(&mut [u8]), &'static str);
+    let forgeries: [Forgery; 3] = [
+        (5, |p| p[0] = 0, "disagrees with the schema"),
+        (5, |p| p[1] ^= 1, "row count"),
+        (
+            4,
+            |p| p[BODY..BODY + 4].copy_from_slice(&1000u32.to_le_bytes()),
+            "arena id 1000",
+        ),
+    ];
+    for (segment, forge, what) in forgeries {
+        let dir = saved_db("forged");
+        forge_segment(&dir.join("t0.etb"), segment, forge);
+        let name = format!("column segment {}", segment - 2);
+        assert_open_storage_err(&dir, &["t0.etb", &name, what]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,8 @@
 //! Round-trip property tests for the binary table format
 //! ([`etable_relational::storage`]): every column type, NULL bitmaps at
 //! morsel/word boundaries (0/1/2048/4097 rows), empty tables and empty
-//! databases, adversarial intern order, lazy paged loading, and
-//! save→open→save byte idempotence.
+//! databases, adversarial intern order, independence of an opened
+//! database from its files, and save→open→save byte idempotence.
 
 use etable_relational::database::Database;
 use etable_relational::intern::Sym;
@@ -289,32 +289,49 @@ fn save_open_save_is_byte_idempotent() {
     let _ = std::fs::remove_dir_all(&d2);
 }
 
-/// Paged columns stay on disk until first touch; the PK column (needed to
-/// rebuild the index at open) is the only eager load.
+/// `open` reads every file once and keeps nothing on disk: truncating and
+/// then deleting the table files of an opened database changes nothing
+/// about what it reads or answers.
 #[test]
-fn open_is_lazy_per_column() {
-    let db = random_db(11, 100);
-    let dir = scratch_dir("lazy");
+fn opened_database_never_looks_at_its_files_again() {
+    let mut db = random_db(11, 100);
+    db.create_table(
+        TableSchema::new(
+            "R",
+            vec![
+                Column::new("w_id", DataType::Int),
+                Column::nullable("tag", DataType::Text),
+            ],
+        )
+        .with_foreign_key(ForeignKey::single("w_id", "W", "id")),
+    )
+    .unwrap();
+    let refs: Vec<Row> = (0..150)
+        .map(|i| vec![Value::Int(i % 100), Value::text(format!("tag{}", i % 7))])
+        .collect();
+    db.append_rows("R", refs).unwrap();
+    let dir = scratch_dir("independent");
     db.save(&dir).unwrap();
-    let back = Database::open(&dir).unwrap();
-    let t = back.table("W").unwrap();
-    assert!(
-        t.column(0).is_materialized(),
-        "PK column loads eagerly for the index rebuild"
-    );
-    for c in 1..t.schema().arity() {
-        assert!(!t.column(c).is_materialized(), "column {c} must stay lazy");
+    let mut back = Database::open(&dir).unwrap();
+    for i in 0..db.table_names().len() {
+        let file = dir.join(format!("t{i}.etb"));
+        std::fs::write(&file, b"ETBL").unwrap();
+        std::fs::remove_file(&file).unwrap();
     }
-    // First touch materializes exactly the touched column.
-    let _ = t.value(3, 2);
-    assert!(t.column(2).is_materialized());
-    assert!(!t.column(1).is_materialized());
-    assert!(!t.column(3).is_materialized());
+    assert_db_eq(&db, &back);
+    let join = "SELECT R.tag, W.t, W.f FROM R, W WHERE R.w_id = W.id ORDER BY R.tag, W.id";
+    let expected = etable_relational::sql::execute(&mut db, join).unwrap();
+    assert_eq!(expected.rows.len(), 150);
+    assert_eq!(
+        etable_relational::sql::execute(&mut back, join)
+            .unwrap()
+            .rows,
+        expected.rows
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A reopened database accepts mutation (paged columns convert to
-/// resident) and keeps constraint semantics.
+/// A reopened database accepts mutation and keeps constraint semantics.
 #[test]
 fn reopened_database_is_mutable() {
     let db = random_db(13, 50);

@@ -46,12 +46,13 @@
 //! test. Overflow literals like `1e999` are lexer-rejected and covered by
 //! an explicit rejection test.
 //!
-//! **Disk leg**: `paged_backend_agrees_with_resident` replays the same
-//! case grammar against a saved-and-reopened database (the paged
-//! `ColumnStore` backend behind `Database::save`/`Database::open`),
-//! asserting byte-identical rows vs the resident backend and
-//! byte-identical re-saves. It rides every `--test sql_fuzz` invocation,
-//! including the nightly deep-verify matrix.
+//! **Disk leg**: `paged_backend_agrees_with_resident` (the name is kept:
+//! case seeds derive from it) replays the same case grammar against a
+//! saved-and-reopened database (`Database::save`/`Database::open`),
+//! asserting that it answers identically — byte-identical rows vs the
+//! database it was saved from — and re-saves byte-identically. It rides
+//! every `--test sql_fuzz` invocation, including the nightly deep-verify
+//! matrix.
 //!
 //! **Spill leg**: `spilled_join_agrees_with_in_memory` runs the same case
 //! under memory budgets of 1, 64 and 4096 bytes (every nonempty join
@@ -597,11 +598,10 @@ fn scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("etable-fuzz-disk-{}-{n}", std::process::id()))
 }
 
-/// Disk leg of the differential: the same case, but the query also runs
-/// against a saved-and-reopened copy of the database (the paged
-/// `ColumnStore` backend). Rows must be **byte-identical** to the
-/// resident run — same values, same order — and rejections must carry the
-/// same error. Saving the reopened copy again must reproduce the on-disk
+/// Disk leg of the differential: a saved-and-reopened database answers
+/// identically. The same case also runs against a saved-and-reopened copy
+/// of the database; rows must be **byte-identical** to the original's —
+/// same values, same order — and rejections must carry the same error. Saving the reopened copy again must reproduce the on-disk
 /// bytes exactly (round-trip idempotence under fuzzer-shaped data:
 /// adversarial intern order, NULL-riddled columns, empty tables).
 fn check_disk_case(seed: u64) -> std::result::Result<(), String> {
