@@ -1,8 +1,11 @@
 //! Multi-core scan evidence (non-gating): prints the host's available
-//! parallelism and times representative scans, join probes, and grouped
-//! aggregations at pool size 1 versus larger pools, so CI logs on
-//! multi-core runners show the morsel-driven path actually winning —
-//! the 1-CPU dev container can only ever show the inline fallback.
+//! parallelism and times representative scans and join probes at pool
+//! size 1 versus larger pools, so CI logs on multi-core runners show the
+//! morsel-driven path actually winning — the 1-CPU dev container can only
+//! ever show the inline fallback. The grouped queries ride along as the
+//! control: grouping itself is sequential (DESIGN.md, "Vectorized
+//! grouping"), so `grouped_sum` must read the same at every pool size and
+//! `filter_group` can only win what its scan wins.
 //!
 //! Pool sizes are swept in-process via `exec::pool::with_pool`, never by
 //! mutating the environment: the global pool reads `ETABLE_SCAN_THREADS`

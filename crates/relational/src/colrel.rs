@@ -25,9 +25,9 @@
 //! No intermediate row is copied anywhere in that pipeline; the final
 //! projection ([`ColRelation::project`]) gathers each output cell exactly
 //! once, straight out of the base tables' column stores. Grouped queries
-//! never materialize rows at all: [`ColRelation::group_by`]
-//! ([`crate::exec::agg`]) aggregates through a cell accessor over the
-//! row-id vectors.
+//! never materialize an input row at all: [`ColRelation::group_by`]
+//! ([`crate::exec::agg`]) hashes key words and sweeps aggregate inputs
+//! straight off the column slices, through the row-id vectors.
 //!
 //! Row ids are `u32` ([`Table`]s are capped at `u32::MAX` rows, and the
 //! cardinality-growing operators error past `u32::MAX` logical rows
@@ -39,7 +39,7 @@ use crate::exec::hash::KeyHashBuilder;
 use crate::exec::pool;
 use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
-use crate::relation::{RelColumn, Relation, SortKey};
+use crate::relation::{sorted_positions, RelColumn, Relation, SortKey};
 use crate::storage::spill::{self, SpillKey};
 use crate::table::{ColumnData, ColumnStore, Table};
 use crate::value::{SortCell, Value};
@@ -50,11 +50,10 @@ use std::sync::Arc;
 /// The row-id vector of one source table. `Identity` is the unfiltered
 /// scan `0..table.len()`, kept implicit so a full-table scan allocates
 /// nothing until a join or filter actually reorders it. Selection vectors
-/// are `Arc`-shared so the morsel kernels (join probe, grouped
-/// aggregation) can hand persistent pool workers owned handles without
-/// copying the vector.
+/// are `Arc`-shared so the morselized join probe can hand persistent pool
+/// workers owned handles without copying the vector.
 #[derive(Debug, Clone)]
-enum RowIds {
+pub(crate) enum RowIds {
     Identity,
     Sel(Arc<Vec<u32>>),
 }
@@ -62,7 +61,7 @@ enum RowIds {
 impl RowIds {
     /// The table row id behind logical row `r`.
     #[inline]
-    fn get(&self, r: usize) -> usize {
+    pub(crate) fn get(&self, r: usize) -> usize {
         match self {
             RowIds::Identity => r,
             RowIds::Sel(v) => v[r] as usize,
@@ -93,7 +92,7 @@ struct Source<'a> {
 /// A columnar intermediate relation: borrowed base tables + selection /
 /// row-id vectors (see the module docs). The executor's join tail operates
 /// entirely on this type; rows are materialized only by
-/// [`ColRelation::project`] (final projection) or consumed cell-at-a-time
+/// [`ColRelation::project`] (final projection) or consumed column-at-a-time
 /// by [`ColRelation::group_by`] ([`crate::exec::agg`]).
 #[derive(Debug, Clone)]
 pub struct ColRelation<'a> {
@@ -112,24 +111,6 @@ pub enum Pick {
     Col(usize),
     /// Constant select-list expression.
     Lit(Value),
-}
-
-/// An owned handle on one output column of a [`ColRelation`]: the column
-/// store and the row-id vector behind it. Both are `Arc`-backed, so the
-/// handle copies no data and is `'static` — the cell accessor morsel
-/// kernels carry onto pool workers.
-#[derive(Debug, Clone)]
-pub(crate) struct ColumnCells {
-    store: ColumnStore,
-    ids: RowIds,
-}
-
-impl ColumnCells {
-    /// The cell at logical row `row`.
-    #[inline]
-    pub(crate) fn get(&self, row: usize) -> Value {
-        self.store.get(self.ids.get(row))
-    }
 }
 
 impl<'a> ColRelation<'a> {
@@ -230,20 +211,12 @@ impl<'a> ColRelation<'a> {
         &self.columns
     }
 
-    /// The column store and row-id vector behind output column `col`.
-    fn col_source(&self, col: usize) -> (&'a ColumnStore, &RowIds) {
+    /// The column store and row-id vector behind output column `col`:
+    /// logical row `r` reads `store` at `ids.get(r)`.
+    pub(crate) fn col_source(&self, col: usize) -> (&'a ColumnStore, &RowIds) {
         let (si, ci) = self.col_map[col];
         let s = &self.sources[si as usize];
         (s.table.column(ci as usize), &s.row_ids)
-    }
-
-    /// An owned cell accessor for output column `col` (see [`ColumnCells`]).
-    pub(crate) fn column_cells(&self, col: usize) -> ColumnCells {
-        let (store, ids) = self.col_source(col);
-        ColumnCells {
-            store: store.clone(),
-            ids: ids.clone(),
-        }
     }
 
     /// Materializes the cell at (`row`, `col`).
@@ -417,13 +390,12 @@ impl<'a> ColRelation<'a> {
         Ok(self.composed(&left_pos, Some((other, &right_pos))))
     }
 
-    /// The permutation ORDER BY `keys` induces (stable: ties keep input
-    /// order), computed over rank-decorated key columns hoisted once per
-    /// key — the engine's sort policy, without materializing any row.
-    pub fn sort_order(&self, keys: &[SortKey]) -> Vec<u32> {
+    /// The permutation ORDER BY `keys` induces (ties keep input order) or,
+    /// with `keep = Some(k)`, its first `k` positions — computed by
+    /// `sorted_positions` over rank-decorated key columns hoisted once
+    /// per key, without materializing any row.
+    pub fn sort_order(&self, keys: &[SortKey], keep: Option<usize>) -> Vec<u32> {
         let ranks = crate::intern::rank_map();
-        // Key columns are hoisted column-at-a-time: one contiguous
-        // SortCell vector per key.
         let decorated: Vec<Vec<SortCell>> = keys
             .iter()
             .map(|k| {
@@ -433,23 +405,13 @@ impl<'a> ColRelation<'a> {
                     .collect()
             })
             .collect();
-        let mut order: Vec<u32> = (0..self.n_rows as u32).collect();
-        order.sort_by(|&a, &b| {
-            for (ki, k) in keys.iter().enumerate() {
-                let ord = SortCell::total_cmp(decorated[ki][a as usize], decorated[ki][b as usize]);
-                let ord = if k.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        order
+        sorted_positions(self.n_rows, &decorated, keys, keep)
     }
 
     /// π — the final projection: gathers each picked cell exactly once out
-    /// of the base tables' column stores into output rows, in `order` (a
-    /// permutation from [`ColRelation::sort_order`]) or input order. This
+    /// of the base tables' column stores into output rows, for the positions
+    /// in `order` (from [`ColRelation::sort_order`]) or every row in input
+    /// order. This
     /// is the only place in the columnar pipeline where rows come into
     /// existence.
     pub fn project(
@@ -464,7 +426,7 @@ impl<'a> ColRelation<'a> {
             picks.len(),
             columns.len()
         );
-        let mut rows = Vec::with_capacity(self.n_rows);
+        let mut rows = Vec::with_capacity(order.map_or(self.n_rows, <[u32]>::len));
         let mut emit = |r: usize| {
             let row: Vec<Value> = picks
                 .iter()
@@ -808,6 +770,7 @@ mod tests {
         let rel = ColRelation::from_table(&t, "t");
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
         let grouped = rel.group_by(&[0], &aggs).unwrap();
+        let grouped = grouped.project(&[0, 1]).unwrap();
         assert_eq!(grouped.rows.len(), 3, "rows: {:?}", grouped.rows);
         let reference = oracle(&[&t], "SELECT t.f, COUNT(*) AS n FROM t GROUP BY t.f");
         assert_eq!(sorted_rows(&grouped), sorted_rows(&reference));
@@ -867,6 +830,7 @@ mod tests {
             .unwrap();
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
         let grouped = joined.group_by(&[1], &aggs).unwrap();
+        let grouped = grouped.project(&[0, 1]).unwrap();
         let reference = oracle(
             &[&l, &r],
             "SELECT r.k, COUNT(*) AS n FROM l, r WHERE l.k = r.k GROUP BY r.k",
@@ -878,7 +842,7 @@ mod tests {
     fn project_applies_order_and_literals() {
         let t = ints("t", &[Some(3), Some(1), Some(2)]);
         let rel = ColRelation::from_table(&t, "t");
-        let order = rel.sort_order(&[SortKey::asc(0)]);
+        let order = rel.sort_order(&[SortKey::asc(0)], None);
         let out = rel.project(
             vec![
                 RelColumn::bare("k", DataType::Int),
@@ -913,6 +877,9 @@ mod tests {
             ],
         );
         let rel = ColRelation::from_table(&t, "t");
-        assert_eq!(rel.sort_order(&[SortKey::asc(0)]), vec![1, 3, 0, 2]);
+        assert_eq!(rel.sort_order(&[SortKey::asc(0)], None), vec![1, 3, 0, 2]);
+        // The cut of a top-k falls inside the run of ties on 0.
+        assert_eq!(rel.sort_order(&[SortKey::asc(0)], Some(1)), vec![1]);
+        assert_eq!(rel.sort_order(&[SortKey::asc(0)], Some(3)), vec![1, 3, 0]);
     }
 }

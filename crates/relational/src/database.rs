@@ -268,8 +268,13 @@ impl Database {
     }
 
     /// Updates rows of `table` matching `pred`; `sets` pairs column names
-    /// with new values. The whole-database integrity check runs afterwards
-    /// and the update is rolled back if it fails.
+    /// with new values. An update that sets a key column — one in this
+    /// table's primary key, in one of its foreign keys, or referenced by
+    /// any table's foreign key — may break a reference in either
+    /// direction, so the whole-database integrity check runs afterwards and
+    /// the update is rolled back if it fails. Any other update cannot
+    /// change what a foreign key sees and pays for neither the check nor
+    /// the backup copy.
     pub fn update_where(
         &mut self,
         table: &str,
@@ -286,16 +291,36 @@ impl Database {
                     .ok_or_else(|| Error::UnknownColumn(name.clone()))
             })
             .collect::<Result<_>>()?;
+        if !sets
+            .iter()
+            .any(|(name, _)| self.is_key_column(&schema, name))
+        {
+            return self.table_mut(table)?.update_where(pred, &resolved);
+        }
         let backup = self.table(table)?.clone();
         let changed = self.table_mut(table)?.update_where(pred, &resolved)?;
         if changed > 0 {
-            // Updates may break FKs in either direction; verify globally.
             if let Err(e) = self.check_integrity() {
                 *self.table_mut(table)? = backup;
                 return Err(e);
             }
         }
         Ok(changed)
+    }
+
+    /// Whether `column` of the table `schema` describes takes part in a
+    /// referential constraint: its primary key, one of its foreign keys,
+    /// or the referenced side of any table's foreign key.
+    fn is_key_column(&self, schema: &TableSchema, column: &str) -> bool {
+        let names = |cols: &[String]| cols.iter().any(|c| c == column);
+        names(&schema.primary_key)
+            || schema.foreign_keys.iter().any(|fk| names(&fk.columns))
+            || self.tables.values().any(|t| {
+                t.schema()
+                    .foreign_keys
+                    .iter()
+                    .any(|fk| fk.referenced_table == schema.name && names(&fk.referenced_columns))
+            })
     }
 }
 

@@ -1,23 +1,32 @@
 //! Grouped aggregation — its one home.
 //!
 //! Everything the engine knows about GROUP BY and aggregates lives here:
-//! the aggregate vocabulary ([`AggFunc`], [`AggSpec`]), the per-group
-//! running states (`AggState`), the accumulator that is both the
-//! sequential kernel and the unit of morsel parallelism (`GroupAcc`),
-//! and the [`ColRelation::group_by`] driver that feeds it straight off the
-//! selection vectors, so a grouped query never materializes an input row.
-//! The naive oracle ([`crate::sql::naive`]) shares the vocabulary and
-//! nothing else.
+//! the aggregate vocabulary ([`AggFunc`], [`AggSpec`]), the *group-id
+//! pass* that turns key columns into dense group ids (`KeyShape` names
+//! how each key column is hashed), the per-aggregate *sweeps* that fold
+//! one input column into one state vector indexed by group id, and the
+//! [`ColRelation::group_by`] driver that runs both straight off the column
+//! slices through the row-id vectors — no input row is ever materialized,
+//! and the result stays column-major ([`ColumnBatch`]) until the tail has
+//! decided which groups survive. The naive oracle ([`crate::sql::naive`])
+//! shares the vocabulary and nothing else.
+//!
+//! Grouping is one sequential pass on the calling thread. Measured at
+//! 38 000 papers the hash pass costs 0.1–0.8 ms; per-morsel partial tables
+//! re-hashed every group once per morsel and were slower at pool 2 than
+//! at pool 1, and a two-way split has nothing left to win at that size
+//! (DESIGN.md, "Vectorized grouping"). Being sequential, the result is
+//! trivially identical at every pool size, float SUM/AVG included.
 
-use crate::colrel::{ColRelation, ColumnCells};
-use crate::exec::pool::{self, CHUNK_ROWS};
-use crate::intern::RankMap;
-use crate::relation::{RelColumn, Relation};
-use crate::table::Row;
+use crate::colrel::{ColRelation, RowIds};
+use crate::exec::hash::KeyHashBuilder;
+use crate::relation::{ColumnBatch, RelColumn};
+use crate::table::{ColumnData, ColumnStore};
 use crate::value::{DataType, SortCell, Value};
 use crate::{Error, Result};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +41,19 @@ pub enum AggFunc {
     Min,
     /// MAX(col).
     Max,
+}
+
+impl AggFunc {
+    /// The function's SQL spelling.
+    pub(crate) fn sql_name(self) -> &'static str {
+        match self {
+            AggFunc::Count => "COUNT",
+            AggFunc::Sum => "SUM",
+            AggFunc::Avg => "AVG",
+            AggFunc::Min => "MIN",
+            AggFunc::Max => "MAX",
+        }
+    }
 }
 
 /// An aggregate over an input column.
@@ -61,50 +83,68 @@ impl AggSpec {
     }
 }
 
-/// A packed grouping key. Single- and two-column keys (the overwhelmingly
-/// common shapes) are inline `Copy` data; only wider keys heap-allocate.
-/// Equality and hashing delegate to [`Value`], so `Int(2)` and
-/// `Float(2.0)` land in the same group.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    One(Value),
-    Two([Value; 2]),
-    Wide(Box<[Value]>),
+/// How the group-id pass hashes one GROUP BY key column — the same key
+/// discipline as [`ColRelation::hash_join`]. EXPLAIN prints it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyShape {
+    /// An `INT` column: the `i64` column word.
+    IntWord,
+    /// A `TEXT` column: the interned symbol id (equal strings hold equal
+    /// ids).
+    TextWord,
+    /// `FLOAT` / `BOOL` columns: [`Value`] keys, whose equality and hash
+    /// fold `Int(2)` and `Float(2.0)` into one group.
+    Values,
 }
 
-impl GroupKey {
-    fn read(group_cols: &[usize], cell: impl Fn(usize) -> Value) -> GroupKey {
-        match group_cols {
-            [a] => GroupKey::One(cell(*a)),
-            [a, b] => GroupKey::Two([cell(*a), cell(*b)]),
-            wide => GroupKey::Wide(wide.iter().map(|&c| cell(c)).collect()),
-        }
-    }
-
-    /// The packed key cells, for filling the group-key arena without
-    /// re-reading the input columns.
-    fn values(&self) -> &[Value] {
-        match self {
-            GroupKey::One(v) => std::slice::from_ref(v),
-            GroupKey::Two(vs) => vs,
-            GroupKey::Wide(vs) => vs,
-        }
+impl std::fmt::Display for KeyShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            KeyShape::IntWord => "INT word",
+            KeyShape::TextWord => "TEXT word",
+            KeyShape::Values => "value keys",
+        })
     }
 }
 
-/// Whether `aggs` contains MIN/MAX — the aggregates whose running state
-/// compares through rank-decorated cells and therefore needs one
-/// [`RankMap`] snapshot shared across every partial table.
-fn aggs_need_ranks(aggs: &[AggSpec]) -> bool {
-    aggs.iter()
-        .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
+/// The output of the group-id pass: every input row's dense group id, and
+/// each group's first input row. Ids are handed out in first-occurrence
+/// order, so `first_rows` is ascending and indexing by group id *is*
+/// first-occurrence order.
+struct GroupIds {
+    gids: Vec<u32>,
+    first_rows: Vec<u32>,
+}
+
+/// Not-yet-assigned marker in the group index. Never a real id: a relation
+/// holds at most `u32::MAX` rows, so ids stop at `u32::MAX - 1`.
+const UNASSIGNED: u32 = u32::MAX;
+
+/// The group-id pass over `n` rows: `key(r)` is row `r`'s key word, `None`
+/// for NULL — which is a group of its own (SQL groups NULLs together).
+fn assign_gids<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> GroupIds {
+    let mut index: HashMap<K, u32, KeyHashBuilder> =
+        HashMap::with_capacity_and_hasher(n, KeyHashBuilder::default());
+    let mut null_gid = UNASSIGNED;
+    let mut first_rows: Vec<u32> = Vec::new();
+    let gids = (0..n)
+        .map(|r| {
+            let slot = match key(r) {
+                Some(k) => index.entry(k).or_insert(UNASSIGNED),
+                None => &mut null_gid,
+            };
+            if *slot == UNASSIGNED {
+                *slot = first_rows.len() as u32;
+                first_rows.push(r as u32);
+            }
+            *slot
+        })
+        .collect();
+    GroupIds { gids, first_rows }
 }
 
 /// The output columns of a grouped aggregation: the group-key columns (in
-/// `group_cols` order) followed by one column per aggregate. Takes the
-/// **original** (un-remapped) column positions, so the parallel path —
-/// which feeds [`GroupAcc`] dense remapped indexes — still derives output
-/// names and types from the real input schema.
+/// `group_cols` order) followed by one column per aggregate.
 fn group_output_columns(
     in_columns: &[RelColumn],
     group_cols: &[usize],
@@ -125,256 +165,155 @@ fn group_output_columns(
     columns
 }
 
-/// A grouped-aggregation accumulator: the group index plus per-group
-/// [`AggState`]s, fed one row at a time.
-///
-/// This is the unit of morsel parallelism for grouped aggregation: each
-/// morsel builds its own `GroupAcc` (a *partial* table), and partials are
-/// [`merged`](GroupAcc::merge) into one accumulator **in fixed chunk
-/// order**, which preserves first-occurrence group order and makes the
-/// result independent of pool size. The sequential path of
-/// [`ColRelation::group_by`] is the degenerate single-partial case of the
-/// same code.
-///
-/// Each row's key cells are packed into a [`GroupKey`] (no per-row
-/// `Vec<Value>`), hashed into the group index via the entry API (one hash
-/// per row), and every aggregate updates its per-group state vector
-/// (`states[spec][group]`). Group key cells live in one flat arena; output
-/// rows are only assembled by [`finish`](GroupAcc::finish), in
-/// first-occurrence order.
-pub(crate) struct GroupAcc {
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    ranks: Option<RankMap>,
-    index: HashMap<GroupKey, usize>,
-    key_data: Vec<Value>,
-    states: Vec<Vec<AggState>>,
-    n_groups: usize,
-}
-
-impl GroupAcc {
-    /// Creates an empty accumulator. `ranks` must be `Some` when `aggs`
-    /// contains MIN/MAX ([`aggs_need_ranks`]); every partial that will later
-    /// merge into the same accumulator must share the **same** snapshot.
-    pub(crate) fn new(group_cols: &[usize], aggs: &[AggSpec], ranks: Option<RankMap>) -> GroupAcc {
-        GroupAcc {
-            group_cols: group_cols.to_vec(),
-            aggs: aggs.to_vec(),
-            ranks,
-            index: HashMap::new(),
-            key_data: Vec::new(),
-            states: aggs.iter().map(|_| Vec::new()).collect(),
-            n_groups: 0,
-        }
-    }
-
-    /// Resolves (creating if new) the group index for a just-read key.
-    fn group_of(&mut self, key: GroupKey) -> usize {
-        match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let g = self.n_groups;
-                // A new group's key cells are copied out of the just-built
-                // key instead of re-read from the input columns.
-                self.key_data.extend_from_slice(e.key().values());
-                for (si, spec) in self.aggs.iter().enumerate() {
-                    self.states[si].push(AggState::new(spec));
-                }
-                self.n_groups += 1;
-                e.insert(g);
-                g
-            }
-        }
-    }
-
-    /// Ensures the single implicit group of a key-less aggregation exists.
-    fn global_group(&mut self) -> usize {
-        if self.n_groups == 0 {
-            for (si, spec) in self.aggs.iter().enumerate() {
-                self.states[si].push(AggState::new(spec));
-            }
-            self.n_groups = 1;
-        }
-        0
-    }
-
-    /// Feeds one input row; `cell` reads that row's value at a column
-    /// position (in whatever index space `group_cols`/agg inputs use).
-    pub(crate) fn update(&mut self, cell: impl Fn(usize) -> Value) -> Result<()> {
-        let gi = if self.group_cols.is_empty() {
-            self.global_group()
-        } else {
-            let key = GroupKey::read(&self.group_cols, &cell);
-            self.group_of(key)
-        };
-        for si in 0..self.aggs.len() {
-            let v = self.aggs[si].input.map(&cell);
-            self.states[si][gi].update(v.as_ref(), self.ranks.as_ref())?;
-        }
-        Ok(())
-    }
-
-    /// Folds a partial accumulator into `self`. Call in **fixed chunk
-    /// order**: a group first seen in chunk *k* keeps that position in the
-    /// output, exactly where a sequential pass would have discovered it.
-    pub(crate) fn merge(&mut self, other: GroupAcc) -> Result<()> {
-        let n_keys = self.group_cols.len();
-        let mut incoming: Vec<std::vec::IntoIter<AggState>> =
-            other.states.into_iter().map(Vec::into_iter).collect();
-        for g in 0..other.n_groups {
-            let gi = if n_keys == 0 {
-                self.global_group()
-            } else {
-                // Rebuild the packed key from the partial's key arena
-                // (same shape rule as `GroupKey::read`).
-                let key = match &other.key_data[g * n_keys..(g + 1) * n_keys] {
-                    [a] => GroupKey::One(*a),
-                    [a, b] => GroupKey::Two([*a, *b]),
-                    wide => GroupKey::Wide(wide.to_vec().into_boxed_slice()),
-                };
-                self.group_of(key)
-            };
-            for (si, it) in incoming.iter_mut().enumerate() {
-                let st = it.next().ok_or_else(|| {
-                    Error::Eval("partial aggregate table missing a group state".into())
-                })?;
-                self.states[si][gi].merge(st)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Assembles the output relation (groups in first-occurrence order).
-    /// `columns` is the output schema from [`group_output_columns`].
-    pub(crate) fn finish(mut self, columns: Vec<RelColumn>) -> Result<Relation> {
-        let n_keys = self.group_cols.len();
-        // Empty input with no grouping keys still yields a single group for
-        // aggregates, matching SQL semantics.
-        if n_groups_needs_seed(self.n_groups, n_keys, &self.aggs) {
-            self.global_group();
-        }
-        let mut finishers: Vec<std::vec::IntoIter<AggState>> =
-            self.states.into_iter().map(Vec::into_iter).collect();
-        let mut rows: Vec<Row> = Vec::with_capacity(self.n_groups);
-        for g in 0..self.n_groups {
-            let mut out: Row = Vec::with_capacity(n_keys + self.aggs.len());
-            out.extend_from_slice(&self.key_data[g * n_keys..(g + 1) * n_keys]);
-            for f in &mut finishers {
-                let st = f.next().ok_or_else(|| {
-                    Error::Eval("internal: aggregate table missing a group state".into())
-                })?;
-                out.push(st.finish());
-            }
-            rows.push(out);
-        }
-        Ok(Relation::new(columns, rows))
-    }
-}
-
-/// True when a key-less aggregation over empty input still owes its single
-/// implicit output group.
-fn n_groups_needs_seed(n_groups: usize, n_keys: usize, aggs: &[AggSpec]) -> bool {
-    n_groups == 0 && n_keys == 0 && !aggs.is_empty()
-}
-
 impl ColRelation<'_> {
-    /// GROUP BY + aggregates straight off the selection vectors: feeds
-    /// `GroupAcc` through a cell accessor over the row-id vectors, so
-    /// grouped join queries never materialize an input row. `group_cols`
-    /// are the grouping key positions; each aggregate consumes an input
-    /// column (or `None` for `COUNT(*)`). Output columns are the group
-    /// keys followed by one column per aggregate; groups appear in
-    /// first-occurrence order.
-    ///
-    /// Multi-morsel inputs aggregate in parallel: each morsel builds a
-    /// partial group table and the partials merge in fixed chunk order,
-    /// which preserves first-occurrence group order. The parallel path is
-    /// taken only when every aggregate merges *exactly* — COUNT/MIN/MAX
-    /// always, SUM/AVG only over statically-`INT` inputs (integer sums
-    /// accumulate in `i128`, so chunking cannot change the result).
-    /// Float SUM/AVG falls back to the sequential kernel rather than
-    /// risk order-dependent rounding.
-    pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Relation> {
-        let pool = pool::current();
-        if pool.threads() > 1 && self.len() > CHUNK_ROWS && self.aggs_merge_exactly(aggs) {
-            return self.group_by_parallel(&pool, group_cols, aggs);
+    /// How [`ColRelation::group_by`] hashes key column `col`.
+    pub(crate) fn key_shape(&self, col: usize) -> KeyShape {
+        match self.col_source(col).0.data() {
+            ColumnData::Int(_) => KeyShape::IntWord,
+            ColumnData::Sym(_) => KeyShape::TextWord,
+            ColumnData::Float(_) | ColumnData::Bool(_) => KeyShape::Values,
         }
-        // Sequential: one accumulator fed every row in order. MIN/MAX
-        // compare through rank-decorated cells; snapshot the dictionary
-        // ranks once per aggregation instead of locking the arena per update.
-        let ranks = aggs_need_ranks(aggs).then(crate::intern::rank_map);
-        let mut acc = GroupAcc::new(group_cols, aggs, ranks);
-        for r in 0..self.len() {
-            acc.update(|c| self.cell(r, c))?;
-        }
-        acc.finish(group_output_columns(self.columns(), group_cols, aggs))
     }
 
-    /// Whether every aggregate's partial states merge bit-exactly (the
-    /// precondition for the parallel grouped path): COUNT/MIN/MAX always
-    /// do; SUM/AVG only when the input column is statically `INT`.
-    fn aggs_merge_exactly(&self, aggs: &[AggSpec]) -> bool {
-        aggs.iter().all(|a| match a.func {
-            AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
-            AggFunc::Sum | AggFunc::Avg => a
-                .input
-                .and_then(|c| self.columns().get(c))
-                .is_some_and(|c| c.data_type == DataType::Int),
+    /// The group-id pass for a single key column, reading key words
+    /// straight off the column slice through the row-id vector.
+    fn column_gids(&self, col: usize) -> GroupIds {
+        let (store, ids) = self.col_source(col);
+        let row = |r: usize| Some(ids.get(r)).filter(|&t| !store.is_null(t));
+        match store.data() {
+            ColumnData::Int(v) => assign_gids(self.len(), |r| row(r).map(|t| v[t])),
+            ColumnData::Sym(v) => assign_gids(self.len(), |r| row(r).map(|t| v[t].id())),
+            ColumnData::Float(_) | ColumnData::Bool(_) => {
+                assign_gids(self.len(), |r| row(r).map(|t| store.get(t)))
+            }
+        }
+    }
+
+    /// The group-id pass for the whole key. A multi-column key folds its
+    /// columns left to right: two rows share a group iff they share the
+    /// group so far *and* the next column's group, so each step hashes one
+    /// `u64` of two dense ids — no row-wide key is ever built. No key at
+    /// all is the single implicit group of a global aggregate, present
+    /// even over empty input (its first row is never read: there is no
+    /// key column to read it for).
+    fn group_ids(&self, group_cols: &[usize]) -> GroupIds {
+        let Some((&first, rest)) = group_cols.split_first() else {
+            return GroupIds {
+                gids: vec![0; self.len()],
+                first_rows: vec![0],
+            };
+        };
+        rest.iter().fold(self.column_gids(first), |so_far, &col| {
+            let next = self.column_gids(col);
+            assign_gids(self.len(), |r| {
+                Some(u64::from(so_far.gids[r]) << 32 | u64::from(next.gids[r]))
+            })
         })
     }
 
-    /// The parallel grouped-aggregation path: per-morsel partial
-    /// [`GroupAcc`] tables on the worker pool, merged in fixed chunk
-    /// order. Column positions are remapped to dense indexes into an owned
-    /// vector of `Arc`-backed [`ColumnCells`] handles so the morsel closure
-    /// is `'static`; one rank snapshot is taken up front and shared by
-    /// every partial, keeping MIN/MAX candidates comparable across morsels.
-    fn group_by_parallel(
-        &self,
-        pool: &pool::Pool,
-        group_cols: &[usize],
-        aggs: &[AggSpec],
-    ) -> Result<Relation> {
-        let mut needed: Vec<usize> = group_cols.to_vec();
-        needed.extend(aggs.iter().filter_map(|a| a.input));
-        needed.sort_unstable();
-        needed.dedup();
-        let handles: Vec<ColumnCells> = needed.iter().map(|&c| self.column_cells(c)).collect();
-        // Every position is present in `needed` by construction; an
-        // (impossible) miss maps to an out-of-range handle index rather
-        // than panicking here.
-        let local = |c: usize| needed.binary_search(&c).unwrap_or(usize::MAX);
-        let lgroup: Vec<usize> = group_cols.iter().map(|&c| local(c)).collect();
-        let laggs: Vec<AggSpec> = aggs
-            .iter()
-            .map(|a| AggSpec::new(a.func, a.input.map(local), a.output_name.clone()))
-            .collect();
-        let ranks = aggs_need_ranks(aggs).then(crate::intern::rank_map);
-        let partials = {
-            let (lgroup, laggs, ranks) = (lgroup.clone(), laggs.clone(), ranks.clone());
-            pool.run_chunks(self.len(), move |range| {
-                let mut acc = GroupAcc::new(&lgroup, &laggs, ranks.clone());
-                for r in range {
-                    acc.update(|c| handles[c].get(r))?;
-                }
-                Ok(vec![acc])
-            })?
-        };
-        let mut acc = GroupAcc::new(&lgroup, &laggs, ranks);
-        for partial in partials {
-            acc.merge(partial)?;
+    /// GROUP BY + aggregates straight off the selection vectors. A
+    /// *group-id pass* hashes the key columns' words into dense ids (see
+    /// `KeyShape`; NULL is its own group); then every aggregate is one
+    /// sweep of its input column into a state vector indexed by group id.
+    /// `group_cols` are the grouping key positions; each aggregate
+    /// consumes an input column (or `None` for `COUNT(*)`). The result is
+    /// column-major — the group keys (each group's first-occurrence cell)
+    /// followed by one column per aggregate — with groups in
+    /// first-occurrence order.
+    pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<ColumnBatch> {
+        let GroupIds { gids, first_rows } = self.group_ids(group_cols);
+        let n_groups = first_rows.len();
+        let mut data: Vec<Vec<Value>> = Vec::with_capacity(group_cols.len() + aggs.len());
+        for &c in group_cols {
+            let (store, ids) = self.col_source(c);
+            data.push(
+                first_rows
+                    .iter()
+                    .map(|&r| store.get(ids.get(r as usize)))
+                    .collect(),
+            );
         }
-        acc.finish(group_output_columns(self.columns(), group_cols, aggs))
+        for spec in aggs {
+            let input = spec.input.map(|c| self.col_source(c));
+            data.push(aggregate(spec.func, input, &gids, n_groups)?);
+        }
+        let columns = group_output_columns(self.columns(), group_cols, aggs);
+        Ok(ColumnBatch::new(columns, data, n_groups))
     }
 }
 
+/// One aggregate's sweep: folds `input` (row `r` belongs to group
+/// `gids[r]`) into a state vector indexed by group id, in row order, and
+/// finishes it into the aggregate's output column. Only `COUNT(*)` has no
+/// input column.
+fn aggregate(
+    func: AggFunc,
+    input: Option<(&ColumnStore, &RowIds)>,
+    gids: &[u32],
+    n_groups: usize,
+) -> Result<Vec<Value>> {
+    let Some((store, ids)) = input else {
+        if func != AggFunc::Count {
+            return Err(Error::Eval(format!(
+                "{} needs an input column",
+                func.sql_name()
+            )));
+        }
+        return Ok(count_per_group(gids.iter().map(|&g| g as usize), n_groups));
+    };
+    // NULL inputs are skipped by every aggregate.
+    let cells = gids
+        .iter()
+        .enumerate()
+        .map(|(r, &g)| (g as usize, store.get(ids.get(r))))
+        .filter(|(_, v)| !v.is_null());
+    Ok(match func {
+        AggFunc::Count => count_per_group(cells.map(|(g, _)| g), n_groups),
+        AggFunc::Sum | AggFunc::Avg => {
+            let mut accs = vec![NumAcc::default(); n_groups];
+            for (g, v) in cells {
+                accs[g].add(v, func)?;
+            }
+            accs.iter().map(|acc| acc.finish(func)).collect()
+        }
+        AggFunc::Min | AggFunc::Max => {
+            // The running best is a rank-decorated cell, so text
+            // candidates compare by dictionary rank, never through the
+            // arena lock; one snapshot covers the whole sweep.
+            let ranks = crate::intern::rank_map();
+            let want = if func == AggFunc::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let mut best: Vec<Option<SortCell>> = vec![None; n_groups];
+            for (g, v) in cells {
+                let cand = SortCell::new(v, &ranks);
+                // Ties keep the incumbent: the earlier row's cell survives.
+                if best[g].is_none_or(|b| SortCell::total_cmp(cand, b) == want) {
+                    best[g] = Some(cand);
+                }
+            }
+            best.into_iter()
+                .map(|b| b.map_or(Value::Null, SortCell::value))
+                .collect()
+        }
+    })
+}
+
+/// COUNT: how often each group id occurs in `groups`.
+fn count_per_group(groups: impl Iterator<Item = usize>, n_groups: usize) -> Vec<Value> {
+    let mut counts = vec![0i64; n_groups];
+    for g in groups {
+        counts[g] += 1;
+    }
+    counts.into_iter().map(Value::Int).collect()
+}
+
 /// The running total behind SUM and AVG: **integer inputs in an exact
-/// `i128` accumulator** and only float inputs in the `f64` accumulator.
-/// Integer addition is associative, so splitting a group across morsels
-/// and merging the partial states in any grouping of chunks produces
-/// bit-identical results — the property the parallel grouped-aggregation
-/// path ([`GroupAcc::merge`]) relies on.
-#[derive(Debug, Default)]
+/// `i128` accumulator** and only float inputs in the `f64` accumulator,
+/// which sums in row order.
+#[derive(Debug, Default, Clone)]
 struct NumAcc {
     isum: i128,
     fsum: f64,
@@ -384,139 +323,31 @@ struct NumAcc {
 }
 
 impl NumAcc {
-    /// Adds one input (NULLs are ignored); `what` names the aggregate in
-    /// the non-number error.
-    fn add(&mut self, v: Option<&Value>, what: &str) -> Result<()> {
-        let Some(val) = v.filter(|val| !val.is_null()) else {
-            return Ok(());
-        };
+    /// Adds one non-NULL input; `func` names the aggregate in the
+    /// non-number error.
+    fn add(&mut self, val: Value, func: AggFunc) -> Result<()> {
         match val {
-            Value::Int(i) => self.isum += *i as i128,
+            Value::Int(i) => self.isum += i128::from(i),
             _ => {
-                self.fsum += val
-                    .as_float()
-                    .ok_or_else(|| Error::Eval(format!("{what} over non-number {val}")))?;
+                self.fsum += val.as_float().ok_or_else(|| {
+                    Error::Eval(format!("{} over non-number {val}", func.sql_name()))
+                })?;
                 self.any_float = true;
             }
         }
         self.n += 1;
         Ok(())
     }
-}
 
-/// Per-group running state of one aggregate.
-#[derive(Debug)]
-enum AggState {
-    Count(i64),
-    Sum(NumAcc),
-    Avg(NumAcc),
-    // MIN/MAX keep the running best as a rank-decorated cell so text
-    // candidates compare by dictionary rank, never through the arena lock.
-    Min(Option<SortCell>),
-    Max(Option<SortCell>),
-}
-
-impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
-        match spec.func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(NumAcc::default()),
-            AggFunc::Avg => AggState::Avg(NumAcc::default()),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>, ranks: Option<&RankMap>) -> Result<()> {
-        match self {
-            AggState::Count(n) => {
-                // COUNT(*) counts rows; COUNT(col) skips NULLs.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
-            }
-            AggState::Sum(acc) => acc.add(v, "SUM")?,
-            AggState::Avg(acc) => acc.add(v, "AVG")?,
-            AggState::Min(best) => Self::offer(best, v, ranks, Ordering::Less)?,
-            AggState::Max(best) => Self::offer(best, v, ranks, Ordering::Greater)?,
-        }
-        Ok(())
-    }
-
-    /// Offers one input to a MIN/MAX state (NULLs are ignored).
-    fn offer(
-        best: &mut Option<SortCell>,
-        v: Option<&Value>,
-        ranks: Option<&RankMap>,
-        want: Ordering,
-    ) -> Result<()> {
-        if let Some(val) = v.filter(|val| !val.is_null()) {
-            let ranks = ranks.ok_or_else(|| {
-                Error::Eval("internal: MIN/MAX state updated without a rank snapshot".into())
-            })?;
-            Self::keep_best(best, SortCell::new(*val, ranks), want);
-        }
-        Ok(())
-    }
-
-    /// Replaces `best` with `cand` when `cand` strictly wins (`want` is
-    /// `Less` for MIN, `Greater` for MAX). Ties keep the incumbent, so the
-    /// earlier-in-row-order candidate survives — both sequentially and when
-    /// merging partial states in chunk order.
-    fn keep_best(best: &mut Option<SortCell>, cand: SortCell, want: Ordering) {
-        let better = match best {
-            Some(b) => SortCell::total_cmp(cand, *b) == want,
-            None => true,
-        };
-        if better {
-            *best = Some(cand);
-        }
-    }
-
-    /// Folds another partial state of the **same aggregate kind** into
-    /// `self`. Partial states come from per-morsel [`GroupAcc`]s and are
-    /// merged in fixed chunk order; both MIN/MAX candidates carry
-    /// [`SortCell`]s built from the *same* rank snapshot, so
-    /// cross-partial comparisons are well-defined.
-    fn merge(&mut self, other: AggState) -> Result<()> {
-        match (self, other) {
-            (AggState::Count(n), AggState::Count(m)) => *n += m,
-            (AggState::Sum(acc), AggState::Sum(part))
-            | (AggState::Avg(acc), AggState::Avg(part)) => {
-                acc.isum += part.isum;
-                acc.fsum += part.fsum;
-                acc.n += part.n;
-                acc.any_float |= part.any_float;
-            }
-            (AggState::Min(best), AggState::Min(cand)) => {
-                if let Some(c) = cand {
-                    Self::keep_best(best, c, Ordering::Less);
-                }
-            }
-            (AggState::Max(best), AggState::Max(cand)) => {
-                if let Some(c) = cand {
-                    Self::keep_best(best, c, Ordering::Greater);
-                }
-            }
-            _ => {
-                return Err(Error::Eval(
-                    "aggregate state kind mismatch while merging partials".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::Sum(acc) | AggState::Avg(acc) if acc.n == 0 => Value::Null,
-            AggState::Sum(acc) if !acc.any_float => Value::Int(clamp_i128(acc.isum)),
-            AggState::Sum(acc) => Value::Float(acc.isum as f64 + acc.fsum),
-            AggState::Avg(acc) => Value::Float((acc.isum as f64 + acc.fsum) / acc.n as f64),
-            AggState::Min(v) | AggState::Max(v) => v.map(SortCell::value).unwrap_or(Value::Null),
+    /// The SUM (an `INT` while every input was one, saturated into the
+    /// `i64` value domain) or AVG of what was added; NULL over no input.
+    fn finish(&self, func: AggFunc) -> Value {
+        let total = || self.isum as f64 + self.fsum;
+        match func {
+            _ if self.n == 0 => Value::Null,
+            AggFunc::Avg => Value::Float(total() / self.n as f64),
+            _ if self.any_float => Value::Float(total()),
+            _ => Value::Int(clamp_i128(self.isum)),
         }
     }
 }
@@ -530,146 +361,153 @@ fn clamp_i128(v: i128) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{Column, TableSchema};
+    use crate::table::{Row, Table};
 
-    /// Splits `values` at `split` into two partial states, merges them,
-    /// and returns (sequential result, merged result).
-    fn seq_vs_merged(spec: &AggSpec, values: &[Value], split: usize) -> (Value, Value) {
-        let ranks = Some(crate::intern::rank_map());
-        let mut whole = AggState::new(spec);
-        for v in values {
-            whole.update(Some(v), ranks.as_ref()).unwrap();
-        }
-        let mut lo = AggState::new(spec);
-        for v in &values[..split] {
-            lo.update(Some(v), ranks.as_ref()).unwrap();
-        }
-        let mut hi = AggState::new(spec);
-        for v in &values[split..] {
-            hi.update(Some(v), ranks.as_ref()).unwrap();
-        }
-        lo.merge(hi).unwrap();
-        (whole.finish(), lo.finish())
+    fn table(cols: Vec<Column>, rows: Vec<Row>) -> Table {
+        let mut t = Table::new(TableSchema::new("t", cols)).unwrap();
+        t.append_rows(rows).unwrap();
+        t
     }
 
-    /// Every aggregate kind, every input flavour it can merge exactly
-    /// over, every split point (including empty partials on either side):
-    /// merged partials must equal one sequential pass bit-for-bit.
-    #[test]
-    fn agg_state_merge_matches_sequential_per_kind() {
-        let ints: Vec<Value> = [3i64, 1, 4, 1, 5, 9, 2, 6]
-            .iter()
-            .map(|&i| Value::Int(i))
-            .collect();
-        let texts: Vec<Value> = ["algebra-mango", "algebra-apple", "algebra-pear"]
-            .iter()
-            .map(|&s| Value::text(s))
-            .collect();
-        let floats: Vec<Value> = [2.5f64, -1.25, 7.75]
-            .iter()
-            .map(|&f| Value::Float(f))
-            .collect();
-        let with_nulls: Vec<Value> = vec![Value::Int(4), Value::Null, Value::Int(6), Value::Null];
-        let all_nulls: Vec<Value> = vec![Value::Null, Value::Null];
-        let cases: Vec<(AggFunc, &Vec<Value>)> = vec![
-            (AggFunc::Count, &ints),
-            (AggFunc::Sum, &ints),
-            (AggFunc::Avg, &ints),
-            (AggFunc::Min, &ints),
-            (AggFunc::Max, &ints),
-            (AggFunc::Min, &texts),
-            (AggFunc::Max, &texts),
-            (AggFunc::Min, &floats),
-            (AggFunc::Max, &floats),
-            (AggFunc::Count, &with_nulls),
-            (AggFunc::Sum, &with_nulls),
-            (AggFunc::Avg, &with_nulls),
-            (AggFunc::Sum, &all_nulls),
-            (AggFunc::Min, &all_nulls),
-        ];
-        for (func, vals) in cases {
-            let spec = AggSpec::new(func, Some(0), "x");
-            for split in 0..=vals.len() {
-                let (want, got) = seq_vs_merged(&spec, vals, split);
-                assert_eq!(want, got, "{func:?} over {vals:?} split at {split}");
-            }
-        }
+    /// Groups `t` and materializes every output column, in group order.
+    fn grouped(t: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Vec<Row> {
+        let all: Vec<usize> = (0..group_cols.len() + aggs.len()).collect();
+        let batch = ColRelation::from_table(t, "t")
+            .group_by(group_cols, aggs)
+            .unwrap();
+        batch.project(&all).unwrap().rows
     }
 
-    #[test]
-    fn agg_state_merge_rejects_kind_mismatch() {
-        let mut count = AggState::new(&AggSpec::count_star("n"));
-        let sum = AggState::new(&AggSpec::new(AggFunc::Sum, Some(0), "s"));
-        assert!(count.merge(sum).is_err());
+    fn sum_of(vals: &[i64]) -> Value {
+        let t = table(
+            vec![Column::nullable("v", DataType::Int)],
+            vals.iter().map(|&v| vec![Value::Int(v)]).collect(),
+        );
+        grouped(&t, &[], &[AggSpec::new(AggFunc::Sum, Some(0), "s")])[0][0]
     }
 
     /// Integer sums accumulate exactly in `i128` and saturate (never wrap)
     /// when the total leaves the `i64` value domain.
     #[test]
     fn int_sum_is_exact_and_saturating() {
-        let spec = AggSpec::new(AggFunc::Sum, Some(0), "s");
-        let ranks: Option<&RankMap> = None;
-        let mut s = AggState::new(&spec);
-        s.update(Some(&Value::Int(i64::MAX)), ranks).unwrap();
-        s.update(Some(&Value::Int(i64::MAX)), ranks).unwrap();
-        s.update(Some(&Value::Int(1)), ranks).unwrap();
-        assert_eq!(s.finish(), Value::Int(i64::MAX));
-        let mut s = AggState::new(&spec);
-        s.update(Some(&Value::Int(i64::MIN)), ranks).unwrap();
-        s.update(Some(&Value::Int(-1)), ranks).unwrap();
-        assert_eq!(s.finish(), Value::Int(i64::MIN));
+        assert_eq!(sum_of(&[i64::MAX, i64::MAX, 1]), Value::Int(i64::MAX));
+        assert_eq!(sum_of(&[i64::MIN, -1]), Value::Int(i64::MIN));
+        // Exact where an `i64` or `f64` running total would not be: the
+        // excursion past `i64::MAX` comes back.
+        assert_eq!(
+            sum_of(&[i64::MAX, i64::MAX, -i64::MAX]),
+            Value::Int(i64::MAX)
+        );
+        assert_eq!(sum_of(&[i64::MAX, 5, -i64::MAX]), Value::Int(5));
     }
 
-    /// Merging partial group tables in chunk order preserves
-    /// first-occurrence group order, exactly as a sequential pass over the
-    /// concatenated inputs would produce.
+    /// Group ids are handed out in first-occurrence order for every key
+    /// shape, NULL is a group of its own wherever it first appears, and
+    /// each group's key cell is its first row's.
     #[test]
-    fn group_acc_merges_partials_in_first_occurrence_order() {
+    fn groups_keep_first_occurrence_order() {
+        let null = Value::Null;
         let specs = [AggSpec::count_star("n")];
-        let cols = [RelColumn::bare("k", DataType::Int)];
-        let feed = |keys: &[i64]| {
-            let mut acc = GroupAcc::new(&[0], &specs, None);
-            for &k in keys {
-                acc.update(|_| Value::Int(k)).unwrap();
-            }
-            acc
-        };
-        let mut acc = feed(&[7, 3]);
-        acc.merge(feed(&[5, 3, 7])).unwrap();
-        let out = acc
-            .finish(group_output_columns(&cols, &[0], &specs))
-            .unwrap();
-        assert_eq!(
-            out.rows,
+        let t = table(
             vec![
-                vec![Value::Int(7), Value::Int(2)],
-                vec![Value::Int(3), Value::Int(2)],
-                vec![Value::Int(5), Value::Int(1)],
+                Column::nullable("i", DataType::Int),
+                Column::nullable("s", DataType::Text),
+                Column::nullable("f", DataType::Float),
+            ],
+            vec![
+                vec![7.into(), "agg-b".into(), Value::Float(2.0)],
+                vec![null, null, null],
+                vec![3.into(), "agg-a".into(), Value::Int(2)],
+                vec![7.into(), "agg-b".into(), Value::Float(0.5)],
+                vec![null, null, null],
+                vec![5.into(), "agg-a".into(), Value::Float(2.0)],
+            ],
+        );
+        let rel = ColRelation::from_table(&t, "t");
+        assert_eq!(rel.key_shape(0), KeyShape::IntWord);
+        assert_eq!(
+            grouped(&t, &[0], &specs),
+            vec![
+                vec![7.into(), 2.into()],
+                vec![null, 2.into()],
+                vec![3.into(), 1.into()],
+                vec![5.into(), 1.into()],
             ]
         );
+        assert_eq!(rel.key_shape(1), KeyShape::TextWord);
+        assert_eq!(
+            grouped(&t, &[1], &specs),
+            vec![
+                vec!["agg-b".into(), 2.into()],
+                vec![null, 2.into()],
+                vec!["agg-a".into(), 2.into()],
+            ]
+        );
+        // A FLOAT column stores a widened INT insert as a float, and value
+        // keys would fold `Int(2)` into `Float(2.0)` regardless.
+        assert_eq!(rel.key_shape(2), KeyShape::Values);
+        assert_eq!(
+            grouped(&t, &[2], &specs),
+            vec![
+                vec![Value::Float(2.0), 3.into()],
+                vec![null, 2.into()],
+                vec![Value::Float(0.5), 1.into()],
+            ]
+        );
+        // Multi-column keys fold the per-column ids: (7, b) (NULL, NULL)
+        // (3, a) (5, a) — and (s, i) is the same grouping, key cells
+        // swapped.
+        let by_is = grouped(&t, &[0, 1], &specs);
+        assert_eq!(by_is.len(), 4);
+        assert_eq!(by_is[1], vec![null, null, 2.into()]);
+        assert_eq!(by_is[3], vec![5.into(), "agg-a".into(), 1.into()]);
+        let by_si = grouped(&t, &[1, 0], &specs);
+        let swapped: Vec<Row> = by_is.iter().map(|r| vec![r[1], r[0], r[2]]).collect();
+        assert_eq!(by_si, swapped);
     }
 
-    /// Key-less (global) aggregation merges across empty and non-empty
-    /// partials, and an all-empty merge still yields the single implicit
-    /// group.
+    /// A key-less (global) aggregation is one group — also over empty
+    /// input, where COUNT is 0 and every other aggregate NULL.
     #[test]
-    fn group_acc_merges_global_and_empty_partials() {
-        let specs = [AggSpec::new(AggFunc::Sum, Some(0), "s")];
-        let cols = [RelColumn::bare("v", DataType::Int)];
-        let mut acc = GroupAcc::new(&[], &specs, None);
-        acc.merge(GroupAcc::new(&[], &specs, None)).unwrap();
-        let mut part = GroupAcc::new(&[], &specs, None);
-        part.update(|_| Value::Int(41)).unwrap();
-        part.update(|_| Value::Int(1)).unwrap();
-        acc.merge(part).unwrap();
-        let out = acc
-            .finish(group_output_columns(&cols, &[], &specs))
-            .unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Int(42)]]);
+    fn global_aggregate_over_empty_input_yields_one_group() {
+        let specs = [
+            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Count, Some(0), "nv"),
+            AggSpec::new(AggFunc::Sum, Some(0), "s"),
+            AggSpec::new(AggFunc::Avg, Some(0), "a"),
+            AggSpec::new(AggFunc::Min, Some(0), "lo"),
+            AggSpec::new(AggFunc::Max, Some(0), "hi"),
+        ];
+        let cols = vec![Column::nullable("v", DataType::Int)];
+        let null = Value::Null;
+        assert_eq!(
+            grouped(&table(cols.clone(), vec![]), &[], &specs),
+            vec![vec![0.into(), 0.into(), null, null, null, null]]
+        );
+        let rows = vec![vec![41.into()], vec![null], vec![1.into()]];
+        assert_eq!(
+            grouped(&table(cols.clone(), rows), &[], &specs),
+            vec![vec![
+                3.into(),
+                2.into(),
+                42.into(),
+                Value::Float(21.0),
+                1.into(),
+                41.into()
+            ]]
+        );
+        // With a key, empty input has no group at all.
+        assert!(grouped(&table(cols, vec![]), &[0], &specs).is_empty());
+    }
 
-        let empty = GroupAcc::new(&[], &specs, None);
-        let out = empty
-            .finish(group_output_columns(&cols, &[], &specs))
-            .unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Null]]);
+    /// Only `COUNT(*)` may lack an input column; any other aggregate
+    /// without one is a typed error, not a column of NULLs.
+    #[test]
+    fn aggregate_without_input_is_rejected() {
+        let t = table(vec![Column::nullable("v", DataType::Int)], vec![]);
+        let rel = ColRelation::from_table(&t, "t");
+        let err = rel.group_by(&[], &[AggSpec::new(AggFunc::Sum, None, "s")]);
+        assert!(matches!(err, Err(Error::Eval(m)) if m.contains("SUM needs an input")));
     }
 }

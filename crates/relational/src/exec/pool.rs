@@ -35,8 +35,8 @@ use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
 
 /// Rows per morsel. Fixed (never derived from pool size or input length)
-/// so chunk boundaries — and therefore merged results, partial-aggregate
-/// merge order and error attribution — are identical at any pool size.
+/// so chunk boundaries — and therefore merged results and error
+/// attribution — are identical at any pool size.
 pub const CHUNK_ROWS: usize = 2048;
 
 /// Upper bound on the default pool size when `ETABLE_SCAN_THREADS` is

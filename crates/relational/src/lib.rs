@@ -15,8 +15,9 @@
 //!   build/probe hash joins and grouped aggregation ([`exec::agg`]), which
 //!   the SQL executor carries from the scan to the final projection
 //!   without materializing intermediate rows,
-//! * a result container ([`relation::Relation`]) with the row kernels of
-//!   the result tail (HAVING, projection, sort, DISTINCT, OFFSET/LIMIT),
+//! * a result container ([`relation::Relation`]: DISTINCT, OFFSET/LIMIT)
+//!   and the column batch a grouped result stays in through HAVING and
+//!   ORDER BY ([`relation::ColumnBatch`]),
 //! * a small SQL dialect ([`sql`]) with a greedy hash-join planner, and
 //!   one oracle ([`sql::naive`]) the evaluator is checked against.
 //!

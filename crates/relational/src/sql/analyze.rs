@@ -325,6 +325,31 @@ impl TypedPlan {
             + c.column
     }
 
+    /// The ORDER BY keys as EXPLAIN prints them: `n DESC, a.name`.
+    pub(crate) fn sort_keys_display(&self) -> String {
+        self.order_by
+            .iter()
+            .map(|o| {
+                let name = match o.target {
+                    OrderTarget::Input(c) => {
+                        self.tables[c.table].columns[c.column].qualified_name()
+                    }
+                    OrderTarget::Group(i) => self
+                        .grouping
+                        .as_ref()
+                        .map(|g| g.columns[i].qualified_name())
+                        .unwrap_or_else(|| format!("#{i}")),
+                };
+                if o.descending {
+                    format!("{name} DESC")
+                } else {
+                    name
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
     /// Renders the analyzed plan for EXPLAIN: scans with column types and
     /// pushdowns, join edges with key types, residuals, the grouped
     /// shape, sort keys, and the typed output row.
@@ -382,29 +407,7 @@ impl TypedPlan {
             }
         }
         if !self.order_by.is_empty() {
-            let keys = self
-                .order_by
-                .iter()
-                .map(|o| {
-                    let name = match o.target {
-                        OrderTarget::Input(c) => {
-                            self.tables[c.table].columns[c.column].qualified_name()
-                        }
-                        OrderTarget::Group(i) => self
-                            .grouping
-                            .as_ref()
-                            .map(|g| g.columns[i].qualified_name())
-                            .unwrap_or_else(|| format!("#{i}")),
-                    };
-                    if o.descending {
-                        format!("{name} DESC")
-                    } else {
-                        name
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push(format!("  sort keys [{keys}]"));
+            out.push(format!("  sort keys [{}]", self.sort_keys_display()));
         }
         let cols = self
             .output

@@ -234,13 +234,7 @@ impl fmt::Display for SqlExpr {
             SqlExpr::Literal(Value::Text(s)) => write!(f, "'{s}'"),
             SqlExpr::Literal(v) => write!(f, "{v}"),
             SqlExpr::Aggregate { func, input } => {
-                let name = match func {
-                    crate::exec::agg::AggFunc::Count => "COUNT",
-                    crate::exec::agg::AggFunc::Sum => "SUM",
-                    crate::exec::agg::AggFunc::Avg => "AVG",
-                    crate::exec::agg::AggFunc::Min => "MIN",
-                    crate::exec::agg::AggFunc::Max => "MAX",
-                };
+                let name = func.sql_name();
                 match input {
                     Some(e) => write!(f, "{name}({e})"),
                     None => write!(f, "{name}(*)"),

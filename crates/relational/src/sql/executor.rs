@@ -15,8 +15,9 @@
 //! [`ColRelation`] (a selection vector over the stored table — see
 //! [`crate::colrel`]), joins compose paired row-id vectors, residual
 //! filters and ORDER BY rewrite or permute those vectors, and rows are
-//! materialized exactly once — by the final projection gather, or never,
-//! when a grouped tail aggregates straight off the selection vectors.
+//! materialized exactly once — by the final projection gather, for the
+//! rows an `ORDER BY … LIMIT` keeps, or, in a grouped tail, for the groups
+//! that survive HAVING and the same top-k.
 
 use super::analyze::{
     analyze, analyze_delete, analyze_insert, analyze_update, ColumnId, OrderTarget, TypedGrouping,
@@ -27,7 +28,7 @@ use crate::colrel::{ColRelation, Pick};
 use crate::database::Database;
 use crate::exec::agg::AggSpec;
 use crate::expr::Expr;
-use crate::relation::{RelColumn, Relation, SortKey};
+use crate::relation::{ColumnBatch, RelColumn, Relation, SortKey};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -340,12 +341,10 @@ fn execute_typed(
 
     // 4. Grouping / aggregation / projection tail. Grouped queries
     //    aggregate straight off the selection vectors (no input row is
-    //    ever materialized); plain queries sort by permutation and gather
-    //    rows exactly once, in the final projection.
-    if let Some(g) = &plan.grouping {
-        if !g.keys.is_empty() {
-            log!("group by {} key(s)", g.keys.len());
-        }
+    //    ever materialized) and keep the groups column-major until the
+    //    tail has chosen the survivors; plain queries sort by permutation
+    //    and gather the kept rows exactly once, in the final projection.
+    let out = if let Some(g) = &plan.grouping {
         let group_cols = g
             .keys
             .iter()
@@ -353,13 +352,50 @@ fn execute_typed(
             .collect::<Result<Vec<_>>>()?;
         let specs = agg_specs(g, &jpos)?;
         let grouped = current.group_by(&group_cols, &specs)?;
-        let out = grouped_tail(plan, g, grouped)?;
-        log!("output: {} rows x {} columns", out.len(), out.columns.len());
-        return Ok(out);
-    }
-    let out = columnar_plain_tail(plan, &current, &jpos)?;
+        if trace.is_some() && !g.keys.is_empty() {
+            let shapes: Vec<String> = group_cols
+                .iter()
+                .map(|&c| current.key_shape(c).to_string())
+                .collect();
+            log!(
+                "group by {} key(s) [{}] -> {} groups",
+                g.keys.len(),
+                shapes.join(", "),
+                grouped.len()
+            );
+        }
+        grouped_tail(plan, g, grouped, trace)?
+    } else {
+        columnar_plain_tail(plan, &current, &jpos, trace)?
+    };
     log!("output: {} rows x {} columns", out.len(), out.columns.len());
     Ok(out)
+}
+
+/// How many leading rows of the ordered result the tail needs: `OFFSET +
+/// LIMIT` (saturating) — unless DISTINCT sits between the sort and the
+/// limit, when how many sorted rows yield that many distinct ones is not
+/// known up front.
+fn rows_kept(plan: &TypedPlan) -> Option<usize> {
+    match plan.limit {
+        Some(k) if !plan.distinct => Some(k.saturating_add(plan.offset)),
+        _ => None,
+    }
+}
+
+/// Traces an `ORDER BY … LIMIT` that runs as a top-k selection over `n`
+/// candidates.
+fn log_top_k(plan: &TypedPlan, keep: Option<usize>, n: usize, trace: &mut Option<Vec<String>>) {
+    if plan.order_by.is_empty() {
+        return;
+    }
+    if let (Some(t), Some(k)) = (trace.as_mut(), keep) {
+        t.push(format!(
+            "top {} of {n} by [{}]",
+            k.min(n),
+            plan.sort_keys_display()
+        ));
+    }
 }
 
 /// Lowers the plan's aggregates into [`AggSpec`]s through `pos`.
@@ -377,13 +413,15 @@ fn agg_specs(g: &TypedGrouping, pos: &impl Fn(ColumnId) -> Option<usize>) -> Res
 }
 
 /// The non-grouped query tail over the columnar pipeline: ORDER BY
-/// becomes a permutation over rank-decorated key columns, the final
-/// projection gathers each output cell once (in permuted order), and
-/// DISTINCT / OFFSET / LIMIT run on the already-final output.
+/// becomes a permutation over rank-decorated key columns — only its first
+/// [`rows_kept`] positions when a LIMIT follows — the final projection
+/// gathers each kept output cell once (in permuted order), and DISTINCT /
+/// OFFSET / LIMIT run on the already-final output.
 fn columnar_plain_tail(
     plan: &TypedPlan,
     input: &ColRelation,
     pos: &impl Fn(ColumnId) -> Option<usize>,
+    trace: &mut Option<Vec<String>>,
 ) -> Result<Relation> {
     let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
     let mut picks: Vec<Pick> = Vec::with_capacity(plan.output.len());
@@ -395,7 +433,8 @@ fn columnar_plain_tail(
             TypedPick::Group(_) => return Err(plan_desync()),
         });
     }
-    let order = if plan.order_by.is_empty() {
+    let keep = rows_kept(plan);
+    let order = if plan.order_by.is_empty() && keep.is_none() {
         None
     } else {
         let keys = plan
@@ -409,7 +448,10 @@ fn columnar_plain_tail(
                 OrderTarget::Group(_) => Err(plan_desync()),
             })
             .collect::<Result<Vec<_>>>()?;
-        Some(input.sort_order(&keys))
+        log_top_k(plan, keep, input.len(), trace);
+        // No key at all orders by input position: a bare LIMIT gathers
+        // only its leading rows.
+        Some(input.sort_order(&keys, keep))
     };
     let out = input.project(out_cols, &picks, order.as_deref());
     Ok(distinct_offset_limit(plan, out))
@@ -428,16 +470,22 @@ fn distinct_offset_limit(plan: &TypedPlan, mut out: Relation) -> Relation {
     }
 }
 
-/// The post-aggregation tail: HAVING, ORDER BY, projection, DISTINCT,
-/// OFFSET/LIMIT over the (small, materialized) grouped relation. The
-/// plan's grouped picks and sort targets are already positions into
-/// `grouped`, so this is pure data movement.
-fn grouped_tail(plan: &TypedPlan, g: &TypedGrouping, grouped: Relation) -> Result<Relation> {
+/// The post-aggregation tail. HAVING and ORDER BY (a top-k of
+/// [`rows_kept`] when a LIMIT follows) only rewrite the grouped batch's
+/// selection vector; the projection then materializes the surviving
+/// groups, and DISTINCT / OFFSET / LIMIT run on that output. The plan's
+/// grouped picks and sort targets are already positions into `grouped`.
+fn grouped_tail(
+    plan: &TypedPlan,
+    g: &TypedGrouping,
+    grouped: ColumnBatch,
+    trace: &mut Option<Vec<String>>,
+) -> Result<Relation> {
     // HAVING over grouped-relation positions.
-    let mut rel = grouped;
+    let mut batch = grouped;
     if let Some(h) = &g.having {
         let e = h.to_expr(&Some)?;
-        rel = rel.select(&e)?;
+        batch = batch.select(&e)?;
     }
 
     // Projection picks.
@@ -452,22 +500,22 @@ fn grouped_tail(plan: &TypedPlan, g: &TypedGrouping, grouped: Relation) -> Resul
     }
 
     // ORDER BY over grouped-relation positions.
-    if !plan.order_by.is_empty() {
-        let keys = plan
-            .order_by
-            .iter()
-            .map(|o| match o.target {
-                OrderTarget::Group(i) => Ok(SortKey {
-                    column: i,
-                    descending: o.descending,
-                }),
-                OrderTarget::Input(_) => Err(plan_desync()),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        rel = rel.sort_by(&keys);
-    }
+    let keys = plan
+        .order_by
+        .iter()
+        .map(|o| match o.target {
+            OrderTarget::Group(i) => Ok(SortKey {
+                column: i,
+                descending: o.descending,
+            }),
+            OrderTarget::Input(_) => Err(plan_desync()),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let keep = rows_kept(plan);
+    log_top_k(plan, keep, batch.len(), trace);
+    batch = batch.sort_by(&keys, keep);
 
-    let mut out = rel.project(&picks)?;
+    let mut out = batch.project(&picks)?;
     out.columns = out_cols;
     Ok(distinct_offset_limit(plan, out))
 }

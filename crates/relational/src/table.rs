@@ -619,7 +619,12 @@ impl Table {
                     changed += 1;
                 }
             }
-            self.rebuild_indexes()
+            // Rows keep their positions, so the PK index only goes stale
+            // when a PK column was assigned.
+            if sets.iter().any(|(col, _)| self.pk_cols.contains(col)) {
+                self.rebuild_indexes()?;
+            }
+            Ok(())
         })();
         if let Err(e) = applied {
             // Predicate evaluation error mid-scan or a PK collision

@@ -197,3 +197,123 @@ fn min_max_on_text_follow_strings_not_intern_order() {
         assert_eq!(rows[1][2], "delta-agg".into(), "{sql}");
     }
 }
+
+/// A table whose every column shape can be a GROUP BY key — INT and TEXT
+/// (hashed as column words), FLOAT and BOOL (value keys) — each with
+/// NULLs, beside INT, FLOAT and TEXT aggregate inputs with NULLs of their
+/// own.
+fn key_shapes_db() -> Database {
+    let mut d = Database::new();
+    execute(
+        &mut d,
+        "CREATE TABLE ks (id INT PRIMARY KEY, i INT, s TEXT, f FLOAT, b BOOL, \
+         v INT, w FLOAT, t TEXT)",
+    )
+    .unwrap();
+    let words = ["agg-kiwi", "agg-fig", "agg-plum"];
+    let rows: Vec<Vec<Value>> = (0..120i64)
+        .map(|n| {
+            let nullable = |hole: i64, v: Value| if n % hole == 0 { Value::Null } else { v };
+            vec![
+                n.into(),
+                nullable(7, (n % 4).into()),
+                nullable(5, words[(n % 3) as usize].into()),
+                nullable(11, Value::Float((n % 3) as f64 * 0.5)),
+                nullable(13, Value::Bool(n % 2 == 0)),
+                nullable(3, (n * 7 % 50).into()),
+                nullable(4, Value::Float((n % 9) as f64 * 0.25)),
+                nullable(6, words[(n % 2) as usize].into()),
+            ]
+        })
+        .collect();
+    d.append_rows("ks", rows).unwrap();
+    d
+}
+
+/// Every aggregate over every key shape, a NULL key group included,
+/// equals the naive oracle's answer cell for cell.
+#[test]
+fn every_aggregate_over_every_key_shape_matches_the_oracle() {
+    let mut d = key_shapes_db();
+    for keys in ["i", "s", "f", "b", "i, s", "s, f, b", "b, i, f"] {
+        let sql = format!(
+            "SELECT {keys}, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS sv, AVG(v) AS av, \
+             MIN(v) AS lv, MAX(v) AS hv, SUM(w) AS sw, AVG(w) AS aw, MIN(w) AS lw, \
+             MAX(t) AS ht, MIN(t) AS lt FROM ks GROUP BY {keys} ORDER BY {keys}"
+        );
+        let rows = run(&mut d, &sql);
+        assert_eq!(rows, execute_naive(&d, &sql).unwrap().rows, "{sql}");
+        let n_keys = keys.split(", ").count();
+        assert!(
+            rows.iter().any(|r| r[..n_keys].iter().all(Value::is_null)),
+            "`{keys}` must have an all-NULL key group"
+        );
+        let total: i64 = rows.iter().map(|r| r[n_keys].as_int().unwrap()).sum();
+        assert_eq!(total, 120, "every row lands in exactly one group: {sql}");
+    }
+}
+
+/// NULL keys form one group of their own — first-occurrence order puts it
+/// where its first row is — and it is not the group of any value.
+#[test]
+fn null_key_is_one_group_of_its_own() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE nk (id INT PRIMARY KEY, k INT, s TEXT)",
+        "INSERT INTO nk VALUES (1, 0, 'x'), (2, NULL, NULL), (3, 0, 'x'), (4, NULL, NULL), \
+         (5, 1, NULL)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    assert_eq!(
+        run(&mut d, "SELECT k, COUNT(*) AS n FROM nk GROUP BY k"),
+        vec![
+            vec![Value::Int(0), Value::Int(2)],
+            vec![Value::Null, Value::Int(2)],
+            vec![Value::Int(1), Value::Int(1)],
+        ]
+    );
+    assert_eq!(
+        run(&mut d, "SELECT s, COUNT(*) AS n FROM nk GROUP BY s"),
+        vec![
+            vec!["x".into(), Value::Int(2)],
+            vec![Value::Null, Value::Int(3)],
+        ]
+    );
+    // (NULL, NULL) and (1, NULL) differ in the first column only.
+    assert_eq!(
+        run(&mut d, "SELECT k, s, COUNT(*) AS n FROM nk GROUP BY k, s").len(),
+        3
+    );
+}
+
+/// An INT literal stored into a FLOAT key column lands in the group of
+/// the equal float, and `-0.0` in the group of `0.0`.
+#[test]
+fn int_and_float_fold_on_a_float_key_column() {
+    let mut d = Database::new();
+    execute(&mut d, "CREATE TABLE fk (id INT PRIMARY KEY, f FLOAT)").unwrap();
+    d.append_rows(
+        "fk",
+        vec![
+            vec![1.into(), Value::Float(2.0)],
+            vec![2.into(), Value::Int(2)],
+            vec![3.into(), Value::Float(-0.0)],
+            vec![4.into(), Value::Float(0.0)],
+            vec![5.into(), Value::Float(2.5)],
+        ],
+    )
+    .unwrap();
+    let sql = "SELECT f, COUNT(*) AS n FROM fk GROUP BY f";
+    let rows = run(&mut d, sql);
+    assert_eq!(
+        rows.iter().map(|r| r[1]).collect::<Vec<_>>(),
+        vec![Value::Int(2), Value::Int(2), Value::Int(1)]
+    );
+    assert_eq!(rows[0][0], Value::Float(2.0));
+    let mut naive = execute_naive(&d, sql).unwrap().rows;
+    naive.sort();
+    let mut sorted = rows;
+    sorted.sort();
+    assert_eq!(sorted, naive);
+}

@@ -77,7 +77,52 @@ fn explain_shows_residuals_and_grouping() {
     );
     // b.v < s.id spans both tables but is not an equi-join -> residual.
     assert!(text.contains("residual filter [b.v < s.id]"), "{text}");
-    assert!(text.contains("group by 1 key(s)"), "{text}");
+    // The group-id pass names how it hashes the key and what it found.
+    assert!(
+        text.contains("group by 1 key(s) [TEXT word] -> 5 groups"),
+        "{text}"
+    );
+}
+
+#[test]
+fn explain_shows_key_shapes_and_the_top_k_tail() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT s.tag, COUNT(*) AS n FROM big b, small s \
+         WHERE b.small_id = s.id GROUP BY s.tag ORDER BY n DESC, s.tag LIMIT 2 OFFSET 1",
+    );
+    assert!(
+        text.contains("group by 1 key(s) [TEXT word] -> 5 groups"),
+        "{text}"
+    );
+    // LIMIT 2 OFFSET 1 keeps the first three of the five groups.
+    assert!(
+        text.contains("top 3 of 5 by [COUNT(*) DESC, s.tag]"),
+        "{text}"
+    );
+    assert!(text.contains("output: 2 rows"), "{text}");
+
+    // One shape per key column; the plain tail traces its top-k too.
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT v, small_id, COUNT(*) FROM big GROUP BY v, small_id",
+    );
+    assert!(
+        text.contains("group by 2 key(s) [INT word, INT word] -> 85 groups"),
+        "{text}"
+    );
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT id FROM big ORDER BY v DESC LIMIT 10",
+    );
+    assert!(text.contains("top 10 of 100 by [big.v DESC]"), "{text}");
+    // DISTINCT between sort and limit: the full sort, so no top-k line.
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT DISTINCT v FROM big ORDER BY v LIMIT 3",
+    );
+    assert!(!text.contains("top "), "{text}");
 }
 
 #[test]

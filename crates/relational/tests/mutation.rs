@@ -138,3 +138,51 @@ fn mutations_then_queries_stay_consistent() {
     assert_eq!(r.rows[0][0], "a".into());
     assert_eq!(r.rows[0][1], Value::Int(2));
 }
+
+/// An UPDATE that sets no key column cannot change what any foreign key
+/// sees, so it runs neither the whole-database integrity check nor the
+/// backup copy. Observable: a dangling key elsewhere (bulk loads skip FK
+/// checks) fails the global check, yet the non-key update goes through —
+/// while an update of a key column still runs the check, fails on it and
+/// rolls back.
+#[test]
+fn update_of_a_non_key_column_skips_the_global_check() {
+    let mut d = db();
+    d.append_rows("child", vec![vec![13.into(), 77.into(), Value::Null]])
+        .unwrap();
+    assert!(d.check_integrity().is_err(), "child 13 dangles");
+    execute(&mut d, "UPDATE child SET v = 7 WHERE id = 10").unwrap();
+    execute(&mut d, "UPDATE parent SET name = 'z' WHERE id = 3").unwrap();
+    let r = execute(&mut d, "SELECT v FROM child WHERE id = 10").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(7));
+    let r = execute(&mut d, "SELECT name FROM parent WHERE id = 3").unwrap();
+    assert_eq!(r.rows[0][0], "z".into());
+
+    assert!(execute(&mut d, "UPDATE child SET parent_id = 2 WHERE id = 10").is_err());
+    let r = execute(&mut d, "SELECT parent_id FROM child WHERE id = 10").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1), "rolled back");
+}
+
+/// A column that is in neither its table's primary key nor its foreign
+/// keys is still a key column when another table's foreign key references
+/// it: moving it away from under a referencing row rolls back.
+#[test]
+fn update_of_a_referenced_non_pk_column_rolls_back() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE tag (id INT PRIMARY KEY, code INT NOT NULL, label TEXT)",
+        "CREATE TABLE item (id INT PRIMARY KEY, code INT, \
+         FOREIGN KEY (code) REFERENCES tag (code))",
+        "INSERT INTO tag VALUES (1, 100, 'a'), (2, 200, 'b')",
+        "INSERT INTO item VALUES (10, 100)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    assert!(execute(&mut d, "UPDATE tag SET code = 999 WHERE id = 1").is_err());
+    let r = execute(&mut d, "SELECT code FROM tag WHERE id = 1").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(100), "rolled back");
+    // The unreferenced code may move, and so may any non-key column.
+    execute(&mut d, "UPDATE tag SET code = 300 WHERE id = 2").unwrap();
+    execute(&mut d, "UPDATE tag SET label = 'c' WHERE id = 1").unwrap();
+    d.check_integrity().unwrap();
+}

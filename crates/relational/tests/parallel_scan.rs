@@ -1,7 +1,8 @@
 //! Pool invisibility: every data-parallel kernel — the sharded filtered
-//! scan, the morselized hash-join probe, and parallel grouped
-//! aggregation — must produce byte-identical results (rows, row order,
-//! ORDER BY tie policy, and error messages) at every worker pool size.
+//! scan and the morselized hash-join probe — and everything downstream of
+//! them (grouped aggregation, top-k ordering) must produce byte-identical
+//! results (rows, row order, ORDER BY tie policy, and error messages) at
+//! every worker pool size.
 //!
 //! Pool sizes are swept **in-process** with
 //! [`etable_relational::exec::pool::with_pool`] over explicitly
@@ -110,13 +111,23 @@ fn scan_join_group_identical_across_pool_sizes() {
             "SELECT b.id, s.name, c.name FROM big b, side s, side c \
              WHERE b.grp = s.id AND b.val = c.id AND b.txt LIKE '%a%'",
             // Global aggregates over the full table (no selection vector):
-            // every mergeable aggregate kind in one pass.
+            // every aggregate kind in one pass.
             "SELECT COUNT(*) AS n, COUNT(val) AS nv, SUM(val) AS s, AVG(val) AS a, \
              MIN(val) AS lo, MAX(val) AS hi, MIN(txt) AS tl, MAX(txt) AS th FROM big",
-            // Grouped AVG/SUM over INT inputs: the exact-integer parallel
-            // merge path.
+            // Grouped AVG/SUM over INT inputs: exact `i128` accumulation.
             "SELECT grp, SUM(val) AS s, AVG(val) AS a FROM big \
              GROUP BY grp ORDER BY grp",
+            // More groups than a morsel has rows, in first-occurrence
+            // order (no ORDER BY), below a parallel filtered scan.
+            "SELECT id, COUNT(*) AS n, SUM(val) AS s, MIN(txt) AS lo FROM big \
+             WHERE val >= 5 GROUP BY id",
+            // The same many-group input through HAVING and a top-k whose
+            // leading key ties on every group.
+            "SELECT id, COUNT(*) AS n, MAX(val) AS hi FROM big GROUP BY id \
+             HAVING MAX(val) < 60 ORDER BY n DESC, hi LIMIT 50 OFFSET 7",
+            // Many groups below a morselized join probe, multi-column key.
+            "SELECT b.id, s.name, COUNT(*) AS n FROM big b, side s \
+             WHERE b.grp = s.id GROUP BY b.id, s.name",
         ],
         true,
     );
@@ -177,10 +188,10 @@ fn adversarial_morsel_boundaries() {
     }
 }
 
-/// Float aggregates: SUM/AVG over FLOAT inputs must fall back to the
-/// sequential kernel (f64 accumulation is order-dependent), while float
-/// MIN/MAX — exact comparisons — still take the parallel path. Either
-/// way the results must not depend on the pool size.
+/// Float aggregates: `f64` accumulation is order-dependent, so SUM/AVG
+/// over FLOAT inputs must fold every group in row order whatever the pool
+/// size is; float MIN/MAX are exact comparisons. Neither may depend on
+/// the pool size.
 #[test]
 fn float_aggregates_identical_across_pool_sizes() {
     let mut db = Database::new();
@@ -207,9 +218,9 @@ fn float_aggregates_identical_across_pool_sizes() {
     assert_pool_invisible(
         &db,
         &[
-            // SUM/AVG over FLOAT: sequential fallback at any pool size.
+            // SUM/AVG over FLOAT: row-order accumulation at any pool size.
             "SELECT g, SUM(f) AS s, AVG(f) AS a FROM fx GROUP BY g ORDER BY g",
-            // MIN/MAX over FLOAT + COUNT: the parallel path.
+            // MIN/MAX over FLOAT + COUNT.
             "SELECT g, MIN(f) AS lo, MAX(f) AS hi, COUNT(f) AS n FROM fx \
              GROUP BY g ORDER BY g",
         ],
