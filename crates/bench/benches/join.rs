@@ -9,12 +9,11 @@
 //! selection-vector refactor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etable_bench::{parse_select as parse, pin_scan_pool};
+use etable_bench::parse_select as parse;
 use etable_datagen::{generate, GenConfig};
 use etable_relational::sql::executor::execute_query;
 
 fn bench_join(c: &mut Criterion) {
-    pin_scan_pool();
     let db = generate(&GenConfig::medium());
     let cases: &[(&str, &str)] = &[
         // 3-table chain, final projection gathers straight into output

@@ -15,13 +15,12 @@
 //! measuring a bug.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etable_bench::{parse_select as parse, pin_scan_pool};
+use etable_bench::parse_select as parse;
 use etable_datagen::{generate, GenConfig};
 use etable_relational::exec::budget::with_budget;
 use etable_relational::sql::executor::execute_query;
 
 fn bench_spill(c: &mut Criterion) {
-    pin_scan_pool();
     let db = generate(&GenConfig::medium());
     let q = parse(
         "SELECT p.title, a.name FROM Papers p, Paper_Authors pa, Authors a \

@@ -1,16 +1,18 @@
-//! SQL executor benchmarks for the grouped/sorted/scan hot paths: the
-//! vectorized single-table group scan, rank-keyed ORDER BY and MIN/MAX on
-//! text, the sharded parallel pushdown scan, and the join + grouped tail —
-//! on the medium corpus, plus the two `ORDER BY … LIMIT` statements of the
-//! wire read mix at 38 000 papers (`*_top30`, `*_top40`), where the
-//! grouped relation has 20 671 rows and the top-k tail shows.
+//! SQL executor benchmarks, one entry per kernel: the vectorized
+//! single-table group scan, rank-keyed ORDER BY and MIN/MAX on text, the
+//! pushdown scan (dictionary LIKE alone and beside an INT comparison), the
+//! join probe, and the join + grouped tail — on the medium corpus, plus,
+//! at 38 000 papers, the two `ORDER BY … LIMIT` statements of the wire
+//! read mix (`*_top30`, `*_top40`), where the grouped relation has 20 671
+//! rows and the top-k tail shows, and `group_highcard`, the group-id pass
+//! over the 110 746 rows of `Paper_Authors`.
 //!
 //! These are the paths `table1`/`fig1` regeneration leans on; their medians
 //! feed `BENCH_results.json` and are pinned by the committed
 //! `BENCH_baseline.json` regression gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etable_bench::{parse_select as parse, pin_scan_pool};
+use etable_bench::parse_select as parse;
 use etable_datagen::{generate, GenConfig};
 use etable_relational::sql::executor::execute_query;
 
@@ -18,7 +20,6 @@ use etable_relational::sql::executor::execute_query;
 type Case = (&'static str, &'static str);
 
 fn bench_sql(c: &mut Criterion) {
-    pin_scan_pool();
     let medium: &[Case] = &[
         // Vectorized group scan (single table, no pushdown).
         (
@@ -41,10 +42,20 @@ fn bench_sql(c: &mut Criterion) {
             "order_by_title",
             "SELECT title FROM Papers ORDER BY title LIMIT 50",
         ),
-        // Sharded parallel LIKE scan.
+        // Dictionary LIKE scan: one bitmap probe per row.
         (
             "scan_like_title",
             "SELECT id FROM Papers WHERE title LIKE '%data%'",
+        ),
+        // Two-column pushdown scan: INT comparison + dictionary LIKE.
+        (
+            "filtered_scan",
+            "SELECT id FROM Papers WHERE year >= 2005 AND title LIKE '%data%'",
+        ),
+        // Build on Papers, probe Paper_Authors: the bare join kernel.
+        (
+            "join_probe",
+            "SELECT pa.paper_id FROM Papers p, Paper_Authors pa WHERE p.id = pa.paper_id",
         ),
         // Hash join + grouped tail + ORDER BY with ties broken by name.
         (
@@ -65,6 +76,11 @@ fn bench_sql(c: &mut Criterion) {
         (
             "order_by_title_top40",
             "SELECT title FROM Papers WHERE title LIKE '%data%' ORDER BY title LIMIT 40",
+        ),
+        // 110 746 rows into 20 671 groups on an INT key.
+        (
+            "group_highcard",
+            "SELECT author_id, COUNT(*) AS n FROM Paper_Authors GROUP BY author_id",
         ),
     ];
     let mut group = c.benchmark_group("sql");

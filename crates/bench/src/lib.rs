@@ -29,24 +29,6 @@ pub fn parse_select(sql: &str) -> etable_relational::sql::Query {
     }
 }
 
-/// Pins the executor worker pool for benchmark runs so the numbers do not
-/// drift with load-dependent scheduling (the pool size changes timing
-/// only, never results — see `etable_relational::exec::pool`), but never
-/// forces more workers than the host can actually run: on a single-core
-/// container a forced pool would measure spawn overhead, not the engine.
-/// An explicit `ETABLE_SCAN_THREADS` in the environment wins, for
-/// pool-size sweeps (the global pool reads it once at construction).
-/// One policy shared by every SQL-driving bench family, so two families
-/// can never measure under different pools by accident — and it goes
-/// through the pool's constructor, never through `std::env::set_var`.
-pub fn pin_scan_pool() {
-    use etable_relational::exec::pool::{init_global, PoolConfig};
-    if std::env::var_os("ETABLE_SCAN_THREADS").is_none() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        init_global(PoolConfig::fixed(cores.min(4)));
-    }
-}
-
 /// Builds a dataset at an arbitrary scale and its TGDB. The database
 /// loads through the datagen snapshot cache (first run generates and
 /// saves; later runs open the binary snapshot).

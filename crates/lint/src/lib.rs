@@ -19,11 +19,11 @@
 //!    test code: neither the `#[cfg(test)]` region of library sources nor
 //!    integration-test files under `tests/`. Tests share a process with
 //!    other threads; mutating the environment there is a data race on
-//!    glibc — and it no longer even works as a pool-size knob, because
-//!    the executor pool reads `ETABLE_SCAN_THREADS` exactly once at
-//!    construction. Tests sweep pool sizes in-process through
-//!    `exec::pool::with_pool` / `PoolConfig::fixed` instead. Non-test
-//!    code (bench/figure harness setup) remains allowed.
+//!    glibc — and it does not work as a knob either, because the engine
+//!    reads each `ETABLE_*` variable exactly once per process. Tests
+//!    sweep memory budgets in-process through
+//!    `exec::budget::with_budget` instead. Non-test code (bench/figure
+//!    harness setup) remains allowed.
 //! 4. **File-size budget** — the non-test region of a source file may
 //!    not exceed 600 lines unless the file carries an allowlisted
 //!    ceiling. Outgrowing the ceiling means the module wants splitting
@@ -81,7 +81,7 @@ const PANIC_BUDGET: [(&str, usize); 18] = [
     ("crates/etable/src/pattern.rs", 1),
     ("crates/etable/src/testutil.rs", 10),
     ("crates/relational/src/database.rs", 2),
-    ("crates/relational/src/intern.rs", 13),
+    ("crates/relational/src/intern.rs", 2),
     ("crates/relational/src/storage/codec.rs", 1),
     ("crates/relational/src/table.rs", 4),
     ("crates/study/src/participant.rs", 1),
@@ -271,9 +271,9 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
                 line: i + 1,
                 rule: "set-var",
                 message: "set_var in test code mutates shared process state (a data \
-                          race under threads) and the executor pool reads its size \
-                          only once; sweep pool sizes with exec::pool::with_pool / \
-                          PoolConfig::fixed instead"
+                          race under threads) and the engine reads its ETABLE_* \
+                          variables only once; sweep memory budgets with \
+                          exec::budget::with_budget instead"
                     .to_string(),
             });
         }

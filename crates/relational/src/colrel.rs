@@ -12,8 +12,7 @@
 //!   returns (an unfiltered scan is the identity selection, stored
 //!   implicitly),
 //! * a hash join builds its table from the build side's key column, then
-//!   probes the probe side's key column in morsels on the persistent
-//!   worker pool ([`crate::exec::pool`]), emitting paired
+//!   probes the probe side's key column in row order, emitting paired
 //!   (build-position, probe-position) vectors that are composed into the
 //!   inputs' row-id vectors — probe keys hash straight off
 //!   [`ColumnData::Int`]/[`ColumnData::Sym`] words on the typed fast
@@ -36,7 +35,6 @@
 
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
-use crate::exec::pool;
 use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
 use crate::relation::{sorted_positions, RelColumn, Relation, SortKey};
@@ -45,17 +43,14 @@ use crate::table::{ColumnData, ColumnStore, Table};
 use crate::value::{SortCell, Value};
 use crate::{Error, Result};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The row-id vector of one source table. `Identity` is the unfiltered
 /// scan `0..table.len()`, kept implicit so a full-table scan allocates
-/// nothing until a join or filter actually reorders it. Selection vectors
-/// are `Arc`-shared so the morselized join probe can hand persistent pool
-/// workers owned handles without copying the vector.
+/// nothing until a join or filter actually reorders it.
 #[derive(Debug, Clone)]
 pub(crate) enum RowIds {
     Identity,
-    Sel(Arc<Vec<u32>>),
+    Sel(Vec<u32>),
 }
 
 impl RowIds {
@@ -73,10 +68,8 @@ impl RowIds {
     /// selection mapped `positions[i]` to.
     fn compose(&self, positions: &[u32]) -> RowIds {
         match self {
-            RowIds::Identity => RowIds::Sel(Arc::new(positions.to_vec())),
-            RowIds::Sel(v) => {
-                RowIds::Sel(Arc::new(positions.iter().map(|&p| v[p as usize]).collect()))
-            }
+            RowIds::Identity => RowIds::Sel(positions.to_vec()),
+            RowIds::Sel(v) => RowIds::Sel(positions.iter().map(|&p| v[p as usize]).collect()),
         }
     }
 }
@@ -181,7 +174,7 @@ impl<'a> ColRelation<'a> {
     }
 
     /// A filtered scan of `table` under `alias`: the selection vector the
-    /// sharded parallel scan ([`crate::scan::filter_indices`]) returns,
+    /// pushdown scan ([`crate::scan::filter_indices`]) returns,
     /// held directly — rows failing `pred` are never touched again.
     pub fn from_table_filtered(table: &'a Table, alias: &str, pred: &Expr) -> Result<Self> {
         let sel = crate::scan::filter_indices(table, pred)?;
@@ -190,7 +183,7 @@ impl<'a> ColRelation<'a> {
             Relation::table_columns(table, alias),
             vec![Source {
                 table,
-                row_ids: RowIds::Sel(Arc::new(sel)),
+                row_ids: RowIds::Sel(sel),
             }],
             n,
         ))
@@ -308,60 +301,48 @@ impl<'a> ColRelation<'a> {
         };
         let (bstore, bids) = build.col_source(build_col);
         let (pstore, pids) = probe.col_source(probe_col);
-        // Build-side closures borrow (the build pass runs on the caller);
-        // probe-side closures capture owned `Arc` handles because the probe
-        // loop is morselized onto the persistent pool workers.
         let (build_pos, probe_pos) = match (bstore.data(), pstore.data()) {
             // INT = INT: keys are the i64 column words.
-            (ColumnData::Int(bv), ColumnData::Int(pv)) => {
-                let (pv, pstore, pids) = (Arc::clone(pv), pstore.clone(), pids.clone());
-                join_positions(
-                    build.len(),
-                    |i| {
-                        let r = bids.get(i);
-                        (!bstore.is_null(r)).then(|| bv[r])
-                    },
-                    probe.len(),
-                    move |i| {
-                        let r = pids.get(i);
-                        (!pstore.is_null(r)).then(|| pv[r])
-                    },
-                )?
-            }
+            (ColumnData::Int(bv), ColumnData::Int(pv)) => join_positions(
+                build.len(),
+                |i| {
+                    let r = bids.get(i);
+                    (!bstore.is_null(r)).then(|| bv[r])
+                },
+                probe.len(),
+                |i| {
+                    let r = pids.get(i);
+                    (!pstore.is_null(r)).then(|| pv[r])
+                },
+            )?,
             // TEXT = TEXT: keys are the interned u32 symbol ids (equal
             // strings hold equal ids, so id equality is string equality).
-            (ColumnData::Sym(bv), ColumnData::Sym(pv)) => {
-                let (pv, pstore, pids) = (Arc::clone(pv), pstore.clone(), pids.clone());
-                join_positions(
-                    build.len(),
-                    |i| {
-                        let r = bids.get(i);
-                        (!bstore.is_null(r)).then(|| bv[r].id())
-                    },
-                    probe.len(),
-                    move |i| {
-                        let r = pids.get(i);
-                        (!pstore.is_null(r)).then(|| pv[r].id())
-                    },
-                )?
-            }
+            (ColumnData::Sym(bv), ColumnData::Sym(pv)) => join_positions(
+                build.len(),
+                |i| {
+                    let r = bids.get(i);
+                    (!bstore.is_null(r)).then(|| bv[r].id())
+                },
+                probe.len(),
+                |i| {
+                    let r = pids.get(i);
+                    (!pstore.is_null(r)).then(|| pv[r].id())
+                },
+            )?,
             // Mixed / float / bool keys: `Value` keys (hashing widens
             // integral floats so `Int(2)` matches `Float(2.0)`).
-            _ => {
-                let (pstore, pids) = (pstore.clone(), pids.clone());
-                join_positions(
-                    build.len(),
-                    |i| {
-                        let v = bstore.get(bids.get(i));
-                        (!v.is_null()).then_some(v)
-                    },
-                    probe.len(),
-                    move |i| {
-                        let v = pstore.get(pids.get(i));
-                        (!v.is_null()).then_some(v)
-                    },
-                )?
-            }
+            _ => join_positions(
+                build.len(),
+                |i| {
+                    let v = bstore.get(bids.get(i));
+                    (!v.is_null()).then_some(v)
+                },
+                probe.len(),
+                |i| {
+                    let v = pstore.get(pids.get(i));
+                    (!v.is_null()).then_some(v)
+                },
+            )?,
         };
         check_cardinality(build_pos.len())?;
         Ok(if build_is_left {
@@ -492,43 +473,39 @@ fn join_positions<K, B, P>(
 where
     K: SpillKey,
     B: Fn(usize) -> Option<K>,
-    P: Fn(usize) -> Option<K> + Send + Sync + 'static,
+    P: Fn(usize) -> Option<K>,
 {
     if let Some(limit) = budget::current() {
         if budget::join_build_estimate(build_n, K::KEY_BYTES) > limit {
             return spill::grace_join(limit, build_n, build_key, probe_n, probe_key);
         }
     }
-    join_positions_resident(build_n, build_key, probe_n, probe_key)
+    let pairs = join_positions_resident(build_n, build_key, probe_n, probe_key);
+    Ok(pairs)
 }
 
 /// The build/probe kernel shared by every key type: hashes the build
 /// side's keys into a chained index (`head` maps a key to its latest
 /// one-based build position; `next` links each build position to the
 /// previous one holding the same key, with 0 terminating the chain), then
-/// probes the probe side's keys in [`pool::CHUNK_ROWS`]-sized morsels on the
-/// worker pool, emitting paired (build-position, probe-position) vectors.
-/// Each morsel's pairs are concatenated in chunk order, so the emitted
-/// pair sequence — probe order major, chain order minor — is byte-identical
-/// to a sequential probe at any pool size. `None` keys (NULLs) never enter
-/// the index and never probe, so NULL join keys match nothing.
+/// probes the probe side's keys in row order, pushing each match straight
+/// into the paired (build-position, probe-position) vectors — probe order
+/// major, chain order minor. `None` keys (NULLs) never enter the index and
+/// never probe, so NULL join keys match nothing.
 ///
-/// The build pass stays sequential on the caller (build sides are the
-/// smaller input and the chained index is inherently serial); only the
-/// probe closure crosses threads, which is why `P` is `'static` and `B`
-/// may borrow. The spill path re-enters this kernel per partition
-/// (partition records keep original row order, so chain order — and
-/// therefore the emitted pair sequence — is preserved exactly).
+/// The spill path re-enters this kernel per partition (partition records
+/// keep original row order, so chain order — and therefore the emitted
+/// pair sequence — is preserved exactly).
 pub(crate) fn join_positions_resident<K, B, P>(
     build_n: usize,
     build_key: B,
     probe_n: usize,
     probe_key: P,
-) -> Result<(Vec<u32>, Vec<u32>)>
+) -> (Vec<u32>, Vec<u32>)
 where
-    K: std::hash::Hash + Eq + Send + Sync + 'static,
+    K: std::hash::Hash + Eq,
     B: Fn(usize) -> Option<K>,
-    P: Fn(usize) -> Option<K> + Send + Sync + 'static,
+    P: Fn(usize) -> Option<K>,
 {
     let mut head: HashMap<K, u32, KeyHashBuilder> =
         HashMap::with_capacity_and_hasher(build_n, KeyHashBuilder::default());
@@ -540,21 +517,18 @@ where
             *slot = (i + 1) as u32;
         }
     }
-    let (head, next) = (Arc::new(head), Arc::new(next));
-    let pairs: Vec<(u32, u32)> = pool::current().run_chunks(probe_n, move |range| {
-        let mut out = Vec::new();
-        for p in range {
-            let Some(k) = probe_key(p) else { continue };
-            let Some(&h) = head.get(&k) else { continue };
-            let mut cur = h;
-            while cur != 0 {
-                out.push((cur - 1, p as u32));
-                cur = next[(cur - 1) as usize];
-            }
+    let (mut build_pos, mut probe_pos) = (Vec::new(), Vec::new());
+    for p in 0..probe_n {
+        let Some(k) = probe_key(p) else { continue };
+        let Some(&h) = head.get(&k) else { continue };
+        let mut cur = h;
+        while cur != 0 {
+            build_pos.push(cur - 1);
+            probe_pos.push(p as u32);
+            cur = next[(cur - 1) as usize];
         }
-        Ok(out)
-    })?;
-    Ok(pairs.into_iter().unzip())
+    }
+    (build_pos, probe_pos)
 }
 
 #[cfg(test)]
@@ -626,7 +600,7 @@ mod tests {
             Relation::table_columns(&t, "t"),
             vec![Source {
                 table: &t,
-                row_ids: RowIds::Sel(Arc::new(vec![0, 7])), // 7 > table.len()
+                row_ids: RowIds::Sel(vec![0, 7]), // 7 > table.len()
             }],
             2,
         );
@@ -643,7 +617,7 @@ mod tests {
             Relation::table_columns(&t, "t"),
             vec![Source {
                 table: &t,
-                row_ids: RowIds::Sel(Arc::new(vec![0])),
+                row_ids: RowIds::Sel(vec![0]),
             }],
             2,
         );

@@ -1,10 +1,11 @@
 //! The database: a catalog of tables plus cross-table integrity checks.
 
-use crate::schema::TableSchema;
+use crate::exec::hash::KeyHashBuilder;
+use crate::schema::{ForeignKey, TableSchema};
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::{Error, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// An in-memory relational database.
 ///
@@ -111,18 +112,7 @@ impl Database {
             // FK must reference the PK of the target table.
             if target.schema().primary_key != fk.referenced_columns {
                 // Referencing a non-PK key: fall back to a scan.
-                let idxs: Vec<usize> = fk
-                    .referenced_columns
-                    .iter()
-                    .map(|c| {
-                        target.schema().column_index(c).ok_or_else(|| {
-                            Error::Schema(format!(
-                                "FK referenced column `{c}` missing in `{}`",
-                                fk.referenced_table
-                            ))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
+                let idxs = referenced_indices(target, fk)?;
                 let found = (0..target.len()).any(|r| {
                     idxs.iter()
                         .zip(&referencing)
@@ -175,18 +165,7 @@ impl Database {
                     .collect();
                 let target = self.table(&fk.referenced_table)?;
                 let uses_pk = target.schema().primary_key == fk.referenced_columns;
-                let tgt_idx: Vec<usize> = fk
-                    .referenced_columns
-                    .iter()
-                    .map(|c| {
-                        target.schema().column_index(c).ok_or_else(|| {
-                            Error::Schema(format!(
-                                "FK referenced column `{c}` missing in `{}`",
-                                fk.referenced_table
-                            ))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
+                let tgt_idx = referenced_indices(target, fk)?;
                 let src_cols: Vec<_> = src_idx.iter().map(|&i| table.column(i)).collect();
                 for row in 0..table.len() {
                     let key: Vec<Value> = src_cols.iter().map(|c| c.get(row)).collect();
@@ -221,41 +200,37 @@ impl Database {
     }
 
     /// Deletes rows of `table` matching `pred`, enforcing that no other
-    /// table still references the deleted keys (RESTRICT semantics).
+    /// table still references the deleted keys (RESTRICT semantics): for
+    /// every foreign key that names `table`, the values the deleted rows
+    /// hold in *that key's referenced columns* — the primary key or not —
+    /// must not occur in the referencing columns, unless a surviving row
+    /// still holds the same value (only possible off the primary key).
     pub fn delete_where(&mut self, table: &str, pred: &crate::expr::Expr) -> Result<usize> {
-        // Collect the PK values about to disappear.
         let target = self.table(table)?;
-        let pk_idx = target.schema().primary_key_indices()?;
-        let mut doomed: Vec<Vec<Value>> = Vec::new();
-        let mut buf = Row::new();
-        for row in 0..target.len() {
-            target.read_row(row, &mut buf);
-            if pred.matches(&buf)? {
-                doomed.push(pk_idx.iter().map(|&i| buf[i]).collect());
-            }
-        }
-        if doomed.is_empty() {
+        let doomed_rows = crate::scan::filter_indices(target, pred)?;
+        if doomed_rows.is_empty() {
             return Ok(0);
         }
-        // RESTRICT: scan referencing tables.
+        // RESTRICT: scan referencing tables, one hash probe per row.
         for other in self.tables.values() {
             for fk in &other.schema().foreign_keys {
                 if fk.referenced_table != table {
                     continue;
                 }
-                let ref_idx: Vec<usize> = fk
+                let doomed = doomed_keys(target, fk, &doomed_rows)?;
+                let ref_cols: Vec<_> = fk
                     .columns
                     .iter()
-                    .map(|c| other.schema().column_index(c).expect("validated schema"))
+                    .map(|c| {
+                        let i = other.schema().column_index(c).expect("validated schema");
+                        other.column(i)
+                    })
                     .collect();
-                // FK must target the PK for this check to apply positionally.
-                let ref_cols: Vec<_> = ref_idx.iter().map(|&i| other.column(i)).collect();
+                let mut key: Vec<Value> = Vec::with_capacity(ref_cols.len());
                 for row in 0..other.len() {
-                    let key: Vec<Value> = ref_cols.iter().map(|c| c.get(row)).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if doomed.contains(&key) {
+                    key.clear();
+                    key.extend(ref_cols.iter().map(|c| c.get(row)));
+                    if doomed.contains(key.as_slice()) {
                         return Err(Error::Constraint(format!(
                             "cannot delete from `{table}`: key {key:?} is referenced by `{}`",
                             other.schema().name
@@ -264,7 +239,7 @@ impl Database {
                 }
             }
         }
-        self.table_mut(table)?.delete_where(pred)
+        self.table_mut(table)?.delete_rows(&doomed_rows)
     }
 
     /// Updates rows of `table` matching `pred`; `sets` pairs column names
@@ -322,6 +297,53 @@ impl Database {
                     .any(|fk| fk.referenced_table == schema.name && names(&fk.referenced_columns))
             })
     }
+}
+
+/// Positions in `target` of the columns `fk` references.
+fn referenced_indices(target: &Table, fk: &ForeignKey) -> Result<Vec<usize>> {
+    fk.referenced_columns
+        .iter()
+        .map(|c| {
+            target.schema().column_index(c).ok_or_else(|| {
+                Error::Schema(format!(
+                    "FK referenced column `{c}` missing in `{}`",
+                    fk.referenced_table
+                ))
+            })
+        })
+        .collect()
+}
+
+/// The values `fk`'s referenced columns lose when the rows `doomed_rows`
+/// of `target` are deleted: what those rows hold there, minus
+/// anything a surviving row still holds (a non-key column may repeat a
+/// value; the primary key cannot, so that pass is skipped for it). A key
+/// with a NULL in it references nothing and is referenced by nothing, so
+/// none enters the set and a referencing row with a NULL never matches.
+fn doomed_keys(
+    target: &Table,
+    fk: &ForeignKey,
+    doomed_rows: &[u32],
+) -> Result<HashSet<Vec<Value>, KeyHashBuilder>> {
+    let cols: Vec<_> = referenced_indices(target, fk)?
+        .into_iter()
+        .map(|i| target.column(i))
+        .collect();
+    let key_of = |row: usize| -> Vec<Value> { cols.iter().map(|c| c.get(row)).collect() };
+    let mut doomed: HashSet<Vec<Value>, KeyHashBuilder> = doomed_rows
+        .iter()
+        .map(|&r| key_of(r as usize))
+        .filter(|key| !key.iter().any(Value::is_null))
+        .collect();
+    if target.schema().primary_key != fk.referenced_columns {
+        let mut gone = doomed_rows.iter().peekable();
+        for row in 0..target.len() {
+            if gone.next_if(|&&r| r as usize == row).is_none() {
+                doomed.remove(&key_of(row));
+            }
+        }
+    }
+    Ok(doomed)
 }
 
 #[cfg(test)]

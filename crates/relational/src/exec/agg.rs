@@ -11,12 +11,10 @@
 //! decided which groups survive. The naive oracle ([`crate::sql::naive`])
 //! shares the vocabulary and nothing else.
 //!
-//! Grouping is one sequential pass on the calling thread. Measured at
-//! 38 000 papers the hash pass costs 0.1–0.8 ms; per-morsel partial tables
-//! re-hashed every group once per morsel and were slower at pool 2 than
-//! at pool 1, and a two-way split has nothing left to win at that size
-//! (DESIGN.md, "Vectorized grouping"). Being sequential, the result is
-//! trivially identical at every pool size, float SUM/AVG included.
+//! Grouping is one sequential pass on the calling thread, like every
+//! other kernel: at 38 000 papers the hash pass costs 0.1–0.8 ms, and
+//! splitting it across two workers measured slower (DESIGN.md,
+//! "Vectorized grouping"). Float SUM/AVG therefore fold in row order.
 
 use crate::colrel::{ColRelation, RowIds};
 use crate::exec::hash::KeyHashBuilder;

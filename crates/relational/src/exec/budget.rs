@@ -7,10 +7,9 @@
 //! unlimited — the in-memory fast path is taken unconditionally and is
 //! byte-for-byte the pre-budget code path.
 //!
-//! Resolution mirrors [`crate::exec::pool`]: the environment variable is
-//! read **once** per process (never on the per-join hot path), and tests /
-//! benches sweep budgets in-process with [`with_budget`] instead of
-//! mutating the process environment.
+//! The environment variable is read **once** per process (never on the
+//! per-join hot path), and tests / benches sweep budgets in-process with
+//! [`with_budget`] instead of mutating the process environment.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;

@@ -1,14 +1,13 @@
-//! Morsel-driven execution infrastructure shared by the columnar executor.
+//! Execution infrastructure shared by the columnar executor. Every kernel
+//! is a sequential loop on the calling thread; concurrency is per
+//! connection (DESIGN.md, "Query execution").
 //!
-//! Five pieces live here:
+//! Four pieces live here, plus the [`pool`] stub the frozen benchmark
+//! harness still names:
 //!
 //! * [`agg`] — grouped aggregation: the aggregate vocabulary, the
 //!   group-id pass over typed key words, the per-aggregate state sweeps
 //!   and the `ColRelation::group_by` driver over them.
-//! * [`pool`] — one lazily-started persistent worker pool that serves every
-//!   data-parallel kernel (filtered scans, the hash-join probe loop) via
-//!   fixed-size per-morsel work items with a deterministic chunk-order
-//!   merge, so results are byte-identical at any pool size.
 //! * [`pred`] — dictionary-encoded predicate compilation: LIKE/equality/IN
 //!   over interned text columns evaluate once per *distinct symbol* against
 //!   the interner arena (a membership bitmap) instead of once per row.

@@ -147,8 +147,7 @@ impl CNode {
 
 /// A predicate compiled for repeated evaluation over a row buffer:
 /// dictionary-encoded kernels where the input is a TEXT column, raw
-/// [`Expr`] evaluation everywhere else. Cheap to clone (shared bitmaps),
-/// `Send + Sync`, so scan morsels can carry it into pool workers.
+/// [`Expr`] evaluation everywhere else. Cheap to clone (shared bitmaps).
 #[derive(Debug, Clone)]
 pub struct CompiledPred {
     root: CNode,

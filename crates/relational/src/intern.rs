@@ -20,6 +20,7 @@
 //! hashing, by contrast, are safe on the id alone because the arena holds
 //! each string exactly once.
 
+use crate::unpoison;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, RwLock};
@@ -39,6 +40,28 @@ struct Arena {
     ids: HashMap<&'static str, u32>,
 }
 
+impl Arena {
+    /// The id of `s`, appending it on first sight. The one place the arena
+    /// is written: the id is computed first (the capacity check is the only
+    /// point that can panic, and nothing has changed yet), then the string
+    /// is pushed, then mapped — so a thread that unwinds under the write
+    /// guard leaves `strings` and `ids` describing the same set, and the
+    /// poisoned guard is recovered ([`unpoison`]) rather than propagated.
+    fn id_of(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("interner capacity exceeded");
+        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        self.strings.push(leaked);
+        self.ids.insert(leaked, id);
+        id
+    }
+}
+
+/// The process-global arena, shared by every connection: its guards are
+/// always taken through [`unpoison`] (see [`Arena::id_of`] for why that is
+/// sound), so one client's panic cannot disable text for all the others.
 static ARENA: LazyLock<RwLock<Arena>> = LazyLock::new(|| {
     RwLock::new(Arena {
         strings: Vec::new(),
@@ -50,19 +73,12 @@ impl Sym {
     /// Interns `s`, returning its symbol. Equal strings always return equal
     /// symbols; a string is copied into the arena only on first sight.
     pub fn intern(s: &str) -> Sym {
-        if let Some(&id) = ARENA.read().expect("interner poisoned").ids.get(s) {
+        if let Some(&id) = unpoison(ARENA.read()).ids.get(s) {
             return Sym(id);
         }
-        let mut arena = ARENA.write().expect("interner poisoned");
-        // Double-checked: another thread may have interned between locks.
-        if let Some(&id) = arena.ids.get(s) {
-            return Sym(id);
-        }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = u32::try_from(arena.strings.len()).expect("interner capacity exceeded");
-        arena.strings.push(leaked);
-        arena.ids.insert(leaked, id);
-        Sym(id)
+        // `id_of` looks again: another thread may have interned between
+        // the two locks.
+        Sym(unpoison(ARENA.write()).id_of(s))
     }
 
     /// The interned text. `'static` because arena entries are never freed.
@@ -109,6 +125,9 @@ impl Sym {
 /// arena has grown — the same length-as-version-stamp invalidation rule as
 /// the rank table. Lock order is always `STRINGS` before `ARENA`, and
 /// [`Sym::intern`] never touches `STRINGS`, so the two can never deadlock.
+/// The only write is one assignment of a fully built `Arc` (as for
+/// [`RANKS`]): a panic while building leaves the previous snapshot in
+/// place, so a poisoned guard is recovered, not propagated.
 static STRINGS: LazyLock<RwLock<Arc<Vec<&'static str>>>> =
     LazyLock::new(|| RwLock::new(Arc::new(Vec::new())));
 
@@ -130,13 +149,13 @@ thread_local! {
 pub fn strings_snapshot() -> Arc<Vec<&'static str>> {
     let arena_len = interned_count();
     {
-        let cached = STRINGS.read().expect("string snapshot poisoned");
+        let cached = unpoison(STRINGS.read());
         if cached.len() == arena_len {
             return Arc::clone(&cached);
         }
     }
-    let mut slot = STRINGS.write().expect("string snapshot poisoned");
-    let arena = ARENA.read().expect("interner poisoned");
+    let mut slot = unpoison(STRINGS.write());
+    let arena = unpoison(ARENA.read());
     // Double-checked: another thread may have rebuilt between locks (and
     // the arena may have grown past `arena_len`; copy what it holds now).
     if slot.len() != arena.strings.len() {
@@ -147,7 +166,7 @@ pub fn strings_snapshot() -> Arc<Vec<&'static str>> {
 
 /// Number of distinct strings interned so far (diagnostics/tests).
 pub fn interned_count() -> usize {
-    ARENA.read().expect("interner poisoned").strings.len()
+    unpoison(ARENA.read()).strings.len()
 }
 
 /// Interns a batch of strings, taking the arena write lock once instead of
@@ -161,20 +180,10 @@ pub fn intern_all<S: AsRef<str>>(strings: &[S]) -> Vec<Sym> {
     if strings.is_empty() {
         return Vec::new();
     }
-    let mut arena = ARENA.write().expect("interner poisoned");
+    let mut arena = unpoison(ARENA.write());
     strings
         .iter()
-        .map(|s| {
-            let s = s.as_ref();
-            if let Some(&id) = arena.ids.get(s) {
-                return Sym(id);
-            }
-            let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-            let id = u32::try_from(arena.strings.len()).expect("interner capacity exceeded");
-            arena.strings.push(leaked);
-            arena.ids.insert(leaked, id);
-            Sym(id)
-        })
+        .map(|s| Sym(arena.id_of(s.as_ref())))
         .collect()
 }
 
@@ -244,13 +253,13 @@ impl RankMap {
 pub fn rank_map() -> RankMap {
     let arena_len = interned_count();
     {
-        let cached = RANKS.read().expect("rank table poisoned");
+        let cached = unpoison(RANKS.read());
         if cached.len() == arena_len {
             return RankMap(Arc::clone(&cached));
         }
     }
-    let mut slot = RANKS.write().expect("rank table poisoned");
-    let arena = ARENA.read().expect("interner poisoned");
+    let mut slot = unpoison(RANKS.write());
+    let arena = unpoison(ARENA.read());
     // Double-checked: another thread may have rebuilt between locks (and
     // the arena may have grown past `arena_len`; build for what it holds
     // now).
@@ -430,5 +439,38 @@ mod tests {
         own.sort_unstable();
         own.dedup();
         assert_eq!(own.len(), 8, "per-thread strings must stay distinct");
+    }
+
+    /// One connection's thread dying with every interner guard in hand
+    /// must not take text away from the others: the guards' state is
+    /// consistent wherever a panic can occur (see [`Arena::id_of`]), so
+    /// they are recovered, not propagated.
+    #[test]
+    fn a_panic_under_the_write_guards_stops_nobody() {
+        let before = Sym::intern("poison-test-before");
+        let dying = std::thread::spawn(|| {
+            let _ranks = RANKS.write();
+            let _strings = STRINGS.write();
+            let _arena = ARENA.write();
+            panic!("a client's thread dies holding every interner guard");
+        });
+        assert!(dying.join().is_err());
+        assert!(ARENA.is_poisoned() && STRINGS.is_poisoned() && RANKS.is_poisoned());
+        let survivor = std::thread::spawn(move || {
+            let again = Sym::intern("poison-test-before");
+            let after = Sym::intern("poison-test-after");
+            let batch = intern_all(&["poison-test-batch", "poison-test-after"]);
+            let strings = strings_snapshot();
+            let ranks = rank_map();
+            assert_eq!(again, before);
+            assert_eq!(batch[1], after);
+            assert_eq!(strings[after.id() as usize], "poison-test-after");
+            assert_eq!(after.as_str(), "poison-test-after");
+            assert!(ranks.rank(after) < ranks.rank(batch[0]));
+            assert!(ranks.rank(batch[0]) < ranks.rank(before));
+        });
+        survivor
+            .join()
+            .expect("the interner outlives a poisoned guard");
     }
 }

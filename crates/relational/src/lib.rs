@@ -52,6 +52,16 @@ pub mod value;
 
 use std::fmt;
 
+/// Recovers the guard of a poisoned lock. Poisoning only says that some
+/// thread panicked while it held the guard; every lock in this crate (the
+/// interner's three, the shared database's two) guards state that is
+/// consistent at each point a panic can occur — each says why where it is
+/// declared — so recovering is safe, and one connection's panic cannot
+/// make every later statement on every other connection panic too.
+pub(crate) fn unpoison<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Errors produced by the relational engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {

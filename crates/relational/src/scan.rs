@@ -1,25 +1,17 @@
-//! Parallel base-table scans on the persistent worker pool.
+//! Base-table scans.
 //!
-//! A scan splits the row range of a [`Table`] into fixed [`CHUNK_ROWS`]-row
-//! morsels and evaluates them on the persistent executor pool
-//! ([`crate::exec::pool`]); per-chunk selection vectors are merged in chunk
-//! order, so output row order — and which error is reported when a
-//! predicate fails — is byte-identical to a sequential scan at any pool
-//! size. The pool size is resolved **once**, at pool construction
-//! (`ETABLE_SCAN_THREADS`, clamped, else available parallelism capped at
-//! [`MAX_DEFAULT_THREADS`]); the per-scan hot path never touches the
-//! environment. Predicates are compiled once per scan
+//! A scan is one loop over the rows of a [`Table`] on the calling thread:
+//! it evaluates the predicate row by row, in row order, so the selection
+//! vector is ascending and a failing predicate reports the first failing
+//! row's error. Predicates are compiled once per scan
 //! ([`crate::exec::pred::CompiledPred`]), so LIKE/equality/IN over text
 //! columns test dictionary bitmaps instead of re-matching strings per row.
 
-use crate::exec::pool;
 use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
 use crate::table::{ColumnStore, Row, Table};
 use crate::value::Value;
 use crate::Result;
-
-pub use crate::exec::pool::{CHUNK_ROWS, MAX_DEFAULT_THREADS};
 
 /// The deduplicated column positions `pred` actually reads (ascending).
 /// Shared with [`crate::colrel::ColRelation::select`], which evaluates
@@ -33,47 +25,41 @@ pub(crate) fn pred_columns(pred: &Expr) -> Vec<usize> {
 
 /// Row ids of `table` satisfying `pred`, ascending.
 ///
-/// This is the parallel pushdown scan: its output is the selection vector
-/// the executor's columnar pipeline
+/// This is the pushdown scan: its output is the selection vector the
+/// executor's columnar pipeline
 /// ([`ColRelation`](crate::colrel::ColRelation)) carries end to end, so a
 /// filtered-out row is never touched again after the scan — no row is
-/// materialized, not even for hits. Each morsel evaluates the compiled
-/// predicate over **only the columns it references** (one reusable
-/// full-width buffer, untouched slots stay NULL), so a selective filter
-/// over a wide table never pays per-row work proportional to the table
-/// width. Morsel closures capture `Arc`-shared column handles
-/// ([`ColumnStore`] clones are O(1)), which is what lets them run on
-/// persistent `'static` workers without copying data. Row ids are `u32`
-/// across the selection-vector pipeline ([`Table`]s are capped at
-/// `u32::MAX` rows).
+/// materialized, not even for hits. The compiled predicate is evaluated
+/// over **only the columns it references** (one reusable full-width
+/// buffer, untouched slots stay NULL), so a selective filter over a wide
+/// table never pays per-row work proportional to the table width. Row ids
+/// are `u32` across the selection-vector pipeline ([`Table`]s are capped
+/// at `u32::MAX` rows).
 pub fn filter_indices(table: &Table, pred: &Expr) -> Result<Vec<u32>> {
     let schema = table.schema();
     let width = schema.columns.len();
     let compiled = CompiledPred::compile(pred, |c| schema.columns.get(c).map(|col| col.data_type));
-    let stores: Vec<(usize, ColumnStore)> = pred_columns(pred)
+    let stores: Vec<(usize, &ColumnStore)> = pred_columns(pred)
         .into_iter()
         .filter(|&c| c < width)
-        .map(|c| (c, table.column(c).clone()))
+        .map(|c| (c, table.column(c)))
         .collect();
-    pool::current().run_chunks(table.len(), move |range| {
-        let mut buf: Row = vec![Value::Null; width];
-        let mut out = Vec::new();
-        for i in range {
-            for (c, store) in &stores {
-                buf[*c] = store.get(i);
-            }
-            if compiled.matches(&buf)? {
-                out.push(i as u32);
-            }
+    let mut buf: Row = vec![Value::Null; width];
+    let mut out = Vec::new();
+    for i in 0..table.len() {
+        for &(c, store) in &stores {
+            buf[c] = store.get(i);
         }
-        Ok(out)
-    })
+        if compiled.matches(&buf)? {
+            out.push(i as u32);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::pool::{with_pool, Pool, PoolConfig};
     use crate::schema::{Column, TableSchema};
     use crate::value::{DataType, Value};
 
@@ -105,8 +91,7 @@ mod tests {
 
     #[test]
     fn sharded_filter_matches_sequential() {
-        // 3 chunks worth of rows, so the pool genuinely shards.
-        let t = table(3 * CHUNK_ROWS + 17);
+        let t = table(3 * 2048 + 17);
         let pred = Expr::col(1).ge(Expr::lit(5));
         let mut seq = Vec::new();
         let mut buf = Row::new();
@@ -116,18 +101,14 @@ mod tests {
                 seq.push(i as u32);
             }
         }
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(PoolConfig::fixed(threads));
-            let got = with_pool(&pool, || filter_indices(&t, &pred).unwrap());
-            assert_eq!(got, seq, "pool size {threads}");
-        }
+        assert_eq!(filter_indices(&t, &pred).unwrap(), seq);
     }
 
     #[test]
     fn error_reporting_is_deterministic() {
         // `v LIKE` errors on INT; the reported error must be the first
-        // failing row in row order even though later chunks also fail.
-        let t = table(4 * CHUNK_ROWS);
+        // failing row in row order even though later rows also fail.
+        let t = table(4 * 2048);
         let pred = Expr::col(1).like("a%");
         let mut buf = Row::new();
         let seq_err = (0..t.len())
@@ -137,11 +118,8 @@ mod tests {
             })
             .unwrap()
             .to_string();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(PoolConfig::fixed(threads));
-            let err = with_pool(&pool, || filter_indices(&t, &pred).unwrap_err());
-            assert_eq!(err.to_string(), seq_err, "pool size {threads}");
-        }
+        let err = filter_indices(&t, &pred).unwrap_err();
+        assert_eq!(err.to_string(), seq_err);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::database::Database;
 use crate::relation::Relation;
 use crate::sql;
-use crate::Result;
+use crate::{unpoison, Result};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -75,19 +75,13 @@ pub struct SharedDatabase {
 #[derive(Debug)]
 struct Shared {
     /// The latest published view. The lock is held only to copy or swap
-    /// the `Arc`, never across parsing or execution.
+    /// the `Arc`, never across parsing or execution — a swap is either
+    /// fully before or fully after a panic, so a poisoned guard is
+    /// recovered ([`unpoison`]) rather than propagated.
     current: RwLock<Snapshot>,
     /// Serializes writers across the whole clone-modify-publish cycle so
     /// two writes can never branch from the same epoch.
     write: Mutex<()>,
-}
-
-/// Lock poisoning only means another thread panicked while holding the
-/// guard; the protected state is a plain `Arc` swap that is either fully
-/// before or fully after the panic, so recovery is safe and keeps this
-/// module panic-free.
-fn unpoison<G>(r: std::result::Result<G, std::sync::PoisonError<G>>) -> G {
-    r.unwrap_or_else(|e| e.into_inner())
 }
 
 impl SharedDatabase {

@@ -5,14 +5,14 @@
 //! hash-partitioned into [`FANOUT`] spill files under a per-join temp
 //! directory, then joined partition by partition: a partition whose build
 //! side fits the budget runs through the exact same in-memory build/probe
-//! kernel (and worker-pool morsel probe) as an unspilled join; an
+//! kernel as an unspilled join; an
 //! oversized partition is re-partitioned recursively with a depth-salted
 //! hash, and at [`MAX_DEPTH`] — where re-partitioning can no longer split
 //! (e.g. one all-duplicate key) — a sort-based join takes over, so the
 //! bound degrades to a different algorithm, never to an error.
 //!
-//! Results are **byte-identical** to the in-memory join at every budget,
-//! fan-out and pool size: equal keys always share a partition, each
+//! Results are **byte-identical** to the in-memory join at every budget
+//! and fan-out: equal keys always share a partition, each
 //! partition preserves input row order, and the concatenated per-partition
 //! pairs are stably re-sorted by probe position — exactly the probe-major,
 //! chain-minor (descending build position) sequence the resident kernel
@@ -28,8 +28,8 @@
 //! per-segment plausibility check.
 
 use super::codec::{read_segment, write_segment, PayloadReader, PayloadWriter};
+use crate::exec::budget;
 use crate::exec::hash::KeyHasher;
-use crate::exec::{budget, pool};
 use crate::intern::Sym;
 use crate::value::Value;
 use crate::{Error, Result};
@@ -38,7 +38,6 @@ use std::hash::{Hash, Hasher};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
 
 /// Partitions per level. 16 divides a build side that just missed the
 /// budget comfortably below it in one level while keeping the number of
@@ -63,7 +62,7 @@ const MAGIC: &[u8; 8] = b"ETSPILL1";
 /// ordering must agree (equal keys must hash and sort together — the
 /// partitioner and the sort-based fallback both rely on it), and the
 /// encoding must round-trip within the process.
-pub trait SpillKey: Hash + Eq + Ord + Clone + Send + Sync + 'static {
+pub trait SpillKey: Hash + Eq + Ord + Clone {
     /// Resident bytes per key, for the budget estimate
     /// ([`budget::join_build_estimate`]).
     const KEY_BYTES: usize;
@@ -391,20 +390,18 @@ fn join_partition<K: SpillKey>(
         return sorted_join::<K>(&bp, &pp, out);
     }
     let brecs = read_records::<K>(&bp)?;
-    let precs: Arc<Vec<(u32, K)>> = Arc::new(read_records::<K>(&pp)?);
+    let precs = read_records::<K>(&pp)?;
     let _ = fs::remove_file(&bp.path);
     let _ = fs::remove_file(&pp.path);
-    // The exact resident kernel (chained index + pool-morselized probe)
-    // over partition-local indices; records are in original row order, so
-    // local chain order maps to the same descending-position chain order
-    // the unspilled join emits.
-    let probe = Arc::clone(&precs);
+    // The exact resident kernel over partition-local indices; records are
+    // in original row order, so local chain order maps to the same
+    // descending-position chain order the unspilled join emits.
     let (lb, lp) = crate::colrel::join_positions_resident(
         brecs.len(),
         |i| Some(brecs[i].1.clone()),
         precs.len(),
-        move |i| Some(probe[i].1.clone()),
-    )?;
+        |i| Some(precs[i].1.clone()),
+    );
     out.extend(
         lb.into_iter()
             .zip(lp)
@@ -416,29 +413,18 @@ fn join_partition<K: SpillKey>(
 /// Sort-based fallback at the recursion bound: build records sort by
 /// `(key, position)`; each probe record binary-searches its equal range
 /// and emits matches in *descending* build position — the resident
-/// kernel's chain order. Probing is morselized on the worker pool like
-/// every other probe loop.
+/// kernel's chain order.
 fn sorted_join<K: SpillKey>(bp: &PartFile, pp: &PartFile, out: &mut Vec<(u32, u32)>) -> Result<()> {
     let mut brecs = read_records::<K>(bp)?;
     brecs.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-    let build = Arc::new(brecs);
-    let precs = Arc::new(read_records::<K>(pp)?);
+    let precs = read_records::<K>(pp)?;
     let _ = fs::remove_file(&bp.path);
     let _ = fs::remove_file(&pp.path);
-    let (b2, p2) = (Arc::clone(&build), Arc::clone(&precs));
-    let pairs: Vec<(u32, u32)> = pool::current().run_chunks(precs.len(), move |range| {
-        let mut part = Vec::new();
-        for i in range {
-            let (pos, ref key) = p2[i];
-            let lo = b2.partition_point(|(_, k)| k < key);
-            let hi = b2.partition_point(|(_, k)| k <= key);
-            for &(bpos, _) in b2[lo..hi].iter().rev() {
-                part.push((bpos, pos));
-            }
-        }
-        Ok(part)
-    })?;
-    out.extend(pairs);
+    for (pos, key) in &precs {
+        let lo = brecs.partition_point(|(_, k)| k < key);
+        let hi = brecs.partition_point(|(_, k)| k <= key);
+        out.extend(brecs[lo..hi].iter().rev().map(|&(bpos, _)| (bpos, *pos)));
+    }
     Ok(())
 }
 
@@ -504,7 +490,6 @@ where
 mod tests {
     use super::*;
     use crate::colrel::join_positions_resident;
-    use crate::exec::pool::{with_pool, Pool, PoolConfig};
 
     static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -597,37 +582,29 @@ mod tests {
     }
 
     #[test]
-    fn grace_join_is_byte_identical_to_resident_at_every_budget_and_pool() {
+    fn grace_join_is_byte_identical_to_resident_at_every_budget() {
         let build = keys(700, 1);
         let probe = keys(900, 2);
-        let b2 = build.clone();
-        let p2 = probe.clone();
         let expected =
-            join_positions_resident(build.len(), |i| b2[i], probe.len(), move |i| p2[i]).unwrap();
+            join_positions_resident(build.len(), |i| build[i], probe.len(), |i| probe[i]);
         // Budget 1 forces recursion to the bound (nothing ever fits) and
         // exercises the sort fallback; larger budgets stop at level 1.
         for budget_bytes in [1u64, 64, 600, 4096] {
-            for threads in [1usize, 4] {
-                let pool = Pool::new(PoolConfig::fixed(threads));
-                let root = scratch_root();
-                let (b3, p3) = (build.clone(), probe.clone());
-                let got = with_pool(&pool, || {
-                    grace_join_in(
-                        &root,
-                        budget_bytes,
-                        b3.len(),
-                        |i| b3[i],
-                        p3.len(),
-                        move |i| p3[i],
-                    )
-                })
-                .unwrap();
-                assert_eq!(
-                    got, expected,
-                    "budget {budget_bytes}, pool {threads}: spilled join diverged"
-                );
-                assert!(!root.exists(), "spill scratch not cleaned up");
-            }
+            let root = scratch_root();
+            let got = grace_join_in(
+                &root,
+                budget_bytes,
+                build.len(),
+                |i| build[i],
+                probe.len(),
+                |i| probe[i],
+            )
+            .unwrap();
+            assert_eq!(
+                got, expected,
+                "budget {budget_bytes}: spilled join diverged"
+            );
+            assert!(!root.exists(), "spill scratch not cleaned up");
         }
     }
 
@@ -637,10 +614,9 @@ mod tests {
         // tiny budget rides recursion to MAX_DEPTH and must take the
         // sort-based path (never an error).
         let n = 300;
-        let expected =
-            join_positions_resident(n, |_| Some(42i64), n, move |_| Some(42i64)).unwrap();
+        let expected = join_positions_resident(n, |_| Some(42i64), n, |_| Some(42i64));
         let root = scratch_root();
-        let got = grace_join_in(&root, 1, n, |_| Some(42i64), n, move |_| Some(42i64)).unwrap();
+        let got = grace_join_in(&root, 1, n, |_| Some(42i64), n, |_| Some(42i64)).unwrap();
         assert_eq!(got, expected);
         assert!(!root.exists());
     }
@@ -665,12 +641,18 @@ mod tests {
             Some(Value::text("spill-k")),
             None,
         ];
-        let (b2, p2) = (build.clone(), probe.clone());
         let expected =
-            join_positions_resident(build.len(), |i| b2[i], probe.len(), move |i| p2[i]).unwrap();
+            join_positions_resident(build.len(), |i| build[i], probe.len(), |i| probe[i]);
         let root = scratch_root();
-        let (b3, p3) = (build.clone(), probe.clone());
-        let got = grace_join_in(&root, 1, b3.len(), |i| b3[i], p3.len(), move |i| p3[i]).unwrap();
+        let got = grace_join_in(
+            &root,
+            1,
+            build.len(),
+            |i| build[i],
+            probe.len(),
+            |i| probe[i],
+        )
+        .unwrap();
         assert_eq!(got, expected);
         // Sanity on the semantics themselves: probe 0 (the 2^63 float)
         // matches only build 3 (the same float) — in particular not
@@ -689,7 +671,7 @@ mod tests {
     #[test]
     fn empty_sides_spill_cleanly() {
         let root = scratch_root();
-        let got = grace_join_in::<i64, _, _>(&root, 1, 0, |_| None, 5, move |_| Some(1)).unwrap();
+        let got = grace_join_in::<i64, _, _>(&root, 1, 0, |_| None, 5, |_| Some(1)).unwrap();
         assert_eq!(got, (Vec::new(), Vec::new()));
         assert!(!root.exists());
     }

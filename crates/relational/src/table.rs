@@ -9,12 +9,11 @@
 //! translation) read [`ColumnStore`]s directly and never materialize rows
 //! they will discard.
 //!
-//! Column buffers are `Arc`-shared: cloning a [`ColumnStore`] is O(1), so
-//! the morsel-driven executor ([`crate::exec::pool`]) can hand owned
-//! `'static` column handles to persistent worker threads without copying
-//! data. Mutation goes through `Arc::make_mut`, which is an uncloned
-//! in-place write whenever the table holds the only reference (the common
-//! case — query handles never outlive a statement).
+//! Column buffers are `Arc`-shared: cloning a [`ColumnStore`] — and so a
+//! [`Table`] or a whole database, which is what a writer does to publish a
+//! new epoch ([`crate::shared`]) — copies no cell. Mutation goes through
+//! `Arc::make_mut`, which is an uncloned in-place write whenever the table
+//! holds the only reference.
 
 use crate::intern::Sym;
 use crate::schema::TableSchema;
@@ -82,8 +81,7 @@ impl NullBitmap {
 /// placeholder; the [`NullBitmap`] is authoritative.
 ///
 /// Each variant wraps its buffer in an [`Arc`] so clones share storage:
-/// a cloned [`ColumnData`] (or whole [`ColumnStore`]) is a cheap handle
-/// suitable for moving into `'static` worker-pool closures.
+/// a cloned [`ColumnData`] (or whole [`ColumnStore`]) is a cheap handle.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// `INT` column.
@@ -560,23 +558,24 @@ impl Table {
     /// Indexes are rebuilt. Referential integrity is the caller's concern
     /// ([`crate::database::Database::delete_where`] enforces it).
     pub fn delete_where(&mut self, pred: &crate::expr::Expr) -> Result<usize> {
-        let mut keep = Vec::with_capacity(self.len);
-        let mut buf = Row::new();
-        let mut removed = 0usize;
-        for i in 0..self.len {
-            self.read_row(i, &mut buf);
-            let matched = pred.matches(&buf)?;
-            keep.push(!matched);
-            removed += matched as usize;
-        }
-        if removed > 0 {
+        let doomed = crate::scan::filter_indices(self, pred)?;
+        self.delete_rows(&doomed)
+    }
+
+    /// Deletes the rows with the given (distinct) ids; returns how many.
+    pub(crate) fn delete_rows(&mut self, doomed: &[u32]) -> Result<usize> {
+        if !doomed.is_empty() {
+            let mut keep = vec![true; self.len];
+            for &r in doomed {
+                keep[r as usize] = false;
+            }
             for c in &mut self.cols {
                 c.retain_mask(&keep);
             }
-            self.len -= removed;
+            self.len -= doomed.len();
             self.rebuild_indexes()?;
         }
-        Ok(removed)
+        Ok(doomed.len())
     }
 
     /// Updates columns of all rows satisfying `pred` to the given values;

@@ -3,11 +3,8 @@
 //! intern order, cross-type numeric keys, cross joins, empty sides, and
 //! self joins. Every case is checked three ways where it applies: against
 //! the naive cross-product oracle (independent row-at-a-time joins), as a
-//! bag, and against hand-computed cardinalities.
-//!
-//! Pool-size invisibility for joins (identical results at pool sizes
-//! 1/2/8) lives in `parallel_scan.rs`, which sweeps sizes in-process via
-//! `exec::pool::with_pool` — the environment is never mutated.
+//! bag, and against hand-computed cardinalities. Joins over
+//! multi-thousand-row inputs live in `large_inputs.rs`.
 
 use etable_relational::database::Database;
 use etable_relational::sql::naive::execute_query_naive;

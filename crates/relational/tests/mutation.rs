@@ -186,3 +186,73 @@ fn update_of_a_referenced_non_pk_column_rolls_back() {
     execute(&mut d, "UPDATE tag SET label = 'c' WHERE id = 1").unwrap();
     d.check_integrity().unwrap();
 }
+
+/// `parent(id PK, code)` referenced through the non-key column `code`:
+/// rows (1, 50) and (2, 1), one child with `pcode = 1`, one with NULL.
+fn non_pk_fk_db() -> Database {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE parent (id INT PRIMARY KEY, code INT NOT NULL)",
+        "CREATE TABLE child (id INT PRIMARY KEY, pcode INT REFERENCES parent(code))",
+        "INSERT INTO parent VALUES (1, 50), (2, 1)",
+        "INSERT INTO child VALUES (10, 1), (11, NULL)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    d
+}
+
+/// RESTRICT compares a foreign key's values with the deleted rows' values
+/// in the columns *that key references*, not with their primary keys:
+/// parent 1 holds code 50, which nothing references, although its primary
+/// key equals the child's `pcode`.
+#[test]
+fn delete_of_a_row_whose_pk_collides_with_a_non_pk_fk_value_goes_through() {
+    let mut d = non_pk_fk_db();
+    execute(&mut d, "DELETE FROM parent WHERE id = 1").unwrap();
+    assert_eq!(count(&mut d, "SELECT COUNT(*) FROM parent"), 1);
+    d.check_integrity().unwrap();
+}
+
+/// The other direction: parent 2 holds the referenced code 1, and its
+/// primary key 2 occurs in no child — the delete must still be refused.
+#[test]
+fn delete_of_a_row_referenced_through_a_non_pk_column_is_refused() {
+    let mut d = non_pk_fk_db();
+    let err = execute(&mut d, "DELETE FROM parent WHERE id = 2").unwrap_err();
+    assert!(err.to_string().contains("referenced by `child`"), "{err}");
+    assert_eq!(count(&mut d, "SELECT COUNT(*) FROM parent"), 2);
+    d.check_integrity().unwrap();
+    // Once the reference is gone, so may the row; the NULL `pcode` of
+    // child 11 never held anything back.
+    execute(&mut d, "DELETE FROM child WHERE id = 10").unwrap();
+    execute(&mut d, "DELETE FROM parent").unwrap();
+    d.check_integrity().unwrap();
+}
+
+/// A non-key column may repeat a value: deleting one of two holders of a
+/// referenced code leaves the reference satisfied, deleting both does not.
+#[test]
+fn delete_keeps_a_non_pk_reference_while_another_holder_survives() {
+    let mut d = non_pk_fk_db();
+    execute(&mut d, "INSERT INTO parent VALUES (3, 1)").unwrap();
+    execute(&mut d, "DELETE FROM parent WHERE id = 2").unwrap();
+    d.check_integrity().unwrap();
+    assert!(execute(&mut d, "DELETE FROM parent WHERE id = 3").is_err());
+    assert!(execute(&mut d, "DELETE FROM parent WHERE code = 1").is_err());
+    d.check_integrity().unwrap();
+}
+
+/// The primary-key-target case beside a NULL foreign-key value: the NULL
+/// references nothing, whichever parent goes.
+#[test]
+fn delete_ignores_null_fk_values() {
+    let mut d = db();
+    execute(&mut d, "INSERT INTO child VALUES (13, NULL, 1)").unwrap();
+    assert!(execute(&mut d, "DELETE FROM parent WHERE id = 2").is_err());
+    execute(&mut d, "DELETE FROM parent WHERE id = 3").unwrap();
+    execute(&mut d, "DELETE FROM child WHERE parent_id = 2").unwrap();
+    execute(&mut d, "DELETE FROM parent WHERE id = 2").unwrap();
+    assert_eq!(count(&mut d, "SELECT COUNT(*) FROM child"), 3);
+    d.check_integrity().unwrap();
+}

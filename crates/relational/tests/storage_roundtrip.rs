@@ -1,6 +1,6 @@
 //! Round-trip property tests for the binary table format
 //! ([`etable_relational::storage`]): every column type, NULL bitmaps at
-//! morsel/word boundaries (0/1/2048/4097 rows), empty tables and empty
+//! bitmap-word boundaries (0/1/2048/4097 rows), empty tables and empty
 //! databases, adversarial intern order, independence of an opened
 //! database from its files, and save→open→save byte idempotence.
 
@@ -109,9 +109,9 @@ fn assert_dirs_byte_identical(a: &PathBuf, b: &PathBuf) {
     }
 }
 
-/// NULL bitmaps at word/morsel boundaries: row counts 0, 1, 2048 (the
-/// morsel size), 4097 (past two morsels), with NULLs planted at every
-/// 64-row word edge and at the final row.
+/// NULL bitmaps at word boundaries: row counts 0, 1, 2048 (a whole
+/// number of 64-row words), 4097 (one row into a new word), with NULLs
+/// planted at every 64-row word edge and at the final row.
 #[test]
 fn boundary_row_counts_round_trip() {
     for rows in [0usize, 1, 2048, 4097] {
