@@ -3,11 +3,16 @@
 //! pair — opening the saved binary corpus must beat regenerating it by
 //! at least 5x (the CI bench gate holds each family to its baseline, so
 //! a regression in either side of the ratio is caught). `save_medium`
-//! prices snapshot creation (paid once per cache miss).
+//! prices snapshot creation (paid once per cache miss). `write_cycle` is
+//! the write path end to end at 38 000 papers: the load harness's INSERT /
+//! UPDATE / DELETE of one `Papers` row through
+//! [`SharedDatabase::execute`], each a clone-modify-publish of the whole
+//! database beside a pinned reader.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
 use etable_relational::database::Database;
+use etable_relational::shared::SharedDatabase;
 use std::path::PathBuf;
 
 /// Scratch directory for this process's bench snapshots.
@@ -44,6 +49,23 @@ fn bench_storage(c: &mut Criterion) {
                 .expect("open succeeds")
                 .table_names()
                 .len()
+        })
+    });
+    // Generated last: its strings join the interner the entries above
+    // were measured over. The pinned snapshot keeps the previous epoch
+    // alive across the cycle, so every statement's copy-on-write is real
+    // and the old epoch's drop is paid inside the measurement.
+    let shared = SharedDatabase::new(generate(&GenConfig::medium().with_papers(38_000)));
+    group.bench_function("write_cycle", |b| {
+        b.iter(|| {
+            let _reader = shared.snapshot();
+            for stmt in [
+                "INSERT INTO Papers VALUES (10000042, 1, 'benchmark data row 42', 2010, 17, 25)",
+                "UPDATE Papers SET year = 2100 WHERE id = 10000042",
+                "DELETE FROM Papers WHERE id = 10000042",
+            ] {
+                shared.execute(stmt).expect("write succeeds");
+            }
         })
     });
     group.finish();

@@ -70,7 +70,7 @@ const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
 /// budget of zero. Keep this list sorted by path.
-const PANIC_BUDGET: [(&str, usize); 18] = [
+const PANIC_BUDGET: [(&str, usize); 17] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
@@ -80,10 +80,9 @@ const PANIC_BUDGET: [(&str, usize); 18] = [
     ("crates/datagen/src/tasks.rs", 1),
     ("crates/etable/src/pattern.rs", 1),
     ("crates/etable/src/testutil.rs", 10),
-    ("crates/relational/src/database.rs", 2),
     ("crates/relational/src/intern.rs", 2),
     ("crates/relational/src/storage/codec.rs", 1),
-    ("crates/relational/src/table.rs", 4),
+    ("crates/relational/src/table.rs", 2),
     ("crates/study/src/participant.rs", 1),
     ("crates/study/src/runner.rs", 1),
     ("crates/study/src/scripts.rs", 11),
@@ -99,10 +98,9 @@ const SIZE_BUDGET_DEFAULT: usize = 600;
 /// [`count_module_lines`]. Ceilings sit modestly above each file's
 /// current size: growth prompts a split, shrinking is always fine. Keep
 /// this list sorted by path.
-const SIZE_BUDGET: [(&str, usize); 3] = [
+const SIZE_BUDGET: [(&str, usize); 2] = [
     ("crates/etable/src/sql_translate.rs", 1000),
     ("crates/relational/src/sql/analyze.rs", 1180),
-    ("crates/relational/src/table.rs", 720),
 ];
 
 /// How far a size ceiling may sit above its file before it counts as
@@ -495,13 +493,13 @@ mod tests {
 
     #[test]
     fn allowlisted_size_ceiling_is_a_ceiling() {
-        // table.rs carries a 720-line ceiling.
-        let under = "pub fn f() {}\n".repeat(710);
-        assert!(check_file("crates/relational/src/table.rs", &under).is_empty());
-        let over = "pub fn f() {}\n".repeat(721);
-        let v = check_file("crates/relational/src/table.rs", &over);
+        // sql/analyze.rs carries a 1180-line ceiling.
+        let under = "pub fn f() {}\n".repeat(1170);
+        assert!(check_file("crates/relational/src/sql/analyze.rs", &under).is_empty());
+        let over = "pub fn f() {}\n".repeat(1181);
+        let v = check_file("crates/relational/src/sql/analyze.rs", &over);
         assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("ceiling is 720"), "{}", v[0].message);
+        assert!(v[0].message.contains("ceiling is 1180"), "{}", v[0].message);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::exec::hash::KeyHashBuilder;
 use crate::schema::{ForeignKey, TableSchema};
-use crate::table::{Row, Table};
+use crate::table::{ColumnStore, Row, Table};
 use crate::value::Value;
 use crate::{Error, Result};
 use std::collections::{BTreeMap, HashSet};
@@ -109,22 +109,7 @@ impl Database {
                 continue;
             }
             let target = self.table(&fk.referenced_table)?;
-            // FK must reference the PK of the target table.
-            if target.schema().primary_key != fk.referenced_columns {
-                // Referencing a non-PK key: fall back to a scan.
-                let idxs = referenced_indices(target, fk)?;
-                let found = (0..target.len()).any(|r| {
-                    idxs.iter()
-                        .zip(&referencing)
-                        .all(|(&i, v)| target.value(r, i).sql_eq(v) == Some(true))
-                });
-                if !found {
-                    return Err(Error::Constraint(format!(
-                        "FK violation: `{table}` -> `{}` key {referencing:?} not found",
-                        fk.referenced_table
-                    )));
-                }
-            } else if target.get_by_pk(&referencing).is_none() {
+            if !Referenced::new(target, fk)?.holds(&referencing) {
                 return Err(Error::Constraint(format!(
                     "FK violation: `{table}` -> `{}` key {referencing:?} not found",
                     fk.referenced_table
@@ -141,7 +126,7 @@ impl Database {
     }
 
     /// Bulk columnar append without foreign-key checks: the batch is pushed
-    /// column-by-column with a single index invalidation (see
+    /// column-by-column and indexed with one sort (see
     /// [`crate::table::Table::append_rows`]). Returns how many rows were
     /// appended. The generator's bulk-load path; pair with
     /// [`Database::check_integrity`] after loading in dependency order.
@@ -158,31 +143,15 @@ impl Database {
         for table in self.tables.values() {
             let schema = table.schema();
             for fk in &schema.foreign_keys {
-                let src_idx: Vec<usize> = fk
-                    .columns
-                    .iter()
-                    .map(|c| schema.column_index(c).expect("validated schema"))
-                    .collect();
+                let src_cols = key_columns(table, &fk.columns)?;
                 let target = self.table(&fk.referenced_table)?;
-                let uses_pk = target.schema().primary_key == fk.referenced_columns;
-                let tgt_idx = referenced_indices(target, fk)?;
-                let src_cols: Vec<_> = src_idx.iter().map(|&i| table.column(i)).collect();
+                let referenced = Referenced::new(target, fk)?;
                 for row in 0..table.len() {
-                    let key: Vec<Value> = src_cols.iter().map(|c| c.get(row)).collect();
+                    let key = key_at(&src_cols, row);
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
-                    let ok = if uses_pk {
-                        target.pk_row_index(&key).is_some()
-                    } else {
-                        (0..target.len()).any(|r| {
-                            tgt_idx
-                                .iter()
-                                .zip(&key)
-                                .all(|(&i, v)| target.value(r, i).sql_eq(v) == Some(true))
-                        })
-                    };
-                    if !ok {
+                    if !referenced.holds(&key) {
                         return Err(Error::Constraint(format!(
                             "integrity: `{}` -> `{}` dangling key {key:?}",
                             schema.name, fk.referenced_table
@@ -218,14 +187,7 @@ impl Database {
                     continue;
                 }
                 let doomed = doomed_keys(target, fk, &doomed_rows)?;
-                let ref_cols: Vec<_> = fk
-                    .columns
-                    .iter()
-                    .map(|c| {
-                        let i = other.schema().column_index(c).expect("validated schema");
-                        other.column(i)
-                    })
-                    .collect();
+                let ref_cols = key_columns(other, &fk.columns)?;
                 let mut key: Vec<Value> = Vec::with_capacity(ref_cols.len());
                 for row in 0..other.len() {
                     key.clear();
@@ -239,7 +201,7 @@ impl Database {
                 }
             }
         }
-        self.table_mut(table)?.delete_rows(&doomed_rows)
+        Ok(self.table_mut(table)?.delete_rows(&doomed_rows))
     }
 
     /// Updates rows of `table` matching `pred`; `sets` pairs column names
@@ -299,19 +261,53 @@ impl Database {
     }
 }
 
-/// Positions in `target` of the columns `fk` references.
-fn referenced_indices(target: &Table, fk: &ForeignKey) -> Result<Vec<usize>> {
-    fk.referenced_columns
+/// The columns of `table` that `names` name: one side of a foreign key.
+fn key_columns<'a>(table: &'a Table, names: &[String]) -> Result<Vec<&'a ColumnStore>> {
+    names
         .iter()
         .map(|c| {
-            target.schema().column_index(c).ok_or_else(|| {
+            let i = table.schema().column_index(c).ok_or_else(|| {
                 Error::Schema(format!(
-                    "FK referenced column `{c}` missing in `{}`",
-                    fk.referenced_table
+                    "FK column `{c}` missing in `{}`",
+                    table.schema().name
                 ))
-            })
+            })?;
+            Ok(table.column(i))
         })
         .collect()
+}
+
+/// What `cols` hold in row `row`, as one key.
+fn key_at(cols: &[&ColumnStore], row: usize) -> Vec<Value> {
+    cols.iter().map(|c| c.get(row)).collect()
+}
+
+/// What a foreign key can point at: answers "does some row of the
+/// referenced table hold this NULL-free key in the referenced columns"
+/// for INSERT and for the integrity check alike.
+enum Referenced<'a> {
+    /// The key names the primary key: probe its index.
+    PrimaryKey(&'a Table),
+    /// Any other columns: the set of values they hold, built once.
+    Values(HashSet<Vec<Value>, KeyHashBuilder>),
+}
+
+impl<'a> Referenced<'a> {
+    fn new(target: &'a Table, fk: &ForeignKey) -> Result<Self> {
+        if target.schema().primary_key == fk.referenced_columns {
+            return Ok(Referenced::PrimaryKey(target));
+        }
+        let cols = key_columns(target, &fk.referenced_columns)?;
+        let held = (0..target.len()).map(|row| key_at(&cols, row)).collect();
+        Ok(Referenced::Values(held))
+    }
+
+    fn holds(&self, key: &[Value]) -> bool {
+        match self {
+            Referenced::PrimaryKey(target) => target.pk_row_index(key).is_some(),
+            Referenced::Values(held) => held.contains(key),
+        }
+    }
 }
 
 /// The values `fk`'s referenced columns lose when the rows `doomed_rows`
@@ -325,11 +321,8 @@ fn doomed_keys(
     fk: &ForeignKey,
     doomed_rows: &[u32],
 ) -> Result<HashSet<Vec<Value>, KeyHashBuilder>> {
-    let cols: Vec<_> = referenced_indices(target, fk)?
-        .into_iter()
-        .map(|i| target.column(i))
-        .collect();
-    let key_of = |row: usize| -> Vec<Value> { cols.iter().map(|c| c.get(row)).collect() };
+    let cols = key_columns(target, &fk.referenced_columns)?;
+    let key_of = |row: usize| key_at(&cols, row);
     let mut doomed: HashSet<Vec<Value>, KeyHashBuilder> = doomed_rows
         .iter()
         .map(|&r| key_of(r as usize))

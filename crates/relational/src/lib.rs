@@ -8,8 +8,8 @@
 //!
 //! * typed scalar [`value::Value`]s (text interned through [`intern::Sym`])
 //!   and schemas with primary/foreign keys,
-//! * constraint-checked columnar storage ([`table::ColumnData`]) with hash
-//!   indexes and a row-facade API,
+//! * constraint-checked columnar storage ([`table::ColumnData`]) with an
+//!   ordered primary-key index and a row-facade API,
 //! * one evaluator — columnar intermediate relations
 //!   ([`colrel::ColRelation`]): selection vectors over base tables with
 //!   build/probe hash joins and grouped aggregation ([`exec::agg`]), which
@@ -41,6 +41,7 @@ pub mod database;
 pub mod exec;
 pub mod expr;
 pub mod intern;
+mod pk_index;
 pub mod relation;
 pub mod scan;
 pub mod schema;

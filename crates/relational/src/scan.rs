@@ -94,10 +94,8 @@ mod tests {
         let t = table(3 * 2048 + 17);
         let pred = Expr::col(1).ge(Expr::lit(5));
         let mut seq = Vec::new();
-        let mut buf = Row::new();
-        for i in 0..t.len() {
-            t.read_row(i, &mut buf);
-            if pred.matches(&buf).unwrap() {
+        for (i, row) in t.iter_rows().enumerate() {
+            if pred.matches(&row).unwrap() {
                 seq.push(i as u32);
             }
         }
@@ -110,12 +108,9 @@ mod tests {
         // failing row in row order even though later rows also fail.
         let t = table(4 * 2048);
         let pred = Expr::col(1).like("a%");
-        let mut buf = Row::new();
-        let seq_err = (0..t.len())
-            .find_map(|i| {
-                t.read_row(i, &mut buf);
-                pred.matches(&buf).err()
-            })
+        let seq_err = t
+            .iter_rows()
+            .find_map(|row| pred.matches(&row).err())
             .unwrap()
             .to_string();
         let err = filter_indices(&t, &pred).unwrap_err();

@@ -126,45 +126,6 @@ fn packed_words(nulls: &NullBitmap, rows: usize) -> Vec<u64> {
     words
 }
 
-/// The row indices of `table` in ascending primary-key order, or an empty
-/// vec when rows are already ascending (the common case for generated
-/// corpora) or the table has no PK. Stored in the schema segment so `open`
-/// can prove PK uniqueness with one O(rows) comparison pass instead of
-/// building a hash index on the cold-start path.
-fn pk_order(table: &Table) -> Vec<u32> {
-    let pk_cols = table.schema().primary_key_indices().unwrap_or_default();
-    if pk_cols.is_empty() || table.is_empty() {
-        return Vec::new();
-    }
-    let rows = table.len();
-    let key = |i: usize| -> Vec<crate::value::Value> {
-        pk_cols.iter().map(|&c| table.column(c).get(i)).collect()
-    };
-    let ascending = (1..rows).all(|i| {
-        key(i - 1)
-            .iter()
-            .zip(key(i).iter())
-            .map(|(a, b)| a.total_cmp(b))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            == std::cmp::Ordering::Less
-    });
-    if ascending {
-        return Vec::new();
-    }
-    let keys: Vec<Vec<crate::value::Value>> = (0..rows).map(key).collect();
-    let mut perm: Vec<u32> = (0..rows as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        keys[a as usize]
-            .iter()
-            .zip(keys[b as usize].iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    perm
-}
-
 /// Encodes a whole table into its file image: header, then schema, arena
 /// and column segments. Deterministic for a given table: NULL positions
 /// are written as canonical placeholders, the arena holds each distinct
@@ -249,9 +210,15 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
             sw.str(c);
         }
     }
-    let order = pk_order(table);
-    sw.u32(order.len() as u32);
-    for i in &order {
+    // The table's own PK index, so `open` can prove uniqueness with one
+    // O(rows) comparison pass and hand the order straight back. Rows that
+    // are already ascending (the common case for generated corpora) are
+    // written as an empty section.
+    let order = table.pk_order();
+    let ascending = order.iter().enumerate().all(|(i, &r)| r as usize == i);
+    let stored = if ascending { &[] } else { order };
+    sw.u32(stored.len() as u32);
+    for i in stored {
         sw.u32(*i);
     }
 
@@ -273,9 +240,10 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
 }
 
 /// Decodes the schema segment into a [`TableSchema`], the row count, and
-/// the stored PK order (empty = rows already ascending, or no PK). Entries
-/// are bounds-checked here; strict-ascending verification — which needs
-/// the column data — happens in [`crate::storage`]'s open path.
+/// the stored PK order (empty = rows already ascending, or no PK), which
+/// is only read here: proving it — complete, in bounds, strictly
+/// ascending — needs the column data and happens when the table is
+/// assembled ([`crate::table::Table::from_parts`]).
 pub fn decode_schema(payload: &[u8], ctx: &str) -> Result<(TableSchema, usize, Vec<u32>)> {
     let mut r = PayloadReader::new(payload, ctx);
     let name = r.str("table name")?;
@@ -321,21 +289,10 @@ pub fn decode_schema(payload: &[u8], ctx: &str) -> Result<(TableSchema, usize, V
             referenced_columns: ref_cols,
         });
     }
-    let n_order = r.u32("pk-order count")? as usize;
-    if n_order != 0 && n_order != rows {
-        return Err(Error::Storage(format!(
-            "{ctx}: pk order lists {n_order} rows, table has {rows}"
-        )));
-    }
+    let n_order = r.u32("pk-order count")?;
     let mut pk_order = Vec::new();
     for _ in 0..n_order {
-        let idx = r.u32("pk-order entry")?;
-        if idx as usize >= rows {
-            return Err(Error::Storage(format!(
-                "{ctx}: pk-order entry {idx} out of range for {rows} rows"
-            )));
-        }
-        pk_order.push(idx);
+        pk_order.push(r.u32("pk-order entry")?);
     }
     r.expect_end()?;
     Ok((
@@ -566,6 +523,12 @@ mod tests {
             ],
         )
         .with_primary_key(&["a", "b"]);
+        // What `encode_table` writes into the schema segment.
+        let pk_order = |table: &Table| {
+            let bytes = encode_table(table);
+            let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+            decode_schema(&bytes[16..16 + len], "t").unwrap().2
+        };
         let mut sorted = Table::new(schema.clone()).unwrap();
         for (a, b) in [(1, 1), (1, 2), (2, 0)] {
             sorted.insert(vec![a.into(), b.into()]).unwrap();

@@ -125,83 +125,11 @@ fn open_table(path: &Path) -> Result<Table> {
             schema.arity()
         )));
     }
-    verify_pk_order(path, &schema, &cols, rows, &pk_order)?;
-    Table::from_parts(schema, cols, rows, pk_order)
-}
-
-/// Proves the stored PK order before the table is allowed to trust it:
-/// the key sequence read through the permutation (identity when empty)
-/// must be **strictly** ascending. Strictness is the uniqueness proof —
-/// a duplicate key or a repeated permutation entry both surface as a
-/// non-ascending adjacent pair. Comparisons run over the typed column
-/// bodies directly (same order as [`crate::value::Value::total_cmp`] on
-/// non-NULL same-type cells, NULLs first) to keep open-time cost one
-/// linear sweep.
-/// Entry bounds were checked by `decode_schema`.
-fn verify_pk_order(
-    path: &Path,
-    schema: &crate::schema::TableSchema,
-    cols: &[ColumnStore],
-    rows: usize,
-    pk_order: &[u32],
-) -> Result<()> {
-    use crate::intern::Sym;
-    use crate::table::ColumnData;
-    use std::cmp::Ordering;
-    let pk_cols = schema.primary_key_indices().map_err(|e| {
-        Error::Storage(format!(
-            "{}: schema segment: invalid schema: {e}",
-            path.display()
-        ))
-    })?;
-    if pk_cols.is_empty() {
-        if !pk_order.is_empty() {
-            return Err(Error::Storage(format!(
-                "{}: schema segment: pk order present but the table has no primary key",
-                path.display()
-            )));
-        }
-        return Ok(());
-    }
-    let parts: Vec<_> = pk_cols
-        .iter()
-        .map(|&c| (cols[c].data(), cols[c].nulls()))
-        .collect();
-    let cmp_rows = |a: usize, b: usize| -> Ordering {
-        for &(data, nulls) in &parts {
-            let o = match (nulls.get(a), nulls.get(b)) {
-                (true, true) => Ordering::Equal,
-                (true, false) => Ordering::Less,
-                (false, true) => Ordering::Greater,
-                (false, false) => match data {
-                    ColumnData::Int(v) => v[a].cmp(&v[b]),
-                    ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                    ColumnData::Sym(v) => Sym::cmp_str(v[a], v[b]),
-                    ColumnData::Bool(v) => v[a].cmp(&v[b]),
-                },
-            };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
-    };
-    let row_at = |i: usize| {
-        if pk_order.is_empty() {
-            i
-        } else {
-            pk_order[i] as usize
-        }
-    };
-    for i in 1..rows {
-        if cmp_rows(row_at(i - 1), row_at(i)) != Ordering::Less {
-            return Err(Error::Storage(format!(
-                "{}: schema segment: pk order is not strictly ascending at position {i} \
-                 (table `{}`: duplicate or misordered primary key)",
-                path.display(),
-                schema.name
-            )));
-        }
-    }
-    Ok(())
+    // What the schema segment holds is only provable now that the columns
+    // are decoded: a consistent schema, and a primary-key order that is
+    // complete, in bounds and strictly ascending.
+    Table::from_parts(schema, cols, rows, pk_order).map_err(|e| {
+        let (path, why) = (path.display(), e.message());
+        Error::Storage(format!("{path}: schema segment: {why}"))
+    })
 }

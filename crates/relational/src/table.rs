@@ -16,10 +16,10 @@
 //! holds the only reference.
 
 use crate::intern::Sym;
+use crate::pk_index::PkOrder;
 use crate::schema::TableSchema;
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A tuple of values, positionally matching the table's columns.
@@ -253,62 +253,32 @@ impl ColumnStore {
     }
 }
 
-/// How primary-key lookups are answered.
-///
-/// Tables built in memory maintain a hash map incrementally. Tables opened
-/// from a disk snapshot start in `Ordered` form instead: the snapshot stores
-/// (and `open` verifies) a permutation of row indices in ascending PK
-/// order, so uniqueness is already proven and lookups binary-search the
-/// columns directly — no per-row hashing on the cold-start path. The
-/// first mutation converts to `Hash` once.
-#[derive(Debug, Clone)]
-enum PkIndex {
-    /// PK value(s) -> row index.
-    Hash(HashMap<Vec<Value>, usize>),
-    /// Row indices in ascending PK order; an empty vec means the rows are
-    /// already ascending (identity permutation).
-    Ordered(Vec<u32>),
-}
-
 /// In-memory columnar storage for one table.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
     cols: Vec<ColumnStore>,
     len: usize,
-    /// Positions of the PK columns (cached from the schema).
-    pk_cols: Vec<usize>,
-    /// PK lookup structure. Only maintained when the schema has a PK.
-    pk_index: PkIndex,
+    /// Row ids in primary-key order; kept in step with `cols` by every
+    /// mutation below.
+    pk: PkOrder,
 }
 
 impl Table {
     /// Creates an empty table after validating the schema.
     pub fn new(schema: TableSchema) -> Result<Self> {
-        schema.validate()?;
-        let pk_cols = schema.primary_key_indices()?;
         let cols = schema
             .columns
             .iter()
             .map(|c| ColumnStore::new(c.data_type))
             .collect();
-        Ok(Table {
-            schema,
-            cols,
-            len: 0,
-            pk_cols,
-            pk_index: PkIndex::Hash(HashMap::new()),
-        })
+        Table::from_parts(schema, cols, 0, Vec::new())
     }
 
-    /// Rebuilds a table around already-constructed column stores (the
-    /// on-disk reader's path). Validates the schema; PK lookups are
-    /// answered through `pk_order` — a permutation of row indices in
-    /// ascending PK order that the **caller must already have verified**
-    /// (strictly ascending through the permutation, every index in
-    /// bounds; strictness is what proves uniqueness). `open` does that
-    /// verification with full path context, and no hash index is built
-    /// until the first mutation.
+    /// A table around column stores of `len` rows and the primary-key
+    /// order stored beside them: none of either for a new table, what the
+    /// on-disk reader decoded otherwise. Validates the schema and proves
+    /// the order ([`PkOrder::from_stored`]) before any lookup may trust it.
     pub(crate) fn from_parts(
         schema: TableSchema,
         cols: Vec<ColumnStore>,
@@ -316,18 +286,12 @@ impl Table {
         pk_order: Vec<u32>,
     ) -> Result<Self> {
         schema.validate()?;
-        let pk_cols = schema.primary_key_indices()?;
-        let pk_index = if pk_cols.is_empty() {
-            PkIndex::Hash(HashMap::new())
-        } else {
-            PkIndex::Ordered(pk_order)
-        };
+        let pk = PkOrder::from_stored(&schema, &cols, len, pk_order)?;
         Ok(Table {
             schema,
             cols,
             len,
-            pk_cols,
-            pk_index,
+            pk,
         })
     }
 
@@ -370,16 +334,6 @@ impl Table {
         Some(self.cols.iter().map(|c| c.get(idx)).collect())
     }
 
-    /// Overwrites `buf` with row `idx` (a reusable-buffer variant of
-    /// [`Table::row`] for scan loops).
-    ///
-    /// # Panics
-    /// If `idx` is out of range.
-    pub fn read_row(&self, idx: usize, buf: &mut Row) {
-        buf.clear();
-        buf.extend(self.cols.iter().map(|c| c.get(idx)));
-    }
-
     /// Iterates all rows in insertion order, materializing each.
     pub fn iter_rows(&self) -> impl Iterator<Item = Row> + '_ {
         (0..self.len).map(|i| self.cols.iter().map(|c| c.get(i)).collect())
@@ -388,13 +342,6 @@ impl Table {
     /// Materializes the whole table as rows (tests, bulk exports).
     pub fn to_rows(&self) -> Vec<Row> {
         self.iter_rows().collect()
-    }
-
-    fn pk_key(&self, row: &[Value]) -> Option<Vec<Value>> {
-        if self.pk_cols.is_empty() {
-            return None;
-        }
-        Some(self.pk_cols.iter().map(|&i| row[i]).collect())
     }
 
     /// Validates a row against arity, type and nullability constraints,
@@ -414,102 +361,46 @@ impl Table {
                 row.len()
             )));
         }
-        for (v, c) in row.iter().zip(&self.schema.columns) {
-            if v.is_null() && !c.nullable {
-                return Err(Error::Constraint(format!(
-                    "NULL in non-nullable column `{}.{}`",
-                    self.schema.name, c.name
-                )));
-            }
-            if !v.fits(c.data_type) {
-                return Err(Error::Constraint(format!(
-                    "value {v} does not fit column `{}.{}` of type {}",
-                    self.schema.name, c.name, c.data_type
-                )));
-            }
+        (0..row.len()).try_for_each(|col| self.check_cell(col, &row[col]))
+    }
+
+    /// Validates one value against the type and nullability of column
+    /// `col`.
+    fn check_cell(&self, col: usize, v: &Value) -> Result<()> {
+        let c = self
+            .schema
+            .columns
+            .get(col)
+            .ok_or_else(|| Error::Eval(format!("column index {col} out of range")))?;
+        if v.is_null() && !c.nullable {
+            return Err(Error::Constraint(format!(
+                "NULL in non-nullable column `{}.{}`",
+                self.schema.name, c.name
+            )));
+        }
+        if !v.fits(c.data_type) {
+            return Err(Error::Constraint(format!(
+                "value {v} does not fit column `{}.{}` of type {}",
+                self.schema.name, c.name, c.data_type
+            )));
         }
         Ok(())
     }
 
-    /// Compares the stored PK of `row` against `key`, column by column.
-    fn cmp_pk_row_key(&self, row: usize, key: &[Value]) -> std::cmp::Ordering {
-        for (&c, kv) in self.pk_cols.iter().zip(key) {
-            let ord = self.cols[c].get(row).total_cmp(kv);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
+    /// The refusal of a row whose primary key `key` another row holds.
+    fn duplicate_pk(&self, key: &[Value]) -> Error {
+        Error::Constraint(format!(
+            "duplicate primary key {key:?} in table `{}`",
+            self.schema.name
+        ))
     }
 
-    /// Row index holding `key`, through whichever PK representation the
-    /// table currently carries.
-    fn pk_lookup(&self, key: &[Value]) -> Option<usize> {
-        if key.len() != self.pk_cols.len() || self.pk_cols.is_empty() {
-            return None;
+    /// Appends a validated row to every column.
+    fn push_row(&mut self, row: &[Value]) {
+        for (c, v) in self.cols.iter_mut().zip(row) {
+            c.push(v);
         }
-        match &self.pk_index {
-            PkIndex::Hash(map) => map.get(key).copied(),
-            PkIndex::Ordered(perm) => {
-                let row_at = |i: usize| {
-                    if perm.is_empty() {
-                        i
-                    } else {
-                        perm[i] as usize
-                    }
-                };
-                let (mut lo, mut hi) = (0usize, self.len);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let row = row_at(mid);
-                    match self.cmp_pk_row_key(row, key) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return Some(row),
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// The PK hash map, converting an opened snapshot's verified sort
-    /// order into a map first (mutation needs a structure it can update
-    /// incrementally; uniqueness was proven at open, so the build cannot
-    /// collide).
-    fn pk_hash_mut(&mut self) -> &mut HashMap<Vec<Value>, usize> {
-        if matches!(self.pk_index, PkIndex::Ordered(_)) {
-            let mut map = HashMap::with_capacity(self.len);
-            for i in 0..self.len {
-                let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-                map.insert(key, i);
-            }
-            self.pk_index = PkIndex::Hash(map);
-        }
-        match &mut self.pk_index {
-            PkIndex::Hash(map) => map,
-            PkIndex::Ordered(_) => unreachable!("converted to Hash above"),
-        }
-    }
-
-    /// Registers a row's PK in the index (uniqueness + non-NULL checks).
-    fn index_pk(&mut self, row: &[Value], at: usize) -> Result<()> {
-        if let Some(key) = self.pk_key(row) {
-            if key.iter().any(Value::is_null) {
-                return Err(Error::Constraint(format!(
-                    "NULL primary key in table `{}`",
-                    self.schema.name
-                )));
-            }
-            if self.pk_lookup(&key).is_some() {
-                return Err(Error::Constraint(format!(
-                    "duplicate primary key {key:?} in table `{}`",
-                    self.schema.name
-                )));
-            }
-            self.pk_hash_mut().insert(key, at);
-        }
-        Ok(())
+        self.len += 1;
     }
 
     /// Inserts a row, enforcing arity, type, nullability and PK uniqueness.
@@ -518,52 +409,71 @@ impl Table {
     /// because they need access to other tables.
     pub fn insert(&mut self, row: Row) -> Result<usize> {
         self.validate_row(&row)?;
-        self.index_pk(&row, self.len)?;
-        for (c, v) in self.cols.iter_mut().zip(&row) {
-            c.push(v);
-        }
-        self.len += 1;
+        self.pk
+            .insert(&self.cols, &row, self.len as u32)
+            .map_err(|key| self.duplicate_pk(&key))?;
+        self.push_row(&row);
         Ok(self.len - 1)
     }
 
-    /// Bulk columnar append: validates and indexes every row, then pushes
-    /// column-by-column. Constraint semantics are identical to repeated
-    /// [`Table::insert`] (rows before the failing row stay inserted).
+    /// Bulk columnar append: pushes the batch column by column and indexes
+    /// it with one sort, whatever order it arrives in. Constraint semantics
+    /// are identical to repeated [`Table::insert`]: the first row that
+    /// would have been refused is reported, and the rows before it stay
+    /// inserted.
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
-        let mut n = 0usize;
+        let start = self.len;
+        let mut refused = Ok(());
         for row in rows {
-            self.validate_row(&row)?;
-            self.index_pk(&row, self.len)?;
-            for (c, v) in self.cols.iter_mut().zip(&row) {
-                c.push(v);
+            refused = self.validate_row(&row);
+            if refused.is_err() {
+                break;
             }
-            self.len += 1;
-            n += 1;
+            self.push_row(&row);
         }
-        Ok(n)
+        // A duplicate key sits in a row that was pushed, so it precedes
+        // any row that failed validation.
+        if let Some(dup) = self.pk.resort(&self.cols, self.len) {
+            refused = Err(self.duplicate_pk(&self.pk_of(dup)));
+            self.delete_rows(&(dup as u32..self.len as u32).collect::<Vec<_>>());
+        }
+        refused.map(|()| self.len - start)
+    }
+
+    /// The primary-key values of row `row`.
+    fn pk_of(&self, row: usize) -> Vec<Value> {
+        let cell = |&c: &usize| self.cols[c].get(row);
+        self.pk.pk_cols().iter().map(cell).collect()
+    }
+
+    /// Row ids in ascending primary-key order (empty without a primary
+    /// key): what a snapshot stores and what a clone of this table shares.
+    pub(crate) fn pk_order(&self) -> &[u32] {
+        self.pk.order()
     }
 
     /// Looks up a row by its (possibly composite) primary-key value.
     pub fn get_by_pk(&self, key: &[Value]) -> Option<Row> {
-        self.pk_lookup(key).and_then(|i| self.row(i))
+        self.pk_row_index(key).and_then(|i| self.row(i))
     }
 
     /// Position of the row with the given primary key.
     pub fn pk_row_index(&self, key: &[Value]) -> Option<usize> {
-        self.pk_lookup(key)
+        self.pk.lookup(&self.cols, key)
     }
 
     /// Deletes all rows satisfying `pred`; returns how many were removed.
     ///
-    /// Indexes are rebuilt. Referential integrity is the caller's concern
+    /// Referential integrity is the caller's concern
     /// ([`crate::database::Database::delete_where`] enforces it).
     pub fn delete_where(&mut self, pred: &crate::expr::Expr) -> Result<usize> {
         let doomed = crate::scan::filter_indices(self, pred)?;
-        self.delete_rows(&doomed)
+        Ok(self.delete_rows(&doomed))
     }
 
-    /// Deletes the rows with the given (distinct) ids; returns how many.
-    pub(crate) fn delete_rows(&mut self, doomed: &[u32]) -> Result<usize> {
+    /// Deletes the rows with the given ids (distinct, ascending — a
+    /// selection vector); returns how many.
+    pub(crate) fn delete_rows(&mut self, doomed: &[u32]) -> usize {
         if !doomed.is_empty() {
             let mut keep = vec![true; self.len];
             for &r in doomed {
@@ -572,89 +482,45 @@ impl Table {
             for c in &mut self.cols {
                 c.retain_mask(&keep);
             }
+            self.pk.remove(doomed);
             self.len -= doomed.len();
-            self.rebuild_indexes()?;
         }
-        Ok(doomed.len())
+        doomed.len()
     }
 
     /// Updates columns of all rows satisfying `pred` to the given values;
     /// returns how many rows changed. Type/nullability/PK-uniqueness
-    /// constraints are re-checked.
+    /// constraints are re-checked. The rows are selected before any is
+    /// written ([`crate::scan::filter_indices`], as DELETE does), so a
+    /// predicate error leaves nothing to undo; only an assignment to a PK
+    /// column can fail afterwards, and puts the previous columns and index
+    /// back.
     pub fn update_where(
         &mut self,
         pred: &crate::expr::Expr,
         sets: &[(usize, Value)],
     ) -> Result<usize> {
         for (col, v) in sets {
-            let c = self
-                .schema
-                .columns
-                .get(*col)
-                .ok_or_else(|| Error::Eval(format!("column index {col} out of range")))?;
-            if v.is_null() && !c.nullable {
-                return Err(Error::Constraint(format!(
-                    "NULL in non-nullable column `{}.{}`",
-                    self.schema.name, c.name
-                )));
-            }
-            if !v.fits(c.data_type) {
-                return Err(Error::Constraint(format!(
-                    "value {v} does not fit column `{}.{}` of type {}",
-                    self.schema.name, c.name, c.data_type
-                )));
+            self.check_cell(*col, v)?;
+        }
+        let hits = crate::scan::filter_indices(self, pred)?;
+        // Rows keep their positions, so the PK index only goes stale
+        // when a PK column was assigned.
+        let rekeyed = sets.iter().any(|(col, _)| self.pk.pk_cols().contains(col));
+        let before = (rekeyed && !hits.is_empty()).then(|| (self.cols.clone(), self.pk.clone()));
+        for (col, v) in sets {
+            for &i in &hits {
+                self.cols[*col].set(i as usize, v);
             }
         }
-        let mut changed = 0usize;
-        let before = self.cols.clone();
-        let mut buf = Row::new();
-        let applied: Result<()> = (|| {
-            for i in 0..self.len {
-                self.read_row(i, &mut buf);
-                if pred.matches(&buf)? {
-                    for (col, v) in sets {
-                        self.cols[*col].set(i, v);
-                    }
-                    changed += 1;
-                }
-            }
-            // Rows keep their positions, so the PK index only goes stale
-            // when a PK column was assigned.
-            if sets.iter().any(|(col, _)| self.pk_cols.contains(col)) {
-                self.rebuild_indexes()?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = applied {
-            // Predicate evaluation error mid-scan or a PK collision
-            // introduced by the update: roll back so a failed statement
-            // never commits partial writes.
-            self.cols = before;
-            self.rebuild_indexes().expect("previous state was valid");
-            return Err(e);
-        }
-        Ok(changed)
-    }
-
-    /// Rebuilds the PK index (checking uniqueness).
-    fn rebuild_indexes(&mut self) -> Result<()> {
-        if self.pk_cols.is_empty() {
-            self.pk_index = PkIndex::Hash(HashMap::new());
-            return Ok(());
-        }
-        let mut map = HashMap::with_capacity(self.len);
-        for i in 0..self.len {
-            let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-            if map.insert(key, i).is_some() {
-                let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-                return Err(Error::Constraint(format!(
-                    "duplicate primary key {key:?} in table `{}`",
-                    self.schema.name
-                )));
+        if let Some((cols, pk)) = before {
+            if let Some(dup) = self.pk.resort(&self.cols, self.len) {
+                let err = self.duplicate_pk(&self.pk_of(dup));
+                (self.cols, self.pk) = (cols, pk);
+                return Err(err);
             }
         }
-        self.pk_index = PkIndex::Hash(map);
-        Ok(())
+        Ok(hits.len())
     }
 
     /// Distinct values appearing in column `col` (used by the categorical
@@ -792,6 +658,65 @@ mod tests {
     }
 
     #[test]
+    fn bulk_append_out_of_key_order_refuses_what_repeated_insert_would() {
+        let mut t = make();
+        t.insert(vec![5.into(), "old".into()]).unwrap();
+        let err = t
+            .append_rows(vec![
+                vec![9.into(), "a".into()],
+                vec![3.into(), "b".into()],
+                vec![5.into(), "first refusal: held before the batch".into()],
+                vec![3.into(), "second: held within it".into()],
+                vec![Value::Null, "third: never pushed".into()],
+            ])
+            .unwrap_err();
+        assert!(err.to_string().contains("[Int(5)]"), "{err}");
+        assert_eq!(t.len(), 3);
+        let at = |k: i64| t.pk_row_index(&[k.into()]);
+        assert_eq!(
+            (at(5), at(9), at(3), at(4)),
+            (Some(0), Some(1), Some(2), None)
+        );
+        // With no duplicate the row that fails validation is the refusal.
+        let err = t
+            .append_rows(vec![
+                vec![1.into(), "c".into()],
+                vec![Value::Null, "d".into()],
+            ])
+            .unwrap_err();
+        assert!(err.to_string().contains("NULL in non-nullable"), "{err}");
+        assert_eq!(t.pk_row_index(&[1.into()]), Some(3));
+    }
+
+    #[test]
+    fn delete_and_pk_update_keep_the_index_in_step() {
+        use crate::expr::Expr;
+        let mut t = make();
+        for k in [40, 10, 30, 20] {
+            t.insert(vec![k.into(), Value::text(format!("k{k}"))])
+                .unwrap();
+        }
+        t.delete_where(&Expr::col(0).eq(Expr::lit(10))).unwrap();
+        assert_eq!(t.pk_order(), [2, 1, 0]);
+        assert_eq!(t.pk_row_index(&[10.into()]), None);
+        assert_eq!(t.get_by_pk(&[20.into()]).unwrap()[1], "k20".into());
+        // Re-keying a row moves it in the order, not in the table.
+        let is = |k: i64| Expr::col(0).eq(Expr::lit(k));
+        assert_eq!(t.update_where(&is(30), &[(0, 50.into())]).unwrap(), 1);
+        assert_eq!(t.pk_order(), [2, 0, 1]);
+        assert_eq!(t.pk_row_index(&[50.into()]), Some(1));
+        // A collision puts columns and index back as they were.
+        let (rows, order) = (t.to_rows(), t.pk_order().to_vec());
+        let err = t.update_where(&is(20), &[(0, 40.into())]).unwrap_err();
+        assert!(
+            err.to_string().contains("duplicate primary key [Int(40)]"),
+            "{err}"
+        );
+        assert_eq!((t.to_rows(), t.pk_order()), (rows, &order[..]));
+        assert_eq!(t.pk_row_index(&[20.into()]), Some(2));
+    }
+
+    #[test]
     fn int_widens_into_float_column() {
         let mut t = Table::new(TableSchema::new(
             "F",
@@ -826,8 +751,8 @@ mod tests {
         t.insert(vec![2.into(), 5.into(), 0.into()]).unwrap();
         let before = t.to_rows();
         // Row 1 matches via `z = 1` (NULL LIKE is UNKNOWN, OR true = true)
-        // and is updated before row 2's `y LIKE` errors on an INT; the
-        // whole statement must then roll back.
+        // before row 2's `y LIKE` errors on an INT; the failed statement
+        // must leave row 1 as it was.
         let pred = Expr::col(1).like("a%").or(Expr::col(2).eq(Expr::lit(1)));
         let err = t.update_where(&pred, &[(2, Value::Int(9))]);
         assert!(err.is_err());

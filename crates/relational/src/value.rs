@@ -65,6 +65,21 @@ fn int_float_total_cmp(a: i64, b: f64) -> Ordering {
     }
 }
 
+/// The total order of two `FLOAT` cells, shared by [`Value::total_cmp`] and
+/// the primary-key index's typed comparator ([`crate::pk_index`]).
+///
+/// `-0.0` and `0.0` are one key: both equal `Int(0)` under the exact
+/// cross-type comparison, so keeping `f64::total_cmp`'s `-0.0 < 0.0`
+/// split would break Eq transitivity (and diverge from `sql_eq`, which
+/// the naive oracle uses for join edges).
+pub(crate) fn float_total_cmp(a: f64, b: f64) -> Ordering {
+    if a == b {
+        Ordering::Equal
+    } else {
+        a.total_cmp(&b)
+    }
+}
+
 /// The declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
@@ -219,18 +234,7 @@ impl Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            // `-0.0` and `0.0` must be one key: both equal `Int(0)` under
-            // the exact cross-type comparison below, so keeping
-            // `f64::total_cmp`'s `-0.0 < 0.0` split would break Eq
-            // transitivity (and diverge from `sql_eq`, which the naive
-            // oracle uses for join edges).
-            (Value::Float(a), Value::Float(b)) => {
-                if a == b {
-                    Ordering::Equal
-                } else {
-                    a.total_cmp(b)
-                }
-            }
+            (Value::Float(a), Value::Float(b)) => float_total_cmp(*a, *b),
             (Value::Int(a), Value::Float(b)) => int_float_total_cmp(*a, *b),
             (Value::Float(a), Value::Int(b)) => int_float_total_cmp(*b, *a).reverse(),
             (Value::Text(a), Value::Text(b)) => Sym::cmp_str(*a, *b),

@@ -202,6 +202,25 @@ fn non_pk_fk_db() -> Database {
     d
 }
 
+/// INSERT and UPDATE ask the same question of a non-key reference: does
+/// some parent hold the value in `code` — 50 does, though it is no primary
+/// key; 2 does not, though it is one.
+#[test]
+fn insert_and_update_through_a_non_pk_fk_look_at_the_referenced_column() {
+    let mut d = non_pk_fk_db();
+    execute(&mut d, "INSERT INTO child VALUES (12, 50)").unwrap();
+    let err = execute(&mut d, "INSERT INTO child VALUES (13, 2)").unwrap_err();
+    assert!(err.to_string().contains("FK violation"), "{err}");
+    let err = execute(&mut d, "UPDATE child SET pcode = 2 WHERE id = 12").unwrap_err();
+    assert!(err.to_string().contains("dangling key"), "{err}");
+    execute(&mut d, "UPDATE child SET pcode = 1 WHERE id = 12").unwrap();
+    assert_eq!(
+        count(&mut d, "SELECT COUNT(*) FROM child WHERE pcode = 1"),
+        2
+    );
+    d.check_integrity().unwrap();
+}
+
 /// RESTRICT compares a foreign key's values with the deleted rows' values
 /// in the columns *that key references*, not with their primary keys:
 /// parent 1 holds code 50, which nothing references, although its primary

@@ -227,6 +227,71 @@ fn checksummed_column_that_disagrees_with_the_schema_fails_at_open() {
     }
 }
 
+/// `Z(k FLOAT PRIMARY KEY, v INT)` holding the given keys, saved.
+fn saved_float_keyed(tag: &str, keys: &[f64]) -> PathBuf {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "Z",
+            vec![
+                Column::new("k", DataType::Float),
+                Column::new("v", DataType::Int),
+            ],
+        )
+        .with_primary_key(&["k"]),
+    )
+    .unwrap();
+    for (i, &k) in keys.iter().enumerate() {
+        db.insert("Z", vec![Value::Float(k), (i as i64).into()])
+            .unwrap();
+    }
+    let dir = scratch_dir(tag);
+    db.save(&dir).unwrap();
+    dir
+}
+
+/// `-0.0` and `0.0` are one primary key in memory (`INSERT` refuses the
+/// second), so a snapshot holding both holds a duplicate: `open` must
+/// order keys the way the table does, not by `f64::total_cmp`.
+#[test]
+fn forged_negative_zero_beside_zero_is_a_duplicate_primary_key() {
+    let dir = saved_float_keyed("negzero", &[-1.0, 0.0]);
+    // Column `k` is segment 2; its body follows the type code, row count,
+    // null-word count and one bitmap word. Row 0 becomes -0.0: ascending
+    // for `f64::total_cmp`, equal to row 1 for the table.
+    const BODY: usize = 1 + 8 + 4 + 8;
+    forge_segment(&dir.join("t0.etb"), 2, |p| {
+        p[BODY..BODY + 8].copy_from_slice(&(-0.0f64).to_le_bytes())
+    });
+    assert_open_storage_err(
+        &dir,
+        &[
+            "t0.etb",
+            "schema segment",
+            "duplicate or misordered primary key",
+        ],
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// On its own `-0.0` is a key like any other: it keeps its sign bit
+/// through save and open, and answers to either spelling of zero.
+#[test]
+fn negative_zero_alone_round_trips_as_a_key() {
+    let dir = saved_float_keyed("negzero-alone", &[-0.0, 1.0, -1.0]);
+    let mut db = Database::open(&dir).unwrap();
+    let z = db.table("Z").unwrap();
+    assert!(matches!(z.value(0, 0), Value::Float(k) if k == 0.0 && k.is_sign_negative()));
+    assert_eq!(z.pk_row_index(&[Value::Float(0.0)]), Some(0));
+    assert_eq!(z.pk_row_index(&[Value::Float(-0.0)]), Some(0));
+    assert_eq!(z.pk_row_index(&[Value::Int(0)]), Some(0));
+    let err = db
+        .insert("Z", vec![Value::Float(0.0), 9.into()])
+        .unwrap_err();
+    assert!(err.to_string().contains("duplicate primary key"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn manifest_checksum_flip_names_the_manifest_segment() {
     let dir = saved_db("mflip");
