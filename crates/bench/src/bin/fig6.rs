@@ -3,7 +3,7 @@
 //! form, plus its §8 SQL equivalent.
 
 use etable_core::pattern::{NodeFilter, PatternNodeId};
-use etable_core::{ops, sql_translate};
+use etable_core::{ops, to_sql};
 use etable_relational::expr::CmpOp;
 
 fn main() {
@@ -33,11 +33,11 @@ fn main() {
     println!("{}", q.diagram(&tgdb));
     println!(
         "§8 SQL pattern:\n  {}",
-        sql_translate::to_sql(&tgdb, &db, &q).unwrap()
+        to_sql::to_sql(&tgdb, &db, &q).unwrap()
     );
     println!(
         "\nexecutable primary-key query:\n  {}",
-        sql_translate::to_primary_sql(&tgdb, &db, &q).unwrap()
+        to_sql::to_primary_sql(&tgdb, &db, &q).unwrap()
     );
     let m = etable_core::matching::match_primary(&tgdb, &q).unwrap();
     println!("\nmatched researchers: {}", m.rows().len());

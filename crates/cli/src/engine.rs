@@ -11,8 +11,9 @@ use etable_core::connection::Connection;
 use etable_core::export;
 use etable_core::pattern::{FilterAtom, NodeFilter};
 use etable_core::render::{render_etable, RenderOptions};
-use etable_core::sql_translate;
+use etable_core::to_sql;
 use etable_core::transform;
+use etable_relational::sql::executor::explain_query;
 
 /// The interpreter state.
 pub struct Engine {
@@ -200,29 +201,25 @@ impl Engine {
                     .session()
                     .current_pattern()
                     .ok_or("no table is open")?;
-                let display = sql_translate::to_sql(self.conn.tgdb(), snap.database(), q)
+                let display = to_sql::to_sql(self.conn.tgdb(), snap.database(), q)
                     .map_err(|e| e.to_string())?;
-                let exec = sql_translate::to_primary_sql(self.conn.tgdb(), snap.database(), q)
+                let exec = to_sql::to_primary_sql(self.conn.tgdb(), snap.database(), q)
                     .map_err(|e| e.to_string())?;
                 Ok(format!("{display}\n-- primary keys:\n{exec}"))
             }
             Command::Explain => {
-                let sql = {
-                    let snap = self.conn.snapshot();
-                    let q = self
-                        .conn
-                        .session()
-                        .current_pattern()
-                        .ok_or("no table is open")?;
-                    sql_translate::to_primary_sql(self.conn.tgdb(), snap.database(), q)
-                        .map_err(|e| e.to_string())?
-                };
-                let rel = self
+                // One pinned epoch answers: the snapshot the pattern was
+                // translated against is the one the plan runs on.
+                let snap = self.conn.snapshot();
+                let q = self
                     .conn
-                    .sql(&format!("EXPLAIN {sql}"))
+                    .session()
+                    .current_pattern()
+                    .ok_or("no table is open")?;
+                let query = to_sql::to_query(self.conn.tgdb(), snap.database(), q)
                     .map_err(|e| e.to_string())?;
-                let lines: Vec<String> = rel.rows.iter().map(|r| r[0].to_string()).collect();
-                Ok(format!("{sql}\n--\n{}", lines.join("\n")))
+                let lines = explain_query(snap.database(), &query).map_err(|e| e.to_string())?;
+                Ok(format!("{query}\n--\n{}", lines.join("\n")))
             }
             Command::Export(format) => {
                 let t = self
@@ -433,7 +430,8 @@ mod tests {
             "focus 0", // a table with no columns
             "gibberish",
             // Ill-typed filters (TEXT literal vs INT attribute, LIKE over
-            // INT), then a history step that does not exist.
+            // INT) — refused in the SQL analyzer's own words — then a
+            // history step that does not exist.
             "filter year > abc",
             "filter year like 201%",
             "revert 99",
@@ -448,7 +446,8 @@ mod tests {
         let msg = |i: usize| out[i].as_ref().unwrap_err().to_string();
         assert!(msg(12).contains("`Papers.year` (INT)"), "{}", msg(12));
         assert!(msg(12).contains("(TEXT)"), "{}", msg(12));
-        assert!(msg(13).contains("`Papers.year` is INT"), "{}", msg(13));
+        assert!(msg(13).contains("LIKE requires a TEXT"), "{}", msg(13));
+        assert!(msg(13).contains("`Papers.year` (INT)"), "{}", msg(13));
         assert!(msg(14).contains("step 99"), "{}", msg(14));
     }
 

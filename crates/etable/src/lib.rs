@@ -6,7 +6,8 @@
 //! operators (`Initiate`/`Select`/`Add`/`Shift`), a graph relation algebra
 //! with instance matching, format transformation into enriched tables whose
 //! cells hold sets of entity references, user-level actions, an interactive
-//! session with history, and a bidirectional SQL translation (§8).
+//! session with history, and a bidirectional SQL translation (§8:
+//! [`to_sql`] and [`from_sql`], both over the SQL front end's AST).
 //!
 //! ```
 //! use etable_core::{ops, transform, pattern::NodeFilter};
@@ -30,6 +31,7 @@ pub mod column_rank;
 pub mod connection;
 pub mod etable;
 pub mod export;
+pub mod from_sql;
 pub mod graph_relation;
 pub mod matching;
 pub mod ops;
@@ -37,8 +39,12 @@ pub mod pattern;
 pub mod render;
 pub mod session;
 pub mod setops;
-pub mod sql_translate;
+pub mod to_sql;
 pub mod transform;
+
+#[cfg(test)]
+#[path = "sql_translate_tests.rs"]
+mod sql_translate;
 
 #[doc(hidden)]
 pub mod testutil;

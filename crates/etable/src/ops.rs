@@ -20,11 +20,15 @@
 //! assert_eq!(q.len(), 2);
 //! ```
 
-use crate::pattern::{NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern};
+use crate::pattern::{
+    FilterAtom, NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern,
+};
+use crate::to_sql::atom_expr;
 use crate::{Error, Result};
-use etable_relational::sql::analyze::lub;
-use etable_relational::value::DataType;
-use etable_tgm::{EdgeTypeId, NodeTypeId, Tgdb};
+use etable_relational::sql::analyze::{type_row, Ty};
+use etable_relational::sql::ast::SqlExpr;
+use etable_relational::Error as SqlError;
+use etable_tgm::{EdgeTypeId, NodeType, NodeTypeId, Tgdb};
 
 /// `Initiate(τk)`: a fresh pattern with a single node of type `τk`.
 ///
@@ -65,56 +69,52 @@ pub fn select_on(
     if node.0 >= q.nodes.len() {
         return Err(Error::InvalidNode(format!("pattern node {node} missing")));
     }
-    // Validate attribute names and literal types eagerly so errors surface
-    // at operator time — under the SQL analyzer's own rules, so the session
-    // never accepts a filter its SQL translation rejects.
+    // Validate eagerly so errors surface at operator time: every atom is
+    // typed as the SQL conjunct it translates to, by the SQL analyzer's own
+    // rule, so the session rejects exactly what the engine would reject in
+    // the translation (`NodeIs` names a node, not a value: nothing to type).
     let nt = tgdb.schema.node_type(q.nodes[node.0].node_type);
+    let column = |of: &NodeType, attr: &str| SqlExpr::Column(format!("{}.{attr}", of.name));
     for atom in &filter.atoms {
-        use crate::pattern::FilterAtom::*;
-        let attr = match atom {
-            Cmp { attr, .. }
-            | Like { attr, .. }
-            | NotLike { attr, .. }
-            | In { attr, .. }
-            | IsNull { attr } => Some(attr),
-            NodeIs(_) | NeighborLabelLike { .. } => None,
-        };
-        if let Some(attr) = attr {
-            let Some(def) = nt.attr_index(attr).map(|i| &nt.attrs[i]) else {
-                return Err(Error::UnknownAttribute {
-                    node_type: nt.name.clone(),
-                    attr: attr.clone(),
-                });
-            };
-            let literals = match atom {
-                Cmp { value, .. } => std::slice::from_ref(value),
-                In { values, .. } => values.as_slice(),
-                _ => &[],
-            };
-            for v in literals {
-                // A NULL literal meets every type, so a failed meet has one.
-                if let (None, Some(ty)) = (lub(Some(def.data_type), v.data_type()), v.data_type()) {
-                    return Err(Error::InvalidAction(format!(
-                        "cannot compare `{}.{attr}` ({}) with `{v}` ({ty})",
-                        nt.name, def.data_type
+        // The conjunct, and the node type whose attributes it reads: the
+        // filtered node's own, or the neighbor's for a label filter.
+        let (owner, conjunct) = match atom {
+            FilterAtom::NeighborLabelLike { edge, pattern } => {
+                let et = tgdb.schema.edge_type(*edge);
+                if et.source != q.nodes[node.0].node_type {
+                    return Err(Error::InvalidEdge(format!(
+                        "edge {edge} does not leave node type `{}`",
+                        nt.name
                     )));
                 }
+                let target = tgdb.schema.node_type(et.target);
+                let label = column(target, &target.attrs[target.label_attr].name);
+                (target, SqlExpr::Like(Box::new(label), pattern.clone()))
             }
-            if matches!(atom, Like { .. } | NotLike { .. }) && def.data_type != DataType::Text {
-                return Err(Error::InvalidAction(format!(
-                    "LIKE needs a TEXT attribute, `{}.{attr}` is {}",
-                    nt.name, def.data_type
-                )));
-            }
-        }
-        if let NeighborLabelLike { edge, .. } = atom {
-            if tgdb.schema.edge_type(*edge).source != q.nodes[node.0].node_type {
-                return Err(Error::InvalidEdge(format!(
-                    "edge {edge} does not leave node type `{}`",
-                    nt.name
-                )));
-            }
-        }
+            atom => match atom_expr(atom, |attr| column(nt, attr)) {
+                Some(conjunct) => (nt, conjunct),
+                None => continue,
+            },
+        };
+        type_row(&conjunct, |name| {
+            let attr = name.rsplit_once('.').map_or(name, |(_, attr)| attr);
+            let def = owner
+                .attr_index(attr)
+                .map(|i| &owner.attrs[i])
+                .ok_or_else(|| SqlError::UnknownColumn(attr.to_string()))?;
+            let ty = Ty {
+                base: Some(def.data_type),
+                nullable: true,
+            };
+            Ok(((), ty))
+        })
+        .map_err(|e| match e {
+            SqlError::UnknownColumn(attr) => Error::UnknownAttribute {
+                node_type: owner.name.clone(),
+                attr,
+            },
+            e => Error::InvalidAction(e.to_string()),
+        })?;
     }
     let mut out = q.clone();
     out.nodes[node.0].filter = out.nodes[node.0].filter.clone().and(filter);

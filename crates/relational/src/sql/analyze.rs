@@ -453,20 +453,26 @@ impl Scope {
             },
         ))
     }
+}
 
-    /// Types an expression in row context: columns resolve against the
-    /// tables, aggregates are rejected.
-    fn type_row(&self, e: &SqlExpr) -> Result<(TypedExpr<ColumnId>, Ty)> {
-        type_expr(e, &mut |leaf| match leaf {
-            SqlExpr::Column(name) => {
-                let (id, ty) = self.resolve(name)?;
-                Ok((TypedExpr::Column(id, ty), ty))
-            }
-            _ => Err(Error::Eval(
-                "aggregate not allowed in row context (WHERE/ON)".into(),
-            )),
-        })
-    }
+/// Types an expression in row context, the rule every WHERE / ON conjunct
+/// is checked by: `resolve` maps a column name to its reference and type,
+/// aggregates are rejected. Public so that a caller holding names but no
+/// [`Database`] — the session typing a node filter against a node type's
+/// attributes — is typed by this rule and not by a copy of it.
+pub fn type_row<C: Copy>(
+    e: &SqlExpr,
+    resolve: impl Fn(&str) -> Result<(C, Ty)>,
+) -> Result<(TypedExpr<C>, Ty)> {
+    type_expr(e, &mut |leaf| match leaf {
+        SqlExpr::Column(name) => {
+            let (id, ty) = resolve(name)?;
+            Ok((TypedExpr::Column(id, ty), ty))
+        }
+        _ => Err(Error::Eval(
+            "aggregate not allowed in row context (WHERE/ON)".into(),
+        )),
+    })
 }
 
 /// Requires a boolean (or NULL-literal) expression where a predicate is
@@ -647,7 +653,7 @@ pub fn analyze(db: &Database, q: &Query) -> Result<TypedPlan> {
     let mut edges: Vec<JoinEdge> = Vec::new();
     let mut residual: Vec<TypedPred> = Vec::new();
     for c in conjuncts {
-        let (te, ty) = scope.type_row(c)?;
+        let (te, ty) = type_row(c, |name| scope.resolve(name))?;
         require_bool(c, ty)?;
         let touched = te.tables();
         let pred = TypedPred {
@@ -1062,7 +1068,7 @@ fn dml_scope(db: &Database, table: &str) -> Result<Scope> {
 fn dml_predicate(scope: &Scope, where_clause: Option<&SqlExpr>) -> Result<Expr> {
     match where_clause {
         Some(w) => {
-            let (te, ty) = scope.type_row(w)?;
+            let (te, ty) = type_row(w, |name| scope.resolve(name))?;
             require_bool(w, ty)?;
             te.to_expr(&|c: ColumnId| Some(c.column))
         }

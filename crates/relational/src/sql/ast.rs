@@ -227,12 +227,42 @@ impl SqlExpr {
     }
 }
 
+/// A string as a SQL literal: quoted, with every `'` doubled — what the
+/// lexer undoes, so the printed form re-lexes to the same string.
+fn quote(s: &str) -> String {
+    format!("'{}'", s.replace('\'', "''"))
+}
+
+/// A literal as the lexer reads it back: text quoted, a float in its
+/// `{:?}` form (`2.0`, never `2`, which would re-lex as an INT — the
+/// rule `lexer::render_tokens` follows), everything else as displayed.
+fn literal(v: &Value) -> String {
+    match v {
+        Value::Text(s) => quote(s.as_str()),
+        Value::Float(x) => format!("{x:?}"),
+        other => other.to_string(),
+    }
+}
+
+/// Writes `items` separated by `, `.
+fn comma<T: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    items: impl IntoIterator<Item = T>,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for SqlExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SqlExpr::Column(n) => write!(f, "{n}"),
-            SqlExpr::Literal(Value::Text(s)) => write!(f, "'{s}'"),
-            SqlExpr::Literal(v) => write!(f, "{v}"),
+            SqlExpr::Literal(v) => f.write_str(&literal(v)),
             SqlExpr::Aggregate { func, input } => {
                 let name = func.sql_name();
                 match input {
@@ -241,27 +271,93 @@ impl fmt::Display for SqlExpr {
                 }
             }
             SqlExpr::Cmp(op, a, b) => write!(f, "{a} {op} {b}"),
-            SqlExpr::Like(e, p) => write!(f, "{e} LIKE '{p}'"),
-            SqlExpr::NotLike(e, p) => write!(f, "{e} NOT LIKE '{p}'"),
+            SqlExpr::Like(e, p) => write!(f, "{e} LIKE {}", quote(p)),
+            SqlExpr::NotLike(e, p) => write!(f, "{e} NOT LIKE {}", quote(p)),
             SqlExpr::InList(e, l) => {
                 write!(f, "{e} IN (")?;
-                for (i, v) in l.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    match v {
-                        Value::Text(s) => write!(f, "'{s}'")?,
-                        other => write!(f, "{other}")?,
-                    }
-                }
+                comma(f, l.iter().map(literal))?;
                 write!(f, ")")
             }
             SqlExpr::IsNull(e) => write!(f, "{e} IS NULL"),
             SqlExpr::IsNotNull(e) => write!(f, "{e} IS NOT NULL"),
+            // AND parses left-associatively, so only a right operand that
+            // is itself a conjunction needs its parentheses back.
+            SqlExpr::And(a, b) if matches!(**b, SqlExpr::And(..)) => write!(f, "{a} AND ({b})"),
             SqlExpr::And(a, b) => write!(f, "{a} AND {b}"),
             SqlExpr::Or(a, b) => write!(f, "({a} OR {b})"),
             SqlExpr::Not(e) => write!(f, "NOT ({e})"),
         }
+    }
+}
+
+impl fmt::Display for TableRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.alias {
+            Some(alias) => write!(f, "{} {alias}", self.table),
+            None => write!(f, "{}", self.table),
+        }
+    }
+}
+
+impl fmt::Display for SelectItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelectItem::Wildcard => write!(f, "*"),
+            SelectItem::QualifiedWildcard(q) => write!(f, "{q}.*"),
+            SelectItem::Expr { expr, alias: None } => write!(f, "{expr}"),
+            SelectItem::Expr {
+                expr,
+                alias: Some(alias),
+            } => write!(f, "{expr} AS {alias}"),
+        }
+    }
+}
+
+impl fmt::Display for OrderItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.expr)?;
+        if self.descending {
+            write!(f, " DESC")?;
+        }
+        Ok(())
+    }
+}
+
+/// The one SQL printer: the text form of a query is this rendering, and
+/// parsing it yields the same AST (pinned in `tests/sql_roundtrip.rs`).
+impl fmt::Display for Query {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SELECT ")?;
+        if self.distinct {
+            write!(f, "DISTINCT ")?;
+        }
+        comma(f, &self.items)?;
+        write!(f, " FROM ")?;
+        comma(f, &self.from)?;
+        for j in &self.joins {
+            write!(f, " JOIN {} ON {}", j.table, j.on)?;
+        }
+        if let Some(w) = &self.where_clause {
+            write!(f, " WHERE {w}")?;
+        }
+        if !self.group_by.is_empty() {
+            write!(f, " GROUP BY ")?;
+            comma(f, &self.group_by)?;
+        }
+        if let Some(h) = &self.having {
+            write!(f, " HAVING {h}")?;
+        }
+        if !self.order_by.is_empty() {
+            write!(f, " ORDER BY ")?;
+            comma(f, &self.order_by)?;
+        }
+        if let Some(n) = self.limit {
+            write!(f, " LIMIT {n}")?;
+        }
+        if self.offset > 0 {
+            write!(f, " OFFSET {}", self.offset)?;
+        }
+        Ok(())
     }
 }
 
@@ -295,6 +391,58 @@ mod tests {
         );
         assert!(cmp.contains_aggregate());
         assert!(!SqlExpr::Column("x".into()).contains_aggregate());
+    }
+
+    /// Parses `sql` as a SELECT.
+    fn parse(sql: &str) -> Query {
+        match crate::sql::parse_statement(sql) {
+            Ok(Statement::Select(q)) => q,
+            other => panic!("not a SELECT: {sql:?} -> {other:?}"),
+        }
+    }
+
+    #[test]
+    fn printed_literals_parse_back_to_the_same_ast() {
+        // A quote inside a text literal, a LIKE pattern and an IN list,
+        // and a float that `Value`'s own `Display` would print as an INT.
+        let col = || Box::new(SqlExpr::Column("a.name".into()));
+        let conjuncts = [
+            SqlExpr::Cmp(
+                crate::expr::CmpOp::Eq,
+                col(),
+                Box::new(SqlExpr::Literal(Value::from("O'Brien"))),
+            ),
+            SqlExpr::Like(col(), "%d'Or%".into()),
+            SqlExpr::NotLike(col(), "'%".into()),
+            SqlExpr::InList(col(), vec![Value::from("it's"), Value::Null]),
+            SqlExpr::Cmp(
+                crate::expr::CmpOp::Lt,
+                Box::new(SqlExpr::Column("a.score".into())),
+                Box::new(SqlExpr::Literal(Value::Float(2.0))),
+            ),
+            SqlExpr::InList(
+                Box::new(SqlExpr::Column("a.score".into())),
+                vec![Value::Float(-1.0), Value::Float(1e-7), Value::Int(3)],
+            ),
+        ];
+        for c in conjuncts {
+            let q = parse(&format!("SELECT a.id FROM Authors a WHERE {c}"));
+            assert_eq!(q.where_clause, Some(c));
+        }
+    }
+
+    #[test]
+    fn printed_query_keeps_every_clause_and_nested_conjunctions() {
+        for sql in [
+            "SELECT DISTINCT a.name AS n, COUNT(*) FROM Authors a JOIN Paper_Authors pa \
+             ON pa.author_id = a.id, Institutions i WHERE a.institution_id = i.id \
+             AND (i.country = 'USA' OR NOT (a.name IS NOT NULL)) GROUP BY a.name \
+             HAVING COUNT(*) >= 2 ORDER BY n DESC, COUNT(*) LIMIT 5 OFFSET 2",
+            "SELECT *, p.* FROM Papers p WHERE p.year > 2000 AND (p.year < 2010 AND p.id <> 3)",
+        ] {
+            let q = parse(sql);
+            assert_eq!(parse(&q.to_string()), q, "{q}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! guards the executor path end to end: each query must (1) tokenize,
 //! render back from its tokens, and re-tokenize to the same stream;
 //! (2) parse, and re-parse its token-rendered form to the identical AST;
-//! (3) execute on a hand-built Figure 3 schema with the planned and naive
+//! (2b) print from its AST (`impl Display for Query`, the one SQL printer)
+//! and re-parse to the identical AST; (3) execute on a hand-built Figure 3 schema with the planned and naive
 //! evaluators agreeing.
 //!
 //! The queries come straight from `etable_datagen::tasks::task_set` — a
@@ -49,6 +50,20 @@ fn table2_queries_parse_and_reparse_identically() {
         let reparsed =
             parse_statement(&rendered).unwrap_or_else(|e| panic!("re-parsing {rendered:?}: {e}"));
         assert_eq!(stmt, reparsed, "parser round-trip diverged on {sql:?}");
+    }
+}
+
+#[test]
+fn table2_queries_print_and_reparse_identically() {
+    for sql in all_table2_queries() {
+        let stmt = parse_statement(&sql).unwrap();
+        let Statement::Select(q) = &stmt else {
+            panic!("not a SELECT: {sql:?}");
+        };
+        let printed = q.to_string();
+        let reparsed =
+            parse_statement(&printed).unwrap_or_else(|e| panic!("re-parsing {printed:?}: {e}"));
+        assert_eq!(stmt, reparsed, "printer round-trip diverged on {sql:?}");
     }
 }
 

@@ -5,8 +5,10 @@
 //! Run with `cargo run --example query_building`.
 
 use etable_repro::core::pattern::{NodeFilter, PatternNodeId};
-use etable_repro::core::{matching, ops, sql_translate};
+use etable_repro::core::{from_sql, matching, ops, to_sql};
 use etable_repro::relational::expr::CmpOp;
+use etable_repro::relational::sql::ast::{Query, SqlExpr};
+use etable_repro::relational::sql::executor::execute_query;
 
 fn main() {
     let (db, tgdb) = etable_repro::default_environment();
@@ -55,23 +57,28 @@ fn main() {
     }
 
     // §8: the pattern as the paper's general SQL form, and an executable
-    // primary-key query whose result provably matches the pattern.
-    let display_sql = sql_translate::to_sql(&tgdb, &db, &q).expect("to_sql");
-    let exec_sql = sql_translate::to_primary_sql(&tgdb, &db, &q).expect("to_primary_sql");
+    // primary-key query whose result provably matches the pattern. The
+    // translation is the SQL front end's own AST; the text is its rendering.
+    let display_sql = to_sql::to_sql(&tgdb, &db, &q).expect("to_sql");
+    let exec = to_sql::to_query(&tgdb, &db, &q).expect("to_query");
     println!("\n§8 SQL pattern:\n  {display_sql}");
-    println!("\nexecutable check query:\n  {exec_sql}");
+    println!("\nexecutable check query:\n  {exec}");
 
-    let mut db2 = db.clone();
-    let rel = etable_repro::relational::sql::execute(&mut db2, &exec_sql).expect("SQL runs");
+    let rel = execute_query(&db, &exec).expect("SQL runs");
     assert_eq!(rel.len(), m.rows().len(), "SQL and ETable agree");
     println!(
         "\nSQL returned {} researchers — identical to the ETable result.",
         rel.len()
     );
 
-    // And back again: SQL -> ETable pattern (§8's translation steps).
-    let grouped = exec_sql.replacen("SELECT DISTINCT ", "SELECT ", 1) + " GROUP BY t2.id";
-    let back = sql_translate::from_sql(&tgdb, &db, &grouped).expect("from_sql");
+    // And back again: SQL -> ETable pattern (§8's translation steps), from
+    // the same query in the GROUP BY form that names the primary.
+    let grouped = Query {
+        distinct: false,
+        group_by: vec![SqlExpr::Column("t2.id".into())],
+        ..exec
+    };
+    let back = from_sql::from_query(&tgdb, &db, &grouped).expect("from_query");
     let m2 = matching::match_primary(&tgdb, &back).expect("match back");
     assert_eq!(m.rows(), m2.rows());
     println!("round-trip SQL -> pattern -> execution agrees too.");

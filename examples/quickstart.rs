@@ -7,7 +7,7 @@
 use etable_repro::core::pattern::NodeFilter;
 use etable_repro::core::render::{render_etable, RenderOptions};
 use etable_repro::core::session::Session;
-use etable_repro::core::sql_translate;
+use etable_repro::core::to_sql;
 use etable_repro::relational::expr::CmpOp;
 use etable_repro::relational::shared::SharedDatabase;
 
@@ -51,7 +51,7 @@ fn main() {
     let pattern = session.current_pattern().expect("pattern");
     println!(
         "equivalent SQL (you never typed this):\n  {}",
-        sql_translate::to_sql(&tgdb, &db, pattern).expect("translation")
+        to_sql::to_sql(&tgdb, &db, pattern).expect("translation")
     );
 
     // 5. The history panel: every step is revertable.

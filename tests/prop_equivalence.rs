@@ -1,12 +1,16 @@
 //! Property-based cross-crate invariants: randomly generated query
 //! patterns are executed three ways — full graph-relation materialization
-//! (Definition 4), decomposed Yannakakis matching, and translated SQL over
-//! the original relational database — and must agree.
+//! (Definition 4), decomposed Yannakakis matching, and the translated SQL
+//! query over the original relational database — and must agree. The
+//! translation is executed as the AST it is, on the optimizing engine and,
+//! where the cross product is small enough, on the naive oracle; its text
+//! form is pinned separately (print → parse → the same AST).
+//!
+//! `PROPTEST_CASES` raises the case count (deep-verify runs 1024).
 
 use etable_repro::core::matching::{match_full, match_primary};
 use etable_repro::core::ops;
 use etable_repro::core::pattern::{NodeFilter, PatternNodeId, QueryPattern};
-use etable_repro::core::sql_translate::to_primary_sql;
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
@@ -15,8 +19,10 @@ use etable_repro::tgm::{translate, NodeTypeKind, Tgdb, TranslateOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
+
+mod common;
+use common::{academic, cases, check_translation, node_keys};
 
 fn env() -> &'static (Database, Tgdb) {
     static ENV: OnceLock<(Database, Tgdb)> = OnceLock::new();
@@ -90,26 +96,8 @@ fn random_pattern(tgdb: &Tgdb, seed: u64, steps: usize) -> QueryPattern {
     q
 }
 
-/// Primary-node keys from an ETable execution.
-fn pattern_keys(
-    tgdb: &Tgdb,
-    q: &QueryPattern,
-    rows: &[etable_repro::tgm::NodeId],
-) -> BTreeSet<String> {
-    let nt = tgdb.schema.node_type(q.primary_node().node_type);
-    rows.iter()
-        .map(|&n| {
-            let node = tgdb.instances.node(n);
-            match nt.attr_index("id") {
-                Some(i) => node.values[i].to_string(),
-                None => node.values[0].to_string(),
-            }
-        })
-        .collect()
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     #[test]
     fn decomposed_equals_full_on_every_projection(seed in 0u64..10_000, steps in 1usize..7) {
@@ -131,12 +119,21 @@ proptest! {
         let (db, tgdb) = env();
         let q = random_pattern(tgdb, seed, steps);
         let m = match_primary(tgdb, &q).unwrap();
-        let expected = pattern_keys(tgdb, &q, m.rows());
-        let sql = to_primary_sql(tgdb, db, &q).unwrap();
-        let mut db2 = db.clone();
-        let rel = etable_repro::relational::sql::execute(&mut db2, &sql).unwrap();
-        let got: BTreeSet<String> = rel.rows.iter().map(|r| r[0].to_string()).collect();
-        prop_assert_eq!(expected, got, "SQL mismatch for seed {}: {}", seed, sql);
+        let expected = node_keys(tgdb, &q, m.rows().iter().copied());
+        if let Err(msg) = check_translation(db, tgdb, &q, &expected, false) {
+            prop_assert!(false, "seed {}: {}", seed, msg);
+        }
+    }
+
+    #[test]
+    fn sql_translation_matches_engine_and_oracle(seed in 0u64..10_000, steps in 1usize..7) {
+        let (db, tgdb) = academic();
+        let q = random_pattern(tgdb, seed, steps);
+        let m = match_primary(tgdb, &q).unwrap();
+        let expected = node_keys(tgdb, &q, m.rows().iter().copied());
+        if let Err(msg) = check_translation(db, tgdb, &q, &expected, true) {
+            prop_assert!(false, "seed {}: {}", seed, msg);
+        }
     }
 
     #[test]
