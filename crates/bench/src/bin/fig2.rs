@@ -20,9 +20,15 @@ fn main() {
     let usable = tgdb
         .node_by_pk(papers_ty, &1.into())
         .expect("planted paper 1");
-    let row = papers_table.row_for(usable).expect("row for paper 1");
+    let row = papers_table
+        .nodes()
+        .position(|n| n == usable)
+        .expect("row for paper 1");
     let authors_col = papers_table.column_index("Authors").expect("Authors col");
-    let first_author = row.cells[authors_col].refs().expect("refs")[0];
+    let first_author = papers_table
+        .cell(row, authors_col)
+        .and_then(|c| c.refs())
+        .expect("refs")[0];
 
     println!("Starting table: Papers ({} rows)\n", papers_table.len());
 

@@ -55,15 +55,10 @@ fn main() {
     println!("U1: Open(\"Conferences\")");
     let t = s.etable().unwrap();
     let sigmod = t
-        .rows
-        .iter()
-        .find(|r| {
-            r.cells[t.column_index("acronym").unwrap()]
-                .value()
-                .is_some_and(|v| v.to_string() == "SIGMOD")
-        })
-        .expect("SIGMOD row")
-        .node;
+        .column_values(t.column_index("acronym").unwrap())
+        .position(|c| c.value().is_some_and(|v| v.to_string() == "SIGMOD"))
+        .and_then(|row| t.node_at(row))
+        .expect("SIGMOD row");
     s.seeall(sigmod, "Papers").unwrap(); // U2
     println!("U2: Seeall(\"SIGMOD\", \"Papers\")  [invokes Select + Add]");
     s.filter(NodeFilter::cmp("year", CmpOp::Gt, 2005)).unwrap(); // U3

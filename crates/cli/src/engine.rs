@@ -8,6 +8,7 @@
 
 use crate::command::{parse_value, Command, ExportFormat, FilterOp, ParseError};
 use etable_core::connection::Connection;
+use etable_core::etable::Cell;
 use etable_core::export;
 use etable_core::pattern::{FilterAtom, NodeFilter};
 use etable_core::render::{render_etable, RenderOptions};
@@ -130,11 +131,9 @@ impl Engine {
                     .session_mut()
                     .etable()
                     .map_err(|e| e.to_string())?;
-                let r = t
-                    .rows
-                    .get(row.checked_sub(1).ok_or("rows are numbered from 1")?)
+                let node = t
+                    .node_at(row.checked_sub(1).ok_or("rows are numbered from 1")?)
                     .ok_or_else(|| format!("no row {row}"))?;
-                let node = r.node;
                 self.conn
                     .session_mut()
                     .seeall(node, &column)
@@ -270,15 +269,16 @@ impl Engine {
             .session_mut()
             .etable()
             .map_err(|e| e.to_string())?;
-        let r = t
-            .rows
-            .get(row.checked_sub(1).ok_or("rows are numbered from 1")?)
-            .ok_or_else(|| format!("no row {row}"))?;
+        let r = row.checked_sub(1).ok_or("rows are numbered from 1")?;
+        if r >= t.len() {
+            return Err(format!("no row {row}"));
+        }
         let ci = t
             .column_index(column)
             .ok_or_else(|| format!("no column `{column}`"))?;
-        let refs = r.cells[ci]
-            .refs()
+        let refs = t
+            .cell(r, ci)
+            .and_then(Cell::refs)
             .ok_or_else(|| format!("column `{column}` holds plain values, not references"))?;
         refs.get(
             index

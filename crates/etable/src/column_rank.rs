@@ -32,7 +32,7 @@ pub struct ColumnScore {
 
 /// Scores every column of an enriched table.
 pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
-    let n = table.rows.len().max(1) as f64;
+    let n = table.len().max(1) as f64;
     let mut scores: Vec<ColumnScore> = table
         .columns
         .iter()
@@ -46,9 +46,9 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
             // formatted, and a key is allocated only when it is new.
             let mut distinct: HashSet<Vec<Value>> = HashSet::new();
             let mut content: Vec<Value> = Vec::new();
-            for row in &table.rows {
+            for cell in table.column_values(ci) {
                 content.clear();
-                match &row.cells[ci] {
+                match cell {
                     Cell::Atomic(v) => {
                         if !v.is_null() {
                             filled += 1;
@@ -84,7 +84,7 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
             let id_penalty = if matches!(col.kind, ColumnKind::Base { .. })
                 && all_ints
                 && distinctness >= 0.999
-                && table.rows.len() > 1
+                && table.len() > 1
             {
                 0.55
             } else {

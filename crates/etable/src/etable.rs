@@ -106,7 +106,11 @@ pub struct EnrichedTable {
     pub filter_desc: String,
     /// The columns.
     pub columns: Vec<ColumnSpec>,
-    /// The rows, one per matched primary node.
+    /// The rows, one per matched primary node. Read them through
+    /// [`EnrichedTable::nodes`], [`EnrichedTable::cell`] and
+    /// [`EnrichedTable::column_values`]: only this module and
+    /// [`crate::transform`] know the layout, and the field stays public
+    /// only for the frozen `benchmark/` harness (ROADMAP 1(b)).
     pub rows: Vec<ETableRow>,
     /// The instance graph's label column (`label(v) = v[β]` by node id),
     /// shared, not copied.
@@ -151,9 +155,50 @@ impl EnrichedTable {
         }
     }
 
-    /// The row presenting `node`, if present.
-    pub fn row_for(&self, node: NodeId) -> Option<&ETableRow> {
-        self.rows.iter().find(|r| r.node == node)
+    /// The primary node of every row, top to bottom.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.rows.iter().map(|r| r.node)
+    }
+
+    /// The primary node of row `row`, if the table has that row.
+    pub fn node_at(&self, row: usize) -> Option<NodeId> {
+        self.rows.get(row).map(|r| r.node)
+    }
+
+    /// The cell of row `row` in column `col`, if both exist.
+    pub fn cell(&self, row: usize, col: usize) -> Option<&Cell> {
+        self.rows.get(row)?.cells.get(col)
+    }
+
+    /// The number of references in a cell (0 for an atomic cell or one
+    /// the table does not have).
+    pub fn ref_count(&self, row: usize, col: usize) -> usize {
+        self.cell(row, col).map_or(0, Cell::ref_count)
+    }
+
+    /// The cells of column `col`, top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// When `col` is not a column of the table.
+    pub fn column_values(&self, col: usize) -> impl ExactSizeIterator<Item = &Cell> + '_ {
+        self.rows.iter().map(move |r| &r.cells[col])
+    }
+
+    /// Drops every column `drop` selects, with its cells (the session's
+    /// hidden columns). Nothing is cloned; a table that drops no column
+    /// is left untouched.
+    pub fn drop_columns(&mut self, drop: impl Fn(&ColumnSpec) -> bool) {
+        let keep: Vec<bool> = self.columns.iter().map(|c| !drop(c)).collect();
+        if keep.iter().all(|&k| k) {
+            return;
+        }
+        let mut kept = keep.iter();
+        self.columns.retain(|_| kept.next() == Some(&true));
+        for row in &mut self.rows {
+            let mut kept = keep.iter();
+            row.cells.retain(|_| kept.next() == Some(&true));
+        }
     }
 
     /// Sorts rows by a column: atomic columns by value, reference columns
@@ -267,8 +312,30 @@ mod tests {
         let t = table();
         assert_eq!(t.column_index("Authors"), Some(1));
         assert!(t.column("nope").is_none());
-        assert!(t.row_for(NodeId(1)).is_some());
+        assert_eq!(t.nodes().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(t.node_at(1), Some(NodeId(1)));
+        assert_eq!(t.node_at(2), None);
+        assert_eq!(t.cell(1, 0).and_then(Cell::value), Some(&"A-paper".into()));
+        assert!(t.cell(2, 0).is_none() && t.cell(0, 2).is_none());
+        assert_eq!(
+            (t.ref_count(0, 1), t.ref_count(0, 0), t.ref_count(5, 1)),
+            (2, 0, 0)
+        );
+        let counts: Vec<usize> = t.column_values(1).map(Cell::ref_count).collect();
+        assert_eq!(counts, vec![2, 1]);
         assert_eq!(t.total_refs(), 3);
+    }
+
+    #[test]
+    fn drop_columns_drops_header_and_cells_together() {
+        let mut t = table();
+        t.drop_columns(|_| false);
+        assert_eq!(t, table());
+        t.drop_columns(|c| c.name == "title");
+        assert_eq!(t.columns.len(), 1);
+        assert_eq!(t.column_index("Authors"), Some(0));
+        assert_eq!(t.ref_count(0, 0), 2);
+        assert!(t.cell(0, 1).is_none());
     }
 
     #[test]

@@ -81,12 +81,13 @@ pub fn to_json(table: &EnrichedTable) -> String {
         );
     }
     out.push_str("],\"rows\":[");
-    for (ri, row) in table.rows.iter().enumerate() {
+    for (ri, node) in table.nodes().enumerate() {
         if ri > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"node\":{},\"cells\":[", row.node.0);
-        for (ci, cell) in row.cells.iter().enumerate() {
+        let _ = write!(out, "{{\"node\":{},\"cells\":[", node.0);
+        let cells = (0..table.columns.len()).filter_map(|ci| table.cell(ri, ci));
+        for (ci, cell) in cells.enumerate() {
             if ci > 0 {
                 out.push(',');
             }
@@ -132,10 +133,9 @@ pub fn to_csv(table: &EnrichedTable) -> String {
     let header: Vec<String> = table.columns.iter().map(|c| csv_escape(&c.name)).collect();
     out.push_str(&header.join(","));
     out.push('\n');
-    for row in &table.rows {
-        let fields: Vec<String> = row
-            .cells
-            .iter()
+    for ri in 0..table.len() {
+        let fields: Vec<String> = (0..table.columns.len())
+            .filter_map(|ci| table.cell(ri, ci))
             .map(|cell| match cell {
                 Cell::Atomic(v) if v.is_null() => String::new(),
                 Cell::Atomic(v) => csv_escape(&v.to_string()),

@@ -81,17 +81,23 @@ pub fn render_etable(t: &EnrichedTable, opts: &RenderOptions) -> String {
         .iter()
         .map(|c| truncate(&c.name, opts.max_cell))
         .collect();
-    let mut body: Vec<Vec<String>> = Vec::new();
-    for row in t.rows.iter().take(opts.max_rows) {
-        body.push(row.cells.iter().map(|c| render_cell(t, c, opts)).collect());
-    }
-    // Column widths.
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in &body {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.chars().count());
-        }
-    }
+    // The shown rows' cells, column by column, and each column's width.
+    let body: Vec<Vec<String>> = (0..t.columns.len())
+        .map(|c| {
+            t.column_values(c)
+                .take(opts.max_rows)
+                .map(|cell| render_cell(t, cell, opts))
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = headers
+        .iter()
+        .zip(&body)
+        .map(|(h, col)| {
+            col.iter()
+                .fold(h.chars().count(), |w, s| w.max(s.chars().count()))
+        })
+        .collect();
     let pad = |s: &str, w: usize| {
         let mut out = s.to_string();
         let len = s.chars().count();
@@ -119,75 +125,19 @@ pub fn render_etable(t: &EnrichedTable, opts: &RenderOptions) -> String {
             .collect::<Vec<_>>()
             .join("|")
     );
-    for row in &body {
+    for r in 0..t.len().min(opts.max_rows) {
         let _ = writeln!(
             out,
             "| {} |",
-            row.iter()
+            body.iter()
                 .zip(&widths)
-                .map(|(c, &w)| pad(c, w))
+                .map(|(col, &w)| pad(&col[r], w))
                 .collect::<Vec<_>>()
                 .join(" | ")
         );
     }
-    if t.rows.len() > opts.max_rows {
-        let _ = writeln!(out, "... {} more rows", t.rows.len() - opts.max_rows);
-    }
-    out
-}
-
-/// Renders an enriched table as a GitHub-flavored markdown table (handy
-/// for embedding results in documentation or issues).
-pub fn render_markdown(t: &EnrichedTable, opts: &RenderOptions) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "**{}**{}",
-        t.primary_type_name,
-        if t.filter_desc.is_empty() {
-            String::new()
-        } else {
-            format!(" — {}", t.filter_desc)
-        }
-    );
-    let _ = writeln!(out);
-    let escape = |s: &str| s.replace('|', "/");
-    let header: Vec<String> = t.columns.iter().map(|c| escape(&c.name)).collect();
-    let _ = writeln!(out, "| {} |", header.join(" | "));
-    let _ = writeln!(
-        out,
-        "|{}|",
-        t.columns
-            .iter()
-            .map(|_| "---")
-            .collect::<Vec<_>>()
-            .join("|")
-    );
-    for row in t.rows.iter().take(opts.max_rows) {
-        let cells: Vec<String> = row
-            .cells
-            .iter()
-            .map(|c| match c {
-                Cell::Atomic(v) => escape(&truncate(&v.to_string(), opts.max_cell)),
-                Cell::Refs(refs) => {
-                    let shown: Vec<String> = refs
-                        .iter()
-                        .take(opts.max_refs)
-                        .map(|&r| escape(&truncate(&t.label_text(r), opts.max_label)))
-                        .collect();
-                    let ellipsis = if refs.len() > opts.max_refs {
-                        "…"
-                    } else {
-                        ""
-                    };
-                    format!("({}) {}{}", refs.len(), shown.join(", "), ellipsis)
-                }
-            })
-            .collect();
-        let _ = writeln!(out, "| {} |", cells.join(" | "));
-    }
-    if t.rows.len() > opts.max_rows {
-        let _ = writeln!(out, "\n*… {} more rows*", t.rows.len() - opts.max_rows);
+    if t.len() > opts.max_rows {
+        let _ = writeln!(out, "... {} more rows", t.len() - opts.max_rows);
     }
     out
 }
@@ -319,22 +269,6 @@ mod tests {
         assert!(text.contains("SCHEMA VIEW"));
         assert!(text.contains("HISTORY"));
         assert!(text.contains("2. Filter 'Papers'"));
-    }
-
-    #[test]
-    fn markdown_rendering_is_well_formed() {
-        let tgdb = academic_tgdb();
-        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let q = ops::initiate(&tgdb, papers).unwrap();
-        let t = transform::execute(&tgdb, &q).unwrap();
-        let md = render_markdown(&t, &RenderOptions::default());
-        let lines: Vec<&str> = md.lines().collect();
-        assert!(lines[0].starts_with("**Papers**"));
-        // Header, separator and each row have the same column count.
-        let cols = lines[2].matches('|').count();
-        assert!(cols > 2);
-        assert_eq!(lines[3].matches('|').count(), cols);
-        assert_eq!(lines[4].matches('|').count(), cols);
     }
 
     #[test]

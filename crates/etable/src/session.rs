@@ -99,20 +99,7 @@ impl Session {
                 t.sort_by_column(idx, *desc);
             }
         }
-        if !self.hidden.is_empty() {
-            // Drop the hidden cells in place; nothing is cloned.
-            let keep: Vec<bool> = t
-                .columns
-                .iter()
-                .map(|c| !self.hidden.contains(&c.name))
-                .collect();
-            let mut kept = keep.iter();
-            t.columns.retain(|_| kept.next() == Some(&true));
-            for row in &mut t.rows {
-                let mut kept = keep.iter();
-                row.cells.retain(|_| kept.next() == Some(&true));
-            }
-        }
+        t.drop_columns(|c| self.hidden.contains(&c.name));
         Ok(t)
     }
 
@@ -296,15 +283,8 @@ mod tests {
         s.sort("year", true);
         let t = s.etable().unwrap();
         let years: Vec<i64> = t
-            .rows
-            .iter()
-            .map(|r| {
-                r.cells[t.column_index("year").unwrap()]
-                    .value()
-                    .unwrap()
-                    .as_int()
-                    .unwrap()
-            })
+            .column_values(t.column_index("year").unwrap())
+            .map(|c| c.value().unwrap().as_int().unwrap())
             .collect();
         assert_eq!(years, vec![2014, 2012, 2011, 2007]);
         s.hide("Authors");
@@ -324,7 +304,7 @@ mod tests {
         s.sort("Papers (referenced)", true);
         let t = s.etable().unwrap();
         let col = t.column_index("Papers (referenced)").unwrap();
-        let counts: Vec<usize> = t.rows.iter().map(|r| r.cells[col].ref_count()).collect();
+        let counts: Vec<usize> = (0..t.len()).map(|r| t.ref_count(r, col)).collect();
         assert_eq!(counts, vec![2, 1, 1, 0]);
     }
 
@@ -339,9 +319,8 @@ mod tests {
         let t = s.etable().unwrap();
         assert_eq!(t.len(), 2); // usability, user interface
         let labels: Vec<&str> = t
-            .rows
-            .iter()
-            .map(|r| r.cells[0].value().unwrap().as_text().unwrap())
+            .column_values(0)
+            .map(|c| c.value().unwrap().as_text().unwrap())
             .collect();
         assert!(labels.contains(&"usability"));
     }

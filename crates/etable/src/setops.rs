@@ -151,8 +151,8 @@ mod tests {
         let diff = combine(&tgdb, &all, &recent, SetOp::Difference).unwrap();
         assert_eq!(inter.len() + diff.len(), 4);
         // Disjoint.
-        let inter_nodes: std::collections::HashSet<_> = inter.rows.iter().map(|r| r.node).collect();
-        assert!(diff.rows.iter().all(|r| !inter_nodes.contains(&r.node)));
+        let inter_nodes: std::collections::HashSet<_> = inter.nodes().collect();
+        assert!(diff.nodes().all(|n| !inter_nodes.contains(&n)));
     }
 
     #[test]
@@ -214,6 +214,6 @@ mod tests {
         let u = combine(&tgdb, &a, &b, SetOp::Union).unwrap();
         assert!(u.column("Authors").is_some());
         let col = u.column_index("Authors").unwrap();
-        assert!(u.rows.iter().any(|r| r.cells[col].ref_count() > 0));
+        assert!((0..u.len()).any(|r| u.ref_count(r, col) > 0));
     }
 }

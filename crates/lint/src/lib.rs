@@ -85,7 +85,7 @@ const PANIC_BUDGET: [(&str, usize); 17] = [
     ("crates/relational/src/table.rs", 2),
     ("crates/study/src/participant.rs", 1),
     ("crates/study/src/runner.rs", 1),
-    ("crates/study/src/scripts.rs", 11),
+    ("crates/study/src/scripts.rs", 2),
     ("crates/tgm/src/ids.rs", 1),
     ("src/lib.rs", 1),
 ];

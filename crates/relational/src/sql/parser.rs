@@ -416,7 +416,7 @@ impl Parser {
         let table = self.ident()?;
         // Optional alias: an identifier that is not a clause keyword.
         const CLAUSE_KWS: &[&str] = &[
-            "join", "inner", "on", "where", "group", "having", "order", "limit", "as",
+            "join", "inner", "on", "where", "group", "having", "order", "limit", "offset", "as",
         ];
         let alias = match self.peek() {
             Some(Token::Ident(s)) if !CLAUSE_KWS.iter().any(|k| s.eq_ignore_ascii_case(k)) => {

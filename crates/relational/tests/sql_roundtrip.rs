@@ -190,3 +190,21 @@ fn table2_fixture_answers_are_sensible() {
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0][0].to_string(), "Seoul National University");
 }
+
+#[test]
+fn offset_after_a_bare_table_name_is_not_an_alias() {
+    // `impl Display for Query` prints `limit: None, offset: 3` as exactly
+    // this text, so print → parse is the same AST only when `OFFSET` is
+    // not read as an alias of `Papers`.
+    let sql = "SELECT id FROM Papers OFFSET 3";
+    let Statement::Select(q) = parse_statement(sql).unwrap() else {
+        panic!("not a SELECT: {sql:?}");
+    };
+    assert_eq!(q.from[0].alias, None);
+    assert_eq!((q.limit, q.offset), (None, 3));
+    assert_eq!(q.to_string(), sql);
+    let db = figure3_fixture();
+    let want = vec![vec![4.into()]];
+    assert_eq!(execute_query(&db, &q).unwrap().rows, want);
+    assert_eq!(execute_query_naive(&db, &q).unwrap().rows, want);
+}

@@ -10,8 +10,9 @@
 //! - the server shuts down cleanly (all threads joined, none panicked),
 //! - no spill directories are left behind by this process.
 //!
-//! Prints one report line with p50/p99 latency and aggregate qps — the
-//! numbers the `serve` bench family tracks in `BENCH_baseline.json`.
+//! Prints one report line with p50/p99 latency and aggregate qps. No
+//! criterion family tracks them; `benchmark/`'s `wire_read` and
+//! `wire_mixed` workloads measure the serving path end to end.
 
 use etable_datagen::{load_or_generate, GenConfig};
 use etable_relational::shared::SharedDatabase;

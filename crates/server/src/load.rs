@@ -2,9 +2,8 @@
 //! running server, with every response checked byte-for-byte against the
 //! sequentially computed expectation, and p50/p99/throughput reported.
 //!
-//! Used three ways: the `serve_load` binary (CI smoke gate and the
-//! nightly high-concurrency leg), the `serve` bench family, and the
-//! server integration tests.
+//! Used two ways: the `serve_load` binary (CI smoke gate and the nightly
+//! high-concurrency leg) and the server integration tests.
 
 use crate::client::Client;
 use etable_relational::relation::Relation;

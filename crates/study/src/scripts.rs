@@ -20,6 +20,7 @@
 //! participant and error models rather than from the calibration.
 
 use crate::klm::UiStep;
+use etable_core::etable::EnrichedTable;
 use etable_core::pattern::NodeFilter;
 use etable_core::session::Session;
 use etable_datagen::{params, TaskCategory, TaskParams, TaskSet};
@@ -81,12 +82,7 @@ pub fn run_etable_task(
             )?;
             steps.push(UiStep::Read(6)); // locate the year cell
             let t = session.etable()?;
-            let year_col = t.column_index("year").expect("year column");
-            answer = t
-                .rows
-                .iter()
-                .map(|r| r.cells[year_col].value().expect("atomic").to_string())
-                .collect();
+            answer = read_column(&t, "year", usize::MAX);
         }
         2 => {
             // All keywords of paper `title2`.
@@ -100,21 +96,16 @@ pub fn run_etable_task(
                 p.title2.len() + 6,
             )?;
             let t = session.etable()?;
-            let row = t.rows.first().ok_or_else(|| {
+            let row_node = t.node_at(0).ok_or_else(|| {
                 etable_core::Error::InvalidAction("task 2 paper not found".into())
             })?;
-            let row_node = row.node;
             // Click the keyword count to list them all.
             steps.push(UiStep::Click);
             steps.push(UiStep::Execute);
             session.seeall(row_node, "Paper_Keywords: keyword")?;
             let t = session.etable()?;
             steps.push(UiStep::Read(t.len()));
-            answer = t
-                .rows
-                .iter()
-                .map(|r| r.cells[0].value().expect("keyword value").to_string())
-                .collect();
+            answer = read_column(&t, "keyword", usize::MAX);
         }
         3 => {
             // Papers by `author` in `year`+.
@@ -128,10 +119,9 @@ pub fn run_etable_task(
                 p.author.len() + 5,
             )?;
             let t = session.etable()?;
-            let row = t.rows.first().ok_or_else(|| {
+            let row_node = t.node_at(0).ok_or_else(|| {
                 etable_core::Error::InvalidAction("task 3 author not found".into())
             })?;
-            let row_node = row.node;
             steps.push(UiStep::Click);
             steps.push(UiStep::Execute);
             session.seeall(row_node, "Papers")?;
@@ -146,12 +136,7 @@ pub fn run_etable_task(
             let t = session.etable()?;
             steps.push(UiStep::Read(t.len() + 8)); // verify titles and years
             steps.push(UiStep::Think);
-            let title_col = t.column_index("title").expect("title column");
-            answer = t
-                .rows
-                .iter()
-                .map(|r| r.cells[title_col].value().expect("atomic").to_string())
-                .collect();
+            answer = read_column(&t, "title", usize::MAX);
         }
         4 => {
             // Papers by `institution` researchers at `conf_filter`.
@@ -214,12 +199,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Read(t.len().min(25)));
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            let title_col = t.column_index("title").expect("title column");
-            answer = t
-                .rows
-                .iter()
-                .map(|r| r.cells[title_col].value().expect("atomic").to_string())
-                .collect();
+            answer = read_column(&t, "title", usize::MAX);
         }
         5 => {
             // Largest South Korean institution by researcher count: filter
@@ -249,13 +229,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            let name_col = t.column_index("name").expect("name column");
-            answer = t
-                .rows
-                .first()
-                .map(|r| r.cells[name_col].value().expect("atomic").to_string())
-                .into_iter()
-                .collect();
+            answer = read_column(&t, "name", 1);
         }
         6 => {
             // Top 3 authors by paper count at `conf_agg`: this is the
@@ -299,13 +273,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            let name_col = t.column_index("name").expect("name column");
-            answer = t
-                .rows
-                .iter()
-                .take(3)
-                .map(|r| r.cells[name_col].value().expect("atomic").to_string())
-                .collect();
+            answer = read_column(&t, "name", 3);
         }
         other => {
             return Err(etable_core::Error::InvalidAction(format!(
@@ -314,6 +282,15 @@ pub fn run_etable_task(
         }
     }
     Ok(ScriptRun { steps, answer })
+}
+
+/// The first `n` values of attribute column `name`, as read off the table.
+fn read_column(t: &EnrichedTable, name: &str, n: usize) -> BTreeSet<String> {
+    let col = t.column_index(name).expect("the answer column is shown");
+    t.column_values(col)
+        .take(n)
+        .map(|c| c.value().expect("an attribute column").to_string())
+        .collect()
 }
 
 /// The Navicat-condition plan for one task.

@@ -44,10 +44,12 @@ fn main() {
     println!("{}", render_history(&session));
 
     // Figure 2: three routes to author information.
-    let row = table.rows.first().expect("at least one row");
+    let row_node = table.node_at(0).expect("at least one row");
     let authors_col = table.column_index("Authors").expect("Authors column");
-    let first_author = row.cells[authors_col].refs().expect("refs")[0];
-    let row_node = row.node;
+    let first_author = table
+        .cell(0, authors_col)
+        .and_then(|c| c.refs())
+        .expect("refs")[0];
 
     // (a) click one author's name.
     let mut a = Session::new(tgdb.clone());
@@ -77,11 +79,11 @@ fn main() {
     );
     let name_col = authors.column_index("name").expect("name");
     let papers_col = authors.column_index("Papers").expect("Papers");
-    for row in authors.rows.iter().take(5) {
+    for (row, name) in authors.column_values(name_col).take(5).enumerate() {
         println!(
             "      {:<28} {} papers",
-            row.cells[name_col].value().expect("name"),
-            row.cells[papers_col].ref_count()
+            name.value().expect("name"),
+            authors.ref_count(row, papers_col)
         );
     }
 }

@@ -105,9 +105,9 @@ fn browse_pivot_counts_match_group_by() {
         .collect();
 
     assert_eq!(t.len(), sql_counts.len());
-    for row in &t.rows {
-        let name = row.cells[name_col].value().unwrap().to_string();
-        let count = row.cells[papers_col].ref_count() as i64;
+    for (row, name) in t.column_values(name_col).enumerate() {
+        let name = name.value().unwrap().to_string();
+        let count = t.ref_count(row, papers_col) as i64;
         assert_eq!(Some(&count), sql_counts.get(&name), "{name}");
     }
 }

@@ -171,7 +171,7 @@ proptest! {
         let (_, tgdb) = env();
         let q = random_pattern(tgdb, seed, steps);
         let t = etable_repro::core::transform::execute(tgdb, &q).unwrap();
-        let mut nodes: Vec<_> = t.rows.iter().map(|r| r.node).collect();
+        let mut nodes: Vec<_> = t.nodes().collect();
         let before = nodes.len();
         nodes.sort();
         nodes.dedup();

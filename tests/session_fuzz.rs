@@ -94,10 +94,10 @@ fn random_action(session: &mut Session, rng: &mut StdRng) -> Result<(), Error> {
         3 => {
             // Seeall on a random cell.
             let t = session.etable()?;
-            if t.rows.is_empty() || t.columns.is_empty() {
+            if t.is_empty() || t.columns.is_empty() {
                 return Ok(());
             }
-            let row = t.rows[rng.gen_range(0..t.rows.len())].node;
+            let row = t.node_at(rng.gen_range(0..t.len())).unwrap();
             let col = t.columns[rng.gen_range(0..t.columns.len())].name.clone();
             session.seeall(row, &col)
         }
@@ -105,9 +105,9 @@ fn random_action(session: &mut Session, rng: &mut StdRng) -> Result<(), Error> {
             // Single on a random reference.
             let t = session.etable()?;
             let mut refs = Vec::new();
-            for r in t.rows.iter().take(5) {
-                for c in &r.cells {
-                    if let Some(rs) = c.refs() {
+            for r in 0..t.len().min(5) {
+                for c in 0..t.columns.len() {
+                    if let Some(rs) = t.cell(r, c).and_then(|c| c.refs()) {
                         refs.extend(rs);
                     }
                 }
@@ -220,7 +220,7 @@ fn random_sessions_never_break_invariants() {
                     .etable()
                     .unwrap_or_else(|e| panic!("seed {seed} step {step}: execution failed: {e}"));
                 // No duplicate rows, correct primary type.
-                let mut nodes: Vec<_> = t.rows.iter().map(|r| r.node).collect();
+                let mut nodes: Vec<_> = t.nodes().collect();
                 let before = nodes.len();
                 nodes.sort();
                 nodes.dedup();
@@ -243,7 +243,7 @@ fn every_accepted_action_agrees_with_its_sql_translation_and_the_oracle() {
                 continue;
             };
             let t = session.etable().unwrap();
-            let expected = node_keys(tgdb, &q, t.rows.iter().map(|r| r.node));
+            let expected = node_keys(tgdb, &q, t.nodes());
             let by_oracle = check_translation(db, tgdb, &q, &expected, true)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             compared += 1;
