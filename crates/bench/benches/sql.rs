@@ -4,8 +4,10 @@
 //! join probe, and the join + grouped tail — on the medium corpus, plus,
 //! at 38 000 papers, the two `ORDER BY … LIMIT` statements of the wire
 //! read mix (`*_top30`, `*_top40`), where the grouped relation has 20 671
-//! rows and the top-k tail shows, and `group_highcard`, the group-id pass
-//! over the 110 746 rows of `Paper_Authors`.
+//! rows and the top-k tail shows, `group_highcard`, the group-id pass
+//! over the 110 746 rows of `Paper_Authors`, and the two predicate-kernel
+//! scans of the wire read mix: an INT range (`scan_int_range`) and a
+//! TEXT equality against one generated title (`scan_text_eq`).
 //!
 //! These are the paths `table1`/`fig1` regeneration leans on; their medians
 //! feed `BENCH_results.json` and are pinned by the committed
@@ -14,6 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_bench::parse_select as parse;
 use etable_datagen::{generate, GenConfig};
+use etable_relational::database::Database;
 use etable_relational::sql::executor::execute_query;
 
 /// A benchmark case: entry name and SQL.
@@ -82,29 +85,49 @@ fn bench_sql(c: &mut Criterion) {
             "group_highcard",
             "SELECT author_id, COUNT(*) AS n FROM Paper_Authors GROUP BY author_id",
         ),
+        // The INT pushdown of the bulk wire reads: one compare per row.
+        (
+            "scan_int_range",
+            "SELECT COUNT(*) FROM Papers WHERE year >= 2008",
+        ),
     ];
     let mut group = c.benchmark_group("sql");
     // These medians feed the baseline regression gate; more samples keep
     // the IQR fence meaningful on a noisy machine.
     group.sample_size(30);
+    let mut run = |db: &Database, name: &str, sql: &str| {
+        let q = parse(sql);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                execute_query(db, &q)
+                    .expect("benchmark query executes")
+                    .len()
+            })
+        });
+    };
     // The larger corpus is generated only once the medium entries are
     // done: its strings join the interner the LIKE bitmap is built over.
-    for (cfg, cases) in [
-        (GenConfig::medium(), medium),
-        (GenConfig::medium().with_papers(38_000), paper_scale),
-    ] {
-        let db = generate(&cfg);
-        for (name, sql) in cases {
-            let q = parse(sql);
-            group.bench_function(*name, |b| {
-                b.iter(|| {
-                    execute_query(&db, &q)
-                        .expect("benchmark query executes")
-                        .len()
-                })
-            });
-        }
+    let db = generate(&GenConfig::medium());
+    for (name, sql) in medium {
+        run(&db, name, sql);
     }
+    let db = generate(&GenConfig::medium().with_papers(38_000));
+    for (name, sql) in paper_scale {
+        run(&db, name, sql);
+    }
+    // TEXT equality against the title of the middle paper: one symbol-id
+    // compare per row.
+    let papers = db.table("Papers").expect("Papers exists");
+    let title = papers.value(papers.len() / 2, 2);
+    let title = title
+        .as_text()
+        .expect("titles are TEXT")
+        .replace('\'', "''");
+    run(
+        &db,
+        "scan_text_eq",
+        &format!("SELECT COUNT(*) FROM Papers WHERE title = '{title}'"),
+    );
     group.finish();
 }
 

@@ -17,8 +17,9 @@
 //!   inputs' row-id vectors — probe keys hash straight off
 //!   [`ColumnData::Int`]/[`ColumnData::Sym`] words on the typed fast
 //!   paths,
-//! * a residual filter evaluates the predicate over only the columns it
-//!   references and composes the surviving positions,
+//! * a residual filter runs the predicate kernel over only the columns
+//!   it references, gathered through the row-id vectors, and composes the
+//!   surviving positions,
 //! * ORDER BY computes a permutation over rank-decorated key columns.
 //!
 //! No intermediate row is copied anywhere in that pipeline; the final
@@ -35,7 +36,6 @@
 
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
-use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
 use crate::relation::{sorted_positions, RelColumn, Relation, SortKey};
 use crate::storage::spill::{self, SpillKey};
@@ -60,6 +60,14 @@ impl RowIds {
         match self {
             RowIds::Identity => r,
             RowIds::Sel(v) => v[r] as usize,
+        }
+    }
+
+    /// The explicit row ids, or `None` for the identity selection.
+    pub(crate) fn as_slice(&self) -> Option<&[u32]> {
+        match self {
+            RowIds::Identity => None,
+            RowIds::Sel(v) => Some(v),
         }
     }
 
@@ -244,29 +252,20 @@ impl<'a> ColRelation<'a> {
     }
 
     /// σ — keeps logical rows satisfying `pred`, composing the surviving
-    /// positions into every row-id vector. Only the columns `pred`
-    /// references are read, and the predicate is compiled once
-    /// ([`CompiledPred`]) so LIKE/equality/IN over text columns test
-    /// dictionary bitmaps instead of re-matching strings per row.
+    /// positions into every row-id vector. The predicate runs on the same
+    /// kernel as the pushdown scan ([`crate::exec::pred`]): each column it
+    /// references is gathered through its source's row-id vector a word of
+    /// 64 logical rows at a time.
     pub fn select(&self, pred: &Expr) -> Result<ColRelation<'a>> {
-        let cols = crate::scan::pred_columns(pred);
-        if let Some(&max) = cols.last() {
+        if let Some(&max) = pred.referenced_columns().last() {
             if max >= self.columns.len() {
                 return Err(Error::Eval(format!("predicate column {max} out of range")));
             }
         }
-        let compiled =
-            CompiledPred::compile(pred, |c| self.columns.get(c).map(|col| col.data_type));
-        let mut buf: Vec<Value> = vec![Value::Null; self.columns.len()];
-        let mut keep: Vec<u32> = Vec::new();
-        for r in 0..self.n_rows {
-            for &c in &cols {
-                buf[c] = self.cell(r, c);
-            }
-            if compiled.matches(&buf)? {
-                keep.push(r as u32);
-            }
-        }
+        let keep = crate::exec::pred::select_rows(pred, self.n_rows, self.columns.len(), |c| {
+            let (store, ids) = self.col_source(c);
+            (store, ids.as_slice())
+        })?;
         Ok(self.composed(&keep, None))
     }
 

@@ -8,9 +8,9 @@
 //! * [`agg`] — grouped aggregation: the aggregate vocabulary, the
 //!   group-id pass over typed key words, the per-aggregate state sweeps
 //!   and the `ColRelation::group_by` driver over them.
-//! * [`pred`] — dictionary-encoded predicate compilation: LIKE/equality/IN
-//!   over interned text columns evaluate once per *distinct symbol* against
-//!   the interner arena (a membership bitmap) instead of once per row.
+//! * `pred` — WHERE: a predicate compiled once per statement to a
+//!   word-at-a-time kernel over typed column slices (`kernel`), with the
+//!   plain `Expr::matches` row loop as the one fallback.
 //! * [`budget`] — the execution memory budget (`ETABLE_MEM_BUDGET`) that
 //!   decides when a hash join degrades to the disk-spilling Grace path
 //!   ([`crate::storage::spill`]).
@@ -19,5 +19,6 @@
 pub mod agg;
 pub mod budget;
 pub(crate) mod hash;
+mod kernel;
 pub mod pool;
-pub mod pred;
+pub(crate) mod pred;

@@ -1,34 +1,39 @@
-//! Dictionary-encoded predicate evaluation over interned text columns.
+//! WHERE on typed column slices: the one predicate entry point for
+//! pushdown scans, residual selects and DML scans ([`select_rows`]).
 //!
-//! Text cells are interned symbols ([`crate::intern::Sym`]), so a text
-//! predicate over a column visits the same small vocabulary over and over.
-//! Instead of re-running `LIKE` matching (which lowercases the text per
-//! row) or string equality per row, [`CompiledPred`] rewrites the predicate
-//! tree once per statement (after the dictionary-encoding strategy of
-//! column stores, Abadi et al.):
+//! Once per statement the predicate is compiled against the column stores
+//! it reads. It gets a kernel ([`super::kernel`]) when every leaf is a
+//! kind that cannot raise:
 //!
-//! * `col LIKE 'pat'` over a TEXT column becomes a **membership bitmap**:
-//!   the pattern is evaluated once per distinct symbol against the interner
-//!   arena snapshot, and the per-row kernel tests one bit. Bitmaps are
-//!   cached per pattern; the arena is append-only, so a cached bitmap is
-//!   *extended* over the new-id suffix when the arena has grown — arena
-//!   length is the complete version stamp (the same invalidation rule the
-//!   rank table uses).
-//! * `col = 'lit'` / `col <> 'lit'` becomes a symbol-id compare (equal
-//!   strings always hold equal ids).
-//! * `col IN ('a', 'b', ...)` becomes binary search over a sorted id list.
+//! * column ⋄ literal and column ⋄ column over INT, FLOAT and mixed
+//!   INT/FLOAT (mixed pairs compare exactly through
+//!   `value::int_float_cmp`; NaN is UNKNOWN);
+//! * TEXT `=` / `<>` by symbol id, and `<` `<=` `>` `>=` through one
+//!   [`intern::rank_map`] snapshot;
+//! * TEXT `LIKE` through a cached membership bitmap over the interner
+//!   arena ([`DictBits`]), with direct matching for symbols interned after
+//!   the bitmap was built;
+//! * `IN` lists with or without NULL, `IS NULL`, a bare BOOL column, and
+//!   BOOL comparisons;
+//! * any column-free subtree that evaluates without error (it is folded
+//!   to a constant);
+//! * `AND` / `OR` / `NOT` over any of the above.
 //!
-//! Every rewrite preserves SQL three-valued-logic semantics exactly — NULL
-//! input stays UNKNOWN, type errors keep their message — and every node
-//! the compiler does not understand falls back to the raw
-//! [`Expr::eval_truth`] on the same row buffer, so compiled and
-//! uncompiled evaluation are interchangeable (the differential fuzzer's
-//! oracle always runs uncompiled).
+//! Anything else — `LIKE` over a non-TEXT input, a non-BOOL value used as
+//! a predicate, an out-of-range column — runs the plain [`Expr::matches`]
+//! row loop instead, for the whole predicate. That loop is the only
+//! fallback, so the first failing row's error is reported by
+//! construction. The naive oracle never compiles anything: it evaluates
+//! [`Expr`]s row by row, so the fuzzers compare two independent
+//! evaluators.
 
+use super::kernel::{BoolArg, LaneRef, Lanes, Node, Num, Text, WORD};
 use crate::expr::{CmpOp, Expr, LikePattern, Truth};
-use crate::intern::{self, Sym};
-use crate::value::{DataType, Value};
-use crate::{Error, Result};
+use crate::intern;
+use crate::table::ColumnStore;
+use crate::value::{int_float_cmp, Value};
+use crate::Result;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
@@ -37,13 +42,14 @@ use std::sync::{Arc, LazyLock, Mutex};
 /// the bitmap was built against; ids at or past it (interned after the
 /// build) fall back to direct matching.
 #[derive(Debug, Clone)]
-struct DictBits {
+pub(super) struct DictBits {
     covered: usize,
     words: Arc<Vec<u64>>,
 }
 
 impl DictBits {
-    fn contains(&self, id: u32) -> Option<bool> {
+    /// Membership of symbol `id`, or `None` past the covered prefix.
+    pub(super) fn contains(&self, id: u32) -> Option<bool> {
         let id = id as usize;
         if id >= self.covered {
             return None;
@@ -97,169 +103,241 @@ fn like_bitmap(pattern: &str) -> DictBits {
     built
 }
 
-fn truth_of(v: Option<bool>) -> Truth {
-    match v {
-        Some(true) => Truth::True,
-        Some(false) => Truth::False,
-        None => Truth::Unknown,
+/// Positions `0..n_rows` of a column-major input satisfying `pred`,
+/// ascending. `width` is the number of input columns; `column(c)` is the
+/// store behind input column `c` and the row ids its logical rows read
+/// (`None`: row `r` is stored row `r`).
+///
+/// Serves [`crate::scan::filter_indices`] (pushdown scans, DELETE and
+/// UPDATE) and [`crate::colrel::ColRelation::select`] (residual and cycle
+/// filters after joins).
+pub(crate) fn select_rows<'s>(
+    pred: &Expr,
+    n_rows: usize,
+    width: usize,
+    column: impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
+) -> Result<Vec<u32>> {
+    match Kernel::compile(pred, width, &column) {
+        Some(kernel) => Ok(kernel.select(n_rows)),
+        None => row_loop(pred, n_rows, width, &column),
     }
 }
 
-/// One node of a compiled predicate: either a dictionary-encoded kernel or
-/// a plain sub-expression evaluated via [`Expr::eval_truth`].
-#[derive(Debug, Clone)]
-enum CNode {
-    /// Uncompiled subtree (the exhaustive fallback).
-    Plain(Expr),
-    And(Box<CNode>, Box<CNode>),
-    Or(Box<CNode>, Box<CNode>),
-    Not(Box<CNode>),
-    /// `column LIKE pattern` over a TEXT column: bitmap membership per
-    /// symbol id, with the raw pattern kept for post-snapshot symbols.
-    LikeDict {
-        col: usize,
-        pattern: String,
-        bits: DictBits,
-    },
-    /// `column = 'lit'` (`negate` = false) / `column <> 'lit'` over a TEXT
-    /// column: symbol-id compare.
-    EqSym {
-        col: usize,
-        lit: Sym,
-        negate: bool,
-    },
-    /// `column IN (...)` over a TEXT column with all-literal text items:
-    /// sorted-id membership. `items` keeps the original list for the
-    /// generic fallback on non-text inputs.
-    InSym {
-        col: usize,
-        ids: Arc<[u32]>,
-        saw_null: bool,
-        items: Arc<[Value]>,
-    },
-}
-
-impl CNode {
-    fn is_plain(&self) -> bool {
-        matches!(self, CNode::Plain(_))
-    }
-}
-
-/// A predicate compiled for repeated evaluation over a row buffer:
-/// dictionary-encoded kernels where the input is a TEXT column, raw
-/// [`Expr`] evaluation everywhere else. Cheap to clone (shared bitmaps).
-#[derive(Debug, Clone)]
-pub struct CompiledPred {
-    root: CNode,
-}
-
-impl CompiledPred {
-    /// Compiles `pred`, consulting `col_type` for the declared type of each
-    /// column position (dictionary rewrites apply only where the input is
-    /// statically TEXT — the rewrite relies on cells being interned
-    /// symbols); every other node evaluates as the plain [`Expr`].
-    pub fn compile(pred: &Expr, col_type: impl Fn(usize) -> Option<DataType>) -> CompiledPred {
-        CompiledPred {
-            root: compile_node(pred, &col_type),
+/// The fallback: [`Expr::matches`] per row over a buffer holding the
+/// columns `pred` reads (other slots stay NULL).
+fn row_loop<'s>(
+    pred: &Expr,
+    n_rows: usize,
+    width: usize,
+    column: &impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
+) -> Result<Vec<u32>> {
+    let cols: Vec<_> = pred
+        .referenced_columns()
+        .into_iter()
+        .filter(|&c| c < width)
+        .map(|c| (c, column(c)))
+        .collect();
+    let mut row = vec![Value::Null; width];
+    let mut out = Vec::new();
+    for r in 0..n_rows {
+        for &(c, (store, ids)) in &cols {
+            row[c] = store.get(ids.map_or(r, |ids| ids[r] as usize));
+        }
+        if pred.matches(&row)? {
+            out.push(r as u32);
         }
     }
-
-    /// Whether any dictionary rewrite applied (diagnostics/tests).
-    pub fn uses_dictionary(&self) -> bool {
-        fn any_dict(n: &CNode) -> bool {
-            match n {
-                CNode::Plain(_) => false,
-                CNode::And(a, b) | CNode::Or(a, b) => any_dict(a) || any_dict(b),
-                CNode::Not(e) => any_dict(e),
-                CNode::LikeDict { .. } | CNode::EqSym { .. } | CNode::InSym { .. } => true,
-            }
-        }
-        any_dict(&self.root)
-    }
-
-    /// Three-valued evaluation over `row`; identical semantics (including
-    /// error messages and error order) to `pred.eval_truth(row)`.
-    pub fn eval_truth(&self, row: &[Value]) -> Result<Truth> {
-        self.root.eval(row)
-    }
-
-    /// WHERE-clause semantics: true iff the row definitely satisfies.
-    pub fn matches(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.root.eval(row)?.is_true())
-    }
+    Ok(out)
 }
 
-/// Is `e` a reference to a statically-TEXT column?
-fn text_col(e: &Expr, col_type: &impl Fn(usize) -> Option<DataType>) -> Option<usize> {
-    if let Expr::Column(c) = e {
-        if col_type(*c) == Some(DataType::Text) {
-            return Some(*c);
-        }
-    }
-    None
+/// A predicate compiled against the stores it reads.
+#[derive(Debug)]
+struct Kernel<'s> {
+    root: Node,
+    lanes: Lanes<'s>,
 }
 
-fn compile_node(pred: &Expr, col_type: &impl Fn(usize) -> Option<DataType>) -> CNode {
-    // Helper: compile both children; collapse to Plain when neither child
-    // compiled to a dictionary kernel, so plain predicates keep the exact
-    // single-call `Expr::eval_truth` path.
-    fn binary(
+impl<'s> Kernel<'s> {
+    /// The kernel for `pred`, or `None` when some leaf could raise (see
+    /// the module docs) and the row loop must run instead.
+    fn compile(
         pred: &Expr,
-        a: &Expr,
-        b: &Expr,
-        col_type: &impl Fn(usize) -> Option<DataType>,
-        build: impl FnOnce(Box<CNode>, Box<CNode>) -> CNode,
-    ) -> CNode {
-        let ca = compile_node(a, col_type);
-        let cb = compile_node(b, col_type);
-        if ca.is_plain() && cb.is_plain() {
-            CNode::Plain(pred.clone())
-        } else {
-            build(Box::new(ca), Box::new(cb))
+        width: usize,
+        column: &impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
+    ) -> Option<Kernel<'s>> {
+        let mut c = Compiler {
+            column,
+            width,
+            lanes: Lanes::default(),
+        };
+        let root = c.node(pred)?;
+        Some(Kernel {
+            root,
+            lanes: c.lanes,
+        })
+    }
+
+    /// Evaluates rows `0..n_rows` a word at a time, handing each word's
+    /// first row and masks to `emit`.
+    fn words(mut self, n_rows: usize, mut emit: impl FnMut(usize, super::kernel::Mask)) {
+        for base in (0..n_rows).step_by(WORD) {
+            self.lanes.load(base, (n_rows - base).min(WORD));
+            emit(base, self.root.eval(&self.lanes));
         }
     }
-    match pred {
-        Expr::And(a, b) => binary(pred, a, b, col_type, CNode::And),
-        Expr::Or(a, b) => binary(pred, a, b, col_type, CNode::Or),
-        Expr::Not(e) => {
-            let ce = compile_node(e, col_type);
-            if ce.is_plain() {
-                CNode::Plain(pred.clone())
-            } else {
-                CNode::Not(Box::new(ce))
+
+    /// The ascending positions where the predicate is TRUE.
+    fn select(self, n_rows: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.words(n_rows, |base, m| {
+            let mut t = m.t;
+            out.reserve(t.count_ones() as usize);
+            while t != 0 {
+                out.push((base + t.trailing_zeros() as usize) as u32);
+                t &= t - 1;
             }
+        });
+        out
+    }
+}
+
+/// One side of a comparison, resolved to its typed lane.
+enum Operand {
+    Int(usize),
+    Float(usize),
+    Sym(usize),
+    Bool(BoolArg),
+    Lit(Value),
+}
+
+/// `a op b` == `b flip(op) a`.
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        eq_or_ne => eq_or_ne,
+    }
+}
+
+struct Compiler<'c, 's, F> {
+    column: &'c F,
+    width: usize,
+    lanes: Lanes<'s>,
+}
+
+impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, F> {
+    /// The null-word index and typed lane of input column `c`; `None` when
+    /// it is out of range.
+    fn lane(&mut self, c: usize) -> Option<(usize, LaneRef)> {
+        if c >= self.width {
+            return None;
         }
-        Expr::Like(e, pattern) => match text_col(e, col_type) {
-            Some(col) => CNode::LikeDict {
-                col,
-                pattern: pattern.clone(),
-                bits: like_bitmap(pattern),
+        if let Some(found) = self.lanes.get(c) {
+            return Some(found);
+        }
+        let (store, ids) = (self.column)(c);
+        Some(self.lanes.add(c, store, ids))
+    }
+
+    fn node(&mut self, e: &Expr) -> Option<Node> {
+        if e.referenced_columns().is_empty() {
+            return e.eval_truth(&[]).ok().map(Node::Const);
+        }
+        Some(match e {
+            Expr::And(a, b) => Node::And(Box::new(self.node(a)?), Box::new(self.node(b)?)),
+            Expr::Or(a, b) => Node::Or(Box::new(self.node(a)?), Box::new(self.node(b)?)),
+            Expr::Not(a) => Node::Not(Box::new(self.node(a)?)),
+            Expr::IsNull(a) => match **a {
+                Expr::Column(c) => Node::IsNull(self.lane(c)?.0),
+                _ => Node::IsUnknown(Box::new(self.node(a)?)),
             },
-            None => CNode::Plain(pred.clone()),
-        },
-        Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), a, b) => {
-            let pair = match (text_col(a, col_type), b.as_ref()) {
-                (Some(col), Expr::Literal(Value::Text(s))) => Some((col, *s)),
-                _ => match (a.as_ref(), text_col(b, col_type)) {
-                    (Expr::Literal(Value::Text(s)), Some(col)) => Some((col, *s)),
-                    _ => None,
+            Expr::Column(c) => match self.lane(*c)?.1 {
+                LaneRef::Bool(b) => Node::Bool(CmpOp::Eq, BoolArg::Col(b), BoolArg::Lit(true)),
+                // A non-BOOL cell used as a predicate raises.
+                _ => return None,
+            },
+            Expr::Cmp(op, a, b) => self.compare(*op, a, b)?,
+            Expr::Like(a, pattern) => match **a {
+                Expr::Column(c) => match self.lane(c)?.1 {
+                    LaneRef::Sym(s) => {
+                        Node::Like(s, like_bitmap(pattern), LikePattern::new(pattern))
+                    }
+                    _ => return None,
                 },
-            };
-            match pair {
-                Some((col, lit)) => CNode::EqSym {
-                    col,
-                    lit,
-                    negate: *op == CmpOp::Ne,
-                },
-                None => CNode::Plain(pred.clone()),
+                // LIKE over a nested predicate's BOOL raises.
+                _ => return None,
+            },
+            Expr::InList(a, items) => self.in_list(a, items)?,
+            // Column-free, so folded above.
+            Expr::Literal(_) => return None,
+        })
+    }
+
+    fn operand(&mut self, e: &Expr) -> Option<Operand> {
+        Some(match e {
+            Expr::Literal(v) => Operand::Lit(*v),
+            Expr::Column(c) => match self.lane(*c)?.1 {
+                LaneRef::Int(i) => Operand::Int(i),
+                LaneRef::Float(i) => Operand::Float(i),
+                LaneRef::Sym(i) => Operand::Sym(i),
+                LaneRef::Bool(i) => Operand::Bool(BoolArg::Col(i)),
+            },
+            pred => Operand::Bool(BoolArg::Pred(Box::new(self.node(pred)?))),
+        })
+    }
+
+    fn compare(&mut self, op: CmpOp, a: &Expr, b: &Expr) -> Option<Node> {
+        // The literal, if any, goes on the right.
+        let (op, a, b) = match a {
+            Expr::Literal(_) => (flip(op), b, a),
+            _ => (op, a, b),
+        };
+        use Operand as O;
+        Some(match (self.operand(a)?, self.operand(b)?) {
+            // Two literals are column-free, so folded by the caller.
+            (O::Lit(_), _) => return None,
+            (O::Int(x), O::Lit(Value::Int(k))) => Node::Num(op, Num::IntLit(x, k)),
+            (O::Int(x), O::Lit(Value::Float(k))) if !k.is_nan() => {
+                Node::Num(op, Num::IntFloatLit(x, k))
             }
-        }
-        Expr::InList(e, items) => match text_col(e, col_type) {
-            Some(col)
-                if items
-                    .iter()
-                    .all(|v| matches!(v, Value::Text(_) | Value::Null)) =>
-            {
+            (O::Float(x), O::Lit(Value::Int(k))) => Node::Num(op, Num::FloatIntLit(x, k)),
+            (O::Float(x), O::Lit(Value::Float(k))) if !k.is_nan() => {
+                Node::Num(op, Num::FloatLit(x, k))
+            }
+            (O::Int(x), O::Int(y)) => Node::Num(op, Num::IntInt(x, y)),
+            (O::Int(x), O::Float(y)) => Node::Num(op, Num::IntFloat(x, y)),
+            (O::Float(x), O::Int(y)) => Node::Num(flip(op), Num::IntFloat(y, x)),
+            (O::Float(x), O::Float(y)) => Node::Num(op, Num::FloatFloat(x, y)),
+            // TEXT: `=` / `<>` by symbol id, the ordered operators by rank.
+            (O::Sym(x), O::Lit(Value::Text(k))) => Node::Text(
+                op,
+                match op {
+                    CmpOp::Eq | CmpOp::Ne => Text::EqLit(x, k),
+                    _ => {
+                        let ranks = intern::rank_map();
+                        Text::RankLit(x, ranks.rank(k), ranks)
+                    }
+                },
+            ),
+            (O::Sym(x), O::Sym(y)) => Node::Text(
+                op,
+                match op {
+                    CmpOp::Eq | CmpOp::Ne => Text::EqCol(x, y),
+                    _ => Text::RankCol(x, y, intern::rank_map()),
+                },
+            ),
+            (O::Bool(x), O::Lit(Value::Bool(k))) => Node::Bool(op, x, BoolArg::Lit(k)),
+            (O::Bool(x), O::Bool(y)) => Node::Bool(op, x, y),
+            // NULL, a NaN literal or incomparable types: UNKNOWN everywhere.
+            _ => Node::Const(Truth::Unknown),
+        })
+    }
+
+    fn in_list(&mut self, a: &Expr, items: &[Value]) -> Option<Node> {
+        Some(match self.operand(a)? {
+            Operand::Sym(x) => {
                 let mut ids: Vec<u32> = items
                     .iter()
                     .filter_map(|v| match v {
@@ -269,163 +347,140 @@ fn compile_node(pred: &Expr, col_type: &impl Fn(usize) -> Option<DataType>) -> C
                     .collect();
                 ids.sort_unstable();
                 ids.dedup();
-                CNode::InSym {
-                    col,
-                    ids: ids.into(),
-                    saw_null: items.iter().any(Value::is_null),
-                    items: items.clone().into(),
-                }
+                // NULL and non-TEXT items compare UNKNOWN against text.
+                let miss_unknown = items.iter().any(|v| !matches!(v, Value::Text(_)));
+                Node::InText(x, ids, miss_unknown)
             }
-            _ => CNode::Plain(pred.clone()),
-        },
-        other => CNode::Plain(other.clone()),
-    }
-}
-
-impl CNode {
-    fn eval(&self, row: &[Value]) -> Result<Truth> {
-        match self {
-            CNode::Plain(e) => e.eval_truth(row),
-            CNode::And(a, b) => Ok(a.eval(row)?.and(b.eval(row)?)),
-            CNode::Or(a, b) => Ok(a.eval(row)?.or(b.eval(row)?)),
-            CNode::Not(e) => Ok(e.eval(row)?.not()),
-            CNode::LikeDict { col, pattern, bits } => {
-                match cell(row, *col)? {
-                    Value::Null => Ok(Truth::Unknown),
-                    Value::Text(s) => {
-                        let hit = match bits.contains(s.id()) {
-                            Some(hit) => hit,
-                            // Interned after the bitmap was built: match
-                            // the one string directly.
-                            None => crate::expr::like_match(s.as_str(), pattern),
-                        };
-                        Ok(truth_of(Some(hit)))
-                    }
-                    other => Err(Error::Eval(format!("LIKE on non-text value {other}"))),
-                }
-            }
-            CNode::EqSym { col, lit, negate } => match cell(row, *col)? {
-                Value::Null => Ok(Truth::Unknown),
-                Value::Text(s) => Ok(truth_of(Some((s == *lit) != *negate))),
-                other => {
-                    // Type-sloppy input (never produced by a TEXT column):
-                    // fall back to the generic comparison semantics.
-                    let ord = other.sql_cmp(&Value::Text(*lit));
-                    Ok(truth_of(
-                        ord.map(|o| (o == std::cmp::Ordering::Equal) != *negate),
-                    ))
-                }
-            },
-            CNode::InSym {
-                col,
-                ids,
-                saw_null,
-                items,
-            } => {
-                let v = cell(row, *col)?;
-                match v {
-                    Value::Null => Ok(Truth::Unknown),
-                    Value::Text(s) => Ok(if ids.binary_search(&s.id()).is_ok() {
-                        Truth::True
-                    } else if *saw_null {
-                        Truth::Unknown
-                    } else {
-                        Truth::False
-                    }),
-                    other => {
-                        // Generic IN semantics for type-sloppy input.
-                        let mut unknown = false;
-                        for item in items.iter() {
-                            match other.sql_eq(item) {
-                                Some(true) => return Ok(Truth::True),
-                                Some(false) => {}
-                                None => unknown = true,
-                            }
-                        }
-                        Ok(if unknown {
-                            Truth::Unknown
-                        } else {
-                            Truth::False
-                        })
+            Operand::Int(x) => {
+                let (mut keys, mut miss_unknown) = (Vec::new(), false);
+                for v in items {
+                    match *v {
+                        Value::Int(k) => keys.push(k),
+                        // Only an exactly integral float can equal an INT;
+                        // NaN compares UNKNOWN.
+                        Value::Float(f) => match int_float_cmp(f as i64, f) {
+                            Some(Ordering::Equal) => keys.push(f as i64),
+                            Some(_) => {}
+                            None => miss_unknown = true,
+                        },
+                        _ => miss_unknown = true,
                     }
                 }
+                keys.sort_unstable();
+                keys.dedup();
+                Node::InInt(x, keys, miss_unknown)
             }
-        }
+            Operand::Float(x) => Node::InFloat(x, items.to_vec()),
+            Operand::Bool(x) => Node::InBool(x, items.to_vec()),
+            // Column-free, so folded by the caller.
+            Operand::Lit(_) => return None,
+        })
     }
-}
-
-/// Row access mirroring [`Expr::eval_value`]'s column semantics (same
-/// error message on out-of-range positions).
-fn cell(row: &[Value], col: usize) -> Result<Value> {
-    row.get(col)
-        .copied()
-        .ok_or_else(|| Error::Eval(format!("column index {col} out of range")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::Sym;
+    use crate::schema::{Column, TableSchema};
+    use crate::table::Table;
+    use crate::value::DataType;
 
-    fn text_schema(_c: usize) -> Option<DataType> {
-        Some(DataType::Text)
+    /// A table of one column per entry of `types`, holding `rows`.
+    fn table(types: &[DataType], rows: Vec<Vec<Value>>) -> Table {
+        let cols = types
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| Column::nullable(format!("c{i}"), ty))
+            .collect();
+        let mut t = Table::new(TableSchema::new("K", cols)).unwrap();
+        t.append_rows(rows).unwrap();
+        t
     }
 
-    fn row(vals: &[Value]) -> Vec<Value> {
-        vals.to_vec()
+    fn kernel<'t>(pred: &Expr, t: &'t Table) -> Option<Kernel<'t>> {
+        Kernel::compile(pred, t.schema().arity(), &|c| (t.column(c), None))
+    }
+
+    /// The kernel's truth value per row.
+    fn truths(pred: &Expr, t: &Table) -> Vec<Truth> {
+        let mut out = Vec::new();
+        kernel(pred, t).expect("kernel").words(t.len(), |base, m| {
+            for i in 0..(t.len() - base).min(WORD) {
+                out.push(match (m.t >> i & 1, m.u >> i & 1) {
+                    (1, _) => Truth::True,
+                    (_, 1) => Truth::Unknown,
+                    _ => Truth::False,
+                });
+            }
+        });
+        out
+    }
+
+    /// Kernel and row-by-row interpreter agree on every row of `t`.
+    fn assert_agrees(pred: &Expr, t: &Table) {
+        let want: Vec<Truth> = t
+            .iter_rows()
+            .map(|r| pred.eval_truth(&r).unwrap())
+            .collect();
+        assert_eq!(truths(pred, t), want, "{pred}");
     }
 
     #[test]
     fn like_bitmap_agrees_with_direct_matching() {
-        let syms: Vec<Sym> = ["alpha-dict", "beta-dict", "alphabet-dict", "gamma-dict"]
+        let rows = ["alpha-dict", "beta-dict", "alphabet-dict", "gamma-dict"]
             .iter()
-            .map(|s| Sym::intern(s))
+            .map(|s| vec![Value::text(s)])
+            .chain([vec![Value::Null]])
             .collect();
-        let pred = Expr::col(0).like("%alpha%");
-        let cp = CompiledPred::compile(&pred, text_schema);
-        assert!(cp.uses_dictionary());
-        for s in &syms {
-            let r = row(&[Value::Text(*s)]);
-            assert_eq!(
-                cp.matches(&r).unwrap(),
-                pred.matches(&r).unwrap(),
-                "sym {s}"
-            );
-        }
+        let t = table(&[DataType::Text], rows);
+        assert_agrees(&Expr::col(0).like("%alpha%"), &t);
     }
 
     #[test]
     fn bitmap_extends_across_arena_growth() {
         let pred = Expr::col(0).like("%growth-probe%");
-        let first = CompiledPred::compile(&pred, text_schema);
+        let old = table(&[DataType::Text], vec![vec![Value::text("x")]]);
+        let stale = like_bitmap("%growth-probe%");
         // Interned *after* the bitmap above was built.
         let fresh = Sym::intern("dict-growth-probe-xyzzy");
-        let r = row(&[Value::Text(fresh)]);
-        // The stale compiled predicate still answers correctly (direct
-        // fallback for post-snapshot ids)...
-        assert!(first.matches(&r).unwrap());
+        assert_eq!(stale.contains(fresh.id()), None);
+        let t = table(&[DataType::Text], vec![vec![Value::Text(fresh)]]);
+        // A kernel holding a bitmap that predates a symbol still answers
+        // by direct matching...
+        let mut kernel = kernel(&pred, &t).unwrap();
+        match &mut kernel.root {
+            Node::Like(_, bits, _) => *bits = stale,
+            other => panic!("LIKE compiled to {other:?}"),
+        }
+        let mut hits = Vec::new();
+        kernel.words(1, |_, m| hits.push(m.t));
+        assert_eq!(hits, [1]);
         // ...and a recompile extends the cached bitmap over the new ids.
-        let second = CompiledPred::compile(&pred, text_schema);
-        assert!(second.matches(&r).unwrap());
+        assert_eq!(
+            like_bitmap("%growth-probe%").contains(fresh.id()),
+            Some(true)
+        );
+        assert_agrees(&pred, &old);
     }
 
     #[test]
     fn eq_ne_and_in_match_symbol_ids() {
         let a = Sym::intern("eqsym-a");
         let b = Sym::intern("eqsym-b");
+        let t = table(
+            &[DataType::Text],
+            vec![
+                vec![Value::Text(a)],
+                vec![Value::Text(b)],
+                vec![Value::Null],
+            ],
+        );
         let eq = Expr::col(0).eq(Expr::lit(Value::Text(a)));
-        let ne = Expr::col(0).ne(Expr::lit(Value::Text(a)));
+        let ne = Expr::lit(Value::Text(a)).ne(Expr::col(0));
         let inlist = Expr::InList(Box::new(Expr::col(0)), vec![Value::Text(a), Value::Text(b)]);
         for pred in [&eq, &ne, &inlist] {
-            let cp = CompiledPred::compile(pred, text_schema);
-            assert!(cp.uses_dictionary(), "{pred}");
-            for v in [Value::Text(a), Value::Text(b), Value::Null] {
-                let r = row(&[v]);
-                assert_eq!(
-                    cp.eval_truth(&r).unwrap(),
-                    pred.eval_truth(&r).unwrap(),
-                    "{pred} over {v:?}"
-                );
-            }
+            assert_agrees(pred, &t);
         }
     }
 
@@ -433,52 +488,93 @@ mod tests {
     fn null_in_list_stays_unknown() {
         let a = Sym::intern("insym-null-a");
         let miss = Sym::intern("insym-null-miss");
-        let pred = Expr::InList(Box::new(Expr::col(0)), vec![Value::Text(a), Value::Null]);
-        let cp = CompiledPred::compile(&pred, text_schema);
-        assert!(cp.uses_dictionary());
-        assert_eq!(
-            cp.eval_truth(&row(&[Value::Text(miss)])).unwrap(),
-            Truth::Unknown
+        let t = table(
+            &[DataType::Text, DataType::Int],
+            vec![
+                vec![Value::Text(miss), 3.into()],
+                vec![Value::Text(a), 4.into()],
+            ],
         );
-        assert_eq!(cp.eval_truth(&row(&[Value::Text(a)])).unwrap(), Truth::True);
+        let pred = Expr::InList(Box::new(Expr::col(0)), vec![Value::Text(a), Value::Null]);
+        assert_eq!(truths(&pred, &t), [Truth::Unknown, Truth::True]);
+        let ints = Expr::InList(Box::new(Expr::col(1)), vec![Value::Float(4.0), Value::Null]);
+        assert_eq!(truths(&ints, &t), [Truth::Unknown, Truth::True]);
+        assert_agrees(&ints, &t);
     }
 
     #[test]
     fn type_error_messages_match_raw_eval() {
+        let t = table(&[DataType::Int], vec![vec![Value::Null], vec![7.into()]]);
         let pred = Expr::col(0).like("x%");
-        let cp = CompiledPred::compile(&pred, text_schema);
-        let r = row(&[Value::Int(7)]);
-        assert_eq!(cp.eval_truth(&r), pred.eval_truth(&r));
+        assert!(kernel(&pred, &t).is_none());
+        let want = pred.eval_truth(&[Value::Int(7)]).unwrap_err();
+        let got = select_rows(&pred, t.len(), 1, |c| (t.column(c), None)).unwrap_err();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn non_text_columns_stay_plain() {
-        let pred = Expr::col(0).eq(Expr::lit(5));
-        let cp = CompiledPred::compile(&pred, |_| Some(DataType::Int));
-        assert!(!cp.uses_dictionary());
+    fn raising_leaves_run_the_row_loop() {
+        let t = table(
+            &[DataType::Int, DataType::Bool],
+            vec![vec![5.into(), true.into()]],
+        );
+        // Every shape that can raise: LIKE over INT, a non-BOOL column as
+        // a predicate, an out-of-range column, a raising constant.
+        for pred in [
+            Expr::col(0).like("5"),
+            Expr::col(0),
+            Expr::col(1).and(Expr::col(0)),
+            Expr::col(2).eq(Expr::lit(1)),
+            Expr::lit(3).or(Expr::col(1)),
+        ] {
+            assert!(kernel(&pred, &t).is_none(), "{pred}");
+        }
+        // Everything else compiles, including a bare BOOL column and
+        // incomparable types.
+        for pred in [
+            Expr::col(1),
+            Expr::col(0).eq(Expr::lit("x")),
+            Expr::IsNull(Box::new(Expr::col(0).gt(Expr::lit(1)))),
+            Expr::col(1).eq(Expr::col(0).gt(Expr::lit(1))),
+        ] {
+            assert!(kernel(&pred, &t).is_some(), "{pred}");
+            assert_agrees(&pred, &t);
+        }
     }
 
     #[test]
     fn boolean_composition_compiles_through() {
         let a = Sym::intern("comp-a");
+        let rows = [Value::Text(a), Value::text("comp-b"), Value::Null]
+            .iter()
+            .flat_map(|&v0| {
+                [Value::Int(2), Value::Int(4), Value::Null]
+                    .map(|v1| vec![v0, v1, Value::Float(f64::NAN)])
+            })
+            .collect();
+        let t = table(&[DataType::Text, DataType::Int, DataType::Float], rows);
         let pred = Expr::col(0)
             .like("%comp%")
             .and(Expr::col(1).ge(Expr::lit(3)))
-            .or(Expr::col(0).eq(Expr::lit(Value::Text(a))).not());
-        let ty = |c: usize| {
-            Some(if c == 0 {
-                DataType::Text
-            } else {
-                DataType::Int
-            })
-        };
-        let cp = CompiledPred::compile(&pred, ty);
-        assert!(cp.uses_dictionary());
-        for v0 in [Value::Text(a), Value::Null] {
-            for v1 in [Value::Int(2), Value::Int(4), Value::Null] {
-                let r = row(&[v0, v1]);
-                assert_eq!(cp.eval_truth(&r), pred.eval_truth(&r), "{v0:?},{v1:?}");
-            }
+            .or(Expr::col(0).eq(Expr::lit(Value::Text(a))).not())
+            .or(Expr::col(2).eq(Expr::col(1)));
+        assert_agrees(&pred, &t);
+        assert_agrees(&pred.clone().not(), &t);
+    }
+
+    #[test]
+    fn text_order_follows_strings_not_intern_order() {
+        // Interned in reverse order: ids and string order disagree.
+        let rows = ["kord-zz", "kord-mm", "kord-aa"]
+            .iter()
+            .map(|s| vec![Value::text(s), Value::text("kord-mm")])
+            .collect();
+        let t = table(&[DataType::Text, DataType::Text], rows);
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            let lit = Expr::Cmp(op, Box::new(Expr::col(0)), Box::new(Expr::lit("kord-mm")));
+            let cols = Expr::Cmp(op, Box::new(Expr::col(0)), Box::new(Expr::col(1)));
+            assert_agrees(&lit, &t);
+            assert_agrees(&cols, &t);
         }
     }
 }

@@ -236,7 +236,7 @@ impl ColumnBatch {
     /// σ — keeps the selected rows satisfying `pred` (HAVING). Only the
     /// columns `pred` references are read.
     pub fn select(mut self, pred: &Expr) -> Result<ColumnBatch> {
-        let cols = crate::scan::pred_columns(pred);
+        let cols = pred.referenced_columns();
         if let Some(&max) = cols.last().filter(|&&max| max >= self.columns.len()) {
             return Err(Error::Eval(format!("predicate column {max} out of range")));
         }

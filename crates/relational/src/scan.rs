@@ -1,27 +1,13 @@
 //! Base-table scans.
 //!
-//! A scan is one loop over the rows of a [`Table`] on the calling thread:
-//! it evaluates the predicate row by row, in row order, so the selection
-//! vector is ascending and a failing predicate reports the first failing
-//! row's error. Predicates are compiled once per scan
-//! ([`crate::exec::pred::CompiledPred`]), so LIKE/equality/IN over text
-//! columns test dictionary bitmaps instead of re-matching strings per row.
+//! A scan compiles its predicate once ([`crate::exec::pred`]) and runs it
+//! over the table's column slices 64 rows at a time, in row order, so the
+//! selection vector is ascending; a predicate with a leaf that can raise
+//! runs row by row instead, reporting the first failing row's error.
 
-use crate::exec::pred::CompiledPred;
 use crate::expr::Expr;
-use crate::table::{ColumnStore, Row, Table};
-use crate::value::Value;
+use crate::table::Table;
 use crate::Result;
-
-/// The deduplicated column positions `pred` actually reads (ascending).
-/// Shared with [`crate::colrel::ColRelation::select`], which evaluates
-/// residual predicates over only these columns.
-pub(crate) fn pred_columns(pred: &Expr) -> Vec<usize> {
-    let mut cols = pred.referenced_columns();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
-}
 
 /// Row ids of `table` satisfying `pred`, ascending.
 ///
@@ -29,32 +15,13 @@ pub(crate) fn pred_columns(pred: &Expr) -> Vec<usize> {
 /// executor's columnar pipeline
 /// ([`ColRelation`](crate::colrel::ColRelation)) carries end to end, so a
 /// filtered-out row is never touched again after the scan — no row is
-/// materialized, not even for hits. The compiled predicate is evaluated
-/// over **only the columns it references** (one reusable full-width
-/// buffer, untouched slots stay NULL), so a selective filter over a wide
-/// table never pays per-row work proportional to the table width. Row ids
-/// are `u32` across the selection-vector pipeline ([`Table`]s are capped
-/// at `u32::MAX` rows).
+/// materialized, not even for hits. Only the columns `pred` references are
+/// read. Row ids are `u32` across the selection-vector pipeline
+/// ([`Table`]s are capped at `u32::MAX` rows).
 pub fn filter_indices(table: &Table, pred: &Expr) -> Result<Vec<u32>> {
-    let schema = table.schema();
-    let width = schema.columns.len();
-    let compiled = CompiledPred::compile(pred, |c| schema.columns.get(c).map(|col| col.data_type));
-    let stores: Vec<(usize, &ColumnStore)> = pred_columns(pred)
-        .into_iter()
-        .filter(|&c| c < width)
-        .map(|c| (c, table.column(c)))
-        .collect();
-    let mut buf: Row = vec![Value::Null; width];
-    let mut out = Vec::new();
-    for i in 0..table.len() {
-        for &(c, store) in &stores {
-            buf[c] = store.get(i);
-        }
-        if compiled.matches(&buf)? {
-            out.push(i as u32);
-        }
-    }
-    Ok(out)
+    crate::exec::pred::select_rows(pred, table.len(), table.schema().arity(), |c| {
+        (table.column(c), None)
+    })
 }
 
 #[cfg(test)]
@@ -90,7 +57,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_filter_matches_sequential() {
+    fn word_kernel_matches_row_by_row_filter() {
         let t = table(3 * 2048 + 17);
         let pred = Expr::col(1).ge(Expr::lit(5));
         let mut seq = Vec::new();
@@ -118,9 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn single_chunk_runs_inline() {
+    fn partial_word_keeps_only_live_rows() {
         let t = table(10);
         let pred = Expr::col(0).lt(Expr::lit(5));
         assert_eq!(filter_indices(&t, &pred).unwrap(), vec![0, 1, 2, 3, 4]);
+        let all = Expr::col(0).ge(Expr::lit(0));
+        assert_eq!(filter_indices(&t, &all).unwrap().len(), 10);
     }
 }

@@ -323,12 +323,15 @@ pub fn decode_arena(payload: &[u8], ctx: &str) -> Result<Vec<String>> {
 /// Decodes one column segment into its typed body and null bitmap.
 ///
 /// `syms` maps file-local arena ids to process symbols (built by interning
-/// the arena segment in order); `expected` and `rows` come from the schema
-/// segment and are cross-checked against the column's own header.
+/// the arena segment in order); `expected`, `nullable` and `rows` come
+/// from the schema segment and are cross-checked against the column's own
+/// header and bitmap: a NULL bit in a column the schema declares NOT NULL
+/// is refused, naming the first such row.
 pub fn decode_column(
     payload: &[u8],
     ctx: &str,
     expected: DataType,
+    nullable: bool,
     rows: usize,
     syms: &[Sym],
 ) -> Result<(ColumnData, NullBitmap)> {
@@ -371,6 +374,17 @@ pub fn decode_column(
         words.push(r.u64("null word")?);
     }
     let nulls = NullBitmap::from_words(words);
+    if !nullable {
+        let first_null =
+            nulls.words().iter().enumerate().find_map(|(w, &bits)| {
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            });
+        if let Some(i) = first_null.filter(|&i| i < rows) {
+            return Err(Error::Storage(format!(
+                "{ctx}: row {i} is NULL in a column declared NOT NULL"
+            )));
+        }
+    }
     let data = match ty {
         DataType::Int => {
             let mut v = Vec::with_capacity(rows);

@@ -114,7 +114,8 @@ fn open_table(path: &Path) -> Result<Table> {
     for (ci, col) in schema.columns.iter().enumerate() {
         let (ctx, payload) = segment(2 + ci)?;
         let ctx = format!("{ctx} (`{}.{}`)", schema.name, col.name);
-        let (data, nulls) = decode_column(&payload, &ctx, col.data_type, rows, &syms)?;
+        let (data, nulls) =
+            decode_column(&payload, &ctx, col.data_type, col.nullable, rows, &syms)?;
         cols.push(ColumnStore::from_parts(data, nulls, rows));
     }
     let ctx = format!("{}: after the last column segment", path.display());

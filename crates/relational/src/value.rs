@@ -25,8 +25,9 @@ const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 /// hashing differently. Floats at or beyond ±2^63 are strictly outside the
 /// `i64` range; below that, `b.trunc()` converts to `i64` without loss and
 /// any fractional remainder breaks the tie in `b`'s favor. `None` iff `b`
-/// is NaN.
-fn int_float_cmp(a: i64, b: f64) -> Option<Ordering> {
+/// is NaN. The predicate kernels ([`crate::exec::kernel`]) compare mixed
+/// INT/FLOAT cells through this same function.
+pub(crate) fn int_float_cmp(a: i64, b: f64) -> Option<Ordering> {
     if b.is_nan() {
         return None;
     }

@@ -227,6 +227,39 @@ fn checksummed_column_that_disagrees_with_the_schema_fails_at_open() {
     }
 }
 
+/// A NULL bit in a column the schema declares NOT NULL would let the
+/// analyzer type the column non-nullable while its cells read NULL, so a
+/// snapshot that holds one is refused at open, naming the first such row.
+#[test]
+fn null_bit_in_a_not_null_column_fails_at_open() {
+    // `T.id` (INT NOT NULL) is segment 2; its first null word follows the
+    // type code, row count and null-word count. Flip row 70's bit, which
+    // lives in the second word.
+    const WORDS: usize = 1 + 8 + 4;
+    let dir = saved_db("not-null");
+    forge_segment(&dir.join("t0.etb"), 2, |p| {
+        let at = WORDS + 8;
+        let word = u64::from_le_bytes(p[at..at + 8].try_into().unwrap()) | 1 << (70 - 64);
+        p[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    });
+    assert_open_storage_err(
+        &dir,
+        &[
+            "t0.etb",
+            "column segment 0",
+            "`T.id`",
+            "row 70 is NULL in a column declared NOT NULL",
+        ],
+    );
+    let _ = fs::remove_dir_all(&dir);
+    // The same bit in a nullable column is an ordinary NULL.
+    let dir = saved_db("nullable");
+    forge_segment(&dir.join("t0.etb"), 3, |p| p[WORDS + 8] |= 1 << (70 - 64));
+    let db = Database::open(&dir).unwrap();
+    assert!(db.table("T").unwrap().value(70, 1).is_null());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `Z(k FLOAT PRIMARY KEY, v INT)` holding the given keys, saved.
 fn saved_float_keyed(tag: &str, keys: &[f64]) -> PathBuf {
     let mut db = Database::new();
