@@ -3,16 +3,20 @@
 //! pair — opening the saved binary corpus must beat regenerating it by
 //! at least 5x (the CI bench gate holds each family to its baseline, so
 //! a regression in either side of the ratio is caught). `save_medium`
-//! prices snapshot creation (paid once per cache miss). `write_cycle` is
-//! the write path end to end at 38 000 papers: the load harness's INSERT /
-//! UPDATE / DELETE of one `Papers` row through
+//! prices snapshot creation (paid once per cache miss). At 38 000 papers,
+//! `translate` and `check_integrity` price the two bulk users of
+//! foreign-key matching — the graph's edge load and the whole-database
+//! check — and `write_cycle` is the write path end to end: the load
+//! harness's INSERT / UPDATE / DELETE of one `Papers` row through
 //! [`SharedDatabase::execute`], each a clone-modify-publish of the whole
-//! database beside a pinned reader.
+//! database beside a pinned reader (the DELETE's RESTRICT check matches
+//! the row's key against every column referencing `Papers`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
 use etable_relational::database::Database;
 use etable_relational::shared::SharedDatabase;
+use etable_tgm::{translate, TranslateOptions};
 use std::path::PathBuf;
 
 /// Scratch directory for this process's bench snapshots.
@@ -55,7 +59,19 @@ fn bench_storage(c: &mut Criterion) {
     // were measured over. The pinned snapshot keeps the previous epoch
     // alive across the cycle, so every statement's copy-on-write is real
     // and the old epoch's drop is paid inside the measurement.
-    let shared = SharedDatabase::new(generate(&GenConfig::medium().with_papers(38_000)));
+    let paper_scale = generate(&GenConfig::medium().with_papers(38_000));
+    group.bench_function("translate", |b| {
+        b.iter(|| {
+            translate(&paper_scale, &TranslateOptions::default())
+                .expect("corpus translates")
+                .instances
+                .edge_count()
+        })
+    });
+    group.bench_function("check_integrity", |b| {
+        b.iter(|| paper_scale.check_integrity().expect("corpus is consistent"))
+    });
+    let shared = SharedDatabase::new(paper_scale);
     group.bench_function("write_cycle", |b| {
         b.iter(|| {
             let _reader = shared.snapshot();

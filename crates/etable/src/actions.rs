@@ -168,7 +168,7 @@ fn require_etable(t: Option<&EnrichedTable>) -> Result<&EnrichedTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::academic_tgdb;
+    use crate::testutil::{academic_db, academic_tgdb};
     use crate::transform;
     use etable_relational::expr::CmpOp;
 
@@ -200,7 +200,7 @@ mod tests {
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let open = apply(&tgdb, None, None, &UserAction::Open { node_type: papers }).unwrap();
         let t = transform::execute(&tgdb, &open.pattern).unwrap();
-        let usable = tgdb.node_by_pk(papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
 
         // (a) click an author's name -> single-row Authors table.
         let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();

@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::pattern::{NodeFilter, PatternNodeId};
-    use crate::testutil::academic_tgdb;
+    use crate::testutil::{academic_db, academic_tgdb};
     use etable_relational::expr::CmpOp;
 
     /// The Figure 6 / Figure 7 query: SIGMOD papers after 2005 by authors at
@@ -479,7 +479,7 @@ mod tests {
         let q = ops::add(&tgdb, &q, ae).unwrap();
         let q = ops::shift(&q, crate::pattern::PatternNodeId(0)).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        let usable = tgdb.node_by_pk(papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
         let related = m
             .related(&tgdb, usable, crate::pattern::PatternNodeId(1))
             .unwrap();
@@ -508,7 +508,7 @@ mod tests {
         let q = ops::select(&tgdb, &q, NodeFilter::like("country", "%Korea%")).unwrap();
         let q = ops::shift(&q, crate::pattern::PatternNodeId(0)).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        let guided = tgdb.node_by_pk(papers, &12.into()).unwrap();
+        let guided = tgdb.node_by_pk(&academic_db(), papers, &12.into()).unwrap();
         assert!(m.rows().contains(&guided));
         let authors = m
             .related(&tgdb, guided, crate::pattern::PatternNodeId(1))

@@ -229,7 +229,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::academic_tgdb;
+    use crate::testutil::{academic_db, academic_tgdb};
     use etable_relational::expr::CmpOp;
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let usable = tgdb.node_by_pk(papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
         s.seeall(usable, "Paper_Keywords: keyword").unwrap();
         let t = s.etable().unwrap();
         assert_eq!(t.len(), 2); // usability, user interface

@@ -215,7 +215,7 @@ mod tests {
         let tgdb = academic_tgdb();
         let db = academic_db();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let node = tgdb.node_by_pk(papers, &11.into()).unwrap();
+        let node = tgdb.node_by_pk(&db, papers, &11.into()).unwrap();
         let q = ops::initiate(&tgdb, papers).unwrap();
         let q = ops::select(&tgdb, &q, NodeFilter::node_is(node)).unwrap();
         let sql = to_primary_sql(&tgdb, &db, &q).unwrap();

@@ -275,13 +275,10 @@ impl<'a> ColRelation<'a> {
     /// The smaller side is the build side: its key column is hashed into a
     /// chained index (key word -> chain of build positions), then the probe
     /// side's key column is scanned as a batch, emitting paired
-    /// (build-position, probe-position) vectors. Those compose with the
-    /// inputs' existing selections — no row of either side is copied. When
-    /// both key columns are `INT` (or both `TEXT`), keys hash straight off
-    /// the `i64` (or interned `u32` symbol) column words; mixed-type keys
-    /// fall back to [`Value`] keys with the same NULL-never-matches
-    /// semantics and `Int`/`Float` widening. Output columns are
-    /// `self.columns ++ other.columns`.
+    /// (build-position, probe-position) vectors (`key_pairs`, which says
+    /// how each pair of column types is keyed). Those compose with the
+    /// inputs' existing selections — no row of either side is copied.
+    /// Output columns are `self.columns ++ other.columns`.
     pub fn hash_join(
         &self,
         other: &ColRelation<'a>,
@@ -300,49 +297,7 @@ impl<'a> ColRelation<'a> {
         };
         let (bstore, bids) = build.col_source(build_col);
         let (pstore, pids) = probe.col_source(probe_col);
-        let (build_pos, probe_pos) = match (bstore.data(), pstore.data()) {
-            // INT = INT: keys are the i64 column words.
-            (ColumnData::Int(bv), ColumnData::Int(pv)) => join_positions(
-                build.len(),
-                |i| {
-                    let r = bids.get(i);
-                    (!bstore.is_null(r)).then(|| bv[r])
-                },
-                probe.len(),
-                |i| {
-                    let r = pids.get(i);
-                    (!pstore.is_null(r)).then(|| pv[r])
-                },
-            )?,
-            // TEXT = TEXT: keys are the interned u32 symbol ids (equal
-            // strings hold equal ids, so id equality is string equality).
-            (ColumnData::Sym(bv), ColumnData::Sym(pv)) => join_positions(
-                build.len(),
-                |i| {
-                    let r = bids.get(i);
-                    (!bstore.is_null(r)).then(|| bv[r].id())
-                },
-                probe.len(),
-                |i| {
-                    let r = pids.get(i);
-                    (!pstore.is_null(r)).then(|| pv[r].id())
-                },
-            )?,
-            // Mixed / float / bool keys: `Value` keys (hashing widens
-            // integral floats so `Int(2)` matches `Float(2.0)`).
-            _ => join_positions(
-                build.len(),
-                |i| {
-                    let v = bstore.get(bids.get(i));
-                    (!v.is_null()).then_some(v)
-                },
-                probe.len(),
-                |i| {
-                    let v = pstore.get(pids.get(i));
-                    (!v.is_null()).then_some(v)
-                },
-            )?,
-        };
+        let (build_pos, probe_pos) = key_pairs(bstore, bids.as_slice(), pstore, pids.as_slice())?;
         check_cardinality(build_pos.len())?;
         Ok(if build_is_left {
             build.composed(&build_pos, Some((probe, &probe_pos)))
@@ -454,6 +409,46 @@ fn cardinality_error() -> Error {
         "intermediate relation exceeds the u32 row-id space ({} rows)",
         u32::MAX
     ))
+}
+
+/// The (build-position, probe-position) pairs of equal non-NULL keys of
+/// two columns, each read at the rows of its selection (`None`: at every
+/// row), in [`join_positions`]'s order. The one place a key column is
+/// keyed, for joins and foreign keys ([`crate::database::Database::fk_pairs`])
+/// alike: `INT` = `INT` by the `i64` words, `TEXT` = `TEXT` by the interned
+/// symbol ids (equal strings hold equal ids), anything else by [`Value`],
+/// whose equality is [`Value::total_cmp`]'s (`Int(2)` finds `Float(2.0)`,
+/// `-0.0` finds `0.0`, a NaN finds itself).
+pub(crate) fn key_pairs(
+    build: &ColumnStore,
+    build_rows: Option<&[u32]>,
+    probe: &ColumnStore,
+    probe_rows: Option<&[u32]>,
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let len = |c: &ColumnStore, rows: Option<&[u32]>| rows.map_or(c.len(), <[u32]>::len);
+    let (bn, pn) = (len(build, build_rows), len(probe, probe_rows));
+    // Position -> the row it reads, unless that row's key is NULL.
+    let at = |c: &ColumnStore, rows: Option<&[u32]>, i: usize| {
+        Some(rows.map_or(i, |s| s[i] as usize)).filter(|&r| !c.is_null(r))
+    };
+    let (b, p) = (|i| at(build, build_rows, i), |i| at(probe, probe_rows, i));
+    match (build.data(), probe.data()) {
+        (ColumnData::Int(bv), ColumnData::Int(pv)) => {
+            join_positions(bn, |i| b(i).map(|r| bv[r]), pn, |i| p(i).map(|r| pv[r]))
+        }
+        (ColumnData::Sym(bv), ColumnData::Sym(pv)) => join_positions(
+            bn,
+            |i| b(i).map(|r| bv[r].id()),
+            pn,
+            |i| p(i).map(|r| pv[r].id()),
+        ),
+        _ => join_positions(
+            bn,
+            |i| b(i).map(|r| build.get(r)),
+            pn,
+            |i| p(i).map(|r| probe.get(r)),
+        ),
+    }
 }
 
 /// Budget dispatch in front of the build/probe kernel: when the current

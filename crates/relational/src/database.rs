@@ -1,11 +1,17 @@
 //! The database: a catalog of tables plus cross-table integrity checks.
 
-use crate::exec::hash::KeyHashBuilder;
+use crate::expr::Expr;
 use crate::schema::{ForeignKey, TableSchema};
-use crate::table::{ColumnStore, Row, Table};
+use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::{Error, Result};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+
+/// The (referencing row, referenced row) pairs of a foreign key's equal
+/// NULL-free keys, in referencing-row order (a row's matches, if the
+/// referenced key repeats, in descending referenced row) — or else the key
+/// of the first referencing row whose NULL-free key no row holds.
+pub type FkPairs = std::result::Result<Vec<(u32, u32)>, Vec<Value>>;
 
 /// An in-memory relational database.
 ///
@@ -91,25 +97,17 @@ impl Database {
     /// referenced table (NULL FK values are allowed and mean "no reference").
     pub fn insert(&mut self, table: &str, row: Row) -> Result<usize> {
         // Check FKs before mutating.
-        let schema = self.table(table)?.schema().clone();
+        let schema = self.table(table)?.schema();
         for fk in &schema.foreign_keys {
-            let referencing: Vec<Value> = fk
-                .columns
-                .iter()
-                .map(|c| {
-                    schema
-                        .column_index(c)
-                        .map(|i| row.get(i).copied().unwrap_or(Value::Null))
-                        .ok_or_else(|| {
-                            Error::Schema(format!("FK column `{c}` missing in `{table}`"))
-                        })
-                })
-                .collect::<Result<_>>()?;
+            let referencing: Vec<Value> = key_indices(schema, &fk.columns)?
+                .into_iter()
+                .map(|i| row.get(i).copied().unwrap_or(Value::Null))
+                .collect();
             if referencing.iter().any(Value::is_null) {
                 continue;
             }
             let target = self.table(&fk.referenced_table)?;
-            if !Referenced::new(target, fk)?.holds(&referencing) {
+            if !holds(target, &fk.referenced_columns, &referencing)? {
                 return Err(Error::Constraint(format!(
                     "FK violation: `{table}` -> `{}` key {referencing:?} not found",
                     fk.referenced_table
@@ -140,27 +138,47 @@ impl Database {
 
     /// Verifies all foreign keys in the whole database.
     pub fn check_integrity(&self) -> Result<()> {
-        for table in self.tables.values() {
-            let schema = table.schema();
-            for fk in &schema.foreign_keys {
-                let src_cols = key_columns(table, &fk.columns)?;
-                let target = self.table(&fk.referenced_table)?;
-                let referenced = Referenced::new(target, fk)?;
-                for row in 0..table.len() {
-                    let key = key_at(&src_cols, row);
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if !referenced.holds(&key) {
-                        return Err(Error::Constraint(format!(
-                            "integrity: `{}` -> `{}` dangling key {key:?}",
-                            schema.name, fk.referenced_table
-                        )));
-                    }
-                }
+        self.check_fks(|_, _| true)
+    }
+
+    /// Every foreign key, beside its table, in table-name order.
+    fn foreign_keys(&self) -> impl Iterator<Item = (&Table, &ForeignKey)> {
+        (self.tables.values()).flat_map(|t| t.schema().foreign_keys.iter().map(move |fk| (t, fk)))
+    }
+
+    /// Verifies the foreign keys `which` picks, each through
+    /// [`Database::fk_pairs`].
+    fn check_fks(&self, which: impl Fn(&Table, &ForeignKey) -> bool) -> Result<()> {
+        for (t, fk) in self.foreign_keys().filter(|&(t, fk)| which(t, fk)) {
+            if let Err(key) = self.fk_pairs(&t.schema().name, fk)? {
+                return Err(Error::Constraint(format!(
+                    "integrity: `{}` -> `{}` dangling key {key:?}",
+                    t.schema().name,
+                    fk.referenced_table
+                )));
             }
         }
         Ok(())
+    }
+
+    /// What the foreign key `fk` of `table` points at ([`FkPairs`]). A key
+    /// with a NULL in it references nothing. Keys are matched by the join
+    /// kernel (`colrel::key_pairs`, spilling under the memory
+    /// budget) on the first column, then by [`Value`] equality on the rest.
+    pub fn fk_pairs(&self, table: &str, fk: &ForeignKey) -> Result<FkPairs> {
+        let (from, to) = (self.table(table)?, self.table(&fk.referenced_table)?);
+        let pairs = match_keys(
+            (to, &fk.referenced_columns, None),
+            (from, &fk.columns, None),
+        )?;
+        let mut found = vec![false; from.len()];
+        pairs.iter().for_each(|&(r, _)| found[r as usize] = true);
+        let cols = key_indices(from.schema(), &fk.columns)?;
+        let dangling = (0..from.len())
+            .find(|&r| !found[r] && cols.iter().all(|&c| !from.column(c).is_null(r)));
+        Ok(dangling.map_or(Ok(pairs), |r| {
+            Err(cols.iter().map(|&c| from.value(r, c)).collect())
+        }))
     }
 
     /// Total row count across tables.
@@ -174,51 +192,55 @@ impl Database {
     /// hold in *that key's referenced columns* — the primary key or not —
     /// must not occur in the referencing columns, unless a surviving row
     /// still holds the same value (only possible off the primary key).
-    pub fn delete_where(&mut self, table: &str, pred: &crate::expr::Expr) -> Result<usize> {
+    pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
         let target = self.table(table)?;
-        let doomed_rows = crate::scan::filter_indices(target, pred)?;
-        if doomed_rows.is_empty() {
+        let doomed = crate::scan::filter_indices(target, pred)?;
+        if doomed.is_empty() {
             return Ok(0);
         }
-        // RESTRICT: scan referencing tables, one hash probe per row.
-        for other in self.tables.values() {
-            for fk in &other.schema().foreign_keys {
-                if fk.referenced_table != table {
-                    continue;
-                }
-                let doomed = doomed_keys(target, fk, &doomed_rows)?;
-                let ref_cols = key_columns(other, &fk.columns)?;
-                let mut key: Vec<Value> = Vec::with_capacity(ref_cols.len());
-                for row in 0..other.len() {
-                    key.clear();
-                    key.extend(ref_cols.iter().map(|c| c.get(row)));
-                    if doomed.contains(key.as_slice()) {
-                        return Err(Error::Constraint(format!(
-                            "cannot delete from `{table}`: key {key:?} is referenced by `{}`",
-                            other.schema().name
-                        )));
-                    }
-                }
+        // RESTRICT: the doomed rows (build side) against each referencing
+        // column (probe side). A primary key cannot repeat, so only the
+        // doomed rows need matching; any other key stays referenceable
+        // while a surviving row holds it, so all rows are matched and a
+        // referencing row is refused only if every row it matches is doomed.
+        let is_doomed = |&(_, t): &(u32, u32)| doomed.binary_search(&t).is_ok();
+        let referencing = self
+            .foreign_keys()
+            .filter(|(_, fk)| fk.referenced_table == table);
+        for (other, fk) in referencing {
+            let pk = target.schema().primary_key == fk.referenced_columns;
+            let refs = match_keys(
+                (target, &fk.referenced_columns, pk.then_some(&doomed[..])),
+                (other, &fk.columns, None),
+            )?;
+            let mut runs = refs.chunk_by(|a, b| a.0 == b.0);
+            if let Some(&[(row, _), ..]) = runs.find(|run| run.iter().all(is_doomed)) {
+                let key: Vec<Value> = key_indices(other.schema(), &fk.columns)?
+                    .into_iter()
+                    .map(|c| other.value(row as usize, c))
+                    .collect();
+                return Err(Error::Constraint(format!(
+                    "cannot delete from `{table}`: key {key:?} is referenced by `{}`",
+                    other.schema().name
+                )));
             }
         }
-        Ok(self.table_mut(table)?.delete_rows(&doomed_rows))
+        Ok(self.table_mut(table)?.delete_rows(&doomed))
     }
 
     /// Updates rows of `table` matching `pred`; `sets` pairs column names
-    /// with new values. An update that sets a key column — one in this
-    /// table's primary key, in one of its foreign keys, or referenced by
-    /// any table's foreign key — may break a reference in either
-    /// direction, so the whole-database integrity check runs afterwards and
-    /// the update is rolled back if it fails. Any other update cannot
-    /// change what a foreign key sees and pays for neither the check nor
-    /// the backup copy.
+    /// with new values. Only a foreign key whose columns (this table's) or
+    /// referenced columns (in this table) are set can change its answer:
+    /// those are checked afterwards, through [`Database::fk_pairs`], and
+    /// the update is rolled back if one fails. An update that sets no such
+    /// column pays for neither the check nor the backup copy.
     pub fn update_where(
         &mut self,
         table: &str,
-        pred: &crate::expr::Expr,
+        pred: &Expr,
         sets: &[(String, Value)],
     ) -> Result<usize> {
-        let schema = self.table(table)?.schema().clone();
+        let schema = self.table(table)?.schema();
         let resolved: Vec<(usize, Value)> = sets
             .iter()
             .map(|(name, v)| {
@@ -228,115 +250,89 @@ impl Database {
                     .ok_or_else(|| Error::UnknownColumn(name.clone()))
             })
             .collect::<Result<_>>()?;
-        if !sets
-            .iter()
-            .any(|(name, _)| self.is_key_column(&schema, name))
-        {
+        let set = |cols: &[String]| cols.iter().any(|c| sets.iter().any(|(s, _)| s == c));
+        let touched = |t: &Table, fk: &ForeignKey| {
+            (t.schema().name == table && set(&fk.columns))
+                || (fk.referenced_table == table && set(&fk.referenced_columns))
+        };
+        if !self.foreign_keys().any(|(t, fk)| touched(t, fk)) {
             return self.table_mut(table)?.update_where(pred, &resolved);
         }
         let backup = self.table(table)?.clone();
         let changed = self.table_mut(table)?.update_where(pred, &resolved)?;
         if changed > 0 {
-            if let Err(e) = self.check_integrity() {
+            if let Err(e) = self.check_fks(touched) {
                 *self.table_mut(table)? = backup;
                 return Err(e);
             }
         }
         Ok(changed)
     }
-
-    /// Whether `column` of the table `schema` describes takes part in a
-    /// referential constraint: its primary key, one of its foreign keys,
-    /// or the referenced side of any table's foreign key.
-    fn is_key_column(&self, schema: &TableSchema, column: &str) -> bool {
-        let names = |cols: &[String]| cols.iter().any(|c| c == column);
-        names(&schema.primary_key)
-            || schema.foreign_keys.iter().any(|fk| names(&fk.columns))
-            || self.tables.values().any(|t| {
-                t.schema()
-                    .foreign_keys
-                    .iter()
-                    .any(|fk| fk.referenced_table == schema.name && names(&fk.referenced_columns))
-            })
-    }
 }
 
-/// The columns of `table` that `names` name: one side of a foreign key.
-fn key_columns<'a>(table: &'a Table, names: &[String]) -> Result<Vec<&'a ColumnStore>> {
+/// The positions of the columns `names` names in the table `schema`
+/// describes: one side of a foreign key.
+fn key_indices(schema: &TableSchema, names: &[String]) -> Result<Vec<usize>> {
     names
         .iter()
         .map(|c| {
-            let i = table.schema().column_index(c).ok_or_else(|| {
-                Error::Schema(format!(
-                    "FK column `{c}` missing in `{}`",
-                    table.schema().name
-                ))
-            })?;
-            Ok(table.column(i))
+            schema.column_index(c).ok_or_else(|| {
+                Error::Schema(format!("FK column `{c}` missing in `{}`", schema.name))
+            })
         })
         .collect()
 }
 
-/// What `cols` hold in row `row`, as one key.
-fn key_at(cols: &[&ColumnStore], row: usize) -> Vec<Value> {
-    cols.iter().map(|c| c.get(row)).collect()
+/// One side of a key match: a table, the key columns, and the rows to
+/// read (`None`: every row).
+type KeySide<'a> = (&'a Table, &'a [String], Option<&'a [u32]>);
+
+/// The (probe row, build row) pairs whose keys are equal and NULL-free,
+/// in [`crate::colrel::key_pairs`]'s order (probe rows ascending when the
+/// probe side reads every row or an ascending selection): the join kernel
+/// on the first key column, then [`Value`] equality on the rest.
+fn match_keys(build: KeySide<'_>, probe: KeySide<'_>) -> Result<Vec<(u32, u32)>> {
+    let b = key_indices(build.0.schema(), build.1)?;
+    let p = key_indices(probe.0.schema(), probe.1)?;
+    let (Some(&b0), Some(&p0)) = (b.first(), p.first()) else {
+        return Err(Error::Schema("foreign key without columns".into()));
+    };
+    let (bpos, ppos) =
+        crate::colrel::key_pairs(build.0.column(b0), build.2, probe.0.column(p0), probe.2)?;
+    let row = |rows: Option<&[u32]>, i: u32| rows.map_or(i, |s| s[i as usize]);
+    let rest_equal = |pr: usize, br: usize| {
+        p[1..].iter().zip(&b[1..]).all(|(&pc, &bc)| {
+            let v = probe.0.value(pr, pc);
+            !v.is_null() && v == build.0.value(br, bc)
+        })
+    };
+    Ok(ppos
+        .into_iter()
+        .zip(bpos)
+        .map(|(pi, bi)| (row(probe.2, pi), row(build.2, bi)))
+        .filter(|&(pr, br)| rest_equal(pr as usize, br as usize))
+        .collect())
 }
 
-/// What a foreign key can point at: answers "does some row of the
-/// referenced table hold this NULL-free key in the referenced columns"
-/// for INSERT and for the integrity check alike.
-enum Referenced<'a> {
-    /// The key names the primary key: probe its index.
-    PrimaryKey(&'a Table),
-    /// Any other columns: the set of values they hold, built once.
-    Values(HashSet<Vec<Value>, KeyHashBuilder>),
-}
-
-impl<'a> Referenced<'a> {
-    fn new(target: &'a Table, fk: &ForeignKey) -> Result<Self> {
-        if target.schema().primary_key == fk.referenced_columns {
-            return Ok(Referenced::PrimaryKey(target));
-        }
-        let cols = key_columns(target, &fk.referenced_columns)?;
-        let held = (0..target.len()).map(|row| key_at(&cols, row)).collect();
-        Ok(Referenced::Values(held))
+/// Whether some row of `target` holds the NULL-free `key` in `cols`: one
+/// probe of the primary-key index when `cols` is the primary key, else
+/// the predicate kernel's scan for the equality conjunction, each row it
+/// finds confirmed by [`Value`] equality. A NaN is a key equal to itself
+/// but never SQL-equal to anything, so only the confirmation compares it.
+fn holds(target: &Table, cols: &[String], key: &[Value]) -> Result<bool> {
+    if target.schema().primary_key == cols {
+        return Ok(target.pk_row_index(key).is_some());
     }
-
-    fn holds(&self, key: &[Value]) -> bool {
-        match self {
-            Referenced::PrimaryKey(target) => target.pk_row_index(key).is_some(),
-            Referenced::Values(held) => held.contains(key),
-        }
-    }
-}
-
-/// The values `fk`'s referenced columns lose when the rows `doomed_rows`
-/// of `target` are deleted: what those rows hold there, minus
-/// anything a surviving row still holds (a non-key column may repeat a
-/// value; the primary key cannot, so that pass is skipped for it). A key
-/// with a NULL in it references nothing and is referenced by nothing, so
-/// none enters the set and a referencing row with a NULL never matches.
-fn doomed_keys(
-    target: &Table,
-    fk: &ForeignKey,
-    doomed_rows: &[u32],
-) -> Result<HashSet<Vec<Value>, KeyHashBuilder>> {
-    let cols = key_columns(target, &fk.referenced_columns)?;
-    let key_of = |row: usize| key_at(&cols, row);
-    let mut doomed: HashSet<Vec<Value>, KeyHashBuilder> = doomed_rows
-        .iter()
-        .map(|&r| key_of(r as usize))
-        .filter(|key| !key.iter().any(Value::is_null))
-        .collect();
-    if target.schema().primary_key != fk.referenced_columns {
-        let mut gone = doomed_rows.iter().peekable();
-        for row in 0..target.len() {
-            if gone.next_if(|&&r| r as usize == row).is_none() {
-                doomed.remove(&key_of(row));
-            }
-        }
-    }
-    Ok(doomed)
+    let cols = key_indices(target.schema(), cols)?;
+    let pred = (cols.iter().zip(key))
+        .filter(|(_, v)| v.sql_eq(v) == Some(true))
+        .map(|(&c, &v)| Expr::col(c).eq(Expr::lit(v)))
+        .reduce(Expr::and)
+        .unwrap_or_else(|| Expr::lit(true));
+    let equal = |r: u32| (cols.iter().zip(key)).all(|(&c, v)| target.value(r as usize, c) == *v);
+    Ok(crate::scan::filter_indices(target, &pred)?
+        .into_iter()
+        .any(equal))
 }
 
 #[cfg(test)]

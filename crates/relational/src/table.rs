@@ -525,21 +525,38 @@ impl Table {
 
     /// Distinct values appearing in column `col` (used by the categorical
     /// attribute heuristic of Appendix A), in total order.
-    ///
-    /// Implemented as a rank-decorated sort + dedup
-    /// ([`crate::value::SortCell`] over one dictionary-rank snapshot), so
-    /// interned text compares as machine words and the arena lock is never
-    /// taken inside the sort.
     pub fn distinct_values(&self, col: usize) -> Vec<Value> {
+        self.distinct_ranks(col).0
+    }
+
+    /// The distinct values of column `col` in total order (NULL first, if
+    /// any; of values that compare equal, the one in the lowest row), and
+    /// each row's rank among them: row `r` holds `values[ranks[r]]`.
+    ///
+    /// Implemented as one rank-decorated sort ([`crate::value::SortCell`]
+    /// over one dictionary-rank snapshot), so interned text compares as
+    /// machine words and the arena lock is never taken inside the sort.
+    pub fn distinct_ranks(&self, col: usize) -> (Vec<Value>, Vec<u32>) {
         use crate::value::SortCell;
-        let ranks = crate::intern::rank_map();
-        let mut cells: Vec<SortCell> = self.cols[col]
+        let dict = crate::intern::rank_map();
+        let mut cells: Vec<(SortCell, u32)> = self.cols[col]
             .iter()
-            .map(|v| SortCell::new(v, &ranks))
+            .zip(0..)
+            .map(|(v, r)| (SortCell::new(v, &dict), r))
             .collect();
-        cells.sort_by(|&a, &b| SortCell::total_cmp(a, b));
-        cells.dedup_by(|a, b| SortCell::total_cmp(*a, *b) == std::cmp::Ordering::Equal);
-        cells.into_iter().map(SortCell::value).collect()
+        cells.sort_unstable_by(|a, b| SortCell::total_cmp(a.0, b.0).then(a.1.cmp(&b.1)));
+        let mut values: Vec<SortCell> = Vec::new();
+        let mut ranks = vec![0; self.len];
+        for (cell, r) in cells {
+            if values
+                .last()
+                .is_none_or(|&last| SortCell::total_cmp(last, cell).is_ne())
+            {
+                values.push(cell);
+            }
+            ranks[r as usize] = (values.len() - 1) as u32;
+        }
+        (values.into_iter().map(SortCell::value).collect(), ranks)
     }
 }
 

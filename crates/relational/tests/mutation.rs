@@ -275,3 +275,137 @@ fn delete_ignores_null_fk_values() {
     assert_eq!(count(&mut d, "SELECT COUNT(*) FROM child"), 3);
     d.check_integrity().unwrap();
 }
+
+/// A key UPDATE checks only the foreign keys its columns take part in: an
+/// unrelated table's dangling row (bulk loads skip FK checks) does not
+/// hold back a key change that strands nothing, while a key change that
+/// strands a referencing row is still rolled back.
+#[test]
+fn key_update_checks_only_the_foreign_keys_it_touches() {
+    let mut d = db();
+    for stmt in [
+        "CREATE TABLE tag (id INT PRIMARY KEY)",
+        "CREATE TABLE item (id INT PRIMARY KEY, tag_id INT REFERENCES tag(id))",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    d.append_rows("item", vec![vec![1.into(), 77.into()]])
+        .unwrap();
+    assert!(d.check_integrity().is_err(), "item 1 dangles");
+    execute(&mut d, "UPDATE parent SET id = 9 WHERE id = 3").unwrap();
+    assert_eq!(count(&mut d, "SELECT COUNT(*) FROM parent WHERE id = 9"), 1);
+    let err = execute(&mut d, "UPDATE parent SET id = 8 WHERE id = 2").unwrap_err();
+    assert!(err.to_string().contains("dangling key [Int(2)]"), "{err}");
+    assert_eq!(count(&mut d, "SELECT COUNT(*) FROM parent WHERE id = 2"), 1);
+}
+
+/// A composite key with a NULL in any column references nothing: it is
+/// never checked, never matched, and never holds a parent back — even
+/// when its first column equals a parent's.
+#[test]
+fn composite_fk_with_a_null_in_its_second_column_is_skipped() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE p (a INT, b INT, PRIMARY KEY (a, b))",
+        "CREATE TABLE c (id INT PRIMARY KEY, a INT, b INT, FOREIGN KEY (a, b) REFERENCES p (a, b))",
+        "INSERT INTO p VALUES (1, 5), (2, 6)",
+        "INSERT INTO c VALUES (10, 1, NULL), (11, 3, NULL), (12, 2, 6)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    let err = execute(&mut d, "INSERT INTO c VALUES (13, 1, 6)").unwrap_err();
+    assert!(err.to_string().contains("FK violation"), "{err}");
+    d.check_integrity().unwrap();
+    let fk = d.table("c").unwrap().schema().foreign_keys[0].clone();
+    assert_eq!(d.fk_pairs("c", &fk).unwrap(), Ok(vec![(2, 1)]));
+    execute(&mut d, "DELETE FROM p WHERE a = 1").unwrap();
+    let err = execute(&mut d, "DELETE FROM p WHERE a = 2").unwrap_err();
+    assert!(err.to_string().contains("key [Int(2), Int(6)]"), "{err}");
+}
+
+/// Foreign-key equality is `Value` equality: an INT finds the FLOAT that
+/// equals it, through a primary key and through a plain column alike.
+#[test]
+fn int_fk_finds_a_float_key() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE p (k FLOAT PRIMARY KEY, f FLOAT NOT NULL)",
+        "CREATE TABLE c (id INT PRIMARY KEY, pk INT REFERENCES p(k), pf INT REFERENCES p(f))",
+        "INSERT INTO p VALUES (2.0, 3.0), (2.5, 4.5)",
+        "INSERT INTO c VALUES (10, 2, 3)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    for bad in ["(11, 3, 3)", "(11, 2, 4)"] {
+        let err = execute(&mut d, &format!("INSERT INTO c VALUES {bad}")).unwrap_err();
+        assert!(err.to_string().contains("FK violation"), "{bad}: {err}");
+    }
+    d.check_integrity().unwrap();
+    for fk in d.table("c").unwrap().schema().foreign_keys.clone() {
+        assert_eq!(d.fk_pairs("c", &fk).unwrap(), Ok(vec![(0, 0)]));
+    }
+    let err = execute(&mut d, "DELETE FROM p WHERE k = 2.0").unwrap_err();
+    assert!(err.to_string().contains("key [Int(2)]"), "{err}");
+    execute(&mut d, "DELETE FROM p WHERE k = 2.5").unwrap();
+}
+
+/// `-0.0` and `0.0` are one key, and a NaN is a key that finds itself:
+/// INSERT, the integrity check and RESTRICT agree on both.
+#[test]
+fn signed_zeros_are_one_key_and_nan_is_a_key() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE p (id INT PRIMARY KEY, f FLOAT NOT NULL)",
+        "CREATE TABLE c (id INT PRIMARY KEY, pf FLOAT REFERENCES p(f))",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    d.insert("p", vec![1.into(), Value::Float(-0.0)]).unwrap();
+    d.insert("p", vec![2.into(), Value::Float(f64::NAN)])
+        .unwrap();
+    d.insert("p", vec![3.into(), Value::Float(1.5)]).unwrap();
+    d.insert("c", vec![10.into(), Value::Float(0.0)]).unwrap();
+    d.insert("c", vec![11.into(), Value::Float(f64::NAN)])
+        .unwrap();
+    let err = d
+        .insert("c", vec![12.into(), Value::Float(2.5)])
+        .unwrap_err();
+    assert!(err.to_string().contains("FK violation"), "{err}");
+    d.check_integrity().unwrap();
+    let fk = d.table("c").unwrap().schema().foreign_keys[0].clone();
+    assert_eq!(d.fk_pairs("c", &fk).unwrap(), Ok(vec![(0, 0), (1, 1)]));
+    for (id, key) in [(1, "[Float(0.0)]"), (2, "[Float(NaN)]")] {
+        let err = execute(&mut d, &format!("DELETE FROM p WHERE id = {id}")).unwrap_err();
+        assert!(err.to_string().contains(key), "{id}: {err}");
+    }
+    execute(&mut d, "DELETE FROM p WHERE id = 3").unwrap();
+}
+
+/// With two offending rows, the integrity check and RESTRICT each name
+/// the first in referencing-row order — not the smaller key, and not the
+/// first deleted row.
+#[test]
+fn errors_name_the_first_offending_referencing_row() {
+    let mut d = db();
+    d.append_rows(
+        "child",
+        vec![
+            vec![20.into(), 99.into(), Value::Null],
+            vec![21.into(), 1.into(), Value::Null],
+            vec![22.into(), 8.into(), Value::Null],
+        ],
+    )
+    .unwrap();
+    let err = d.check_integrity().unwrap_err();
+    assert!(err.to_string().contains("dangling key [Int(99)]"), "{err}");
+
+    let mut d = db();
+    execute(&mut d, "DELETE FROM child").unwrap();
+    execute(
+        &mut d,
+        "INSERT INTO child VALUES (10, 3, NULL), (11, 1, NULL)",
+    )
+    .unwrap();
+    let err = execute(&mut d, "DELETE FROM parent").unwrap_err();
+    assert!(err.to_string().contains("key [Int(3)]"), "{err}");
+}

@@ -166,11 +166,6 @@ impl GraphBuilder {
         id
     }
 
-    /// The `i`-th node added of type `nt`, if there are that many.
-    pub(crate) fn node_at(&self, nt: NodeTypeId, i: usize) -> Option<NodeId> {
-        self.by_type.get(nt.index())?.get(i).copied()
-    }
-
     /// Adds an edge of type `et` from `src` to `tgt`. The finished graph
     /// also holds its mirror on the reverse edge type, keeping the graph
     /// bidirectionally navigable.

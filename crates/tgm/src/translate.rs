@@ -6,7 +6,9 @@
 //! 2. relationships are binary;
 //! 3. attributes of relationship relations beyond the two foreign keys are
 //!    ignored (e.g. `Paper_Authors.order`);
-//! 4. a multivalued-attribute relation has exactly two columns.
+//! 4. a multivalued-attribute relation has exactly two columns;
+//! 5. a foreign key that becomes an edge references its target's primary
+//!    key.
 //!
 //! The schema graph is the only record of the mapping: `schema_of` writes
 //! on each node type (`source_table`, attribute names) and each edge type
@@ -23,7 +25,7 @@ use crate::{Error, Result};
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
 use etable_relational::value::{DataType, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// How a relation was classified during translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,10 +90,6 @@ pub struct ReportEntry {
     pub determining_factor: String,
 }
 
-/// Key value -> node, for the nodes of one type: an entity's primary-key
-/// value, or a value node's value.
-type KeyIndex = HashMap<Value, NodeId>;
-
 /// The translated typed graph database.
 #[derive(Debug, Clone)]
 pub struct Tgdb {
@@ -101,15 +99,17 @@ pub struct Tgdb {
     pub instances: InstanceGraph,
     /// Classification of every input relation.
     pub categories: BTreeMap<String, RelationCategory>,
-    /// Indexed by node type id, for the entity types (which come first):
-    /// primary-key value -> node id.
-    pk_index: Vec<KeyIndex>,
 }
 
 impl Tgdb {
-    /// Finds an entity node by its relational primary-key value.
-    pub fn node_by_pk(&self, nt: NodeTypeId, pk: &Value) -> Option<NodeId> {
-        self.pk_index.get(nt.index())?.get(pk).copied()
+    /// Finds an entity node by its relational primary-key value, through
+    /// the primary-key index of `db`, the database the graph was translated
+    /// from: row `r` of an entity relation is the `r`-th node of its type.
+    pub fn node_by_pk(&self, db: &Database, nt: NodeTypeId, pk: &Value) -> Option<NodeId> {
+        let entity = |(_, t): &(NodeTypeId, &NodeType)| t.kind == NodeTypeKind::Entity;
+        let (_, def) = self.schema.node_types().nth(nt.index()).filter(entity)?;
+        let row = db.table(&def.source_table).ok()?.pk_row_index(&[*pk])?;
+        self.instances.nodes_of_type(nt).get(row).copied()
     }
 
     /// Finds a node of any type by its label text (first match in insertion
@@ -241,16 +241,31 @@ fn attr_of(col: &Column) -> AttrDef {
     }
 }
 
-/// The entity node type referenced by the single-column foreign key on `col`.
-fn entity_of_fk(schema: &SchemaGraph, tschema: &TableSchema, col: &str) -> Result<NodeTypeId> {
+/// The entity node type referenced by the single-column foreign key on
+/// `col`, which must name the entity's primary key: its row is the node,
+/// and the SQL translation joins an edge on it.
+fn entity_of_fk(
+    db: &Database,
+    schema: &SchemaGraph,
+    tschema: &TableSchema,
+    col: &str,
+) -> Result<NodeTypeId> {
     let fk = tschema.fk_on_column(col).ok_or_else(|| {
         Error::Unsupported(format!(
             "column `{col}` of `{}` is not a single-column FK",
             tschema.name
         ))
     })?;
+    let on_pk = (db.table(&fk.referenced_table))
+        .is_ok_and(|t| t.schema().primary_key == fk.referenced_columns);
     match schema.node_type_by_name(&fk.referenced_table) {
-        Some((id, t)) if t.kind == NodeTypeKind::Entity => Ok(id),
+        Some((id, t)) if t.kind == NodeTypeKind::Entity && on_pk => Ok(id),
+        Some((_, t)) if t.kind == NodeTypeKind::Entity => Err(Error::Unsupported(format!(
+            "FK `{}.{col}` references `{}`({}), not its primary key",
+            tschema.name,
+            fk.referenced_table,
+            fk.referenced_columns.join(", ")
+        ))),
         _ => Err(Error::Unsupported(format!(
             "FK target `{}` is not an entity relation",
             fk.referenced_table
@@ -367,7 +382,7 @@ fn schema_of(
                     "composite FK on entity relation `{name}` is not supported"
                 )));
             };
-            let tgt = entity_of_fk(&schema, tschema, col)?;
+            let tgt = entity_of_fk(db, &schema, tschema, col)?;
             let fwd_name = unique_name(&mut used, src, &schema.node_type(tgt).name, col);
             let rev_name = unique_name(&mut used, tgt, name, name);
             schema.add_edge_type_pair(
@@ -390,8 +405,8 @@ fn schema_of(
             continue;
         };
         let tschema = db.table(name)?.schema();
-        let left = entity_of_fk(&schema, tschema, left_fk)?;
-        let right = entity_of_fk(&schema, tschema, right_fk)?;
+        let left = entity_of_fk(db, &schema, tschema, left_fk)?;
+        let right = entity_of_fk(db, &schema, tschema, right_fk)?;
         // Self-relationship, e.g. citations: both directions are meaningful
         // and get distinguishing labels (Figure 1 shows "Papers
         // (referenced)" and "Papers (referencing)").
@@ -424,7 +439,7 @@ fn schema_of(
             continue;
         };
         let tschema = db.table(name)?.schema();
-        let owner = entity_of_fk(&schema, tschema, fk_col)?;
+        let owner = entity_of_fk(db, &schema, tschema, fk_col)?;
         add_value_type(
             &mut schema,
             &mut used,
@@ -478,114 +493,103 @@ fn schema_of(
     Ok((schema, categories))
 }
 
+/// Nodes by row of a relation: the node a row is or names, `None` where
+/// it names none (a NULL).
+type Ends = Vec<Option<NodeId>>;
+
 /// Adds every edge of the forward edge type `et`, one per row of the
-/// relation its provenance names, in row order. `keys[nt]` resolves a key
-/// value to the node of type `nt` it identifies.
+/// relation its provenance names that holds both keys, in row order.
+/// `by_row[nt]` is, by row of node type `nt`'s relation, the row's node (its
+/// own, or its value's); an end an FK keys is the referenced row's node
+/// ([`Database::fk_pairs`]; the source column is checked first).
 fn load_edges(
     db: &Database,
     schema: &SchemaGraph,
     et: EdgeTypeId,
-    keys: &[KeyIndex],
+    by_row: &[Ends],
     graph: &mut GraphBuilder,
 ) -> Result<()> {
     let def = schema.edge_type(et);
     let (table_name, src_col, tgt_col) = def.provenance.key_columns();
     let table = db.table(table_name)?;
-    let tschema = table.schema();
-    let src_keys = match src_col {
-        Some(col) => Some((col, table.column(column_index(tschema, col)?))),
-        None => None,
-    };
-    let tgt_keys = table.column(column_index(tschema, tgt_col)?);
-    let node_of = |nt: NodeTypeId, col: &str, key: Value| {
-        let node = keys[nt.index()].get(&key).copied();
-        node.ok_or_else(|| Error::Integrity(format!("dangling FK {table_name}.{col} = {key}")))
-    };
-    for r in 0..table.len() {
-        if tgt_keys.is_null(r) {
-            continue;
-        }
-        let src = match src_keys {
-            Some((col, column)) => node_of(def.source, col, column.get(r))?,
-            // The edge hangs off the row's own entity: row `r` of an
-            // entity relation is the `r`-th node of its type.
-            None => graph
-                .node_at(def.source, r)
-                .ok_or_else(|| Error::Integrity(format!("`{table_name}` row {r} has no node")))?,
+    let ends = |col: Option<&str>, nt: NodeTypeId| -> Result<Ends> {
+        let nodes = &by_row[nt.index()];
+        let Some(col) = col.filter(|_| schema.node_type(nt).kind == NodeTypeKind::Entity) else {
+            return Ok(nodes.clone());
         };
-        let tgt = node_of(def.target, tgt_col, tgt_keys.get(r))?;
-        graph.add_edge(schema, et, src, tgt);
+        let fk = table.schema().fk_on_column(col).ok_or_else(|| {
+            Error::Unsupported(format!("`{table_name}.{col}` is not a single-column FK"))
+        })?;
+        let pairs = db.fk_pairs(table_name, fk)?.map_err(|key| {
+            Error::Integrity(format!("dangling FK {table_name}.{col} = {}", key[0]))
+        })?;
+        let mut ends = vec![None; table.len()];
+        for (r, t) in pairs {
+            ends[r as usize] = nodes[t as usize];
+        }
+        Ok(ends)
+    };
+    let (src, tgt) = (ends(src_col, def.source)?, ends(Some(tgt_col), def.target)?);
+    for (s, t) in src.into_iter().zip(tgt) {
+        if let (Some(s), Some(t)) = (s, t) {
+            graph.add_edge(schema, et, s, t);
+        }
     }
     Ok(())
 }
 
 /// Loads the instance graph that `schema` describes out of `db`, reading
 /// nothing but the two: nodes type by type in id order (so a node's id is
-/// fixed by its type and its source row or value rank), then edges, forward
-/// edge type by forward edge type. Also returns the entity types' key
-/// indexes.
-fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<(InstanceGraph, Vec<KeyIndex>)> {
+/// fixed by its type and its source row, or its value's rank among the
+/// column's distinct non-NULL values), then edges, forward edge type by
+/// forward edge type.
+fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
     let mut graph = InstanceGraph::builder(schema);
-    let mut keys: Vec<KeyIndex> = Vec::with_capacity(schema.node_type_count());
+    let mut by_row: Vec<Ends> = Vec::with_capacity(schema.node_type_count());
     for (nt, def) in schema.node_types() {
         let table = db.table(&def.source_table)?;
-        let tschema = table.schema();
-        keys.push(match def.kind {
+        // Stream the attribute columns directly out of columnar storage:
+        // no full-row materialization, and every text attribute re-uses
+        // the symbol the table already interned.
+        let cols = def
+            .attrs
+            .iter()
+            .map(|a| column_index(table.schema(), &a.name))
+            .collect::<Result<Vec<_>>>()?;
+        let rows = 0..table.len();
+        by_row.push(match def.kind {
             NodeTypeKind::Entity => {
-                let [pk] = tschema.primary_key.as_slice() else {
-                    return Err(Error::Unsupported(format!(
-                        "entity relation `{}` has no single-attribute primary key",
-                        tschema.name
-                    )));
-                };
-                // Stream the attribute and PK columns directly out of
-                // columnar storage: no full-row materialization, and every
-                // text attribute re-uses the symbol the table already
-                // interned.
-                let pk = table.column(column_index(tschema, pk)?);
-                let cols = def
-                    .attrs
-                    .iter()
-                    .map(|a| Ok(table.column(column_index(tschema, &a.name)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                (0..table.len())
-                    .map(|r| {
-                        let values = cols.iter().map(|c| c.get(r)).collect();
-                        (pk.get(r), graph.add_node(nt, values))
-                    })
-                    .collect()
+                let values = |r| cols.iter().map(|&c| table.value(r, c)).collect();
+                rows.map(|r| Some(graph.add_node(nt, values(r)))).collect()
             }
-            // One node per non-NULL value, in the value total order. The
-            // index hashes on the value (interned text hashes by symbol id:
-            // no arena reads).
+            // One node per non-NULL value, in the value total order; the
+            // sort that finds them also ranks every row's value.
             NodeTypeKind::MultiValued | NodeTypeKind::Categorical => {
-                let col = column_index(tschema, &def.attrs[0].name)?;
-                let values = table
-                    .distinct_values(col)
-                    .into_iter()
-                    .filter(|v| !v.is_null());
-                values.map(|v| (v, graph.add_node(nt, vec![v]))).collect()
+                let (values, ranks) = table.distinct_ranks(cols[0]);
+                let nulls = usize::from(values.first().is_some_and(Value::is_null));
+                let ids: Vec<NodeId> = (values[nulls..].iter())
+                    .map(|&v| graph.add_node(nt, vec![v]))
+                    .collect();
+                let column = table.column(cols[0]);
+                rows.map(|r| (!column.is_null(r)).then(|| ids[ranks[r] as usize - nulls]))
+                    .collect()
             }
         });
     }
     for (et, _) in schema.edge_types().filter(|(_, e)| e.forward) {
-        load_edges(db, schema, et, &keys, &mut graph)?;
+        load_edges(db, schema, et, &by_row, &mut graph)?;
     }
-    // Only the entity indexes outlive the edge pass; `schema_of` creates
-    // the entity types first, so they are a prefix.
-    keys.truncate(schema.entity_types().len());
-    Ok((graph.finish(schema)?, keys))
+    graph.finish(schema)
 }
 
 /// Translates `db` into a typed graph database.
 pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
     let (schema, categories) = schema_of(db, opts)?;
-    let (instances, pk_index) = instances_of(db, &schema)?;
+    let instances = instances_of(db, &schema)?;
     Ok(Tgdb {
         schema,
         instances,
         categories,
-        pk_index,
     })
 }
 
@@ -807,8 +811,8 @@ mod tests {
         let db = academic_db();
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let skewtune = tgdb.node_by_pk(papers, &11.into()).unwrap();
-        let usable = tgdb.node_by_pk(papers, &10.into()).unwrap();
+        let skewtune = tgdb.node_by_pk(&db, papers, &11.into()).unwrap();
+        let usable = tgdb.node_by_pk(&db, papers, &10.into()).unwrap();
         let (refd, _) = tgdb
             .schema
             .outgoing_by_name(papers, "Papers (referenced)")
@@ -967,8 +971,8 @@ mod tests {
             ]
         );
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        assert_eq!(tgdb.node_by_pk(papers, &9.into()), Some(NodeId(7)));
-        let deep = tgdb.node_by_pk(papers, &12.into()).unwrap();
+        assert_eq!(tgdb.node_by_pk(&db, papers, &9.into()), Some(NodeId(7)));
+        let deep = tgdb.node_by_pk(&db, papers, &12.into()).unwrap();
 
         let neighbors = |from: NodeTypeId, edge: &str, node: NodeId| {
             let (et, _) = tgdb.schema.outgoing_by_name(from, edge).unwrap();
@@ -1063,6 +1067,112 @@ mod tests {
                 other => panic!("{named}: expected `Unsupported`, got {other:?}"),
             }
         }
+    }
+
+    /// An edge's end is the entity whose primary key the FK holds, so an FK
+    /// that references another column is refused, naming relation and
+    /// column — whichever type the column has: a TEXT code would otherwise
+    /// dangle against the primary keys, and an INT code would silently
+    /// link to the conference whose `id`, not `code`, equals it.
+    #[test]
+    fn fk_to_a_non_primary_key_column_is_unsupported() {
+        for (code_type, codes) in [
+            (DataType::Text, [Value::from("SIGMOD"), Value::from("KDD")]),
+            (DataType::Int, [Value::Int(2), Value::Int(1)]),
+        ] {
+            let mut db = Database::new();
+            db.create_table(
+                TableSchema::new(
+                    "Conferences",
+                    vec![
+                        Column::new("id", DataType::Int),
+                        Column::new("code", code_type),
+                        Column::new("acronym", DataType::Text),
+                    ],
+                )
+                .with_primary_key(&["id"]),
+            )
+            .unwrap();
+            db.create_table(
+                TableSchema::new(
+                    "Papers",
+                    vec![
+                        Column::new("id", DataType::Int),
+                        Column::new("conf_code", code_type),
+                        Column::new("title", DataType::Text),
+                    ],
+                )
+                .with_primary_key(&["id"])
+                .with_foreign_key(ForeignKey::single(
+                    "conf_code",
+                    "Conferences",
+                    "code",
+                )),
+            )
+            .unwrap();
+            for (id, code) in [1, 2].into_iter().zip(codes) {
+                db.insert("Conferences", vec![id.into(), code, "C".into()])
+                    .unwrap();
+            }
+            db.insert("Papers", vec![10.into(), codes[1], "P".into()])
+                .unwrap();
+            db.check_integrity().unwrap();
+            match translate(&db, &TranslateOptions::default()) {
+                Err(Error::Unsupported(m)) => {
+                    assert!(m.contains("`Papers.conf_code`"), "{code_type}: {m}")
+                }
+                other => panic!("{code_type}: expected `Unsupported`, got {other:?}"),
+            }
+        }
+    }
+
+    /// A value column with NULLs: NULL gets no node and its rows no edge,
+    /// and every other row links to its own value's node.
+    #[test]
+    fn value_nodes_skip_null_and_rows_find_their_value() {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "Items",
+                vec![
+                    Column::new("id", DataType::Int),
+                    Column::nullable("color", DataType::Text),
+                ],
+            )
+            .with_primary_key(&["id"]),
+        )
+        .unwrap();
+        let colors = [None, Some("red"), Some("blue"), None, Some("red")];
+        for (id, color) in (1..).zip(colors) {
+            let color = color.map_or(Value::Null, Value::from);
+            db.insert("Items", vec![Value::Int(id), color]).unwrap();
+        }
+        let opts = TranslateOptions {
+            categorical_columns: vec![("Items".into(), "color".into())],
+            ..TranslateOptions::default()
+        };
+        let tgdb = translate(&db, &opts).unwrap();
+        let g = &tgdb.instances;
+        let (items, _) = tgdb.schema.node_type_by_name("Items").unwrap();
+        let (values, _) = tgdb.schema.node_type_by_name("Items: color").unwrap();
+        let labels: Vec<String> = (g.nodes_of_type(values).iter())
+            .map(|&n| g.label(n).to_string())
+            .collect();
+        assert_eq!(labels, ["blue", "red"]);
+        let (et, _) = tgdb.schema.outgoing_by_name(items, "Items: color").unwrap();
+        let linked: Vec<Vec<String>> = (g.nodes_of_type(items).iter())
+            .map(|&n| {
+                g.neighbors(et, n)
+                    .iter()
+                    .map(|&v| g.label(v).to_string())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            linked,
+            [vec![], vec!["red"], vec!["blue"], vec![], vec!["red"]]
+        );
+        g.check_consistency(&tgdb.schema).unwrap();
     }
 
     #[test]
