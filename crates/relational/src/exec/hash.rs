@@ -1,6 +1,7 @@
 //! The key hasher shared by the in-memory hash join ([`crate::colrel`]),
-//! the disk-spilling partitioner ([`crate::storage::spill`]) and the
-//! group-id pass of grouped aggregation ([`crate::exec::agg`]).
+//! the disk-spilling partitioner ([`crate::storage::spill`]), the
+//! group-id pass of grouped aggregation ([`crate::exec::agg`]) and
+//! [`crate::intern::SymMap`].
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -9,11 +10,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// byte-fold fallback for anything else. These keys are attacker-free
 /// machine words, so the DoS resistance of SipHash buys nothing here and
 /// its per-hash overhead dominates small build sides.
+///
+/// `pub` only so that [`crate::intern::SymMap`] can name it; the module
+/// stays crate-private.
 #[derive(Default)]
-pub(crate) struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 /// `BuildHasher` plumbing for `HashMap`s keyed by join keys.
-pub(crate) type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
+pub type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
 
 impl Hasher for KeyHasher {
     #[inline]

@@ -20,10 +20,16 @@
 //! hashing, by contrast, are safe on the id alone because the arena holds
 //! each string exactly once.
 
+use crate::exec::hash::KeyHashBuilder;
 use crate::unpoison;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, RwLock};
+
+/// A map keyed by symbols, hashed with the join kernel's word hasher: a
+/// symbol's id is assigned by this process, never chosen by a client, so
+/// SipHash's collision resistance buys nothing here.
+pub type SymMap<V> = HashMap<Sym, V, KeyHashBuilder>;
 
 /// An interned string: a dense `u32` handle into the global arena.
 ///
@@ -169,22 +175,39 @@ pub fn interned_count() -> usize {
     unpoison(ARENA.read()).strings.len()
 }
 
-/// Interns a batch of strings, taking the arena write lock once instead of
-/// once per string. Returns the symbols in input order.
+/// Interns a batch of strings, returning the symbols in input order. The
+/// arena's read guard is taken once, for the run of strings it already
+/// holds; the write guard once more, only if a new string ends that run,
+/// for the rest of the batch.
 ///
-/// This is the arena-rehydration path for [`crate::storage`]: reopening a
-/// saved database re-interns every string a table's arena segment holds, and
-/// a per-string [`Sym::intern`] would pay the read-then-write lock dance for
-/// each of them. Semantics are identical to interning each string in order.
+/// This is the path for every batch that arrives from outside: reopening a
+/// saved database re-interns each table's arena segment ([`crate::storage`]),
+/// and a wire client interns each result's new strings. A per-string
+/// [`Sym::intern`] would take a guard (two for a new string) per string.
+/// Semantics are identical to interning each string in order.
 pub fn intern_all<S: AsRef<str>>(strings: &[S]) -> Vec<Sym> {
-    if strings.is_empty() {
-        return Vec::new();
+    let mut syms = Vec::with_capacity(strings.len());
+    {
+        let arena = unpoison(ARENA.read());
+        for s in strings {
+            match arena.ids.get(s.as_ref()) {
+                Some(&id) => syms.push(Sym(id)),
+                None => break,
+            }
+        }
     }
-    let mut arena = unpoison(ARENA.write());
-    strings
-        .iter()
-        .map(|s| Sym(arena.id_of(s.as_ref())))
-        .collect()
+    let known = syms.len();
+    if known < strings.len() {
+        // `id_of` looks again, so a string interned by another thread
+        // between the two guards keeps its id.
+        let mut arena = unpoison(ARENA.write());
+        syms.extend(
+            strings[known..]
+                .iter()
+                .map(|s| Sym(arena.id_of(s.as_ref()))),
+        );
+    }
+    syms
 }
 
 /// The lazily-maintained dictionary-rank table: `ranks[id]` is the position
@@ -339,6 +362,29 @@ mod tests {
         let t = Sym::intern("interner-test-count");
         assert_eq!(s, t);
         assert_eq!(interned_count(), after_first);
+    }
+
+    #[test]
+    fn intern_all_matches_interning_one_at_a_time() {
+        let known = Sym::intern("batch-test-known");
+        let batch = intern_all(&[
+            "batch-test-new-a",
+            "batch-test-known",
+            "batch-test-new-b",
+            "batch-test-new-a",
+        ]);
+        assert_eq!(batch[1], known);
+        assert_eq!(batch[0], batch[3]);
+        assert_ne!(batch[0], batch[2]);
+        assert!(batch[0].id() < batch[2].id(), "new ids in input order");
+        for (s, sym) in ["batch-test-new-a", "batch-test-new-b"]
+            .iter()
+            .zip([batch[0], batch[2]])
+        {
+            assert_eq!(Sym::intern(s), sym);
+            assert_eq!(sym.as_str(), *s);
+        }
+        assert!(intern_all::<&str>(&[]).is_empty());
     }
 
     #[test]

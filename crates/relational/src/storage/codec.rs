@@ -171,6 +171,14 @@ impl PayloadWriter {
         PayloadWriter::default()
     }
 
+    /// An empty payload with room for `bytes` bytes, for a writer that
+    /// knows its exact size up front and should never reallocate.
+    pub fn with_capacity(bytes: usize) -> Self {
+        PayloadWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The finished payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -302,9 +310,15 @@ impl<'a> PayloadReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self, what: &str) -> Result<String> {
+        self.str_ref(what).map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place: validated, borrowed
+    /// from the payload, not copied.
+    pub fn str_ref(&mut self, what: &str) -> Result<&'a str> {
         let n = self.u32(what)? as usize;
         let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| {
+        std::str::from_utf8(bytes).map_err(|_| {
             Error::Storage(format!(
                 "{}: invalid UTF-8 in {what} at offset {}",
                 self.ctx,

@@ -308,13 +308,13 @@ pub fn decode_schema(payload: &[u8], ctx: &str) -> Result<(TableSchema, usize, V
 }
 
 /// Decodes the arena segment: the table's distinct strings in file-local
-/// id order.
-pub fn decode_arena(payload: &[u8], ctx: &str) -> Result<Vec<String>> {
+/// id order, borrowed from the payload.
+pub fn decode_arena<'p>(payload: &'p [u8], ctx: &'p str) -> Result<Vec<&'p str>> {
     let mut r = PayloadReader::new(payload, ctx);
     let count = r.count("arena string")?;
     let mut strings = Vec::new();
     for _ in 0..count {
-        strings.push(r.str("arena string")?);
+        strings.push(r.str_ref("arena string")?);
     }
     r.expect_end()?;
     Ok(strings)

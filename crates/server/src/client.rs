@@ -7,12 +7,12 @@
 //! identically against an embedded database or a remote server.
 
 use crate::proto::{
-    decode, encode, error_from_wire, read_frame, write_frame, Message, WIRE_MAGIC, WIRE_VERSION,
+    encode, error_from_wire, read_frame, write_frame, Decoder, Message, WIRE_MAGIC, WIRE_VERSION,
 };
 use etable_relational::relation::Relation;
 use etable_relational::{Error, Result};
 use std::io::BufReader;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 /// A connected, handshaken wire client.
 pub struct Client {
@@ -20,6 +20,8 @@ pub struct Client {
     writer: TcpStream,
     /// The epoch reported by the most recent server message.
     epoch: u64,
+    /// This connection's string dictionary, mirroring the server's.
+    results: Decoder,
 }
 
 impl Client {
@@ -39,6 +41,7 @@ impl Client {
             reader,
             writer: stream,
             epoch: 0,
+            results: Decoder::new(),
         };
         let hello = Message::Hello {
             magic: WIRE_MAGIC,
@@ -86,12 +89,21 @@ impl Client {
         Ok(())
     }
 
+    /// The next server message. A frame that cannot be read or decoded
+    /// closes the connection: the server's dictionary already holds the
+    /// strings that frame sent, so the two ends would no longer agree on
+    /// what a text index means.
     fn next_message(&mut self) -> Result<Message> {
-        match read_frame(&mut self.reader)? {
-            Some(payload) => decode(&payload),
-            None => Err(Error::Protocol(
+        let msg = match read_frame(&mut self.reader) {
+            Ok(Some(payload)) => self.results.decode(&payload),
+            Ok(None) => Err(Error::Protocol(
                 "server closed the connection mid-exchange".into(),
             )),
+            Err(e) => Err(e),
+        };
+        if msg.is_err() {
+            let _ = self.writer.shutdown(Shutdown::Both);
         }
+        msg
     }
 }

@@ -7,7 +7,8 @@
 //! Three pieces:
 //!
 //! - [`proto`] — the length-prefixed, checksummed wire protocol (SQL
-//!   text in; columnar result batches or typed error codes out). The
+//!   text in; columnar result batches or typed error codes out, text
+//!   sent once per connection through a string dictionary). The
 //!   byte-exact layout is documented in DESIGN.md §Wire protocol.
 //! - [`server`] — the accept loop plus one handler thread and one
 //!   `Connection` per client over a shared

@@ -1,7 +1,7 @@
 //! The wire protocol: byte-exact framing and message codecs.
 //!
 //! Every message travels as one **frame** with the same shape as an
-//! on-disk segment (the framing deliberately reuses
+//! on-disk segment ([`frame`]; the framing deliberately reuses
 //! [`etable_relational::storage::codec`], so checksum behavior and its
 //! tests carry over):
 //!
@@ -15,10 +15,15 @@
 //! message. Versioning: the client's `Hello` carries a magic and a
 //! protocol version; the server answers `HelloOk` with its own version
 //! or a `PROTOCOL` error frame — nothing else is interpreted before the
-//! handshake completes. Result sets are encoded **column-major** with a
-//! per-message string dictionary (each distinct string once, cells carry
-//! `u32` dictionary indices — the same idiom as the table format's
-//! string arena).
+//! handshake completes.
+//!
+//! Result sets are encoded **column-major**, and their text cells carry
+//! `u32` indices into a **connection dictionary**: the server's
+//! [`Encoder`] and the client's [`Decoder`] each keep one per connection,
+//! and a `Result` carries only the strings this connection has not been
+//! sent yet (a delta), so a repeated result costs its cells, not its
+//! strings. [`encode`] and [`decode`] are the same codec over a fresh
+//! dictionary.
 //!
 //! Corruption handling: an oversized length, a checksum mismatch, an
 //! unknown message type or a truncated body all decode to
@@ -29,21 +34,33 @@
 //! **before** it sizes any allocation, so a tiny frame claiming
 //! `u64::MAX` rows is a typed refusal, not a giant allocation.
 
-use etable_relational::intern::Sym;
+mod frame;
+
+pub use frame::{read_frame, read_frame_event, write_frame, FrameEvent};
+
+use etable_relational::intern::{intern_all, Sym, SymMap};
 use etable_relational::relation::{RelColumn, Relation};
-use etable_relational::storage::codec::{crc32, PayloadReader, PayloadWriter};
+use etable_relational::storage::codec::{PayloadReader, PayloadWriter};
 use etable_relational::value::{DataType, Value};
 use etable_relational::{Error, ErrorCode, Result};
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::collections::hash_map::Entry;
 
 /// Protocol magic carried by `Hello`/`HelloOk` ("ETWP" LE).
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"ETWP");
 /// Current protocol version. Bump on any layout change.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 /// Upper bound on a single frame's payload; larger lengths are rejected
 /// before any allocation (a corrupt length must not drive a huge alloc).
 pub const MAX_FRAME_LEN: u64 = 64 * 1024 * 1024;
+/// Entries a connection dictionary may reach through deltas. A `Result`
+/// whose new strings would take it past this starts the dictionary over
+/// (`reset = 1`). Per connection that bounds the server's index map at
+/// ≈ 4.5 MiB (2^18 `Sym → u32` entries in 2^19 hash slots of 9 bytes) and
+/// the client's at 1 MiB (2^18 `Sym`s); the strings themselves live in
+/// the process-wide interner either way. Only a single result holding
+/// more distinct strings than this takes a dictionary past it, for that
+/// one frame: the next `Result` resets again.
+pub const DICT_CAP: usize = 1 << 18;
 
 /// Message-type bytes. Client-to-server types are `0x0_`, server-to-
 /// client types have the high bit set.
@@ -108,130 +125,6 @@ fn as_protocol(e: Error) -> Error {
     }
 }
 
-/// Writes one frame: length, payload, checksum.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    let io = |e: std::io::Error| Error::Protocol(format!("write failed: {e}"));
-    w.write_all(&(payload.len() as u64).to_le_bytes())
-        .map_err(io)?;
-    w.write_all(payload).map_err(io)?;
-    w.write_all(&crc32(payload).to_le_bytes()).map_err(io)?;
-    w.flush().map_err(io)
-}
-
-/// What one attempt to read a frame produced.
-#[derive(Debug)]
-pub enum FrameEvent {
-    /// A whole, checksum-verified frame payload.
-    Frame(Vec<u8>),
-    /// Clean end-of-stream at a frame boundary.
-    Eof,
-    /// The socket's read timeout elapsed **before any frame byte**
-    /// arrived (poll tick — only possible with a read timeout set).
-    /// A timeout *inside* a frame keeps waiting: frames are atomic.
-    IdleTimeout,
-}
-
-/// Reads one frame's payload, verifying length bound and checksum.
-/// Returns `Ok(None)` on a clean end-of-stream **at a frame boundary**;
-/// EOF anywhere inside a frame is a protocol error, and so is an idle
-/// timeout (use [`read_frame_event`] on sockets with read timeouts).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    match read_frame_event(r)? {
-        FrameEvent::Frame(p) => Ok(Some(p)),
-        FrameEvent::Eof => Ok(None),
-        FrameEvent::IdleTimeout => Err(Error::Protocol("read timed out".into())),
-    }
-}
-
-/// Timeout-aware [`read_frame`]: idle timeouts at a frame boundary come
-/// back as [`FrameEvent::IdleTimeout`] so a server can poll its shutdown
-/// flag without ever abandoning a partially received frame.
-pub fn read_frame_event(r: &mut impl Read) -> Result<FrameEvent> {
-    let mut len_bytes = [0u8; 8];
-    match read_exact_or_eof(r, &mut len_bytes)? {
-        ReadOutcome::Eof => return Ok(FrameEvent::Eof),
-        ReadOutcome::IdleTimeout => return Ok(FrameEvent::IdleTimeout),
-        ReadOutcome::Filled => {}
-    }
-    let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Protocol(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_fully(r, &mut payload, "frame payload")?;
-    let mut crc_bytes = [0u8; 4];
-    read_fully(r, &mut crc_bytes, "frame checksum")?;
-    let expect = u32::from_le_bytes(crc_bytes);
-    let got = crc32(&payload);
-    if got != expect {
-        return Err(Error::Protocol(format!(
-            "frame checksum mismatch (stored {expect:#010x}, computed {got:#010x})"
-        )));
-    }
-    Ok(FrameEvent::Frame(payload))
-}
-
-enum ReadOutcome {
-    Filled,
-    Eof,
-    IdleTimeout,
-}
-
-/// True for the two error kinds a socket read timeout produces
-/// (`WouldBlock` on unix, `TimedOut` on windows).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// `read_exact`, except a clean EOF or a read timeout **before the first
-/// byte** is reported as its own outcome instead of an error, and a
-/// timeout after the first byte keeps waiting (frames are atomic).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(ReadOutcome::Eof),
-            Ok(0) => {
-                return Err(Error::Protocol(format!(
-                    "connection closed mid-frame ({filled} of {} header bytes)",
-                    buf.len()
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) && filled == 0 => return Ok(ReadOutcome::IdleTimeout),
-            Err(e) if is_timeout(&e) => {}
-            Err(e) => return Err(Error::Protocol(format!("read failed: {e}"))),
-        }
-    }
-    Ok(ReadOutcome::Filled)
-}
-
-/// `read_exact` that rides out interrupts and read timeouts — once a
-/// frame header arrived, the body read must not be abandoned part-way.
-fn read_fully(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(Error::Protocol(format!(
-                    "connection closed reading {what} ({filled} of {} bytes)",
-                    buf.len()
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted || is_timeout(&e) => {}
-            Err(e) => return Err(Error::Protocol(format!("read failed reading {what}: {e}"))),
-        }
-    }
-    Ok(())
-}
-
 /// Type codes for [`DataType`] on the wire (pinned by proto tests).
 fn type_code(ty: DataType) -> u8 {
     match ty {
@@ -252,93 +145,237 @@ fn type_from_code(code: u8) -> Result<DataType> {
     })
 }
 
-/// Encodes a message into a frame payload (pass to [`write_frame`]).
+/// Encodes a message into a frame payload (pass to [`write_frame`]); a
+/// `Result` is encoded against a fresh dictionary, so it carries every
+/// string it holds.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    match msg {
-        Message::Hello { magic, version } => {
-            w.u8(tag::HELLO);
-            w.u32(*magic);
-            w.u32(*version);
-        }
-        Message::Query { sql } => {
-            w.u8(tag::QUERY);
-            w.str(sql);
-        }
-        Message::Quit => w.u8(tag::QUIT),
-        Message::HelloOk {
-            magic,
-            version,
-            epoch,
-        } => {
-            w.u8(tag::HELLO_OK);
-            w.u32(*magic);
-            w.u32(*version);
-            w.u64(*epoch);
-        }
-        Message::Result { epoch, relation } => {
-            w.u8(tag::RESULT);
-            w.u64(*epoch);
-            encode_relation(&mut w, relation);
-        }
-        Message::Error { code, message } => {
-            w.u8(tag::ERROR);
-            w.u32(u32::from(*code));
-            w.str(message);
-        }
-    }
-    w.into_bytes()
+    Encoder::new().prepare(msg).0
 }
 
-/// Column-major relation body with a per-message string dictionary:
-///
-/// ```text
-/// ncols: u32 | ncols × (qualified_name: str, type_code: u8)
-/// nrows: u64
-/// dict_len: u32 | dict_len × str          -- distinct strings, first use
-/// ncols × nrows × cell                    -- column-major
-/// cell: tag u8 (0 NULL | 1 Int i64 | 2 Float f64 | 3 Text u32-dict-index
-///               | 4 Bool u8)
-/// ```
-fn encode_relation(w: &mut PayloadWriter, rel: &Relation) {
-    w.u32(rel.columns.len() as u32);
-    for c in &rel.columns {
-        w.str(&c.qualified_name());
-        w.u8(type_code(c.data_type));
+/// Decodes a frame payload into a message; a `Result` is decoded against
+/// a fresh dictionary.
+pub fn decode(payload: &[u8]) -> Result<Message> {
+    Decoder::new().decode(payload)
+}
+
+/// The sending end of one connection's dictionary: which strings the
+/// peer already holds, and at which index.
+#[derive(Debug)]
+pub struct Encoder {
+    /// `Sym` → its index; the indices are `0..len`, in first-send order.
+    ids: SymMap<u32>,
+    /// [`DICT_CAP`], smaller in tests.
+    cap: usize,
+    /// [`MAX_FRAME_LEN`], smaller in tests.
+    max_payload: u64,
+}
+
+/// The strings a `Result` sends, and the indices it gives them.
+struct Delta {
+    /// The dictionary starts over with this frame.
+    reset: bool,
+    /// New strings, in row-major first-use order.
+    strings: Vec<Sym>,
+    /// `strings[i]` ↦ its index: `i` after a reset, else dictionary
+    /// length + `i`.
+    ids: SymMap<u32>,
+}
+
+/// How one relation's cells are written against the dictionary.
+struct Plan {
+    delta: Delta,
+    /// The dictionary index of every text cell, column-major (`0` for
+    /// other cells).
+    text_idx: Vec<u32>,
+    /// Encoded size of all cells, in bytes.
+    cell_bytes: usize,
+}
+
+/// Encoded size of one cell: its tag byte plus its value.
+fn cell_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Text(_) => 5,
+        Value::Bool(_) => 2,
     }
-    w.u64(rel.rows.len() as u64);
-    // Dictionary: each distinct string once, in first-use order.
-    let mut ids: HashMap<Sym, u32> = HashMap::new();
-    let mut dict: Vec<Sym> = Vec::new();
-    for row in &rel.rows {
-        for v in row {
-            if let Value::Text(s) = v {
-                ids.entry(*s).or_insert_with(|| {
-                    dict.push(*s);
-                    (dict.len() - 1) as u32
-                });
-            }
+}
+
+impl Default for Encoder {
+    fn default() -> Self {
+        Encoder::new()
+    }
+}
+
+impl Encoder {
+    /// A connection's encoder, with an empty dictionary.
+    pub fn new() -> Encoder {
+        Encoder::with_limits(DICT_CAP, MAX_FRAME_LEN)
+    }
+
+    fn with_limits(cap: usize, max_payload: u64) -> Encoder {
+        Encoder {
+            ids: SymMap::default(),
+            cap,
+            max_payload,
         }
     }
-    w.u32(dict.len() as u32);
-    for s in &dict {
+
+    /// Encodes `msg` into a frame payload against this connection's
+    /// dictionary, which takes in the new strings of a `Result`. A payload
+    /// over [`MAX_FRAME_LEN`] is refused with [`Error::Protocol`] and
+    /// leaves the dictionary exactly as it was, so the connection stays
+    /// usable: the peer never sees the frame, and both ends still agree.
+    pub fn encode(&mut self, msg: &Message) -> Result<Vec<u8>> {
+        let (payload, delta) = self.prepare(msg);
+        frame::refuse_oversized(payload.len(), self.max_payload)?;
+        match delta {
+            Some(d) if d.reset || self.ids.is_empty() => self.ids = d.ids,
+            Some(d) => self.ids.extend(d.ids),
+            None => {}
+        }
+        Ok(payload)
+    }
+
+    /// The payload of `msg`, and for a `Result` the dictionary change it
+    /// assumes, not yet applied.
+    fn prepare(&self, msg: &Message) -> (Vec<u8>, Option<Delta>) {
+        let mut w = PayloadWriter::new();
+        match msg {
+            Message::Hello { magic, version } => {
+                w.u8(tag::HELLO);
+                w.u32(*magic);
+                w.u32(*version);
+            }
+            Message::Query { sql } => {
+                w.u8(tag::QUERY);
+                w.str(sql);
+            }
+            Message::Quit => w.u8(tag::QUIT),
+            Message::HelloOk {
+                magic,
+                version,
+                epoch,
+            } => {
+                w.u8(tag::HELLO_OK);
+                w.u32(*magic);
+                w.u32(*version);
+                w.u64(*epoch);
+            }
+            Message::Result { epoch, relation } => {
+                let mut reset = false;
+                let plan = loop {
+                    match self.plan(relation, reset) {
+                        Some(plan) => break plan,
+                        None => reset = true,
+                    }
+                };
+                return (write_result(*epoch, relation, &plan), Some(plan.delta));
+            }
+            Message::Error { code, message } => {
+                w.u8(tag::ERROR);
+                w.u32(u32::from(*code));
+                w.str(message);
+            }
+        }
+        (w.into_bytes(), None)
+    }
+
+    /// One row-major pass over `rel`: gives each string new to the
+    /// dictionary (all of them, after a `reset`) the next index, and sizes
+    /// the cells. `None` when the dictionary would end up past the cap,
+    /// which calls for a reset.
+    fn plan(&self, rel: &Relation, reset: bool) -> Option<Plan> {
+        let known = (!reset).then_some(&self.ids);
+        let base = known.map_or(0, |k| k.len());
+        if base > self.cap {
+            return None;
+        }
+        let (ncols, nrows) = (rel.columns.len(), rel.rows.len());
+        let mut delta = Delta {
+            reset,
+            strings: Vec::new(),
+            ids: SymMap::default(),
+        };
+        let mut text_idx = vec![0u32; ncols * nrows];
+        let mut cell_bytes = 0;
+        for (r, row) in rel.rows.iter().enumerate() {
+            for (c, v) in row.iter().enumerate().take(ncols) {
+                cell_bytes += cell_len(v);
+                let Value::Text(s) = *v else { continue };
+                let idx = match known.and_then(|k| k.get(&s)) {
+                    Some(&i) => i,
+                    None => match delta.ids.entry(s) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            if !reset && base + delta.strings.len() >= self.cap {
+                                return None;
+                            }
+                            delta.strings.push(s);
+                            *e.insert((base + delta.strings.len() - 1) as u32)
+                        }
+                    },
+                };
+                text_idx[c * nrows + r] = idx;
+            }
+        }
+        Some(Plan {
+            delta,
+            text_idx,
+            cell_bytes,
+        })
+    }
+}
+
+/// A `Result` payload, written into a buffer of its exact size:
+///
+/// ```text
+/// epoch: u64
+/// ncols: u32 | ncols × (qualified_name: str, type_code: u8)
+/// nrows: u64
+/// reset: u8 | delta_len: u32 | delta_len × str   -- strings new to the
+///                                                   connection, first use
+/// ncols × nrows × cell                           -- column-major
+/// cell: tag u8 (0 NULL | 1 Int i64 | 2 Float f64 | 3 Text u32 index into
+///               the connection dictionary | 4 Bool u8)
+/// ```
+fn write_result(epoch: u64, rel: &Relation, plan: &Plan) -> Vec<u8> {
+    let names: Vec<String> = rel.columns.iter().map(RelColumn::qualified_name).collect();
+    let header: usize = 1 + 8 + 4 + names.iter().map(|n| 4 + n.len() + 1).sum::<usize>() + 8;
+    let delta = &plan.delta.strings;
+    let dict: usize = 1 + 4 + delta.iter().map(|s| 4 + s.as_str().len()).sum::<usize>();
+    let size = header + dict + plan.cell_bytes;
+    let mut w = PayloadWriter::with_capacity(size);
+    w.u8(tag::RESULT);
+    w.u64(epoch);
+    w.u32(rel.columns.len() as u32);
+    for (name, c) in names.iter().zip(&rel.columns) {
+        w.str(name);
+        w.u8(type_code(c.data_type));
+    }
+    let nrows = rel.rows.len();
+    w.u64(nrows as u64);
+    w.u8(u8::from(plan.delta.reset));
+    w.u32(delta.len() as u32);
+    for s in delta {
         w.str(s.as_str());
     }
     for col in 0..rel.columns.len() {
-        for row in &rel.rows {
+        let idx = &plan.text_idx[col * nrows..(col + 1) * nrows];
+        for (row, &i) in rel.rows.iter().zip(idx) {
             match row[col] {
                 Value::Null => w.u8(0),
-                Value::Int(i) => {
+                Value::Int(v) => {
                     w.u8(1);
-                    w.i64(i);
+                    w.i64(v);
                 }
                 Value::Float(f) => {
                     w.u8(2);
                     w.f64(f);
                 }
-                Value::Text(s) => {
+                Value::Text(_) => {
                     w.u8(3);
-                    w.u32(ids[&s]);
+                    w.u32(i);
                 }
                 Value::Bool(b) => {
                     w.u8(4);
@@ -346,6 +383,161 @@ fn encode_relation(w: &mut PayloadWriter, rel: &Relation) {
                 }
             }
         }
+    }
+    debug_assert_eq!(w.len(), size, "Result payload sized up front");
+    w.into_bytes()
+}
+
+/// The receiving end of one connection's dictionary: index → symbol.
+#[derive(Debug, Clone)]
+pub struct Decoder {
+    dict: Vec<Sym>,
+    /// [`DICT_CAP`], smaller in tests.
+    cap: usize,
+}
+
+impl Default for Decoder {
+    fn default() -> Self {
+        Decoder::new()
+    }
+}
+
+impl Decoder {
+    /// A connection's decoder, with an empty dictionary.
+    pub fn new() -> Decoder {
+        Decoder::with_cap(DICT_CAP)
+    }
+
+    fn with_cap(cap: usize) -> Decoder {
+        Decoder {
+            dict: Vec::new(),
+            cap,
+        }
+    }
+
+    /// Decodes a frame payload into a message against this connection's
+    /// dictionary. A `Result`'s new strings join the dictionary only once
+    /// the whole payload has decoded: a refused frame leaves it as it was.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<Message> {
+        let mut r = PayloadReader::new(payload, "wire frame");
+        let t = r.u8("message type").map_err(as_protocol)?;
+        let mut delta = None;
+        let msg = match t {
+            tag::HELLO => Message::Hello {
+                magic: r.u32("hello magic").map_err(as_protocol)?,
+                version: r.u32("hello version").map_err(as_protocol)?,
+            },
+            tag::QUERY => Message::Query {
+                sql: r.str("query text").map_err(as_protocol)?,
+            },
+            tag::QUIT => Message::Quit,
+            tag::HELLO_OK => Message::HelloOk {
+                magic: r.u32("hello-ok magic").map_err(as_protocol)?,
+                version: r.u32("hello-ok version").map_err(as_protocol)?,
+                epoch: r.u64("hello-ok epoch").map_err(as_protocol)?,
+            },
+            tag::RESULT => {
+                let epoch = r.u64("result epoch").map_err(as_protocol)?;
+                let (relation, new) = self.decode_relation(&mut r)?;
+                delta = Some(new);
+                Message::Result { epoch, relation }
+            }
+            tag::ERROR => {
+                let code32 = r.u32("error code").map_err(as_protocol)?;
+                let code = u16::try_from(code32)
+                    .map_err(|_| Error::Protocol(format!("error code {code32} exceeds u16")))?;
+                Message::Error {
+                    code,
+                    message: r.str("error message").map_err(as_protocol)?,
+                }
+            }
+            other => {
+                return Err(Error::Protocol(format!(
+                    "unknown message type {other:#04x}"
+                )))
+            }
+        };
+        r.expect_end().map_err(as_protocol)?;
+        match delta {
+            Some((true, strings)) => self.dict = strings,
+            Some((false, strings)) => self.dict.extend(strings),
+            None => {}
+        }
+        Ok(msg)
+    }
+
+    /// The relation body after the epoch, and the dictionary change it
+    /// carries (`reset`, new symbols), not yet applied.
+    fn decode_relation(&self, r: &mut PayloadReader<'_>) -> Result<(Relation, (bool, Vec<Sym>))> {
+        // Minimum encoded sizes backing the bounds below: a column header is
+        // a u32 name length + a type byte (5), a dictionary entry a u32
+        // length (4), a cell its tag byte (1). A row therefore needs at
+        // least `ncols` cell bytes; zero-column relations (which the engine
+        // never produces for SQL results) must still pay one byte per
+        // claimed row so a count can never outrun the payload.
+        let raw_ncols = r.u32("column count").map_err(as_protocol)?;
+        let ncols = bounded_count(u64::from(raw_ncols), 5, r, "column count")?;
+        let mut columns = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            let name = r.str("column name").map_err(as_protocol)?;
+            let ty = type_from_code(r.u8("column type").map_err(as_protocol)?)?;
+            columns.push(RelColumn::bare(name, ty));
+        }
+        let raw_nrows = r.u64("row count").map_err(as_protocol)?;
+        let nrows = bounded_count(raw_nrows, ncols.max(1), r, "row count")?;
+        let reset = r.u8("dictionary reset").map_err(as_protocol)?;
+        let raw_delta = r.u32("dictionary length").map_err(as_protocol)?;
+        let reset = match reset {
+            0 => false,
+            1 => true,
+            b => {
+                return Err(Error::Protocol(format!(
+                    "dictionary reset byte {b} is neither 0 nor 1"
+                )))
+            }
+        };
+        let delta_len = bounded_count(u64::from(raw_delta), 4, r, "dictionary length")?;
+        let base: &[Sym] = if reset { &[] } else { &self.dict };
+        if !reset && base.len() + delta_len > self.cap {
+            return Err(Error::Protocol(format!(
+                "a dictionary delta of {delta_len} strings onto {} would pass the \
+                 {}-entry cap without a reset",
+                base.len(),
+                self.cap
+            )));
+        }
+        let mut strings = Vec::with_capacity(delta_len);
+        for _ in 0..delta_len {
+            strings.push(r.str_ref("dictionary string").map_err(as_protocol)?);
+        }
+        let delta = intern_all(&strings);
+        let dict_len = base.len() + delta.len();
+        // Column-major cells back into row-major rows.
+        let mut rows = vec![vec![Value::Null; ncols]; nrows];
+        for col in 0..ncols {
+            for row in rows.iter_mut() {
+                row[col] = match r.u8("cell tag").map_err(as_protocol)? {
+                    0 => Value::Null,
+                    1 => Value::Int(r.i64("int cell").map_err(as_protocol)?),
+                    2 => Value::Float(r.f64("float cell").map_err(as_protocol)?),
+                    3 => {
+                        let idx = r.u32("text cell index").map_err(as_protocol)? as usize;
+                        let s = base
+                            .get(idx)
+                            .or_else(|| delta.get(idx - base.len()))
+                            .ok_or_else(|| {
+                                Error::Protocol(format!(
+                                    "text cell references dictionary entry {idx} of {dict_len}"
+                                ))
+                            })?;
+                        Value::Text(*s)
+                    }
+                    4 => Value::Bool(r.u8("bool cell").map_err(as_protocol)? != 0),
+                    t => return Err(Error::Protocol(format!("unknown cell tag {t}"))),
+                };
+            }
+        }
+        Ok((Relation::new(columns, rows), (reset, delta)))
     }
 }
 
@@ -365,97 +557,6 @@ fn bounded_count(n: u64, min_bytes: usize, r: &PayloadReader<'_>, what: &str) ->
         )));
     }
     Ok(n as usize)
-}
-
-fn decode_relation(r: &mut PayloadReader<'_>) -> Result<Relation> {
-    // Minimum encoded sizes backing the bounds below: a column header is
-    // a u32 name length + a type byte (5), a dictionary entry a u32
-    // length (4), a cell its tag byte (1). A row therefore needs at
-    // least `ncols` cell bytes; zero-column relations (which the engine
-    // never produces for SQL results) must still pay one byte per
-    // claimed row so a count can never outrun the payload.
-    let raw_ncols = r.u32("column count").map_err(as_protocol)?;
-    let ncols = bounded_count(u64::from(raw_ncols), 5, r, "column count")?;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = r.str("column name").map_err(as_protocol)?;
-        let ty = type_from_code(r.u8("column type").map_err(as_protocol)?)?;
-        columns.push(RelColumn::bare(name, ty));
-    }
-    let raw_nrows = r.u64("row count").map_err(as_protocol)?;
-    let nrows = bounded_count(raw_nrows, ncols.max(1), r, "row count")?;
-    let raw_dict = r.u32("dictionary length").map_err(as_protocol)?;
-    let dict_len = bounded_count(u64::from(raw_dict), 4, r, "dictionary length")?;
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(Sym::intern(
-            &r.str("dictionary string").map_err(as_protocol)?,
-        ));
-    }
-    // Column-major cells back into row-major rows.
-    let mut rows = vec![vec![Value::Null; ncols]; nrows];
-    for col in 0..ncols {
-        for row in rows.iter_mut() {
-            row[col] = match r.u8("cell tag").map_err(as_protocol)? {
-                0 => Value::Null,
-                1 => Value::Int(r.i64("int cell").map_err(as_protocol)?),
-                2 => Value::Float(r.f64("float cell").map_err(as_protocol)?),
-                3 => {
-                    let idx = r.u32("text cell index").map_err(as_protocol)? as usize;
-                    let s = dict.get(idx).ok_or_else(|| {
-                        Error::Protocol(format!(
-                            "text cell references dictionary entry {idx} of {dict_len}"
-                        ))
-                    })?;
-                    Value::Text(*s)
-                }
-                4 => Value::Bool(r.u8("bool cell").map_err(as_protocol)? != 0),
-                t => return Err(Error::Protocol(format!("unknown cell tag {t}"))),
-            };
-        }
-    }
-    Ok(Relation::new(columns, rows))
-}
-
-/// Decodes a frame payload into a message.
-pub fn decode(payload: &[u8]) -> Result<Message> {
-    let mut r = PayloadReader::new(payload, "wire frame");
-    let t = r.u8("message type").map_err(as_protocol)?;
-    let msg = match t {
-        tag::HELLO => Message::Hello {
-            magic: r.u32("hello magic").map_err(as_protocol)?,
-            version: r.u32("hello version").map_err(as_protocol)?,
-        },
-        tag::QUERY => Message::Query {
-            sql: r.str("query text").map_err(as_protocol)?,
-        },
-        tag::QUIT => Message::Quit,
-        tag::HELLO_OK => Message::HelloOk {
-            magic: r.u32("hello-ok magic").map_err(as_protocol)?,
-            version: r.u32("hello-ok version").map_err(as_protocol)?,
-            epoch: r.u64("hello-ok epoch").map_err(as_protocol)?,
-        },
-        tag::RESULT => Message::Result {
-            epoch: r.u64("result epoch").map_err(as_protocol)?,
-            relation: decode_relation(&mut r)?,
-        },
-        tag::ERROR => {
-            let code32 = r.u32("error code").map_err(as_protocol)?;
-            let code = u16::try_from(code32)
-                .map_err(|_| Error::Protocol(format!("error code {code32} exceeds u16")))?;
-            Message::Error {
-                code,
-                message: r.str("error message").map_err(as_protocol)?,
-            }
-        }
-        other => {
-            return Err(Error::Protocol(format!(
-                "unknown message type {other:#04x}"
-            )))
-        }
-    };
-    r.expect_end().map_err(as_protocol)?;
-    Ok(msg)
 }
 
 /// Encodes an engine error as a wire error message. The message carries
@@ -481,11 +582,20 @@ pub fn error_from_wire(code: u16, message: String) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::canon;
+    use etable_relational::storage::codec::write_segment;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn round_trip(msg: Message) -> Message {
         let payload = encode(&msg);
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
+        // The frame is byte-for-byte an on-disk segment.
+        let mut segment = Vec::new();
+        write_segment(&mut segment, &payload);
+        assert_eq!(buf, segment);
         let mut cur = &buf[..];
         let got = read_frame(&mut cur).unwrap().expect("one frame");
         assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF after");
@@ -656,7 +766,8 @@ mod tests {
         assert_eq!(type_code(DataType::Text), 2);
         assert_eq!(type_code(DataType::Bool), 3);
         assert_eq!(WIRE_MAGIC, 0x5057_5445); // "ETWP" little-endian
-        assert_eq!(WIRE_VERSION, 1);
+        assert_eq!(WIRE_VERSION, 2);
+        assert_eq!(DICT_CAP, 1 << 18);
         for ty in [
             DataType::Int,
             DataType::Float,
@@ -664,6 +775,392 @@ mod tests {
             DataType::Bool,
         ] {
             assert_eq!(type_from_code(type_code(ty)).unwrap(), ty);
+        }
+    }
+
+    /// A one-column TEXT relation, one row per word (`None` is NULL).
+    fn words(ws: &[Option<&str>]) -> Relation {
+        Relation::new(
+            vec![RelColumn::bare("w", DataType::Text)],
+            ws.iter()
+                .map(|w| vec![w.map_or(Value::Null, Value::from)])
+                .collect(),
+        )
+    }
+
+    fn result(epoch: u64, relation: Relation) -> Message {
+        Message::Result { epoch, relation }
+    }
+
+    /// The relation a decoded message carries.
+    fn relation_of(msg: Message) -> Relation {
+        match msg {
+            Message::Result { relation, .. } => relation,
+            other => panic!("expected a Result, got {other:?}"),
+        }
+    }
+
+    /// `(reset, delta_len)` of a `Result` payload, read past its header.
+    fn dict_header(payload: &[u8]) -> (u8, u32) {
+        let mut r = PayloadReader::new(payload, "test");
+        r.u8("tag").unwrap();
+        r.u64("epoch").unwrap();
+        for _ in 0..r.u32("ncols").unwrap() {
+            r.str("name").unwrap();
+            r.u8("type").unwrap();
+        }
+        r.u64("nrows").unwrap();
+        (r.u8("reset").unwrap(), r.u32("delta_len").unwrap())
+    }
+
+    /// Both ends map every index to the same symbol.
+    fn in_step(enc: &Encoder, dec: &Decoder) -> bool {
+        enc.ids.len() == dec.dict.len()
+            && enc
+                .ids
+                .iter()
+                .all(|(s, &i)| dec.dict.get(i as usize) == Some(s))
+    }
+
+    #[test]
+    fn result_layout_is_pinned() {
+        let rel = Relation::new(
+            vec![
+                RelColumn::qualified("t", "w", DataType::Text),
+                RelColumn::bare("n", DataType::Int),
+            ],
+            vec![
+                vec![Value::from("pin-b"), Value::Int(1)],
+                vec![Value::Null, Value::Null],
+                vec![Value::from("pin-a"), Value::Int(2)],
+                vec![Value::from("pin-b"), Value::Int(3)],
+            ],
+        );
+        let expect = |delta: &[&str]| {
+            let mut w = PayloadWriter::new();
+            w.u8(0x82);
+            w.u64(5);
+            w.u32(2);
+            w.str("t.w");
+            w.u8(2);
+            w.str("n");
+            w.u8(0);
+            w.u64(4);
+            w.u8(0); // reset
+            w.u32(delta.len() as u32);
+            for s in delta {
+                w.str(s);
+            }
+            for (tag, idx) in [(3, 0), (0, 0), (3, 1), (3, 0)] {
+                w.u8(tag);
+                if tag == 3 {
+                    w.u32(idx);
+                }
+            }
+            for n in [Some(1), None, Some(2), Some(3)] {
+                match n {
+                    Some(n) => {
+                        w.u8(1);
+                        w.i64(n);
+                    }
+                    None => w.u8(0),
+                }
+            }
+            w.into_bytes()
+        };
+        let mut enc = Encoder::new();
+        let msg = result(5, rel);
+        // First use, row-major: "pin-b" is 0, "pin-a" is 1.
+        assert_eq!(enc.encode(&msg).unwrap(), expect(&["pin-b", "pin-a"]));
+        assert_eq!(encode(&msg), expect(&["pin-b", "pin-a"]));
+        // Sent again on the same connection: no strings, same indices.
+        assert_eq!(enc.encode(&msg).unwrap(), expect(&[]));
+    }
+
+    #[test]
+    fn a_refused_result_leaves_both_dictionaries_as_they_were() {
+        let mut enc = Encoder::with_limits(DICT_CAP, 200);
+        let mut dec = Decoder::new();
+        let first = result(1, words(&[Some("refuse-a"), Some("refuse-b")]));
+        dec.decode(&enc.encode(&first).unwrap()).unwrap();
+
+        let long = "refuse-long-".repeat(20);
+        let big = result(2, words(&[Some("refuse-c"), Some(&long), Some("refuse-a")]));
+        let e = enc.encode(&big).unwrap_err();
+        assert_eq!(e.code().as_u16(), 500, "{e}");
+        assert!(e.to_string().contains("limit"), "{e}");
+        assert!(in_step(&enc, &dec));
+
+        // The next Result shares a string with the refused one: it is sent
+        // again, at the index the client expects.
+        let next = words(&[Some("refuse-c"), Some("refuse-b"), None]);
+        let payload = enc.encode(&result(3, next.clone())).unwrap();
+        assert_eq!(dict_header(&payload), (0, 1));
+        let got = relation_of(dec.decode(&payload).unwrap());
+        assert_eq!(canon(&got), canon(&next));
+        assert!(in_step(&enc, &dec));
+    }
+
+    #[test]
+    fn the_dictionary_resets_at_the_cap() {
+        let mut enc = Encoder::with_limits(3, MAX_FRAME_LEN);
+        let mut dec = Decoder::with_cap(3);
+        // Each result's words, and the `(reset, delta_len)` it is sent with.
+        type Step = (&'static [Option<&'static str>], (u8, u32));
+        let steps: [Step; 6] = [
+            (&[Some("cap-a"), Some("cap-b"), Some("cap-a")], (0, 2)),
+            (&[Some("cap-c"), Some("cap-b")], (0, 1)),
+            (&[Some("cap-a"), None], (0, 0)),
+            // A fourth string would pass the cap: start over.
+            (&[Some("cap-b"), Some("cap-d")], (1, 2)),
+            // One result above the cap travels as a reset...
+            (
+                &[Some("cap-a"), Some("cap-b"), Some("cap-c"), Some("cap-d")],
+                (1, 4),
+            ),
+            // ...and so does the next one, even with no new string.
+            (&[Some("cap-d")], (1, 1)),
+        ];
+        for (i, (ws, header)) in steps.into_iter().enumerate() {
+            let rel = words(ws);
+            let payload = enc.encode(&result(i as u64, rel.clone())).unwrap();
+            assert_eq!(dict_header(&payload), header, "step {i}");
+            let got = relation_of(dec.decode(&payload).unwrap());
+            assert_eq!(canon(&got), canon(&rel), "step {i}");
+            assert!(in_step(&enc, &dec), "step {i}");
+        }
+    }
+
+    #[test]
+    fn hostile_dictionaries_are_refused() {
+        // A one-column TEXT result of one row up to its cells.
+        let head = |reset: u8, delta: &[&str]| {
+            let mut w = PayloadWriter::new();
+            w.u8(tag::RESULT);
+            w.u64(7);
+            w.u32(1);
+            w.str("c");
+            w.u8(2);
+            w.u64(1);
+            w.u8(reset);
+            w.u32(delta.len() as u32);
+            for s in delta {
+                w.str(s);
+            }
+            w
+        };
+        let text_cell = |mut w: PayloadWriter, idx: u32| {
+            w.u8(3);
+            w.u32(idx);
+            w.into_bytes()
+        };
+        let refused = |dec: &mut Decoder, payload: &[u8], why: &str| {
+            let before = dec.dict.clone();
+            let e = dec.decode(payload).unwrap_err();
+            assert_eq!(e.code().as_u16(), 500, "{e}");
+            assert!(e.to_string().contains(why), "{e}");
+            assert_eq!(dec.dict, before, "a refused frame changes nothing");
+        };
+
+        let mut dec = Decoder::with_cap(2);
+        refused(&mut dec, &text_cell(head(2, &["h-a"]), 0), "reset byte 2");
+        refused(&mut dec, &text_cell(head(0, &["h-a"]), 1), "entry 1 of 1");
+        let mut bytes = text_cell(head(0, &[]), 0);
+        let n = bytes.len();
+        // A delta length past the bytes that remain.
+        bytes[n - 9..n - 5].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        refused(&mut dec, &bytes, "dictionary length");
+        // A whole, valid body with a byte after it.
+        let mut bytes = text_cell(head(0, &["h-a"]), 0);
+        bytes.push(0);
+        refused(&mut dec, &bytes, "trailing");
+        // Valid: two strings fill the cap; an index into the previous
+        // frame's strings resolves.
+        dec.decode(&text_cell(head(0, &["h-a", "h-b"]), 1)).unwrap();
+        let got = relation_of(dec.decode(&text_cell(head(0, &[]), 0)).unwrap());
+        assert_eq!(got.rows, vec![vec![Value::from("h-a")]]);
+        // One more string without a reset passes the cap; with one it is
+        // a fresh dictionary.
+        refused(&mut dec, &text_cell(head(0, &["h-c"]), 2), "cap");
+        refused(&mut dec, &text_cell(head(1, &["h-c"]), 1), "entry 1 of 1");
+        let got = relation_of(dec.decode(&text_cell(head(1, &["h-c"]), 0)).unwrap());
+        assert_eq!(got.rows, vec![vec![Value::from("h-c")]]);
+        assert_eq!(dec.dict, vec![Sym::intern("h-c")]);
+        // A delta string that is not UTF-8.
+        let mut bytes = head(0, &[]).into_bytes();
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&1u32.to_le_bytes()); // one string,
+        bytes.extend_from_slice(&[2, 0, 0, 0, 0xFF, 0xFE]); // two bad bytes
+        bytes.extend_from_slice(&[3, 0, 0, 0, 0]); // the cell: index 0
+        refused(&mut dec, &bytes, "UTF-8");
+    }
+
+    /// Strings shared by every generated relation, so later messages
+    /// repeat earlier ones' strings.
+    fn vocab() -> Vec<Sym> {
+        let special = ["", "é", "a b", "'q'", "nul\0byte"];
+        special
+            .iter()
+            .map(|s| Sym::intern(s))
+            .chain((0..35).map(|i| Sym::intern(&format!("prop-vocab-{i:02}"))))
+            .collect()
+    }
+
+    const TYPES: [DataType; 4] = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Text,
+        DataType::Bool,
+    ];
+    const INTS: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+    const FLOATS: [f64; 6] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+
+    fn random_value(rng: &mut StdRng, ty: DataType, vocab: &[Sym]) -> Value {
+        if rng.gen_ratio(1, 6) {
+            return Value::Null;
+        }
+        match ty {
+            DataType::Int if rng.gen_ratio(1, 2) => Value::Int(INTS[rng.gen_range(0..INTS.len())]),
+            DataType::Int => Value::Int(rng.gen_range(-50i64..50)),
+            DataType::Float => Value::Float(FLOATS[rng.gen_range(0..FLOATS.len())]),
+            DataType::Text => Value::Text(vocab[rng.gen_range(0..vocab.len())]),
+            DataType::Bool => Value::Bool(rng.gen_ratio(1, 2)),
+        }
+    }
+
+    fn random_relation(rng: &mut StdRng, vocab: &[Sym]) -> Relation {
+        let ncols = rng.gen_range(0..5usize);
+        // A zero-column row still costs a byte of the payload's bound, so
+        // only a handful fit.
+        let nrows = match ncols {
+            0 => rng.gen_range(0..4usize),
+            _ if rng.gen_ratio(1, 8) => 0,
+            _ => rng.gen_range(1..30usize),
+        };
+        let types: Vec<DataType> = (0..ncols).map(|_| TYPES[rng.gen_range(0..4)]).collect();
+        let columns = types
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| RelColumn::bare(format!("c{i}"), ty))
+            .collect();
+        let rows = (0..nrows)
+            .map(|_| {
+                types
+                    .iter()
+                    .map(|&ty| random_value(rng, ty, vocab))
+                    .collect()
+            })
+            .collect();
+        Relation::new(columns, rows)
+    }
+
+    /// Sends a random sequence of relations — some repeated — through one
+    /// encoder/decoder pair with dictionary cap `cap`: every decode must
+    /// equal the relation sent and its fresh-dictionary decode, both ends
+    /// must stay in step, and a non-reset frame must never take the
+    /// dictionary past the cap.
+    fn check_sequence(seed: u64, cap: usize) -> std::result::Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let vocab = vocab();
+        let mut enc = Encoder::with_limits(cap, MAX_FRAME_LEN);
+        let mut dec = Decoder::with_cap(cap);
+        let mut sent: Vec<Relation> = Vec::new();
+        for epoch in 0..rng.gen_range(1..8u64) {
+            let rel = if !sent.is_empty() && rng.gen_ratio(1, 3) {
+                sent[rng.gen_range(0..sent.len())].clone()
+            } else {
+                random_relation(&mut rng, &vocab)
+            };
+            let msg = result(epoch, rel.clone());
+            let warm = enc.encode(&msg).map_err(|e| e.to_string())?;
+            let got = relation_of(dec.decode(&warm).map_err(|e| e.to_string())?);
+            let fresh = relation_of(decode(&encode(&msg)).map_err(|e| e.to_string())?);
+            if canon(&got) != canon(&rel) || canon(&fresh) != canon(&rel) {
+                return Err(format!(
+                    "message {epoch}: sent {}\nwarm {}\nfresh {}",
+                    canon(&rel),
+                    canon(&got),
+                    canon(&fresh)
+                ));
+            }
+            if !in_step(&enc, &dec) {
+                return Err(format!("message {epoch}: the two ends disagree"));
+            }
+            let (reset, _) = dict_header(&warm);
+            if reset == 0 && dec.dict.len() > cap {
+                return Err(format!("message {epoch}: a delta passed the cap {cap}"));
+            }
+            sent.push(rel);
+        }
+        Ok(())
+    }
+
+    /// Flips one bit of, and separately truncates, a warm frame: decoding
+    /// either must never panic, a refusal must be a typed code-500 error
+    /// that leaves the dictionary as it was, and a truncation is always
+    /// refused.
+    fn check_damage(seed: u64) -> std::result::Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let vocab = vocab();
+        let mut enc = Encoder::new();
+        let mut dec = Decoder::new();
+        let cold = enc
+            .encode(&result(0, random_relation(&mut rng, &vocab)))
+            .map_err(|e| e.to_string())?;
+        dec.decode(&cold).map_err(|e| e.to_string())?;
+        let warm = enc
+            .encode(&result(1, random_relation(&mut rng, &vocab)))
+            .map_err(|e| e.to_string())?;
+        let try_decode = |payload: &[u8], what: &str| -> std::result::Result<bool, String> {
+            let mut d = dec.clone();
+            match d.decode(payload) {
+                Ok(_) => Ok(true),
+                Err(e) if e.code().as_u16() != 500 => Err(format!("{what}: code {e:?}")),
+                Err(_) if d.dict != dec.dict => Err(format!("{what}: refused, dictionary changed")),
+                Err(_) => Ok(false),
+            }
+        };
+        let pos = rng.gen_range(0..warm.len());
+        let mut flipped = warm.clone();
+        flipped[pos] ^= 1 << rng.gen_range(0..8u32);
+        try_decode(&flipped, &format!("bit flip at {pos}"))?;
+        let cut = rng.gen_range(0..warm.len());
+        if try_decode(&warm[..cut], &format!("truncation to {cut}"))? {
+            return Err(format!("truncation to {cut} of {} decoded", warm.len()));
+        }
+        Ok(())
+    }
+
+    /// Case-count override: `PROPTEST_CASES` (defaults to 256).
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(256)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        #[test]
+        fn codec_warm_decodes_equal_fresh_decodes(seed in 0u64..u64::MAX / 2) {
+            if let Err(msg) = check_sequence(seed, DICT_CAP) {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+
+        #[test]
+        fn codec_dictionary_cap_crossings_stay_in_step(seed in 0u64..u64::MAX / 2, cap in 0usize..12) {
+            if let Err(msg) = check_sequence(seed, cap) {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+
+        #[test]
+        fn codec_damaged_warm_frames_are_typed_errors(seed in 0u64..u64::MAX / 2) {
+            if let Err(msg) = check_damage(seed) {
+                prop_assert!(false, "{}", msg);
+            }
         }
     }
 }

@@ -15,8 +15,8 @@
 //! deliberately not polled (frames are atomic).
 
 use crate::proto::{
-    decode, encode, error_message, read_frame_event, write_frame, FrameEvent, Message, WIRE_MAGIC,
-    WIRE_VERSION,
+    decode, encode, error_message, read_frame_event, write_frame, Encoder, FrameEvent, Message,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 use etable_core::connection::Connection;
 use etable_relational::shared::SharedDatabase;
@@ -205,13 +205,17 @@ fn serve_one(
     stream
         .set_read_timeout(Some(POLL_INTERVAL))
         .map_err(|e| Error::Protocol(format!("set_read_timeout: {e}")))?;
-    // Answers are small multi-write frames followed by a client read;
-    // without this, Nagle + delayed ACK adds ~40ms to every round-trip.
+    // A frame is one write, but a large one spans many segments: without
+    // this, Nagle holds back its last partial segment until an ACK that
+    // the client's delayed ACK postpones, ~40ms on every such round-trip.
     stream
         .set_nodelay(true)
         .map_err(|e| Error::Protocol(format!("set_nodelay: {e}")))?;
     let mut reader = std::io::BufReader::new(stream);
     let mut writer = stream;
+    // This connection's string dictionary: a Result sends only the strings
+    // the client has not been sent yet.
+    let mut results = Encoder::new();
 
     // Handshake: the first frame must be a well-formed, version-matched
     // Hello; anything else gets one error frame and a close.
@@ -267,21 +271,28 @@ fn serve_one(
             }
         };
         match client_message(&payload) {
-            Ok(Message::Query { sql }) => match conn.sql_with_epoch(&sql) {
+            Ok(Message::Query { sql }) => {
                 // The epoch comes from the statement itself (the
                 // snapshot a read ran on, the epoch a write published)
                 // — re-reading the live epoch here would race
-                // concurrent writers and mislabel the result.
-                Ok((epoch, relation)) => {
-                    stats.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    let msg = Message::Result { epoch, relation };
-                    write_frame(&mut writer, &encode(&msg))?;
+                // concurrent writers and mislabel the result. A result
+                // too large for a frame is refused by the encoder with
+                // both dictionaries unchanged, so it is answered like a
+                // failed statement and the connection stays usable.
+                let answer = conn.sql_with_epoch(&sql).and_then(|(epoch, relation)| {
+                    results.encode(&Message::Result { epoch, relation })
+                });
+                match answer {
+                    Ok(payload) => {
+                        stats.queries_ok.fetch_add(1, Ordering::Relaxed);
+                        write_frame(&mut writer, &payload)?;
+                    }
+                    Err(e) => {
+                        stats.queries_err.fetch_add(1, Ordering::Relaxed);
+                        write_frame(&mut writer, &encode(&error_message(&e)))?;
+                    }
                 }
-                Err(e) => {
-                    stats.queries_err.fetch_add(1, Ordering::Relaxed);
-                    write_frame(&mut writer, &encode(&error_message(&e)))?;
-                }
-            },
+            }
             Ok(Message::Quit) => break,
             Ok(other) => {
                 let e = Error::Protocol(format!("unexpected message {other:?}"));

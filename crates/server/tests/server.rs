@@ -5,8 +5,11 @@
 
 use etable_core::testutil::{academic_db, academic_tgdb};
 use etable_relational::shared::SharedDatabase;
+use etable_relational::storage::codec::PayloadReader;
 use etable_relational::Error;
-use etable_server::proto::{encode, read_frame, write_frame, Message, WIRE_MAGIC, WIRE_VERSION};
+use etable_server::proto::{
+    encode, read_frame, write_frame, Decoder, Message, WIRE_MAGIC, WIRE_VERSION,
+};
 use etable_server::{baselines, canon, run_load, Client, Server};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -111,6 +114,92 @@ fn handshake_rejects_version_mismatch_with_one_error_frame() {
         other => panic!("expected Error frame, got {other:?}"),
     }
     assert!(read_frame(&mut reader).unwrap().is_none(), "then EOF");
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_version_1_client_is_refused_at_the_handshake() {
+    let (server, _db) = start();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let v1 = Message::Hello {
+        magic: WIRE_MAGIC,
+        version: 1,
+    };
+    write_frame(&mut writer, &encode(&v1)).unwrap();
+    let payload = read_frame(&mut reader).unwrap().expect("one error frame");
+    match etable_server::proto::decode(&payload).unwrap() {
+        Message::Error { code, message } => {
+            assert_eq!(code, 500);
+            assert!(
+                message.contains("version 1"),
+                "unhelpful message: {message}"
+            );
+        }
+        other => panic!("expected Error frame, got {other:?}"),
+    }
+    assert!(read_frame(&mut reader).unwrap().is_none(), "then EOF");
+    server.shutdown().unwrap();
+}
+
+/// `(reset, delta_len)` of a raw `Result` payload.
+fn dictionary_header(payload: &[u8]) -> (u8, u32) {
+    let mut r = PayloadReader::new(payload, "test");
+    assert_eq!(r.u8("tag").unwrap(), 0x82, "a Result");
+    r.u64("epoch").unwrap();
+    for _ in 0..r.u32("ncols").unwrap() {
+        r.str("name").unwrap();
+        r.u8("type").unwrap();
+    }
+    r.u64("nrows").unwrap();
+    (r.u8("reset").unwrap(), r.u32("delta_len").unwrap())
+}
+
+#[test]
+fn a_repeated_result_sends_no_string_twice_on_one_connection() {
+    let (server, db) = start();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let hello = Message::Hello {
+        magic: WIRE_MAGIC,
+        version: WIRE_VERSION,
+    };
+    write_frame(&mut writer, &encode(&hello)).unwrap();
+    read_frame(&mut reader).unwrap().expect("HelloOk");
+
+    // This connection's side of the dictionary.
+    let mut results = Decoder::new();
+    let mut first_round = Vec::new();
+    for round in 0..2 {
+        for (i, q) in QUERIES.iter().enumerate() {
+            let query = Message::Query { sql: q.to_string() };
+            write_frame(&mut writer, &encode(&query)).unwrap();
+            let payload = read_frame(&mut reader).unwrap().expect("a Result");
+            let (reset, delta) = dictionary_header(&payload);
+            let Message::Result { relation, .. } = results.decode(&payload).unwrap() else {
+                panic!("expected a Result for {q}");
+            };
+            assert_eq!(canon(&relation), canon(&db.execute(q).unwrap()), "{q}");
+            assert_eq!(reset, 0, "{q}");
+            if round == 0 {
+                first_round.push((delta, payload.len()));
+                continue;
+            }
+            let (first_delta, first_len) = first_round[i];
+            assert_eq!(delta, 0, "round 2 resent strings for {q}");
+            if first_delta > 0 {
+                assert!(payload.len() < first_len, "{q}: {} bytes", payload.len());
+            } else {
+                assert_eq!(payload.len(), first_len, "{q}");
+            }
+        }
+    }
+    assert!(
+        first_round.iter().any(|&(delta, _)| delta > 0),
+        "the queries return text"
+    );
     server.shutdown().unwrap();
 }
 
