@@ -8,7 +8,7 @@
 //! cells), *discriminative* (many distinct values relative to rows), and
 //! not overwhelming (bounded average reference-set size). This follows the
 //! influence-style column scoring of Yang et al., "Summarizing relational
-//! databases" (PVLDB 2009), which the paper cites as [47] for exactly this
+//! databases" (PVLDB 2009), which the paper cites as \[47\] for exactly this
 //! purpose.
 
 use crate::etable::{Cell, ColumnKind, EnrichedTable};

@@ -1,16 +1,17 @@
-//! Columnar intermediate relations: selection vectors over base tables.
+//! Columnar intermediate relations: selection vectors over column stores.
 //!
 //! The optimizing executor's pipeline between the base-table scan and the
 //! final projection runs on [`ColRelation`]s instead of materialized
-//! [`Relation`]s. A `ColRelation` is a set of
-//! borrowed base [`Table`]s plus **one row-id vector per table**: logical
-//! row `r` of the relation reads row `row_ids[r]` of each source table.
+//! [`Relation`]s. A `ColRelation` is a set of sources — each a borrowed
+//! slice of [`ColumnStore`]s: a base [`Table`]'s columns, or the typed
+//! stores of a grouped result — plus **one row-id vector per source**:
+//! logical row `r` of the relation reads row `row_ids[r]` of each source.
 //! Every operator — pushdown scan, hash join, cross product, residual
-//! filter, sort — only ever rewrites those row-id vectors:
+//! filter and HAVING, sort — only ever rewrites those row-id vectors:
 //!
-//! * a filtered scan *is* the selection vector [`scan::filter_indices`]
-//!   returns (an unfiltered scan is the identity selection, stored
-//!   implicitly),
+//! * a filtered scan *is* the selection vector
+//!   [`crate::scan::filter_indices`] returns (an unfiltered scan is the
+//!   identity selection, stored implicitly),
 //! * a hash join builds its table from the build side's key column, then
 //!   probes the probe side's key column in row order, emitting paired
 //!   (build-position, probe-position) vectors that are composed into the
@@ -24,10 +25,12 @@
 //!
 //! No intermediate row is copied anywhere in that pipeline; the final
 //! projection ([`ColRelation::project`]) gathers each output cell exactly
-//! once, straight out of the base tables' column stores. Grouped queries
-//! never materialize an input row at all: [`ColRelation::group_by`]
+//! once, straight out of the column stores. Grouped queries never
+//! materialize an input row at all: [`ColRelation::group_by`]
 //! ([`crate::exec::agg`]) hashes key words and sweeps aggregate inputs
-//! straight off the column slices, through the row-id vectors.
+//! straight off the column slices, through the row-id vectors, into typed
+//! stores with one row per group — which the same HAVING, ORDER BY and
+//! projection then read as a one-source `ColRelation`.
 //!
 //! Row ids are `u32` ([`Table`]s are capped at `u32::MAX` rows, and the
 //! cardinality-growing operators error past `u32::MAX` logical rows
@@ -37,15 +40,17 @@
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
 use crate::expr::Expr;
-use crate::relation::{sorted_positions, RelColumn, Relation, SortKey};
+use crate::intern::RankMap;
+use crate::relation::{RelColumn, Relation, SortKey};
 use crate::storage::spill::{self, SpillKey};
 use crate::table::{ColumnData, ColumnStore, Table};
 use crate::value::{SortCell, Value};
 use crate::{Error, Result};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// The row-id vector of one source table. `Identity` is the unfiltered
-/// scan `0..table.len()`, kept implicit so a full-table scan allocates
+/// The row-id vector of one source. `Identity` is the unfiltered
+/// scan of every stored row, kept implicit so a full-table scan allocates
 /// nothing until a join or filter actually reorders it.
 #[derive(Debug, Clone)]
 pub(crate) enum RowIds {
@@ -82,19 +87,21 @@ impl RowIds {
     }
 }
 
-/// One base table participating in a [`ColRelation`], with the row ids its
-/// logical rows read.
+/// One source of a [`ColRelation`]: column stores of `len` rows each (a
+/// base table's, or a grouped result's), with the row ids its logical rows
+/// read.
 #[derive(Debug, Clone)]
 struct Source<'a> {
-    table: &'a Table,
+    cols: &'a [ColumnStore],
+    len: usize,
     row_ids: RowIds,
 }
 
-/// A columnar intermediate relation: borrowed base tables + selection /
-/// row-id vectors (see the module docs). The executor's join tail operates
-/// entirely on this type; rows are materialized only by
-/// [`ColRelation::project`] (final projection) or consumed column-at-a-time
-/// by [`ColRelation::group_by`] ([`crate::exec::agg`]).
+/// A columnar intermediate relation: borrowed column stores + selection /
+/// row-id vectors (see the module docs). The executor's whole query runs
+/// on this type; rows are materialized only by [`ColRelation::project`]
+/// (final projection) or consumed column-at-a-time by
+/// [`ColRelation::group_by`] ([`crate::exec::agg`]).
 #[derive(Debug, Clone)]
 pub struct ColRelation<'a> {
     columns: Vec<RelColumn>,
@@ -117,15 +124,16 @@ pub enum Pick {
 impl<'a> ColRelation<'a> {
     /// The single constructor every operator funnels through — and
     /// therefore the plan-invariant checkpoint: logical row count within
-    /// [`crate::table::MAX_ROWS`], every source's row-id vector the same
-    /// length as the relation, and every row id in bounds for its table.
-    /// The validator runs wherever debug assertions are compiled in: debug
-    /// builds, and release builds made with
-    /// `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true` (the nightly fuzzer's).
+    /// [`crate::table::MAX_ROWS`], every store of a source as long as the
+    /// source, every source's row-id vector the same length as the
+    /// relation, and every row id in bounds for its source. The validator
+    /// runs wherever debug assertions are compiled in: debug builds, and
+    /// release builds made with `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`
+    /// (the nightly fuzzer's).
     fn from_sources(columns: Vec<RelColumn>, sources: Vec<Source<'a>>, n_rows: usize) -> Self {
         let mut col_map = Vec::with_capacity(columns.len());
         for (si, s) in sources.iter().enumerate() {
-            for ci in 0..s.table.schema().arity() {
+            for ci in 0..s.cols.len() {
                 col_map.push((si as u32, ci as u32));
             }
         }
@@ -136,12 +144,16 @@ impl<'a> ColRelation<'a> {
                 "plan invariant violated: {n_rows} logical rows exceed MAX_ROWS"
             );
             for s in &sources {
+                assert!(
+                    s.cols.iter().all(|c| c.len() == s.len),
+                    "plan invariant violated: ragged source"
+                );
                 match &s.row_ids {
                     RowIds::Identity => assert!(
-                        n_rows == s.table.len(),
+                        n_rows == s.len,
                         "plan invariant violated: identity selection over {} stored rows \
                          claims {n_rows} logical rows",
-                        s.table.len()
+                        s.len
                     ),
                     RowIds::Sel(v) => {
                         assert!(
@@ -151,10 +163,10 @@ impl<'a> ColRelation<'a> {
                             v.len()
                         );
                         assert!(
-                            v.iter().all(|&id| (id as usize) < s.table.len()),
+                            v.iter().all(|&id| (id as usize) < s.len),
                             "plan invariant violated: selection vector row id out of bounds \
                              ({} stored rows)",
-                            s.table.len()
+                            s.len
                         );
                     }
                 }
@@ -168,33 +180,34 @@ impl<'a> ColRelation<'a> {
         }
     }
 
+    /// The relation over `cols`, `len` rows each, described by `columns`,
+    /// whose logical rows read `row_ids`. A base table lends its columns; a
+    /// grouped result lends its stores.
+    pub(crate) fn from_columns(
+        columns: Vec<RelColumn>,
+        cols: &'a [ColumnStore],
+        len: usize,
+        row_ids: RowIds,
+    ) -> Self {
+        let n = row_ids.as_slice().map_or(len, <[u32]>::len);
+        Self::from_sources(columns, vec![Source { cols, len, row_ids }], n)
+    }
+
     /// An unfiltered scan of `table` under `alias`: the identity selection,
     /// no rows touched.
     pub fn from_table(table: &'a Table, alias: &str) -> Self {
-        Self::from_sources(
-            Relation::table_columns(table, alias),
-            vec![Source {
-                table,
-                row_ids: RowIds::Identity,
-            }],
-            table.len(),
-        )
+        let columns = Relation::table_columns(table, alias);
+        Self::from_columns(columns, table.columns(), table.len(), RowIds::Identity)
     }
 
     /// A filtered scan of `table` under `alias`: the selection vector the
     /// pushdown scan ([`crate::scan::filter_indices`]) returns,
     /// held directly — rows failing `pred` are never touched again.
     pub fn from_table_filtered(table: &'a Table, alias: &str, pred: &Expr) -> Result<Self> {
-        let sel = crate::scan::filter_indices(table, pred)?;
-        let n = sel.len();
-        Ok(Self::from_sources(
-            Relation::table_columns(table, alias),
-            vec![Source {
-                table,
-                row_ids: RowIds::Sel(sel),
-            }],
-            n,
-        ))
+        crate::scan::filter_indices(table, pred).map(|sel| {
+            let columns = Relation::table_columns(table, alias);
+            Self::from_columns(columns, table.columns(), table.len(), RowIds::Sel(sel))
+        })
     }
 
     /// Number of logical rows.
@@ -217,7 +230,7 @@ impl<'a> ColRelation<'a> {
     pub(crate) fn col_source(&self, col: usize) -> (&'a ColumnStore, &RowIds) {
         let (si, ci) = self.col_map[col];
         let s = &self.sources[si as usize];
-        (s.table.column(ci as usize), &s.row_ids)
+        (&s.cols[ci as usize], &s.row_ids)
     }
 
     /// Materializes the cell at (`row`, `col`).
@@ -233,29 +246,25 @@ impl<'a> ColRelation<'a> {
     /// rows to keep, in output order).
     fn composed(&self, positions: &[u32], other: Option<(&Self, &[u32])>) -> ColRelation<'a> {
         let mut columns = self.columns.clone();
-        let mut sources: Vec<Source<'a>> = self
-            .sources
-            .iter()
-            .map(|s| Source {
-                table: s.table,
-                row_ids: s.row_ids.compose(positions),
-            })
-            .collect();
+        let through = |s: &Source<'a>, positions: &[u32]| Source {
+            row_ids: s.row_ids.compose(positions),
+            ..*s
+        };
+        let mut sources: Vec<Source<'a>> =
+            self.sources.iter().map(|s| through(s, positions)).collect();
         if let Some((rhs, rhs_positions)) = other {
             columns.extend(rhs.columns.iter().cloned());
-            sources.extend(rhs.sources.iter().map(|s| Source {
-                table: s.table,
-                row_ids: s.row_ids.compose(rhs_positions),
-            }));
+            sources.extend(rhs.sources.iter().map(|s| through(s, rhs_positions)));
         }
         Self::from_sources(columns, sources, positions.len())
     }
 
     /// σ — keeps logical rows satisfying `pred`, composing the surviving
-    /// positions into every row-id vector. The predicate runs on the same
-    /// kernel as the pushdown scan ([`crate::exec::pred`]): each column it
-    /// references is gathered through its source's row-id vector a word of
-    /// 64 logical rows at a time.
+    /// positions into every row-id vector: residual and cycle filters after
+    /// joins, and HAVING over a grouped result. The predicate runs on the
+    /// same kernel as the pushdown scan (`crate::exec::pred`): each column
+    /// it references is gathered through its source's row-id vector a word
+    /// of 64 logical rows at a time.
     pub fn select(&self, pred: &Expr) -> Result<ColRelation<'a>> {
         if let Some(&max) = pred.referenced_columns().last() {
             if max >= self.columns.len() {
@@ -327,28 +336,31 @@ impl<'a> ColRelation<'a> {
 
     /// The permutation ORDER BY `keys` induces (ties keep input order) or,
     /// with `keep = Some(k)`, its first `k` positions — computed by
-    /// `sorted_positions` over rank-decorated key columns hoisted once
-    /// per key, without materializing any row.
+    /// `sorted_positions` over rank-decorated key columns hoisted once per
+    /// key off their typed slices, without materializing any row.
     pub fn sort_order(&self, keys: &[SortKey], keep: Option<usize>) -> Vec<u32> {
         let ranks = crate::intern::rank_map();
         let decorated: Vec<Vec<SortCell>> = keys
             .iter()
             .map(|k| {
                 let (store, ids) = self.col_source(k.column);
-                (0..self.n_rows)
-                    .map(|r| SortCell::new(store.get(ids.get(r)), &ranks))
-                    .collect()
+                let n = self.n_rows;
+                match store.data() {
+                    ColumnData::Int(v) => decorate(v, store, ids, n, Value::Int, &ranks),
+                    ColumnData::Float(v) => decorate(v, store, ids, n, Value::Float, &ranks),
+                    ColumnData::Sym(v) => decorate(v, store, ids, n, Value::Text, &ranks),
+                    ColumnData::Bool(v) => decorate(v, store, ids, n, Value::Bool, &ranks),
+                }
             })
             .collect();
         sorted_positions(self.n_rows, &decorated, keys, keep)
     }
 
     /// π — the final projection: gathers each picked cell exactly once out
-    /// of the base tables' column stores into output rows, for the positions
-    /// in `order` (from [`ColRelation::sort_order`]) or every row in input
-    /// order. This
+    /// of the column stores into output rows, for the positions in `order`
+    /// (from [`ColRelation::sort_order`]) or every row in input order. This
     /// is the only place in the columnar pipeline where rows come into
-    /// existence.
+    /// existence, for plain and grouped queries alike.
     pub fn project(
         &self,
         columns: Vec<RelColumn>,
@@ -389,6 +401,67 @@ impl<'a> ColRelation<'a> {
         }
         Relation::new(columns, rows)
     }
+}
+
+/// One rank-decorated cell per logical row `0..n` of a key column whose
+/// typed body is `body`, read through `ids`.
+fn decorate<T: Copy>(
+    body: &[T],
+    store: &ColumnStore,
+    ids: &RowIds,
+    n: usize,
+    value: impl Fn(T) -> Value,
+    ranks: &RankMap,
+) -> Vec<SortCell> {
+    (0..n)
+        .map(|r| {
+            let t = ids.get(r);
+            let v = if store.is_null(t) {
+                Value::Null
+            } else {
+                value(body[t])
+            };
+            SortCell::new(v, ranks)
+        })
+        .collect()
+}
+
+/// The permutation ORDER BY `keys` induces over rows `0..n` — or, with
+/// `keep = Some(k)`, only its first `k` positions (ORDER BY … LIMIT as a
+/// top-k). `decorated` holds one rank-decorated cell vector per key, so
+/// the comparator compares machine words and never touches the interner.
+///
+/// Rows compare by the keys and then by input position. That extension
+/// makes the order total — no two rows tie — so it has exactly one sorted
+/// sequence: the one a stable sort by the keys alone produces. Any
+/// algorithm may therefore be used, and selecting the `k` smallest rows
+/// before sorting them yields the stable full sort's prefix, ties at the
+/// cut included.
+fn sorted_positions(
+    n: usize,
+    decorated: &[Vec<SortCell>],
+    keys: &[SortKey],
+    keep: Option<usize>,
+) -> Vec<u32> {
+    let cmp = |a: &u32, b: &u32| {
+        for (cells, k) in decorated.iter().zip(keys) {
+            let ord = SortCell::total_cmp(cells[*a as usize], cells[*b as usize]);
+            let ord = if k.descending { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        a.cmp(b)
+    };
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    if let Some(k) = keep.filter(|&k| k < n) {
+        if k > 0 {
+            order.select_nth_unstable_by(k - 1, cmp);
+        }
+        order.truncate(k);
+    }
+    order.sort_unstable_by(cmp);
+    order
 }
 
 /// Every `ColRelation` keeps `n_rows <= u32::MAX` so logical-row
@@ -593,7 +666,8 @@ mod tests {
         let _ = ColRelation::from_sources(
             Relation::table_columns(&t, "t"),
             vec![Source {
-                table: &t,
+                cols: t.columns(),
+                len: t.len(),
                 row_ids: RowIds::Sel(vec![0, 7]), // 7 > table.len()
             }],
             2,
@@ -610,7 +684,8 @@ mod tests {
         let _ = ColRelation::from_sources(
             Relation::table_columns(&t, "t"),
             vec![Source {
-                table: &t,
+                cols: t.columns(),
+                len: t.len(),
                 row_ids: RowIds::Sel(vec![0]),
             }],
             2,
@@ -737,8 +812,7 @@ mod tests {
         );
         let rel = ColRelation::from_table(&t, "t");
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
-        let grouped = rel.group_by(&[0], &aggs).unwrap();
-        let grouped = grouped.project(&[0, 1]).unwrap();
+        let grouped = materialize(&rel.group_by(&[0], &aggs).unwrap().relation());
         assert_eq!(grouped.rows.len(), 3, "rows: {:?}", grouped.rows);
         let reference = oracle(&[&t], "SELECT t.f, COUNT(*) AS n FROM t GROUP BY t.f");
         assert_eq!(sorted_rows(&grouped), sorted_rows(&reference));
@@ -797,8 +871,7 @@ mod tests {
             .hash_join(&ColRelation::from_table(&r, "r"), 0, 0)
             .unwrap();
         let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
-        let grouped = joined.group_by(&[1], &aggs).unwrap();
-        let grouped = grouped.project(&[0, 1]).unwrap();
+        let grouped = materialize(&joined.group_by(&[1], &aggs).unwrap().relation());
         let reference = oracle(
             &[&l, &r],
             "SELECT r.k, COUNT(*) AS n FROM l, r WHERE l.k = r.k GROUP BY r.k",

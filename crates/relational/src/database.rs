@@ -76,11 +76,6 @@ impl Database {
             .ok_or_else(|| Error::UnknownTable(name.to_string()))
     }
 
-    /// Whether a table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// All table names in deterministic (sorted) order.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()

@@ -6,10 +6,11 @@
 //! how each key column is hashed), the per-aggregate *sweeps* that fold
 //! one input column into one state vector indexed by group id, and the
 //! [`ColRelation::group_by`] driver that runs both straight off the column
-//! slices through the row-id vectors — no input row is ever materialized,
-//! and the result stays column-major ([`ColumnBatch`]) until the tail has
-//! decided which groups survive. The naive oracle ([`crate::sql::naive`])
-//! shares the vocabulary and nothing else.
+//! slices through the row-id vectors — no input row is ever materialized.
+//! The result is typed column stores, one row per group ([`Grouped`]),
+//! which the query tail reads as a one-source [`ColRelation`]: HAVING,
+//! ORDER BY and the projection are the ones every SELECT runs. The naive
+//! oracle ([`crate::sql::naive`]) shares the vocabulary and nothing else.
 //!
 //! Grouping is one sequential pass on the calling thread, like every
 //! other kernel: at 38 000 papers the hash pass costs 0.1–0.8 ms, and
@@ -18,13 +19,14 @@
 
 use crate::colrel::{ColRelation, RowIds};
 use crate::exec::hash::KeyHashBuilder;
-use crate::relation::{ColumnBatch, RelColumn};
-use crate::table::{ColumnData, ColumnStore};
+use crate::relation::RelColumn;
+use crate::table::{ColumnData, ColumnStore, NullBitmap};
 use crate::value::{DataType, SortCell, Value};
 use crate::{Error, Result};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +75,6 @@ impl AggSpec {
             input,
             output_name: output_name.into(),
         }
-    }
-
-    /// `COUNT(*)` spec.
-    pub fn count_star(output_name: impl Into<String>) -> Self {
-        Self::new(AggFunc::Count, None, output_name)
     }
 }
 
@@ -139,6 +136,29 @@ fn assign_gids<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> Grou
         })
         .collect();
     GroupIds { gids, first_rows }
+}
+
+/// What [`ColRelation::group_by`] emits: one typed store per output column
+/// — the group keys (in `group_cols` order), then one per aggregate — each
+/// holding one row per group, in first-occurrence order.
+#[derive(Debug, Clone)]
+pub struct Grouped {
+    /// The output columns; aggregates are bare columns named by their
+    /// spec's `output_name`.
+    pub columns: Vec<RelColumn>,
+    /// One store per output column, `len` rows each.
+    pub stores: Vec<ColumnStore>,
+    /// Number of groups.
+    pub len: usize,
+}
+
+impl Grouped {
+    /// The groups as a one-source relation over their stores, in group
+    /// order.
+    pub fn relation(&self) -> ColRelation<'_> {
+        let (columns, ids) = (self.columns.clone(), RowIds::Identity);
+        ColRelation::from_columns(columns, &self.stores, self.len, ids)
+    }
 }
 
 /// The output columns of a grouped aggregation: the group-key columns (in
@@ -214,42 +234,42 @@ impl ColRelation<'_> {
     /// `KeyShape`; NULL is its own group); then every aggregate is one
     /// sweep of its input column into a state vector indexed by group id.
     /// `group_cols` are the grouping key positions; each aggregate
-    /// consumes an input column (or `None` for `COUNT(*)`). The result is
-    /// column-major — the group keys (each group's first-occurrence cell)
-    /// followed by one column per aggregate — with groups in
-    /// first-occurrence order.
-    pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<ColumnBatch> {
+    /// consumes an input column (or `None` for `COUNT(*)`). Each key column
+    /// is gathered word for word at its groups' first rows; each aggregate
+    /// fills a store of the type `group_output_columns` gives it, NULL
+    /// results as null bits.
+    pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Grouped> {
         let GroupIds { gids, first_rows } = self.group_ids(group_cols);
-        let n_groups = first_rows.len();
-        let mut data: Vec<Vec<Value>> = Vec::with_capacity(group_cols.len() + aggs.len());
+        let len = first_rows.len();
+        let columns = group_output_columns(self.columns(), group_cols, aggs);
+        let mut stores = Vec::with_capacity(columns.len());
         for &c in group_cols {
             let (store, ids) = self.col_source(c);
-            data.push(
-                first_rows
-                    .iter()
-                    .map(|&r| store.get(ids.get(r as usize)))
-                    .collect(),
-            );
+            stores.push(store.gather(first_rows.iter().map(|&r| ids.get(r as usize))));
         }
-        for spec in aggs {
+        for (spec, col) in aggs.iter().zip(&columns[group_cols.len()..]) {
             let input = spec.input.map(|c| self.col_source(c));
-            data.push(aggregate(spec.func, input, &gids, n_groups)?);
+            stores.push(aggregate(spec.func, input, &gids, len, col.data_type)?);
         }
-        let columns = group_output_columns(self.columns(), group_cols, aggs);
-        Ok(ColumnBatch::new(columns, data, n_groups))
+        Ok(Grouped {
+            columns,
+            stores,
+            len,
+        })
     }
 }
 
 /// One aggregate's sweep: folds `input` (row `r` belongs to group
 /// `gids[r]`) into a state vector indexed by group id, in row order, and
-/// finishes it into the aggregate's output column. Only `COUNT(*)` has no
-/// input column.
+/// finishes it into the aggregate's output column, of type `ty`. Only
+/// `COUNT(*)` has no input column.
 fn aggregate(
     func: AggFunc,
     input: Option<(&ColumnStore, &RowIds)>,
     gids: &[u32],
     n_groups: usize,
-) -> Result<Vec<Value>> {
+    ty: DataType,
+) -> Result<ColumnStore> {
     let Some((store, ids)) = input else {
         if func != AggFunc::Count {
             return Err(Error::Eval(format!(
@@ -272,7 +292,7 @@ fn aggregate(
             for (g, v) in cells {
                 accs[g].add(v, func)?;
             }
-            accs.iter().map(|acc| acc.finish(func)).collect()
+            ColumnStore::from_values(ty, accs.iter().map(|acc| acc.finish(func)))
         }
         AggFunc::Min | AggFunc::Max => {
             // The running best is a rank-decorated cell, so text
@@ -292,20 +312,23 @@ fn aggregate(
                     best[g] = Some(cand);
                 }
             }
-            best.into_iter()
-                .map(|b| b.map_or(Value::Null, SortCell::value))
-                .collect()
+            let best = best
+                .into_iter()
+                .map(|b| b.map_or(Value::Null, SortCell::value));
+            ColumnStore::from_values(ty, best)
         }
     })
 }
 
-/// COUNT: how often each group id occurs in `groups`.
-fn count_per_group(groups: impl Iterator<Item = usize>, n_groups: usize) -> Vec<Value> {
+/// COUNT: how often each group id occurs in `groups`, straight into an
+/// `INT` body (a count is never NULL).
+fn count_per_group(groups: impl Iterator<Item = usize>, n_groups: usize) -> ColumnStore {
     let mut counts = vec![0i64; n_groups];
     for g in groups {
         counts[g] += 1;
     }
-    counts.into_iter().map(Value::Int).collect()
+    let body = ColumnData::Int(Arc::new(counts));
+    ColumnStore::from_parts(body, NullBitmap::default(), n_groups)
 }
 
 /// The running total behind SUM and AVG: **integer inputs in an exact
@@ -359,6 +382,7 @@ fn clamp_i128(v: i128) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::colrel::Pick;
     use crate::schema::{Column, TableSchema};
     use crate::table::{Row, Table};
 
@@ -370,11 +394,11 @@ mod tests {
 
     /// Groups `t` and materializes every output column, in group order.
     fn grouped(t: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Vec<Row> {
-        let all: Vec<usize> = (0..group_cols.len() + aggs.len()).collect();
-        let batch = ColRelation::from_table(t, "t")
+        let g = ColRelation::from_table(t, "t")
             .group_by(group_cols, aggs)
             .unwrap();
-        batch.project(&all).unwrap().rows
+        let picks: Vec<Pick> = (0..g.columns.len()).map(Pick::Col).collect();
+        g.relation().project(g.columns.clone(), &picks, None).rows
     }
 
     fn sum_of(vals: &[i64]) -> Value {
@@ -406,7 +430,7 @@ mod tests {
     #[test]
     fn groups_keep_first_occurrence_order() {
         let null = Value::Null;
-        let specs = [AggSpec::count_star("n")];
+        let specs = [AggSpec::new(AggFunc::Count, None, "n")];
         let t = table(
             vec![
                 Column::nullable("i", DataType::Int),
@@ -470,7 +494,7 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_input_yields_one_group() {
         let specs = [
-            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Count, None, "n"),
             AggSpec::new(AggFunc::Count, Some(0), "nv"),
             AggSpec::new(AggFunc::Sum, Some(0), "s"),
             AggSpec::new(AggFunc::Avg, Some(0), "a"),
@@ -497,6 +521,63 @@ mod tests {
         );
         // With a key, empty input has no group at all.
         assert!(grouped(&table(cols, vec![]), &[0], &specs).is_empty());
+    }
+
+    /// Grouped output is typed stores: every body has the type its output
+    /// column declares, and a NULL key or aggregate result is a null bit —
+    /// in a NULL key's group, in a group whose inputs are all NULL, and in
+    /// the one group of a global aggregate over empty input.
+    #[test]
+    fn grouped_stores_are_typed_with_null_bits() {
+        let body_type = |s: &ColumnStore| match s.data() {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Float(_) => DataType::Float,
+            ColumnData::Sym(_) => DataType::Text,
+            ColumnData::Bool(_) => DataType::Bool,
+        };
+        let specs = [
+            AggSpec::new(AggFunc::Count, None, "n"),
+            AggSpec::new(AggFunc::Min, Some(1), "lo"),
+            AggSpec::new(AggFunc::Sum, Some(1), "s"),
+            AggSpec::new(AggFunc::Avg, Some(1), "a"),
+            AggSpec::new(AggFunc::Max, Some(2), "hi"),
+        ];
+        let cols = vec![
+            Column::nullable("k", DataType::Text),
+            Column::nullable("v", DataType::Int),
+            Column::nullable("w", DataType::Bool),
+        ];
+        let null = Value::Null;
+        let rows = vec![
+            vec!["agg-typed".into(), 4.into(), true.into()],
+            vec![null, null, null],
+            vec![null, null, null],
+        ];
+        let g = ColRelation::from_table(&table(cols.clone(), rows), "t")
+            .group_by(&[0], &specs)
+            .unwrap();
+        let types: Vec<DataType> = g.stores.iter().map(body_type).collect();
+        use DataType::{Bool, Float, Int, Text};
+        assert_eq!(types, [Text, Int, Int, Int, Float, Bool]);
+        let declared: Vec<DataType> = g.columns.iter().map(|c| c.data_type).collect();
+        assert_eq!(declared, types);
+        let nulls =
+            |g: &Grouped, r: usize| g.stores.iter().map(|s| s.is_null(r)).collect::<Vec<_>>();
+        assert_eq!(g.len, 2);
+        assert_eq!(nulls(&g, 0), [false; 6]);
+        // The NULL key's group counts two rows, and every input was NULL.
+        assert_eq!(nulls(&g, 1), [true, false, true, true, true, true]);
+        assert_eq!(g.stores[1].get(1), Value::Int(2));
+
+        let g = ColRelation::from_table(&table(cols, vec![]), "t")
+            .group_by(&[], &specs)
+            .unwrap();
+        assert_eq!(
+            g.stores.iter().map(body_type).collect::<Vec<_>>(),
+            types[1..]
+        );
+        assert_eq!((g.len, g.stores[0].get(0)), (1, Value::Int(0)));
+        assert_eq!(nulls(&g, 0), [false, true, true, true, true]);
     }
 
     /// Only `COUNT(*)` may lack an input column; any other aggregate

@@ -14,7 +14,7 @@
 //! * [`budget`] — the execution memory budget (`ETABLE_MEM_BUDGET`) that
 //!   decides when a hash join degrades to the disk-spilling Grace path
 //!   ([`crate::storage::spill`]).
-//! * [`hash`] — the key hasher shared by the in-memory join, the spill
+//! * `hash` — the key hasher shared by the in-memory join, the spill
 //!   partitioner and the group-id pass.
 pub mod agg;
 pub mod budget;

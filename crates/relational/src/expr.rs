@@ -266,24 +266,6 @@ impl Expr {
         Ok(self.eval_truth(row)?.is_true())
     }
 
-    /// Remaps column references through `f` (used to rebase expressions when
-    /// rows are concatenated by joins).
-    pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Column(i) => Expr::Column(f(*i)),
-            Expr::Literal(v) => Expr::Literal(*v),
-            Expr::Cmp(op, a, b) => {
-                Expr::Cmp(*op, Box::new(a.map_columns(f)), Box::new(b.map_columns(f)))
-            }
-            Expr::Like(e, p) => Expr::Like(Box::new(e.map_columns(f)), p.clone()),
-            Expr::InList(e, l) => Expr::InList(Box::new(e.map_columns(f)), l.clone()),
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.map_columns(f))),
-            Expr::And(a, b) => Expr::And(Box::new(a.map_columns(f)), Box::new(b.map_columns(f))),
-            Expr::Or(a, b) => Expr::Or(Box::new(a.map_columns(f)), Box::new(b.map_columns(f))),
-            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
-        }
-    }
-
     /// Column positions referenced by this expression.
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -311,7 +293,7 @@ impl Expr {
 /// A SQL LIKE pattern compiled once (lowercased into a char buffer) so one
 /// pattern can be matched against many texts without re-processing the
 /// pattern per call — the dictionary-predicate bitmap builder
-/// ([`crate::exec::pred`]) runs one `LikePattern` over the whole interner
+/// (`crate::exec::pred`) runs one `LikePattern` over the whole interner
 /// arena.
 #[derive(Debug, Clone)]
 pub struct LikePattern {
@@ -459,13 +441,6 @@ mod tests {
         let row = vec![Value::Null, 1.into()];
         assert!(Expr::IsNull(Box::new(Expr::col(0))).matches(&row).unwrap());
         assert!(!Expr::IsNull(Box::new(Expr::col(1))).matches(&row).unwrap());
-    }
-
-    #[test]
-    fn map_columns_rebases() {
-        let e = Expr::col(0).eq(Expr::col(1));
-        let shifted = e.map_columns(&|i| i + 3);
-        assert_eq!(shifted, Expr::col(3).eq(Expr::col(4)));
     }
 
     #[test]

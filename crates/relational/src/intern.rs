@@ -149,7 +149,7 @@ thread_local! {
 /// Arena entries are append-only, so a snapshot's length is its complete
 /// version stamp: ids `< snapshot.len()` resolve through it forever, and a
 /// longer arena only ever *extends* a previous snapshot. Dictionary-encoded
-/// predicate evaluation ([`crate::exec::pred`]) leans on exactly that to
+/// predicate evaluation (`crate::exec::pred`) leans on exactly that to
 /// build (and incrementally extend) per-pattern membership bitmaps over the
 /// whole vocabulary instead of re-matching text per row.
 pub fn strings_snapshot() -> Arc<Vec<&'static str>> {

@@ -11,13 +11,13 @@
 //! * constraint-checked columnar storage ([`table::ColumnData`]) with an
 //!   ordered primary-key index and a row-facade API,
 //! * one evaluator — columnar intermediate relations
-//!   ([`colrel::ColRelation`]): selection vectors over base tables with
-//!   build/probe hash joins and grouped aggregation ([`exec::agg`]), which
-//!   the SQL executor carries from the scan to the final projection
-//!   without materializing intermediate rows,
-//! * a result container ([`relation::Relation`]: DISTINCT, OFFSET/LIMIT)
-//!   and the column batch a grouped result stays in through HAVING and
-//!   ORDER BY ([`relation::ColumnBatch`]),
+//!   ([`colrel::ColRelation`]): selection vectors over column stores with
+//!   build/probe hash joins, and grouped aggregation ([`exec::agg`]) into
+//!   typed stores that the same relation type reads back, so HAVING,
+//!   ORDER BY / top-k and the final projection run once for every SELECT,
+//!   and no intermediate row is materialized from the scan to that
+//!   projection,
+//! * a result container ([`relation::Relation`]: DISTINCT, OFFSET/LIMIT),
 //! * a small SQL dialect ([`sql`]) with a greedy hash-join planner, and
 //!   one oracle ([`sql::naive`]) the evaluator is checked against.
 //!
@@ -78,7 +78,7 @@ pub enum Error {
     Eval(String),
     /// SQL parse error.
     Parse(String),
-    /// Static semantic analysis rejection (see [`sql::analyze`]).
+    /// Static semantic analysis rejection (see [`sql::analyze`](mod@sql::analyze)).
     Analyze(String),
     /// On-disk storage problem: truncated or corrupt file, bad magic,
     /// unsupported format version, checksum mismatch (see [`storage`]).

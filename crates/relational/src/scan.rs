@@ -1,6 +1,6 @@
 //! Base-table scans.
 //!
-//! A scan compiles its predicate once ([`crate::exec::pred`]) and runs it
+//! A scan compiles its predicate once (`crate::exec::pred`) and runs it
 //! over the table's column slices 64 rows at a time, in row order, so the
 //! selection vector is ascending; a predicate with a leaf that can raise
 //! runs row by row instead, reporting the first failing row's error.

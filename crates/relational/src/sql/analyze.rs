@@ -869,6 +869,9 @@ pub fn analyze(db: &Database, q: &Query) -> Result<TypedPlan> {
                     }
                 }
                 SelectItem::QualifiedWildcard(qual) => {
+                    if !scope.tables.iter().any(|t| t.alias == *qual) {
+                        return Err(Error::UnknownTable(qual.clone()));
+                    }
                     for (i, c) in grouped_cols.iter().enumerate().take(n_keys) {
                         if c.qualifier.as_deref() == Some(qual.as_str()) {
                             output.push(OutputCol {

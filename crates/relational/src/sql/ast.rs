@@ -196,35 +196,6 @@ impl SqlExpr {
             | SqlExpr::Not(e) => e.contains_aggregate(),
         }
     }
-
-    /// Qualified column names referenced (excluding aggregate internals).
-    pub fn referenced_names(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_names(&mut out);
-        out
-    }
-
-    fn collect_names<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            SqlExpr::Column(n) => out.push(n),
-            SqlExpr::Literal(_) => {}
-            SqlExpr::Aggregate { input, .. } => {
-                if let Some(e) = input {
-                    e.collect_names(out);
-                }
-            }
-            SqlExpr::Cmp(_, a, b) | SqlExpr::And(a, b) | SqlExpr::Or(a, b) => {
-                a.collect_names(out);
-                b.collect_names(out);
-            }
-            SqlExpr::Like(e, _)
-            | SqlExpr::NotLike(e, _)
-            | SqlExpr::InList(e, _)
-            | SqlExpr::IsNull(e)
-            | SqlExpr::IsNotNull(e)
-            | SqlExpr::Not(e) => e.collect_names(out),
-        }
-    }
 }
 
 /// A string as a SQL literal: quoted, with every `'` doubled — what the

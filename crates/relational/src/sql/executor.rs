@@ -2,7 +2,7 @@
 //! hash-join planning, grouping, and projection.
 //!
 //! Every statement is first run through the static analyzer
-//! ([`super::analyze`]): name resolution, type inference and
+//! ([`super::analyze()`]): name resolution, type inference and
 //! aggregate/GROUP BY validity all happen **before** execution, so the
 //! pipeline below never resolves a name — it only translates the plan's
 //! resolved [`ColumnId`]s into physical positions. The planner mirrors
@@ -13,11 +13,12 @@
 //!
 //! Execution is columnar end to end: every base scan yields a
 //! [`ColRelation`] (a selection vector over the stored table — see
-//! [`crate::colrel`]), joins compose paired row-id vectors, residual
-//! filters and ORDER BY rewrite or permute those vectors, and rows are
-//! materialized exactly once — by the final projection gather, for the
-//! rows an `ORDER BY … LIMIT` keeps, or, in a grouped tail, for the groups
-//! that survive HAVING and the same top-k.
+//! [`crate::colrel`]), joins compose paired row-id vectors, and residual
+//! filters rewrite those vectors. Grouping turns the joined relation into
+//! typed stores, one row per group, read as a `ColRelation` of its own.
+//! From there one tail serves every SELECT: HAVING is a select, ORDER BY a
+//! permutation (a top-k under LIMIT), and rows are materialized exactly
+//! once — by the final projection gather, for the rows that are kept.
 
 use super::analyze::{
     analyze, analyze_delete, analyze_insert, analyze_update, ColumnId, OrderTarget, TypedGrouping,
@@ -28,7 +29,7 @@ use crate::colrel::{ColRelation, Pick};
 use crate::database::Database;
 use crate::exec::agg::AggSpec;
 use crate::expr::Expr;
-use crate::relation::{ColumnBatch, RelColumn, Relation, SortKey};
+use crate::relation::{RelColumn, Relation, SortKey};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -339,35 +340,92 @@ fn execute_typed(
         log!("residual filter [{}] -> {} rows", p.display, current.len());
     }
 
-    // 4. Grouping / aggregation / projection tail. Grouped queries
-    //    aggregate straight off the selection vectors (no input row is
-    //    ever materialized) and keep the groups column-major until the
-    //    tail has chosen the survivors; plain queries sort by permutation
-    //    and gather the kept rows exactly once, in the final projection.
-    let out = if let Some(g) = &plan.grouping {
-        let group_cols = g
-            .keys
-            .iter()
-            .map(|&k| jpos(k).ok_or_else(plan_desync))
-            .collect::<Result<Vec<_>>>()?;
-        let specs = agg_specs(g, &jpos)?;
-        let grouped = current.group_by(&group_cols, &specs)?;
-        if trace.is_some() && !g.keys.is_empty() {
-            let shapes: Vec<String> = group_cols
+    // 4. Grouping: grouped queries aggregate straight off the selection
+    //    vectors (no input row is ever materialized) into typed stores, one
+    //    row per group, and HAVING filters those groups on the WHERE kernel.
+    //    `grouped` owns the stores the grouped relation reads.
+    let grouped;
+    let input = match &plan.grouping {
+        None => current,
+        Some(g) => {
+            let group_cols = g
+                .keys
                 .iter()
-                .map(|&c| current.key_shape(c).to_string())
-                .collect();
-            log!(
-                "group by {} key(s) [{}] -> {} groups",
-                g.keys.len(),
-                shapes.join(", "),
-                grouped.len()
-            );
+                .map(|&k| jpos(k).ok_or_else(plan_desync))
+                .collect::<Result<Vec<_>>>()?;
+            grouped = current.group_by(&group_cols, &agg_specs(g, &jpos)?)?;
+            if trace.is_some() && !g.keys.is_empty() {
+                let shapes: Vec<String> = group_cols
+                    .iter()
+                    .map(|&c| current.key_shape(c).to_string())
+                    .collect();
+                log!(
+                    "group by {} key(s) [{}] -> {} groups",
+                    g.keys.len(),
+                    shapes.join(", "),
+                    grouped.len
+                );
+            }
+            match &g.having {
+                Some(h) => grouped.relation().select(&h.to_expr(&Some)?)?,
+                None => grouped.relation(),
+            }
         }
-        grouped_tail(plan, g, grouped, trace)?
-    } else {
-        columnar_plain_tail(plan, &current, &jpos, trace)?
     };
+
+    // 5. The query tail, one for every SELECT. A plain plan's picks and
+    //    sort targets name joined-input columns (`jpos`), a grouped plan's
+    //    name grouped positions; the other kind is a desync. ORDER BY is a
+    //    permutation over rank-decorated key columns — only its first
+    //    `rows_kept` positions when a LIMIT follows — the final projection
+    //    gathers each kept output cell once, in that order, and DISTINCT /
+    //    OFFSET / LIMIT run on the already-final output.
+    let is_grouped = plan.grouping.is_some();
+    let pos = |t: OrderTarget| match t {
+        OrderTarget::Input(c) if !is_grouped => jpos(c).ok_or_else(plan_desync),
+        OrderTarget::Group(i) if is_grouped => Ok(i),
+        _ => Err(plan_desync()),
+    };
+    let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
+    let mut picks: Vec<Pick> = Vec::with_capacity(plan.output.len());
+    for o in &plan.output {
+        out_cols.push(o.column.clone());
+        picks.push(match o.pick {
+            TypedPick::Input(c) => Pick::Col(pos(OrderTarget::Input(c))?),
+            TypedPick::Group(i) => Pick::Col(pos(OrderTarget::Group(i))?),
+            TypedPick::Lit(v) => Pick::Lit(v),
+        });
+    }
+    let keep = rows_kept(plan);
+    let order = if plan.order_by.is_empty() && keep.is_none() {
+        None
+    } else {
+        let keys = plan
+            .order_by
+            .iter()
+            .map(|o| {
+                Ok(SortKey {
+                    column: pos(o.target)?,
+                    descending: o.descending,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if let (Some(k), false) = (keep, keys.is_empty()) {
+            let n = input.len();
+            log!("top {} of {n} by [{}]", k.min(n), plan.sort_keys_display());
+        }
+        // No key at all orders by input position: a bare LIMIT gathers
+        // only its leading rows.
+        Some(input.sort_order(&keys, keep))
+    };
+    let mut out = input.project(out_cols, &picks, order.as_deref());
+    if plan.distinct {
+        out = out.distinct();
+    }
+    out = out.offset(plan.offset);
+    if let Some(n) = plan.limit {
+        out = out.limit(n);
+    }
     log!("output: {} rows x {} columns", out.len(), out.columns.len());
     Ok(out)
 }
@@ -383,21 +441,6 @@ fn rows_kept(plan: &TypedPlan) -> Option<usize> {
     }
 }
 
-/// Traces an `ORDER BY … LIMIT` that runs as a top-k selection over `n`
-/// candidates.
-fn log_top_k(plan: &TypedPlan, keep: Option<usize>, n: usize, trace: &mut Option<Vec<String>>) {
-    if plan.order_by.is_empty() {
-        return;
-    }
-    if let (Some(t), Some(k)) = (trace.as_mut(), keep) {
-        t.push(format!(
-            "top {} of {n} by [{}]",
-            k.min(n),
-            plan.sort_keys_display()
-        ));
-    }
-}
-
 /// Lowers the plan's aggregates into [`AggSpec`]s through `pos`.
 fn agg_specs(g: &TypedGrouping, pos: &impl Fn(ColumnId) -> Option<usize>) -> Result<Vec<AggSpec>> {
     g.aggregates
@@ -410,114 +453,6 @@ fn agg_specs(g: &TypedGrouping, pos: &impl Fn(ColumnId) -> Option<usize>) -> Res
             Ok(AggSpec::new(x.func, input, x.key.clone()))
         })
         .collect()
-}
-
-/// The non-grouped query tail over the columnar pipeline: ORDER BY
-/// becomes a permutation over rank-decorated key columns — only its first
-/// [`rows_kept`] positions when a LIMIT follows — the final projection
-/// gathers each kept output cell once (in permuted order), and DISTINCT /
-/// OFFSET / LIMIT run on the already-final output.
-fn columnar_plain_tail(
-    plan: &TypedPlan,
-    input: &ColRelation,
-    pos: &impl Fn(ColumnId) -> Option<usize>,
-    trace: &mut Option<Vec<String>>,
-) -> Result<Relation> {
-    let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
-    let mut picks: Vec<Pick> = Vec::with_capacity(plan.output.len());
-    for o in &plan.output {
-        out_cols.push(o.column.clone());
-        picks.push(match o.pick {
-            TypedPick::Input(c) => Pick::Col(pos(c).ok_or_else(plan_desync)?),
-            TypedPick::Lit(v) => Pick::Lit(v),
-            TypedPick::Group(_) => return Err(plan_desync()),
-        });
-    }
-    let keep = rows_kept(plan);
-    let order = if plan.order_by.is_empty() && keep.is_none() {
-        None
-    } else {
-        let keys = plan
-            .order_by
-            .iter()
-            .map(|o| match o.target {
-                OrderTarget::Input(c) => Ok(SortKey {
-                    column: pos(c).ok_or_else(plan_desync)?,
-                    descending: o.descending,
-                }),
-                OrderTarget::Group(_) => Err(plan_desync()),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        log_top_k(plan, keep, input.len(), trace);
-        // No key at all orders by input position: a bare LIMIT gathers
-        // only its leading rows.
-        Some(input.sort_order(&keys, keep))
-    };
-    let out = input.project(out_cols, &picks, order.as_deref());
-    Ok(distinct_offset_limit(plan, out))
-}
-
-/// DISTINCT, OFFSET and LIMIT over the already-projected output — the
-/// last step of both tails.
-fn distinct_offset_limit(plan: &TypedPlan, mut out: Relation) -> Relation {
-    if plan.distinct {
-        out = out.distinct();
-    }
-    out = out.offset(plan.offset);
-    match plan.limit {
-        Some(n) => out.limit(n),
-        None => out,
-    }
-}
-
-/// The post-aggregation tail. HAVING and ORDER BY (a top-k of
-/// [`rows_kept`] when a LIMIT follows) only rewrite the grouped batch's
-/// selection vector; the projection then materializes the surviving
-/// groups, and DISTINCT / OFFSET / LIMIT run on that output. The plan's
-/// grouped picks and sort targets are already positions into `grouped`.
-fn grouped_tail(
-    plan: &TypedPlan,
-    g: &TypedGrouping,
-    grouped: ColumnBatch,
-    trace: &mut Option<Vec<String>>,
-) -> Result<Relation> {
-    // HAVING over grouped-relation positions.
-    let mut batch = grouped;
-    if let Some(h) = &g.having {
-        let e = h.to_expr(&Some)?;
-        batch = batch.select(&e)?;
-    }
-
-    // Projection picks.
-    let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
-    let mut picks: Vec<usize> = Vec::with_capacity(plan.output.len());
-    for o in &plan.output {
-        let TypedPick::Group(i) = o.pick else {
-            return Err(plan_desync());
-        };
-        out_cols.push(o.column.clone());
-        picks.push(i);
-    }
-
-    // ORDER BY over grouped-relation positions.
-    let keys = plan
-        .order_by
-        .iter()
-        .map(|o| match o.target {
-            OrderTarget::Group(i) => Ok(SortKey {
-                column: i,
-                descending: o.descending,
-            }),
-            OrderTarget::Input(_) => Err(plan_desync()),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let keep = rows_kept(plan);
-    log_top_k(plan, keep, batch.len(), trace);
-    batch = batch.sort_by(&keys, keep);
-
-    let mut out = batch.project(&picks)?;
-    out.columns = out_cols;
-    Ok(distinct_offset_limit(plan, out))
 }
 
 #[cfg(test)]

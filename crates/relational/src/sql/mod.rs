@@ -6,7 +6,7 @@
 //! `ORDER BY` / `LIMIT`, aggregates, `LIKE`, `IN`, `IS NULL` — plus
 //! `CREATE TABLE` and `INSERT` for completeness.
 //!
-//! Every statement flows parser → [`analyze`] → executor: the analyzer
+//! Every statement flows parser → [`analyze`](mod@analyze) → executor: the analyzer
 //! resolves names, infers types and validates aggregates/DML against
 //! the schema, producing the [`TypedPlan`] both the optimizing executor
 //! ([`executor`]) and the naive differential oracle ([`naive`]) consume

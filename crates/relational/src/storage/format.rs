@@ -243,7 +243,7 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
 /// the stored PK order (empty = rows already ascending, or no PK), which
 /// is only read here: proving it — complete, in bounds, strictly
 /// ascending — needs the column data and happens when the table is
-/// assembled ([`crate::table::Table::from_parts`]).
+/// assembled (`crate::table::Table::from_parts`).
 pub fn decode_schema(payload: &[u8], ctx: &str) -> Result<(TableSchema, usize, Vec<u32>)> {
     let mut r = PayloadReader::new(payload, ctx);
     let name = r.str("table name")?;

@@ -5,7 +5,7 @@
 //! A saved database is a directory: one `MANIFEST.etb` mapping table names
 //! to table files, and one `t<index>.etb` per table (index = position in
 //! the catalog's deterministic order). Every file is magic + version +
-//! checksummed, length-prefixed segments ([`format`]).
+//! checksummed, length-prefixed segments ([`format`](mod@format)).
 //!
 //! `open` reads each file front to back exactly once: header, then per
 //! segment its length (bounded against the bytes that remain before any

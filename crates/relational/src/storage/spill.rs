@@ -179,7 +179,16 @@ impl SpillDir {
             std::process::id(),
             DIR_SEQ.fetch_add(1, AtomicOrdering::Relaxed)
         ));
-        fs::create_dir_all(&path).map_err(|e| io_err(&path, "cannot create spill dir", e))?;
+        // Another join's drop may remove the root, empty at that moment,
+        // between `create_dir_all` making it and making `path` inside it:
+        // that is a NotFound, and making both again succeeds.
+        let mut attempts = 0;
+        while let Err(e) = fs::create_dir_all(&path) {
+            attempts += 1;
+            if e.kind() != std::io::ErrorKind::NotFound || attempts == 8 {
+                return Err(io_err(&path, "cannot create spill dir", e));
+            }
+        }
         Ok(SpillDir {
             path,
             file_seq: AtomicU64::new(0),

@@ -178,6 +178,39 @@ impl ColumnStore {
         (0..self.len).map(|i| self.get(i))
     }
 
+    /// A new column of this column's type holding the cells at `rows`, in
+    /// that order, word for word: a grouped result's key column.
+    pub(crate) fn gather(&self, rows: impl ExactSizeIterator<Item = usize> + Clone) -> Self {
+        fn pick<T: Copy>(v: &[T], rows: impl Iterator<Item = usize>) -> Arc<Vec<T>> {
+            Arc::new(rows.map(|r| v[r]).collect())
+        }
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(pick(v, rows.clone())),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, rows.clone())),
+            ColumnData::Sym(v) => ColumnData::Sym(pick(v, rows.clone())),
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, rows.clone())),
+        };
+        let mut nulls = NullBitmap::default();
+        let len = rows.len();
+        for (i, r) in rows.enumerate() {
+            if self.is_null(r) {
+                nulls.set(i, true);
+            }
+        }
+        ColumnStore { data, nulls, len }
+    }
+
+    /// A column of type `ty` holding `values`, each of which fits `ty`: a
+    /// grouped result's aggregate column.
+    pub(crate) fn from_values(ty: DataType, values: impl IntoIterator<Item = Value>) -> Self {
+        let mut col = ColumnStore::new(ty);
+        for v in values {
+            debug_assert!(v.fits(ty), "value {v} does not fit a {ty} column");
+            col.push(&v);
+        }
+        col
+    }
+
     /// Appends a value. The caller has already validated `fits`.
     fn push(&mut self, v: &Value) {
         let i = self.len;
@@ -316,6 +349,11 @@ impl Table {
     /// If `col` is out of range.
     pub fn column(&self, col: usize) -> &ColumnStore {
         &self.cols[col]
+    }
+
+    /// Every column, in schema order.
+    pub(crate) fn columns(&self) -> &[ColumnStore] {
+        &self.cols
     }
 
     /// Materializes the cell at (`row`, `col`).

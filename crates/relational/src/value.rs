@@ -186,14 +186,6 @@ impl Value {
         }
     }
 
-    /// Interprets the value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL comparison: returns `None` when either side is `Null` or the
     /// types are incomparable, mirroring `UNKNOWN` in three-valued logic.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
@@ -574,7 +566,6 @@ mod tests {
         assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Int(5).as_float(), Some(5.0));
         assert_eq!(Value::text("a").as_text(), Some("a"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Null.as_int(), None);
     }
 

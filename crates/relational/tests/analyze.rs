@@ -47,6 +47,28 @@ fn unknown_table_names_the_table() {
     assert!(msg.contains("`nosuch`"), "{msg}");
 }
 
+/// A qualified wildcard must name a table in FROM, grouped or not; a known
+/// qualifier in a grouped select still expands to its key columns.
+#[test]
+fn unknown_wildcard_qualifier_names_the_table() {
+    let db = setup();
+    for sql in [
+        "SELECT nope.* FROM papers",
+        "SELECT nope.*, COUNT(*) AS n FROM papers GROUP BY year",
+    ] {
+        let msg = reject_both(&db, sql);
+        assert!(msg.contains("unknown table `nope`"), "{msg}");
+    }
+    let mut d = db.clone();
+    let r = execute(
+        &mut d,
+        "SELECT papers.*, COUNT(*) AS n FROM papers GROUP BY papers.year",
+    )
+    .unwrap();
+    let names: Vec<String> = r.columns.iter().map(|c| c.qualified_name()).collect();
+    assert_eq!(names, ["papers.year", "n"]);
+}
+
 #[test]
 fn unknown_column_names_the_column() {
     let db = setup();

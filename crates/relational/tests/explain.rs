@@ -125,6 +125,65 @@ fn explain_shows_key_shapes_and_the_top_k_tail() {
     assert!(!text.contains("top "), "{text}");
 }
 
+/// The whole EXPLAIN text of a join + GROUP BY + HAVING + ORDER BY …
+/// LIMIT, byte for byte: the typed plan, then every traced step.
+#[test]
+fn explain_golden_grouped_top_k() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT s.tag, COUNT(*) AS n, MAX(b.v) AS hi FROM big b, small s \
+         WHERE b.small_id = s.id AND b.v >= 3 GROUP BY s.tag \
+         HAVING COUNT(*) > 16 AND MIN(b.v) < 5 ORDER BY n DESC, s.tag LIMIT 2",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT] pushdown [b.v >= 3]
+  from small AS s [id INT, tag TEXT]
+  join edge b.small_id = s.id [INT]
+  group keys [s.tag] aggregates [COUNT(*) INT, MAX(b.v) INT, MIN(b.v) INT]
+  having [COUNT(*) > 16 AND MIN(b.v) < 5]
+  sort keys [COUNT(*) DESC, s.tag]
+  output columns [s.tag TEXT, n INT, hi INT]
+execution:
+scan b (100 rows) pushdown [b.v >= 3] -> 83 rows
+scan s (5 rows)
+start from smallest relation s
+hash join s.id = b.small_id with b (83 rows) -> 83 rows
+group by 1 key(s) [TEXT word] -> 5 groups
+top 2 of 3 by [COUNT(*) DESC, s.tag]
+output: 2 rows x 3 columns"
+    );
+}
+
+/// The whole EXPLAIN text of a plain join ORDER BY … LIMIT OFFSET.
+#[test]
+fn explain_golden_plain_top_k() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT b.id, s.tag FROM big b JOIN small s ON b.small_id = s.id \
+         WHERE s.tag <> 'tag3' ORDER BY b.v DESC, b.id LIMIT 5 OFFSET 2",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT]
+  from small AS s [id INT, tag TEXT] pushdown [s.tag <> 'tag3']
+  join edge b.small_id = s.id [INT]
+  sort keys [b.v DESC, b.id]
+  output columns [b.id INT, s.tag TEXT]
+execution:
+scan b (100 rows)
+scan s (5 rows) pushdown [s.tag <> 'tag3'] -> 4 rows
+start from smallest relation s
+hash join s.id = b.small_id with b (100 rows) -> 80 rows
+top 7 of 80 by [b.v DESC, b.id]
+output: 5 rows x 2 columns"
+    );
+}
+
 #[test]
 fn explain_does_not_change_results() {
     let mut d = db();

@@ -2,13 +2,13 @@
 //! equal the same rows of the full stable sort — ties at the cut
 //! included. The differential fuzzer only emits LIMIT under a *total*
 //! ORDER BY, so tie stability is pinned here: inputs with heavy ties,
-//! DESC keys, NULLs and text, at both kernels (`ColRelation::sort_order`
-//! for the plain tail, `ColumnBatch::sort_by` for the grouped tail) and
+//! DESC keys, NULLs and text, at the one sort kernel
+//! (`ColRelation::sort_order`, which plain and grouped queries share) and
 //! through SQL with OFFSET.
 
 use etable_relational::colrel::ColRelation;
 use etable_relational::database::Database;
-use etable_relational::relation::{ColumnBatch, RelColumn, SortKey};
+use etable_relational::relation::SortKey;
 use etable_relational::sql::execute;
 use etable_relational::value::Value;
 use proptest::prelude::*;
@@ -85,8 +85,7 @@ fn cuts(n: usize) -> [usize; 5] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both kernels: the full sort is the stable sort, and every top-k is
-    /// its prefix.
+    /// The full sort is the stable sort, and every top-k is its prefix.
     #[test]
     fn top_k_is_the_prefix_of_the_stable_sort(seed in 0u64..100_000, n in 1usize..90) {
         let db = database(seed, n);
@@ -98,21 +97,9 @@ proptest! {
         let rel = ColRelation::from_table(table, "t");
         prop_assert_eq!(&rel.sort_order(&keys, None), &want, "full sort by {:?}", keys);
 
-        let columns: Vec<RelColumn> = rel.columns().to_vec();
-        let data: Vec<Vec<Value>> = (0..columns.len())
-            .map(|c| rows.iter().map(|r| r[c]).collect())
-            .collect();
-        let batch = ColumnBatch::new(columns, data, n);
-        let ids = |b: ColumnBatch| -> Vec<u32> {
-            let out = b.project(&[0]).unwrap();
-            out.rows.iter().map(|r| r[0].as_int().unwrap() as u32).collect()
-        };
-        prop_assert_eq!(&ids(batch.clone().sort_by(&keys, None)), &want);
-
         for k in cuts(n) {
             let prefix = &want[..k.min(n)];
             prop_assert_eq!(&rel.sort_order(&keys, Some(k))[..], prefix, "top {} by {:?}", k, keys);
-            prop_assert_eq!(&ids(batch.clone().sort_by(&keys, Some(k)))[..], prefix, "top {} by {:?}", k, keys);
         }
         // No key at all orders by input position: a bare LIMIT.
         prop_assert_eq!(rel.sort_order(&[], Some(3)), (0..n.min(3) as u32).collect::<Vec<_>>());

@@ -1,7 +1,7 @@
 //! The wire protocol: byte-exact framing and message codecs.
 //!
 //! Every message travels as one **frame** with the same shape as an
-//! on-disk segment ([`frame`]; the framing deliberately reuses
+//! on-disk segment (`frame`; the framing deliberately reuses
 //! [`etable_relational::storage::codec`], so checksum behavior and its
 //! tests carry over):
 //!

@@ -319,9 +319,17 @@ fn gen_query(rng: &mut StdRng) -> GenQuery {
                 select_text: format!("{agg} AS a{ai}"),
             });
         }
-        let having = match rng.gen_range(0..3) {
+        let atom = |rng: &mut StdRng| having_atom(rng, &keys, has_s, has_t);
+        let having = match rng.gen_range(0..6) {
             0 => format!(" HAVING COUNT(*) >= {}", rng.gen_range(1..3)),
             1 if rng.gen_range(0..2) == 0 => " HAVING COUNT(*) > 100".to_string(),
+            2 => format!(" HAVING {}", atom(rng)),
+            3 => {
+                let (a, b) = (atom(rng), atom(rng));
+                let op = ["AND", "OR"][rng.gen_range(0..2)];
+                format!(" HAVING ({a}) {op} ({b})")
+            }
+            4 => format!(" HAVING NOT ({})", atom(rng)),
             _ => String::new(),
         };
         (
@@ -431,6 +439,42 @@ fn gen_query(rng: &mut StdRng) -> GenQuery {
         order_keys,
         order_total,
     }
+}
+
+/// One HAVING predicate over the group keys in `keys` and the aggregates
+/// of the tables in scope: LIKE, `=` and `<` on a TEXT key, `IS NULL` on
+/// any key, a FLOAT aggregate against a float or integer literal (boundary
+/// values and `-0.0` included), or a COUNT threshold.
+fn having_atom(rng: &mut StdRng, keys: &[&str], has_s: bool, has_t: bool) -> String {
+    let word = |rng: &mut StdRng| WORDS[rng.gen_range(0..WORDS.len())];
+    let mut menu = vec![
+        format!("COUNT(*) >= {}", rng.gen_range(1..4)),
+        format!("{} IS NULL", keys[rng.gen_range(0..keys.len())]),
+    ];
+    if let Some(k) = keys.iter().find(|k| ["s.txt", "t.lbl", "u.v"].contains(k)) {
+        menu.push(format!(
+            "{k} LIKE '%{}%'",
+            ["a", "p", "i", "z"][rng.gen_range(0..4)]
+        ));
+        menu.push(format!("{k} = '{}'", word(rng)));
+        menu.push(format!("{k} < '{}'", word(rng)));
+    }
+    if has_s {
+        menu.push(format!("MIN(s.fl) < {}.5", rng.gen_range(-10..10)));
+    }
+    if has_t {
+        menu.push(format!(
+            "MAX(t.wide) >= {}",
+            [
+                "-0.0",
+                "0",
+                "1",
+                "9223372036854775808.0",
+                "-9223372036854775808.0"
+            ][rng.gen_range(0..5)]
+        ));
+    }
+    menu.swap_remove(rng.gen_range(0..menu.len()))
 }
 
 /// The number of distinct ill-formed query shapes `invalid_query` can
