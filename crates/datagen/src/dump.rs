@@ -5,8 +5,9 @@
 //! world or load it into another engine.
 
 use etable_relational::database::Database;
-use etable_relational::sql::execute;
-use etable_relational::value::{DataType, Value};
+use etable_relational::sql::{execute, SqlExpr};
+use etable_relational::table::Table;
+use etable_relational::value::DataType;
 use std::fmt::Write;
 
 fn sql_type(ty: DataType) -> &'static str {
@@ -18,45 +19,45 @@ fn sql_type(ty: DataType) -> &'static str {
     }
 }
 
-fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".into(),
-        Value::Text(s) => format!("'{}'", s.as_str().replace('\'', "''")),
-        other => other.to_string(),
-    }
-}
-
 /// Serializes the whole database as executable SQL.
 ///
 /// Tables are emitted in FK-dependency order so the dump replays with
-/// integrity checking enabled; INSERTs are batched.
+/// integrity checking enabled; INSERTs are batched. Every cell prints as
+/// the SQL printer prints a literal, which the lexer reads back to the
+/// same value (a float keeps its exact bits).
 pub fn dump_sql(db: &Database) -> String {
     // Topologically order tables by FK dependencies.
-    let names: Vec<&str> = db.table_names();
-    let mut ordered: Vec<&str> = Vec::new();
-    let mut remaining: Vec<&str> = names.clone();
+    let mut ordered: Vec<&Table> = Vec::new();
+    let mut remaining: Vec<&Table> = db.tables().collect();
     while !remaining.is_empty() {
         let before = ordered.len();
-        remaining.retain(|name| {
-            let schema = db.table(name).expect("listed table").schema();
+        remaining.retain(|t| {
+            let schema = t.schema();
             let ready = schema.foreign_keys.iter().all(|fk| {
-                fk.referenced_table == *name || ordered.contains(&fk.referenced_table.as_str())
+                fk.referenced_table == schema.name
+                    || ordered
+                        .iter()
+                        .any(|o| o.schema().name == fk.referenced_table)
             });
             if ready {
-                ordered.push(name);
+                ordered.push(t);
             }
             !ready
         });
         assert!(
             ordered.len() > before,
-            "cyclic FK dependencies between tables {remaining:?}"
+            "cyclic FK dependencies between tables {:?}",
+            remaining
+                .iter()
+                .map(|t| &t.schema().name)
+                .collect::<Vec<_>>()
         );
     }
 
     let mut out = String::new();
-    for name in &ordered {
-        let schema = db.table(name).expect("listed table").schema();
-        let _ = write!(out, "CREATE TABLE {name} (");
+    for table in &ordered {
+        let schema = table.schema();
+        let _ = write!(out, "CREATE TABLE {} (", schema.name);
         for (i, c) in schema.columns.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -80,17 +81,19 @@ pub fn dump_sql(db: &Database) -> String {
         }
         out.push_str(");\n");
     }
-    for name in &ordered {
-        let table = db.table(name).expect("listed table");
+    for table in &ordered {
         const BATCH: usize = 200;
         let rows = table.to_rows();
         for chunk in rows.chunks(BATCH) {
-            let _ = write!(out, "INSERT INTO {name} VALUES ");
+            let _ = write!(out, "INSERT INTO {} VALUES ", table.schema().name);
             for (i, row) in chunk.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let fields: Vec<String> = row.iter().map(sql_literal).collect();
+                let fields: Vec<String> = row
+                    .iter()
+                    .map(|&v| SqlExpr::Literal(v).to_string())
+                    .collect();
                 let _ = write!(out, "({})", fields.join(", "));
             }
             out.push_str(";\n");
@@ -116,6 +119,7 @@ pub fn load_sql(dump: &str) -> Result<Database, etable_relational::Error> {
 mod tests {
     use super::*;
     use crate::generator::{generate, GenConfig};
+    use etable_relational::value::Value;
 
     #[test]
     fn round_trip_preserves_everything() {
@@ -167,6 +171,39 @@ mod tests {
             restored.table("T").unwrap().row(0).unwrap()[1],
             Value::text("it's")
         );
+    }
+
+    /// Every float reloads with its exact bits: a magnitude `Display`
+    /// prints without a decimal point, a negative zero, the smallest
+    /// subnormal and the largest finite value.
+    #[test]
+    fn dump_round_trips_floats_bit_for_bit() {
+        use etable_relational::schema::{Column, TableSchema};
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "F",
+                vec![
+                    Column::new("id", DataType::Int),
+                    Column::nullable("x", DataType::Float),
+                ],
+            )
+            .with_primary_key(&["id"]),
+        )
+        .unwrap();
+        let floats = [1e20, -0.0, 2.0, 5e-324, f64::MAX];
+        for (i, &x) in floats.iter().enumerate() {
+            db.insert("F", vec![Value::Int(i as i64), Value::Float(x)])
+                .unwrap();
+        }
+        let restored = load_sql(&dump_sql(&db)).expect("dump replays");
+        let t = restored.table("F").unwrap();
+        for (i, &x) in floats.iter().enumerate() {
+            match t.row(i).unwrap()[1] {
+                Value::Float(y) => assert_eq!(y.to_bits(), x.to_bits(), "{x:?} reloaded as {y:?}"),
+                other => panic!("{x:?} reloaded as {other:?}"),
+            }
+        }
     }
 
     #[test]

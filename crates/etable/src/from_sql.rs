@@ -15,8 +15,8 @@ use crate::pattern::{
 };
 use crate::{Error, Result};
 use etable_relational::database::Database;
-use etable_relational::expr::CmpOp;
-use etable_relational::sql::analyze::{analyze, ColumnId, TypedExpr, TypedPred};
+use etable_relational::expr::{CmpOp, Expr};
+use etable_relational::sql::analyze::{analyze, ColumnId, TypedPred};
 use etable_relational::sql::ast::{Query, Statement};
 use etable_tgm::{EdgeProvenance, EdgeTypeId, NodeTypeId, RelationCategory, Tgdb};
 
@@ -212,7 +212,8 @@ pub fn from_query(tgdb: &Tgdb, db: &Database, q: &Query) -> Result<QueryPattern>
             p.display
         )));
     }
-    for ((slot, t), preds) in slots.iter().zip(&plan.tables).zip(&plan.scans) {
+    let tables = slots.iter().zip(&plan.tables).zip(&plan.scans);
+    for (ti, ((slot, t), preds)) in tables.enumerate() {
         for p in preds {
             let node = slot.node().ok_or_else(|| {
                 Error::SqlTranslate(format!(
@@ -221,15 +222,18 @@ pub fn from_query(tgdb: &Tgdb, db: &Database, q: &Query) -> Result<QueryPattern>
                     t.alias
                 ))
             })?;
-            let attr = |c: ColumnId| match slot {
-                Slot::Mva { value_col, .. } if col_name(c) != *value_col => {
-                    Err(Error::SqlTranslate(format!(
-                        "condition on MVA key column `{}.{}` is unsupported",
-                        t.alias,
-                        col_name(c)
-                    )))
+            // A scan predicate reads its own table's columns.
+            let attr = |column: usize| {
+                let name = col_name(ColumnId { table: ti, column });
+                match slot {
+                    Slot::Mva { value_col, .. } if name != *value_col => {
+                        Err(Error::SqlTranslate(format!(
+                            "condition on MVA key column `{}.{name}` is unsupported",
+                            t.alias
+                        )))
+                    }
+                    _ => Ok(name.to_string()),
                 }
-                _ => Ok(col_name(c).to_string()),
             };
             nodes[node].filter.atoms.push(pred_atom(p, attr)?);
         }
@@ -240,11 +244,15 @@ pub fn from_query(tgdb: &Tgdb, db: &Database, q: &Query) -> Result<QueryPattern>
     // Global aggregates group on nothing: no primary entity to pivot on.
     let primary = match &plan.grouping {
         Some(g) => {
-            let key = g.keys.first().ok_or_else(|| {
-                Error::SqlTranslate(
-                    "global aggregates have no ETable equivalent (no primary entity)".into(),
-                )
-            })?;
+            let key = g
+                .keys
+                .first()
+                .and_then(|&pos| plan.column_id(pos))
+                .ok_or_else(|| {
+                    Error::SqlTranslate(
+                        "global aggregates have no ETable equivalent (no primary entity)".into(),
+                    )
+                })?;
             slots[key.table].node().ok_or_else(|| {
                 Error::SqlTranslate(format!(
                     "GROUP BY alias `{}` is not an entity or value node",
@@ -285,7 +293,7 @@ fn forward_edge(
 
 /// Converts a typed single-table predicate into a filter atom; `attr`
 /// names the attribute a column of that table stands for.
-fn pred_atom(p: &TypedPred, attr: impl Fn(ColumnId) -> Result<String>) -> Result<FilterAtom> {
+fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<FilterAtom> {
     let unsupported = || {
         Error::SqlTranslate(format!(
             "unsupported predicate `{}` (the ETable interface builds \
@@ -293,15 +301,15 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(ColumnId) -> Result<String>) -> Result
             p.display
         ))
     };
-    let column = |e: &TypedExpr| match e {
-        TypedExpr::Column(c, _) => attr(*c),
+    let column = |e: &Expr| match e {
+        Expr::Column(c) => attr(*c),
         _ => Err(unsupported()),
     };
     Ok(match &p.expr {
-        TypedExpr::Cmp(op, a, b) => {
+        Expr::Cmp(op, a, b) => {
             let (side, op, value) = match (a.as_ref(), b.as_ref()) {
-                (side, TypedExpr::Literal(v)) => (side, *op, *v),
-                (TypedExpr::Literal(v), side) => (side, flip(*op), *v),
+                (side, Expr::Literal(v)) => (side, *op, *v),
+                (Expr::Literal(v), side) => (side, flip(*op), *v),
                 _ => return Err(unsupported()),
             };
             FilterAtom::Cmp {
@@ -310,22 +318,22 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(ColumnId) -> Result<String>) -> Result
                 value,
             }
         }
-        TypedExpr::Like(a, pattern) => FilterAtom::Like {
+        Expr::Like(a, pattern) => FilterAtom::Like {
             attr: column(a)?,
             pattern: pattern.clone(),
         },
-        TypedExpr::Not(inner) => match inner.as_ref() {
-            TypedExpr::Like(a, pattern) => FilterAtom::NotLike {
+        Expr::Not(inner) => match inner.as_ref() {
+            Expr::Like(a, pattern) => FilterAtom::NotLike {
                 attr: column(a)?,
                 pattern: pattern.clone(),
             },
             _ => return Err(unsupported()),
         },
-        TypedExpr::InList(a, values) => FilterAtom::In {
+        Expr::InList(a, values) => FilterAtom::In {
             attr: column(a)?,
             values: values.clone(),
         },
-        TypedExpr::IsNull(a) => FilterAtom::IsNull { attr: column(a)? },
+        Expr::IsNull(a) => FilterAtom::IsNull { attr: column(a)? },
         _ => return Err(unsupported()),
     })
 }

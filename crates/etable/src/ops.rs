@@ -98,15 +98,14 @@ pub fn select_on(
         };
         type_row(&conjunct, |name| {
             let attr = name.rsplit_once('.').map_or(name, |(_, attr)| attr);
-            let def = owner
+            let i = owner
                 .attr_index(attr)
-                .map(|i| &owner.attrs[i])
                 .ok_or_else(|| SqlError::UnknownColumn(attr.to_string()))?;
             let ty = Ty {
-                base: Some(def.data_type),
+                base: Some(owner.attrs[i].data_type),
                 nullable: true,
             };
-            Ok(((), ty))
+            Ok((i, ty))
         })
         .map_err(|e| match e {
             SqlError::UnknownColumn(attr) => Error::UnknownAttribute {

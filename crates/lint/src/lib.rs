@@ -24,17 +24,15 @@
 //!    sweep memory budgets in-process through
 //!    `exec::budget::with_budget` instead. Non-test code (bench/figure
 //!    harness setup) remains allowed.
-//! 4. **File-size budget** — the non-test region of a source file may
-//!    not exceed 600 lines unless the file carries an allowlisted
-//!    ceiling. Outgrowing the ceiling means the module wants splitting
-//!    (the storage subsystem's codec/format/spill split is the model),
-//!    not a bigger number. Test modules never count against the budget,
-//!    so adding tests is always free.
-//! 5. **Allowlists ratchet** — an allowlist entry that names a file that
-//!    no longer exists, a panic budget larger than the file's actual
-//!    count, or a size ceiling more than 50 lines above the file's
-//!    actual size is itself a violation: an entry that outlives what it
-//!    excused is room for a new panic, or unreviewed growth.
+//! 4. **File-size ceiling** — the non-test region of a source file may
+//!    not exceed 600 lines, with no exceptions. Outgrowing the ceiling
+//!    means the module wants splitting (the storage subsystem's
+//!    codec/format/spill split is the model), not a bigger number. Test
+//!    modules never count against it, so adding tests is always free.
+//! 5. **Allowlist ratchet** — a panic-budget entry that names a file that
+//!    no longer exists, or a budget larger than the file's actual count,
+//!    is itself a violation: an entry that outlives what it excused is
+//!    room for a new panic.
 //!
 //! `tests/` files are walked for rule 3 only: they are exempt from the
 //! panic budget (a failing test *should* panic) and are never crate
@@ -70,11 +68,10 @@ const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
 /// budget of zero. Keep this list sorted by path.
-const PANIC_BUDGET: [(&str, usize); 17] = [
+const PANIC_BUDGET: [(&str, usize); 16] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
-    ("crates/datagen/src/dump.rs", 3),
     ("crates/datagen/src/generator.rs", 7),
     ("crates/datagen/src/schema.rs", 7),
     ("crates/datagen/src/tasks.rs", 1),
@@ -90,19 +87,9 @@ const PANIC_BUDGET: [(&str, usize); 17] = [
     ("src/lib.rs", 1),
 ];
 
-/// Default ceiling for the non-test region of a source file, in lines.
+/// The ceiling for the non-test region of every source file, in lines,
+/// counted with exactly the logic in [`count_module_lines`].
 const SIZE_BUDGET_DEFAULT: usize = 600;
-
-/// Per-file size ceilings for pre-existing modules that outgrew the
-/// default before the rule landed, counted with exactly the logic in
-/// [`count_module_lines`]. Ceilings sit modestly above each file's
-/// current size: growth prompts a split, shrinking is always fine. Keep
-/// this list sorted by path.
-const SIZE_BUDGET: [(&str, usize); 1] = [("crates/relational/src/sql/analyze.rs", 1180)];
-
-/// How far a size ceiling may sit above its file before it counts as
-/// stale (rule 5).
-const SIZE_SLACK: usize = 50;
 
 /// One rule violation at one location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,15 +145,6 @@ fn budget_for(rel: &str) -> usize {
         .find(|(p, _)| *p == rel)
         .map(|&(_, n)| n)
         .unwrap_or(0)
-}
-
-/// The allowlisted size ceiling for a file (the default when unlisted).
-fn size_budget_for(rel: &str) -> usize {
-    SIZE_BUDGET
-        .iter()
-        .find(|(p, _)| *p == rel)
-        .map(|&(_, n)| n)
-        .unwrap_or(SIZE_BUDGET_DEFAULT)
 }
 
 /// Counts the lines in the non-test region of a source file — everything
@@ -232,17 +210,16 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
         }
     }
 
-    // Rule 4: file-size budget over the non-test region of src files.
+    // Rule 4: file-size ceiling over the non-test region of src files.
     if !test_file {
         let lines = count_module_lines(content);
-        let ceiling = size_budget_for(rel);
-        if lines > ceiling {
+        if lines > SIZE_BUDGET_DEFAULT {
             out.push(Violation {
                 file: rel.to_string(),
                 line: 0,
                 rule: "file-size",
                 message: format!(
-                    "{lines} non-test line(s), ceiling is {ceiling} \
+                    "{lines} non-test line(s), ceiling is {SIZE_BUDGET_DEFAULT} \
                      (split the module; test code never counts)"
                 ),
             });
@@ -277,14 +254,12 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule 5: lints the allowlists themselves. `read` returns the text of a
+/// Rule 5: lints the panic allowlist itself. `read` returns the text of a
 /// workspace-relative path, or `None` when there is no such file. An
-/// entry of either list whose file is gone, a panic budget above the
-/// file's actual count, or a size ceiling more than [`SIZE_SLACK`] lines
-/// above the file's actual size, is stale.
+/// entry whose file is gone, or whose budget is above the file's actual
+/// count, is stale.
 fn check_allowlists(
     panic_budget: &[(&str, usize)],
-    size_budget: &[(&str, usize)],
     read: impl Fn(&str) -> Option<String>,
 ) -> Vec<Violation> {
     let stale = |rel: &str, message: String| Violation {
@@ -309,23 +284,6 @@ fn check_allowlists(
                     ));
                 }
             }
-        }
-    }
-    for &(rel, ceiling) in size_budget {
-        match read(rel).map(|content| count_module_lines(&content)) {
-            None => out.push(stale(
-                rel,
-                "size ceiling for a file that does not exist".into(),
-            )),
-            Some(lines) if ceiling > lines + SIZE_SLACK => out.push(stale(
-                rel,
-                format!(
-                    "size ceiling is {ceiling}, the file has {lines} lines \
-                     (lower it to at most {})",
-                    lines + SIZE_SLACK
-                ),
-            )),
-            Some(_) => {}
         }
     }
     out
@@ -397,7 +355,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         let content = std::fs::read_to_string(&path)?;
         out.extend(check_file(&rel, &content));
     }
-    out.extend(check_allowlists(&PANIC_BUDGET, &SIZE_BUDGET, |rel| {
+    out.extend(check_allowlists(&PANIC_BUDGET, |rel| {
         std::fs::read_to_string(root.join(rel)).ok()
     }));
     Ok(out)
@@ -489,36 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn allowlisted_size_ceiling_is_a_ceiling() {
-        // sql/analyze.rs carries a 1180-line ceiling.
-        let under = "pub fn f() {}\n".repeat(1170);
-        assert!(check_file("crates/relational/src/sql/analyze.rs", &under).is_empty());
-        let over = "pub fn f() {}\n".repeat(1181);
-        let v = check_file("crates/relational/src/sql/analyze.rs", &over);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("ceiling is 1180"), "{}", v[0].message);
-    }
-
-    #[test]
     fn stale_allowlist_entries_are_flagged() {
         let pat = PANIC_PATTERNS[0];
         let one_panic = format!("pub fn f(o: Option<u32>) -> u32 {{ o{pat} }}\n");
         let read = |rel: &str| (rel != "gone.rs").then(|| one_panic.clone());
-        // Exact budgets, and ceilings within the slack of the one-line
-        // file, are fine.
-        assert!(check_allowlists(&[("a.rs", 1)], &[("a.rs", 51)], read).is_empty());
-        // A budget above the actual count, and entries for missing files.
-        let v = check_allowlists(&[("a.rs", 2), ("gone.rs", 1)], &[("gone.rs", 700)], read);
-        assert_eq!(v.len(), 3, "{v:?}");
+        // An exact budget is fine.
+        assert!(check_allowlists(&[("a.rs", 1)], read).is_empty());
+        // A budget above the actual count, and an entry for a missing file.
+        let v = check_allowlists(&[("a.rs", 2), ("gone.rs", 1)], read);
+        assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "stale-allowlist"));
         assert!(v[0].message.contains("budget is 2, the file has 1"));
         assert!(v[1].message.contains("does not exist"));
-        assert_eq!(v[2].file, "gone.rs");
-        // A ceiling the file has shrunk well below.
-        let v = check_allowlists(&[], &[("a.rs", 52)], read);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "stale-allowlist");
-        assert!(v[0].message.contains("ceiling is 52, the file has 1 lines"));
+        assert_eq!(v[1].file, "gone.rs");
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Database {
 
     /// What the foreign key `fk` of `table` points at ([`FkPairs`]). A key
     /// with a NULL in it references nothing. Keys are matched by the join
-    /// kernel (`colrel::key_pairs`, spilling under the memory
+    /// kernel (`exec::join::key_pairs`, spilling under the memory
     /// budget) on the first column, then by [`Value`] equality on the rest.
     pub fn fk_pairs(&self, table: &str, fk: &ForeignKey) -> Result<FkPairs> {
         let (from, to) = (self.table(table)?, self.table(&fk.referenced_table)?);
@@ -283,7 +283,7 @@ fn key_indices(schema: &TableSchema, names: &[String]) -> Result<Vec<usize>> {
 type KeySide<'a> = (&'a Table, &'a [String], Option<&'a [u32]>);
 
 /// The (probe row, build row) pairs whose keys are equal and NULL-free,
-/// in [`crate::colrel::key_pairs`]'s order (probe rows ascending when the
+/// in [`crate::exec::join::key_pairs`]'s order (probe rows ascending when the
 /// probe side reads every row or an ascending selection): the join kernel
 /// on the first key column, then [`Value`] equality on the rest.
 fn match_keys(build: KeySide<'_>, probe: KeySide<'_>) -> Result<Vec<(u32, u32)>> {
@@ -293,7 +293,7 @@ fn match_keys(build: KeySide<'_>, probe: KeySide<'_>) -> Result<Vec<(u32, u32)>>
         return Err(Error::Schema("foreign key without columns".into()));
     };
     let (bpos, ppos) =
-        crate::colrel::key_pairs(build.0.column(b0), build.2, probe.0.column(p0), probe.2)?;
+        crate::exec::join::key_pairs(build.0.column(b0), build.2, probe.0.column(p0), probe.2)?;
     let row = |rows: Option<&[u32]>, i: u32| rows.map_or(i, |s| s[i as usize]);
     let rest_equal = |pr: usize, br: usize| {
         p[1..].iter().zip(&b[1..]).all(|(&pc, &bc)| {

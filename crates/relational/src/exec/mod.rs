@@ -2,7 +2,7 @@
 //! is a sequential loop on the calling thread; concurrency is per
 //! connection (DESIGN.md, "Query execution").
 //!
-//! Four pieces live here, plus the [`pool`] stub the frozen benchmark
+//! Five pieces live here, plus the [`pool`] stub the frozen benchmark
 //! harness still names:
 //!
 //! * [`agg`] — grouped aggregation: the aggregate vocabulary, the
@@ -14,11 +14,14 @@
 //! * [`budget`] — the execution memory budget (`ETABLE_MEM_BUDGET`) that
 //!   decides when a hash join degrades to the disk-spilling Grace path
 //!   ([`crate::storage::spill`]).
+//! * `join` — the join kernel: equal keys of two columns as paired
+//!   positions, for hash joins and foreign-key matching alike.
 //! * `hash` — the key hasher shared by the in-memory join, the spill
 //!   partitioner and the group-id pass.
 pub mod agg;
 pub mod budget;
 pub(crate) mod hash;
+pub(crate) mod join;
 mod kernel;
 pub mod pool;
 pub(crate) mod pred;

@@ -266,6 +266,25 @@ impl Expr {
         Ok(self.eval_truth(row)?.is_true())
     }
 
+    /// The expression over another row layout, in which the columns it
+    /// reads start at position `to` instead of `from`: column `c` becomes
+    /// `c - from + to`. A scan predicate moves this way between its own
+    /// table's columns and a row holding several tables side by side.
+    pub fn rebased(&self, from: usize, to: usize) -> Expr {
+        let re = |e: &Expr| Box::new(e.rebased(from, to));
+        match self {
+            Expr::Column(c) => Expr::Column(c - from + to),
+            Expr::Literal(v) => Expr::Literal(*v),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, re(a), re(b)),
+            Expr::Like(e, p) => Expr::Like(re(e), p.clone()),
+            Expr::InList(e, l) => Expr::InList(re(e), l.clone()),
+            Expr::IsNull(e) => Expr::IsNull(re(e)),
+            Expr::And(a, b) => Expr::And(re(a), re(b)),
+            Expr::Or(a, b) => Expr::Or(re(a), re(b)),
+            Expr::Not(e) => Expr::Not(re(e)),
+        }
+    }
+
     /// Column positions referenced by this expression.
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();

@@ -19,7 +19,11 @@
 //!   projection,
 //! * a result container ([`relation::Relation`]: DISTINCT, OFFSET/LIMIT),
 //! * a small SQL dialect ([`sql`]) with a greedy hash-join planner, and
-//!   one oracle ([`sql::naive`]) the evaluator is checked against.
+//!   one oracle ([`sql::naive`]) the evaluator is checked against. Both
+//!   run the analyzer's [`sql::TypedPlan`] as it stands: its predicates
+//!   ([`expr::Expr`]), picks, sort keys and aggregate specs are already
+//!   column positions, so neither engine resolves a name or maps a column
+//!   reference.
 //!
 //! ```
 //! use etable_relational::database::Database;

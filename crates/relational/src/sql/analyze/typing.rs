@@ -1,0 +1,168 @@
+//! Expression typing: one recursion turns a [`SqlExpr`] into the
+//! positional [`Expr`] the engines run, checking types on the way.
+
+use super::super::ast::SqlExpr;
+use crate::expr::Expr;
+use crate::value::DataType;
+use crate::{Error, Result};
+
+/// An inferred expression type: the base [`DataType`] (or `None` for the
+/// typeless `NULL` literal) plus whether the expression can evaluate to
+/// NULL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ty {
+    /// Base type; `None` only for the bare `NULL` literal.
+    pub base: Option<DataType>,
+    /// Whether the expression may produce NULL.
+    pub nullable: bool,
+}
+
+impl Ty {
+    /// Human-readable base type for diagnostics ("INT", ..., or "NULL").
+    pub fn render_base(&self) -> String {
+        ty_name(self.base)
+    }
+}
+
+/// Renders an optional base type for diagnostics and EXPLAIN.
+pub(super) fn ty_name(base: Option<DataType>) -> String {
+    base.map(|d| d.to_string()).unwrap_or_else(|| "NULL".into())
+}
+
+/// The least upper bound of two base types under the widening lattice:
+/// `NULL` (⊥) joins with anything, `INT ⊔ FLOAT = FLOAT`, equal types
+/// join trivially, everything else is incomparable (`None`). This is the
+/// single encoding of the widening rule both executors' comparison /
+/// join / IN-list kernels implement at the value level.
+pub fn lub(a: Option<DataType>, b: Option<DataType>) -> Option<Option<DataType>> {
+    match (a, b) {
+        (None, x) | (x, None) => Some(x),
+        (Some(x), Some(y)) if x == y => Some(Some(x)),
+        (Some(DataType::Int), Some(DataType::Float))
+        | (Some(DataType::Float), Some(DataType::Int)) => Some(Some(DataType::Float)),
+        _ => None,
+    }
+}
+
+/// Types an expression in row context, the rule every WHERE / ON conjunct
+/// is checked by: `resolve` maps a column name to its position in the row
+/// the expression reads and its type, aggregates are rejected. Public so
+/// that a caller holding names but no [`Database`](crate::database::Database)
+/// — the session typing a node filter against a node type's attributes —
+/// is typed by this rule and not by a copy of it.
+pub fn type_row(e: &SqlExpr, resolve: impl Fn(&str) -> Result<(usize, Ty)>) -> Result<(Expr, Ty)> {
+    type_expr(e, &mut |leaf| match leaf {
+        SqlExpr::Column(name) => resolve(name),
+        _ => Err(Error::Eval(
+            "aggregate not allowed in row context (WHERE/ON)".into(),
+        )),
+    })
+}
+
+/// Requires a boolean (or NULL-literal) expression where a predicate is
+/// expected.
+pub(super) fn require_bool(e: &SqlExpr, ty: Ty) -> Result<()> {
+    if matches!(ty.base, None | Some(DataType::Bool)) {
+        Ok(())
+    } else {
+        Err(Error::Analyze(format!(
+            "expected a boolean predicate, got `{e}` ({})",
+            ty.render_base()
+        )))
+    }
+}
+
+/// The typing recursion. `leaf` maps the two context-dependent leaves —
+/// column references and aggregates — to a column position and its type,
+/// so the same checker serves row context and the tail. `NOT LIKE` / `IS
+/// NOT NULL` are lowered to `Not(..)`.
+pub(super) fn type_expr<F>(e: &SqlExpr, leaf: &mut F) -> Result<(Expr, Ty)>
+where
+    F: FnMut(&SqlExpr) -> Result<(usize, Ty)>,
+{
+    let bool_ty = |nullable: bool| Ty {
+        base: Some(DataType::Bool),
+        nullable,
+    };
+    match e {
+        SqlExpr::Column(_) | SqlExpr::Aggregate { .. } => {
+            let (pos, ty) = leaf(e)?;
+            Ok((Expr::Column(pos), ty))
+        }
+        SqlExpr::Literal(v) => Ok((
+            Expr::Literal(*v),
+            Ty {
+                base: v.data_type(),
+                nullable: v.is_null(),
+            },
+        )),
+        SqlExpr::Cmp(op, a, b) => {
+            let (ea, tya) = type_expr(a, leaf)?;
+            let (eb, tyb) = type_expr(b, leaf)?;
+            if lub(tya.base, tyb.base).is_none() {
+                return Err(Error::Analyze(format!(
+                    "type mismatch: cannot compare `{a}` ({}) with `{b}` ({})",
+                    tya.render_base(),
+                    tyb.render_base()
+                )));
+            }
+            Ok((
+                Expr::Cmp(*op, Box::new(ea), Box::new(eb)),
+                bool_ty(tya.nullable || tyb.nullable),
+            ))
+        }
+        SqlExpr::Like(a, p) | SqlExpr::NotLike(a, p) => {
+            let (ea, tya) = type_expr(a, leaf)?;
+            if !matches!(tya.base, None | Some(DataType::Text)) {
+                return Err(Error::Analyze(format!(
+                    "LIKE requires a TEXT operand, got `{a}` ({})",
+                    tya.render_base()
+                )));
+            }
+            let like = ea.like(p.clone());
+            let like = if matches!(e, SqlExpr::NotLike(..)) {
+                like.not()
+            } else {
+                like
+            };
+            Ok((like, bool_ty(tya.nullable)))
+        }
+        SqlExpr::InList(a, l) => {
+            let (ea, tya) = type_expr(a, leaf)?;
+            for v in l {
+                if lub(tya.base, v.data_type()).is_none() {
+                    return Err(Error::Analyze(format!(
+                        "type mismatch: IN list value {v} is incompatible with `{a}` ({})",
+                        tya.render_base()
+                    )));
+                }
+            }
+            Ok((Expr::InList(Box::new(ea), l.clone()), bool_ty(true)))
+        }
+        SqlExpr::IsNull(a) => {
+            let (ea, _) = type_expr(a, leaf)?;
+            Ok((Expr::IsNull(Box::new(ea)), bool_ty(false)))
+        }
+        SqlExpr::IsNotNull(a) => {
+            let (ea, _) = type_expr(a, leaf)?;
+            Ok((Expr::IsNull(Box::new(ea)).not(), bool_ty(false)))
+        }
+        SqlExpr::And(a, b) | SqlExpr::Or(a, b) => {
+            let (ea, tya) = type_expr(a, leaf)?;
+            let (eb, tyb) = type_expr(b, leaf)?;
+            require_bool(a, tya)?;
+            require_bool(b, tyb)?;
+            let e = if matches!(e, SqlExpr::And(..)) {
+                ea.and(eb)
+            } else {
+                ea.or(eb)
+            };
+            Ok((e, bool_ty(tya.nullable || tyb.nullable)))
+        }
+        SqlExpr::Not(a) => {
+            let (ea, tya) = type_expr(a, leaf)?;
+            require_bool(a, tya)?;
+            Ok((ea.not(), bool_ty(tya.nullable)))
+        }
+    }
+}

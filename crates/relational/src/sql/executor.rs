@@ -3,33 +3,35 @@
 //!
 //! Every statement is first run through the static analyzer
 //! ([`super::analyze()`]): name resolution, type inference and
-//! aggregate/GROUP BY validity all happen **before** execution, so the
-//! pipeline below never resolves a name — it only translates the plan's
-//! resolved [`ColumnId`]s into physical positions. The planner mirrors
-//! what a simple RDBMS does for the paper's workloads: single-table
-//! predicates are pushed below joins, equi-join edges become hash joins
-//! chosen greedily from the smallest filtered relation outward, and
-//! anything else is applied as a residual filter.
+//! aggregate/GROUP BY validity all happen **before** execution, and the
+//! plan already holds the predicates, picks and sort keys this pipeline
+//! runs, over positions. The planner mirrors what a simple RDBMS does for
+//! the paper's workloads: single-table predicates are pushed below joins,
+//! equi-join edges become hash joins chosen greedily from the smallest
+//! filtered relation outward, and anything else is applied as a residual
+//! filter.
 //!
 //! Execution is columnar end to end: every base scan yields a
 //! [`ColRelation`] (a selection vector over the stored table — see
 //! [`crate::colrel`]), joins compose paired row-id vectors, and residual
-//! filters rewrite those vectors. Grouping turns the joined relation into
-//! typed stores, one row per group, read as a `ColRelation` of its own.
-//! From there one tail serves every SELECT: HAVING is a select, ORDER BY a
-//! permutation (a top-k under LIMIT), and rows are materialized exactly
-//! once — by the final projection gather, for the rows that are kept.
+//! filters rewrite those vectors. The greedy join order is the only place
+//! positions are mapped: once the joins are done, the joined relation's
+//! sources go back to the plan's table order, so residuals, grouping and
+//! the tail read the plan's positions as they are. Grouping turns the
+//! joined relation into typed stores, one row per group, read as a
+//! `ColRelation` of its own. From there one tail serves every SELECT:
+//! HAVING is a select, ORDER BY a permutation (a top-k under LIMIT), and
+//! rows are materialized exactly once — by the final projection gather,
+//! for the rows that are kept.
 
 use super::analyze::{
-    analyze, analyze_delete, analyze_insert, analyze_update, ColumnId, OrderTarget, TypedGrouping,
-    TypedPick, TypedPlan,
+    analyze, analyze_delete, analyze_insert, analyze_update, ColumnId, TypedPlan,
 };
 use super::ast::{Query, Statement};
-use crate::colrel::{ColRelation, Pick};
+use crate::colrel::ColRelation;
 use crate::database::Database;
-use crate::exec::agg::AggSpec;
 use crate::expr::Expr;
-use crate::relation::{RelColumn, Relation, SortKey};
+use crate::relation::{RelColumn, Relation};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -195,27 +197,16 @@ fn execute_typed(
     //    vectors, so filtered-out rows are never touched again and no
     //    intermediate row is materialized.
     let mut relations: Vec<Option<ColRelation>> = Vec::with_capacity(plan.tables.len());
-    for (i, t) in plan.tables.iter().enumerate() {
+    for (t, preds) in plan.tables.iter().zip(&plan.scans) {
         let table = db.table(&t.name)?;
-        let preds = &plan.scans[i];
-        if preds.is_empty() {
+        // Scan predicates read the table's own columns.
+        let Some(combined) = preds.iter().map(|p| p.expr.clone()).reduce(Expr::and) else {
             let rel = ColRelation::from_table(table, &t.alias);
             log!("scan {} ({} rows)", t.alias, rel.len());
             relations.push(Some(rel));
             continue;
-        }
+        };
         let before = table.len();
-        // Scan predicates run against the single table's own shape, so a
-        // ColumnId maps straight to its schema position.
-        let mut combined: Option<Expr> = None;
-        for p in preds {
-            let e = p.expr.to_expr(&|c: ColumnId| Some(c.column))?;
-            combined = Some(match combined {
-                Some(acc) => acc.and(e),
-                None => e,
-            });
-        }
-        let combined = combined.ok_or_else(plan_desync)?;
         let filtered = ColRelation::from_table_filtered(table, &t.alias, &combined)?;
         log!(
             "scan {} ({} rows) pushdown [{}] -> {} rows",
@@ -332,30 +323,28 @@ fn execute_typed(
         }
     }
 
+    // The joined relation back in the plan's table order: from here on
+    // every position is the plan's own.
+    let mut current = current.reorder_sources(&joined_ids);
+
     // 3. Residual predicates (evaluated over only the columns they read).
-    let jpos = |c: ColumnId| joined_pos(plan, &joined_ids, c);
     for p in &plan.residual {
-        let e = p.expr.to_expr(&jpos)?;
-        current = current.select(&e)?;
+        current = current.select(&p.expr)?;
         log!("residual filter [{}] -> {} rows", p.display, current.len());
     }
 
     // 4. Grouping: grouped queries aggregate straight off the selection
     //    vectors (no input row is ever materialized) into typed stores, one
-    //    row per group, and HAVING filters those groups on the WHERE kernel.
-    //    `grouped` owns the stores the grouped relation reads.
+    //    row per group. `grouped` owns the stores the grouped relation
+    //    reads.
     let grouped;
-    let input = match &plan.grouping {
+    let mut input = match &plan.grouping {
         None => current,
         Some(g) => {
-            let group_cols = g
-                .keys
-                .iter()
-                .map(|&k| jpos(k).ok_or_else(plan_desync))
-                .collect::<Result<Vec<_>>>()?;
-            grouped = current.group_by(&group_cols, &agg_specs(g, &jpos)?)?;
+            grouped = current.group_by(&g.keys, &g.aggregates)?;
             if trace.is_some() && !g.keys.is_empty() {
-                let shapes: Vec<String> = group_cols
+                let shapes: Vec<String> = g
+                    .keys
                     .iter()
                     .map(|&c| current.key_shape(c).to_string())
                     .collect();
@@ -366,59 +355,32 @@ fn execute_typed(
                     grouped.len
                 );
             }
-            match &g.having {
-                Some(h) => grouped.relation().select(&h.to_expr(&Some)?)?,
-                None => grouped.relation(),
-            }
+            grouped.relation()
         }
     };
 
-    // 5. The query tail, one for every SELECT. A plain plan's picks and
-    //    sort targets name joined-input columns (`jpos`), a grouped plan's
-    //    name grouped positions; the other kind is a desync. ORDER BY is a
-    //    permutation over rank-decorated key columns — only its first
-    //    `rows_kept` positions when a LIMIT follows — the final projection
-    //    gathers each kept output cell once, in that order, and DISTINCT /
-    //    OFFSET / LIMIT run on the already-final output.
-    let is_grouped = plan.grouping.is_some();
-    let pos = |t: OrderTarget| match t {
-        OrderTarget::Input(c) if !is_grouped => jpos(c).ok_or_else(plan_desync),
-        OrderTarget::Group(i) if is_grouped => Ok(i),
-        _ => Err(plan_desync()),
-    };
-    let mut out_cols: Vec<RelColumn> = Vec::with_capacity(plan.output.len());
-    let mut picks: Vec<Pick> = Vec::with_capacity(plan.output.len());
-    for o in &plan.output {
-        out_cols.push(o.column.clone());
-        picks.push(match o.pick {
-            TypedPick::Input(c) => Pick::Col(pos(OrderTarget::Input(c))?),
-            TypedPick::Group(i) => Pick::Col(pos(OrderTarget::Group(i))?),
-            TypedPick::Lit(v) => Pick::Lit(v),
-        });
+    // 5. The query tail, one for every SELECT. HAVING filters the groups
+    //    on the WHERE kernel. ORDER BY is a permutation over rank-decorated
+    //    key columns — only its first `rows_kept` positions when a LIMIT
+    //    follows — the final projection gathers each kept output cell once,
+    //    in that order, and DISTINCT / OFFSET / LIMIT run on the
+    //    already-final output.
+    if let Some(h) = &plan.having {
+        input = input.select(&h.expr)?;
     }
     let keep = rows_kept(plan);
     let order = if plan.order_by.is_empty() && keep.is_none() {
         None
     } else {
-        let keys = plan
-            .order_by
-            .iter()
-            .map(|o| {
-                Ok(SortKey {
-                    column: pos(o.target)?,
-                    descending: o.descending,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        if let (Some(k), false) = (keep, keys.is_empty()) {
+        if let (Some(k), false) = (keep, plan.order_by.is_empty()) {
             let n = input.len();
             log!("top {} of {n} by [{}]", k.min(n), plan.sort_keys_display());
         }
         // No key at all orders by input position: a bare LIMIT gathers
         // only its leading rows.
-        Some(input.sort_order(&keys, keep))
+        Some(input.sort_order(&plan.order_by, keep))
     };
-    let mut out = input.project(out_cols, &picks, order.as_deref());
+    let mut out = input.project(plan.output.clone(), &plan.picks, order.as_deref());
     if plan.distinct {
         out = out.distinct();
     }
@@ -439,20 +401,6 @@ fn rows_kept(plan: &TypedPlan) -> Option<usize> {
         Some(k) if !plan.distinct => Some(k.saturating_add(plan.offset)),
         _ => None,
     }
-}
-
-/// Lowers the plan's aggregates into [`AggSpec`]s through `pos`.
-fn agg_specs(g: &TypedGrouping, pos: &impl Fn(ColumnId) -> Option<usize>) -> Result<Vec<AggSpec>> {
-    g.aggregates
-        .iter()
-        .map(|x| {
-            let input = match x.input {
-                Some(c) => Some(pos(c).ok_or_else(plan_desync)?),
-                None => None,
-            };
-            Ok(AggSpec::new(x.func, input, x.key.clone()))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -15,16 +15,19 @@
 //! specification, not an optimization), so both engines accept and
 //! reject exactly the same statements, a differential mismatch always
 //! points at an execution-kernel bug, and a kernel bug can never cancel
-//! out by running on both sides. The oracle simply applies every typed
-//! predicate — scan pushdowns, join edges, residuals alike — as plain
-//! filters over the cross product, in syntactic column order
-//! ([`TypedPlan::flat_pos`](super::analyze::TypedPlan::flat_pos)).
+//! out by running on both sides. The cross product *is* the plan's flat
+//! row — every table's columns in FROM + JOIN order — so the oracle
+//! applies every predicate as a plain filter over it: residuals as they
+//! are, each scan pushdown rebased from its table's columns to the
+//! table's offset, each join edge as an equality. Grouping yields the
+//! grouped row, and HAVING, ORDER BY and the picks read whichever row the
+//! plan's tail runs on, with no mode to check.
 
-use super::analyze::{analyze, ColumnId, OrderTarget, TypedPick};
+use super::analyze::analyze;
 use super::ast::{Query, Statement};
 use crate::colrel::Pick;
 use crate::database::Database;
-use crate::exec::agg::AggFunc;
+use crate::exec::agg::{AggFunc, AggSpec};
 use crate::expr::Expr;
 use crate::relation::{Relation, SortKey};
 use crate::table::Row;
@@ -44,10 +47,8 @@ pub fn execute_naive(db: &Database, sql: &str) -> Result<Relation> {
 /// consumes, then evaluate it with no planning at all.
 pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
     let plan = analyze(db, q)?;
-    let desync = || Error::Eval("internal: typed plan out of sync with the oracle".into());
 
-    // Cross product of every table, in syntactic order — the layout
-    // `TypedPlan::flat_pos` describes.
+    // Cross product of every table, in syntactic order: the flat row.
     let mut rows: Vec<Row> = vec![Vec::new()];
     for t in &plan.tables {
         rows = cross(&rows, &db.table(&t.name)?.to_rows());
@@ -55,64 +56,30 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
 
     // Apply every typed predicate post hoc: pushed-down scan filters,
     // join edges (as plain equality filters), residuals.
-    let pos = |c: ColumnId| Some(plan.flat_pos(c));
-    for p in plan.scans.iter().flatten() {
-        rows = filter(rows, &p.expr.to_expr(&pos)?)?;
+    for (t, preds) in plan.scans.iter().enumerate() {
+        for p in preds {
+            rows = filter(rows, &p.expr.rebased(0, plan.offset_of(t)))?;
+        }
     }
     for e in &plan.edges {
         let (l, r) = (plan.flat_pos(e.left), plan.flat_pos(e.right));
         rows = filter(rows, &Expr::col(l).eq(Expr::col(r)))?;
     }
     for p in &plan.residual {
-        rows = filter(rows, &p.expr.to_expr(&pos)?)?;
+        rows = filter(rows, &p.expr)?;
     }
 
-    // Grouping and HAVING. From here on a grouped query's picks and sort
-    // targets are positions of the grouped rows; a plain query's are
-    // positions of the filtered cross product.
+    // Grouping, then the tail: HAVING, ORDER BY, projection, DISTINCT,
+    // OFFSET, LIMIT.
     if let Some(g) = &plan.grouping {
-        let keys: Vec<usize> = g.keys.iter().map(|&k| plan.flat_pos(k)).collect();
-        let aggs: Vec<(AggFunc, Option<usize>)> = g
-            .aggregates
-            .iter()
-            .map(|a| (a.func, a.input.map(|c| plan.flat_pos(c))))
-            .collect();
-        rows = naive_group(&rows, &keys, &aggs)?;
-        if let Some(h) = &g.having {
-            rows = filter(rows, &h.to_expr(&Some)?)?;
-        }
+        rows = naive_group(&rows, &g.keys, &g.aggregates)?;
     }
-    let grouped = plan.grouping.is_some();
-
-    // ORDER BY, projection, DISTINCT, OFFSET, LIMIT.
-    let keys = plan
-        .order_by
-        .iter()
-        .map(|o| {
-            let column = match o.target {
-                OrderTarget::Input(c) if !grouped => plan.flat_pos(c),
-                OrderTarget::Group(i) if grouped => i,
-                _ => return Err(desync()),
-            };
-            Ok(SortKey {
-                column,
-                descending: o.descending,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    naive_sort(&mut rows, &keys);
-    let picks = plan
-        .output
-        .iter()
-        .map(|o| match o.pick {
-            TypedPick::Input(c) if !grouped => Ok(Pick::Col(plan.flat_pos(c))),
-            TypedPick::Group(i) if grouped => Ok(Pick::Col(i)),
-            TypedPick::Lit(v) if !grouped => Ok(Pick::Lit(v)),
-            _ => Err(desync()),
-        })
-        .collect::<Result<Vec<_>>>()?;
+    if let Some(h) = &plan.having {
+        rows = filter(rows, &h.expr)?;
+    }
+    naive_sort(&mut rows, &plan.order_by);
     let project = |r: &Row| -> Row {
-        picks
+        plan.picks
             .iter()
             .map(|p| match p {
                 Pick::Col(i) => r[*i],
@@ -129,8 +96,7 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
         .skip(plan.offset)
         .take(plan.limit.unwrap_or(usize::MAX))
         .collect();
-    let columns = plan.output.iter().map(|o| o.column.clone()).collect();
-    Ok(Relation::new(columns, rows))
+    Ok(Relation::new(plan.output, rows))
 }
 
 /// Cartesian product: every row of `left` followed by every row of `right`.
@@ -160,11 +126,7 @@ fn filter(rows: Vec<Row>, pred: &Expr) -> Result<Vec<Row>> {
 /// equality, and each aggregate (function, input position) is recomputed
 /// per group from the member rows. Output rows are the keys followed by
 /// one cell per aggregate.
-fn naive_group(
-    rows: &[Row],
-    group_cols: &[usize],
-    aggs: &[(AggFunc, Option<usize>)],
-) -> Result<Vec<Row>> {
+fn naive_group(rows: &[Row], group_cols: &[usize], aggs: &[AggSpec]) -> Result<Vec<Row>> {
     let mut keys: Vec<Vec<Value>> = Vec::new();
     let mut members: Vec<Vec<usize>> = Vec::new();
     for (ri, row) in rows.iter().enumerate() {
@@ -185,8 +147,8 @@ fn naive_group(
     }
     let mut out: Vec<Row> = Vec::with_capacity(keys.len());
     for (mut row, idxs) in keys.into_iter().zip(&members) {
-        for &(func, input) in aggs {
-            row.push(naive_agg(rows, idxs, func, input)?);
+        for a in aggs {
+            row.push(naive_agg(rows, idxs, a.func, a.input)?);
         }
         out.push(row);
     }

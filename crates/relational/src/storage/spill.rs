@@ -405,7 +405,7 @@ fn join_partition<K: SpillKey>(
     // The exact resident kernel over partition-local indices; records are
     // in original row order, so local chain order maps to the same
     // descending-position chain order the unspilled join emits.
-    let (lb, lp) = crate::colrel::join_positions_resident(
+    let (lb, lp) = crate::exec::join::join_positions_resident(
         brecs.len(),
         |i| Some(brecs[i].1.clone()),
         precs.len(),
@@ -441,7 +441,7 @@ fn sorted_join<K: SpillKey>(bp: &PartFile, pp: &PartFile, out: &mut Vec<(u32, u3
 /// bytes of build-side budget, joined partition by partition, pairs
 /// re-sorted into the resident kernel's probe-major order. The returned
 /// vectors are byte-identical to
-/// [`join_positions_resident`](crate::colrel::join_positions_resident)
+/// [`join_positions_resident`](crate::exec::join::join_positions_resident)
 /// on the same inputs.
 pub(crate) fn grace_join<K, B, P>(
     limit: u64,
@@ -498,7 +498,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colrel::join_positions_resident;
+    use crate::exec::join::join_positions_resident;
 
     static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 

@@ -143,6 +143,80 @@ fn type_mismatched_comparison_names_both_sides() {
     assert!(executor::execute_query(&db, &q).is_ok());
 }
 
+/// The select-list and ORDER BY resolver's refusals, plain and grouped,
+/// word for word: an expression that is not a column (or, grouped, an
+/// aggregate), an ORDER BY column that does not resolve, and a literal in
+/// a grouped select list.
+#[test]
+fn select_and_order_by_refusals_name_the_expression() {
+    let db = setup();
+    for (sql, want) in [
+        (
+            "SELECT year > 2000 FROM papers",
+            "evaluation error: unsupported select expression `year > 2000` outside GROUP BY",
+        ),
+        (
+            "SELECT year, COUNT(*) > 1 FROM papers GROUP BY year",
+            "evaluation error: unsupported grouped select expression `COUNT(*) > 1`",
+        ),
+        (
+            "SELECT year, 7 FROM papers GROUP BY year",
+            "evaluation error: unsupported grouped select expression `7`",
+        ),
+        (
+            "SELECT id FROM papers ORDER BY (year > 2000)",
+            "evaluation error: unsupported ORDER BY expression `year > 2000`",
+        ),
+        (
+            "SELECT year, COUNT(*) AS n FROM papers GROUP BY year ORDER BY (COUNT(*) > 1)",
+            "evaluation error: unsupported ORDER BY expression `COUNT(*) > 1`",
+        ),
+        (
+            "SELECT id FROM papers ORDER BY nope",
+            "unknown column `nope`",
+        ),
+        (
+            "SELECT year, COUNT(*) AS n FROM papers GROUP BY year ORDER BY nope",
+            "evaluation error: column `nope` must appear in GROUP BY or an aggregate",
+        ),
+    ] {
+        assert_eq!(reject_both(&db, sql), want, "{sql}");
+    }
+}
+
+/// ORDER BY an output alias, plain and grouped, and ORDER BY an aggregate
+/// written out: the engine and the oracle agree row for row.
+#[test]
+fn order_by_output_alias_matches_the_oracle() {
+    let mut db = setup();
+    execute(
+        &mut db,
+        "INSERT INTO papers VALUES (3, 2014, 'c', 2.5), (4, 2016, 'd', 1.5), (5, 2015, 'e', NULL)",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT title AS t, year FROM papers ORDER BY t DESC",
+        "SELECT id AS k FROM papers ORDER BY year DESC, k",
+        "SELECT year, COUNT(*) AS n FROM papers GROUP BY year ORDER BY n DESC, year",
+        "SELECT year AS y, MAX(score) AS hi FROM papers GROUP BY year ORDER BY y DESC",
+        "SELECT year, MIN(score) AS lo FROM papers GROUP BY year ORDER BY MIN(score), year",
+    ] {
+        let q = match parse_statement(sql).unwrap() {
+            Statement::Select(q) => q,
+            _ => unreachable!(),
+        };
+        let planned = executor::execute_query(&db, &q).unwrap();
+        let naive = execute_query_naive(&db, &q).unwrap();
+        assert_eq!(planned.columns, naive.columns, "{sql}");
+        assert_eq!(planned.rows, naive.rows, "{sql}");
+        assert_eq!(
+            planned.len(),
+            if sql.contains("GROUP") { 3 } else { 5 },
+            "{sql}"
+        );
+    }
+}
+
 #[test]
 fn sum_over_text_is_rejected_statically() {
     let db = setup();

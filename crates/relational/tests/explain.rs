@@ -184,6 +184,84 @@ output: 5 rows x 2 columns"
     );
 }
 
+/// The whole EXPLAIN text of a three-table join the planner runs in an
+/// order that is not the FROM order (s, b, m), with a residual across two
+/// tables and ORDER BY on a column of the table joined last.
+#[test]
+fn explain_golden_join_order_differs_from_from_order() {
+    let mut d = db();
+    execute(
+        &mut d,
+        "CREATE TABLE mid (id INT PRIMARY KEY, small_id INT REFERENCES small(id), w INT NOT NULL)",
+    )
+    .unwrap();
+    for i in 1..=20i64 {
+        execute(
+            &mut d,
+            &format!("INSERT INTO mid VALUES ({i}, {}, {})", i % 5 + 1, i % 7),
+        )
+        .unwrap();
+    }
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT b.id, m.w, s.tag FROM big b, mid m, small s \
+         WHERE b.small_id = s.id AND m.small_id = s.id AND b.v < m.w \
+         ORDER BY m.w DESC, b.id, m.id LIMIT 4",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT]
+  from mid AS m [id INT, small_id INT?, w INT]
+  from small AS s [id INT, tag TEXT]
+  join edge b.small_id = s.id [INT]
+  join edge m.small_id = s.id [INT]
+  residual [b.v < m.w]
+  sort keys [m.w DESC, b.id, m.id]
+  output columns [b.id INT, m.w INT, s.tag TEXT]
+execution:
+scan b (100 rows)
+scan m (20 rows)
+scan s (5 rows)
+start from smallest relation s
+hash join s.id = b.small_id with b (100 rows) -> 100 rows
+hash join s.id = m.small_id with m (20 rows) -> 400 rows
+residual filter [b.v < m.w] -> 72 rows
+top 4 of 72 by [m.w DESC, b.id, m.id]
+output: 4 rows x 3 columns"
+    );
+}
+
+/// The whole EXPLAIN text of a grouped `SELECT *` with HAVING and ORDER BY
+/// an aggregate's alias.
+#[test]
+fn explain_golden_grouped_wildcard() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT *, COUNT(*) AS n FROM big b, small s WHERE b.small_id = s.id \
+         GROUP BY s.tag, b.small_id HAVING SUM(b.v) > 160 ORDER BY n DESC, s.tag",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT]
+  from small AS s [id INT, tag TEXT]
+  join edge b.small_id = s.id [INT]
+  group keys [s.tag, b.small_id] aggregates [COUNT(*) INT, SUM(b.v) INT]
+  having [SUM(b.v) > 160]
+  sort keys [COUNT(*) DESC, s.tag]
+  output columns [s.tag TEXT, b.small_id INT, n INT]
+execution:
+scan b (100 rows)
+scan s (5 rows)
+start from smallest relation s
+hash join s.id = b.small_id with b (100 rows) -> 100 rows
+group by 2 key(s) [TEXT word, INT word] -> 5 groups
+output: 2 rows x 3 columns"
+    );
+}
+
 #[test]
 fn explain_does_not_change_results() {
     let mut d = db();
