@@ -209,7 +209,7 @@ pub fn from_query(tgdb: &Tgdb, db: &Database, q: &Query) -> Result<QueryPattern>
     if let Some(p) = plan.residual.first() {
         return Err(Error::SqlTranslate(format!(
             "predicate `{}` is neither a condition on one table nor an equi-join",
-            p.display
+            p.display()
         )));
     }
     let tables = slots.iter().zip(&plan.tables).zip(&plan.scans);
@@ -298,14 +298,14 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<Fi
         Error::SqlTranslate(format!(
             "unsupported predicate `{}` (the ETable interface builds \
              conjunctions of simple predicates)",
-            p.display
+            p.display()
         ))
     };
     let column = |e: &Expr| match e {
         Expr::Column(c) => attr(*c),
         _ => Err(unsupported()),
     };
-    Ok(match &p.expr {
+    Ok(match p.expr() {
         Expr::Cmp(op, a, b) => {
             let (side, op, value) = match (a.as_ref(), b.as_ref()) {
                 (side, Expr::Literal(v)) => (side, *op, *v),
@@ -369,7 +369,7 @@ mod tests {
         let e = err("SELECT p.id FROM Papers p, Conferences c \
                      WHERE p.conference_id = c.id AND id = 1");
         assert!(
-            matches!(&e, Error::Relational(SqlError::Eval(m)) if m.contains("ambiguous column reference `id`")),
+            matches!(&e, Error::Relational(SqlError::Analyze(m)) if m.contains("ambiguous column reference `id`")),
             "{e:?}"
         );
         // Unknown column, qualified and not.

@@ -25,7 +25,7 @@ use crate::pattern::{
 };
 use crate::to_sql::atom_expr;
 use crate::{Error, Result};
-use etable_relational::sql::analyze::{type_row, Ty};
+use etable_relational::sql::analyze::{type_pred, Ty};
 use etable_relational::sql::ast::SqlExpr;
 use etable_relational::Error as SqlError;
 use etable_tgm::{EdgeTypeId, NodeType, NodeTypeId, Tgdb};
@@ -96,7 +96,7 @@ pub fn select_on(
                 None => continue,
             },
         };
-        type_row(&conjunct, |name| {
+        type_pred(&conjunct, |name| {
             let attr = name.rsplit_once('.').map_or(name, |(_, attr)| attr);
             let i = owner
                 .attr_index(attr)

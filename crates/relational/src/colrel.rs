@@ -38,9 +38,9 @@
 //! even a single-column materialized row vector.
 
 use crate::exec::join::key_pairs;
-use crate::expr::Expr;
 use crate::intern::RankMap;
 use crate::relation::{RelColumn, Relation, SortKey};
+use crate::sql::analyze::TypedPred;
 use crate::table::{ColumnData, ColumnStore, Table};
 use crate::value::{SortCell, Value};
 use crate::{Error, Result};
@@ -200,11 +200,10 @@ impl<'a> ColRelation<'a> {
     /// A filtered scan of `table` under `alias`: the selection vector the
     /// pushdown scan ([`crate::scan::filter_indices`]) returns,
     /// held directly — rows failing `pred` are never touched again.
-    pub fn from_table_filtered(table: &'a Table, alias: &str, pred: &Expr) -> Result<Self> {
-        crate::scan::filter_indices(table, pred).map(|sel| {
-            let columns = Relation::table_columns(table, alias);
-            Self::from_columns(columns, table.columns(), table.len(), RowIds::Sel(sel))
-        })
+    pub fn from_table_filtered(table: &'a Table, alias: &str, pred: &TypedPred) -> Self {
+        let sel = RowIds::Sel(crate::scan::filter_indices(table, pred));
+        let columns = Relation::table_columns(table, alias);
+        Self::from_columns(columns, table.columns(), table.len(), sel)
     }
 
     /// Number of logical rows.
@@ -262,17 +261,18 @@ impl<'a> ColRelation<'a> {
     /// same kernel as the pushdown scan (`crate::exec::pred`): each column
     /// it references is gathered through its source's row-id vector a word
     /// of 64 logical rows at a time.
-    pub fn select(&self, pred: &Expr) -> Result<ColRelation<'a>> {
-        if let Some(&max) = pred.referenced_columns().last() {
-            if max >= self.columns.len() {
-                return Err(Error::Eval(format!("predicate column {max} out of range")));
-            }
-        }
-        let keep = crate::exec::pred::select_rows(pred, self.n_rows, self.columns.len(), |c| {
+    pub fn select(&self, pred: &TypedPred) -> ColRelation<'a> {
+        debug_assert!(
+            (pred.expr().referenced_columns().last()).is_none_or(|&c| c < self.columns.len()),
+            "plan invariant violated: predicate `{}` reads past {} columns",
+            pred.display(),
+            self.columns.len()
+        );
+        let keep = crate::exec::pred::select_rows(pred, self.n_rows, |c| {
             let (store, ids) = self.col_source(c);
             (store, ids.as_slice())
-        })?;
-        Ok(self.composed(&keep, None))
+        });
+        self.composed(&keep, None)
     }
 
     /// Equi-join on `self[left_col] = other[right_col]` using a build/probe
@@ -291,9 +291,10 @@ impl<'a> ColRelation<'a> {
         left_col: usize,
         right_col: usize,
     ) -> Result<ColRelation<'a>> {
-        if left_col >= self.columns.len() || right_col >= other.columns.len() {
-            return Err(Error::Eval("join column out of range".into()));
-        }
+        debug_assert!(
+            left_col < self.columns.len() && right_col < other.columns.len(),
+            "plan invariant violated: join column out of range"
+        );
         // Build on the smaller side.
         let build_is_left = self.len() <= other.len();
         let (build, probe, build_col, probe_col) = if build_is_left {
@@ -505,8 +506,9 @@ fn cardinality_error() -> Error {
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::exec::agg::{AggFunc, AggSpec};
+    use crate::exec::agg::AggSpec;
     use crate::schema::{Column, TableSchema};
+    use crate::sql::analyze::tests::where_pred;
     use crate::sql::naive::execute_naive;
     use crate::value::DataType;
 
@@ -524,6 +526,11 @@ mod tests {
                 .map(|v| vec![v.map(Value::Int).unwrap_or(Value::Null)])
                 .collect(),
         )
+    }
+
+    /// `w` typed over `t`'s own columns.
+    fn pred(t: &Table, w: &str) -> TypedPred {
+        where_pred(&Relation::table_columns(t, "t"), w).unwrap()
     }
 
     fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
@@ -598,8 +605,7 @@ mod tests {
     #[test]
     fn filtered_scan_is_the_selection_vector() {
         let t = ints("t", &[Some(1), Some(5), None, Some(9), Some(2)]);
-        let rel =
-            ColRelation::from_table_filtered(&t, "t", &Expr::col(0).ge(Expr::lit(3))).unwrap();
+        let rel = ColRelation::from_table_filtered(&t, "t", &pred(&t, "k >= 3"));
         assert_eq!(rel.len(), 2);
         assert_eq!(materialize(&rel).rows, vec![vec![5.into()], vec![9.into()]]);
     }
@@ -714,7 +720,7 @@ mod tests {
             ],
         );
         let rel = ColRelation::from_table(&t, "t");
-        let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
+        let aggs = [AggSpec::new(None, "n")];
         let grouped = materialize(&rel.group_by(&[0], &aggs).unwrap().relation());
         assert_eq!(grouped.rows.len(), 3, "rows: {:?}", grouped.rows);
         let reference = oracle(&[&t], "SELECT t.f, COUNT(*) AS n FROM t GROUP BY t.f");
@@ -743,8 +749,8 @@ mod tests {
     fn join_composes_prior_selections() {
         let l = ints("l", &[Some(1), Some(2), Some(3), Some(4)]);
         let r = ints("r", &[Some(4), Some(3), Some(2), Some(1)]);
-        let cl = ColRelation::from_table_filtered(&l, "l", &Expr::col(0).ge(Expr::lit(3))).unwrap();
-        let cr = ColRelation::from_table_filtered(&r, "r", &Expr::col(0).le(Expr::lit(3))).unwrap();
+        let cl = ColRelation::from_table_filtered(&l, "l", &pred(&l, "k >= 3"));
+        let cr = ColRelation::from_table_filtered(&r, "r", &pred(&r, "k <= 3"));
         let out = cl.hash_join(&cr, 0, 0).unwrap();
         assert_eq!(
             sorted_rows(&materialize(&out)),
@@ -760,7 +766,7 @@ mod tests {
         let cr = ColRelation::from_table(&r, "r");
         let crossed = cl.cross(&cr).unwrap();
         assert_eq!(crossed.len(), 6);
-        let picked = crossed.select(&Expr::col(1).gt(Expr::lit(15))).unwrap();
+        let picked = crossed.select(&where_pred(crossed.columns(), "r.k > 15").unwrap());
         assert_eq!(picked.len(), 4);
         let reference = oracle(&[&l, &r], "SELECT l.k, r.k FROM l, r WHERE r.k > 15");
         assert_eq!(sorted_rows(&materialize(&picked)), sorted_rows(&reference));
@@ -773,7 +779,7 @@ mod tests {
         let joined = ColRelation::from_table(&l, "l")
             .hash_join(&ColRelation::from_table(&r, "r"), 0, 0)
             .unwrap();
-        let aggs = [AggSpec::new(AggFunc::Count, None, "n")];
+        let aggs = [AggSpec::new(None, "n")];
         let grouped = materialize(&joined.group_by(&[1], &aggs).unwrap().relation());
         let reference = oracle(
             &[&l, &r],

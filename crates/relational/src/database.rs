@@ -1,7 +1,7 @@
 //! The database: a catalog of tables plus cross-table integrity checks.
 
-use crate::expr::Expr;
 use crate::schema::{ForeignKey, TableSchema};
+use crate::sql::analyze::TypedPred;
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -187,9 +187,9 @@ impl Database {
     /// hold in *that key's referenced columns* — the primary key or not —
     /// must not occur in the referencing columns, unless a surviving row
     /// still holds the same value (only possible off the primary key).
-    pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
+    pub fn delete_where(&mut self, table: &str, pred: &TypedPred) -> Result<usize> {
         let target = self.table(table)?;
-        let doomed = crate::scan::filter_indices(target, pred)?;
+        let doomed = crate::scan::filter_indices(target, pred);
         if doomed.is_empty() {
             return Ok(0);
         }
@@ -232,7 +232,7 @@ impl Database {
     pub fn update_where(
         &mut self,
         table: &str,
-        pred: &Expr,
+        pred: &TypedPred,
         sets: &[(String, Value)],
     ) -> Result<usize> {
         let schema = self.table(table)?.schema();
@@ -319,13 +319,11 @@ fn holds(target: &Table, cols: &[String], key: &[Value]) -> Result<bool> {
         return Ok(target.pk_row_index(key).is_some());
     }
     let cols = key_indices(target.schema(), cols)?;
-    let pred = (cols.iter().zip(key))
-        .filter(|(_, v)| v.sql_eq(v) == Some(true))
-        .map(|(&c, &v)| Expr::col(c).eq(Expr::lit(v)))
-        .reduce(Expr::and)
-        .unwrap_or_else(|| Expr::lit(true));
+    let pred = TypedPred::equal_to(
+        (cols.iter().copied().zip(key.iter().copied())).filter(|(_, v)| v.sql_eq(v) == Some(true)),
+    );
     let equal = |r: u32| (cols.iter().zip(key)).all(|(&c, v)| target.value(r as usize, c) == *v);
-    Ok(crate::scan::filter_indices(target, &pred)?
+    Ok(crate::scan::filter_indices(target, &pred)
         .into_iter()
         .any(equal))
 }

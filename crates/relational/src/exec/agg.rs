@@ -56,25 +56,21 @@ impl AggFunc {
     }
 }
 
-/// An aggregate over an input column.
+/// An aggregate: a function over an input column, or `COUNT(*)` — the
+/// only aggregate without one.
 #[derive(Debug, Clone)]
 pub struct AggSpec {
-    /// Which aggregate.
-    pub func: AggFunc,
-    /// Input column position; `None` means `COUNT(*)`.
-    pub input: Option<usize>,
+    /// The function and its input column position; `None` is `COUNT(*)`.
+    pub call: Option<(AggFunc, usize)>,
     /// Name of the output column.
     pub output_name: String,
 }
 
 impl AggSpec {
     /// Builds a spec.
-    pub fn new(func: AggFunc, input: Option<usize>, output_name: impl Into<String>) -> Self {
-        AggSpec {
-            func,
-            input,
-            output_name: output_name.into(),
-        }
+    pub fn new(call: Option<(AggFunc, usize)>, output_name: impl Into<String>) -> Self {
+        let output_name = output_name.into();
+        AggSpec { call, output_name }
     }
 }
 
@@ -170,13 +166,10 @@ fn group_output_columns(
 ) -> Vec<RelColumn> {
     let mut columns: Vec<RelColumn> = group_cols.iter().map(|&i| in_columns[i].clone()).collect();
     for spec in aggs {
-        let ty = match spec.func {
-            AggFunc::Count => DataType::Int,
-            AggFunc::Avg => DataType::Float,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => spec
-                .input
-                .map(|c| in_columns[c].data_type)
-                .unwrap_or(DataType::Int),
+        let ty = match spec.call {
+            None | Some((AggFunc::Count, _)) => DataType::Int,
+            Some((AggFunc::Avg, _)) => DataType::Float,
+            Some((AggFunc::Sum | AggFunc::Min | AggFunc::Max, c)) => in_columns[c].data_type,
         };
         columns.push(RelColumn::bare(spec.output_name.clone(), ty));
     }
@@ -233,8 +226,8 @@ impl ColRelation<'_> {
     /// *group-id pass* hashes the key columns' words into dense ids (see
     /// `KeyShape`; NULL is its own group); then every aggregate is one
     /// sweep of its input column into a state vector indexed by group id.
-    /// `group_cols` are the grouping key positions; each aggregate
-    /// consumes an input column (or `None` for `COUNT(*)`). Each key column
+    /// `group_cols` are the grouping key positions; each aggregate but
+    /// `COUNT(*)` consumes an input column. Each key column
     /// is gathered word for word at its groups' first rows; each aggregate
     /// fills a store of the type `group_output_columns` gives it, NULL
     /// results as null bits.
@@ -248,8 +241,10 @@ impl ColRelation<'_> {
             stores.push(store.gather(first_rows.iter().map(|&r| ids.get(r as usize))));
         }
         for (spec, col) in aggs.iter().zip(&columns[group_cols.len()..]) {
-            let input = spec.input.map(|c| self.col_source(c));
-            stores.push(aggregate(spec.func, input, &gids, len, col.data_type)?);
+            stores.push(match spec.call {
+                None => count_per_group(gids.iter().map(|&g| g as usize), len),
+                Some((func, c)) => aggregate(func, self.col_source(c), &gids, len, col.data_type)?,
+            });
         }
         Ok(Grouped {
             columns,
@@ -259,26 +254,17 @@ impl ColRelation<'_> {
     }
 }
 
-/// One aggregate's sweep: folds `input` (row `r` belongs to group
-/// `gids[r]`) into a state vector indexed by group id, in row order, and
-/// finishes it into the aggregate's output column, of type `ty`. Only
-/// `COUNT(*)` has no input column.
+/// One aggregate's sweep: folds the input column `store`, read through
+/// `ids` (row `r` belongs to group `gids[r]`), into a state vector indexed
+/// by group id, in row order, and finishes it into the aggregate's output
+/// column, of type `ty`.
 fn aggregate(
     func: AggFunc,
-    input: Option<(&ColumnStore, &RowIds)>,
+    (store, ids): (&ColumnStore, &RowIds),
     gids: &[u32],
     n_groups: usize,
     ty: DataType,
 ) -> Result<ColumnStore> {
-    let Some((store, ids)) = input else {
-        if func != AggFunc::Count {
-            return Err(Error::Eval(format!(
-                "{} needs an input column",
-                func.sql_name()
-            )));
-        }
-        return Ok(count_per_group(gids.iter().map(|&g| g as usize), n_groups));
-    };
     // NULL inputs are skipped by every aggregate.
     let cells = gids
         .iter()
@@ -406,7 +392,7 @@ mod tests {
             vec![Column::nullable("v", DataType::Int)],
             vals.iter().map(|&v| vec![Value::Int(v)]).collect(),
         );
-        grouped(&t, &[], &[AggSpec::new(AggFunc::Sum, Some(0), "s")])[0][0]
+        grouped(&t, &[], &[AggSpec::new(Some((AggFunc::Sum, 0)), "s")])[0][0]
     }
 
     /// Integer sums accumulate exactly in `i128` and saturate (never wrap)
@@ -430,7 +416,7 @@ mod tests {
     #[test]
     fn groups_keep_first_occurrence_order() {
         let null = Value::Null;
-        let specs = [AggSpec::new(AggFunc::Count, None, "n")];
+        let specs = [AggSpec::new(None, "n")];
         let t = table(
             vec![
                 Column::nullable("i", DataType::Int),
@@ -494,12 +480,12 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_input_yields_one_group() {
         let specs = [
-            AggSpec::new(AggFunc::Count, None, "n"),
-            AggSpec::new(AggFunc::Count, Some(0), "nv"),
-            AggSpec::new(AggFunc::Sum, Some(0), "s"),
-            AggSpec::new(AggFunc::Avg, Some(0), "a"),
-            AggSpec::new(AggFunc::Min, Some(0), "lo"),
-            AggSpec::new(AggFunc::Max, Some(0), "hi"),
+            AggSpec::new(None, "n"),
+            AggSpec::new(Some((AggFunc::Count, 0)), "nv"),
+            AggSpec::new(Some((AggFunc::Sum, 0)), "s"),
+            AggSpec::new(Some((AggFunc::Avg, 0)), "a"),
+            AggSpec::new(Some((AggFunc::Min, 0)), "lo"),
+            AggSpec::new(Some((AggFunc::Max, 0)), "hi"),
         ];
         let cols = vec![Column::nullable("v", DataType::Int)];
         let null = Value::Null;
@@ -536,11 +522,11 @@ mod tests {
             ColumnData::Bool(_) => DataType::Bool,
         };
         let specs = [
-            AggSpec::new(AggFunc::Count, None, "n"),
-            AggSpec::new(AggFunc::Min, Some(1), "lo"),
-            AggSpec::new(AggFunc::Sum, Some(1), "s"),
-            AggSpec::new(AggFunc::Avg, Some(1), "a"),
-            AggSpec::new(AggFunc::Max, Some(2), "hi"),
+            AggSpec::new(None, "n"),
+            AggSpec::new(Some((AggFunc::Min, 1)), "lo"),
+            AggSpec::new(Some((AggFunc::Sum, 1)), "s"),
+            AggSpec::new(Some((AggFunc::Avg, 1)), "a"),
+            AggSpec::new(Some((AggFunc::Max, 2)), "hi"),
         ];
         let cols = vec![
             Column::nullable("k", DataType::Text),
@@ -578,15 +564,5 @@ mod tests {
         );
         assert_eq!((g.len, g.stores[0].get(0)), (1, Value::Int(0)));
         assert_eq!(nulls(&g, 0), [false, true, true, true, true]);
-    }
-
-    /// Only `COUNT(*)` may lack an input column; any other aggregate
-    /// without one is a typed error, not a column of NULLs.
-    #[test]
-    fn aggregate_without_input_is_rejected() {
-        let t = table(vec![Column::nullable("v", DataType::Int)], vec![]);
-        let rel = ColRelation::from_table(&t, "t");
-        let err = rel.group_by(&[], &[AggSpec::new(AggFunc::Sum, None, "s")]);
-        assert!(matches!(err, Err(Error::Eval(m)) if m.contains("SUM needs an input")));
     }
 }

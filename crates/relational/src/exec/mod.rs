@@ -8,9 +8,9 @@
 //! * [`agg`] — grouped aggregation: the aggregate vocabulary, the
 //!   group-id pass over typed key words, the per-aggregate state sweeps
 //!   and the `ColRelation::group_by` driver over them.
-//! * `pred` — WHERE: a predicate compiled once per statement to a
-//!   word-at-a-time kernel over typed column slices (`kernel`), with the
-//!   plain `Expr::matches` row loop as the one fallback.
+//! * `pred` — WHERE: a typed predicate compiled once per statement to a
+//!   word-at-a-time kernel over typed column slices (`kernel`); compiling
+//!   and selecting cannot fail.
 //! * [`budget`] — the execution memory budget (`ETABLE_MEM_BUDGET`) that
 //!   decides when a hash join degrades to the disk-spilling Grace path
 //!   ([`crate::storage::spill`]).

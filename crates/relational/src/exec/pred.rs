@@ -2,8 +2,8 @@
 //! pushdown scans, residual selects and DML scans ([`select_rows`]).
 //!
 //! Once per statement the predicate is compiled against the column stores
-//! it reads. It gets a kernel ([`super::kernel`]) when every leaf is a
-//! kind that cannot raise:
+//! it reads into a kernel ([`super::kernel`]). It takes only a
+//! [`TypedPred`], so every leaf is one of these, none of which can raise:
 //!
 //! * column ⋄ literal and column ⋄ column over INT, FLOAT and mixed
 //!   INT/FLOAT (mixed pairs compare exactly through
@@ -15,24 +15,20 @@
 //!   the bitmap was built;
 //! * `IN` lists with or without NULL, `IS NULL`, a bare BOOL column, and
 //!   BOOL comparisons;
-//! * any column-free subtree that evaluates without error (it is folded
-//!   to a constant);
+//! * any column-free subtree (it is folded to a constant);
 //! * `AND` / `OR` / `NOT` over any of the above.
 //!
-//! Anything else — `LIKE` over a non-TEXT input, a non-BOOL value used as
-//! a predicate, an out-of-range column — runs the plain [`Expr::matches`]
-//! row loop instead, for the whole predicate. That loop is the only
-//! fallback, so the first failing row's error is reported by
-//! construction. The naive oracle never compiles anything: it evaluates
-//! [`Expr`]s row by row, so the fuzzers compare two independent
-//! evaluators.
+//! Compiling is therefore total, and so is a selection: it returns the
+//! rows, never an error. The naive oracle never compiles anything: it
+//! evaluates [`Expr`]s row by row through [`Expr::matches`], whose error
+//! arms stay with it, so the fuzzers compare two independent evaluators.
 
 use super::kernel::{BoolArg, LaneRef, Lanes, Node, Num, Text, WORD};
 use crate::expr::{CmpOp, Expr, LikePattern, Truth};
 use crate::intern;
+use crate::sql::analyze::TypedPred;
 use crate::table::ColumnStore;
 use crate::value::{int_float_cmp, Value};
-use crate::Result;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -104,50 +100,18 @@ fn like_bitmap(pattern: &str) -> DictBits {
 }
 
 /// Positions `0..n_rows` of a column-major input satisfying `pred`,
-/// ascending. `width` is the number of input columns; `column(c)` is the
-/// store behind input column `c` and the row ids its logical rows read
-/// (`None`: row `r` is stored row `r`).
+/// ascending. `column(c)` is the store behind input column `c` and the
+/// row ids its logical rows read (`None`: row `r` is stored row `r`).
 ///
 /// Serves [`crate::scan::filter_indices`] (pushdown scans, DELETE and
 /// UPDATE) and [`crate::colrel::ColRelation::select`] (residual and cycle
-/// filters after joins).
+/// filters after joins, and HAVING).
 pub(crate) fn select_rows<'s>(
-    pred: &Expr,
+    pred: &TypedPred,
     n_rows: usize,
-    width: usize,
     column: impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
-) -> Result<Vec<u32>> {
-    match Kernel::compile(pred, width, &column) {
-        Some(kernel) => Ok(kernel.select(n_rows)),
-        None => row_loop(pred, n_rows, width, &column),
-    }
-}
-
-/// The fallback: [`Expr::matches`] per row over a buffer holding the
-/// columns `pred` reads (other slots stay NULL).
-fn row_loop<'s>(
-    pred: &Expr,
-    n_rows: usize,
-    width: usize,
-    column: &impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
-) -> Result<Vec<u32>> {
-    let cols: Vec<_> = pred
-        .referenced_columns()
-        .into_iter()
-        .filter(|&c| c < width)
-        .map(|c| (c, column(c)))
-        .collect();
-    let mut row = vec![Value::Null; width];
-    let mut out = Vec::new();
-    for r in 0..n_rows {
-        for &(c, (store, ids)) in &cols {
-            row[c] = store.get(ids.map_or(r, |ids| ids[r] as usize));
-        }
-        if pred.matches(&row)? {
-            out.push(r as u32);
-        }
-    }
-    Ok(out)
+) -> Vec<u32> {
+    Kernel::compile(pred.expr(), &column).select(n_rows)
 }
 
 /// A predicate compiled against the stores it reads.
@@ -158,23 +122,20 @@ struct Kernel<'s> {
 }
 
 impl<'s> Kernel<'s> {
-    /// The kernel for `pred`, or `None` when some leaf could raise (see
-    /// the module docs) and the row loop must run instead.
+    /// The kernel for `pred`, which typing accepted (see the module docs).
     fn compile(
         pred: &Expr,
-        width: usize,
         column: &impl Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>),
-    ) -> Option<Kernel<'s>> {
+    ) -> Kernel<'s> {
         let mut c = Compiler {
             column,
-            width,
             lanes: Lanes::default(),
         };
-        let root = c.node(pred)?;
-        Some(Kernel {
+        let root = c.node(pred);
+        Kernel {
             root,
             lanes: c.lanes,
-        })
+        }
     }
 
     /// Evaluates rows `0..n_rows` a word at a time, handing each word's
@@ -223,81 +184,68 @@ fn flip(op: CmpOp) -> CmpOp {
 
 struct Compiler<'c, 's, F> {
     column: &'c F,
-    width: usize,
     lanes: Lanes<'s>,
 }
 
 impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, F> {
-    /// The null-word index and typed lane of input column `c`; `None` when
-    /// it is out of range.
-    fn lane(&mut self, c: usize) -> Option<(usize, LaneRef)> {
-        if c >= self.width {
-            return None;
-        }
+    /// The null-word index and typed lane of input column `c`.
+    fn lane(&mut self, c: usize) -> (usize, LaneRef) {
         if let Some(found) = self.lanes.get(c) {
-            return Some(found);
+            return found;
         }
         let (store, ids) = (self.column)(c);
-        Some(self.lanes.add(c, store, ids))
+        self.lanes.add(c, store, ids)
     }
 
-    fn node(&mut self, e: &Expr) -> Option<Node> {
+    fn node(&mut self, e: &Expr) -> Node {
         if e.referenced_columns().is_empty() {
-            return e.eval_truth(&[]).ok().map(Node::Const);
+            // Typing admits no column-free predicate that raises.
+            return Node::Const(e.eval_truth(&[]).unwrap_or(Truth::Unknown));
         }
-        Some(match e {
-            Expr::And(a, b) => Node::And(Box::new(self.node(a)?), Box::new(self.node(b)?)),
-            Expr::Or(a, b) => Node::Or(Box::new(self.node(a)?), Box::new(self.node(b)?)),
-            Expr::Not(a) => Node::Not(Box::new(self.node(a)?)),
+        match e {
+            Expr::And(a, b) => Node::And(Box::new(self.node(a)), Box::new(self.node(b))),
+            Expr::Or(a, b) => Node::Or(Box::new(self.node(a)), Box::new(self.node(b))),
+            Expr::Not(a) => Node::Not(Box::new(self.node(a))),
             Expr::IsNull(a) => match **a {
-                Expr::Column(c) => Node::IsNull(self.lane(c)?.0),
-                _ => Node::IsUnknown(Box::new(self.node(a)?)),
+                Expr::Column(c) => Node::IsNull(self.lane(c).0),
+                _ => Node::IsUnknown(Box::new(self.node(a))),
             },
-            Expr::Column(c) => match self.lane(*c)?.1 {
-                LaneRef::Bool(b) => Node::Bool(CmpOp::Eq, BoolArg::Col(b), BoolArg::Lit(true)),
-                // A non-BOOL cell used as a predicate raises.
-                _ => return None,
+            // A bare column — BOOL, by typing — is `c = TRUE`. (A literal
+            // has no column, so was folded above.)
+            Expr::Column(_) | Expr::Literal(_) => {
+                self.compare(CmpOp::Eq, e, &Expr::Literal(Value::Bool(true)))
+            }
+            Expr::Cmp(op, a, b) => self.compare(*op, a, b),
+            Expr::Like(a, pattern) => match self.operand(a) {
+                Operand::Sym(s) => Node::Like(s, like_bitmap(pattern), LikePattern::new(pattern)),
+                // Typing admits LIKE over TEXT only.
+                _ => Node::Const(Truth::Unknown),
             },
-            Expr::Cmp(op, a, b) => self.compare(*op, a, b)?,
-            Expr::Like(a, pattern) => match **a {
-                Expr::Column(c) => match self.lane(c)?.1 {
-                    LaneRef::Sym(s) => {
-                        Node::Like(s, like_bitmap(pattern), LikePattern::new(pattern))
-                    }
-                    _ => return None,
-                },
-                // LIKE over a nested predicate's BOOL raises.
-                _ => return None,
-            },
-            Expr::InList(a, items) => self.in_list(a, items)?,
-            // Column-free, so folded above.
-            Expr::Literal(_) => return None,
-        })
+            Expr::InList(a, items) => self.in_list(a, items),
+        }
     }
 
-    fn operand(&mut self, e: &Expr) -> Option<Operand> {
-        Some(match e {
+    fn operand(&mut self, e: &Expr) -> Operand {
+        match e {
             Expr::Literal(v) => Operand::Lit(*v),
-            Expr::Column(c) => match self.lane(*c)?.1 {
+            Expr::Column(c) => match self.lane(*c).1 {
                 LaneRef::Int(i) => Operand::Int(i),
                 LaneRef::Float(i) => Operand::Float(i),
                 LaneRef::Sym(i) => Operand::Sym(i),
                 LaneRef::Bool(i) => Operand::Bool(BoolArg::Col(i)),
             },
-            pred => Operand::Bool(BoolArg::Pred(Box::new(self.node(pred)?))),
-        })
+            pred => Operand::Bool(BoolArg::Pred(Box::new(self.node(pred)))),
+        }
     }
 
-    fn compare(&mut self, op: CmpOp, a: &Expr, b: &Expr) -> Option<Node> {
+    fn compare(&mut self, op: CmpOp, a: &Expr, b: &Expr) -> Node {
         // The literal, if any, goes on the right.
         let (op, a, b) = match a {
             Expr::Literal(_) => (flip(op), b, a),
             _ => (op, a, b),
         };
         use Operand as O;
-        Some(match (self.operand(a)?, self.operand(b)?) {
-            // Two literals are column-free, so folded by the caller.
-            (O::Lit(_), _) => return None,
+        match (self.operand(a), self.operand(b)) {
             (O::Int(x), O::Lit(Value::Int(k))) => Node::Num(op, Num::IntLit(x, k)),
             (O::Int(x), O::Lit(Value::Float(k))) if !k.is_nan() => {
                 Node::Num(op, Num::IntFloatLit(x, k))
@@ -330,13 +278,15 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
             ),
             (O::Bool(x), O::Lit(Value::Bool(k))) => Node::Bool(op, x, BoolArg::Lit(k)),
             (O::Bool(x), O::Bool(y)) => Node::Bool(op, x, y),
-            // NULL, a NaN literal or incomparable types: UNKNOWN everywhere.
+            // NULL or a NaN literal: UNKNOWN everywhere. (Incomparable
+            // types are refused by typing; two literals are column-free,
+            // so folded by `node`.)
             _ => Node::Const(Truth::Unknown),
-        })
+        }
     }
 
-    fn in_list(&mut self, a: &Expr, items: &[Value]) -> Option<Node> {
-        Some(match self.operand(a)? {
+    fn in_list(&mut self, a: &Expr, items: &[Value]) -> Node {
+        match self.operand(a) {
             Operand::Sym(x) => {
                 let mut ids: Vec<u32> = items
                     .iter()
@@ -372,9 +322,9 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
             }
             Operand::Float(x) => Node::InFloat(x, items.to_vec()),
             Operand::Bool(x) => Node::InBool(x, items.to_vec()),
-            // Column-free, so folded by the caller.
-            Operand::Lit(_) => return None,
-        })
+            // Column-free, so folded by `node`.
+            Operand::Lit(_) => Node::Const(Truth::Unknown),
+        }
     }
 }
 
@@ -382,9 +332,12 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
 mod tests {
     use super::*;
     use crate::intern::Sym;
+    use crate::relation::Relation;
     use crate::schema::{Column, TableSchema};
+    use crate::sql::analyze::tests::where_pred;
     use crate::table::Table;
     use crate::value::DataType;
+    use crate::Error;
 
     /// A table of one column per entry of `types`, holding `rows`.
     fn table(types: &[DataType], rows: Vec<Vec<Value>>) -> Table {
@@ -398,14 +351,14 @@ mod tests {
         t
     }
 
-    fn kernel<'t>(pred: &Expr, t: &'t Table) -> Option<Kernel<'t>> {
-        Kernel::compile(pred, t.schema().arity(), &|c| (t.column(c), None))
+    fn kernel<'t>(pred: &Expr, t: &'t Table) -> Kernel<'t> {
+        Kernel::compile(pred, &|c| (t.column(c), None))
     }
 
     /// The kernel's truth value per row.
     fn truths(pred: &Expr, t: &Table) -> Vec<Truth> {
         let mut out = Vec::new();
-        kernel(pred, t).expect("kernel").words(t.len(), |base, m| {
+        kernel(pred, t).words(t.len(), |base, m| {
             for i in 0..(t.len() - base).min(WORD) {
                 out.push(match (m.t >> i & 1, m.u >> i & 1) {
                     (1, _) => Truth::True,
@@ -448,7 +401,7 @@ mod tests {
         let t = table(&[DataType::Text], vec![vec![Value::Text(fresh)]]);
         // A kernel holding a bitmap that predates a symbol still answers
         // by direct matching...
-        let mut kernel = kernel(&pred, &t).unwrap();
+        let mut kernel = kernel(&pred, &t);
         match &mut kernel.root {
             Node::Like(_, bits, _) => *bits = stale,
             other => panic!("LIKE compiled to {other:?}"),
@@ -502,43 +455,25 @@ mod tests {
         assert_agrees(&ints, &t);
     }
 
+    /// Every shape that could raise on a row — LIKE over INT, a non-BOOL
+    /// column as a predicate, incomparable operands, an unknown column —
+    /// is refused by typing, before any row is read. What typing accepts,
+    /// the kernel runs.
     #[test]
-    fn type_error_messages_match_raw_eval() {
-        let t = table(&[DataType::Int], vec![vec![Value::Null], vec![7.into()]]);
-        let pred = Expr::col(0).like("x%");
-        assert!(kernel(&pred, &t).is_none());
-        let want = pred.eval_truth(&[Value::Int(7)]).unwrap_err();
-        let got = select_rows(&pred, t.len(), 1, |c| (t.column(c), None)).unwrap_err();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn raising_leaves_run_the_row_loop() {
+    fn raising_leaves_are_refused_at_typing() {
         let t = table(
             &[DataType::Int, DataType::Bool],
-            vec![vec![5.into(), true.into()]],
+            vec![vec![5.into(), true.into()], vec![Value::Null, Value::Null]],
         );
-        // Every shape that can raise: LIKE over INT, a non-BOOL column as
-        // a predicate, an out-of-range column, a raising constant.
-        for pred in [
-            Expr::col(0).like("5"),
-            Expr::col(0),
-            Expr::col(1).and(Expr::col(0)),
-            Expr::col(2).eq(Expr::lit(1)),
-            Expr::lit(3).or(Expr::col(1)),
-        ] {
-            assert!(kernel(&pred, &t).is_none(), "{pred}");
+        let typed = |w: &str| where_pred(&Relation::table_columns(&t, "K"), w);
+        for w in ["c0 LIKE '5'", "c0", "c1 AND c0", "3 OR c1", "c0 = 'x'"] {
+            let err = typed(w).unwrap_err();
+            assert!(matches!(err, Error::Analyze(_)), "{w}: {err}");
         }
-        // Everything else compiles, including a bare BOOL column and
-        // incomparable types.
-        for pred in [
-            Expr::col(1),
-            Expr::col(0).eq(Expr::lit("x")),
-            Expr::IsNull(Box::new(Expr::col(0).gt(Expr::lit(1)))),
-            Expr::col(1).eq(Expr::col(0).gt(Expr::lit(1))),
-        ] {
-            assert!(kernel(&pred, &t).is_some(), "{pred}");
-            assert_agrees(&pred, &t);
+        let err = typed("c2 = 1").unwrap_err();
+        assert_eq!(err, Error::UnknownColumn("c2".into()));
+        for w in ["c1", "NOT c1 OR c0 > 1", "c0 IN (5, NULL)", "c1 = TRUE"] {
+            assert_agrees(typed(w).unwrap().expr(), &t);
         }
     }
 

@@ -23,7 +23,10 @@
 //!   run the analyzer's [`sql::TypedPlan`] as it stands: its predicates
 //!   ([`expr::Expr`]), picks, sort keys and aggregate specs are already
 //!   column positions, so neither engine resolves a name or maps a column
-//!   reference.
+//!   reference,
+//! * selections that take only a [`sql::analyze::TypedPred`], which typing
+//!   alone creates: an accepted statement fails only with a resource
+//!   error (spill I/O, the `u32` row-id space), never on a row's type.
 //!
 //! ```
 //! use etable_relational::database::Database;

@@ -2,12 +2,12 @@
 //!
 //! A scan compiles its predicate once (`crate::exec::pred`) and runs it
 //! over the table's column slices 64 rows at a time, in row order, so the
-//! selection vector is ascending; a predicate with a leaf that can raise
-//! runs row by row instead, reporting the first failing row's error.
+//! selection vector is ascending. The predicate is a [`TypedPred`], so the
+//! scan cannot fail: every shape that could raise was refused by typing,
+//! before any row was read.
 
-use crate::expr::Expr;
+use crate::sql::analyze::TypedPred;
 use crate::table::Table;
-use crate::Result;
 
 /// Row ids of `table` satisfying `pred`, ascending.
 ///
@@ -18,16 +18,17 @@ use crate::Result;
 /// materialized, not even for hits. Only the columns `pred` references are
 /// read. Row ids are `u32` across the selection-vector pipeline
 /// ([`Table`]s are capped at `u32::MAX` rows).
-pub fn filter_indices(table: &Table, pred: &Expr) -> Result<Vec<u32>> {
-    crate::exec::pred::select_rows(pred, table.len(), table.schema().arity(), |c| {
-        (table.column(c), None)
-    })
+pub fn filter_indices(table: &Table, pred: &TypedPred) -> Vec<u32> {
+    crate::exec::pred::select_rows(pred, table.len(), |c| (table.column(c), None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
+    use crate::relation::Relation;
     use crate::schema::{Column, TableSchema};
+    use crate::sql::analyze::tests::where_pred;
     use crate::value::{DataType, Value};
 
     fn table(rows: usize) -> Table {
@@ -56,40 +57,46 @@ mod tests {
         t
     }
 
+    fn pred(t: &Table, w: &str) -> TypedPred {
+        where_pred(&Relation::table_columns(t, "S"), w).unwrap()
+    }
+
     #[test]
     fn word_kernel_matches_row_by_row_filter() {
         let t = table(3 * 2048 + 17);
-        let pred = Expr::col(1).ge(Expr::lit(5));
+        let pred = pred(&t, "v >= 5");
         let mut seq = Vec::new();
         for (i, row) in t.iter_rows().enumerate() {
-            if pred.matches(&row).unwrap() {
+            if pred.expr().matches(&row).unwrap() {
                 seq.push(i as u32);
             }
         }
-        assert_eq!(filter_indices(&t, &pred).unwrap(), seq);
+        assert_eq!(filter_indices(&t, &pred), seq);
     }
 
     #[test]
     fn error_reporting_is_deterministic() {
-        // `v LIKE` errors on INT; the reported error must be the first
-        // failing row in row order even though later rows also fail.
-        let t = table(4 * 2048);
-        let pred = Expr::col(1).like("a%");
-        let seq_err = t
-            .iter_rows()
-            .find_map(|row| pred.matches(&row).err())
-            .unwrap()
-            .to_string();
-        let err = filter_indices(&t, &pred).unwrap_err();
-        assert_eq!(err.to_string(), seq_err);
+        // `v LIKE` over an INT column is refused by typing with one error
+        // whatever rows the table holds, an empty table included, and
+        // before any row is read or deleted.
+        for n in [0, 4 * 2048] {
+            let t = table(n);
+            let mut db = Database::new();
+            db.create_table(t.schema().clone()).unwrap();
+            db.append_rows("S", t.to_rows()).unwrap();
+            let err = crate::sql::execute(&mut db, "DELETE FROM S WHERE v LIKE 'a%'");
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                "analysis error: LIKE requires a TEXT operand, got `v` (INT)"
+            );
+            assert_eq!(db.table("S").unwrap().len(), n);
+        }
     }
 
     #[test]
     fn partial_word_keeps_only_live_rows() {
         let t = table(10);
-        let pred = Expr::col(0).lt(Expr::lit(5));
-        assert_eq!(filter_indices(&t, &pred).unwrap(), vec![0, 1, 2, 3, 4]);
-        let all = Expr::col(0).ge(Expr::lit(0));
-        assert_eq!(filter_indices(&t, &all).unwrap().len(), 10);
+        assert_eq!(filter_indices(&t, &pred(&t, "id < 5")), vec![0, 1, 2, 3, 4]);
+        assert_eq!(filter_indices(&t, &pred(&t, "id >= 0")).len(), 10);
     }
 }

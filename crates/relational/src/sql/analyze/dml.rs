@@ -4,32 +4,29 @@
 
 use super::super::ast::SqlExpr;
 use super::plan::{PlanTable, TypedPlan};
-use super::typing::{require_bool, type_row};
+use super::typing::{type_pred, TypedPred};
 use crate::database::Database;
-use crate::expr::Expr;
 use crate::value::Value;
 use crate::{Error, Result};
 
 /// Types an optional DML WHERE clause against `table`'s own columns
 /// (`None` → always true). All name and type errors surface here, before
 /// any row is read.
-fn dml_predicate(db: &Database, table: &str, where_clause: Option<&SqlExpr>) -> Result<Expr> {
+fn dml_predicate(db: &Database, table: &str, where_clause: Option<&SqlExpr>) -> Result<TypedPred> {
     let scope = TypedPlan {
         tables: vec![PlanTable::new(table, table, db.table(table)?)],
         ..TypedPlan::default()
     };
-    match where_clause {
-        Some(w) => {
-            let (e, ty) = type_row(w, |name| scope.resolve(name))?;
-            require_bool(w, ty)?;
-            Ok(e)
-        }
-        None => Ok(Expr::Literal(Value::Bool(true))),
-    }
+    let always = SqlExpr::Literal(Value::Bool(true));
+    type_pred(where_clause.unwrap_or(&always), |name| scope.resolve(name))
 }
 
 /// Statically validates a DELETE and returns its positional predicate.
-pub fn analyze_delete(db: &Database, table: &str, where_clause: Option<&SqlExpr>) -> Result<Expr> {
+pub fn analyze_delete(
+    db: &Database,
+    table: &str,
+    where_clause: Option<&SqlExpr>,
+) -> Result<TypedPred> {
     dml_predicate(db, table, where_clause)
 }
 
@@ -42,7 +39,7 @@ pub fn analyze_update(
     table: &str,
     sets: &[(String, Value)],
     where_clause: Option<&SqlExpr>,
-) -> Result<Expr> {
+) -> Result<TypedPred> {
     let schema = db.table(table)?.schema();
     for (name, v) in sets {
         let i = schema

@@ -31,8 +31,8 @@ mod plan;
 mod typing;
 
 pub use dml::{analyze_delete, analyze_insert, analyze_update};
-pub use plan::{ColumnId, JoinEdge, PlanTable, TypedGrouping, TypedPlan, TypedPred};
-pub use typing::{lub, type_row, Ty};
+pub use plan::{ColumnId, JoinEdge, PlanTable, TypedGrouping, TypedPlan};
+pub use typing::{lub, type_pred, Ty, TypedPred};
 
 use super::ast::{Query, SelectItem, SqlExpr};
 use crate::colrel::Pick;
@@ -42,7 +42,7 @@ use crate::expr::CmpOp;
 use crate::relation::{RelColumn, SortKey};
 use crate::value::DataType;
 use crate::{Error, Result};
-use typing::{require_bool, type_expr};
+use typing::{type_expr, type_pred_with};
 
 /// Analyzes a parsed SELECT into a [`TypedPlan`]. All semantic errors —
 /// unknown / ambiguous names, type mismatches, grouping violations — are
@@ -100,26 +100,23 @@ fn from_clause(db: &Database, q: &Query) -> Result<TypedPlan> {
 fn classify_conjuncts(plan: &mut TypedPlan, q: &Query) -> Result<()> {
     let wheres = q.where_clause.iter().flat_map(SqlExpr::conjuncts);
     for c in wheres.chain(q.joins.iter().flat_map(|j| j.on.conjuncts())) {
-        let (expr, ty) = type_row(c, |name| plan.resolve(name))?;
-        require_bool(c, ty)?;
-        let mut tables: Vec<usize> = expr
-            .referenced_columns()
+        let pred = type_pred(c, |name| plan.resolve(name))?;
+        let mut tables: Vec<usize> = (pred.expr().referenced_columns())
             .into_iter()
             .filter_map(|pos| plan.column_id(pos))
             .map(|id| id.table)
             .collect();
         tables.dedup();
-        let display = c.to_string();
         match tables[..] {
             [t] => {
-                let expr = expr.rebased(plan.offset_of(t), 0);
-                plan.scans[t].push(TypedPred { expr, display });
+                let pred = pred.rebased(plan.offset_of(t), 0);
+                plan.scans[t].push(pred);
             }
             [_, _] => match join_edge(plan, c)? {
                 Some(edge) => plan.edges.push(edge),
-                None => plan.residual.push(TypedPred { expr, display }),
+                None => plan.residual.push(pred),
             },
-            _ => plan.residual.push(TypedPred { expr, display }),
+            _ => plan.residual.push(pred),
         }
     }
     Ok(())
@@ -168,7 +165,7 @@ fn group_by(plan: &mut TypedPlan, q: &Query) -> Result<Option<Vec<Ty>>> {
     let (mut keys, mut columns, mut tys) = (Vec::new(), Vec::new(), Vec::new());
     for g in &q.group_by {
         let SqlExpr::Column(name) = g else {
-            return Err(Error::Eval(format!(
+            return Err(Error::Analyze(format!(
                 "unsupported GROUP BY expression `{g}`"
             )));
         };
@@ -191,7 +188,12 @@ fn group_by(plan: &mut TypedPlan, q: &Query) -> Result<Option<Vec<Ty>>> {
             continue;
         }
         let (input, in_ty) = match input.as_deref() {
-            None => (None, None),
+            None if *func == AggFunc::Count => (None, None),
+            None => {
+                return Err(Error::Analyze(format!(
+                    "aggregate `{key}` requires an input column"
+                )))
+            }
             Some(arg) if arg.contains_aggregate() => {
                 return Err(Error::Analyze(format!(
                     "aggregate nested in aggregate `{key}`"
@@ -202,7 +204,7 @@ fn group_by(plan: &mut TypedPlan, q: &Query) -> Result<Option<Vec<Ty>>> {
                 (Some(pos), Some(ty))
             }
             Some(other) => {
-                return Err(Error::Eval(format!(
+                return Err(Error::Analyze(format!(
                     "unsupported aggregate input `{other}`"
                 )))
             }
@@ -223,7 +225,7 @@ fn group_by(plan: &mut TypedPlan, q: &Query) -> Result<Option<Vec<Ty>>> {
                 (in_ty.and_then(|t| t.base).unwrap_or(DataType::Int), true)
             }
         };
-        aggregates.push(AggSpec::new(*func, input, key.clone()));
+        aggregates.push(AggSpec::new(input.map(|c| (*func, c)), key.clone()));
         columns.push(RelColumn::bare(key, base));
         tys.push(Ty {
             base: Some(base),
@@ -275,7 +277,7 @@ impl Tail<'_> {
         let Some((g, tys)) = &self.grouped else {
             return match e {
                 SqlExpr::Column(name) => self.plan.resolve(name),
-                _ => Err(Error::Eval(format!("unsupported expression `{e}`"))),
+                _ => Err(Error::Analyze(format!("unsupported expression `{e}`"))),
             };
         };
         let at = |i: usize| (i, tys[i]);
@@ -286,7 +288,7 @@ impl Tail<'_> {
                 };
                 let key = self.q.group_by.iter().zip(&g.columns).position(is_key);
                 key.map(at).ok_or_else(|| {
-                    Error::Eval(format!(
+                    Error::Analyze(format!(
                         "column `{name}` must appear in GROUP BY or an aggregate"
                     ))
                 })
@@ -295,9 +297,9 @@ impl Tail<'_> {
                 let key = e.to_string();
                 let agg = g.aggregates.iter().position(|a| a.output_name == key);
                 agg.map(|i| at(g.keys.len() + i))
-                    .ok_or_else(|| Error::Eval(format!("unplanned aggregate `{key}`")))
+                    .ok_or_else(|| Error::Analyze(format!("unplanned aggregate `{key}`")))
             }
-            _ => Err(Error::Eval(format!("unsupported expression `{e}`"))),
+            _ => Err(Error::Analyze(format!("unsupported expression `{e}`"))),
         }
     }
 
@@ -308,10 +310,10 @@ impl Tail<'_> {
     fn position(&self, e: &SqlExpr, unsupported: impl FnOnce() -> String) -> Result<usize> {
         match e {
             SqlExpr::Column(_) | SqlExpr::Aggregate { .. } => Ok(self.leaf(e)?.0),
-            _ if self.grouped.is_none() => Err(Error::Eval(unsupported())),
+            _ if self.grouped.is_none() => Err(Error::Analyze(unsupported())),
             _ => {
                 type_expr(e, &mut |leaf| self.leaf(leaf))?;
-                Err(Error::Eval(unsupported()))
+                Err(Error::Analyze(unsupported()))
             }
         }
     }
@@ -326,10 +328,7 @@ impl Tail<'_> {
                 "HAVING requires GROUP BY or an aggregate: `{h}`"
             )));
         }
-        let (expr, ty) = type_expr(h, &mut |leaf| self.leaf(leaf))?;
-        require_bool(h, ty)?;
-        let display = h.to_string();
-        Ok(Some(TypedPred { expr, display }))
+        type_pred_with(h, &mut |leaf| self.leaf(leaf)).map(Some)
     }
 
     /// The select list: output columns and their picks over the tail input.
@@ -410,5 +409,32 @@ impl Tail<'_> {
             });
         }
         Ok(keys)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::sql::{parse_statement, Statement};
+
+    /// `w` typed as a WHERE clause over a row of `columns`, each resolving
+    /// by name: how the engine's unit tests build the predicates they
+    /// select by.
+    pub(crate) fn where_pred(columns: &[RelColumn], w: &str) -> Result<TypedPred> {
+        let Statement::Select(q) = parse_statement(&format!("SELECT * FROM t WHERE {w}"))? else {
+            panic!("not a SELECT: {w}");
+        };
+        type_pred(q.where_clause.as_ref().expect("a WHERE clause"), |name| {
+            let pos = columns.iter().position(|c| c.matches_name(name));
+            let pos = pos.ok_or_else(|| Error::UnknownColumn(name.into()))?;
+            let base = Some(columns[pos].data_type);
+            Ok((
+                pos,
+                Ty {
+                    base,
+                    nullable: true,
+                },
+            ))
+        })
     }
 }

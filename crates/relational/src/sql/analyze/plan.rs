@@ -1,9 +1,9 @@
 //! The analyzed plan of a SELECT, [`TypedPlan`], and its EXPLAIN text.
 //!
-//! A plan holds what both engines execute — [`Expr`]s, [`Pick`]s,
-//! [`SortKey`]s and [`AggSpec`]s over column positions — so neither maps
-//! a name or a column reference at run time. Each stage reads one
-//! position space:
+//! A plan holds what both engines execute — [`Expr`](crate::expr::Expr)s,
+//! [`Pick`]s, [`SortKey`]s and [`AggSpec`]s over column positions — so
+//! neither maps a name or a column reference at run time. Each stage
+//! reads one position space:
 //!
 //! * a scan predicate reads its own table's columns;
 //! * a residual predicate, a GROUP BY key and an aggregate input read the
@@ -13,10 +13,9 @@
 //!   input*: the flat row, or for a grouped query the grouped row — the
 //!   key columns, then one column per aggregate.
 
-use super::typing::{ty_name, Ty};
+use super::typing::{ty_name, Ty, TypedPred};
 use crate::colrel::Pick;
 use crate::exec::agg::AggSpec;
-use crate::expr::Expr;
 use crate::relation::{RelColumn, Relation, SortKey};
 use crate::table::Table;
 use crate::value::DataType;
@@ -56,16 +55,6 @@ impl PlanTable {
             nullable: table.schema().columns.iter().map(|c| c.nullable).collect(),
         }
     }
-}
-
-/// A typed predicate, with its SQL display string for EXPLAIN / trace
-/// output.
-#[derive(Debug, Clone)]
-pub struct TypedPred {
-    /// The predicate, over the position space of the stage it runs at.
-    pub expr: Expr,
-    /// Original SQL rendering (drives the trace lines).
-    pub display: String,
 }
 
 /// An equi-join conjunct `left = right` across two distinct tables.
@@ -165,7 +154,9 @@ impl TypedPlan {
         for (pos, (col, &nullable)) in flat.enumerate() {
             if col.matches_name(name) {
                 if hit.is_some() {
-                    return Err(Error::Eval(format!("ambiguous column reference `{name}`")));
+                    return Err(Error::Analyze(format!(
+                        "ambiguous column reference `{name}`"
+                    )));
                 }
                 let base = Some(col.data_type);
                 hit = Some((pos, Ty { base, nullable }));
@@ -220,7 +211,7 @@ impl TypedPlan {
             if !preds.is_empty() {
                 let preds = preds
                     .iter()
-                    .map(|p| p.display.clone())
+                    .map(TypedPred::display)
                     .collect::<Vec<_>>()
                     .join(" AND ");
                 line.push_str(&format!(" pushdown [{preds}]"));
@@ -236,7 +227,7 @@ impl TypedPlan {
             ));
         }
         for p in &self.residual {
-            out.push(format!("  residual [{}]", p.display));
+            out.push(format!("  residual [{}]", p.display()));
         }
         if let Some(g) = &self.grouping {
             let (keys, aggs) = g.columns.split_at(g.keys.len());
@@ -253,7 +244,7 @@ impl TypedPlan {
             out.push(format!("  group keys [{keys}] aggregates [{aggs}]"));
         }
         if let Some(h) = &self.having {
-            out.push(format!("  having [{}]", h.display));
+            out.push(format!("  having [{}]", h.display()));
         }
         if !self.order_by.is_empty() {
             out.push(format!("  sort keys [{}]", self.sort_keys_display()));

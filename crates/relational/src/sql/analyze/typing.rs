@@ -1,10 +1,103 @@
 //! Expression typing: one recursion turns a [`SqlExpr`] into the
-//! positional [`Expr`] the engines run, checking types on the way.
+//! positional [`Expr`] the engines run, checking types on the way; a
+//! predicate leaves as a [`TypedPred`].
 
 use super::super::ast::SqlExpr;
 use crate::expr::Expr;
-use crate::value::DataType;
+use crate::value::{DataType, Value};
 use crate::{Error, Result};
+
+/// A predicate typing accepted, beside its SQL text (for EXPLAIN and the
+/// trace): the only predicate the engine's selections take, so every
+/// shape that could raise on a row — `LIKE` over a non-TEXT input, a
+/// non-BOOL predicate, incomparable operands, an unknown column — was
+/// refused before any row was read. Only typing creates one: the
+/// analyzer (scans, residuals, HAVING, `analyze_delete` /
+/// `analyze_update`) and [`type_pred`]; in the crate, a few shapes that
+/// cannot raise are built directly. It is valid over the row it was typed
+/// against.
+#[derive(Debug, Clone)]
+pub struct TypedPred {
+    expr: Expr,
+    display: String,
+}
+
+impl TypedPred {
+    /// The predicate, over the position space of the stage it runs at.
+    pub fn expr(&self) -> &Expr {
+        &self.expr
+    }
+
+    /// The SQL text it was typed from.
+    pub fn display(&self) -> &str {
+        &self.display
+    }
+
+    /// The conjunction of `preds`, shown as their texts joined by `AND`;
+    /// `None` for no predicate.
+    pub(crate) fn all(preds: &[TypedPred]) -> Option<TypedPred> {
+        let expr = preds.iter().map(|p| p.expr.clone()).reduce(Expr::and)?;
+        let texts: Vec<&str> = preds.iter().map(|p| p.display.as_str()).collect();
+        let display = texts.join(" AND ");
+        Some(TypedPred { expr, display })
+    }
+
+    /// The same predicate over a row layout in which its columns start at
+    /// `to` instead of `from` ([`Expr::rebased`]).
+    pub(crate) fn rebased(&self, from: usize, to: usize) -> TypedPred {
+        let (expr, display) = (self.expr.rebased(from, to), self.display.clone());
+        TypedPred { expr, display }
+    }
+
+    /// `a = b` over two columns: a join key equality.
+    pub(crate) fn columns_equal(a: usize, b: usize) -> TypedPred {
+        let expr = Expr::col(a).eq(Expr::col(b));
+        TypedPred {
+            display: expr.to_string(),
+            expr,
+        }
+    }
+
+    /// `c₁ = v₁ AND …` over `(column, literal)` pairs, TRUE for none: a
+    /// key lookup.
+    pub(crate) fn equal_to(pairs: impl IntoIterator<Item = (usize, Value)>) -> TypedPred {
+        let eq = |(c, v)| Expr::col(c).eq(Expr::lit(v));
+        let expr = pairs.into_iter().map(eq).reduce(Expr::and);
+        let expr = expr.unwrap_or_else(|| Expr::lit(true));
+        TypedPred {
+            display: expr.to_string(),
+            expr,
+        }
+    }
+}
+
+/// Types `e` as a predicate in row context, the rule every WHERE / ON
+/// conjunct is checked by: `resolve` maps a column name to its position in
+/// the row the predicate reads and its type, an aggregate is refused, and
+/// the result must be boolean. Public so that a caller holding names but
+/// no [`Database`](crate::database::Database) — the session typing a node
+/// filter against a node type's attributes — is typed by this rule and not
+/// by a copy of it.
+pub fn type_pred(e: &SqlExpr, resolve: impl Fn(&str) -> Result<(usize, Ty)>) -> Result<TypedPred> {
+    type_pred_with(e, &mut |leaf| match leaf {
+        SqlExpr::Column(name) => resolve(name),
+        _ => Err(Error::Analyze(
+            "aggregate not allowed in row context (WHERE/ON)".into(),
+        )),
+    })
+}
+
+/// Types `e` as a predicate under the leaf rule `leaf` (HAVING's: the
+/// grouped row).
+pub(super) fn type_pred_with(
+    e: &SqlExpr,
+    leaf: &mut impl FnMut(&SqlExpr) -> Result<(usize, Ty)>,
+) -> Result<TypedPred> {
+    let (expr, ty) = type_expr(e, leaf)?;
+    require_bool(e, ty)?;
+    let display = e.to_string();
+    Ok(TypedPred { expr, display })
+}
 
 /// An inferred expression type: the base [`DataType`] (or `None` for the
 /// typeless `NULL` literal) plus whether the expression can evaluate to
@@ -44,24 +137,9 @@ pub fn lub(a: Option<DataType>, b: Option<DataType>) -> Option<Option<DataType>>
     }
 }
 
-/// Types an expression in row context, the rule every WHERE / ON conjunct
-/// is checked by: `resolve` maps a column name to its position in the row
-/// the expression reads and its type, aggregates are rejected. Public so
-/// that a caller holding names but no [`Database`](crate::database::Database)
-/// — the session typing a node filter against a node type's attributes —
-/// is typed by this rule and not by a copy of it.
-pub fn type_row(e: &SqlExpr, resolve: impl Fn(&str) -> Result<(usize, Ty)>) -> Result<(Expr, Ty)> {
-    type_expr(e, &mut |leaf| match leaf {
-        SqlExpr::Column(name) => resolve(name),
-        _ => Err(Error::Eval(
-            "aggregate not allowed in row context (WHERE/ON)".into(),
-        )),
-    })
-}
-
 /// Requires a boolean (or NULL-literal) expression where a predicate is
 /// expected.
-pub(super) fn require_bool(e: &SqlExpr, ty: Ty) -> Result<()> {
+fn require_bool(e: &SqlExpr, ty: Ty) -> Result<()> {
     if matches!(ty.base, None | Some(DataType::Bool)) {
         Ok(())
     } else {

@@ -25,12 +25,11 @@
 //! for the rows that are kept.
 
 use super::analyze::{
-    analyze, analyze_delete, analyze_insert, analyze_update, ColumnId, TypedPlan,
+    analyze, analyze_delete, analyze_insert, analyze_update, TypedPlan, TypedPred,
 };
 use super::ast::{Query, Statement};
 use crate::colrel::ColRelation;
 use crate::database::Database;
-use crate::expr::Expr;
 use crate::relation::{RelColumn, Relation};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
@@ -158,23 +157,13 @@ pub fn explain_query(db: &Database, q: &Query) -> Result<Vec<String>> {
     Ok(lines)
 }
 
-/// An internal inconsistency between a [`TypedPlan`] and the executor —
-/// never a user error; the analyzer guarantees resolvability.
-fn plan_desync() -> Error {
-    Error::Eval("internal: typed plan out of sync with executor".into())
-}
-
-/// The position of `c` in the current joined relation, whose column shape
-/// is the concatenation of the plan tables in `joined_ids` order.
-fn joined_pos(plan: &TypedPlan, joined_ids: &[usize], c: ColumnId) -> Option<usize> {
-    let mut off = 0;
-    for &t in joined_ids {
-        if t == c.table {
-            return Some(off + c.column);
-        }
-        off += plan.tables[t].columns.len();
-    }
-    None
+/// Removes and returns the smallest of the pending relations (the first
+/// such in plan table order). `pending` is never empty when called: the
+/// analyzer refuses an empty FROM.
+fn take_smallest<'a>(pending: &mut Vec<(usize, ColRelation<'a>)>) -> (usize, ColRelation<'a>) {
+    let len = |i: usize| pending[i].1.len();
+    let smallest = (1..pending.len()).fold(0, |best, i| if len(i) < len(best) { i } else { best });
+    pending.remove(smallest)
 }
 
 /// Executes a typed plan over the columnar pipeline, optionally tracing
@@ -195,83 +184,72 @@ fn execute_typed(
     //    the selection vector `scan::filter_indices` returns; from here
     //    to the final projection the pipeline only rewrites row-id
     //    vectors, so filtered-out rows are never touched again and no
-    //    intermediate row is materialized.
-    let mut relations: Vec<Option<ColRelation>> = Vec::with_capacity(plan.tables.len());
-    for (t, preds) in plan.tables.iter().zip(&plan.scans) {
+    //    intermediate row is materialized. Each scan waits, beside its
+    //    plan table, until the greedy loop joins it.
+    let mut pending: Vec<(usize, ColRelation)> = Vec::with_capacity(plan.tables.len());
+    for (i, (t, preds)) in plan.tables.iter().zip(&plan.scans).enumerate() {
         let table = db.table(&t.name)?;
         // Scan predicates read the table's own columns.
-        let Some(combined) = preds.iter().map(|p| p.expr.clone()).reduce(Expr::and) else {
-            let rel = ColRelation::from_table(table, &t.alias);
-            log!("scan {} ({} rows)", t.alias, rel.len());
-            relations.push(Some(rel));
-            continue;
+        let rel = match TypedPred::all(preds) {
+            None => {
+                let rel = ColRelation::from_table(table, &t.alias);
+                log!("scan {} ({} rows)", t.alias, rel.len());
+                rel
+            }
+            Some(pred) => {
+                let rel = ColRelation::from_table_filtered(table, &t.alias, &pred);
+                log!(
+                    "scan {} ({} rows) pushdown [{}] -> {} rows",
+                    t.alias,
+                    table.len(),
+                    pred.display(),
+                    rel.len()
+                );
+                rel
+            }
         };
-        let before = table.len();
-        let filtered = ColRelation::from_table_filtered(table, &t.alias, &combined)?;
-        log!(
-            "scan {} ({} rows) pushdown [{}] -> {} rows",
-            t.alias,
-            before,
-            preds
-                .iter()
-                .map(|p| p.display.clone())
-                .collect::<Vec<_>>()
-                .join(" AND "),
-            filtered.len()
-        );
-        relations.push(Some(filtered));
+        pending.push((i, rel));
     }
 
     // 2. Greedy join: start from the smallest relation; repeatedly join a
     //    connected relation via a build/probe hash join over the edge's
     //    key columns, else cross the smallest remaining. Each join emits
     //    paired (build, probe) position vectors that compose with the
-    //    inputs' selections.
-    let mut remaining: Vec<usize> = (0..plan.tables.len()).collect();
-    let start = remaining
-        .iter()
-        .copied()
-        .min_by_key(|&i| relations[i].as_ref().map(ColRelation::len).unwrap_or(0))
-        .ok_or_else(plan_desync)?;
-    remaining.retain(|&i| i != start);
-    let mut joined_ids = vec![start];
-    let mut current = relations[start].take().ok_or_else(plan_desync)?;
+    //    inputs' selections. `offset[t]` is where table `t`'s columns
+    //    start in the joined relation, recorded when `t` joins.
+    let (start, mut current) = take_smallest(&mut pending);
+    let mut joined = vec![start];
+    let mut offset = vec![0; plan.tables.len()];
+    let mut width = plan.tables[start].columns.len();
     let mut used_edges = vec![false; plan.edges.len()];
     log!("start from smallest relation {}", plan.tables[start].alias);
 
-    while !remaining.is_empty() {
-        // Find an edge between the joined set and a remaining relation.
-        let mut next: Option<(usize, usize)> = None; // (edge idx, other rel)
-        for (ei, e) in plan.edges.iter().enumerate() {
-            if used_edges[ei] {
-                continue;
-            }
-            let a_in = joined_ids.contains(&e.left.table);
-            let b_in = joined_ids.contains(&e.right.table);
-            if a_in && remaining.contains(&e.right.table) {
-                next = Some((ei, e.right.table));
-                break;
-            }
-            if b_in && remaining.contains(&e.left.table) {
-                next = Some((ei, e.left.table));
-                break;
-            }
-        }
-        match next {
-            Some((ei, other)) => {
+    while !pending.is_empty() {
+        // The first unused edge between the joined set and a pending
+        // relation, oriented (joined side, pending side).
+        let next = (plan.edges.iter().enumerate())
+            .filter(|&(ei, _)| !used_edges[ei])
+            .flat_map(|(ei, e)| {
+                [
+                    (ei, e.left, e.right, &e.left_name, &e.right_name),
+                    (ei, e.right, e.left, &e.right_name, &e.left_name),
+                ]
+            })
+            .find_map(|(ei, cur, other, cur_name, other_name)| {
+                let at = pending.iter().position(|&(t, _)| t == other.table);
+                let at = at.filter(|_| joined.contains(&cur.table))?;
+                Some((ei, at, cur, other, cur_name, other_name))
+            });
+        let other = match next {
+            Some((ei, at, cur, other_id, cur_name, other_name)) => {
                 used_edges[ei] = true;
-                let e = &plan.edges[ei];
-                let other_rel = relations[other].take().ok_or_else(plan_desync)?;
-                // Which side belongs to the current (joined) relation?
-                let (cur_id, other_id, cur_name, other_name) = if e.right.table == other {
-                    (e.left, e.right, &e.left_name, &e.right_name)
-                } else {
-                    (e.right, e.left, &e.right_name, &e.left_name)
-                };
-                let lcol = joined_pos(plan, &joined_ids, cur_id).ok_or_else(plan_desync)?;
-                let rcol = other_id.column;
+                let (other, other_rel) = pending.remove(at);
                 let right_rows = other_rel.len();
-                current = current.hash_join(&other_rel, lcol, rcol)?;
+                current = current.hash_join(
+                    &other_rel,
+                    offset[cur.table] + cur.column,
+                    other_id.column,
+                )?;
                 log!(
                     "hash join {} = {} with {} ({} rows) -> {} rows",
                     cur_name,
@@ -280,17 +258,11 @@ fn execute_typed(
                     right_rows,
                     current.len()
                 );
-                joined_ids.push(other);
-                remaining.retain(|&i| i != other);
+                other
             }
             None => {
                 // Disconnected: cross product with the smallest remaining.
-                let other = remaining
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| relations[i].as_ref().map(ColRelation::len).unwrap_or(0))
-                    .ok_or_else(plan_desync)?;
-                let other_rel = relations[other].take().ok_or_else(plan_desync)?;
+                let (other, other_rel) = take_smallest(&mut pending);
                 let right_rows = other_rel.len();
                 current = current.cross(&other_rel)?;
                 log!(
@@ -299,20 +271,22 @@ fn execute_typed(
                     right_rows,
                     current.len()
                 );
-                joined_ids.push(other);
-                remaining.retain(|&i| i != other);
+                other
             }
-        }
+        };
+        joined.push(other);
+        offset[other] = width;
+        width += plan.tables[other].columns.len();
         // Apply any edges now internal to the joined set (multi-edge cycles).
         for (ei, e) in plan.edges.iter().enumerate() {
             if used_edges[ei] {
                 continue;
             }
-            if joined_ids.contains(&e.left.table) && joined_ids.contains(&e.right.table) {
+            if joined.contains(&e.left.table) && joined.contains(&e.right.table) {
                 used_edges[ei] = true;
-                let la = joined_pos(plan, &joined_ids, e.left).ok_or_else(plan_desync)?;
-                let lb = joined_pos(plan, &joined_ids, e.right).ok_or_else(plan_desync)?;
-                current = current.select(&Expr::col(la).eq(Expr::col(lb)))?;
+                let la = offset[e.left.table] + e.left.column;
+                let lb = offset[e.right.table] + e.right.column;
+                current = current.select(&TypedPred::columns_equal(la, lb));
                 log!(
                     "cycle filter {} = {} -> {} rows",
                     e.left_name,
@@ -325,12 +299,16 @@ fn execute_typed(
 
     // The joined relation back in the plan's table order: from here on
     // every position is the plan's own.
-    let mut current = current.reorder_sources(&joined_ids);
+    let mut current = current.reorder_sources(&joined);
 
     // 3. Residual predicates (evaluated over only the columns they read).
     for p in &plan.residual {
-        current = current.select(&p.expr)?;
-        log!("residual filter [{}] -> {} rows", p.display, current.len());
+        current = current.select(p);
+        log!(
+            "residual filter [{}] -> {} rows",
+            p.display(),
+            current.len()
+        );
     }
 
     // 4. Grouping: grouped queries aggregate straight off the selection
@@ -366,7 +344,7 @@ fn execute_typed(
     //    in that order, and DISTINCT / OFFSET / LIMIT run on the
     //    already-final output.
     if let Some(h) = &plan.having {
-        input = input.select(&h.expr)?;
+        input = input.select(h);
     }
     let keep = rows_kept(plan);
     let order = if plan.order_by.is_empty() && keep.is_none() {

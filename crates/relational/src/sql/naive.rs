@@ -58,7 +58,7 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
     // join edges (as plain equality filters), residuals.
     for (t, preds) in plan.scans.iter().enumerate() {
         for p in preds {
-            rows = filter(rows, &p.expr.rebased(0, plan.offset_of(t)))?;
+            rows = filter(rows, &p.expr().rebased(0, plan.offset_of(t)))?;
         }
     }
     for e in &plan.edges {
@@ -66,7 +66,7 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
         rows = filter(rows, &Expr::col(l).eq(Expr::col(r)))?;
     }
     for p in &plan.residual {
-        rows = filter(rows, &p.expr)?;
+        rows = filter(rows, p.expr())?;
     }
 
     // Grouping, then the tail: HAVING, ORDER BY, projection, DISTINCT,
@@ -75,7 +75,7 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
         rows = naive_group(&rows, &g.keys, &g.aggregates)?;
     }
     if let Some(h) = &plan.having {
-        rows = filter(rows, &h.expr)?;
+        rows = filter(rows, h.expr())?;
     }
     naive_sort(&mut rows, &plan.order_by);
     let project = |r: &Row| -> Row {
@@ -148,7 +148,7 @@ fn naive_group(rows: &[Row], group_cols: &[usize], aggs: &[AggSpec]) -> Result<V
     let mut out: Vec<Row> = Vec::with_capacity(keys.len());
     for (mut row, idxs) in keys.into_iter().zip(&members) {
         for a in aggs {
-            row.push(naive_agg(rows, idxs, a.func, a.input)?);
+            row.push(naive_agg(rows, idxs, a.call)?);
         }
         out.push(row);
     }
@@ -156,26 +156,17 @@ fn naive_group(rows: &[Row], group_cols: &[usize], aggs: &[AggSpec]) -> Result<V
 }
 
 /// One aggregate over one group's member rows, recomputed from scratch.
-fn naive_agg(rows: &[Row], idxs: &[usize], func: AggFunc, input: Option<usize>) -> Result<Value> {
-    // Non-NULL input values for the column-fed aggregates; an input-less
-    // aggregate other than COUNT(*) sees no values (and yields NULL),
-    // matching the engine.
-    let vals: Vec<Value> = input.map_or_else(Vec::new, |c| {
-        idxs.iter()
-            .map(|&r| rows[r][c])
-            .filter(|v| !v.is_null())
-            .collect()
-    });
+fn naive_agg(rows: &[Row], idxs: &[usize], call: Option<(AggFunc, usize)>) -> Result<Value> {
+    // COUNT(*) counts rows.
+    let Some((func, c)) = call else {
+        return Ok(Value::Int(idxs.len() as i64));
+    };
+    // Every other aggregate skips NULL inputs.
+    let vals: Vec<Value> = (idxs.iter().map(|&r| rows[r][c]))
+        .filter(|v| !v.is_null())
+        .collect();
     match func {
-        AggFunc::Count => {
-            // COUNT(*) counts rows; COUNT(col) skips NULLs.
-            let n = if input.is_some() {
-                vals.len()
-            } else {
-                idxs.len()
-            };
-            Ok(Value::Int(n as i64))
-        }
+        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
         _ if vals.is_empty() => Ok(Value::Null),
         AggFunc::Sum => Ok(match numeric_sum("SUM", &vals)? {
             // An integer sum saturates into the `i64` value domain.

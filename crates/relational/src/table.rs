@@ -500,17 +500,10 @@ impl Table {
         self.pk.lookup(&self.cols, key)
     }
 
-    /// Deletes all rows satisfying `pred`; returns how many were removed.
-    ///
-    /// Referential integrity is the caller's concern
-    /// ([`crate::database::Database::delete_where`] enforces it).
-    pub fn delete_where(&mut self, pred: &crate::expr::Expr) -> Result<usize> {
-        let doomed = crate::scan::filter_indices(self, pred)?;
-        Ok(self.delete_rows(&doomed))
-    }
-
     /// Deletes the rows with the given ids (distinct, ascending — a
-    /// selection vector); returns how many.
+    /// selection vector); returns how many. Referential integrity is the
+    /// caller's concern ([`crate::database::Database::delete_where`]
+    /// enforces it).
     pub(crate) fn delete_rows(&mut self, doomed: &[u32]) -> usize {
         if !doomed.is_empty() {
             let mut keep = vec![true; self.len];
@@ -529,19 +522,18 @@ impl Table {
     /// Updates columns of all rows satisfying `pred` to the given values;
     /// returns how many rows changed. Type/nullability/PK-uniqueness
     /// constraints are re-checked. The rows are selected before any is
-    /// written ([`crate::scan::filter_indices`], as DELETE does), so a
-    /// predicate error leaves nothing to undo; only an assignment to a PK
-    /// column can fail afterwards, and puts the previous columns and index
-    /// back.
+    /// written ([`crate::scan::filter_indices`], as DELETE does); only an
+    /// assignment to a PK column can fail afterwards, and puts the
+    /// previous columns and index back.
     pub fn update_where(
         &mut self,
-        pred: &crate::expr::Expr,
+        pred: &crate::sql::analyze::TypedPred,
         sets: &[(usize, Value)],
     ) -> Result<usize> {
         for (col, v) in sets {
             self.check_cell(*col, v)?;
         }
-        let hits = crate::scan::filter_indices(self, pred)?;
+        let hits = crate::scan::filter_indices(self, pred);
         // Rows keep their positions, so the PK index only goes stale
         // when a PK column was assigned.
         let rekeyed = sets.iter().any(|(col, _)| self.pk.pk_cols().contains(col));
@@ -602,6 +594,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::{Column, TableSchema};
+    use crate::sql::analyze::tests::where_pred;
     use crate::value::DataType;
 
     fn make() -> Table {
@@ -745,18 +738,18 @@ mod tests {
 
     #[test]
     fn delete_and_pk_update_keep_the_index_in_step() {
-        use crate::expr::Expr;
         let mut t = make();
         for k in [40, 10, 30, 20] {
             t.insert(vec![k.into(), Value::text(format!("k{k}"))])
                 .unwrap();
         }
-        t.delete_where(&Expr::col(0).eq(Expr::lit(10))).unwrap();
+        let columns = crate::relation::Relation::table_columns(&t, "T");
+        let is = |k: i64| where_pred(&columns, &format!("id = {k}")).unwrap();
+        t.delete_rows(&crate::scan::filter_indices(&t, &is(10)));
         assert_eq!(t.pk_order(), [2, 1, 0]);
         assert_eq!(t.pk_row_index(&[10.into()]), None);
         assert_eq!(t.get_by_pk(&[20.into()]).unwrap()[1], "k20".into());
         // Re-keying a row moves it in the order, not in the table.
-        let is = |k: i64| Expr::col(0).eq(Expr::lit(k));
         assert_eq!(t.update_where(&is(30), &[(0, 50.into())]).unwrap(), 1);
         assert_eq!(t.pk_order(), [2, 0, 1]);
         assert_eq!(t.pk_row_index(&[50.into()]), Some(1));
@@ -785,36 +778,5 @@ mod tests {
         assert_eq!(t.value(0, 0), Value::Float(2.0));
         assert_eq!(t.value(0, 0), Value::Int(2));
         assert_eq!(t.value(1, 0), Value::Float(2.5));
-    }
-
-    #[test]
-    fn update_where_rolls_back_on_predicate_error() {
-        use crate::expr::Expr;
-        let mut t = Table::new(
-            TableSchema::new(
-                "U",
-                vec![
-                    Column::new("id", DataType::Int),
-                    Column::nullable("y", DataType::Int),
-                    Column::new("z", DataType::Int),
-                ],
-            )
-            .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        t.insert(vec![1.into(), Value::Null, 1.into()]).unwrap();
-        t.insert(vec![2.into(), 5.into(), 0.into()]).unwrap();
-        let before = t.to_rows();
-        // Row 1 matches via `z = 1` (NULL LIKE is UNKNOWN, OR true = true)
-        // before row 2's `y LIKE` errors on an INT; the failed statement
-        // must leave row 1 as it was.
-        let pred = Expr::col(1).like("a%").or(Expr::col(2).eq(Expr::lit(1)));
-        let err = t.update_where(&pred, &[(2, Value::Int(9))]);
-        assert!(err.is_err());
-        assert_eq!(
-            t.to_rows(),
-            before,
-            "failed update must not commit partial writes"
-        );
     }
 }

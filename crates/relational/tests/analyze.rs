@@ -10,7 +10,8 @@
 
 use etable_relational::database::Database;
 use etable_relational::sql::naive::execute_query_naive;
-use etable_relational::sql::{execute, executor, parse_statement, Statement};
+use etable_relational::sql::{execute, executor, parse_statement, SelectItem, SqlExpr, Statement};
+use etable_relational::Error;
 
 fn setup() -> Database {
     let mut db = Database::new();
@@ -153,23 +154,23 @@ fn select_and_order_by_refusals_name_the_expression() {
     for (sql, want) in [
         (
             "SELECT year > 2000 FROM papers",
-            "evaluation error: unsupported select expression `year > 2000` outside GROUP BY",
+            "analysis error: unsupported select expression `year > 2000` outside GROUP BY",
         ),
         (
             "SELECT year, COUNT(*) > 1 FROM papers GROUP BY year",
-            "evaluation error: unsupported grouped select expression `COUNT(*) > 1`",
+            "analysis error: unsupported grouped select expression `COUNT(*) > 1`",
         ),
         (
             "SELECT year, 7 FROM papers GROUP BY year",
-            "evaluation error: unsupported grouped select expression `7`",
+            "analysis error: unsupported grouped select expression `7`",
         ),
         (
             "SELECT id FROM papers ORDER BY (year > 2000)",
-            "evaluation error: unsupported ORDER BY expression `year > 2000`",
+            "analysis error: unsupported ORDER BY expression `year > 2000`",
         ),
         (
             "SELECT year, COUNT(*) AS n FROM papers GROUP BY year ORDER BY (COUNT(*) > 1)",
-            "evaluation error: unsupported ORDER BY expression `COUNT(*) > 1`",
+            "analysis error: unsupported ORDER BY expression `COUNT(*) > 1`",
         ),
         (
             "SELECT id FROM papers ORDER BY nope",
@@ -177,7 +178,7 @@ fn select_and_order_by_refusals_name_the_expression() {
         ),
         (
             "SELECT year, COUNT(*) AS n FROM papers GROUP BY year ORDER BY nope",
-            "evaluation error: column `nope` must appear in GROUP BY or an aggregate",
+            "analysis error: column `nope` must appear in GROUP BY or an aggregate",
         ),
     ] {
         assert_eq!(reject_both(&db, sql), want, "{sql}");
@@ -215,6 +216,30 @@ fn order_by_output_alias_matches_the_oracle() {
             "{sql}"
         );
     }
+}
+
+/// An aggregate other than COUNT without an input column — `SUM(*)`,
+/// which the parser refuses but the AST can hold — is refused by the
+/// analyzer for both engines, not run to an error or a NULL.
+#[test]
+fn input_less_aggregate_other_than_count_is_refused() {
+    let db = setup();
+    let Statement::Select(mut q) = parse_statement("SELECT SUM(year) FROM papers").unwrap() else {
+        unreachable!()
+    };
+    match &mut q.items[0] {
+        SelectItem::Expr {
+            expr: SqlExpr::Aggregate { input, .. },
+            ..
+        } => *input = None,
+        other => panic!("not an aggregate: {other:?}"),
+    }
+    let planned = executor::execute_query(&db, &q).unwrap_err();
+    assert_eq!(execute_query_naive(&db, &q).unwrap_err(), planned);
+    assert_eq!(
+        planned,
+        Error::Analyze("aggregate `SUM(*)` requires an input column".into())
+    );
 }
 
 #[test]

@@ -6,13 +6,15 @@
 //! FLOAT, −0.0 beside 0.0, NaN, infinities), text interned in reverse
 //! lexicographic order, and NULLs thick around the null bitmap's word
 //! edges — at one of the row counts 0, 1, 63, 64, 65 and 4097. It then
-//! draws a random predicate tree (comparisons of every type pairing,
-//! `LIKE`, `IN` lists holding NULL and mixed types, `IS NULL`, bare BOOL
-//! columns, nested `NOT` over UNKNOWN, and now and then a leaf that
-//! raises) and requires:
+//! draws random `SqlExpr` predicate trees over the columns' names
+//! (comparisons of every type pairing, `LIKE`, `IN` lists holding NULL and
+//! mixed types, `IS NULL`, bare BOOL columns, nested `NOT` over UNKNOWN,
+//! and now and then a leaf that could raise) and keeps the first that
+//! `type_pred` accepts; every refusal must be an analysis error. It then
+//! requires:
 //!
 //! * `scan::filter_indices` to return exactly the rows where row-by-row
-//!   `Expr::eval_truth` is TRUE — or the first failing row's error;
+//!   `Expr::eval_truth` is TRUE;
 //! * the same for the predicate's negation and its `IS NULL` (its UNKNOWN
 //!   rows), so FALSE and UNKNOWN are told apart too;
 //! * `ColRelation::select` after a hash join (a selection vector per
@@ -24,12 +26,14 @@
 //! Case count defaults to 256; raise it with `PROPTEST_CASES`.
 
 use etable_relational::colrel::{ColRelation, Pick};
-use etable_relational::expr::{CmpOp, Expr, Truth};
+use etable_relational::expr::{CmpOp, Truth};
 use etable_relational::scan::filter_indices;
 use etable_relational::schema::{Column, TableSchema};
+use etable_relational::sql::analyze::{type_pred, Ty, TypedPred};
+use etable_relational::sql::{parse_statement, SqlExpr, Statement};
 use etable_relational::table::{Row, Table};
 use etable_relational::value::{DataType, Value};
-use etable_relational::Result;
+use etable_relational::{Error, Result};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,9 +172,19 @@ fn op(rng: &mut StdRng) -> CmpOp {
     ][rng.gen_range(0..6)]
 }
 
-fn col_of(rng: &mut StdRng, types: &[DataType], ty: DataType) -> Expr {
+/// Column `c` by name: the wide table's are `c0`..`c8`, and after the
+/// join the side's follow as `c9`..`c11`.
+fn col(c: usize) -> SqlExpr {
+    SqlExpr::Column(format!("c{c}"))
+}
+
+fn col_of(rng: &mut StdRng, types: &[DataType], ty: DataType) -> SqlExpr {
     let cols: Vec<usize> = (0..types.len()).filter(|&c| types[c] == ty).collect();
-    Expr::col(cols[rng.gen_range(0..cols.len())])
+    col(cols[rng.gen_range(0..cols.len())])
+}
+
+fn cmp(op: CmpOp, a: SqlExpr, b: SqlExpr) -> SqlExpr {
+    SqlExpr::Cmp(op, Box::new(a), Box::new(b))
 }
 
 /// A literal for a column of type `ty`: mostly of that type, sometimes
@@ -190,14 +204,14 @@ fn literal(rng: &mut StdRng, ty: DataType) -> Value {
     }
 }
 
-fn leaf(rng: &mut StdRng, types: &[DataType]) -> Expr {
+fn leaf(rng: &mut StdRng, types: &[DataType]) -> SqlExpr {
     let c = rng.gen_range(0..types.len());
     let ty = types[c];
     match rng.gen_range(0..20) {
         0..=5 => {
-            let (a, b) = (Expr::col(c), Expr::lit(literal(rng, ty)));
+            let (a, b) = (col(c), SqlExpr::Literal(literal(rng, ty)));
             let (a, b) = if rng.gen_ratio(1, 3) { (b, a) } else { (a, b) };
-            Expr::Cmp(op(rng), Box::new(a), Box::new(b))
+            cmp(op(rng), a, b)
         }
         6..=8 => {
             // Mostly like-typed pairs, including mixed INT/FLOAT.
@@ -208,109 +222,141 @@ fn leaf(rng: &mut StdRng, types: &[DataType]) -> Expr {
                 _ if rng.gen_ratio(3, 4) => ty,
                 _ => types[rng.gen_range(0..types.len())],
             };
-            Expr::Cmp(
-                op(rng),
-                Box::new(Expr::col(c)),
-                Box::new(col_of(rng, types, other)),
-            )
+            cmp(op(rng), col(c), col_of(rng, types, other))
         }
         9..=11 => {
             let pattern = PATTERNS[rng.gen_range(0..PATTERNS.len())];
-            // LIKE over a non-TEXT column raises on its first non-NULL cell.
+            // LIKE over a non-TEXT column would raise: typing refuses it.
             let e = if rng.gen_ratio(1, 10) {
-                Expr::col(c)
+                col(c)
             } else {
                 col_of(rng, types, DataType::Text)
             };
-            e.like(pattern)
+            SqlExpr::Like(Box::new(e), pattern.into())
         }
         12..=14 => {
             let n = rng.gen_range(0..5);
             let items = (0..n).map(|_| literal(rng, ty)).collect();
-            Expr::InList(Box::new(Expr::col(c)), items)
+            SqlExpr::InList(Box::new(col(c)), items)
         }
-        15 => Expr::IsNull(Box::new(Expr::col(c))),
+        15 => SqlExpr::IsNull(Box::new(col(c))),
         16 | 17 => {
-            // A non-BOOL column used as a predicate raises.
+            // A non-BOOL column used as a predicate would raise: typing
+            // refuses it.
             if rng.gen_ratio(1, 10) {
-                Expr::col(c)
+                col(c)
             } else {
                 col_of(rng, types, DataType::Bool)
             }
         }
-        18 => Expr::lit([Value::Bool(true), Value::Bool(false), Value::Null][rng.gen_range(0..3)]),
+        18 => SqlExpr::Literal(
+            [Value::Bool(true), Value::Bool(false), Value::Null][rng.gen_range(0..3)],
+        ),
         _ => {
             // A nested predicate as a BOOL operand.
-            let lit = Expr::lit(Value::Bool(rng.gen_ratio(1, 2)));
-            Expr::Cmp(op(rng), Box::new(leaf(rng, types)), Box::new(lit))
+            let lit = SqlExpr::Literal(Value::Bool(rng.gen_ratio(1, 2)));
+            cmp(op(rng), leaf(rng, types), lit)
         }
     }
 }
 
-fn tree(rng: &mut StdRng, types: &[DataType], depth: u32) -> Expr {
+fn tree(rng: &mut StdRng, types: &[DataType], depth: u32) -> SqlExpr {
     if depth == 0 || rng.gen_ratio(2, 5) {
         return leaf(rng, types);
     }
-    match rng.gen_range(0..7) {
-        0 | 1 => tree(rng, types, depth - 1).and(tree(rng, types, depth - 1)),
-        2 | 3 => tree(rng, types, depth - 1).or(tree(rng, types, depth - 1)),
-        4 | 5 => tree(rng, types, depth - 1).not(),
-        _ => Expr::IsNull(Box::new(tree(rng, types, depth - 1))),
+    let choice = rng.gen_range(0..7);
+    let mut sub = || Box::new(tree(rng, types, depth - 1));
+    match choice {
+        0 | 1 => SqlExpr::And(sub(), sub()),
+        2 | 3 => SqlExpr::Or(sub(), sub()),
+        4 | 5 => SqlExpr::Not(sub()),
+        _ => SqlExpr::IsNull(sub()),
     }
 }
 
-/// The reference: positions where `eval_truth` is TRUE, row by row, or
-/// the first failing row's error.
-fn reference(rows: &[Row], pred: &Expr) -> Result<Vec<usize>> {
+/// `e` typed over columns of `types`, named by [`col`].
+fn typed(e: &SqlExpr, types: &[DataType]) -> Result<TypedPred> {
+    type_pred(e, |name| {
+        let c = (0..types.len()).find(|&c| format!("c{c}") == name);
+        let c = c.ok_or_else(|| Error::UnknownColumn(name.into()))?;
+        let base = Some(types[c]);
+        Ok((
+            c,
+            Ty {
+                base,
+                nullable: true,
+            },
+        ))
+    })
+}
+
+/// The first random tree over `types` that typing accepts. A refusal
+/// must be an analysis error: a predicate that could raise on a row is
+/// refused before any row is read.
+fn typed_tree(rng: &mut StdRng, types: &[DataType]) -> SqlExpr {
+    loop {
+        let e = tree(rng, types, 3);
+        match typed(&e, types) {
+            Ok(_) => return e,
+            Err(Error::Analyze(_)) => {}
+            Err(other) => panic!("`{e}` refused with {other}, not by analysis"),
+        }
+    }
+}
+
+/// The reference: positions where `eval_truth` is TRUE, row by row.
+fn reference(rows: &[Row], pred: &TypedPred) -> Result<Vec<usize>> {
     let mut keep = Vec::new();
     for (i, row) in rows.iter().enumerate() {
-        if pred.eval_truth(row)? == Truth::True {
+        if pred.expr().eval_truth(row)? == Truth::True {
             keep.push(i);
         }
     }
     Ok(keep)
 }
 
-/// `pred`, its negation and its UNKNOWN rows.
-fn variants(pred: &Expr) -> [Expr; 3] {
+/// `e`, its negation and its UNKNOWN rows, typed over `types`.
+fn variants(e: &SqlExpr, types: &[DataType]) -> [TypedPred; 3] {
     [
-        pred.clone(),
-        pred.clone().not(),
-        Expr::IsNull(Box::new(pred.clone())),
+        e.clone(),
+        SqlExpr::Not(Box::new(e.clone())),
+        SqlExpr::IsNull(Box::new(e.clone())),
     ]
+    .map(|v| typed(&v, types).unwrap())
 }
 
-fn check_scan(t: &Table, pred: &Expr) -> std::result::Result<(), String> {
+fn check_scan(t: &Table, e: &SqlExpr) -> std::result::Result<(), String> {
     let rows = t.to_rows();
-    for p in variants(pred) {
+    for p in variants(e, &WIDE) {
         let want = reference(&rows, &p).map(|v| v.into_iter().map(|i| i as u32).collect());
-        let got = filter_indices(t, &p);
+        let got = Ok(filter_indices(t, &p));
         if got != want {
             return Err(format!(
-                "filter_indices over {} rows, `{p}`:\n  kernel {got:?}\n  interp {want:?}",
-                t.len()
+                "filter_indices over {} rows, `{}`:\n  kernel {got:?}\n  interp {want:?}",
+                t.len(),
+                p.display()
             ));
         }
     }
     Ok(())
 }
 
-fn check_select(l: &Table, r: &Table, pred: &Expr) -> std::result::Result<(), String> {
+fn check_select(l: &Table, r: &Table, e: &SqlExpr) -> std::result::Result<(), String> {
     let joined = ColRelation::from_table(l, "l")
         .hash_join(&ColRelation::from_table(r, "r"), 0, 0)
         .unwrap();
     let cols = joined.columns().to_vec();
     let picks: Vec<Pick> = (0..cols.len()).map(Pick::Col).collect();
     let rows = joined.project(cols.clone(), &picks, None).rows;
-    for p in variants(pred) {
+    let types: Vec<DataType> = WIDE.iter().chain(&SIDE).copied().collect();
+    for p in variants(e, &types) {
         let want = reference(&rows, &p).map(|v| v.iter().map(|&i| rows[i].clone()).collect());
-        let got = joined
-            .select(&p)
-            .map(|rel| rel.project(cols.clone(), &picks, None).rows);
+        let got = Ok(joined.select(&p).project(cols.clone(), &picks, None).rows);
         if got != want {
             return Err(format!(
-                "select over {} joined rows, `{p}`:\n  kernel {got:?}\n  interp {want:?}",
-                rows.len()
+                "select over {} joined rows, `{}`:\n  kernel {got:?}\n  interp {want:?}",
+                rows.len(),
+                p.display()
             ));
         }
     }
@@ -322,8 +368,8 @@ fn check_case(seed: u64, n: usize) -> std::result::Result<(), String> {
     let mut l = table(&mut rng, "l", &WIDE, n);
     let r = side(&mut rng);
     let joined: Vec<DataType> = WIDE.iter().chain(&SIDE).copied().collect();
-    let scan_pred = tree(&mut rng, &WIDE, 3);
-    let join_pred = tree(&mut rng, &joined, 3);
+    let scan_pred = typed_tree(&mut rng, &WIDE);
+    let join_pred = typed_tree(&mut rng, &joined);
     check_scan(&l, &scan_pred)?;
     check_select(&l, &r, &join_pred)?;
     // Text interned after every cached LIKE bitmap was built joins the
@@ -362,19 +408,22 @@ proptest! {
 #[test]
 fn fixed_predicates_at_every_row_count() {
     let preds = [
-        Expr::col(1).ge(Expr::lit(0)),
-        Expr::col(3).eq(Expr::col(4)),
-        Expr::col(1).lt(Expr::col(3)),
-        Expr::col(3).ne(Expr::lit(0)),
-        Expr::col(5).lt(Expr::col(6)),
-        Expr::col(5).like("%data%").or(Expr::col(7)),
-        Expr::InList(Box::new(Expr::col(1)), vec![Value::Int(0), Value::Null]).not(),
-        Expr::InList(
-            Box::new(Expr::col(5)),
-            vec![Value::text("pk-mm"), Value::Int(1)],
-        ),
-        Expr::IsNull(Box::new(Expr::col(8))).and(Expr::col(2).gt(Expr::lit(1.5))),
-    ];
+        "c1 >= 0",
+        "c3 = c4",
+        "c1 < c3",
+        "c3 <> 0",
+        "c5 < c6",
+        "c5 LIKE '%data%' OR c7",
+        "NOT c1 IN (0, NULL)",
+        "c5 IN ('pk-mm', 'pk-a')",
+        "c8 IS NULL AND c2 > 1.5",
+    ]
+    .map(
+        |w| match parse_statement(&format!("SELECT * FROM l WHERE {w}")) {
+            Ok(Statement::Select(q)) => q.where_clause.unwrap(),
+            other => panic!("{w}: {other:?}"),
+        },
+    );
     for (i, &n) in COUNTS.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(i as u64);
         let l = table(&mut rng, "l", &WIDE, n);
@@ -384,22 +433,4 @@ fn fixed_predicates_at_every_row_count() {
             check_select(&l, &r, p).unwrap();
         }
     }
-}
-
-/// A column past the input's width is a leaf that raises: the scan reports
-/// it at the first row (nothing to report over no rows), and `select`
-/// refuses it before reading any.
-#[test]
-fn out_of_range_columns_raise_like_the_interpreter() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let pred = Expr::col(1)
-        .gt(Expr::lit(0))
-        .or(Expr::col(WIDE.len()).eq(Expr::lit(1)));
-    for n in [0, 65] {
-        let l = table(&mut rng, "l", &WIDE, n);
-        check_scan(&l, &pred).unwrap();
-    }
-    let l = table(&mut rng, "l", &WIDE, 3);
-    let err = ColRelation::from_table(&l, "l").select(&pred).unwrap_err();
-    assert!(err.to_string().contains("out of range"), "{err}");
 }

@@ -7,6 +7,8 @@
 use etable_relational::database::Database;
 use etable_relational::intern::Sym;
 use etable_relational::schema::{Column, ForeignKey, TableSchema};
+use etable_relational::sql::analyze::{analyze_delete, analyze_update};
+use etable_relational::sql::{parse_statement, Statement};
 use etable_relational::table::Row;
 use etable_relational::value::{DataType, Value};
 use proptest::prelude::*;
@@ -263,11 +265,7 @@ fn adversarial_intern_order_rehydrates_deterministically() {
 fn save_open_save_is_byte_idempotent() {
     let mut db = random_db(7, 300);
     // Mutation history: delete a band of rows, then re-insert some.
-    use etable_relational::expr::Expr;
-    db.table_mut("W")
-        .unwrap()
-        .delete_where(&Expr::col(0).lt(Expr::lit(40)))
-        .unwrap();
+    assert_eq!(dml(&mut db, "DELETE FROM W WHERE id < 40"), Ok(40));
     db.insert(
         "W",
         vec![
@@ -403,42 +401,50 @@ fn random_b(rng: &mut StdRng) -> f64 {
     [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0][rng.gen_range(0..6)]
 }
 
+/// Runs an UPDATE or DELETE through the analyzer and the database's DML
+/// entry points, answering how many rows it changed or why it refused.
+fn dml(db: &mut Database, sql: &str) -> Result<usize, String> {
+    let changed = match parse_statement(sql).map_err(|e| e.to_string())? {
+        Statement::Update {
+            table,
+            sets,
+            where_clause,
+        } => analyze_update(db, &table, &sets, where_clause.as_ref())
+            .and_then(|pred| db.update_where(&table, &pred, &sets)),
+        Statement::Delete {
+            table,
+            where_clause,
+        } => analyze_delete(db, &table, where_clause.as_ref())
+            .and_then(|pred| db.delete_where(&table, &pred)),
+        other => panic!("not an UPDATE or DELETE: {other:?}"),
+    };
+    changed.map_err(|e| e.to_string())
+}
+
 /// One random DML statement against `D`, as a closure so the same
 /// statement can be applied to several databases.
 fn random_dml(rng: &mut StdRng) -> impl Fn(&mut Database) -> Result<usize, String> {
-    use etable_relational::expr::Expr;
     let (a, b) = (rng.gen_range(0..6i64), random_b(rng));
     let (a2, b2) = (rng.gen_range(0..6i64), random_b(rng));
     let v = rng.gen_range(0..10i64);
     let kind = rng.gen_range(0..6);
-    let at_key = move || {
-        Expr::col(0)
-            .eq(Expr::lit(a))
-            .and(Expr::col(1).eq(Expr::lit(b)))
-    };
-    move |db: &mut Database| {
-        match kind {
-            // INSERT, often of a key that is already there.
-            0 | 1 => db
-                .insert("D", vec![a.into(), b.into(), v.into(), Value::Null])
-                .map(|_| 1),
-            // UPDATE of a non-key column, by key and by value.
-            2 => db.update_where("D", &at_key(), &[("v".into(), v.into())]),
-            3 => db.update_where(
-                "D",
-                &Expr::col(2).lt(Expr::lit(v)),
-                &[("t".into(), Value::text(format!("t{v}")))],
-            ),
-            // UPDATE of key columns: may collide, may strand a `C` row.
-            4 => db.update_where(
-                "D",
-                &at_key(),
-                &[("a".into(), a2.into()), ("b".into(), b2.into())],
-            ),
-            // DELETE by half a key: may be refused by RESTRICT.
-            _ => db.delete_where("D", &Expr::col(0).eq(Expr::lit(a))),
-        }
-        .map_err(|e| e.to_string())
+    let at_key = format!("a = {a} AND b = {b:?}");
+    move |db: &mut Database| match kind {
+        // INSERT, often of a key that is already there.
+        0 | 1 => db
+            .insert("D", vec![a.into(), b.into(), v.into(), Value::Null])
+            .map(|_| 1)
+            .map_err(|e| e.to_string()),
+        // UPDATE of a non-key column, by key and by value.
+        2 => dml(db, &format!("UPDATE D SET v = {v} WHERE {at_key}")),
+        3 => dml(db, &format!("UPDATE D SET t = 't{v}' WHERE v < {v}")),
+        // UPDATE of key columns: may collide, may strand a `C` row.
+        4 => dml(
+            db,
+            &format!("UPDATE D SET a = {a2}, b = {b2:?} WHERE {at_key}"),
+        ),
+        // DELETE by half a key: may be refused by RESTRICT.
+        _ => dml(db, &format!("DELETE FROM D WHERE a = {a}")),
     }
 }
 

@@ -28,8 +28,10 @@
 //! select column, HAVING without GROUP BY, nested aggregate, aggregate
 //! in WHERE, SUM over text, mistyped IN list, non-boolean predicate).
 //! Both engines must reject it with the *same* error — the shared
-//! analyzer is the specification — and no ill-formed query may execute
-//! on either side. Valid cases run exactly as before.
+//! analyzer is the specification — and `analyze` alone must already
+//! return that error, with a code other than evaluation's: every shape is
+//! refused before any row is read, and no ill-formed query may execute on
+//! either side. Valid cases run exactly as before.
 //!
 //! SUM/AVG are only generated over INT columns with small values: their
 //! accumulator is exact there, so the two engines' different evaluation
@@ -65,8 +67,11 @@
 use etable_repro::relational::database::Database;
 use etable_repro::relational::exec::budget;
 use etable_repro::relational::sql::naive::execute_query_naive;
-use etable_repro::relational::sql::{execute, executor::execute_query, parse_statement, Statement};
+use etable_repro::relational::sql::{
+    analyze, execute, executor::execute_query, parse_statement, Query, Statement,
+};
 use etable_repro::relational::value::Value;
+use etable_repro::relational::ErrorCode;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -534,8 +539,35 @@ fn invalid_query(shape: usize, rng: &mut StdRng) -> (&'static str, String) {
     }
 }
 
-/// Runs one ill-formed case: the query must parse, both engines must
-/// reject it, and their errors must be identical.
+/// The refusal of an ill-formed query: both engines and `analyze` alone
+/// must return one error, and not an evaluation error — the query is
+/// refused before any row is read.
+fn refusal(db: &Database, q: &Query, kind: &str, sql: &str) -> std::result::Result<(), String> {
+    let (planned, oracle) = (execute_query(db, q), execute_query_naive(db, q));
+    let (p, n, a) = match (planned, oracle, analyze(db, q)) {
+        (Err(p), Err(n), Err(a)) => (p, n, a),
+        (p, n, a) => {
+            let ok = [p.is_ok(), n.is_ok(), a.is_ok()];
+            return Err(format!(
+                "ill-formed query ({kind}) `{sql}` accepted by [planner, oracle, analyze]: {ok:?}"
+            ));
+        }
+    };
+    if p != n || p != a {
+        return Err(format!(
+            "rejections of `{sql}` ({kind}) differ: planner `{p}`, oracle `{n}`, analyze `{a}`"
+        ));
+    }
+    if a.code() == ErrorCode::Eval {
+        return Err(format!(
+            "`{sql}` ({kind}) refused as an evaluation error: {a}"
+        ));
+    }
+    Ok(())
+}
+
+/// Runs one ill-formed case: the query must parse, and be refused (see
+/// [`refusal`]).
 fn check_invalid_case(db: &Database, rng: &mut StdRng) -> std::result::Result<(), String> {
     let shape = rng.gen_range(0..INVALID_SHAPES);
     let (kind, sql) = invalid_query(shape, rng);
@@ -547,22 +579,7 @@ fn check_invalid_case(db: &Database, rng: &mut StdRng) -> std::result::Result<()
             ))
         }
     };
-    match (execute_query(db, &q), execute_query_naive(db, &q)) {
-        (Err(p), Err(n)) => {
-            if p == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "engines disagree on rejection of `{sql}` ({kind}): planner `{p}` vs oracle `{n}`"
-                ))
-            }
-        }
-        (p, n) => Err(format!(
-            "ill-formed query executed ({kind}) `{sql}`: planner ok={} oracle ok={}",
-            p.is_ok(),
-            n.is_ok()
-        )),
-    }
+    refusal(db, &q, kind, &sql)
 }
 
 fn check_case(seed: u64) -> std::result::Result<(), String> {
@@ -884,8 +901,9 @@ fn overflow_literals_are_rejected() {
     }
 }
 
-/// Every ill-formed shape, replayed explicitly: parses, is rejected by
-/// both engines, and with the same error.
+/// Every ill-formed shape, replayed explicitly: parses, and is refused by
+/// `analyze` and both engines with one error that is not an evaluation
+/// error.
 #[test]
 fn fuzzer_invalid_shapes_smoke() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -896,8 +914,8 @@ fn fuzzer_invalid_shapes_smoke() {
             Ok(Statement::Select(q)) => q,
             other => panic!("ill-formed shape {kind} must parse: {other:?}: {sql}"),
         };
-        let p = execute_query(&db, &q).expect_err(kind);
-        let n = execute_query_naive(&db, &q).expect_err(kind);
-        assert_eq!(p, n, "engines disagree on `{sql}` ({kind})");
+        if let Err(msg) = refusal(&db, &q, kind, &sql) {
+            panic!("{msg}");
+        }
     }
 }
