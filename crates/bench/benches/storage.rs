@@ -9,8 +9,14 @@
 //! check — and `write_cycle` is the write path end to end: the load
 //! harness's INSERT / UPDATE / DELETE of one `Papers` row through
 //! [`SharedDatabase::execute`], each a clone-modify-publish of the whole
-//! database beside a pinned reader (the DELETE's RESTRICT check matches
-//! the row's key against every column referencing `Papers`).
+//! database beside a pinned reader (the DELETE's RESTRICT check reads the
+//! stored index of every foreign key referencing `Papers`).
+//! `translate` runs on a database with no stored foreign-key index, as a
+//! freshly loaded one has, so it pays for building them;
+//! `check_integrity` reads the indexes that are already built, and
+//! `fk_index_build` is the same check on a cold database, so the two
+//! differ by the build. `delete_restrict` is the write cycle's DELETE
+//! alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
@@ -60,16 +66,34 @@ fn bench_storage(c: &mut Criterion) {
     // alive across the cycle, so every statement's copy-on-write is real
     // and the old epoch's drop is paid inside the measurement.
     let paper_scale = generate(&GenConfig::medium().with_papers(38_000));
+    // `table_mut` drops the stored indexes into and out of a table, so a
+    // clone put through it for every table has none.
+    let names: Vec<String> = paper_scale
+        .table_names()
+        .into_iter()
+        .map(String::from)
+        .collect();
+    let cold = || {
+        let mut db = paper_scale.clone();
+        for name in &names {
+            db.table_mut(name).expect("table exists");
+        }
+        db
+    };
     group.bench_function("translate", |b| {
         b.iter(|| {
-            translate(&paper_scale, &TranslateOptions::default())
+            translate(&cold(), &TranslateOptions::default())
                 .expect("corpus translates")
                 .instances
                 .edge_count()
         })
     });
+    paper_scale.check_integrity().expect("corpus is consistent");
     group.bench_function("check_integrity", |b| {
         b.iter(|| paper_scale.check_integrity().expect("corpus is consistent"))
+    });
+    group.bench_function("fk_index_build", |b| {
+        b.iter(|| cold().check_integrity().expect("corpus is consistent"))
     });
     let shared = SharedDatabase::new(paper_scale);
     group.bench_function("write_cycle", |b| {
@@ -82,6 +106,27 @@ fn bench_storage(c: &mut Criterion) {
             ] {
                 shared.execute(stmt).expect("write succeeds");
             }
+        })
+    });
+    // One row per call (the warm-up call and 10 samples), deleted last
+    // inserted first, so each DELETE removes the table's last row, as the
+    // write cycle's does.
+    let ids: Vec<i64> = (0..11).map(|i| 20_000_000 + i).collect();
+    for id in &ids {
+        shared
+            .execute(&format!(
+                "INSERT INTO Papers VALUES ({id}, 1, 'restrict row', 2010, 17, 25)"
+            ))
+            .expect("insert succeeds");
+    }
+    let mut doomed = ids.into_iter().rev();
+    group.bench_function("delete_restrict", |b| {
+        b.iter(|| {
+            let _reader = shared.snapshot();
+            let id = doomed.next().expect("one row per call");
+            shared
+                .execute(&format!("DELETE FROM Papers WHERE id = {id}"))
+                .expect("delete succeeds")
         })
     });
     group.finish();

@@ -13,9 +13,11 @@
 //! table stays self-contained and `Send` after the graph handle is gone.
 
 use crate::pattern::PatternNodeId;
-use etable_relational::value::Value;
+use etable_relational::intern::RankMap;
+use etable_relational::value::{SortCell, Value};
 use etable_tgm::{EdgeTypeId, IdSlice, NodeId};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -203,19 +205,25 @@ impl EnrichedTable {
 
     /// Sorts rows by a column: atomic columns by value, reference columns
     /// by reference count (the paper's "Sort table by # of Papers
-    /// (referenced)", Figure 1 history step 3).
+    /// (referenced)", Figure 1 history step 3). Stable: rows that tie keep
+    /// their order, ascending and descending.
+    ///
+    /// Each row is decorated once (`SortKey`: text by its rank in one
+    /// dictionary snapshot, so no comparison reads the interner), the
+    /// (key, position) pairs are sorted, and the rows are permuted in
+    /// place.
     pub fn sort_by_column(&mut self, column: usize, descending: bool) {
-        self.rows.sort_by(|a, b| {
-            let ord = match (&a.cells[column], &b.cells[column]) {
-                (Cell::Atomic(x), Cell::Atomic(y)) => x.total_cmp(y),
-                (x, y) => x.ref_count().cmp(&y.ref_count()),
-            };
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
+        let dict = etable_relational::intern::rank_map();
+        let mut keyed: Vec<(SortKey, u32)> = (self.rows.iter().zip(0..))
+            .map(|(r, i)| (SortKey::new(&r.cells[column], &dict), i))
+            .collect();
+        keyed.sort_unstable_by(|a, b| {
+            let ord = SortKey::cmp(a.0, b.0);
+            let ord = if descending { ord.reverse() } else { ord };
+            ord.then(a.1.cmp(&b.1))
         });
+        let mut order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+        permute(&mut self.rows, &mut order);
     }
 
     /// Total number of entity references across all cells (used by the
@@ -226,6 +234,52 @@ impl EnrichedTable {
             .iter()
             .map(|r| r.cells.iter().map(Cell::ref_count).sum::<usize>())
             .sum()
+    }
+}
+
+/// A cell decorated for sorting: an atomic value with its dictionary
+/// rank, or a reference count.
+#[derive(Debug, Clone, Copy)]
+enum SortKey {
+    Atomic(SortCell),
+    Refs(usize),
+}
+
+impl SortKey {
+    fn new(cell: &Cell, dict: &RankMap) -> Self {
+        match cell {
+            Cell::Atomic(v) => SortKey::Atomic(SortCell::new(*v, dict)),
+            Cell::Refs(r) => SortKey::Refs(r.len()),
+        }
+    }
+
+    /// Two atomic cells by [`Value::total_cmp`]; any other pair by
+    /// reference count, an atomic cell counting 0.
+    fn cmp(a: SortKey, b: SortKey) -> Ordering {
+        let count = |k| match k {
+            SortKey::Atomic(_) => 0,
+            SortKey::Refs(n) => n,
+        };
+        match (a, b) {
+            (SortKey::Atomic(x), SortKey::Atomic(y)) => SortCell::total_cmp(x, y),
+            _ => count(a).cmp(&count(b)),
+        }
+    }
+}
+
+/// Reorders `items` in place so that position `i` holds what position
+/// `order[i]` held, following each cycle of the permutation once.
+/// `order` (a permutation of the positions) is used up.
+fn permute<T>(items: &mut [T], order: &mut [u32]) {
+    for start in 0..order.len() {
+        let mut cur = start;
+        while order[cur] as usize != start {
+            let next = order[cur] as usize;
+            items.swap(cur, next);
+            order[cur] = cur as u32;
+            cur = next;
+        }
+        order[cur] = cur as u32;
     }
 }
 
@@ -305,6 +359,113 @@ mod tests {
         let mut t = table();
         t.sort_by_column(1, true);
         assert_eq!(t.rows[0].cells[1].ref_count(), 2);
+    }
+
+    /// The comparator the decorated sort replaced: cell against cell,
+    /// reading the interner for every text comparison.
+    fn oracle_sort(t: &mut EnrichedTable, column: usize, descending: bool) {
+        t.rows.sort_by(|a, b| {
+            let ord = match (&a.cells[column], &b.cells[column]) {
+                (Cell::Atomic(x), Cell::Atomic(y)) => x.total_cmp(y),
+                (x, y) => x.ref_count().cmp(&y.ref_count()),
+            };
+            if descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+    }
+
+    /// SplitMix64: the test's own generator, seeded per case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Random tables — an atomic column mixing NULL, ints, floats equal to
+    /// them, -0.0 beside 0.0 and text interned out of lexicographic order,
+    /// and a reference column, both full of ties — sort exactly as the old
+    /// comparator sorted them, ascending and descending.
+    #[test]
+    fn decorated_sort_matches_the_cell_comparator() {
+        for w in [
+            "sort-pear",
+            "sort-Apple",
+            "sort-fig",
+            "sort-apple",
+            "sort-",
+            "sort-Fig",
+        ] {
+            let _ = Value::text(w);
+        }
+        let atoms: Vec<Value> = vec![
+            Value::Null,
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(-2),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            "sort-fig".into(),
+            "sort-Apple".into(),
+            "sort-apple".into(),
+            "sort-".into(),
+            "sort-pear".into(),
+        ];
+        let refs: Arc<[NodeId]> = (0..8).map(NodeId).collect::<Vec<_>>().into();
+        for seed in 0..400u64 {
+            let mut rng = Mix(seed);
+            let mut t = table();
+            t.rows = (0..rng.below(40))
+                .map(|i| ETableRow {
+                    node: NodeId(i as u32),
+                    cells: vec![
+                        Cell::Atomic(atoms[rng.below(atoms.len())]),
+                        Cell::Refs(IdSlice::new(&refs, 0..rng.below(5)).unwrap()),
+                    ],
+                })
+                .collect();
+            for (column, descending) in [(0, false), (0, true), (1, false), (1, true)] {
+                let (mut got, mut want) = (t.clone(), t.clone());
+                got.sort_by_column(column, descending);
+                oracle_sort(&mut want, column, descending);
+                assert_eq!(got, want, "seed {seed}, column {column}, desc {descending}");
+            }
+        }
+        // A mixed pair keeps the rule: an atomic cell counts 0 references.
+        let dict = etable_relational::intern::rank_map();
+        let cells = [
+            Cell::Atomic("sort-fig".into()),
+            Cell::Refs(IdSlice::new(&refs, 0..0).unwrap()),
+            Cell::Refs(IdSlice::new(&refs, 0..2).unwrap()),
+        ];
+        for a in &cells {
+            for b in &cells {
+                let old = match (a, b) {
+                    (Cell::Atomic(x), Cell::Atomic(y)) => x.total_cmp(y),
+                    (x, y) => x.ref_count().cmp(&y.ref_count()),
+                };
+                assert_eq!(
+                    SortKey::cmp(SortKey::new(a, &dict), SortKey::new(b, &dict)),
+                    old
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn permute_follows_every_cycle() {
+        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
+        permute(&mut items, &mut [2, 0, 1, 4, 3]);
+        assert_eq!(items, ['c', 'a', 'b', 'e', 'd']);
     }
 
     #[test]

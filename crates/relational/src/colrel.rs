@@ -18,6 +18,11 @@
 //!   inputs' row-id vectors — probe keys hash straight off
 //!   [`ColumnData::Int`]/[`ColumnData::Sym`] words on the typed fast
 //!   paths,
+//! * a join along a foreign key with a stored index (`fk_join`) emits the
+//!   same pairs in the same order from the index alone: the key of a
+//!   primary-key row is its row id and the key of a referencing row is the
+//!   row id it references, so an array over the referenced table's rows
+//!   replaces the hash table (`exec::join::fk_key_pairs`),
 //! * a residual filter runs the predicate kernel over only the columns
 //!   it references, gathered through the row-id vectors, and composes the
 //!   surviving positions,
@@ -37,7 +42,7 @@
 //! rather than truncate), so a selection vector is a quarter the size of
 //! even a single-column materialized row vector.
 
-use crate::exec::join::key_pairs;
+use crate::exec::join::{fk_key_pairs, key_pairs};
 use crate::intern::RankMap;
 use crate::relation::{RelColumn, Relation, SortKey};
 use crate::sql::analyze::TypedPred;
@@ -83,6 +88,9 @@ impl RowIds {
         }
     }
 }
+
+/// A join key column: its store, and the row ids the relation reads it at.
+type KeyCol<'a, 'r> = (&'a ColumnStore, &'r RowIds);
 
 /// One source of a [`ColRelation`]: column stores of `len` rows each (a
 /// base table's, or a grouped result's), with the row ids its logical rows
@@ -291,20 +299,67 @@ impl<'a> ColRelation<'a> {
         left_col: usize,
         right_col: usize,
     ) -> Result<ColRelation<'a>> {
+        self.join_with(other, left_col, right_col, |build, probe, _| {
+            key_pairs(build.0, build.1.as_slice(), probe.0, probe.1.as_slice())
+        })
+    }
+
+    /// [`ColRelation::hash_join`] along a foreign key with a stored index
+    /// (`crate::fk_index`): `fwd` maps the rows of the foreign-key column
+    /// — `self[left_col]` when `fk_left`, else `other[right_col]` — to rows
+    /// of the primary-key column on the other side. The pairs are
+    /// `exec::join::fk_key_pairs`', the same as the hash join's, in the
+    /// same order, with no hash table built.
+    pub(crate) fn fk_join(
+        &self,
+        other: &ColRelation<'a>,
+        (left_col, right_col): (usize, usize),
+        fwd: &[u32],
+        fk_left: bool,
+    ) -> Result<ColRelation<'a>> {
+        self.join_with(other, left_col, right_col, |build, probe, build_is_left| {
+            let fk_builds = build_is_left == fk_left;
+            let ((fk, fk_ids), (pk, pk_ids)) = if fk_builds {
+                (build, probe)
+            } else {
+                (probe, build)
+            };
+            debug_assert_eq!(
+                fk.len(),
+                fwd.len(),
+                "plan invariant violated: stale FK index"
+            );
+            let (fk_rows, pk_rows) = (fk_ids.as_slice(), pk_ids.as_slice());
+            Ok(fk_key_pairs(pk.len(), pk_rows, fwd, fk_rows, fk_builds))
+        })
+    }
+
+    /// The join of `self[left_col]` and `other[right_col]` whose
+    /// (build-position, probe-position) pairs `pairs` finds, given the
+    /// build and probe sides' key columns and row ids and whether `self`
+    /// builds. The smaller side builds.
+    fn join_with(
+        &self,
+        other: &ColRelation<'a>,
+        left_col: usize,
+        right_col: usize,
+        pairs: impl FnOnce(KeyCol<'a, '_>, KeyCol<'a, '_>, bool) -> Result<(Vec<u32>, Vec<u32>)>,
+    ) -> Result<ColRelation<'a>> {
         debug_assert!(
             left_col < self.columns.len() && right_col < other.columns.len(),
             "plan invariant violated: join column out of range"
         );
-        // Build on the smaller side.
         let build_is_left = self.len() <= other.len();
         let (build, probe, build_col, probe_col) = if build_is_left {
             (self, other, left_col, right_col)
         } else {
             (other, self, right_col, left_col)
         };
-        let (bstore, bids) = build.col_source(build_col);
-        let (pstore, pids) = probe.col_source(probe_col);
-        let (build_pos, probe_pos) = key_pairs(bstore, bids.as_slice(), pstore, pids.as_slice())?;
+        let (build_pos, probe_pos) = pairs(
+            build.col_source(build_col),
+            probe.col_source(probe_col),
+            build_is_left,
+        )?;
         check_cardinality(build_pos.len())?;
         Ok(if build_is_left {
             build.composed(&build_pos, Some((probe, &probe_pos)))

@@ -9,10 +9,14 @@
 //! * typed scalar [`value::Value`]s (text interned through [`intern::Sym`])
 //!   and schemas with primary/foreign keys,
 //! * constraint-checked columnar storage ([`table::ColumnData`]) with an
-//!   ordered primary-key index and a row-facade API,
+//!   ordered primary-key index and a row-facade API, and beside it, per
+//!   single-column foreign key onto a primary key, a stored index from
+//!   each referencing row to its referenced row, carried across writes
+//!   ([`database::Database`]),
 //! * one evaluator — columnar intermediate relations
 //!   ([`colrel::ColRelation`]): selection vectors over column stores with
-//!   build/probe hash joins, and grouped aggregation ([`exec::agg`]) into
+//!   build/probe hash joins (array reads along a stored foreign-key
+//!   index), and grouped aggregation ([`exec::agg`]) into
 //!   typed stores that the same relation type reads back, so HAVING,
 //!   ORDER BY / top-k and the final projection run once for every SELECT,
 //!   and no intermediate row is materialized from the scan to that
@@ -47,6 +51,7 @@ pub mod csv;
 pub mod database;
 pub mod exec;
 pub mod expr;
+mod fk_index;
 pub mod intern;
 mod pk_index;
 pub mod relation;

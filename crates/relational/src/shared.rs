@@ -284,6 +284,55 @@ mod tests {
         assert_eq!(before.table("u").unwrap().pk_row_index(&[5.into()]), None);
         assert_eq!(after.table("u").unwrap().pk_row_index(&[5.into()]), Some(2));
         assert_eq!(after.table("u").unwrap().pk_order(), [1, 2, 0]);
+
+        // The write-heavy workload's cycle on a table that references one
+        // table and is referenced by another (INSERT, UPDATE of a non-key
+        // column, DELETE of the inserted row) carries every foreign-key
+        // index: none is rebuilt, the untouched ones stay the previous
+        // epoch's buffers, and joins along them never reach the hashing
+        // kernel.
+        shared
+            .execute("CREATE TABLE v (id INT PRIMARY KEY, u_id INT REFERENCES u(id))")
+            .unwrap();
+        shared
+            .execute("INSERT INTO v VALUES (1, 7), (2, 3), (3, NULL)")
+            .unwrap();
+        let join = "SELECT v.id, t.name FROM v, u, t WHERE v.u_id = u.id AND u.t_id = t.id";
+        let expected = shared.execute(join).unwrap();
+        let fk = |db: &Database, table: &str| {
+            let fk = &db.table(table).unwrap().schema().foreign_keys[0];
+            db.fk_index(table, fk).unwrap().unwrap().clone()
+        };
+        let (builds, calls) = (
+            crate::fk_index::builds(),
+            crate::exec::join::key_pairs_calls(),
+        );
+        let mut epochs = vec![shared.snapshot()];
+        for stmt in [
+            "INSERT INTO u VALUES (9, 1, 0.25)",
+            "UPDATE u SET w = 4.5 WHERE id = 9",
+            "DELETE FROM u WHERE id = 9",
+        ] {
+            shared.execute(stmt).unwrap();
+            epochs.push(shared.snapshot());
+            assert_eq!(
+                shared.execute(join).unwrap().rows,
+                expected.rows,
+                "after {stmt}"
+            );
+        }
+        assert_eq!(crate::fk_index::builds(), builds);
+        assert_eq!(crate::exec::join::key_pairs_calls(), calls);
+        // v -> u: u only gained and lost its last row.
+        assert!(epochs
+            .windows(2)
+            .all(|w| fk(&w[0], "v").shares(&fk(&w[1], "v"))));
+        // u -> t: the INSERT pushed an entry, the UPDATE shared it, the
+        // DELETE compacted it away again.
+        let ut: Vec<_> = epochs.iter().map(|e| fk(e, "u")).collect();
+        assert!(!ut[0].shares(&ut[1]) && ut[1].shares(&ut[2]));
+        assert_eq!(ut[1].fwd(), [1, 0, 1, 0]);
+        assert_eq!(ut[3].fwd(), ut[0].fwd());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! plan already holds the predicates, picks and sort keys this pipeline
 //! runs, over positions. The planner mirrors what a simple RDBMS does for
 //! the paper's workloads: single-table predicates are pushed below joins,
-//! equi-join edges become hash joins chosen greedily from the smallest
+//! equi-join edges become joins chosen greedily from the smallest
 //! filtered relation outward, and anything else is applied as a residual
-//! filter.
+//! filter. An edge that is exactly a single-column foreign key onto its
+//! primary key joins through the key's stored index
+//! (`ColRelation::fk_join`, EXPLAIN's `fk join`); every other edge is a
+//! hash join (`hash join`). Both emit the same pairs in the same order.
 //!
 //! Execution is columnar end to end: every base scan yields a
 //! [`ColRelation`] (a selection vector over the stored table — see
@@ -212,8 +215,8 @@ fn execute_typed(
     }
 
     // 2. Greedy join: start from the smallest relation; repeatedly join a
-    //    connected relation via a build/probe hash join over the edge's
-    //    key columns, else cross the smallest remaining. Each join emits
+    //    connected relation via a build/probe join over the edge's key
+    //    columns, else cross the smallest remaining. Each join emits
     //    paired (build, probe) position vectors that compose with the
     //    inputs' selections. `offset[t]` is where table `t`'s columns
     //    start in the joined relation, recorded when `t` joins.
@@ -245,13 +248,24 @@ fn execute_typed(
                 used_edges[ei] = true;
                 let (other, other_rel) = pending.remove(at);
                 let right_rows = other_rel.len();
-                current = current.hash_join(
-                    &other_rel,
-                    offset[cur.table] + cur.column,
-                    other_id.column,
-                )?;
+                let cols = (offset[cur.table] + cur.column, other_id.column);
+                let (cur_key, other_key) = (
+                    (plan.tables[cur.table].name.as_str(), cur.column),
+                    (plan.tables[other].name.as_str(), other_id.column),
+                );
+                // An edge that is exactly a foreign key onto a primary key
+                // joins through the key's stored index, either way round.
+                let fk = match db.fk_index_on(cur_key, other_key)? {
+                    Some(ix) => Some((ix, true)),
+                    None => db.fk_index_on(other_key, cur_key)?.map(|ix| (ix, false)),
+                };
+                current = match fk {
+                    Some((ix, fk_left)) => current.fk_join(&other_rel, cols, ix.fwd(), fk_left)?,
+                    None => current.hash_join(&other_rel, cols.0, cols.1)?,
+                };
                 log!(
-                    "hash join {} = {} with {} ({} rows) -> {} rows",
+                    "{} join {} = {} with {} ({} rows) -> {} rows",
+                    if fk.is_some() { "fk" } else { "hash" },
                     cur_name,
                     other_name,
                     plan.tables[other].alias,

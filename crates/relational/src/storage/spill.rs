@@ -437,6 +437,17 @@ fn sorted_join<K: SpillKey>(bp: &PartFile, pp: &PartFile, out: &mut Vec<(u32, u3
     Ok(())
 }
 
+thread_local! {
+    /// Grace joins run on this thread.
+    static GRACE_JOINS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many Grace joins this thread has run: how a test proves that a
+/// join under a memory budget really spilled.
+pub fn grace_joins_on_this_thread() -> u64 {
+    GRACE_JOINS.with(std::cell::Cell::get)
+}
+
 /// The Grace hash join: both sides partitioned to disk under `limit`
 /// bytes of build-side budget, joined partition by partition, pairs
 /// re-sorted into the resident kernel's probe-major order. The returned
@@ -455,6 +466,7 @@ where
     B: Fn(usize) -> Option<K>,
     P: Fn(usize) -> Option<K>,
 {
+    GRACE_JOINS.with(|n| n.set(n.get() + 1));
     grace_join_in(
         &default_root(),
         limit,

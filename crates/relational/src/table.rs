@@ -273,15 +273,19 @@ impl ColumnStore {
             ColumnData::Sym(d) => retain(Arc::make_mut(d), keep),
             ColumnData::Bool(d) => retain(Arc::make_mut(d), keep),
         }
-        let mut packed = NullBitmap::default();
+        // Packed a word at a time; a column without NULLs has no words.
+        let mut words: Vec<u64> = Vec::new();
         let mut w = 0usize;
         for (r, &k) in keep.iter().enumerate() {
             if k {
-                packed.set(w, self.nulls.get(r));
+                if self.nulls.get(r) {
+                    words.resize(w / 64 + 1, 0);
+                    words[w / 64] |= 1u64 << (w % 64);
+                }
                 w += 1;
             }
         }
-        self.nulls = packed;
+        self.nulls = NullBitmap::from_words(words);
         self.len = w;
     }
 }

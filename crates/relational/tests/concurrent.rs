@@ -9,6 +9,7 @@ use etable_relational::exec::budget::with_budget;
 use etable_relational::relation::Relation;
 use etable_relational::shared::SharedDatabase;
 use etable_relational::sql::execute;
+use etable_relational::storage::spill::grace_joins_on_this_thread;
 use etable_relational::value::Value;
 use std::thread;
 
@@ -17,7 +18,10 @@ const ROUNDS: usize = 4;
 
 /// A deterministic three-table corpus big enough to exercise joins,
 /// grouping, LIKE scans and sorting, small enough to keep the suite fast.
-fn build_db() -> Database {
+/// With `fks` false the link table declares no foreign keys, so every
+/// join is a hash join (a join along a stored foreign-key index never
+/// spills).
+fn build_db(fks: bool) -> Database {
     let mut db = Database::new();
     execute(
         &mut db,
@@ -29,12 +33,18 @@ fn build_db() -> Database {
         "CREATE TABLE papers (id INT PRIMARY KEY, title TEXT NOT NULL, year INT NOT NULL)",
     )
     .unwrap();
+    let keys = if fks {
+        ", FOREIGN KEY (paper_id) REFERENCES papers (id), \
+         FOREIGN KEY (author_id) REFERENCES authors (id)"
+    } else {
+        ""
+    };
     execute(
         &mut db,
-        "CREATE TABLE paper_authors (paper_id INT, author_id INT, \
-         PRIMARY KEY (paper_id, author_id), \
-         FOREIGN KEY (paper_id) REFERENCES papers (id), \
-         FOREIGN KEY (author_id) REFERENCES authors (id))",
+        &format!(
+            "CREATE TABLE paper_authors (paper_id INT, author_id INT, \
+             PRIMARY KEY (paper_id, author_id){keys})"
+        ),
     )
     .unwrap();
     let mut batch = |rows: Vec<String>, table: &str| {
@@ -121,13 +131,15 @@ fn baselines(db: &SharedDatabase) -> Vec<String> {
 
 /// `READERS` threads, each running every query `ROUNDS` times against the
 /// shared handle (with a per-thread stagger so different queries overlap),
-/// all asserting byte-identity with the sequential baseline.
+/// all asserting byte-identity with the sequential baseline. Under a
+/// budget every thread must also have run Grace joins.
 fn hammer(db: &SharedDatabase, expected: &[String], budget: Option<u64>) {
     let threads: Vec<_> = (0..READERS)
         .map(|t| {
             let db = db.clone();
             let expected = expected.to_vec();
             thread::spawn(move || {
+                let spilled_before = grace_joins_on_this_thread();
                 with_budget(budget, || {
                     for round in 0..ROUNDS {
                         for qi in 0..QUERIES.len() {
@@ -141,7 +153,13 @@ fn hammer(db: &SharedDatabase, expected: &[String], budget: Option<u64>) {
                             );
                         }
                     }
-                })
+                });
+                if budget.is_some() {
+                    assert!(
+                        grace_joins_on_this_thread() > spilled_before,
+                        "thread {t} ran no Grace join under budget {budget:?}"
+                    );
+                }
             })
         })
         .collect();
@@ -152,14 +170,14 @@ fn hammer(db: &SharedDatabase, expected: &[String], budget: Option<u64>) {
 
 #[test]
 fn concurrent_readers_match_sequential_baseline() {
-    let db = SharedDatabase::new(build_db());
+    let db = SharedDatabase::new(build_db(true));
     let expected = baselines(&db);
     hammer(&db, &expected, None);
 }
 
 #[test]
 fn concurrent_readers_match_baseline_under_forced_spilling() {
-    let db = SharedDatabase::new(build_db());
+    let db = SharedDatabase::new(build_db(false));
     // Baseline computed unspilled; a 64-byte budget then forces every
     // thread's hash joins through the Grace spill path concurrently.
     let expected = baselines(&db);
@@ -186,7 +204,7 @@ fn concurrent_readers_match_baseline_under_forced_spilling() {
 
 #[test]
 fn readers_see_only_published_epochs_during_writes() {
-    let db = SharedDatabase::new(build_db());
+    let db = SharedDatabase::new(build_db(true));
     const NEW_ROWS: i64 = 40;
 
     let writer = {

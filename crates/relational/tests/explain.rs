@@ -53,8 +53,25 @@ fn explain_shows_pushdown_and_join_order() {
     );
     // The planner starts from the smaller side.
     assert!(text.contains("start from smallest relation s"), "{text}");
-    assert!(text.contains("hash join"), "{text}");
+    assert!(text.contains("fk join s.id = b.small_id"), "{text}");
     assert!(text.contains("output:"), "{text}");
+}
+
+/// Only an edge that is exactly a foreign key onto its primary key joins
+/// through the stored index; any other equi-join hashes.
+#[test]
+fn explain_names_the_join_kernel_per_edge() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT s.tag FROM big b, small s WHERE b.v = s.id",
+    );
+    assert!(text.contains("hash join s.id = b.v with b"), "{text}");
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT s.tag FROM small s JOIN big b ON s.id = b.small_id",
+    );
+    assert!(text.contains("fk join s.id = b.small_id with b"), "{text}");
 }
 
 #[test]
@@ -150,7 +167,7 @@ execution:
 scan b (100 rows) pushdown [b.v >= 3] -> 83 rows
 scan s (5 rows)
 start from smallest relation s
-hash join s.id = b.small_id with b (83 rows) -> 83 rows
+fk join s.id = b.small_id with b (83 rows) -> 83 rows
 group by 1 key(s) [TEXT word] -> 5 groups
 top 2 of 3 by [COUNT(*) DESC, s.tag]
 output: 2 rows x 3 columns"
@@ -178,7 +195,7 @@ execution:
 scan b (100 rows)
 scan s (5 rows) pushdown [s.tag <> 'tag3'] -> 4 rows
 start from smallest relation s
-hash join s.id = b.small_id with b (100 rows) -> 80 rows
+fk join s.id = b.small_id with b (100 rows) -> 80 rows
 top 7 of 80 by [b.v DESC, b.id]
 output: 5 rows x 2 columns"
     );
@@ -224,8 +241,8 @@ scan b (100 rows)
 scan m (20 rows)
 scan s (5 rows)
 start from smallest relation s
-hash join s.id = b.small_id with b (100 rows) -> 100 rows
-hash join s.id = m.small_id with m (20 rows) -> 400 rows
+fk join s.id = b.small_id with b (100 rows) -> 100 rows
+fk join s.id = m.small_id with m (20 rows) -> 400 rows
 residual filter [b.v < m.w] -> 72 rows
 top 4 of 72 by [m.w DESC, b.id, m.id]
 output: 4 rows x 3 columns"
@@ -256,7 +273,7 @@ execution:
 scan b (100 rows)
 scan s (5 rows)
 start from smallest relation s
-hash join s.id = b.small_id with b (100 rows) -> 100 rows
+fk join s.id = b.small_id with b (100 rows) -> 100 rows
 group by 2 key(s) [TEXT word, INT word] -> 5 groups
 output: 2 rows x 3 columns"
     );

@@ -63,6 +63,17 @@
 //! no spill files behind. With `ETABLE_MEM_BUDGET` set (the nightly
 //! tiny-budget matrix leg), the other legs' unoverridden queries spill
 //! too, differentially checked against the naive oracle as usual.
+//!
+//! **Foreign-key leg**: `fk_joins_agree_with_hash_joins` has a schema and
+//! case stream of its own (the legs above keep theirs): `r` (nullable)
+//! and `q` both reference `s`'s primary key, so their join edges run on
+//! the stored foreign-key index (`fk join`). Each case interleaves random
+//! DML with joins in both orientations, 3-way chains through `s` and
+//! filters on both sides, and runs every statement twice: on that
+//! database and on a twin holding the same rows with no foreign key
+//! declared, whose edges are hash joins (which spill under
+//! `ETABLE_MEM_BUDGET`). The two must return the same row *sequence*, and
+//! agree with the naive oracle as bags.
 
 use etable_repro::relational::database::Database;
 use etable_repro::relational::exec::budget;
@@ -800,6 +811,176 @@ fn check_spill_case(seed: u64) -> std::result::Result<(), String> {
     Ok(())
 }
 
+/// The foreign-key leg's schema: `r` and `q` reference `s`'s primary key.
+const FK_SCHEMA: [&str; 3] = [
+    "CREATE TABLE s (id INT PRIMARY KEY, g INT NOT NULL, txt TEXT)",
+    "CREATE TABLE r (id INT PRIMARY KEY, s_id INT REFERENCES s(id), w INT, lbl TEXT)",
+    "CREATE TABLE q (id INT PRIMARY KEY, s_id INT NOT NULL REFERENCES s(id), v INT)",
+];
+
+/// A database over [`FK_SCHEMA`] and its twin without the foreign keys,
+/// holding the same random rows: `s` in shuffled key order, and `r` and
+/// `q` bulk-loaded unchecked, so some of their keys dangle.
+fn fk_dbs(rng: &mut StdRng) -> (Database, Database) {
+    let (mut fk, mut twin) = (Database::new(), Database::new());
+    for stmt in FK_SCHEMA {
+        execute(&mut fk, stmt).unwrap();
+        execute(&mut twin, &stmt.replace(" REFERENCES s(id)", "")).unwrap();
+    }
+    let word = |rng: &mut StdRng| -> Value {
+        match rng.gen_range(0..4) {
+            0 => Value::Null,
+            _ => WORDS[rng.gen_range(0..WORDS.len())].into(),
+        }
+    };
+    let mut ids: Vec<i64> = (0..10).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    ids.truncate(rng.gen_range(0..=8));
+    let s_rows: Vec<_> = (ids.iter())
+        .map(|&id| vec![id.into(), rng.gen_range(0..3i64).into(), word(rng)])
+        .collect();
+    let r_rows: Vec<_> = (0..rng.gen_range(0..=12i64))
+        .map(|id| {
+            let s_id: Value = match rng.gen_range(0..4) {
+                0 => Value::Null,
+                _ => rng.gen_range(0..11i64).into(),
+            };
+            vec![id.into(), s_id, rng.gen_range(0..4i64).into(), word(rng)]
+        })
+        .collect();
+    let q_rows: Vec<_> = (0..rng.gen_range(0..=8i64))
+        .map(|id| {
+            let v = rng.gen_range(0..5i64).into();
+            vec![id.into(), rng.gen_range(0..11i64).into(), v]
+        })
+        .collect();
+    for db in [&mut fk, &mut twin] {
+        db.append_rows("s", s_rows.clone()).unwrap();
+        db.append_rows("r", r_rows.clone()).unwrap();
+        db.append_rows("q", q_rows.clone()).unwrap();
+    }
+    (fk, twin)
+}
+
+/// A random SELECT over [`FK_SCHEMA`]: one of six join shapes (both
+/// orientations, JOIN..ON, two 3-way chains through `s`, and `r` joined
+/// to `s` twice), up to two filters drawn from both sides, and now and
+/// then a grouped count.
+fn fk_query(rng: &mut StdRng) -> String {
+    let (from, filters): (&str, &[&str]) = match rng.gen_range(0..6) {
+        0 => (
+            "r, s WHERE r.s_id = s.id",
+            &["r.w > 1", "r.lbl = 'fig'", "s.g = 1"],
+        ),
+        1 => (
+            "s JOIN r ON s.id = r.s_id",
+            &["s.txt IS NULL", "r.w <> 2", "s.id < 5"],
+        ),
+        2 => (
+            "r, s, q WHERE r.s_id = s.id AND q.s_id = s.id",
+            &["q.v < 3", "s.g <> 0", "r.lbl IS NOT NULL"],
+        ),
+        3 => (
+            "q, s, r WHERE s.id = q.s_id AND s.id = r.s_id",
+            &["q.v = 1", "r.w < 3", "s.id >= 2"],
+        ),
+        4 => (
+            "r a, s, r b WHERE a.s_id = s.id AND s.id = b.s_id",
+            &["a.w = 0", "b.w > 0", "s.g = 2"],
+        ),
+        _ => (
+            "s, q WHERE q.s_id = s.id",
+            &["q.v >= 2", "s.txt = 'pear'", "s.g < 2"],
+        ),
+    };
+    let mut sql = String::from(from);
+    for _ in 0..rng.gen_range(0..3) {
+        sql += &format!(" AND {}", filters[rng.gen_range(0..filters.len())]);
+    }
+    if from.starts_with("s JOIN") {
+        // JOIN..ON takes its filters in a WHERE of their own.
+        sql = sql.replacen(" AND ", " WHERE ", 1);
+    }
+    match rng.gen_range(0..4) {
+        0 => format!("SELECT s.g, COUNT(*) AS n FROM {sql} GROUP BY s.g"),
+        _ => format!("SELECT * FROM {sql}"),
+    }
+}
+
+/// A random write over [`FK_SCHEMA`]: inserts on every table (keys that
+/// may be missing, duplicated or NULL), updates of a foreign key, of a
+/// primary key and of a plain column, and deletes that RESTRICT may
+/// refuse.
+fn fk_write(rng: &mut StdRng, next: i64) -> String {
+    let k = rng.gen_range(0..11i64);
+    let key = |rng: &mut StdRng| match rng.gen_range(0..4) {
+        0 => "NULL".to_string(),
+        _ => rng.gen_range(0..11i64).to_string(),
+    };
+    match rng.gen_range(0..9) {
+        0 => format!("INSERT INTO s VALUES ({k}, {}, 'kiwi')", k % 3),
+        1 => format!(
+            "INSERT INTO r VALUES ({next}, {}, {}, 'zz')",
+            key(rng),
+            k % 4
+        ),
+        2 => format!("INSERT INTO q VALUES ({next}, {k}, {})", k % 5),
+        3 => format!("UPDATE r SET s_id = {} WHERE w = {}", key(rng), k % 4),
+        4 => format!("UPDATE s SET id = {} WHERE id = {k}", next),
+        5 => format!("UPDATE s SET g = {} WHERE id < {k}", k % 3),
+        6 => format!("DELETE FROM s WHERE id = {k}"),
+        7 => format!("DELETE FROM r WHERE w = {}", k % 4),
+        _ => format!("DELETE FROM q WHERE v < {}", k % 5),
+    }
+}
+
+/// One foreign-key case: eight statements, writes interleaved with
+/// joins. A write the foreign-key database accepts must be accepted by
+/// the twin too (which lacks only constraints); a read must return the
+/// same row sequence on both, and the same bag as the naive oracle.
+fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut fk, mut twin) = fk_dbs(&mut rng);
+    for step in 0..8i64 {
+        if rng.gen_range(0..2) == 0 {
+            let sql = fk_write(&mut rng, 100 + step);
+            if execute(&mut fk, &sql).is_ok() {
+                execute(&mut twin, &sql).map_err(|e| format!("twin refused `{sql}`: {e}"))?;
+            }
+            continue;
+        }
+        let sql = fk_query(&mut rng);
+        let q = match parse_statement(&sql) {
+            Ok(Statement::Select(q)) => q,
+            other => return Err(format!("generated SQL failed to parse: {other:?}: {sql}")),
+        };
+        let (a, b) = (execute_query(&fk, &q), execute_query(&twin, &q));
+        let (a, b) = match (a, b) {
+            (Ok(a), Ok(b)) => (a.rows, b.rows),
+            (a, b) => return Err(format!("`{sql}` failed: fk {a:?}, twin {b:?}")),
+        };
+        if a != b {
+            return Err(format!(
+                "fk join diverged from hash join on `{sql}`:\n fk:   {a:?}\n hash: {b:?}"
+            ));
+        }
+        let mut naive = execute_query_naive(&fk, &q)
+            .map_err(|e| format!("oracle error on `{sql}`: {e}"))?
+            .rows;
+        let mut bag = a;
+        bag.sort();
+        naive.sort();
+        if bag != naive {
+            return Err(format!(
+                "bag divergence on `{sql}`:\n fk:     {bag:?}\n oracle: {naive:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Case-count override: `PROPTEST_CASES` (defaults to 256, the count CI
 /// runs).
 fn cases() -> u32 {
@@ -832,6 +1013,94 @@ proptest! {
             prop_assert!(false, "{}", msg);
         }
     }
+
+    #[test]
+    fn fk_joins_agree_with_hash_joins(seed in 0u64..u64::MAX / 2) {
+        if let Err(msg) = check_fk_case(seed) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+/// The foreign-key leg's grammar reaches every shape, and its reads run
+/// on both join kernels: `fk join` on the database, `hash join` on the
+/// twin.
+#[test]
+fn fk_grammar_smoke() {
+    let mut shapes = std::collections::BTreeSet::new();
+    let (mut grouped, mut filtered) = (false, false);
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let _ = fk_dbs(&mut rng);
+        let sql = fk_query(&mut rng);
+        shapes.insert(
+            sql.split(" WHERE")
+                .next()
+                .unwrap_or("")
+                .replace("SELECT s.g, COUNT(*) AS n", "SELECT *"),
+        );
+        grouped |= sql.contains("GROUP BY");
+        filtered |= sql.matches(" AND ").count() >= 3;
+        assert!(parse_statement(&sql).is_ok(), "must parse: {sql}");
+    }
+    assert!(shapes.len() >= 5 && grouped && filtered, "{shapes:?}");
+    let mut rng = StdRng::seed_from_u64(1);
+    let (mut fk, mut twin) = fk_dbs(&mut rng);
+    let explain = "EXPLAIN SELECT * FROM r, s, q WHERE r.s_id = s.id AND q.s_id = s.id";
+    let plan = |db: &mut Database| format!("{:?}", execute(db, explain).unwrap().rows);
+    let (a, b) = (plan(&mut fk), plan(&mut twin));
+    assert!(a.contains("fk join") && !a.contains("hash join"), "{a}");
+    assert!(b.contains("hash join") && !b.contains("fk join"), "{b}");
+}
+
+/// Spill coverage does not shrink with the stored index: at a 64-byte
+/// budget a join off the foreign key still takes the Grace path, and so
+/// do the index's build and the twin's hash join of the same foreign-key
+/// shape, while the join through the built index returns the same rows
+/// without spilling.
+#[test]
+fn non_fk_equi_join_still_spills_at_budget_64() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut fk, mut twin) = fk_dbs(&mut rng);
+    for db in [&mut fk, &mut twin] {
+        for i in 0..8i64 {
+            execute(db, &format!("INSERT INTO s VALUES ({}, 1, 'fig')", 20 + i)).unwrap();
+            execute(
+                db,
+                &format!("INSERT INTO r VALUES ({}, {}, 1, 'fig')", 40 + i, 20 + i),
+            )
+            .unwrap();
+        }
+    }
+    let run = |db: &Database, sql: &str| {
+        let q = match parse_statement(sql) {
+            Ok(Statement::Select(q)) => q,
+            other => panic!("{other:?}"),
+        };
+        budget::with_budget(Some(64), || {
+            let before = etable_repro::relational::storage::spill::grace_joins_on_this_thread();
+            let rows = execute_query(db, &q).unwrap().rows;
+            let spilled =
+                etable_repro::relational::storage::spill::grace_joins_on_this_thread() - before;
+            (rows, spilled)
+        })
+    };
+    let off_key = "SELECT * FROM r, s WHERE r.lbl = s.txt";
+    assert!(
+        run(&fk, off_key).1 > 0,
+        "a non-FK equi-join must spill at budget 64"
+    );
+    // The index's first use builds it through the hashing kernel, which
+    // spills too; from then on the join along the key reads the index.
+    let along = "SELECT * FROM r, s WHERE r.s_id = s.id";
+    assert!(
+        run(&fk, along).1 > 0,
+        "the index build must spill at budget 64"
+    );
+    let ((fk_rows, fk_spills), (twin_rows, twin_spills)) = (run(&fk, along), run(&twin, along));
+    assert_eq!(fk_rows, twin_rows);
+    assert_eq!(fk_spills, 0);
+    assert!(twin_spills > 0);
 }
 
 /// A handful of grammar corners replayed explicitly (fast to eyeball when
