@@ -10,8 +10,8 @@
 //! this corpus fits (the largest, 3 000 rows, is estimated at 54 000
 //! bytes), so it prices the budget check on joins that stay resident;
 //! `grace_1` is the adversarial floor: every partition is over budget at
-//! every depth, so the join recurses to the bound and finishes on the
-//! sort fallback.
+//! every depth, so the join recurses to the bound and finishes there on
+//! the resident kernel, over budget.
 //! Output cardinality is asserted equal across all three every
 //! iteration — a spill bench that returned different rows would be
 //! measuring a bug.

@@ -142,27 +142,13 @@ impl MatchResult {
 /// pattern tree from the primary node outward, expanding one edge at a time
 /// (each expansion is a `∗` join against a filtered base relation).
 pub fn match_full(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<GraphRelation> {
-    pattern.validate(tgdb)?;
-    let root = pattern.primary;
-    let mut rel = GraphRelation::base(
-        tgdb,
-        root,
-        pattern.node(root).node_type,
-        &pattern.node(root).filter,
-    )?;
-    // BFS over the tree.
-    let mut visited = vec![false; pattern.len()];
-    visited[root.0] = true;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    while let Some(cur) = queue.pop_front() {
-        for (next, et) in pattern.incident(tgdb, cur) {
-            if visited[next.0] {
-                continue;
-            }
-            visited[next.0] = true;
-            rel = rel.expand(tgdb, et, cur, next, &pattern.node(next).filter)?;
-            queue.push_back(next);
+    let tree = pattern.tree(tgdb, pattern.primary)?;
+    let root = pattern.node(pattern.primary);
+    let mut rel = GraphRelation::base(tgdb, pattern.primary, root.node_type, &root.filter)?;
+    for step in &tree {
+        if let Some(via) = step.via {
+            let filter = &pattern.node(step.node).filter;
+            rel = rel.expand(tgdb, via.edge_type, via.parent, step.node, filter)?;
         }
     }
     Ok(rel)
@@ -171,28 +157,8 @@ pub fn match_full(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<GraphRelation> 
 /// Computes the per-node participating sets with two passes over the
 /// pattern tree (Yannakakis), avoiding the full cross product.
 pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult> {
-    pattern.validate(tgdb)?;
+    let tree = pattern.tree(tgdb, pattern.primary)?;
     let n = pattern.len();
-    let root = pattern.primary;
-
-    // Tree orders: parents/children from the primary root.
-    let mut parent: Vec<Option<(PatternNodeId, EdgeTypeId)>> = vec![None; n];
-    let mut order = Vec::with_capacity(n); // BFS pre-order
-    let mut visited = vec![false; n];
-    visited[root.0] = true;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    while let Some(cur) = queue.pop_front() {
-        order.push(cur);
-        for (next, et) in pattern.incident(tgdb, cur) {
-            if !visited[next.0] {
-                visited[next.0] = true;
-                // Store the child -> parent direction for the upward pass.
-                parent[next.0] = Some((cur, tgdb.schema.edge_type(et).reverse));
-                queue.push_back(next);
-            }
-        }
-    }
 
     // Initial candidates: local filters only, in instance order.
     let mut allowed: Vec<Vec<NodeId>> = Vec::with_capacity(n);
@@ -232,20 +198,27 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
         member[cur.0] = bits;
     };
 
-    // Upward pass (post-order): a node survives only if, for every child,
-    // it has at least one allowed neighbor.
-    for &cur in order.iter().rev() {
-        if let Some((p, up_edge)) = parent[cur.0] {
-            let down_edge = tgdb.schema.edge_type(up_edge).reverse;
-            semi_join(&mut allowed, &mut member, p, cur, down_edge);
+    // Upward pass (children first: the tree lists parents before their
+    // children, so read it backwards): a node survives only if, for every
+    // child, it has at least one allowed neighbor.
+    for step in tree.iter().rev() {
+        if let Some(via) = step.via {
+            semi_join(
+                &mut allowed,
+                &mut member,
+                via.parent,
+                step.node,
+                via.edge_type,
+            );
         }
     }
 
     // Downward pass (pre-order): a node survives only if it has an allowed
     // parent.
-    for &cur in &order {
-        if let Some((p, up_edge)) = parent[cur.0] {
-            semi_join(&mut allowed, &mut member, cur, p, up_edge);
+    for step in &tree {
+        if let Some(via) = step.via {
+            let up_edge = tgdb.schema.edge_type(via.edge_type).reverse;
+            semi_join(&mut allowed, &mut member, step.node, via.parent, up_edge);
         }
     }
 
@@ -488,6 +461,19 @@ mod tests {
             .map(|&a| tgdb.instances.label(a).to_string())
             .collect();
         assert_eq!(names, vec!["H. V. Jagadish", "Arnab Nandi"]);
+    }
+
+    #[test]
+    fn related_refuses_an_out_of_range_target() {
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let q = ops::initiate(&tgdb, papers).unwrap();
+        let m = match_primary(&tgdb, &q).unwrap();
+        let row = m.rows()[0];
+        for target in [1, 7, usize::MAX] {
+            let got = m.related(&tgdb, row, PatternNodeId(target));
+            assert!(matches!(got, Err(crate::Error::InvalidNode(_))), "{got:?}");
+        }
     }
 
     #[test]

@@ -257,9 +257,9 @@ impl BoundFilter<'_> {
     /// Whether `node`, of the node type the filter was bound to, satisfies
     /// every atom (SQL three-valued logic: unknown is not a match).
     pub fn eval(&self, tgdb: &Tgdb, node: NodeId) -> bool {
-        let values = &tgdb.instances.node(node).values;
+        let at = |attr: usize| tgdb.instances.value(node, attr);
         self.atoms.iter().all(|atom| match atom {
-            BoundAtom::Cmp(attr, op, value) => match values[*attr].sql_cmp(value) {
+            BoundAtom::Cmp(attr, op, value) => match at(*attr).sql_cmp(value) {
                 None => false,
                 Some(o) => match op {
                     CmpOp::Eq => o == Ordering::Equal,
@@ -272,10 +272,10 @@ impl BoundFilter<'_> {
             },
             // NULL is neither LIKE nor NOT LIKE anything.
             BoundAtom::Like(attr, pattern, wanted) => {
-                !values[*attr].is_null() && like_text(pattern, &values[*attr]) == *wanted
+                !at(*attr).is_null() && like_text(pattern, &at(*attr)) == *wanted
             }
-            BoundAtom::In(attr, list) => list.iter().any(|w| values[*attr].sql_eq(w) == Some(true)),
-            BoundAtom::IsNull(attr) => values[*attr].is_null(),
+            BoundAtom::In(attr, list) => list.iter().any(|w| at(*attr).sql_eq(w) == Some(true)),
+            BoundAtom::IsNull(attr) => at(*attr).is_null(),
             BoundAtom::NodeIs(target) => node == *target,
             BoundAtom::NeighborLabelLike(edge, pattern) => {
                 let mut neighbors = tgdb.instances.neighbors(*edge, node).iter();
@@ -304,6 +304,27 @@ pub struct PatternEdge {
     pub from: PatternNodeId,
     /// Target pattern node (the newly added one when built via `Add`).
     pub to: PatternNodeId,
+}
+
+/// One node of [`QueryPattern::tree`] and the link it was reached by
+/// (`None` for the root).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeStep {
+    /// The pattern node.
+    pub node: PatternNodeId,
+    /// The link from its parent.
+    pub via: Option<TreeEdge>,
+}
+
+/// The parent → child link of a non-root [`TreeStep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeEdge {
+    /// The node the walk came from.
+    pub parent: PatternNodeId,
+    /// The edge type oriented parent → child.
+    pub edge_type: EdgeTypeId,
+    /// The pattern edge taken, as an index into [`QueryPattern::edges`].
+    pub edge: usize,
 }
 
 /// A query pattern `Q = (τa, T, P, C)`.
@@ -363,67 +384,31 @@ impl QueryPattern {
         out
     }
 
-    /// The unique tree path from `from` to `to` as a list of
-    /// `(next node, edge type oriented along the walk)` steps.
-    pub fn path(
-        &self,
-        tgdb: &Tgdb,
-        from: PatternNodeId,
-        to: PatternNodeId,
-    ) -> Result<Vec<(PatternNodeId, EdgeTypeId)>> {
-        // BFS with parent tracking; patterns are small so this is cheap.
-        let mut parent: Vec<Option<(PatternNodeId, EdgeTypeId)>> = vec![None; self.nodes.len()];
-        let mut visited = vec![false; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
-        visited[from.0] = true;
-        queue.push_back(from);
-        while let Some(cur) = queue.pop_front() {
-            if cur == to {
-                break;
-            }
-            for (next, et) in self.incident(tgdb, cur) {
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    parent[next.0] = Some((cur, et));
-                    queue.push_back(next);
-                }
-            }
-        }
-        if !visited[to.0] {
-            return Err(Error::Disconnected);
-        }
-        let mut steps = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let (prev, et) = parent[cur.0].expect("visited nodes have parents");
-            steps.push((cur, et));
-            cur = prev;
-        }
-        steps.reverse();
-        Ok(steps)
-    }
-
-    /// Checks the structural invariants against the schema.
-    pub fn validate(&self, tgdb: &Tgdb) -> Result<()> {
-        if self.nodes.is_empty() {
+    /// The pattern as a tree rooted at `root`: every node once, root
+    /// first, breadth-first over [`QueryPattern::edges`] in index order, so
+    /// each parent comes before its children. The one walk of a pattern:
+    /// validation, paths, matching, the SQL translation and the diagram
+    /// all read it. Fails on a malformed pattern or an unknown `root`.
+    pub fn tree(&self, tgdb: &Tgdb, root: PatternNodeId) -> Result<Vec<TreeStep>> {
+        let n = self.nodes.len();
+        if n == 0 {
             return Err(Error::EmptyPattern);
         }
-        if self.primary.0 >= self.nodes.len() {
+        if self.primary.0 >= n {
             return Err(Error::InvalidNode(format!(
                 "primary {} out of range",
                 self.primary
             )));
         }
         // Tree: n nodes, n-1 edges, connected.
-        if self.edges.len() != self.nodes.len() - 1 {
+        if self.edges.len() != n - 1 {
             return Err(Error::NotATree(format!(
-                "{} nodes but {} edges",
-                self.nodes.len(),
+                "{n} nodes but {} edges",
                 self.edges.len()
             )));
         }
         for e in &self.edges {
-            if e.from.0 >= self.nodes.len() || e.to.0 >= self.nodes.len() {
+            if e.from.0 >= n || e.to.0 >= n {
                 return Err(Error::InvalidNode(format!(
                     "edge endpoint out of range ({} -> {})",
                     e.from, e.to
@@ -439,24 +424,73 @@ impl QueryPattern {
                 )));
             }
         }
-        // Connectivity from the primary.
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![self.primary];
-        visited[self.primary.0] = true;
-        let mut seen = 1;
-        while let Some(cur) = stack.pop() {
-            for (next, _) in self.incident(tgdb, cur) {
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    seen += 1;
-                    stack.push(next);
+        if root.0 >= n {
+            return Err(Error::InvalidNode(format!("{root} out of range")));
+        }
+        // The steps double as the BFS queue: `next` is the next to expand.
+        let mut steps = vec![TreeStep {
+            node: root,
+            via: None,
+        }];
+        let mut next = 0;
+        while let Some(&TreeStep { node: cur, .. }) = steps.get(next) {
+            next += 1;
+            for (edge, e) in self.edges.iter().enumerate() {
+                let (child, edge_type) = match (e.from == cur, e.to == cur) {
+                    (true, _) => (e.to, e.edge_type),
+                    (_, true) => (e.from, tgdb.schema.edge_type(e.edge_type).reverse),
+                    _ => continue,
+                };
+                if steps.iter().all(|s| s.node != child) {
+                    let via = TreeEdge {
+                        parent: cur,
+                        edge_type,
+                        edge,
+                    };
+                    steps.push(TreeStep {
+                        node: child,
+                        via: Some(via),
+                    });
                 }
             }
         }
-        if seen != self.nodes.len() {
+        if steps.len() != n {
             return Err(Error::Disconnected);
         }
-        Ok(())
+        Ok(steps)
+    }
+
+    /// The unique tree path from `from` to `to` as a list of
+    /// `(next node, edge type oriented along the walk)` steps: the parent
+    /// links of [`QueryPattern::tree`] rooted at `from`, followed up from
+    /// `to`.
+    pub fn path(
+        &self,
+        tgdb: &Tgdb,
+        from: PatternNodeId,
+        to: PatternNodeId,
+    ) -> Result<Vec<(PatternNodeId, EdgeTypeId)>> {
+        // Parents precede children, so one backward pass meets every
+        // ancestor of `to` after the node below it, and ends at `from`
+        // unless `to` is not in the tree at all.
+        let mut walk = Vec::new();
+        let mut cur = to;
+        for step in self.tree(tgdb, from)?.iter().rev() {
+            if let (true, Some(via)) = (step.node == cur, step.via) {
+                walk.push((cur, via.edge_type));
+                cur = via.parent;
+            }
+        }
+        if cur != from {
+            return Err(Error::InvalidNode(format!("{to} out of range")));
+        }
+        walk.reverse();
+        Ok(walk)
+    }
+
+    /// Checks the structural invariants against the schema.
+    pub fn validate(&self, tgdb: &Tgdb) -> Result<()> {
+        self.tree(tgdb, self.primary).map(drop)
     }
 
     /// A canonical string key for caching: stable under re-execution of the
@@ -480,43 +514,46 @@ impl QueryPattern {
     }
 
     /// Renders the pattern as an indented tree diagram rooted at the primary
-    /// node (the schema view of Figure 9; compare Figure 6).
+    /// node (the schema view of Figure 9; compare Figure 6). A pattern that
+    /// fails [`QueryPattern::validate`] renders as its refusal.
     pub fn diagram(&self, tgdb: &Tgdb) -> String {
         let mut out = String::new();
-        let mut visited = vec![false; self.nodes.len()];
-        self.diagram_rec(tgdb, self.primary, None, 0, &mut visited, &mut out);
+        match self.tree(tgdb, self.primary) {
+            Ok(tree) => self.diagram_rec(tgdb, &tree, &tree[0], 0, &mut out),
+            Err(e) => out = format!("{e}\n"),
+        }
         out
     }
 
+    /// Writes `step`'s line, then its children's subtrees in tree order.
     fn diagram_rec(
         &self,
         tgdb: &Tgdb,
-        cur: PatternNodeId,
-        via: Option<EdgeTypeId>,
+        tree: &[TreeStep],
+        step: &TreeStep,
         depth: usize,
-        visited: &mut [bool],
         out: &mut String,
     ) {
         use std::fmt::Write;
-        visited[cur.0] = true;
-        let node = self.node(cur);
+        let node = self.node(step.node);
         let type_name = &tgdb.schema.node_type(node.node_type).name;
         let indent = "    ".repeat(depth);
-        let arrow = match via {
-            Some(et) => format!("--[{}]--> ", tgdb.schema.edge_type(et).name),
+        let arrow = match step.via {
+            Some(via) => format!("--[{}]--> ", tgdb.schema.edge_type(via.edge_type).name),
             None => String::new(),
         };
-        let star = if cur == self.primary { " *" } else { "" };
+        let star = if step.node == self.primary { " *" } else { "" };
         let cond = if node.filter.is_empty() {
             String::new()
         } else {
             format!(" {{{}}}", node.filter.display_with(tgdb))
         };
         let _ = writeln!(out, "{indent}{arrow}{type_name}{star}{cond}");
-        for (next, et) in self.incident(tgdb, cur) {
-            if !visited[next.0] {
-                self.diagram_rec(tgdb, next, Some(et), depth + 1, visited, out);
-            }
+        for child in tree
+            .iter()
+            .filter(|s| s.via.is_some_and(|via| via.parent == step.node))
+        {
+            self.diagram_rec(tgdb, tree, child, depth + 1, out);
         }
     }
 }
@@ -594,26 +631,86 @@ mod tests {
     fn validate_rejects_broken_structures() {
         let tgdb = academic_tgdb();
         let good = chain(&tgdb);
-        // Extra edge -> not a tree.
-        let mut cyclic = good.clone();
-        cyclic.edges.push(cyclic.edges[0]);
-        assert!(matches!(
-            cyclic.validate(&tgdb),
-            Err(crate::Error::NotATree(_))
-        ));
-        // Mistyped edge.
-        let mut mistyped = good.clone();
-        mistyped.edges[0].to = PatternNodeId(2); // Conferences-edge into Authors
-        assert!(mistyped.validate(&tgdb).is_err());
+        let refusal = |q: &QueryPattern| q.validate(&tgdb).unwrap_err().to_string();
+        assert!(good.validate(&tgdb).is_ok());
+        // No nodes.
+        let mut empty = good.clone();
+        empty.nodes.clear();
+        assert_eq!(refusal(&empty), "query pattern has no nodes");
         // Out-of-range primary.
         let mut bad_primary = good.clone();
         bad_primary.primary = PatternNodeId(9);
-        assert!(bad_primary.validate(&tgdb).is_err());
-        // Disconnected: two nodes, an edge count of one, but the edge
-        // connects a node to itself-typed duplicate incorrectly removed.
+        assert_eq!(
+            refusal(&bad_primary),
+            "invalid pattern node: primary p9 out of range"
+        );
+        // Extra edge -> not a tree.
+        let mut cyclic = good.clone();
+        cyclic.edges.push(cyclic.edges[0]);
+        assert_eq!(
+            refusal(&cyclic),
+            "pattern is not a tree: 4 nodes but 4 edges"
+        );
+        // An edge to a node that does not exist.
+        let mut dangling = good.clone();
+        dangling.edges[2].to = PatternNodeId(7);
+        assert_eq!(
+            refusal(&dangling),
+            "invalid pattern node: edge endpoint out of range (p2 -> p7)"
+        );
+        // Mistyped edge: the Conferences -> Papers type into Authors.
+        let mut mistyped = good.clone();
+        mistyped.edges[0].to = PatternNodeId(2);
+        assert!(
+            refusal(&mistyped).starts_with("invalid pattern edge: edge type `"),
+            "{}",
+            refusal(&mistyped)
+        );
+        // n - 1 edges, but one repeated: a cycle, and a node cut off.
         let mut disconnected = good;
-        disconnected.edges.remove(1);
-        assert!(disconnected.validate(&tgdb).is_err());
+        disconnected.edges[1] = disconnected.edges[0];
+        assert_eq!(refusal(&disconnected), "pattern is disconnected");
+        // Structural checks run in that order: an empty pattern is refused
+        // as empty however its other fields look.
+        let mut both = disconnected.clone();
+        both.nodes.clear();
+        assert!(matches!(both.validate(&tgdb), Err(Error::EmptyPattern)));
+    }
+
+    #[test]
+    fn tree_lists_nodes_breadth_first_over_edge_order() {
+        let tgdb = academic_tgdb();
+        let q = chain(&tgdb);
+        // Rooted in the middle of the chain 0 - 1 - 2 - 3.
+        let tree = q.tree(&tgdb, PatternNodeId(2)).unwrap();
+        let nodes: Vec<usize> = tree.iter().map(|s| s.node.0).collect();
+        assert_eq!(nodes, vec![2, 1, 3, 0]);
+        assert_eq!(tree[0].via, None);
+        for step in &tree[1..] {
+            let via = step.via.unwrap();
+            let e = q.edges[via.edge];
+            assert!(
+                (e.from, e.to) == (via.parent, step.node)
+                    || (e.to, e.from) == (via.parent, step.node)
+            );
+            let et = tgdb.schema.edge_type(via.edge_type);
+            assert_eq!(et.source, q.node(via.parent).node_type);
+            assert_eq!(et.target, q.node(step.node).node_type);
+        }
+        assert!(matches!(
+            q.tree(&tgdb, PatternNodeId(4)),
+            Err(Error::InvalidNode(_))
+        ));
+    }
+
+    #[test]
+    fn path_refuses_out_of_range_nodes() {
+        let tgdb = academic_tgdb();
+        let q = chain(&tgdb);
+        for (from, to) in [(4, 0), (0, 4), (usize::MAX, usize::MAX)] {
+            let got = q.path(&tgdb, PatternNodeId(from), PatternNodeId(to));
+            assert!(matches!(got, Err(Error::InvalidNode(_))), "{got:?}");
+        }
     }
 
     #[test]
@@ -642,6 +739,13 @@ mod tests {
         }
         // Exactly one primary marker.
         assert_eq!(d1.matches(" *").count(), 1, "{d1}");
+        // A malformed pattern renders as its refusal.
+        let mut broken = q;
+        broken.edges.pop();
+        assert_eq!(
+            broken.diagram(&tgdb),
+            "pattern is not a tree: 4 nodes but 2 edges\n"
+        );
     }
 
     #[test]

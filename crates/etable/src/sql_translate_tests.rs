@@ -28,13 +28,13 @@ mod tests {
         m.rows()
             .iter()
             .map(|&n| {
-                let node = tgdb.instances.node(n);
-                if nt.kind == NodeTypeKind::Entity {
+                let attr = if nt.kind == NodeTypeKind::Entity {
                     // First attribute is the pk for our schemas ("id").
-                    node.values[nt.attr_index("id").unwrap_or(0)].to_string()
+                    nt.attr_index("id").unwrap_or(0)
                 } else {
-                    node.values[0].to_string()
-                }
+                    0
+                };
+                tgdb.instances.value(n, attr).to_string()
             })
             .collect()
     }

@@ -205,8 +205,7 @@ impl Builder<'_> {
             let repr = self.repr(id)?.clone();
             let cond = match atom {
                 FilterAtom::NodeIs(n) => {
-                    let values = &self.tgdb.instances.node(*n).values;
-                    let v = match &repr {
+                    let attr = match &repr {
                         NodeRepr::Entity { pk, .. } => {
                             let nt = self.tgdb.schema.node_type(node.node_type);
                             let pk_attr = nt.attr_index(pk).ok_or_else(|| {
@@ -215,10 +214,11 @@ impl Builder<'_> {
                                     nt.name
                                 ))
                             })?;
-                            values[pk_attr]
+                            pk_attr
                         }
-                        NodeRepr::Value(_) => values[0],
+                        NodeRepr::Value(_) => 0,
                     };
+                    let v = self.tgdb.instances.value(*n, attr);
                     eq(repr.key(), SqlExpr::Literal(v))
                 }
                 // Materialize the neighbor as an extra join: sound under
@@ -335,7 +335,7 @@ impl Builder<'_> {
 
 /// Walks the pattern and fills a [`Builder`].
 fn build<'a>(tgdb: &'a Tgdb, db: &'a Database, pattern: &QueryPattern) -> Result<Builder<'a>> {
-    pattern.validate(tgdb)?;
+    let tree = pattern.tree(tgdb, pattern.primary)?;
     let mut b = Builder {
         tgdb,
         db,
@@ -347,26 +347,10 @@ fn build<'a>(tgdb: &'a Tgdb, db: &'a Database, pattern: &QueryPattern) -> Result
     for id in pattern.node_ids() {
         b.init_node(id, pattern)?;
     }
-    // Process edges in BFS order from the primary so value-node
+    // Process edges in tree order from the primary so value-node
     // representations exist before dependent edges/conditions.
-    let mut visited = vec![false; pattern.len()];
-    visited[pattern.primary.0] = true;
-    let mut queue = std::collections::VecDeque::from([pattern.primary]);
-    while let Some(cur) = queue.pop_front() {
-        for e in &pattern.edges {
-            let other = if e.from == cur {
-                e.to
-            } else if e.to == cur {
-                e.from
-            } else {
-                continue;
-            };
-            if !visited[other.0] {
-                visited[other.0] = true;
-                b.process_edge(e)?;
-                queue.push_back(other);
-            }
-        }
+    for via in tree.iter().filter_map(|step| step.via) {
+        b.process_edge(&pattern.edges[via.edge])?;
     }
     for id in pattern.node_ids() {
         b.process_filter(pattern, id)?;

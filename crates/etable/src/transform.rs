@@ -121,7 +121,7 @@ pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> EnrichedTable {
 pub(crate) fn fill_rows(tgdb: &Tgdb, table: &mut EnrichedTable, rows: &[NodeId]) {
     let row = |&node| {
         let cells = table.columns.iter().map(|col| match col.kind {
-            ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.node(node).values[attr]),
+            ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.value(node, attr)),
             ColumnKind::Neighbor { edge } => Cell::Refs(tgdb.instances.neighbor_slice(edge, node)),
             ColumnKind::Participating { .. } => Cell::Atomic(Value::Null),
         });

@@ -63,9 +63,10 @@ pub fn analyze_update(
 }
 
 /// Statically validates every INSERT row — arity, value/column type fit,
-/// nullability — before any row is stored, so a bad later row can no
-/// longer leave earlier rows behind. (PK/FK uniqueness stays a runtime
-/// constraint check.)
+/// nullability — before any row is stored. PK/FK uniqueness stays a
+/// runtime constraint check, found while the rows are stored; both
+/// callers run the statement on a clone, so a refusal there leaves no
+/// earlier row behind either.
 pub fn analyze_insert(db: &Database, table: &str, rows: &[Vec<Value>]) -> Result<()> {
     let schema = db.table(table)?.schema();
     for row in rows {

@@ -41,10 +41,17 @@ use crate::{Error, Result};
 /// Executes a SQL string against the database.
 ///
 /// `SELECT` returns the result relation; DDL/DML return an empty
-/// relation. DML statements are fully validated by the analyzer before
-/// any row is read or written.
+/// relation. A write is statement-atomic: it runs on a clone of `db`
+/// (pointer copies) that replaces `db` only if the statement succeeds.
 pub fn execute(db: &mut Database, sql: &str) -> Result<Relation> {
-    execute_statement(db, super::parser::parse_statement(sql)?)
+    let stmt = super::parser::parse_statement(sql)?;
+    if is_read_only(&stmt) {
+        return execute_read(db, &stmt);
+    }
+    let mut next = db.clone();
+    let out = execute_statement(&mut next, stmt)?;
+    *db = next;
+    Ok(out)
 }
 
 /// True when `stmt` only reads (`SELECT` / `EXPLAIN`) — the predicate
@@ -76,7 +83,8 @@ pub fn execute_read(db: &Database, stmt: &Statement) -> Result<Relation> {
 
 /// Executes one already-parsed statement. The string front end
 /// ([`execute`]) and the shared-database router both land here, so
-/// parse-once callers never pay a second tokenization.
+/// parse-once callers never pay a second tokenization. A constraint can
+/// fail part-way through a write, so both run it on a clone.
 pub fn execute_statement(db: &mut Database, stmt: Statement) -> Result<Relation> {
     match stmt {
         Statement::Select(_) | Statement::Explain(_) => execute_read(db, &stmt),

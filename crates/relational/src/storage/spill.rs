@@ -3,13 +3,24 @@
 //!
 //! When [`crate::colrel`]'s budget check trips, both join inputs are
 //! hash-partitioned into [`FANOUT`] spill files under a per-join temp
-//! directory, then joined partition by partition: a partition whose build
-//! side fits the budget runs through the exact same in-memory build/probe
-//! kernel as an unspilled join; an
-//! oversized partition is re-partitioned recursively with a depth-salted
-//! hash, and at [`MAX_DEPTH`] — where re-partitioning can no longer split
-//! (e.g. one all-duplicate key) — a sort-based join takes over, so the
-//! bound degrades to a different algorithm, never to an error.
+//! directory, then joined partition by partition through the exact same
+//! in-memory build/probe kernel as an unspilled join. An oversized
+//! partition is first re-partitioned recursively with a depth-salted hash;
+//! past [`MAX_DEPTH`] levels — where re-partitioning can no longer split
+//! it (e.g. one all-duplicate key) — it joins resident over budget, so the
+//! bound degrades to holding that partition, never to an error.
+//!
+//! Fan-out × depth stays 16 × 4 rather than being scaled to the input:
+//! a level costs one sequential pass over the records of the partitions
+//! that still miss the budget, and only those go deeper, so a record is
+//! written at most `1 + MAX_DEPTH` times and a spill costs at most five
+//! passes over its input at any budget. At a realistic budget a partition
+//! still over it after the last level holds (nearly) one key, which no
+//! further level can split. Beyond those passes the constants cost files:
+//! up to 2 × 16 per re-partitioned partition, created lazily for
+//! non-empty partitions only — most of the wall time of a degenerate
+//! budget below one hash entry, which sends every non-empty partition
+//! down all levels.
 //!
 //! Results are **byte-identical** to the in-memory join at every budget
 //! and fan-out: equal keys always share a partition, each
@@ -44,10 +55,10 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 /// open spill files (2 sides × fan-out) small.
 pub const FANOUT: usize = 16;
 
-/// Maximum re-partitioning depth. 16^4 partitions already splits any
-/// realistic skew; a partition still over budget here (an all-duplicate
-/// key, or a budget smaller than one hash entry) falls back to the
-/// sort-based join rather than erroring.
+/// Maximum re-partitioning depth below the first partitioning. 16^5
+/// leaves already split any realistic skew; a partition still over budget
+/// here (an all-duplicate key, or a budget smaller than one hash entry)
+/// joins on the resident kernel rather than erroring.
 pub const MAX_DEPTH: u32 = 4;
 
 /// Flush threshold for buffered spill segments: bounds both the writer's
@@ -58,11 +69,10 @@ const FLUSH_BYTES: usize = 32 * 1024;
 /// durable table format, which has its own magic and version).
 const MAGIC: &[u8; 8] = b"ETSPILL1";
 
-/// A key type that can ride through a spill file. Equality, hashing and
-/// ordering must agree (equal keys must hash and sort together — the
-/// partitioner and the sort-based fallback both rely on it), and the
+/// A key type that can ride through a spill file. Equality and hashing
+/// must agree (equal keys must land in the same partition), and the
 /// encoding must round-trip within the process.
-pub trait SpillKey: Hash + Eq + Ord + Clone {
+pub trait SpillKey: Hash + Eq + Clone {
     /// Resident bytes per key, for the budget estimate
     /// ([`budget::join_build_estimate`]).
     const KEY_BYTES: usize;
@@ -321,8 +331,7 @@ fn for_each_segment<K: SpillKey>(
     Ok(())
 }
 
-/// Reads a whole partition file into memory (used once the partition's
-/// build side is known to fit the budget, and by the sort fallback).
+/// Reads a whole partition file into memory, to join it resident.
 fn read_records<K: SpillKey>(part: &PartFile) -> Result<Vec<(u32, K)>> {
     let mut out = Vec::with_capacity(usize::try_from(part.count).unwrap_or(0));
     for_each_segment(&part.path, |batch| {
@@ -372,8 +381,8 @@ fn repartition<K: SpillKey>(
 }
 
 /// Joins one partition pair, appending `(build, probe)` position pairs to
-/// `out`. Fits-in-budget partitions run the resident kernel; oversized
-/// ones recurse; at the depth bound the sort-based fallback takes over.
+/// `out`. An oversized partition recurses; one that fits the budget, or
+/// is still oversized at the depth bound, runs the resident kernel.
 fn join_partition<K: SpillKey>(
     dir: &SpillDir,
     bpart: Option<PartFile>,
@@ -387,16 +396,13 @@ fn join_partition<K: SpillKey>(
         return Ok(());
     };
     let build_n = usize::try_from(bp.count).unwrap_or(usize::MAX);
-    if budget::join_build_estimate(build_n, K::KEY_BYTES) > limit {
-        if depth <= MAX_DEPTH {
-            let children_b = repartition::<K>(dir, bp, depth)?;
-            let children_p = repartition::<K>(dir, pp, depth)?;
-            for (cb, cp) in children_b.into_iter().zip(children_p) {
-                join_partition::<K>(dir, cb, cp, depth + 1, limit, out)?;
-            }
-            return Ok(());
+    if budget::join_build_estimate(build_n, K::KEY_BYTES) > limit && depth <= MAX_DEPTH {
+        let children_b = repartition::<K>(dir, bp, depth)?;
+        let children_p = repartition::<K>(dir, pp, depth)?;
+        for (cb, cp) in children_b.into_iter().zip(children_p) {
+            join_partition::<K>(dir, cb, cp, depth + 1, limit, out)?;
         }
-        return sorted_join::<K>(&bp, &pp, out);
+        return Ok(());
     }
     let brecs = read_records::<K>(&bp)?;
     let precs = read_records::<K>(&pp)?;
@@ -416,24 +422,6 @@ fn join_partition<K: SpillKey>(
             .zip(lp)
             .map(|(b, p)| (brecs[b as usize].0, precs[p as usize].0)),
     );
-    Ok(())
-}
-
-/// Sort-based fallback at the recursion bound: build records sort by
-/// `(key, position)`; each probe record binary-searches its equal range
-/// and emits matches in *descending* build position — the resident
-/// kernel's chain order.
-fn sorted_join<K: SpillKey>(bp: &PartFile, pp: &PartFile, out: &mut Vec<(u32, u32)>) -> Result<()> {
-    let mut brecs = read_records::<K>(bp)?;
-    brecs.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-    let precs = read_records::<K>(pp)?;
-    let _ = fs::remove_file(&bp.path);
-    let _ = fs::remove_file(&pp.path);
-    for (pos, key) in &precs {
-        let lo = brecs.partition_point(|(_, k)| k < key);
-        let hi = brecs.partition_point(|(_, k)| k <= key);
-        out.extend(brecs[lo..hi].iter().rev().map(|&(bpos, _)| (bpos, *pos)));
-    }
     Ok(())
 }
 
@@ -609,7 +597,7 @@ mod tests {
         let expected =
             join_positions_resident(build.len(), |i| build[i], probe.len(), |i| probe[i]);
         // Budget 1 forces recursion to the bound (nothing ever fits) and
-        // exercises the sort fallback; larger budgets stop at level 1.
+        // joins over budget there; larger budgets stop at level 1.
         for budget_bytes in [1u64, 64, 600, 4096] {
             let root = scratch_root();
             let got = grace_join_in(
@@ -630,10 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn all_duplicate_keys_hit_the_sort_fallback_and_agree() {
+    fn all_duplicate_keys_join_resident_at_the_depth_bound_and_agree() {
         // One key everywhere: no re-partitioning level can split it, so a
-        // tiny budget rides recursion to MAX_DEPTH and must take the
-        // sort-based path (never an error).
+        // tiny budget rides recursion to MAX_DEPTH, where the partition
+        // joins on the resident kernel over budget (never an error).
         let n = 300;
         let expected = join_positions_resident(n, |_| Some(42i64), n, |_| Some(42i64));
         let root = scratch_root();

@@ -409,3 +409,38 @@ fn errors_name_the_first_offending_referencing_row() {
     let err = execute(&mut d, "DELETE FROM parent").unwrap_err();
     assert!(err.to_string().contains("key [Int(3)]"), "{err}");
 }
+
+#[test]
+fn a_refused_multi_row_insert_leaves_no_row_behind() {
+    let mut d = Database::new();
+    for stmt in [
+        "CREATE TABLE p (id INT PRIMARY KEY)",
+        "CREATE TABLE c (id INT PRIMARY KEY, pid INT REFERENCES p(id))",
+        "INSERT INTO p VALUES (1)",
+        "INSERT INTO c VALUES (1, 1)",
+    ] {
+        execute(&mut d, stmt).unwrap();
+    }
+    let rows = |d: &mut Database| {
+        execute(d, "SELECT id, pid FROM c ORDER BY id")
+            .unwrap()
+            .rows
+    };
+    let before = rows(&mut d);
+    for (stmt, why) in [
+        // The second row's key dangles.
+        ("INSERT INTO c VALUES (10, 1), (11, 2)", "fk violation"),
+        // The second row repeats the first row's key.
+        ("INSERT INTO c VALUES (20, 1), (20, 1)", "duplicate"),
+        // The second row repeats a key already stored.
+        ("INSERT INTO c VALUES (30, 1), (1, 1)", "duplicate"),
+    ] {
+        let err = execute(&mut d, stmt).unwrap_err().to_string();
+        assert!(err.to_lowercase().contains(why), "{stmt}: {err}");
+        assert_eq!(rows(&mut d), before, "{stmt} left rows behind");
+    }
+    // The statement that is refused as a whole still applies as a whole
+    // once its rows are good.
+    execute(&mut d, "INSERT INTO c VALUES (10, 1), (11, 1)").unwrap();
+    assert_eq!(rows(&mut d).len(), 3);
+}

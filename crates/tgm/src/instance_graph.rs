@@ -18,11 +18,11 @@ use std::sync::Arc;
 
 /// A node (entity) in the instance graph.
 #[derive(Debug, Clone)]
-pub struct Node {
+struct Node {
     /// The node's type.
-    pub node_type: NodeTypeId,
+    node_type: NodeTypeId,
     /// Attribute values, positionally matching the node type's `attrs`.
-    pub values: Vec<Value>,
+    values: Vec<Value>,
 }
 
 /// A shared, immutable run of node ids, `buf[start..start + len]`: a node's
@@ -241,11 +241,6 @@ impl InstanceGraph {
         }
     }
 
-    /// Node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
     /// The type of a node (`typeτ` in Definition 2).
     pub fn type_of(&self, id: NodeId) -> NodeTypeId {
         self.nodes[id.index()].node_type
@@ -261,11 +256,16 @@ impl InstanceGraph {
         &self.labels
     }
 
+    /// Attribute `attr` (a position in the node type's `attrs`) of a node.
+    #[inline]
+    pub fn value(&self, id: NodeId, attr: usize) -> Value {
+        self.nodes[id.index()].values[attr]
+    }
+
     /// An attribute value of a node by attribute name.
-    pub fn attr(&self, schema: &SchemaGraph, id: NodeId, name: &str) -> Option<&Value> {
-        let node = self.node(id);
-        let nt = schema.node_type(node.node_type);
-        nt.attr_index(name).map(|i| &node.values[i])
+    pub fn attr(&self, schema: &SchemaGraph, id: NodeId, name: &str) -> Option<Value> {
+        let nt = schema.node_type(self.type_of(id));
+        nt.attr_index(name).map(|i| self.value(id, i))
     }
 
     /// Nodes of a type, in insertion order.
@@ -440,7 +440,8 @@ mod tests {
     #[test]
     fn attr_by_name() {
         let (schema, g, _, ids) = setup();
-        assert_eq!(g.attr(&schema, ids[0], "id"), Some(&Value::Int(1)));
+        assert_eq!(g.attr(&schema, ids[0], "id"), Some(Value::Int(1)));
+        assert_eq!(g.value(ids[3], 1), "Nandi".into());
         assert!(g.attr(&schema, ids[0], "nope").is_none());
     }
 

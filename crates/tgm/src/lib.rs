@@ -22,7 +22,7 @@ pub mod stats;
 pub mod translate;
 
 pub use ids::{EdgeTypeId, NodeId, NodeTypeId};
-pub use instance_graph::{GraphBuilder, IdSlice, InstanceGraph, Node};
+pub use instance_graph::{GraphBuilder, IdSlice, InstanceGraph};
 pub use schema_graph::{
     AttrDef, EdgeProvenance, EdgeType, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };

@@ -865,7 +865,7 @@ mod tests {
         let n = tgdb.node_by_label(papers, "SkewTune").unwrap();
         assert_eq!(
             tgdb.instances.attr(&tgdb.schema, n, "year"),
-            Some(&Value::Int(2012))
+            Some(Value::Int(2012))
         );
     }
 

@@ -40,7 +40,7 @@ pub fn node_keys(
     let key = nt.attr_index("id").unwrap_or(0);
     nodes
         .into_iter()
-        .map(|n| tgdb.instances.node(n).values[key].to_string())
+        .map(|n| tgdb.instances.value(n, key).to_string())
         .collect()
 }
 

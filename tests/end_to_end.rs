@@ -209,7 +209,7 @@ fn graph_edges_are_the_pairs_of_their_sql_joins() {
                 NodeTypeKind::Entity => t.attr_index(&pk(g.type_of(n))).unwrap(),
                 _ => 0,
             };
-            g.node(n).values[at]
+            g.value(n, at)
         };
         for (et, e) in schema.edge_types().filter(|(_, e)| e.forward) {
             let (s, t) = (e.source, e.target);

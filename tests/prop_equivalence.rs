@@ -10,13 +10,14 @@
 
 use etable_repro::core::matching::{match_full, match_primary};
 use etable_repro::core::ops;
-use etable_repro::core::pattern::{NodeFilter, PatternNodeId, QueryPattern};
+use etable_repro::core::pattern::{NodeFilter, PatternEdge, PatternNodeId, QueryPattern};
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
 use etable_repro::relational::value::{DataType, Value};
-use etable_repro::tgm::{translate, NodeTypeKind, Tgdb, TranslateOptions};
+use etable_repro::tgm::{translate, EdgeTypeId, NodeTypeKind, Tgdb, TranslateOptions};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -162,6 +163,49 @@ proptest! {
                 let mut got = prim.related(tgdb, row, id).unwrap();
                 got.sort();
                 prop_assert_eq!(expected, got, "row-scoped mismatch at {} (seed {})", id, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn tree_and_path_walk_pattern_edges_from_every_root(seed in 0u64..10_000, steps in 1usize..7) {
+        // `tree` lists every node once, root first, each parent before its
+        // child and each link along a pattern edge oriented parent -> child;
+        // `path` follows those links down from its start.
+        let (_, tgdb) = env();
+        let q = random_pattern(tgdb, seed, steps);
+        // Whether `et` leads from `a` to `b` along pattern edge `e`.
+        let along = |e: &PatternEdge, a: PatternNodeId, b: PatternNodeId, et: EdgeTypeId| {
+            (e.from, e.to, e.edge_type) == (a, b, et)
+                || (e.to, e.from, tgdb.schema.edge_type(e.edge_type).reverse) == (a, b, et)
+        };
+        for root in q.node_ids() {
+            let tree = q.tree(tgdb, root).unwrap();
+            prop_assert_eq!(tree.len(), q.len());
+            prop_assert_eq!(tree[0].node, root);
+            prop_assert!(tree[0].via.is_none());
+            let mut at = vec![None; q.len()];
+            for (i, step) in tree.iter().enumerate() {
+                prop_assert!(at[step.node.0].is_none(), "{} listed twice (seed {})", step.node, seed);
+                at[step.node.0] = Some(i);
+                if i == 0 {
+                    continue;
+                }
+                let Some(via) = step.via else {
+                    return Err(TestCaseError::fail(format!("{} has no parent (seed {seed})", step.node)));
+                };
+                prop_assert!(at[via.parent.0].is_some(), "{} before its parent (seed {})", step.node, seed);
+                prop_assert!(along(&q.edges[via.edge], via.parent, step.node, via.edge_type));
+            }
+            for to in q.node_ids() {
+                let mut cur = root;
+                for (next, et) in q.path(tgdb, root, to).unwrap() {
+                    let via = at[next.0].and_then(|i| tree[i].via);
+                    prop_assert_eq!(via.map(|v| (v.parent, v.edge_type)), Some((cur, et)));
+                    prop_assert!(q.edges.iter().any(|e| along(e, cur, next, et)));
+                    cur = next;
+                }
+                prop_assert_eq!(cur, to, "path from {} ends elsewhere (seed {})", root, seed);
             }
         }
     }

@@ -74,9 +74,18 @@
 //! declared, whose edges are hash joins (which spill under
 //! `ETABLE_MEM_BUDGET`). The two must return the same row *sequence*, and
 //! agree with the naive oracle as bags.
+//!
+//! **Atomicity leg**: `writes_are_statement_atomic_on_both_front_ends`
+//! has a case stream of its own over the same schema. Each case applies
+//! twelve random writes — multi-row INSERTs with dangling or repeated
+//! keys, key UPDATEs, DELETEs that RESTRICT may refuse — to a plain
+//! `Database` through `execute` and to a `SharedDatabase`. After every
+//! statement both must hold the same rows table by table, and a refused
+//! statement must leave the plain database exactly as it was.
 
 use etable_repro::relational::database::Database;
 use etable_repro::relational::exec::budget;
+use etable_repro::relational::shared::SharedDatabase;
 use etable_repro::relational::sql::naive::execute_query_naive;
 use etable_repro::relational::sql::{
     analyze, execute, executor::execute_query, parse_statement, Query, Statement,
@@ -981,6 +990,119 @@ fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
     Ok(())
 }
 
+/// A random write over [`FK_SCHEMA`] that a constraint may refuse part
+/// way through: multi-row INSERTs whose keys may dangle or repeat (among
+/// the statement's own rows or against stored ones), key UPDATEs, and
+/// DELETEs that RESTRICT may refuse.
+fn atomic_write(rng: &mut StdRng) -> String {
+    let k = rng.gen_range(0..11i64);
+    // A referencing key: mostly one of the first `s` keys, now and then
+    // NULL or a key that may dangle.
+    let key = |rng: &mut StdRng| match rng.gen_range(0..8) {
+        0 => "NULL".to_string(),
+        1 => rng.gen_range(0..11i64).to_string(),
+        _ => rng.gen_range(0..4i64).to_string(),
+    };
+    let rows = |rng: &mut StdRng, row: &dyn Fn(&mut StdRng, i64) -> String| {
+        let rows: Vec<String> = (0..rng.gen_range(1..=4))
+            .map(|_| {
+                let id = rng.gen_range(0..8i64);
+                row(rng, id)
+            })
+            .collect();
+        rows.join(", ")
+    };
+    match rng.gen_range(0..7) {
+        0 => format!(
+            "INSERT INTO s VALUES {}",
+            rows(rng, &|_, id| format!("({id}, {}, 'kiwi')", id % 3))
+        ),
+        1 => format!(
+            "INSERT INTO r VALUES {}",
+            rows(rng, &|rng, id| format!(
+                "({id}, {}, {}, 'zz')",
+                key(rng),
+                id % 4
+            ))
+        ),
+        2 => format!(
+            "INSERT INTO q VALUES {}",
+            rows(rng, &|rng, id| format!(
+                "({id}, {}, {})",
+                rng.gen_range(0..5i64),
+                id % 5
+            ))
+        ),
+        3 => format!(
+            "UPDATE s SET id = {} WHERE id >= {k}",
+            rng.gen_range(0..11i64)
+        ),
+        4 => format!("UPDATE r SET s_id = {k} WHERE w = {}", k % 4),
+        5 => format!(
+            "UPDATE q SET id = {} WHERE v <= {}",
+            rng.gen_range(0..8i64),
+            k % 5
+        ),
+        _ => format!(
+            "DELETE FROM s WHERE id {} {k}",
+            ["=", "<", ">="][rng.gen_range(0..3)]
+        ),
+    }
+}
+
+/// Every table's rows, in storage order.
+fn table_rows(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
+    let rows = |name: &str| db.table(name).map(|t| t.iter_rows().collect());
+    (db.table_names().into_iter())
+        .map(|name| (name.to_string(), rows(name).unwrap_or_default()))
+        .collect()
+}
+
+/// The atomicity leg's starting database: [`FK_SCHEMA`] with three `s`
+/// rows to reference.
+fn atomic_db() -> Database {
+    let mut db = Database::new();
+    for stmt in FK_SCHEMA {
+        execute(&mut db, stmt).unwrap();
+    }
+    execute(
+        &mut db,
+        "INSERT INTO s VALUES (0, 0, 'a'), (1, 1, 'b'), (2, 2, NULL)",
+    )
+    .unwrap();
+    db
+}
+
+/// One atomicity case: twelve random writes applied to a plain database
+/// through `execute` and to a [`SharedDatabase`]. Both front ends must
+/// accept or refuse each statement alike, with the same error, and hold
+/// the same rows table by table after it; a refused statement must leave
+/// the plain database as it was.
+fn check_atomic_case(seed: u64) -> std::result::Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut plain = atomic_db();
+    let shared = SharedDatabase::new(plain.clone());
+    for _ in 0..12 {
+        let sql = atomic_write(&mut rng);
+        let before = table_rows(&plain);
+        let (a, b) = (execute(&mut plain, &sql), shared.execute(&sql));
+        let after = table_rows(&plain);
+        match (&a, &b) {
+            (Ok(_), Ok(_)) => {}
+            (Err(x), Err(y)) if x.to_string() == y.to_string() => {
+                if after != before {
+                    return Err(format!("refused `{sql}` ({x}) changed the database"));
+                }
+            }
+            _ => return Err(format!("`{sql}`: plain {a:?}, shared {b:?}")),
+        }
+        if after != table_rows(&shared.snapshot()) {
+            return Err(format!("front ends hold different rows after `{sql}`"));
+        }
+    }
+    Ok(())
+}
+
 /// Case-count override: `PROPTEST_CASES` (defaults to 256, the count CI
 /// runs).
 fn cases() -> u32 {
@@ -1017,6 +1139,13 @@ proptest! {
     #[test]
     fn fk_joins_agree_with_hash_joins(seed in 0u64..u64::MAX / 2) {
         if let Err(msg) = check_fk_case(seed) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn writes_are_statement_atomic_on_both_front_ends(seed in 0u64..u64::MAX / 2) {
+        if let Err(msg) = check_atomic_case(seed) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -1058,6 +1187,53 @@ fn fk_grammar_smoke() {
 /// do the index's build and the twin's hash join of the same foreign-key
 /// shape, while the join through the built index returns the same rows
 /// without spilling.
+/// The atomicity leg's writes are accepted, and refused for each reason
+/// it draws them for, including multi-row INSERTs whose first row alone
+/// would have been stored.
+#[test]
+fn atomic_grammar_smoke() {
+    let mut seen = std::collections::BTreeMap::new();
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = atomic_db();
+        for _ in 0..12 {
+            let sql = atomic_write(&mut rng);
+            let outcome = match execute(&mut db.clone(), &sql) {
+                Ok(_) => "accepted",
+                Err(e) => {
+                    let e = e.to_string();
+                    let first_row = sql.split("), (").next().unwrap_or_default();
+                    if sql.contains("), (")
+                        && execute(&mut db.clone(), &format!("{first_row})")).is_ok()
+                    {
+                        *seen.entry("refused after a good row").or_insert(0) += 1;
+                    }
+                    ["FK violation", "dangling", "referenced", "duplicate"]
+                        .into_iter()
+                        .find(|why| e.contains(why))
+                        .unwrap_or("other refusal")
+                }
+            };
+            *seen.entry(outcome).or_insert(0) += 1;
+            let _ = execute(&mut db, &sql);
+        }
+    }
+    for outcome in [
+        "accepted",
+        "FK violation",
+        "dangling",
+        "referenced",
+        "duplicate",
+        "refused after a good row",
+    ] {
+        assert!(
+            seen.get(outcome).copied().unwrap_or(0) >= 5,
+            "{outcome}: {seen:?}"
+        );
+    }
+    assert!(!seen.contains_key("other refusal"), "{seen:?}");
+}
+
 #[test]
 fn non_fk_equi_join_still_spills_at_budget_64() {
     let mut rng = StdRng::seed_from_u64(7);
