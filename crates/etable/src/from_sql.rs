@@ -15,7 +15,7 @@ use crate::pattern::{
 };
 use crate::{Error, Result};
 use etable_relational::database::Database;
-use etable_relational::expr::{CmpOp, Expr};
+use etable_relational::expr::Expr;
 use etable_relational::sql::analyze::{analyze, ColumnId, TypedPred};
 use etable_relational::sql::ast::{Query, Statement};
 use etable_tgm::{EdgeProvenance, EdgeTypeId, NodeTypeId, RelationCategory, Tgdb};
@@ -309,7 +309,7 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<Fi
         Expr::Cmp(op, a, b) => {
             let (side, op, value) = match (a.as_ref(), b.as_ref()) {
                 (side, Expr::Literal(v)) => (side, *op, *v),
-                (Expr::Literal(v), side) => (side, flip(*op), *v),
+                (Expr::Literal(v), side) => (side, op.flipped(), *v),
                 _ => return Err(unsupported()),
             };
             FilterAtom::Cmp {
@@ -320,12 +320,12 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<Fi
         }
         Expr::Like(a, pattern) => FilterAtom::Like {
             attr: column(a)?,
-            pattern: pattern.clone(),
+            pattern: pattern.as_str().to_owned(),
         },
         Expr::Not(inner) => match inner.as_ref() {
             Expr::Like(a, pattern) => FilterAtom::NotLike {
                 attr: column(a)?,
-                pattern: pattern.clone(),
+                pattern: pattern.as_str().to_owned(),
             },
             _ => return Err(unsupported()),
         },
@@ -336,17 +336,6 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<Fi
         Expr::IsNull(a) => FilterAtom::IsNull { attr: column(a)? },
         _ => return Err(unsupported()),
     })
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
 }
 
 #[cfg(test)]

@@ -29,13 +29,15 @@ impl GraphRelation {
         filter: &NodeFilter,
     ) -> Result<GraphRelation> {
         let filter = filter.bind(tgdb, node_type)?;
-        let nodes = tgdb.instances.nodes_of_type(node_type).iter();
+        let mut tuples = Vec::new();
+        for &n in tgdb.instances.nodes_of_type(node_type) {
+            if filter.eval(tgdb, n)? {
+                tuples.push(vec![n]);
+            }
+        }
         Ok(GraphRelation {
             attrs: vec![attr],
-            tuples: nodes
-                .filter(|&&n| filter.eval(tgdb, n))
-                .map(|&n| vec![n])
-                .collect(),
+            tuples,
         })
     }
 
@@ -67,14 +69,15 @@ impl GraphRelation {
     ) -> Result<GraphRelation> {
         let pos = self.attr_pos(attr)?;
         // Every tuple binds `attr` to a node of one type.
-        let tuples = match self.tuples.first() {
-            None => Vec::new(),
-            Some(first) => {
-                let filter = filter.bind(tgdb, tgdb.instances.type_of(first[pos]))?;
-                let kept = self.tuples.iter().filter(|t| filter.eval(tgdb, t[pos]));
-                kept.cloned().collect()
+        let mut tuples = Vec::new();
+        if let Some(first) = self.tuples.first() {
+            let filter = filter.bind(tgdb, tgdb.instances.type_of(first[pos]))?;
+            for t in &self.tuples {
+                if filter.eval(tgdb, t[pos])? {
+                    tuples.push(t.clone());
+                }
             }
-        };
+        }
         Ok(GraphRelation {
             attrs: self.attrs.clone(),
             tuples,
@@ -137,7 +140,7 @@ impl GraphRelation {
         let mut tuples = Vec::new();
         for lt in &self.tuples {
             for &nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
-                if filter.eval(tgdb, nb) {
+                if filter.eval(tgdb, nb)? {
                     let mut t = Vec::with_capacity(attrs.len());
                     t.extend(lt.iter().copied());
                     t.push(nb);

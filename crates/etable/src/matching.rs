@@ -166,10 +166,16 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
     for id in pattern.node_ids() {
         let node = pattern.node(id);
         let all = tgdb.instances.nodes_of_type(node.node_type);
-        let mut candidates = all.to_vec();
-        if !node.filter.is_empty() {
+        let mut candidates = Vec::with_capacity(all.len());
+        if node.filter.is_empty() {
+            candidates.extend_from_slice(all);
+        } else {
             let filter = node.filter.bind(tgdb, node.node_type)?;
-            candidates.retain(|&v| filter.eval(tgdb, v));
+            for &v in all {
+                if filter.eval(tgdb, v)? {
+                    candidates.push(v);
+                }
+            }
         }
         let mut bits = Bitmap::new(tgdb);
         for &v in &candidates {
@@ -529,6 +535,35 @@ mod tests {
         let q2 = ops::shift(&q2, crate::pattern::PatternNodeId(0)).unwrap();
         let m2 = match_primary(&tgdb, &q2).unwrap();
         assert_eq!(m2.rows().len(), 3); // 10, 11, 12 are cited
+    }
+
+    #[test]
+    fn matching_refuses_a_filter_select_refuses() {
+        // A pattern assembled without `ops::select`, carrying an atom the
+        // operator refuses (LIKE over an INT attribute): matching and the
+        // reference algebra refuse it with the operator's own error.
+        use crate::pattern::PatternNode;
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let like_year = NodeFilter::like("year", "201%");
+        let q = ops::initiate(&tgdb, papers).unwrap();
+        let refusal = ops::select(&tgdb, &q, like_year.clone()).unwrap_err();
+        assert!(
+            matches!(refusal, crate::Error::InvalidAction(_)),
+            "{refusal}"
+        );
+        let q = QueryPattern {
+            nodes: vec![PatternNode {
+                node_type: papers,
+                filter: like_year,
+            }],
+            ..q
+        };
+        let got = match_primary(&tgdb, &q).unwrap_err();
+        assert_eq!(got.to_string(), refusal.to_string());
+        assert!(matches!(got, crate::Error::InvalidAction(_)), "{got}");
+        let got = match_full(&tgdb, &q).unwrap_err();
+        assert_eq!(got.to_string(), refusal.to_string());
     }
 
     #[test]

@@ -20,15 +20,9 @@
 //! assert_eq!(q.len(), 2);
 //! ```
 
-use crate::pattern::{
-    FilterAtom, NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern,
-};
-use crate::to_sql::atom_expr;
+use crate::pattern::{NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern};
 use crate::{Error, Result};
-use etable_relational::sql::analyze::{type_pred, Ty};
-use etable_relational::sql::ast::SqlExpr;
-use etable_relational::Error as SqlError;
-use etable_tgm::{EdgeTypeId, NodeType, NodeTypeId, Tgdb};
+use etable_tgm::{EdgeTypeId, NodeTypeId, Tgdb};
 
 /// `Initiate(τk)`: a fresh pattern with a single node of type `τk`.
 ///
@@ -69,52 +63,9 @@ pub fn select_on(
     if node.0 >= q.nodes.len() {
         return Err(Error::InvalidNode(format!("pattern node {node} missing")));
     }
-    // Validate eagerly so errors surface at operator time: every atom is
-    // typed as the SQL conjunct it translates to, by the SQL analyzer's own
-    // rule, so the session rejects exactly what the engine would reject in
-    // the translation (`NodeIs` names a node, not a value: nothing to type).
-    let nt = tgdb.schema.node_type(q.nodes[node.0].node_type);
-    let column = |of: &NodeType, attr: &str| SqlExpr::Column(format!("{}.{attr}", of.name));
-    for atom in &filter.atoms {
-        // The conjunct, and the node type whose attributes it reads: the
-        // filtered node's own, or the neighbor's for a label filter.
-        let (owner, conjunct) = match atom {
-            FilterAtom::NeighborLabelLike { edge, pattern } => {
-                let et = tgdb.schema.edge_type(*edge);
-                if et.source != q.nodes[node.0].node_type {
-                    return Err(Error::InvalidEdge(format!(
-                        "edge {edge} does not leave node type `{}`",
-                        nt.name
-                    )));
-                }
-                let target = tgdb.schema.node_type(et.target);
-                let label = column(target, &target.attrs[target.label_attr].name);
-                (target, SqlExpr::Like(Box::new(label), pattern.clone()))
-            }
-            atom => match atom_expr(atom, |attr| column(nt, attr)) {
-                Some(conjunct) => (nt, conjunct),
-                None => continue,
-            },
-        };
-        type_pred(&conjunct, |name| {
-            let attr = name.rsplit_once('.').map_or(name, |(_, attr)| attr);
-            let i = owner
-                .attr_index(attr)
-                .ok_or_else(|| SqlError::UnknownColumn(attr.to_string()))?;
-            let ty = Ty {
-                base: Some(owner.attrs[i].data_type),
-                nullable: true,
-            };
-            Ok((i, ty))
-        })
-        .map_err(|e| match e {
-            SqlError::UnknownColumn(attr) => Error::UnknownAttribute {
-                node_type: owner.name.clone(),
-                attr,
-            },
-            e => Error::InvalidAction(e.to_string()),
-        })?;
-    }
+    // Validate eagerly so errors surface at operator time, by the rule
+    // matching and the translation run the filter under.
+    filter.bind(tgdb, q.nodes[node.0].node_type)?;
     let mut out = q.clone();
     out.nodes[node.0].filter = out.nodes[node.0].filter.clone().and(filter);
     Ok(out)

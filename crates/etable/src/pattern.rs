@@ -6,11 +6,14 @@
 //! algebra expression), *pattern edges* (occurrences of schema edge types),
 //! per-node selection conditions, and one node marked primary.
 
+use crate::to_sql::atom_expr;
 use crate::{Error, Result};
-use etable_relational::expr::{CmpOp, LikePattern};
+use etable_relational::expr::{CmpOp, Truth};
+use etable_relational::sql::analyze::{type_pred, Ty, TypedPred};
+use etable_relational::sql::ast::SqlExpr;
 use etable_relational::value::Value;
-use etable_tgm::{EdgeTypeId, NodeId, NodeTypeId, Tgdb};
-use std::cmp::Ordering;
+use etable_relational::Error as SqlError;
+use etable_tgm::{EdgeTypeId, NodeId, NodeType, NodeTypeId, Tgdb};
 use std::fmt;
 
 /// Identifies a pattern node (an occurrence of a node type) within one
@@ -132,69 +135,85 @@ impl NodeFilter {
         self
     }
 
-    /// Resolves the filter against `node_type` ahead of a scan: attribute
-    /// names become positions and LIKE patterns are compiled, once, and
-    /// [`BoundFilter::eval`] then tests one node after another.
-    pub fn bind(&self, tgdb: &Tgdb, node_type: NodeTypeId) -> Result<BoundFilter<'_>> {
+    /// Resolves and types the filter against `node_type` ahead of a scan,
+    /// once, and [`BoundFilter::eval`] then tests one node after another.
+    /// Each attribute atom is typed as the SQL conjunct it translates to
+    /// (`to_sql::atom_expr`), and a neighbor-label atom as `LIKE` over the
+    /// neighbor type's label attribute, by the SQL analyzer's own rule
+    /// (`type_pred`): the session, the graph and the translation refuse
+    /// and evaluate exactly what the engine would (`NodeIs` names a node,
+    /// not a value: nothing to type). The one resolver of a filter;
+    /// [`crate::ops::select_on`] validates by calling it.
+    pub fn bind(&self, tgdb: &Tgdb, node_type: NodeTypeId) -> Result<BoundFilter> {
         let nt = tgdb.schema.node_type(node_type);
-        let attr = |name: &String| {
-            nt.attr_index(name).ok_or_else(|| Error::UnknownAttribute {
-                node_type: nt.name.clone(),
-                attr: name.clone(),
-            })
-        };
-        let mut atoms = Vec::with_capacity(self.atoms.len());
+        let mut bound = BoundFilter::default();
         for atom in &self.atoms {
-            atoms.push(match atom {
-                FilterAtom::Cmp { attr: a, op, value } => BoundAtom::Cmp(attr(a)?, *op, value),
-                FilterAtom::Like { attr: a, pattern } => {
-                    BoundAtom::Like(attr(a)?, LikePattern::new(pattern), true)
-                }
-                FilterAtom::NotLike { attr: a, pattern } => {
-                    BoundAtom::Like(attr(a)?, LikePattern::new(pattern), false)
-                }
-                FilterAtom::In { attr: a, values } => BoundAtom::In(attr(a)?, values),
-                FilterAtom::IsNull { attr: a } => BoundAtom::IsNull(attr(a)?),
-                FilterAtom::NodeIs(target) => BoundAtom::NodeIs(*target),
+            match atom {
+                FilterAtom::NodeIs(target) => bound.nodes.push(*target),
                 FilterAtom::NeighborLabelLike { edge, pattern } => {
                     let et = tgdb.schema.edge_type(*edge);
                     if et.source != node_type {
                         return Err(Error::InvalidEdge(format!(
-                            "edge `{}` does not leave node type `{}`",
-                            et.name, nt.name
+                            "edge {edge} does not leave node type `{}`",
+                            nt.name
                         )));
                     }
-                    BoundAtom::NeighborLabelLike(*edge, LikePattern::new(pattern))
+                    let target = tgdb.schema.node_type(et.target);
+                    let label = column(target, &target.attrs[target.label_attr].name);
+                    let like = SqlExpr::Like(Box::new(label), pattern.clone());
+                    bound.neighbors.push((*edge, typed(target, &like)?));
                 }
-            });
+                atom => {
+                    if let Some(conjunct) = atom_expr(atom, |attr| column(nt, attr)) {
+                        bound.attrs.push(typed(nt, &conjunct)?);
+                    }
+                }
+            }
         }
-        Ok(BoundFilter { atoms })
-    }
-
-    /// Renders the filter for the schema view, e.g. `year > 2005`.
-    ///
-    /// Edge references appear as raw ids; prefer
-    /// [`NodeFilter::display_with`] when a schema is at hand.
-    pub fn display(&self) -> String {
-        self.atoms
-            .iter()
-            .map(|a| atom_display(a, None))
-            .collect::<Vec<_>>()
-            .join(" AND ")
+        Ok(bound)
     }
 
     /// Renders the filter with schema context, resolving edge names (e.g.
-    /// `Paper_Keywords: keyword like '%user%'` instead of `et8 label ...`).
+    /// `Paper_Keywords: keyword like '%user%'`).
     pub fn display_with(&self, tgdb: &Tgdb) -> String {
         self.atoms
             .iter()
-            .map(|a| atom_display(a, Some(tgdb)))
+            .map(|a| atom_display(a, tgdb))
             .collect::<Vec<_>>()
             .join(" AND ")
     }
 }
 
-fn atom_display(atom: &FilterAtom, tgdb: Option<&Tgdb>) -> String {
+/// `owner.attr`: the column an attribute is named by in a filter conjunct.
+fn column(owner: &NodeType, attr: &str) -> SqlExpr {
+    SqlExpr::Column(format!("{}.{attr}", owner.name))
+}
+
+/// Types `conjunct` over `owner`'s attributes (every one nullable), with
+/// the analyzer's refusals as the session's: an unknown column is an
+/// unknown attribute, any other an invalid action.
+fn typed(owner: &NodeType, conjunct: &SqlExpr) -> Result<TypedPred> {
+    type_pred(conjunct, |name| {
+        let attr = name.rsplit_once('.').map_or(name, |(_, attr)| attr);
+        let i = owner
+            .attr_index(attr)
+            .ok_or_else(|| SqlError::UnknownColumn(attr.to_string()))?;
+        let ty = Ty {
+            base: Some(owner.attrs[i].data_type),
+            nullable: true,
+        };
+        Ok((i, ty))
+    })
+    .map_err(|e| match e {
+        SqlError::UnknownColumn(attr) => Error::UnknownAttribute {
+            node_type: owner.name.clone(),
+            attr,
+        },
+        e => Error::InvalidAction(e.to_string()),
+    })
+}
+
+fn atom_display(atom: &FilterAtom, tgdb: &Tgdb) -> String {
     match atom {
         FilterAtom::Cmp { attr, op, value } => match value {
             Value::Text(s) => format!("{attr} {op} '{s}'"),
@@ -214,74 +233,58 @@ fn atom_display(atom: &FilterAtom, tgdb: Option<&Tgdb>) -> String {
             format!("{attr} in ({list})")
         }
         FilterAtom::IsNull { attr } => format!("{attr} is null"),
-        FilterAtom::NodeIs(n) => match tgdb {
-            Some(t) => format!("node = '{}'", t.instances.label(*n)),
-            None => format!("node = {n}"),
-        },
-        FilterAtom::NeighborLabelLike { edge, pattern } => match tgdb {
-            Some(t) => format!("{} like '{pattern}'", t.schema.edge_type(*edge).name),
-            None => format!("{edge} label like '{pattern}'"),
-        },
+        FilterAtom::NodeIs(n) => format!("node = '{}'", tgdb.instances.label(*n)),
+        FilterAtom::NeighborLabelLike { edge, pattern } => {
+            format!("{} like '{pattern}'", tgdb.schema.edge_type(*edge).name)
+        }
     }
 }
 
-/// A [`NodeFilter`] resolved against one node type (see
-/// [`NodeFilter::bind`]); evaluating it looks nothing up by name and
-/// copies no text.
-#[derive(Debug)]
-pub struct BoundFilter<'a> {
-    atoms: Vec<BoundAtom<'a>>,
+/// A [`NodeFilter`] resolved and typed against one node type (see
+/// [`NodeFilter::bind`]); evaluating it looks nothing up by name.
+#[derive(Debug, Default)]
+pub struct BoundFilter {
+    /// `NodeIs` targets.
+    nodes: Vec<NodeId>,
+    /// The attribute atoms, over the node type's attribute positions.
+    attrs: Vec<TypedPred>,
+    /// The neighbor-label atoms: the edge, and `LIKE` over the neighbor
+    /// type's attribute positions.
+    neighbors: Vec<(EdgeTypeId, TypedPred)>,
 }
 
-/// A [`FilterAtom`] with its attribute position resolved.
-#[derive(Debug)]
-enum BoundAtom<'a> {
-    Cmp(usize, CmpOp, &'a Value),
-    /// The flag is the outcome wanted of the match: `false` for NOT LIKE.
-    Like(usize, LikePattern, bool),
-    In(usize, &'a [Value]),
-    IsNull(usize),
-    NodeIs(NodeId),
-    NeighborLabelLike(EdgeTypeId, LikePattern),
-}
-
-/// LIKE over a value's display text; only non-text values are formatted.
-fn like_text(pattern: &LikePattern, v: &Value) -> bool {
-    match v {
-        Value::Text(s) => pattern.matches(s.as_str()),
-        other => pattern.matches(&other.to_string()),
-    }
-}
-
-impl BoundFilter<'_> {
+impl BoundFilter {
     /// Whether `node`, of the node type the filter was bound to, satisfies
-    /// every atom (SQL three-valued logic: unknown is not a match).
-    pub fn eval(&self, tgdb: &Tgdb, node: NodeId) -> bool {
-        let at = |attr: usize| tgdb.instances.value(node, attr);
-        self.atoms.iter().all(|atom| match atom {
-            BoundAtom::Cmp(attr, op, value) => match at(*attr).sql_cmp(value) {
-                None => false,
-                Some(o) => match op {
-                    CmpOp::Eq => o == Ordering::Equal,
-                    CmpOp::Ne => o != Ordering::Equal,
-                    CmpOp::Lt => o == Ordering::Less,
-                    CmpOp::Le => o != Ordering::Greater,
-                    CmpOp::Gt => o == Ordering::Greater,
-                    CmpOp::Ge => o != Ordering::Less,
-                },
-            },
-            // NULL is neither LIKE nor NOT LIKE anything.
-            BoundAtom::Like(attr, pattern, wanted) => {
-                !at(*attr).is_null() && like_text(pattern, &at(*attr)) == *wanted
+    /// every atom (SQL three-valued logic: unknown is not a match). Each
+    /// typed atom runs on the engine's own [`Expr`](etable_relational::expr::Expr)
+    /// evaluator, reading attributes through `InstanceGraph::value`.
+    #[inline]
+    pub fn eval(&self, tgdb: &Tgdb, node: NodeId) -> Result<bool> {
+        let holds = |p: &TypedPred, n: NodeId| {
+            let truth = p.expr().eval_truth(&|c| Some(tgdb.instances.value(n, c)));
+            truth.map(Truth::is_true)
+        };
+        if self.nodes.iter().any(|&target| target != node) {
+            return Ok(false);
+        }
+        for p in &self.attrs {
+            if !holds(p, node)? {
+                return Ok(false);
             }
-            BoundAtom::In(attr, list) => list.iter().any(|w| at(*attr).sql_eq(w) == Some(true)),
-            BoundAtom::IsNull(attr) => at(*attr).is_null(),
-            BoundAtom::NodeIs(target) => node == *target,
-            BoundAtom::NeighborLabelLike(edge, pattern) => {
-                let mut neighbors = tgdb.instances.neighbors(*edge, node).iter();
-                neighbors.any(|&n| like_text(pattern, &tgdb.instances.label(n)))
+        }
+        for (edge, p) in &self.neighbors {
+            let mut hit = false;
+            for &nb in tgdb.instances.neighbors(*edge, node) {
+                if holds(p, nb)? {
+                    hit = true;
+                    break;
+                }
             }
-        })
+            if !hit {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -494,16 +497,18 @@ impl QueryPattern {
     }
 
     /// A canonical string key for caching: stable under re-execution of the
-    /// same logical query.
+    /// same logical query, and injective — a filter is written as its
+    /// atoms' `Debug` form, in which text literals are escaped, so two
+    /// different filters never share a key.
     pub fn canonical_key(&self, tgdb: &Tgdb) -> String {
         use std::fmt::Write;
         let mut s = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = write!(
                 s,
-                "n{i}:{}[{}];",
+                "n{i}:{}{:?};",
                 tgdb.schema.node_type(n.node_type).name,
-                n.filter.display()
+                n.filter.atoms
             );
         }
         for e in &self.edges {
@@ -750,10 +755,11 @@ mod tests {
 
     #[test]
     fn node_filter_helpers_compose() {
+        let tgdb = academic_tgdb();
         let f = NodeFilter::cmp("year", CmpOp::Gt, 2005).and(NodeFilter::like("title", "%user%"));
         assert_eq!(f.atoms.len(), 2);
-        assert!(f.display().contains("year > 2005"));
-        assert!(f.display().contains("title like '%user%'"));
+        assert!(f.display_with(&tgdb).contains("year > 2005"));
+        assert!(f.display_with(&tgdb).contains("title like '%user%'"));
         assert!(NodeFilter::none().is_empty());
     }
 }

@@ -229,6 +229,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::FilterAtom;
     use crate::testutil::{academic_db, academic_tgdb};
     use etable_relational::expr::CmpOp;
 
@@ -370,6 +371,26 @@ mod tests {
             assert_eq!(lookups(&s), shown + 1);
         }
         assert_eq!(s.history().len(), 4);
+    }
+
+    #[test]
+    fn the_match_cache_tells_quoted_text_apart() {
+        // Two IN lists whose items differ only in quotes: a key that wrote
+        // the text unescaped gave both one cache entry.
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let mut s = Session::new(tgdb.clone());
+        let acronym_in = |items: &[&str]| {
+            NodeFilter::atom(FilterAtom::In {
+                attr: "acronym".into(),
+                values: items.iter().map(|&t| t.into()).collect(),
+            })
+        };
+        s.open_by_name("Conferences").unwrap();
+        s.filter(acronym_in(&["KDD", "SIGMOD"])).unwrap();
+        assert_eq!(s.etable().unwrap().len(), 2);
+        s.revert(0).unwrap();
+        s.filter(acronym_in(&["KDD', 'SIGMOD"])).unwrap();
+        assert_eq!(s.etable().unwrap().len(), 0);
     }
 
     #[test]

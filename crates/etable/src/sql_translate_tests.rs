@@ -174,6 +174,45 @@ mod tests {
     }
 
     #[test]
+    fn a_null_neighbor_label_matches_no_like_pattern() {
+        // `b` rows whose `a` neighbor's label (its name) is LIKE a pattern:
+        // the neighbor of b 20 has a NULL name, which no pattern matches —
+        // not even one that matches the text "NULL".
+        use etable_relational::sql::{execute, naive::execute_query_naive};
+        let mut db = Database::new();
+        for stmt in [
+            "CREATE TABLE a (id INT PRIMARY KEY, name TEXT)",
+            "CREATE TABLE b (id INT PRIMARY KEY, a_id INT REFERENCES a(id))",
+            "INSERT INTO a VALUES (1, 'alice'), (2, NULL)",
+            "INSERT INTO b VALUES (10, 1), (20, 2)",
+        ] {
+            execute(&mut db, stmt).unwrap();
+        }
+        let tgdb = etable_tgm::translate(&db, &Default::default()).unwrap();
+        let (b, _) = tgdb.schema.node_type_by_name("b").unwrap();
+        let (to_a, _) = tgdb.schema.outgoing_by_name(b, "a").unwrap();
+        let keys = |rows: &[&str]| rows.iter().map(|k| k.to_string()).collect::<BTreeSet<_>>();
+        for (like, want) in [
+            ("%null%", keys(&[])),
+            ("%", keys(&["10"])),
+            ("%LI%", keys(&["10"])),
+        ] {
+            let q = ops::initiate(&tgdb, b).unwrap();
+            let label_like = FilterAtom::NeighborLabelLike {
+                edge: to_a,
+                pattern: like.into(),
+            };
+            let q = ops::select(&tgdb, &q, NodeFilter::atom(label_like)).unwrap();
+            let sql = to_query(&tgdb, &db, &q).unwrap();
+            assert_eq!(pattern_keys(&tgdb, &q), want, "{like}");
+            assert_eq!(query_keys(&db, &sql), want, "{sql}");
+            let oracle = execute_query_naive(&db, &sql).unwrap();
+            let oracle: BTreeSet<String> = oracle.rows.iter().map(|r| r[0].to_string()).collect();
+            assert_eq!(oracle, want, "{sql}");
+        }
+    }
+
+    #[test]
     fn self_join_via_citations_round_trips() {
         // "Papers citing a paper from before 2010": the Papers type occurs
         // twice, joined through the self-relationship table.

@@ -32,7 +32,7 @@ fn eq(a: SqlExpr, b: SqlExpr) -> SqlExpr {
 /// column `column` makes of that attribute's name; `None` for the two
 /// atoms that name none (`NodeIs`, `NeighborLabelLike`). The one
 /// `FilterAtom → SqlExpr` rule: the translation emits these conjuncts and
-/// [`crate::ops::select_on`] types exactly them.
+/// [`crate::pattern::NodeFilter::bind`] types exactly them.
 pub(crate) fn atom_expr(
     atom: &FilterAtom,
     column: impl FnOnce(&str) -> SqlExpr,
@@ -227,7 +227,7 @@ impl Builder<'_> {
                 FilterAtom::NeighborLabelLike {
                     edge,
                     pattern: like,
-                } => SqlExpr::Like(Box::new(self.neighbor_label(&repr, *edge)?), like.clone()),
+                } => SqlExpr::Like(Box::new(self.neighbor_label(id, *edge)?), like.clone()),
                 attribute => match atom_expr(attribute, |attr| repr.attr(attr)) {
                     Some(cond) => cond,
                     None => continue,
@@ -238,78 +238,29 @@ impl Builder<'_> {
         Ok(())
     }
 
-    /// Joins the neighbors of `owner` along `edge` and returns the column
-    /// holding their labels.
-    fn neighbor_label(&mut self, owner: &NodeRepr, edge: EdgeTypeId) -> Result<SqlExpr> {
-        let et = self.tgdb.schema.edge_type(edge);
-        let target_nt = self.tgdb.schema.node_type(et.target);
-        let label_col = &target_nt.attrs[target_nt.label_attr].name;
-        Ok(match &et.provenance {
-            EdgeProvenance::ForeignKey { table, column } => {
-                if et.forward {
-                    // owner is the referencing side: join the referenced table.
-                    let pk = self.pk_of(&target_nt.source_table)?;
-                    let alias = self.join(&target_nt.source_table, 'x');
-                    self.conditions
-                        .push(eq(owner.attr(column), col(&alias, &pk)));
-                    col(&alias, label_col)
-                } else {
-                    // owner is referenced: join the referencing table.
-                    let alias = self.join(table, 'x');
-                    self.conditions.push(eq(col(&alias, column), owner.key()));
-                    col(&alias, label_col)
-                }
-            }
-            EdgeProvenance::Relation {
-                table,
-                left_col,
-                right_col,
-            } => {
-                let (own_col, other_col) = if et.forward {
-                    (left_col, right_col)
-                } else {
-                    (right_col, left_col)
-                };
-                let pk = self.pk_of(&target_nt.source_table)?;
-                let junction = self.join(table, 'x');
-                let entity = self.join(&target_nt.source_table, 'x');
-                self.conditions
-                    .push(eq(col(&junction, own_col), owner.key()));
-                self.conditions
-                    .push(eq(col(&junction, other_col), col(&entity, &pk)));
-                col(&entity, label_col)
-            }
-            EdgeProvenance::MultiValued {
-                table,
-                fk_col,
-                value_col,
-            } => {
-                let alias = self.join(table, 'x');
-                if et.forward {
-                    // owner is the entity: its values are the neighbors.
-                    self.conditions.push(eq(col(&alias, fk_col), owner.key()));
-                    col(&alias, value_col)
-                } else {
-                    // owner is the value: join the entities that hold it.
-                    let pk = self.pk_of(&target_nt.source_table)?;
-                    let entity = self.join(&target_nt.source_table, 'x');
-                    self.conditions
-                        .push(eq(col(&alias, value_col), owner.key()));
-                    self.conditions
-                        .push(eq(col(&alias, fk_col), col(&entity, &pk)));
-                    col(&entity, label_col)
-                }
-            }
-            EdgeProvenance::Categorical { column, .. } => {
-                if et.forward {
-                    owner.attr(column)
-                } else {
-                    let entity = self.join(&target_nt.source_table, 'x');
-                    self.conditions.push(eq(col(&entity, column), owner.key()));
-                    col(&entity, label_col)
-                }
-            }
-        })
+    /// Joins the neighbors of pattern node `owner` along `edge` and
+    /// returns the column holding their labels: the neighbor takes a fresh
+    /// representation slot (an entity alias if it is an entity), and the
+    /// edge `owner → neighbor` emits its joins as any pattern edge does.
+    fn neighbor_label(&mut self, owner: PatternNodeId, edge: EdgeTypeId) -> Result<SqlExpr> {
+        let target = self
+            .tgdb
+            .schema
+            .node_type(self.tgdb.schema.edge_type(edge).target);
+        let neighbor = PatternNodeId(self.reprs.len());
+        self.reprs.push(None);
+        if target.kind == NodeTypeKind::Entity {
+            let pk = self.pk_of(&target.source_table)?;
+            let alias = self.join(&target.source_table, 'x');
+            self.reprs[neighbor.0] = Some(NodeRepr::Entity { alias, pk });
+        }
+        self.process_edge(&PatternEdge {
+            edge_type: edge,
+            from: owner,
+            to: neighbor,
+        })?;
+        let label = &target.attrs[target.label_attr].name;
+        Ok(self.repr(neighbor)?.attr(label))
     }
 
     /// The finished query: the accumulated FROM list, the conjunction of
@@ -353,6 +304,11 @@ fn build<'a>(tgdb: &'a Tgdb, db: &'a Database, pattern: &QueryPattern) -> Result
         b.process_edge(&pattern.edges[via.edge])?;
     }
     for id in pattern.node_ids() {
+        // The graph has a value node for every value but NULL.
+        if tgdb.schema.node_type(pattern.node(id).node_type).kind != NodeTypeKind::Entity {
+            let value = b.repr(id)?.key();
+            b.conditions.push(SqlExpr::IsNotNull(Box::new(value)));
+        }
         b.process_filter(pattern, id)?;
     }
     Ok(b)

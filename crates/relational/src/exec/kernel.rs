@@ -13,7 +13,7 @@
 //! combine mask pairs with a few word operations, never a branch per row.
 
 use super::pred::DictBits;
-use crate::expr::{CmpOp, LikePattern, Truth};
+use crate::expr::{in_list, CmpOp, LikePattern, Truth};
 use crate::intern::{RankMap, Sym};
 use crate::table::{ColumnData, ColumnStore, NullBitmap};
 use crate::value::{int_float_cmp, Value};
@@ -124,18 +124,6 @@ fn cmp_cols<T: Copy, K: PartialOrd>(op: CmpOp, xs: &[T], ys: &[T], key: impl Fn(
     }
 }
 
-/// Whether `op` accepts the ordering `o`; `None` (NaN) stays UNKNOWN.
-fn holds(op: CmpOp, o: Option<Ordering>) -> Option<bool> {
-    o.map(|o| match op {
-        CmpOp::Eq => o == Ordering::Equal,
-        CmpOp::Ne => o != Ordering::Equal,
-        CmpOp::Lt => o == Ordering::Less,
-        CmpOp::Le => o != Ordering::Greater,
-        CmpOp::Gt => o == Ordering::Greater,
-        CmpOp::Ge => o != Ordering::Less,
-    })
-}
-
 /// A leaf decided row by row (`None` = UNKNOWN), for the shapes whose
 /// per-cell answer is not a plain compare.
 fn by_row(n: usize, nulls: u64, f: impl Fn(usize) -> Option<bool>) -> Mask {
@@ -148,20 +136,6 @@ fn by_row(n: usize, nulls: u64, f: impl Fn(usize) -> Option<bool>) -> Mask {
         }
     }
     Mask::leaf(t, u | nulls)
-}
-
-/// `v IN (items)` for a non-NULL `v`: TRUE on a match, else UNKNOWN if
-/// some item compared UNKNOWN, else FALSE.
-fn in_values(v: Value, items: &[Value]) -> Option<bool> {
-    let mut unknown = false;
-    for item in items {
-        match v.sql_eq(item) {
-            Some(true) => return Some(true),
-            Some(false) => {}
-            None => unknown = true,
-        }
-    }
-    (!unknown).then_some(false)
 }
 
 /// BOOL `x op y` over whole words (`false < true`).
@@ -372,12 +346,12 @@ impl Num {
             }
             Num::IntFloatLit(a, k) => {
                 let (x, nx) = l.int(a);
-                by_row(x.len(), nx, |i| holds(op, int_float_cmp(x[i], k)))
+                by_row(x.len(), nx, |i| op.holds(int_float_cmp(x[i], k)))
             }
             Num::FloatIntLit(a, k) => {
                 let (x, nx) = l.float(a);
                 by_row(x.len(), nx, |i| {
-                    holds(op, int_float_cmp(k, x[i]).map(Ordering::reverse))
+                    op.holds(int_float_cmp(k, x[i]).map(Ordering::reverse))
                 })
             }
             Num::IntInt(a, b) => {
@@ -390,7 +364,7 @@ impl Num {
             }
             Num::IntFloat(a, b) => {
                 let ((x, nx), (y, ny)) = (l.int(a), l.float(b));
-                by_row(x.len(), nx | ny, |i| holds(op, int_float_cmp(x[i], y[i])))
+                by_row(x.len(), nx | ny, |i| op.holds(int_float_cmp(x[i], y[i])))
             }
         }
     }
@@ -533,11 +507,11 @@ impl Node {
             }
             Node::InFloat(a, items) => {
                 let (x, nx) = l.float(*a);
-                by_row(x.len(), nx, |i| in_values(Value::Float(x[i]), items))
+                by_row(x.len(), nx, |i| in_list(Value::Float(x[i]), items))
             }
             Node::InBool(a, items) => {
                 let (x, nx) = a.word(l);
-                by_row(l.n, nx, |i| in_values(Value::Bool(x >> i & 1 == 1), items))
+                by_row(l.n, nx, |i| in_list(Value::Bool(x >> i & 1 == 1), items))
             }
         }
     }
@@ -584,7 +558,7 @@ mod tests {
             CmpOp::Ge,
         ] {
             for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-                let want = holds(op, Some(x.cmp(&y))) == Some(true);
+                let want = op.holds(Some(x.cmp(&y))) == Some(true);
                 let got = bool_cmp(op, u64::from(x), u64::from(y)) & 1 == 1;
                 assert_eq!(got, want, "{x} {op} {y}");
             }

@@ -66,25 +66,24 @@ const LIKE_CACHE_CAP: usize = 128;
 /// The arena is append-only, so a cached bitmap's prefix never changes:
 /// only ids in `cached.covered..arena_len` need matching. Arena length is
 /// the complete version stamp.
-fn like_bitmap(pattern: &str) -> DictBits {
+fn like_bitmap(pattern: &LikePattern) -> DictBits {
     let snap = intern::strings_snapshot();
     let n = snap.len();
     let mut cache = LIKE_CACHE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(hit) = cache.get(pattern) {
+    if let Some(hit) = cache.get(pattern.as_str()) {
         if hit.covered >= n {
             return hit.clone();
         }
     }
-    let (mut words, start) = match cache.remove(pattern) {
+    let (mut words, start) = match cache.remove(pattern.as_str()) {
         Some(stale) => ((*stale.words).clone(), stale.covered),
         None => (Vec::new(), 0),
     };
     words.resize(n.div_ceil(64), 0);
-    let matcher = LikePattern::new(pattern);
     for (id, s) in snap.iter().enumerate().skip(start) {
-        if matcher.matches(s) {
+        if pattern.matches(s) {
             words[id / 64] |= 1u64 << (id % 64);
         }
     }
@@ -95,7 +94,7 @@ fn like_bitmap(pattern: &str) -> DictBits {
     if cache.len() >= LIKE_CACHE_CAP {
         cache.clear();
     }
-    cache.insert(pattern.to_owned(), built.clone());
+    cache.insert(pattern.as_str().to_owned(), built.clone());
     built
 }
 
@@ -171,17 +170,6 @@ enum Operand {
     Lit(Value),
 }
 
-/// `a op b` == `b flip(op) a`.
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        eq_or_ne => eq_or_ne,
-    }
-}
-
 struct Compiler<'c, 's, F> {
     column: &'c F,
     lanes: Lanes<'s>,
@@ -200,7 +188,7 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
     fn node(&mut self, e: &Expr) -> Node {
         if e.referenced_columns().is_empty() {
             // Typing admits no column-free predicate that raises.
-            return Node::Const(e.eval_truth(&[]).unwrap_or(Truth::Unknown));
+            return Node::Const(e.eval_truth(&|_| None).unwrap_or(Truth::Unknown));
         }
         match e {
             Expr::And(a, b) => Node::And(Box::new(self.node(a)), Box::new(self.node(b))),
@@ -217,7 +205,7 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
             }
             Expr::Cmp(op, a, b) => self.compare(*op, a, b),
             Expr::Like(a, pattern) => match self.operand(a) {
-                Operand::Sym(s) => Node::Like(s, like_bitmap(pattern), LikePattern::new(pattern)),
+                Operand::Sym(s) => Node::Like(s, like_bitmap(pattern), pattern.clone()),
                 // Typing admits LIKE over TEXT only.
                 _ => Node::Const(Truth::Unknown),
             },
@@ -241,7 +229,7 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
     fn compare(&mut self, op: CmpOp, a: &Expr, b: &Expr) -> Node {
         // The literal, if any, goes on the right.
         let (op, a, b) = match a {
-            Expr::Literal(_) => (flip(op), b, a),
+            Expr::Literal(_) => (op.flipped(), b, a),
             _ => (op, a, b),
         };
         use Operand as O;
@@ -256,7 +244,7 @@ impl<'s, F: Fn(usize) -> (&'s ColumnStore, Option<&'s [u32]>)> Compiler<'_, 's, 
             }
             (O::Int(x), O::Int(y)) => Node::Num(op, Num::IntInt(x, y)),
             (O::Int(x), O::Float(y)) => Node::Num(op, Num::IntFloat(x, y)),
-            (O::Float(x), O::Int(y)) => Node::Num(flip(op), Num::IntFloat(y, x)),
+            (O::Float(x), O::Int(y)) => Node::Num(op.flipped(), Num::IntFloat(y, x)),
             (O::Float(x), O::Float(y)) => Node::Num(op, Num::FloatFloat(x, y)),
             // TEXT: `=` / `<>` by symbol id, the ordered operators by rank.
             (O::Sym(x), O::Lit(Value::Text(k))) => Node::Text(
@@ -374,7 +362,7 @@ mod tests {
     fn assert_agrees(pred: &Expr, t: &Table) {
         let want: Vec<Truth> = t
             .iter_rows()
-            .map(|r| pred.eval_truth(&r).unwrap())
+            .map(|r| pred.eval_truth(&|c| r.get(c).copied()).unwrap())
             .collect();
         assert_eq!(truths(pred, t), want, "{pred}");
     }
@@ -394,7 +382,8 @@ mod tests {
     fn bitmap_extends_across_arena_growth() {
         let pred = Expr::col(0).like("%growth-probe%");
         let old = table(&[DataType::Text], vec![vec![Value::text("x")]]);
-        let stale = like_bitmap("%growth-probe%");
+        let probe = LikePattern::new("%growth-probe%");
+        let stale = like_bitmap(&probe);
         // Interned *after* the bitmap above was built.
         let fresh = Sym::intern("dict-growth-probe-xyzzy");
         assert_eq!(stale.contains(fresh.id()), None);
@@ -410,10 +399,7 @@ mod tests {
         kernel.words(1, |_, m| hits.push(m.t));
         assert_eq!(hits, [1]);
         // ...and a recompile extends the cached bitmap over the new ids.
-        assert_eq!(
-            like_bitmap("%growth-probe%").contains(fresh.id()),
-            Some(true)
-        );
+        assert_eq!(like_bitmap(&probe).contains(fresh.id()), Some(true));
         assert_agrees(&pred, &old);
     }
 

@@ -7,6 +7,7 @@
 
 use crate::value::Value;
 use crate::{Error, Result};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Binary comparison operators.
@@ -24,6 +25,72 @@ pub enum CmpOp {
     Gt,
     /// `>=`
     Ge,
+}
+
+impl CmpOp {
+    /// Whether the operator accepts operands ordered `o`; an incomparable
+    /// pair (`None`: a NULL, or a NaN) is UNKNOWN.
+    #[inline]
+    pub fn holds(self, o: Option<Ordering>) -> Option<bool> {
+        o.map(|o| match self {
+            CmpOp::Eq => o == Ordering::Equal,
+            CmpOp::Ne => o != Ordering::Equal,
+            CmpOp::Lt => o == Ordering::Less,
+            CmpOp::Le => o != Ordering::Greater,
+            CmpOp::Gt => o == Ordering::Greater,
+            CmpOp::Ge => o != Ordering::Less,
+        })
+    }
+
+    /// The operator with its operands swapped: `a op b` == `b op' a`.
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            eq_or_ne => eq_or_ne,
+        }
+    }
+}
+
+/// `v IN (items)`: UNKNOWN for a NULL `v`, else TRUE on a match, else
+/// UNKNOWN if some item compared UNKNOWN, else FALSE.
+pub fn in_list(v: Value, items: &[Value]) -> Option<bool> {
+    if v.is_null() {
+        return None;
+    }
+    let mut unknown = false;
+    for item in items {
+        match v.sql_eq(item) {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => unknown = true,
+        }
+    }
+    (!unknown).then_some(false)
+}
+
+/// [`Expr::eval_value`] with a leaf read in place. The graph evaluates a
+/// node filter once per node, where a call per operand costs more than
+/// the comparison.
+#[inline(always)]
+fn operand(e: &Expr, col: &impl Fn(usize) -> Option<Value>) -> Result<Value> {
+    match e {
+        Expr::Column(i) => col(*i).ok_or_else(|| no_column(*i)),
+        Expr::Literal(v) => Ok(*v),
+        e => e.eval_value(col),
+    }
+}
+
+#[cold]
+fn no_column(i: usize) -> Error {
+    Error::Eval(format!("column index {i} out of range"))
+}
+
+#[cold]
+fn eval_error(what: &str, v: Value) -> Error {
+    Error::Eval(format!("{what} {v}"))
 }
 
 impl fmt::Display for CmpOp {
@@ -83,10 +150,12 @@ impl Truth {
     }
 
     /// WHERE-clause semantics: only TRUE keeps the row.
+    #[inline]
     pub fn is_true(self) -> bool {
         self == Truth::True
     }
 
+    #[inline]
     fn from_option(v: Option<bool>) -> Truth {
         match v {
             Some(true) => Truth::True,
@@ -108,8 +177,9 @@ pub enum Expr {
     /// SQL `LIKE` with `%` and `_` wildcards; matching is case-insensitive
     /// (the paper's examples, e.g. `acronym = 'sigmod'`, rely on
     /// case-insensitive text handling, matching PostgreSQL's `ILIKE` which
-    /// the original system used for user-facing filters).
-    Like(Box<Expr>, String),
+    /// the original system used for user-facing filters). The pattern is
+    /// compiled once, when the expression is built.
+    Like(Box<Expr>, LikePattern),
     /// Membership in a literal list.
     InList(Box<Expr>, Vec<Value>),
     /// `IS NULL`.
@@ -165,7 +235,7 @@ impl Expr {
 
     /// `self LIKE pattern`.
     pub fn like(self, pattern: impl Into<String>) -> Expr {
-        Expr::Like(Box::new(self), pattern.into())
+        Expr::Like(Box::new(self), LikePattern::new(pattern))
     }
 
     /// `self AND other`.
@@ -184,17 +254,15 @@ impl Expr {
         Expr::Not(Box::new(self))
     }
 
-    /// Evaluates to a scalar value over `row`.
-    pub fn eval_value(&self, row: &[Value]) -> Result<Value> {
+    /// Evaluates to a scalar value, reading input column `c` as `col(c)`
+    /// (`None`: no such column).
+    pub fn eval_value(&self, col: &impl Fn(usize) -> Option<Value>) -> Result<Value> {
         match self {
-            Expr::Column(i) => row
-                .get(*i)
-                .copied()
-                .ok_or_else(|| Error::Eval(format!("column index {i} out of range"))),
+            Expr::Column(i) => col(*i).ok_or_else(|| no_column(*i)),
             Expr::Literal(v) => Ok(*v),
             other => {
                 // Predicates evaluate to a boolean value (NULL for UNKNOWN).
-                Ok(match other.eval_truth(row)? {
+                Ok(match other.eval_truth(col)? {
                     Truth::True => Value::Bool(true),
                     Truth::False => Value::Bool(false),
                     Truth::Unknown => Value::Null,
@@ -203,67 +271,36 @@ impl Expr {
         }
     }
 
-    /// Evaluates to a three-valued truth over `row`.
-    pub fn eval_truth(&self, row: &[Value]) -> Result<Truth> {
+    /// Evaluates to a three-valued truth, reading columns as
+    /// [`Expr::eval_value`] does.
+    #[inline]
+    pub fn eval_truth(&self, col: &impl Fn(usize) -> Option<Value>) -> Result<Truth> {
         match self {
             Expr::Cmp(op, a, b) => {
-                let va = a.eval_value(row)?;
-                let vb = b.eval_value(row)?;
-                let ord = va.sql_cmp(&vb);
-                Ok(Truth::from_option(ord.map(|o| match op {
-                    CmpOp::Eq => o == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => o != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => o == std::cmp::Ordering::Less,
-                    CmpOp::Le => o != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => o == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => o != std::cmp::Ordering::Less,
-                })))
+                let (va, vb) = (operand(a, col)?, operand(b, col)?);
+                Ok(Truth::from_option(op.holds(va.sql_cmp(&vb))))
             }
-            Expr::Like(e, pattern) => {
-                let v = e.eval_value(row)?;
-                match v {
-                    Value::Null => Ok(Truth::Unknown),
-                    Value::Text(s) => Ok(Truth::from_option(Some(like_match(s.as_str(), pattern)))),
-                    other => Err(Error::Eval(format!("LIKE on non-text value {other}"))),
-                }
-            }
-            Expr::InList(e, list) => {
-                let v = e.eval_value(row)?;
-                if v.is_null() {
-                    return Ok(Truth::Unknown);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    match v.sql_eq(item) {
-                        Some(true) => return Ok(Truth::True),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                Ok(if saw_null {
-                    Truth::Unknown
-                } else {
-                    Truth::False
-                })
-            }
-            Expr::IsNull(e) => Ok(Truth::from_option(Some(e.eval_value(row)?.is_null()))),
-            Expr::And(a, b) => Ok(a.eval_truth(row)?.and(b.eval_truth(row)?)),
-            Expr::Or(a, b) => Ok(a.eval_truth(row)?.or(b.eval_truth(row)?)),
-            Expr::Not(e) => Ok(e.eval_truth(row)?.not()),
-            Expr::Column(_) | Expr::Literal(_) => {
-                let v = self.eval_value(row)?;
-                match v {
-                    Value::Null => Ok(Truth::Unknown),
-                    Value::Bool(b) => Ok(Truth::from_option(Some(b))),
-                    other => Err(Error::Eval(format!("non-boolean predicate value {other}"))),
-                }
-            }
+            Expr::Like(e, pattern) => match operand(e, col)? {
+                Value::Null => Ok(Truth::Unknown),
+                Value::Text(s) => Ok(Truth::from_option(Some(pattern.matches(s.as_str())))),
+                other => Err(eval_error("LIKE on non-text value", other)),
+            },
+            Expr::InList(e, list) => Ok(Truth::from_option(in_list(operand(e, col)?, list))),
+            Expr::IsNull(e) => Ok(Truth::from_option(Some(operand(e, col)?.is_null()))),
+            Expr::And(a, b) => Ok(a.eval_truth(col)?.and(b.eval_truth(col)?)),
+            Expr::Or(a, b) => Ok(a.eval_truth(col)?.or(b.eval_truth(col)?)),
+            Expr::Not(e) => Ok(e.eval_truth(col)?.not()),
+            Expr::Column(_) | Expr::Literal(_) => match operand(self, col)? {
+                Value::Null => Ok(Truth::Unknown),
+                Value::Bool(b) => Ok(Truth::from_option(Some(b))),
+                other => Err(eval_error("non-boolean predicate value", other)),
+            },
         }
     }
 
     /// WHERE-clause convenience: true iff the row definitely satisfies.
     pub fn matches(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.eval_truth(row)?.is_true())
+        Ok(self.eval_truth(&|c| row.get(c).copied())?.is_true())
     }
 
     /// The expression over another row layout, in which the columns it
@@ -311,20 +348,33 @@ impl Expr {
 
 /// A SQL LIKE pattern compiled once (lowercased into a char buffer) so one
 /// pattern can be matched against many texts without re-processing the
-/// pattern per call — the dictionary-predicate bitmap builder
-/// (`crate::exec::pred`) runs one `LikePattern` over the whole interner
-/// arena.
+/// pattern per call — [`Expr::Like`] carries one, and the
+/// dictionary-predicate bitmap builder (`crate::exec::pred`) runs it over
+/// the whole interner arena. Two patterns are equal when their source
+/// texts are.
 #[derive(Debug, Clone)]
 pub struct LikePattern {
+    text: String,
     p: Vec<char>,
+}
+
+impl PartialEq for LikePattern {
+    fn eq(&self, other: &LikePattern) -> bool {
+        self.text == other.text
+    }
 }
 
 impl LikePattern {
     /// Compiles `pattern` (`%` = any sequence, `_` = any single char).
-    pub fn new(pattern: &str) -> LikePattern {
-        LikePattern {
-            p: pattern.chars().flat_map(|c| c.to_lowercase()).collect(),
-        }
+    pub fn new(pattern: impl Into<String>) -> LikePattern {
+        let text = pattern.into();
+        let p = text.chars().flat_map(|c| c.to_lowercase()).collect();
+        LikePattern { text, p }
+    }
+
+    /// The pattern's source text.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 
     /// Case-insensitive match of `text` against this pattern.
@@ -371,7 +421,7 @@ impl fmt::Display for Expr {
             Expr::Literal(Value::Text(s)) => write!(f, "'{s}'"),
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Cmp(op, a, b) => write!(f, "{a} {op} {b}"),
-            Expr::Like(e, p) => write!(f, "{e} LIKE '{p}'"),
+            Expr::Like(e, p) => write!(f, "{e} LIKE '{}'", p.as_str()),
             Expr::InList(e, l) => {
                 write!(f, "{e} IN (")?;
                 for (i, v) in l.iter().enumerate() {
@@ -396,6 +446,10 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn truth(e: &Expr, row: &[Value]) -> Truth {
+        e.eval_truth(&|c| row.get(c).copied()).unwrap()
+    }
 
     #[test]
     fn like_basic() {
@@ -434,14 +488,14 @@ mod tests {
     fn three_valued_logic() {
         let row = vec![Value::Null];
         let e = Expr::col(0).eq(Expr::lit(1));
-        assert_eq!(e.eval_truth(&row).unwrap(), Truth::Unknown);
+        assert_eq!(truth(&e, &row), Truth::Unknown);
         assert!(!e.matches(&row).unwrap());
         // NULL OR TRUE = TRUE
         let e = Expr::col(0).eq(Expr::lit(1)).or(Expr::lit(true));
         assert!(e.matches(&row).unwrap());
         // NOT UNKNOWN = UNKNOWN
         let e = Expr::col(0).eq(Expr::lit(1)).not();
-        assert_eq!(e.eval_truth(&row).unwrap(), Truth::Unknown);
+        assert_eq!(truth(&e, &row), Truth::Unknown);
     }
 
     #[test]
@@ -450,9 +504,20 @@ mod tests {
         let e = Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 3.into()]);
         assert!(e.matches(&row).unwrap());
         let e = Expr::InList(Box::new(Expr::col(0)), vec![1.into(), Value::Null]);
-        assert_eq!(e.eval_truth(&row).unwrap(), Truth::Unknown);
+        assert_eq!(truth(&e, &row), Truth::Unknown);
         let e = Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 2.into()]);
-        assert_eq!(e.eval_truth(&row).unwrap(), Truth::False);
+        assert_eq!(truth(&e, &row), Truth::False);
+    }
+
+    #[test]
+    fn flipped_operands_hold_alike() {
+        use CmpOp::*;
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            for o in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+                assert_eq!(op.holds(Some(o)), op.flipped().holds(Some(o.reverse())));
+            }
+            assert_eq!(op.holds(None), None);
+        }
     }
 
     #[test]
@@ -473,7 +538,7 @@ mod tests {
     #[test]
     fn out_of_range_column_errors() {
         let e = Expr::col(5);
-        assert!(e.eval_value(&[Value::Int(1)]).is_err());
+        assert!(e.eval_value(&|c| [Value::Int(1)].get(c).copied()).is_err());
     }
 
     #[test]

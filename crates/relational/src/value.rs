@@ -188,6 +188,7 @@ impl Value {
 
     /// SQL comparison: returns `None` when either side is `Null` or the
     /// types are incomparable, mirroring `UNKNOWN` in three-valued logic.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,

@@ -308,7 +308,7 @@ fn typed_tree(rng: &mut StdRng, types: &[DataType]) -> SqlExpr {
 fn reference(rows: &[Row], pred: &TypedPred) -> Result<Vec<usize>> {
     let mut keep = Vec::new();
     for (i, row) in rows.iter().enumerate() {
-        if pred.expr().eval_truth(row)? == Truth::True {
+        if pred.expr().eval_truth(&|c| row.get(c).copied())? == Truth::True {
             keep.push(i);
         }
     }

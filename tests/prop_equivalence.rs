@@ -10,12 +10,16 @@
 
 use etable_repro::core::matching::{match_full, match_primary};
 use etable_repro::core::ops;
-use etable_repro::core::pattern::{NodeFilter, PatternEdge, PatternNodeId, QueryPattern};
+use etable_repro::core::pattern::{
+    FilterAtom, NodeFilter, PatternEdge, PatternNodeId, QueryPattern,
+};
+use etable_repro::core::Error;
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
+use etable_repro::relational::sql::execute;
 use etable_repro::relational::value::{DataType, Value};
-use etable_repro::tgm::{translate, EdgeTypeId, NodeTypeKind, Tgdb, TranslateOptions};
+use etable_repro::tgm::{translate, EdgeTypeId, NodeTypeId, NodeTypeKind, Tgdb, TranslateOptions};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -226,6 +230,174 @@ proptest! {
                 tgdb.instances.type_of(n),
                 q.primary_node().node_type
             );
+        }
+    }
+}
+
+/// Text values of the filter-semantics leg, quote and wildcard included.
+const TEXTS: [&str; 6] = ["ab", "Ab", "b'a", "a%b", "", "ba"];
+
+/// LIKE patterns of the filter-semantics leg.
+const LIKES: [&str; 7] = ["%a%", "a%", "_b", "%'%", "%", "AB", "%null%"];
+
+/// The filter-semantics leg's database, its rows drawn from `rng`:
+/// entities `g` and `h` whose labels (`name`, `title`) and other TEXT,
+/// INT and FLOAT attributes may be NULL, a nullable foreign key `h → g`,
+/// a junction `gh` and a multi-valued `tag`. Few rows, so the oracle
+/// referees most translations; few distinct values, so translation also
+/// makes the non-label attributes categorical value types.
+fn filter_db(rng: &mut StdRng) -> Database {
+    fn or_null(rng: &mut StdRng, v: String) -> String {
+        if rng.gen_range(0..4) == 0 {
+            "NULL".into()
+        } else {
+            v
+        }
+    }
+    let text = |rng: &mut StdRng| {
+        let t = TEXTS[rng.gen_range(0..TEXTS.len())].replace('\'', "''");
+        or_null(rng, format!("'{t}'"))
+    };
+    let mut stmts = vec![
+        "CREATE TABLE g (id INT PRIMARY KEY, name TEXT, n INT, score FLOAT)".to_string(),
+        "CREATE TABLE h (id INT PRIMARY KEY, title TEXT, note TEXT, g_id INT REFERENCES g(id))"
+            .into(),
+        "CREATE TABLE gh (g_id INT, h_id INT, PRIMARY KEY (g_id, h_id), \
+         FOREIGN KEY (g_id) REFERENCES g (id), FOREIGN KEY (h_id) REFERENCES h (id))"
+            .into(),
+        "CREATE TABLE tag (h_id INT, word TEXT, PRIMARY KEY (h_id, word), \
+         FOREIGN KEY (h_id) REFERENCES h (id))"
+            .into(),
+    ];
+    let (gs, hs) = (rng.gen_range(1..6), rng.gen_range(1..6));
+    for id in 1..=gs {
+        let (name, n) = (text(rng), rng.gen_range(0..3).to_string());
+        let score = format!("{:.1}", rng.gen_range(0..4) as f64 / 2.0);
+        let (n, score) = (or_null(rng, n), or_null(rng, score));
+        stmts.push(format!("INSERT INTO g VALUES ({id}, {name}, {n}, {score})"));
+    }
+    for id in 1..=hs {
+        let (title, note) = (text(rng), text(rng));
+        let g_id = rng.gen_range(1..=gs).to_string();
+        let g_id = or_null(rng, g_id);
+        stmts.push(format!(
+            "INSERT INTO h VALUES ({id}, {title}, {note}, {g_id})"
+        ));
+    }
+    for (g, h) in (1..=gs).flat_map(|g| (1..=hs).map(move |h| (g, h))) {
+        if rng.gen_range(0..3) == 0 {
+            stmts.push(format!("INSERT INTO gh VALUES ({g}, {h})"));
+        }
+    }
+    for h in 1..=hs {
+        for word in TEXTS {
+            if rng.gen_range(0..4) == 0 {
+                let word = word.replace('\'', "''");
+                stmts.push(format!("INSERT INTO tag VALUES ({h}, '{word}')"));
+            }
+        }
+    }
+    let mut db = Database::new();
+    for stmt in &stmts {
+        execute(&mut db, stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    }
+    db
+}
+
+/// A filter atom of any kind over node type `nt`, drawn from `rng`: the
+/// six comparisons against INT, FLOAT, TEXT or NULL literals, LIKE and
+/// NOT LIKE, IN with a NULL item, IS NULL, and a neighbor-label LIKE.
+/// Many are ill-typed on purpose; `ops::select` refuses those.
+fn random_atom(tgdb: &Tgdb, nt: NodeTypeId, rng: &mut StdRng) -> FilterAtom {
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let literal = |rng: &mut StdRng| match rng.gen_range(0..7) {
+        0 | 1 => Value::Int(rng.gen_range(0..4)),
+        2 | 3 => Value::Float(rng.gen_range(0..4) as f64 / 2.0),
+        4 | 5 => Value::text(TEXTS[rng.gen_range(0..TEXTS.len())]),
+        _ => Value::Null,
+    };
+    let attrs = &tgdb.schema.node_type(nt).attrs;
+    let attr = attrs[rng.gen_range(0..attrs.len())].name.clone();
+    let like = LIKES[rng.gen_range(0..LIKES.len())].to_string();
+    let outgoing = tgdb.schema.outgoing(nt);
+    match rng.gen_range(0..7) {
+        0 => FilterAtom::Cmp {
+            attr,
+            op: OPS[rng.gen_range(0..OPS.len())],
+            value: literal(rng),
+        },
+        1 => FilterAtom::Like {
+            attr,
+            pattern: like,
+        },
+        2 => FilterAtom::NotLike {
+            attr,
+            pattern: like,
+        },
+        3 => FilterAtom::In {
+            attr,
+            values: vec![literal(rng), Value::Null, literal(rng)],
+        },
+        4 => FilterAtom::IsNull { attr },
+        _ if outgoing.is_empty() => FilterAtom::IsNull { attr },
+        _ => FilterAtom::NeighborLabelLike {
+            edge: outgoing[rng.gen_range(0..outgoing.len())].0,
+            pattern: like,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+
+    #[test]
+    fn filters_mean_one_thing_to_matching_and_sql(seed in 0u64..1_000_000) {
+        // Random filters on random node types, value types included, over
+        // nullable data: the graph's matching (both matchers) keeps
+        // exactly the rows the translated query returns on the engine and
+        // on the oracle, and `select` refuses only with typed errors.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = filter_db(&mut rng);
+        let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
+        let types = tgdb.schema.node_type_count();
+        let start = tgdb.schema.node_types().nth(rng.gen_range(0..types)).unwrap().0;
+        let mut q = ops::initiate(&tgdb, start).unwrap();
+        for _ in 0..rng.gen_range(1..7) {
+            match rng.gen_range(0..4) {
+                0 if q.len() < 4 => {
+                    let outgoing = tgdb.schema.outgoing(q.primary_node().node_type);
+                    if let Some(&(et, _)) = outgoing.get(rng.gen_range(0..outgoing.len().max(1))) {
+                        q = ops::add(&tgdb, &q, et).unwrap();
+                    }
+                }
+                0 | 1 => {
+                    let target = PatternNodeId(rng.gen_range(0..q.len()));
+                    q = ops::shift(&q, target).unwrap();
+                }
+                _ => {
+                    let atom = random_atom(&tgdb, q.primary_node().node_type, &mut rng);
+                    match ops::select(&tgdb, &q, NodeFilter::atom(atom.clone())) {
+                        Ok(next) => q = next,
+                        Err(Error::InvalidAction(_) | Error::UnknownAttribute { .. }) => {}
+                        Err(e) => prop_assert!(false, "seed {}: {:?} refused with {}", seed, atom, e),
+                    }
+                }
+            }
+        }
+        let m = match_primary(&tgdb, &q).unwrap();
+        let mut full = match_full(&tgdb, &q).unwrap().distinct_nodes(q.primary).unwrap();
+        full.sort();
+        prop_assert_eq!(&full, &m.rows().to_vec(), "seed {}: matchers disagree", seed);
+        let expected = node_keys(&tgdb, &q, m.rows().iter().copied());
+        if let Err(msg) = check_translation(&db, &tgdb, &q, &expected, true) {
+            prop_assert!(false, "seed {}: {}\n{}", seed, msg, q.diagram(&tgdb));
         }
     }
 }
