@@ -27,8 +27,8 @@ fn main() {
     let authors_col = papers_table.column_index("Authors").expect("Authors col");
     let first_author = papers_table
         .cell(row, authors_col)
-        .and_then(|c| c.refs())
-        .expect("refs")[0];
+        .and_then(|c| c.refs()?.first().copied())
+        .expect("an author");
 
     println!("Starting table: Papers ({} rows)\n", papers_table.len());
 

@@ -5,10 +5,14 @@
 //! micro-benchmarks for the performance/ablation studies listed in
 //! DESIGN.md (`benches/`).
 //!
-//! Run a figure with e.g. `cargo run -p etable-bench --bin fig10`.
+//! Run a figure with e.g. `cargo run -p etable-bench --bin fig10`. The
+//! `abpair` binary runs the end-to-end benchmark on a parent revision and
+//! on the working tree in alternating pairs ([`abpair`] holds its rules).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod abpair;
 
 use etable_datagen::{load_or_generate, GenConfig};
 use etable_relational::database::Database;

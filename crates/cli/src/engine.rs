@@ -239,7 +239,8 @@ impl Engine {
     fn check_column(&self, column: &str) -> Result<(), String> {
         let session = self.conn.session();
         let q = session.current_pattern().ok_or("no table is open")?;
-        match transform::header(session.tgdb(), q).column(column) {
+        let header = transform::header(session.tgdb(), q).map_err(|e| e.to_string())?;
+        match header.column(column) {
             Some(_) => Ok(()),
             None => Err(etable_core::Error::UnknownColumn(column.into()).to_string()),
         }
@@ -276,8 +277,8 @@ impl Engine {
         let ci = t
             .column_index(column)
             .ok_or_else(|| format!("no column `{column}`"))?;
-        let refs = t
-            .cell(r, ci)
+        let cell = t.cell(r, ci);
+        let refs = (cell.as_ref())
             .and_then(Cell::refs)
             .ok_or_else(|| format!("column `{column}` holds plain values, not references"))?;
         refs.get(

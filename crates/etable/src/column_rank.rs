@@ -56,7 +56,7 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
                         if v.as_int().is_none() {
                             all_ints = false;
                         }
-                        content.push(*v);
+                        content.push(v);
                     }
                     Cell::Refs(refs) => {
                         if !refs.is_empty() {

@@ -5,17 +5,21 @@
 //! columns `Ah` (§5.4.2). Entity-reference cells hold clickable labels, not
 //! foreign keys, mirroring hyperlinks (§5.1).
 //!
-//! A table holds node ids only. A reference cell is a shared run of ids
-//! ([`IdSlice`]) — of the graph's CSR target array for a neighbor column,
-//! of one buffer per column for a participating column — and label text is
-//! looked up in the graph's label column, which the table shares, only for
-//! the cells that are rendered, exported or ranked. Both are `Arc`s, so a
-//! table stays self-contained and `Send` after the graph handle is gone.
+//! A table is a window onto the graph: a header, the ordered ids of its
+//! rows, and what a cell is computed from — the instance graph and the
+//! matching result, both shared `Arc`s. No cell is stored. A cell is built
+//! when someone reads it: a base value through the graph, a neighbor cell
+//! as the node's run of the CSR target array ([`IdSlice`]), a participating
+//! cell by one walk of the pattern path. Showing one page of a large table
+//! builds that page's cells only, and sorting builds one key per row for
+//! the one column sorted. The table stays `Send` and self-contained after
+//! the graph handle is gone.
 
+use crate::matching::{MatchResult, RelatedScratch};
 use crate::pattern::PatternNodeId;
-use etable_relational::intern::RankMap;
+use crate::Result;
 use etable_relational::value::{SortCell, Value};
-use etable_tgm::{EdgeTypeId, IdSlice, NodeId};
+use etable_tgm::{EdgeTypeId, IdSlice, InstanceGraph, NodeId, Tgdb};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -89,13 +93,122 @@ pub struct ColumnSpec {
     pub kind: ColumnKind,
 }
 
-/// One row: a primary node plus its cells.
+/// One row with all its cells built: what [`ETableRows`] yields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ETableRow {
     /// The primary node this row represents.
     pub node: NodeId,
     /// Cells, positionally matching the table's columns.
     pub cells: Vec<Cell>,
+}
+
+/// Where a column's cells come from: its [`ColumnKind`], with a
+/// participating column's pattern path resolved when the table is made,
+/// so no read can fail.
+#[derive(Debug, Clone)]
+enum Source {
+    Base(usize),
+    Neighbor(EdgeTypeId),
+    Participating(Vec<(PatternNodeId, EdgeTypeId)>),
+}
+
+/// The rows of an enriched table: the primary ids in display order, one
+/// `Source` per column, and the shared graph and matching result the
+/// cells are computed from.
+///
+/// Read a table through [`EnrichedTable::nodes`], [`EnrichedTable::cell`],
+/// [`EnrichedTable::ref_count`] and [`EnrichedTable::column_values`]. This
+/// view builds whole rows one at a time ([`ETableRows::iter`]); it is
+/// public for tests and for the frozen `benchmark/` harness (ROADMAP 1(b)).
+#[derive(Clone)]
+pub struct ETableRows {
+    ids: Vec<NodeId>,
+    sources: Vec<Source>,
+    graph: Arc<InstanceGraph>,
+    matched: Arc<MatchResult>,
+}
+
+/// The buffers one pass over a column reuses from cell to cell.
+#[derive(Default)]
+struct Reader {
+    walk: RelatedScratch,
+    ids: Vec<NodeId>,
+}
+
+impl ETableRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The top row, with its cells built.
+    pub fn first(&self) -> Option<ETableRow> {
+        self.iter().next()
+    }
+
+    /// Every row top to bottom, each built when the iterator reaches it.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ETableRow> + '_ {
+        let mut reader = Reader::default();
+        self.ids.iter().map(move |&node| ETableRow {
+            node,
+            cells: (self.sources.iter())
+                .map(|source| self.cell(node, source, &mut reader))
+                .collect(),
+        })
+    }
+
+    /// The cell of `node` in the column `source` computes.
+    fn cell(&self, node: NodeId, source: &Source, reader: &mut Reader) -> Cell {
+        match source {
+            Source::Base(attr) => Cell::Atomic(self.graph.value(node, *attr)),
+            Source::Neighbor(edge) => Cell::Refs(self.graph.neighbor_slice(*edge, node)),
+            Source::Participating(path) => {
+                Cell::Refs(self.walk(node, path, reader).to_vec().into())
+            }
+        }
+    }
+
+    /// The reference count of that cell, without building it.
+    fn count(&self, node: NodeId, source: &Source, reader: &mut Reader) -> usize {
+        match source {
+            Source::Base(_) => 0,
+            Source::Neighbor(edge) => self.graph.degree(*edge, node),
+            Source::Participating(path) => self.walk(node, path, reader).len(),
+        }
+    }
+
+    /// The nodes related to `node` at the end of a participating column's
+    /// path.
+    fn walk<'r>(
+        &self,
+        node: NodeId,
+        path: &[(PatternNodeId, EdgeTypeId)],
+        reader: &'r mut Reader,
+    ) -> &'r [NodeId] {
+        reader.ids.clear();
+        (self.matched).related_into(&self.graph, path, node, &mut reader.walk, &mut reader.ids);
+        &reader.ids
+    }
+}
+
+impl fmt::Debug for ETableRows {
+    /// The rows' content; the graph and the matching result are not shown.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for ETableRows {
+    /// Equal when every row has the same node and cells, wherever they
+    /// were computed from.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// An enriched table (§5.1): the ETable presentation of a query result.
@@ -106,20 +219,51 @@ pub struct EnrichedTable {
     /// Human-readable description of the filters applied (table subtitle,
     /// as in Figure 1's "Papers filtered by ...").
     pub filter_desc: String,
-    /// The columns.
+    /// The columns. Hide one with [`EnrichedTable::drop_columns`], which
+    /// keeps the rows in step.
     pub columns: Vec<ColumnSpec>,
-    /// The rows, one per matched primary node. Read them through
-    /// [`EnrichedTable::nodes`], [`EnrichedTable::cell`] and
-    /// [`EnrichedTable::column_values`]: only this module and
-    /// [`crate::transform`] know the layout, and the field stays public
-    /// only for the frozen `benchmark/` harness (ROADMAP 1(b)).
-    pub rows: Vec<ETableRow>,
-    /// The instance graph's label column (`label(v) = v[β]` by node id),
-    /// shared, not copied.
-    pub labels: Arc<[Value]>,
+    /// The rows, one per matched primary node, in display order.
+    pub rows: ETableRows,
 }
 
 impl EnrichedTable {
+    /// The table headed `primary_type_name` and `filter_desc` with the rows
+    /// `ids` under `columns`, whose participating columns name nodes of
+    /// `matched.pattern`: every column's source is resolved here, once.
+    /// `ids` need not be `matched`'s rows: a set operation combines the
+    /// rows of two matches.
+    pub(crate) fn new(
+        primary_type_name: String,
+        filter_desc: String,
+        columns: Vec<ColumnSpec>,
+        tgdb: &Tgdb,
+        matched: &Arc<MatchResult>,
+        ids: Vec<NodeId>,
+    ) -> Result<EnrichedTable> {
+        let pattern = &matched.pattern;
+        let source = |c: &ColumnSpec| {
+            Ok(match c.kind {
+                ColumnKind::Base { attr } => Source::Base(attr),
+                ColumnKind::Neighbor { edge } => Source::Neighbor(edge),
+                ColumnKind::Participating { node } => {
+                    Source::Participating(pattern.path(tgdb, pattern.primary, node)?)
+                }
+            })
+        };
+        let rows = ETableRows {
+            ids,
+            sources: columns.iter().map(source).collect::<Result<_>>()?,
+            graph: Arc::clone(&tgdb.instances),
+            matched: Arc::clone(matched),
+        };
+        Ok(EnrichedTable {
+            primary_type_name,
+            filter_desc,
+            columns,
+            rows,
+        })
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -140,13 +284,11 @@ impl EnrichedTable {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// The label of a referenced node (`NULL` for a node the label column
-    /// does not cover).
+    /// The label of a referenced node (`NULL` for a node the graph does
+    /// not have).
     pub fn label(&self, node: NodeId) -> Value {
-        self.labels
-            .get(node.index())
-            .copied()
-            .unwrap_or(Value::Null)
+        let labels = self.rows.graph.labels();
+        labels.get(node.index()).copied().unwrap_or(Value::Null)
     }
 
     /// The label as display text; interned text is borrowed, not copied.
@@ -159,48 +301,51 @@ impl EnrichedTable {
 
     /// The primary node of every row, top to bottom.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.rows.iter().map(|r| r.node)
+        self.rows.ids.iter().copied()
     }
 
     /// The primary node of row `row`, if the table has that row.
     pub fn node_at(&self, row: usize) -> Option<NodeId> {
-        self.rows.get(row).map(|r| r.node)
+        self.rows.ids.get(row).copied()
     }
 
-    /// The cell of row `row` in column `col`, if both exist.
-    pub fn cell(&self, row: usize, col: usize) -> Option<&Cell> {
-        self.rows.get(row)?.cells.get(col)
+    /// The cell of row `row` in column `col`, if both exist, built now.
+    pub fn cell(&self, row: usize, col: usize) -> Option<Cell> {
+        let source = self.rows.sources.get(col)?;
+        let node = self.node_at(row)?;
+        Some(self.rows.cell(node, source, &mut Reader::default()))
     }
 
     /// The number of references in a cell (0 for an atomic cell or one
-    /// the table does not have).
+    /// the table does not have), counted without building the cell.
     pub fn ref_count(&self, row: usize, col: usize) -> usize {
-        self.cell(row, col).map_or(0, Cell::ref_count)
+        match (self.node_at(row), self.rows.sources.get(col)) {
+            (Some(node), Some(source)) => self.rows.count(node, source, &mut Reader::default()),
+            _ => 0,
+        }
     }
 
-    /// The cells of column `col`, top to bottom.
+    /// The cells of column `col`, top to bottom, each built when the
+    /// iterator reaches it.
     ///
     /// # Panics
     ///
     /// When `col` is not a column of the table.
-    pub fn column_values(&self, col: usize) -> impl ExactSizeIterator<Item = &Cell> + '_ {
-        self.rows.iter().map(move |r| &r.cells[col])
+    pub fn column_values(&self, col: usize) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        let source = &self.rows.sources[col];
+        let mut reader = Reader::default();
+        (self.rows.ids.iter()).map(move |&node| self.rows.cell(node, source, &mut reader))
     }
 
-    /// Drops every column `drop` selects, with its cells (the session's
-    /// hidden columns). Nothing is cloned; a table that drops no column
-    /// is left untouched.
+    /// Drops every column `drop` selects (the session's hidden columns):
+    /// an edit of the header and of the column sources, with no cell to
+    /// touch.
     pub fn drop_columns(&mut self, drop: impl Fn(&ColumnSpec) -> bool) {
         let keep: Vec<bool> = self.columns.iter().map(|c| !drop(c)).collect();
-        if keep.iter().all(|&k| k) {
-            return;
-        }
         let mut kept = keep.iter();
         self.columns.retain(|_| kept.next() == Some(&true));
-        for row in &mut self.rows {
-            let mut kept = keep.iter();
-            row.cells.retain(|_| kept.next() == Some(&true));
-        }
+        let mut kept = keep.iter();
+        self.rows.sources.retain(|_| kept.next() == Some(&true));
     }
 
     /// Sorts rows by a column: atomic columns by value, reference columns
@@ -208,14 +353,27 @@ impl EnrichedTable {
     /// (referenced)", Figure 1 history step 3). Stable: rows that tie keep
     /// their order, ascending and descending.
     ///
-    /// Each row is decorated once (`SortKey`: text by its rank in one
-    /// dictionary snapshot, so no comparison reads the interner), the
-    /// (key, position) pairs are sorted, and the rows are permuted in
-    /// place.
+    /// Each row gets one key for that column (`SortKey`: text by its rank
+    /// in one dictionary snapshot, so no comparison reads the interner; a
+    /// count without building the cell), the (key, position) pairs are
+    /// sorted, and the row ids are permuted in place.
+    ///
+    /// # Panics
+    ///
+    /// When `column` is not a column of the table.
     pub fn sort_by_column(&mut self, column: usize, descending: bool) {
         let dict = etable_relational::intern::rank_map();
-        let mut keyed: Vec<(SortKey, u32)> = (self.rows.iter().zip(0..))
-            .map(|(r, i)| (SortKey::new(&r.cells[column], &dict), i))
+        let rows = &self.rows;
+        let source = &rows.sources[column];
+        let mut reader = Reader::default();
+        let mut key = |node| match source {
+            Source::Base(attr) => {
+                SortKey::Atomic(SortCell::new(rows.graph.value(node, *attr), &dict))
+            }
+            _ => SortKey::Refs(rows.count(node, source, &mut reader)),
+        };
+        let mut keyed: Vec<(SortKey, u32)> = (rows.ids.iter().zip(0..))
+            .map(|(&node, i)| (key(node), i))
             .collect();
         keyed.sort_unstable_by(|a, b| {
             let ord = SortKey::cmp(a.0, b.0);
@@ -223,16 +381,19 @@ impl EnrichedTable {
             ord.then(a.1.cmp(&b.1))
         });
         let mut order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
-        permute(&mut self.rows, &mut order);
+        permute(&mut self.rows.ids, &mut order);
     }
 
     /// Total number of entity references across all cells (used by the
     /// duplication-factor analysis: a relational join would repeat rows
-    /// multiplicatively, an ETable only additively).
+    /// multiplicatively, an ETable only additively). Counted without
+    /// building a cell.
     pub fn total_refs(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.cells.iter().map(Cell::ref_count).sum::<usize>())
+        let rows = &self.rows;
+        let mut reader = Reader::default();
+        (rows.sources.iter())
+            .flat_map(|source| rows.ids.iter().map(move |&node| (node, source)))
+            .map(|(node, source)| rows.count(node, source, &mut reader))
             .sum()
     }
 }
@@ -246,13 +407,6 @@ enum SortKey {
 }
 
 impl SortKey {
-    fn new(cell: &Cell, dict: &RankMap) -> Self {
-        match cell {
-            Cell::Atomic(v) => SortKey::Atomic(SortCell::new(*v, dict)),
-            Cell::Refs(r) => SortKey::Refs(r.len()),
-        }
-    }
-
     /// Two atomic cells by [`Value::total_cmp`]; any other pair by
     /// reference count, an atomic cell counting 0.
     fn cmp(a: SortKey, b: SortKey) -> Ordering {
@@ -299,72 +453,110 @@ impl fmt::Display for EnrichedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternNodeId;
+    use crate::{ops, transform};
+    use etable_relational::database::Database;
+    use etable_relational::schema::{Column, ForeignKey, TableSchema};
+    use etable_relational::value::DataType;
+    use etable_tgm::NodeTypeId;
 
-    fn table() -> EnrichedTable {
-        let refs: Arc<[NodeId]> = vec![NodeId(1), NodeId(2), NodeId(1)].into();
-        let run = |range| Cell::Refs(IdSlice::new(&refs, range).unwrap());
-        EnrichedTable {
-            primary_type_name: "Papers".into(),
-            filter_desc: String::new(),
-            columns: vec![
-                ColumnSpec {
-                    name: "title".into(),
-                    kind: ColumnKind::Base { attr: 1 },
-                },
-                ColumnSpec {
-                    name: "Authors".into(),
-                    kind: ColumnKind::Neighbor {
-                        edge: etable_tgm::EdgeTypeId(0),
-                    },
-                },
+    /// The schema of papers `P(id, title)` that cite papers (`Cites`), with
+    /// no instances, and the forward citation edge type.
+    fn schema() -> (Tgdb, NodeTypeId, EdgeTypeId) {
+        let mut db = Database::new();
+        let p = TableSchema::new(
+            "P",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::nullable("title", DataType::Text),
             ],
-            rows: vec![
-                ETableRow {
-                    node: NodeId(0),
-                    cells: vec![Cell::Atomic("B-paper".into()), run(0..2)],
-                },
-                ETableRow {
-                    node: NodeId(1),
-                    cells: vec![Cell::Atomic("A-paper".into()), run(2..3)],
-                },
+        );
+        db.create_table(p.with_primary_key(&["id"])).unwrap();
+        let cites = TableSchema::new(
+            "Cites",
+            vec![
+                Column::new("src", DataType::Int),
+                Column::new("dst", DataType::Int),
             ],
-            labels: vec![Value::Null, "X".into(), 7.into()].into(),
+        )
+        .with_primary_key(&["src", "dst"])
+        .with_foreign_key(ForeignKey::single("src", "P", "id"))
+        .with_foreign_key(ForeignKey::single("dst", "P", "id"));
+        db.create_table(cites).unwrap();
+        let tgdb = etable_tgm::translate(&db, &Default::default()).unwrap();
+        let (p, _) = tgdb.schema.node_type_by_name("P").unwrap();
+        let (cites, _) = (tgdb.schema.outgoing(p).into_iter())
+            .find(|(_, e)| e.forward)
+            .unwrap();
+        (tgdb, p, cites)
+    }
+
+    /// `schema()` with papers titled `titles` (any value: the graph builder
+    /// does not type them) and the citations `cites`, by position.
+    fn papers(titles: &[Value], cites: &[(usize, usize)]) -> (Tgdb, NodeTypeId, EdgeTypeId) {
+        let (mut tgdb, p, et) = schema();
+        let mut g = InstanceGraph::builder(&tgdb.schema);
+        let ids: Vec<NodeId> = (titles.iter().zip(0..))
+            .map(|(&t, i)| g.add_node(p, vec![Value::Int(i), t]))
+            .collect();
+        for &(a, b) in cites {
+            g.add_edge(&tgdb.schema, et, ids[a], ids[b]);
         }
+        tgdb.instances = Arc::new(g.finish(&tgdb.schema).unwrap());
+        (tgdb, p, et)
+    }
+
+    /// Two papers, "B-paper" citing "A-paper" and a paper labelled 7,
+    /// "A-paper" citing "B-paper": columns id, title and the two
+    /// citation directions.
+    fn table() -> EnrichedTable {
+        let (tgdb, p, _) = papers(
+            &["B-paper".into(), "A-paper".into(), 7.into()],
+            &[(0, 1), (0, 2), (1, 0)],
+        );
+        let mut t = transform::execute(&tgdb, &ops::initiate(&tgdb, p).unwrap()).unwrap();
+        t.rows.ids.truncate(2);
+        t
     }
 
     #[test]
     fn labels_resolve_through_the_shared_column() {
         let t = table();
-        assert_eq!(t.rows[0].cells[1].refs(), Some(&[NodeId(1), NodeId(2)][..]));
-        assert_eq!(t.label(NodeId(1)), "X".into());
-        assert_eq!(t.label_text(NodeId(1)), "X");
+        assert_eq!(t.columns[2].kind, ColumnKind::Neighbor { edge: schema().2 });
+        let cell = t.cell(0, 2).unwrap();
+        assert_eq!(cell.refs(), Some(&[NodeId(1), NodeId(2)][..]));
+        assert_eq!(t.label(NodeId(1)), "A-paper".into());
+        assert_eq!(t.label_text(NodeId(1)), "A-paper");
         assert_eq!(t.label_text(NodeId(2)), "7");
         assert_eq!(t.label(NodeId(99)), Value::Null);
         // Cells compare by content, not by which buffer they point into.
-        assert_eq!(t.rows[1].cells[1], {
-            let other: Arc<[NodeId]> = vec![NodeId(1)].into();
-            Cell::Refs(IdSlice::new(&other, 0..1).unwrap())
-        });
+        assert_eq!(
+            t.cell(1, 2),
+            Some(Cell::Refs(IdSlice::from(vec![NodeId(0)])))
+        );
     }
 
     #[test]
     fn sort_by_atomic_column() {
         let mut t = table();
-        t.sort_by_column(0, false);
-        assert_eq!(t.rows[0].cells[0].value(), Some(&"A-paper".into()));
+        t.sort_by_column(1, false);
+        assert_eq!(t.cell(0, 1), Some(Cell::Atomic("A-paper".into())));
+        assert_eq!(t.nodes().collect::<Vec<_>>(), [NodeId(1), NodeId(0)]);
     }
 
     #[test]
     fn sort_by_ref_count_descending() {
         let mut t = table();
-        t.sort_by_column(1, true);
-        assert_eq!(t.rows[0].cells[1].ref_count(), 2);
+        t.sort_by_column(3, true);
+        assert_eq!(t.ref_count(0, 3), 1);
+        t.sort_by_column(2, true);
+        assert_eq!(t.ref_count(0, 2), 2);
     }
 
-    /// The comparator the decorated sort replaced: cell against cell,
-    /// reading the interner for every text comparison.
-    fn oracle_sort(t: &mut EnrichedTable, column: usize, descending: bool) {
-        t.rows.sort_by(|a, b| {
+    /// The comparator the decorated sort replaced: built row against built
+    /// row, reading the interner for every text comparison.
+    fn oracle_sort(rows: &mut [ETableRow], column: usize, descending: bool) {
+        rows.sort_by(|a, b| {
             let ord = match (&a.cells[column], &b.cells[column]) {
                 (Cell::Atomic(x), Cell::Atomic(y)) => x.total_cmp(y),
                 (x, y) => x.ref_count().cmp(&y.ref_count()),
@@ -386,14 +578,16 @@ mod tests {
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
         }
     }
 
     /// Random tables — an atomic column mixing NULL, ints, floats equal to
     /// them, -0.0 beside 0.0 and text interned out of lexicographic order,
-    /// and a reference column, both full of ties — sort exactly as the old
-    /// comparator sorted them, ascending and descending.
+    /// neighbor columns and a participating column, all full of ties — sort
+    /// exactly as the old comparator sorted their built rows, ascending and
+    /// descending. Every cell read alone, every column read whole and every
+    /// count agree with the built rows.
     #[test]
     fn decorated_sort_matches_the_cell_comparator() {
         for w in [
@@ -420,43 +614,60 @@ mod tests {
             "sort-".into(),
             "sort-pear".into(),
         ];
-        let refs: Arc<[NodeId]> = (0..8).map(NodeId).collect::<Vec<_>>().into();
         for seed in 0..400u64 {
             let mut rng = Mix(seed);
-            let mut t = table();
-            t.rows = (0..rng.below(40))
-                .map(|i| ETableRow {
-                    node: NodeId(i as u32),
-                    cells: vec![
-                        Cell::Atomic(atoms[rng.below(atoms.len())]),
-                        Cell::Refs(IdSlice::new(&refs, 0..rng.below(5)).unwrap()),
-                    ],
-                })
-                .collect();
-            for (column, descending) in [(0, false), (0, true), (1, false), (1, true)] {
-                let (mut got, mut want) = (t.clone(), t.clone());
-                got.sort_by_column(column, descending);
-                oracle_sort(&mut want, column, descending);
-                assert_eq!(got, want, "seed {seed}, column {column}, desc {descending}");
+            let n = rng.below(40);
+            let titles: Vec<Value> = (0..n).map(|_| atoms[rng.below(atoms.len())]).collect();
+            let mut cites = Vec::new();
+            for i in 0..n {
+                for s in 0..rng.below(5.min(n)) {
+                    cites.push((i, (i + 1 + s) % n));
+                }
+            }
+            let (tgdb, p, et) = papers(&titles, &cites);
+            let bare = ops::initiate(&tgdb, p).unwrap();
+            // Papers with the papers they cite as a participating column.
+            let cited = ops::shift(&ops::add(&tgdb, &bare, et).unwrap(), PatternNodeId(0));
+            for q in [bare, cited.unwrap()] {
+                let t = transform::execute(&tgdb, &q).unwrap();
+                let built: Vec<ETableRow> = t.rows.iter().collect();
+                for (r, row) in built.iter().enumerate() {
+                    for (c, cell) in row.cells.iter().enumerate() {
+                        assert_eq!(t.cell(r, c).as_ref(), Some(cell), "seed {seed}");
+                        assert_eq!(t.ref_count(r, c), cell.ref_count(), "seed {seed}");
+                    }
+                }
+                for c in 0..t.columns.len() {
+                    let whole: Vec<Cell> = t.column_values(c).collect();
+                    assert!(whole.iter().eq(built.iter().map(|r| &r.cells[c])));
+                }
+                let refs = built.iter().flat_map(|r| &r.cells).map(Cell::ref_count);
+                assert_eq!(t.total_refs(), refs.sum::<usize>());
+                for column in 0..t.columns.len() {
+                    for descending in [false, true] {
+                        let mut got = t.clone();
+                        got.sort_by_column(column, descending);
+                        let mut want = built.clone();
+                        oracle_sort(&mut want, column, descending);
+                        let got: Vec<ETableRow> = got.rows.iter().collect();
+                        assert_eq!(got, want, "seed {seed}, column {column}, desc {descending}");
+                    }
+                }
             }
         }
         // A mixed pair keeps the rule: an atomic cell counts 0 references.
         let dict = etable_relational::intern::rank_map();
-        let cells = [
-            Cell::Atomic("sort-fig".into()),
-            Cell::Refs(IdSlice::new(&refs, 0..0).unwrap()),
-            Cell::Refs(IdSlice::new(&refs, 0..2).unwrap()),
+        let keys = [
+            SortKey::Atomic(SortCell::new("sort-fig".into(), &dict)),
+            SortKey::Refs(0),
+            SortKey::Refs(2),
         ];
-        for a in &cells {
-            for b in &cells {
-                let old = match (a, b) {
-                    (Cell::Atomic(x), Cell::Atomic(y)) => x.total_cmp(y),
-                    (x, y) => x.ref_count().cmp(&y.ref_count()),
-                };
-                assert_eq!(
-                    SortKey::cmp(SortKey::new(a, &dict), SortKey::new(b, &dict)),
-                    old
-                );
+        let counts = [0, 0, 2];
+        for (a, ca) in keys.iter().zip(counts) {
+            for (b, cb) in keys.iter().zip(counts) {
+                if !matches!((a, b), (SortKey::Atomic(_), SortKey::Atomic(_))) {
+                    assert_eq!(SortKey::cmp(*a, *b), ca.cmp(&cb));
+                }
             }
         }
     }
@@ -471,20 +682,22 @@ mod tests {
     #[test]
     fn lookups() {
         let t = table();
-        assert_eq!(t.column_index("Authors"), Some(1));
+        assert_eq!(t.column_index("title"), Some(1));
         assert!(t.column("nope").is_none());
         assert_eq!(t.nodes().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1)]);
         assert_eq!(t.node_at(1), Some(NodeId(1)));
         assert_eq!(t.node_at(2), None);
-        assert_eq!(t.cell(1, 0).and_then(Cell::value), Some(&"A-paper".into()));
-        assert!(t.cell(2, 0).is_none() && t.cell(0, 2).is_none());
+        assert_eq!(t.cell(1, 1), Some(Cell::Atomic("A-paper".into())));
+        assert!(t.cell(2, 0).is_none() && t.cell(0, 4).is_none());
         assert_eq!(
-            (t.ref_count(0, 1), t.ref_count(0, 0), t.ref_count(5, 1)),
+            (t.ref_count(0, 2), t.ref_count(0, 1), t.ref_count(5, 2)),
             (2, 0, 0)
         );
-        let counts: Vec<usize> = t.column_values(1).map(Cell::ref_count).collect();
+        let counts: Vec<usize> = t.column_values(2).map(|c| c.ref_count()).collect();
         assert_eq!(counts, vec![2, 1]);
-        assert_eq!(t.total_refs(), 3);
+        assert_eq!(t.total_refs(), (2 + 1) + (1 + 1));
+        assert_eq!(t.rows.first().map(|r| r.node), Some(NodeId(0)));
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -493,10 +706,30 @@ mod tests {
         t.drop_columns(|_| false);
         assert_eq!(t, table());
         t.drop_columns(|c| c.name == "title");
-        assert_eq!(t.columns.len(), 1);
-        assert_eq!(t.column_index("Authors"), Some(0));
-        assert_eq!(t.ref_count(0, 0), 2);
-        assert!(t.cell(0, 1).is_none());
+        assert_eq!(t.columns.len(), 3);
+        assert_eq!(t.column_index("id"), Some(0));
+        assert_eq!(t.ref_count(0, 1), 2);
+        assert!(t.cell(0, 3).is_none());
+        assert!(t.rows.iter().all(|r| r.cells.len() == 3));
+    }
+
+    #[test]
+    fn debug_and_equality_read_content_not_the_graph() {
+        let t = table();
+        let text = format!("{t:?}");
+        assert!(
+            text.contains("A-paper") && text.contains("B-paper"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("adjacency") && !text.contains("allowed"),
+            "{text}"
+        );
+        // The same content from another copy of the graph is equal.
+        let mut other = table();
+        assert_eq!(t, other);
+        other.sort_by_column(1, false);
+        assert_ne!(t, other);
     }
 
     #[test]

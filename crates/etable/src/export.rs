@@ -81,18 +81,19 @@ pub fn to_json(table: &EnrichedTable) -> String {
         );
     }
     out.push_str("],\"rows\":[");
+    let mut columns = columns(table);
     for (ri, node) in table.nodes().enumerate() {
         if ri > 0 {
             out.push(',');
         }
         let _ = write!(out, "{{\"node\":{},\"cells\":[", node.0);
-        let cells = (0..table.columns.len()).filter_map(|ci| table.cell(ri, ci));
+        let cells = columns.iter_mut().filter_map(Iterator::next);
         for (ci, cell) in cells.enumerate() {
             if ci > 0 {
                 out.push(',');
             }
             match cell {
-                Cell::Atomic(v) => out.push_str(&json_value(v)),
+                Cell::Atomic(v) => out.push_str(&json_value(&v)),
                 Cell::Refs(refs) => {
                     let _ = write!(out, "{{\"count\":{},\"refs\":[", refs.len());
                     for (i, r) in refs.iter().enumerate() {
@@ -116,6 +117,14 @@ pub fn to_json(table: &EnrichedTable) -> String {
     out
 }
 
+/// One cursor per column, advanced in step to read the table row by row:
+/// each column is computed in one pass that reuses its buffers.
+fn columns(table: &EnrichedTable) -> Vec<impl Iterator<Item = Cell> + '_> {
+    (0..table.columns.len())
+        .map(|ci| table.column_values(ci))
+        .collect()
+}
+
 /// Escapes a CSV field (RFC 4180 style).
 fn csv_escape(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
@@ -133,9 +142,10 @@ pub fn to_csv(table: &EnrichedTable) -> String {
     let header: Vec<String> = table.columns.iter().map(|c| csv_escape(&c.name)).collect();
     out.push_str(&header.join(","));
     out.push('\n');
-    for ri in 0..table.len() {
-        let fields: Vec<String> = (0..table.columns.len())
-            .filter_map(|ci| table.cell(ri, ci))
+    let mut columns = columns(table);
+    for _ in 0..table.len() {
+        let fields: Vec<String> = (columns.iter_mut())
+            .filter_map(Iterator::next)
             .map(|cell| match cell {
                 Cell::Atomic(v) if v.is_null() => String::new(),
                 Cell::Atomic(v) => csv_escape(&v.to_string()),
@@ -207,21 +217,23 @@ mod tests {
 
     #[test]
     fn null_cells_export_cleanly() {
-        use crate::etable::{Cell, ColumnKind, ColumnSpec, ETableRow};
-        let t = EnrichedTable {
-            primary_type_name: "T".into(),
-            filter_desc: String::new(),
-            columns: vec![ColumnSpec {
-                name: "x".into(),
-                kind: ColumnKind::Base { attr: 0 },
-            }],
-            rows: vec![ETableRow {
-                node: etable_tgm::NodeId(0),
-                cells: vec![Cell::Atomic(etable_relational::value::Value::Null)],
-            }],
-            labels: Vec::new().into(),
-        };
+        use etable_relational::database::Database;
+        use etable_relational::schema::{Column, TableSchema};
+        use etable_relational::value::{DataType, Value};
+        let mut db = Database::new();
+        let schema = TableSchema::new(
+            "T",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::nullable("x", DataType::Int),
+            ],
+        );
+        db.create_table(schema.with_primary_key(&["id"])).unwrap();
+        db.insert("T", vec![1.into(), Value::Null]).unwrap();
+        let tgdb = etable_tgm::translate(&db, &Default::default()).unwrap();
+        let (ty, _) = tgdb.schema.node_type_by_name("T").unwrap();
+        let t = transform::execute(&tgdb, &ops::initiate(&tgdb, ty).unwrap()).unwrap();
         assert!(to_json(&t).contains("null"));
-        assert_eq!(to_csv(&t).lines().nth(1), Some(""));
+        assert_eq!(to_csv(&t).lines().nth(1), Some("1,"));
     }
 }

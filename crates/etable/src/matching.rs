@@ -19,15 +19,15 @@
 use crate::graph_relation::GraphRelation;
 use crate::pattern::{PatternNodeId, QueryPattern};
 use crate::Result;
-use etable_tgm::{EdgeTypeId, NodeId, Tgdb};
+use etable_tgm::{EdgeTypeId, InstanceGraph, NodeId, Tgdb};
 
 /// A set of instance nodes: one bit per node id of the graph.
 #[derive(Debug, Clone, Default)]
 struct Bitmap(Vec<u64>);
 
 impl Bitmap {
-    fn new(tgdb: &Tgdb) -> Bitmap {
-        Bitmap(vec![0; tgdb.instances.node_count() / 64 + 1])
+    fn new(graph: &InstanceGraph) -> Bitmap {
+        Bitmap(vec![0; graph.node_count() / 64 + 1])
     }
 
     fn contains(&self, node: NodeId) -> bool {
@@ -55,27 +55,28 @@ pub struct MatchResult {
     member: Vec<Bitmap>,
 }
 
-/// Buffers [`MatchResult::related_into`] reuses from row to row.
-#[derive(Debug)]
+/// Buffers [`MatchResult::related_into`] reuses from row to row. Nothing
+/// is allocated until a walk needs it.
+#[derive(Debug, Default)]
 pub struct RelatedScratch {
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    /// All-zero between hops: every bit a hop sets it clears again.
+    /// All-zero between hops: every bit a hop sets it clears again. Sized
+    /// to the graph by the first hop that needs it.
     seen: Bitmap,
 }
 
-impl RelatedScratch {
-    /// Scratch space for walks over `tgdb`.
-    pub fn new(tgdb: &Tgdb) -> Self {
-        RelatedScratch {
-            frontier: Vec::new(),
-            next: Vec::new(),
-            seen: Bitmap::new(tgdb),
+impl MatchResult {
+    /// The result in which nothing matches `pattern`: the input of a table
+    /// that has its columns but no rows.
+    pub fn empty(pattern: &QueryPattern) -> MatchResult {
+        MatchResult {
+            pattern: pattern.clone(),
+            allowed: vec![Vec::new(); pattern.len()],
+            member: vec![Bitmap::default(); pattern.len()],
         }
     }
-}
 
-impl MatchResult {
     /// The matched primary rows (`R = Π_τa(m(Q))`), in instance order.
     pub fn rows(&self) -> &[NodeId] {
         &self.allowed[self.pattern.primary.0]
@@ -92,7 +93,13 @@ impl MatchResult {
     pub fn related(&self, tgdb: &Tgdb, row: NodeId, target: PatternNodeId) -> Result<Vec<NodeId>> {
         let path = self.pattern.path(tgdb, self.pattern.primary, target)?;
         let mut out = Vec::new();
-        self.related_into(tgdb, &path, row, &mut RelatedScratch::new(tgdb), &mut out);
+        self.related_into(
+            &tgdb.instances,
+            &path,
+            row,
+            &mut RelatedScratch::default(),
+            &mut out,
+        );
         Ok(out)
     }
 
@@ -101,7 +108,7 @@ impl MatchResult {
     /// appends the related nodes to `out`, first-reached first.
     pub fn related_into(
         &self,
-        tgdb: &Tgdb,
+        graph: &InstanceGraph,
         path: &[(PatternNodeId, EdgeTypeId)],
         row: NodeId,
         scratch: &mut RelatedScratch,
@@ -118,9 +125,12 @@ impl MatchResult {
             // One node's neighbor list holds no duplicates (an edge is a key
             // of its source relation); only a wider frontier needs `seen`.
             let dedup = frontier.len() > 1;
+            if dedup && seen.0.is_empty() {
+                *seen = Bitmap::new(graph);
+            }
             next.clear();
             for &f in frontier.iter() {
-                for &nb in tgdb.instances.neighbors(edge, f) {
+                for &nb in graph.neighbors(edge, f) {
                     if self.member[step.0].contains(nb) && !(dedup && seen.contains(nb)) {
                         if dedup {
                             seen.set(nb, true);
@@ -177,7 +187,7 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
                 }
             }
         }
-        let mut bits = Bitmap::new(tgdb);
+        let mut bits = Bitmap::new(&tgdb.instances);
         for &v in &candidates {
             bits.set(v, true);
         }
@@ -344,13 +354,13 @@ mod tests {
         assert_eq!(m.rows().len(), 2);
         let full = match_full(&tgdb, &q).unwrap();
         let primary_pos = full.attr_pos(q.primary).unwrap();
-        let mut scratch = RelatedScratch::new(&tgdb);
+        let mut scratch = RelatedScratch::default();
         for target in q.node_ids() {
             let path = q.path(&tgdb, q.primary, target).unwrap();
             let target_pos = full.attr_pos(target).unwrap();
             for &row in m.rows() {
                 let mut got = Vec::new();
-                m.related_into(&tgdb, &path, row, &mut scratch, &mut got);
+                m.related_into(&tgdb.instances, &path, row, &mut scratch, &mut got);
                 assert_eq!(got, m.related(&tgdb, row, target).unwrap());
                 let mut want: Vec<NodeId> = full
                     .tuples

@@ -86,7 +86,7 @@ pub fn render_etable(t: &EnrichedTable, opts: &RenderOptions) -> String {
         .map(|c| {
             t.column_values(c)
                 .take(opts.max_rows)
-                .map(|cell| render_cell(t, cell, opts))
+                .map(|cell| render_cell(t, &cell, opts))
                 .collect()
         })
         .collect();

@@ -105,10 +105,16 @@ impl Session {
 
     fn push(&mut self, action: &UserAction) -> Result<()> {
         // An action reads the column specs of the table it is applied to,
-        // never its rows: hand it the header and match nothing here.
-        let shown = self
-            .current_pattern()
-            .map(|pattern| transform::header(&self.tgdb, pattern));
+        // never its rows: hand it the header, without the hidden columns,
+        // and match nothing here.
+        let shown = match self.current_pattern() {
+            Some(pattern) => {
+                let mut t = transform::header(&self.tgdb, pattern)?;
+                t.drop_columns(|c| self.hidden.contains(&c.name));
+                Some(t)
+            }
+            None => None,
+        };
         let outcome = apply(&self.tgdb, self.current_pattern(), shown.as_ref(), action)?;
         self.history.push(HistoryStep {
             description: outcome.description,
@@ -294,6 +300,27 @@ mod tests {
         s.show("Authors");
         let t = s.etable().unwrap();
         assert!(t.column("Authors").is_some());
+    }
+
+    #[test]
+    fn a_hidden_column_cannot_be_pivoted_on_or_expanded() {
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let mut s = Session::new(tgdb.clone());
+        s.open_by_name("Papers").unwrap();
+        let row = s.etable().unwrap().node_at(0).unwrap();
+        s.hide("Authors");
+        assert!(s.etable().unwrap().column("Authors").is_none());
+        let unknown = |r: Result<()>| matches!(r, Err(Error::UnknownColumn(c)) if c == "Authors");
+        assert!(unknown(s.pivot("Authors")));
+        assert!(unknown(s.seeall(row, "Authors")));
+        assert_eq!(s.history().len(), 1);
+        assert_eq!(s.etable().unwrap().primary_type_name, "Papers");
+        // Shown again, the column takes both actions.
+        s.show("Authors");
+        s.seeall(row, "Authors").unwrap();
+        s.revert(0).unwrap();
+        s.pivot("Authors").unwrap();
+        assert_eq!(s.etable().unwrap().primary_type_name, "Authors");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! pattern-specific and do not survive combination).
 
 use crate::etable::EnrichedTable;
-use crate::matching::match_primary;
+use crate::matching::{match_primary, MatchResult};
 use crate::pattern::QueryPattern;
 use crate::{ops, transform, Error, Result};
 use etable_tgm::{NodeId, Tgdb};
+use std::sync::Arc;
 
 /// Which set operation to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,14 +85,15 @@ pub fn combine(
     };
 
     // Base attributes + all neighbor columns of the shared type: the table
-    // of the bare type, with the combined rows.
-    let mut table = transform::header(tgdb, &ops::initiate(tgdb, lt)?);
+    // of the bare type, with the combined rows. It has no participating
+    // column, so no cell reads the (empty) match it is made from.
+    let bare = MatchResult::empty(&ops::initiate(tgdb, lt)?);
+    let mut table = transform::table(tgdb, &Arc::new(bare), rows)?;
     table.filter_desc = format!(
         "{op} of ({}) and ({})",
         describe(tgdb, left),
         describe(tgdb, right)
     );
-    transform::fill_rows(tgdb, &mut table, &rows);
     Ok(table)
 }
 

@@ -11,29 +11,44 @@
 //! A neighbor column is suppressed when the same edge type already connects
 //! the primary node to a participating node — "some of these columns are
 //! the same as the participating node columns" (Figure 8 caption).
+//!
+//! The table builds no cell: it is the header plus the matched ids, and
+//! each cell is computed when it is read (see [`crate::etable`]).
 
-use crate::etable::{Cell, ColumnKind, ColumnSpec, ETableRow, EnrichedTable};
-use crate::matching::{match_primary, MatchResult, RelatedScratch};
+use crate::etable::{ColumnKind, ColumnSpec, EnrichedTable};
+use crate::matching::{match_primary, MatchResult};
 use crate::pattern::QueryPattern;
-use crate::{Error, Result};
-use etable_relational::value::Value;
-use etable_tgm::{IdSlice, NodeId, Tgdb};
+use crate::Result;
+use etable_tgm::{NodeId, Tgdb};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Executes a query pattern and transforms the result into an enriched
 /// table (instance matching + format transformation, Figure 8).
 pub fn execute(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
-    let m = match_primary(tgdb, pattern)?;
-    transform(tgdb, &m)
+    transform(tgdb, &Arc::new(match_primary(tgdb, pattern)?))
 }
 
 /// The enriched table of `pattern` without its rows: heading, filter
 /// description and column specs, which depend on the pattern and the
 /// schema only. This is all a user action needs of the table it is
-/// applied to ([`crate::actions::apply`]), so a session never builds rows
-/// it will not show.
-pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> EnrichedTable {
+/// applied to ([`crate::actions::apply`]), so a session matches nothing
+/// to apply one.
+pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
+    table(tgdb, &Arc::new(MatchResult::empty(pattern)), Vec::new())
+}
+
+/// Transforms an existing matching result into an enriched table:
+/// [`header`] plus a copy of the matched primary ids. No cell is built,
+/// no label is read, and nothing is allocated per reference.
+pub fn transform(tgdb: &Tgdb, m: &Arc<MatchResult>) -> Result<EnrichedTable> {
+    table(tgdb, m, m.rows().to_vec())
+}
+
+/// The table of `m.pattern`'s columns over the rows `ids`, in that order:
+/// the one constructor of an enriched table.
+pub(crate) fn table(tgdb: &Tgdb, m: &Arc<MatchResult>, ids: Vec<NodeId>) -> Result<EnrichedTable> {
+    let pattern = &m.pattern;
     let primary = pattern.primary;
     let primary_ty = pattern.primary_node().node_type;
     let nt = tgdb.schema.node_type(primary_ty);
@@ -106,68 +121,7 @@ pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> EnrichedTable {
         format!("filtered by {}", filters.join(" AND "))
     };
 
-    EnrichedTable {
-        primary_type_name: nt.name.clone(),
-        filter_desc,
-        columns,
-        rows: Vec::new(),
-        labels: Arc::clone(tgdb.instances.labels()),
-    }
-}
-
-/// Gives `table` one row per node of `rows`, with its base and neighbor
-/// cells; a neighbor cell is the node's run of the CSR target array.
-/// Participating cells are left `NULL` for [`transform`] to fill in.
-pub(crate) fn fill_rows(tgdb: &Tgdb, table: &mut EnrichedTable, rows: &[NodeId]) {
-    let row = |&node| {
-        let cells = table.columns.iter().map(|col| match col.kind {
-            ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.value(node, attr)),
-            ColumnKind::Neighbor { edge } => Cell::Refs(tgdb.instances.neighbor_slice(edge, node)),
-            ColumnKind::Participating { .. } => Cell::Atomic(Value::Null),
-        });
-        ETableRow {
-            node,
-            cells: cells.collect(),
-        }
-    };
-    table.rows = rows.iter().map(row).collect();
-}
-
-/// Transforms an existing matching result into an enriched table:
-/// [`header`] plus one row of ids per matched primary node. No label is
-/// read and nothing is allocated per reference or per neighbor cell.
-pub fn transform(tgdb: &Tgdb, m: &MatchResult) -> Result<EnrichedTable> {
-    let mut table = header(tgdb, &m.pattern);
-    let rows = m.rows();
-    fill_rows(tgdb, &mut table, rows);
-
-    // A participating column is one flat id buffer: the pattern path is
-    // resolved once, every row appends its related nodes, and each cell is
-    // that row's run of the buffer.
-    let mut scratch = RelatedScratch::new(tgdb);
-    let mut ends = Vec::with_capacity(rows.len());
-    for (ci, col) in table.columns.iter().enumerate() {
-        let ColumnKind::Participating { node: target } = col.kind else {
-            continue;
-        };
-        let path = m.pattern.path(tgdb, m.pattern.primary, target)?;
-        let mut ids: Vec<NodeId> = Vec::new();
-        ends.clear();
-        for &row in rows {
-            m.related_into(tgdb, &path, row, &mut scratch, &mut ids);
-            ends.push(ids.len());
-        }
-        let ids: Arc<[NodeId]> = ids.into();
-        let mut start = 0;
-        for (row, &end) in table.rows.iter_mut().zip(&ends) {
-            let run = IdSlice::new(&ids, start..end).ok_or_else(|| {
-                Error::InvalidAction(format!("column `{}` holds too many references", col.name))
-            })?;
-            row.cells[ci] = Cell::Refs(run);
-            start = end;
-        }
-    }
-    Ok(table)
+    EnrichedTable::new(nt.name.clone(), filter_desc, columns, tgdb, m, ids)
 }
 
 #[cfg(test)]
@@ -250,7 +204,7 @@ mod tests {
             t.columns[col].kind,
             ColumnKind::Participating { .. }
         ));
-        for row in &t.rows {
+        for row in t.rows.iter() {
             let refs = row.cells[col].refs().unwrap();
             assert_eq!(refs.len(), 1);
             assert_eq!(t.label(refs[0]), "SIGMOD".into());
@@ -332,7 +286,7 @@ mod tests {
         // Authors of SIGMOD papers: Jagadish, Nandi, Kwon.
         assert_eq!(t.len(), 3);
         let papers_col = t.column_index("Papers").unwrap();
-        for row in &t.rows {
+        for row in t.rows.iter() {
             assert!(row.cells[papers_col].ref_count() >= 1);
         }
     }

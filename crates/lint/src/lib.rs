@@ -3,7 +3,7 @@
 //! This is a deliberately line-oriented checker with zero dependencies —
 //! no syn, no regex, no proc-macro parsing — so it builds instantly,
 //! works offline, and its rules are transparent enough to audit by
-//! reading this one file. It enforces five workspace conventions that
+//! reading this one file. It enforces six workspace conventions that
 //! `rustc`/`clippy` cannot express per-repo:
 //!
 //! 1. **Forbid attribute** — every crate root (`src/lib.rs`,
@@ -33,6 +33,13 @@
 //!    no longer exists, or a budget larger than the file's actual count,
 //!    is itself a violation: an entry that outlives what it excused is
 //!    room for a new panic.
+//! 6. **Row view stays home** — an enriched table builds its cells only
+//!    when they are read, through its accessors (`nodes`, `cell`,
+//!    `ref_count`, `column_values`). Its whole-row view, `ETableRow` and
+//!    the `ETableRows` type of its `rows` field, builds every cell of a
+//!    row, so outside `crates/etable/src/etable.rs` no non-test code may
+//!    name either: not in `src/` trees, `benches/` or `examples/`. Test
+//!    code may.
 //!
 //! `tests/` files are walked for rule 3 only: they are exempt from the
 //! panic budget (a failing test *should* panic) and are never crate
@@ -64,6 +71,13 @@ const SET_VAR_PATTERN: &str = concat!("env::set", "_var");
 
 /// The attribute every crate root must carry.
 const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
+
+/// The name the row-view rule searches for; it is also the prefix of the
+/// view type's name. Built with `concat!` so this file does not name it.
+const ROW_VIEW: &str = concat!("ETable", "Row");
+
+/// The one non-test file that may name the row view.
+const ROW_VIEW_HOME: &str = "crates/etable/src/etable.rs";
 
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
@@ -98,7 +112,7 @@ pub struct Violation {
     /// 1-based line, or 0 for whole-file findings (budget, missing attr).
     pub line: usize,
     /// Short rule identifier: `forbid-attr`, `panic-budget`, `set-var`,
-    /// `file-size`, `stale-allowlist`.
+    /// `file-size`, `stale-allowlist`, `row-view`.
     pub rule: &'static str,
     /// Human-readable description of what tripped.
     pub message: String,
@@ -176,10 +190,31 @@ pub fn count_panics(content: &str) -> usize {
     count
 }
 
+/// Rule 6: the lines of a non-test file, before its test region, that
+/// name the row view (comment lines aside), unless the file is its home.
+fn check_row_view(rel: &str, content: &str) -> Vec<Violation> {
+    if rel == ROW_VIEW_HOME || is_test_file(rel) {
+        return Vec::new();
+    }
+    (content.lines().enumerate())
+        .take_while(|(_, l)| !l.contains("#[cfg(test)]"))
+        .filter(|(_, l)| !l.trim_start().starts_with("//") && l.contains(ROW_VIEW))
+        .map(|(i, _)| Violation {
+            file: rel.to_string(),
+            line: i + 1,
+            rule: "row-view",
+            message: format!(
+                "names `{ROW_VIEW}`, which builds whole rows; read the table through \
+                 `nodes`, `cell`, `ref_count` and `column_values` ({ROW_VIEW_HOME} only)"
+            ),
+        })
+        .collect()
+}
+
 /// Lints one source file. `rel` is the workspace-relative path (forward
 /// slashes); `content` is the file's text.
 pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
+    let mut out = check_row_view(rel, content);
     let test_file = is_test_file(rel);
 
     // Rule 1: crate roots must carry the forbid attribute verbatim.
@@ -308,8 +343,8 @@ fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// umbrella crate's `src/` and `tests/` plus each crate's
 /// `crates/**/{src,tests}/` (compat shims included). `src/` trees get
 /// every per-file rule; `tests/` trees get the `set_var` rule only (see
-/// [`check_file`]). `benches/` and `examples/` are out of scope. The
-/// allowlists are then checked against the same tree (rule 5).
+/// [`check_file`]); `benches/` and `examples/` trees get the row-view rule
+/// only. The allowlists are then checked against the same tree (rule 5).
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut crate_dirs: Vec<PathBuf> = vec![root.to_path_buf()];
     let crates = root.join("crates");
@@ -334,7 +369,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     }
     crate_dirs.sort();
 
-    let mut files = Vec::new();
+    let (mut files, mut others) = (Vec::new(), Vec::new());
     for dir in crate_dirs {
         for sub in ["src", "tests"] {
             let tree = dir.join(sub);
@@ -342,17 +377,27 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
                 collect_rs(&tree, &mut files)?;
             }
         }
+        for sub in ["benches", "examples"] {
+            let tree = dir.join(sub);
+            if tree.is_dir() {
+                collect_rs(&tree, &mut others)?;
+            }
+        }
     }
 
+    let rel = |path: &Path| {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        rel.to_string_lossy().replace('\\', "/")
+    };
     let mut out = Vec::new();
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let content = std::fs::read_to_string(&path)?;
-        out.extend(check_file(&rel, &content));
+        out.extend(check_file(&rel(&path), &std::fs::read_to_string(&path)?));
+    }
+    for path in others {
+        out.extend(check_row_view(
+            &rel(&path),
+            &std::fs::read_to_string(&path)?,
+        ));
     }
     out.extend(check_allowlists(&PANIC_BUDGET, |rel| {
         std::fs::read_to_string(root.join(rel)).ok()
@@ -363,6 +408,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn clean_lib_file_passes() {
@@ -522,6 +568,45 @@ mod tests {
         let rules: Vec<&str> = violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"forbid-attr"), "{violations:?}");
         assert!(rules.contains(&"panic-budget"), "{violations:?}");
+    }
+
+    #[test]
+    fn the_row_view_is_named_only_at_home_and_in_tests() {
+        let named = format!("use etable_core::etable::{ROW_VIEW}s;\nfn f(r: {ROW_VIEW}) {{}}\n");
+        for rel in ["crates/bench/src/bin/fig1.rs", "examples/quickstart.rs"] {
+            let v = check_file(rel, &named);
+            assert_eq!(v.len(), 2, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "row-view"));
+            assert_eq!((v[0].line, v[1].line), (1, 2));
+        }
+        assert!(check_file(ROW_VIEW_HOME, &named).is_empty());
+        assert!(check_row_view("tests/session_fuzz.rs", &named).is_empty());
+        // A test region, a comment and the accessors are fine.
+        let fine = format!(
+            "// {ROW_VIEW} is built by the view\nfn f(t: &T) {{ t.cell(0, 0); }}\n#[cfg(test)]\nuse x::{ROW_VIEW};\n"
+        );
+        assert!(check_file("crates/etable/src/export.rs", &fine).is_empty());
+        // The walker reaches benches and the umbrella crate's examples.
+        let root = std::env::temp_dir().join(format!("etable-lint-rows-{}", std::process::id()));
+        for dir in ["examples", "crates/bench/benches", "crates/bench/src"] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+            std::fs::write(root.join(dir).join("x.rs"), &named).unwrap();
+        }
+        let violations = check_workspace(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        let files: BTreeSet<&str> = (violations.iter())
+            .filter(|v| v.rule == "row-view")
+            .map(|v| v.file.as_str())
+            .collect();
+        assert_eq!(
+            files,
+            BTreeSet::from([
+                "crates/bench/benches/x.rs",
+                "crates/bench/src/x.rs",
+                "examples/x.rs"
+            ]),
+            "{violations:?}"
+        );
     }
 
     #[test]

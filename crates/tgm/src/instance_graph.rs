@@ -25,27 +25,35 @@ struct Node {
     values: Vec<Value>,
 }
 
-/// A shared, immutable run of node ids, `buf[start..start + len]`: a node's
-/// neighbor list within a CSR target array, or one cell of an enriched-table
-/// column within the column's buffer. Handing one out bumps a reference
-/// count; it copies no ids and allocates nothing. Equality is by content.
+/// A shared, immutable run of node ids, `buf[range]`: a node's neighbor
+/// list within a CSR target array, or a set of ids a walk collected.
+/// Handing a CSR run out bumps a reference count; it copies no ids and
+/// allocates nothing. Equality is by content.
 #[derive(Clone)]
 pub struct IdSlice {
     buf: Arc<[NodeId]>,
-    start: u32,
-    len: u32,
+    range: Range<usize>,
 }
 
 impl IdSlice {
     /// The run `buf[range]`, or `None` when `range` does not lie inside
-    /// `buf` or its bounds do not fit `u32`.
+    /// `buf`.
     pub fn new(buf: &Arc<[NodeId]>, range: Range<usize>) -> Option<IdSlice> {
         buf.get(range.clone())?;
         Some(IdSlice {
             buf: Arc::clone(buf),
-            start: u32::try_from(range.start).ok()?,
-            len: u32::try_from(range.len()).ok()?,
+            range,
         })
+    }
+}
+
+impl From<Vec<NodeId>> for IdSlice {
+    /// All of `ids`, as a buffer of its own.
+    fn from(ids: Vec<NodeId>) -> IdSlice {
+        IdSlice {
+            range: 0..ids.len(),
+            buf: ids.into(),
+        }
     }
 }
 
@@ -55,7 +63,7 @@ impl Deref for IdSlice {
     fn deref(&self) -> &[NodeId] {
         // In bounds by construction: `new` checks the range, and CSR runs
         // are validated when the graph is built.
-        &self.buf[self.start as usize..][..self.len as usize]
+        &self.buf[self.range.clone()]
     }
 }
 
@@ -140,8 +148,8 @@ pub struct InstanceGraph {
     nodes: Vec<Node>,
     /// node type -> nodes of that type, in insertion (= ascending id) order.
     by_type: Vec<Vec<NodeId>>,
-    /// node id -> `label(v) = v[β]`; shared with every enriched table.
-    labels: Arc<[Value]>,
+    /// node id -> `label(v) = v[β]`.
+    labels: Vec<Value>,
     /// edge type -> adjacency (both directions of a pair are stored).
     adjacency: Vec<Csr>,
     /// Total number of logical (forward) edges inserted.
@@ -224,7 +232,7 @@ impl GraphBuilder {
         Ok(InstanceGraph {
             nodes: self.nodes,
             by_type: self.by_type,
-            labels: labels.into(),
+            labels,
             adjacency,
             edge_count,
         })
@@ -252,7 +260,7 @@ impl InstanceGraph {
     }
 
     /// The label column, indexed by node id.
-    pub fn labels(&self) -> &Arc<[Value]> {
+    pub fn labels(&self) -> &[Value] {
         &self.labels
     }
 
@@ -283,12 +291,9 @@ impl InstanceGraph {
     /// The same neighbors as a shared run of the CSR target array.
     pub fn neighbor_slice(&self, et: EdgeTypeId, node: NodeId) -> IdSlice {
         let csr = &self.adjacency[et.index()];
-        let run = csr.run(node);
-        // Offsets are `u32`, so the casts are lossless.
         IdSlice {
             buf: Arc::clone(&csr.targets),
-            start: run.start as u32,
-            len: run.len() as u32,
+            range: csr.run(node),
         }
     }
 
@@ -607,6 +612,10 @@ mod tests {
         assert_ne!(IdSlice::new(&a, 0..2), IdSlice::new(&b, 0..2));
         assert_eq!(IdSlice::new(&a, 3..3).map(|s| s.len()), Some(0));
         assert!(IdSlice::new(&a, 2..4).is_none());
+        assert_eq!(
+            IdSlice::from(vec![NodeId(2), NodeId(3)]),
+            IdSlice::new(&a, 1..3).unwrap()
+        );
         assert_eq!(
             format!("{:?}", IdSlice::new(&b, 0..2).unwrap()),
             "[NodeId(2), NodeId(3)]"

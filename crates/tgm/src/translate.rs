@@ -26,6 +26,7 @@ use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
 use etable_relational::value::{DataType, Value};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// How a relation was classified during translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,8 +96,9 @@ pub struct ReportEntry {
 pub struct Tgdb {
     /// The schema graph `GS`.
     pub schema: SchemaGraph,
-    /// The instance graph `GI`.
-    pub instances: InstanceGraph,
+    /// The instance graph `GI`, shared with every enriched table read
+    /// from it.
+    pub instances: Arc<InstanceGraph>,
     /// Classification of every input relation.
     pub categories: BTreeMap<String, RelationCategory>,
 }
@@ -585,7 +587,7 @@ fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
 /// Translates `db` into a typed graph database.
 pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
     let (schema, categories) = schema_of(db, opts)?;
-    let instances = instances_of(db, &schema)?;
+    let instances = Arc::new(instances_of(db, &schema)?);
     Ok(Tgdb {
         schema,
         instances,

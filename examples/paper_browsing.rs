@@ -48,8 +48,8 @@ fn main() {
     let authors_col = table.column_index("Authors").expect("Authors column");
     let first_author = table
         .cell(0, authors_col)
-        .and_then(|c| c.refs())
-        .expect("refs")[0];
+        .and_then(|c| c.refs()?.first().copied())
+        .expect("an author");
 
     // (a) click one author's name.
     let mut a = Session::new(tgdb.clone());
