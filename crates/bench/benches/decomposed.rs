@@ -32,6 +32,25 @@ fn wide_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
     ops::shift(&q, PatternNodeId(0)).unwrap()
 }
 
+/// A selective pattern, the shape of Table 2's task 4: one institution's
+/// authors' papers and the papers those cite (primary). The institution
+/// seeds the match and every other node grows from its parent's
+/// neighbors, where the non-selective `wide_pattern` scans whole types.
+fn selective_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
+    let (insts, _) = tgdb.schema.node_type_by_name("Institutions").unwrap();
+    let q = ops::initiate(tgdb, insts).unwrap();
+    let cmu = NodeFilter::cmp("name", CmpOp::Eq, "Carnegie Mellon University");
+    let mut q = ops::select(tgdb, &q, cmu).unwrap();
+    for name in ["Authors", "Papers", "Papers (referenced)"] {
+        let (e, _) = tgdb
+            .schema
+            .outgoing_by_name(q.primary_node().node_type, name)
+            .unwrap();
+        q = ops::add(tgdb, &q, e).unwrap();
+    }
+    q
+}
+
 fn bench_decomposed(c: &mut Criterion) {
     let mut group = c.benchmark_group("decomposed_vs_monolithic");
     group.sample_size(12);
@@ -62,6 +81,19 @@ fn bench_decomposed(c: &mut Criterion) {
                 })
             },
         );
+        if papers == 1000 {
+            let q = selective_pattern(&tgdb);
+            group.bench_with_input(
+                BenchmarkId::new("selective_pivot", papers),
+                &papers,
+                |b, _| {
+                    b.iter(|| {
+                        let m = matching::match_primary(&tgdb, &q).unwrap();
+                        m.allowed.iter().map(Vec::len).sum::<usize>()
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

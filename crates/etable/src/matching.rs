@@ -11,7 +11,9 @@
 //!   This implements the paper's §6.2 optimization — "we partition a long
 //!   SQL query into multiple queries ... and merge them" — the ETable only
 //!   needs per-row *sets* of related entities, never the full cross
-//!   product.
+//!   product. It starts at the pattern's most selective node and grows
+//!   the other nodes' candidates along CSR edges where that is cheaper
+//!   than scanning their types.
 //!
 //! For tree-shaped patterns both agree:
 //! `Π_τ(match_full(Q)) == match_primary(Q).allowed[τ]` (property-tested).
@@ -166,33 +168,86 @@ pub fn match_full(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<GraphRelation> 
 
 /// Computes the per-node participating sets with two passes over the
 /// pattern tree (Yannakakis), avoiding the full cross product.
+///
+/// The passes are rooted at a *seed*: a node with a `NodeIs` atom (one
+/// candidate), else the filtered node of the smallest type, else the
+/// primary. Walking the tree from there, parents first, every other node
+/// starts from its parent's CSR neighbors passed through its own filter
+/// when the parent's degree sum is below the node's type size, and from
+/// its whole type filtered otherwise. Either start holds every node of a
+/// full match (expanding from the parent is itself a semi-join), so the
+/// passes reach the same fixpoint — the projections of the full join —
+/// from any of them.
 pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult> {
-    let tree = pattern.tree(tgdb, pattern.primary)?;
+    let graph = &tgdb.instances;
+    let filters = pattern
+        .nodes
+        .iter()
+        .map(|node| node.filter.bind(tgdb, node.node_type))
+        .collect::<Result<Vec<_>>>()?;
+    let seed = pattern
+        .node_ids()
+        .find(|id| filters[id.0].node_is().is_some())
+        .or_else(|| {
+            let filtered = pattern
+                .node_ids()
+                .filter(|&id| !pattern.node(id).filter.is_empty());
+            filtered.min_by_key(|&id| graph.nodes_of_type(pattern.node(id).node_type).len())
+        })
+        .unwrap_or(pattern.primary);
+    let tree = pattern.tree(tgdb, seed)?;
     let n = pattern.len();
 
-    // Initial candidates: local filters only, in instance order.
-    let mut allowed: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-    let mut member: Vec<Bitmap> = Vec::with_capacity(n);
-    for id in pattern.node_ids() {
-        let node = pattern.node(id);
-        let all = tgdb.instances.nodes_of_type(node.node_type);
-        let mut candidates = Vec::with_capacity(all.len());
-        if node.filter.is_empty() {
-            candidates.extend_from_slice(all);
-        } else {
-            let filter = node.filter.bind(tgdb, node.node_type)?;
-            for &v in all {
-                if filter.eval(tgdb, v)? {
-                    candidates.push(v);
+    // Starting candidates, parents first, each in ascending id order.
+    let mut allowed: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut member: Vec<Bitmap> = vec![Bitmap::default(); n];
+    let mut reached = Vec::new();
+    for step in &tree {
+        let node = pattern.node(step.node);
+        let filter = &filters[step.node.0];
+        let all = graph.nodes_of_type(node.node_type);
+        let mut bits = Bitmap::new(graph);
+        let expand = step.via.filter(|via| {
+            let mut degrees = 0;
+            allowed[via.parent.0].iter().all(|&v| {
+                degrees += graph.degree(via.edge_type, v);
+                degrees < all.len()
+            })
+        });
+        reached.clear();
+        let source = match (filter.node_is(), expand) {
+            (Some(target), _) => {
+                // A target of another type (or none) matches nothing.
+                if target.index() < graph.node_count() && graph.type_of(target) == node.node_type {
+                    reached.push(target);
                 }
+                &reached[..]
+            }
+            (None, Some(via)) => {
+                // `bits` marks the neighbors already reached; cleared after.
+                for &v in &allowed[via.parent.0] {
+                    for &nb in graph.neighbors(via.edge_type, v) {
+                        if !bits.contains(nb) {
+                            bits.set(nb, true);
+                            reached.push(nb);
+                        }
+                    }
+                }
+                reached.iter().for_each(|&nb| bits.set(nb, false));
+                reached.sort_unstable();
+                &reached[..]
+            }
+            (None, None) => all,
+        };
+        let mut candidates = Vec::with_capacity(source.len());
+        for &v in source {
+            if node.filter.is_empty() || filter.eval(tgdb, v)? {
+                candidates.push(v);
+                bits.set(v, true);
             }
         }
-        let mut bits = Bitmap::new(&tgdb.instances);
-        for &v in &candidates {
-            bits.set(v, true);
-        }
-        allowed.push(candidates);
-        member.push(bits);
+        allowed[step.node.0] = candidates;
+        member[step.node.0] = bits;
     }
 
     // Drops from `cur`'s candidates, and from its bitmap, every node that
@@ -438,6 +493,94 @@ mod tests {
         assert_eq!(names, vec!["Minsuk Kim"]);
     }
 
+    /// Every pattern node's `allowed` list is its projection of the full
+    /// graph relation, ascending and without duplicates.
+    fn assert_projections_in_order(tgdb: &etable_tgm::Tgdb, q: &QueryPattern) {
+        let full = match_full(tgdb, q).unwrap();
+        let prim = match_primary(tgdb, q).unwrap();
+        for id in q.node_ids() {
+            let mut want = full.distinct_nodes(id).unwrap();
+            want.sort();
+            assert_eq!(prim.allowed[id.0], want, "projection mismatch at {id}");
+        }
+    }
+
+    #[test]
+    fn a_selective_leaf_three_hops_away_seeds_the_match() {
+        // Papers cited by a paper of an author at Seoul National Univ.:
+        // the institution, three hops from the primary, seeds the match
+        // and every other node starts from its parent's neighbors.
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let q = ops::initiate(&tgdb, papers).unwrap();
+        let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
+        let q = ops::add(&tgdb, &q, ae).unwrap();
+        let authors_ty = q.primary_node().node_type;
+        let (ie, _) = tgdb
+            .schema
+            .outgoing_by_name(authors_ty, "Institutions")
+            .unwrap();
+        let q = ops::add(&tgdb, &q, ie).unwrap();
+        let seoul = NodeFilter::cmp("name", CmpOp::Eq, "Seoul National Univ.");
+        let q = ops::select(&tgdb, &q, seoul).unwrap();
+        let q = ops::shift(&q, PatternNodeId(0)).unwrap();
+        let (ce, _) = tgdb
+            .schema
+            .outgoing_by_name(papers, "Papers (referenced)")
+            .unwrap();
+        let q = ops::add(&tgdb, &q, ce).unwrap();
+        assert_eq!(q.primary, PatternNodeId(3));
+        let m = match_primary(&tgdb, &q).unwrap();
+        let titles: Vec<String> = m
+            .rows()
+            .iter()
+            .map(|&p| tgdb.instances.label(p).to_string())
+            .collect();
+        // Kim wrote 12 (cites 10) and 13 (cites 11 and 12).
+        assert_eq!(
+            titles,
+            [
+                "Making database systems usable",
+                "SkewTune",
+                "Guided interaction"
+            ]
+        );
+        assert_projections_in_order(&tgdb, &q);
+    }
+
+    #[test]
+    fn a_node_is_of_another_type_matches_nothing() {
+        // A pattern assembled without `ops::select`: the Papers node is
+        // pinned to an author (or to no node at all), so nothing matches,
+        // as in the reference algebra.
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
+        let author = tgdb.instances.nodes_of_type(authors)[0];
+        let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
+        let alone = ops::initiate(&tgdb, papers).unwrap();
+        let with_authors = ops::add(&tgdb, &alone, ae).unwrap();
+        let paper = tgdb.instances.nodes_of_type(papers)[0];
+        for q in [alone, with_authors] {
+            for target in [author, NodeId(u32::MAX)] {
+                let mut pinned = q.clone();
+                pinned.nodes[0].filter = NodeFilter::node_is(target);
+                let m = match_primary(&tgdb, &pinned).unwrap();
+                assert!(
+                    m.allowed.iter().all(Vec::is_empty),
+                    "{target}: {:?}",
+                    m.allowed
+                );
+                assert_projections_in_order(&tgdb, &pinned);
+            }
+            // Pinned to one of its own papers, the pattern matches it.
+            let mut pinned = q;
+            pinned.nodes[0].filter = NodeFilter::node_is(paper);
+            assert_eq!(match_primary(&tgdb, &pinned).unwrap().allowed[0], [paper]);
+            assert_projections_in_order(&tgdb, &pinned);
+        }
+    }
+
     #[test]
     fn full_and_primary_agree_on_projections() {
         let tgdb = academic_tgdb();
@@ -448,15 +591,7 @@ mod tests {
         let papers_ty = q.primary_node().node_type;
         let (ae, _) = tgdb.schema.outgoing_by_name(papers_ty, "Authors").unwrap();
         let q = ops::add(&tgdb, &q, ae).unwrap();
-        let full = match_full(&tgdb, &q).unwrap();
-        let prim = match_primary(&tgdb, &q).unwrap();
-        for id in q.node_ids() {
-            let mut a: Vec<_> = full.distinct_nodes(id).unwrap();
-            let mut b = prim.allowed[id.0].clone();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "projection mismatch at {id}");
-        }
+        assert_projections_in_order(&tgdb, &q);
     }
 
     #[test]

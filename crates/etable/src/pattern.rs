@@ -254,6 +254,12 @@ pub struct BoundFilter {
 }
 
 impl BoundFilter {
+    /// The node a `NodeIs` atom pins this filter to (the first, if there
+    /// are several): no other node can satisfy it.
+    pub fn node_is(&self) -> Option<NodeId> {
+        self.nodes.first().copied()
+    }
+
     /// Whether `node`, of the node type the filter was bound to, satisfies
     /// every atom (SQL three-valued logic: unknown is not a match). Each
     /// typed atom runs on the engine's own [`Expr`](etable_relational::expr::Expr)

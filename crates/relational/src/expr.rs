@@ -278,6 +278,11 @@ impl Expr {
         match self {
             Expr::Cmp(op, a, b) => {
                 let (va, vb) = (operand(a, col)?, operand(b, col)?);
+                // Interned texts are equal iff their symbols are, as in
+                // `Value::sql_eq`: no string compare for `=` and `<>`.
+                if let (CmpOp::Eq | CmpOp::Ne, Value::Text(x), Value::Text(y)) = (op, va, vb) {
+                    return Ok(Truth::from_option(Some((x == y) == (*op == CmpOp::Eq))));
+                }
                 Ok(Truth::from_option(op.holds(va.sql_cmp(&vb))))
             }
             Expr::Like(e, pattern) => match operand(e, col)? {
@@ -507,6 +512,29 @@ mod tests {
         assert_eq!(truth(&e, &row), Truth::Unknown);
         let e = Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 2.into()]);
         assert_eq!(truth(&e, &row), Truth::False);
+    }
+
+    #[test]
+    fn text_equality_by_symbol_agrees_with_sql_cmp() {
+        // `=` and `<>` on two texts take the symbol fast path; the verdict
+        // must be `sql_cmp`'s: equal, unequal, case-different, NULL.
+        let texts = [
+            Value::text("paper"),
+            Value::text("paper"),
+            Value::text("Paper"),
+            Value::text("pap"),
+            Value::text(""),
+            Value::Null,
+        ];
+        for a in texts {
+            for b in texts {
+                for op in [CmpOp::Eq, CmpOp::Ne] {
+                    let e = Expr::Cmp(op, Box::new(Expr::col(0)), Box::new(Expr::lit(b)));
+                    let want = Truth::from_option(op.holds(a.sql_cmp(&b)));
+                    assert_eq!(truth(&e, &[a]), want, "{a:?} {op} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]
