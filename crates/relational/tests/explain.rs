@@ -279,6 +279,40 @@ output: 2 rows x 3 columns"
     );
 }
 
+/// The whole EXPLAIN text of the join steps no other golden holds: a
+/// cross product (the filtered `t` shares no edge), a hash join on a
+/// non-key edge, the second edge between the same two tables applied as a
+/// cycle filter, and a global aggregate, which prints no `group by` line.
+#[test]
+fn explain_golden_cross_hash_cycle_global_aggregate() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT COUNT(*), MAX(b.v) FROM big b, small s, small t \
+         WHERE b.v = s.id AND b.small_id = s.id AND t.id <= 2",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT]
+  from small AS s [id INT, tag TEXT]
+  from small AS t [id INT, tag TEXT] pushdown [t.id <= 2]
+  join edge b.v = s.id [INT]
+  join edge b.small_id = s.id [INT]
+  group keys [] aggregates [COUNT(*) INT, MAX(b.v) INT]
+  output columns [COUNT(*) INT, MAX(b.v) INT]
+execution:
+scan b (100 rows)
+scan s (5 rows)
+scan t (5 rows) pushdown [t.id <= 2] -> 2 rows
+start from smallest relation t
+cross product with s (5 rows) -> 10 rows
+hash join s.id = b.v with b (100 rows) -> 60 rows
+cycle filter b.small_id = s.id -> 10 rows
+output: 1 rows x 2 columns"
+    );
+}
+
 #[test]
 fn explain_does_not_change_results() {
     let mut d = db();
