@@ -14,7 +14,7 @@ use etable_core::pattern::{FilterAtom, NodeFilter};
 use etable_core::render::{render_etable, RenderOptions};
 use etable_core::to_sql;
 use etable_core::transform;
-use etable_relational::sql::executor::explain_query;
+use etable_relational::sql::explain::explain_query;
 
 /// The interpreter state.
 pub struct Engine {

@@ -13,14 +13,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dump;
 pub mod generator;
 pub mod names;
 pub mod schema;
 pub mod snapshot;
 pub mod tasks;
 
-pub use dump::{dump_sql, load_sql};
 pub use generator::{generate, planted, GenConfig, GENERATOR_REV, MIN_PAPERS};
 pub use schema::academic_schema;
 pub use snapshot::{load_or_generate, snapshot_key};

@@ -4,7 +4,8 @@
 //! and never to text: [`to_query`] builds the executable query returning
 //! the distinct primary keys of the matched primary nodes, the relational
 //! equivalent of `Π_τa(m(Q))`, which callers hand straight to
-//! `sql::executor::execute_query` / `explain_query` or the naive oracle.
+//! `sql::executor::execute_query` / `sql::explain::explain_query` or the
+//! naive oracle.
 //! The text forms are that AST's `Display`: [`to_primary_sql`] prints the
 //! executable query, [`to_sql`] prints the same FROM / WHERE under the
 //! paper's general pattern `SELECT τa.*, ent-list(t1), ... GROUP BY τa`.

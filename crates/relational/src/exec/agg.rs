@@ -88,16 +88,6 @@ pub(crate) enum KeyShape {
     Values,
 }
 
-impl std::fmt::Display for KeyShape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KeyShape::IntWord => "INT word",
-            KeyShape::TextWord => "TEXT word",
-            KeyShape::Values => "value keys",
-        })
-    }
-}
-
 /// The output of the group-id pass: every input row's dense group id, and
 /// each group's first input row. Ids are handed out in first-occurrence
 /// order, so `first_rows` is ascending and indexing by group id *is*

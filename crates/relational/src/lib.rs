@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod colrel;
-pub mod csv;
 pub mod database;
 pub mod exec;
 pub mod expr;

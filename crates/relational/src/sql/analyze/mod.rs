@@ -32,6 +32,7 @@ mod typing;
 
 pub use dml::{analyze_delete, analyze_insert, analyze_update};
 pub use plan::{ColumnId, JoinEdge, PlanTable, TypedGrouping, TypedPlan};
+pub(crate) use typing::ty_name;
 pub use typing::{lub, type_pred, Ty, TypedPred};
 
 use super::ast::{Query, SelectItem, SqlExpr};

@@ -1,4 +1,5 @@
-//! The analyzed plan of a SELECT, [`TypedPlan`], and its EXPLAIN text.
+//! The analyzed plan of a SELECT, [`TypedPlan`] (its EXPLAIN text is
+//! [`crate::sql::explain`]'s).
 //!
 //! A plan holds what both engines execute — [`Expr`](crate::expr::Expr)s,
 //! [`Pick`]s, [`SortKey`]s and [`AggSpec`]s over column positions — so
@@ -13,7 +14,7 @@
 //!   input*: the flat row, or for a grouped query the grouped row — the
 //!   key columns, then one column per aggregate.
 
-use super::typing::{ty_name, Ty, TypedPred};
+use super::typing::{Ty, TypedPred};
 use crate::colrel::Pick;
 use crate::exec::agg::AggSpec;
 use crate::relation::{RelColumn, Relation, SortKey};
@@ -166,97 +167,10 @@ impl TypedPlan {
     }
 
     /// The tail input's columns: the grouped row, or the flat row.
-    pub(super) fn tail_columns(&self) -> Vec<&RelColumn> {
+    pub(crate) fn tail_columns(&self) -> Vec<&RelColumn> {
         match &self.grouping {
             Some(g) => g.columns.iter().collect(),
             None => self.tables.iter().flat_map(|t| &t.columns).collect(),
         }
-    }
-
-    /// The ORDER BY keys as EXPLAIN prints them: `n DESC, a.name`.
-    pub(crate) fn sort_keys_display(&self) -> String {
-        let columns = self.tail_columns();
-        self.order_by
-            .iter()
-            .map(|k| {
-                let name = columns[k.column].qualified_name();
-                if k.descending {
-                    format!("{name} DESC")
-                } else {
-                    name
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
-    /// Renders the analyzed plan for EXPLAIN: scans with column types and
-    /// pushdowns, join edges with key types, residuals, the grouped
-    /// shape, sort keys, and the typed output row.
-    pub fn render(&self) -> Vec<String> {
-        let mut out = vec!["typed plan:".to_string()];
-        for (t, preds) in self.tables.iter().zip(&self.scans) {
-            let cols = t
-                .columns
-                .iter()
-                .zip(&t.nullable)
-                .map(|(c, n)| format!("{} {}{}", c.name, c.data_type, if *n { "?" } else { "" }))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let mut line = if t.alias == t.name {
-                format!("  from {} [{cols}]", t.name)
-            } else {
-                format!("  from {} AS {} [{cols}]", t.name, t.alias)
-            };
-            if !preds.is_empty() {
-                let preds = preds
-                    .iter()
-                    .map(TypedPred::display)
-                    .collect::<Vec<_>>()
-                    .join(" AND ");
-                line.push_str(&format!(" pushdown [{preds}]"));
-            }
-            out.push(line);
-        }
-        for e in &self.edges {
-            out.push(format!(
-                "  join edge {} = {} [{}]",
-                e.left_name,
-                e.right_name,
-                ty_name(e.key_ty)
-            ));
-        }
-        for p in &self.residual {
-            out.push(format!("  residual [{}]", p.display()));
-        }
-        if let Some(g) = &self.grouping {
-            let (keys, aggs) = g.columns.split_at(g.keys.len());
-            let keys = keys
-                .iter()
-                .map(RelColumn::qualified_name)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let aggs = aggs
-                .iter()
-                .map(|c| format!("{} {}", c.name, c.data_type))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push(format!("  group keys [{keys}] aggregates [{aggs}]"));
-        }
-        if let Some(h) = &self.having {
-            out.push(format!("  having [{}]", h.display()));
-        }
-        if !self.order_by.is_empty() {
-            out.push(format!("  sort keys [{}]", self.sort_keys_display()));
-        }
-        let cols = self
-            .output
-            .iter()
-            .map(|c| format!("{} {}", c.qualified_name(), c.data_type))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push(format!("  output columns [{cols}]"));
-        out.push("execution:".to_string());
-        out
     }
 }

@@ -7,10 +7,10 @@ use crate::expr::Expr;
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
 
-/// A predicate typing accepted, beside its SQL text (for EXPLAIN and the
-/// trace): the only predicate the engine's selections take, so every
-/// shape that could raise on a row — `LIKE` over a non-TEXT input, a
-/// non-BOOL predicate, incomparable operands, an unknown column — was
+/// A predicate typing accepted, beside its SQL text (for EXPLAIN): the
+/// only predicate the engine's selections take, so every shape that
+/// could raise on a row — `LIKE` over a non-TEXT input, a non-BOOL
+/// predicate, incomparable operands, an unknown column — was
 /// refused before any row was read. Only typing creates one: the
 /// analyzer (scans, residuals, HAVING, `analyze_delete` /
 /// `analyze_update`) and [`type_pred`]; in the crate, a few shapes that
@@ -118,7 +118,7 @@ impl Ty {
 }
 
 /// Renders an optional base type for diagnostics and EXPLAIN.
-pub(super) fn ty_name(base: Option<DataType>) -> String {
+pub(crate) fn ty_name(base: Option<DataType>) -> String {
     base.map(|d| d.to_string()).unwrap_or_else(|| "NULL".into())
 }
 

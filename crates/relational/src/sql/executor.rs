@@ -31,6 +31,7 @@ use super::analyze::{
     analyze, analyze_delete, analyze_insert, analyze_update, TypedPlan, TypedPred,
 };
 use super::ast::{Query, Statement};
+use super::explain::{explain_query, Stage};
 use crate::colrel::ColRelation;
 use crate::database::Database;
 use crate::relation::{RelColumn, Relation};
@@ -151,21 +152,7 @@ pub fn execute_statement(db: &mut Database, stmt: Statement) -> Result<Relation>
 /// Executes a parsed SELECT query: analyze, then run the typed plan.
 pub fn execute_query(db: &Database, q: &Query) -> Result<Relation> {
     let plan = analyze(db, q)?;
-    execute_typed(db, &plan, &mut None)
-}
-
-/// Renders the analyzed plan (typed scans, join edges with key types,
-/// grouped shape, output row) followed by the trace of the greedy
-/// optimizer's decisions: pushed-down filters with their selectivity, the
-/// join order with intermediate sizes, residual predicates, and the
-/// tail. Backing for the SQL `EXPLAIN` statement.
-pub fn explain_query(db: &Database, q: &Query) -> Result<Vec<String>> {
-    let plan = analyze(db, q)?;
-    let mut lines = plan.render();
-    let mut trace = Some(Vec::new());
-    execute_typed(db, &plan, &mut trace)?;
-    lines.extend(trace.unwrap_or_default());
-    Ok(lines)
+    Ok(execute_typed(db, &plan)?.0)
 }
 
 /// Removes and returns the smallest of the pending relations (the first
@@ -177,20 +164,11 @@ fn take_smallest<'a>(pending: &mut Vec<(usize, ColRelation<'a>)>) -> (usize, Col
     pending.remove(smallest)
 }
 
-/// Executes a typed plan over the columnar pipeline, optionally tracing
-/// the planner's decisions into `trace`.
-fn execute_typed(
-    db: &Database,
-    plan: &TypedPlan,
-    trace: &mut Option<Vec<String>>,
-) -> Result<Relation> {
-    macro_rules! log {
-        ($($arg:tt)*) => {
-            if let Some(t) = trace.as_mut() {
-                t.push(format!($($arg)*));
-            }
-        };
-    }
+/// Executes a typed plan over the columnar pipeline, and returns the
+/// result with the `Stage` each operator recorded, in the order they
+/// ran.
+pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation, Vec<Stage>)> {
+    let mut stages = Vec::new();
     // 1. Columnar scans with pushed-down predicates. A filtered scan *is*
     //    the selection vector `scan::filter_indices` returns; from here
     //    to the final projection the pipeline only rewrites row-id
@@ -202,23 +180,15 @@ fn execute_typed(
         let table = db.table(&t.name)?;
         // Scan predicates read the table's own columns.
         let rel = match TypedPred::all(preds) {
-            None => {
-                let rel = ColRelation::from_table(table, &t.alias);
-                log!("scan {} ({} rows)", t.alias, rel.len());
-                rel
-            }
-            Some(pred) => {
-                let rel = ColRelation::from_table_filtered(table, &t.alias, &pred);
-                log!(
-                    "scan {} ({} rows) pushdown [{}] -> {} rows",
-                    t.alias,
-                    table.len(),
-                    pred.display(),
-                    rel.len()
-                );
-                rel
-            }
+            None => ColRelation::from_table(table, &t.alias),
+            Some(pred) => ColRelation::from_table_filtered(table, &t.alias, &pred),
         };
+        let kept = Some(rel.len()).filter(|_| !preds.is_empty());
+        stages.push(Stage::Scan {
+            table: i,
+            rows: table.len(),
+            kept,
+        });
         pending.push((i, rel));
     }
 
@@ -233,27 +203,22 @@ fn execute_typed(
     let mut offset = vec![0; plan.tables.len()];
     let mut width = plan.tables[start].columns.len();
     let mut used_edges = vec![false; plan.edges.len()];
-    log!("start from smallest relation {}", plan.tables[start].alias);
+    stages.push(Stage::Start { table: start });
 
     while !pending.is_empty() {
         // The first unused edge between the joined set and a pending
         // relation, oriented (joined side, pending side).
         let next = (plan.edges.iter().enumerate())
             .filter(|&(ei, _)| !used_edges[ei])
-            .flat_map(|(ei, e)| {
-                [
-                    (ei, e.left, e.right, &e.left_name, &e.right_name),
-                    (ei, e.right, e.left, &e.right_name, &e.left_name),
-                ]
-            })
-            .find_map(|(ei, cur, other, cur_name, other_name)| {
+            .flat_map(|(ei, e)| [(ei, false, e.left, e.right), (ei, true, e.right, e.left)])
+            .find_map(|(ei, flipped, cur, other)| {
                 let at = pending.iter().position(|&(t, _)| t == other.table);
                 let at = at.filter(|_| joined.contains(&cur.table))?;
-                Some((ei, at, cur, other, cur_name, other_name))
+                Some((ei, flipped, at, cur, other))
             });
         let other = match next {
-            Some((ei, at, cur, other_id, cur_name, other_name)) => {
-                used_edges[ei] = true;
+            Some((edge, flipped, at, cur, other_id)) => {
+                used_edges[edge] = true;
                 let (other, other_rel) = pending.remove(at);
                 let right_rows = other_rel.len();
                 let cols = (offset[cur.table] + cur.column, other_id.column);
@@ -271,15 +236,14 @@ fn execute_typed(
                     Some((ix, fk_left)) => current.fk_join(&other_rel, cols, ix.fwd(), fk_left)?,
                     None => current.hash_join(&other_rel, cols.0, cols.1)?,
                 };
-                log!(
-                    "{} join {} = {} with {} ({} rows) -> {} rows",
-                    if fk.is_some() { "fk" } else { "hash" },
-                    cur_name,
-                    other_name,
-                    plan.tables[other].alias,
-                    right_rows,
-                    current.len()
-                );
+                stages.push(Stage::Join {
+                    edge,
+                    flipped,
+                    fk: fk.is_some(),
+                    with: other,
+                    rows: right_rows,
+                    out: current.len(),
+                });
                 other
             }
             None => {
@@ -287,12 +251,11 @@ fn execute_typed(
                 let (other, other_rel) = take_smallest(&mut pending);
                 let right_rows = other_rel.len();
                 current = current.cross(&other_rel)?;
-                log!(
-                    "cross product with {} ({} rows) -> {} rows",
-                    plan.tables[other].alias,
-                    right_rows,
-                    current.len()
-                );
+                stages.push(Stage::Cross {
+                    with: other,
+                    rows: right_rows,
+                    out: current.len(),
+                });
                 other
             }
         };
@@ -300,21 +263,17 @@ fn execute_typed(
         offset[other] = width;
         width += plan.tables[other].columns.len();
         // Apply any edges now internal to the joined set (multi-edge cycles).
-        for (ei, e) in plan.edges.iter().enumerate() {
-            if used_edges[ei] {
+        for (edge, e) in plan.edges.iter().enumerate() {
+            if used_edges[edge] {
                 continue;
             }
             if joined.contains(&e.left.table) && joined.contains(&e.right.table) {
-                used_edges[ei] = true;
+                used_edges[edge] = true;
                 let la = offset[e.left.table] + e.left.column;
                 let lb = offset[e.right.table] + e.right.column;
                 current = current.select(&TypedPred::columns_equal(la, lb));
-                log!(
-                    "cycle filter {} = {} -> {} rows",
-                    e.left_name,
-                    e.right_name,
-                    current.len()
-                );
+                let out = current.len();
+                stages.push(Stage::Cycle { edge, out });
             }
         }
     }
@@ -324,13 +283,10 @@ fn execute_typed(
     let mut current = current.reorder_sources(&joined);
 
     // 3. Residual predicates (evaluated over only the columns they read).
-    for p in &plan.residual {
+    for (pred, p) in plan.residual.iter().enumerate() {
         current = current.select(p);
-        log!(
-            "residual filter [{}] -> {} rows",
-            p.display(),
-            current.len()
-        );
+        let out = current.len();
+        stages.push(Stage::Residual { pred, out });
     }
 
     // 4. Grouping: grouped queries aggregate straight off the selection
@@ -342,19 +298,9 @@ fn execute_typed(
         None => current,
         Some(g) => {
             grouped = current.group_by(&g.keys, &g.aggregates)?;
-            if trace.is_some() && !g.keys.is_empty() {
-                let shapes: Vec<String> = g
-                    .keys
-                    .iter()
-                    .map(|&c| current.key_shape(c).to_string())
-                    .collect();
-                log!(
-                    "group by {} key(s) [{}] -> {} groups",
-                    g.keys.len(),
-                    shapes.join(", "),
-                    grouped.len
-                );
-            }
+            let shapes = g.keys.iter().map(|&c| current.key_shape(c)).collect();
+            let groups = grouped.len;
+            stages.push(Stage::Group { shapes, groups });
             grouped.relation()
         }
     };
@@ -373,8 +319,8 @@ fn execute_typed(
         None
     } else {
         if let (Some(k), false) = (keep, plan.order_by.is_empty()) {
-            let n = input.len();
-            log!("top {} of {n} by [{}]", k.min(n), plan.sort_keys_display());
+            let (kept, of) = (k.min(input.len()), input.len());
+            stages.push(Stage::TopK { kept, of });
         }
         // No key at all orders by input position: a bare LIMIT gathers
         // only its leading rows.
@@ -388,8 +334,9 @@ fn execute_typed(
     if let Some(n) = plan.limit {
         out = out.limit(n);
     }
-    log!("output: {} rows x {} columns", out.len(), out.columns.len());
-    Ok(out)
+    let (rows, columns) = (out.len(), out.columns.len());
+    stages.push(Stage::Output { rows, columns });
+    Ok((out, stages))
 }
 
 /// How many leading rows of the ordered result the tail needs: `OFFSET +

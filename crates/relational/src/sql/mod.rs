@@ -11,11 +11,13 @@
 //! the schema, producing the [`TypedPlan`] both the optimizing executor
 //! ([`executor`]) and the naive differential oracle ([`naive`]) consume
 //! — so semantic errors are reported before any data is touched, and
-//! the two engines cannot disagree on what a query means.
+//! the two engines cannot disagree on what a query means. [`explain`]
+//! renders EXPLAIN from that plan and the stages the executor recorded.
 
 pub mod analyze;
 pub mod ast;
 pub mod executor;
+pub mod explain;
 pub mod lexer;
 pub mod naive;
 pub mod parser;

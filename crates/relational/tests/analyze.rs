@@ -9,6 +9,7 @@
 //! the table byte-identical.
 
 use etable_relational::database::Database;
+use etable_relational::sql::explain::explain_query;
 use etable_relational::sql::naive::execute_query_naive;
 use etable_relational::sql::{execute, executor, parse_statement, SelectItem, SqlExpr, Statement};
 use etable_relational::Error;
@@ -349,7 +350,7 @@ fn explain_renders_typed_plan_sections() {
         Statement::Select(q) => q,
         _ => unreachable!(),
     };
-    let lines = executor::explain_query(&db, &q).unwrap();
+    let lines = explain_query(&db, &q).unwrap();
     let text = lines.join("\n");
     // Typed-plan header with scans, pushdowns, typed join edges, group
     // keys, aggregates, sort keys and the typed output schema.
@@ -368,7 +369,7 @@ fn explain_renders_typed_plan_sections() {
         text.contains("output columns [a.name TEXT, n INT]"),
         "{text}"
     );
-    // The execution trace follows, ending with the output shape.
+    // The recorded stages follow, ending with the output shape.
     assert!(text.contains("execution:"), "{text}");
     let last = lines.last().unwrap();
     assert!(last.starts_with("output: "), "{last}");
@@ -381,7 +382,7 @@ fn explain_marks_nullable_columns() {
         Statement::Select(q) => q,
         _ => unreachable!(),
     };
-    let lines = executor::explain_query(&db, &q).unwrap();
+    let lines = explain_query(&db, &q).unwrap();
     let text = lines.join("\n");
     // score is a nullable FLOAT: rendered with a `?` marker.
     assert!(text.contains("score FLOAT?"), "{text}");

@@ -120,7 +120,7 @@ fn explain_shows_key_shapes_and_the_top_k_tail() {
     );
     assert!(text.contains("output: 2 rows"), "{text}");
 
-    // One shape per key column; the plain tail traces its top-k too.
+    // One shape per key column; the plain tail records its top-k too.
     let text = plan(
         &mut d,
         "EXPLAIN SELECT v, small_id, COUNT(*) FROM big GROUP BY v, small_id",
@@ -143,7 +143,7 @@ fn explain_shows_key_shapes_and_the_top_k_tail() {
 }
 
 /// The whole EXPLAIN text of a join + GROUP BY + HAVING + ORDER BY …
-/// LIMIT, byte for byte: the typed plan, then every traced step.
+/// LIMIT, byte for byte: the typed plan, then every recorded stage.
 #[test]
 fn explain_golden_grouped_top_k() {
     let mut d = db();

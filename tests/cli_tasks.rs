@@ -39,11 +39,38 @@ fn csv_column(csv: &str, name: &str) -> Vec<String> {
     // Fields with commas are quoted; for the columns we assert on (years,
     // titles without commas in the fixtures' planted rows) plain split works
     // only when no earlier field is quoted — so parse properly.
-    lines
-        .map(|l| {
-            etable_repro::relational::csv::parse_record(l).expect("well-formed CSV")[idx].clone()
-        })
-        .collect()
+    lines.map(|l| csv_fields(l).swap_remove(idx)).collect()
+}
+
+/// Splits one CSV record on the commas outside double quotes; `""` inside
+/// quotes is one `"`.
+fn csv_fields(line: &str) -> Vec<String> {
+    let (mut fields, mut cur, mut quoted) = (Vec::new(), String::new(), false);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                cur.push('"');
+                chars.next();
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
+            c => cur.push(c),
+        }
+    }
+    assert!(!quoted, "unterminated quoted CSV field: {line}");
+    fields.push(cur);
+    fields
+}
+
+#[test]
+fn record_parsing_with_quotes() {
+    assert_eq!(csv_fields("a,b,c"), ["a", "b", "c"]);
+    assert_eq!(csv_fields("x,,z"), ["x", "", "z"]);
+    assert_eq!(
+        csv_fields("1,\"a, b\",\"he said \"\"hi\"\"\""),
+        ["1", "a, b", "he said \"hi\""]
+    );
 }
 
 #[test]

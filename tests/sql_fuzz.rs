@@ -15,7 +15,9 @@
 //! output column; LIMIT/OFFSET are only generated in that case, so both
 //! engines must pick the same page). When ORDER BY is partial the planner's
 //! output is additionally checked to be sorted under the keys — which also
-//! pins dictionary-rank ordering to true lexicographic ordering.
+//! pins dictionary-rank ordering to true lexicographic ordering. Every
+//! such SELECT is also EXPLAINed: the text must render, and its last line
+//! must be the executed result's `output: R rows x C columns`.
 //!
 //! Determinism: the proptest shim derives every case from (test name, case
 //! index), so CI replays the same fixed seed stream. Case count defaults to
@@ -27,8 +29,8 @@
 //! reference, type-mismatched comparison, LIKE on a number, non-grouped
 //! select column, HAVING without GROUP BY, nested aggregate, aggregate
 //! in WHERE, SUM over text, mistyped IN list, non-boolean predicate).
-//! Both engines must reject it with the *same* error — the shared
-//! analyzer is the specification — and `analyze` alone must already
+//! Both engines and EXPLAIN must reject it with the *same* error — the
+//! shared analyzer is the specification — and `analyze` alone must already
 //! return that error, with a code other than evaluation's: every shape is
 //! refused before any row is read, and no ill-formed query may execute on
 //! either side. Valid cases run exactly as before.
@@ -85,7 +87,9 @@
 
 use etable_repro::relational::database::Database;
 use etable_repro::relational::exec::budget;
+use etable_repro::relational::relation::Relation;
 use etable_repro::relational::shared::SharedDatabase;
+use etable_repro::relational::sql::explain::explain_query;
 use etable_repro::relational::sql::naive::execute_query_naive;
 use etable_repro::relational::sql::{
     analyze, execute, executor::execute_query, parse_statement, Query, Statement,
@@ -559,23 +563,23 @@ fn invalid_query(shape: usize, rng: &mut StdRng) -> (&'static str, String) {
     }
 }
 
-/// The refusal of an ill-formed query: both engines and `analyze` alone
-/// must return one error, and not an evaluation error — the query is
-/// refused before any row is read.
+/// The refusal of an ill-formed query: both engines, EXPLAIN and
+/// `analyze` alone must return one error, and not an evaluation error —
+/// the query is refused before any row is read.
 fn refusal(db: &Database, q: &Query, kind: &str, sql: &str) -> std::result::Result<(), String> {
     let (planned, oracle) = (execute_query(db, q), execute_query_naive(db, q));
-    let (p, n, a) = match (planned, oracle, analyze(db, q)) {
-        (Err(p), Err(n), Err(a)) => (p, n, a),
-        (p, n, a) => {
-            let ok = [p.is_ok(), n.is_ok(), a.is_ok()];
+    let (p, n, e, a) = match (planned, oracle, explain_query(db, q), analyze(db, q)) {
+        (Err(p), Err(n), Err(e), Err(a)) => (p, n, e, a),
+        (p, n, e, a) => {
+            let ok = [p.is_ok(), n.is_ok(), e.is_ok(), a.is_ok()];
             return Err(format!(
-                "ill-formed query ({kind}) `{sql}` accepted by [planner, oracle, analyze]: {ok:?}"
+                "ill-formed query ({kind}) `{sql}` accepted by [planner, oracle, explain, analyze]: {ok:?}"
             ));
         }
     };
-    if p != n || p != a {
+    if p != n || p != e || p != a {
         return Err(format!(
-            "rejections of `{sql}` ({kind}) differ: planner `{p}`, oracle `{n}`, analyze `{a}`"
+            "rejections of `{sql}` ({kind}) differ: planner `{p}`, oracle `{n}`, explain `{e}`, analyze `{a}`"
         ));
     }
     if a.code() == ErrorCode::Eval {
@@ -602,6 +606,24 @@ fn check_invalid_case(db: &Database, rng: &mut StdRng) -> std::result::Result<()
     refusal(db, &q, kind, &sql)
 }
 
+/// EXPLAIN of a SELECT that ran must render, and end with the shape of
+/// the executed result. Its renderer reads the plan's tables, edges and
+/// residuals at the positions the run recorded, so a wrong one panics.
+fn check_explain(
+    db: &Database,
+    q: &Query,
+    result: &Relation,
+    sql: &str,
+) -> std::result::Result<(), String> {
+    let lines = explain_query(db, q).map_err(|e| format!("EXPLAIN refused `{sql}`: {e}"))?;
+    let (rows, cols) = (result.len(), result.columns.len());
+    let want = format!("output: {rows} rows x {cols} columns");
+    match lines.last() {
+        Some(last) if *last == want => Ok(()),
+        last => Err(format!("EXPLAIN of `{sql}` ends {last:?}, not `{want}`")),
+    }
+}
+
 fn check_case(seed: u64) -> std::result::Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = random_db(&mut rng);
@@ -620,9 +642,10 @@ fn check_case(seed: u64) -> std::result::Result<(), String> {
             ))
         }
     };
-    let planned = execute_query(&db, &q)
-        .map_err(|e| format!("planner error on `{}`: {e}", gen.sql))?
-        .rows;
+    let planned =
+        execute_query(&db, &q).map_err(|e| format!("planner error on `{}`: {e}", gen.sql))?;
+    check_explain(&db, &q, &planned, &gen.sql)?;
+    let planned = planned.rows;
     let naive = execute_query_naive(&db, &q)
         .map_err(|e| format!("oracle error on `{}`: {e}", gen.sql))?
         .rows;
