@@ -6,7 +6,7 @@ use etable_core::render::{render_etable, RenderOptions};
 use etable_core::session::Session;
 
 fn main() {
-    let (db, tgdb) = etable_bench::default_dataset();
+    let (_, tgdb) = etable_bench::default_dataset();
     let opts = RenderOptions {
         max_rows: 5,
         ..Default::default()
@@ -18,7 +18,7 @@ fn main() {
     let papers_table = base.etable().expect("papers table");
     let (papers_ty, _) = tgdb.schema.node_type_by_name("Papers").expect("Papers");
     let usable = tgdb
-        .node_by_pk(&db, papers_ty, &1.into())
+        .node_by_key(papers_ty, &1.into())
         .expect("planted paper 1");
     let row = papers_table
         .nodes()

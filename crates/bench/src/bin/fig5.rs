@@ -2,11 +2,9 @@
 //! the paper "Making database systems usable".
 
 fn main() {
-    let (db, tgdb) = etable_bench::default_dataset();
+    let (_, tgdb) = etable_bench::default_dataset();
     let (papers, _) = tgdb.schema.node_type_by_name("Papers").expect("Papers");
-    let center = tgdb
-        .node_by_pk(&db, papers, &1.into())
-        .expect("planted paper");
+    let center = tgdb.node_by_key(papers, &1.into()).expect("planted paper");
 
     println!("== Figure 5: instance graph excerpt ==\n");
     println!("center node [Papers] \"{}\"", tgdb.instances.label(center));

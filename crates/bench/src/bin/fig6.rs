@@ -7,7 +7,7 @@ use etable_core::{ops, to_sql};
 use etable_relational::expr::CmpOp;
 
 fn main() {
-    let (db, tgdb) = etable_bench::default_dataset();
+    let (_, tgdb) = etable_bench::default_dataset();
     let (confs, _) = tgdb
         .schema
         .node_type_by_name("Conferences")
@@ -31,13 +31,10 @@ fn main() {
 
     println!("== Figure 6: query pattern (primary node marked *) ==\n");
     println!("{}", q.diagram(&tgdb));
-    println!(
-        "§8 SQL pattern:\n  {}",
-        to_sql::to_sql(&tgdb, &db, &q).unwrap()
-    );
+    println!("§8 SQL pattern:\n  {}", to_sql::to_sql(&tgdb, &q).unwrap());
     println!(
         "\nexecutable primary-key query:\n  {}",
-        to_sql::to_primary_sql(&tgdb, &db, &q).unwrap()
+        to_sql::to_primary_sql(&tgdb, &q).unwrap()
     );
     let m = etable_core::matching::match_primary(&tgdb, &q).unwrap();
     println!("\nmatched researchers: {}", m.rows().len());

@@ -95,6 +95,7 @@ impl Engine {
                     let primary_ty = q.primary_node().node_type;
                     let (edge, _) = self
                         .conn
+                        .session()
                         .tgdb()
                         .schema
                         .outgoing_by_name(primary_ty, &column)
@@ -126,11 +127,7 @@ impl Engine {
                 self.render_current(None)
             }
             Command::Seeall { row, column } => {
-                let t = self
-                    .conn
-                    .session_mut()
-                    .etable()
-                    .map_err(|e| e.to_string())?;
+                let t = self.conn.etable().map_err(|e| e.to_string())?;
                 let node = t
                     .node_at(row.checked_sub(1).ok_or("rows are numbered from 1")?)
                     .ok_or_else(|| format!("no row {row}"))?;
@@ -175,12 +172,9 @@ impl Engine {
             }
             Command::ShowTable(limit) => self.render_current(limit),
             Command::Schema => {
-                let q = self
-                    .conn
-                    .session()
-                    .current_pattern()
-                    .ok_or("no table is open")?;
-                Ok(q.diagram(self.conn.tgdb()))
+                let session = self.conn.session();
+                let q = session.current_pattern().ok_or("no table is open")?;
+                Ok(q.diagram(session.tgdb()))
             }
             Command::History => {
                 let lines: Vec<String> = self
@@ -194,38 +188,24 @@ impl Engine {
                 Ok(lines.join("\n"))
             }
             Command::Sql => {
-                let snap = self.conn.snapshot();
-                let q = self
-                    .conn
-                    .session()
-                    .current_pattern()
-                    .ok_or("no table is open")?;
-                let display = to_sql::to_sql(self.conn.tgdb(), snap.database(), q)
-                    .map_err(|e| e.to_string())?;
-                let exec = to_sql::to_primary_sql(self.conn.tgdb(), snap.database(), q)
-                    .map_err(|e| e.to_string())?;
+                let session = self.conn.session();
+                let q = session.current_pattern().ok_or("no table is open")?;
+                let display = to_sql::to_sql(session.tgdb(), q).map_err(|e| e.to_string())?;
+                let exec = to_sql::to_primary_sql(session.tgdb(), q).map_err(|e| e.to_string())?;
                 Ok(format!("{display}\n-- primary keys:\n{exec}"))
             }
             Command::Explain => {
-                // One pinned epoch answers: the snapshot the pattern was
-                // translated against is the one the plan runs on.
-                let snap = self.conn.snapshot();
-                let q = self
-                    .conn
-                    .session()
-                    .current_pattern()
-                    .ok_or("no table is open")?;
-                let query = to_sql::to_query(self.conn.tgdb(), snap.database(), q)
-                    .map_err(|e| e.to_string())?;
-                let lines = explain_query(snap.database(), &query).map_err(|e| e.to_string())?;
+                // One epoch answers: the plan runs on the database of the
+                // graph the pattern was translated with.
+                let session = self.conn.session();
+                let q = session.current_pattern().ok_or("no table is open")?;
+                let query = to_sql::to_query(session.tgdb(), q).map_err(|e| e.to_string())?;
+                let lines =
+                    explain_query(session.tgdb().database(), &query).map_err(|e| e.to_string())?;
                 Ok(format!("{query}\n--\n{}", lines.join("\n")))
             }
             Command::Export(format) => {
-                let t = self
-                    .conn
-                    .session_mut()
-                    .etable()
-                    .map_err(|e| e.to_string())?;
+                let t = self.conn.etable().map_err(|e| e.to_string())?;
                 Ok(match format {
                     ExportFormat::Json => export::to_json(&t),
                     ExportFormat::Csv => export::to_csv(&t),
@@ -247,11 +227,7 @@ impl Engine {
     }
 
     fn render_current(&mut self, limit: Option<usize>) -> CmdResult {
-        let t = self
-            .conn
-            .session_mut()
-            .etable()
-            .map_err(|e| e.to_string())?;
+        let t = self.conn.etable().map_err(|e| e.to_string())?;
         let opts = RenderOptions {
             max_rows: limit.unwrap_or(12),
             ..Default::default()
@@ -265,11 +241,7 @@ impl Engine {
         column: &str,
         index: usize,
     ) -> Result<etable_tgm::NodeId, String> {
-        let t = self
-            .conn
-            .session_mut()
-            .etable()
-            .map_err(|e| e.to_string())?;
+        let t = self.conn.etable().map_err(|e| e.to_string())?;
         let r = row.checked_sub(1).ok_or("rows are numbered from 1")?;
         if r >= t.len() {
             return Err(format!("no row {row}"));
@@ -325,7 +297,8 @@ mod tests {
         ENV.get_or_init(|| {
             let db = generate(&GenConfig::small());
             let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
-            (SharedDatabase::new(db), Arc::new(tgdb))
+            let tgdb = Arc::new(tgdb);
+            (SharedDatabase::new(Arc::clone(tgdb.database())), tgdb)
         })
     }
 

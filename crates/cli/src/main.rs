@@ -75,13 +75,14 @@ fn load_environment() -> (SharedDatabase, Arc<Tgdb>) {
     // Cold starts hit the content-addressed snapshot cache when one
     // exists for this exact configuration.
     let db = load_or_generate(&cfg);
-    let tgdb = translate(&db, &TranslateOptions::default()).expect("translation");
+    let tgdb = Arc::new(translate(&db, &TranslateOptions::default()).expect("translation"));
     eprintln!(
         "ready: {} nodes, {} edges.",
         tgdb.instances.node_count(),
         tgdb.instances.edge_count()
     );
-    (SharedDatabase::new(db), Arc::new(tgdb))
+    // Epoch 0 is the graph's own database: nothing to rebuild until a write.
+    (SharedDatabase::new(Arc::clone(tgdb.database())), tgdb)
 }
 
 /// The embedded browsing REPL (the default mode).

@@ -83,10 +83,12 @@ pub fn apply(
         UserAction::Filter { filter } => {
             let q = require_pattern(current)?;
             let pattern = ops::select(tgdb, q, filter.clone())?;
-            let name = &tgdb.schema.node_type(q.primary_node().node_type).name;
+            let primary = q.primary_node().node_type;
+            let name = &tgdb.schema.node_type(primary).name;
+            let desc = filter.display_with(tgdb, primary);
             Ok(ActionOutcome {
                 pattern,
-                description: format!("Filter '{name}' table by ({})", filter.display_with(tgdb)),
+                description: format!("Filter '{name}' table by ({desc})"),
             })
         }
         UserAction::Pivot { column } => {
@@ -118,7 +120,8 @@ pub fn apply(
         UserAction::Single { node } => {
             let ty = tgdb.instances.type_of(*node);
             let q = ops::initiate(tgdb, ty)?;
-            let pattern = ops::select(tgdb, &q, NodeFilter::node_is(*node))?;
+            // The clicked id is this graph's; its key holds at every epoch.
+            let pattern = ops::select(tgdb, &q, NodeFilter::node_is(tgdb.key_of(*node)))?;
             let label = tgdb.instances.label(*node);
             Ok(ActionOutcome {
                 pattern,
@@ -132,7 +135,7 @@ pub fn apply(
                 .column(column)
                 .ok_or_else(|| Error::UnknownColumn(column.clone()))?;
             // Select the clicked row first (C = {u | u = vk}).
-            let selected = ops::select(tgdb, q, NodeFilter::node_is(*row))?;
+            let selected = ops::select(tgdb, q, NodeFilter::node_is(tgdb.key_of(*row)))?;
             let label = tgdb.instances.label(*row);
             match &spec.kind {
                 ColumnKind::Neighbor { edge } => {
@@ -168,7 +171,7 @@ fn require_etable(t: Option<&EnrichedTable>) -> Result<&EnrichedTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use crate::transform;
     use etable_relational::expr::CmpOp;
 
@@ -200,7 +203,7 @@ mod tests {
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let open = apply(&tgdb, None, None, &UserAction::Open { node_type: papers }).unwrap();
         let t = transform::execute(&tgdb, &open.pattern).unwrap();
-        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_key(papers, &10.into()).unwrap();
 
         // (a) click an author's name -> single-row Authors table.
         let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();

@@ -15,35 +15,24 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A bounded FIFO cache of matching results.
+/// A FIFO cache of matching results, bounded to
+/// [`QueryCache::DEFAULT_CAPACITY`] entries.
 #[derive(Debug, Default)]
 pub struct QueryCache {
     map: HashMap<String, Arc<MatchResult>>,
     order: VecDeque<String>,
-    capacity: usize,
     hits: u64,
     misses: u64,
 }
 
 impl QueryCache {
-    /// Default number of cached results (a session's history rarely exceeds
-    /// a few dozen steps).
+    /// Number of cached results (a session's history rarely exceeds a few
+    /// dozen steps).
     pub const DEFAULT_CAPACITY: usize = 64;
 
-    /// Creates a cache with the default capacity.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a cache bounded to `capacity` entries (0 disables caching).
-    pub fn with_capacity(capacity: usize) -> Self {
-        QueryCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-        }
+        Self::default()
     }
 
     /// Returns the matching result for `pattern`, computing and caching it
@@ -60,15 +49,13 @@ impl QueryCache {
         }
         self.misses += 1;
         let result = Arc::new(match_primary(tgdb, pattern)?);
-        if self.capacity > 0 {
-            if self.map.len() >= self.capacity {
-                if let Some(evict) = self.order.pop_front() {
-                    self.map.remove(&evict);
-                }
+        if self.map.len() >= Self::DEFAULT_CAPACITY {
+            if let Some(evict) = self.order.pop_front() {
+                self.map.remove(&evict);
             }
-            self.map.insert(key.clone(), Arc::clone(&result));
-            self.order.push_back(key);
         }
+        self.map.insert(key.clone(), Arc::clone(&result));
+        self.order.push_back(key);
         Ok(result)
     }
 
@@ -80,16 +67,6 @@ impl QueryCache {
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Drops all cached entries (e.g. after the underlying data changes).
@@ -139,27 +116,20 @@ mod tests {
         let tgdb = academic_tgdb();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let base = ops::initiate(&tgdb, papers).unwrap();
-        let mut cache = QueryCache::with_capacity(2);
-        for year in [2000, 2001, 2002] {
-            let q = ops::select(&tgdb, &base, NodeFilter::cmp("year", CmpOp::Gt, year)).unwrap();
-            cache.get_or_compute(&tgdb, &q).unwrap();
+        let year = |y: usize| {
+            let filter = NodeFilter::cmp("year", CmpOp::Gt, y as i64);
+            ops::select(&tgdb, &base, filter).unwrap()
+        };
+        let mut cache = QueryCache::new();
+        let n = QueryCache::DEFAULT_CAPACITY + 1;
+        for y in 0..n {
+            cache.get_or_compute(&tgdb, &year(y)).unwrap();
         }
-        assert_eq!(cache.len(), 2);
-        // The first pattern was evicted: re-requesting it is a miss.
-        let q = ops::select(&tgdb, &base, NodeFilter::cmp("year", CmpOp::Gt, 2000)).unwrap();
-        cache.get_or_compute(&tgdb, &q).unwrap();
-        assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn zero_capacity_disables_storage() {
-        let tgdb = academic_tgdb();
-        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let q = ops::initiate(&tgdb, papers).unwrap();
-        let mut cache = QueryCache::with_capacity(0);
-        cache.get_or_compute(&tgdb, &q).unwrap();
-        cache.get_or_compute(&tgdb, &q).unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 2);
+        // The second pattern is still cached; the first was evicted, so
+        // re-requesting it is a miss.
+        cache.get_or_compute(&tgdb, &year(1)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, n as u64));
+        cache.get_or_compute(&tgdb, &year(0)).unwrap();
+        assert_eq!(cache.misses(), n as u64 + 1);
     }
 }

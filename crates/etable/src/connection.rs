@@ -1,22 +1,21 @@
 //! The owned connection handle: one client's view of a shared ETable
-//! deployment.
+//! deployment — a [`SharedDatabase`] handle for SQL (snapshot reads,
+//! serialized epoch writes) and a private, owned [`Session`] for
+//! browsing. It is a `Send` value: the CLI owns one, `etable-server`
+//! hands one to every accepted socket.
 //!
-//! A [`Connection`] bundles the three things every client needs — a
-//! [`SharedDatabase`] handle for SQL (snapshot reads, serialized epoch
-//! writes), the shared [`Tgdb`] graph view, and a private, owned
-//! [`Session`] for interactive pattern browsing. It is a `Send` value:
-//! the CLI owns exactly one, `etable-server` hands one to every
-//! accepted socket, and tests can move them freely across threads.
-//! Cloning-by-construction is cheap — [`Connection::connect`] copies two
-//! `Arc` handles and starts a fresh session; no data is duplicated.
-//!
-//! This replaces the old borrow-based `Engine::new(&Database, &Tgdb)`
-//! facade, which pinned every consumer to the thread that owned the
-//! database.
+//! The session browses one epoch: its graph owns the database it was
+//! loaded from ([`Tgdb::database`]). [`Connection::etable`] re-pins the
+//! session to the latest snapshot ([`Tgdb::at`]) before it builds a
+//! table. Actions never re-pin, so the node ids of the table a user is
+//! looking at stay valid for the action applied to them; the action
+//! names the entity by its key, which holds at every epoch.
 
+use crate::etable::EnrichedTable;
 use crate::session::Session;
+use crate::{Error, Result};
 use etable_relational::relation::Relation;
-use etable_relational::shared::{SharedDatabase, Snapshot};
+use etable_relational::shared::SharedDatabase;
 use etable_tgm::Tgdb;
 use std::sync::Arc;
 
@@ -24,31 +23,18 @@ use std::sync::Arc;
 /// database plus a private browsing session. See the module docs.
 pub struct Connection {
     db: SharedDatabase,
-    tgdb: Arc<Tgdb>,
     session: Session,
 }
 
 impl Connection {
     /// Opens a new connection over existing shared handles (what the
-    /// server does per accepted client). Cheap: two `Arc` clones.
+    /// server does per accepted client). Cheap: two `Arc` clones. `tgdb`
+    /// may be of an older epoch than `db`'s latest: the first table built
+    /// re-pins the session.
     pub fn connect(db: &SharedDatabase, tgdb: &Arc<Tgdb>) -> Connection {
         Connection {
             db: db.clone(),
-            tgdb: Arc::clone(tgdb),
             session: Session::new(Arc::clone(tgdb)),
-        }
-    }
-
-    /// Wraps owned single-process state (what the CLI and tests do):
-    /// `db` becomes epoch 0 of a fresh [`SharedDatabase`], `tgdb` is
-    /// shared from here on. Further connections can be opened over
-    /// [`Connection::shared`]/[`Connection::tgdb_arc`].
-    pub fn single(db: etable_relational::database::Database, tgdb: Tgdb) -> Connection {
-        let tgdb = Arc::new(tgdb);
-        Connection {
-            db: SharedDatabase::new(db),
-            tgdb: Arc::clone(&tgdb),
-            session: Session::new(tgdb),
         }
     }
 
@@ -65,11 +51,20 @@ impl Connection {
         self.db.execute_with_epoch(sql)
     }
 
-    /// Pins the current database epoch for read-your-own consistency
-    /// across several statements (e.g. translating a pattern to SQL and
-    /// executing it against one stable view).
-    pub fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
+    /// The current pattern's table at the latest epoch: the session is
+    /// re-pinned first when a write has published an epoch its graph was
+    /// not loaded from.
+    pub fn etable(&mut self) -> Result<EnrichedTable> {
+        let snap = self.db.snapshot();
+        if !Arc::ptr_eq(self.session.tgdb().database(), snap.database()) {
+            let at = self.session.tgdb().at(Arc::clone(snap.database()));
+            let tgdb = at.map_err(|e| match e {
+                etable_tgm::Error::Relational(e) => Error::Relational(e),
+                e => Error::InvalidAction(format!("epoch {}: {e}", snap.epoch())),
+            })?;
+            self.session.repin(Arc::new(tgdb));
+        }
+        self.session.etable()
     }
 
     /// The shared database handle (for opening further connections or
@@ -87,28 +82,53 @@ impl Connection {
     pub fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
-
-    /// The shared typed graph database.
-    pub fn tgdb(&self) -> &Tgdb {
-        &self.tgdb
-    }
-
-    /// The shared graph handle itself.
-    pub fn tgdb_arc(&self) -> &Arc<Tgdb> {
-        &self.tgdb
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::NodeFilter;
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
+    use crate::to_sql::to_primary_sql;
     use etable_relational::expr::CmpOp;
     use etable_relational::value::Value;
+    use etable_tgm::NodeId;
 
+    /// A connection whose epoch 0 is its graph's own database.
     fn conn() -> Connection {
-        Connection::single(academic_db(), academic_tgdb())
+        let tgdb = Arc::new(academic_tgdb());
+        Connection::connect(&SharedDatabase::new(Arc::clone(tgdb.database())), &tgdb)
+    }
+
+    fn ints(keys: &[i64]) -> Vec<Value> {
+        keys.iter().map(|&k| Value::from(k)).collect()
+    }
+
+    /// The sorted keys of the table [`Connection::etable`] shows, checked
+    /// against the pattern's SQL on the session graph's own database,
+    /// which must be the latest epoch.
+    fn shown_keys(c: &mut Connection) -> Vec<Value> {
+        let t = c.etable().unwrap();
+        let tgdb = c.session().tgdb();
+        assert!(Arc::ptr_eq(
+            tgdb.database(),
+            c.shared().snapshot().database()
+        ));
+        let mut keys: Vec<Value> = t.nodes().map(|n| tgdb.key_of(n)).collect();
+        keys.sort();
+        let sql = to_primary_sql(tgdb, c.session().current_pattern().unwrap()).unwrap();
+        let mut want: Vec<Value> = c.sql(&sql).unwrap().rows.iter().map(|r| r[0]).collect();
+        want.sort();
+        assert_eq!(keys, want, "{sql}");
+        keys
+    }
+
+    /// The node keyed `key` in the table `c` shows.
+    fn shown_node(c: &mut Connection, key: i64) -> NodeId {
+        let t = c.etable().unwrap();
+        let tgdb = c.session().tgdb();
+        let node = t.nodes().find(|&n| tgdb.key_of(n) == key.into());
+        node.unwrap()
     }
 
     #[test]
@@ -124,13 +144,13 @@ mod tests {
         let r = c.sql("SELECT COUNT(*) FROM Papers").unwrap();
         assert_eq!(r.rows[0][0], Value::Int(4));
         c.session_mut().open_by_name("Papers").unwrap();
-        assert_eq!(c.session_mut().etable().unwrap().len(), 4);
+        assert_eq!(c.etable().unwrap().len(), 4);
     }
 
     #[test]
     fn second_connection_sees_first_ones_writes() {
         let a = conn();
-        let b = Connection::connect(a.shared(), a.tgdb_arc());
+        let b = Connection::connect(a.shared(), a.session().tgdb());
         a.sql("CREATE TABLE scratch (id INT PRIMARY KEY)").unwrap();
         a.sql("INSERT INTO scratch VALUES (1), (2)").unwrap();
         let r = b.sql("SELECT COUNT(*) FROM scratch").unwrap();
@@ -147,17 +167,80 @@ mod tests {
             c.session_mut()
                 .filter(NodeFilter::cmp("year", CmpOp::Gt, 2010))
                 .unwrap();
-            c.session_mut().etable().unwrap().len()
+            c.etable().unwrap().len()
         });
         assert_eq!(handle.join().unwrap(), 3);
     }
 
     #[test]
-    fn pinned_snapshot_is_stable_across_writes() {
-        let c = conn();
-        let snap = c.snapshot();
-        c.sql("CREATE TABLE scratch (id INT PRIMARY KEY)").unwrap();
-        assert!(snap.table("scratch").is_err());
-        assert!(c.snapshot().table("scratch").is_ok());
+    fn an_inserted_paper_shows_in_the_next_table() {
+        let mut c = conn();
+        c.session_mut().open_by_name("Papers").unwrap();
+        let start = Arc::clone(c.session().tgdb());
+        assert_eq!(shown_keys(&mut c), ints(&[10, 11, 12, 13]));
+        // Epoch 0 is the graph's own database: nothing to rebuild.
+        assert!(Arc::ptr_eq(&start, c.session().tgdb()));
+        c.sql("INSERT INTO Papers VALUES (14, 1, 'Fresh', 2015)")
+            .unwrap();
+        assert_eq!(shown_keys(&mut c), ints(&[10, 11, 12, 13, 14]));
+        c.session()
+            .tgdb()
+            .instances
+            .check_consistency(&c.session().tgdb().schema)
+            .unwrap();
+    }
+
+    #[test]
+    fn a_single_paper_survives_an_insert_below_its_ids() {
+        let mut c = conn();
+        c.session_mut().open_by_name("Papers").unwrap();
+        let skewtune = shown_node(&mut c, 11);
+        c.session_mut().single(skewtune).unwrap();
+        assert_eq!(shown_keys(&mut c), ints(&[11]));
+        // Authors' nodes come before Papers': one more author moves every
+        // paper to the next id.
+        c.sql("INSERT INTO Authors VALUES (104, 'New Author', 1)")
+            .unwrap();
+        assert_eq!(shown_keys(&mut c), ints(&[11]));
+        let moved = c.etable().unwrap().node_at(0).unwrap();
+        assert_ne!(moved, skewtune);
+        assert_eq!(
+            c.session().tgdb().instances.label(moved).to_string(),
+            "SkewTune"
+        );
+    }
+
+    #[test]
+    fn a_write_between_table_and_click_selects_the_shown_entity() {
+        let mut c = conn();
+        c.session_mut().open_by_name("Papers").unwrap();
+        let guided = shown_node(&mut c, 12);
+        c.sql("INSERT INTO Authors VALUES (104, 'New Author', 1)")
+            .unwrap();
+        // The click names a node of the table shown, at the epoch it was
+        // built at; the action does not re-pin.
+        c.session_mut().single(guided).unwrap();
+        assert_eq!(
+            c.session().history().last().unwrap().description,
+            "See 'Guided interaction'"
+        );
+        assert_eq!(shown_keys(&mut c), ints(&[12]));
+    }
+
+    #[test]
+    fn deleting_the_shown_paper_empties_the_table() {
+        let mut c = conn();
+        c.sql("INSERT INTO Papers VALUES (14, 1, 'Fresh', 2015)")
+            .unwrap();
+        c.session_mut().open_by_name("Papers").unwrap();
+        let fresh = shown_node(&mut c, 14);
+        c.session_mut().single(fresh).unwrap();
+        assert_eq!(shown_keys(&mut c), ints(&[14]));
+        c.sql("DELETE FROM Papers WHERE id = 14").unwrap();
+        assert!(shown_keys(&mut c).is_empty());
+        // A key the epoch does not hold shows as itself.
+        let session = c.session();
+        let diagram = session.current_pattern().unwrap().diagram(session.tgdb());
+        assert_eq!(diagram, "Papers * {node = '14'}\n");
     }
 }

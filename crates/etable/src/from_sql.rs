@@ -14,7 +14,6 @@ use crate::pattern::{
     FilterAtom, NodeFilter, PatternEdge, PatternNode, PatternNodeId, QueryPattern,
 };
 use crate::{Error, Result};
-use etable_relational::database::Database;
 use etable_relational::expr::Expr;
 use etable_relational::sql::analyze::{analyze, ColumnId, TypedPred};
 use etable_relational::sql::ast::{Query, Statement};
@@ -79,16 +78,17 @@ impl Slot<'_> {
 ///
 /// Set operations, disjunctive join graphs and non-FK join conditions are
 /// rejected, matching the paper's stated scope ("core relational algebra").
-pub fn from_sql(tgdb: &Tgdb, db: &Database, sql: &str) -> Result<QueryPattern> {
+pub fn from_sql(tgdb: &Tgdb, sql: &str) -> Result<QueryPattern> {
     match etable_relational::sql::parse_statement(sql)? {
-        Statement::Select(q) => from_query(tgdb, db, &q),
+        Statement::Select(q) => from_query(tgdb, &q),
         _ => Err(Error::SqlTranslate("expected a SELECT query".into())),
     }
 }
 
-/// [`from_sql`] over a pre-parsed query.
-pub fn from_query(tgdb: &Tgdb, db: &Database, q: &Query) -> Result<QueryPattern> {
-    let plan = analyze(db, q)?;
+/// [`from_sql`] over a pre-parsed query, analyzed against the graph's own
+/// database ([`Tgdb::database`]).
+pub fn from_query(tgdb: &Tgdb, q: &Query) -> Result<QueryPattern> {
+    let plan = analyze(tgdb.database(), q)?;
     let col_name = |c: ColumnId| plan.tables[c.table].columns[c.column].name.as_str();
 
     // Step 1a: every table is an entity (a node), a junction, or an MVA
@@ -341,13 +341,13 @@ fn pred_atom(p: &TypedPred, attr: impl Fn(usize) -> Result<String>) -> Result<Fi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use etable_relational::Error as SqlError;
 
     #[test]
     fn name_and_type_errors_are_the_analyzers() {
-        let (tgdb, db) = (academic_tgdb(), academic_db());
-        let err = |sql: &str| from_sql(&tgdb, &db, sql).unwrap_err();
+        let tgdb = academic_tgdb();
+        let err = |sql: &str| from_sql(&tgdb, sql).unwrap_err();
         // Duplicate alias.
         let e = err("SELECT p.id FROM Papers p, Authors p WHERE p.id = 1");
         assert!(
@@ -379,8 +379,8 @@ mod tests {
 
     #[test]
     fn out_of_scope_joins_and_conditions_say_why() {
-        let (tgdb, db) = (academic_tgdb(), academic_db());
-        let msg = |sql: &str| from_sql(&tgdb, &db, sql).unwrap_err().to_string();
+        let tgdb = academic_tgdb();
+        let msg = |sql: &str| from_sql(&tgdb, sql).unwrap_err().to_string();
         // A condition over two tables that is not an equi-join.
         let m = msg("SELECT p.id FROM Papers p, Conferences c \
                      WHERE p.conference_id = c.id AND p.year > c.id");

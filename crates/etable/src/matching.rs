@@ -217,10 +217,8 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
         reached.clear();
         let source = match (filter.node_is(), expand) {
             (Some(target), _) => {
-                // A target of another type (or none) matches nothing.
-                if target.index() < graph.node_count() && graph.type_of(target) == node.node_type {
-                    reached.push(target);
-                }
+                // A key that names no node matches nothing.
+                reached.extend(target);
                 &reached[..]
             }
             (None, Some(via)) => {
@@ -305,8 +303,9 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::pattern::{NodeFilter, PatternNodeId};
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use etable_relational::expr::CmpOp;
+    use etable_relational::value::Value;
 
     /// The Figure 6 / Figure 7 query: SIGMOD papers after 2005 by authors at
     /// Korean institutions, pivoted to Authors.
@@ -551,18 +550,22 @@ mod tests {
     #[test]
     fn a_node_is_of_another_type_matches_nothing() {
         // A pattern assembled without `ops::select`: the Papers node is
-        // pinned to an author (or to no node at all), so nothing matches,
-        // as in the reference algebra.
+        // pinned to an author's key (or to a key no node holds), so
+        // nothing matches, as in the reference algebra; an ill-typed key
+        // is refused, as SQL refuses `id = 'x'`.
         let tgdb = academic_tgdb();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
-        let author = tgdb.instances.nodes_of_type(authors)[0];
+        let author = tgdb.key_of(tgdb.instances.nodes_of_type(authors)[0]);
         let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
         let alone = ops::initiate(&tgdb, papers).unwrap();
         let with_authors = ops::add(&tgdb, &alone, ae).unwrap();
         let paper = tgdb.instances.nodes_of_type(papers)[0];
         for q in [alone, with_authors] {
-            for target in [author, NodeId(u32::MAX)] {
+            let mut ill_typed = q.clone();
+            ill_typed.nodes[0].filter = NodeFilter::node_is("x");
+            assert!(match_primary(&tgdb, &ill_typed).is_err());
+            for target in [author, Value::Int(i64::MAX), Value::Null] {
                 let mut pinned = q.clone();
                 pinned.nodes[0].filter = NodeFilter::node_is(target);
                 let m = match_primary(&tgdb, &pinned).unwrap();
@@ -575,7 +578,7 @@ mod tests {
             }
             // Pinned to one of its own papers, the pattern matches it.
             let mut pinned = q;
-            pinned.nodes[0].filter = NodeFilter::node_is(paper);
+            pinned.nodes[0].filter = NodeFilter::node_is(tgdb.key_of(paper));
             assert_eq!(match_primary(&tgdb, &pinned).unwrap().allowed[0], [paper]);
             assert_projections_in_order(&tgdb, &pinned);
         }
@@ -603,7 +606,7 @@ mod tests {
         let q = ops::add(&tgdb, &q, ae).unwrap();
         let q = ops::shift(&q, crate::pattern::PatternNodeId(0)).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_key(papers, &10.into()).unwrap();
         let related = m
             .related(&tgdb, usable, crate::pattern::PatternNodeId(1))
             .unwrap();
@@ -645,7 +648,7 @@ mod tests {
         let q = ops::select(&tgdb, &q, NodeFilter::like("country", "%Korea%")).unwrap();
         let q = ops::shift(&q, crate::pattern::PatternNodeId(0)).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        let guided = tgdb.node_by_pk(&academic_db(), papers, &12.into()).unwrap();
+        let guided = tgdb.node_by_key(papers, &12.into()).unwrap();
         assert!(m.rows().contains(&guided));
         let authors = m
             .related(&tgdb, guided, crate::pattern::PatternNodeId(1))

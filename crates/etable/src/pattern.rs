@@ -65,9 +65,12 @@ pub enum FilterAtom {
         /// Attribute name.
         attr: String,
     },
-    /// Identity: the node is exactly this instance node. Produced by the
-    /// `Single` and `Seeall` user actions ("C = {u | u = vk}" in §6.1).
-    NodeIs(NodeId),
+    /// Identity: the node is exactly the one this key names — an
+    /// entity's primary-key value, a value node's value
+    /// ([`Tgdb::key_of`]). A key, unlike a node id, names the same entity
+    /// at every epoch. Produced by the `Single` and `Seeall` user actions
+    /// ("C = {u | u = vk}" in §6.1).
+    NodeIs(Value),
     /// The label of at least one neighbor along `edge` matches a LIKE
     /// pattern. This is the paper's "filter rows by the labels of the
     /// neighbor node columns (e.g., authors' names), which is translated
@@ -119,9 +122,9 @@ impl NodeFilter {
         })
     }
 
-    /// Exactly this node.
-    pub fn node_is(node: NodeId) -> Self {
-        Self::atom(FilterAtom::NodeIs(node))
+    /// Exactly the node keyed `key`.
+    pub fn node_is(key: impl Into<Value>) -> Self {
+        Self::atom(FilterAtom::NodeIs(key.into()))
     }
 
     /// True when no atoms are present.
@@ -141,15 +144,24 @@ impl NodeFilter {
     /// (`to_sql::atom_expr`), and a neighbor-label atom as `LIKE` over the
     /// neighbor type's label attribute, by the SQL analyzer's own rule
     /// (`type_pred`): the session, the graph and the translation refuse
-    /// and evaluate exactly what the engine would (`NodeIs` names a node,
-    /// not a value: nothing to type). The one resolver of a filter;
-    /// [`crate::ops::select_on`] validates by calling it.
+    /// and evaluate exactly what the engine would. A `NodeIs` key is typed
+    /// as `key = v` over the key attribute, then resolved at the graph's
+    /// epoch; a key the epoch does not hold matches nothing, as in SQL.
+    /// The one resolver of a filter; [`crate::ops::select_on`] validates
+    /// by calling it.
     pub fn bind(&self, tgdb: &Tgdb, node_type: NodeTypeId) -> Result<BoundFilter> {
         let nt = tgdb.schema.node_type(node_type);
         let mut bound = BoundFilter::default();
         for atom in &self.atoms {
             match atom {
-                FilterAtom::NodeIs(target) => bound.nodes.push(*target),
+                FilterAtom::NodeIs(key) => {
+                    let lhs = column(nt, &nt.attrs[tgdb.key_attr(node_type)].name);
+                    let rhs = SqlExpr::Literal(*key);
+                    typed(nt, &SqlExpr::Cmp(CmpOp::Eq, Box::new(lhs), Box::new(rhs)))?;
+                    // Two keys that name different nodes pin to none.
+                    let node = tgdb.node_by_key(node_type, key);
+                    bound.pinned = Some(bound.pinned.map_or(node, |p| p.filter(|_| p == node)));
+                }
                 FilterAtom::NeighborLabelLike { edge, pattern } => {
                     let et = tgdb.schema.edge_type(*edge);
                     if et.source != node_type {
@@ -173,12 +185,13 @@ impl NodeFilter {
         Ok(bound)
     }
 
-    /// Renders the filter with schema context, resolving edge names (e.g.
-    /// `Paper_Keywords: keyword like '%user%'`).
-    pub fn display_with(&self, tgdb: &Tgdb) -> String {
+    /// Renders the filter on a node of `node_type` with schema context,
+    /// resolving edge names (e.g. `Paper_Keywords: keyword like '%user%'`)
+    /// and a `NodeIs` key to its node's label.
+    pub fn display_with(&self, tgdb: &Tgdb, node_type: NodeTypeId) -> String {
         self.atoms
             .iter()
-            .map(|a| atom_display(a, tgdb))
+            .map(|a| atom_display(a, tgdb, node_type))
             .collect::<Vec<_>>()
             .join(" AND ")
     }
@@ -213,7 +226,7 @@ fn typed(owner: &NodeType, conjunct: &SqlExpr) -> Result<TypedPred> {
     })
 }
 
-fn atom_display(atom: &FilterAtom, tgdb: &Tgdb) -> String {
+fn atom_display(atom: &FilterAtom, tgdb: &Tgdb, node_type: NodeTypeId) -> String {
     match atom {
         FilterAtom::Cmp { attr, op, value } => match value {
             Value::Text(s) => format!("{attr} {op} '{s}'"),
@@ -233,7 +246,13 @@ fn atom_display(atom: &FilterAtom, tgdb: &Tgdb) -> String {
             format!("{attr} in ({list})")
         }
         FilterAtom::IsNull { attr } => format!("{attr} is null"),
-        FilterAtom::NodeIs(n) => format!("node = '{}'", tgdb.instances.label(*n)),
+        FilterAtom::NodeIs(key) => {
+            // A key this epoch does not hold shows as itself.
+            let label = tgdb
+                .node_by_key(node_type, key)
+                .map(|n| tgdb.instances.label(n));
+            format!("node = '{}'", label.unwrap_or(*key))
+        }
         FilterAtom::NeighborLabelLike { edge, pattern } => {
             format!("{} like '{pattern}'", tgdb.schema.edge_type(*edge).name)
         }
@@ -244,8 +263,9 @@ fn atom_display(atom: &FilterAtom, tgdb: &Tgdb) -> String {
 /// [`NodeFilter::bind`]); evaluating it looks nothing up by name.
 #[derive(Debug, Default)]
 pub struct BoundFilter {
-    /// `NodeIs` targets.
-    nodes: Vec<NodeId>,
+    /// The node the `NodeIs` atoms pin to, if there are any: `None` when
+    /// they name no node of the type at this epoch.
+    pinned: Option<Option<NodeId>>,
     /// The attribute atoms, over the node type's attribute positions.
     attrs: Vec<TypedPred>,
     /// The neighbor-label atoms: the edge, and `LIKE` over the neighbor
@@ -254,10 +274,11 @@ pub struct BoundFilter {
 }
 
 impl BoundFilter {
-    /// The node a `NodeIs` atom pins this filter to (the first, if there
-    /// are several): no other node can satisfy it.
-    pub fn node_is(&self) -> Option<NodeId> {
-        self.nodes.first().copied()
+    /// The node `NodeIs` atoms pin this filter to — `Some(None)` when
+    /// their keys name none — or `None` without such atoms. No other node
+    /// can satisfy a pinned filter.
+    pub fn node_is(&self) -> Option<Option<NodeId>> {
+        self.pinned
     }
 
     /// Whether `node`, of the node type the filter was bound to, satisfies
@@ -270,7 +291,7 @@ impl BoundFilter {
             let truth = p.expr().eval_truth(&|c| Some(tgdb.instances.value(n, c)));
             truth.map(Truth::is_true)
         };
-        if self.nodes.iter().any(|&target| target != node) {
+        if self.pinned.is_some_and(|target| target != Some(node)) {
             return Ok(false);
         }
         for p in &self.attrs {
@@ -557,7 +578,7 @@ impl QueryPattern {
         let cond = if node.filter.is_empty() {
             String::new()
         } else {
-            format!(" {{{}}}", node.filter.display_with(tgdb))
+            format!(" {{{}}}", node.filter.display_with(tgdb, node.node_type))
         };
         let _ = writeln!(out, "{indent}{arrow}{type_name}{star}{cond}");
         for child in tree
@@ -762,10 +783,13 @@ mod tests {
     #[test]
     fn node_filter_helpers_compose() {
         let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let f = NodeFilter::cmp("year", CmpOp::Gt, 2005).and(NodeFilter::like("title", "%user%"));
         assert_eq!(f.atoms.len(), 2);
-        assert!(f.display_with(&tgdb).contains("year > 2005"));
-        assert!(f.display_with(&tgdb).contains("title like '%user%'"));
+        assert!(f.display_with(&tgdb, papers).contains("year > 2005"));
+        assert!(f
+            .display_with(&tgdb, papers)
+            .contains("title like '%user%'"));
         assert!(NodeFilter::none().is_empty());
     }
 }

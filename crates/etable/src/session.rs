@@ -55,14 +55,19 @@ impl Session {
         }
     }
 
-    /// The typed graph database this session browses.
-    pub fn tgdb(&self) -> &Tgdb {
+    /// The typed graph database this session browses (the handle is
+    /// cheap to clone into another session).
+    pub fn tgdb(&self) -> &Arc<Tgdb> {
         &self.tgdb
     }
 
-    /// The shared handle itself (cheap to clone into another session).
-    pub fn tgdb_arc(&self) -> &Arc<Tgdb> {
-        &self.tgdb
+    /// Browses `tgdb` from here on — the session's schema graph at
+    /// another epoch ([`Tgdb::at`]) — and drops the cached matches. The
+    /// history stays valid: a pattern names types by id and entities by
+    /// key, and the schema graph does not change between epochs.
+    pub fn repin(&mut self, tgdb: Arc<Tgdb>) {
+        self.tgdb = tgdb;
+        self.cache.clear();
     }
 
     /// The default table list (Figure 9 component 1): entity types only.
@@ -236,7 +241,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::pattern::FilterAtom;
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use etable_relational::expr::CmpOp;
 
     #[test]
@@ -342,7 +347,7 @@ mod tests {
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let usable = tgdb.node_by_pk(&academic_db(), papers, &10.into()).unwrap();
+        let usable = tgdb.node_by_key(papers, &10.into()).unwrap();
         s.seeall(usable, "Paper_Keywords: keyword").unwrap();
         let t = s.etable().unwrap();
         assert_eq!(t.len(), 2); // usability, user interface

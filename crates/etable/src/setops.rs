@@ -105,7 +105,7 @@ fn describe(tgdb: &Tgdb, q: &QueryPattern) -> String {
             parts.push(format!(
                 "{}.{}",
                 tgdb.schema.node_type(n.node_type).name,
-                n.filter.display_with(tgdb)
+                n.filter.display_with(tgdb, n.node_type)
             ));
         }
     }

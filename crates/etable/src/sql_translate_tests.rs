@@ -11,31 +11,21 @@ mod tests {
     use crate::matching::match_primary;
     use crate::ops;
     use crate::pattern::{FilterAtom, NodeFilter, PatternNodeId, QueryPattern};
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use crate::to_sql::{to_primary_sql, to_query, to_sql};
     use etable_relational::database::Database;
     use etable_relational::expr::CmpOp;
     use etable_relational::sql::ast::{Query, SqlExpr};
     use etable_relational::sql::executor::execute_query;
-    use etable_tgm::{NodeTypeKind, Tgdb};
+    use etable_tgm::Tgdb;
     use std::collections::BTreeSet;
 
-    /// Executes a pattern and returns the primary nodes' key values (pk for
+    /// Executes a pattern and returns the primary nodes' keys (pk for
     /// entities, value for value nodes) as strings.
     fn pattern_keys(tgdb: &Tgdb, pattern: &QueryPattern) -> BTreeSet<String> {
         let m = match_primary(tgdb, pattern).unwrap();
-        let nt = tgdb.schema.node_type(pattern.primary_node().node_type);
-        m.rows()
-            .iter()
-            .map(|&n| {
-                let attr = if nt.kind == NodeTypeKind::Entity {
-                    // First attribute is the pk for our schemas ("id").
-                    nt.attr_index("id").unwrap_or(0)
-                } else {
-                    0
-                };
-                tgdb.instances.value(n, attr).to_string()
-            })
+        (m.rows().iter())
+            .map(|&n| tgdb.key_of(n).to_string())
             .collect()
     }
 
@@ -68,9 +58,8 @@ mod tests {
     #[test]
     fn to_sql_shows_paper_pattern() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
         let q = korea_pattern(&tgdb);
-        let sql = to_sql(&tgdb, &db, &q).unwrap();
+        let sql = to_sql(&tgdb, &q).unwrap();
         assert!(sql.starts_with("SELECT t2.*"), "{sql}");
         assert!(sql.contains("ent_list("), "{sql}");
         assert!(sql.contains("GROUP BY t2.id"), "{sql}");
@@ -80,17 +69,17 @@ mod tests {
     #[test]
     fn primary_sql_matches_pattern_execution() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
+        let db = tgdb.database();
         let q = korea_pattern(&tgdb);
-        let sql = to_query(&tgdb, &db, &q).unwrap();
-        assert_eq!(pattern_keys(&tgdb, &q), query_keys(&db, &sql), "{sql}");
+        let sql = to_query(&tgdb, &q).unwrap();
+        assert_eq!(pattern_keys(&tgdb, &q), query_keys(db, &sql), "{sql}");
     }
 
     #[test]
     fn primary_sql_with_mva_primary() {
         // Keywords of papers published after 2011.
         let tgdb = academic_tgdb();
-        let db = academic_db();
+        let db = tgdb.database();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let q = ops::initiate(&tgdb, papers).unwrap();
         let q = ops::select(&tgdb, &q, NodeFilter::cmp("year", CmpOp::Gt, 2011)).unwrap();
@@ -99,19 +88,18 @@ mod tests {
             .outgoing_by_name(papers, "Paper_Keywords: keyword")
             .unwrap();
         let q = ops::add(&tgdb, &q, ke).unwrap();
-        let sql = to_query(&tgdb, &db, &q).unwrap();
-        assert_eq!(pattern_keys(&tgdb, &q), query_keys(&db, &sql), "{sql}");
+        let sql = to_query(&tgdb, &q).unwrap();
+        assert_eq!(pattern_keys(&tgdb, &q), query_keys(db, &sql), "{sql}");
     }
 
     #[test]
     fn from_sql_builds_equivalent_pattern() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
         let sql = "SELECT p.id FROM Papers p, Paper_Authors pa, Authors a, Conferences c \
                    WHERE p.id = pa.paper_id AND pa.author_id = a.id \
                    AND p.conference_id = c.id AND c.acronym = 'SIGMOD' \
                    GROUP BY p.id";
-        let pattern = from_sql(&tgdb, &db, sql).unwrap();
+        let pattern = from_sql(&tgdb, sql).unwrap();
         assert_eq!(pattern.len(), 3); // Papers, Authors, Conferences
         assert_eq!(
             tgdb.schema.node_type(pattern.primary_node().node_type).name,
@@ -125,11 +113,10 @@ mod tests {
     #[test]
     fn from_sql_handles_mva_tables() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
         let sql = "SELECT p.id FROM Papers p, Paper_Keywords pk \
                    WHERE pk.paper_id = p.id AND pk.keyword LIKE '%user%' \
                    GROUP BY p.id";
-        let pattern = from_sql(&tgdb, &db, sql).unwrap();
+        let pattern = from_sql(&tgdb, sql).unwrap();
         let keys = pattern_keys(&tgdb, &pattern);
         assert_eq!(keys, ["10", "12"].iter().map(|s| s.to_string()).collect());
     }
@@ -138,9 +125,8 @@ mod tests {
     fn round_trip_preserves_result() {
         // pattern -> SQL -> pattern yields the same primary set.
         let tgdb = academic_tgdb();
-        let db = academic_db();
         let q = korea_pattern(&tgdb);
-        let query = to_query(&tgdb, &db, &q).unwrap();
+        let query = to_query(&tgdb, &q).unwrap();
         // Re-shape the DISTINCT query into the §8 GROUP BY form so
         // from_query can pick the primary.
         let grouped = Query {
@@ -148,7 +134,7 @@ mod tests {
             group_by: vec![SqlExpr::Column("t2.id".into())],
             ..query
         };
-        let back = from_query(&tgdb, &db, &grouped).unwrap();
+        let back = from_query(&tgdb, &grouped).unwrap();
         assert_eq!(pattern_keys(&tgdb, &q), pattern_keys(&tgdb, &back));
     }
 
@@ -156,7 +142,7 @@ mod tests {
     fn neighbor_label_filter_translates_to_semijoin() {
         // Papers whose Authors neighbor labels match '%Nandi%'.
         let tgdb = academic_tgdb();
-        let db = academic_db();
+        let db = tgdb.database();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
         let q = ops::initiate(&tgdb, papers).unwrap();
@@ -169,8 +155,8 @@ mod tests {
             }),
         )
         .unwrap();
-        let sql = to_query(&tgdb, &db, &q).unwrap();
-        assert_eq!(pattern_keys(&tgdb, &q), query_keys(&db, &sql), "{sql}");
+        let sql = to_query(&tgdb, &q).unwrap();
+        assert_eq!(pattern_keys(&tgdb, &q), query_keys(db, &sql), "{sql}");
     }
 
     #[test]
@@ -203,7 +189,7 @@ mod tests {
                 pattern: like.into(),
             };
             let q = ops::select(&tgdb, &q, NodeFilter::atom(label_like)).unwrap();
-            let sql = to_query(&tgdb, &db, &q).unwrap();
+            let sql = to_query(&tgdb, &q).unwrap();
             assert_eq!(pattern_keys(&tgdb, &q), want, "{like}");
             assert_eq!(query_keys(&db, &sql), want, "{sql}");
             let oracle = execute_query_naive(&db, &sql).unwrap();
@@ -217,49 +203,59 @@ mod tests {
         // "Papers citing a paper from before 2010": the Papers type occurs
         // twice, joined through the self-relationship table.
         let tgdb = academic_tgdb();
-        let db = academic_db();
+        let db = tgdb.database();
         let sql = "SELECT p1.id FROM Papers p1, Paper_References r, Papers p2 \
                    WHERE r.paper_id = p1.id AND r.ref_paper_id = p2.id \
                    AND p2.year < 2010 GROUP BY p1.id";
-        let pattern = from_sql(&tgdb, &db, sql).unwrap();
+        let pattern = from_sql(&tgdb, sql).unwrap();
         assert_eq!(pattern.len(), 2);
         assert_eq!(pattern.nodes[0].node_type, pattern.nodes[1].node_type);
         // Papers citing the 2007 paper: 11 and 12.
         let keys = pattern_keys(&tgdb, &pattern);
         assert_eq!(keys, ["11", "12"].iter().map(|s| s.to_string()).collect());
         // And back to SQL.
-        let back = to_query(&tgdb, &db, &pattern).unwrap();
-        assert_eq!(keys, query_keys(&db, &back), "{back}");
+        let back = to_query(&tgdb, &pattern).unwrap();
+        assert_eq!(keys, query_keys(db, &back), "{back}");
     }
 
     #[test]
     fn from_sql_rejects_out_of_scope_queries() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
         // Global aggregate: no primary entity.
-        assert!(from_sql(&tgdb, &db, "SELECT COUNT(*) FROM Papers").is_err());
+        assert!(from_sql(&tgdb, "SELECT COUNT(*) FROM Papers").is_err());
         // Non-FK join condition.
         assert!(from_sql(
             &tgdb,
-            &db,
             "SELECT p.id FROM Papers p, Authors a WHERE p.year = a.id"
         )
         .is_err());
         // Disconnected join graph.
-        assert!(from_sql(&tgdb, &db, "SELECT p.id FROM Papers p, Authors a").is_err());
+        assert!(from_sql(&tgdb, "SELECT p.id FROM Papers p, Authors a").is_err());
     }
 
     #[test]
     fn node_is_filter_translates_to_pk_equality() {
         let tgdb = academic_tgdb();
-        let db = academic_db();
+        let db = tgdb.database();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let node = tgdb.node_by_pk(&db, papers, &11.into()).unwrap();
         let q = ops::initiate(&tgdb, papers).unwrap();
-        let q = ops::select(&tgdb, &q, NodeFilter::node_is(node)).unwrap();
-        let sql = to_primary_sql(&tgdb, &db, &q).unwrap();
+        let q = ops::select(&tgdb, &q, NodeFilter::node_is(11)).unwrap();
+        let sql = to_primary_sql(&tgdb, &q).unwrap();
         assert!(sql.contains("t0.id = 11"), "{sql}");
-        let query = to_query(&tgdb, &db, &q).unwrap();
-        assert_eq!(pattern_keys(&tgdb, &q), query_keys(&db, &query));
+        let query = to_query(&tgdb, &q).unwrap();
+        assert_eq!(pattern_keys(&tgdb, &q), query_keys(db, &query));
+        // A value node is keyed by its value; a key no node holds matches
+        // nothing on either side.
+        let (keywords, _) = tgdb
+            .schema
+            .node_type_by_name("Paper_Keywords: keyword")
+            .unwrap();
+        for (key, want) in [("user interface", 1), ("no such keyword", 0)] {
+            let q = ops::initiate(&tgdb, keywords).unwrap();
+            let q = ops::select(&tgdb, &q, NodeFilter::node_is(key)).unwrap();
+            let query = to_query(&tgdb, &q).unwrap();
+            assert_eq!(pattern_keys(&tgdb, &q).len(), want, "{key}");
+            assert_eq!(pattern_keys(&tgdb, &q), query_keys(db, &query), "{query}");
+        }
     }
 }

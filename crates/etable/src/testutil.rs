@@ -7,6 +7,7 @@
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, ForeignKey, TableSchema};
 use etable_relational::value::{DataType, Value};
+use etable_relational::Result;
 use etable_tgm::{translate, Tgdb, TranslateOptions};
 
 /// Builds the relational form of the mini academic database.
@@ -24,6 +25,17 @@ use etable_tgm::{translate, Tgdb, TranslateOptions};
 ///   13 "Deep stuff" (KDD 2014, author Kim, keyword deep learning, cites 11
 ///   and 12)
 pub fn academic_db() -> Database {
+    build().expect("the academic fixture is consistent")
+}
+
+/// The mini academic database translated into a TGDB with default
+/// options; [`Tgdb::database`] is [`academic_db`].
+pub fn academic_tgdb() -> Tgdb {
+    translate(&academic_db(), &TranslateOptions::default())
+        .expect("the academic fixture translates")
+}
+
+fn build() -> Result<Database> {
     let mut db = Database::new();
     db.create_table(
         TableSchema::new(
@@ -34,8 +46,7 @@ pub fn academic_db() -> Database {
             ],
         )
         .with_primary_key(&["id"]),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Institutions",
@@ -46,8 +57,7 @@ pub fn academic_db() -> Database {
             ],
         )
         .with_primary_key(&["id"]),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Authors",
@@ -59,8 +69,7 @@ pub fn academic_db() -> Database {
         )
         .with_primary_key(&["id"])
         .with_foreign_key(ForeignKey::single("institution_id", "Institutions", "id")),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Papers",
@@ -73,8 +82,7 @@ pub fn academic_db() -> Database {
         )
         .with_primary_key(&["id"])
         .with_foreign_key(ForeignKey::single("conference_id", "Conferences", "id")),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_Authors",
@@ -87,8 +95,7 @@ pub fn academic_db() -> Database {
         .with_primary_key(&["paper_id", "author_id"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id"))
         .with_foreign_key(ForeignKey::single("author_id", "Authors", "id")),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_Keywords",
@@ -99,8 +106,7 @@ pub fn academic_db() -> Database {
         )
         .with_primary_key(&["paper_id", "keyword"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id")),
-    )
-    .unwrap();
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_References",
@@ -112,8 +118,7 @@ pub fn academic_db() -> Database {
         .with_primary_key(&["paper_id", "ref_paper_id"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id"))
         .with_foreign_key(ForeignKey::single("ref_paper_id", "Papers", "id")),
-    )
-    .unwrap();
+    )?;
 
     let rows: &[(&str, Vec<Vec<Value>>)] = &[
         (
@@ -196,14 +201,9 @@ pub fn academic_db() -> Database {
     ];
     for (table, trows) in rows {
         for row in trows {
-            db.insert(table, row.clone()).unwrap();
+            db.insert(table, row.clone())?;
         }
     }
-    db.check_integrity().unwrap();
-    db
-}
-
-/// The mini academic database translated into a TGDB with default options.
-pub fn academic_tgdb() -> Tgdb {
-    translate(&academic_db(), &TranslateOptions::default()).unwrap()
+    db.check_integrity()?;
+    Ok(db)
 }

@@ -16,10 +16,9 @@
 
 use crate::pattern::{FilterAtom, PatternEdge, PatternNodeId, QueryPattern};
 use crate::{Error, Result};
-use etable_relational::database::Database;
 use etable_relational::expr::CmpOp;
 use etable_relational::sql::ast::{Query, SelectItem, SqlExpr, TableRef};
-use etable_tgm::{EdgeProvenance, EdgeTypeId, NodeTypeKind, Tgdb};
+use etable_tgm::{EdgeProvenance, EdgeTypeId, NodeTypeId, NodeTypeKind, Tgdb};
 
 fn col(alias: &str, name: &str) -> SqlExpr {
     SqlExpr::Column(format!("{alias}.{name}"))
@@ -85,7 +84,6 @@ impl NodeRepr {
 /// The FROM list and WHERE conjuncts of a pattern, as they accumulate.
 struct Builder<'a> {
     tgdb: &'a Tgdb,
-    db: &'a Database,
     from: Vec<TableRef>,
     conditions: Vec<SqlExpr>,
     reprs: Vec<Option<NodeRepr>>,
@@ -93,17 +91,10 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    fn pk_of(&self, table: &str) -> Result<String> {
-        let schema = self
-            .db
-            .table(table)
-            .map_err(|e| Error::SqlTranslate(e.to_string()))?
-            .schema();
-        schema
-            .primary_key
-            .first()
-            .cloned()
-            .ok_or_else(|| Error::SqlTranslate(format!("table `{table}` has no primary key")))
+    /// The primary-key column of entity type `nt`: its key attribute.
+    fn pk_of(&self, nt: NodeTypeId) -> String {
+        let def = self.tgdb.schema.node_type(nt);
+        def.attrs[self.tgdb.key_attr(nt)].name.clone()
     }
 
     /// Adds `table` to FROM under the next auxiliary alias (`j0`, `m1`,
@@ -123,10 +114,11 @@ impl Builder<'_> {
     /// unless it stands alone (`Single` on a keyword): with no edge to
     /// introduce it, it is the column of the table it was read from.
     fn init_node(&mut self, id: PatternNodeId, pattern: &QueryPattern) -> Result<()> {
-        let nt = self.tgdb.schema.node_type(pattern.node(id).node_type);
+        let node_type = pattern.node(id).node_type;
+        let nt = self.tgdb.schema.node_type(node_type);
         if nt.kind == NodeTypeKind::Entity {
             let alias = format!("t{}", id.0);
-            let pk = self.pk_of(&nt.source_table)?;
+            let pk = self.pk_of(node_type);
             self.from.push(TableRef {
                 table: nt.source_table.clone(),
                 alias: Some(alias.clone()),
@@ -205,23 +197,7 @@ impl Builder<'_> {
         for atom in &node.filter.atoms {
             let repr = self.repr(id)?.clone();
             let cond = match atom {
-                FilterAtom::NodeIs(n) => {
-                    let attr = match &repr {
-                        NodeRepr::Entity { pk, .. } => {
-                            let nt = self.tgdb.schema.node_type(node.node_type);
-                            let pk_attr = nt.attr_index(pk).ok_or_else(|| {
-                                Error::SqlTranslate(format!(
-                                    "primary key `{pk}` is not an attribute of `{}`",
-                                    nt.name
-                                ))
-                            })?;
-                            pk_attr
-                        }
-                        NodeRepr::Value(_) => 0,
-                    };
-                    let v = self.tgdb.instances.value(*n, attr);
-                    eq(repr.key(), SqlExpr::Literal(v))
-                }
+                FilterAtom::NodeIs(key) => eq(repr.key(), SqlExpr::Literal(*key)),
                 // Materialize the neighbor as an extra join: sound under
                 // SELECT DISTINCT (the paper translates these filters to
                 // subqueries; a semi-join is the equivalent here).
@@ -244,14 +220,12 @@ impl Builder<'_> {
     /// representation slot (an entity alias if it is an entity), and the
     /// edge `owner → neighbor` emits its joins as any pattern edge does.
     fn neighbor_label(&mut self, owner: PatternNodeId, edge: EdgeTypeId) -> Result<SqlExpr> {
-        let target = self
-            .tgdb
-            .schema
-            .node_type(self.tgdb.schema.edge_type(edge).target);
+        let target_type = self.tgdb.schema.edge_type(edge).target;
+        let target = self.tgdb.schema.node_type(target_type);
         let neighbor = PatternNodeId(self.reprs.len());
         self.reprs.push(None);
         if target.kind == NodeTypeKind::Entity {
-            let pk = self.pk_of(&target.source_table)?;
+            let pk = self.pk_of(target_type);
             let alias = self.join(&target.source_table, 'x');
             self.reprs[neighbor.0] = Some(NodeRepr::Entity { alias, pk });
         }
@@ -286,11 +260,10 @@ impl Builder<'_> {
 }
 
 /// Walks the pattern and fills a [`Builder`].
-fn build<'a>(tgdb: &'a Tgdb, db: &'a Database, pattern: &QueryPattern) -> Result<Builder<'a>> {
+fn build<'a>(tgdb: &'a Tgdb, pattern: &QueryPattern) -> Result<Builder<'a>> {
     let tree = pattern.tree(tgdb, pattern.primary)?;
     let mut b = Builder {
         tgdb,
-        db,
         from: Vec::new(),
         conditions: Vec::new(),
         reprs: vec![None; pattern.len()],
@@ -315,11 +288,12 @@ fn build<'a>(tgdb: &'a Tgdb, db: &'a Database, pattern: &QueryPattern) -> Result
     Ok(b)
 }
 
-/// The executable SQL query over the original relational database that
-/// returns the distinct primary keys (or values, for MVA/categorical
-/// primaries) of the matched primary nodes: `Π_τa(m(Q))` in SQL.
-pub fn to_query(tgdb: &Tgdb, db: &Database, pattern: &QueryPattern) -> Result<Query> {
-    let b = build(tgdb, db, pattern)?;
+/// The executable SQL query over the graph's own database
+/// ([`Tgdb::database`]) that returns the distinct primary keys (or values,
+/// for MVA/categorical primaries) of the matched primary nodes:
+/// `Π_τa(m(Q))` in SQL.
+pub fn to_query(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<Query> {
+    let b = build(tgdb, pattern)?;
     let key = b.repr(pattern.primary)?.key();
     let items = vec![SelectItem::Expr {
         expr: key,
@@ -329,8 +303,8 @@ pub fn to_query(tgdb: &Tgdb, db: &Database, pattern: &QueryPattern) -> Result<Qu
 }
 
 /// [`to_query`], printed.
-pub fn to_primary_sql(tgdb: &Tgdb, db: &Database, pattern: &QueryPattern) -> Result<String> {
-    Ok(to_query(tgdb, db, pattern)?.to_string())
+pub fn to_primary_sql(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<String> {
+    Ok(to_query(tgdb, pattern)?.to_string())
 }
 
 /// Renders the paper's general SQL pattern (§8) for display:
@@ -340,8 +314,8 @@ pub fn to_primary_sql(tgdb: &Tgdb, db: &Database, pattern: &QueryPattern) -> Res
 /// `json_agg`; the output is documentation, not an executable query. The
 /// dialect has no such function, so each call rides through the printer as
 /// a column whose name is the call.
-pub fn to_sql(tgdb: &Tgdb, db: &Database, pattern: &QueryPattern) -> Result<String> {
-    let b = build(tgdb, db, pattern)?;
+pub fn to_sql(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<String> {
+    let b = build(tgdb, pattern)?;
     let primary = b.repr(pattern.primary)?;
     let mut items = vec![match primary {
         NodeRepr::Entity { alias, .. } => SelectItem::QualifiedWildcard(alias.clone()),
@@ -365,7 +339,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::pattern::NodeFilter;
-    use crate::testutil::{academic_db, academic_tgdb};
+    use crate::testutil::academic_tgdb;
     use etable_relational::sql::executor::execute_query;
     use etable_relational::sql::{parse_statement, Statement};
 
@@ -374,7 +348,7 @@ mod tests {
         // Filter values that need the printer's quoting — an apostrophe in
         // a literal and in a LIKE pattern — and a float that must not print
         // as an INT.
-        let (tgdb, db) = (academic_tgdb(), academic_db());
+        let tgdb = academic_tgdb();
         let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
         let q = ops::initiate(&tgdb, authors).unwrap();
         let q = ops::select(&tgdb, &q, NodeFilter::cmp("name", CmpOp::Ne, "O'Brien")).unwrap();
@@ -382,7 +356,7 @@ mod tests {
         let (pe, _) = tgdb.schema.outgoing_by_name(authors, "Papers").unwrap();
         let q = ops::add(&tgdb, &q, pe).unwrap();
         let q = ops::select(&tgdb, &q, NodeFilter::cmp("year", CmpOp::Lt, 2012.0)).unwrap();
-        let query = to_query(&tgdb, &db, &q).unwrap();
+        let query = to_query(&tgdb, &q).unwrap();
         let text = query.to_string();
         assert!(
             text.contains("'O''Brien'") && text.contains("'%d''Or%'"),
@@ -390,7 +364,7 @@ mod tests {
         );
         assert!(text.contains("t1.year < 2012.0"), "{text}");
         assert_eq!(parse_statement(&text), Ok(Statement::Select(query.clone())));
-        assert_eq!(to_primary_sql(&tgdb, &db, &q).unwrap(), text);
-        assert!(execute_query(&db, &query).unwrap().is_empty());
+        assert_eq!(to_primary_sql(&tgdb, &q).unwrap(), text);
+        assert!(execute_query(tgdb.database(), &query).unwrap().is_empty());
     }
 }

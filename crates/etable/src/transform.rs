@@ -112,7 +112,8 @@ pub(crate) fn table(tgdb: &Tgdb, m: &Arc<MatchResult>, ids: Vec<NodeId>) -> Resu
         let n = pattern.node(id);
         if !n.filter.is_empty() {
             let tname = &tgdb.schema.node_type(n.node_type).name;
-            filters.push(format!("{tname}.{}", n.filter.display_with(tgdb)));
+            let desc = n.filter.display_with(tgdb, n.node_type);
+            filters.push(format!("{tname}.{desc}"));
         }
     }
     let filter_desc = if filters.is_empty() {

@@ -89,7 +89,7 @@ const PANIC_BUDGET: [(&str, usize); 15] = [
     ("crates/datagen/src/generator.rs", 7),
     ("crates/datagen/src/schema.rs", 7),
     ("crates/datagen/src/tasks.rs", 1),
-    ("crates/etable/src/testutil.rs", 10),
+    ("crates/etable/src/testutil.rs", 2),
     ("crates/relational/src/intern.rs", 2),
     ("crates/relational/src/storage/codec.rs", 1),
     ("crates/relational/src/table.rs", 2),

@@ -51,8 +51,9 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The shared database value itself.
-    pub fn database(&self) -> &Database {
+    /// The shared database value itself: one epoch's `Arc`, which a
+    /// holder can keep, or compare with another epoch's by pointer.
+    pub fn database(&self) -> &Arc<Database> {
         &self.db
     }
 }
@@ -87,12 +88,13 @@ struct Shared {
 }
 
 impl SharedDatabase {
-    /// Wraps `db` as epoch 0 of a new shared handle.
-    pub fn new(db: Database) -> SharedDatabase {
+    /// Wraps `db` as epoch 0 of a new shared handle. An `Arc` is taken
+    /// as is: epoch 0 is then that very value.
+    pub fn new(db: impl Into<Arc<Database>>) -> SharedDatabase {
         SharedDatabase {
             inner: Arc::new(Shared {
                 current: RwLock::new(Snapshot {
-                    db: Arc::new(db),
+                    db: db.into(),
                     epoch: 0,
                 }),
                 write: Mutex::new(()),

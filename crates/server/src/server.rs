@@ -1,6 +1,7 @@
 //! The multi-threaded TCP server: one accept loop, one handler thread
-//! and one [`Connection`] per client, all over a single
-//! [`SharedDatabase`] + `Arc<Tgdb>` pair.
+//! and one [`Connection`] per client, all over one [`SharedDatabase`].
+//! Each session starts on the `Arc<Tgdb>` given to [`Server::start`],
+//! of any epoch: a connection re-pins its session when it builds a table.
 //!
 //! Concurrency model: reads execute on per-statement epoch snapshots
 //! (never blocking each other), writes serialize inside the shared
@@ -69,7 +70,8 @@ struct ClientThread {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting clients over the shared handles.
+    /// accepting clients over the shared handles. `tgdb` starts every
+    /// client's session, at whatever epoch it was loaded from.
     pub fn start(addr: &str, db: SharedDatabase, tgdb: Arc<Tgdb>) -> Result<Server> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| Error::Protocol(format!("{addr}: cannot bind: {e}")))?;

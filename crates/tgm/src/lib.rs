@@ -19,6 +19,7 @@ pub mod ids;
 pub mod instance_graph;
 pub mod schema_graph;
 pub mod stats;
+pub mod tgdb;
 pub mod translate;
 
 pub use ids::{EdgeTypeId, NodeId, NodeTypeId};
@@ -26,7 +27,8 @@ pub use instance_graph::{GraphBuilder, IdSlice, InstanceGraph};
 pub use schema_graph::{
     AttrDef, EdgeProvenance, EdgeType, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
-pub use translate::{classify, translate, RelationCategory, Tgdb, TranslateOptions};
+pub use tgdb::Tgdb;
+pub use translate::{classify, translate, RelationCategory, TranslateOptions};
 
 use std::fmt;
 

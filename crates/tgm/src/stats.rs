@@ -4,7 +4,7 @@
 //! skewed shape of the paper's DBLP/ACM crawl.
 
 use crate::ids::EdgeTypeId;
-use crate::translate::Tgdb;
+use crate::tgdb::Tgdb;
 
 /// Degree distribution summary for one edge type.
 #[derive(Debug, Clone, PartialEq)]

@@ -21,6 +21,7 @@ use crate::instance_graph::{GraphBuilder, InstanceGraph};
 use crate::schema_graph::{
     AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
+use crate::tgdb::Tgdb;
 use crate::{Error, Result};
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
@@ -75,73 +76,6 @@ impl Default for TranslateOptions {
             categorical_columns: Vec::new(),
             label_overrides: BTreeMap::new(),
         }
-    }
-}
-
-/// One line of the translation report (regenerates paper Table 1).
-#[derive(Debug, Clone)]
-pub struct ReportEntry {
-    /// "Node type" or "Edge type".
-    pub form: &'static str,
-    /// Name of the created graph object.
-    pub name: String,
-    /// Source category text, as in Table 1's "Source" column.
-    pub source: String,
-    /// Determining factor text, as in Table 1's rightmost column.
-    pub determining_factor: String,
-}
-
-/// The translated typed graph database.
-#[derive(Debug, Clone)]
-pub struct Tgdb {
-    /// The schema graph `GS`.
-    pub schema: SchemaGraph,
-    /// The instance graph `GI`, shared with every enriched table read
-    /// from it.
-    pub instances: Arc<InstanceGraph>,
-    /// Classification of every input relation.
-    pub categories: BTreeMap<String, RelationCategory>,
-}
-
-impl Tgdb {
-    /// Finds an entity node by its relational primary-key value, through
-    /// the primary-key index of `db`, the database the graph was translated
-    /// from: row `r` of an entity relation is the `r`-th node of its type.
-    pub fn node_by_pk(&self, db: &Database, nt: NodeTypeId, pk: &Value) -> Option<NodeId> {
-        let entity = |(_, t): &(NodeTypeId, &NodeType)| t.kind == NodeTypeKind::Entity;
-        let (_, def) = self.schema.node_types().nth(nt.index()).filter(entity)?;
-        let row = db.table(&def.source_table).ok()?.pk_row_index(&[*pk])?;
-        self.instances.nodes_of_type(nt).get(row).copied()
-    }
-
-    /// Finds a node of any type by its label text (first match in insertion
-    /// order). Mirrors clicking an entity reference in the UI.
-    pub fn node_by_label(&self, nt: NodeTypeId, label: &str) -> Option<NodeId> {
-        let matches = |id: &NodeId| match self.instances.label(*id) {
-            Value::Text(s) => s.as_str() == label,
-            other => other.to_string() == label,
-        };
-        self.instances
-            .nodes_of_type(nt)
-            .iter()
-            .copied()
-            .find(matches)
-    }
-
-    /// Paper Table 1 as this schema graph instantiates it: one entry per
-    /// node type, then one per forward edge type, each in id order.
-    pub fn report(&self) -> Vec<ReportEntry> {
-        let entry = |form, name: &str, (source, factor): (&str, &str)| ReportEntry {
-            form,
-            name: name.to_string(),
-            source: source.to_string(),
-            determining_factor: factor.to_string(),
-        };
-        let nodes = self.schema.node_types();
-        let nodes = nodes.map(|(_, t)| entry("Node type", &t.name, t.kind.table1_row()));
-        let edges = self.schema.edge_types().filter(|(_, e)| e.forward);
-        let edges = edges.map(|(_, e)| entry("Edge type", &e.name, e.kind.table1_row()));
-        nodes.chain(edges).collect()
     }
 }
 
@@ -545,7 +479,7 @@ fn load_edges(
 /// fixed by its type and its source row, or its value's rank among the
 /// column's distinct non-NULL values), then edges, forward edge type by
 /// forward edge type.
-fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
+pub(crate) fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
     let mut graph = InstanceGraph::builder(schema);
     let mut by_row: Vec<Ends> = Vec::with_capacity(schema.node_type_count());
     for (nt, def) in schema.node_types() {
@@ -584,7 +518,9 @@ fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
     graph.finish(schema)
 }
 
-/// Translates `db` into a typed graph database.
+/// Translates `db` into a typed graph database, which keeps a copy of
+/// `db` ([`Tgdb::database`]). The copy is taken after the load, so it
+/// shares the foreign-key indexes the load built (and `db` keeps them).
 pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
     let (schema, categories) = schema_of(db, opts)?;
     let instances = Arc::new(instances_of(db, &schema)?);
@@ -592,6 +528,7 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
         schema,
         instances,
         categories,
+        db: Arc::new(db.clone()),
     })
 }
 
@@ -813,8 +750,8 @@ mod tests {
         let db = academic_db();
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        let skewtune = tgdb.node_by_pk(&db, papers, &11.into()).unwrap();
-        let usable = tgdb.node_by_pk(&db, papers, &10.into()).unwrap();
+        let skewtune = tgdb.node_by_key(papers, &11.into()).unwrap();
+        let usable = tgdb.node_by_key(papers, &10.into()).unwrap();
         let (refd, _) = tgdb
             .schema
             .outgoing_by_name(papers, "Papers (referenced)")
@@ -973,8 +910,8 @@ mod tests {
             ]
         );
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
-        assert_eq!(tgdb.node_by_pk(&db, papers, &9.into()), Some(NodeId(7)));
-        let deep = tgdb.node_by_pk(&db, papers, &12.into()).unwrap();
+        assert_eq!(tgdb.node_by_key(papers, &9.into()), Some(NodeId(7)));
+        let deep = tgdb.node_by_key(papers, &12.into()).unwrap();
 
         let neighbors = |from: NodeTypeId, edge: &str, node: NodeId| {
             let (et, _) = tgdb.schema.outgoing_by_name(from, edge).unwrap();
@@ -1175,6 +1112,50 @@ mod tests {
             [vec![], vec!["red"], vec!["blue"], vec![], vec!["red"]]
         );
         g.check_consistency(&tgdb.schema).unwrap();
+    }
+
+    /// A node's key names it — `node_by_key` inverts `key_of` on entities
+    /// and value nodes alike, and a key no row holds names nothing — and
+    /// `at` loads a later epoch as a fresh translation of it would, under
+    /// the same schema graph, with every paper's id moved and its key not.
+    #[test]
+    fn keys_name_nodes_and_at_loads_a_later_epoch() {
+        let tgdb = translate(&academic_db(), &TranslateOptions::default()).unwrap();
+        let g = &tgdb.instances;
+        for n in g.node_ids() {
+            assert_eq!(tgdb.node_by_key(g.type_of(n), &tgdb.key_of(n)), Some(n));
+        }
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        for absent in [Value::Int(99), Value::Null, Value::from("SkewTune")] {
+            assert_eq!(tgdb.node_by_key(papers, &absent), None);
+        }
+
+        let mut next = (**tgdb.database()).clone();
+        for stmt in [
+            "INSERT INTO Authors VALUES (102, 'Kim')",
+            "INSERT INTO Papers VALUES (13, 2, 'Later', 2020)",
+            "INSERT INTO Paper_Keywords VALUES (13, 'a new keyword')",
+        ] {
+            etable_relational::sql::execute(&mut next, stmt).unwrap();
+        }
+        let next = Arc::new(next);
+        let at = tgdb.at(Arc::clone(&next)).unwrap();
+        let fresh = translate(&next, &TranslateOptions::default()).unwrap();
+        assert!(Arc::ptr_eq(at.database(), &next));
+        let names = |t: &Tgdb| t.report().into_iter().map(|e| e.name).collect::<Vec<_>>();
+        assert_eq!(names(&at), names(&tgdb));
+        assert_eq!(names(&fresh), names(&tgdb));
+        let (a, f) = (&at.instances, &fresh.instances);
+        assert_eq!(a.labels(), f.labels());
+        for (et, _) in at.schema.edge_types() {
+            assert!(a
+                .node_ids()
+                .all(|n| a.neighbors(et, n) == f.neighbors(et, n)));
+        }
+        a.check_consistency(&at.schema).unwrap();
+        let skewtune = |t: &Tgdb| t.node_by_key(papers, &11.into()).unwrap();
+        assert_ne!(skewtune(&at), skewtune(&tgdb));
+        assert_eq!(a.label(skewtune(&at)), g.label(skewtune(&tgdb)));
     }
 
     #[test]

@@ -59,8 +59,8 @@ fn main() {
     // §8: the pattern as the paper's general SQL form, and an executable
     // primary-key query whose result provably matches the pattern. The
     // translation is the SQL front end's own AST; the text is its rendering.
-    let display_sql = to_sql::to_sql(&tgdb, &db, &q).expect("to_sql");
-    let exec = to_sql::to_query(&tgdb, &db, &q).expect("to_query");
+    let display_sql = to_sql::to_sql(&tgdb, &q).expect("to_sql");
+    let exec = to_sql::to_query(&tgdb, &q).expect("to_query");
     println!("\n§8 SQL pattern:\n  {display_sql}");
     println!("\nexecutable check query:\n  {exec}");
 
@@ -78,7 +78,7 @@ fn main() {
         group_by: vec![SqlExpr::Column("t2.id".into())],
         ..exec
     };
-    let back = from_sql::from_query(&tgdb, &db, &grouped).expect("from_query");
+    let back = from_sql::from_query(&tgdb, &grouped).expect("from_query");
     let m2 = matching::match_primary(&tgdb, &back).expect("match back");
     assert_eq!(m.rows(), m2.rows());
     println!("round-trip SQL -> pattern -> execution agrees too.");

@@ -51,7 +51,7 @@ fn main() {
     let pattern = session.current_pattern().expect("pattern");
     println!(
         "equivalent SQL (you never typed this):\n  {}",
-        to_sql::to_sql(&tgdb, &db, pattern).expect("translation")
+        to_sql::to_sql(&tgdb, pattern).expect("translation")
     );
 
     // 5. The history panel: every step is revertable.

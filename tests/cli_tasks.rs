@@ -14,7 +14,8 @@ fn env() -> &'static (SharedDatabase, Arc<Tgdb>) {
     ENV.get_or_init(|| {
         let db = generate(&GenConfig::small());
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
-        (SharedDatabase::new(db), Arc::new(tgdb))
+        let tgdb = Arc::new(tgdb);
+        (SharedDatabase::new(Arc::clone(tgdb.database())), tgdb)
     })
 }
 

@@ -3,9 +3,8 @@
 //! pattern's primary keys.
 
 use etable_repro::core::pattern::QueryPattern;
-use etable_repro::core::testutil::{academic_db, academic_tgdb};
+use etable_repro::core::testutil::academic_tgdb;
 use etable_repro::core::to_sql::to_query;
-use etable_repro::relational::database::Database;
 use etable_repro::relational::relation::Relation;
 use etable_repro::relational::sql::executor::execute_query;
 use etable_repro::relational::sql::naive::execute_query_naive;
@@ -16,9 +15,9 @@ use std::sync::{Arc, OnceLock};
 
 /// The hand-sized academic fixture: small enough for the naive oracle's
 /// cross product.
-pub fn academic() -> &'static (Database, Arc<Tgdb>) {
-    static ENV: OnceLock<(Database, Arc<Tgdb>)> = OnceLock::new();
-    ENV.get_or_init(|| (academic_db(), Arc::new(academic_tgdb())))
+pub fn academic() -> &'static Arc<Tgdb> {
+    static ENV: OnceLock<Arc<Tgdb>> = OnceLock::new();
+    ENV.get_or_init(|| Arc::new(academic_tgdb()))
 }
 
 /// Case-count override: `PROPTEST_CASES`, else `default`.
@@ -30,17 +29,10 @@ pub fn cases(default: u32) -> u32 {
 }
 
 /// The keys of matched primary nodes as a translated query returns them:
-/// the `id` attribute of an entity, the value of a value node.
-pub fn node_keys(
-    tgdb: &Tgdb,
-    q: &QueryPattern,
-    nodes: impl IntoIterator<Item = NodeId>,
-) -> BTreeSet<String> {
-    let nt = tgdb.schema.node_type(q.primary_node().node_type);
-    let key = nt.attr_index("id").unwrap_or(0);
-    nodes
-        .into_iter()
-        .map(|n| tgdb.instances.value(n, key).to_string())
+/// the primary key of an entity, the value of a value node.
+pub fn node_keys(tgdb: &Tgdb, nodes: impl IntoIterator<Item = NodeId>) -> BTreeSet<String> {
+    (nodes.into_iter())
+        .map(|n| tgdb.key_of(n).to_string())
         .collect()
 }
 
@@ -50,19 +42,20 @@ fn result_keys(rel: &Relation) -> BTreeSet<String> {
 
 /// Checks one pattern against `expected`, the keys of its matched primary
 /// nodes: the translation prints to text that parses back to the same
-/// AST, and the AST — executed as is, never re-lexed — returns `expected`
-/// on the engine and, when `oracle` is set and the cross product of the
-/// FROM list (which the naive evaluator materializes) stays under
-/// `ORACLE_MAX_ROWS`, on the oracle. Returns whether the oracle refereed.
+/// AST, and the AST — executed as is, never re-lexed, on the graph's own
+/// database — returns `expected` on the engine and, when `oracle` is set
+/// and the cross product of the FROM list (which the naive evaluator
+/// materializes) stays under `ORACLE_MAX_ROWS`, on the oracle. Returns
+/// whether the oracle refereed.
 pub fn check_translation(
-    db: &Database,
     tgdb: &Tgdb,
     q: &QueryPattern,
     expected: &BTreeSet<String>,
     oracle: bool,
 ) -> Result<bool, String> {
     const ORACLE_MAX_ROWS: usize = 250_000;
-    let query = to_query(tgdb, db, q).map_err(|e| e.to_string())?;
+    let db = tgdb.database();
+    let query = to_query(tgdb, q).map_err(|e| e.to_string())?;
     let text = query.to_string();
     if parse_statement(&text) != Ok(Statement::Select(query.clone())) {
         return Err(format!(

@@ -29,12 +29,10 @@ use std::sync::OnceLock;
 mod common;
 use common::{academic, cases, check_translation, node_keys};
 
-fn env() -> &'static (Database, Tgdb) {
-    static ENV: OnceLock<(Database, Tgdb)> = OnceLock::new();
+fn env() -> &'static Tgdb {
+    static ENV: OnceLock<Tgdb> = OnceLock::new();
     ENV.get_or_init(|| {
-        let db = generate(&GenConfig::small());
-        let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
-        (db, tgdb)
+        translate(&generate(&GenConfig::small()), &TranslateOptions::default()).unwrap()
     })
 }
 
@@ -106,7 +104,7 @@ proptest! {
 
     #[test]
     fn decomposed_equals_full_on_every_projection(seed in 0u64..10_000, steps in 1usize..7) {
-        let (_, tgdb) = env();
+        let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         let full = match_full(tgdb, &q).unwrap();
         let prim = match_primary(tgdb, &q).unwrap();
@@ -122,22 +120,22 @@ proptest! {
 
     #[test]
     fn sql_translation_matches_pattern_execution(seed in 0u64..10_000, steps in 1usize..7) {
-        let (db, tgdb) = env();
+        let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         let m = match_primary(tgdb, &q).unwrap();
-        let expected = node_keys(tgdb, &q, m.rows().iter().copied());
-        if let Err(msg) = check_translation(db, tgdb, &q, &expected, false) {
+        let expected = node_keys(tgdb, m.rows().iter().copied());
+        if let Err(msg) = check_translation(tgdb, &q, &expected, false) {
             prop_assert!(false, "seed {}: {}", seed, msg);
         }
     }
 
     #[test]
     fn sql_translation_matches_engine_and_oracle(seed in 0u64..10_000, steps in 1usize..7) {
-        let (db, tgdb) = academic();
+        let tgdb = academic();
         let q = random_pattern(tgdb, seed, steps);
         let m = match_primary(tgdb, &q).unwrap();
-        let expected = node_keys(tgdb, &q, m.rows().iter().copied());
-        if let Err(msg) = check_translation(db, tgdb, &q, &expected, true) {
+        let expected = node_keys(tgdb, m.rows().iter().copied());
+        if let Err(msg) = check_translation(tgdb, &q, &expected, true) {
             prop_assert!(false, "seed {}: {}", seed, msg);
         }
     }
@@ -147,7 +145,7 @@ proptest! {
         // For each matched primary row and participating node, the
         // decomposed `related()` walk equals the projection of the full
         // graph relation restricted to that row.
-        let (_, tgdb) = env();
+        let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         let full = match_full(tgdb, &q).unwrap();
         let prim = match_primary(tgdb, &q).unwrap();
@@ -177,7 +175,7 @@ proptest! {
         // `tree` lists every node once, root first, each parent before its
         // child and each link along a pattern edge oriented parent -> child;
         // `path` follows those links down from its start.
-        let (_, tgdb) = env();
+        let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         // Whether `et` leads from `a` to `b` along pattern edge `e`.
         let along = |e: &PatternEdge, a: PatternNodeId, b: PatternNodeId, et: EdgeTypeId| {
@@ -217,7 +215,7 @@ proptest! {
 
     #[test]
     fn transformation_rows_are_distinct_primary_nodes(seed in 0u64..10_000, steps in 1usize..6) {
-        let (_, tgdb) = env();
+        let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         let t = etable_repro::core::transform::execute(tgdb, &q).unwrap();
         let mut nodes: Vec<_> = t.nodes().collect();
@@ -273,7 +271,8 @@ fn selective_pattern(tgdb: &Tgdb, rng: &mut StdRng) -> QueryPattern {
                 } else {
                     ops::shift(&q, at).unwrap()
                 };
-                q = ops::select(tgdb, &q, NodeFilter::node_is(pick(rng))).unwrap();
+                let key = tgdb.key_of(pick(rng));
+                q = ops::select(tgdb, &q, NodeFilter::node_is(key)).unwrap();
             }
             _ => {
                 let attrs = &tgdb.schema.node_type(nt).attrs;
@@ -343,10 +342,7 @@ fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) 
             degrees < all.len()
         });
         let (start, source) = match (filter.node_is(), expand) {
-            (Some(t), _) => {
-                let typed = t.index() < g.node_count() && g.type_of(t) == nt;
-                (Start::NodeIs, if typed { vec![t] } else { Vec::new() })
-            }
+            (Some(t), _) => (Start::NodeIs, t.into_iter().collect()),
             (None, Some(via)) => {
                 let mut reached: Vec<_> = sets[via.parent.0]
                     .iter()
@@ -374,7 +370,7 @@ fn selective_patterns_match_from_every_seed_and_start() {
     // equals the full join's projections, in order, the translation
     // returns its rows, and the case stream roots the match at each kind
     // of seed and starts nodes both ways.
-    let (db, tgdb) = env();
+    let tgdb = env();
     let mut seeds = std::collections::BTreeSet::new();
     let mut starts = std::collections::BTreeSet::new();
     for seed in 0..u64::from(cases(64).max(64)) {
@@ -393,8 +389,8 @@ fn selective_patterns_match_from_every_seed_and_start() {
                 q.diagram(tgdb)
             );
         }
-        let expected = node_keys(tgdb, &q, prim.rows().iter().copied());
-        if let Err(msg) = check_translation(db, tgdb, &q, &expected, false) {
+        let expected = node_keys(tgdb, prim.rows().iter().copied());
+        if let Err(msg) = check_translation(tgdb, &q, &expected, false) {
             panic!("seed {seed}: {msg}\n{}", q.diagram(tgdb));
         }
         let (kind, node_starts) = seed_and_starts(tgdb, &q);
@@ -485,8 +481,9 @@ fn filter_db(rng: &mut StdRng) -> Database {
 
 /// A filter atom of any kind over node type `nt`, drawn from `rng`: the
 /// six comparisons against INT, FLOAT, TEXT or NULL literals, LIKE and
-/// NOT LIKE, IN with a NULL item, IS NULL, and a neighbor-label LIKE.
-/// Many are ill-typed on purpose; `ops::select` refuses those.
+/// NOT LIKE, IN with a NULL item, IS NULL, a neighbor-label LIKE, and
+/// `NodeIs` on such a literal as the key. Many are ill-typed on purpose;
+/// `ops::select` refuses those.
 fn random_atom(tgdb: &Tgdb, nt: NodeTypeId, rng: &mut StdRng) -> FilterAtom {
     const OPS: [CmpOp; 6] = [
         CmpOp::Eq,
@@ -506,12 +503,13 @@ fn random_atom(tgdb: &Tgdb, nt: NodeTypeId, rng: &mut StdRng) -> FilterAtom {
     let attr = attrs[rng.gen_range(0..attrs.len())].name.clone();
     let like = LIKES[rng.gen_range(0..LIKES.len())].to_string();
     let outgoing = tgdb.schema.outgoing(nt);
-    match rng.gen_range(0..7) {
+    match rng.gen_range(0..8) {
         0 => FilterAtom::Cmp {
             attr,
             op: OPS[rng.gen_range(0..OPS.len())],
             value: literal(rng),
         },
+        7 => FilterAtom::NodeIs(literal(rng)),
         1 => FilterAtom::Like {
             attr,
             pattern: like,
@@ -574,8 +572,8 @@ proptest! {
         let mut full = match_full(&tgdb, &q).unwrap().distinct_nodes(q.primary).unwrap();
         full.sort();
         prop_assert_eq!(&full, &m.rows().to_vec(), "seed {}: matchers disagree", seed);
-        let expected = node_keys(&tgdb, &q, m.rows().iter().copied());
-        if let Err(msg) = check_translation(&db, &tgdb, &q, &expected, true) {
+        let expected = node_keys(&tgdb, m.rows().iter().copied());
+        if let Err(msg) = check_translation(&tgdb, &q, &expected, true) {
             prop_assert!(false, "seed {}: {}\n{}", seed, msg, q.diagram(&tgdb));
         }
     }

@@ -12,9 +12,14 @@
 //! leg holds every table a random session shows, cell by cell and through
 //! both exports, against a table built eagerly from the matching result.
 //!
+//! The DML leg interleaves the actions with random writes through a
+//! `Connection`: every table it builds must be the latest epoch's, as the
+//! pattern's SQL on that epoch says.
+//!
 //! `PROPTEST_CASES` raises the number of seeded sessions (deep-verify
 //! runs 1024).
 
+use etable_repro::core::connection::Connection;
 use etable_repro::core::etable::{Cell, ColumnKind, ColumnSpec, EnrichedTable};
 use etable_repro::core::export::{to_csv, to_json};
 use etable_repro::core::matching::match_primary;
@@ -24,6 +29,7 @@ use etable_repro::core::transform;
 use etable_repro::core::Error;
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::expr::CmpOp;
+use etable_repro::relational::shared::SharedDatabase;
 use etable_repro::relational::value::{DataType, Value};
 use etable_repro::tgm::{translate, IdSlice, NodeId, Tgdb, TranslateOptions};
 use proptest::prelude::*;
@@ -79,7 +85,7 @@ fn random_action(
     rng: &mut StdRng,
     shown: &mut Presentation,
 ) -> Result<(), Error> {
-    let tgdb = session.tgdb_arc().clone();
+    let tgdb = session.tgdb().clone();
     match rng.gen_range(0..9) {
         0 => {
             let tables = session.default_table_list();
@@ -263,7 +269,7 @@ fn random_sessions_never_break_invariants() {
 
 #[test]
 fn every_accepted_action_agrees_with_its_sql_translation_and_the_oracle() {
-    let (db, tgdb) = academic();
+    let tgdb = academic();
     let (mut compared, mut refereed) = (0usize, 0usize);
     for seed in 0..u64::from(cases(24)) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -274,8 +280,8 @@ fn every_accepted_action_agrees_with_its_sql_translation_and_the_oracle() {
                 continue;
             };
             let t = session.etable().unwrap();
-            let expected = node_keys(tgdb, &q, t.nodes());
-            let by_oracle = check_translation(db, tgdb, &q, &expected, true)
+            let expected = node_keys(tgdb, t.nodes());
+            let by_oracle = check_translation(tgdb, &q, &expected, true)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             compared += 1;
             refereed += usize::from(by_oracle);
@@ -321,6 +327,101 @@ fn history_replay_reproduces_results() {
             assert_eq!(now, e, "step {step}");
         }
     }
+}
+
+/// One random write through `c` to `Papers`, `Paper_Authors` or
+/// `Authors`: an INSERT, an UPDATE of a key or of a non-key column, or a
+/// DELETE. Keys are drawn around the generated ones (papers 1..=300,
+/// authors 1..=220, 19 conferences, 40 institutions): an INSERT mostly
+/// takes a new key, anything else any key. So some writes are refused —
+/// a duplicate key, a dangling or a still-referenced one — and a refusal
+/// is fine.
+fn random_write(c: &Connection, rng: &mut StdRng) {
+    let any = |rng: &mut StdRng, n: i64| rng.gen_range(1..=n + 40);
+    let new = |rng: &mut StdRng, n: i64| rng.gen_range(n - 10..=n + 40);
+    let sql = match rng.gen_range(0..9) {
+        0 => format!(
+            "INSERT INTO Papers VALUES ({0}, {1}, 'fuzz {0}', {2}, 1, 9)",
+            new(rng, 300),
+            rng.gen_range(1..=19),
+            rng.gen_range(2000..2016)
+        ),
+        1 => format!(
+            "INSERT INTO Authors VALUES ({0}, 'fuzz {0}', {1})",
+            new(rng, 220),
+            rng.gen_range(1..=40)
+        ),
+        2 => format!(
+            "INSERT INTO Paper_Authors VALUES ({}, {}, 1)",
+            any(rng, 300),
+            any(rng, 220)
+        ),
+        3 => format!(
+            "UPDATE Papers SET year = {} WHERE id = {}",
+            rng.gen_range(2000..2016),
+            any(rng, 300)
+        ),
+        4 => format!(
+            "UPDATE Papers SET id = {} WHERE id = {}",
+            new(rng, 300),
+            any(rng, 300)
+        ),
+        5 => format!(
+            "UPDATE Authors SET name = 'renamed' WHERE id = {}",
+            any(rng, 220)
+        ),
+        6 => format!(
+            "DELETE FROM Paper_Authors WHERE paper_id = {}",
+            any(rng, 300)
+        ),
+        7 => format!("DELETE FROM Papers WHERE id = {}", any(rng, 300)),
+        _ => format!("DELETE FROM Authors WHERE id = {}", any(rng, 220)),
+    };
+    let _ = c.sql(&sql);
+}
+
+#[test]
+fn dml_between_actions_repins_the_session() {
+    let tgdb = tgdb();
+    let (mut repins, mut refereed) = (0, 0);
+    for seed in 0..u64::from(cases(8)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shared = SharedDatabase::new(Arc::clone(tgdb.database()));
+        let mut c = Connection::connect(&shared, tgdb);
+        for step in 0..30 {
+            if rng.gen_range(0..3) == 0 {
+                random_write(&c, &mut rng);
+            } else {
+                checked_action(c.session_mut(), &mut rng, &mut Presentation::default());
+            }
+            let Some(q) = c.session().current_pattern().cloned() else {
+                continue;
+            };
+            let at = format!("seed {seed} step {step}");
+            let before = Arc::clone(c.session().tgdb());
+            let t = c.etable().unwrap_or_else(|e| panic!("{at}: {e}"));
+            let graph = c.session().tgdb();
+            repins += usize::from(!Arc::ptr_eq(&before, c.session().tgdb()));
+            assert!(
+                Arc::ptr_eq(graph.database(), shared.snapshot().database()),
+                "{at}: the table is not the latest epoch's"
+            );
+            graph
+                .instances
+                .check_consistency(&graph.schema)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let expected = node_keys(graph, t.nodes());
+            let by_oracle = check_translation(graph, &q, &expected, true)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            refereed += usize::from(by_oracle);
+        }
+    }
+    // The leg is not vacuous: writes published epochs the session
+    // followed, and the oracle refereed some of the tables.
+    assert!(
+        repins > 0 && refereed > 0,
+        "{repins} re-pins, {refereed} refereed"
+    );
 }
 
 /// One row of a table built the way transformation built it before
