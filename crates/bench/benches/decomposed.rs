@@ -5,7 +5,7 @@
 //! neighbor walks. The decomposed strategy is what the ETable layer uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etable_core::pattern::{NodeFilter, PatternNodeId};
+use etable_core::pattern::{FilterAtom, NodeFilter, PatternNodeId, QueryPattern};
 use etable_core::{matching, ops};
 use etable_datagen::GenConfig;
 use etable_relational::expr::CmpOp;
@@ -14,7 +14,7 @@ use etable_tgm::Tgdb;
 /// A wide pattern: Papers (primary) with Conferences, Authors and keywords
 /// all participating — the cross-product within each row is what the
 /// monolithic plan pays for.
-fn wide_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
+fn wide_pattern(tgdb: &Tgdb) -> QueryPattern {
     let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
     let q = ops::initiate(tgdb, papers).unwrap();
     let q = ops::select(tgdb, &q, NodeFilter::cmp("year", CmpOp::Gt, 2005)).unwrap();
@@ -36,7 +36,7 @@ fn wide_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
 /// authors' papers and the papers those cite (primary). The institution
 /// seeds the match and every other node grows from its parent's
 /// neighbors, where the non-selective `wide_pattern` scans whole types.
-fn selective_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
+fn selective_pattern(tgdb: &Tgdb) -> QueryPattern {
     let (insts, _) = tgdb.schema.node_type_by_name("Institutions").unwrap();
     let q = ops::initiate(tgdb, insts).unwrap();
     let cmu = NodeFilter::cmp("name", CmpOp::Eq, "Carnegie Mellon University");
@@ -49,6 +49,29 @@ fn selective_pattern(tgdb: &Tgdb) -> etable_core::pattern::QueryPattern {
         q = ops::add(tgdb, &q, e).unwrap();
     }
     q
+}
+
+/// One-node opens whose filter is the whole cost of a match: `Papers`
+/// whose title equals one paper's (one hit, the `title = '…'` opens of
+/// Table 2's scripts), and Figure 1's `Papers` whose keywords match
+/// `LIKE '%user%'` (a neighbor-label filter).
+fn filtered_opens(tgdb: &Tgdb) -> [(&'static str, QueryPattern); 2] {
+    let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+    let nodes = tgdb.instances.nodes_of_type(papers);
+    let title = tgdb.instances.label(nodes[nodes.len() / 2]);
+    let (ke, _) = tgdb
+        .schema
+        .outgoing_by_name(papers, "Paper_Keywords: keyword")
+        .unwrap();
+    let keyword = NodeFilter::atom(FilterAtom::NeighborLabelLike {
+        edge: ke,
+        pattern: "%user%".into(),
+    });
+    let open = |filter| ops::select(tgdb, &ops::initiate(tgdb, papers).unwrap(), filter).unwrap();
+    [
+        ("eq_open", open(NodeFilter::cmp("title", CmpOp::Eq, title))),
+        ("neighbor_like", open(keyword)),
+    ]
 }
 
 fn bench_decomposed(c: &mut Criterion) {
@@ -82,6 +105,11 @@ fn bench_decomposed(c: &mut Criterion) {
             },
         );
         if papers == 1000 {
+            for (name, q) in filtered_opens(&tgdb) {
+                group.bench_with_input(BenchmarkId::new(name, papers), &papers, |b, _| {
+                    b.iter(|| matching::match_primary(&tgdb, &q).unwrap().rows().len())
+                });
+            }
             let q = selective_pattern(&tgdb);
             group.bench_with_input(
                 BenchmarkId::new("selective_pivot", papers),

@@ -4,6 +4,7 @@
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, ForeignKey, TableSchema};
 use etable_relational::value::DataType;
+use etable_relational::Result;
 
 /// Creates an empty database with the Figure 3 schema.
 ///
@@ -14,6 +15,10 @@ use etable_relational::value::DataType;
 /// `Paper_Keywords(paper_id, keyword)`,
 /// `Paper_References(paper_id, ref_paper_id)`.
 pub fn academic_schema() -> Database {
+    build().expect("the Figure 3 schema is consistent")
+}
+
+fn build() -> Result<Database> {
     let mut db = Database::new();
     db.create_table(
         TableSchema::new(
@@ -25,8 +30,7 @@ pub fn academic_schema() -> Database {
             ],
         )
         .with_primary_key(&["id"]),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Institutions",
@@ -37,8 +41,7 @@ pub fn academic_schema() -> Database {
             ],
         )
         .with_primary_key(&["id"]),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Authors",
@@ -50,8 +53,7 @@ pub fn academic_schema() -> Database {
         )
         .with_primary_key(&["id"])
         .with_foreign_key(ForeignKey::single("institution_id", "Institutions", "id")),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Papers",
@@ -66,8 +68,7 @@ pub fn academic_schema() -> Database {
         )
         .with_primary_key(&["id"])
         .with_foreign_key(ForeignKey::single("conference_id", "Conferences", "id")),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_Authors",
@@ -80,8 +81,7 @@ pub fn academic_schema() -> Database {
         .with_primary_key(&["paper_id", "author_id"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id"))
         .with_foreign_key(ForeignKey::single("author_id", "Authors", "id")),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_Keywords",
@@ -92,8 +92,7 @@ pub fn academic_schema() -> Database {
         )
         .with_primary_key(&["paper_id", "keyword"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id")),
-    )
-    .expect("static schema");
+    )?;
     db.create_table(
         TableSchema::new(
             "Paper_References",
@@ -105,9 +104,8 @@ pub fn academic_schema() -> Database {
         .with_primary_key(&["paper_id", "ref_paper_id"])
         .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id"))
         .with_foreign_key(ForeignKey::single("ref_paper_id", "Papers", "id")),
-    )
-    .expect("static schema");
-    db
+    )?;
+    Ok(db)
 }
 
 #[cfg(test)]

@@ -287,8 +287,12 @@ impl EnrichedTable {
     /// The label of a referenced node (`NULL` for a node the graph does
     /// not have).
     pub fn label(&self, node: NodeId) -> Value {
-        let labels = self.rows.graph.labels();
-        labels.get(node.index()).copied().unwrap_or(Value::Null)
+        let graph = &self.rows.graph;
+        if node.index() < graph.node_count() {
+            graph.label(node)
+        } else {
+            Value::Null
+        }
     }
 
     /// The label as display text; interned text is borrowed, not copied.
@@ -366,9 +370,17 @@ impl EnrichedTable {
         let rows = &self.rows;
         let source = &rows.sources[column];
         let mut reader = Reader::default();
-        let mut key = |node| match source {
-            Source::Base(attr) => {
-                SortKey::Atomic(SortCell::new(rows.graph.value(node, *attr), &dict))
+        // Every row is a node of the primary type, whose columns are read
+        // directly: row `node - first` holds the node's attributes.
+        let graph = &rows.graph;
+        let primary = rows.ids.first().map(|&n| {
+            let nt = graph.type_of(n);
+            (graph.columns(nt), graph.nodes_of_type(nt)[0].0)
+        });
+        let mut key = |node: NodeId| match (source, primary) {
+            (Source::Base(attr), Some((columns, first))) => {
+                let value = columns[*attr].get((node.0 - first) as usize);
+                SortKey::Atomic(SortCell::new(value, &dict))
             }
             _ => SortKey::Refs(rows.count(node, source, &mut reader)),
         };
@@ -457,18 +469,20 @@ mod tests {
     use crate::{ops, transform};
     use etable_relational::database::Database;
     use etable_relational::schema::{Column, ForeignKey, TableSchema};
+    use etable_relational::table::ColumnStore;
     use etable_relational::value::DataType;
     use etable_tgm::NodeTypeId;
 
-    /// The schema of papers `P(id, title)` that cite papers (`Cites`), with
-    /// no instances, and the forward citation edge type.
-    fn schema() -> (Tgdb, NodeTypeId, EdgeTypeId) {
+    /// The schema of papers `P(id, title)`, the title of type `title`, that
+    /// cite papers (`Cites`), with no instances, and the forward citation
+    /// edge type.
+    fn schema(title: DataType) -> (Tgdb, NodeTypeId, EdgeTypeId) {
         let mut db = Database::new();
         let p = TableSchema::new(
             "P",
             vec![
                 Column::new("id", DataType::Int),
-                Column::nullable("title", DataType::Text),
+                Column::nullable("title", title),
             ],
         );
         db.create_table(p.with_primary_key(&["id"])).unwrap();
@@ -491,27 +505,34 @@ mod tests {
         (tgdb, p, cites)
     }
 
-    /// `schema()` with papers titled `titles` (any value: the graph builder
-    /// does not type them) and the citations `cites`, by position.
-    fn papers(titles: &[Value], cites: &[(usize, usize)]) -> (Tgdb, NodeTypeId, EdgeTypeId) {
-        let (mut tgdb, p, et) = schema();
+    /// `schema(title)` with papers titled `titles` (each NULL or of type
+    /// `title`) and the citations `cites`, by position.
+    fn papers(
+        title: DataType,
+        titles: &[Value],
+        cites: &[(usize, usize)],
+    ) -> (Tgdb, NodeTypeId, EdgeTypeId) {
+        let (mut tgdb, p, et) = schema(title);
         let mut g = InstanceGraph::builder(&tgdb.schema);
-        let ids: Vec<NodeId> = (titles.iter().zip(0..))
-            .map(|(&t, i)| g.add_node(p, vec![Value::Int(i), t]))
-            .collect();
+        let keys =
+            ColumnStore::from_values(DataType::Int, (0..titles.len() as i64).map(Value::Int));
+        let labels = ColumnStore::from_values(title, titles.iter().copied());
+        let first = g.add_nodes(&tgdb.schema, p, vec![keys, labels]).unwrap();
+        let id = |i: usize| NodeId(first.0 + i as u32);
         for &(a, b) in cites {
-            g.add_edge(&tgdb.schema, et, ids[a], ids[b]);
+            g.add_edge(&tgdb.schema, et, id(a), id(b));
         }
         tgdb.instances = Arc::new(g.finish(&tgdb.schema).unwrap());
         (tgdb, p, et)
     }
 
-    /// Two papers, "B-paper" citing "A-paper" and a paper labelled 7,
+    /// Two papers, "B-paper" citing "A-paper" and an untitled paper,
     /// "A-paper" citing "B-paper": columns id, title and the two
     /// citation directions.
     fn table() -> EnrichedTable {
         let (tgdb, p, _) = papers(
-            &["B-paper".into(), "A-paper".into(), 7.into()],
+            DataType::Text,
+            &["B-paper".into(), "A-paper".into(), Value::Null],
             &[(0, 1), (0, 2), (1, 0)],
         );
         let mut t = transform::execute(&tgdb, &ops::initiate(&tgdb, p).unwrap()).unwrap();
@@ -522,12 +543,17 @@ mod tests {
     #[test]
     fn labels_resolve_through_the_shared_column() {
         let t = table();
-        assert_eq!(t.columns[2].kind, ColumnKind::Neighbor { edge: schema().2 });
+        assert_eq!(
+            t.columns[2].kind,
+            ColumnKind::Neighbor {
+                edge: schema(DataType::Text).2
+            }
+        );
         let cell = t.cell(0, 2).unwrap();
         assert_eq!(cell.refs(), Some(&[NodeId(1), NodeId(2)][..]));
         assert_eq!(t.label(NodeId(1)), "A-paper".into());
         assert_eq!(t.label_text(NodeId(1)), "A-paper");
-        assert_eq!(t.label_text(NodeId(2)), "7");
+        assert_eq!(t.label_text(NodeId(2)), "NULL");
         assert_eq!(t.label(NodeId(99)), Value::Null);
         // Cells compare by content, not by which buffer they point into.
         assert_eq!(
@@ -582,8 +608,8 @@ mod tests {
         }
     }
 
-    /// Random tables — an atomic column mixing NULL, ints, floats equal to
-    /// them, -0.0 beside 0.0 and text interned out of lexicographic order,
+    /// Random tables — an atomic column of ints, of floats with -0.0 beside
+    /// 0.0, or of text interned out of lexicographic order, NULL in each,
     /// neighbor columns and a participating column, all full of ties — sort
     /// exactly as the old comparator sorted their built rows, ascending and
     /// descending. Every cell read alone, every column read whole and every
@@ -616,15 +642,19 @@ mod tests {
         ];
         for seed in 0..400u64 {
             let mut rng = Mix(seed);
+            let ty = [DataType::Int, DataType::Float, DataType::Text][rng.below(3)];
+            let fit: Vec<Value> = (atoms.iter().copied())
+                .filter(|v| v.data_type().is_none_or(|t| t == ty))
+                .collect();
             let n = rng.below(40);
-            let titles: Vec<Value> = (0..n).map(|_| atoms[rng.below(atoms.len())]).collect();
+            let titles: Vec<Value> = (0..n).map(|_| fit[rng.below(fit.len())]).collect();
             let mut cites = Vec::new();
             for i in 0..n {
                 for s in 0..rng.below(5.min(n)) {
                     cites.push((i, (i + 1 + s) % n));
                 }
             }
-            let (tgdb, p, et) = papers(&titles, &cites);
+            let (tgdb, p, et) = papers(ty, &titles, &cites);
             let bare = ops::initiate(&tgdb, p).unwrap();
             // Papers with the papers they cite as a participating column.
             let cited = ops::shift(&ops::add(&tgdb, &bare, et).unwrap(), PatternNodeId(0));

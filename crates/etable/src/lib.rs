@@ -31,6 +31,7 @@ pub mod column_rank;
 pub mod connection;
 pub mod etable;
 pub mod export;
+pub mod filter;
 pub mod from_sql;
 pub mod graph_relation;
 pub mod matching;

@@ -215,12 +215,8 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
             })
         });
         reached.clear();
+        // A `NodeIs` filter picks its one node out of the whole type.
         let source = match (filter.node_is(), expand) {
-            (Some(target), _) => {
-                // A key that names no node matches nothing.
-                reached.extend(target);
-                &reached[..]
-            }
             (None, Some(via)) => {
                 // `bits` marks the neighbors already reached; cleared after.
                 for &v in &allowed[via.parent.0] {
@@ -233,17 +229,15 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
                 }
                 reached.iter().for_each(|&nb| bits.set(nb, false));
                 reached.sort_unstable();
-                &reached[..]
+                Some(&reached[..])
             }
-            (None, None) => all,
+            _ => None,
         };
-        let mut candidates = Vec::with_capacity(source.len());
-        for &v in source {
-            if node.filter.is_empty() || filter.eval(tgdb, v)? {
-                candidates.push(v);
-                bits.set(v, true);
-            }
-        }
+        let candidates = match source {
+            Some(source) if node.filter.is_empty() => source.to_vec(),
+            _ => filter.select(tgdb, source),
+        };
+        candidates.iter().for_each(|&v| bits.set(v, true));
         allowed[step.node.0] = candidates;
         member[step.node.0] = bits;
     }

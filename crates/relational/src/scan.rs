@@ -7,7 +7,7 @@
 //! before any row was read.
 
 use crate::sql::analyze::TypedPred;
-use crate::table::Table;
+use crate::table::{ColumnStore, Table};
 
 /// Row ids of `table` satisfying `pred`, ascending.
 ///
@@ -20,6 +20,20 @@ use crate::table::Table;
 /// ([`Table`]s are capped at `u32::MAX` rows).
 pub fn filter_indices(table: &Table, pred: &TypedPred) -> Vec<u32> {
     crate::exec::pred::select_rows(pred, table.len(), |c| (table.column(c), None))
+}
+
+/// Positions satisfying `pred` among the rows of `columns` (input column
+/// `c` is `columns[c]`, and all of them have the same length) that `rows`
+/// lists, ascending: position `i` stands for stored row `rows[i]`. With no
+/// `rows`, every stored row is read and positions are row ids.
+///
+/// The same word-at-a-time kernel as [`filter_indices`], over stores the
+/// caller holds rather than a table's: the instance graph's node types
+/// keep their attributes as [`ColumnStore`]s, and a node filter selects
+/// over them with this.
+pub fn select_rows(pred: &TypedPred, columns: &[ColumnStore], rows: Option<&[u32]>) -> Vec<u32> {
+    let n_rows = rows.map_or_else(|| columns.first().map_or(0, ColumnStore::len), <[u32]>::len);
+    crate::exec::pred::select_rows(pred, n_rows, |c| (&columns[c], rows))
 }
 
 #[cfg(test)]

@@ -200,9 +200,13 @@ impl ColumnStore {
         ColumnStore { data, nulls, len }
     }
 
-    /// A column of type `ty` holding `values`, each of which fits `ty`: a
-    /// grouped result's aggregate column.
-    pub(crate) fn from_values(ty: DataType, values: impl IntoIterator<Item = Value>) -> Self {
+    /// A column of type `ty` holding `values` (a grouped result's
+    /// aggregate column, a value node type's values).
+    ///
+    /// # Panics
+    ///
+    /// When a value does not fit `ty` ([`Value::fits`]).
+    pub fn from_values(ty: DataType, values: impl IntoIterator<Item = Value>) -> Self {
         let mut col = ColumnStore::new(ty);
         for v in values {
             debug_assert!(v.fits(ty), "value {v} does not fit a {ty} column");

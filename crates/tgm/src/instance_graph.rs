@@ -1,28 +1,40 @@
 //! The TGDB instance graph (paper Definition 2).
 //!
 //! `GI = (V, E)` with a node-type mapping and an edge-type mapping. A built
-//! graph is immutable and works on dense node ids: one label column, and
-//! one CSR adjacency per directed edge type, so the "quick neighbor-lookup"
-//! the paper relies on (§1) is two offset loads and a slice — no hashing,
-//! no pointer chase. Graphs are assembled by a [`GraphBuilder`], which
-//! collects edge lists and turns them into CSR once, in
-//! [`GraphBuilder::finish`].
+//! graph is immutable and works on dense node ids: the nodes of one type
+//! are one run of consecutive ids, and one CSR adjacency per directed edge
+//! type makes the "quick neighbor-lookup" the paper relies on (§1) two
+//! offset loads and a slice — no hashing, no pointer chase.
+//!
+//! A node's attributes are not copied out of the database: each node type
+//! keeps its attributes as [`ColumnStore`]s, and node `first + r` of a type
+//! is row `r` of its columns. An entity type's columns are `Arc` clones of
+//! its source table's, so the graph and the epoch it was loaded from share
+//! every cell; a value type's one column holds its distinct values. A node
+//! filter therefore runs on the relational kernel over those columns
+//! (`etable_relational::scan::select_rows`).
+//!
+//! Graphs are assembled by a [`GraphBuilder`], which collects edge lists
+//! and turns them into CSR once, in [`GraphBuilder::finish`].
 
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
 use crate::schema_graph::SchemaGraph;
 use crate::{Error, Result};
-use etable_relational::value::Value;
+use etable_relational::table::{ColumnData, ColumnStore};
+use etable_relational::value::{DataType, Value};
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// A node (entity) in the instance graph.
-#[derive(Debug, Clone)]
-struct Node {
-    /// The node's type.
-    node_type: NodeTypeId,
-    /// Attribute values, positionally matching the node type's `attrs`.
-    values: Vec<Value>,
+/// The nodes of one type: a run of consecutive ids, and one column per
+/// attribute of the type (in `attrs` order) whose row `r` is the `r`-th
+/// node of the run.
+#[derive(Debug, Clone, Default)]
+struct TypeNodes {
+    ids: Vec<NodeId>,
+    columns: Vec<ColumnStore>,
+    /// The label attribute's position in `columns`.
+    label: usize,
 }
 
 /// A shared, immutable run of node ids, `buf[range]`: a node's neighbor
@@ -129,27 +141,52 @@ impl Csr {
     }
 }
 
-/// Why node `i` does not have one value per attribute of its type, if so.
-fn arity_error(schema: &SchemaGraph, i: usize, node: &Node) -> Option<String> {
-    let nt = schema.node_type(node.node_type);
-    (node.values.len() != nt.attrs.len()).then(|| {
-        format!(
-            "node {i} of type `{}` has {} values, expected {}",
-            nt.name,
-            node.values.len(),
-            nt.attrs.len()
-        )
-    })
+/// The type of the values `column` holds.
+fn column_type(column: &ColumnStore) -> DataType {
+    match column.data() {
+        ColumnData::Int(_) => DataType::Int,
+        ColumnData::Float(_) => DataType::Float,
+        ColumnData::Sym(_) => DataType::Text,
+        ColumnData::Bool(_) => DataType::Bool,
+    }
+}
+
+/// Why `columns` cannot be the attribute columns of node type `nt`, if
+/// so: one column per attribute, of the attribute's type, all of one
+/// length.
+fn shape_error(schema: &SchemaGraph, nt: NodeTypeId, columns: &[ColumnStore]) -> Option<String> {
+    let def = schema.node_type(nt);
+    if columns.len() != def.attrs.len() || columns.is_empty() {
+        return Some(format!(
+            "node type `{}` has {} columns, expected {}",
+            def.name,
+            columns.len(),
+            def.attrs.len()
+        ));
+    }
+    let rows = columns[0].len();
+    let misfit = def
+        .attrs
+        .iter()
+        .zip(columns)
+        .find(|(a, c)| column_type(c) != a.data_type || c.len() != rows)?;
+    Some(format!(
+        "node type `{}`: attribute `{}` is a {} column of {} rows, expected {} of {rows}",
+        def.name,
+        misfit.0.name,
+        column_type(misfit.1),
+        misfit.1.len(),
+        misfit.0.data_type
+    ))
 }
 
 /// The instance graph.
 #[derive(Debug, Clone)]
 pub struct InstanceGraph {
-    nodes: Vec<Node>,
-    /// node type -> nodes of that type, in insertion (= ascending id) order.
-    by_type: Vec<Vec<NodeId>>,
-    /// node id -> `label(v) = v[β]`.
-    labels: Vec<Value>,
+    /// node type -> its nodes and attribute columns.
+    types: Vec<TypeNodes>,
+    /// node id -> its type.
+    node_types: Vec<NodeTypeId>,
     /// edge type -> adjacency (both directions of a pair are stored).
     adjacency: Vec<Csr>,
     /// Total number of logical (forward) edges inserted.
@@ -159,19 +196,44 @@ pub struct InstanceGraph {
 /// Collects the nodes and edges of an [`InstanceGraph`].
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    nodes: Vec<Node>,
-    by_type: Vec<Vec<NodeId>>,
+    types: Vec<TypeNodes>,
+    node_types: Vec<NodeTypeId>,
     /// forward edge type -> `(source, target)` in insertion order.
     edges: Vec<Vec<(NodeId, NodeId)>>,
 }
 
 impl GraphBuilder {
-    /// Adds a node and returns its id.
-    pub fn add_node(&mut self, node_type: NodeTypeId, values: Vec<Value>) -> NodeId {
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node { node_type, values });
-        self.by_type[node_type.index()].push(id);
-        id
+    /// Adds the nodes of type `nt`, one per row of `columns` (one column
+    /// per attribute of the type, in `attrs` order, of the attribute's
+    /// type), numbered after every node added so far, and returns the
+    /// first one's id: row `r` is node `first + r`. Fails when the type
+    /// has nodes already, when the columns do not fit its attributes, or
+    /// when the ids would overflow.
+    pub fn add_nodes(
+        &mut self,
+        schema: &SchemaGraph,
+        nt: NodeTypeId,
+        columns: Vec<ColumnStore>,
+    ) -> Result<NodeId> {
+        let name = &schema.node_type(nt).name;
+        if !self.types[nt.index()].columns.is_empty() {
+            return Err(Error::Integrity(format!("node type `{name}` added twice")));
+        }
+        if let Some(e) = shape_error(schema, nt, &columns) {
+            return Err(Error::Integrity(e));
+        }
+        let first = self.node_types.len() as u32;
+        let end = u32::try_from(columns[0].len())
+            .ok()
+            .and_then(|n| first.checked_add(n))
+            .ok_or_else(|| Error::Integrity(format!("node type `{name}`: node ids exhausted")))?;
+        self.node_types.resize(end as usize, nt);
+        self.types[nt.index()] = TypeNodes {
+            ids: (first..end).map(NodeId).collect(),
+            columns,
+            label: schema.node_type(nt).label_attr,
+        };
+        Ok(NodeId(first))
     }
 
     /// Adds an edge of type `et` from `src` to `tgt`. The finished graph
@@ -186,19 +248,17 @@ impl GraphBuilder {
         }
     }
 
-    /// Checks every node's arity and every edge's endpoint types against
-    /// `schema`, then freezes the graph: fills the label column and builds
-    /// both CSR directions of every edge type straight from its edge list.
+    /// Checks every edge's endpoint types against `schema`, then freezes
+    /// the graph: builds both CSR directions of every edge type straight
+    /// from its edge list.
     pub fn finish(self, schema: &SchemaGraph) -> Result<InstanceGraph> {
-        let mut labels = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(e) = arity_error(schema, i, node) {
-                return Err(Error::Integrity(e));
-            }
-            labels.push(node.values[schema.node_type(node.node_type).label_attr]);
-        }
-        let type_of = |n: NodeId| self.nodes.get(n.index()).map(|node| node.node_type);
-        let span = |nt: NodeTypeId| match self.by_type[nt.index()].as_slice() {
+        let mut graph = InstanceGraph {
+            types: self.types,
+            node_types: self.node_types,
+            adjacency: Vec::new(),
+            edge_count: 0,
+        };
+        let span = |nt: NodeTypeId| match graph.types[nt.index()].ids.as_slice() {
             [first, .., last] => first.0..last.0 + 1,
             [only] => only.0..only.0 + 1,
             [] => 0..0,
@@ -217,7 +277,7 @@ impl GraphBuilder {
                 )));
             }
             for &(src, tgt) in pairs {
-                if type_of(src) != Some(et.source) || type_of(tgt) != Some(et.target) {
+                if !graph.typed(src, et.source) || !graph.typed(tgt, et.target) {
                     return Err(Error::Integrity(format!(
                         "edge type `{}`: {src} -> {tgt} has a wrong-typed endpoint",
                         et.name
@@ -229,13 +289,8 @@ impl GraphBuilder {
             adjacency[et.reverse.index()] =
                 Csr::build(span(et.target), pairs.iter().map(|&(src, tgt)| (tgt, src)));
         }
-        Ok(InstanceGraph {
-            nodes: self.nodes,
-            by_type: self.by_type,
-            labels,
-            adjacency,
-            edge_count,
-        })
+        (graph.adjacency, graph.edge_count) = (adjacency, edge_count);
+        Ok(graph)
     }
 }
 
@@ -243,31 +298,48 @@ impl InstanceGraph {
     /// Starts an empty graph shaped for `schema`.
     pub fn builder(schema: &SchemaGraph) -> GraphBuilder {
         GraphBuilder {
-            nodes: Vec::new(),
-            by_type: vec![Vec::new(); schema.node_type_count()],
+            types: vec![TypeNodes::default(); schema.node_type_count()],
+            node_types: Vec::new(),
             edges: vec![Vec::new(); schema.edge_type_count()],
         }
     }
 
+    /// Whether `id` is a node of type `nt`.
+    fn typed(&self, id: NodeId, nt: NodeTypeId) -> bool {
+        self.node_types.get(id.index()) == Some(&nt)
+    }
+
     /// The type of a node (`typeτ` in Definition 2).
     pub fn type_of(&self, id: NodeId) -> NodeTypeId {
-        self.nodes[id.index()].node_type
+        self.node_types[id.index()]
     }
 
-    /// The node's label `label(v) = v[βi]`.
+    /// The nodes of `id`'s type and `id`'s row in their columns.
+    fn locate(&self, id: NodeId) -> (&TypeNodes, usize) {
+        let nodes = &self.types[self.type_of(id).index()];
+        (nodes, (id.0 - nodes.ids[0].0) as usize)
+    }
+
+    /// The attribute columns of node type `nt`, in `attrs` order: row `r`
+    /// of each is the `r`-th node of [`InstanceGraph::nodes_of_type`],
+    /// whose ids are consecutive.
+    pub fn columns(&self, nt: NodeTypeId) -> &[ColumnStore] {
+        &self.types[nt.index()].columns
+    }
+
+    /// The node's label `label(v) = v[βi]`, read from its type's label
+    /// column.
     pub fn label(&self, id: NodeId) -> Value {
-        self.labels[id.index()]
+        let (nodes, row) = self.locate(id);
+        nodes.columns[nodes.label].get(row)
     }
 
-    /// The label column, indexed by node id.
-    pub fn labels(&self) -> &[Value] {
-        &self.labels
-    }
-
-    /// Attribute `attr` (a position in the node type's `attrs`) of a node.
+    /// Attribute `attr` (a position in the node type's `attrs`) of a node,
+    /// read from the type's column at the node's row.
     #[inline]
     pub fn value(&self, id: NodeId, attr: usize) -> Value {
-        self.nodes[id.index()].values[attr]
+        let (nodes, row) = self.locate(id);
+        nodes.columns[attr].get(row)
     }
 
     /// An attribute value of a node by attribute name.
@@ -276,9 +348,9 @@ impl InstanceGraph {
         nt.attr_index(name).map(|i| self.value(id, i))
     }
 
-    /// Nodes of a type, in insertion order.
+    /// Nodes of a type, in ascending id order.
     pub fn nodes_of_type(&self, nt: NodeTypeId) -> &[NodeId] {
-        &self.by_type[nt.index()]
+        &self.types[nt.index()].ids
     }
 
     /// Neighbors of `node` along edge type `et` (possibly empty), in edge
@@ -304,7 +376,7 @@ impl InstanceGraph {
 
     /// Total node count.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_types.len()
     }
 
     /// Total logical edge count (each forward/reverse pair counted once).
@@ -318,29 +390,30 @@ impl InstanceGraph {
         self.adjacency[et.index()].targets.len()
     }
 
-    /// All node ids, in insertion order.
+    /// All node ids, in ascending order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::from_index)
+        (0..self.node_count()).map(NodeId::from_index)
     }
 
     /// Verifies structural consistency against a schema graph:
-    /// * every node's values match its type's arity,
+    /// * every node type's columns fit its attributes,
     /// * every adjacency entry connects correctly-typed endpoints,
     /// * every edge has its mirror on the reverse edge type.
     ///
     /// Returns the number of directed adjacency entries checked.
     pub fn check_consistency(&self, schema: &SchemaGraph) -> std::result::Result<usize, String> {
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(e) = arity_error(schema, i, node) {
+        for (i, nodes) in self.types.iter().enumerate() {
+            let nt = NodeTypeId::from_index(i);
+            let error = shape_error(schema, nt, &nodes.columns);
+            if let Some(e) = error.filter(|_| !nodes.ids.is_empty()) {
                 return Err(e);
             }
         }
-        let typed = |n: NodeId, nt| self.nodes.get(n.index()).map(|v| v.node_type) == Some(nt);
         let mut checked = 0usize;
         for (id, et) in schema.edge_types() {
             for src in self.node_ids() {
                 for &tgt in self.neighbors(id, src) {
-                    if !typed(src, et.source) || !typed(tgt, et.target) {
+                    if !self.typed(src, et.source) || !self.typed(tgt, et.target) {
                         return Err(format!(
                             "edge type `{}`: {src} -> {tgt} has a wrong-typed endpoint",
                             et.name
@@ -364,7 +437,6 @@ impl InstanceGraph {
 mod tests {
     use super::*;
     use crate::schema_graph::{AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind};
-    use etable_relational::value::DataType;
 
     fn node_type(name: &str, label: &str) -> NodeType {
         NodeType {
@@ -385,6 +457,18 @@ mod tests {
         }
     }
 
+    /// Adds nodes of `nt` keyed and labelled by `rows`; the first's id.
+    fn add(
+        schema: &SchemaGraph,
+        g: &mut GraphBuilder,
+        nt: NodeTypeId,
+        rows: &[(i64, &str)],
+    ) -> NodeId {
+        let ids = ColumnStore::from_values(DataType::Int, rows.iter().map(|r| r.0.into()));
+        let labels = ColumnStore::from_values(DataType::Text, rows.iter().map(|r| r.1.into()));
+        g.add_nodes(schema, nt, vec![ids, labels]).unwrap()
+    }
+
     fn setup_builder() -> (SchemaGraph, GraphBuilder, EdgeTypeId, Vec<NodeId>) {
         let mut schema = SchemaGraph::new();
         let papers = schema.add_node_type(node_type("Papers", "title"));
@@ -402,10 +486,15 @@ mod tests {
             },
         );
         let mut g = InstanceGraph::builder(&schema);
-        let p1 = g.add_node(papers, vec![1.into(), "Usable DBs".into()]);
-        let p2 = g.add_node(papers, vec![2.into(), "SkewTune".into()]);
-        let a1 = g.add_node(authors, vec![10.into(), "Jagadish".into()]);
-        let a2 = g.add_node(authors, vec![11.into(), "Nandi".into()]);
+        let p1 = add(
+            &schema,
+            &mut g,
+            papers,
+            &[(1, "Usable DBs"), (2, "SkewTune")],
+        );
+        let p2 = NodeId(p1.0 + 1);
+        let a1 = add(&schema, &mut g, authors, &[(10, "Jagadish"), (11, "Nandi")]);
+        let a2 = NodeId(a1.0 + 1);
         g.add_edge(&schema, et, p1, a1);
         g.add_edge(&schema, et, p1, a2);
         g.add_edge(&schema, et, p2, a2);
@@ -439,7 +528,10 @@ mod tests {
         let (_, g, _, ids) = setup();
         assert_eq!(g.label(ids[0]), "Usable DBs".into());
         assert_eq!(g.label(ids[3]), "Nandi".into());
-        assert_eq!(g.labels().len(), g.node_count());
+        // Row `r` of a type's columns is its `r`-th node.
+        let authors = g.type_of(ids[3]);
+        assert_eq!(g.nodes_of_type(authors)[1], ids[3]);
+        assert_eq!(g.columns(authors)[1].get(1), "Nandi".into());
     }
 
     #[test]
@@ -481,23 +573,43 @@ mod tests {
 
     #[test]
     fn empty_neighbors_for_isolated_node() {
-        let (schema, mut b, et, _) = setup_builder();
+        let (schema, _, et, _) = setup_builder();
         let (papers, _) = schema.node_type_by_name("Papers").unwrap();
-        let p3 = b.add_node(papers, vec![3.into(), "Lonely".into()]);
+        let mut b = InstanceGraph::builder(&schema);
+        let p3 = add(&schema, &mut b, papers, &[(3, "Lonely")]);
         let g = b.finish(&schema).unwrap();
         assert!(g.neighbors(et, p3).is_empty());
         assert_eq!(g.degree(et, p3), 0);
     }
 
     #[test]
-    fn finish_rejects_bad_arity_and_mistyped_edges() {
+    fn builder_rejects_misfit_columns_repeated_types_and_mistyped_edges() {
         let (schema, mut b, et, ids) = setup_builder();
         b.add_edge(&schema, et, ids[2], ids[0]); // Authors -> Papers along a Papers -> Authors type
         assert!(matches!(b.finish(&schema), Err(Error::Integrity(_))));
-        let (schema, mut b, _, _) = setup_builder();
+        let mut b = InstanceGraph::builder(&schema);
         let (papers, _) = schema.node_type_by_name("Papers").unwrap();
-        b.add_node(papers, vec![4.into()]);
-        assert!(matches!(b.finish(&schema), Err(Error::Integrity(_))));
+        let refusal = |got: Result<NodeId>| match got {
+            Err(Error::Integrity(e)) => e,
+            other => panic!("{other:?}"),
+        };
+        let e = refusal(b.add_nodes(&schema, papers, vec![ColumnStore::new(DataType::Int)]));
+        assert_eq!(e, "node type `Papers` has 1 columns, expected 2");
+        let (ints, texts) = (
+            ColumnStore::new(DataType::Int),
+            ColumnStore::new(DataType::Text),
+        );
+        let e = refusal(b.add_nodes(&schema, papers, vec![ints.clone(), ints.clone()]));
+        assert_eq!(
+            e,
+            "node type `Papers`: attribute `title` is a INT column of 0 rows, expected TEXT of 0"
+        );
+        assert_eq!(
+            b.add_nodes(&schema, papers, vec![ints.clone(), texts.clone()]),
+            Ok(NodeId(0))
+        );
+        let e = refusal(b.add_nodes(&schema, papers, vec![ints, texts]));
+        assert_eq!(e, "node type `Papers` added twice");
     }
 
     #[test]
@@ -529,8 +641,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// For random small schemas and instances — node types interleaved in
-    /// id space, self-relationships, duplicate and reverse-typed inserts —
+    /// For random small schemas and instances — node types added in random
+    /// order, empty ones included, self-relationships, duplicate and
+    /// reverse-typed inserts —
     /// CSR lookups equal a reference adjacency built naively from the same
     /// edge list, in insertion order, in both directions.
     #[test]
@@ -559,13 +672,20 @@ mod tests {
                 })
                 .collect();
             let mut b = InstanceGraph::builder(&schema);
-            for i in 0..pick(40) {
-                let nt = types[pick(types.len())];
-                b.add_node(nt, vec![(i as i64).into(), format!("n{i}").as_str().into()]);
+            let mut order = types.clone();
+            let turn = pick(order.len());
+            order.rotate_left(turn);
+            let mut n = 0;
+            for nt in order {
+                let names: Vec<String> = (n..n + pick(12)).map(|i| format!("n{i}")).collect();
+                let rows: Vec<(i64, &str)> = (names.iter().zip(n as i64..))
+                    .map(|(name, i)| (i, name.as_str()))
+                    .collect();
+                n += rows.len();
+                add(&schema, &mut b, nt, &rows);
             }
             // The reference: edge type -> source -> targets, by plain pushes.
-            let mut naive =
-                vec![vec![Vec::<NodeId>::new(); b.nodes.len()]; schema.edge_type_count()];
+            let mut naive = vec![vec![Vec::<NodeId>::new(); n]; schema.edge_type_count()];
             let mut logical = 0;
             for _ in 0..pick(120) {
                 let mut et = forward[pick(forward.len())];
@@ -574,8 +694,8 @@ mod tests {
                 }
                 let def = schema.edge_type(et);
                 let (srcs, tgts) = (
-                    &b.by_type[def.source.index()],
-                    &b.by_type[def.target.index()],
+                    &b.types[def.source.index()].ids,
+                    &b.types[def.target.index()].ids,
                 );
                 if srcs.is_empty() || tgts.is_empty() {
                     continue;
@@ -588,6 +708,17 @@ mod tests {
             }
             let g = b.finish(&schema).unwrap();
             assert_eq!(g.edge_count(), logical, "seed {seed}");
+            assert_eq!(g.node_count(), n, "seed {seed}");
+            for (i, nt) in types.iter().enumerate() {
+                let nodes = g.nodes_of_type(*nt);
+                assert!(
+                    nodes.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+                    "seed {seed}"
+                );
+                for &id in nodes {
+                    assert_eq!(g.type_of(id), *nt, "seed {seed} type {i}");
+                }
+            }
             let mut directed = 0;
             for (et, _) in schema.edge_types() {
                 for n in g.node_ids() {

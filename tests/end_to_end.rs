@@ -289,3 +289,67 @@ fn graph_edges_are_the_pairs_of_their_sql_joins() {
         "the oracle refereed only {refereed} edge types"
     );
 }
+
+/// A graph shares its tables' columns with the epoch it was loaded from,
+/// and a write copies what it touches. So after an UPDATE, a DELETE and
+/// an INSERT the old graph still reads its own epoch (attributes, labels,
+/// keys and a filtered match), and `Tgdb::at` reads the new one.
+#[test]
+fn a_graph_keeps_reading_its_epoch_after_writes() {
+    use etable_repro::core::{matching::match_primary, ops};
+    use etable_repro::relational::{sql::execute, value::Value};
+    use etable_repro::tgm::Tgdb;
+    use std::sync::Arc;
+
+    let (_, tgdb) = small_env();
+    let g = &tgdb.instances;
+    let (papers, def) = tgdb.schema.node_type_by_name("Papers").unwrap();
+    let title = def.attr_index("title").unwrap();
+    let nodes = g.nodes_of_type(papers);
+    let (renamed, doomed) = (nodes[0], nodes[nodes.len() - 1]);
+    let (old_title, doomed_label) = (g.value(renamed, title), g.label(doomed));
+    let (renamed_key, doomed_key) = (tgdb.key_of(renamed), tgdb.key_of(doomed));
+    let (confs, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
+    let conf_key = tgdb.key_of(g.nodes_of_type(confs)[0]);
+    // The keys of the papers titled `t`, by a filtered match at `at`.
+    let titled = |at: &Tgdb, t: Value| {
+        let q = ops::initiate(at, papers).unwrap();
+        let q = ops::select(at, &q, NodeFilter::cmp("title", CmpOp::Eq, t)).unwrap();
+        let m = match_primary(at, &q).unwrap();
+        m.rows().iter().map(|&n| at.key_of(n)).collect::<Vec<_>>()
+    };
+    let later = Value::text("An epoch later");
+    let before = titled(&tgdb, old_title);
+    assert!(before.contains(&renamed_key));
+
+    let mut db = (**tgdb.database()).clone();
+    let d = doomed_key;
+    for stmt in [
+        format!("UPDATE Papers SET title = 'An epoch later' WHERE id = {renamed_key}"),
+        format!("DELETE FROM Paper_Authors WHERE paper_id = {d}"),
+        format!("DELETE FROM Paper_Keywords WHERE paper_id = {d}"),
+        format!("DELETE FROM Paper_References WHERE paper_id = {d} OR ref_paper_id = {d}"),
+        format!("DELETE FROM Papers WHERE id = {d}"),
+        format!("INSERT INTO Papers VALUES (999999, {conf_key}, 'An epoch later', 2020, 1, 2)"),
+    ] {
+        execute(&mut db, &stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    }
+
+    // The old graph, after the writes.
+    assert_eq!(g.value(renamed, title), old_title);
+    assert_eq!(g.label(renamed), old_title);
+    assert_eq!(tgdb.node_by_key(papers, &doomed_key), Some(doomed));
+    assert_eq!(g.label(doomed), doomed_label);
+    assert_eq!(tgdb.node_by_key(papers, &Value::Int(999999)), None);
+    assert_eq!(titled(&tgdb, old_title), before);
+    assert!(titled(&tgdb, later).is_empty());
+
+    // The same schema graph at the new epoch.
+    let next = tgdb.at(Arc::new(db)).unwrap();
+    let renamed_next = next.node_by_key(papers, &renamed_key).unwrap();
+    assert_eq!(next.instances.label(renamed_next), later);
+    assert_eq!(next.node_by_key(papers, &doomed_key), None);
+    assert_eq!(titled(&next, later), [renamed_key, Value::Int(999999)]);
+    assert!(!titled(&next, old_title).contains(&renamed_key));
+    next.instances.check_consistency(&next.schema).unwrap();
+}

@@ -19,7 +19,9 @@ use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
 use etable_repro::relational::sql::execute;
 use etable_repro::relational::value::{DataType, Value};
-use etable_repro::tgm::{translate, EdgeTypeId, NodeTypeId, NodeTypeKind, Tgdb, TranslateOptions};
+use etable_repro::tgm::{
+    translate, EdgeTypeId, NodeId, NodeTypeId, NodeTypeKind, Tgdb, TranslateOptions,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -531,6 +533,56 @@ fn random_atom(tgdb: &Tgdb, nt: NodeTypeId, rng: &mut StdRng) -> FilterAtom {
     }
 }
 
+/// The set-at-a-time matcher against the row-at-a-time reference, filter
+/// by filter: for the filter of every node of `q`, and for a conjunction
+/// of one to three random atoms on every node type (entity and value
+/// types), `BoundFilter::select` over the whole type and over a random
+/// subset of it keeps exactly the nodes `BoundFilter::eval` passes one by
+/// one. The atoms and subsets come from a generator derived from `seed`,
+/// so the case stream of the leg that calls this does not change.
+fn kernel_matches_evaluator(tgdb: &Tgdb, q: &QueryPattern, seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6b65_726e_656c);
+    let mut filters: Vec<_> = q
+        .nodes
+        .iter()
+        .map(|n| (n.node_type, n.filter.clone()))
+        .collect();
+    for (nt, _) in tgdb.schema.node_types() {
+        let mut filter = NodeFilter::none();
+        for _ in 0..rng.gen_range(1..4) {
+            let atom = NodeFilter::atom(random_atom(tgdb, nt, &mut rng));
+            if atom.bind(tgdb, nt).is_ok() {
+                filter = filter.and(atom);
+            }
+        }
+        filters.push((nt, filter));
+    }
+    for (nt, filter) in filters {
+        let bound = filter.bind(tgdb, nt).map_err(|e| e.to_string())?;
+        let all = tgdb.instances.nodes_of_type(nt);
+        let some: Vec<NodeId> = (all.iter().copied())
+            .filter(|_| rng.gen_range(0..2) == 0)
+            .collect();
+        let passes = |nodes: &[NodeId]| -> Vec<NodeId> {
+            let eval = |n: &NodeId| bound.eval(tgdb, *n).unwrap();
+            nodes.iter().copied().filter(eval).collect()
+        };
+        let cases = [(None, all), (Some(all), all), (Some(&some[..]), &some[..])];
+        for (given, nodes) in cases {
+            let got = bound.select(tgdb, given);
+            if got != passes(nodes) {
+                return Err(format!(
+                    "{filter:?} over {} of {} nodes: select {got:?}, eval {:?}",
+                    nodes.len(),
+                    all.len(),
+                    passes(nodes)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
@@ -539,7 +591,8 @@ proptest! {
         // Random filters on random node types, value types included, over
         // nullable data: the graph's matching (both matchers) keeps
         // exactly the rows the translated query returns on the engine and
-        // on the oracle, and `select` refuses only with typed errors.
+        // on the oracle, `select` refuses only with typed errors, and the
+        // kernel selects what the evaluator passes.
         let mut rng = StdRng::seed_from_u64(seed);
         let db = filter_db(&mut rng);
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
@@ -572,6 +625,9 @@ proptest! {
         let mut full = match_full(&tgdb, &q).unwrap().distinct_nodes(q.primary).unwrap();
         full.sort();
         prop_assert_eq!(&full, &m.rows().to_vec(), "seed {}: matchers disagree", seed);
+        if let Err(msg) = kernel_matches_evaluator(&tgdb, &q, seed) {
+            prop_assert!(false, "seed {}: {}", seed, msg);
+        }
         let expected = node_keys(&tgdb, m.rows().iter().copied());
         if let Err(msg) = check_translation(&tgdb, &q, &expected, true) {
             prop_assert!(false, "seed {}: {}\n{}", seed, msg, q.diagram(&tgdb));
