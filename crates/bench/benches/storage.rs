@@ -16,14 +16,19 @@
 //! `check_integrity` reads the indexes that are already built, and
 //! `fk_index_build` is the same check on a cold database, so the two
 //! differ by the build. `delete_restrict` is the write cycle's DELETE
-//! alone.
+//! alone. `repin_after_write` is `Tgdb::at` on the medium corpus for the
+//! epoch after one `Paper_Authors` INSERT (made outside the timing): the
+//! re-pin a connection pays on its first table after a write, which
+//! rebuilds the one CSR pair the write touched and keeps the rest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
 use etable_relational::database::Database;
 use etable_relational::shared::SharedDatabase;
+use etable_relational::sql::execute;
 use etable_tgm::{translate, TranslateOptions};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Scratch directory for this process's bench snapshots.
 fn scratch(tag: &str) -> PathBuf {
@@ -59,6 +64,22 @@ fn bench_storage(c: &mut Criterion) {
                 .expect("open succeeds")
                 .table_names()
                 .len()
+        })
+    });
+    let graph = translate(&db, &TranslateOptions::default()).expect("corpus translates");
+    // The first author paper 1 does not have yet.
+    let next = (1..=cfg.authors)
+        .find_map(|author| {
+            let mut next = (**graph.database()).clone();
+            let insert = format!("INSERT INTO Paper_Authors VALUES (1, {author}, 99)");
+            execute(&mut next, &insert).ok().map(|_| Arc::new(next))
+        })
+        .expect("some author has not written paper 1");
+    group.bench_function("repin_after_write", |b| {
+        b.iter(|| {
+            (graph.at(Arc::clone(&next)).expect("epoch loads"))
+                .instances
+                .edge_count()
         })
     });
     // Generated last: its strings join the interner the entries above

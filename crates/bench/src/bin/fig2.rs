@@ -27,7 +27,7 @@ fn main() {
     let authors_col = papers_table.column_index("Authors").expect("Authors col");
     let first_author = papers_table
         .cell(row, authors_col)
-        .and_then(|c| c.refs()?.first().copied())
+        .and_then(|c| c.refs()?.next())
         .expect("an author");
 
     println!("Starting table: Papers ({} rows)\n", papers_table.len());

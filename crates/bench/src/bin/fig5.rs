@@ -10,11 +10,11 @@ fn main() {
     println!("center node [Papers] \"{}\"", tgdb.instances.label(center));
     for (et_id, et) in tgdb.schema.outgoing(papers) {
         let neighbors = tgdb.instances.neighbors(et_id, center);
-        if neighbors.is_empty() {
+        if neighbors.len() == 0 {
             continue;
         }
         println!("  --{}-->", et.name);
-        for &n in neighbors.iter().take(6) {
+        for n in neighbors.clone().take(6) {
             let label = tgdb.instances.label(n);
             let type_name = &tgdb.schema.node_type(tgdb.instances.type_of(n)).name;
             println!("      [{type_name}] \"{label}\"");
@@ -24,7 +24,7 @@ fn main() {
                 let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
                 if let Some((inst_edge, _)) = tgdb.schema.outgoing_by_name(authors, "Institutions")
                 {
-                    for &i in tgdb.instances.neighbors(inst_edge, n).iter().take(1) {
+                    for i in tgdb.instances.neighbors(inst_edge, n).take(1) {
                         println!(
                             "          --Institutions--> \"{}\"",
                             tgdb.instances.label(i)

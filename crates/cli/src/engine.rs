@@ -253,13 +253,12 @@ impl Engine {
         let refs = (cell.as_ref())
             .and_then(Cell::refs)
             .ok_or_else(|| format!("column `{column}` holds plain values, not references"))?;
-        refs.get(
-            index
-                .checked_sub(1)
-                .ok_or("references are numbered from 1")?,
-        )
-        .copied()
-        .ok_or_else(|| format!("cell has only {} reference(s)", refs.len()))
+        let at = index
+            .checked_sub(1)
+            .ok_or("references are numbered from 1")?;
+        let found = (refs.clone().nth(at))
+            .ok_or_else(|| format!("cell has only {} reference(s)", refs.len()));
+        found
     }
 }
 

@@ -12,6 +12,7 @@ use crate::schema::academic_schema;
 use etable_relational::database::Database;
 use etable_relational::table::Row;
 use etable_relational::value::Value;
+use etable_relational::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -167,6 +168,11 @@ pub fn generate(cfg: &GenConfig) -> Database {
         "need at least {MIN_PAPERS} papers (see GenConfig::try_with_papers)"
     );
     assert!(cfg.authors >= 20, "need at least 20 authors");
+    build(cfg).expect("generated rows fit the Figure 3 schema")
+}
+
+/// [`generate`]'s rows, appended batch by batch in dependency order.
+fn build(cfg: &GenConfig) -> Result<Database> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut db = academic_schema();
 
@@ -177,8 +183,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
             .iter()
             .enumerate()
             .map(|(i, (acr, title))| vec![(i as i64 + 1).into(), (*acr).into(), (*title).into()]),
-    )
-    .expect("conference rows");
+    )?;
     let n_conf = names::CONFERENCES.len() as i64;
 
     // --- Institutions -----------------------------------------------------
@@ -190,8 +195,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
             .map(|(i, (name, country))| {
                 vec![(i as i64 + 1).into(), (*name).into(), (*country).into()]
             }),
-    )
-    .expect("institution rows");
+    )?;
     let n_inst = names::INSTITUTIONS.len() as i64;
 
     // --- Authors ----------------------------------------------------------
@@ -234,7 +238,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
         };
         author_rows.push(vec![id.into(), name.into(), inst]);
     }
-    db.append_rows("Authors", author_rows).expect("author rows");
+    db.append_rows("Authors", author_rows)?;
 
     // --- Papers -----------------------------------------------------------
     let mut used_titles: HashSet<String> = HashSet::new();
@@ -274,7 +278,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
         paper_year.push(year);
         paper_conf.push(conf);
     }
-    db.append_rows("Papers", paper_rows).expect("paper rows");
+    db.append_rows("Papers", paper_rows)?;
 
     // --- Paper_Authors (preferential attachment over authors) -------------
     // Tickets: an author's chance of being picked grows with each paper,
@@ -351,8 +355,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
         pa_rows
             .iter()
             .map(|(pid, a, ord)| vec![(*pid).into(), (*a).into(), (*ord).into()]),
-    )
-    .expect("paper-author rows");
+    )?;
 
     // --- Paper_Keywords ----------------------------------------------------
     let mut kw_rows: Vec<Row> = Vec::new();
@@ -389,8 +392,7 @@ pub fn generate(cfg: &GenConfig) -> Database {
             kw_rows.push(vec![pid.into(), k.into()]);
         }
     }
-    db.append_rows("Paper_Keywords", kw_rows)
-        .expect("keyword rows");
+    db.append_rows("Paper_Keywords", kw_rows)?;
 
     // --- Paper_References (preferential attachment over earlier papers) ---
     let mut cite_tickets: Vec<i64> = Vec::new();
@@ -412,10 +414,8 @@ pub fn generate(cfg: &GenConfig) -> Database {
             cite_tickets.push(*r);
         }
     }
-    db.append_rows("Paper_References", ref_rows)
-        .expect("reference rows");
-
-    db
+    db.append_rows("Paper_References", ref_rows)?;
+    Ok(db)
 }
 
 fn fresh_name(rng: &mut StdRng, used: &mut HashSet<String>) -> String {

@@ -59,11 +59,11 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
                         content.push(v);
                     }
                     Cell::Refs(refs) => {
-                        if !refs.is_empty() {
+                        if refs.ids().len() > 0 {
                             filled += 1;
                         }
-                        refs_total += refs.len();
-                        content.extend(refs.iter().map(|&r| table.label(r)));
+                        refs_total += refs.ids().len();
+                        content.extend(refs.ids().map(|r| table.label(r)));
                         content.sort_unstable();
                     }
                 }

@@ -41,15 +41,15 @@ impl Cell {
     pub fn ref_count(&self) -> usize {
         match self {
             Cell::Atomic(_) => 0,
-            Cell::Refs(r) => r.len(),
+            Cell::Refs(r) => r.ids().len(),
         }
     }
 
     /// The referenced nodes, if this is a reference cell.
-    pub fn refs(&self) -> Option<&[NodeId]> {
+    pub fn refs(&self) -> Option<impl ExactSizeIterator<Item = NodeId> + Clone + '_> {
         match self {
             Cell::Atomic(_) => None,
-            Cell::Refs(r) => Some(r),
+            Cell::Refs(r) => Some(r.ids()),
         }
     }
 
@@ -469,14 +469,18 @@ mod tests {
     use crate::{ops, transform};
     use etable_relational::database::Database;
     use etable_relational::schema::{Column, ForeignKey, TableSchema};
-    use etable_relational::table::ColumnStore;
     use etable_relational::value::DataType;
     use etable_tgm::NodeTypeId;
 
-    /// The schema of papers `P(id, title)`, the title of type `title`, that
-    /// cite papers (`Cites`), with no instances, and the forward citation
-    /// edge type.
-    fn schema(title: DataType) -> (Tgdb, NodeTypeId, EdgeTypeId) {
+    /// Papers `P(id, title)`, the title of type `title`, keyed by position
+    /// and titled `titles` (each NULL or of type `title`), that cite papers
+    /// (`Cites`) as `cites` lists by position, loaded through `translate`;
+    /// and the forward citation edge type.
+    fn papers(
+        title: DataType,
+        titles: &[Value],
+        cites: &[(usize, usize)],
+    ) -> (Tgdb, NodeTypeId, EdgeTypeId) {
         let mut db = Database::new();
         let p = TableSchema::new(
             "P",
@@ -486,7 +490,7 @@ mod tests {
             ],
         );
         db.create_table(p.with_primary_key(&["id"])).unwrap();
-        let cites = TableSchema::new(
+        let cites_table = TableSchema::new(
             "Cites",
             vec![
                 Column::new("src", DataType::Int),
@@ -496,34 +500,20 @@ mod tests {
         .with_primary_key(&["src", "dst"])
         .with_foreign_key(ForeignKey::single("src", "P", "id"))
         .with_foreign_key(ForeignKey::single("dst", "P", "id"));
-        db.create_table(cites).unwrap();
+        db.create_table(cites_table).unwrap();
+        let key = |i: usize| Value::Int(i as i64);
+        for (i, &t) in titles.iter().enumerate() {
+            db.insert("P", vec![key(i), t]).unwrap();
+        }
+        for &(a, b) in cites {
+            db.insert("Cites", vec![key(a), key(b)]).unwrap();
+        }
         let tgdb = etable_tgm::translate(&db, &Default::default()).unwrap();
         let (p, _) = tgdb.schema.node_type_by_name("P").unwrap();
         let (cites, _) = (tgdb.schema.outgoing(p).into_iter())
             .find(|(_, e)| e.forward)
             .unwrap();
         (tgdb, p, cites)
-    }
-
-    /// `schema(title)` with papers titled `titles` (each NULL or of type
-    /// `title`) and the citations `cites`, by position.
-    fn papers(
-        title: DataType,
-        titles: &[Value],
-        cites: &[(usize, usize)],
-    ) -> (Tgdb, NodeTypeId, EdgeTypeId) {
-        let (mut tgdb, p, et) = schema(title);
-        let mut g = InstanceGraph::builder(&tgdb.schema);
-        let keys =
-            ColumnStore::from_values(DataType::Int, (0..titles.len() as i64).map(Value::Int));
-        let labels = ColumnStore::from_values(title, titles.iter().copied());
-        let first = g.add_nodes(&tgdb.schema, p, vec![keys, labels]).unwrap();
-        let id = |i: usize| NodeId(first.0 + i as u32);
-        for &(a, b) in cites {
-            g.add_edge(&tgdb.schema, et, id(a), id(b));
-        }
-        tgdb.instances = Arc::new(g.finish(&tgdb.schema).unwrap());
-        (tgdb, p, et)
     }
 
     /// Two papers, "B-paper" citing "A-paper" and an untitled paper,
@@ -546,11 +536,11 @@ mod tests {
         assert_eq!(
             t.columns[2].kind,
             ColumnKind::Neighbor {
-                edge: schema(DataType::Text).2
+                edge: papers(DataType::Text, &[], &[]).2
             }
         );
         let cell = t.cell(0, 2).unwrap();
-        assert_eq!(cell.refs(), Some(&[NodeId(1), NodeId(2)][..]));
+        assert!(cell.refs().unwrap().eq([NodeId(1), NodeId(2)]));
         assert_eq!(t.label(NodeId(1)), "A-paper".into());
         assert_eq!(t.label_text(NodeId(1)), "A-paper");
         assert_eq!(t.label_text(NodeId(2)), "NULL");

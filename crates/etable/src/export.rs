@@ -95,8 +95,8 @@ pub fn to_json(table: &EnrichedTable) -> String {
             match cell {
                 Cell::Atomic(v) => out.push_str(&json_value(&v)),
                 Cell::Refs(refs) => {
-                    let _ = write!(out, "{{\"count\":{},\"refs\":[", refs.len());
-                    for (i, r) in refs.iter().enumerate() {
+                    let _ = write!(out, "{{\"count\":{},\"refs\":[", refs.ids().len());
+                    for (i, r) in refs.ids().enumerate() {
                         if i > 0 {
                             out.push(',');
                         }
@@ -104,7 +104,7 @@ pub fn to_json(table: &EnrichedTable) -> String {
                             out,
                             "{{\"node\":{},\"label\":\"{}\"}}",
                             r.0,
-                            json_escape(&table.label_text(*r))
+                            json_escape(&table.label_text(r))
                         );
                     }
                     out.push_str("]}");
@@ -150,7 +150,7 @@ pub fn to_csv(table: &EnrichedTable) -> String {
                 Cell::Atomic(v) if v.is_null() => String::new(),
                 Cell::Atomic(v) => csv_escape(&v.to_string()),
                 Cell::Refs(refs) => {
-                    let labels: Vec<_> = refs.iter().map(|&r| table.label_text(r)).collect();
+                    let labels: Vec<_> = refs.ids().map(|r| table.label_text(r)).collect();
                     csv_escape(&labels.join("; "))
                 }
             })

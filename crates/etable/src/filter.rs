@@ -325,11 +325,11 @@ impl BoundFilter {
             for r in select_rows(pred, graph.columns(target), None) {
                 marked[r as usize / 64] |= 1 << (r % 64);
             }
-            let hit = |nb: &NodeId| {
+            let hit = |nb: NodeId| {
                 let r = (nb.0 - base) as usize;
                 marked[r / 64] >> (r % 64) & 1 == 1
             };
-            let keep = |&row: &u32| graph.neighbors(*edge, node(row)).iter().any(hit);
+            let keep = |&row: &u32| graph.neighbors(*edge, node(row)).any(hit);
             rows = Some(match rows {
                 Some(from) => from.into_iter().filter(keep).collect(),
                 None => (0..all.len() as u32).filter(keep).collect(),
@@ -363,7 +363,7 @@ impl BoundFilter {
         }
         for (edge, p) in &self.neighbors {
             let mut hit = false;
-            for &nb in tgdb.instances.neighbors(*edge, node) {
+            for nb in tgdb.instances.neighbors(*edge, node) {
                 if holds(p, nb)? {
                     hit = true;
                     break;

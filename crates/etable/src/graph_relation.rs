@@ -107,7 +107,7 @@ impl GraphRelation {
         attrs.extend(other.attrs.iter().copied());
         let mut tuples = Vec::new();
         for lt in &self.tuples {
-            for &nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
+            for nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
                 if let Some(hits) = right_index.get(&nb) {
                     for &ri in hits {
                         let mut t = Vec::with_capacity(attrs.len());
@@ -139,7 +139,7 @@ impl GraphRelation {
         attrs.push(new_attr);
         let mut tuples = Vec::new();
         for lt in &self.tuples {
-            for &nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
+            for nb in tgdb.instances.neighbors(edge_type, lt[lpos]) {
                 if filter.eval(tgdb, nb)? {
                     let mut t = Vec::with_capacity(attrs.len());
                     t.extend(lt.iter().copied());

@@ -132,7 +132,7 @@ impl MatchResult {
             }
             next.clear();
             for &f in frontier.iter() {
-                for &nb in graph.neighbors(edge, f) {
+                for nb in graph.neighbors(edge, f) {
                     if self.member[step.0].contains(nb) && !(dedup && seen.contains(nb)) {
                         if dedup {
                             seen.set(nb, true);
@@ -220,7 +220,7 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
             (None, Some(via)) => {
                 // `bits` marks the neighbors already reached; cleared after.
                 for &v in &allowed[via.parent.0] {
-                    for &nb in graph.neighbors(via.edge_type, v) {
+                    for nb in graph.neighbors(via.edge_type, v) {
                         if !bits.contains(nb) {
                             bits.set(nb, true);
                             reached.push(nb);
@@ -251,8 +251,8 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
                      edge: EdgeTypeId| {
         let mut bits = std::mem::take(&mut member[cur.0]);
         allowed[cur.0].retain(|&v| {
-            let neighbors = tgdb.instances.neighbors(edge, v);
-            let keep = neighbors.iter().any(|&nb| member[other.0].contains(nb));
+            let mut neighbors = tgdb.instances.neighbors(edge, v);
+            let keep = neighbors.any(|nb| member[other.0].contains(nb));
             if !keep {
                 bits.set(v, false);
             }

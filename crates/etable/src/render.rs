@@ -52,10 +52,10 @@ fn render_cell(t: &EnrichedTable, cell: &Cell, opts: &RenderOptions) -> String {
     match cell {
         Cell::Atomic(v) => truncate(&v.to_string(), opts.max_cell),
         Cell::Refs(refs) => {
-            let shown: Vec<String> = refs
-                .iter()
+            let refs = refs.ids();
+            let shown: Vec<String> = (refs.clone())
                 .take(opts.max_refs)
-                .map(|&r| truncate(&t.label_text(r), opts.max_label))
+                .map(|r| truncate(&t.label_text(r), opts.max_label))
                 .collect();
             let mut text = format!("{} | {}", refs.len(), shown.join(", "));
             if refs.len() > opts.max_refs {

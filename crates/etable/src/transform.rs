@@ -208,7 +208,7 @@ mod tests {
         for row in t.rows.iter() {
             let refs = row.cells[col].refs().unwrap();
             assert_eq!(refs.len(), 1);
-            assert_eq!(t.label(refs[0]), "SIGMOD".into());
+            assert_eq!(t.label(refs.clone().next().unwrap()), "SIGMOD".into());
         }
     }
 

@@ -86,7 +86,7 @@ const PANIC_BUDGET: [(&str, usize); 15] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
-    ("crates/datagen/src/generator.rs", 7),
+    ("crates/datagen/src/generator.rs", 1),
     ("crates/datagen/src/schema.rs", 1),
     ("crates/datagen/src/tasks.rs", 1),
     ("crates/etable/src/testutil.rs", 2),

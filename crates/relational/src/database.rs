@@ -178,7 +178,7 @@ impl Database {
     /// declared foreign keys, single-column, onto a single-column primary
     /// key. The build matches keys with the join kernel, so it spills under
     /// the memory budget, and only a spill error fails it.
-    pub(crate) fn fk_index(&self, table: &str, fk: &ForeignKey) -> Result<Option<&FkIndex>> {
+    pub fn fk_index(&self, table: &str, fk: &ForeignKey) -> Result<Option<&FkIndex>> {
         let from = self.table(table)?;
         let to = self.table(&fk.referenced_table)?;
         let declared = from.schema().foreign_keys.iter().position(|f| f == fk);

@@ -15,22 +15,22 @@
 //! database — a new epoch ([`crate::shared`]) — shares every built index.
 //! Writes carry an index forward rather than dropping it: an INSERT
 //! pushes the row its foreign-key check found, a DELETE compacts the
-//! deleted rows out of the referencing side ([`FkIndex::compact`]) and
-//! shifts the referenced side's row ids ([`FkIndex::remap`]). A write the
+//! deleted rows out of the referencing side (`FkIndex::compact`) and
+//! shifts the referenced side's row ids (`FkIndex::remap`). A write the
 //! index cannot follow cheaply (a key UPDATE, an unchecked load, a raw
 //! `Database::table_mut`) empties the slot, and the next use rebuilds it.
 
 use std::sync::Arc;
 
 /// `fwd`'s entry for a referencing row whose key is NULL.
-pub(crate) const NULL_REF: u32 = u32::MAX;
+pub const NULL_REF: u32 = u32::MAX;
 
 /// `fwd`'s entry for a referencing row whose NULL-free key no row holds.
-pub(crate) const DANGLING: u32 = u32::MAX - 1;
+pub const DANGLING: u32 = u32::MAX - 1;
 
 /// The forward index of one foreign key (see the module docs).
 #[derive(Debug, Clone)]
-pub(crate) struct FkIndex {
+pub struct FkIndex {
     /// Referencing row -> referenced row, or a sentinel.
     fwd: Arc<Vec<u32>>,
     /// How many entries of `fwd` are [`DANGLING`].
@@ -69,13 +69,13 @@ impl FkIndex {
         }
     }
 
-    /// Referencing row -> referenced row, or a sentinel.
-    pub(crate) fn fwd(&self) -> &[u32] {
+    /// Referencing row -> referenced row, or a sentinel; a write copies it.
+    pub fn fwd(&self) -> &Arc<Vec<u32>> {
         &self.fwd
     }
 
     /// The first referencing row whose key dangles.
-    pub(crate) fn first_dangling(&self) -> Option<usize> {
+    pub fn first_dangling(&self) -> Option<usize> {
         (self.dangling > 0).then(|| self.fwd.iter().position(|&t| t == DANGLING))?
     }
 

@@ -50,7 +50,7 @@ pub mod colrel;
 pub mod database;
 pub mod exec;
 pub mod expr;
-mod fk_index;
+pub mod fk_index;
 pub mod intern;
 mod pk_index;
 pub mod relation;

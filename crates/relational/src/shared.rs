@@ -333,7 +333,7 @@ mod tests {
         // DELETE compacted it away again.
         let ut: Vec<_> = epochs.iter().map(|e| fk(e, "u")).collect();
         assert!(!ut[0].shares(&ut[1]) && ut[1].shares(&ut[2]));
-        assert_eq!(ut[1].fwd(), [1, 0, 1, 0]);
+        assert_eq!(ut[1].fwd()[..], [1, 0, 1, 0]);
         assert_eq!(ut[3].fwd(), ut[0].fwd());
     }
 

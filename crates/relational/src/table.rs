@@ -35,8 +35,8 @@ pub type Row = Vec<Value>;
 pub const MAX_ROWS: usize = u32::MAX as usize;
 
 /// A packed null bitmap (one bit per row). Cloning shares the underlying
-/// words (copy-on-write under mutation).
-#[derive(Debug, Clone, Default)]
+/// words (copy-on-write under mutation). Equal bitmaps mark the same rows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NullBitmap {
     bits: Arc<Vec<u64>>,
 }
@@ -147,8 +147,8 @@ impl ColumnStore {
     }
 
     /// The null bitmap alongside the body (the on-disk writer reads its
-    /// packed words).
-    pub(crate) fn nulls(&self) -> &NullBitmap {
+    /// packed words, the instance graph compares it across epochs).
+    pub fn nulls(&self) -> &NullBitmap {
         &self.nulls
     }
 

@@ -1,6 +1,8 @@
 //! The typed graph database: a schema graph, the instance graph loaded
 //! from one epoch of a relational database, and that epoch, as one value
 //! — so no caller can pair a graph with a database of another epoch.
+//! [`Tgdb::at`] loads a later epoch's graph from this one, rebuilding only
+//! what the epoch's writes touched.
 
 use crate::ids::{NodeId, NodeTypeId};
 use crate::instance_graph::InstanceGraph;
@@ -51,7 +53,7 @@ impl Tgdb {
     pub fn at(&self, db: Arc<Database>) -> Result<Tgdb> {
         Ok(Tgdb {
             schema: self.schema.clone(),
-            instances: Arc::new(instances_of(&db, &self.schema)?),
+            instances: Arc::new(instances_of(&db, &self.schema, Some(&self.instances))?),
             categories: self.categories.clone(),
             db,
         })

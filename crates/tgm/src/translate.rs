@@ -14,10 +14,11 @@
 //! on each node type (`source_table`, attribute names) and each edge type
 //! ([`EdgeProvenance`]) which relation and columns it came from, and
 //! `instances_of` loads the instance graph from the database and that
-//! record alone.
+//! record alone, reading each edge straight out of what the epoch stores
+//! and keeping what an earlier epoch's graph ([`Tgdb::at`]) already built.
 
-use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
-use crate::instance_graph::{GraphBuilder, InstanceGraph};
+use crate::ids::NodeTypeId;
+use crate::instance_graph::{Ends, InstanceGraph, TypeNodes};
 use crate::schema_graph::{
     AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
@@ -25,8 +26,7 @@ use crate::tgdb::Tgdb;
 use crate::{Error, Result};
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
-use etable_relational::table::ColumnStore;
-use etable_relational::value::{DataType, Value};
+use etable_relational::value::DataType;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -430,59 +430,21 @@ fn schema_of(
     Ok((schema, categories))
 }
 
-/// Nodes by row of a relation: the node a row is or names, `None` where
-/// it names none (a NULL).
-type Ends = Vec<Option<NodeId>>;
-
-/// Adds every edge of the forward edge type `et`, one per row of the
-/// relation its provenance names that holds both keys, in row order.
-/// `by_row[nt]` is, by row of node type `nt`'s relation, the row's node (its
-/// own, or its value's); an end an FK keys is the referenced row's node
-/// ([`Database::fk_pairs`]; the source column is checked first).
-fn load_edges(
-    db: &Database,
-    schema: &SchemaGraph,
-    et: EdgeTypeId,
-    by_row: &[Ends],
-    graph: &mut GraphBuilder,
-) -> Result<()> {
-    let def = schema.edge_type(et);
-    let (table_name, src_col, tgt_col) = def.provenance.key_columns();
-    let table = db.table(table_name)?;
-    let ends = |col: Option<&str>, nt: NodeTypeId| -> Result<Ends> {
-        let nodes = &by_row[nt.index()];
-        let Some(col) = col.filter(|_| schema.node_type(nt).kind == NodeTypeKind::Entity) else {
-            return Ok(nodes.clone());
-        };
-        let fk = table.schema().fk_on_column(col).ok_or_else(|| {
-            Error::Unsupported(format!("`{table_name}.{col}` is not a single-column FK"))
-        })?;
-        let pairs = db.fk_pairs(table_name, fk)?.map_err(|key| {
-            Error::Integrity(format!("dangling FK {table_name}.{col} = {}", key[0]))
-        })?;
-        let mut ends = vec![None; table.len()];
-        for (r, t) in pairs {
-            ends[r as usize] = nodes[t as usize];
-        }
-        Ok(ends)
-    };
-    let (src, tgt) = (ends(src_col, def.source)?, ends(Some(tgt_col), def.target)?);
-    for (s, t) in src.into_iter().zip(tgt) {
-        if let (Some(s), Some(t)) = (s, t) {
-            graph.add_edge(schema, et, s, t);
-        }
-    }
-    Ok(())
-}
-
 /// Loads the instance graph that `schema` describes out of `db`, reading
 /// nothing but the two: nodes type by type in id order (so a node's id is
 /// fixed by its type and its source row, or its value's rank among the
 /// column's distinct non-NULL values), then edges, forward edge type by
-/// forward edge type.
-pub(crate) fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<InstanceGraph> {
-    let mut graph = InstanceGraph::builder(schema);
-    let mut by_row: Vec<Ends> = Vec::with_capacity(schema.node_type_count());
+/// forward edge type, one per row of the relation its provenance names
+/// whose two ends are rows. An end is the row itself, the referenced row
+/// the stored foreign-key index holds for it, or the row of its value.
+/// The graph of an earlier epoch, `prev`, lends every part whose inputs
+/// are the very buffers it read (see `InstanceGraph::load`).
+pub(crate) fn instances_of(
+    db: &Database,
+    schema: &SchemaGraph,
+    prev: Option<&InstanceGraph>,
+) -> Result<InstanceGraph> {
+    let mut types = Vec::with_capacity(schema.node_type_count());
     for (nt, def) in schema.node_types() {
         let table = db.table(&def.source_table)?;
         let cols = def
@@ -490,32 +452,49 @@ pub(crate) fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<Instan
             .iter()
             .map(|a| column_index(table.schema(), &a.name))
             .collect::<Result<Vec<_>>>()?;
-        let rows = 0..table.len();
-        by_row.push(match def.kind {
+        types.push(match def.kind {
             // The table's own columns, shared: row `r` is the `r`-th node.
-            NodeTypeKind::Entity => {
-                let columns = cols.iter().map(|&c| table.column(c).clone()).collect();
-                let first = graph.add_nodes(schema, nt, columns)?;
-                rows.map(|r| Some(NodeId(first.0 + r as u32))).collect()
-            }
+            NodeTypeKind::Entity => TypeNodes {
+                ids: Vec::new(),
+                columns: cols.iter().map(|&c| table.column(c).clone()).collect(),
+                label: def.label_attr,
+                ranked: None,
+            },
             // One node per non-NULL value, in the value total order; the
             // sort that finds them also ranks every row's value.
             NodeTypeKind::MultiValued | NodeTypeKind::Categorical => {
-                let (values, ranks) = table.distinct_ranks(cols[0]);
-                let nulls = u32::from(values.first().is_some_and(Value::is_null));
-                let distinct = values[nulls as usize..].iter().copied();
-                let column = ColumnStore::from_values(def.attrs[0].data_type, distinct);
-                let first = graph.add_nodes(schema, nt, vec![column])?;
-                let stored = table.column(cols[0]);
-                rows.map(|r| (!stored.is_null(r)).then(|| NodeId(first.0 + ranks[r] - nulls)))
-                    .collect()
+                TypeNodes::values(prev, nt, def.attrs[0].data_type, (table, cols[0]))
             }
         });
     }
-    for (et, _) in schema.edge_types().filter(|(_, e)| e.forward) {
-        load_edges(db, schema, et, &by_row, &mut graph)?;
+    let mut edges = Vec::new();
+    for (et, def) in schema.edge_types().filter(|(_, e)| e.forward) {
+        let (table_name, src_col, tgt_col) = def.provenance.key_columns();
+        let table = db.table(table_name)?;
+        // A key column onto an entity is read through its stored index;
+        // any other end is the row's own (its node, or its value's).
+        let end = |col: Option<&str>, nt: NodeTypeId| -> Result<Option<Arc<Vec<u32>>>> {
+            let keyed = col.filter(|_| schema.node_type(nt).kind == NodeTypeKind::Entity);
+            let Some(col) = keyed else {
+                return Ok(types[nt.index()].ranked.clone().map(|(_, ranks)| ranks));
+            };
+            let single =
+                || Error::Unsupported(format!("`{table_name}.{col}` is not a single-column FK"));
+            let fk = table.schema().fk_on_column(col).ok_or_else(single)?;
+            let ix = db.fk_index(table_name, fk)?.ok_or_else(single)?;
+            if let Some(r) = ix.first_dangling() {
+                let key = table.value(r, column_index(table.schema(), col)?);
+                return Err(Error::Integrity(format!(
+                    "dangling FK {table_name}.{col} = {key}"
+                )));
+            }
+            Ok(Some(Arc::clone(ix.fwd())))
+        };
+        let maps = [end(src_col, def.source)?, end(Some(tgt_col), def.target)?];
+        let rows = table.len();
+        edges.push((et, Ends { rows, maps }));
     }
-    graph.finish(schema)
+    InstanceGraph::load(schema, types, edges, prev)
 }
 
 /// Translates `db` into a typed graph database, which keeps a copy of
@@ -523,7 +502,7 @@ pub(crate) fn instances_of(db: &Database, schema: &SchemaGraph) -> Result<Instan
 /// shares the foreign-key indexes the load built (and `db` keeps them).
 pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
     let (schema, categories) = schema_of(db, opts)?;
-    let instances = Arc::new(instances_of(db, &schema)?);
+    let instances = Arc::new(instances_of(db, &schema, None)?);
     Ok(Tgdb {
         schema,
         instances,
@@ -535,7 +514,10 @@ pub fn translate(db: &Database, opts: &TranslateOptions) -> Result<Tgdb> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{EdgeTypeId, NodeId};
+    use crate::instance_graph::tests::{assert_same_graph, shared_parts};
     use etable_relational::schema::{Column, ForeignKey, TableSchema};
+    use etable_relational::value::Value;
 
     /// A miniature version of the paper's Figure 3 schema.
     fn academic_db() -> Database {
@@ -756,7 +738,7 @@ mod tests {
             .schema
             .outgoing_by_name(papers, "Papers (referenced)")
             .unwrap();
-        assert_eq!(tgdb.instances.neighbors(refd, skewtune), &[usable]);
+        assert!(tgdb.instances.neighbors(refd, skewtune).eq([usable]));
         let (refg, _) = tgdb
             .schema
             .outgoing_by_name(papers, "Papers (referencing)")
@@ -915,7 +897,7 @@ mod tests {
 
         let neighbors = |from: NodeTypeId, edge: &str, node: NodeId| {
             let (et, _) = tgdb.schema.outgoing_by_name(from, edge).unwrap();
-            labels(g.neighbors(et, node))
+            labels(&g.neighbors(et, node).collect::<Vec<_>>())
         };
         // ForeignKey (Papers.conference_id), read from the referenced side.
         let (confs, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
@@ -1100,12 +1082,7 @@ mod tests {
         assert_eq!(labels, ["blue", "red"]);
         let (et, _) = tgdb.schema.outgoing_by_name(items, "Items: color").unwrap();
         let linked: Vec<Vec<String>> = (g.nodes_of_type(items).iter())
-            .map(|&n| {
-                g.neighbors(et, n)
-                    .iter()
-                    .map(|&v| g.label(v).to_string())
-                    .collect()
-            })
+            .map(|&n| g.neighbors(et, n).map(|v| g.label(v).to_string()).collect())
             .collect();
         assert_eq!(
             linked,
@@ -1151,12 +1128,98 @@ mod tests {
         for (et, _) in at.schema.edge_types() {
             assert!(a
                 .node_ids()
-                .all(|n| a.neighbors(et, n) == f.neighbors(et, n)));
+                .all(|n| a.neighbors(et, n).eq(f.neighbors(et, n))));
         }
         a.check_consistency(&at.schema).unwrap();
         let skewtune = |t: &Tgdb| t.node_by_key(papers, &11.into()).unwrap();
         assert_ne!(skewtune(&at), skewtune(&tgdb));
         assert_eq!(a.label(skewtune(&at)), g.label(skewtune(&tgdb)));
+    }
+
+    /// `db`'s next epoch after the statements `stmts`, loaded by `at` and
+    /// by a fresh translation, which must be one graph; and the CSRs (by
+    /// edge type provenance) and value-type ranks (by node type name) `at` took
+    /// over from `tgdb` instead of rebuilding them.
+    fn repin(tgdb: &Tgdb, stmts: &[&str]) -> (Tgdb, Vec<String>, Vec<String>) {
+        let mut next = (**tgdb.database()).clone();
+        for stmt in stmts {
+            etable_relational::sql::execute(&mut next, stmt).unwrap();
+        }
+        let next = Arc::new(next);
+        let at = tgdb.at(Arc::clone(&next)).unwrap();
+        let fresh = translate(&next, &TranslateOptions::default()).unwrap();
+        assert_same_graph(&at, &fresh, &stmts.join("; "));
+        let (csrs, ranks) = shared_parts(&tgdb.instances, &at.instances);
+        let edge = |i: usize| {
+            at.schema
+                .edge_type(EdgeTypeId::from_index(i))
+                .provenance
+                .to_string()
+        };
+        let node = |i: usize| at.schema.node_type(NodeTypeId::from_index(i)).name.clone();
+        let (csrs, ranks) = (
+            csrs.into_iter().map(edge).collect(),
+            ranks.into_iter().map(node).collect(),
+        );
+        (at, csrs, ranks)
+    }
+
+    /// Every CSR and value type of the graph, by provenance and name.
+    fn all_parts(tgdb: &Tgdb) -> (Vec<String>, Vec<String>) {
+        let edges = tgdb
+            .schema
+            .edge_types()
+            .map(|(_, e)| e.provenance.to_string());
+        let values = tgdb
+            .schema
+            .node_types()
+            .filter(|(_, t)| t.kind != NodeTypeKind::Entity);
+        (
+            edges.collect(),
+            values.map(|(_, t)| t.name.clone()).collect(),
+        )
+    }
+
+    /// A write to one relation rebuilds only what reads it: `at` keeps
+    /// every other CSR pair and value type of the graph it re-pins.
+    #[test]
+    fn at_rebuilds_only_what_a_write_touched() {
+        let tgdb = translate(&academic_db(), &TranslateOptions::default()).unwrap();
+        let (edges, values) = all_parts(&tgdb);
+        assert_eq!(values, ["Paper_Keywords: keyword", "Papers: year"]);
+        // An INSERT into `Paper_Authors` gives both its FK indexes new
+        // buffers: its pair alone is rebuilt.
+        let (_, csrs, ranks) = repin(&tgdb, &["INSERT INTO Paper_Authors VALUES (12, 100, 1)"]);
+        let authors = "relation Paper_Authors";
+        let expected: Vec<&String> = edges.iter().filter(|e| *e != authors).collect();
+        assert_eq!(csrs.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(ranks, values);
+        // A non-key UPDATE copies one column that no edge or value type
+        // reads: nothing is rebuilt.
+        let (_, csrs, ranks) = repin(
+            &tgdb,
+            &["UPDATE Papers SET title = 'Renamed' WHERE id = 11"],
+        );
+        assert_eq!((csrs, ranks), (edges.clone(), values.clone()));
+        // DELETEs of a non-suffix author compact one index and shift the
+        // ids of another: what reads either is rebuilt, and equals a
+        // fresh load (`repin` checks), while the conference edges stay.
+        let (at, csrs, ranks) = repin(
+            &tgdb,
+            &[
+                "DELETE FROM Paper_Authors WHERE author_id = 100",
+                "DELETE FROM Authors WHERE id = 100",
+            ],
+        );
+        assert!(!csrs.iter().any(|e| e == authors), "{csrs:?}");
+        assert!(
+            csrs.iter().any(|e| e == "FK Papers.conference_id"),
+            "{csrs:?}"
+        );
+        assert_eq!(ranks, values);
+        // A `Papers` INSERT re-ranks the years; the keywords stay.
+        let (_, _, ranks) = repin(&at, &["INSERT INTO Papers VALUES (13, 2, 'New', 2020)"]);
+        assert_eq!(ranks, ["Paper_Keywords: keyword"]);
     }
 
     #[test]
@@ -1168,9 +1231,9 @@ mod tests {
         for (et, e) in tgdb.schema.edge_types() {
             let rev = e.reverse;
             for a in tgdb.instances.node_ids() {
-                for &b in tgdb.instances.neighbors(et, a) {
+                for b in tgdb.instances.neighbors(et, a) {
                     assert!(
-                        tgdb.instances.neighbors(rev, b).contains(&a),
+                        tgdb.instances.neighbors(rev, b).any(|n| n == a),
                         "missing reverse edge for {et:?}"
                     );
                 }

@@ -48,7 +48,7 @@ fn main() {
     let authors_col = table.column_index("Authors").expect("Authors column");
     let first_author = table
         .cell(0, authors_col)
-        .and_then(|c| c.refs()?.first().copied())
+        .and_then(|c| c.refs()?.next())
         .expect("an author");
 
     // (a) click one author's name.

@@ -263,7 +263,7 @@ fn graph_edges_are_the_pairs_of_their_sql_joins() {
                 ),
             };
             let mut edges: Vec<(Value, Value)> = (g.nodes_of_type(s).iter())
-                .flat_map(|&a| g.neighbors(et, a).iter().map(move |&b| (a, b)))
+                .flat_map(|&a| g.neighbors(et, a).map(move |b| (a, b)))
                 .map(|(a, b)| (key(a), key(b)))
                 .collect();
             edges.sort();

@@ -348,7 +348,7 @@ fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) 
             (None, Some(via)) => {
                 let mut reached: Vec<_> = sets[via.parent.0]
                     .iter()
-                    .flat_map(|&v| g.neighbors(via.edge_type, v).iter().copied())
+                    .flat_map(|&v| g.neighbors(via.edge_type, v))
                     .collect();
                 reached.sort();
                 reached.dedup();

@@ -14,7 +14,9 @@
 //!
 //! The DML leg interleaves the actions with random writes through a
 //! `Connection`: every table it builds must be the latest epoch's, as the
-//! pattern's SQL on that epoch says.
+//! pattern's SQL on that epoch says, and every graph a re-pin loads
+//! (`Tgdb::at`, which keeps what the writes left alone) must be the graph
+//! a fresh translation of that epoch loads.
 //!
 //! `PROPTEST_CASES` raises the number of seeded sessions (deep-verify
 //! runs 1024).
@@ -380,6 +382,30 @@ fn random_write(c: &Connection, rng: &mut StdRng) {
     let _ = c.sql(&sql);
 }
 
+/// Asserts that `carried`, a graph a re-pin loaded, is the graph a fresh
+/// translation of its epoch loads: the same nodes with the same columns,
+/// the same edge count, and the same neighbors, in order, of every node
+/// along every edge type, both directions. (The stored foreign-key
+/// indexes both read are held against fresh builds in `relational`.)
+fn assert_fresh(carried: &Tgdb, at: &str) {
+    let fresh = translate(carried.database(), &TranslateOptions::default()).unwrap();
+    let (c, f) = (&carried.instances, &fresh.instances);
+    assert_eq!(c.node_count(), f.node_count(), "{at}");
+    assert_eq!(c.edge_count(), f.edge_count(), "{at}");
+    for (nt, _) in fresh.schema.node_types() {
+        let (cc, fc) = (c.columns(nt), f.columns(nt));
+        let same = cc.len() == fc.len() && cc.iter().zip(fc).all(|(a, b)| a.iter().eq(b.iter()));
+        assert!(same, "{at}: the columns of node type {nt}");
+    }
+    for (et, _) in fresh.schema.edge_types() {
+        for n in f.node_ids() {
+            let (cn, fn_): (Vec<NodeId>, Vec<NodeId>) =
+                (c.neighbors(et, n).collect(), f.neighbors(et, n).collect());
+            assert_eq!(cn, fn_, "{at}: {et} from {n}");
+        }
+    }
+}
+
 #[test]
 fn dml_between_actions_repins_the_session() {
     let tgdb = tgdb();
@@ -401,7 +427,10 @@ fn dml_between_actions_repins_the_session() {
             let before = Arc::clone(c.session().tgdb());
             let t = c.etable().unwrap_or_else(|e| panic!("{at}: {e}"));
             let graph = c.session().tgdb();
-            repins += usize::from(!Arc::ptr_eq(&before, c.session().tgdb()));
+            if !Arc::ptr_eq(&before, graph) {
+                repins += 1;
+                assert_fresh(graph, &at);
+            }
             assert!(
                 Arc::ptr_eq(graph.database(), shared.snapshot().database()),
                 "{at}: the table is not the latest epoch's"
@@ -442,9 +471,9 @@ fn eager(tgdb: &Tgdb, q: &QueryPattern, shown: &Presentation) -> (Vec<ColumnSpec
     let m = match_primary(tgdb, q).unwrap();
     let cell = |node: NodeId, kind: &ColumnKind| match *kind {
         ColumnKind::Base { attr } => Cell::Atomic(tgdb.instances.value(node, attr)),
-        ColumnKind::Neighbor { edge } => {
-            Cell::Refs(IdSlice::from(tgdb.instances.neighbors(edge, node).to_vec()))
-        }
+        ColumnKind::Neighbor { edge } => Cell::Refs(IdSlice::from(
+            tgdb.instances.neighbors(edge, node).collect::<Vec<_>>(),
+        )),
         ColumnKind::Participating { node: at } => {
             Cell::Refs(IdSlice::from(m.related(tgdb, node, at).unwrap()))
         }
@@ -541,8 +570,8 @@ fn eager_json(tgdb: &Tgdb, t: &EnrichedTable, rows: &[EagerRow]) -> String {
         Cell::Atomic(Value::Null) => "null".into(),
         Cell::Atomic(v) => v.to_string(),
         Cell::Refs(refs) => {
-            let refs: Vec<String> = (refs.iter())
-                .map(|&r| {
+            let refs: Vec<String> = (refs.ids())
+                .map(|r| {
                     format!(
                         "{{\"node\":{},\"label\":{}}}",
                         r.0,
@@ -582,7 +611,7 @@ fn eager_csv(tgdb: &Tgdb, t: &EnrichedTable, rows: &[EagerRow]) -> String {
                 Cell::Atomic(Value::Null) => String::new(),
                 Cell::Atomic(v) => csv_text(&v.to_string()),
                 Cell::Refs(refs) => {
-                    let labels: Vec<String> = refs.iter().map(|&n| label_text(tgdb, n)).collect();
+                    let labels: Vec<String> = refs.ids().map(|n| label_text(tgdb, n)).collect();
                     csv_text(&labels.join("; "))
                 }
             })
