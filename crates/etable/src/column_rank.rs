@@ -12,8 +12,10 @@
 //! purpose.
 
 use crate::etable::{Cell, ColumnKind, EnrichedTable};
-use etable_relational::value::Value;
-use std::collections::HashSet;
+use crate::work;
+use etable_relational::intern::Sym;
+use etable_tgm::NodeId;
+use std::ops::Range;
 
 /// A scored column.
 #[derive(Debug, Clone)]
@@ -30,8 +32,14 @@ pub struct ColumnScore {
     pub mean_refs: f64,
 }
 
-/// Scores every column of an enriched table.
+/// Scores every column of an enriched table, best first, in one pass over
+/// its rows in the order the table was made with, so a sorted table
+/// orders nothing. A cell's content is its value, or its references'
+/// labels as a multiset, each label compared by identity
+/// ([`Value::order_word`](etable_relational::value::Value::order_word) over
+/// symbol ids, never by text) and read once per distinct id set.
 pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
+    work::count(|w| w.rank_passes += 1);
     let n = table.len().max(1) as f64;
     let mut scores: Vec<ColumnScore> = table
         .columns
@@ -41,38 +49,49 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
             let mut filled = 0usize;
             let mut refs_total = 0usize;
             let mut all_ints = true;
-            // A cell's content is its value, or the sorted labels of its
-            // references: label values, not their text, so nothing is
-            // formatted, and a key is allocated only when it is new.
-            let mut distinct: HashSet<Vec<Value>> = HashSet::new();
-            let mut content: Vec<Value> = Vec::new();
-            for cell in table.column_values(ci) {
-                content.clear();
+            // Each cell's content as a run: a value's identity, or sorted ids.
+            let mut words: Vec<u128> = Vec::new();
+            let mut runs: Vec<Range<usize>> = Vec::with_capacity(table.len());
+            for cell in table.unordered_cells(ci) {
+                let start = words.len();
                 match cell {
                     Cell::Atomic(v) => {
-                        if !v.is_null() {
-                            filled += 1;
-                        }
-                        if v.as_int().is_none() {
-                            all_ints = false;
-                        }
-                        content.push(v);
+                        filled += usize::from(!v.is_null());
+                        all_ints &= v.as_int().is_some();
+                        words.push(v.order_word(Sym::id));
                     }
                     Cell::Refs(refs) => {
-                        if refs.ids().len() > 0 {
-                            filled += 1;
-                        }
+                        filled += usize::from(refs.ids().len() > 0);
                         refs_total += refs.ids().len();
-                        content.extend(refs.ids().map(|r| table.label(r)));
-                        content.sort_unstable();
+                        words.extend(refs.ids().map(|r| u128::from(r.0)));
+                        words[start..].sort_unstable();
                     }
                 }
-                if !distinct.contains(content.as_slice()) {
-                    distinct.insert(content.clone());
-                }
+                runs.push(start..words.len());
             }
+            let distinct = if let ColumnKind::Base { .. } = col.kind {
+                words.sort_unstable();
+                words.dedup();
+                words.len()
+            } else {
+                let mut labels: Vec<u128> = Vec::new();
+                let runs: Vec<Range<usize>> = (distinct_runs(&words, runs).into_iter())
+                    .map(|ids| {
+                        let start = labels.len();
+                        let label = |&id: &u128| table.label(NodeId(id as u32)).order_word(Sym::id);
+                        labels.extend(words[ids].iter().map(label));
+                        labels[start..].sort_unstable();
+                        start..labels.len()
+                    })
+                    .collect();
+                work::count(|w| {
+                    w.id_sets += runs.len() as u64;
+                    w.labels_read += labels.len() as u64;
+                });
+                distinct_runs(&labels, runs).len()
+            };
             let fill_rate = filled as f64 / n;
-            let distinctness = distinct.len() as f64 / n;
+            let distinctness = distinct as f64 / n;
             let mean_refs = refs_total as f64 / n;
             // Crowding penalty: very wide reference sets (like a 30-item
             // citation list) cost screen space; halve the score as the mean
@@ -104,23 +123,11 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
     scores
 }
 
-/// Names of the `k` highest-scoring columns, best first — by score alone:
-/// no column is kept unconditionally.
-pub fn top_k_columns(table: &EnrichedTable, k: usize) -> Vec<String> {
-    let ranked = rank_columns(table);
-    ranked.into_iter().take(k).map(|c| c.name).collect()
-}
-
-/// The columns a session should hide to show only the top `k` (the
-/// complement of [`top_k_columns`]).
-pub fn columns_to_hide(table: &EnrichedTable, k: usize) -> Vec<String> {
-    let keep: HashSet<String> = top_k_columns(table, k).into_iter().collect();
-    table
-        .columns
-        .iter()
-        .filter(|c| !keep.contains(&c.name))
-        .map(|c| c.name.clone())
-        .collect()
+/// One run of `words` per distinct content among `runs`.
+fn distinct_runs(words: &[u128], mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
+    runs.sort_unstable_by(|a, b| words[a.clone()].cmp(&words[b.clone()]));
+    runs.dedup_by(|a, b| words[a.clone()] == words[b.clone()]);
+    runs
 }
 
 #[cfg(test)]
@@ -177,17 +184,19 @@ mod tests {
         );
     }
 
+    /// One ranking names every column once, so its first `k` names (what
+    /// a focus keeps) and the rest (what it hides) partition the columns.
     #[test]
     fn top_k_and_hide_partition_columns() {
         let t = papers_table();
-        let k = 4;
-        let keep = top_k_columns(&t, k);
-        let hide = columns_to_hide(&t, k);
-        assert_eq!(keep.len(), k);
+        let names: Vec<String> = rank_columns(&t).into_iter().map(|s| s.name).collect();
+        let (keep, hide) = names.split_at(4);
         assert_eq!(keep.len() + hide.len(), t.columns.len());
-        for name in &keep {
-            assert!(!hide.contains(name));
-        }
+        let mut all: Vec<&String> = names.iter().collect();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), t.columns.len());
+        assert!(t.columns.iter().all(|c| names.contains(&c.name)));
     }
 
     #[test]

@@ -5,25 +5,28 @@
 //! columns `Ah` (§5.4.2). Entity-reference cells hold clickable labels, not
 //! foreign keys, mirroring hyperlinks (§5.1).
 //!
-//! A table is a window onto the graph: a header, the ordered ids of its
-//! rows, and what a cell is computed from — the instance graph and the
-//! matching result, both shared `Arc`s. No cell is stored. A cell is built
-//! when someone reads it: a base value through the graph, a neighbor cell
-//! as the node's run of the CSR target array ([`IdSlice`]), a participating
-//! cell by one walk of the pattern path. Showing one page of a large table
-//! builds that page's cells only, and sorting builds one key per row for
-//! the one column sorted. The table stays `Send` and self-contained after
-//! the graph handle is gone.
+//! A table is a window onto the graph: a header, the matched ids, a sort
+//! if one is set, and what a cell is computed from — the instance graph
+//! and the matching result, both shared `Arc`s. No cell is stored. A cell
+//! is built when someone reads it: a base value through the graph, a
+//! neighbor cell as the node's run of the CSR target array ([`IdSlice`]), a
+//! participating cell by one walk of the pattern path.
+//!
+//! The order is lazy too. A sort builds one word per row for the column
+//! sorted; a read orders only the prefix it reaches, with ORDER BY …
+//! LIMIT's kernel ([`order_prefix`]), and a read past it at least doubles
+//! it. Copies of a table share its order. The table stays `Send` and
+//! self-contained after the graph handle is gone.
 
 use crate::matching::{MatchResult, RelatedScratch};
 use crate::pattern::PatternNodeId;
-use crate::Result;
-use etable_relational::value::{SortCell, Value};
+use crate::{work, Result};
+use etable_relational::colrel::order_prefix;
+use etable_relational::value::Value;
 use etable_tgm::{EdgeTypeId, IdSlice, InstanceGraph, NodeId, Tgdb};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One cell of an enriched table.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,9 +115,9 @@ enum Source {
     Participating(Vec<(PatternNodeId, EdgeTypeId)>),
 }
 
-/// The rows of an enriched table: the primary ids in display order, one
-/// `Source` per column, and the shared graph and matching result the
-/// cells are computed from.
+/// The rows of an enriched table: the primary ids in the order the table
+/// was made with, the sort on them if one is set, one `Source` per column,
+/// and the shared graph and matching result the cells are computed from.
 ///
 /// Read a table through [`EnrichedTable::nodes`], [`EnrichedTable::cell`],
 /// [`EnrichedTable::ref_count`] and [`EnrichedTable::column_values`]. This
@@ -122,10 +125,19 @@ enum Source {
 /// public for tests and for the frozen `benchmark/` harness (ROADMAP 1(b)).
 #[derive(Clone)]
 pub struct ETableRows {
-    ids: Vec<NodeId>,
+    ids: Arc<[NodeId]>,
+    /// Shared by every copy: what one copy orders, all have in order.
+    order: Option<Arc<Mutex<Order>>>,
     sources: Vec<Source>,
     graph: Arc<InstanceGraph>,
     matched: Arc<MatchResult>,
+}
+
+/// A sort of the rows: one word per row, its key above its position (so
+/// the words order as a stable sort by key), the first `done` in order.
+struct Order {
+    words: Vec<u128>,
+    done: usize,
 }
 
 /// The buffers one pass over a column reuses from cell to cell.
@@ -154,12 +166,32 @@ impl ETableRows {
     /// Every row top to bottom, each built when the iterator reaches it.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ETableRow> + '_ {
         let mut reader = Reader::default();
-        self.ids.iter().map(move |&node| ETableRow {
-            node,
-            cells: (self.sources.iter())
-                .map(|source| self.cell(node, source, &mut reader))
-                .collect(),
-        })
+        (0..self.len())
+            .map(|row| self.node(row))
+            .map(move |node| ETableRow {
+                node,
+                cells: (self.sources.iter())
+                    .map(|source| self.cell(node, source, &mut reader))
+                    .collect(),
+            })
+    }
+
+    /// The node shown at row `row` (`< len`). A read past the ordered rows
+    /// orders through `row` and at least doubles them: all rows, one sort.
+    /// A sort only permutes the unordered rest, so a poisoned order holds.
+    fn node(&self, row: usize) -> NodeId {
+        let Some(order) = &self.order else {
+            return self.ids[row];
+        };
+        let mut order = order.lock().unwrap_or_else(PoisonError::into_inner);
+        let done = order.done;
+        if row >= done {
+            let to = (row + 1).max(2 * done).min(self.len());
+            order_prefix(&mut order.words, done, to, u128::cmp);
+            order.done = to;
+            work::count(|w| w.rows_ordered += (to - done) as u64);
+        }
+        self.ids[order.words[row] as u32 as usize]
     }
 
     /// The cell of `node` in the column `source` computes.
@@ -251,7 +283,8 @@ impl EnrichedTable {
             })
         };
         let rows = ETableRows {
-            ids,
+            ids: ids.into(),
+            order: None,
             sources: columns.iter().map(source).collect::<Result<_>>()?,
             graph: Arc::clone(&tgdb.instances),
             matched: Arc::clone(matched),
@@ -305,12 +338,14 @@ impl EnrichedTable {
 
     /// The primary node of every row, top to bottom.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.rows.ids.iter().copied()
+        (0..self.len()).map(|row| self.rows.node(row))
     }
 
-    /// The primary node of row `row`, if the table has that row.
+    /// The primary node of row `row`, if the table has that row. Reading
+    /// row `r` of a sorted table first puts rows `0..=r` in order, so a
+    /// page read from its last row is ordered at once.
     pub fn node_at(&self, row: usize) -> Option<NodeId> {
-        self.rows.ids.get(row).copied()
+        (row < self.len()).then(|| self.rows.node(row))
     }
 
     /// The cell of row `row` in column `col`, if both exist, built now.
@@ -338,6 +373,14 @@ impl EnrichedTable {
     pub fn column_values(&self, col: usize) -> impl ExactSizeIterator<Item = Cell> + '_ {
         let source = &self.rows.sources[col];
         let mut reader = Reader::default();
+        (0..self.len()).map(move |row| self.rows.cell(self.rows.node(row), source, &mut reader))
+    }
+
+    /// Every cell of column `col`, rows in the order the table was made
+    /// with: a reader blind to order (the column ranker) orders nothing.
+    pub(crate) fn unordered_cells(&self, col: usize) -> impl Iterator<Item = Cell> + '_ {
+        let source = &self.rows.sources[col];
+        let mut reader = Reader::default();
         (self.rows.ids.iter()).map(move |&node| self.rows.cell(node, source, &mut reader))
     }
 
@@ -355,12 +398,11 @@ impl EnrichedTable {
     /// Sorts rows by a column: atomic columns by value, reference columns
     /// by reference count (the paper's "Sort table by # of Papers
     /// (referenced)", Figure 1 history step 3). Stable: rows that tie keep
-    /// their order, ascending and descending.
+    /// the order the table was made with (a sort replaces the one before).
     ///
-    /// Each row gets one key for that column (`SortKey`: text by its rank
-    /// in one dictionary snapshot, so no comparison reads the interner; a
-    /// count without building the cell), the (key, position) pairs are
-    /// sorted, and the row ids are permuted in place.
+    /// Each row gets its word now — its key ([`Value::order_word`] over
+    /// dictionary ranks, or a count), flipped when descending, above its
+    /// position — and is put in order when read.
     ///
     /// # Panics
     ///
@@ -370,30 +412,16 @@ impl EnrichedTable {
         let rows = &self.rows;
         let source = &rows.sources[column];
         let mut reader = Reader::default();
-        // Every row is a node of the primary type, whose columns are read
-        // directly: row `node - first` holds the node's attributes.
-        let graph = &rows.graph;
-        let primary = rows.ids.first().map(|&n| {
-            let nt = graph.type_of(n);
-            (graph.columns(nt), graph.nodes_of_type(nt)[0].0)
-        });
-        let mut key = |node: NodeId| match (source, primary) {
-            (Source::Base(attr), Some((columns, first))) => {
-                let value = columns[*attr].get((node.0 - first) as usize);
-                SortKey::Atomic(SortCell::new(value, &dict))
-            }
-            _ => SortKey::Refs(rows.count(node, source, &mut reader)),
+        let mut key = |node: NodeId| match source {
+            Source::Base(attr) => rows.graph.value(node, *attr).order_word(|s| dict.rank(s)),
+            _ => rows.count(node, source, &mut reader) as u128,
         };
-        let mut keyed: Vec<(SortKey, u32)> = (rows.ids.iter().zip(0..))
-            .map(|(&node, i)| (key(node), i))
+        let flip = if descending { !0 << 32 } else { 0 };
+        let words: Vec<u128> = (rows.ids.iter().zip(0u32..))
+            .map(|(&node, i)| ((key(node) << 32) ^ flip) | u128::from(i))
             .collect();
-        keyed.sort_unstable_by(|a, b| {
-            let ord = SortKey::cmp(a.0, b.0);
-            let ord = if descending { ord.reverse() } else { ord };
-            ord.then(a.1.cmp(&b.1))
-        });
-        let mut order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
-        permute(&mut self.rows.ids, &mut order);
+        work::count(|w| w.keys_built += words.len() as u64);
+        self.rows.order = Some(Arc::new(Mutex::new(Order { words, done: 0 })));
     }
 
     /// Total number of entity references across all cells (used by the
@@ -407,45 +435,6 @@ impl EnrichedTable {
             .flat_map(|source| rows.ids.iter().map(move |&node| (node, source)))
             .map(|(node, source)| rows.count(node, source, &mut reader))
             .sum()
-    }
-}
-
-/// A cell decorated for sorting: an atomic value with its dictionary
-/// rank, or a reference count.
-#[derive(Debug, Clone, Copy)]
-enum SortKey {
-    Atomic(SortCell),
-    Refs(usize),
-}
-
-impl SortKey {
-    /// Two atomic cells by [`Value::total_cmp`]; any other pair by
-    /// reference count, an atomic cell counting 0.
-    fn cmp(a: SortKey, b: SortKey) -> Ordering {
-        let count = |k| match k {
-            SortKey::Atomic(_) => 0,
-            SortKey::Refs(n) => n,
-        };
-        match (a, b) {
-            (SortKey::Atomic(x), SortKey::Atomic(y)) => SortCell::total_cmp(x, y),
-            _ => count(a).cmp(&count(b)),
-        }
-    }
-}
-
-/// Reorders `items` in place so that position `i` holds what position
-/// `order[i]` held, following each cycle of the permutation once.
-/// `order` (a permutation of the positions) is used up.
-fn permute<T>(items: &mut [T], order: &mut [u32]) {
-    for start in 0..order.len() {
-        let mut cur = start;
-        while order[cur] as usize != start {
-            let next = order[cur] as usize;
-            items.swap(cur, next);
-            order[cur] = cur as u32;
-            cur = next;
-        }
-        order[cur] = cur as u32;
     }
 }
 
@@ -526,7 +515,7 @@ mod tests {
             &[(0, 1), (0, 2), (1, 0)],
         );
         let mut t = transform::execute(&tgdb, &ops::initiate(&tgdb, p).unwrap()).unwrap();
-        t.rows.ids.truncate(2);
+        t.rows.ids = t.rows.ids[..2].into();
         t
     }
 
@@ -675,28 +664,6 @@ mod tests {
                 }
             }
         }
-        // A mixed pair keeps the rule: an atomic cell counts 0 references.
-        let dict = etable_relational::intern::rank_map();
-        let keys = [
-            SortKey::Atomic(SortCell::new("sort-fig".into(), &dict)),
-            SortKey::Refs(0),
-            SortKey::Refs(2),
-        ];
-        let counts = [0, 0, 2];
-        for (a, ca) in keys.iter().zip(counts) {
-            for (b, cb) in keys.iter().zip(counts) {
-                if !matches!((a, b), (SortKey::Atomic(_), SortKey::Atomic(_))) {
-                    assert_eq!(SortKey::cmp(*a, *b), ca.cmp(&cb));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn permute_follows_every_cycle() {
-        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
-        permute(&mut items, &mut [2, 0, 1, 4, 3]);
-        assert_eq!(items, ['c', 'a', 'b', 'e', 'd']);
     }
 
     #[test]

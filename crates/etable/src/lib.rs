@@ -42,6 +42,7 @@ pub mod session;
 pub mod setops;
 pub mod to_sql;
 pub mod transform;
+pub mod work;
 
 #[cfg(test)]
 #[path = "sql_translate_tests.rs"]

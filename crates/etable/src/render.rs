@@ -82,6 +82,8 @@ pub fn render_etable(t: &EnrichedTable, opts: &RenderOptions) -> String {
         .map(|c| truncate(&c.name, opts.max_cell))
         .collect();
     // The shown rows' cells, column by column, and each column's width.
+    // Reading the page's last row first puts the page in order at once.
+    let _ = t.node_at(opts.max_rows.min(t.len()).saturating_sub(1));
     let body: Vec<Vec<String>> = (0..t.columns.len())
         .map(|c| {
             t.column_values(c)

@@ -21,17 +21,15 @@ use std::sync::Arc;
 pub struct HistoryStep {
     /// Human-readable action description ("Filter 'Papers' table by ...").
     pub description: String,
-    /// The pattern after the action.
-    pub pattern: QueryPattern,
+    /// The pattern after the action, shared with every revert to it.
+    pub pattern: Arc<QueryPattern>,
 }
 
 /// An interactive browsing session over one typed graph database.
 ///
 /// Sessions are **owned, `Send` values**: they share the graph database
 /// through an `Arc` instead of borrowing it, so a server can park one per
-/// connection and move it across worker threads. (This is the API
-/// redesign behind the serving layer; the old `Session<'a>` borrow made
-/// handing a session to a second thread impossible.)
+/// connection and move it across worker threads.
 pub struct Session {
     tgdb: Arc<Tgdb>,
     history: Vec<HistoryStep>,
@@ -40,6 +38,9 @@ pub struct Session {
     hidden: BTreeSet<String>,
     sort: Option<(String, bool)>,
     cache: QueryCache,
+    /// The table shown, sorted, before hiding; a new step, sort or graph
+    /// drops it.
+    window: Option<EnrichedTable>,
 }
 
 impl Session {
@@ -52,6 +53,7 @@ impl Session {
             hidden: BTreeSet::new(),
             sort: None,
             cache: QueryCache::new(),
+            window: None,
         }
     }
 
@@ -68,6 +70,7 @@ impl Session {
     pub fn repin(&mut self, tgdb: Arc<Tgdb>) {
         self.tgdb = tgdb;
         self.cache.clear();
+        self.window = None;
     }
 
     /// The default table list (Figure 9 component 1): entity types only.
@@ -82,7 +85,7 @@ impl Session {
 
     /// The current query pattern, if a table is open.
     pub fn current_pattern(&self) -> Option<&QueryPattern> {
-        self.cursor.map(|i| &self.history[i].pattern)
+        self.cursor.map(|i| &*self.history[i].pattern)
     }
 
     /// The history steps, oldest first.
@@ -90,11 +93,21 @@ impl Session {
         &self.history
     }
 
-    /// Executes the current pattern into an enriched table, applying the
-    /// session's sort and column visibility.
+    /// The current pattern's enriched table under the session's sort and
+    /// column visibility: a copy of the table the session keeps, which a
+    /// hide, show or focus leaves as it is, so they order nothing again.
     pub fn etable(&mut self) -> Result<EnrichedTable> {
-        let pattern = self
-            .current_pattern()
+        let mut t = self.window()?.clone();
+        t.drop_columns(|c| self.hidden.contains(&c.name));
+        Ok(t)
+    }
+
+    /// The kept table, matched, transformed and sorted first if none is.
+    fn window(&mut self) -> Result<&EnrichedTable> {
+        if let Some(t) = self.window.take() {
+            return Ok(self.window.insert(t));
+        }
+        let pattern = (self.current_pattern())
             .ok_or_else(|| Error::InvalidAction("no table is open".into()))?
             .clone();
         let m = self.cache.get_or_compute(&self.tgdb, &pattern)?;
@@ -104,8 +117,7 @@ impl Session {
                 t.sort_by_column(idx, *desc);
             }
         }
-        t.drop_columns(|c| self.hidden.contains(&c.name));
-        Ok(t)
+        Ok(self.window.insert(t))
     }
 
     fn push(&mut self, action: &UserAction) -> Result<()> {
@@ -121,15 +133,20 @@ impl Session {
             None => None,
         };
         let outcome = apply(&self.tgdb, self.current_pattern(), shown.as_ref(), action)?;
+        self.step(outcome.description, Arc::new(outcome.pattern));
+        Ok(())
+    }
+
+    /// Shows `pattern` as a new step, with no presentation state.
+    fn step(&mut self, description: String, pattern: Arc<QueryPattern>) {
         self.history.push(HistoryStep {
-            description: outcome.description,
-            pattern: outcome.pattern,
+            description,
+            pattern,
         });
         self.cursor = Some(self.history.len() - 1);
-        // A new query invalidates per-table presentation state.
         self.sort = None;
         self.hidden.clear();
-        Ok(())
+        self.window = None;
     }
 
     /// Opens a table from the default table list.
@@ -175,6 +192,7 @@ impl Session {
     /// Sorts the main view by a column.
     pub fn sort(&mut self, column: &str, descending: bool) {
         self.sort = Some((column.to_string(), descending));
+        self.window = None;
     }
 
     /// Hides a column in the main view.
@@ -195,40 +213,24 @@ impl Session {
                 "history step {step} does not exist"
             )));
         }
-        let pattern = self.history[step].pattern.clone();
-        self.history.push(HistoryStep {
-            description: format!("Revert to step {}", step + 1),
-            pattern,
-        });
-        self.cursor = Some(self.history.len() - 1);
-        self.sort = None;
-        self.hidden.clear();
+        let pattern = Arc::clone(&self.history[step].pattern);
+        self.step(format!("Revert to step {}", step + 1), pattern);
         Ok(())
     }
 
     /// Hides all but the `k` most informative columns of the current
-    /// result, using the column ranker (§9 future-work item 3; see
-    /// [`crate::column_rank`]). Returns the kept column names.
+    /// result, ranked once with every column shown (§9 future-work item
+    /// 3; see [`crate::column_rank`]). Returns the kept column names.
     pub fn focus_top_columns(&mut self, k: usize) -> Result<Vec<String>> {
         if k == 0 {
             return Err(Error::InvalidAction(
                 "focus keeps at least one column".into(),
             ));
         }
-        // Rank on the unhidden table.
-        let hidden_before = std::mem::take(&mut self.hidden);
-        let table = match self.etable() {
-            Ok(t) => t,
-            Err(e) => {
-                self.hidden = hidden_before;
-                return Err(e);
-            }
-        };
-        let keep = crate::column_rank::top_k_columns(&table, k);
-        for name in crate::column_rank::columns_to_hide(&table, k) {
-            self.hidden.insert(name);
-        }
-        Ok(keep)
+        let mut ranked = crate::column_rank::rank_columns(self.window()?);
+        let hide = ranked.split_off(k.min(ranked.len()));
+        self.hidden = hide.into_iter().map(|c| c.name).collect();
+        Ok(ranked.into_iter().map(|c| c.name).collect())
     }
 
     /// Cache statistics `(hits, misses)` — exercised by the reuse bench.

@@ -503,13 +503,8 @@ fn decorate<T: Copy>(
 /// `keep = Some(k)`, only its first `k` positions (ORDER BY … LIMIT as a
 /// top-k). `decorated` holds one rank-decorated cell vector per key, so
 /// the comparator compares machine words and never touches the interner.
-///
-/// Rows compare by the keys and then by input position. That extension
-/// makes the order total — no two rows tie — so it has exactly one sorted
-/// sequence: the one a stable sort by the keys alone produces. Any
-/// algorithm may therefore be used, and selecting the `k` smallest rows
-/// before sorting them yields the stable full sort's prefix, ties at the
-/// cut included.
+/// Rows compare by the keys and then by input position, which makes the
+/// order total ([`order_prefix`]).
 fn sorted_positions(
     n: usize,
     decorated: &[Vec<SortCell>],
@@ -527,14 +522,39 @@ fn sorted_positions(
         a.cmp(b)
     };
     let mut order: Vec<u32> = (0..n as u32).collect();
-    if let Some(k) = keep.filter(|&k| k < n) {
-        if k > 0 {
-            order.select_nth_unstable_by(k - 1, cmp);
-        }
-        order.truncate(k);
-    }
-    order.sort_unstable_by(cmp);
+    let k = keep.map_or(n, |k| k.min(n));
+    order_prefix(&mut order, 0, k, cmp);
+    order.truncate(k);
     order
+}
+
+/// The ordering kernel of ORDER BY and of an enriched table's window:
+/// given that `items[..from]` holds the `from` least items in order, makes
+/// `items[..to]` hold the `to` least in order (`to` is clipped to the
+/// length). It selects the next `to - from` least of the rest, then sorts
+/// only those, so a prefix costs O(n + k log k) and a prefix that doubles
+/// until it covers everything O(n log n) in all.
+///
+/// `cmp` must be total: no two items compare equal. Rows compared by
+/// their keys and then by input position are: that extension has exactly
+/// one sorted sequence, the one a stable sort by the keys alone produces,
+/// so selecting before sorting yields the stable full sort's prefix, ties
+/// at the cut included.
+pub fn order_prefix<T>(
+    items: &mut [T],
+    from: usize,
+    to: usize,
+    mut cmp: impl FnMut(&T, &T) -> Ordering,
+) {
+    let to = to.min(items.len());
+    if to <= from {
+        return;
+    }
+    let (rest, k) = (&mut items[from..], to - from);
+    if k < rest.len() {
+        rest.select_nth_unstable_by(k - 1, &mut cmp);
+    }
+    rest[..k].sort_unstable_by(cmp);
 }
 
 /// Every `ColRelation` keeps `n_rows <= u32::MAX` so logical-row

@@ -257,11 +257,19 @@ impl Database {
         (self.tables.values()).flat_map(|t| t.schema().foreign_keys.iter().map(move |fk| (t, fk)))
     }
 
-    /// Verifies the foreign keys `which` picks, each through
-    /// [`Database::fk_pairs`].
+    /// Verifies the foreign keys `which` picks: an indexable one by its
+    /// stored index's first dangling row, without listing its pairs, any
+    /// other through [`Database::fk_pairs`].
     fn check_fks(&self, which: impl Fn(&Table, &ForeignKey) -> bool) -> Result<()> {
         for (t, fk) in self.foreign_keys().filter(|&(t, fk)| which(t, fk)) {
-            if let Err(key) = self.fk_pairs(&t.schema().name, fk)? {
+            let dangling = match self.fk_index(&t.schema().name, fk)? {
+                Some(ix) => {
+                    let cols = key_indices(t.schema(), &fk.columns)?;
+                    ix.first_dangling().map(|r| row_key(t, &cols, r))
+                }
+                None => self.fk_pairs(&t.schema().name, fk)?.err(),
+            };
+            if let Some(key) = dangling {
                 return Err(Error::Constraint(format!(
                     "integrity: `{}` -> `{}` dangling key {key:?}",
                     t.schema().name,
@@ -280,7 +288,7 @@ impl Database {
     pub fn fk_pairs(&self, table: &str, fk: &ForeignKey) -> Result<FkPairs> {
         let (from, to) = (self.table(table)?, self.table(&fk.referenced_table)?);
         let cols = key_indices(from.schema(), &fk.columns)?;
-        let key = |r: usize| cols.iter().map(|&c| from.value(r, c)).collect();
+        let key = |r: usize| row_key(from, &cols, r);
         if let Some(ix) = self.fk_index(table, fk)? {
             return Ok(ix
                 .first_dangling()
@@ -423,6 +431,11 @@ impl Database {
 
 /// The positions of the columns `names` names in the table `schema`
 /// describes: one side of a foreign key.
+/// The values of columns `cols` in row `r` of `table`: a key.
+fn row_key(table: &Table, cols: &[usize], r: usize) -> Vec<Value> {
+    cols.iter().map(|&c| table.value(r, c)).collect()
+}
+
 fn key_indices(schema: &TableSchema, names: &[String]) -> Result<Vec<usize>> {
     names
         .iter()
@@ -564,6 +577,25 @@ mod tests {
         db.insert_unchecked("Conferences", vec![7.into(), "KDD".into()])
             .unwrap();
         assert!(db.check_integrity().is_ok());
+    }
+
+    /// A dangling key found through the stored index reads as the one the
+    /// pairs report, in the same message.
+    #[test]
+    fn an_indexed_foreign_key_reports_its_dangling_key() {
+        let mut db = two_table_db();
+        db.insert("Conferences", vec![1.into(), "CHI".into()])
+            .unwrap();
+        db.insert("Papers", vec![10.into(), 1.into(), "P".into()])
+            .unwrap();
+        db.insert_unchecked("Papers", vec![11.into(), 7.into(), "Q".into()])
+            .unwrap();
+        let fk = db.table("Papers").unwrap().schema().foreign_keys[0].clone();
+        assert!(db.fk_index("Papers", &fk).unwrap().is_some());
+        let key = db.fk_pairs("Papers", &fk).unwrap().unwrap_err();
+        assert_eq!(key, vec![Value::Int(7)]);
+        let want = format!("integrity: `Papers` -> `Conferences` dangling key {key:?}");
+        assert_eq!(db.check_integrity(), Err(Error::Constraint(want)));
     }
 
     #[test]

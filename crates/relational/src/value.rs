@@ -236,6 +236,32 @@ impl Value {
             _ => rank(self).cmp(&rank(other)),
         }
     }
+
+    /// The value as one word that orders as [`Value::total_cmp`] orders
+    /// the values of one type, NULL first: an integer with its sign bit
+    /// flipped, a float's IEEE bits made to order as the floats do (−0.0
+    /// as 0.0), text as `text` of its symbol, a bool as 0 or 1, and above
+    /// them a bit only NULL lacks. With a dictionary rank
+    /// ([`RankMap::rank`](crate::intern::RankMap::rank)) for `text` the
+    /// word is a sort key; with [`Sym::id`], an identity as cheap to
+    /// compare. Words of values of two types follow no rule.
+    pub fn order_word(self, text: impl Fn(Sym) -> u32) -> u128 {
+        let bits = match self {
+            Value::Null => return 0,
+            Value::Int(i) => i as u64 ^ 1 << 63,
+            Value::Float(f) => {
+                let b = if f == 0.0 { 0 } else { f.to_bits() };
+                if b >> 63 == 1 {
+                    !b
+                } else {
+                    b | 1 << 63
+                }
+            }
+            Value::Text(s) => u64::from(text(s)),
+            Value::Bool(b) => u64::from(b),
+        };
+        1 << 64 | u128::from(bits)
+    }
 }
 
 /// A [`Value`] decorated with its dictionary rank, for sort/dedup/min-max
@@ -645,6 +671,50 @@ mod tests {
             by_cell.into_iter().map(SortCell::value).collect::<Vec<_>>(),
             by_value
         );
+    }
+
+    /// Pin: within one type, order words order as `total_cmp` does —
+    /// NULL first, −0.0 equal to 0.0, NaNs past the infinities, text by
+    /// rank whatever the interning order — and with symbol ids they are
+    /// equal exactly when the values are.
+    #[test]
+    fn order_words_order_as_total_cmp_within_a_type() {
+        let texts = [
+            "word-order-pear",
+            "word-order-Apple",
+            "word-order-",
+            "word-order-apple",
+        ];
+        let columns: [Vec<Value>; 4] = [
+            [i64::MIN, -3, 0, 7, i64::MAX].map(Value::Int).to_vec(),
+            [
+                f64::NEG_INFINITY,
+                -2.5,
+                -0.0,
+                0.0,
+                1e-300,
+                3.0,
+                f64::INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ]
+            .map(Value::Float)
+            .to_vec(),
+            texts.map(Value::text).to_vec(),
+            [false, true].map(Value::Bool).to_vec(),
+        ];
+        let ranks = crate::intern::rank_map();
+        for column in columns {
+            let values: Vec<Value> = column.into_iter().chain([Value::Null]).collect();
+            for a in &values {
+                for b in &values {
+                    let word = |v: &Value| v.order_word(|s| ranks.rank(s));
+                    assert_eq!(word(a).cmp(&word(b)), a.total_cmp(b), "{a:?} {b:?}");
+                    let id = |v: &Value| v.order_word(Sym::id);
+                    assert_eq!(id(a) == id(b), a == b, "{a:?} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,36 +8,45 @@
 //! run on the engine and (on the hand-sized academic fixture, where its
 //! cross product fits) on the naive oracle.
 //!
-//! An enriched table builds its cells only when they are read; a further
-//! leg holds every table a random session shows, cell by cell and through
-//! both exports, against a table built eagerly from the matching result.
+//! An enriched table builds its cells only when they are read, and puts
+//! its rows in order only as far as they are read; a further leg holds
+//! every table a random session shows, cell by cell and through both
+//! exports, against a table built eagerly from the matching result, and
+//! every focus against the column ranker as it was first written. Another
+//! holds every prefix of a sorted table, read in any order, against the
+//! full stable sort.
 //!
 //! The DML leg interleaves the actions with random writes through a
 //! `Connection`: every table it builds must be the latest epoch's, as the
-//! pattern's SQL on that epoch says, and every graph a re-pin loads
-//! (`Tgdb::at`, which keeps what the writes left alone) must be the graph
-//! a fresh translation of that epoch loads.
+//! pattern's SQL on that epoch says and in the order the eager table has
+//! there, and every graph a re-pin loads (`Tgdb::at`, which keeps what the
+//! writes left alone) must be the graph a fresh translation of that epoch
+//! loads.
 //!
 //! `PROPTEST_CASES` raises the number of seeded sessions (deep-verify
 //! runs 1024).
 
+use etable_repro::core::column_rank::rank_columns;
 use etable_repro::core::connection::Connection;
 use etable_repro::core::etable::{Cell, ColumnKind, ColumnSpec, EnrichedTable};
 use etable_repro::core::export::{to_csv, to_json};
 use etable_repro::core::matching::match_primary;
+use etable_repro::core::ops;
 use etable_repro::core::pattern::{FilterAtom, NodeFilter, QueryPattern};
 use etable_repro::core::session::Session;
 use etable_repro::core::transform;
 use etable_repro::core::Error;
 use etable_repro::datagen::{generate, GenConfig};
+use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
+use etable_repro::relational::schema::{Column, ForeignKey, TableSchema};
 use etable_repro::relational::shared::SharedDatabase;
 use etable_repro::relational::value::{DataType, Value};
 use etable_repro::tgm::{translate, IdSlice, NodeId, Tgdb, TranslateOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
@@ -341,7 +350,7 @@ fn history_replay_reproduces_results() {
 fn random_write(c: &Connection, rng: &mut StdRng) {
     let any = |rng: &mut StdRng, n: i64| rng.gen_range(1..=n + 40);
     let new = |rng: &mut StdRng, n: i64| rng.gen_range(n - 10..=n + 40);
-    let sql = match rng.gen_range(0..9) {
+    let sql = match rng.gen_range(0..10) {
         0 => format!(
             "INSERT INTO Papers VALUES ({0}, {1}, 'fuzz {0}', {2}, 1, 9)",
             new(rng, 300),
@@ -377,9 +386,56 @@ fn random_write(c: &Connection, rng: &mut StdRng) {
             any(rng, 300)
         ),
         7 => format!("DELETE FROM Papers WHERE id = {}", any(rng, 300)),
-        _ => format!("DELETE FROM Authors WHERE id = {}", any(rng, 220)),
+        8 => format!("DELETE FROM Authors WHERE id = {}", any(rng, 220)),
+        _ => return delete_before_a_referenced_paper(c, rng),
     };
     let _ = c.sql(&sql);
+}
+
+/// Deletes a paper nothing references that lies before a referenced one
+/// in `Papers`' rows: the rows after it move, so every edge type into
+/// `Papers` must be rebuilt although its other end's index is the one the
+/// last re-pin read. A generated paper is always referenced, so when no
+/// such paper exists this writes one instead: two new papers, and an
+/// author for the second.
+fn delete_before_a_referenced_paper(c: &Connection, rng: &mut StdRng) {
+    let db = Arc::clone(c.shared().snapshot().database());
+    let links = [
+        ("Paper_Authors", "paper_id"),
+        ("Paper_Keywords", "paper_id"),
+        ("Paper_References", "paper_id"),
+        ("Paper_References", "ref_paper_id"),
+    ];
+    let mut referenced = BTreeSet::new();
+    for (table, column) in links {
+        let t = db.table(table).unwrap();
+        let c = t.schema().column_index(column).unwrap();
+        referenced.extend((0..t.len()).map(|r| t.value(r, c)));
+    }
+    let papers = db.table("Papers").unwrap();
+    let keys: Vec<Value> = (0..papers.len()).map(|r| papers.value(r, 0)).collect();
+    let last = keys
+        .iter()
+        .rposition(|k| referenced.contains(k))
+        .unwrap_or(0);
+    match keys[..last].iter().find(|k| !referenced.contains(k)) {
+        Some(k) => {
+            c.sql(&format!("DELETE FROM Papers WHERE id = {k}"))
+                .unwrap();
+        }
+        None => {
+            let k = rng.gen_range(400..100_000) * 2;
+            for id in [k, k + 1] {
+                let _ = c.sql(&format!(
+                    "INSERT INTO Papers VALUES ({id}, 1, 'fuzz {id}', 2010, 1, 9)"
+                ));
+            }
+            let _ = c.sql(&format!(
+                "INSERT INTO Paper_Authors VALUES ({}, 1, 1)",
+                k + 1
+            ));
+        }
+    }
 }
 
 /// Asserts that `carried`, a graph a re-pin loaded, is the graph a fresh
@@ -414,11 +470,12 @@ fn dml_between_actions_repins_the_session() {
         let mut rng = StdRng::seed_from_u64(seed);
         let shared = SharedDatabase::new(Arc::clone(tgdb.database()));
         let mut c = Connection::connect(&shared, tgdb);
+        let mut shown = Presentation::default();
         for step in 0..30 {
-            if rng.gen_range(0..3) == 0 {
-                random_write(&c, &mut rng);
-            } else {
-                checked_action(c.session_mut(), &mut rng, &mut Presentation::default());
+            match rng.gen_range(0..4) {
+                0 => random_write(&c, &mut rng),
+                1 => present(c.session_mut(), &mut rng, &mut shown),
+                _ => checked_action(c.session_mut(), &mut rng, &mut shown),
             }
             let Some(q) = c.session().current_pattern().cloned() else {
                 continue;
@@ -439,6 +496,12 @@ fn dml_between_actions_repins_the_session() {
                 .instances
                 .check_consistency(&graph.schema)
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let (columns, rows) = eager(graph, &q, &shown);
+            assert_eq!(t.columns, columns, "{at}");
+            assert!(
+                t.nodes().eq(rows.iter().map(|r| r.node)),
+                "{at}: the order shown"
+            );
             let expected = node_keys(graph, t.nodes());
             let by_oracle = check_translation(graph, &q, &expected, true)
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
@@ -621,15 +684,112 @@ fn eager_csv(tgdb: &Tgdb, t: &EnrichedTable, rows: &[EagerRow]) -> String {
     out.iter().map(|line| format!("{line}\n")).collect()
 }
 
+/// The column ranker as it was first written, over an eager table's rows:
+/// a cell's content is its value or the sorted labels of its references,
+/// and the scores are those `rank_columns` must give, bit for bit.
+fn rank_oracle(tgdb: &Tgdb, columns: &[ColumnSpec], rows: &[EagerRow]) -> Vec<(String, [f64; 4])> {
+    let n = rows.len().max(1) as f64;
+    let mut scores: Vec<(String, [f64; 4])> = (columns.iter().enumerate())
+        .map(|(ci, col)| {
+            let mut filled = 0usize;
+            let mut refs_total = 0usize;
+            let mut all_ints = true;
+            let mut distinct: HashSet<Vec<Value>> = HashSet::new();
+            for row in rows {
+                let content: Vec<Value> = match &row.cells[ci] {
+                    Cell::Atomic(v) => {
+                        filled += usize::from(!v.is_null());
+                        all_ints &= v.as_int().is_some();
+                        vec![*v]
+                    }
+                    Cell::Refs(refs) => {
+                        filled += usize::from(refs.ids().len() > 0);
+                        refs_total += refs.ids().len();
+                        let mut labels: Vec<Value> =
+                            refs.ids().map(|r| tgdb.instances.label(r)).collect();
+                        labels.sort_unstable();
+                        labels
+                    }
+                };
+                distinct.insert(content);
+            }
+            let fill_rate = filled as f64 / n;
+            let distinctness = distinct.len() as f64 / n;
+            let mean_refs = refs_total as f64 / n;
+            let crowding = 1.0 / (1.0 + mean_refs / 10.0);
+            let id_penalty = if matches!(col.kind, ColumnKind::Base { .. })
+                && all_ints
+                && distinctness >= 0.999
+                && rows.len() > 1
+            {
+                0.55
+            } else {
+                1.0
+            };
+            let score = (0.5 * fill_rate + 0.5 * distinctness) * crowding * id_penalty;
+            let name = col.name.clone();
+            (name, [score, fill_rate, distinctness, mean_refs])
+        })
+        .collect();
+    scores.sort_by(|a, b| b.1[0].total_cmp(&a.1[0]).then(a.0.cmp(&b.0)));
+    scores
+}
+
+/// Scores, best first, as the bits of the score, fill rate,
+/// distinctness and mean references: equal only when equal bit for bit.
+fn bits(scores: &[(String, [f64; 4])]) -> Vec<(String, [u64; 4])> {
+    (scores.iter())
+        .map(|(n, v)| (n.clone(), v.map(f64::to_bits)))
+        .collect()
+}
+
+/// What `rank_columns` says of `t`, as [`bits`].
+fn ranked_bits(t: &EnrichedTable) -> Vec<(String, [u64; 4])> {
+    let scores: Vec<(String, [f64; 4])> = (rank_columns(t).into_iter())
+        .map(|c| (c.name, [c.score, c.fill_rate, c.distinctness, c.mean_refs]))
+        .collect();
+    bits(&scores)
+}
+
+/// A focus on the top `k` columns: the session keeps the oracle's `k`
+/// best, and the ranker scores the session's table — sorted as shown, all
+/// columns — exactly as the oracle scores the eager one.
+fn focus(session: &mut Session, rng: &mut StdRng, shown: &mut Presentation) {
+    let Some(q) = session.current_pattern().cloned() else {
+        return;
+    };
+    let tgdb = Arc::clone(session.tgdb());
+    let all = Presentation {
+        sort: shown.sort.clone(),
+        hidden: BTreeSet::new(),
+    };
+    let (columns, rows) = eager(&tgdb, &q, &all);
+    let want = rank_oracle(&tgdb, &columns, &rows);
+    let mut table = transform::execute(&tgdb, &q).unwrap();
+    if let Some((c, descending)) = &all.sort {
+        table.sort_by_column(table.column_index(c).unwrap(), *descending);
+    }
+    assert_eq!(ranked_bits(&table), bits(&want), "{q:?}");
+    let k = rng.gen_range(1..=columns.len());
+    let kept = session.focus_top_columns(k).unwrap();
+    let names: Vec<String> = want.into_iter().take(k).map(|(n, _)| n).collect();
+    assert_eq!(kept, names, "{q:?}");
+    shown.hidden = (columns.into_iter().map(|c| c.name))
+        .filter(|n| !names.contains(n))
+        .collect();
+}
+
 /// A sort, hide or show on a random column of the current header, of any
-/// kind and hidden or not, recorded in `shown`.
+/// kind and hidden or not, or a focus on the top columns; recorded in
+/// `shown`.
 fn present(session: &mut Session, rng: &mut StdRng, shown: &mut Presentation) {
     let Some(q) = session.current_pattern() else {
         return;
     };
     let columns = transform::header(session.tgdb(), q).unwrap().columns;
     let col = columns[rng.gen_range(0..columns.len())].name.clone();
-    match rng.gen_range(0..3) {
+    match rng.gen_range(0..4) {
+        3 => focus(session, rng, shown),
         0 => {
             let descending = rng.gen_range(0..2) == 0;
             session.sort(&col, descending);
@@ -650,9 +810,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
     /// Every table a random session shows — after pattern actions, and
-    /// after sorts, hides and shows on every column kind — equals the eager
-    /// table: the header, every row's node and every cell, read one at a
-    /// time and a column at a time, every count, and both exports.
+    /// after sorts, hides, shows and focuses on every column kind — equals
+    /// the eager table: the header, every row's node and every cell, read
+    /// one at a time and a column at a time, every count, and both exports.
     #[test]
     fn windowed_tables_equal_the_eager_ones(seed in 0u64..1_000_000) {
         let tgdb = tgdb();
@@ -688,6 +848,146 @@ proptest! {
             prop_assert_eq!(t.total_refs(), refs, "{}", at);
             prop_assert_eq!(to_json(&t), eager_json(tgdb, &t, &rows), "{}", at);
             prop_assert_eq!(to_csv(&t), eager_csv(tgdb, &t, &rows), "{}", at);
+        }
+    }
+}
+
+/// Papers `P(id, title)`, `title` of type `ty` with the values `titles`
+/// (NULL among them), that cite one another as `cites` lists by position.
+fn cited_papers(ty: DataType, titles: &[Value], cites: &[(usize, usize)]) -> Tgdb {
+    let mut db = Database::new();
+    let columns = vec![
+        Column::new("id", DataType::Int),
+        Column::nullable("title", ty),
+    ];
+    let p = TableSchema::new("P", columns).with_primary_key(&["id"]);
+    db.create_table(p).unwrap();
+    let link = vec![
+        Column::new("src", DataType::Int),
+        Column::new("dst", DataType::Int),
+    ];
+    let cites_table = TableSchema::new("Cites", link)
+        .with_primary_key(&["src", "dst"])
+        .with_foreign_key(ForeignKey::single("src", "P", "id"))
+        .with_foreign_key(ForeignKey::single("dst", "P", "id"));
+    db.create_table(cites_table).unwrap();
+    for (i, &t) in titles.iter().enumerate() {
+        db.insert("P", vec![Value::Int(i as i64), t]).unwrap();
+    }
+    for &(a, b) in cites {
+        db.insert("Cites", vec![Value::Int(a as i64), Value::Int(b as i64)])
+            .unwrap();
+    }
+    translate(&db, &TranslateOptions::default()).unwrap()
+}
+
+/// A random [`cited_papers`] table: titles of one random type drawn from
+/// ints, floats with −0.0 beside 0.0, and text interned out of
+/// lexicographic order, NULL among each, full of ties; up to three
+/// citations a paper. Returns the graph, the pattern that opens `P` and
+/// the paper count.
+fn random_cited_papers(rng: &mut StdRng) -> (Tgdb, QueryPattern, usize) {
+    for w in [
+        "lazy-pear",
+        "lazy-Apple",
+        "lazy-fig",
+        "lazy-apple",
+        "lazy-",
+        "lazy-Fig",
+    ] {
+        let _ = Value::text(w);
+    }
+    let atoms: [Value; 12] = [
+        Value::Null,
+        Value::Int(1),
+        Value::Int(-2),
+        Value::Int(7),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(2.5),
+        "lazy-fig".into(),
+        "lazy-Apple".into(),
+        "lazy-apple".into(),
+        "lazy-".into(),
+        "lazy-pear".into(),
+    ];
+    let ty = [DataType::Int, DataType::Float, DataType::Text][rng.gen_range(0..3)];
+    let fit: Vec<Value> = (atoms.iter().copied())
+        .filter(|v| v.data_type().is_none_or(|t| t == ty))
+        .collect();
+    let n = rng.gen_range(1..80);
+    let titles: Vec<Value> = (0..n).map(|_| fit[rng.gen_range(0..fit.len())]).collect();
+    let mut cites = BTreeSet::new();
+    for i in 0..n {
+        for _ in 0..rng.gen_range(0..4) {
+            cites.insert((i, rng.gen_range(0..n)));
+        }
+    }
+    let tgdb = cited_papers(ty, &titles, &Vec::from_iter(cites));
+    let (p, _) = tgdb.schema.node_type_by_name("P").unwrap();
+    let q = ops::initiate(&tgdb, p).unwrap();
+    (tgdb, q, n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    /// A sorted table puts its rows in order only as far as they are read,
+    /// yet every row read is the row the full stable sort puts there,
+    /// whatever the order of the reads: the last row first, random rows
+    /// (through copies that share the order and one that does not), or
+    /// top to bottom; each followed by every row. Titles of each type and
+    /// citation counts, all full of ties, both directions.
+    #[test]
+    fn lazy_order_prefixes_equal_the_stable_sort(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tgdb, q, n) = random_cited_papers(&mut rng);
+        let table = transform::execute(&tgdb, &q).unwrap();
+        for column in &table.columns {
+            for descending in [false, true] {
+                let shown = Presentation {
+                    sort: Some((column.name.clone(), descending)),
+                    hidden: BTreeSet::new(),
+                };
+                let want: Vec<NodeId> = eager(&tgdb, &q, &shown).1.iter().map(|r| r.node).collect();
+                let sorted = || {
+                    let mut t = table.clone();
+                    t.sort_by_column(t.column_index(&column.name).unwrap(), descending);
+                    t
+                };
+                let at = format!("seed {seed}, {} desc {descending}", column.name);
+                let last = sorted();
+                prop_assert_eq!(last.node_at(n - 1), Some(want[n - 1]), "{} last", at);
+                prop_assert!(last.nodes().eq(want.iter().copied()), "{} after the last", at);
+                let (t, other) = (sorted(), sorted());
+                let shared = t.clone();
+                for _ in 0..rng.gen_range(0..2 * n) {
+                    let r = rng.gen_range(0..n);
+                    let read = [&t, &shared, &other][rng.gen_range(0..3)];
+                    prop_assert_eq!(read.node_at(r), Some(want[r]), "{} row {}", at, r);
+                }
+                prop_assert!(shared.nodes().eq(want.iter().copied()), "{} after random rows", at);
+                prop_assert!(other.nodes().eq(want.iter().copied()), "{} after random rows", at);
+                prop_assert!(sorted().nodes().eq(want.iter().copied()), "{} in order", at);
+            }
+        }
+    }
+
+    /// Papers cite papers whose titles tie, so distinct citation sets
+    /// show the same labels: the ranker scores every column as the oracle
+    /// does, bit for bit, on the table as made and sorted.
+    #[test]
+    fn rankings_of_tied_labels_equal_the_oracle(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tgdb, q, _) = random_cited_papers(&mut rng);
+        let (columns, rows) = eager(&tgdb, &q, &Presentation::default());
+        let want = bits(&rank_oracle(&tgdb, &columns, &rows));
+        let mut table = transform::execute(&tgdb, &q).unwrap();
+        for sorted in [false, true] {
+            if sorted {
+                table.sort_by_column(rng.gen_range(0..columns.len()), rng.gen_range(0..2) == 0);
+            }
+            prop_assert_eq!(ranked_bits(&table), want.clone(), "seed {} sorted {}", seed, sorted);
         }
     }
 }
