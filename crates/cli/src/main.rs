@@ -203,10 +203,12 @@ fn client(addr: &str) {
 fn render_relation(rel: &Relation) -> String {
     let headers: Vec<String> = rel.columns.iter().map(|c| c.qualified_name()).collect();
     let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-    let rows: Vec<Vec<String>> = rel
-        .rows
-        .iter()
-        .map(|r| r.iter().map(ToString::to_string).collect())
+    let rows: Vec<Vec<String>> = (0..rel.len())
+        .map(|r| {
+            (0..headers.len())
+                .map(|c| rel.get(r, c).to_string())
+                .collect()
+        })
         .collect();
     for row in &rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -227,8 +229,8 @@ fn render_relation(rel: &Relation) -> String {
     }
     text.push_str(&format!(
         "({} row{})\n",
-        rel.rows.len(),
-        if rel.rows.len() == 1 { "" } else { "s" }
+        rel.len(),
+        if rel.len() == 1 { "" } else { "s" }
     ));
     text
 }

@@ -519,7 +519,7 @@ mod tests {
             "SELECT year FROM Papers WHERE title = 'Making database systems usable'",
         )
         .unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2007));
+        assert_eq!(r.get(0, 0), Value::Int(2007));
     }
 
     #[test]
@@ -586,14 +586,15 @@ mod tests {
             .unwrap();
             assert!(!r.is_empty());
             assert_eq!(
-                r.rows[0][0].to_string(),
+                r.get(0, 0).to_string(),
                 "Seoul National University",
                 "planted cluster must win at {} authors",
                 cfg.authors
             );
             if r.len() >= 2 {
                 assert_ne!(
-                    r.rows[0][1], r.rows[1][1],
+                    r.get(0, 1),
+                    r.get(1, 1),
                     "task 5 has a tie at {} authors",
                     cfg.authors
                 );
@@ -623,8 +624,8 @@ mod tests {
              GROUP BY pa.author_id ORDER BY n DESC",
         )
         .unwrap();
-        let top = r.rows[0][1].as_int().unwrap();
-        let median = r.rows[r.len() / 2][1].as_int().unwrap();
+        let top = r.get(0, 1).as_int().unwrap();
+        let median = r.get(r.len() / 2, 1).as_int().unwrap();
         assert!(
             top >= median * 3,
             "expected skew: top {top} vs median {median}"

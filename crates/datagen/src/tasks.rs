@@ -188,7 +188,7 @@ pub fn task_set(set: TaskSet) -> Vec<Task> {
 pub fn ground_truth(db: &Database, task: &Task) -> BTreeSet<String> {
     let mut db = db.clone();
     let rel = execute(&mut db, &task.sql).expect("task SQL is valid");
-    rel.rows.iter().map(|r| r[0].to_string()).collect()
+    rel.column(0).iter().map(ToString::to_string).collect()
 }
 
 #[cfg(test)]

@@ -74,12 +74,19 @@ pub fn rank_columns(table: &EnrichedTable) -> Vec<ColumnScore> {
                 words.dedup();
                 words.len()
             } else {
+                // Every id of a reference column is a node of the column's
+                // target type, whose label column is looked up once.
+                let type_labels = words
+                    .first()
+                    .map(|&id| table.type_labels(NodeId(id as u32)));
                 let mut labels: Vec<u128> = Vec::new();
                 let runs: Vec<Range<usize>> = (distinct_runs(&words, runs).into_iter())
                     .map(|ids| {
                         let start = labels.len();
-                        let label = |&id: &u128| table.label(NodeId(id as u32)).order_word(Sym::id);
-                        labels.extend(words[ids].iter().map(label));
+                        if let Some(label) = &type_labels {
+                            let word = |&id: &u128| label(NodeId(id as u32)).order_word(Sym::id);
+                            labels.extend(words[ids].iter().map(word));
+                        }
                         labels[start..].sort_unstable();
                         start..labels.len()
                     })

@@ -142,7 +142,7 @@ mod tests {
     fn sql_and_session_share_one_deployment() {
         let mut c = conn();
         let r = c.sql("SELECT COUNT(*) FROM Papers").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(4));
+        assert_eq!(r.get(0, 0), Value::Int(4));
         c.session_mut().open_by_name("Papers").unwrap();
         assert_eq!(c.etable().unwrap().len(), 4);
     }
@@ -154,7 +154,7 @@ mod tests {
         a.sql("CREATE TABLE scratch (id INT PRIMARY KEY)").unwrap();
         a.sql("INSERT INTO scratch VALUES (1), (2)").unwrap();
         let r = b.sql("SELECT COUNT(*) FROM scratch").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2));
+        assert_eq!(r.get(0, 0), Value::Int(2));
         // ...but sessions stay private.
         assert!(b.session().current_pattern().is_none());
     }

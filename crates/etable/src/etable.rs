@@ -328,6 +328,17 @@ impl EnrichedTable {
         }
     }
 
+    /// The label of any node of `node`'s type, from that type's label
+    /// column, which is looked up once (for a run of labels of one type).
+    pub(crate) fn type_labels(&self, node: NodeId) -> impl Fn(NodeId) -> Value + '_ {
+        let graph = &self.rows.graph;
+        let (first, column) = graph.label_column(node);
+        move |id| {
+            debug_assert_eq!(graph.type_of(id), graph.type_of(first), "one type");
+            column.get((id.0 - first.0) as usize)
+        }
+    }
+
     /// The label as display text; interned text is borrowed, not copied.
     pub fn label_text(&self, node: NodeId) -> Cow<'static, str> {
         match self.label(node) {

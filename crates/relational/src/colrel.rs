@@ -1,11 +1,12 @@
 //! Columnar intermediate relations: selection vectors over column stores.
 //!
 //! The optimizing executor's pipeline between the base-table scan and the
-//! final projection runs on [`ColRelation`]s instead of materialized
-//! [`Relation`]s. A `ColRelation` is a set of sources — each a borrowed
-//! slice of [`ColumnStore`]s: a base [`Table`]'s columns, or the typed
-//! stores of a grouped result — plus **one row-id vector per source**:
-//! logical row `r` of the relation reads row `row_ids[r]` of each source.
+//! final projection runs on [`ColRelation`]s, and the projection's output
+//! [`Relation`] is column-major too. A `ColRelation` is a set of sources —
+//! each a borrowed slice of [`ColumnStore`]s: a base [`Table`]'s columns,
+//! or the typed stores of a grouped result — plus **one row-id vector
+//! per source**: logical row `r` of the relation reads row `row_ids[r]` of
+//! each source.
 //! Every operator — pushdown scan, hash join, cross product, residual
 //! filter and HAVING, sort — only ever rewrites those row-id vectors:
 //!
@@ -28,10 +29,10 @@
 //!   surviving positions,
 //! * ORDER BY computes a permutation over rank-decorated key columns.
 //!
-//! No intermediate row is copied anywhere in that pipeline; the final
-//! projection ([`ColRelation::project`]) gathers each output cell exactly
-//! once, straight out of the column stores. Grouped queries never
-//! materialize an input row at all: [`ColRelation::group_by`]
+//! No row is built anywhere in that pipeline; the final projection
+//! ([`ColRelation::project`]) gathers each output column in one pass,
+//! straight out of its column store, into the result's column vectors.
+//! Grouped queries never materialize an input row at all: [`ColRelation::group_by`]
 //! ([`crate::exec::agg`]) hashes key words and sweeps aggregate inputs
 //! straight off the column slices, through the row-id vectors, into typed
 //! stores with one row per group — which the same HAVING, ORDER BY and
@@ -43,7 +44,6 @@
 //! even a single-column materialized row vector.
 
 use crate::exec::join::{fk_key_pairs, key_pairs};
-use crate::intern::RankMap;
 use crate::relation::{RelColumn, Relation, SortKey};
 use crate::sql::analyze::TypedPred;
 use crate::table::{ColumnData, ColumnStore, Table};
@@ -104,7 +104,7 @@ struct Source<'a> {
 
 /// A columnar intermediate relation: borrowed column stores + selection /
 /// row-id vectors (see the module docs). The executor's whole query runs
-/// on this type; rows are materialized only by [`ColRelation::project`]
+/// on this type; cells are gathered only by [`ColRelation::project`]
 /// (final projection) or consumed column-at-a-time by
 /// [`ColRelation::group_by`] ([`crate::exec::agg`]).
 #[derive(Debug, Clone)]
@@ -235,15 +235,6 @@ impl<'a> ColRelation<'a> {
         let (si, ci) = self.col_map[col];
         let s = &self.sources[si as usize];
         (&s.cols[ci as usize], &s.row_ids)
-    }
-
-    /// Materializes the cell at (`row`, `col`).
-    ///
-    /// # Panics
-    /// If either index is out of range.
-    pub fn cell(&self, row: usize, col: usize) -> Value {
-        let (store, ids) = self.col_source(col);
-        store.get(ids.get(row))
     }
 
     /// Rebuilds every source's row-id vector through `positions` (logical
@@ -417,23 +408,18 @@ impl<'a> ColRelation<'a> {
             .iter()
             .map(|k| {
                 let (store, ids) = self.col_source(k.column);
-                let n = self.n_rows;
-                match store.data() {
-                    ColumnData::Int(v) => decorate(v, store, ids, n, Value::Int, &ranks),
-                    ColumnData::Float(v) => decorate(v, store, ids, n, Value::Float, &ranks),
-                    ColumnData::Sym(v) => decorate(v, store, ids, n, Value::Text, &ranks),
-                    ColumnData::Bool(v) => decorate(v, store, ids, n, Value::Bool, &ranks),
-                }
+                let rows = (0..self.n_rows).map(|r| ids.get(r));
+                gather(store, rows, |v| SortCell::new(v, &ranks))
             })
             .collect();
         sorted_positions(self.n_rows, &decorated, keys, keep)
     }
 
-    /// π — the final projection: gathers each picked cell exactly once out
-    /// of the column stores into output rows, for the positions in `order`
-    /// (from [`ColRelation::sort_order`]) or every row in input order. This
-    /// is the only place in the columnar pipeline where rows come into
-    /// existence, for plain and grouped queries alike.
+    /// π — the final projection: gathers each output column in one pass
+    /// out of its column store, for the positions in `order` (from
+    /// [`ColRelation::sort_order`]) or every row in input order; a literal
+    /// pick is its value repeated. The result is column-major: no row is
+    /// built, for plain and grouped queries alike.
     pub fn project(
         &self,
         columns: Vec<RelColumn>,
@@ -446,57 +432,63 @@ impl<'a> ColRelation<'a> {
             picks.len(),
             columns.len()
         );
-        let mut rows = Vec::with_capacity(order.map_or(self.n_rows, <[u32]>::len));
-        let mut emit = |r: usize| {
-            let row: Vec<Value> = picks
-                .iter()
-                .map(|p| match p {
-                    Pick::Col(c) => self.cell(r, *c),
-                    Pick::Lit(v) => *v,
-                })
-                .collect();
-            if cfg!(debug_assertions) {
-                for (v, c) in row.iter().zip(&columns) {
-                    assert!(
-                        v.fits(c.data_type),
-                        "plan invariant violated: value {v} does not fit projected \
-                         column `{}` ({})",
-                        c.name,
-                        c.data_type
-                    );
-                }
-            }
-            rows.push(row);
-        };
-        match order {
-            Some(perm) => perm.iter().for_each(|&r| emit(r as usize)),
-            None => (0..self.n_rows).for_each(&mut emit),
-        }
-        Relation::new(columns, rows)
+        let n = order.map_or(self.n_rows, <[u32]>::len);
+        let cells = picks
+            .iter()
+            .zip(&columns)
+            .map(|(p, c)| {
+                let cells = match *p {
+                    Pick::Lit(v) => vec![v; n],
+                    Pick::Col(k) => {
+                        let (store, ids) = self.col_source(k);
+                        match order {
+                            Some(perm) => {
+                                gather(store, perm.iter().map(|&r| ids.get(r as usize)), |v| v)
+                            }
+                            None => gather(store, (0..n).map(|r| ids.get(r)), |v| v),
+                        }
+                    }
+                };
+                debug_assert!(
+                    cells.iter().all(|v| v.fits(c.data_type)),
+                    "plan invariant violated: a value does not fit projected column `{}` ({})",
+                    c.name,
+                    c.data_type
+                );
+                cells
+            })
+            .collect();
+        Relation::from_columns(columns, cells, n)
     }
 }
 
-/// One rank-decorated cell per logical row `0..n` of a key column whose
-/// typed body is `body`, read through `ids`.
-fn decorate<T: Copy>(
-    body: &[T],
+/// The cells of `store` at table rows `rows`, in that order, each through
+/// `out`: the body's type is matched once per column, not once per cell.
+/// The final projection's output columns and ORDER BY's decorated keys.
+fn gather<O>(
     store: &ColumnStore,
-    ids: &RowIds,
-    n: usize,
-    value: impl Fn(T) -> Value,
-    ranks: &RankMap,
-) -> Vec<SortCell> {
-    (0..n)
-        .map(|r| {
-            let t = ids.get(r);
-            let v = if store.is_null(t) {
-                Value::Null
-            } else {
-                value(body[t])
-            };
-            SortCell::new(v, ranks)
-        })
-        .collect()
+    rows: impl Iterator<Item = usize>,
+    out: impl Fn(Value) -> O,
+) -> Vec<O> {
+    fn pick<T: Copy, O>(
+        body: &[T],
+        store: &ColumnStore,
+        rows: impl Iterator<Item = usize>,
+        value: impl Fn(T) -> Value,
+        out: impl Fn(Value) -> O,
+    ) -> Vec<O> {
+        let cell = |r: usize| match store.is_null(r) {
+            true => Value::Null,
+            false => value(body[r]),
+        };
+        rows.map(|r| out(cell(r))).collect()
+    }
+    match store.data() {
+        ColumnData::Int(v) => pick(v, store, rows, Value::Int, out),
+        ColumnData::Float(v) => pick(v, store, rows, Value::Float, out),
+        ColumnData::Sym(v) => pick(v, store, rows, Value::Text, out),
+        ColumnData::Bool(v) => pick(v, store, rows, Value::Bool, out),
+    }
 }
 
 /// The permutation ORDER BY `keys` induces over rows `0..n` — or, with
@@ -609,7 +601,7 @@ mod tests {
     }
 
     fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
-        let mut rows = rel.rows.clone();
+        let mut rows: Vec<_> = rel.rows.iter().collect();
         rows.sort();
         rows
     }
@@ -737,8 +729,8 @@ mod tests {
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(
-            materialize(&out).rows[0],
-            vec![Value::Int(2), Value::Float(2.0)]
+            materialize(&out).rows.first(),
+            Some(vec![Value::Int(2), Value::Float(2.0)])
         );
     }
 

@@ -268,7 +268,7 @@ fn aggregate(
             for (g, v) in cells {
                 accs[g].add(v, func)?;
             }
-            ColumnStore::from_values(ty, accs.iter().map(|acc| acc.finish(func)))
+            ColumnStore::from_values(ty, accs.iter().map(|acc| acc.finish(func)))?
         }
         AggFunc::Min | AggFunc::Max => {
             // The running best is a rank-decorated cell, so text
@@ -291,7 +291,7 @@ fn aggregate(
             let best = best
                 .into_iter()
                 .map(|b| b.map_or(Value::Null, SortCell::value));
-            ColumnStore::from_values(ty, best)
+            ColumnStore::from_values(ty, best)?
         }
     })
 }
@@ -374,7 +374,11 @@ mod tests {
             .group_by(group_cols, aggs)
             .unwrap();
         let picks: Vec<Pick> = (0..g.columns.len()).map(Pick::Col).collect();
-        g.relation().project(g.columns.clone(), &picks, None).rows
+        g.relation()
+            .project(g.columns.clone(), &picks, None)
+            .rows
+            .iter()
+            .collect()
     }
 
     fn sum_of(vals: &[i64]) -> Value {

@@ -263,7 +263,7 @@ mod tests {
         for i in (1..pks.len()).rev() {
             pks.swap(i, rng.gen_range(0..=i));
         }
-        let pk = ColumnStore::from_values(ty, pks[..pk_n].iter().map(|&k| key(k)));
+        let pk = ColumnStore::from_values(ty, pks[..pk_n].iter().map(|&k| key(k))).unwrap();
         let fk_n = rng.gen_range(0..14usize);
         let fk = ColumnStore::from_values(
             ty,
@@ -275,7 +275,8 @@ mod tests {
                     k => key(k),
                 },
             }),
-        );
+        )
+        .unwrap();
         (pk, fk)
     }
 

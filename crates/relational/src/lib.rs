@@ -40,7 +40,7 @@
 //! execute(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)").unwrap();
 //! execute(&mut db, "INSERT INTO t VALUES (1, 'a'), (2, 'b')").unwrap();
 //! let r = execute(&mut db, "SELECT name FROM t WHERE id = 2").unwrap();
-//! assert_eq!(r.rows[0][0], "b".into());
+//! assert_eq!(r.get(0, 0), "b".into());
 //! ```
 
 #![deny(missing_docs)]

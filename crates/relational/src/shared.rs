@@ -196,7 +196,7 @@ mod tests {
         shared.execute("DELETE FROM t WHERE id = 1").unwrap();
         assert_eq!(shared.epoch(), 2);
         let r = shared.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.rows[0][0], crate::value::Value::Int(2));
+        assert_eq!(r.get(0, 0), crate::value::Value::Int(2));
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         assert!(shared.execute("INSERT INTO t VALUES (1, 'dup')").is_err());
         assert_eq!(shared.epoch(), 0);
         let r = shared.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.rows[0][0], crate::value::Value::Int(2));
+        assert_eq!(r.get(0, 0), crate::value::Value::Int(2));
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
             .is_err());
         let (e, r) = shared.execute_with_epoch("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(e, 1);
-        assert_eq!(r.rows[0][0], crate::value::Value::Int(3));
+        assert_eq!(r.get(0, 0), crate::value::Value::Int(3));
     }
 
     #[test]
@@ -238,11 +238,11 @@ mod tests {
         // The pinned epoch-0 view still sees exactly two rows...
         let q = sql::parse_statement("SELECT COUNT(*) FROM t").unwrap();
         let r = sql::execute_read(&pinned, &q).unwrap();
-        assert_eq!(r.rows[0][0], crate::value::Value::Int(2));
+        assert_eq!(r.get(0, 0), crate::value::Value::Int(2));
         assert_eq!(pinned.epoch(), 0);
         // ...while a fresh snapshot sees four.
         let r = sql::execute_read(&shared.snapshot(), &q).unwrap();
-        assert_eq!(r.rows[0][0], crate::value::Value::Int(4));
+        assert_eq!(r.get(0, 0), crate::value::Value::Int(4));
         assert_eq!(shared.epoch(), 2);
     }
 

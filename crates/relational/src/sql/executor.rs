@@ -71,7 +71,7 @@ pub fn execute_read(db: &Database, stmt: &Statement) -> Result<Relation> {
         Statement::Select(q) => execute_query(db, q),
         Statement::Explain(q) => {
             let lines = explain_query(db, q)?;
-            Ok(Relation::new(
+            Ok(Relation::from_rows(
                 vec![RelColumn::bare("plan", crate::value::DataType::Text)],
                 lines.into_iter().map(|l| vec![Value::from(l)]).collect(),
             ))
@@ -425,7 +425,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][0], "Making database systems usable".into());
+        assert_eq!(r.get(0, 0), "Making database systems usable".into());
     }
 
     #[test]
@@ -439,7 +439,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][0], "Jagadish".into());
+        assert_eq!(r.get(0, 0), "Jagadish".into());
     }
 
     #[test]
@@ -466,8 +466,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][0], "Nandi".into());
-        assert_eq!(r.rows[0][1], Value::Int(2));
+        assert_eq!(r.get(0, 0), "Nandi".into());
+        assert_eq!(r.get(0, 1), Value::Int(2));
     }
 
     #[test]
@@ -480,21 +480,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.rows[0][0], "Nandi".into());
+        assert_eq!(r.get(0, 0), "Nandi".into());
     }
 
     #[test]
     fn global_aggregate() {
         let mut d = db();
         let r = execute(&mut d, "SELECT COUNT(*) FROM Papers").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(3));
+        assert_eq!(r.get(0, 0), Value::Int(3));
         let r = execute(&mut d, "SELECT MIN(year), MAX(year), AVG(year) FROM Papers").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2007));
-        assert_eq!(r.rows[0][1], Value::Int(2014));
-        assert_eq!(
-            r.rows[0][2],
-            Value::Float((2007 + 2012 + 2014) as f64 / 3.0)
-        );
+        assert_eq!(r.get(0, 0), Value::Int(2007));
+        assert_eq!(r.get(0, 1), Value::Int(2014));
+        assert_eq!(r.get(0, 2), Value::Float((2007 + 2012 + 2014) as f64 / 3.0));
     }
 
     #[test]
@@ -571,8 +568,8 @@ mod tests {
         assert_eq!(page1.len(), 2);
         assert_eq!(page2.len(), 1);
         let all = execute(&mut d, "SELECT id FROM Papers ORDER BY id").unwrap();
-        let mut paged = page1.rows.clone();
-        paged.extend(page2.rows.clone());
+        let mut paged: Vec<_> = page1.rows.iter().collect();
+        paged.extend(page2.rows.iter());
         assert_eq!(all.rows, paged);
         // Offset past the end yields nothing.
         let none = execute(&mut d, "SELECT id FROM Papers ORDER BY id OFFSET 99").unwrap();
@@ -590,7 +587,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.rows[0][1], Value::Int(1));
+        assert_eq!(r.get(0, 1), Value::Int(1));
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Relation> {
         .skip(plan.offset)
         .take(plan.limit.unwrap_or(usize::MAX))
         .collect();
-    Ok(Relation::new(plan.output, rows))
+    Ok(Relation::from_rows(plan.output, rows))
 }
 
 /// Cartesian product: every row of `left` followed by every row of `right`.
@@ -258,7 +258,7 @@ mod tests {
     }
 
     fn sorted(rel: Relation) -> Vec<Vec<crate::value::Value>> {
-        let mut rows = rel.rows;
+        let mut rows: Vec<_> = rel.rows.iter().collect();
         rows.sort();
         rows
     }

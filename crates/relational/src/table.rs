@@ -201,35 +201,24 @@ impl ColumnStore {
     }
 
     /// A column of type `ty` holding `values` (a grouped result's
-    /// aggregate column, a value node type's values).
-    ///
-    /// # Panics
-    ///
-    /// When a value does not fit `ty` ([`Value::fits`]).
-    pub fn from_values(ty: DataType, values: impl IntoIterator<Item = Value>) -> Self {
+    /// aggregate column, a value node type's values); a value that does
+    /// not fit `ty` ([`Value::fits`]) is refused.
+    pub fn from_values(ty: DataType, values: impl IntoIterator<Item = Value>) -> Result<Self> {
         let mut col = ColumnStore::new(ty);
         for v in values {
-            debug_assert!(v.fits(ty), "value {v} does not fit a {ty} column");
-            col.push(&v);
+            col.push(&v)?;
         }
-        col
+        Ok(col)
     }
 
-    /// Appends a value. The caller has already validated `fits`.
-    fn push(&mut self, v: &Value) {
-        let i = self.len;
-        self.len += 1;
-        if v.is_null() {
-            self.nulls.set(i, true);
-            match &mut self.data {
-                ColumnData::Int(d) => Arc::make_mut(d).push(0),
-                ColumnData::Float(d) => Arc::make_mut(d).push(0.0),
-                ColumnData::Sym(d) => Arc::make_mut(d).push(Sym::intern("")),
-                ColumnData::Bool(d) => Arc::make_mut(d).push(false),
-            }
-            return;
-        }
+    /// Appends a value; one that does not fit the column is refused and
+    /// leaves it as it was (callers validate `fits` first).
+    fn push(&mut self, v: &Value) -> Result<()> {
         match (&mut self.data, v) {
+            (ColumnData::Int(d), Value::Null) => Arc::make_mut(d).push(0),
+            (ColumnData::Float(d), Value::Null) => Arc::make_mut(d).push(0.0),
+            (ColumnData::Sym(d), Value::Null) => Arc::make_mut(d).push(Sym::intern("")),
+            (ColumnData::Bool(d), Value::Null) => Arc::make_mut(d).push(false),
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d).push(*x),
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d).push(*x),
             // Int widened into a FLOAT column (Value::Int(2) == Float(2.0),
@@ -237,25 +226,29 @@ impl ColumnStore {
             (ColumnData::Float(d), Value::Int(x)) => Arc::make_mut(d).push(*x as f64),
             (ColumnData::Sym(d), Value::Text(s)) => Arc::make_mut(d).push(*s),
             (ColumnData::Bool(d), Value::Bool(b)) => Arc::make_mut(d).push(*b),
-            _ => unreachable!("insert validated the value against the column type"),
+            _ => return Err(mismatch(v)),
         }
+        if v.is_null() {
+            self.nulls.set(self.len, true);
+        }
+        self.len += 1;
+        Ok(())
     }
 
-    /// Overwrites the cell at `i`. The caller has already validated `fits`.
-    fn set(&mut self, i: usize, v: &Value) {
-        if v.is_null() {
-            self.nulls.set(i, true);
-            return;
-        }
-        self.nulls.set(i, false);
+    /// Overwrites the cell at `i`; a value that does not fit the column is
+    /// refused and leaves it as it was (callers validate `fits` first).
+    fn set(&mut self, i: usize, v: &Value) -> Result<()> {
         match (&mut self.data, v) {
+            (_, Value::Null) => {}
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x as f64,
             (ColumnData::Sym(d), Value::Text(s)) => Arc::make_mut(d)[i] = *s,
             (ColumnData::Bool(d), Value::Bool(b)) => Arc::make_mut(d)[i] = *b,
-            _ => unreachable!("update validated the value against the column type"),
+            _ => return Err(mismatch(v)),
         }
+        self.nulls.set(i, v.is_null());
+        Ok(())
     }
 
     /// Keeps only the rows whose `keep` flag is set, preserving order.
@@ -292,6 +285,11 @@ impl ColumnStore {
         self.nulls = NullBitmap::from_words(words);
         self.len = w;
     }
+}
+
+/// The refusal of a value whose type does not fit a column's body.
+fn mismatch(v: &Value) -> Error {
+    Error::Constraint(format!("value {v} does not fit the column's type"))
 }
 
 /// In-memory columnar storage for one table.
@@ -442,11 +440,12 @@ impl Table {
     }
 
     /// Appends a validated row to every column.
-    fn push_row(&mut self, row: &[Value]) {
+    fn push_row(&mut self, row: &[Value]) -> Result<()> {
         for (c, v) in self.cols.iter_mut().zip(row) {
-            c.push(v);
+            c.push(v)?;
         }
         self.len += 1;
+        Ok(())
     }
 
     /// Inserts a row, enforcing arity, type, nullability and PK uniqueness.
@@ -458,7 +457,7 @@ impl Table {
         self.pk
             .insert(&self.cols, &row, self.len as u32)
             .map_err(|key| self.duplicate_pk(&key))?;
-        self.push_row(&row);
+        self.push_row(&row)?;
         Ok(self.len - 1)
     }
 
@@ -471,11 +470,10 @@ impl Table {
         let start = self.len;
         let mut refused = Ok(());
         for row in rows {
-            refused = self.validate_row(&row);
+            refused = self.validate_row(&row).and_then(|()| self.push_row(&row));
             if refused.is_err() {
                 break;
             }
-            self.push_row(&row);
         }
         // A duplicate key sits in a row that was pushed, so it precedes
         // any row that failed validation.
@@ -548,7 +546,7 @@ impl Table {
         let before = (rekeyed && !hits.is_empty()).then(|| (self.cols.clone(), self.pk.clone()));
         for (col, v) in sets {
             for &i in &hits {
-                self.cols[*col].set(i as usize, v);
+                self.cols[*col].set(i as usize, v)?;
             }
         }
         if let Some((cols, pk)) = before {
@@ -617,6 +615,26 @@ mod tests {
             .with_primary_key(&["id"]),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_value_of_another_type_is_refused_and_leaves_the_column_as_it_was() {
+        let refused = ColumnStore::from_values(DataType::Int, [Value::Int(1), "x".into()]);
+        assert!(matches!(refused, Err(Error::Constraint(_))), "{refused:?}");
+        let mut col =
+            ColumnStore::from_values(DataType::Float, [Value::Int(1), Value::Null]).unwrap();
+        assert!(matches!(
+            col.push(&Value::Bool(true)),
+            Err(Error::Constraint(_))
+        ));
+        assert!(matches!(col.set(1, &"x".into()), Err(Error::Constraint(_))));
+        assert_eq!(col.len(), 2);
+        assert_eq!(
+            col.iter().collect::<Vec<_>>(),
+            [Value::Float(1.0), Value::Null]
+        );
+        col.set(1, &Value::Int(3)).unwrap();
+        assert_eq!(col.get(1), Value::Float(3.0));
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn db() -> Database {
 /// Runs `sql` through the vectorized fast path (single-table form) and
 /// returns the rows.
 fn run(db: &mut Database, sql: &str) -> Vec<Vec<Value>> {
-    execute(db, sql).unwrap().rows
+    execute(db, sql).unwrap().rows.iter().collect::<Vec<_>>()
 }
 
 #[test]
@@ -86,10 +86,7 @@ fn sum_overflow_saturates_at_i64_bounds() {
         }
         let sql = "SELECT SUM(v) AS s FROM big";
         assert_eq!(run(&mut d, sql), vec![vec![Value::Int(bound)]]);
-        assert_eq!(
-            execute_naive(&d, sql).unwrap().rows[0][0],
-            Value::Int(bound)
-        );
+        assert_eq!(execute_naive(&d, sql).unwrap().get(0, 0), Value::Int(bound));
     }
 }
 
@@ -189,7 +186,11 @@ fn min_max_on_text_follow_strings_not_intern_order() {
         "SELECT w.k, MIN(w.txt) AS lo, MAX(w.txt) AS hi FROM w, one_w \
          WHERE one_w.id = 1 GROUP BY w.k ORDER BY w.k",
     ] {
-        let rows = execute(&mut d, sql).unwrap().rows;
+        let rows = execute(&mut d, sql)
+            .unwrap()
+            .rows
+            .iter()
+            .collect::<Vec<_>>();
         assert_eq!(rows[0][1], "alpha-agg".into(), "{sql}");
         assert_eq!(rows[0][2], "zzz-agg".into(), "{sql}");
         // Single non-NULL value: MIN == MAX, NULL ignored.
@@ -311,7 +312,11 @@ fn int_and_float_fold_on_a_float_key_column() {
         vec![Value::Int(2), Value::Int(2), Value::Int(1)]
     );
     assert_eq!(rows[0][0], Value::Float(2.0));
-    let mut naive = execute_naive(&d, sql).unwrap().rows;
+    let mut naive = execute_naive(&d, sql)
+        .unwrap()
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
     naive.sort();
     let mut sorted = rows;
     sorted.sort();

@@ -260,6 +260,8 @@ fn rows_of(db: &Database, table: &str) -> Vec<Vec<etable_relational::value::Valu
     execute(&mut d, &format!("SELECT * FROM {table}"))
         .unwrap()
         .rows
+        .iter()
+        .collect::<Vec<_>>()
 }
 
 #[test]

@@ -175,6 +175,6 @@ fn sql_order_by_ignores_intern_order() {
         "SELECT name, COUNT(*) AS n FROM t GROUP BY name ORDER BY n DESC, name",
     )
     .unwrap();
-    assert_eq!(g.rows[0][0], Value::text("aa-order"));
-    assert_eq!(g.rows[0][1], Value::Int(2));
+    assert_eq!(g.get(0, 0), Value::text("aa-order"));
+    assert_eq!(g.get(0, 1), Value::Int(2));
 }

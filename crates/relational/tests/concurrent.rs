@@ -230,7 +230,7 @@ fn readers_see_only_published_epochs_during_writes() {
                 let mut last = 0i64;
                 for _ in 0..60 {
                     let r = db.execute("SELECT COUNT(*) FROM authors").unwrap();
-                    let Value::Int(n) = r.rows[0][0] else {
+                    let Value::Int(n) = r.get(0, 0) else {
                         panic!("COUNT(*) not an int");
                     };
                     assert!(
@@ -249,6 +249,6 @@ fn readers_see_only_published_epochs_during_writes() {
         h.join().unwrap();
     }
     let r = db.execute("SELECT COUNT(*) FROM authors").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(150 + NEW_ROWS));
+    assert_eq!(r.get(0, 0), Value::Int(150 + NEW_ROWS));
     assert_eq!(db.epoch(), NEW_ROWS as u64);
 }

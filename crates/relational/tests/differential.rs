@@ -134,8 +134,16 @@ fn both_on(db: &Database, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
         _ => unreachable!(),
     };
     (
-        execute_query(db, &q).unwrap().rows,
-        execute_query_naive(db, &q).unwrap().rows,
+        execute_query(db, &q)
+            .unwrap()
+            .rows
+            .iter()
+            .collect::<Vec<_>>(),
+        execute_query_naive(db, &q)
+            .unwrap()
+            .rows
+            .iter()
+            .collect::<Vec<_>>(),
     )
 }
 
@@ -197,8 +205,16 @@ fn hash_join_on_interned_text_keys_agrees_with_naive() {
         Statement::Select(q) => q,
         _ => unreachable!(),
     };
-    let mut planned = execute_query(&db, &q).unwrap().rows;
-    let mut naive = execute_query_naive(&db, &q).unwrap().rows;
+    let mut planned = execute_query(&db, &q)
+        .unwrap()
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
+    let mut naive = execute_query_naive(&db, &q)
+        .unwrap()
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
     planned.sort();
     naive.sort();
     assert_eq!(planned, naive);

@@ -16,8 +16,16 @@ fn run_both(db: &Database, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
         Statement::Select(q) => q,
         other => panic!("expected SELECT, got {other:?}"),
     };
-    let mut planned = execute_query(db, &q).unwrap().rows;
-    let mut naive = execute_query_naive(db, &q).unwrap().rows;
+    let mut planned = execute_query(db, &q)
+        .unwrap()
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
+    let mut naive = execute_query_naive(db, &q)
+        .unwrap()
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
     planned.sort();
     naive.sort();
     (planned, naive)

@@ -68,8 +68,16 @@ use Cmp::{Bag, Ordered};
 fn assert_matches_oracle(db: &Database, queries: &[(Cmp, &str)], expect_rows: bool) {
     for &(cmp, sql) in queries {
         let q = parse(sql);
-        let mut got = execute_query(db, &q).unwrap().rows;
-        let mut want = execute_query_naive(db, &q).unwrap().rows;
+        let mut got = execute_query(db, &q)
+            .unwrap()
+            .rows
+            .iter()
+            .collect::<Vec<_>>();
+        let mut want = execute_query_naive(db, &q)
+            .unwrap()
+            .rows
+            .iter()
+            .collect::<Vec<_>>();
         if expect_rows {
             assert!(!got.is_empty(), "fixture must exercise `{sql}`");
         }

@@ -19,7 +19,7 @@ fn db() -> Database {
 }
 
 fn count(db: &mut Database, sql: &str) -> i64 {
-    execute(db, sql).unwrap().rows[0][0].as_int().unwrap()
+    execute(db, sql).unwrap().get(0, 0).as_int().unwrap()
 }
 
 #[test]
@@ -29,8 +29,8 @@ fn delete_with_predicate() {
     assert_eq!(count(&mut d, "SELECT COUNT(*) FROM child"), 2);
     // NULL v row survives (predicate UNKNOWN).
     let r = execute(&mut d, "SELECT id FROM child ORDER BY id").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(10));
-    assert_eq!(r.rows[1][0], Value::Int(12));
+    assert_eq!(r.get(0, 0), Value::Int(10));
+    assert_eq!(r.get(1, 0), Value::Int(12));
 }
 
 #[test]
@@ -75,9 +75,9 @@ fn update_values_and_where() {
     let mut d = db();
     execute(&mut d, "UPDATE child SET v = 100 WHERE parent_id = 1").unwrap();
     let r = execute(&mut d, "SELECT v FROM child WHERE id = 10").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(100));
+    assert_eq!(r.get(0, 0), Value::Int(100));
     let r = execute(&mut d, "SELECT v FROM child WHERE id = 12").unwrap();
-    assert_eq!(r.rows[0][0], Value::Null);
+    assert_eq!(r.get(0, 0), Value::Null);
 }
 
 #[test]
@@ -94,7 +94,7 @@ fn update_fk_is_validated_and_rolled_back() {
     assert!(err.is_err());
     // Rolled back: still points at parent 1.
     let r = execute(&mut d, "SELECT parent_id FROM child WHERE id = 10").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(1));
+    assert_eq!(r.get(0, 0), Value::Int(1));
     d.check_integrity().unwrap();
 }
 
@@ -135,8 +135,8 @@ fn mutations_then_queries_stay_consistent() {
     )
     .unwrap();
     assert_eq!(r.len(), 1);
-    assert_eq!(r.rows[0][0], "a".into());
-    assert_eq!(r.rows[0][1], Value::Int(2));
+    assert_eq!(r.get(0, 0), "a".into());
+    assert_eq!(r.get(0, 1), Value::Int(2));
 }
 
 /// An UPDATE that sets no key column cannot change what any foreign key
@@ -154,13 +154,13 @@ fn update_of_a_non_key_column_skips_the_global_check() {
     execute(&mut d, "UPDATE child SET v = 7 WHERE id = 10").unwrap();
     execute(&mut d, "UPDATE parent SET name = 'z' WHERE id = 3").unwrap();
     let r = execute(&mut d, "SELECT v FROM child WHERE id = 10").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(7));
+    assert_eq!(r.get(0, 0), Value::Int(7));
     let r = execute(&mut d, "SELECT name FROM parent WHERE id = 3").unwrap();
-    assert_eq!(r.rows[0][0], "z".into());
+    assert_eq!(r.get(0, 0), "z".into());
 
     assert!(execute(&mut d, "UPDATE child SET parent_id = 2 WHERE id = 10").is_err());
     let r = execute(&mut d, "SELECT parent_id FROM child WHERE id = 10").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(1), "rolled back");
+    assert_eq!(r.get(0, 0), Value::Int(1), "rolled back");
 }
 
 /// A column that is in neither its table's primary key nor its foreign
@@ -180,7 +180,7 @@ fn update_of_a_referenced_non_pk_column_rolls_back() {
     }
     assert!(execute(&mut d, "UPDATE tag SET code = 999 WHERE id = 1").is_err());
     let r = execute(&mut d, "SELECT code FROM tag WHERE id = 1").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(100), "rolled back");
+    assert_eq!(r.get(0, 0), Value::Int(100), "rolled back");
     // The unreferenced code may move, and so may any non-key column.
     execute(&mut d, "UPDATE tag SET code = 300 WHERE id = 2").unwrap();
     execute(&mut d, "UPDATE tag SET label = 'c' WHERE id = 1").unwrap();

@@ -347,11 +347,20 @@ fn check_select(l: &Table, r: &Table, e: &SqlExpr) -> std::result::Result<(), St
         .unwrap();
     let cols = joined.columns().to_vec();
     let picks: Vec<Pick> = (0..cols.len()).map(Pick::Col).collect();
-    let rows = joined.project(cols.clone(), &picks, None).rows;
+    let rows = joined
+        .project(cols.clone(), &picks, None)
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
     let types: Vec<DataType> = WIDE.iter().chain(&SIDE).copied().collect();
     for p in variants(e, &types) {
         let want = reference(&rows, &p).map(|v| v.iter().map(|&i| rows[i].clone()).collect());
-        let got = Ok(joined.select(&p).project(cols.clone(), &picks, None).rows);
+        let got = Ok(joined
+            .select(&p)
+            .project(cols.clone(), &picks, None)
+            .rows
+            .iter()
+            .collect::<Vec<_>>());
         if got != want {
             return Err(format!(
                 "select over {} joined rows, `{}`:\n  kernel {got:?}\n  interp {want:?}",

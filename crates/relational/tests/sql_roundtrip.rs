@@ -188,7 +188,7 @@ fn table2_fixture_answers_are_sensible() {
     )
     .unwrap();
     assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0].to_string(), "Seoul National University");
+    assert_eq!(r.get(0, 0).to_string(), "Seoul National University");
 }
 
 #[test]

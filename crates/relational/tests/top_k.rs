@@ -118,7 +118,7 @@ proptest! {
             "SELECT f, COUNT(a) AS n, MIN(s) AS lo FROM t GROUP BY f HAVING COUNT(*) > 1 \
              ORDER BY lo DESC, n",
         ] {
-            let full = execute(&mut db, base).unwrap().rows;
+            let full = execute(&mut db, base).unwrap().rows.iter().collect::<Vec<_>>();
             let m = full.len();
             for k in cuts(m) {
                 for o in [0, 1, 3, m + 5] {
@@ -127,7 +127,7 @@ proptest! {
                     } else {
                         format!("{base} LIMIT {k} OFFSET {o}")
                     };
-                    let got = execute(&mut db, &sql).unwrap().rows;
+                    let got = execute(&mut db, &sql).unwrap().rows.iter().collect::<Vec<_>>();
                     let lo = o.min(m);
                     let hi = (o + k).min(m);
                     prop_assert_eq!(&got[..], &full[lo..hi], "{}", sql);
@@ -144,7 +144,9 @@ fn distinct_before_limit_still_sees_the_whole_sort() {
     let mut db = database(7, 80);
     let full = execute(&mut db, "SELECT DISTINCT a FROM t ORDER BY a DESC")
         .unwrap()
-        .rows;
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
     assert_eq!(full.len(), 5, "four values and NULL");
     for k in 0..=6 {
         let got = execute(
@@ -152,7 +154,9 @@ fn distinct_before_limit_still_sees_the_whole_sort() {
             &format!("SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT {k}"),
         )
         .unwrap()
-        .rows;
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
         assert_eq!(got[..], full[..k.min(5)], "LIMIT {k}");
     }
     let got = execute(
@@ -160,6 +164,8 @@ fn distinct_before_limit_still_sees_the_whole_sort() {
         "SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 2 OFFSET 2",
     )
     .unwrap()
-    .rows;
+    .rows
+    .iter()
+    .collect::<Vec<_>>();
     assert_eq!(got[..], full[2..4]);
 }

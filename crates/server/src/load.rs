@@ -9,6 +9,7 @@ use crate::client::Client;
 use etable_relational::relation::Relation;
 use etable_relational::shared::SharedDatabase;
 use etable_relational::{Error, Result};
+use std::fmt::Write;
 use std::time::{Duration, Instant};
 
 /// The mixed read workload over the synthetic academic corpus: scans,
@@ -31,7 +32,8 @@ pub const ACADEMIC_QUERIES: [&str; 10] = [
 ];
 
 /// Canonical byte form of a result relation: the column shape line plus
-/// every row, exactly as the stress suite renders them. Two relations
+/// every row, exactly as the stress suite renders them (the rows as a
+/// `Vec<Vec<Value>>` prints, each cell read where it lies). Two relations
 /// with equal canon are byte-identical for the protocol's purposes.
 pub fn canon(r: &Relation) -> String {
     let cols: Vec<String> = r
@@ -39,7 +41,18 @@ pub fn canon(r: &Relation) -> String {
         .iter()
         .map(|c| format!("{}:{:?}", c.qualified_name(), c.data_type))
         .collect();
-    format!("{cols:?}\n{:?}", r.rows)
+    let mut out = format!("{cols:?}\n[");
+    for row in 0..r.len() {
+        out.push_str(if row == 0 { "[" } else { ", [" });
+        for c in 0..r.columns.len() {
+            let sep = if c == 0 { "" } else { ", " };
+            // Writing into a String cannot fail.
+            let _ = write!(out, "{sep}{:?}", r.get(row, c));
+        }
+        out.push(']');
+    }
+    out.push(']');
+    out
 }
 
 /// Computes the sequential baseline for a workload: each query executed
@@ -169,4 +182,28 @@ pub fn run_load(
         p99: pct(99),
         qps: lat.len() as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use etable_relational::relation::RelColumn;
+    use etable_relational::value::{DataType, Value};
+
+    #[test]
+    fn canon_prints_the_rows_as_a_vec_of_rows_prints() {
+        let cols = vec![
+            RelColumn::qualified("t", "a", DataType::Text),
+            RelColumn::bare("n", DataType::Float),
+        ];
+        let rows = vec![
+            vec![Value::from("x"), Value::Null],
+            vec![Value::Null, Value::Float(2.5)],
+        ];
+        for rows in [rows, Vec::new()] {
+            let rel = Relation::from_rows(cols.clone(), rows.clone());
+            let shape = "[\"t.a:Text\", \"n:Float\"]";
+            assert_eq!(canon(&rel), format!("{shape}\n{rows:?}"));
+        }
+    }
 }

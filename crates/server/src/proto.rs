@@ -35,6 +35,7 @@
 //! `u64::MAX` rows is a typed refusal, not a giant allocation.
 
 mod frame;
+mod golden;
 
 pub use frame::{read_frame, read_frame_event, write_frame, FrameEvent};
 
@@ -184,9 +185,9 @@ struct Delta {
 /// How one relation's cells are written against the dictionary.
 struct Plan {
     delta: Delta,
-    /// The dictionary index of every text cell, column-major (`0` for
-    /// other cells).
-    text_idx: Vec<u32>,
+    /// Per column that holds text, the dictionary index of each of its
+    /// cells (`0` for other cells); empty for a column without text.
+    text_idx: Vec<Vec<u32>>,
     /// Encoded size of all cells, in bytes.
     cell_bytes: usize,
 }
@@ -281,28 +282,38 @@ impl Encoder {
         (w.into_bytes(), None)
     }
 
-    /// One row-major pass over `rel`: gives each string new to the
-    /// dictionary (all of them, after a `reset`) the next index, and sizes
-    /// the cells. `None` when the dictionary would end up past the cap,
-    /// which calls for a reset.
+    /// Sizes `rel`'s cells a column at a time, then gives each string new
+    /// to the dictionary (all of them, after a `reset`) the next index,
+    /// visiting the text cells row by row: the delta lists strings in
+    /// row-major first-use order (DESIGN.md §Wire protocol). `None` when
+    /// the dictionary would end up past the cap, which calls for a reset.
     fn plan(&self, rel: &Relation, reset: bool) -> Option<Plan> {
         let known = (!reset).then_some(&self.ids);
         let base = known.map_or(0, |k| k.len());
         if base > self.cap {
             return None;
         }
-        let (ncols, nrows) = (rel.columns.len(), rel.rows.len());
         let mut delta = Delta {
             reset,
             strings: Vec::new(),
             ids: SymMap::default(),
         };
-        let mut text_idx = vec![0u32; ncols * nrows];
         let mut cell_bytes = 0;
-        for (r, row) in rel.rows.iter().enumerate() {
-            for (c, v) in row.iter().enumerate().take(ncols) {
-                cell_bytes += cell_len(v);
-                let Value::Text(s) = *v else { continue };
+        // Each column's cells and, for a column holding text, a slot per
+        // cell for its dictionary index.
+        let mut cols: Vec<(&[Value], Vec<u32>)> = (0..rel.columns.len())
+            .map(|c| {
+                let col = rel.column(c);
+                cell_bytes += col.iter().map(cell_len).sum::<usize>();
+                let text = col.iter().any(|v| matches!(v, Value::Text(_)));
+                (col, if text { vec![0; col.len()] } else { Vec::new() })
+            })
+            .collect();
+        for r in 0..rel.len() {
+            for (col, text_idx) in cols.iter_mut().filter(|(_, t)| !t.is_empty()) {
+                let Value::Text(s) = col[r] else {
+                    continue;
+                };
                 let idx = match known.and_then(|k| k.get(&s)) {
                     Some(&i) => i,
                     None => match delta.ids.entry(s) {
@@ -316,12 +327,12 @@ impl Encoder {
                         }
                     },
                 };
-                text_idx[c * nrows + r] = idx;
+                text_idx[r] = idx;
             }
         }
         Some(Plan {
             delta,
-            text_idx,
+            text_idx: cols.into_iter().map(|(_, t)| t).collect(),
             cell_bytes,
         })
     }
@@ -353,17 +364,15 @@ fn write_result(epoch: u64, rel: &Relation, plan: &Plan) -> Vec<u8> {
         w.str(name);
         w.u8(type_code(c.data_type));
     }
-    let nrows = rel.rows.len();
-    w.u64(nrows as u64);
+    w.u64(rel.len() as u64);
     w.u8(u8::from(plan.delta.reset));
     w.u32(delta.len() as u32);
     for s in delta {
         w.str(s.as_str());
     }
-    for col in 0..rel.columns.len() {
-        let idx = &plan.text_idx[col * nrows..(col + 1) * nrows];
-        for (row, &i) in rel.rows.iter().zip(idx) {
-            match row[col] {
+    for (c, idx) in plan.text_idx.iter().enumerate() {
+        for (r, v) in rel.column(c).iter().enumerate() {
+            match *v {
                 Value::Null => w.u8(0),
                 Value::Int(v) => {
                     w.u8(1);
@@ -375,7 +384,7 @@ fn write_result(epoch: u64, rel: &Relation, plan: &Plan) -> Vec<u8> {
                 }
                 Value::Text(_) => {
                     w.u8(3);
-                    w.u32(i);
+                    w.u32(idx[r]);
                 }
                 Value::Bool(b) => {
                     w.u8(4);
@@ -512,11 +521,12 @@ impl Decoder {
         }
         let delta = intern_all(&strings);
         let dict_len = base.len() + delta.len();
-        // Column-major cells back into row-major rows.
-        let mut rows = vec![vec![Value::Null; ncols]; nrows];
-        for col in 0..ncols {
-            for row in rows.iter_mut() {
-                row[col] = match r.u8("cell tag").map_err(as_protocol)? {
+        // Column-major cells, each column filled in one pass.
+        let mut cells = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            let mut col = Vec::with_capacity(nrows);
+            for _ in 0..nrows {
+                col.push(match r.u8("cell tag").map_err(as_protocol)? {
                     0 => Value::Null,
                     1 => Value::Int(r.i64("int cell").map_err(as_protocol)?),
                     2 => Value::Float(r.f64("float cell").map_err(as_protocol)?),
@@ -534,10 +544,14 @@ impl Decoder {
                     }
                     4 => Value::Bool(r.u8("bool cell").map_err(as_protocol)? != 0),
                     t => return Err(Error::Protocol(format!("unknown cell tag {t}"))),
-                };
+                });
             }
+            cells.push(col);
         }
-        Ok((Relation::new(columns, rows), (reset, delta)))
+        Ok((
+            Relation::from_columns(columns, cells, nrows),
+            (reset, delta),
+        ))
     }
 }
 
@@ -631,7 +645,7 @@ mod tests {
 
     #[test]
     fn relations_round_trip_with_nulls_and_dictionary() {
-        let rel = Relation::new(
+        let rel = Relation::from_rows(
             vec![
                 RelColumn::bare("id", DataType::Int),
                 RelColumn::bare("name", DataType::Text),
@@ -780,7 +794,7 @@ mod tests {
 
     /// A one-column TEXT relation, one row per word (`None` is NULL).
     fn words(ws: &[Option<&str>]) -> Relation {
-        Relation::new(
+        Relation::from_rows(
             vec![RelColumn::bare("w", DataType::Text)],
             ws.iter()
                 .map(|w| vec![w.map_or(Value::Null, Value::from)])
@@ -824,7 +838,7 @@ mod tests {
 
     #[test]
     fn result_layout_is_pinned() {
-        let rel = Relation::new(
+        let rel = Relation::from_rows(
             vec![
                 RelColumn::qualified("t", "w", DataType::Text),
                 RelColumn::bare("n", DataType::Int),
@@ -1051,7 +1065,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        Relation::new(columns, rows)
+        Relation::from_rows(columns, rows)
     }
 
     /// Sends a random sequence of relations — some repeated — through one

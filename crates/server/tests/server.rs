@@ -311,7 +311,7 @@ fn server_rejects_server_to_client_tags_with_one_error_frame() {
     // it on the tag byte (its body is never parsed) and close.
     let forged = Message::Result {
         epoch: 0,
-        relation: etable_relational::relation::Relation::new(Vec::new(), Vec::new()),
+        relation: etable_relational::relation::Relation::from_rows(Vec::new(), Vec::new()),
     };
     write_frame(&mut writer, &encode(&forged)).unwrap();
     let payload = read_frame(&mut reader).unwrap().expect("one error frame");

@@ -208,19 +208,19 @@ impl TypeNodes {
         nt: NodeTypeId,
         ty: DataType,
         (table, col): (&Table, usize),
-    ) -> Self {
+    ) -> Result<Self> {
         let source = table.column(col);
         let kept = prev.and_then(|g| g.types.get(nt.index())).filter(|nodes| {
             (nodes.ranked.as_ref()).is_some_and(|(ranked, _)| same_cells(ranked, source))
         });
         if let Some(nodes) = kept {
-            return nodes.clone();
+            return Ok(nodes.clone());
         }
         let (values, ranks) = table.distinct_ranks(col);
         let nulls = usize::from(values.first().is_some_and(Value::is_null));
-        let column = ColumnStore::from_values(ty, values[nulls..].iter().copied());
+        let column = ColumnStore::from_values(ty, values[nulls..].iter().copied())?;
         let rank = |k: u32| k.checked_sub(nulls as u32).unwrap_or(NULL_REF);
-        TypeNodes {
+        Ok(TypeNodes {
             ids: Vec::new(),
             columns: vec![column],
             label: 0,
@@ -228,7 +228,7 @@ impl TypeNodes {
                 source.clone(),
                 Arc::new(ranks.into_iter().map(rank).collect()),
             )),
-        }
+        })
     }
 }
 
@@ -337,8 +337,17 @@ impl InstanceGraph {
     /// The node's label `label(v) = v[βi]`, read from its type's label
     /// column.
     pub fn label(&self, id: NodeId) -> Value {
-        let (nodes, row) = self.locate(id);
-        nodes.columns[nodes.label].get(row)
+        let (first, column) = self.label_column(id);
+        column.get((id.0 - first.0) as usize)
+    }
+
+    /// The label column of `id`'s type and the type's first node: node
+    /// `first + r`'s label is the column's row `r`. One lookup serves any
+    /// number of labels of one type (a reference column's ids all have
+    /// its target type).
+    pub fn label_column(&self, id: NodeId) -> (NodeId, &ColumnStore) {
+        let (nodes, _) = self.locate(id);
+        (nodes.ids[0], &nodes.columns[nodes.label])
     }
 
     /// Attribute `attr` (a position in the node type's `attrs`) of a node,
@@ -661,7 +670,7 @@ pub(crate) mod tests {
         g.types[papers.index()].columns.push(ints);
         assert_eq!(g.check_consistency(&tgdb.schema), misfit);
         // A column of another length.
-        let short = ColumnStore::from_values(DataType::Text, ["one".into()]);
+        let short = ColumnStore::from_values(DataType::Text, ["one".into()]).unwrap();
         *g.types[papers.index()].columns.last_mut().unwrap() = short;
         assert_eq!(g.check_consistency(&tgdb.schema), misfit);
     }

@@ -463,7 +463,7 @@ pub(crate) fn instances_of(
             // One node per non-NULL value, in the value total order; the
             // sort that finds them also ranks every row's value.
             NodeTypeKind::MultiValued | NodeTypeKind::Categorical => {
-                TypeNodes::values(prev, nt, def.attrs[0].data_type, (table, cols[0]))
+                TypeNodes::values(prev, nt, def.attrs[0].data_type, (table, cols[0]))?
             }
         });
     }

@@ -75,7 +75,7 @@ fn main() {
     println!(
         "\nover the wire (epoch {}): {} papers since 2014",
         client.epoch(),
-        recent.rows[0][0]
+        recent.get(0, 0)
     );
     client.quit().expect("orderly goodbye");
     server.shutdown().expect("all server threads joined");

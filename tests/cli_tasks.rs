@@ -146,7 +146,7 @@ fn json_export_round_trips_reference_counts() {
              WHERE p.conference_id = c.id AND c.acronym = 'SIGMOD'",
         )
         .unwrap()
-        .rows[0][0]
+        .get(0, 0)
         .as_int()
         .unwrap();
     assert!(

@@ -275,11 +275,25 @@ fn graph_edges_are_the_pairs_of_their_sql_joins() {
                 pairs.sort();
                 pairs
             };
-            assert_eq!(sorted(execute_query(&db, &q).unwrap().rows), edges, "{sql}");
+            assert_eq!(
+                sorted(
+                    execute_query(&db, &q)
+                        .unwrap()
+                        .rows
+                        .iter()
+                        .collect::<Vec<_>>()
+                ),
+                edges,
+                "{sql}"
+            );
             let product: usize = from.iter().map(|t| db.table(t).unwrap().len()).product();
             if product <= 250_000 {
                 let oracle = execute_query_naive(&db, &q).unwrap();
-                assert_eq!(sorted(oracle.rows), edges, "oracle: {sql}");
+                assert_eq!(
+                    sorted(oracle.rows.iter().collect::<Vec<_>>()),
+                    edges,
+                    "oracle: {sql}"
+                );
                 refereed += 1;
             }
         }

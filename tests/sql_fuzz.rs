@@ -645,10 +645,12 @@ fn check_case(seed: u64) -> std::result::Result<(), String> {
     let planned =
         execute_query(&db, &q).map_err(|e| format!("planner error on `{}`: {e}", gen.sql))?;
     check_explain(&db, &q, &planned, &gen.sql)?;
-    let planned = planned.rows;
+    let planned = planned.rows.iter().collect::<Vec<_>>();
     let naive = execute_query_naive(&db, &q)
         .map_err(|e| format!("oracle error on `{}`: {e}", gen.sql))?
-        .rows;
+        .rows
+        .iter()
+        .collect::<Vec<_>>();
 
     // Bags must always agree.
     let mut pb = planned.clone();
@@ -990,7 +992,10 @@ fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
         };
         let (a, b) = (execute_query(&fk, &q), execute_query(&twin, &q));
         let (a, b) = match (a, b) {
-            (Ok(a), Ok(b)) => (a.rows, b.rows),
+            (Ok(a), Ok(b)) => (
+                a.rows.iter().collect::<Vec<_>>(),
+                b.rows.iter().collect::<Vec<_>>(),
+            ),
             (a, b) => return Err(format!("`{sql}` failed: fk {a:?}, twin {b:?}")),
         };
         if a != b {
@@ -1000,7 +1005,9 @@ fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
         }
         let mut naive = execute_query_naive(&fk, &q)
             .map_err(|e| format!("oracle error on `{sql}`: {e}"))?
-            .rows;
+            .rows
+            .iter()
+            .collect::<Vec<_>>();
         let mut bag = a;
         bag.sort();
         naive.sort();
