@@ -9,7 +9,10 @@
 //! scans of the wire read mix: an INT range (`scan_int_range`) and a
 //! TEXT equality against one generated title (`scan_text_eq`), and
 //! bulk statement 1 of the wire read mix (`project_bulk`: 19 108 rows ×
-//! 3 columns, whose final projection gathers 57 324 cells).
+//! 3 columns, whose final projection gathers 57 324 cells), and Table 2's
+//! two slowest statements of that mix, tasks 4 and 6 (set A): chains of
+//! foreign-key joins from one filtered row, which probe only the rows
+//! the held rows' index entries name.
 //!
 //! These are the paths `table1`/`fig1` regeneration leans on; their medians
 //! feed `BENCH_results.json` and are pinned by the committed
@@ -17,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_bench::parse_select as parse;
+use etable_datagen::tasks::{task_set, TaskSet};
 use etable_datagen::{generate, GenConfig};
 use etable_relational::database::Database;
 use etable_relational::sql::executor::execute_query;
@@ -136,6 +140,9 @@ fn bench_sql(c: &mut Criterion) {
         "scan_text_eq",
         &format!("SELECT COUNT(*) FROM Papers WHERE title = '{title}'"),
     );
+    let tasks = task_set(TaskSet::A);
+    run(&db, "task4_institution_conference", &tasks[3].sql);
+    run(&db, "task6_conference_authors", &tasks[5].sql);
     group.finish();
 }
 

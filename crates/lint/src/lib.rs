@@ -46,11 +46,13 @@
 //!
 //! `tests/` files are walked for rule 3 only: they are exempt from the
 //! panic budget (a failing test *should* panic) and are never crate
-//! roots. The "test region" heuristic for library sources is everything
-//! at and after the first `#[cfg(test)]` line — exact for this
-//! codebase's convention of a single trailing test module per file, and
-//! conservative in the right direction (a mid-file test module exempts
-//! too much from the panic rule but never flags clean code).
+//! roots. In a library source, a `#[cfg(test)]` attribute makes test code
+//! of exactly the item it attributes — a `use`, a statement, a function,
+//! an `impl` block or an out-of-line `mod x;`, read up to its `;` or its
+//! closing brace — and an inline test module (`#[cfg(test)] mod tests {`)
+//! makes test code of the rest of the file. An attribute is a line that
+//! starts with it: a comment or a string that mentions it is not one.
+//! Every rule reads the file through that one split ([`test_lines`]).
 
 #![forbid(unsafe_code)]
 
@@ -172,58 +174,160 @@ fn budget_for(rel: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Counts the lines in the non-test region of a source file — everything
-/// before the first `#[cfg(test)]` line. This is the file-size rule's
-/// exact metric.
-pub fn count_module_lines(content: &str) -> usize {
-    content
-        .lines()
-        .take_while(|l| !l.contains("#[cfg(test)]"))
-        .count()
+/// The attribute that marks test code.
+const CFG_TEST: &str = "#[cfg(test)]";
+
+/// Whether each line of a source file is test code: the lines of every
+/// item a `#[cfg(test)]` attribute attributes, and every line from an
+/// inline test module on (see the module docs). Only a line that starts
+/// with the attribute is one.
+pub fn test_lines(content: &str) -> Vec<bool> {
+    let lines: Vec<&str> = content.lines().collect();
+    let mut test = vec![false; lines.len()];
+    let mut i = 0;
+    while i < lines.len() {
+        let Some(rest) = lines[i].trim_start().strip_prefix(CFG_TEST) else {
+            i += 1;
+            continue;
+        };
+        // The attributed item: the rest of this line, then the lines after
+        // it, up to its `;` or `,` or the brace that closes it.
+        let (mut end, mut depth, mut text) = (i, 0i32, rest);
+        let mut head = true;
+        loop {
+            let code = text.trim_start();
+            if head && !code.is_empty() && !code.starts_with('#') && !code.starts_with("//") {
+                head = false;
+                if opens_inline_module(code) {
+                    test[i..].iter_mut().for_each(|t| *t = true);
+                    return test;
+                }
+            }
+            if item_ends(text, &mut depth) || end + 1 == lines.len() {
+                break;
+            }
+            end += 1;
+            text = lines[end];
+        }
+        test[i..=end].iter_mut().for_each(|t| *t = true);
+        i = end + 1;
+    }
+    test
 }
 
-/// Counts panic-family calls in the non-test, non-comment region of a
+/// Whether an item's first code line opens an inline module
+/// (`mod tests {`, with or without a visibility), not `mod x;`.
+fn opens_inline_module(code: &str) -> bool {
+    let code = code.strip_prefix("pub").map_or(code, |c| {
+        c.strip_prefix("(crate)")
+            .or_else(|| c.strip_prefix("(super)"))
+            .unwrap_or(c)
+    });
+    let Some(rest) = code.trim_start().strip_prefix("mod ") else {
+        return false;
+    };
+    match (rest.find('{'), rest.find(';')) {
+        (Some(open), semi) => semi.is_none_or(|s| open < s),
+        (None, _) => false,
+    }
+}
+
+/// Reads one line of an attributed item, tracking the bracket `depth`
+/// across lines (strings, character literals and line comments aside):
+/// true when the item ends on it, at a `;` or `,` outside every bracket
+/// or at the brace that closes its body.
+fn item_ends(text: &str, depth: &mut i32) -> bool {
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '/' if chars.peek() == Some(&'/') => return false,
+            '"' => {
+                while let Some(s) = chars.next() {
+                    match s {
+                        '\\' => drop(chars.next()),
+                        '"' => break,
+                        _ => {}
+                    }
+                }
+            }
+            // A character literal ('x', '\n'); otherwise a lifetime.
+            '\'' => {
+                let mut ahead = chars.clone();
+                match (ahead.next(), ahead.next()) {
+                    (Some('\\'), _) => {
+                        chars.by_ref().take_while(|&q| q != '\'').for_each(drop);
+                    }
+                    (Some(_), Some('\'')) => {
+                        chars.next();
+                        chars.next();
+                    }
+                    _ => {}
+                }
+            }
+            '(' | '[' | '{' => *depth += 1,
+            ')' | ']' => *depth -= 1,
+            '}' => {
+                *depth -= 1;
+                if *depth <= 0 {
+                    return true;
+                }
+            }
+            ';' | ',' if *depth <= 0 => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// The lines of a source file that are neither test code nor comments,
+/// with their 0-based numbers: what the panic and row-view rules read.
+fn non_test_code(content: &str) -> impl Iterator<Item = (usize, &str)> {
+    (content.lines().zip(test_lines(content)).enumerate())
+        .filter(|(_, (l, test))| !test && !l.trim_start().starts_with("//"))
+        .map(|(i, (l, _))| (i, l))
+}
+
+/// Counts the lines of a source file that are not test code ([`test_lines`];
+/// comments and blank lines count). This is the file-size rule's exact
+/// metric.
+pub fn count_module_lines(content: &str) -> usize {
+    test_lines(content).iter().filter(|&&t| !t).count()
+}
+
+/// Counts panic-family calls in the non-test, non-comment lines of a
 /// source file. This is the budget rule's exact metric — keep it in sync
 /// with the allowlist comment above.
 pub fn count_panics(content: &str) -> usize {
-    let mut count = 0;
-    for line in content.lines() {
-        if line.contains("#[cfg(test)]") {
-            break;
-        }
-        let s = line.trim_start();
-        if s.starts_with("//") {
-            continue;
-        }
-        for pat in PANIC_PATTERNS {
-            count += s.matches(pat).count();
-        }
-    }
-    count
+    non_test_code(content)
+        .map(|(_, l)| {
+            PANIC_PATTERNS
+                .iter()
+                .map(|p| l.matches(p).count())
+                .sum::<usize>()
+        })
+        .sum()
 }
 
-/// Rule 6: the lines of a non-test file, before its test region, that
-/// name a row view (comment lines aside), unless the file is its home.
+/// Rule 6: the non-test code lines of a non-test file that name a row
+/// view, unless the file is its home.
 fn check_row_view(rel: &str, content: &str) -> Vec<Violation> {
     if is_test_file(rel) {
         return Vec::new();
     }
-    let code = (content.lines().enumerate())
-        .take_while(|(_, l)| !l.contains("#[cfg(test)]"))
-        .filter(|(_, l)| !l.trim_start().starts_with("//"));
-    code.flat_map(|(i, l)| {
-        (ROW_VIEWS.iter())
-            .filter(move |&&(view, home, _)| rel != home && l.contains(view))
-            .map(move |&(view, home, instead)| Violation {
-                file: rel.to_string(),
-                line: i + 1,
-                rule: "row-view",
-                message: format!(
-                    "names `{view}`, which builds whole rows; {instead} ({home} only)"
-                ),
-            })
-    })
-    .collect()
+    non_test_code(content)
+        .flat_map(|(i, l)| {
+            (ROW_VIEWS.iter())
+                .filter(move |&&(view, home, _)| rel != home && l.contains(view))
+                .map(move |&(view, home, instead)| Violation {
+                    file: rel.to_string(),
+                    line: i + 1,
+                    rule: "row-view",
+                    message: format!(
+                        "names `{view}`, which builds whole rows; {instead} ({home} only)"
+                    ),
+                })
+        })
+        .collect()
 }
 
 /// Lints one source file. `rel` is the workspace-relative path (forward
@@ -277,16 +381,9 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Violation> {
 
     // Rule 3: no set_var in test code — #[cfg(test)] regions of library
     // sources, or anywhere in an integration-test file.
-    let mut in_test = test_file;
-    for (i, line) in content.lines().enumerate() {
-        if line.contains("#[cfg(test)]") {
-            in_test = true;
-        }
+    for (i, (line, test)) in content.lines().zip(test_lines(content)).enumerate() {
         let s = line.trim_start();
-        if s.starts_with("//") {
-            continue;
-        }
-        if in_test && s.contains(SET_VAR_PATTERN) {
+        if (test || test_file) && !s.starts_with("//") && s.contains(SET_VAR_PATTERN) {
             out.push(Violation {
                 file: rel.to_string(),
                 line: i + 1,
@@ -504,6 +601,51 @@ mod tests {
         // Integration tests are exempt entirely.
         let big = "fn t() {}\n".repeat(SIZE_BUDGET_DEFAULT * 2);
         assert!(check_file("crates/foo/tests/it.rs", &big).is_empty());
+    }
+
+    /// A `#[cfg(test)]` attribute on a statement, a `use`, a `mod x;` line
+    /// or a function exempts that item alone; the code after it counts.
+    #[test]
+    fn a_test_attribute_exempts_only_its_item() {
+        let pat = PANIC_PATTERNS[0];
+        let src = format!(
+            "#[cfg(test)]\n#[path = \"t.rs\"]\nmod t;\n\
+             pub fn f(o: Option<u32>) -> u32 {{\n\
+             \x20   #[cfg(test)]\n\
+             \x20   COUNT.with(|n| n.set(n.get() + '{{'.len_utf8()));\n\
+             \x20   o{pat}\n}}\n\
+             #[cfg(test)]\nfn g(o: Option<u32>) -> u32 {{\n    o{pat}\n}}\n\
+             #[cfg(test)] use x::y;\n\
+             pub fn h(o: Option<u32>) -> u32 {{ o{pat} }}\n"
+        );
+        assert_eq!(
+            test_lines(&src),
+            [
+                true, true, true, false, true, true, false, false, true, true, true, true, true,
+                false
+            ]
+        );
+        assert_eq!(count_module_lines(&src), 4);
+        assert_eq!(count_panics(&src), 2);
+    }
+
+    /// A comment or a string that mentions the attribute is not one: the
+    /// code after it still counts, and only an inline test module ends
+    /// the non-test region.
+    #[test]
+    fn a_mention_of_the_attribute_is_not_one() {
+        let pat = PANIC_PATTERNS[0];
+        let src = format!(
+            "//! Tests live under `#[cfg(test)]`.\n\
+             /// See #[cfg(test)] below.\n\
+             const A: &str = \"#[cfg(test)]\";\n\
+             pub fn f(o: Option<u32>) -> u32 {{ o{pat} }}\n\
+             #[cfg(test)]\nmod tests {{\n    fn g() {{}}\n}}\npub fn after() {{}}\n"
+        );
+        assert_eq!(count_module_lines(&src), 4);
+        assert_eq!(count_panics(&src), 1);
+        let one_line = "fn f() {}\n#[cfg(test)] mod t { fn g() {} }\nfn h() {}\n";
+        assert_eq!(test_lines(one_line), [false, true, true]);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! * a residual filter runs the predicate kernel over only the columns
 //!   it references, gathered through the row-id vectors, and composes the
 //!   surviving positions,
-//! * ORDER BY computes a permutation over rank-decorated key columns.
+//! * ORDER BY orders one word per row — the first key's order word above
+//!   the row's position — and compares later keys only on ties.
 //!
 //! No row is built anywhere in that pipeline; the final projection
 //! ([`ColRelation::project`]) gathers each output column in one pass,
@@ -44,6 +45,7 @@
 //! even a single-column materialized row vector.
 
 use crate::exec::join::{fk_key_pairs, key_pairs};
+use crate::fk_index::FkIndex;
 use crate::relation::{RelColumn, Relation, SortKey};
 use crate::sql::analyze::TypedPred;
 use crate::table::{ColumnData, ColumnStore, Table};
@@ -296,16 +298,16 @@ impl<'a> ColRelation<'a> {
     }
 
     /// [`ColRelation::hash_join`] along a foreign key with a stored index
-    /// (`crate::fk_index`): `fwd` maps the rows of the foreign-key column
+    /// (`crate::fk_index`): `ix` maps the rows of the foreign-key column
     /// — `self[left_col]` when `fk_left`, else `other[right_col]` — to rows
-    /// of the primary-key column on the other side. The pairs are
-    /// `exec::join::fk_key_pairs`', the same as the hash join's, in the
+    /// of the primary-key column on the other side, and back. The pairs
+    /// are `exec::join::fk_key_pairs`', the same as the hash join's, in the
     /// same order, with no hash table built.
     pub(crate) fn fk_join(
         &self,
         other: &ColRelation<'a>,
         (left_col, right_col): (usize, usize),
-        fwd: &[u32],
+        ix: &FkIndex,
         fk_left: bool,
     ) -> Result<ColRelation<'a>> {
         self.join_with(other, left_col, right_col, |build, probe, build_is_left| {
@@ -317,11 +319,11 @@ impl<'a> ColRelation<'a> {
             };
             debug_assert_eq!(
                 fk.len(),
-                fwd.len(),
+                ix.fwd().len(),
                 "plan invariant violated: stale FK index"
             );
             let (fk_rows, pk_rows) = (fk_ids.as_slice(), pk_ids.as_slice());
-            Ok(fk_key_pairs(pk.len(), pk_rows, fwd, fk_rows, fk_builds))
+            Ok(fk_key_pairs(pk.len(), pk_rows, ix, fk_rows, fk_builds))
         })
     }
 
@@ -352,6 +354,7 @@ impl<'a> ColRelation<'a> {
             build_is_left,
         )?;
         check_cardinality(build_pos.len())?;
+        crate::work::count(|w| w.rows_matched += build_pos.len() as u64);
         Ok(if build_is_left {
             build.composed(&build_pos, Some((probe, &probe_pos)))
         } else {
@@ -399,20 +402,58 @@ impl<'a> ColRelation<'a> {
     }
 
     /// The permutation ORDER BY `keys` induces (ties keep input order) or,
-    /// with `keep = Some(k)`, its first `k` positions — computed by
-    /// `sorted_positions` over rank-decorated key columns hoisted once per
-    /// key off their typed slices, without materializing any row.
+    /// with `keep = Some(k)`, its first `k` positions. Each row gets one
+    /// word: the first key's [`Value::order_word`] over dictionary ranks,
+    /// flipped when descending, above the row's position. Only rows whose
+    /// first keys tie compare the later keys, as rank-decorated cells
+    /// hoisted once per key off their typed slices; no row is
+    /// materialized.
     pub fn sort_order(&self, keys: &[SortKey], keep: Option<usize>) -> Vec<u32> {
         let ranks = crate::intern::rank_map();
-        let decorated: Vec<Vec<SortCell>> = keys
-            .iter()
-            .map(|k| {
-                let (store, ids) = self.col_source(k.column);
-                let rows = (0..self.n_rows).map(|r| ids.get(r));
-                gather(store, rows, |v| SortCell::new(v, &ranks))
-            })
+        let rows = |k: &SortKey| {
+            let (store, ids) = self.col_source(k.column);
+            (store, (0..self.n_rows).map(|r| ids.get(r)))
+        };
+        let k = keep.map_or(self.n_rows, |k| k.min(self.n_rows));
+        let Some((first, rest)) = keys.split_first() else {
+            // No key at all orders by input position.
+            return (0..k as u32).collect();
+        };
+        let (store, first_rows) = rows(first);
+        let flip = if first.descending { !0 << 32 } else { 0 };
+        let key = gather(store, first_rows, |v| v.order_word(|s| ranks.rank(s)));
+        let mut words: Vec<u128> = (key.into_iter().zip(0u32..))
+            .map(|(w, i)| ((w << 32) ^ flip) | u128::from(i))
             .collect();
-        sorted_positions(self.n_rows, &decorated, keys, keep)
+        if rest.is_empty() {
+            order_prefix(&mut words, 0, k, u128::cmp);
+        } else {
+            let decorated: Vec<Vec<SortCell>> = (rest.iter())
+                .map(|key| {
+                    let (store, rows) = rows(key);
+                    gather(store, rows, |v| SortCell::new(v, &ranks))
+                })
+                .collect();
+            let later = |a: usize, b: usize| {
+                (decorated.iter().zip(rest))
+                    .map(|(cells, key)| {
+                        let ord = SortCell::total_cmp(cells[a], cells[b]);
+                        if key.descending {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            };
+            order_prefix(&mut words, 0, k, |a, b| {
+                ((a >> 32).cmp(&(b >> 32)))
+                    .then_with(|| later(*a as u32 as usize, *b as u32 as usize))
+                    .then(a.cmp(b))
+            });
+        }
+        words[..k].iter().map(|&w| w as u32).collect()
     }
 
     /// π — the final projection: gathers each output column in one pass
@@ -489,35 +530,6 @@ fn gather<O>(
         ColumnData::Sym(v) => pick(v, store, rows, Value::Text, out),
         ColumnData::Bool(v) => pick(v, store, rows, Value::Bool, out),
     }
-}
-
-/// The permutation ORDER BY `keys` induces over rows `0..n` — or, with
-/// `keep = Some(k)`, only its first `k` positions (ORDER BY … LIMIT as a
-/// top-k). `decorated` holds one rank-decorated cell vector per key, so
-/// the comparator compares machine words and never touches the interner.
-/// Rows compare by the keys and then by input position, which makes the
-/// order total ([`order_prefix`]).
-fn sorted_positions(
-    n: usize,
-    decorated: &[Vec<SortCell>],
-    keys: &[SortKey],
-    keep: Option<usize>,
-) -> Vec<u32> {
-    let cmp = |a: &u32, b: &u32| {
-        for (cells, k) in decorated.iter().zip(keys) {
-            let ord = SortCell::total_cmp(cells[*a as usize], cells[*b as usize]);
-            let ord = if k.descending { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(b)
-    };
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let k = keep.map_or(n, |k| k.min(n));
-    order_prefix(&mut order, 0, k, cmp);
-    order.truncate(k);
-    order
 }
 
 /// The ordering kernel of ORDER BY and of an enriched table's window:
@@ -898,5 +910,74 @@ mod tests {
         // The cut of a top-k falls inside the run of ties on 0.
         assert_eq!(rel.sort_order(&[SortKey::asc(0)], Some(1)), vec![1]);
         assert_eq!(rel.sort_order(&[SortKey::asc(0)], Some(3)), vec![1, 3, 0]);
+    }
+
+    /// ORDER BY's words order rows as the rank-decorated comparator does,
+    /// stably: over NULLs, −0.0 beside 0.0, NaNs, text by rank whatever
+    /// the interning order, ascending and descending, one key or two, whole
+    /// and as a top-k.
+    #[test]
+    fn word_order_is_the_cell_comparator() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let floats = [-0.0, 0.0, f64::NAN, -f64::NAN, 1.5, -2.0, f64::INFINITY];
+        let texts = [
+            "word-sort-pear",
+            "word-sort-Apple",
+            "word-sort-",
+            "word-sort-apple",
+        ];
+        let cols = vec![
+            Column::nullable("i", DataType::Int),
+            Column::nullable("f", DataType::Float),
+            Column::nullable("s", DataType::Text),
+            Column::nullable("b", DataType::Bool),
+        ];
+        // Interned out of rank order before the snapshot is taken.
+        let _ = texts.map(Value::text);
+        let ranks = crate::intern::rank_map();
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cell = |rng: &mut StdRng, k: usize| match (rng.gen_range(0..5), k) {
+                (0, _) => Value::Null,
+                (_, 0) => Value::Int(rng.gen_range(-3..3)),
+                (_, 1) => Value::Float(floats[rng.gen_range(0..floats.len())]),
+                (_, 2) => Value::text(texts[rng.gen_range(0..texts.len())]),
+                _ => Value::Bool(rng.gen_range(0..2) == 1),
+            };
+            let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..40))
+                .map(|_| (0..4).map(|k| cell(&mut rng, k)).collect())
+                .collect();
+            let t = table("t", cols.clone(), rows);
+            let rel = ColRelation::from_table(&t, "t");
+            let keys: Vec<SortKey> = (0..rng.gen_range(1..=2))
+                .map(|_| SortKey {
+                    column: rng.gen_range(0..4),
+                    descending: rng.gen_range(0..2) == 1,
+                })
+                .collect();
+            let cells = |r: usize, k: &SortKey| SortCell::new(t.value(r, k.column), &ranks);
+            let mut want: Vec<u32> = (0..t.len() as u32).collect();
+            want.sort_by(|&a, &b| {
+                (keys.iter())
+                    .map(|k| {
+                        let ord = SortCell::total_cmp(cells(a as usize, k), cells(b as usize, k));
+                        if k.descending {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
+            assert_eq!(rel.sort_order(&keys, None), want, "seed {seed}: {keys:?}");
+            let k = rng.gen_range(0..=t.len());
+            assert_eq!(
+                rel.sort_order(&keys, Some(k)),
+                want[..k],
+                "seed {seed}: top {k}"
+            );
+        }
     }
 }

@@ -13,9 +13,13 @@
 //! oracle ([`crate::sql::naive`]) shares the vocabulary and nothing else.
 //!
 //! Grouping is one sequential pass on the calling thread, like every
-//! other kernel: at 38 000 papers the hash pass costs 0.1–0.8 ms, and
-//! splitting it across two workers measured slower (DESIGN.md,
-//! "Vectorized grouping"). Float SUM/AVG therefore fold in row order.
+//! other kernel (splitting it across two workers measured slower;
+//! DESIGN.md, "Vectorized grouping"), so float SUM/AVG fold in row order.
+//! Integer and text key words whose span is a few slots per row index an
+//! array instead of a hash map: `sql/group_highcard` (110 746 rows into
+//! 20 671 groups at 38 000 papers) took 1.68 ms through the map and takes
+//! 1.03 ms on the array (in process, best of 160 runs each, alternating,
+//! on a 2-core VM).
 
 use crate::colrel::{ColRelation, RowIds};
 use crate::exec::hash::KeyHashBuilder;
@@ -91,37 +95,127 @@ pub(crate) enum KeyShape {
 /// The output of the group-id pass: every input row's dense group id, and
 /// each group's first input row. Ids are handed out in first-occurrence
 /// order, so `first_rows` is ascending and indexing by group id *is*
-/// first-occurrence order.
+/// first-occurrence order. A keyless aggregate's one group holds every
+/// row and `gids` is empty: no per-row id is stored for it.
 struct GroupIds {
     gids: Vec<u32>,
     first_rows: Vec<u32>,
+}
+
+impl GroupIds {
+    /// Row `r`'s group id.
+    fn of(&self, r: usize) -> usize {
+        self.gids.get(r).map_or(0, |&g| g as usize)
+    }
 }
 
 /// Not-yet-assigned marker in the group index. Never a real id: a relation
 /// holds at most `u32::MAX` rows, so ids stop at `u32::MAX - 1`.
 const UNASSIGNED: u32 = u32::MAX;
 
-/// The group-id pass over `n` rows: `key(r)` is row `r`'s key word, `None`
-/// for NULL — which is a group of its own (SQL groups NULLs together).
-fn assign_gids<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> GroupIds {
-    let mut index: HashMap<K, u32, KeyHashBuilder> =
-        HashMap::with_capacity_and_hasher(n, KeyHashBuilder::default());
-    let mut null_gid = UNASSIGNED;
+/// The dense pass's bound: key words may span this many array slots per
+/// row (plus [`DENSE_SLACK`]) before the pass hashes instead.
+const DENSE_SLOTS_PER_ROW: i128 = 4;
+
+/// Slots the dense pass may always take, whatever the row count.
+const DENSE_SLACK: i128 = 1024;
+
+/// Hands out group ids in first-occurrence order over `n` rows: `gid(r,
+/// fresh)` returns row `r`'s group id, or takes `fresh` for a new group.
+fn number_groups(n: usize, mut gid: impl FnMut(usize, u32) -> u32) -> GroupIds {
     let mut first_rows: Vec<u32> = Vec::new();
     let gids = (0..n)
         .map(|r| {
-            let slot = match key(r) {
-                Some(k) => index.entry(k).or_insert(UNASSIGNED),
-                None => &mut null_gid,
-            };
-            if *slot == UNASSIGNED {
-                *slot = first_rows.len() as u32;
+            let fresh = first_rows.len() as u32;
+            let g = gid(r, fresh);
+            if g == fresh {
                 first_rows.push(r as u32);
             }
-            *slot
+            g
         })
         .collect();
     GroupIds { gids, first_rows }
+}
+
+/// The group id in an index slot: the one it holds, or `fresh`, which it
+/// now holds.
+fn claim(slot: &mut u32, fresh: u32) -> u32 {
+    if *slot == UNASSIGNED {
+        *slot = fresh;
+    }
+    *slot
+}
+
+/// The group-id pass over `n` rows: `key(r)` is row `r`'s key, `None`
+/// for NULL — which is a group of its own (SQL groups NULLs together).
+/// Keys go through a hash map that grows with the groups found.
+fn assign_gids<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> GroupIds {
+    let mut index: HashMap<K, u32, KeyHashBuilder> = HashMap::default();
+    let (mut null_gid, mut hashed) = (UNASSIGNED, 0);
+    let ids = number_groups(n, |r, fresh| {
+        let slot = match key(r) {
+            Some(k) => {
+                hashed += 1;
+                index.entry(k).or_insert(UNASSIGNED)
+            }
+            None => &mut null_gid,
+        };
+        claim(slot, fresh)
+    });
+    crate::work::count(|w| w.keys_hashed += hashed);
+    ids
+}
+
+/// [`assign_gids`] over integer key words: when the words span at most a
+/// few slots per row, an array indexed by each word's offset from the
+/// least one stands in for the hash map. Same ids, same order. `bound`
+/// yields every word `key` can return, and maybe more.
+fn word_gids<K>(
+    n: usize,
+    bound: impl Iterator<Item = K>,
+    key: impl Fn(usize) -> Option<K>,
+) -> GroupIds
+where
+    K: Hash + Eq + Copy + Into<i128>,
+{
+    // In `i128`, no span of `i64` or `u64` words overflows.
+    let (lo, hi) =
+        (bound.map(K::into)).fold((i128::MAX, i128::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    // Every key NULL (or no row): no slot at all.
+    let span = if lo > hi { 0 } else { hi - lo + 1 };
+    if span > DENSE_SLOTS_PER_ROW * n as i128 + DENSE_SLACK {
+        return assign_gids(n, key);
+    }
+    let mut slots = vec![UNASSIGNED; span as usize];
+    let mut null_gid = UNASSIGNED;
+    number_groups(n, |r, fresh| {
+        let slot = match key(r) {
+            Some(k) => &mut slots[(k.into() - lo) as usize],
+            None => &mut null_gid,
+        };
+        claim(slot, fresh)
+    })
+}
+
+/// [`word_gids`] over the words of a column `body`, row `r` reading
+/// `row(r)` (`None`: NULL). A relation that reads at least as many rows
+/// as the body holds bounds them by the whole body, in one pass that
+/// never reads through the row ids.
+fn body_gids<T: Copy, K>(
+    n: usize,
+    body: &[T],
+    word: impl Fn(T) -> K,
+    row: impl Fn(usize) -> Option<usize>,
+) -> GroupIds
+where
+    K: Hash + Eq + Copy + Into<i128>,
+{
+    let key = |r: usize| row(r).map(|t| word(body[t]));
+    if n >= body.len() {
+        word_gids(n, body.iter().map(|&b| word(b)), key)
+    } else {
+        word_gids(n, (0..n).filter_map(key), key)
+    }
 }
 
 /// What [`ColRelation::group_by`] emits: one typed store per output column
@@ -182,8 +276,8 @@ impl ColRelation<'_> {
         let (store, ids) = self.col_source(col);
         let row = |r: usize| Some(ids.get(r)).filter(|&t| !store.is_null(t));
         match store.data() {
-            ColumnData::Int(v) => assign_gids(self.len(), |r| row(r).map(|t| v[t])),
-            ColumnData::Sym(v) => assign_gids(self.len(), |r| row(r).map(|t| v[t].id())),
+            ColumnData::Int(v) => body_gids(self.len(), v, |w| w, row),
+            ColumnData::Sym(v) => body_gids(self.len(), v, |s| s.id(), row),
             ColumnData::Float(_) | ColumnData::Bool(_) => {
                 assign_gids(self.len(), |r| row(r).map(|t| store.get(t)))
             }
@@ -192,23 +286,23 @@ impl ColRelation<'_> {
 
     /// The group-id pass for the whole key. A multi-column key folds its
     /// columns left to right: two rows share a group iff they share the
-    /// group so far *and* the next column's group, so each step hashes one
-    /// `u64` of two dense ids — no row-wide key is ever built. No key at
-    /// all is the single implicit group of a global aggregate, present
+    /// group so far *and* the next column's group, so each step numbers
+    /// one word of two dense ids — no row-wide key is ever built. No key
+    /// at all is the single implicit group of a global aggregate, present
     /// even over empty input (its first row is never read: there is no
     /// key column to read it for).
     fn group_ids(&self, group_cols: &[usize]) -> GroupIds {
         let Some((&first, rest)) = group_cols.split_first() else {
             return GroupIds {
-                gids: vec![0; self.len()],
+                gids: Vec::new(),
                 first_rows: vec![0],
             };
         };
         rest.iter().fold(self.column_gids(first), |so_far, &col| {
             let next = self.column_gids(col);
-            assign_gids(self.len(), |r| {
-                Some(u64::from(so_far.gids[r]) << 32 | u64::from(next.gids[r]))
-            })
+            let width = next.first_rows.len() as u64;
+            let key = |r: usize| Some(u64::from(so_far.gids[r]) * width + u64::from(next.gids[r]));
+            word_gids(self.len(), (0..self.len()).filter_map(key), key)
         })
     }
 
@@ -222,8 +316,8 @@ impl ColRelation<'_> {
     /// fills a store of the type `group_output_columns` gives it, NULL
     /// results as null bits.
     pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Grouped> {
-        let GroupIds { gids, first_rows } = self.group_ids(group_cols);
-        let len = first_rows.len();
+        let gids = self.group_ids(group_cols);
+        let (first_rows, len) = (&gids.first_rows, gids.first_rows.len());
         let columns = group_output_columns(self.columns(), group_cols, aggs);
         let mut stores = Vec::with_capacity(columns.len());
         for &c in group_cols {
@@ -232,8 +326,11 @@ impl ColRelation<'_> {
         }
         for (spec, col) in aggs.iter().zip(&columns[group_cols.len()..]) {
             stores.push(match spec.call {
-                None => count_per_group(gids.iter().map(|&g| g as usize), len),
-                Some((func, c)) => aggregate(func, self.col_source(c), &gids, len, col.data_type)?,
+                None => count_per_group((0..self.len()).map(|r| gids.of(r)), len),
+                Some((func, c)) => {
+                    let input = (self.col_source(c), self.len());
+                    aggregate(func, input, &gids, len, col.data_type)?
+                }
             });
         }
         Ok(Grouped {
@@ -244,22 +341,20 @@ impl ColRelation<'_> {
     }
 }
 
-/// One aggregate's sweep: folds the input column `store`, read through
-/// `ids` (row `r` belongs to group `gids[r]`), into a state vector indexed
-/// by group id, in row order, and finishes it into the aggregate's output
-/// column, of type `ty`.
+/// One aggregate's sweep: folds the `n` rows of the input column `store`,
+/// read through `ids` (row `r` belongs to group `gids.of(r)`), into a
+/// state vector indexed by group id, in row order, and finishes it into
+/// the aggregate's output column, of type `ty`.
 fn aggregate(
     func: AggFunc,
-    (store, ids): (&ColumnStore, &RowIds),
-    gids: &[u32],
+    ((store, ids), n): ((&ColumnStore, &RowIds), usize),
+    gids: &GroupIds,
     n_groups: usize,
     ty: DataType,
 ) -> Result<ColumnStore> {
     // NULL inputs are skipped by every aggregate.
-    let cells = gids
-        .iter()
-        .enumerate()
-        .map(|(r, &g)| (g as usize, store.get(ids.get(r))))
+    let cells = (0..n)
+        .map(|r| (gids.of(r), store.get(ids.get(r))))
         .filter(|(_, v)| !v.is_null());
     Ok(match func {
         AggFunc::Count => count_per_group(cells.map(|(g, _)| g), n_groups),
@@ -558,5 +653,89 @@ mod tests {
         );
         assert_eq!((g.len, g.stores[0].get(0)), (1, Value::Int(0)));
         assert_eq!(nulls(&g, 0), [false, true, true, true, true]);
+    }
+
+    /// A group-id pass's ids and first rows.
+    type Numbered = (Vec<u32>, Vec<u32>);
+
+    /// The group ids of `keys` by the word pass and by the hash pass, and
+    /// how many keys the word pass hashed.
+    fn both_passes(keys: &[Option<i64>]) -> (Numbered, Numbered, u64) {
+        let parts = |g: GroupIds| (g.gids, g.first_rows);
+        let before = crate::work::on_this_thread().keys_hashed;
+        let key = |r: usize| keys[r];
+        let words = parts(word_gids(keys.len(), keys.iter().flatten().copied(), key));
+        let hashed = crate::work::on_this_thread().keys_hashed - before;
+        (words, parts(assign_gids(keys.len(), |r| keys[r])), hashed)
+    }
+
+    /// Keys that span a few slots per row index the array and hash
+    /// nothing, wherever the span lies in `i64` (its ends included); a
+    /// span wider than that — up to `i64::MIN..=i64::MAX`, which must not
+    /// overflow — hashes every key. Both hand out the hash pass's ids.
+    #[test]
+    fn dense_and_hashed_group_ids_agree() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..200usize);
+            let width = rng.gen_range(1..=2 * n as i64 + 1);
+            let lo = match seed % 3 {
+                0 => i64::MIN,
+                1 => i64::MAX - width + 1,
+                _ => rng.gen_range(-1000..1000),
+            };
+            let keys: Vec<Option<i64>> = (0..n)
+                .map(|_| (rng.gen_range(0..8) > 0).then(|| lo + rng.gen_range(0..width)))
+                .collect();
+            let (words, hashed, n_hashed) = both_passes(&keys);
+            assert_eq!(words, hashed, "seed {seed}");
+            assert_eq!(n_hashed, 0, "seed {seed}: dense");
+        }
+        let wide = [
+            Some(i64::MAX),
+            None,
+            Some(i64::MIN),
+            Some(0),
+            Some(i64::MAX),
+        ];
+        let (words, hashed, n_hashed) = both_passes(&wide);
+        assert_eq!(words, hashed);
+        assert_eq!(words, (vec![0, 1, 2, 3, 0], vec![0, 1, 2, 3]));
+        assert_eq!(n_hashed, 4);
+    }
+
+    /// A keyless aggregate stores no per-row group id, and a
+    /// high-cardinality INT key groups on the dense pass through
+    /// `group_by` with every aggregate reading the right group.
+    #[test]
+    fn keyless_and_dense_grouping_through_group_by() {
+        let rows: Vec<Row> = (0..3000i64)
+            .map(|i| vec![(i % 1000 - 500).into(), i.into()])
+            .collect();
+        let t = table(
+            vec![
+                Column::new("k", DataType::Int),
+                Column::new("v", DataType::Int),
+            ],
+            rows,
+        );
+        let rel = ColRelation::from_table(&t, "t");
+        assert!(rel.group_ids(&[]).gids.is_empty());
+        let before = crate::work::on_this_thread().keys_hashed;
+        let specs = [
+            AggSpec::new(None, "n"),
+            AggSpec::new(Some((AggFunc::Sum, 1)), "s"),
+        ];
+        let g = grouped(&t, &[0], &specs);
+        assert_eq!(crate::work::on_this_thread().keys_hashed, before);
+        assert_eq!(g.len(), 1000);
+        assert_eq!(
+            g[3],
+            vec![Value::Int(-497), 3.into(), (3 + 1003 + 2003).into()]
+        );
+        let all = grouped(&t, &[], &specs);
+        assert_eq!(all, vec![vec![3000.into(), (2999 * 3000 / 2).into()]]);
     }
 }

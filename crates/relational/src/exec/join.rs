@@ -10,10 +10,19 @@
 //! the hash table's place. It emits the same pairs in the same order as
 //! [`key_pairs`] would, holds nothing the tables do not already bound, and
 //! so never consults the memory budget.
+//!
+//! When its probe side is a whole table, [`fk_key_pairs`] probes only the
+//! rows that can match: the referencing rows the held referenced rows'
+//! reverse lists name, or the referenced rows the held referencing rows'
+//! forward entries name, marked in a bitmap and walked in ascending row
+//! order — the order a full probe visits them in. It takes that path
+//! when it touches fewer rows than the full probe, as the index itself
+//! counts them: a row it visits is touched twice, once to mark it and
+//! once to probe it.
 
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
-use crate::fk_index::DANGLING;
+use crate::fk_index::{FkIndex, DANGLING};
 use crate::storage::spill::{self, SpillKey};
 use crate::table::{ColumnData, ColumnStore};
 use crate::Result;
@@ -62,31 +71,94 @@ pub(crate) fn key_pairs(
 }
 
 /// [`key_pairs`] of a foreign-key column and the primary-key column it
-/// references, from the key's stored index `fwd` (referencing row ->
-/// referenced row, sentinels at and above [`DANGLING`]): the key of a
-/// primary-key row is its row id, the key of a referencing row its `fwd`
-/// entry. `pk_rows` and `fk_rows` are the two sides' selections (`None`:
-/// every row) and `pk_len` the referenced table's row count;
-/// `fk_builds` says which side is the build side. Same pairs, same order
-/// as the hashing kernel: probe positions ascending, each one's build
-/// positions latest first.
+/// references, from the key's stored index `ix` (its `fwd` maps a
+/// referencing row to its referenced row, sentinels at and above
+/// [`DANGLING`]): the key of a primary-key row is its row id, the key of a
+/// referencing row its `fwd` entry. `pk_rows` and `fk_rows` are the two
+/// sides' selections (`None`: every row) and `pk_len` the referenced
+/// table's row count; `fk_builds` says which side is the build side. Same
+/// pairs, same order as the hashing kernel: probe positions ascending,
+/// each one's build positions latest first. A whole-table probe side is
+/// walked from the held rows when that touches fewer rows (module docs).
 pub(crate) fn fk_key_pairs(
     pk_len: usize,
     pk_rows: Option<&[u32]>,
-    fwd: &[u32],
+    ix: &FkIndex,
     fk_rows: Option<&[u32]>,
     fk_builds: bool,
 ) -> (Vec<u32>, Vec<u32>) {
+    let fwd = &ix.fwd()[..];
     let pk_n = pk_rows.map_or(pk_len, <[u32]>::len);
     let fk_n = fk_rows.map_or(fwd.len(), <[u32]>::len);
     let pk = |i: usize| Some(pk_rows.map_or(i as u32, |s| s[i]));
     let fk = |i: usize| Some(fwd[fk_rows.map_or(i, |s| s[i] as usize)]).filter(|&t| t < DANGLING);
     // The keys are row ids of the referenced table: one head per row.
-    let head = DenseHeads(vec![0; pk_len]);
+    let mut head = DenseHeads(vec![0; pk_len]);
     if fk_builds {
-        chain_pairs(head, fk_n, fk, pk_n, pk)
-    } else {
-        chain_pairs(head, pk_n, pk, fk_n, fk)
+        let next = link(&mut head, fk_n, fk);
+        // A full probe touches every referenced row; the walk touches the
+        // held rows' entries to mark their rows, each marked row again to
+        // probe it, and one bitmap word per 64 rows.
+        if pk_rows.is_none() && 2 * fk_n + pk_len / 64 < pk_len {
+            crate::work::count(|w| w.forward_walks += 1);
+            let mut hit = Bits::new(pk_len);
+            (0..fk_n).filter_map(fk).for_each(|t| hit.set(t));
+            let rows = hit.rows();
+            return probe(&head, &next, rows.len(), |i| (rows[i], Some(rows[i])));
+        }
+        return probe(&head, &next, pk_n, |p| (p as u32, pk(p)));
+    }
+    let next = link(&mut head, pk_n, pk);
+    // At most half the referenced rows, held, name about half the
+    // referencing rows or fewer; their reverse lists say exactly how many.
+    if let (Some(held), None, true) = (pk_rows, fk_rows, 2 * pk_n < pk_len) {
+        // Each held row once: at its latest position, its chain's head.
+        let distinct: Vec<u32> = (held.iter().zip(1u32..))
+            .filter(|&(&t, i)| head.0[t as usize] == i)
+            .map(|(&t, _)| t)
+            .collect();
+        let rev = ix.rev();
+        // Each row a list names is touched twice: marked, then probed.
+        let named: usize = distinct.iter().map(|&t| rev.of_row(t).len()).sum();
+        if 2 * named + fwd.len() / 64 < fwd.len() {
+            crate::work::count(|w| w.reverse_walks += 1);
+            let mut hit = Bits::new(fwd.len());
+            for &t in &distinct {
+                rev.of_row(t).iter().for_each(|&r| hit.set(r));
+            }
+            let rows = hit.rows();
+            return probe(&head, &next, rows.len(), |i| {
+                (rows[i], Some(fwd[rows[i] as usize]))
+            });
+        }
+    }
+    probe(&head, &next, fk_n, |p| (p as u32, fk(p)))
+}
+
+/// A set of row ids under a bound, one bit each.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// The empty set of rows `0..n`.
+    fn new(n: usize) -> Self {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    fn set(&mut self, r: u32) {
+        self.0[r as usize / 64] |= 1 << (r % 64);
+    }
+
+    /// The rows in the set, ascending.
+    fn rows(&self) -> Vec<u32> {
+        let mut rows = Vec::new();
+        for (&word, w) in self.0.iter().zip(0u32..) {
+            let mut rest = word;
+            while rest != 0 {
+                rows.push(w * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        rows
     }
 }
 
@@ -189,6 +261,18 @@ where
     B: Fn(usize) -> Option<K>,
     P: Fn(usize) -> Option<K>,
 {
+    let next = link(&mut head, build_n, build_key);
+    probe(&head, &next, probe_n, |p| (p as u32, probe_key(p)))
+}
+
+/// The build loop: links each of the `build_n` positions holding a key to
+/// the previous one holding it (0 ends a chain) and makes it its key's
+/// head. Returns the links.
+fn link<K, H: Heads<K>>(
+    head: &mut H,
+    build_n: usize,
+    build_key: impl Fn(usize) -> Option<K>,
+) -> Vec<u32> {
     let mut next: Vec<u32> = vec![0; build_n];
     for (i, link) in next.iter_mut().enumerate() {
         if let Some(k) = build_key(i) {
@@ -197,16 +281,31 @@ where
             *slot = (i + 1) as u32;
         }
     }
+    next
+}
+
+/// The probe loop over `n` probe rows: `keys(i)` is the `i`-th row's
+/// (probe position, key), and each emits one pair per build position
+/// holding its key, latest first. NULL keys (`None`) match nothing.
+fn probe<K, H: Heads<K>>(
+    head: &H,
+    next: &[u32],
+    n: usize,
+    keys: impl Fn(usize) -> (u32, Option<K>),
+) -> (Vec<u32>, Vec<u32>) {
     let (mut build_pos, mut probe_pos) = (Vec::new(), Vec::new());
-    for p in 0..probe_n {
-        let Some(k) = probe_key(p) else { continue };
+    let probed = n as u64;
+    for i in 0..n {
+        let (p, k) = keys(i);
+        let Some(k) = k else { continue };
         let mut cur = head.head(&k);
         while cur != 0 {
             build_pos.push(cur - 1);
-            probe_pos.push(p as u32);
+            probe_pos.push(p);
             cur = next[(cur - 1) as usize];
         }
     }
+    crate::work::count(|w| w.rows_probed += probed);
     (build_pos, probe_pos)
 }
 
@@ -226,7 +325,7 @@ pub(crate) fn key_pairs_calls() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fk_index::FkIndex;
+    use crate::fk_index::NULL_REF;
     use crate::value::{DataType, Value};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -297,18 +396,79 @@ mod tests {
             let ix = FkIndex::from_pairs(fk.len(), &pairs, |r| fk.is_null(r));
             let (pk_rows, fk_rows) = (selection(&mut rng, pk.len()), selection(&mut rng, fk.len()));
             let (pk_sel, fk_sel) = (pk_rows.as_deref(), fk_rows.as_deref());
-            let fk_builds = fk_key_pairs(pk.len(), pk_sel, ix.fwd(), fk_sel, true);
+            let fk_builds = fk_key_pairs(pk.len(), pk_sel, &ix, fk_sel, true);
             assert_eq!(
                 fk_builds,
                 key_pairs(&fk, fk_sel, &pk, pk_sel).unwrap(),
                 "seed {seed}"
             );
-            let pk_builds = fk_key_pairs(pk.len(), pk_sel, ix.fwd(), fk_sel, false);
+            let pk_builds = fk_key_pairs(pk.len(), pk_sel, &ix, fk_sel, false);
             assert_eq!(
                 pk_builds,
                 key_pairs(&pk, pk_sel, &fk, fk_sel).unwrap(),
                 "seed {seed}"
             );
         }
+    }
+
+    /// Row ids below `n` drawn with repeats, in any order, about `len` of
+    /// them.
+    fn held(rng: &mut StdRng, n: usize, len: usize) -> Vec<u32> {
+        let len = rng.gen_range(0..=len);
+        (0..len)
+            .map(|_| rng.gen_range(0..n.max(1) as u32))
+            .collect()
+    }
+
+    /// The walks from the held rows emit the full probe's pairs in its
+    /// order ([`chain_pairs`] over every row of the probe side), whichever
+    /// side holds a selection with repeats, over keys that are NULL or
+    /// dangle; and both walks are taken.
+    #[test]
+    fn walks_from_held_rows_equal_the_full_probe() {
+        let before = crate::work::on_this_thread();
+        for seed in 0..500u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pk_len = rng.gen_range(1..300usize);
+            let fwd: Vec<u32> = (0..rng.gen_range(0..900))
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => NULL_REF,
+                    1 => DANGLING,
+                    _ => rng.gen_range(0..pk_len as u32),
+                })
+                .collect();
+            let pairs: Vec<(u32, u32)> = (0u32..).zip(&fwd).map(|(r, &t)| (r, t)).collect();
+            let live: Vec<(u32, u32)> = pairs.into_iter().filter(|&(_, t)| t < DANGLING).collect();
+            let ix = FkIndex::from_pairs(fwd.len(), &live, |r| fwd[r] == NULL_REF);
+            let fk_key = |r: u32| Some(fwd[r as usize]).filter(|&t| t < DANGLING);
+            let heads = || DenseHeads(vec![0; pk_len]);
+
+            let pk_held = held(&mut rng, pk_len, pk_len / 2);
+            let full = chain_pairs(
+                heads(),
+                pk_held.len(),
+                |i| Some(pk_held[i]),
+                fwd.len(),
+                |p| fk_key(p as u32),
+            );
+            let walked = fk_key_pairs(pk_len, Some(&pk_held), &ix, None, false);
+            assert_eq!(walked, full, "seed {seed}: the referenced side holds");
+
+            let fk_held = held(&mut rng, fwd.len(), 2 * pk_len);
+            let fk_held = if fwd.is_empty() { None } else { Some(fk_held) };
+            let fk_sel = fk_held.as_deref();
+            let fk_n = fk_sel.map_or(fwd.len(), <[u32]>::len);
+            let full = chain_pairs(
+                heads(),
+                fk_n,
+                |i| fk_key(fk_sel.map_or(i as u32, |s| s[i])),
+                pk_len,
+                |p| Some(p as u32),
+            );
+            let walked = fk_key_pairs(pk_len, None, &ix, fk_sel, true);
+            assert_eq!(walked, full, "seed {seed}: the referencing side holds");
+        }
+        let w = crate::work::on_this_thread() - before;
+        assert!(w.reverse_walks > 100 && w.forward_walks > 100, "{w:?}");
     }
 }

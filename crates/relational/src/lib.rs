@@ -61,6 +61,7 @@ pub mod sql;
 pub mod storage;
 pub mod table;
 pub mod value;
+pub mod work;
 
 use std::fmt;
 

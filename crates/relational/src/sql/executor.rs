@@ -233,7 +233,7 @@ pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation
                     None => db.fk_index_on(other_key, cur_key)?.map(|ix| (ix, false)),
                 };
                 current = match fk {
-                    Some((ix, fk_left)) => current.fk_join(&other_rel, cols, ix.fwd(), fk_left)?,
+                    Some((ix, fk_left)) => current.fk_join(&other_rel, cols, ix, fk_left)?,
                     None => current.hash_join(&other_rel, cols.0, cols.1)?,
                 };
                 stages.push(Stage::Join {

@@ -1264,6 +1264,20 @@ fn atomic_grammar_smoke() {
     assert!(!seen.contains_key("other refusal"), "{seen:?}");
 }
 
+/// The foreign-key leg reaches both row-space walks of the join along a
+/// stored index — from the held referenced rows' reverse lists, and from
+/// the held referencing rows' forward entries — within 64 cases, so it
+/// checks each against the twin's hash join.
+#[test]
+fn fk_leg_takes_both_walks() {
+    let before = etable_repro::relational::work::on_this_thread();
+    for seed in 0..64u64 {
+        check_fk_case(seed).unwrap();
+    }
+    let w = etable_repro::relational::work::on_this_thread() - before;
+    assert!(w.reverse_walks > 0 && w.forward_walks > 0, "{w:?}");
+}
+
 #[test]
 fn non_fk_equi_join_still_spills_at_budget_64() {
     let mut rng = StdRng::seed_from_u64(7);

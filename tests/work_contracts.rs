@@ -3,13 +3,20 @@
 //! corpus sizes, a sorted first page orders at most the page, a hide, a
 //! show and a re-render after a sort build no key and order no row, and a
 //! focus ranks the table once, reading labels once per distinct reference
-//! set.
+//! set. The SQL executor's work (`etable_relational::work`) is held to the
+//! rows a join can match: Table 2's join tasks probe no more rows than
+//! their joins emit, and a statement builds a reverse foreign-key index
+//! once per database, not once per run.
 
 use etable_repro::core::etable::{Cell, EnrichedTable};
 use etable_repro::core::render::{render_etable, RenderOptions};
 use etable_repro::core::session::Session;
 use etable_repro::core::work::{on_this_thread, Work};
+use etable_repro::datagen::tasks::{task_set, TaskSet};
 use etable_repro::datagen::{generate, GenConfig};
+use etable_repro::relational::sql::executor::execute_query;
+use etable_repro::relational::sql::{parse_statement, Statement};
+use etable_repro::relational::work;
 use etable_repro::tgm::{translate, NodeId, TranslateOptions};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -91,5 +98,37 @@ fn presentation_work_is_bounded_by_what_is_shown() {
             "{papers}: {w:?}, {ids} ids in distinct sets"
         );
         assert_eq!((w.keys_built, w.rows_ordered), (0, 0), "{papers}: {w:?}");
+    }
+}
+
+/// What `act` made the SQL executor do on this thread.
+fn sql_work(act: impl FnOnce()) -> work::Work {
+    let before = work::on_this_thread();
+    act();
+    work::on_this_thread() - before
+}
+
+#[test]
+fn sql_joins_probe_only_rows_that_can_match() {
+    let tasks = task_set(TaskSet::A);
+    for papers in [3_000, 12_000] {
+        let db = generate(&GenConfig::medium().with_papers(papers));
+        for task in [2, 6] {
+            let Ok(Statement::Select(q)) = parse_statement(&tasks[task - 1].sql) else {
+                panic!("task {task} is a SELECT");
+            };
+            let run = || drop(execute_query(&db, &q).unwrap());
+            let first = sql_work(run);
+            let again = sql_work(run);
+            let at = format!("{papers} papers, task {task}");
+            assert!(first.reverse_builds >= 1, "{at}: {first:?}");
+            assert_eq!(again.reverse_builds, 0, "{at}: {again:?}");
+            assert!(again.reverse_walks >= 1, "{at}: {again:?}");
+            assert!(again.rows_matched > 0, "{at}: {again:?}");
+            assert!(
+                again.rows_probed <= 2 * again.rows_matched,
+                "{at}: {again:?}"
+            );
+        }
     }
 }
