@@ -35,17 +35,17 @@ fn bench_present(c: &mut Criterion) {
     group.bench_function("sorted_first_page", |b| {
         b.iter(|| {
             descending = !descending;
-            papers.sort("year", descending);
+            papers.sort("year", descending).expect("year sorts");
             show(&mut papers)
         })
     });
-    papers.sort("year", true);
+    papers.sort("year", true).expect("year sorts");
     show(&mut papers);
     group.bench_function("hide_after_sort", |b| {
         b.iter(|| {
-            papers.hide("title");
+            papers.hide("title").expect("title hides");
             let hidden = show(&mut papers);
-            papers.show("title");
+            papers.show("title").expect("title shows");
             hidden + show(&mut papers)
         })
     });

@@ -27,7 +27,7 @@ fn main() {
     // The history of Figure 1, steps 1-6.
     session.open_by_name("Papers").expect("open Papers");
     session.filter(keyword_filter).expect("filter by keyword");
-    session.sort("Papers (referenced)", true);
+    session.sort("Papers (referenced)", true).expect("sort");
     session
         .pivot("Conferences")
         .expect("pivot onto Conferences");
@@ -35,8 +35,8 @@ fn main() {
         .filter(NodeFilter::cmp("acronym", CmpOp::Eq, "SIGMOD"))
         .expect("filter SIGMOD");
     session.pivot("Papers").expect("pivot back to Papers");
-    session.sort("Paper_Keywords: keyword", true);
-    session.sort("Papers (referenced)", true);
+    session.sort("Paper_Keywords: keyword", true).expect("sort");
+    session.sort("Papers (referenced)", true).expect("sort");
 
     let table = session.etable().expect("execute");
     let opts = RenderOptions {

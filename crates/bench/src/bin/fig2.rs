@@ -53,7 +53,7 @@ fn main() {
     let mut c = Session::new(tgdb.clone());
     c.open_by_name("Papers").unwrap();
     c.pivot("Authors").expect("pivot");
-    c.sort("Papers", true);
+    c.sort("Papers", true).expect("sort");
     println!("(c) Click pivot on the Authors column (sorted by paper count):");
     println!("{}", render_etable(&c.etable().unwrap(), &opts));
 }

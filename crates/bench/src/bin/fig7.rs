@@ -64,7 +64,7 @@ fn main() {
     s.filter(NodeFilter::cmp("year", CmpOp::Gt, 2005)).unwrap(); // U3
     println!("U3: Filter(\"year > 2005\")         [invokes Select]");
     s.pivot("Authors").unwrap(); // U4
-    s.sort("Papers", true);
+    s.sort("Papers", true).unwrap();
     println!("U4: Pivot(\"Authors\")              [invokes Add] + sort by paper count\n");
     let t = s.etable().unwrap();
     let opts = RenderOptions {

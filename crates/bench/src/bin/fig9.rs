@@ -19,7 +19,7 @@ fn main() {
         .filter(NodeFilter::cmp("year", CmpOp::Gt, 2005))
         .expect("filter year");
     session.pivot("Authors").expect("pivot authors");
-    session.sort("Papers", true);
+    session.sort("Papers", true).expect("sort");
 
     let opts = RenderOptions {
         max_rows: 8,

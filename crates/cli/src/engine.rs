@@ -7,13 +7,13 @@
 //! it is the only client (the embedded CLI) or one of many.
 
 use crate::command::{parse_value, Command, ExportFormat, FilterOp, ParseError};
+use etable_core::actions::{Action, UserAction};
 use etable_core::connection::Connection;
 use etable_core::etable::Cell;
 use etable_core::export;
 use etable_core::pattern::{FilterAtom, NodeFilter};
 use etable_core::render::{render_etable, RenderOptions};
 use etable_core::to_sql;
-use etable_core::transform;
 use etable_relational::sql::explain::explain_query;
 
 /// The interpreter state.
@@ -47,152 +47,39 @@ impl Engine {
         }
     }
 
-    /// Executes one parsed command.
+    /// Executes one parsed command. A session command is resolved into
+    /// one [`Action`] and applied; the others inspect the session.
     pub fn eval(&mut self, cmd: Command) -> CmdResult {
-        match cmd {
+        let action = match cmd {
             Command::Quit => {
                 self.done = true;
-                Ok("bye".into())
+                return Ok("bye".into());
             }
-            Command::Help => Ok(HELP.trim().to_string()),
+            Command::Help => return Ok(HELP.trim().to_string()),
             Command::Tables => {
-                let names: Vec<String> = self
-                    .conn
-                    .session()
-                    .default_table_list()
-                    .into_iter()
-                    .map(|(_, n)| n)
-                    .collect();
-                Ok(names.join("\n"))
+                let tables = self.conn.session().default_table_list();
+                let names: Vec<String> = tables.into_iter().map(|(_, n)| n).collect();
+                return Ok(names.join("\n"));
             }
-            Command::Open(name) => {
-                self.conn
-                    .session_mut()
-                    .open_by_name(&name)
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::Filter { attr, op, value } => {
-                let filter = match op {
-                    FilterOp::Cmp(op) => NodeFilter::cmp(attr, op, parse_value(&value)),
-                    FilterOp::Like => NodeFilter::like(attr, value),
-                };
-                self.conn
-                    .session_mut()
-                    .filter(filter)
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::FilterRef { column, pattern } => {
-                // Resolve the column to an edge type of the primary. The
-                // pattern borrow must end before the mutable filter call.
-                let edge = {
-                    let q = self
-                        .conn
-                        .session()
-                        .current_pattern()
-                        .ok_or("no table is open")?;
-                    let primary_ty = q.primary_node().node_type;
-                    let (edge, _) = self
-                        .conn
-                        .session()
-                        .tgdb()
-                        .schema
-                        .outgoing_by_name(primary_ty, &column)
-                        .ok_or_else(|| format!("no neighbor column `{column}`"))?;
-                    edge
-                };
-                self.conn
-                    .session_mut()
-                    .filter(NodeFilter::atom(FilterAtom::NeighborLabelLike {
-                        edge,
-                        pattern,
-                    }))
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::Pivot(column) => {
-                self.conn
-                    .session_mut()
-                    .pivot(&column)
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::Single { row, column, index } => {
-                let node = self.resolve_ref(row, &column, index)?;
-                self.conn
-                    .session_mut()
-                    .single(node)
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::Seeall { row, column } => {
-                let t = self.conn.etable().map_err(|e| e.to_string())?;
-                let node = t
-                    .node_at(row.checked_sub(1).ok_or("rows are numbered from 1")?)
-                    .ok_or_else(|| format!("no row {row}"))?;
-                self.conn
-                    .session_mut()
-                    .seeall(node, &column)
-                    .map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::Sort { column, descending } => {
-                self.check_column(&column)?;
-                self.conn.session_mut().sort(&column, descending);
-                self.render_current(None)
-            }
-            Command::Hide(c) => {
-                self.check_column(&c)?;
-                self.conn.session_mut().hide(&c);
-                self.render_current(None)
-            }
-            Command::Show(c) => {
-                self.check_column(&c)?;
-                self.conn.session_mut().show(&c);
-                self.render_current(None)
-            }
-            Command::Focus(k) => {
-                let kept = self
-                    .conn
-                    .session_mut()
-                    .focus_top_columns(k)
-                    .map_err(|e| e.to_string())?;
-                Ok(format!("keeping columns: {}", kept.join(", ")))
-            }
-            Command::Revert(step) => {
-                // Steps are numbered from 1 at the prompt, from 0 in the
-                // session; the message names the number that was typed.
-                let session = self.conn.session_mut();
-                if step == 0 || step > session.history().len() {
-                    return Err(format!("history step {step} does not exist"));
-                }
-                session.revert(step - 1).map_err(|e| e.to_string())?;
-                self.render_current(None)
-            }
-            Command::ShowTable(limit) => self.render_current(limit),
+            Command::ShowTable(limit) => return self.render_current(limit),
             Command::Schema => {
                 let session = self.conn.session();
                 let q = session.current_pattern().ok_or("no table is open")?;
-                Ok(q.diagram(session.tgdb()))
+                return Ok(q.diagram(session.tgdb()));
             }
             Command::History => {
-                let lines: Vec<String> = self
-                    .conn
-                    .session()
-                    .history()
-                    .iter()
-                    .enumerate()
+                let history = self.conn.session().history().iter();
+                let lines: Vec<String> = (history.enumerate())
                     .map(|(i, s)| format!("{}. {}", i + 1, s.description))
                     .collect();
-                Ok(lines.join("\n"))
+                return Ok(lines.join("\n"));
             }
             Command::Sql => {
                 let session = self.conn.session();
                 let q = session.current_pattern().ok_or("no table is open")?;
                 let display = to_sql::to_sql(session.tgdb(), q).map_err(|e| e.to_string())?;
                 let exec = to_sql::to_primary_sql(session.tgdb(), q).map_err(|e| e.to_string())?;
-                Ok(format!("{display}\n-- primary keys:\n{exec}"))
+                return Ok(format!("{display}\n-- primary keys:\n{exec}"));
             }
             Command::Explain => {
                 // One epoch answers: the plan runs on the database of the
@@ -202,27 +89,67 @@ impl Engine {
                 let query = to_sql::to_query(session.tgdb(), q).map_err(|e| e.to_string())?;
                 let lines =
                     explain_query(session.tgdb().database(), &query).map_err(|e| e.to_string())?;
-                Ok(format!("{query}\n--\n{}", lines.join("\n")))
+                return Ok(format!("{query}\n--\n{}", lines.join("\n")));
             }
             Command::Export(format) => {
                 let t = self.conn.etable().map_err(|e| e.to_string())?;
-                Ok(match format {
+                return Ok(match format {
                     ExportFormat::Json => export::to_json(&t),
                     ExportFormat::Csv => export::to_csv(&t),
+                });
+            }
+            Command::Open(name) => {
+                let node_type =
+                    (self.conn.session().table_named(&name)).map_err(|e| e.to_string())?;
+                Action::Change(UserAction::Open { node_type })
+            }
+            Command::Filter { attr, op, value } => {
+                let filter = match op {
+                    FilterOp::Cmp(op) => NodeFilter::cmp(attr, op, parse_value(&value)),
+                    FilterOp::Like => NodeFilter::like(attr, value),
+                };
+                Action::Change(UserAction::Filter { filter })
+            }
+            Command::FilterRef { column, pattern } => {
+                // The column names an edge type leaving the primary.
+                let session = self.conn.session();
+                let q = session.current_pattern().ok_or("no table is open")?;
+                let primary = q.primary_node().node_type;
+                let (edge, _) = (session.tgdb().schema.outgoing_by_name(primary, &column))
+                    .ok_or_else(|| format!("no neighbor column `{column}`"))?;
+                let atom = FilterAtom::NeighborLabelLike { edge, pattern };
+                Action::Change(UserAction::Filter {
+                    filter: NodeFilter::atom(atom),
                 })
             }
-        }
-    }
-
-    /// Fails unless `column` names a column of the open table, hidden or
-    /// not. Reads the table's header only; no rows are built.
-    fn check_column(&self, column: &str) -> Result<(), String> {
-        let session = self.conn.session();
-        let q = session.current_pattern().ok_or("no table is open")?;
-        let header = transform::header(session.tgdb(), q).map_err(|e| e.to_string())?;
-        match header.column(column) {
-            Some(_) => Ok(()),
-            None => Err(etable_core::Error::UnknownColumn(column.into()).to_string()),
+            Command::Pivot(column) => Action::Change(UserAction::Pivot { column }),
+            Command::Single { row, column, index } => {
+                let node = self.resolve_ref(row, &column, index)?;
+                Action::Change(UserAction::Single { node })
+            }
+            Command::Seeall { row, column } => {
+                let t = self.conn.etable().map_err(|e| e.to_string())?;
+                let row = t
+                    .node_at(row.checked_sub(1).ok_or("rows are numbered from 1")?)
+                    .ok_or_else(|| format!("no row {row}"))?;
+                Action::Change(UserAction::Seeall { row, column })
+            }
+            Command::Sort { column, descending } => Action::Sort { column, descending },
+            Command::Hide(column) => Action::Hide(column),
+            Command::Show(column) => Action::Show(column),
+            Command::Focus(k) => Action::FocusTop(k),
+            // Steps are numbered from 1 at the prompt, from 0 in the
+            // session.
+            Command::Revert(step) => Action::Revert(
+                step.checked_sub(1)
+                    .ok_or("history steps are numbered from 1")?,
+            ),
+        };
+        let session = self.conn.session_mut();
+        session.apply(&action).map_err(|e| e.to_string())?;
+        match action {
+            Action::FocusTop(_) => Ok(format!("keeping columns: {}", session.focused().join(", "))),
+            _ => self.render_current(None),
         }
     }
 

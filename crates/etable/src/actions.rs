@@ -8,9 +8,17 @@
 //! | Pivot    | `Add(ρl, R)` (neighbor col) / `Shift(τk, R)` (part.)  |
 //! | Single   | `Select(C, Initiate(type(vk)))`, `C = {u | u = vk}`   |
 //! | Seeall   | `Add(ρl, Select(C, R))` / `Shift(tl, Select(C, R))`   |
+//! | Sort     | none: orders the rows shown                           |
+//! | Hide     | none: drops a column from the table shown             |
+//! | Show     | none: brings a hidden column back                     |
+//! | FocusTop | none: hides all but the best-ranked columns (§9 (3))  |
+//! | Revert   | none: shows an earlier step's pattern as a new step   |
 //!
-//! Presentation-only actions (Sort, Hide/Show, Revert) do not change the
-//! query pattern and are handled by [`crate::session::Session`].
+//! [`Action`] is the whole verb set, and
+//! [`Session::apply`](crate::session::Session::apply) its one entry point.
+//! The five pattern verbs are a [`UserAction`], which [`apply`] maps to a
+//! new pattern and its history text; the presentation verbs change only
+//! how the session shows the current step.
 
 use crate::etable::{ColumnKind, EnrichedTable};
 use crate::ops;
@@ -50,6 +58,29 @@ pub enum UserAction {
         /// Display name of the column.
         column: String,
     },
+}
+
+/// Any verb of the interface: a pattern change, or one of the
+/// presentation verbs the session applies to the step it shows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Action {
+    /// A verb that makes a new pattern and a new history step.
+    Change(UserAction),
+    /// Sort the rows by a column (a reference column sorts by count).
+    Sort {
+        /// Display name of the column, hidden or not.
+        column: String,
+        /// Largest first?
+        descending: bool,
+    },
+    /// Hide a column.
+    Hide(String),
+    /// Show a hidden column again.
+    Show(String),
+    /// Keep only the `k` most informative columns (§9 future-work item 3).
+    FocusTop(usize),
+    /// Show history step `i` (0-based) again, as a new step.
+    Revert(usize),
 }
 
 /// The outcome of applying an action: the new pattern plus a history label.

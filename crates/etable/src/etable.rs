@@ -259,18 +259,16 @@ pub struct EnrichedTable {
 }
 
 impl EnrichedTable {
-    /// The table headed `primary_type_name` and `filter_desc` with the rows
-    /// `ids` under `columns`, whose participating columns name nodes of
-    /// `matched.pattern`: every column's source is resolved here, once.
-    /// `ids` need not be `matched`'s rows: a set operation combines the
-    /// rows of two matches.
+    /// The table headed `primary_type_name` and `filter_desc` with
+    /// `matched`'s rows under `columns`, whose participating columns name
+    /// nodes of `matched.pattern`: every column's source is resolved here,
+    /// once.
     pub(crate) fn new(
         primary_type_name: String,
         filter_desc: String,
         columns: Vec<ColumnSpec>,
         tgdb: &Tgdb,
         matched: &Arc<MatchResult>,
-        ids: Vec<NodeId>,
     ) -> Result<EnrichedTable> {
         let pattern = &matched.pattern;
         let source = |c: &ColumnSpec| {
@@ -283,7 +281,7 @@ impl EnrichedTable {
             })
         };
         let rows = ETableRows {
-            ids: ids.into(),
+            ids: matched.rows().into(),
             order: None,
             sources: columns.iter().map(source).collect::<Result<_>>()?,
             graph: Arc::clone(&tgdb.instances),

@@ -39,7 +39,6 @@ pub mod ops;
 pub mod pattern;
 pub mod render;
 pub mod session;
-pub mod setops;
 pub mod to_sql;
 pub mod transform;
 pub mod work;

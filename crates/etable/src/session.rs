@@ -6,8 +6,9 @@
 //! it is a library type that examples, tests and the simulated user study
 //! drive programmatically.
 
-use crate::actions::{apply, UserAction};
+use crate::actions::{self, Action, UserAction};
 use crate::cache::QueryCache;
+use crate::column_rank::rank_columns;
 use crate::etable::EnrichedTable;
 use crate::pattern::{NodeFilter, QueryPattern};
 use crate::transform;
@@ -25,6 +26,18 @@ pub struct HistoryStep {
     pub pattern: Arc<QueryPattern>,
 }
 
+/// How the session shows the current step. A new step is shown unsorted,
+/// with every column.
+#[derive(Debug, Default)]
+struct View {
+    /// Index into the history of the step shown.
+    step: usize,
+    sort: Option<(String, bool)>,
+    hidden: BTreeSet<String>,
+    /// The columns the last focus on this step kept, best first.
+    focused: Vec<String>,
+}
+
 /// An interactive browsing session over one typed graph database.
 ///
 /// Sessions are **owned, `Send` values**: they share the graph database
@@ -33,14 +46,16 @@ pub struct HistoryStep {
 pub struct Session {
     tgdb: Arc<Tgdb>,
     history: Vec<HistoryStep>,
-    /// Index into `history` of the step currently shown.
-    cursor: Option<usize>,
-    hidden: BTreeSet<String>,
-    sort: Option<(String, bool)>,
+    /// `None` until a table is open.
+    view: Option<View>,
     cache: QueryCache,
     /// The table shown, sorted, before hiding; a new step, sort or graph
     /// drops it.
     window: Option<EnrichedTable>,
+}
+
+fn no_table() -> Error {
+    Error::InvalidAction("no table is open".into())
 }
 
 impl Session {
@@ -49,9 +64,7 @@ impl Session {
         Session {
             tgdb,
             history: Vec::new(),
-            cursor: None,
-            hidden: BTreeSet::new(),
-            sort: None,
+            view: None,
             cache: QueryCache::new(),
             window: None,
         }
@@ -83,9 +96,16 @@ impl Session {
             .collect()
     }
 
+    /// The node type a table name opens.
+    pub fn table_named(&self, name: &str) -> Result<NodeTypeId> {
+        (self.tgdb.schema.node_type_by_name(name))
+            .map(|(id, _)| id)
+            .ok_or_else(|| Error::InvalidAction(format!("unknown table `{name}`")))
+    }
+
     /// The current query pattern, if a table is open.
     pub fn current_pattern(&self) -> Option<&QueryPattern> {
-        self.cursor.map(|i| &*self.history[i].pattern)
+        (self.view.as_ref()).map(|v| &*self.history[v.step].pattern)
     }
 
     /// The history steps, oldest first.
@@ -93,12 +113,20 @@ impl Session {
         &self.history
     }
 
+    /// The columns the last [`Action::FocusTop`] on the current step kept,
+    /// best first; empty before one.
+    pub fn focused(&self) -> &[String] {
+        (self.view.as_ref()).map_or(&[], |v| &v.focused)
+    }
+
     /// The current pattern's enriched table under the session's sort and
     /// column visibility: a copy of the table the session keeps, which a
     /// hide, show or focus leaves as it is, so they order nothing again.
     pub fn etable(&mut self) -> Result<EnrichedTable> {
         let mut t = self.window()?.clone();
-        t.drop_columns(|c| self.hidden.contains(&c.name));
+        if let Some(view) = &self.view {
+            t.drop_columns(|c| view.hidden.contains(&c.name));
+        }
         Ok(t)
     }
 
@@ -107,34 +135,95 @@ impl Session {
         if let Some(t) = self.window.take() {
             return Ok(self.window.insert(t));
         }
-        let pattern = (self.current_pattern())
-            .ok_or_else(|| Error::InvalidAction("no table is open".into()))?
-            .clone();
+        let view = self.view.as_ref().ok_or_else(no_table)?;
+        let sort = view.sort.clone();
+        let pattern = Arc::clone(&self.history[view.step].pattern);
         let m = self.cache.get_or_compute(&self.tgdb, &pattern)?;
         let mut t = transform::transform(&self.tgdb, &m)?;
-        if let Some((col, desc)) = &self.sort {
-            if let Some(idx) = t.column_index(col) {
-                t.sort_by_column(idx, *desc);
+        if let Some((col, desc)) = sort {
+            if let Some(idx) = t.column_index(&col) {
+                t.sort_by_column(idx, desc);
             }
         }
         Ok(self.window.insert(t))
     }
 
-    fn push(&mut self, action: &UserAction) -> Result<()> {
-        // An action reads the column specs of the table it is applied to,
-        // never its rows: hand it the header, without the hidden columns,
-        // and match nothing here.
-        let shown = match self.current_pattern() {
-            Some(pattern) => {
-                let mut t = transform::header(&self.tgdb, pattern)?;
-                t.drop_columns(|c| self.hidden.contains(&c.name));
-                Some(t)
+    /// Applies one action: the session's only entry point. A refused
+    /// action returns its error and leaves the session as it was.
+    pub fn apply(&mut self, action: &Action) -> Result<()> {
+        match action {
+            Action::Change(change) => {
+                // A change reads the column specs of the table it is
+                // applied to, never its rows: hand it the header, without
+                // the hidden columns, and match nothing here.
+                let shown = match &self.view {
+                    Some(view) => {
+                        let pattern = &self.history[view.step].pattern;
+                        let mut t = transform::header(&self.tgdb, pattern)?;
+                        t.drop_columns(|c| view.hidden.contains(&c.name));
+                        Some(t)
+                    }
+                    None => None,
+                };
+                let current = self.current_pattern();
+                let outcome = actions::apply(&self.tgdb, current, shown.as_ref(), change)?;
+                self.step(outcome.description, Arc::new(outcome.pattern));
             }
-            None => None,
-        };
-        let outcome = apply(&self.tgdb, self.current_pattern(), shown.as_ref(), action)?;
-        self.step(outcome.description, Arc::new(outcome.pattern));
+            Action::Sort { column, descending } => {
+                self.view_naming(column)?.sort = Some((column.clone(), *descending));
+                self.window = None;
+            }
+            Action::Hide(column) => {
+                self.view_naming(column)?.hidden.insert(column.clone());
+            }
+            Action::Show(column) => {
+                self.view_naming(column)?.hidden.remove(column);
+            }
+            Action::FocusTop(0) => {
+                return Err(Error::InvalidAction(
+                    "focus keeps at least one column".into(),
+                ))
+            }
+            Action::FocusTop(k) => {
+                let mut ranked = rank_columns(self.window()?);
+                let hidden = ranked.split_off((*k).min(ranked.len()));
+                let view = self.view.as_mut().ok_or_else(no_table)?;
+                view.hidden = hidden.into_iter().map(|c| c.name).collect();
+                view.focused = ranked.into_iter().map(|c| c.name).collect();
+            }
+            Action::Revert(i) => {
+                let Some(step) = self.history.get(*i) else {
+                    // Numbered from 1, as the history shows it.
+                    let n = *i as u128 + 1;
+                    let missing = format!("history step {n} does not exist");
+                    return Err(Error::InvalidAction(missing));
+                };
+                let pattern = Arc::clone(&step.pattern);
+                self.step(format!("Revert to step {}", i + 1), pattern);
+            }
+        }
         Ok(())
+    }
+
+    /// The current step's view, once `column` names a column of its
+    /// table, hidden or not. Reads the kept table's header if there is
+    /// one and the pattern's otherwise, so it matches nothing.
+    fn view_naming(&mut self, column: &str) -> Result<&mut View> {
+        let view = self.view.as_mut().ok_or_else(no_table)?;
+        let known = match &self.window {
+            Some(t) => t.column(column).is_some(),
+            None => {
+                let pattern = &self.history[view.step].pattern;
+                transform::header(&self.tgdb, pattern)?
+                    .column(column)
+                    .is_some()
+            }
+        };
+        if known {
+            Ok(view)
+        } else {
+            Err(Error::UnknownColumn(column.to_string()))
+        }
     }
 
     /// Shows `pattern` as a new step, with no presentation state.
@@ -143,94 +232,78 @@ impl Session {
             description,
             pattern,
         });
-        self.cursor = Some(self.history.len() - 1);
-        self.sort = None;
-        self.hidden.clear();
+        self.view = Some(View {
+            step: self.history.len() - 1,
+            ..View::default()
+        });
         self.window = None;
     }
 
+    // The verbs one at a time: wrappers over `apply`, kept for the
+    // benchmark harness, the study scripts and the figure binaries until
+    // ROADMAP 1(b).
+
     /// Opens a table from the default table list.
     pub fn open(&mut self, node_type: NodeTypeId) -> Result<()> {
-        self.push(&UserAction::Open { node_type })
+        self.apply(&Action::Change(UserAction::Open { node_type }))
     }
 
     /// Opens a table by entity type name.
     pub fn open_by_name(&mut self, name: &str) -> Result<()> {
-        let (id, _) = self
-            .tgdb
-            .schema
-            .node_type_by_name(name)
-            .ok_or_else(|| Error::InvalidAction(format!("unknown table `{name}`")))?;
-        self.open(id)
+        self.open(self.table_named(name)?)
     }
 
     /// Filters the current table.
     pub fn filter(&mut self, filter: NodeFilter) -> Result<()> {
-        self.push(&UserAction::Filter { filter })
+        self.apply(&Action::Change(UserAction::Filter { filter }))
     }
 
     /// Pivots on a column (by display name).
     pub fn pivot(&mut self, column: &str) -> Result<()> {
-        self.push(&UserAction::Pivot {
-            column: column.to_string(),
-        })
+        let column = column.to_string();
+        self.apply(&Action::Change(UserAction::Pivot { column }))
     }
 
     /// Clicks a single entity reference.
     pub fn single(&mut self, node: NodeId) -> Result<()> {
-        self.push(&UserAction::Single { node })
+        self.apply(&Action::Change(UserAction::Single { node }))
     }
 
     /// Clicks a cell's reference count.
     pub fn seeall(&mut self, row: NodeId, column: &str) -> Result<()> {
-        self.push(&UserAction::Seeall {
-            row,
-            column: column.to_string(),
-        })
+        let column = column.to_string();
+        self.apply(&Action::Change(UserAction::Seeall { row, column }))
     }
 
     /// Sorts the main view by a column.
-    pub fn sort(&mut self, column: &str, descending: bool) {
-        self.sort = Some((column.to_string(), descending));
-        self.window = None;
+    pub fn sort(&mut self, column: &str, descending: bool) -> Result<()> {
+        let column = column.to_string();
+        self.apply(&Action::Sort { column, descending })
     }
 
     /// Hides a column in the main view.
-    pub fn hide(&mut self, column: &str) {
-        self.hidden.insert(column.to_string());
+    pub fn hide(&mut self, column: &str) -> Result<()> {
+        self.apply(&Action::Hide(column.to_string()))
     }
 
     /// Shows a previously hidden column.
-    pub fn show(&mut self, column: &str) {
-        self.hidden.remove(column);
+    pub fn show(&mut self, column: &str) -> Result<()> {
+        self.apply(&Action::Show(column.to_string()))
     }
 
     /// Reverts to history step `step` (0-based). The revert itself becomes a
     /// new history step, so the full trail is preserved.
     pub fn revert(&mut self, step: usize) -> Result<()> {
-        if step >= self.history.len() {
-            return Err(Error::InvalidAction(format!(
-                "history step {step} does not exist"
-            )));
-        }
-        let pattern = Arc::clone(&self.history[step].pattern);
-        self.step(format!("Revert to step {}", step + 1), pattern);
-        Ok(())
+        self.apply(&Action::Revert(step))
     }
 
     /// Hides all but the `k` most informative columns of the current
     /// result, ranked once with every column shown (§9 future-work item
-    /// 3; see [`crate::column_rank`]). Returns the kept column names.
+    /// 3; see [`crate::column_rank`]). Returns the kept column names,
+    /// best first.
     pub fn focus_top_columns(&mut self, k: usize) -> Result<Vec<String>> {
-        if k == 0 {
-            return Err(Error::InvalidAction(
-                "focus keeps at least one column".into(),
-            ));
-        }
-        let mut ranked = crate::column_rank::rank_columns(self.window()?);
-        let hide = ranked.split_off(k.min(ranked.len()));
-        self.hidden = hide.into_iter().map(|c| c.name).collect();
-        Ok(ranked.into_iter().map(|c| c.name).collect())
+        self.apply(&Action::FocusTop(k))?;
+        Ok(self.focused().to_vec())
     }
 
     /// Cache statistics `(hits, misses)` — exercised by the reuse bench.
@@ -242,6 +315,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::etable::ColumnSpec;
     use crate::pattern::FilterAtom;
     use crate::testutil::academic_tgdb;
     use etable_relational::expr::CmpOp;
@@ -294,17 +368,17 @@ mod tests {
         let tgdb = std::sync::Arc::new(academic_tgdb());
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
-        s.sort("year", true);
+        s.sort("year", true).unwrap();
         let t = s.etable().unwrap();
         let years: Vec<i64> = t
             .column_values(t.column_index("year").unwrap())
             .map(|c| c.value().unwrap().as_int().unwrap())
             .collect();
         assert_eq!(years, vec![2014, 2012, 2011, 2007]);
-        s.hide("Authors");
+        s.hide("Authors").unwrap();
         let t = s.etable().unwrap();
         assert!(t.column("Authors").is_none());
-        s.show("Authors");
+        s.show("Authors").unwrap();
         let t = s.etable().unwrap();
         assert!(t.column("Authors").is_some());
     }
@@ -315,7 +389,7 @@ mod tests {
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
         let row = s.etable().unwrap().node_at(0).unwrap();
-        s.hide("Authors");
+        s.hide("Authors").unwrap();
         assert!(s.etable().unwrap().column("Authors").is_none());
         let unknown = |r: Result<()>| matches!(r, Err(Error::UnknownColumn(c)) if c == "Authors");
         assert!(unknown(s.pivot("Authors")));
@@ -323,7 +397,7 @@ mod tests {
         assert_eq!(s.history().len(), 1);
         assert_eq!(s.etable().unwrap().primary_type_name, "Papers");
         // Shown again, the column takes both actions.
-        s.show("Authors");
+        s.show("Authors").unwrap();
         s.seeall(row, "Authors").unwrap();
         s.revert(0).unwrap();
         s.pivot("Authors").unwrap();
@@ -336,7 +410,7 @@ mod tests {
         let tgdb = std::sync::Arc::new(academic_tgdb());
         let mut s = Session::new(tgdb.clone());
         s.open_by_name("Papers").unwrap();
-        s.sort("Papers (referenced)", true);
+        s.sort("Papers (referenced)", true).unwrap();
         let t = s.etable().unwrap();
         let col = t.column_index("Papers (referenced)").unwrap();
         let counts: Vec<usize> = (0..t.len()).map(|r| t.ref_count(r, col)).collect();
@@ -405,6 +479,104 @@ mod tests {
             assert_eq!(lookups(&s), shown + 1);
         }
         assert_eq!(s.history().len(), 4);
+        // A presentation verb or a revert reads a header at most: the
+        // sort drops the kept table, so the hide and show after it read
+        // the pattern's header.
+        for action in [
+            Action::Sort {
+                column: "name".into(),
+                descending: true,
+            },
+            Action::Hide("name".into()),
+            Action::Show("name".into()),
+            Action::Revert(0),
+        ] {
+            s.apply(&action).unwrap();
+            assert_eq!(lookups(&s), 4, "{action:?}");
+        }
+    }
+
+    type Seen = (
+        Vec<String>,
+        Option<QueryPattern>,
+        Option<(Option<(String, bool)>, BTreeSet<String>)>,
+        Option<(Vec<ColumnSpec>, Vec<NodeId>)>,
+    );
+
+    /// Everything a refused action must leave as it was: the history, the
+    /// current pattern, the sort, the hidden columns and the next table.
+    fn seen(s: &mut Session) -> Seen {
+        let table = (s.etable().ok()).map(|t| (t.columns.clone(), t.nodes().collect()));
+        let history = s.history().iter().map(|h| h.description.clone());
+        let view = (s.view.as_ref()).map(|v| (v.sort.clone(), v.hidden.clone()));
+        (history.collect(), s.current_pattern().cloned(), view, table)
+    }
+
+    #[test]
+    fn a_refused_action_leaves_the_session_as_it_was() {
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let row = tgdb.node_by_key(papers, &10.into()).unwrap();
+        let pivot = |column: &str| {
+            Action::Change(UserAction::Pivot {
+                column: column.into(),
+            })
+        };
+        let sort = |column: &str| Action::Sort {
+            column: column.into(),
+            descending: false,
+        };
+
+        // Nothing open: every verb but the two that start from nothing
+        // (Open and Single) is refused.
+        let mut s = Session::new(tgdb.clone());
+        let filter = NodeFilter::cmp("year", CmpOp::Gt, 2000);
+        for action in [
+            Action::Change(UserAction::Filter { filter }),
+            pivot("Authors"),
+            Action::Change(UserAction::Seeall {
+                row,
+                column: "Authors".into(),
+            }),
+            sort("year"),
+            Action::Hide("year".into()),
+            Action::Show("year".into()),
+            Action::FocusTop(1),
+            Action::FocusTop(0),
+            Action::Revert(0),
+        ] {
+            let before = seen(&mut s);
+            assert!(s.apply(&action).is_err(), "{action:?}");
+            assert_eq!(seen(&mut s), before, "{action:?}");
+        }
+
+        // A sorted table with a hidden column.
+        s.open(papers).unwrap();
+        s.filter(NodeFilter::cmp("year", CmpOp::Gt, 2007)).unwrap();
+        s.sort("year", true).unwrap();
+        s.hide("Authors").unwrap();
+        for (action, refusal) in [
+            (sort("Nope"), "unknown column `Nope`"),
+            (Action::Hide("Nope".into()), "unknown column `Nope`"),
+            (Action::Show("Nope".into()), "unknown column `Nope`"),
+            (Action::FocusTop(0), "focus keeps at least one column"),
+            (Action::Revert(2), "history step 3 does not exist"),
+            (Action::Revert(usize::MAX), "step 18446744073709551616 does"),
+            (pivot("Authors"), "unknown column `Authors`"),
+            (pivot("year"), "cannot pivot on base attribute"),
+        ] {
+            // With the kept table, then with only the pattern's header.
+            for kept in [true, false] {
+                let before = seen(&mut s);
+                if !kept {
+                    s.window = None;
+                }
+                let e = s.apply(&action).unwrap_err().to_string();
+                assert!(e.contains(refusal), "{action:?}: {e}");
+                assert_eq!(seen(&mut s), before, "{action:?}");
+            }
+        }
+        assert_eq!(s.etable().unwrap().len(), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::etable::{ColumnKind, ColumnSpec, EnrichedTable};
 use crate::matching::{match_primary, MatchResult};
 use crate::pattern::QueryPattern;
 use crate::Result;
-use etable_tgm::{NodeId, Tgdb};
+use etable_tgm::Tgdb;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -35,19 +35,13 @@ pub fn execute(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
 /// applied to ([`crate::actions::apply`]), so a session matches nothing
 /// to apply one.
 pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
-    table(tgdb, &Arc::new(MatchResult::empty(pattern)), Vec::new())
+    transform(tgdb, &Arc::new(MatchResult::empty(pattern)))
 }
 
-/// Transforms an existing matching result into an enriched table:
-/// [`header`] plus a copy of the matched primary ids. No cell is built,
-/// no label is read, and nothing is allocated per reference.
+/// Transforms an existing matching result into an enriched table: the
+/// header of `m.pattern` plus a copy of the matched primary ids. No cell
+/// is built, no label is read, and nothing is allocated per reference.
 pub fn transform(tgdb: &Tgdb, m: &Arc<MatchResult>) -> Result<EnrichedTable> {
-    table(tgdb, m, m.rows().to_vec())
-}
-
-/// The table of `m.pattern`'s columns over the rows `ids`, in that order:
-/// the one constructor of an enriched table.
-pub(crate) fn table(tgdb: &Tgdb, m: &Arc<MatchResult>, ids: Vec<NodeId>) -> Result<EnrichedTable> {
     let pattern = &m.pattern;
     let primary = pattern.primary;
     let primary_ty = pattern.primary_node().node_type;
@@ -122,7 +116,7 @@ pub(crate) fn table(tgdb: &Tgdb, m: &Arc<MatchResult>, ids: Vec<NodeId>) -> Resu
         format!("filtered by {}", filters.join(" AND "))
     };
 
-    EnrichedTable::new(nt.name.clone(), filter_desc, columns, tgdb, m, ids)
+    EnrichedTable::new(nt.name.clone(), filter_desc, columns, tgdb, m)
 }
 
 #[cfg(test)]

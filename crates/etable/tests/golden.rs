@@ -34,7 +34,7 @@ fn figure1() -> EnrichedTable {
     s.filter(NodeFilter::cmp("acronym", CmpOp::Eq, "SIGMOD"))
         .unwrap();
     s.pivot("Papers").unwrap();
-    s.sort("Papers (referenced)", true);
+    s.sort("Papers (referenced)", true).unwrap();
     s.etable().unwrap()
 }
 

@@ -356,15 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_is_idempotent_for_count() {
-        let s = Sym::intern("interner-test-count");
-        let after_first = interned_count();
-        let t = Sym::intern("interner-test-count");
-        assert_eq!(s, t);
-        assert_eq!(interned_count(), after_first);
-    }
-
-    #[test]
     fn intern_all_matches_interning_one_at_a_time() {
         let known = Sym::intern("batch-test-known");
         let batch = intern_all(&[

@@ -221,7 +221,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Click); // open the Authors column menu
             steps.push(UiStep::Click); // sort by count
             steps.push(UiStep::Execute);
-            session.sort("Authors", true);
+            session.sort("Authors", true)?;
             let t = session.etable()?;
             // Verify the top row really has the largest count, scanning
             // the counts column up and down.
@@ -259,13 +259,13 @@ pub fn run_etable_task(
             steps.push(UiStep::Click);
             steps.push(UiStep::Click);
             steps.push(UiStep::Execute);
-            session.sort("name", false);
+            session.sort("name", false)?;
             steps.push(UiStep::Read(12));
             steps.push(UiStep::Think);
             steps.push(UiStep::Click); // column menu on the Papers column
             steps.push(UiStep::Click); // sort by count
             steps.push(UiStep::Execute);
-            session.sort("Papers", true);
+            session.sort("Papers", true)?;
             let t = session.etable()?;
             // Read off the top three and double-check their counts
             // against the next few rows.

@@ -1,5 +1,5 @@
-//! The §9 future-work features implemented as extensions: set operations,
-//! column ranking, result caching, and machine-readable export.
+//! The §9 future-work features implemented as extensions: column ranking,
+//! result caching, and machine-readable export.
 //!
 //! Run with `cargo run --example extensions`.
 
@@ -7,15 +7,13 @@ use etable_repro::core::column_rank;
 use etable_repro::core::export;
 use etable_repro::core::pattern::NodeFilter;
 use etable_repro::core::session::Session;
-use etable_repro::core::setops::{combine, SetOp};
 use etable_repro::core::{ops, transform};
 use etable_repro::relational::expr::CmpOp;
 
 fn main() {
     let (_, tgdb) = etable_repro::default_environment();
 
-    // --- §9 (1): set operations --------------------------------------
-    // SIGMOD papers vs. papers about recommendation: union/intersection.
+    // The SIGMOD papers.
     let (papers, _) = tgdb.schema.node_type_by_name("Papers").expect("Papers");
     let sigmod = {
         let q = ops::initiate(&tgdb, papers).unwrap();
@@ -24,29 +22,10 @@ fn main() {
         let q = ops::select(&tgdb, &q, NodeFilter::cmp("acronym", CmpOp::Eq, "SIGMOD")).unwrap();
         ops::shift(&q, etable_repro::core::pattern::PatternNodeId(0)).unwrap()
     };
-    let recsys = {
-        let q = ops::initiate(&tgdb, papers).unwrap();
-        let (ke, _) = tgdb
-            .schema
-            .outgoing_by_name(papers, "Paper_Keywords: keyword")
-            .unwrap();
-        let q = ops::add(&tgdb, &q, ke).unwrap();
-        let q = ops::select(
-            &tgdb,
-            &q,
-            NodeFilter::cmp("keyword", CmpOp::Eq, "recommendation"),
-        )
-        .unwrap();
-        ops::shift(&q, etable_repro::core::pattern::PatternNodeId(0)).unwrap()
-    };
-    for op in [SetOp::Union, SetOp::Intersect, SetOp::Difference] {
-        let t = combine(&tgdb, &sigmod, &recsys, op).expect("combine");
-        println!("{op}: {} papers", t.len());
-    }
 
     // --- §9 (3): column ranking ---------------------------------------
     let table = transform::execute(&tgdb, &sigmod).expect("execute");
-    println!("\ncolumn ranking for the SIGMOD papers table:");
+    println!("column ranking for the SIGMOD papers table:");
     for score in column_rank::rank_columns(&table).iter().take(6) {
         println!(
             "  {:<26} score {:.3}  (fill {:.2}, distinct {:.2}, refs/cell {:.1})",

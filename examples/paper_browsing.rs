@@ -33,7 +33,7 @@ fn main() {
         .filter(NodeFilter::cmp("acronym", CmpOp::Eq, "SIGMOD"))
         .expect("conference filter");
     session.pivot("Papers").expect("pivot back");
-    session.sort("Papers (referenced)", true);
+    session.sort("Papers (referenced)", true).expect("sort");
 
     let table = session.etable().expect("execute");
     let opts = RenderOptions {
@@ -71,7 +71,7 @@ fn main() {
 
     // (c) click the pivot button on the column.
     session.pivot("Authors").expect("pivot authors");
-    session.sort("Papers", true);
+    session.sort("Papers", true).expect("sort");
     let authors = session.etable().expect("authors table");
     println!(
         "(c) pivoting groups all {} authors and ranks them by paper count:",

@@ -38,7 +38,7 @@ fn main() {
         .filter(NodeFilter::cmp("year", CmpOp::Ge, 2014))
         .expect("filter");
     session.pivot("Authors").expect("pivot");
-    session.sort("Papers", true);
+    session.sort("Papers", true).expect("sort");
 
     let table = session.etable().expect("execute");
     let opts = RenderOptions {

@@ -1,12 +1,14 @@
-//! Monkey testing the interaction layer: random action sequences —
-//! plausible ones, and ill-typed filters, unknown attribute names and
-//! edges that do not leave the node's type — against a live session must
-//! never panic, must keep the pattern a valid tree, and must keep
-//! history/revert consistent. Every action either is refused with a typed
-//! error that leaves the session untouched, or yields a table whose
-//! primary keys are what the pattern's SQL translation returns: the AST
-//! run on the engine and (on the hand-sized academic fixture, where its
-//! cross product fits) on the naive oracle.
+//! Monkey testing the interaction layer: random sequences of `Action`s of
+//! all ten verbs, applied through `Session::apply` — plausible ones, and
+//! ill-typed filters, unknown attribute names, edges that do not leave the
+//! node's type, hidden or unknown columns, empty focuses and history steps
+//! past the end — against a live session must never panic, must keep the
+//! pattern a valid tree, and must keep history/revert consistent. Every
+//! action either is refused with a typed error that leaves the session
+//! untouched, or yields a table whose primary keys are what the pattern's
+//! SQL translation returns: the AST run on the engine and (on the
+//! hand-sized academic fixture, where its cross product fits) on the naive
+//! oracle.
 //!
 //! An enriched table builds its cells only when they are read, and puts
 //! its rows in order only as far as they are read; a further leg holds
@@ -26,6 +28,7 @@
 //! `PROPTEST_CASES` raises the number of seeded sessions (deep-verify
 //! runs 1024).
 
+use etable_repro::core::actions::{Action, UserAction};
 use etable_repro::core::column_rank::rank_columns;
 use etable_repro::core::connection::Connection;
 use etable_repro::core::etable::{Cell, ColumnKind, ColumnSpec, EnrichedTable};
@@ -35,7 +38,6 @@ use etable_repro::core::ops;
 use etable_repro::core::pattern::{FilterAtom, NodeFilter, QueryPattern};
 use etable_repro::core::session::Session;
 use etable_repro::core::transform;
-use etable_repro::core::Error;
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
@@ -46,7 +48,7 @@ use etable_repro::tgm::{translate, IdSlice, NodeId, Tgdb, TranslateOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
@@ -87,29 +89,136 @@ struct Presentation {
     hidden: BTreeSet<String>,
 }
 
-/// Performs one random action and returns what the session said. Errors
-/// are fine (the UI reports them) — and for the draws built to be
-/// refused, required; panics and invariant violations are not. A sort,
-/// hide or show is also recorded in `shown`.
-fn random_action(
-    session: &mut Session,
-    rng: &mut StdRng,
-    shown: &mut Presentation,
-) -> Result<(), Error> {
-    let tgdb = session.tgdb().clone();
-    match rng.gen_range(0..9) {
+impl Presentation {
+    /// Records what an action the session accepted did to the table shown.
+    fn record(&mut self, action: &Action, session: &Session) {
+        match action {
+            Action::Sort { column, descending } => self.sort = Some((column.clone(), *descending)),
+            Action::Hide(column) => {
+                self.hidden.insert(column.clone());
+            }
+            Action::Show(column) => {
+                self.hidden.remove(column);
+            }
+            Action::FocusTop(k) => {
+                let q = session.current_pattern().unwrap();
+                let header = transform::header(session.tgdb(), q).unwrap().columns;
+                let kept = session.focused();
+                assert_eq!(kept.len(), (*k).min(header.len()), "{action:?}");
+                self.hidden = (header.into_iter().map(|c| c.name))
+                    .filter(|n| !kept.contains(n))
+                    .collect();
+            }
+            Action::Change(_) | Action::Revert(_) => *self = Presentation::default(),
+        }
+    }
+}
+
+/// What the session must answer a drawn action with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    Accept,
+    Refuse,
+    Either,
+}
+
+/// A column of `header`, hidden or not, or one time in four a name that
+/// no table has.
+fn any_column(header: &[ColumnSpec], rng: &mut StdRng) -> (String, Expect) {
+    match rng.gen_range(0..4) {
+        0 => ("no such column".into(), Expect::Refuse),
+        _ => {
+            let name = &header[rng.gen_range(0..header.len())].name;
+            (name.clone(), Expect::Accept)
+        }
+    }
+}
+
+/// A sort, hide or show of [`any_column`].
+fn presentation(header: &[ColumnSpec], rng: &mut StdRng) -> (Action, Expect) {
+    let (column, expect) = any_column(header, rng);
+    let action = match rng.gen_range(0..3) {
+        0 => Action::Sort {
+            column,
+            descending: rng.gen_range(0..2) == 0,
+        },
+        1 => Action::Hide(column),
+        _ => Action::Show(column),
+    };
+    (action, expect)
+}
+
+/// With no table open only Open and Single apply: every other verb is
+/// refused.
+fn from_nothing(session: &Session, rng: &mut StdRng) -> (Action, Expect) {
+    let tgdb = session.tgdb();
+    let node = NodeId::from_index(rng.gen_range(0..tgdb.instances.node_count()));
+    let column = || "Papers".to_string();
+    let refused = match rng.gen_range(0..10) {
         0 => {
             let tables = session.default_table_list();
-            let (id, _) = tables[rng.gen_range(0..tables.len())].clone();
-            session.open(id)
+            let (node_type, _) = tables[rng.gen_range(0..tables.len())];
+            return (
+                Action::Change(UserAction::Open { node_type }),
+                Expect::Accept,
+            );
         }
-        1 => {
+        1 => return (Action::Change(UserAction::Single { node }), Expect::Either),
+        2 => Action::Change(UserAction::Filter {
+            filter: NodeFilter::cmp("year", CmpOp::Gt, 2000),
+        }),
+        3 => Action::Change(UserAction::Pivot { column: column() }),
+        4 => Action::Change(UserAction::Seeall {
+            row: node,
+            column: column(),
+        }),
+        5 => Action::Sort {
+            column: column(),
+            descending: true,
+        },
+        6 => Action::Hide(column()),
+        7 => Action::Show(column()),
+        8 => Action::FocusTop(rng.gen_range(0..3)),
+        _ => Action::Revert(0),
+    };
+    (refused, Expect::Refuse)
+}
+
+/// One action of a random verb, any of the ten, drawn from what the
+/// session shows, and what the session must answer. Among the draws are
+/// ones built to be refused: ill-typed filters, unknown attributes, edges
+/// that do not leave the node's type, hidden or unknown columns, a focus
+/// on no columns and history steps past the end. `None` when the verb
+/// drawn has nothing to act on.
+fn random_action(session: &mut Session, rng: &mut StdRng) -> Option<(Action, Expect)> {
+    let Some(q) = session.current_pattern().cloned() else {
+        return Some(from_nothing(session, rng));
+    };
+    let tgdb = Arc::clone(session.tgdb());
+    let header = transform::header(&tgdb, &q).unwrap().columns;
+    let t = session.etable().unwrap();
+    // A column for a pattern verb, which must refuse one it is not shown
+    // and may refuse one it is (a base column).
+    let pattern_column = |rng: &mut StdRng| {
+        let (column, _) = any_column(&header, rng);
+        let expect = match t.column(&column) {
+            Some(_) => Expect::Either,
+            None => Expect::Refuse,
+        };
+        (column, expect)
+    };
+    let change = |a: UserAction, expect: Expect| Some((Action::Change(a), expect));
+    let primary = q.primary_node().node_type;
+    let nt = tgdb.schema.node_type(primary);
+    match rng.gen_range(0..10) {
+        0 => {
+            let tables = session.default_table_list();
+            let (node_type, _) = tables[rng.gen_range(0..tables.len())];
+            change(UserAction::Open { node_type }, Expect::Accept)
+        }
+        1 if rng.gen_range(0..2) == 0 => {
             // Filter a random attribute of the current primary type.
-            let Some(q) = session.current_pattern() else {
-                return Ok(());
-            };
-            let nt = tgdb.schema.node_type(q.primary_node().node_type);
-            let attr = nt.attrs[rng.gen_range(0..nt.attrs.len())].clone();
+            let attr = &nt.attrs[rng.gen_range(0..nt.attrs.len())];
             let filter = match attr.data_type {
                 DataType::Int => NodeFilter::cmp(
                     &attr.name,
@@ -121,83 +230,14 @@ fn random_action(
                     format!("%{}%", (b'a' + rng.gen_range(0..26u8)) as char),
                 ),
             };
-            session.filter(filter)
+            change(UserAction::Filter { filter }, Expect::Either)
         }
-        2 => {
-            // Pivot on a random current column.
-            let t = session.etable()?;
-            if t.columns.is_empty() {
-                return Ok(());
-            }
-            let col = t.columns[rng.gen_range(0..t.columns.len())].name.clone();
-            session.pivot(&col)
-        }
-        3 => {
-            // Seeall on a random cell.
-            let t = session.etable()?;
-            if t.is_empty() || t.columns.is_empty() {
-                return Ok(());
-            }
-            let row = t.node_at(rng.gen_range(0..t.len())).unwrap();
-            let col = t.columns[rng.gen_range(0..t.columns.len())].name.clone();
-            session.seeall(row, &col)
-        }
-        4 => {
-            // Single on a random reference.
-            let t = session.etable()?;
-            let mut refs = Vec::new();
-            for r in 0..t.len().min(5) {
-                for c in 0..t.columns.len() {
-                    if let Some(rs) = t.cell(r, c).as_ref().and_then(|c| c.refs()) {
-                        refs.extend(rs);
-                    }
-                }
-            }
-            match refs.get(
-                rng.gen_range(0..refs.len().max(1))
-                    .min(refs.len().saturating_sub(1)),
-            ) {
-                Some(&n) => session.single(n),
-                None => Ok(()),
-            }
-        }
-        5 => {
-            let t = session.etable()?;
-            if t.columns.is_empty() {
-                return Ok(());
-            }
-            let col = t.columns[rng.gen_range(0..t.columns.len())].name.clone();
-            let descending = rng.gen_range(0..2) == 0;
-            session.sort(&col, descending);
-            shown.sort = Some((col, descending));
-            Ok(())
-        }
-        6 => {
-            let t = session.etable()?;
-            if t.columns.is_empty() {
-                return Ok(());
-            }
-            let col = t.columns[rng.gen_range(0..t.columns.len())].name.clone();
-            if rng.gen_range(0..2) == 0 {
-                session.hide(&col);
-                shown.hidden.insert(col);
-            } else {
-                session.show(&col);
-                shown.hidden.remove(&col);
-            }
-            Ok(())
-        }
-        7 => {
+        1 => {
             // A filter the session must refuse — an ill-typed one, an
             // unknown attribute, a neighbor-label filter along an edge that
             // does not leave the node's type or whose labels are not TEXT
             // — or a neighbor-label filter it must accept.
-            let Some(q) = session.current_pattern() else {
-                return Ok(());
-            };
-            let primary = q.primary_node().node_type;
-            let nt = tgdb.schema.node_type(primary);
-            let attr = nt.attrs[rng.gen_range(0..nt.attrs.len())].clone();
+            let attr = &nt.attrs[rng.gen_range(0..nt.attrs.len())];
             let (filter, well_typed) = match rng.gen_range(0..4) {
                 0 => (ill_typed_filter(&attr.name, attr.data_type, rng), false),
                 1 => {
@@ -212,7 +252,7 @@ fn random_action(
                         .filter(|(_, e)| (e.source == primary) == leaves)
                         .collect();
                     if edges.is_empty() {
-                        return Ok(());
+                        return None;
                     }
                     let (edge, et) = edges[rng.gen_range(0..edges.len())];
                     let target = tgdb.schema.node_type(et.target);
@@ -224,42 +264,131 @@ fn random_action(
                     (filter, leaves && text_label)
                 }
             };
-            let outcome = session.filter(filter.clone());
-            assert_eq!(outcome.is_ok(), well_typed, "{filter:?}: {outcome:?}");
-            outcome
+            let expect = if well_typed {
+                Expect::Accept
+            } else {
+                Expect::Refuse
+            };
+            change(UserAction::Filter { filter }, expect)
+        }
+        2 => {
+            let (column, expect) = pattern_column(rng);
+            change(UserAction::Pivot { column }, expect)
+        }
+        3 => {
+            // A cell's count.
+            let row = t.node_at(rng.gen_range(0..t.len().max(1)))?;
+            let (column, expect) = pattern_column(rng);
+            change(UserAction::Seeall { row, column }, expect)
+        }
+        4 => {
+            // One reference in the first rows.
+            let mut refs = Vec::new();
+            for r in 0..t.len().min(5) {
+                for c in 0..t.columns.len() {
+                    if let Some(rs) = t.cell(r, c).as_ref().and_then(|c| c.refs()) {
+                        refs.extend(rs);
+                    }
+                }
+            }
+            let node = *refs.get(rng.gen_range(0..refs.len().max(1)))?;
+            change(UserAction::Single { node }, Expect::Accept)
+        }
+        5..=7 => Some(presentation(&header, rng)),
+        8 => {
+            let k = rng.gen_range(0..=header.len());
+            let expect = if k > 0 {
+                Expect::Accept
+            } else {
+                Expect::Refuse
+            };
+            Some((Action::FocusTop(k), expect))
         }
         _ => {
-            if session.history().is_empty() {
-                return Ok(());
-            }
-            let step = rng.gen_range(0..session.history().len());
-            session.revert(step)
+            // One step past the history is refused.
+            let step = rng.gen_range(0..=session.history().len());
+            let past = step == session.history().len();
+            let expect = if past { Expect::Refuse } else { Expect::Accept };
+            Some((Action::Revert(step), expect))
         }
     }
 }
 
-/// [`random_action`] under the refusal contract: an action answered with
-/// an error has changed neither the history nor the current pattern.
-fn checked_action(session: &mut Session, rng: &mut StdRng, shown: &mut Presentation) {
+/// Applies `action` under the refusal contract: an action answered with
+/// an error has changed neither the history nor the current pattern, and
+/// the session accepts and refuses what `expect` says. What an accepted
+/// action does to the table shown is recorded in `shown`.
+fn checked(
+    session: &mut Session,
+    (action, expect): (Action, Expect),
+    shown: &mut Presentation,
+) -> bool {
     let before: (usize, Option<QueryPattern>) =
         (session.history().len(), session.current_pattern().cloned());
-    if let Err(e) = random_action(session, rng, shown) {
-        let after = (session.history().len(), session.current_pattern().cloned());
-        assert_eq!(before, after, "refused with `{e}` but the session moved");
+    match session.apply(&action) {
+        Ok(()) => {
+            assert_ne!(expect, Expect::Refuse, "{action:?} was accepted");
+            shown.record(&action, session);
+            true
+        }
+        Err(e) => {
+            assert_ne!(expect, Expect::Accept, "{action:?} was refused with `{e}`");
+            let after = (session.history().len(), session.current_pattern().cloned());
+            assert_eq!(
+                before, after,
+                "{action:?} was refused with `{e}` but the session moved"
+            );
+            false
+        }
     }
-    if session.history().len() != before.0 {
-        *shown = Presentation::default();
+}
+
+/// The verb of an action.
+fn verb(action: &Action) -> &'static str {
+    match action {
+        Action::Change(UserAction::Open { .. }) => "open",
+        Action::Change(UserAction::Filter { .. }) => "filter",
+        Action::Change(UserAction::Pivot { .. }) => "pivot",
+        Action::Change(UserAction::Single { .. }) => "single",
+        Action::Change(UserAction::Seeall { .. }) => "seeall",
+        Action::Sort { .. } => "sort",
+        Action::Hide(_) => "hide",
+        Action::Show(_) => "show",
+        Action::FocusTop(_) => "focus",
+        Action::Revert(_) => "revert",
     }
+}
+
+/// A [`random_action`], [`checked`]; returns its verb and whether the
+/// session accepted it.
+fn checked_action(
+    session: &mut Session,
+    rng: &mut StdRng,
+    shown: &mut Presentation,
+) -> Option<(&'static str, bool)> {
+    let drawn = random_action(session, rng)?;
+    let verb = verb(&drawn.0);
+    Some((verb, checked(session, drawn, shown)))
 }
 
 #[test]
 fn random_sessions_never_break_invariants() {
     let tgdb = tgdb();
+    // Per verb, how often the session refused and accepted it.
+    let mut answers: BTreeMap<&str, BTreeMap<bool, usize>> = BTreeMap::new();
     for seed in 0..u64::from(cases(12)) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut session = Session::new(tgdb.clone());
         for step in 0..60 {
-            checked_action(&mut session, &mut rng, &mut Presentation::default());
+            if let Some((verb, accepted)) =
+                checked_action(&mut session, &mut rng, &mut Presentation::default())
+            {
+                *answers
+                    .entry(verb)
+                    .or_default()
+                    .entry(accepted)
+                    .or_default() += 1;
+            }
             // Invariants after every action:
             if let Some(q) = session.current_pattern() {
                 q.validate(tgdb)
@@ -275,6 +404,21 @@ fn random_sessions_never_break_invariants() {
                 assert_eq!(before, nodes.len(), "seed {seed} step {step}");
             }
         }
+    }
+    // Every verb reached the session and was accepted, and every one but
+    // the two that start from nothing was also refused.
+    let verbs = [
+        "open", "filter", "pivot", "single", "seeall", "sort", "hide", "show", "focus", "revert",
+    ];
+    for verb in verbs {
+        let answered = answers.get(verb).cloned().unwrap_or_default();
+        let refusable = !matches!(verb, "open" | "single");
+        assert!(answered.contains_key(&true), "{verb}: {answers:?}");
+        assert_eq!(
+            answered.contains_key(&false),
+            refusable,
+            "{verb}: {answers:?}"
+        );
     }
 }
 
@@ -475,7 +619,9 @@ fn dml_between_actions_repins_the_session() {
             match rng.gen_range(0..4) {
                 0 => random_write(&c, &mut rng),
                 1 => present(c.session_mut(), &mut rng, &mut shown),
-                _ => checked_action(c.session_mut(), &mut rng, &mut shown),
+                _ => {
+                    checked_action(c.session_mut(), &mut rng, &mut shown);
+                }
             }
             let Some(q) = c.session().current_pattern().cloned() else {
                 continue;
@@ -779,29 +925,17 @@ fn focus(session: &mut Session, rng: &mut StdRng, shown: &mut Presentation) {
         .collect();
 }
 
-/// A sort, hide or show on a random column of the current header, of any
-/// kind and hidden or not, or a focus on the top columns; recorded in
-/// `shown`.
+/// A sort, hide or show of [`any_column`] of the current header, or a
+/// focus on the top columns; recorded in `shown`.
 fn present(session: &mut Session, rng: &mut StdRng, shown: &mut Presentation) {
     let Some(q) = session.current_pattern() else {
         return;
     };
-    let columns = transform::header(session.tgdb(), q).unwrap().columns;
-    let col = columns[rng.gen_range(0..columns.len())].name.clone();
+    let header = transform::header(session.tgdb(), q).unwrap().columns;
     match rng.gen_range(0..4) {
         3 => focus(session, rng, shown),
-        0 => {
-            let descending = rng.gen_range(0..2) == 0;
-            session.sort(&col, descending);
-            shown.sort = Some((col, descending));
-        }
-        1 => {
-            session.hide(&col);
-            shown.hidden.insert(col);
-        }
         _ => {
-            session.show(&col);
-            shown.hidden.remove(&col);
+            checked(session, presentation(&header, rng), shown);
         }
     }
 }

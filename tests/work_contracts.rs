@@ -64,7 +64,7 @@ fn presentation_work_is_bounded_by_what_is_shown() {
         s.open_by_name("Papers").unwrap();
         assert_eq!(show(&mut s).len(), papers);
 
-        s.sort("year", true);
+        s.sort("year", true).unwrap();
         let first = work_of(|| drop(show(&mut s)));
         assert_eq!(first.keys_built, papers as u64, "{papers}: one key a row");
         assert!(first.rows_ordered <= page, "{papers}: {first:?}");
@@ -72,8 +72,8 @@ fn presentation_work_is_bounded_by_what_is_shown() {
         for step in ["hide", "show", "render"] {
             let w = work_of(|| {
                 match step {
-                    "hide" => s.hide("title"),
-                    "show" => s.show("title"),
+                    "hide" => s.hide("title").unwrap(),
+                    "show" => s.show("title").unwrap(),
                     _ => {}
                 }
                 drop(show(&mut s));
