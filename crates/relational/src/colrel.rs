@@ -240,20 +240,37 @@ impl<'a> ColRelation<'a> {
     }
 
     /// Rebuilds every source's row-id vector through `positions` (logical
-    /// rows to keep, in output order).
-    fn composed(&self, positions: &[u32], other: Option<(&Self, &[u32])>) -> ColRelation<'a> {
+    /// rows to keep, in output order); a side that is one unfiltered scan
+    /// takes `positions` itself, uncopied.
+    fn composed(&self, positions: Vec<u32>, other: Option<(&Self, Vec<u32>)>) -> ColRelation<'a> {
+        let n = positions.len();
         let mut columns = self.columns.clone();
-        let through = |s: &Source<'a>, positions: &[u32]| Source {
-            row_ids: s.row_ids.compose(positions),
-            ..*s
-        };
-        let mut sources: Vec<Source<'a>> =
-            self.sources.iter().map(|s| through(s, positions)).collect();
+        let mut sides = vec![(&self.sources, positions)];
         if let Some((rhs, rhs_positions)) = other {
             columns.extend(rhs.columns.iter().cloned());
-            sources.extend(rhs.sources.iter().map(|s| through(s, rhs_positions)));
+            sides.push((&rhs.sources, rhs_positions));
         }
-        Self::from_sources(columns, sources, positions.len())
+        let mut sources = Vec::new();
+        for (side, positions) in sides {
+            let through = |s: &Source<'a>| Source {
+                row_ids: s.row_ids.compose(&positions),
+                ..*s
+            };
+            match &side[..] {
+                [s] if s.row_ids.as_slice().is_none() => sources.push(Source {
+                    row_ids: RowIds::Sel(positions),
+                    ..*s
+                }),
+                side => sources.extend(side.iter().map(through)),
+            }
+        }
+        Self::from_sources(columns, sources, n)
+    }
+
+    /// A scan's row ids and stored rows, which the tree pass weighs.
+    pub(crate) fn into_scan(self) -> (RowIds, usize) {
+        let s = self.sources.into_iter().next();
+        s.map_or((RowIds::Sel(Vec::new()), 0), |s| (s.row_ids, s.len))
     }
 
     /// σ — keeps logical rows satisfying `pred`, composing the surviving
@@ -273,7 +290,7 @@ impl<'a> ColRelation<'a> {
             let (store, ids) = self.col_source(c);
             (store, ids.as_slice())
         });
-        self.composed(&keep, None)
+        self.composed(keep, None)
     }
 
     /// Equi-join on `self[left_col] = other[right_col]` using a build/probe
@@ -356,9 +373,9 @@ impl<'a> ColRelation<'a> {
         check_cardinality(build_pos.len())?;
         crate::work::count(|w| w.rows_matched += build_pos.len() as u64);
         Ok(if build_is_left {
-            build.composed(&build_pos, Some((probe, &probe_pos)))
+            build.composed(build_pos, Some((probe, probe_pos)))
         } else {
-            probe.composed(&probe_pos, Some((build, &build_pos)))
+            probe.composed(probe_pos, Some((build, build_pos)))
         })
     }
 
@@ -378,7 +395,7 @@ impl<'a> ColRelation<'a> {
                 right_pos.push(r);
             }
         }
-        Ok(self.composed(&left_pos, Some((other, &right_pos))))
+        Ok(self.composed(left_pos, Some((other, right_pos))))
     }
 
     /// The same relation with its sources reordered: source `k` becomes
@@ -574,7 +591,7 @@ fn check_cardinality(n: usize) -> Result<()> {
     }
 }
 
-fn cardinality_error() -> Error {
+pub(crate) fn cardinality_error() -> Error {
     Error::Eval(format!(
         "intermediate relation exceeds the u32 row-id space ({} rows)",
         u32::MAX

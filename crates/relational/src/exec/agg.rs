@@ -316,6 +316,21 @@ impl ColRelation<'_> {
     /// fills a store of the type `group_output_columns` gives it, NULL
     /// results as null bits.
     pub fn group_by(&self, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Grouped> {
+        self.group_weighed(group_cols, aggs, None)
+    }
+
+    /// [`ColRelation::group_by`] over rows that each stand for `weights[r]`
+    /// rows (`None`: one each) — the foreign-key tree pass's root rows,
+    /// each weighing the join results it takes part in (`exec::tree`).
+    /// COUNT adds the weights; MIN and MAX ignore them. SUM and AVG never
+    /// run weighed (the tree pass refuses them).
+    pub(crate) fn group_weighed(
+        &self,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+        weights: Option<&[u32]>,
+    ) -> Result<Grouped> {
+        debug_assert!(weights.is_none_or(|w| w.len() == self.len()));
         let gids = self.group_ids(group_cols);
         let (first_rows, len) = (&gids.first_rows, gids.first_rows.len());
         let columns = group_output_columns(self.columns(), group_cols, aggs);
@@ -326,10 +341,20 @@ impl ColRelation<'_> {
         }
         for (spec, col) in aggs.iter().zip(&columns[group_cols.len()..]) {
             stores.push(match spec.call {
-                None => count_per_group((0..self.len()).map(|r| gids.of(r)), len),
+                // A global COUNT(*) of unweighed rows is the row count.
+                None if group_cols.is_empty() && weights.is_none() => {
+                    count_per_group([(0, self.len() as i64)].into_iter(), 1)
+                }
+                None => count_per_group(
+                    (0..self.len()).map(|r| (gids.of(r), weight(weights, r))),
+                    len,
+                ),
                 Some((func, c)) => {
+                    debug_assert!(
+                        weights.is_none() || !matches!(func, AggFunc::Sum | AggFunc::Avg)
+                    );
                     let input = (self.col_source(c), self.len());
-                    aggregate(func, input, &gids, len, col.data_type)?
+                    aggregate(func, input, (&gids, weights), len, col.data_type)?
                 }
             });
         }
@@ -342,25 +367,26 @@ impl ColRelation<'_> {
 }
 
 /// One aggregate's sweep: folds the `n` rows of the input column `store`,
-/// read through `ids` (row `r` belongs to group `gids.of(r)`), into a
-/// state vector indexed by group id, in row order, and finishes it into
-/// the aggregate's output column, of type `ty`.
+/// read through `ids` (row `r` belongs to group `gids.of(r)` and weighs
+/// `weights[r]`, which only COUNT reads), into a state vector indexed by
+/// group id, in row order, and finishes it into the aggregate's output
+/// column, of type `ty`.
 fn aggregate(
     func: AggFunc,
     ((store, ids), n): ((&ColumnStore, &RowIds), usize),
-    gids: &GroupIds,
+    (gids, weights): (&GroupIds, Option<&[u32]>),
     n_groups: usize,
     ty: DataType,
 ) -> Result<ColumnStore> {
     // NULL inputs are skipped by every aggregate.
     let cells = (0..n)
-        .map(|r| (gids.of(r), store.get(ids.get(r))))
-        .filter(|(_, v)| !v.is_null());
+        .map(|r| (r, gids.of(r), store.get(ids.get(r))))
+        .filter(|(_, _, v)| !v.is_null());
     Ok(match func {
-        AggFunc::Count => count_per_group(cells.map(|(g, _)| g), n_groups),
+        AggFunc::Count => count_per_group(cells.map(|(r, g, _)| (g, weight(weights, r))), n_groups),
         AggFunc::Sum | AggFunc::Avg => {
             let mut accs = vec![NumAcc::default(); n_groups];
-            for (g, v) in cells {
+            for (_, g, v) in cells {
                 accs[g].add(v, func)?;
             }
             ColumnStore::from_values(ty, accs.iter().map(|acc| acc.finish(func)))?
@@ -376,7 +402,7 @@ fn aggregate(
                 Ordering::Greater
             };
             let mut best: Vec<Option<SortCell>> = vec![None; n_groups];
-            for (g, v) in cells {
+            for (_, g, v) in cells {
                 let cand = SortCell::new(v, &ranks);
                 // Ties keep the incumbent: the earlier row's cell survives.
                 if best[g].is_none_or(|b| SortCell::total_cmp(cand, b) == want) {
@@ -391,12 +417,17 @@ fn aggregate(
     })
 }
 
-/// COUNT: how often each group id occurs in `groups`, straight into an
-/// `INT` body (a count is never NULL).
-fn count_per_group(groups: impl Iterator<Item = usize>, n_groups: usize) -> ColumnStore {
+/// Row `r`'s weight: `weights[r]`, or 1 when rows are unweighed.
+fn weight(weights: Option<&[u32]>, r: usize) -> i64 {
+    weights.map_or(1, |w| i64::from(w[r]))
+}
+
+/// COUNT: the weights each group id occurs with in `groups`, summed
+/// straight into an `INT` body (a count is never NULL).
+fn count_per_group(groups: impl Iterator<Item = (usize, i64)>, n_groups: usize) -> ColumnStore {
     let mut counts = vec![0i64; n_groups];
-    for g in groups {
-        counts[g] += 1;
+    for (g, w) in groups {
+        counts[g] += w;
     }
     let body = ColumnData::Int(Arc::new(counts));
     ColumnStore::from_parts(body, NullBitmap::default(), n_groups)
@@ -704,6 +735,51 @@ mod tests {
         assert_eq!(words, hashed);
         assert_eq!(words, (vec![0, 1, 2, 3, 0], vec![0, 1, 2, 3]));
         assert_eq!(n_hashed, 4);
+    }
+
+    /// Weighed rows aggregate as that many copies of themselves: COUNT(*)
+    /// and COUNT(col) add the weights, MIN and MAX ignore them; and a
+    /// keyless COUNT(*) of unweighed rows is the row count.
+    #[test]
+    fn weighed_rows_count_as_their_copies() {
+        let null = Value::Null;
+        let t = table(
+            vec![
+                Column::nullable("k", DataType::Int),
+                Column::nullable("v", DataType::Text),
+            ],
+            vec![
+                vec![1.into(), "agg-w-b".into()],
+                vec![2.into(), null],
+                vec![1.into(), "agg-w-a".into()],
+                vec![null, "agg-w-c".into()],
+            ],
+        );
+        let weights = [3, 2, 1, 4];
+        let copies = table(
+            t.schema().columns.clone(),
+            (0..4)
+                .flat_map(|r| std::iter::repeat_n(t.row(r).unwrap_or_default(), weights[r]))
+                .collect(),
+        );
+        let specs = [
+            AggSpec::new(None, "n"),
+            AggSpec::new(Some((AggFunc::Count, 1)), "nv"),
+            AggSpec::new(Some((AggFunc::Min, 1)), "lo"),
+            AggSpec::new(Some((AggFunc::Max, 1)), "hi"),
+        ];
+        let w: Vec<u32> = weights.iter().map(|&w| w as u32).collect();
+        for keys in [&[0][..], &[]] {
+            let g = ColRelation::from_table(&t, "t")
+                .group_weighed(keys, &specs, Some(&w))
+                .unwrap();
+            let picks: Vec<Pick> = (0..g.columns.len()).map(Pick::Col).collect();
+            let got = g.relation().project(g.columns.clone(), &picks, None);
+            let want = grouped(&copies, keys, &specs);
+            assert_eq!(got.rows.iter().collect::<Vec<_>>(), want, "keys {keys:?}");
+        }
+        let all = grouped(&t, &[], &specs[..1]);
+        assert_eq!(all, vec![vec![Value::Int(4)]]);
     }
 
     /// A keyless aggregate stores no per-row group id, and a

@@ -135,21 +135,23 @@ pub(crate) fn fk_key_pairs(
     probe(&head, &next, fk_n, |p| (p as u32, fk(p)))
 }
 
-/// A set of row ids under a bound, one bit each.
-struct Bits(Vec<u64>);
+/// A set of row ids under a bound, one bit each: the rows a walk from
+/// held rows marks, read back in ascending order (here and in the
+/// foreign-key tree pass, `exec::tree`).
+pub(crate) struct Bits(Vec<u64>);
 
 impl Bits {
     /// The empty set of rows `0..n`.
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Bits(vec![0; n.div_ceil(64)])
     }
 
-    fn set(&mut self, r: u32) {
+    pub(crate) fn set(&mut self, r: u32) {
         self.0[r as usize / 64] |= 1 << (r % 64);
     }
 
     /// The rows in the set, ascending.
-    fn rows(&self) -> Vec<u32> {
+    pub(crate) fn rows(&self) -> Vec<u32> {
         let mut rows = Vec::new();
         for (&word, w) in self.0.iter().zip(0u32..) {
             let mut rest = word;

@@ -2,7 +2,7 @@
 //! is a sequential loop on the calling thread; concurrency is per
 //! connection (DESIGN.md, "Query execution").
 //!
-//! Five pieces live here, plus the [`pool`] stub the frozen benchmark
+//! Six pieces live here, plus the [`pool`] stub the frozen benchmark
 //! harness still names:
 //!
 //! * [`agg`] — grouped aggregation: the aggregate vocabulary, the
@@ -18,10 +18,19 @@
 //!   positions, for hash joins and foreign-key matching alike.
 //! * `hash` — the key hasher shared by the in-memory join, the spill
 //!   partitioner and the group-id pass.
+//! * `tree` — a grouped or DISTINCT query over a tree of foreign keys
+//!   without join pairs: one leaves-to-root pass of row weights to the
+//!   table the query groups, scatter-adds through each key's `fwd` and
+//!   gathers through the parent's, walked from the rows that weigh
+//!   anything when they are few. The rule that picks it over the greedy
+//!   join loop and the rule that picks each message's walk live there.
 pub mod agg;
 pub mod budget;
+#[cfg(test)]
+mod crossover;
 pub(crate) mod hash;
 pub(crate) mod join;
 mod kernel;
 pub mod pool;
 pub(crate) mod pred;
+pub(crate) mod tree;

@@ -14,6 +14,14 @@
 //! (`ColRelation::fk_join`, EXPLAIN's `fk join`); every other edge is a
 //! hash join (`hash join`). Both emit the same pairs in the same order.
 //!
+//! A grouped or DISTINCT query over a tree of stored foreign keys, whose
+//! grouped (or DISTINCT) columns all lie in one table and whose answer
+//! cannot tell the join order, builds no join pair at all: one
+//! leaves-to-root pass weighs that table's rows by the join results each
+//! takes part in, and the weighed rows are grouped or made DISTINCT
+//! (`crate::exec::tree`, EXPLAIN's `fk tree`). Its answer is the greedy
+//! loop's, byte for byte.
+//!
 //! Execution is columnar end to end: every base scan yields a
 //! [`ColRelation`] (a selection vector over the stored table — see
 //! [`crate::colrel`]), joins compose paired row-id vectors, and residual
@@ -32,9 +40,11 @@ use super::analyze::{
 };
 use super::ast::{Query, Statement};
 use super::explain::{explain_query, Stage};
-use crate::colrel::ColRelation;
+use crate::colrel::{ColRelation, Pick, RowIds};
 use crate::database::Database;
-use crate::relation::{RelColumn, Relation};
+use crate::exec::agg::AggSpec;
+use crate::exec::tree::{joins_rule, weigh, FkTree, Joins, Walk, Weighed};
+use crate::relation::{RelColumn, Relation, SortKey};
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -168,6 +178,25 @@ fn take_smallest<'a>(pending: &mut Vec<(usize, ColRelation<'a>)>) -> (usize, Col
 /// result with the `Stage` each operator recorded, in the order they
 /// ran.
 pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation, Vec<Stage>)> {
+    execute_forced(db, plan, Forced::default())
+}
+
+/// What a test may force on [`execute_forced`] in place of the executor's
+/// own rules: the greedy loop where the foreign-key tree pass would run,
+/// or one walk for every message of the tree pass. Both answer the same
+/// bytes; only the work differs.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Forced {
+    pub(crate) greedy: bool,
+    pub(crate) walk: Option<Walk>,
+}
+
+/// [`execute_typed`], with the strategies `forced` names.
+pub(crate) fn execute_forced(
+    db: &Database,
+    plan: &TypedPlan,
+    forced: Forced,
+) -> Result<(Relation, Vec<Stage>)> {
     let mut stages = Vec::new();
     // 1. Columnar scans with pushed-down predicates. A filtered scan *is*
     //    the selection vector `scan::filter_indices` returns; from here
@@ -192,7 +221,21 @@ pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation
         pending.push((i, rel));
     }
 
-    // 2. Greedy join: start from the smallest relation; repeatedly join a
+    // 2. A grouped or DISTINCT query over a foreign-key tree weighs the
+    //    rows of its root table instead of joining (`exec::tree`).
+    let joins = match forced.greedy {
+        true => Joins::Greedy,
+        false => joins_rule(db, plan)?,
+    };
+    if let Joins::Tree(tree) = joins {
+        let scans = pending
+            .into_iter()
+            .map(|(_, rel)| rel.into_scan())
+            .collect();
+        return tree_query(db, plan, &tree, weigh(&tree, scans, forced.walk)?, stages);
+    }
+
+    // 3. Greedy join: start from the smallest relation; repeatedly join a
     //    connected relation via a build/probe join over the edge's key
     //    columns, else cross the smallest remaining. Each join emits
     //    paired (build, probe) position vectors that compose with the
@@ -282,19 +325,19 @@ pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation
     // every position is the plan's own.
     let mut current = current.reorder_sources(&joined);
 
-    // 3. Residual predicates (evaluated over only the columns they read).
+    // 4. Residual predicates (evaluated over only the columns they read).
     for (pred, p) in plan.residual.iter().enumerate() {
         current = current.select(p);
         let out = current.len();
         stages.push(Stage::Residual { pred, out });
     }
 
-    // 4. Grouping: grouped queries aggregate straight off the selection
+    // 5. Grouping: grouped queries aggregate straight off the selection
     //    vectors (no input row is ever materialized) into typed stores, one
     //    row per group. `grouped` owns the stores the grouped relation
     //    reads.
     let grouped;
-    let mut input = match &plan.grouping {
+    let input = match &plan.grouping {
         None => current,
         Some(g) => {
             grouped = current.group_by(&g.keys, &g.aggregates)?;
@@ -304,29 +347,87 @@ pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation
             grouped.relation()
         }
     };
+    Ok(tail(input, plan, 0, stages))
+}
 
-    // 5. The query tail, one for every SELECT. HAVING filters the groups
-    //    on the WHERE kernel. ORDER BY is a permutation over rank-decorated
-    //    key columns — only its first `rows_kept` positions when a LIMIT
-    //    follows — the final projection gathers each kept output cell once,
-    //    in that order, and DISTINCT / OFFSET / LIMIT run on the
-    //    already-final output.
+/// A tree-pass query from the root's weighed rows (`exec::tree`): they
+/// are grouped with their weights, or are the DISTINCT query's input,
+/// and the tail runs as for every SELECT. The root's columns start at
+/// the flat row's `shift`, so the plan's grouping and tail positions
+/// move down by it.
+fn tree_query(
+    db: &Database,
+    plan: &TypedPlan,
+    tree: &FkTree,
+    weighed: Weighed,
+    mut stages: Vec<Stage>,
+) -> Result<(Relation, Vec<Stage>)> {
+    let (root, rows) = (&plan.tables[tree.root], weighed.rows.len());
+    let table = db.table(&root.name)?;
+    stages.push(Stage::Tree {
+        root: tree.root,
+        steps: weighed.steps,
+        rows,
+    });
+    let ids = RowIds::Sel(weighed.rows);
+    let rel = ColRelation::from_columns(root.columns.clone(), table.columns(), table.len(), ids);
+    let shift = plan.offset_of(tree.root);
+    let Some(g) = &plan.grouping else {
+        return Ok(tail(rel, plan, shift, stages));
+    };
+    let keys: Vec<usize> = g.keys.iter().map(|&k| k - shift).collect();
+    let aggs: Vec<AggSpec> = (g.aggregates.iter())
+        .map(|a| AggSpec::new(a.call.map(|(f, c)| (f, c - shift)), &a.output_name))
+        .collect();
+    let grouped = rel.group_weighed(&keys, &aggs, Some(&weighed.weights))?;
+    let shapes = keys.iter().map(|&c| rel.key_shape(c)).collect();
+    stages.push(Stage::Group {
+        shapes,
+        groups: grouped.len,
+    });
+    Ok(tail(grouped.relation(), plan, 0, stages))
+}
+
+/// The query tail, one for every SELECT, over `input`, whose columns are
+/// the tail input's from position `shift` on. HAVING filters the groups
+/// on the WHERE kernel. ORDER BY is a permutation over rank-decorated key
+/// columns — only its first `rows_kept` positions when a LIMIT follows —
+/// the final projection gathers each kept output cell once, in that
+/// order, and DISTINCT / OFFSET / LIMIT run on the already-final output.
+fn tail(
+    mut input: ColRelation,
+    plan: &TypedPlan,
+    shift: usize,
+    mut stages: Vec<Stage>,
+) -> (Relation, Vec<Stage>) {
     if let Some(h) = &plan.having {
         input = input.select(h);
     }
+    let order_by: Vec<SortKey> = (plan.order_by.iter())
+        .map(|k| SortKey {
+            column: k.column - shift,
+            ..*k
+        })
+        .collect();
+    let picks: Vec<Pick> = (plan.picks.iter())
+        .map(|p| match *p {
+            Pick::Col(c) => Pick::Col(c - shift),
+            lit => lit,
+        })
+        .collect();
     let keep = rows_kept(plan);
-    let order = if plan.order_by.is_empty() && keep.is_none() {
+    let order = if order_by.is_empty() && keep.is_none() {
         None
     } else {
-        if let (Some(k), false) = (keep, plan.order_by.is_empty()) {
+        if let (Some(k), false) = (keep, order_by.is_empty()) {
             let (kept, of) = (k.min(input.len()), input.len());
             stages.push(Stage::TopK { kept, of });
         }
         // No key at all orders by input position: a bare LIMIT gathers
         // only its leading rows.
-        Some(input.sort_order(&plan.order_by, keep))
+        Some(input.sort_order(&order_by, keep))
     };
-    let mut out = input.project(plan.output.clone(), &plan.picks, order.as_deref());
+    let mut out = input.project(plan.output.clone(), &picks, order.as_deref());
     if plan.distinct {
         out = out.distinct();
     }
@@ -336,7 +437,7 @@ pub(crate) fn execute_typed(db: &Database, plan: &TypedPlan) -> Result<(Relation
     }
     let (rows, columns) = (out.len(), out.columns.len());
     stages.push(Stage::Output { rows, columns });
-    Ok((out, stages))
+    (out, stages)
 }
 
 /// How many leading rows of the ordered result the tail needs: `OFFSET +

@@ -10,6 +10,7 @@ use super::ast::Query;
 use super::executor::execute_typed;
 use crate::database::Database;
 use crate::exec::agg::KeyShape;
+use crate::exec::tree::TreeStep;
 use crate::relation::RelColumn;
 use crate::Result;
 use std::borrow::Borrow;
@@ -49,6 +50,14 @@ pub(crate) enum Stage {
     Cycle { edge: usize, out: usize },
     /// Residual predicate `pred` kept `out` rows.
     Residual { pred: usize, out: usize },
+    /// The foreign-key tree pass (`exec::tree`) in place of the joins:
+    /// each non-root table's message, and the `rows` of `root` that
+    /// weigh more than 0.
+    Tree {
+        root: usize,
+        steps: Vec<TreeStep>,
+        rows: usize,
+    },
     /// The group-id pass: one shape per GROUP BY key (none for a global
     /// aggregate), and the groups it found.
     Group {
@@ -107,6 +116,17 @@ impl Stage {
             Stage::Residual { pred, out } => {
                 let pred = plan.residual[*pred].display();
                 format!("residual filter [{pred}] -> {out} rows")
+            }
+            Stage::Tree { root, steps, rows } => {
+                let steps = steps.iter().map(|s| {
+                    let (t, w) = (alias(s.table), s.weighed);
+                    format!("{t} {w} ({})", s.walk.name())
+                });
+                let root = alias(*root);
+                format!(
+                    "fk tree to {root}, no join built: weighed {} -> {rows} rows",
+                    list(steps)
+                )
             }
             Stage::Group { shapes, .. } if shapes.is_empty() => return None,
             Stage::Group { shapes, groups } => {

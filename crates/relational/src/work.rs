@@ -1,7 +1,7 @@
 //! What the SQL executor did on this thread, counted: how many rows its
 //! joins probed and matched, which row-space paths they took, how many
-//! reverse foreign-key indexes were built, and how many keys the group-id
-//! pass hashed. The counters are plain `u64`s, always on; a test reads
+//! reverse foreign-key indexes were built, how many keys the group-id
+//! pass hashed, and how many rows the foreign-key tree pass weighed. The counters are plain `u64`s, always on; a test reads
 //! them before and after a statement ([`on_this_thread`]) to hold a join
 //! to the rows that can match, which wall time on a shared host cannot
 //! show.
@@ -25,6 +25,12 @@ pub struct Work {
     pub reverse_builds: u64,
     /// Keys the group-id pass hashed (a dense pass hashes none).
     pub keys_hashed: u64,
+    /// Statements whose joins ran as one foreign-key tree pass
+    /// (`exec::tree`) instead of the greedy join loop.
+    pub tree_passes: u64,
+    /// Rows whose weight the tree pass read or wrote, over every message
+    /// it folded.
+    pub rows_weighed: u64,
 }
 
 impl std::ops::Sub for Work {
@@ -39,6 +45,8 @@ impl std::ops::Sub for Work {
             forward_walks: self.forward_walks - before.forward_walks,
             reverse_builds: self.reverse_builds - before.reverse_builds,
             keys_hashed: self.keys_hashed - before.keys_hashed,
+            tree_passes: self.tree_passes - before.tree_passes,
+            rows_weighed: self.rows_weighed - before.rows_weighed,
         }
     }
 }

@@ -279,6 +279,37 @@ output: 2 rows x 3 columns"
     );
 }
 
+/// The whole EXPLAIN text of a grouped query over a foreign-key tree,
+/// which runs no join: the pass weighs `s`'s rows by the `b` rows that
+/// reference them — the five `b` rows the scan keeps, a sparse message —
+/// and groups `s`'s rows of nonzero weight.
+#[test]
+fn explain_golden_fk_tree() {
+    let mut d = db();
+    let text = plan(
+        &mut d,
+        "EXPLAIN SELECT s.tag, COUNT(*) AS n, MIN(s.id) AS lo FROM big b, small s \
+         WHERE b.small_id = s.id AND b.v = 16 GROUP BY s.tag ORDER BY n DESC, s.tag LIMIT 2",
+    );
+    assert_eq!(
+        text,
+        "typed plan:
+  from big AS b [id INT, small_id INT?, v INT] pushdown [b.v = 16]
+  from small AS s [id INT, tag TEXT]
+  join edge b.small_id = s.id [INT]
+  group keys [s.tag] aggregates [COUNT(*) INT, MIN(s.id) INT]
+  sort keys [COUNT(*) DESC, s.tag]
+  output columns [s.tag TEXT, n INT, lo INT]
+execution:
+scan b (100 rows) pushdown [b.v = 16] -> 5 rows
+scan s (5 rows)
+fk tree to s, no join built: weighed b 10 (sparse) -> 5 rows
+group by 1 key(s) [TEXT word] -> 5 groups
+top 2 of 5 by [COUNT(*) DESC, s.tag]
+output: 2 rows x 3 columns"
+    );
+}
+
 /// The whole EXPLAIN text of the join steps no other golden holds: a
 /// cross product (the filtered `t` shares no edge), a hash join on a
 /// non-key edge, the second edge between the same two tables applied as a

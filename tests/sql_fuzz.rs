@@ -900,35 +900,53 @@ fn fk_dbs(rng: &mut StdRng) -> (Database, Database) {
 
 /// A random SELECT over [`FK_SCHEMA`]: one of six join shapes (both
 /// orientations, JOIN..ON, two 3-way chains through `s`, and `r` joined
-/// to `s` twice), up to two filters drawn from both sides, and now and
-/// then a grouped count.
+/// to `s` twice), up to two filters drawn from both sides, and a select
+/// list that is now and then grouped or DISTINCT. The grouped counts,
+/// MIN / MAX, DISTINCT and global `COUNT(*)` are shaped for the
+/// foreign-key tree pass (ORDER BY names every key, every grouped column
+/// lies in one table); the unordered count and the SUM are not, so the
+/// database runs them on the greedy loop.
 fn fk_query(rng: &mut StdRng) -> String {
-    let (from, filters): (&str, &[&str]) = match rng.gen_range(0..6) {
-        0 => (
+    // Per shape: its FROM, its filters, and (key, value) column pairs of
+    // one table each.
+    type Shape = (
+        &'static str,
+        &'static [&'static str],
+        &'static [(&'static str, &'static str)],
+    );
+    let shapes: [Shape; 6] = [
+        (
             "r, s WHERE r.s_id = s.id",
             &["r.w > 1", "r.lbl = 'fig'", "s.g = 1"],
+            &[("s.g", "s.txt"), ("r.lbl", "r.w")],
         ),
-        1 => (
+        (
             "s JOIN r ON s.id = r.s_id",
             &["s.txt IS NULL", "r.w <> 2", "s.id < 5"],
+            &[("s.g", "s.id"), ("r.w", "r.lbl")],
         ),
-        2 => (
+        (
             "r, s, q WHERE r.s_id = s.id AND q.s_id = s.id",
             &["q.v < 3", "s.g <> 0", "r.lbl IS NOT NULL"],
+            &[("s.txt", "s.g"), ("q.v", "q.id"), ("r.lbl", "r.w")],
         ),
-        3 => (
+        (
             "q, s, r WHERE s.id = q.s_id AND s.id = r.s_id",
             &["q.v = 1", "r.w < 3", "s.id >= 2"],
+            &[("q.v", "q.s_id"), ("s.g", "s.txt")],
         ),
-        4 => (
+        (
             "r a, s, r b WHERE a.s_id = s.id AND s.id = b.s_id",
             &["a.w = 0", "b.w > 0", "s.g = 2"],
+            &[("a.w", "a.lbl"), ("s.g", "s.id"), ("b.lbl", "b.w")],
         ),
-        _ => (
+        (
             "s, q WHERE q.s_id = s.id",
             &["q.v >= 2", "s.txt = 'pear'", "s.g < 2"],
+            &[("s.g", "s.txt"), ("q.v", "q.id")],
         ),
-    };
+    ];
+    let (from, filters, columns) = shapes[rng.gen_range(0..shapes.len())];
     let mut sql = String::from(from);
     for _ in 0..rng.gen_range(0..3) {
         sql += &format!(" AND {}", filters[rng.gen_range(0..filters.len())]);
@@ -937,8 +955,17 @@ fn fk_query(rng: &mut StdRng) -> String {
         // JOIN..ON takes its filters in a WHERE of their own.
         sql = sql.replacen(" AND ", " WHERE ", 1);
     }
-    match rng.gen_range(0..4) {
+    let (k, v) = columns[rng.gen_range(0..columns.len())];
+    match rng.gen_range(0..10) {
         0 => format!("SELECT s.g, COUNT(*) AS n FROM {sql} GROUP BY s.g"),
+        1 => format!("SELECT {k}, COUNT(*) AS n FROM {sql} GROUP BY {k} ORDER BY n DESC, {k}"),
+        2 => format!(
+            "SELECT {k}, MIN({v}) AS lo, MAX({v}) AS hi, COUNT({v}) AS c FROM {sql} \
+             GROUP BY {k} ORDER BY {k} DESC LIMIT 3"
+        ),
+        3 => format!("SELECT DISTINCT {k}, {v} FROM {sql} ORDER BY {v}, {k}"),
+        4 => format!("SELECT COUNT(*) FROM {sql}"),
+        5 => format!("SELECT {k}, SUM(s.id) AS t FROM {sql} GROUP BY {k} ORDER BY {k}"),
         _ => format!("SELECT * FROM {sql}"),
     }
 }
@@ -975,6 +1002,23 @@ fn fk_write(rng: &mut StdRng, next: i64) -> String {
 /// the twin too (which lacks only constraints); a read must return the
 /// same row sequence on both, and the same bag as the naive oracle.
 fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
+    fk_case(seed).map(|_| ())
+}
+
+/// What [`fk_case`] saw: how many grouped or DISTINCT reads the database
+/// ran as a foreign-key tree pass and how many on the greedy loop, and the
+/// reverse and forward walks of the reads that joined (no tree pass).
+#[derive(Default)]
+struct FkTally {
+    tree: u64,
+    greedy: u64,
+    reverse_walks: u64,
+    forward_walks: u64,
+}
+
+/// [`check_fk_case`], answering what it saw.
+fn fk_case(seed: u64) -> std::result::Result<FkTally, String> {
+    let mut seen = FkTally::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut fk, mut twin) = fk_dbs(&mut rng);
     for step in 0..8i64 {
@@ -990,7 +1034,18 @@ fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
             Ok(Statement::Select(q)) => q,
             other => return Err(format!("generated SQL failed to parse: {other:?}: {sql}")),
         };
+        let before = etable_repro::relational::work::on_this_thread();
         let (a, b) = (execute_query(&fk, &q), execute_query(&twin, &q));
+        let w = etable_repro::relational::work::on_this_thread() - before;
+        let grouped = sql.contains("GROUP BY") || sql.contains("DISTINCT");
+        match w.tree_passes {
+            0 => {
+                seen.greedy += u64::from(grouped || sql.contains("COUNT"));
+                seen.reverse_walks += w.reverse_walks;
+                seen.forward_walks += w.forward_walks;
+            }
+            _ => seen.tree += 1,
+        }
         let (a, b) = match (a, b) {
             (Ok(a), Ok(b)) => (
                 a.rows.iter().collect::<Vec<_>>(),
@@ -1017,7 +1072,7 @@ fn check_fk_case(seed: u64) -> std::result::Result<(), String> {
             ));
         }
     }
-    Ok(())
+    Ok(seen)
 }
 
 /// A random write over [`FK_SCHEMA`] that a constraint may refuse part
@@ -1192,12 +1247,8 @@ fn fk_grammar_smoke() {
         let mut rng = StdRng::seed_from_u64(seed);
         let _ = fk_dbs(&mut rng);
         let sql = fk_query(&mut rng);
-        shapes.insert(
-            sql.split(" WHERE")
-                .next()
-                .unwrap_or("")
-                .replace("SELECT s.g, COUNT(*) AS n", "SELECT *"),
-        );
+        let from = sql.split(" FROM ").nth(1).unwrap_or("");
+        shapes.insert(from.split(" WHERE").next().unwrap_or("").to_string());
         grouped |= sql.contains("GROUP BY");
         filtered |= sql.matches(" AND ").count() >= 3;
         assert!(parse_statement(&sql).is_ok(), "must parse: {sql}");
@@ -1267,15 +1318,25 @@ fn atomic_grammar_smoke() {
 /// The foreign-key leg reaches both row-space walks of the join along a
 /// stored index — from the held referenced rows' reverse lists, and from
 /// the held referencing rows' forward entries — within 64 cases, so it
-/// checks each against the twin's hash join.
+/// checks each against the twin's hash join. Its grouped and DISTINCT
+/// reads run as a foreign-key tree pass at least once, and on the greedy
+/// loop at least once, so the twin checks both.
 #[test]
 fn fk_leg_takes_both_walks() {
-    let before = etable_repro::relational::work::on_this_thread();
+    let (mut tree, mut greedy, mut rev, mut fwd) = (0, 0, 0, 0);
     for seed in 0..64u64 {
-        check_fk_case(seed).unwrap();
+        let seen = fk_case(seed).unwrap();
+        (tree, greedy) = (tree + seen.tree, greedy + seen.greedy);
+        (rev, fwd) = (rev + seen.reverse_walks, fwd + seen.forward_walks);
     }
-    let w = etable_repro::relational::work::on_this_thread() - before;
-    assert!(w.reverse_walks > 0 && w.forward_walks > 0, "{w:?}");
+    assert!(
+        rev > 0 && fwd > 0,
+        "joins walked {rev} reverse, {fwd} forward"
+    );
+    assert!(
+        tree > 0 && greedy > 0,
+        "tree passes {tree}, greedy {greedy}"
+    );
 }
 
 #[test]
