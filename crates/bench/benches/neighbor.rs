@@ -1,6 +1,9 @@
 //! The "quick neighbor-lookup" claim (§1): retrieving a paper's authors
 //! through the TGM adjacency index vs. executing the equivalent relational
-//! join.
+//! join. `tgm_adjacency` counts a paper's authors; `tgm_read_authors`
+//! reads every author id, each through the relationship's author map, and
+//! `tgm_read_conference_papers` reads every paper id of a conference, a
+//! bare run of the conference key's reverse index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::GenConfig;
@@ -21,6 +24,27 @@ fn bench_neighbor(c: &mut Criterion) {
             let n = nodes[i % nodes.len()];
             i += 1;
             tgdb.instances.neighbors(authors_edge, n).len()
+        })
+    });
+    group.bench_function("tgm_read_authors", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let n = nodes[i % nodes.len()];
+            i += 1;
+            let authors = tgdb.instances.neighbors(authors_edge, n);
+            authors.map(|a| a.0).fold(0u32, u32::wrapping_add)
+        })
+    });
+    let (conferences, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
+    let (papers_edge, _) = tgdb.schema.outgoing_by_name(conferences, "Papers").unwrap();
+    let venues: Vec<_> = tgdb.instances.nodes_of_type(conferences).to_vec();
+    group.bench_function("tgm_read_conference_papers", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let n = venues[i % venues.len()];
+            i += 1;
+            let papers = tgdb.instances.neighbors(papers_edge, n);
+            papers.map(|p| p.0).fold(0u32, u32::wrapping_add)
         })
     });
     // Relational: a 3-table join filtered to one paper id.

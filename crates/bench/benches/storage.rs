@@ -18,8 +18,11 @@
 //! differ by the build. `delete_restrict` is the write cycle's DELETE
 //! alone. `repin_after_write` is `Tgdb::at` on the medium corpus for the
 //! epoch after one `Paper_Authors` INSERT (made outside the timing): the
-//! re-pin a connection pays on its first table after a write, which
-//! rebuilds the one CSR pair the write touched and keeps the rest.
+//! re-pin a connection pays on its first table after a write, which reads
+//! the epoch's foreign-key indexes in place and builds no edge.
+//! `repin_then_pivot` is that re-pin plus the first lookup each way along
+//! `Paper_Authors`, each on an epoch of its own, so it pays for the two
+//! reverse indexes the write dropped.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_datagen::{generate, GenConfig};
@@ -80,6 +83,30 @@ fn bench_storage(c: &mut Criterion) {
             (graph.at(Arc::clone(&next)).expect("epoch loads"))
                 .instances
                 .edge_count()
+        })
+    });
+    // One epoch per call (the warm-up call and 10 samples), each after
+    // its own INSERT, so no call finds a reverse index another one built.
+    let epochs: Vec<Arc<Database>> = (1..=cfg.authors)
+        .filter_map(|author| {
+            let mut next = (**graph.database()).clone();
+            let insert = format!("INSERT INTO Paper_Authors VALUES (1, {author}, 99)");
+            execute(&mut next, &insert).ok().map(|_| Arc::new(next))
+        })
+        .take(11)
+        .collect();
+    let mut epochs = epochs.into_iter();
+    let (papers, _) = graph.schema.node_type_by_name("Papers").expect("Papers");
+    let (written, def) = (graph.schema.outgoing_by_name(papers, "Authors")).expect("Authors");
+    group.bench_function("repin_then_pivot", |b| {
+        b.iter(|| {
+            let epoch = epochs.next().expect("one epoch per call");
+            let at = graph.at(epoch).expect("epoch loads");
+            let paper = at.node_by_key(papers, &1.into()).expect("paper 1");
+            let g = &at.instances;
+            let author = g.neighbors(written, paper).next().expect("an author");
+            let papers = g.neighbors(def.reverse, author).len();
+            papers
         })
     });
     // Generated last: its strings join the interner the entries above

@@ -9,8 +9,9 @@
 //! if one is set, and what a cell is computed from — the instance graph
 //! and the matching result, both shared `Arc`s. No cell is stored. A cell
 //! is built when someone reads it: a base value through the graph, a
-//! neighbor cell as the node's run of the CSR target array ([`IdSlice`]), a
-//! participating cell by one walk of the pattern path.
+//! neighbor cell as the node's shared run of the buffer its edge type is
+//! read from ([`IdSlice`]), a participating cell by one walk of the
+//! pattern path.
 //!
 //! The order is lazy too. A sort builds one word per row for the column
 //! sorted; a read orders only the prefix it reaches, with ORDER BY …

@@ -12,7 +12,7 @@
 //!   SQL query into multiple queries ... and merge them" — the ETable only
 //!   needs per-row *sets* of related entities, never the full cross
 //!   product. It starts at the pattern's most selective node and grows
-//!   the other nodes' candidates along CSR edges where that is cheaper
+//!   the other nodes' candidates along graph edges where that is cheaper
 //!   than scanning their types.
 //!
 //! For tree-shaped patterns both agree:
@@ -24,7 +24,7 @@ use crate::Result;
 use etable_tgm::{EdgeTypeId, InstanceGraph, NodeId, Tgdb};
 
 /// A set of instance nodes: one bit per node id of the graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Bitmap(Vec<u64>);
 
 impl Bitmap {
@@ -172,13 +172,45 @@ pub fn match_full(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<GraphRelation> 
 /// The passes are rooted at a *seed*: a node with a `NodeIs` atom (one
 /// candidate), else the filtered node of the smallest type, else the
 /// primary. Walking the tree from there, parents first, every other node
-/// starts from its parent's CSR neighbors passed through its own filter
+/// starts from its parent's neighbors passed through its own filter
 /// when the parent's degree sum is below the node's type size, and from
 /// its whole type filtered otherwise. Either start holds every node of a
 /// full match (expanding from the parent is itself a semi-join), so the
 /// passes reach the same fixpoint — the projections of the full join —
 /// from any of them.
 pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult> {
+    match_with(tgdb, pattern, None)
+}
+
+/// Where a pattern node other than the seed starts its candidates: its
+/// parent's candidates' neighbors along the edge, or its whole type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    Expand,
+    Scan,
+}
+
+/// The start rule: expand when the parent's candidates have fewer
+/// neighbors in all (`degrees`, summed only until the sum reaches the
+/// type's size) than the node's type has nodes (`type_len`), else scan.
+pub(crate) fn start_rule(degrees: impl IntoIterator<Item = usize>, type_len: usize) -> Start {
+    let sum = degrees
+        .into_iter()
+        .try_fold(0, |sum, d| Some(sum + d).filter(|&s| s < type_len));
+    if sum.is_some() {
+        Start::Expand
+    } else {
+        Start::Scan
+    }
+}
+
+/// [`match_primary`], with every node's start chosen by [`start_rule`],
+/// or forced to `force` (tests compare the two starts with it).
+pub(crate) fn match_with(
+    tgdb: &Tgdb,
+    pattern: &QueryPattern,
+    force: Option<Start>,
+) -> Result<MatchResult> {
     let graph = &tgdb.instances;
     let filters = pattern
         .nodes
@@ -208,11 +240,9 @@ pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult>
         let all = graph.nodes_of_type(node.node_type);
         let mut bits = Bitmap::new(graph);
         let expand = step.via.filter(|via| {
-            let mut degrees = 0;
-            allowed[via.parent.0].iter().all(|&v| {
-                degrees += graph.degree(via.edge_type, v);
-                degrees < all.len()
-            })
+            let degrees = allowed[via.parent.0].iter();
+            let degrees = degrees.map(|&v| graph.degree(via.edge_type, v));
+            force.unwrap_or_else(|| start_rule(degrees, all.len())) == Start::Expand
         });
         reached.clear();
         // A `NodeIs` filter picks its one node out of the whole type.
@@ -721,5 +751,80 @@ mod tests {
         assert!(m.allowed[0].is_empty());
         let full = match_full(&tgdb, &q).unwrap();
         assert!(full.is_empty());
+    }
+
+    /// `papers` papers and `n` authors, ids from 0: paper `i` is by author
+    /// `i % n` alone, so the papers `id < m` have `m` authorships.
+    fn one_author_per_paper(n: i64, papers: i64) -> etable_tgm::Tgdb {
+        use etable_relational::database::Database;
+        use etable_relational::schema::{Column, ForeignKey, TableSchema};
+        use etable_relational::value::DataType;
+        let entity = |name: &str| {
+            let columns = vec![
+                Column::new("id", DataType::Int),
+                Column::new("name", DataType::Text),
+            ];
+            TableSchema::new(name, columns).with_primary_key(&["id"])
+        };
+        let mut db = Database::new();
+        db.create_table(entity("Papers")).unwrap();
+        db.create_table(entity("Authors")).unwrap();
+        let columns = vec![
+            Column::new("paper_id", DataType::Int),
+            Column::new("author_id", DataType::Int),
+        ];
+        let links = TableSchema::new("Paper_Authors", columns)
+            .with_primary_key(&["paper_id", "author_id"])
+            .with_foreign_key(ForeignKey::single("paper_id", "Papers", "id"))
+            .with_foreign_key(ForeignKey::single("author_id", "Authors", "id"));
+        db.create_table(links).unwrap();
+        let named = |i: i64, what: &str| vec![Value::Int(i), format!("{what} {i}").into()];
+        (db.append_rows("Authors", (0..n).map(|i| named(i, "author")))).unwrap();
+        (db.append_rows("Papers", (0..papers).map(|i| named(i, "paper")))).unwrap();
+        let links = (0..papers).map(|i| vec![Value::Int(i), Value::Int(i % n)]);
+        db.append_rows("Paper_Authors", links).unwrap();
+        let opts = etable_tgm::TranslateOptions {
+            categorical_threshold: 0,
+            ..Default::default()
+        };
+        etable_tgm::translate(&db, &opts).unwrap()
+    }
+
+    /// The start rule at its crossover: papers `id < m`, pivoted to their
+    /// authors, expand from the papers while their `m` authorships are
+    /// fewer than the `n` authors, and scan the authors from `m = n` on.
+    /// Both starts give one result on each side.
+    #[test]
+    fn start_rule_flips_at_its_degree_sum_and_both_starts_agree() {
+        let n = 6;
+        let tgdb = one_author_per_paper(n, n + 2);
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
+        for m in [n - 1, n, n + 1] {
+            let q = ops::initiate(&tgdb, papers).unwrap();
+            let q = ops::select(&tgdb, &q, NodeFilter::cmp("id", CmpOp::Lt, m)).unwrap();
+            let q = ops::add(&tgdb, &q, ae).unwrap();
+            // The papers are the seed (the one filtered node), so the
+            // authors start from the `m` papers' degree sum.
+            let chosen = match_primary(&tgdb, &q).unwrap();
+            let held = &chosen.allowed[0];
+            assert_eq!(held.len(), m as usize);
+            let degrees = held.iter().map(|&p| tgdb.instances.degree(ae, p));
+            let want = if m < n { Start::Expand } else { Start::Scan };
+            assert_eq!(start_rule(degrees, n as usize), want, "m = {m}");
+            for start in [Start::Expand, Start::Scan] {
+                let forced = match_with(&tgdb, &q, Some(start)).unwrap();
+                assert_eq!(forced.allowed, chosen.allowed, "m = {m}, {start:?}");
+                assert_eq!(forced.member, chosen.member, "m = {m}, {start:?}");
+            }
+        }
+        // The sum stops being read once it reaches the type's size.
+        let read = std::cell::Cell::new(0);
+        let degrees = (0..10).map(|_| {
+            read.set(read.get() + 1);
+            1
+        });
+        assert_eq!(start_rule(degrees, 3), Start::Scan);
+        assert_eq!(read.get(), 3);
     }
 }

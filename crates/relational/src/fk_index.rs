@@ -5,7 +5,7 @@
 //! row (`fwd`), with two sentinels: [`NULL_REF`] for a NULL key and
 //! [`DANGLING`] for a key no row holds (only the unchecked loaders,
 //! `Database::insert_unchecked` and `Database::append_rows`, can store
-//! one). In reverse (`Rev`), it is a CSR over the referenced rows: per
+//! one). In reverse ([`Rev`]), it is a CSR over the referenced rows: per
 //! referenced row an offset, then the rows that reference it, ascending.
 //! It holds no key, so the SQL join along the foreign key,
 //! `Database::fk_pairs` and the RESTRICT check are array reads, and a join
@@ -16,8 +16,12 @@
 //! `fwd`, and lives exactly as long as the `fwd` buffer it was sorted
 //! from: every clone that shares `fwd` shares it too, and a write that
 //! changes `fwd` (`push`, `compact`, a `remap` that moves a row) drops it.
-//! It is never built at load or by `tgm::translate`, which read `fwd`
-//! alone.
+//! Nothing builds it at load: the instance graph (`etable_tgm`) holds
+//! clones of the indexes its edges are read from, so the first join or
+//! graph lookup that walks a foreign key backwards builds the one `Rev`
+//! both then read. A value type's rank map (row -> rank of the row's
+//! value among the column's distinct values) is an index of the same kind
+//! ([`FkIndex::from_ranks`]), with the same lazily built reverse.
 //!
 //! [`crate::database::Database`] keeps one lazily filled slot per
 //! declared foreign key. A slot is filled on first use by the join kernel
@@ -31,6 +35,7 @@
 //! index cannot follow cheaply (a key UPDATE, an unchecked load, a raw
 //! `Database::table_mut`) empties the slot, and the next use rebuilds it.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// `fwd`'s entry for a referencing row whose key is NULL.
@@ -84,8 +89,21 @@ impl FkIndex {
         }
     }
 
+    /// The map from the rows of a column to the ranks of their values
+    /// among the column's distinct non-NULL values ([`NULL_REF`] for a
+    /// NULL): a value type's index, as if the column were a foreign key
+    /// onto its values.
+    pub fn from_ranks(ranks: Vec<u32>) -> Self {
+        FkIndex {
+            fwd: Arc::new(ranks),
+            rev: Arc::default(),
+            dangling: 0,
+        }
+    }
+
     /// The reverse index, built now if this is its first use.
-    pub(crate) fn rev(&self) -> &Rev {
+    #[inline]
+    pub fn rev(&self) -> &Rev {
         self.rev.get_or_init(|| Rev::of(&self.fwd))
     }
 
@@ -96,8 +114,20 @@ impl FkIndex {
     }
 
     /// Referencing row -> referenced row, or a sentinel; a write copies it.
+    #[inline]
     pub fn fwd(&self) -> &Arc<Vec<u32>> {
         &self.fwd
+    }
+
+    /// Whether two indexes share one `fwd` buffer.
+    pub fn shares(&self, other: &FkIndex) -> bool {
+        Arc::ptr_eq(&self.fwd, &other.fwd)
+    }
+
+    /// Whether two indexes share one reverse-index slot, so one build of
+    /// it serves both.
+    pub fn shares_rev(&self, other: &FkIndex) -> bool {
+        Arc::ptr_eq(&self.rev, &other.rev)
     }
 
     /// The first referencing row whose key dangles.
@@ -178,9 +208,10 @@ impl FkIndex {
 /// referenced row past the offsets (one added after the build, or past
 /// every row any key names) has no references.
 #[derive(Debug)]
-pub(crate) struct Rev {
-    offsets: Vec<u32>,
-    rows: Vec<u32>,
+pub struct Rev {
+    /// Both shared, so a reader can keep them beside its own data.
+    offsets: Arc<[u32]>,
+    rows: Arc<[u32]>,
 }
 
 impl Rev {
@@ -203,15 +234,40 @@ impl Rev {
                 *at += 1;
             }
         }
-        Rev { offsets, rows }
+        Rev {
+            offsets: offsets.into(),
+            rows: rows.into(),
+        }
+    }
+
+    /// Where the referencing rows of referenced row `t` lie in
+    /// [`Rev::rows`].
+    #[inline]
+    pub fn run(&self, t: u32) -> Range<usize> {
+        match self.offsets.get(t as usize..t as usize + 2) {
+            Some(&[from, to]) => from as usize..to as usize,
+            _ => 0..0,
+        }
     }
 
     /// The referencing rows of referenced row `t`, ascending.
-    pub(crate) fn of_row(&self, t: u32) -> &[u32] {
-        match self.offsets.get(t as usize..t as usize + 2) {
-            Some(&[from, to]) => &self.rows[from as usize..to as usize],
-            _ => &[],
-        }
+    #[inline]
+    pub fn of_row(&self, t: u32) -> &[u32] {
+        &self.rows[self.run(t)]
+    }
+
+    /// Every referencing row that is not NULL or dangling, grouped by the
+    /// referenced row, in the order of [`Rev::run`].
+    #[inline]
+    pub fn rows(&self) -> &Arc<[u32]> {
+        &self.rows
+    }
+
+    /// Per referenced row `t`, where its run starts in [`Rev::rows`]
+    /// (`offsets[t]..offsets[t + 1]`); a row past them has none.
+    #[inline]
+    pub fn offsets(&self) -> &Arc<[u32]> {
+        &self.offsets
     }
 }
 
@@ -225,19 +281,6 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn builds() -> u64 {
     BUILDS.with(std::cell::Cell::get)
-}
-
-#[cfg(test)]
-impl FkIndex {
-    /// Whether two indexes share one `fwd` buffer.
-    pub(crate) fn shares(&self, other: &FkIndex) -> bool {
-        Arc::ptr_eq(&self.fwd, &other.fwd)
-    }
-
-    /// Whether two indexes share one reverse-index slot.
-    pub(crate) fn shares_rev(&self, other: &FkIndex) -> bool {
-        Arc::ptr_eq(&self.rev, &other.rev)
-    }
 }
 
 #[cfg(test)]

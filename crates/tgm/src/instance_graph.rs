@@ -4,9 +4,7 @@
 //! graph is immutable and works on dense node ids: the nodes of one type
 //! are one run of consecutive ids, and node `first + r` of a type is its
 //! row `r` — of its relation for an entity type, of its distinct values
-//! for a value type. One CSR adjacency per directed edge type makes the
-//! "quick neighbor-lookup" the paper relies on (§1) two offset loads and
-//! a slice — no hashing, no pointer chase.
+//! for a value type.
 //!
 //! A node's attributes are not copied out of the database: each node type
 //! keeps its attributes as [`ColumnStore`]s, and row `r` of its columns is
@@ -16,32 +14,50 @@
 //! filter therefore runs on the relational kernel over those columns
 //! (`etable_relational::scan::select_rows`).
 //!
-//! Adjacency lives in row space too: a CSR maps source rows to target rows,
-//! and depends on no other type's node count, so the graph of a later
-//! epoch keeps every part whose inputs it would read again (`Ends`).
+//! Nor does the graph build an adjacency of its own: an edge type's edges
+//! are the rows of its relation, and each end of a row is the row itself
+//! or a map from the relation's rows to the end's rows — a stored
+//! foreign-key index or a value type's rank map, both an [`FkIndex`]. A
+//! direction reads "the rows whose *from* end is the node" out of the
+//! *from* map's lazily built reverse index
+//! ([`Rev`](etable_relational::fk_index::Rev)), then each through its
+//! *to* end (a relationship gathers those targets once, in `Rev`'s
+//! order). So the "quick neighbor-lookup" the paper relies on (§1) is two
+//! offset loads and a slice, the graph and the SQL joins along a foreign
+//! key share one reverse index, and the graph of a later epoch reads
+//! whatever maps that epoch holds, building nothing until a lookup.
 
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
 use crate::schema_graph::{AttrDef, SchemaGraph};
 use crate::{Error, Result};
-use etable_relational::fk_index::{DANGLING, NULL_REF};
+use etable_relational::fk_index::{FkIndex, DANGLING, NULL_REF};
 use etable_relational::table::{ColumnData, ColumnStore, Table};
 use etable_relational::value::{DataType, Value};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The ids `base + r` of the rows `rows` of one node type, in order.
 fn ids(base: u32, rows: &[u32]) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
     rows.iter().map(move |&r| NodeId(base + r))
 }
 
+/// A shared buffer of rows a neighbor list is a run of.
+#[derive(Clone)]
+enum Buf {
+    /// A reverse index's rows, or the targets gathered through them.
+    Listed(Arc<[u32]>),
+    /// A map's `fwd`: a row's one target.
+    Map(Arc<Vec<u32>>),
+}
+
 /// A shared, immutable run of node ids: a node's neighbor list within a
-/// CSR target array, or a set of ids a walk collected. Handing a CSR run
-/// out bumps a reference count; it copies no ids and allocates nothing.
-/// Equality is by the ids it names.
+/// buffer the graph reads, or a set of ids a walk collected. Handing a
+/// neighbor list out bumps a reference count; it copies no ids and
+/// allocates nothing. Equality is by the ids it names.
 #[derive(Clone)]
 pub struct IdSlice {
-    buf: Arc<[u32]>,
+    buf: Buf,
     range: Range<usize>,
     /// The first id of the node type whose rows `buf` holds.
     base: u32,
@@ -50,8 +66,12 @@ pub struct IdSlice {
 impl IdSlice {
     /// The ids, in order.
     pub fn ids(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
-        // In bounds by construction: a CSR run lies inside its targets.
-        ids(self.base, &self.buf[self.range.clone()])
+        let rows: &[u32] = match &self.buf {
+            Buf::Listed(rows) => rows,
+            Buf::Map(rows) => rows,
+        };
+        // In bounds by construction: a run lies inside its buffer.
+        ids(self.base, &rows[self.range.clone()])
     }
 }
 
@@ -60,6 +80,7 @@ impl From<Vec<NodeId>> for IdSlice {
     fn from(ids: Vec<NodeId>) -> IdSlice {
         let buf: Arc<[u32]> = ids.iter().map(|n| n.0).collect();
         let (range, base) = (0..buf.len(), 0);
+        let buf = Buf::Listed(buf);
         IdSlice { buf, range, base }
     }
 }
@@ -76,88 +97,30 @@ impl fmt::Debug for IdSlice {
     }
 }
 
-/// What the edges of a forward edge type are read from, one per row of the
-/// relation its provenance names: the relation's row count and, per end,
-/// the row of the end's node type by row of the relation (`None`: the row
-/// itself; at and above `DANGLING`: none, a NULL key or value) — a stored
-/// foreign-key index's `fwd` or a value type's ranks. A write copies a map
-/// before it changes it, so the same row count and the same map buffers
-/// read the same edges.
+/// How one direction of an edge type finds a source row's targets.
 #[derive(Debug, Clone)]
-pub(crate) struct Ends {
-    pub(crate) rows: usize,
-    pub(crate) maps: [Option<Arc<Vec<u32>>>; 2],
+enum Edges {
+    /// Source row `r` is the relation's row `r`; its one target, if any,
+    /// is `to[r]` (an entity FK or categorical edge type, forward).
+    Own(FkIndex),
+    /// The relation's rows whose source is row `r` are the targets:
+    /// `from`'s reverse index run for `r` (entity FK and categorical,
+    /// reverse).
+    Listed(FkIndex),
+    /// The relation's rows whose source is row `r` are `from`'s reverse
+    /// index run for `r`, and each one's target is `to` of it
+    /// (relationship and multivalued, both ways). `targets` is `to` of
+    /// every row of the reverse index, in its order, gathered on first
+    /// use, so a run of it is the node's targets; graphs whose two maps
+    /// are the same buffers share it.
+    Mapped {
+        from: FkIndex,
+        to: FkIndex,
+        targets: Arc<OnceLock<Arc<[u32]>>>,
+    },
 }
 
-impl Ends {
-    fn same(&self, other: &Ends) -> bool {
-        let same = |(a, b): (&Option<Arc<_>>, &Option<Arc<_>>)| match (a, b) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => a.is_none() && b.is_none(),
-        };
-        self.rows == other.rows && self.maps.iter().zip(&other.maps).all(same)
-    }
-
-    /// Both CSR directions of these edges, between node types of `rows`
-    /// rows each: one edge per row of the relation whose ends are both rows.
-    fn csrs(&self, rows: [usize; 2]) -> [Csr; 2] {
-        let at =
-            |end: &Option<Arc<Vec<u32>>>, r: usize| end.as_ref().map_or(r as u32, |map| map[r]);
-        let edges: Vec<(u32, u32)> = (0..self.rows)
-            .map(|r| (at(&self.maps[0], r), at(&self.maps[1], r)))
-            .filter(|&(s, t)| s < DANGLING && t < DANGLING)
-            .collect();
-        let fwd = Csr::build(rows[0], edges.iter().copied());
-        [fwd, Csr::build(rows[1], edges.iter().map(|&(s, t)| (t, s)))]
-    }
-}
-
-/// Compressed sparse row adjacency of one directed edge type, in rows.
-/// A clone shares both arrays.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    /// `targets[offsets[r]..offsets[r + 1]]` are the target rows of source
-    /// row `r`, in the row order of the edge type's relation.
-    offsets: Arc<[u32]>,
-    targets: Arc<[u32]>,
-}
-
-impl Csr {
-    /// Stable counting sort of `(source, target)` row pairs by source, so
-    /// each run keeps the order the pairs came in. Every source is below
-    /// `rows`, and a relation has fewer than `u32::MAX` rows.
-    fn build(rows: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Csr {
-        let mut offsets = vec![0u32; rows + 1];
-        for (src, _) in pairs.clone() {
-            offsets[src as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut next = offsets.clone();
-        let mut targets = vec![0; offsets[rows] as usize];
-        for (src, tgt) in pairs {
-            let at = &mut next[src as usize];
-            targets[*at as usize] = tgt;
-            *at += 1;
-        }
-        Csr {
-            offsets: offsets.into(),
-            targets: targets.into(),
-        }
-    }
-
-    /// The run of `targets` holding source row `row`'s targets (empty for
-    /// a row past the ones it was built for).
-    fn run(&self, row: usize) -> Range<usize> {
-        match self.offsets.get(row..row + 2) {
-            Some(&[lo, hi]) => lo as usize..hi as usize,
-            _ => 0..0,
-        }
-    }
-}
-
-/// One directed edge type's CSR, with this graph's id spans around it.
+/// One directed edge type, with this graph's id spans around it.
 #[derive(Debug, Clone)]
 struct Adjacency {
     /// The source type's first id and node count; a node outside has no
@@ -166,20 +129,52 @@ struct Adjacency {
     count: u32,
     /// The target type's first id.
     base: u32,
-    csr: Csr,
-    /// For a forward edge type, what `csr` and its reverse were built from.
-    ends: Option<Ends>,
+    edges: Edges,
+    /// A `Listed` or `Mapped` direction's reverse-index offsets and the
+    /// buffer its runs lie in, taken on first use, so a lookup reads them
+    /// here as it would a CSR's.
+    view: OnceLock<View>,
 }
 
+/// A reverse index's offsets, and the rows or targets its runs index.
+type View = (Arc<[u32]>, Arc<[u32]>);
+
 impl Adjacency {
-    /// The run of the CSR's targets holding `node`'s neighbors.
-    fn run(&self, node: NodeId) -> Range<usize> {
-        let row = node.0.wrapping_sub(self.first);
-        if row < self.count {
-            self.csr.run(row as usize)
-        } else {
-            0..0
+    /// The buffer holding `node`'s target rows, and their run in it.
+    fn run(&self, node: NodeId) -> (&[u32], Range<usize>) {
+        let row = node.0.wrapping_sub(self.first) as usize;
+        if row >= self.count as usize {
+            return (&[], 0..0);
         }
+        if let Edges::Own(to) = &self.edges {
+            let live = to.fwd().get(row).is_some_and(|&t| t < DANGLING);
+            return (to.fwd(), if live { row..row + 1 } else { 0..0 });
+        }
+        let (offsets, buf) = self.view();
+        match offsets.get(row..row + 2) {
+            Some(&[lo, hi]) => (buf, lo as usize..hi as usize),
+            _ => (buf, 0..0),
+        }
+    }
+
+    /// The reverse-index offsets and run buffer (see `view`); an `Own`
+    /// direction has none.
+    fn view(&self) -> &View {
+        self.view.get_or_init(|| match &self.edges {
+            Edges::Own(_) => (Arc::default(), Arc::default()),
+            Edges::Listed(from) => {
+                let rev = from.rev();
+                (Arc::clone(rev.offsets()), Arc::clone(rev.rows()))
+            }
+            Edges::Mapped { from, to, targets } => {
+                let (rev, to) = (from.rev(), to.fwd());
+                let gather = || rev.rows().iter().map(|&r| to[r as usize]).collect();
+                (
+                    Arc::clone(rev.offsets()),
+                    Arc::clone(targets.get_or_init(gather)),
+                )
+            }
+        })
     }
 }
 
@@ -192,10 +187,10 @@ pub(crate) struct TypeNodes {
     pub(crate) columns: Vec<ColumnStore>,
     /// The label attribute's position in `columns`.
     pub(crate) label: usize,
-    /// A value type's source column and, by row of it, the row of that
-    /// row's value among the type's nodes (`NULL_REF` for NULL). `None`
-    /// for an entity type, whose rows are its relation's.
-    pub(crate) ranked: Option<(ColumnStore, Arc<Vec<u32>>)>,
+    /// A value type's source column and its rank map: by row of it, the
+    /// row of that row's value among the type's nodes (`NULL_REF` for
+    /// NULL). `None` for an entity type, whose rows are its relation's.
+    pub(crate) ranked: Option<(ColumnStore, FkIndex)>,
 }
 
 impl TypeNodes {
@@ -226,7 +221,7 @@ impl TypeNodes {
             label: 0,
             ranked: Some((
                 source.clone(),
-                Arc::new(ranks.into_iter().map(rank).collect()),
+                FkIndex::from_ranks(ranks.into_iter().map(rank).collect()),
             )),
         })
     }
@@ -257,20 +252,24 @@ pub struct InstanceGraph {
     node_types: Vec<NodeTypeId>,
     /// edge type -> adjacency (both directions of a pair are stored).
     adjacency: Vec<Adjacency>,
-    /// Total number of logical (forward) edges.
-    edge_count: usize,
+    /// Total number of logical (forward) edges, counted on first use.
+    edge_count: OnceLock<usize>,
 }
 
 impl InstanceGraph {
     /// The graph of the node types `types` (one per node type of
-    /// `schema`, in order), numbered type after type, and of the forward
-    /// edge types `edges`, each beside what its edges are read from. An
-    /// edge type read from the same `Ends` as in `prev` keeps `prev`'s CSR
-    /// pair; any other builds both directions.
+    /// `schema`, in order), numbered type after type, and of the edge
+    /// types, each forward one (in id order) read from its `ends`: by row
+    /// of the relation its provenance names, the source row (`None`: the
+    /// row itself) and the target row, each a stored foreign-key index or
+    /// a value type's rank map, at and above `DANGLING` for a NULL key or
+    /// value, which is no edge. Both directions read those maps in place;
+    /// one that maps through the same two buffers as in `prev` shares its
+    /// gathered targets with it.
     pub(crate) fn load(
         schema: &SchemaGraph,
         mut types: Vec<TypeNodes>,
-        edges: Vec<(EdgeTypeId, Ends)>,
+        ends: Vec<(Option<FkIndex>, FkIndex)>,
         prev: Option<&InstanceGraph>,
     ) -> Result<InstanceGraph> {
         let mut node_types = Vec::new();
@@ -284,35 +283,57 @@ impl InstanceGraph {
             node_types.resize(end as usize, nt);
             nodes.ids = (first..end).map(NodeId).collect();
         }
-        let first = |nt: NodeTypeId| types[nt.index()].ids.first().map_or(0, |n| n.0);
-        let count = |nt: NodeTypeId| types[nt.index()].ids.len();
-        let mut adjacency: Vec<Adjacency> = (schema.edge_types())
-            .map(|(_, def)| Adjacency {
-                first: first(def.source),
-                count: count(def.source) as u32,
-                base: first(def.target),
-                csr: Csr::default(),
-                ends: None,
-            })
-            .collect();
-        let mut edge_count = 0;
-        for (et, ends) in edges {
-            let def = schema.edge_type(et);
-            let had = prev.and_then(|g| g.adjacency.get(et.index())?.ends.as_ref().map(|e| (g, e)));
-            let [fwd, rev] = match had.filter(|(_, had)| had.same(&ends)) {
-                Some((g, _)) => [et, def.reverse].map(|e| g.adjacency[e.index()].csr.clone()),
-                None => ends.csrs([count(def.source), count(def.target)]),
+        let span = |nt: NodeTypeId| {
+            let ids = &types[nt.index()].ids;
+            (ids.first().map_or(0, |n| n.0), ids.len() as u32)
+        };
+        let mapped = |i: usize, from: &FkIndex, to: &FkIndex| {
+            let kept = prev.and_then(|g| match &g.adjacency.get(i)?.edges {
+                Edges::Mapped {
+                    from: f,
+                    to: t,
+                    targets,
+                } if f.shares(from) && t.shares(to) => Some(Arc::clone(targets)),
+                _ => None,
+            });
+            let (from, to) = (from.clone(), to.clone());
+            Edges::Mapped {
+                from,
+                to,
+                targets: kept.unwrap_or_default(),
+            }
+        };
+        let mut adjacency = Vec::with_capacity(schema.edge_type_count());
+        let forward = schema.edge_types().filter(|(_, e)| e.forward);
+        for ((_, def), (from, to)) in forward.zip(ends) {
+            // Each forward edge type is followed by its reverse.
+            let i = adjacency.len();
+            debug_assert_eq!(def.reverse.index(), i + 1);
+            let ((first, count), (base, back)) = (span(def.source), span(def.target));
+            let (forward, reverse) = match &from {
+                None => (Edges::Own(to.clone()), Edges::Listed(to)),
+                Some(from) => (mapped(i, from, &to), mapped(i + 1, &to, from)),
             };
-            edge_count += fwd.targets.len();
-            adjacency[def.reverse.index()].csr = rev;
-            adjacency[et.index()].csr = fwd;
-            adjacency[et.index()].ends = Some(ends);
+            adjacency.push(Adjacency {
+                first,
+                count,
+                base,
+                edges: forward,
+                view: OnceLock::new(),
+            });
+            adjacency.push(Adjacency {
+                first: base,
+                count: back,
+                base: first,
+                edges: reverse,
+                view: OnceLock::new(),
+            });
         }
         Ok(InstanceGraph {
             types,
             node_types,
             adjacency,
-            edge_count,
+            edge_count: OnceLock::new(),
         })
     }
 
@@ -378,22 +399,33 @@ impl InstanceGraph {
         node: NodeId,
     ) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
         let adj = &self.adjacency[et.index()];
-        ids(adj.base, &adj.csr.targets[adj.run(node)])
+        let (buf, run) = adj.run(node);
+        ids(adj.base, &buf[run])
     }
 
-    /// The same neighbors as a shared run of the CSR target array.
+    /// The same neighbors as a shared run of the buffer they are read
+    /// from.
     pub fn neighbor_slice(&self, et: EdgeTypeId, node: NodeId) -> IdSlice {
         let adj = &self.adjacency[et.index()];
+        let (_, range) = adj.run(node);
+        let buf = match &adj.edges {
+            Edges::Own(to) => Buf::Map(Arc::clone(to.fwd())),
+            _ => Buf::Listed(
+                adj.view
+                    .get()
+                    .map_or_else(Arc::default, |v| Arc::clone(&v.1)),
+            ),
+        };
         IdSlice {
-            buf: Arc::clone(&adj.csr.targets),
-            range: adj.run(node),
+            buf,
+            range,
             base: adj.base,
         }
     }
 
     /// Out-degree of `node` along `et`.
     pub fn degree(&self, et: EdgeTypeId, node: NodeId) -> usize {
-        self.adjacency[et.index()].run(node).len()
+        self.adjacency[et.index()].run(node).1.len()
     }
 
     /// Total node count.
@@ -402,14 +434,19 @@ impl InstanceGraph {
     }
 
     /// Total logical edge count (each forward/reverse pair counted once).
+    /// A direction has one entry per live entry of the map its runs are
+    /// found through (`to` of a row's own edge, else `from`), so half
+    /// their sum over both directions of every edge type, counted on
+    /// first use.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Number of adjacency entries of one edge type (used by integrity
-    /// checks: must equal the source relation's row count).
-    pub fn adjacency_size(&self, et: EdgeTypeId) -> usize {
-        self.adjacency[et.index()].csr.targets.len()
+        *self.edge_count.get_or_init(|| {
+            let entries = |adj: &Adjacency| match &adj.edges {
+                Edges::Own(map) | Edges::Listed(map) | Edges::Mapped { from: map, .. } => {
+                    map.fwd().iter().filter(|&&t| t < DANGLING).count()
+                }
+            };
+            self.adjacency.iter().map(entries).sum::<usize>() / 2
+        })
     }
 
     /// All node ids, in ascending order.
@@ -495,20 +532,49 @@ pub(crate) mod tests {
         g.neighbors(et, n).collect()
     }
 
-    /// The edge types whose CSR `a` and `b` share, and the value types
-    /// whose ranks they share.
+    /// The maps one direction of an edge type reads.
+    fn maps(adj: &Adjacency) -> Vec<&FkIndex> {
+        match &adj.edges {
+            Edges::Own(map) | Edges::Listed(map) => vec![map],
+            Edges::Mapped { from, to, .. } => vec![from, to],
+        }
+    }
+
+    /// Whether two directions share their gathered targets, if they have
+    /// any.
+    fn same_targets(x: &Adjacency, y: &Adjacency) -> bool {
+        match (&x.edges, &y.edges) {
+            (Edges::Mapped { targets: x, .. }, Edges::Mapped { targets: y, .. }) => {
+                Arc::ptr_eq(x, y)
+            }
+            _ => true,
+        }
+    }
+
+    /// Whether two indexes share `fwd` and its reverse index's slot.
+    fn same_map(x: &FkIndex, y: &FkIndex) -> bool {
+        x.shares(y) && x.shares_rev(y)
+    }
+
+    /// The edge types whose every map `a` and `b` share (`fwd` and the
+    /// slot of its reverse index), and gathered targets if they have any,
+    /// and the value types whose rank maps they share.
     pub(crate) fn shared_parts(a: &InstanceGraph, b: &InstanceGraph) -> (Vec<usize>, Vec<usize>) {
-        let csrs = (a.adjacency.iter().zip(&b.adjacency))
-            .map(|(x, y)| Arc::ptr_eq(&x.csr.targets, &y.csr.targets))
+        let edges = (a.adjacency.iter().zip(&b.adjacency))
+            .map(|(x, y)| {
+                let (mx, my) = (maps(x), maps(y));
+                let same = mx.len() == my.len() && mx.iter().zip(&my).all(|(x, y)| same_map(x, y));
+                same && same_targets(x, y)
+            })
             .enumerate();
         let ranks = (a.types.iter().zip(&b.types)).map(|(x, y)| match (&x.ranked, &y.ranked) {
-            (Some((_, x)), Some((_, y))) => Arc::ptr_eq(x, y),
+            (Some((_, x)), Some((_, y))) => same_map(x, y),
             _ => false,
         });
         let kept = |it: &mut dyn Iterator<Item = (usize, bool)>| {
             it.filter(|&(_, shared)| shared).map(|(i, _)| i).collect()
         };
-        (kept(&mut csrs.into_iter()), kept(&mut ranks.enumerate()))
+        (kept(&mut edges.into_iter()), kept(&mut ranks.enumerate()))
     }
 
     /// Entity relation `name(id, label)`.
@@ -613,11 +679,13 @@ pub(crate) mod tests {
 
     #[test]
     fn counts() {
-        let (tgdb, et, _) = setup();
+        let (tgdb, et, ids) = setup();
         let g = &tgdb.instances;
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.adjacency_size(et), 3);
+        let papers = g.type_of(ids[0]);
+        let entries = g.nodes_of_type(papers).iter().map(|&p| g.degree(et, p));
+        assert_eq!(entries.sum::<usize>(), 3);
     }
 
     #[test]
@@ -652,8 +720,8 @@ pub(crate) mod tests {
         let p3 = tgdb.node_by_key(papers, &Value::Int(3)).unwrap();
         assert_eq!(tgdb.instances.neighbors(et, p3).len(), 0);
         assert_eq!(tgdb.instances.degree(et, p3), 0);
-        // The pair was kept: its rows did not change, and the new paper's
-        // row lies past the ones the CSR was built for.
+        // The new paper's row lies past every row the relationship's
+        // reverse index lists.
         assert_eq!(tgdb.instances.check_consistency(&tgdb.schema), Ok(6));
     }
 
@@ -675,31 +743,33 @@ pub(crate) mod tests {
         assert_eq!(g.check_consistency(&tgdb.schema), misfit);
     }
 
-    /// A corrupted CSR: the reverse direction loses all its entries, or a
-    /// target row names no node of its type (row space cannot name a node
-    /// of another type, so this is the only way a target can be wrong).
+    /// Corruptions a graph can still hold: the two directions of an edge
+    /// type read different maps (here the reverse one loses every entry),
+    /// or a map entry lies past the target type (row space cannot name a
+    /// node of another type, so this is the only way a target can be
+    /// wrong).
     #[test]
     fn check_consistency_rejects_missing_mirrors() {
         let (tgdb, et, _) = setup();
         let rev = tgdb.schema.edge_type(et).reverse;
-        let mut g = (*tgdb.instances).clone();
-        let rows = g.adjacency[rev.index()].csr.offsets.len();
-        g.adjacency[rev.index()].csr = Csr {
-            offsets: vec![0; rows].into(),
-            targets: Vec::new().into(),
+        let corrupt = |dir: EdgeTypeId, end: usize, map: FkIndex| {
+            let mut g = (*tgdb.instances).clone();
+            let Edges::Mapped { from, to, targets } = &mut g.adjacency[dir.index()].edges else {
+                panic!("a relationship maps its rows both ways");
+            };
+            *[from, to][end] = map;
+            *targets = Arc::default();
+            g.adjacency[dir.index()].view = OnceLock::new();
+            g.check_consistency(&tgdb.schema).unwrap_err()
         };
-        let err = g.check_consistency(&tgdb.schema).unwrap_err();
+        let err = corrupt(rev, 0, FkIndex::from_ranks(vec![NULL_REF; 3]));
         assert!(err.contains("lacks its reverse mirror"), "{err}");
-        let mut g = (*tgdb.instances).clone();
-        let forward = &g.adjacency[et.index()].csr;
-        let mut targets = forward.targets.to_vec();
-        targets[0] = 99;
-        let offsets = forward.offsets.clone();
-        g.adjacency[et.index()].csr = Csr {
-            offsets,
-            targets: targets.into(),
+        let Edges::Mapped { to, .. } = &tgdb.instances.adjacency[et.index()].edges else {
+            panic!("a relationship maps its rows both ways");
         };
-        let err = g.check_consistency(&tgdb.schema).unwrap_err();
+        let mut targets = to.fwd().to_vec();
+        targets[0] = 99;
+        let err = corrupt(et, 1, FkIndex::from_ranks(targets));
         assert!(err.contains("lacks its reverse mirror"), "{err}");
     }
 
@@ -774,7 +844,7 @@ pub(crate) mod tests {
     }
 
     /// For random small databases — NULL keys and values, empty types,
-    /// self-references and self-relationships — every CSR lookup equals a
+    /// self-references and self-relationships — every neighbor lookup equals a
     /// reference adjacency built naively from the rows through the nodes'
     /// keys, in row order, in both directions. After each of a run of
     /// random writes, `at` loads what a fresh translation loads.
@@ -858,7 +928,7 @@ pub(crate) mod tests {
     #[test]
     fn id_slices_compare_by_content_and_check_their_range() {
         let a = IdSlice {
-            buf: vec![1, 2, 3].into(),
+            buf: Buf::Listed(vec![1, 2, 3].into()),
             range: 1..3,
             base: 10,
         };

@@ -3,9 +3,10 @@
 //! The **Typed Graph Model** (TGM) of the ETable paper (§4): relational
 //! databases are reverse engineered into a *schema graph* (node types and
 //! bidirectional edge types) plus an *instance graph* (nodes, a label
-//! column, per-edge-type CSR adjacency), so that users can browse data at
-//! the entity-relationship level and the ETable layer can answer neighbor
-//! lookups with two offset loads instead of joins.
+//! column, edges read in place from the database's foreign-key indexes),
+//! so that users can browse data at the entity-relationship level and the
+//! ETable layer can answer neighbor lookups with two offset loads instead
+//! of joins.
 //!
 //! The translation procedure implements the paper's Appendix A, covering
 //! all five categories of Table 1: entity tables, one-to-many and

@@ -14,17 +14,19 @@
 //! on each node type (`source_table`, attribute names) and each edge type
 //! ([`EdgeProvenance`]) which relation and columns it came from, and
 //! `instances_of` loads the instance graph from the database and that
-//! record alone, reading each edge straight out of what the epoch stores
-//! and keeping what an earlier epoch's graph ([`Tgdb::at`]) already built.
+//! record alone: its edges are read in place out of the foreign-key
+//! indexes the epoch stores, and a value type an earlier epoch's graph
+//! ([`Tgdb::at`]) ranked over the same cells is kept.
 
 use crate::ids::NodeTypeId;
-use crate::instance_graph::{Ends, InstanceGraph, TypeNodes};
+use crate::instance_graph::{InstanceGraph, TypeNodes};
 use crate::schema_graph::{
     AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
 use crate::tgdb::Tgdb;
 use crate::{Error, Result};
 use etable_relational::database::Database;
+use etable_relational::fk_index::FkIndex;
 use etable_relational::schema::{Column, TableSchema};
 use etable_relational::value::DataType;
 use std::collections::{BTreeMap, HashSet};
@@ -436,9 +438,11 @@ fn schema_of(
 /// column's distinct non-NULL values), then edges, forward edge type by
 /// forward edge type, one per row of the relation its provenance names
 /// whose two ends are rows. An end is the row itself, the referenced row
-/// the stored foreign-key index holds for it, or the row of its value.
-/// The graph of an earlier epoch, `prev`, lends every part whose inputs
-/// are the very buffers it read (see `InstanceGraph::load`).
+/// the stored foreign-key index holds for it, or the row of its value
+/// (the value type's rank map); the graph holds those maps, not a copy.
+/// The graph of an earlier epoch, `prev`, lends every value type ranked
+/// over the very cells `db` holds, and the gathered targets of every edge
+/// direction that maps through the very buffers `db` holds.
 pub(crate) fn instances_of(
     db: &Database,
     schema: &SchemaGraph,
@@ -467,17 +471,14 @@ pub(crate) fn instances_of(
             }
         });
     }
-    let mut edges = Vec::new();
-    for (et, def) in schema.edge_types().filter(|(_, e)| e.forward) {
+    let mut ends = Vec::new();
+    for (_, def) in schema.edge_types().filter(|(_, e)| e.forward) {
         let (table_name, src_col, tgt_col) = def.provenance.key_columns();
         let table = db.table(table_name)?;
-        // A key column onto an entity is read through its stored index;
-        // any other end is the row's own (its node, or its value's).
-        let end = |col: Option<&str>, nt: NodeTypeId| -> Result<Option<Arc<Vec<u32>>>> {
-            let keyed = col.filter(|_| schema.node_type(nt).kind == NodeTypeKind::Entity);
-            let Some(col) = keyed else {
-                return Ok(types[nt.index()].ranked.clone().map(|(_, ranks)| ranks));
-            };
+        // A key column onto an entity is read through its stored index,
+        // a value through its type's rank map; a source with no column is
+        // the row itself.
+        let key = |col: &str| -> Result<FkIndex> {
             let single =
                 || Error::Unsupported(format!("`{table_name}.{col}` is not a single-column FK"));
             let fk = table.schema().fk_on_column(col).ok_or_else(single)?;
@@ -488,13 +489,16 @@ pub(crate) fn instances_of(
                     "dangling FK {table_name}.{col} = {key}"
                 )));
             }
-            Ok(Some(Arc::clone(ix.fwd())))
+            Ok(ix.clone())
         };
-        let maps = [end(src_col, def.source)?, end(Some(tgt_col), def.target)?];
-        let rows = table.len();
-        edges.push((et, Ends { rows, maps }));
+        let from = src_col.map(key).transpose()?;
+        let to = match &types[def.target.index()].ranked {
+            Some((_, ranks)) => ranks.clone(),
+            None => key(tgt_col)?,
+        };
+        ends.push((from, to));
     }
-    InstanceGraph::load(schema, types, edges, prev)
+    InstanceGraph::load(schema, types, ends, prev)
 }
 
 /// Translates `db` into a typed graph database, which keeps a copy of
@@ -716,15 +720,15 @@ mod tests {
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         assert_eq!(tgdb.instances.nodes_of_type(papers).len(), 3);
-        // Authors edge adjacency = Paper_Authors row count.
-        let (et, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
-        assert_eq!(tgdb.instances.adjacency_size(et), 3);
-        // Keyword adjacency = Paper_Keywords row count.
-        let (ket, _) = tgdb
-            .schema
-            .outgoing_by_name(papers, "Paper_Keywords: keyword")
-            .unwrap();
-        assert_eq!(tgdb.instances.adjacency_size(ket), 3);
+        // Authors neighbor entries = Paper_Authors row count, and keyword
+        // entries = Paper_Keywords row count.
+        let entries = |edge: &str| -> usize {
+            let (et, _) = tgdb.schema.outgoing_by_name(papers, edge).unwrap();
+            let nodes = tgdb.instances.nodes_of_type(papers).iter();
+            nodes.map(|&p| tgdb.instances.degree(et, p)).sum()
+        };
+        assert_eq!(entries("Authors"), 3);
+        assert_eq!(entries("Paper_Keywords: keyword"), 3);
     }
 
     #[test]
@@ -823,8 +827,8 @@ mod tests {
 
     /// Pins the instance-graph layout every consumer of `NodeId`s relies
     /// on: ids ascend by node-type id, then source-row order (entities) or
-    /// the value total order (value types); each CSR run lists targets in
-    /// the row order of the edge type's source relation.
+    /// the value total order (value types); each neighbor list holds its
+    /// targets in the row order of the edge type's source relation.
     #[test]
     fn graph_layout_is_pinned() {
         let mut db = academic_db();
@@ -1137,9 +1141,10 @@ mod tests {
     }
 
     /// `db`'s next epoch after the statements `stmts`, loaded by `at` and
-    /// by a fresh translation, which must be one graph; and the CSRs (by
-    /// edge type provenance) and value-type ranks (by node type name) `at` took
-    /// over from `tgdb` instead of rebuilding them.
+    /// by a fresh translation, which must be one graph; and the edge types
+    /// (by provenance) whose maps, reverse index slots included, and the
+    /// value types (by node type name) whose rank maps `at` shares with
+    /// `tgdb`.
     fn repin(tgdb: &Tgdb, stmts: &[&str]) -> (Tgdb, Vec<String>, Vec<String>) {
         let mut next = (**tgdb.database()).clone();
         for stmt in stmts {
@@ -1149,7 +1154,7 @@ mod tests {
         let at = tgdb.at(Arc::clone(&next)).unwrap();
         let fresh = translate(&next, &TranslateOptions::default()).unwrap();
         assert_same_graph(&at, &fresh, &stmts.join("; "));
-        let (csrs, ranks) = shared_parts(&tgdb.instances, &at.instances);
+        let (maps, ranks) = shared_parts(&tgdb.instances, &at.instances);
         let edge = |i: usize| {
             at.schema
                 .edge_type(EdgeTypeId::from_index(i))
@@ -1157,14 +1162,14 @@ mod tests {
                 .to_string()
         };
         let node = |i: usize| at.schema.node_type(NodeTypeId::from_index(i)).name.clone();
-        let (csrs, ranks) = (
-            csrs.into_iter().map(edge).collect(),
+        let (maps, ranks) = (
+            maps.into_iter().map(edge).collect(),
             ranks.into_iter().map(node).collect(),
         );
-        (at, csrs, ranks)
+        (at, maps, ranks)
     }
 
-    /// Every CSR and value type of the graph, by provenance and name.
+    /// Every edge type and value type of the graph, by provenance and name.
     fn all_parts(tgdb: &Tgdb) -> (Vec<String>, Vec<String>) {
         let edges = tgdb
             .schema
@@ -1180,41 +1185,43 @@ mod tests {
         )
     }
 
-    /// A write to one relation rebuilds only what reads it: `at` keeps
-    /// every other CSR pair and value type of the graph it re-pins.
+    /// A write to one relation changes only the maps that read it: `at`
+    /// shares every other edge type's maps (`fwd` and the slot of its
+    /// lazily built reverse index) and every other value type's rank map
+    /// with the graph it re-pins.
     #[test]
     fn at_rebuilds_only_what_a_write_touched() {
         let tgdb = translate(&academic_db(), &TranslateOptions::default()).unwrap();
         let (edges, values) = all_parts(&tgdb);
         assert_eq!(values, ["Paper_Keywords: keyword", "Papers: year"]);
         // An INSERT into `Paper_Authors` gives both its FK indexes new
-        // buffers: its pair alone is rebuilt.
-        let (_, csrs, ranks) = repin(&tgdb, &["INSERT INTO Paper_Authors VALUES (12, 100, 1)"]);
+        // buffers: its edge types alone read new maps.
+        let (_, maps, ranks) = repin(&tgdb, &["INSERT INTO Paper_Authors VALUES (12, 100, 1)"]);
         let authors = "relation Paper_Authors";
         let expected: Vec<&String> = edges.iter().filter(|e| *e != authors).collect();
-        assert_eq!(csrs.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(maps.iter().collect::<Vec<_>>(), expected);
         assert_eq!(ranks, values);
         // A non-key UPDATE copies one column that no edge or value type
-        // reads: nothing is rebuilt.
-        let (_, csrs, ranks) = repin(
+        // reads: every map is shared.
+        let (_, maps, ranks) = repin(
             &tgdb,
             &["UPDATE Papers SET title = 'Renamed' WHERE id = 11"],
         );
-        assert_eq!((csrs, ranks), (edges.clone(), values.clone()));
+        assert_eq!((maps, ranks), (edges.clone(), values.clone()));
         // DELETEs of a non-suffix author compact one index and shift the
-        // ids of another: what reads either is rebuilt, and equals a
-        // fresh load (`repin` checks), while the conference edges stay.
-        let (at, csrs, ranks) = repin(
+        // ids of another: what reads either reads the new maps, and equals
+        // a fresh load (`repin` checks), while the conference edges stay.
+        let (at, maps, ranks) = repin(
             &tgdb,
             &[
                 "DELETE FROM Paper_Authors WHERE author_id = 100",
                 "DELETE FROM Authors WHERE id = 100",
             ],
         );
-        assert!(!csrs.iter().any(|e| e == authors), "{csrs:?}");
+        assert!(!maps.iter().any(|e| e == authors), "{maps:?}");
         assert!(
-            csrs.iter().any(|e| e == "FK Papers.conference_id"),
-            "{csrs:?}"
+            maps.iter().any(|e| e == "FK Papers.conference_id"),
+            "{maps:?}"
         );
         assert_eq!(ranks, values);
         // A `Papers` INSERT re-ranks the years; the keywords stay.

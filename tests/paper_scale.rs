@@ -34,6 +34,12 @@ fn paper_scale_pipeline() {
     // per-paper ratios so the test holds at any ETABLE_SCALE.
     assert!(tgdb.instances.node_count() > cfg.papers * 8 / 5);
     assert!(tgdb.instances.edge_count() > cfg.papers * 5);
+    // Every neighbor list, both ways, read from the foreign-key indexes
+    // and rank maps in place, has its mirror on the reverse edge type.
+    assert_eq!(
+        tgdb.instances.check_consistency(&tgdb.schema),
+        Ok(2 * tgdb.instances.edge_count())
+    );
 
     // The Figure 1 workload at full scale.
     let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();

@@ -6,7 +6,9 @@
 //! set. The SQL executor's work (`etable_relational::work`) is held to the
 //! rows a join can match: Table 2's join tasks probe no more rows than
 //! their joins emit, and a statement builds a reverse foreign-key index
-//! once per database, not once per run.
+//! once per database, not once per run. The instance graph builds none
+//! at translation or re-pin, and reads the very reverse indexes the SQL
+//! joins read.
 
 use etable_repro::core::etable::{Cell, EnrichedTable};
 use etable_repro::core::render::{render_etable, RenderOptions};
@@ -15,7 +17,7 @@ use etable_repro::core::work::{on_this_thread, Work};
 use etable_repro::datagen::tasks::{task_set, TaskSet};
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::sql::executor::execute_query;
-use etable_repro::relational::sql::{parse_statement, Statement};
+use etable_repro::relational::sql::{execute, parse_statement, Statement};
 use etable_repro::relational::work;
 use etable_repro::tgm::{translate, NodeId, TranslateOptions};
 use std::collections::HashSet;
@@ -131,4 +133,66 @@ fn sql_joins_probe_only_rows_that_can_match() {
             );
         }
     }
+}
+
+/// The instance graph reads the epoch's foreign-key indexes in place: a
+/// translation and a re-pin after a one-row write build no reverse index;
+/// the first lookup along the written edge type builds the one reverse
+/// index its direction reads, a pivot along the edge type then builds only
+/// the other direction's, and a SQL join along the same keys builds none,
+/// because the graph and the join share each key's one reverse index.
+#[test]
+fn the_graph_and_sql_share_each_keys_reverse_index() {
+    let db = generate(&GenConfig::medium().with_papers(3_000));
+    let mut tgdb = None;
+    let w = sql_work(|| tgdb = Some(translate(&db, &TranslateOptions::default()).unwrap()));
+    assert_eq!(w.reverse_builds, 0, "translate: {w:?}");
+    let tgdb = tgdb.unwrap();
+    // The first author paper 1 does not have yet.
+    let next = (1..)
+        .find_map(|author| {
+            let mut next = (**tgdb.database()).clone();
+            let insert = format!("INSERT INTO Paper_Authors VALUES (1, {author}, 99)");
+            execute(&mut next, &insert).ok().map(|_| Arc::new(next))
+        })
+        .unwrap();
+    let mut at = None;
+    let w = sql_work(|| at = Some(Arc::new(tgdb.at(next).unwrap())));
+    assert_eq!(w.reverse_builds, 0, "Tgdb::at: {w:?}");
+    let at = at.unwrap();
+
+    let (papers, _) = at.schema.node_type_by_name("Papers").unwrap();
+    let (et, def) = at.schema.outgoing_by_name(papers, "Authors").unwrap();
+    let paper = at.node_by_key(papers, &1.into()).unwrap();
+    let g = &at.instances;
+    let mut authors = Vec::new();
+    let w = sql_work(|| authors = g.neighbors(et, paper).collect());
+    assert_eq!(w.reverse_builds, 1, "Papers -> Authors: {w:?}");
+    let w = sql_work(|| assert_eq!(g.degree(et, paper), authors.len()));
+    assert_eq!(w.reverse_builds, 0, "again: {w:?}");
+
+    let mut s = Session::new(Arc::clone(&at));
+    let w = sql_work(|| {
+        s.open_by_name("Papers").unwrap();
+        s.pivot("Authors").unwrap();
+        drop(show(&mut s));
+    });
+    assert_eq!(w.reverse_builds, 1, "pivot to Authors: {w:?}");
+    let w = sql_work(|| assert!(g.neighbors(def.reverse, authors[0]).any(|p| p == paper)));
+    assert_eq!(w.reverse_builds, 0, "Authors -> Papers: {w:?}");
+
+    let Ok(Statement::Select(q)) = parse_statement(
+        "SELECT a.name FROM Papers p, Paper_Authors pa, Authors a \
+         WHERE p.id = pa.paper_id AND pa.author_id = a.id AND p.id = 1",
+    ) else {
+        panic!("a SELECT");
+    };
+    let w = sql_work(|| {
+        assert_eq!(
+            execute_query(at.database(), &q).unwrap().len(),
+            authors.len()
+        )
+    });
+    assert!(w.reverse_walks >= 1, "Papers ⋈ Paper_Authors: {w:?}");
+    assert_eq!(w.reverse_builds, 0, "Papers ⋈ Paper_Authors: {w:?}");
 }
