@@ -5,7 +5,8 @@
 //! direction, so every iteration is a new sort) and shows the first page;
 //! `hide_after_sort` hides and shows a column of the sorted table, which
 //! orders nothing again; `focus_top_4` ranks the columns of SIGMOD's
-//! papers and hides all but the best four.
+//! papers and hides all but the best four; `render_page` is the 12-row
+//! render alone, of an all-Papers table already shown once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_core::pattern::NodeFilter;
@@ -20,7 +21,7 @@ fn bench_present(c: &mut Criterion) {
     let show = |s: &mut Session| render_etable(&s.etable().expect("table shows"), &opts).len();
     let mut papers = Session::new(tgdb.clone());
     papers.open_by_name("Papers").expect("Papers opens");
-    let mut sigmod = Session::new(tgdb);
+    let mut sigmod = Session::new(tgdb.clone());
     sigmod
         .open_by_name("Conferences")
         .expect("Conferences opens");
@@ -51,6 +52,13 @@ fn bench_present(c: &mut Criterion) {
     });
     group.bench_function("focus_top_4", |b| {
         b.iter(|| sigmod.focus_top_columns(4).expect("focus ranks").len())
+    });
+    let mut all = Session::new(tgdb);
+    all.open_by_name("Papers").expect("Papers opens");
+    let page = all.etable().expect("table shows");
+    render_etable(&page, &opts);
+    group.bench_function("render_page", |b| {
+        b.iter(|| render_etable(&page, &opts).len())
     });
     group.finish();
 }

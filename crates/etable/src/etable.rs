@@ -185,14 +185,32 @@ impl ETableRows {
             return self.ids[row];
         };
         let mut order = order.lock().unwrap_or_else(PoisonError::into_inner);
+        self.order_to(&mut order, row + 1);
+        self.ids[order.words[row] as u32 as usize]
+    }
+
+    /// The nodes of rows `0..n` (`n <= len`), ordered under one lock.
+    fn page(&self, n: usize) -> Vec<NodeId> {
+        let Some(order) = &self.order else {
+            return self.ids[..n].to_vec();
+        };
+        let mut order = order.lock().unwrap_or_else(PoisonError::into_inner);
+        self.order_to(&mut order, n);
+        (order.words[..n].iter())
+            .map(|&w| self.ids[w as u32 as usize])
+            .collect()
+    }
+
+    /// Puts rows `0..n` of `order` in order, at least doubling the ordered
+    /// prefix when it grows.
+    fn order_to(&self, order: &mut Order, n: usize) {
         let done = order.done;
-        if row >= done {
-            let to = (row + 1).max(2 * done).min(self.len());
+        if n > done {
+            let to = n.max(2 * done).min(self.len());
             order_prefix(&mut order.words, done, to, u128::cmp);
             order.done = to;
             work::count(|w| w.rows_ordered += (to - done) as u64);
         }
-        self.ids[order.words[row] as u32 as usize]
     }
 
     /// The cell of `node` in the column `source` computes.
@@ -384,6 +402,39 @@ impl EnrichedTable {
         let source = &self.rows.sources[col];
         let mut reader = Reader::default();
         (0..self.len()).map(move |row| self.rows.cell(self.rows.node(row), source, &mut reader))
+    }
+
+    /// The first `rows` rows as a page shows them: their nodes are read
+    /// once, under one lock, and `visit(cell, label)` sees each column's
+    /// cells top to bottom, columns left to right, where `label` reads the
+    /// label of a node the cell refers to from its type's label column,
+    /// looked up once per column (`type_labels`). Counts the cells built
+    /// and the labels read (`work::Work::{page_cells, page_labels}`).
+    pub fn read_page(
+        &self,
+        rows: usize,
+        mut visit: impl FnMut(&Cell, &mut dyn FnMut(NodeId) -> Value),
+    ) {
+        let nodes = self.rows.page(rows.min(self.len()));
+        let (mut reader, mut read) = (Reader::default(), 0);
+        for source in &self.rows.sources {
+            let mut labels = None;
+            for &node in &nodes {
+                let cell = self.rows.cell(node, source, &mut reader);
+                if let (None, Some(id)) = (&labels, cell.refs().and_then(|mut ids| ids.next())) {
+                    labels = Some(self.type_labels(id));
+                }
+                visit(&cell, &mut |id| {
+                    read += 1;
+                    labels.as_ref().map_or(Value::Null, |label| label(id))
+                });
+            }
+        }
+        let cells = (nodes.len() * self.rows.sources.len()) as u64;
+        work::count(|w| {
+            w.page_cells += cells;
+            w.page_labels += read;
+        });
     }
 
     /// Every cell of column `col`, rows in the order the table was made

@@ -1,8 +1,9 @@
 //! What the presentation layer did on this thread, counted: how many sort
-//! keys it built, how many rows it put in order, and what the column
-//! ranker read. The counters are plain `u64`s, always on; a test reads
-//! them before and after an action ([`on_this_thread`]) to hold the
-//! layer to O(shown) work, which wall time on a shared host cannot show.
+//! keys it built, how many rows it put in order, what the column ranker
+//! read, and what a page read to show. The counters are plain `u64`s,
+//! always on; a test reads them before and after an action
+//! ([`on_this_thread`]) to hold the layer to O(shown) work, which wall
+//! time on a shared host cannot show.
 
 use std::cell::Cell;
 
@@ -20,6 +21,10 @@ pub struct Work {
     pub id_sets: u64,
     /// Labels the ranker read.
     pub labels_read: u64,
+    /// Cells built for a page ([`crate::etable::EnrichedTable::read_page`]).
+    pub page_cells: u64,
+    /// Labels read for a page's reference cells.
+    pub page_labels: u64,
 }
 
 impl std::ops::Sub for Work {
@@ -33,6 +38,8 @@ impl std::ops::Sub for Work {
             rank_passes: self.rank_passes - before.rank_passes,
             id_sets: self.id_sets - before.id_sets,
             labels_read: self.labels_read - before.labels_read,
+            page_cells: self.page_cells - before.page_cells,
+            page_labels: self.page_labels - before.page_labels,
         }
     }
 }

@@ -3,7 +3,8 @@
 //! corpus sizes, a sorted first page orders at most the page, a hide, a
 //! show and a re-render after a sort build no key and order no row, and a
 //! focus ranks the table once, reading labels once per distinct reference
-//! set. The SQL executor's work (`etable_relational::work`) is held to the
+//! set, and a 12-row render builds the page's cells and reads at most
+//! `max_refs` labels per shown reference cell. The SQL executor's work (`etable_relational::work`) is held to the
 //! rows a join can match: Table 2's join tasks probe no more rows than
 //! their joins emit, and a statement builds a reverse foreign-key index
 //! once per database, not once per run. The instance graph builds none
@@ -101,6 +102,51 @@ fn presentation_work_is_bounded_by_what_is_shown() {
         );
         assert_eq!((w.keys_built, w.rows_ordered), (0, 0), "{papers}: {w:?}");
     }
+}
+
+/// A 12-row render of all Papers builds one cell per shown row and column,
+/// the same count at both corpus sizes, and reads at most `max_refs`
+/// labels per shown reference cell, within the same bound at both: the
+/// page's work does not grow with the table. (The label count itself
+/// differs, because the first 12 papers of the two corpora differ.)
+#[test]
+fn a_render_reads_the_page_and_no_more() {
+    let opts = RenderOptions::default();
+    let page = opts.max_rows;
+    let mut cells = Vec::new();
+    for papers in [3_000, 12_000] {
+        let db = generate(&GenConfig::medium().with_papers(papers));
+        let tgdb = Arc::new(translate(&db, &TranslateOptions::default()).unwrap());
+        let mut s = Session::new(tgdb);
+        s.open_by_name("Papers").unwrap();
+        let t = s.etable().unwrap();
+        let refs = (0..t.columns.len())
+            .filter(|&c| t.cell(0, c).is_some_and(|cell| cell.refs().is_some()))
+            .count();
+        let shown: usize = (0..page)
+            .flat_map(|r| (0..t.columns.len()).map(move |c| (r, c)))
+            .map(|(r, c)| t.ref_count(r, c).min(opts.max_refs))
+            .sum();
+        let w = work_of(|| drop(render_etable(&t, &opts)));
+        assert_eq!(
+            w.page_cells,
+            (page * t.columns.len()) as u64,
+            "{papers}: {w:?}"
+        );
+        assert!(
+            0 < w.page_labels && w.page_labels <= shown as u64,
+            "{papers}: {w:?}, {shown} labels on the page"
+        );
+        assert!(
+            shown <= page * opts.max_refs * refs,
+            "{papers}: {refs} reference columns"
+        );
+        cells.push(w.page_cells);
+    }
+    assert_eq!(
+        cells[0], cells[1],
+        "the same page at 3 000 and 12 000 papers"
+    );
 }
 
 /// What `act` made the SQL executor do on this thread.
