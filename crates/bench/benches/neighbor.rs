@@ -14,7 +14,7 @@ fn bench_neighbor(c: &mut Criterion) {
     let (db, tgdb) = etable_bench::dataset(&GenConfig::small().with_papers(1000));
     let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
     let (authors_edge, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
-    let nodes: Vec<_> = tgdb.instances.nodes_of_type(papers).to_vec();
+    let nodes: Vec<_> = tgdb.instances.nodes_of_type(papers).iter().collect();
 
     let mut group = c.benchmark_group("neighbor");
     // TGM: adjacency probe per paper.
@@ -37,7 +37,7 @@ fn bench_neighbor(c: &mut Criterion) {
     });
     let (conferences, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
     let (papers_edge, _) = tgdb.schema.outgoing_by_name(conferences, "Papers").unwrap();
-    let venues: Vec<_> = tgdb.instances.nodes_of_type(conferences).to_vec();
+    let venues: Vec<_> = tgdb.instances.nodes_of_type(conferences).iter().collect();
     group.bench_function("tgm_read_conference_papers", |b| {
         let mut i = 0usize;
         b.iter(|| {

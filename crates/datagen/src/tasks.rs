@@ -5,7 +5,7 @@
 //! filtering (3–4), aggregation (5–6).
 
 use etable_relational::database::Database;
-use etable_relational::sql::execute;
+use etable_relational::sql::{execute_read, parse_statement};
 use std::collections::BTreeSet;
 
 /// Task category (Table 2's middle column).
@@ -184,10 +184,11 @@ pub fn task_set(set: TaskSet) -> Vec<Task> {
 }
 
 /// Computes a task's ground-truth answer as a set of strings (first output
-/// column of its SQL).
+/// column of its SQL), read from `db` in place: the SQL is one read-only
+/// statement, parsed once.
 pub fn ground_truth(db: &Database, task: &Task) -> BTreeSet<String> {
-    let mut db = db.clone();
-    let rel = execute(&mut db, &task.sql).expect("task SQL is valid");
+    let rel = parse_statement(&task.sql).and_then(|stmt| execute_read(db, &stmt));
+    let rel = rel.expect("task SQL is valid");
     rel.column(0).iter().map(ToString::to_string).collect()
 }
 

@@ -20,7 +20,7 @@
 //! new pattern and its history text; the presentation verbs change only
 //! how the session shows the current step.
 
-use crate::etable::{ColumnKind, EnrichedTable};
+use crate::etable::{ColumnKind, ColumnSpec, EnrichedTable};
 use crate::ops;
 use crate::pattern::{NodeFilter, QueryPattern};
 use crate::{Error, Result};
@@ -102,14 +102,13 @@ pub fn apply(
     etable: Option<&EnrichedTable>,
     action: &UserAction,
 ) -> Result<ActionOutcome> {
-    match action {
+    let (pattern, description) = match action {
         UserAction::Open { node_type } => {
-            let pattern = ops::initiate(tgdb, *node_type)?;
             let name = &tgdb.schema.node_type(*node_type).name;
-            Ok(ActionOutcome {
-                pattern,
-                description: format!("Open '{name}' table"),
-            })
+            (
+                ops::initiate(tgdb, *node_type)?,
+                format!("Open '{name}' table"),
+            )
         }
         UserAction::Filter { filter } => {
             let q = require_pattern(current)?;
@@ -117,86 +116,80 @@ pub fn apply(
             let primary = q.primary_node().node_type;
             let name = &tgdb.schema.node_type(primary).name;
             let desc = filter.display_with(tgdb, primary);
-            Ok(ActionOutcome {
-                pattern,
-                description: format!("Filter '{name}' table by ({desc})"),
-            })
+            (pattern, format!("Filter '{name}' table by ({desc})"))
         }
         UserAction::Pivot { column } => {
-            let q = require_pattern(current)?;
-            let t = require_etable(etable)?;
-            let spec = t
-                .column(column)
-                .ok_or_else(|| Error::UnknownColumn(column.clone()))?;
-            match &spec.kind {
-                ColumnKind::Neighbor { edge } => {
-                    let pattern = ops::add(tgdb, q, *edge)?;
-                    Ok(ActionOutcome {
-                        pattern,
-                        description: format!("Pivot to '{column}' (add)"),
-                    })
-                }
-                ColumnKind::Participating { node } => {
-                    let pattern = ops::shift(q, *node)?;
-                    Ok(ActionOutcome {
-                        pattern,
-                        description: format!("Pivot to '{column}' (shift)"),
-                    })
-                }
-                ColumnKind::Base { .. } => Err(Error::InvalidAction(format!(
-                    "cannot pivot on base attribute column `{column}`"
-                ))),
-            }
+            let (q, spec) = clicked(current, etable, column)?;
+            let (pattern, how) = through(tgdb, q, spec, "pivot on")?;
+            (pattern, format!("Pivot to '{column}' ({how})"))
         }
         UserAction::Single { node } => {
-            let ty = tgdb.instances.type_of(*node);
-            let q = ops::initiate(tgdb, ty)?;
+            let q = ops::initiate(tgdb, node_type(tgdb, *node)?)?;
             // The clicked id is this graph's; its key holds at every epoch.
             let pattern = ops::select(tgdb, &q, NodeFilter::node_is(tgdb.key_of(*node)))?;
-            let label = tgdb.instances.label(*node);
-            Ok(ActionOutcome {
-                pattern,
-                description: format!("See '{label}'"),
-            })
+            (pattern, format!("See '{}'", tgdb.instances.label(*node)))
         }
         UserAction::Seeall { row, column } => {
-            let q = require_pattern(current)?;
-            let t = require_etable(etable)?;
-            let spec = t
-                .column(column)
-                .ok_or_else(|| Error::UnknownColumn(column.clone()))?;
+            let (q, spec) = clicked(current, etable, column)?;
+            if node_type(tgdb, *row)? != q.primary_node().node_type {
+                let refusal = format!("node {row} is not a row of the table");
+                return Err(Error::InvalidAction(refusal));
+            }
             // Select the clicked row first (C = {u | u = vk}).
             let selected = ops::select(tgdb, q, NodeFilter::node_is(tgdb.key_of(*row)))?;
+            let (pattern, _) = through(tgdb, &selected, spec, "expand")?;
             let label = tgdb.instances.label(*row);
-            match &spec.kind {
-                ColumnKind::Neighbor { edge } => {
-                    let pattern = ops::add(tgdb, &selected, *edge)?;
-                    Ok(ActionOutcome {
-                        pattern,
-                        description: format!("See all '{column}' of '{label}'"),
-                    })
-                }
-                ColumnKind::Participating { node } => {
-                    let pattern = ops::shift(&selected, *node)?;
-                    Ok(ActionOutcome {
-                        pattern,
-                        description: format!("See all '{column}' of '{label}'"),
-                    })
-                }
-                ColumnKind::Base { .. } => Err(Error::InvalidAction(format!(
-                    "cannot expand base attribute column `{column}`"
-                ))),
-            }
+            (pattern, format!("See all '{column}' of '{label}'"))
         }
+    };
+    Ok(ActionOutcome {
+        pattern,
+        description,
+    })
+}
+
+/// `q` grown through the reference column `spec`: the column's edge added
+/// for a neighbor column, its node made primary for a participating one,
+/// with which of the two it was; a base column cannot be `verb`ed.
+fn through(
+    tgdb: &Tgdb,
+    q: &QueryPattern,
+    spec: &ColumnSpec,
+    verb: &str,
+) -> Result<(QueryPattern, &'static str)> {
+    match &spec.kind {
+        ColumnKind::Neighbor { edge } => Ok((ops::add(tgdb, q, *edge)?, "add")),
+        ColumnKind::Participating { node } => Ok((ops::shift(q, *node)?, "shift")),
+        ColumnKind::Base { .. } => Err(Error::InvalidAction(format!(
+            "cannot {verb} base attribute column `{}`",
+            spec.name
+        ))),
     }
+}
+
+/// The type of `node`, or a refusal when the graph has no such node (an
+/// id names a node of one graph only).
+fn node_type(tgdb: &Tgdb, node: NodeId) -> Result<NodeTypeId> {
+    let graph = &tgdb.instances;
+    let known = node.index() < graph.node_count();
+    let unknown = || Error::InvalidAction(format!("the graph has no node {node}"));
+    known.then(|| graph.type_of(node)).ok_or_else(unknown)
+}
+
+/// The pattern shown and the column `column` of the table shown.
+fn clicked<'a>(
+    current: Option<&'a QueryPattern>,
+    etable: Option<&'a EnrichedTable>,
+    column: &str,
+) -> Result<(&'a QueryPattern, &'a ColumnSpec)> {
+    let q = require_pattern(current)?;
+    let t = etable.ok_or_else(|| Error::InvalidAction("no result to interact with".into()))?;
+    let spec = (t.column(column)).ok_or_else(|| Error::UnknownColumn(column.to_string()))?;
+    Ok((q, spec))
 }
 
 fn require_pattern(p: Option<&QueryPattern>) -> Result<&QueryPattern> {
     p.ok_or_else(|| Error::InvalidAction("no table is open yet".into()))
-}
-
-fn require_etable(t: Option<&EnrichedTable>) -> Result<&EnrichedTable> {
-    t.ok_or_else(|| Error::InvalidAction("no result to interact with".into()))
 }
 
 #[cfg(test)]
@@ -278,6 +271,43 @@ mod tests {
         let tc = transform::execute(&tgdb, &c.pattern).unwrap();
         assert_eq!(tc.primary_type_name, "Authors");
         assert_eq!(tc.len(), 4); // every author wrote some paper
+    }
+
+    /// A node id the graph does not have, or a row of another type than
+    /// the table's, is refused before the graph is read: an id past the
+    /// graph would index out of it, and an author's row clicked in a
+    /// Papers table would pin whichever paper shares the author's key.
+    #[test]
+    fn unknown_or_foreign_nodes_are_refused() {
+        let tgdb = academic_tgdb();
+        let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
+        let open = apply(&tgdb, None, None, &UserAction::Open { node_type: papers }).unwrap();
+        let t = transform::execute(&tgdb, &open.pattern).unwrap();
+        let past = NodeId::from_index(tgdb.instances.node_count());
+        let author = tgdb.node_by_label(authors, "Arnab Nandi").unwrap();
+        let seeall = |row| UserAction::Seeall {
+            row,
+            column: "Authors".into(),
+        };
+        for (action, why) in [
+            (
+                UserAction::Single { node: past },
+                format!("the graph has no node {past}"),
+            ),
+            (seeall(past), format!("the graph has no node {past}")),
+            (
+                seeall(author),
+                format!("node {author} is not a row of the table"),
+            ),
+        ] {
+            let got = apply(&tgdb, Some(&open.pattern), Some(&t), &action).unwrap_err();
+            assert!(matches!(got, Error::InvalidAction(_)), "{action:?}: {got}");
+            assert_eq!(got.to_string(), format!("invalid action: {why}"));
+        }
+        // The last node of the graph is one.
+        let last = NodeId::from_index(tgdb.instances.node_count() - 1);
+        assert!(apply(&tgdb, None, None, &UserAction::Single { node: last }).is_ok());
     }
 
     #[test]

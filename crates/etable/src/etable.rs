@@ -5,9 +5,10 @@
 //! columns `Ah` (§5.4.2). Entity-reference cells hold clickable labels, not
 //! foreign keys, mirroring hyperlinks (§5.1).
 //!
-//! A table is a window onto the graph: a header, the matched ids, a sort
-//! if one is set, and what a cell is computed from — the instance graph
-//! and the matching result, both shared `Arc`s. No cell is stored. A cell
+//! A table is a window onto the graph: a header, a sort if one is set, and
+//! what a cell is computed from — the instance graph and the matching
+//! result, both shared `Arc`s. Its rows are the match's primary rows, read
+//! in place ([`MatchResult::rows`]), not copied. No cell is stored. A cell
 //! is built when someone reads it: a base value through the graph, a
 //! neighbor cell as the node's shared run of the buffer its edge type is
 //! read from ([`IdSlice`]), a participating cell by one walk of the
@@ -23,6 +24,7 @@ use crate::matching::{MatchResult, RelatedScratch};
 use crate::pattern::PatternNodeId;
 use crate::{work, Result};
 use etable_relational::colrel::order_prefix;
+use etable_relational::table::ColumnStore;
 use etable_relational::value::Value;
 use etable_tgm::{EdgeTypeId, IdSlice, InstanceGraph, NodeId, Tgdb};
 use std::borrow::Cow;
@@ -116,9 +118,9 @@ enum Source {
     Participating(Vec<(PatternNodeId, EdgeTypeId)>),
 }
 
-/// The rows of an enriched table: the primary ids in the order the table
-/// was made with, the sort on them if one is set, one `Source` per column,
-/// and the shared graph and matching result the cells are computed from.
+/// The rows of an enriched table: the sort on the matched primary rows if
+/// one is set, one `Source` per column, and the shared graph and matching
+/// result the rows are read from and the cells computed from.
 ///
 /// Read a table through [`EnrichedTable::nodes`], [`EnrichedTable::cell`],
 /// [`EnrichedTable::ref_count`] and [`EnrichedTable::column_values`]. This
@@ -126,11 +128,12 @@ enum Source {
 /// public for tests and for the frozen `benchmark/` harness (ROADMAP 1(b)).
 #[derive(Clone)]
 pub struct ETableRows {
-    ids: Arc<[NodeId]>,
     /// Shared by every copy: what one copy orders, all have in order.
     order: Option<Arc<Mutex<Order>>>,
     sources: Vec<Source>,
     graph: Arc<InstanceGraph>,
+    /// Its primary rows, ascending, are the rows in the order the table
+    /// was made with.
     matched: Arc<MatchResult>,
 }
 
@@ -151,12 +154,12 @@ struct Reader {
 impl ETableRows {
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.matched.rows().len()
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// The top row, with its cells built.
@@ -182,22 +185,22 @@ impl ETableRows {
     /// A sort only permutes the unordered rest, so a poisoned order holds.
     fn node(&self, row: usize) -> NodeId {
         let Some(order) = &self.order else {
-            return self.ids[row];
+            return self.matched.primary_at(row);
         };
         let mut order = order.lock().unwrap_or_else(PoisonError::into_inner);
         self.order_to(&mut order, row + 1);
-        self.ids[order.words[row] as u32 as usize]
+        self.matched.primary_at(order.words[row] as u32 as usize)
     }
 
     /// The nodes of rows `0..n` (`n <= len`), ordered under one lock.
     fn page(&self, n: usize) -> Vec<NodeId> {
         let Some(order) = &self.order else {
-            return self.ids[..n].to_vec();
+            return self.matched.rows().take(n).collect();
         };
         let mut order = order.lock().unwrap_or_else(PoisonError::into_inner);
         self.order_to(&mut order, n);
         (order.words[..n].iter())
-            .map(|&w| self.ids[w as u32 as usize])
+            .map(|&w| self.matched.primary_at(w as u32 as usize))
             .collect()
     }
 
@@ -216,12 +219,25 @@ impl ETableRows {
     /// The cell of `node` in the column `source` computes.
     fn cell(&self, node: NodeId, source: &Source, reader: &mut Reader) -> Cell {
         match source {
-            Source::Base(attr) => Cell::Atomic(self.graph.value(node, *attr)),
+            Source::Base(attr) => {
+                let (first, columns) = self.base_columns();
+                Cell::Atomic(columns[*attr].get((node.0 - first) as usize))
+            }
             Source::Neighbor(edge) => Cell::Refs(self.graph.neighbor_slice(*edge, node)),
             Source::Participating(path) => {
                 Cell::Refs(self.walk(node, path, reader).to_vec().into())
             }
         }
+    }
+
+    /// The primary type's first id and columns, where every row's base
+    /// cells are (no search for a row's type).
+    fn base_columns(&self) -> (u32, &[ColumnStore]) {
+        let nt = self.matched.pattern.primary_node().node_type;
+        (
+            self.graph.nodes_of_type(nt).first().0,
+            self.graph.columns(nt),
+        )
     }
 
     /// The reference count of that cell, without building it.
@@ -300,7 +316,6 @@ impl EnrichedTable {
             })
         };
         let rows = ETableRows {
-            ids: matched.rows().into(),
             order: None,
             sources: columns.iter().map(source).collect::<Result<_>>()?,
             graph: Arc::clone(&tgdb.instances),
@@ -349,10 +364,11 @@ impl EnrichedTable {
     /// column, which is looked up once (for a run of labels of one type).
     pub(crate) fn type_labels(&self, node: NodeId) -> impl Fn(NodeId) -> Value + '_ {
         let graph = &self.rows.graph;
-        let (first, column) = graph.label_column(node);
+        let nt = graph.type_of(node);
+        let (span, column) = (graph.nodes_of_type(nt), graph.label_column(nt));
         move |id| {
-            debug_assert_eq!(graph.type_of(id), graph.type_of(first), "one type");
-            column.get((id.0 - first.0) as usize)
+            debug_assert!(span.row(id).is_some(), "{id} is not of {nt}");
+            column.get((id.0 - span.first().0) as usize)
         }
     }
 
@@ -442,7 +458,7 @@ impl EnrichedTable {
     pub(crate) fn unordered_cells(&self, col: usize) -> impl Iterator<Item = Cell> + '_ {
         let source = &self.rows.sources[col];
         let mut reader = Reader::default();
-        (self.rows.ids.iter()).map(move |&node| self.rows.cell(node, source, &mut reader))
+        (self.rows.matched.rows()).map(move |node| self.rows.cell(node, source, &mut reader))
     }
 
     /// Drops every column `drop` selects (the session's hidden columns):
@@ -472,14 +488,18 @@ impl EnrichedTable {
         let dict = etable_relational::intern::rank_map();
         let rows = &self.rows;
         let source = &rows.sources[column];
+        let (first, columns) = rows.base_columns();
         let mut reader = Reader::default();
         let mut key = |node: NodeId| match source {
-            Source::Base(attr) => rows.graph.value(node, *attr).order_word(|s| dict.rank(s)),
+            Source::Base(attr) => {
+                let value = columns[*attr].get((node.0 - first) as usize);
+                value.order_word(|s| dict.rank(s))
+            }
             _ => rows.count(node, source, &mut reader) as u128,
         };
         let flip = if descending { !0 << 32 } else { 0 };
-        let words: Vec<u128> = (rows.ids.iter().zip(0u32..))
-            .map(|(&node, i)| ((key(node) << 32) ^ flip) | u128::from(i))
+        let words: Vec<u128> = (rows.matched.rows().zip(0u32..))
+            .map(|(node, i)| ((key(node) << 32) ^ flip) | u128::from(i))
             .collect();
         work::count(|w| w.keys_built += words.len() as u64);
         self.rows.order = Some(Arc::new(Mutex::new(Order { words, done: 0 })));
@@ -493,7 +513,7 @@ impl EnrichedTable {
         let rows = &self.rows;
         let mut reader = Reader::default();
         (rows.sources.iter())
-            .flat_map(|source| rows.ids.iter().map(move |&node| (node, source)))
+            .flat_map(|source| rows.matched.rows().map(move |node| (node, source)))
             .map(|(node, source)| rows.count(node, source, &mut reader))
             .sum()
     }
@@ -515,9 +535,10 @@ impl fmt::Display for EnrichedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::PatternNodeId;
+    use crate::pattern::{NodeFilter, PatternNodeId};
     use crate::{ops, transform};
     use etable_relational::database::Database;
+    use etable_relational::expr::CmpOp;
     use etable_relational::schema::{Column, ForeignKey, TableSchema};
     use etable_relational::value::DataType;
     use etable_tgm::NodeTypeId;
@@ -575,9 +596,9 @@ mod tests {
             &["B-paper".into(), "A-paper".into(), Value::Null],
             &[(0, 1), (0, 2), (1, 0)],
         );
-        let mut t = transform::execute(&tgdb, &ops::initiate(&tgdb, p).unwrap()).unwrap();
-        t.rows.ids = t.rows.ids[..2].into();
-        t
+        let q = ops::initiate(&tgdb, p).unwrap();
+        let q = ops::select(&tgdb, &q, NodeFilter::cmp("id", CmpOp::Lt, 2)).unwrap();
+        transform::execute(&tgdb, &q).unwrap()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::to_sql::atom_expr;
 use crate::{Error, Result};
 use etable_relational::expr::{CmpOp, Truth};
-use etable_relational::scan::select_rows;
+use etable_relational::scan::{select_rows, Bits};
 use etable_relational::sql::analyze::{type_pred, Ty, TypedPred};
 use etable_relational::sql::ast::SqlExpr;
 use etable_relational::value::Value;
@@ -276,34 +276,22 @@ impl BoundFilter {
         self.pinned
     }
 
-    /// The nodes among `nodes` (ascending, of the bound type; `None`: all
-    /// of them) that satisfy every atom, ascending: the set-at-a-time
-    /// matcher. Each attribute atom is one pass of the relational kernel
+    /// The rows among `rows` (ascending rows of the bound type; `None`: all
+    /// of them) whose nodes satisfy every atom, ascending, or `None` — all
+    /// rows — when no atom restricts them: the set-at-a-time matcher.
+    /// Each attribute atom is one pass of the relational kernel
     /// ([`select_rows`]) over the type's columns, through the rows that
     /// are still candidates. A neighbor-label atom is one pass over the
     /// neighbor type's label column into a bitmap, and a candidate stays
     /// when one of its neighbors is marked.
-    pub fn select(&self, tgdb: &Tgdb, nodes: Option<&[NodeId]>) -> Vec<NodeId> {
+    pub fn select(&self, tgdb: &Tgdb, mut rows: Option<Vec<u32>>) -> Option<Vec<u32>> {
         let graph = &tgdb.instances;
-        let all = graph.nodes_of_type(self.node_type);
-        let Some(&NodeId(first)) = all.first() else {
-            return Vec::new();
-        };
-        let node = |row: u32| NodeId(first + row);
-        // The candidates as rows of the type's columns (`None`: all rows).
-        let mut rows: Option<Vec<u32>> = match self.pinned {
-            Some(target) => {
-                let listed = |t: &NodeId| nodes.is_none_or(|ns| ns.binary_search(t).is_ok());
-                Some(
-                    target
-                        .filter(listed)
-                        .map(|t| t.0 - first)
-                        .into_iter()
-                        .collect(),
-                )
-            }
-            None => nodes.map(|ns| ns.iter().map(|n| n.0 - first).collect()),
-        };
+        let span = graph.nodes_of_type(self.node_type);
+        if let Some(target) = self.pinned {
+            let listed = |r: &u32| rows.as_ref().is_none_or(|rs| rs.binary_search(r).is_ok());
+            let row = target.and_then(|t| span.row(t)).filter(listed);
+            rows = Some(row.into_iter().collect());
+        }
         let columns = graph.columns(self.node_type);
         for pred in &self.attrs {
             if rows.as_ref().is_some_and(Vec::is_empty) {
@@ -318,27 +306,21 @@ impl BoundFilter {
         for (edge, pred) in &self.neighbors {
             let target = tgdb.schema.edge_type(*edge).target;
             let targets = graph.nodes_of_type(target);
-            let Some(&NodeId(base)) = targets.first() else {
-                return Vec::new();
-            };
-            let mut marked = vec![0u64; targets.len().div_ceil(64)];
+            let mut marked = Bits::new(targets.len());
             for r in select_rows(pred, graph.columns(target), None) {
-                marked[r as usize / 64] |= 1 << (r % 64);
+                marked.set(r);
             }
-            let hit = |nb: NodeId| {
-                let r = (nb.0 - base) as usize;
-                marked[r / 64] >> (r % 64) & 1 == 1
+            let base = targets.first().0;
+            let keep = |&row: &u32| {
+                let mut neighbors = graph.neighbors(*edge, span.node(row));
+                neighbors.any(|nb| marked.contains(nb.0 - base))
             };
-            let keep = |&row: &u32| graph.neighbors(*edge, node(row)).any(hit);
             rows = Some(match rows {
                 Some(from) => from.into_iter().filter(keep).collect(),
-                None => (0..all.len() as u32).filter(keep).collect(),
+                None => (0..span.len() as u32).filter(keep).collect(),
             });
         }
-        match rows {
-            Some(rows) => rows.into_iter().map(node).collect(),
-            None => all.to_vec(),
-        }
+        rows
     }
 
     /// Whether `node`, of the node type the filter was bound to, satisfies

@@ -30,7 +30,7 @@ impl GraphRelation {
     ) -> Result<GraphRelation> {
         let filter = filter.bind(tgdb, node_type)?;
         let mut tuples = Vec::new();
-        for &n in tgdb.instances.nodes_of_type(node_type) {
+        for n in tgdb.instances.nodes_of_type(node_type).iter() {
             if filter.eval(tgdb, n)? {
                 tuples.push(vec![n]);
             }

@@ -15,46 +15,38 @@
 //!   the other nodes' candidates along graph edges where that is cheaper
 //!   than scanning their types.
 //!
+//! A node is a row of its type, so the matcher holds sets of rows: bitmaps
+//! through the passes, then one form per pattern node — the primary's
+//! rows listed, as the table lists them, any other's in the bitmap that
+//! [`MatchResult::related_into`] tests, or "every row", which holds none.
+//!
 //! For tree-shaped patterns both agree:
-//! `Π_τ(match_full(Q)) == match_primary(Q).allowed[τ]` (property-tested).
+//! `Π_τ(match_full(Q)) == match_primary(Q).projection(τ)` (property-tested).
 
 use crate::graph_relation::GraphRelation;
 use crate::pattern::{PatternNodeId, QueryPattern};
-use crate::Result;
-use etable_tgm::{EdgeTypeId, InstanceGraph, NodeId, Tgdb};
+use crate::{work, Result};
+use etable_relational::scan::Bits;
+use etable_tgm::{EdgeTypeId, InstanceGraph, NodeId, Span, Tgdb};
 
-/// A set of instance nodes: one bit per node id of the graph.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Bitmap(Vec<u64>);
-
-impl Bitmap {
-    fn new(graph: &InstanceGraph) -> Bitmap {
-        Bitmap(vec![0; graph.node_count() / 64 + 1])
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        let word = self.0.get(node.index() / 64);
-        word.is_some_and(|w| (w >> (node.0 % 64)) & 1 == 1)
-    }
-
-    /// Adds (`present`) or removes a node; ids beyond the graph are ignored.
-    fn set(&mut self, node: NodeId, present: bool) {
-        if let Some(w) = self.0.get_mut(node.index() / 64) {
-            *w = (*w & !(1 << (node.0 % 64))) | (u64::from(present) << (node.0 % 64));
-        }
-    }
+/// The rows of one pattern node's type that take part in a full match:
+/// every row, the primary's rows listed ascending, or another node's rows
+/// marked in a bitmap.
+#[derive(Debug, Clone, PartialEq)]
+enum Held {
+    All,
+    Listed(Vec<u32>),
+    Marked(Bits),
 }
 
-/// The decomposed matching result.
+/// The decomposed matching result: per pattern node, its type's span and
+/// the rows of it that appear in at least one complete match, each in the
+/// one form its reader needs (see the module docs).
 #[derive(Debug, Clone)]
 pub struct MatchResult {
     /// The pattern this result was computed for.
     pub pattern: QueryPattern,
-    /// Per pattern node: the instance nodes that appear in at least one
-    /// complete match, in instance-graph order.
-    pub allowed: Vec<Vec<NodeId>>,
-    /// Per pattern node: the same sets as bitmaps, for O(1) membership.
-    member: Vec<Bitmap>,
+    held: Vec<(Span, Held)>,
 }
 
 /// Buffers [`MatchResult::related_into`] reuses from row to row. Nothing
@@ -63,9 +55,9 @@ pub struct MatchResult {
 pub struct RelatedScratch {
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    /// All-zero between hops: every bit a hop sets it clears again. Sized
-    /// to the graph by the first hop that needs it.
-    seen: Bitmap,
+    /// Empty between hops: every row a hop adds it removes again. Grown by
+    /// each hop that needs it to that hop's target type's rows.
+    seen: Bits,
 }
 
 impl MatchResult {
@@ -74,24 +66,57 @@ impl MatchResult {
     pub fn empty(pattern: &QueryPattern) -> MatchResult {
         MatchResult {
             pattern: pattern.clone(),
-            allowed: vec![Vec::new(); pattern.len()],
-            member: vec![Bitmap::default(); pattern.len()],
+            held: vec![(Span::default(), Held::All); pattern.len()],
         }
     }
 
-    /// The matched primary rows (`R = Π_τa(m(Q))`), in instance order.
-    pub fn rows(&self) -> &[NodeId] {
-        &self.allowed[self.pattern.primary.0]
+    /// The matched primary nodes (`R = Π_τa(m(Q))`), ascending, read in
+    /// place.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
+        let (span, listed) = self.primary();
+        let len = listed.map_or(span.len(), <[u32]>::len);
+        (0..len).map(move |i| span.node(listed.map_or(i as u32, |rows| rows[i])))
+    }
+
+    /// The `i`-th of [`MatchResult::rows`] (`i < rows().len()`).
+    pub(crate) fn primary_at(&self, i: usize) -> NodeId {
+        let (span, listed) = self.primary();
+        span.node(listed.map_or(i as u32, |rows| rows[i]))
+    }
+
+    /// The primary's span and listed rows (`None`: all of them; only the
+    /// primary is listed, and it is never marked).
+    fn primary(&self) -> (Span, Option<&[u32]>) {
+        match &self.held[self.pattern.primary.0] {
+            (span, Held::Listed(rows)) => (*span, Some(rows)),
+            (span, _) => (*span, None),
+        }
     }
 
     /// Whether `node` participates in a match at pattern node `at`.
     pub fn contains(&self, at: PatternNodeId, node: NodeId) -> bool {
-        self.member[at.0].contains(node)
+        let (span, held) = &self.held[at.0];
+        span.row(node).is_some_and(|row| match held {
+            Held::All => true,
+            Held::Listed(rows) => rows.binary_search(&row).is_ok(),
+            Held::Marked(bits) => bits.contains(row),
+        })
+    }
+
+    /// The nodes that participate in a match at pattern node `at`
+    /// (`Π_at(m(Q))`), ascending, whatever form they are held in.
+    pub fn projection(&self, at: PatternNodeId) -> Vec<NodeId> {
+        let (span, held) = &self.held[at.0];
+        match held {
+            Held::All => span.iter().collect(),
+            Held::Listed(rows) => rows.iter().map(|&r| span.node(r)).collect(),
+            Held::Marked(bits) => bits.rows().into_iter().map(|r| span.node(r)).collect(),
+        }
     }
 
     /// The nodes related to `row` (a matched primary node) at pattern node
     /// `target`: `Π_type(target) σ_{τa = row}(m(Q))` computed by walking the
-    /// unique pattern path and intersecting with the allowed sets.
+    /// unique pattern path and intersecting with the matched sets.
     pub fn related(&self, tgdb: &Tgdb, row: NodeId, target: PatternNodeId) -> Result<Vec<NodeId>> {
         let path = self.pattern.path(tgdb, self.pattern.primary, target)?;
         let mut out = Vec::new();
@@ -124,25 +149,34 @@ impl MatchResult {
         frontier.clear();
         frontier.push(row);
         for &(step, edge) in path {
+            // A step is never the primary, and its every neighbor along
+            // `edge` is a row of its type.
+            let (span, held) = &self.held[step.0];
+            let first = span.first().0;
             // One node's neighbor list holds no duplicates (an edge is a key
             // of its source relation); only a wider frontier needs `seen`.
             let dedup = frontier.len() > 1;
-            if dedup && seen.0.is_empty() {
-                *seen = Bitmap::new(graph);
+            if dedup {
+                seen.grow(span.len());
             }
             next.clear();
             for &f in frontier.iter() {
                 for nb in graph.neighbors(edge, f) {
-                    if self.member[step.0].contains(nb) && !(dedup && seen.contains(nb)) {
+                    let row = nb.0 - first;
+                    let matched = match held {
+                        Held::Marked(bits) => bits.contains(row),
+                        _ => true,
+                    };
+                    if matched && !(dedup && seen.contains(row)) {
                         if dedup {
-                            seen.set(nb, true);
+                            seen.set(row);
                         }
                         next.push(nb);
                     }
                 }
             }
             if dedup {
-                next.iter().for_each(|&nb| seen.set(nb, false));
+                next.iter().for_each(|nb| seen.unset(nb.0 - first));
             }
             std::mem::swap(frontier, next);
         }
@@ -217,6 +251,9 @@ pub(crate) fn match_with(
         .iter()
         .map(|node| node.filter.bind(tgdb, node.node_type))
         .collect::<Result<Vec<_>>>()?;
+    let spans: Vec<Span> = (pattern.nodes.iter())
+        .map(|node| graph.nodes_of_type(node.node_type))
+        .collect();
     let seed = pattern
         .node_ids()
         .find(|id| filters[id.0].node_is().is_some())
@@ -224,101 +261,100 @@ pub(crate) fn match_with(
             let filtered = pattern
                 .node_ids()
                 .filter(|&id| !pattern.node(id).filter.is_empty());
-            filtered.min_by_key(|&id| graph.nodes_of_type(pattern.node(id).node_type).len())
+            filtered.min_by_key(|&id| spans[id.0].len())
         })
         .unwrap_or(pattern.primary);
     let tree = pattern.tree(tgdb, seed)?;
-    let n = pattern.len();
 
-    // Starting candidates, parents first, each in ascending id order.
-    let mut allowed: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut member: Vec<Bitmap> = vec![Bitmap::default(); n];
-    let mut reached = Vec::new();
+    // Starting candidates, parents first, as bitmaps over their types'
+    // rows; a node that starts as its whole type holds no row it picked.
+    let mut held = vec![Bits::default(); pattern.len()];
     for step in &tree {
-        let node = pattern.node(step.node);
-        let filter = &filters[step.node.0];
-        let all = graph.nodes_of_type(node.node_type);
-        let mut bits = Bitmap::new(graph);
+        let (span, filter) = (spans[step.node.0], &filters[step.node.0]);
         let expand = step.via.filter(|via| {
-            let degrees = allowed[via.parent.0].iter();
-            let degrees = degrees.map(|&v| graph.degree(via.edge_type, v));
-            force.unwrap_or_else(|| start_rule(degrees, all.len())) == Start::Expand
+            let parent = spans[via.parent.0];
+            let degrees = held[via.parent.0].rows().into_iter();
+            let degrees = degrees.map(|r| graph.degree(via.edge_type, parent.node(r)));
+            force.unwrap_or_else(|| start_rule(degrees, span.len())) == Start::Expand
         });
-        reached.clear();
         // A `NodeIs` filter picks its one node out of the whole type.
-        let source = match (filter.node_is(), expand) {
-            (None, Some(via)) => {
-                // `bits` marks the neighbors already reached; cleared after.
-                for &v in &allowed[via.parent.0] {
-                    for nb in graph.neighbors(via.edge_type, v) {
-                        if !bits.contains(nb) {
-                            bits.set(nb, true);
-                            reached.push(nb);
-                        }
-                    }
+        let reached = expand.filter(|_| filter.node_is().is_none()).map(|via| {
+            let (parent, mut bits) = (spans[via.parent.0], Bits::new(span.len()));
+            held[via.parent.0].each(|r| {
+                for nb in graph.neighbors(via.edge_type, parent.node(r)) {
+                    bits.set(nb.0 - span.first().0);
                 }
-                reached.iter().for_each(|&nb| bits.set(nb, false));
-                reached.sort_unstable();
-                Some(&reached[..])
-            }
-            _ => None,
+            });
+            bits
+        });
+        let start = match reached {
+            Some(bits) if pattern.node(step.node).filter.is_empty() => bits,
+            reached => match filter.select(tgdb, reached.map(|bits| bits.rows())) {
+                Some(rows) => {
+                    let mut bits = Bits::new(span.len());
+                    rows.into_iter().for_each(|r| bits.set(r));
+                    bits
+                }
+                None => {
+                    held[step.node.0] = Bits::all(span.len());
+                    continue;
+                }
+            },
         };
-        let candidates = match source {
-            Some(source) if node.filter.is_empty() => source.to_vec(),
-            _ => filter.select(tgdb, source),
-        };
-        candidates.iter().for_each(|&v| bits.set(v, true));
-        allowed[step.node.0] = candidates;
-        member[step.node.0] = bits;
+        work::count(|w| w.rows_held += start.count() as u64);
+        held[step.node.0] = start;
     }
 
-    // Drops from `cur`'s candidates, and from its bitmap, every node that
-    // has no member of pattern node `other` among its `edge` neighbors.
-    let semi_join = |allowed: &mut [Vec<NodeId>],
-                     member: &mut [Bitmap],
-                     cur: PatternNodeId,
-                     other: PatternNodeId,
-                     edge: EdgeTypeId| {
-        let mut bits = std::mem::take(&mut member[cur.0]);
-        allowed[cur.0].retain(|&v| {
-            let mut neighbors = tgdb.instances.neighbors(edge, v);
-            let keep = neighbors.any(|nb| member[other.0].contains(nb));
-            if !keep {
-                bits.set(v, false);
+    // Drops from `cur`'s candidates every row that has no candidate of
+    // pattern node `other` among its `edge` neighbors.
+    let semi_join = |held: &mut [Bits], cur: PatternNodeId, other: PatternNodeId, edge| {
+        let (span, first) = (spans[cur.0], spans[other.0].first().0);
+        let (theirs, mut dropped) = (&held[other.0], Vec::new());
+        held[cur.0].each(|r| {
+            if !graph
+                .neighbors(edge, span.node(r))
+                .any(|nb| theirs.contains(nb.0 - first))
+            {
+                dropped.push(r);
             }
-            keep
         });
-        member[cur.0] = bits;
+        dropped.into_iter().for_each(|r| held[cur.0].unset(r));
     };
 
     // Upward pass (children first: the tree lists parents before their
     // children, so read it backwards): a node survives only if, for every
-    // child, it has at least one allowed neighbor.
+    // child, it has at least one candidate neighbor.
     for step in tree.iter().rev() {
         if let Some(via) = step.via {
-            semi_join(
-                &mut allowed,
-                &mut member,
-                via.parent,
-                step.node,
-                via.edge_type,
-            );
+            semi_join(&mut held, via.parent, step.node, via.edge_type);
         }
     }
 
-    // Downward pass (pre-order): a node survives only if it has an allowed
-    // parent.
+    // Downward pass (pre-order): a node survives only if it has a
+    // candidate parent.
     for step in &tree {
         if let Some(via) = step.via {
             let up_edge = tgdb.schema.edge_type(via.edge_type).reverse;
-            semi_join(&mut allowed, &mut member, step.node, via.parent, up_edge);
+            semi_join(&mut held, step.node, via.parent, up_edge);
         }
     }
 
+    // Each node's one form.
+    let held = (pattern.node_ids().zip(held).zip(spans))
+        .map(|((id, bits), span)| {
+            let held = if bits.count() == span.len() {
+                Held::All
+            } else if id == pattern.primary {
+                Held::Listed(bits.rows())
+            } else {
+                Held::Marked(bits)
+            };
+            (span, held)
+        })
+        .collect();
     Ok(MatchResult {
         pattern: pattern.clone(),
-        allowed,
-        member,
+        held,
     })
 }
 
@@ -366,7 +402,7 @@ mod tests {
             let m = match_primary(&tgdb, &q).unwrap();
             for id in q.node_ids() {
                 for n in tgdb.instances.node_ids() {
-                    assert_eq!(m.contains(id, n), m.allowed[id.0].contains(&n), "{id} {n}");
+                    assert_eq!(m.contains(id, n), m.projection(id).contains(&n), "{id} {n}");
                 }
             }
         }
@@ -436,7 +472,7 @@ mod tests {
         for target in q.node_ids() {
             let path = q.path(&tgdb, q.primary, target).unwrap();
             let target_pos = full.attr_pos(target).unwrap();
-            for &row in m.rows() {
+            for row in m.rows() {
                 let mut got = Vec::new();
                 m.related_into(&tgdb.instances, &path, row, &mut scratch, &mut got);
                 assert_eq!(got, m.related(&tgdb, row, target).unwrap());
@@ -485,7 +521,7 @@ mod tests {
         let m = match_primary(&tgdb, &q).unwrap();
         // SIGMOD ∧ year>2005: papers 10 (2007) and 11 (2012).
         // Their authors: Jagadish, Nandi (MI), Kwon (UW) — none in Korea.
-        assert!(m.rows().is_empty());
+        assert_eq!(m.rows().len(), 0);
     }
 
     #[test]
@@ -510,13 +546,12 @@ mod tests {
         let m = match_primary(&tgdb, &q).unwrap();
         let names: Vec<String> = m
             .rows()
-            .iter()
-            .map(|&a| tgdb.instances.label(a).to_string())
+            .map(|a| tgdb.instances.label(a).to_string())
             .collect();
         assert_eq!(names, vec!["Minsuk Kim"]);
     }
 
-    /// Every pattern node's `allowed` list is its projection of the full
+    /// Every pattern node's matched nodes are its projection of the full
     /// graph relation, ascending and without duplicates.
     fn assert_projections_in_order(tgdb: &etable_tgm::Tgdb, q: &QueryPattern) {
         let full = match_full(tgdb, q).unwrap();
@@ -524,7 +559,7 @@ mod tests {
         for id in q.node_ids() {
             let mut want = full.distinct_nodes(id).unwrap();
             want.sort();
-            assert_eq!(prim.allowed[id.0], want, "projection mismatch at {id}");
+            assert_eq!(prim.projection(id), want, "projection mismatch at {id}");
         }
     }
 
@@ -556,8 +591,7 @@ mod tests {
         let m = match_primary(&tgdb, &q).unwrap();
         let titles: Vec<String> = m
             .rows()
-            .iter()
-            .map(|&p| tgdb.instances.label(p).to_string())
+            .map(|p| tgdb.instances.label(p).to_string())
             .collect();
         // Kim wrote 12 (cites 10) and 13 (cites 11 and 12).
         assert_eq!(
@@ -580,11 +614,11 @@ mod tests {
         let tgdb = academic_tgdb();
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
-        let author = tgdb.key_of(tgdb.instances.nodes_of_type(authors)[0]);
+        let author = tgdb.key_of(tgdb.instances.nodes_of_type(authors).first());
         let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
         let alone = ops::initiate(&tgdb, papers).unwrap();
         let with_authors = ops::add(&tgdb, &alone, ae).unwrap();
-        let paper = tgdb.instances.nodes_of_type(papers)[0];
+        let paper = tgdb.instances.nodes_of_type(papers).first();
         for q in [alone, with_authors] {
             let mut ill_typed = q.clone();
             ill_typed.nodes[0].filter = NodeFilter::node_is("x");
@@ -593,17 +627,19 @@ mod tests {
                 let mut pinned = q.clone();
                 pinned.nodes[0].filter = NodeFilter::node_is(target);
                 let m = match_primary(&tgdb, &pinned).unwrap();
-                assert!(
-                    m.allowed.iter().all(Vec::is_empty),
-                    "{target}: {:?}",
-                    m.allowed
-                );
+                let held: Vec<_> = pinned.node_ids().map(|id| m.projection(id)).collect();
+                assert!(held.iter().all(Vec::is_empty), "{target}: {held:?}");
                 assert_projections_in_order(&tgdb, &pinned);
             }
             // Pinned to one of its own papers, the pattern matches it.
             let mut pinned = q;
             pinned.nodes[0].filter = NodeFilter::node_is(tgdb.key_of(paper));
-            assert_eq!(match_primary(&tgdb, &pinned).unwrap().allowed[0], [paper]);
+            assert_eq!(
+                match_primary(&tgdb, &pinned)
+                    .unwrap()
+                    .projection(PatternNodeId(0)),
+                [paper]
+            );
             assert_projections_in_order(&tgdb, &pinned);
         }
     }
@@ -647,7 +683,7 @@ mod tests {
         let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
         let q = ops::initiate(&tgdb, papers).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        let row = m.rows()[0];
+        let row = m.primary_at(0);
         for target in [1, 7, usize::MAX] {
             let got = m.related(&tgdb, row, PatternNodeId(target));
             assert!(matches!(got, Err(crate::Error::InvalidNode(_))), "{got:?}");
@@ -673,7 +709,7 @@ mod tests {
         let q = ops::shift(&q, crate::pattern::PatternNodeId(0)).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
         let guided = tgdb.node_by_key(papers, &12.into()).unwrap();
-        assert!(m.rows().contains(&guided));
+        assert!(m.rows().any(|p| p == guided));
         let authors = m
             .related(&tgdb, guided, crate::pattern::PatternNodeId(1))
             .unwrap();
@@ -747,8 +783,8 @@ mod tests {
         let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
         let q = ops::add(&tgdb, &q, ae).unwrap();
         let m = match_primary(&tgdb, &q).unwrap();
-        assert!(m.rows().is_empty());
-        assert!(m.allowed[0].is_empty());
+        assert_eq!(m.rows().len(), 0);
+        assert!(m.projection(PatternNodeId(0)).is_empty());
         let full = match_full(&tgdb, &q).unwrap();
         assert!(full.is_empty());
     }
@@ -790,6 +826,39 @@ mod tests {
         etable_tgm::translate(&db, &opts).unwrap()
     }
 
+    /// One scratch walks rows of a small graph and then of a larger one:
+    /// authors -> their papers -> those papers' authors, whose second hop
+    /// reaches the row's own author once per paper, so only `seen` keeps it
+    /// to one. On the larger graph most authors' ids lie past every id of
+    /// the small one, and the reused scratch must still drop the repeats,
+    /// as a fresh one does.
+    #[test]
+    fn a_reused_scratch_dedups_on_a_larger_graph() {
+        let coauthors = |tgdb: &etable_tgm::Tgdb| {
+            let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
+            let (pe, _) = tgdb.schema.outgoing_by_name(authors, "Papers").unwrap();
+            let (papers, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+            let (ae, _) = tgdb.schema.outgoing_by_name(papers, "Authors").unwrap();
+            let q = ops::initiate(tgdb, authors).unwrap();
+            let q = ops::add(tgdb, &ops::add(tgdb, &q, pe).unwrap(), ae).unwrap();
+            let q = ops::shift(&q, PatternNodeId(0)).unwrap();
+            let path = q.path(tgdb, q.primary, PatternNodeId(2)).unwrap();
+            (match_primary(tgdb, &q).unwrap(), path)
+        };
+        let mut scratch = RelatedScratch::default();
+        for tgdb in [one_author_per_paper(2, 4), one_author_per_paper(80, 160)] {
+            let (m, path) = coauthors(&tgdb);
+            for row in m.rows() {
+                let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+                m.related_into(&tgdb.instances, &path, row, &mut scratch, &mut reused);
+                let mut own = RelatedScratch::default();
+                m.related_into(&tgdb.instances, &path, row, &mut own, &mut fresh);
+                assert_eq!(reused, fresh, "{row}");
+                assert_eq!(reused, [row], "{row}");
+            }
+        }
+    }
+
     /// The start rule at its crossover: papers `id < m`, pivoted to their
     /// authors, expand from the papers while their `m` authorships are
     /// fewer than the `n` authors, and scan the authors from `m = n` on.
@@ -807,15 +876,14 @@ mod tests {
             // The papers are the seed (the one filtered node), so the
             // authors start from the `m` papers' degree sum.
             let chosen = match_primary(&tgdb, &q).unwrap();
-            let held = &chosen.allowed[0];
+            let held = chosen.projection(PatternNodeId(0));
             assert_eq!(held.len(), m as usize);
             let degrees = held.iter().map(|&p| tgdb.instances.degree(ae, p));
             let want = if m < n { Start::Expand } else { Start::Scan };
             assert_eq!(start_rule(degrees, n as usize), want, "m = {m}");
             for start in [Start::Expand, Start::Scan] {
                 let forced = match_with(&tgdb, &q, Some(start)).unwrap();
-                assert_eq!(forced.allowed, chosen.allowed, "m = {m}, {start:?}");
-                assert_eq!(forced.member, chosen.member, "m = {m}, {start:?}");
+                assert_eq!(forced.held, chosen.held, "m = {m}, {start:?}");
             }
         }
         // The sum stops being read once it reaches the type's size.

@@ -24,9 +24,7 @@ mod tests {
     /// entities, value for value nodes) as strings.
     fn pattern_keys(tgdb: &Tgdb, pattern: &QueryPattern) -> BTreeSet<String> {
         let m = match_primary(tgdb, pattern).unwrap();
-        (m.rows().iter())
-            .map(|&n| tgdb.key_of(n).to_string())
-            .collect()
+        m.rows().map(|n| tgdb.key_of(n).to_string()).collect()
     }
 
     /// Executes a translated query on the relational DB and returns

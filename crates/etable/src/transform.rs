@@ -12,7 +12,7 @@
 //! the primary node to a participating node — "some of these columns are
 //! the same as the participating node columns" (Figure 8 caption).
 //!
-//! The table builds no cell: it is the header plus the matched ids, and
+//! The table builds no cell: it is the header over the match's rows, and
 //! each cell is computed when it is read (see [`crate::etable`]).
 
 use crate::etable::{ColumnKind, ColumnSpec, EnrichedTable};
@@ -39,8 +39,9 @@ pub fn header(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<EnrichedTable> {
 }
 
 /// Transforms an existing matching result into an enriched table: the
-/// header of `m.pattern` plus a copy of the matched primary ids. No cell
-/// is built, no label is read, and nothing is allocated per reference.
+/// header of `m.pattern` over `m`'s matched primary rows, which the table
+/// shares, not copies. No cell is built, no label is read, and nothing is
+/// allocated per row or reference.
 pub fn transform(tgdb: &Tgdb, m: &Arc<MatchResult>) -> Result<EnrichedTable> {
     let pattern = &m.pattern;
     let primary = pattern.primary;

@@ -1,15 +1,19 @@
-//! What the presentation layer did on this thread, counted: how many sort
-//! keys it built, how many rows it put in order, what the column ranker
-//! read, and what a page read to show. The counters are plain `u64`s,
-//! always on; a test reads them before and after an action
-//! ([`on_this_thread`]) to hold the layer to O(shown) work, which wall
-//! time on a shared host cannot show.
+//! What the presentation layer did on this thread, counted: how many rows
+//! the matcher held, how many sort keys it built, how many rows it put in
+//! order, what the column ranker read, and what a page read to show. The
+//! counters are plain `u64`s, always on; a test reads them before and
+//! after an action ([`on_this_thread`]) to hold the layer to O(shown)
+//! work, which wall time on a shared host cannot show.
 
 use std::cell::Cell;
 
 /// Presentation work done on one thread since it started.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Work {
+    /// Rows the matcher held across pattern nodes after their start: the
+    /// rows each node's start listed or marked, none for a node that
+    /// starts as its whole type.
+    pub rows_held: u64,
     /// Sort keys built: one per row of every table sorted.
     pub keys_built: u64,
     /// Rows put in order: the growth of every sorted table's ordered
@@ -33,6 +37,7 @@ impl std::ops::Sub for Work {
     /// The work done between two readings.
     fn sub(self, before: Work) -> Work {
         Work {
+            rows_held: self.rows_held - before.rows_held,
             keys_built: self.keys_built - before.keys_built,
             rows_ordered: self.rows_ordered - before.rows_ordered,
             rank_passes: self.rank_passes - before.rank_passes,

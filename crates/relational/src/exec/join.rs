@@ -23,6 +23,7 @@
 use crate::exec::budget;
 use crate::exec::hash::KeyHashBuilder;
 use crate::fk_index::{FkIndex, DANGLING};
+use crate::scan::Bits;
 use crate::storage::spill::{self, SpillKey};
 use crate::table::{ColumnData, ColumnStore};
 use crate::Result;
@@ -133,35 +134,6 @@ pub(crate) fn fk_key_pairs(
         }
     }
     probe(&head, &next, fk_n, |p| (p as u32, fk(p)))
-}
-
-/// A set of row ids under a bound, one bit each: the rows a walk from
-/// held rows marks, read back in ascending order (here and in the
-/// foreign-key tree pass, `exec::tree`).
-pub(crate) struct Bits(Vec<u64>);
-
-impl Bits {
-    /// The empty set of rows `0..n`.
-    pub(crate) fn new(n: usize) -> Self {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-
-    pub(crate) fn set(&mut self, r: u32) {
-        self.0[r as usize / 64] |= 1 << (r % 64);
-    }
-
-    /// The rows in the set, ascending.
-    pub(crate) fn rows(&self) -> Vec<u32> {
-        let mut rows = Vec::new();
-        for (&word, w) in self.0.iter().zip(0u32..) {
-            let mut rest = word;
-            while rest != 0 {
-                rows.push(w * 64 + rest.trailing_zeros());
-                rest &= rest - 1;
-            }
-        }
-        rows
-    }
 }
 
 /// Chain heads by key: the latest one-based build position holding each

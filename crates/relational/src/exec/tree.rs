@@ -36,8 +36,8 @@
 use crate::colrel::{cardinality_error, RowIds};
 use crate::database::Database;
 use crate::exec::agg::AggFunc;
-use crate::exec::join::Bits;
 use crate::fk_index::{FkIndex, DANGLING};
+use crate::scan::Bits;
 use crate::sql::analyze::{ColumnId, TypedPlan};
 use crate::value::DataType;
 use crate::Result;

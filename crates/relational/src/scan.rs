@@ -36,6 +36,77 @@ pub fn select_rows(pred: &TypedPred, columns: &[ColumnStore], rows: Option<&[u32
     crate::exec::pred::select_rows(pred, n_rows, |c| (&columns[c], rows))
 }
 
+/// A set of row ids under a bound, one bit each: the rows a walk from held
+/// rows marks (`exec::join`, the foreign-key tree pass), read back in
+/// ascending order, or a node type's rows a pattern node matches.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Bits(Vec<u64>);
+
+impl Bits {
+    /// The empty set of rows `0..n`.
+    pub fn new(n: usize) -> Self {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    /// The set of all rows `0..n`.
+    pub fn all(n: usize) -> Self {
+        let mut words = vec![!0; n.div_ceil(64)];
+        if let Some(last) = words.last_mut().filter(|_| !n.is_multiple_of(64)) {
+            *last = (1 << (n % 64)) - 1;
+        }
+        Bits(words)
+    }
+
+    /// Raises the bound to at least `n` rows, the new ones not in the set.
+    pub fn grow(&mut self, n: usize) {
+        self.0.resize(self.0.len().max(n.div_ceil(64)), 0);
+    }
+
+    /// Adds row `r`, which lies under the bound.
+    #[inline]
+    pub fn set(&mut self, r: u32) {
+        self.0[r as usize / 64] |= 1 << (r % 64);
+    }
+
+    /// Removes row `r`, which lies under the bound.
+    #[inline]
+    pub fn unset(&mut self, r: u32) {
+        self.0[r as usize / 64] &= !(1 << (r % 64));
+    }
+
+    /// Whether row `r` is in the set; a row past the bound is not.
+    #[inline]
+    pub fn contains(&self, r: u32) -> bool {
+        let word = self.0.get(r as usize / 64);
+        word.is_some_and(|w| (w >> (r % 64)) & 1 == 1)
+    }
+
+    /// Number of rows in the set.
+    pub fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Calls `f` with every row in the set, ascending, in one tight loop
+    /// per word (a pass over many rows wants it so).
+    #[inline]
+    pub fn each(&self, mut f: impl FnMut(u32)) {
+        for (&word, w) in self.0.iter().zip(0u32..) {
+            let mut rest = word;
+            while rest != 0 {
+                f(w * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+    }
+
+    /// The rows in the set, ascending.
+    pub fn rows(&self) -> Vec<u32> {
+        let mut rows = Vec::with_capacity(self.count());
+        self.each(|r| rows.push(r));
+        rows
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,6 +115,35 @@ mod tests {
     use crate::schema::{Column, TableSchema};
     use crate::sql::analyze::tests::where_pred;
     use crate::value::{DataType, Value};
+
+    /// A row set reads back what was put in it, ascending, at and around
+    /// word edges; a row past the bound is never in it, and `all` marks
+    /// exactly `0..n`.
+    #[test]
+    fn bits_read_back_their_rows() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let all = Bits::all(n);
+            assert_eq!(all.count(), n);
+            assert_eq!(all.rows(), (0..n as u32).collect::<Vec<_>>(), "{n}");
+            assert!(!all.contains(n as u32) && !all.contains(u32::MAX));
+            let mut some = Bits::new(n);
+            let want: Vec<u32> = (1..n as u32).filter(|r| r % 3 != 1).collect();
+            (0..n as u32)
+                .filter(|r| r % 3 != 1)
+                .for_each(|r| some.set(r));
+            if n > 0 {
+                some.unset(0);
+            }
+            assert_eq!(some.rows(), want, "{n}");
+            let mut each = Vec::new();
+            some.each(|r| each.push(r));
+            assert_eq!((each, some.count()), (want.clone(), want.len()), "{n}");
+            some.grow(n + 70);
+            assert_eq!(some.rows(), want, "{n}");
+            some.set(n as u32 + 69);
+            assert!(some.contains(n as u32 + 69));
+        }
+    }
 
     fn table(rows: usize) -> Table {
         let mut t = Table::new(

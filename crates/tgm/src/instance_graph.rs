@@ -2,9 +2,11 @@
 //!
 //! `GI = (V, E)` with a node-type mapping and an edge-type mapping. A
 //! graph is immutable and works on dense node ids: the nodes of one type
-//! are one run of consecutive ids, and node `first + r` of a type is its
-//! row `r` — of its relation for an entity type, of its distinct values
-//! for a value type.
+//! are one run of consecutive ids, a [`Span`], and node `first + r` of a
+//! type is its row `r` — of its relation for an entity type, of its
+//! distinct values for a value type. The spans are all the graph stores of
+//! its nodes: a node's type is the span its id falls in (one search among
+//! the types' first ids), and no list of a type's ids exists.
 //!
 //! A node's attributes are not copied out of the database: each node type
 //! keeps its attributes as [`ColumnStore`]s, and row `r` of its columns is
@@ -40,6 +42,47 @@ use std::sync::{Arc, OnceLock};
 /// The ids `base + r` of the rows `rows` of one node type, in order.
 fn ids(base: u32, rows: &[u32]) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
     rows.iter().map(move |&r| NodeId(base + r))
+}
+
+/// The nodes of one type: the ids `first .. first + len`, node `first + r`
+/// being the type's row `r`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    first: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The first node, which is row 0.
+    pub fn first(self) -> NodeId {
+        NodeId(self.first)
+    }
+
+    /// Number of nodes.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True when the type has no node.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The node of row `row` (`< len`).
+    pub fn node(self, row: u32) -> NodeId {
+        debug_assert!(row < self.len, "row {row} of {}", self.len);
+        NodeId(self.first + row)
+    }
+
+    /// The row of `id`, if it is a node of the type.
+    pub fn row(self, id: NodeId) -> Option<u32> {
+        Some(id.0.wrapping_sub(self.first)).filter(|&r| r < self.len)
+    }
+
+    /// The nodes, in ascending order.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + Clone {
+        (self.first..self.first + self.len).map(NodeId)
+    }
 }
 
 /// A shared buffer of rows a neighbor list is a run of.
@@ -123,10 +166,8 @@ enum Edges {
 /// One directed edge type, with this graph's id spans around it.
 #[derive(Debug, Clone)]
 struct Adjacency {
-    /// The source type's first id and node count; a node outside has no
-    /// neighbors.
-    first: u32,
-    count: u32,
+    /// The source type's nodes; a node outside has no neighbors.
+    source: Span,
     /// The target type's first id.
     base: u32,
     edges: Edges,
@@ -142,10 +183,9 @@ type View = (Arc<[u32]>, Arc<[u32]>);
 impl Adjacency {
     /// The buffer holding `node`'s target rows, and their run in it.
     fn run(&self, node: NodeId) -> (&[u32], Range<usize>) {
-        let row = node.0.wrapping_sub(self.first) as usize;
-        if row >= self.count as usize {
+        let Some(row) = self.source.row(node).map(|r| r as usize) else {
             return (&[], 0..0);
-        }
+        };
         if let Edges::Own(to) = &self.edges {
             let live = to.fwd().get(row).is_some_and(|&t| t < DANGLING);
             return (to.fwd(), if live { row..row + 1 } else { 0..0 });
@@ -178,12 +218,11 @@ impl Adjacency {
     }
 }
 
-/// The nodes of one type: a run of consecutive ids, and one column per
-/// attribute of the type (in `attrs` order) whose row `r` is the `r`-th
-/// node of the run.
+/// The nodes of one type: their span, and one column per attribute of the
+/// type (in `attrs` order) whose row `r` is the type's row `r`.
 #[derive(Debug, Clone)]
 pub(crate) struct TypeNodes {
-    pub(crate) ids: Vec<NodeId>,
+    pub(crate) span: Span,
     pub(crate) columns: Vec<ColumnStore>,
     /// The label attribute's position in `columns`.
     pub(crate) label: usize,
@@ -216,7 +255,7 @@ impl TypeNodes {
         let column = ColumnStore::from_values(ty, values[nulls..].iter().copied())?;
         let rank = |k: u32| k.checked_sub(nulls as u32).unwrap_or(NULL_REF);
         Ok(TypeNodes {
-            ids: Vec::new(),
+            span: Span::default(),
             columns: vec![column],
             label: 0,
             ranked: Some((
@@ -246,10 +285,8 @@ fn same_cells(a: &ColumnStore, b: &ColumnStore) -> bool {
 /// The instance graph.
 #[derive(Debug, Clone)]
 pub struct InstanceGraph {
-    /// node type -> its nodes and attribute columns.
+    /// node type -> its span and attribute columns.
     types: Vec<TypeNodes>,
-    /// node id -> its type.
-    node_types: Vec<NodeTypeId>,
     /// edge type -> adjacency (both directions of a pair are stored).
     adjacency: Vec<Adjacency>,
     /// Total number of logical (forward) edges, counted on first use.
@@ -272,21 +309,16 @@ impl InstanceGraph {
         ends: Vec<(Option<FkIndex>, FkIndex)>,
         prev: Option<&InstanceGraph>,
     ) -> Result<InstanceGraph> {
-        let mut node_types = Vec::new();
+        let mut first = 0u32;
         for (nt, nodes) in (0..).map(NodeTypeId).zip(&mut types) {
-            let first = node_types.len() as u32;
             let rows = nodes.columns.first().map_or(0, ColumnStore::len);
             let name = &schema.node_type(nt).name;
             let exhausted = || Error::Integrity(format!("node type `{name}`: node ids exhausted"));
             let end = u32::try_from(rows).ok().and_then(|n| first.checked_add(n));
-            let end = end.ok_or_else(exhausted)?;
-            node_types.resize(end as usize, nt);
-            nodes.ids = (first..end).map(NodeId).collect();
+            let len = end.ok_or_else(exhausted)? - first;
+            nodes.span = Span { first, len };
+            first += len;
         }
-        let span = |nt: NodeTypeId| {
-            let ids = &types[nt.index()].ids;
-            (ids.first().map_or(0, |n| n.0), ids.len() as u32)
-        };
         let mapped = |i: usize, from: &FkIndex, to: &FkIndex| {
             let kept = prev.and_then(|g| match &g.adjacency.get(i)?.edges {
                 Edges::Mapped {
@@ -309,43 +341,46 @@ impl InstanceGraph {
             // Each forward edge type is followed by its reverse.
             let i = adjacency.len();
             debug_assert_eq!(def.reverse.index(), i + 1);
-            let ((first, count), (base, back)) = (span(def.source), span(def.target));
+            let (source, target) = (
+                types[def.source.index()].span,
+                types[def.target.index()].span,
+            );
             let (forward, reverse) = match &from {
                 None => (Edges::Own(to.clone()), Edges::Listed(to)),
                 Some(from) => (mapped(i, from, &to), mapped(i + 1, &to, from)),
             };
             adjacency.push(Adjacency {
-                first,
-                count,
-                base,
+                source,
+                base: target.first,
                 edges: forward,
                 view: OnceLock::new(),
             });
             adjacency.push(Adjacency {
-                first: base,
-                count: back,
-                base: first,
+                source: target,
+                base: source.first,
                 edges: reverse,
                 view: OnceLock::new(),
             });
         }
         Ok(InstanceGraph {
             types,
-            node_types,
             adjacency,
             edge_count: OnceLock::new(),
         })
     }
 
-    /// The type of a node (`typeτ` in Definition 2).
+    /// The type of a node (`typeτ` in Definition 2), `id < node_count`:
+    /// the last type whose first id is not past `id` (an empty type shares
+    /// its first id with the next one).
     pub fn type_of(&self, id: NodeId) -> NodeTypeId {
-        self.node_types[id.index()]
+        assert!(id.index() < self.node_count(), "no node {id}");
+        NodeTypeId::from_index(self.types.partition_point(|t| t.span.first <= id.0) - 1)
     }
 
     /// The nodes of `id`'s type and `id`'s row in their columns.
     fn locate(&self, id: NodeId) -> (&TypeNodes, usize) {
         let nodes = &self.types[self.type_of(id).index()];
-        (nodes, (id.0 - nodes.ids[0].0) as usize)
+        (nodes, (id.0 - nodes.span.first) as usize)
     }
 
     /// The attribute columns of node type `nt`, in `attrs` order: row `r`
@@ -358,17 +393,16 @@ impl InstanceGraph {
     /// The node's label `label(v) = v[βi]`, read from its type's label
     /// column.
     pub fn label(&self, id: NodeId) -> Value {
-        let (first, column) = self.label_column(id);
-        column.get((id.0 - first.0) as usize)
+        let (nodes, row) = self.locate(id);
+        nodes.columns[nodes.label].get(row)
     }
 
-    /// The label column of `id`'s type and the type's first node: node
-    /// `first + r`'s label is the column's row `r`. One lookup serves any
-    /// number of labels of one type (a reference column's ids all have
-    /// its target type).
-    pub fn label_column(&self, id: NodeId) -> (NodeId, &ColumnStore) {
-        let (nodes, _) = self.locate(id);
-        (nodes.ids[0], &nodes.columns[nodes.label])
+    /// The label column of node type `nt`: its row `r` is the label of the
+    /// type's row `r`. One lookup serves any number of labels of one type
+    /// (a reference column's ids all have its target type).
+    pub fn label_column(&self, nt: NodeTypeId) -> &ColumnStore {
+        let nodes = &self.types[nt.index()];
+        &nodes.columns[nodes.label]
     }
 
     /// Attribute `attr` (a position in the node type's `attrs`) of a node,
@@ -385,9 +419,9 @@ impl InstanceGraph {
         nt.attr_index(name).map(|i| self.value(id, i))
     }
 
-    /// Nodes of a type, in ascending id order.
-    pub fn nodes_of_type(&self, nt: NodeTypeId) -> &[NodeId] {
-        &self.types[nt.index()].ids
+    /// The nodes of a type: its span of ids.
+    pub fn nodes_of_type(&self, nt: NodeTypeId) -> Span {
+        self.types[nt.index()].span
     }
 
     /// Neighbors of `node` along edge type `et` (none for a node not of the
@@ -430,7 +464,9 @@ impl InstanceGraph {
 
     /// Total node count.
     pub fn node_count(&self) -> usize {
-        self.node_types.len()
+        self.types
+            .last()
+            .map_or(0, |t| (t.span.first + t.span.len) as usize)
     }
 
     /// Total logical edge count (each forward/reverse pair counted once).
@@ -477,7 +513,7 @@ impl InstanceGraph {
         }
         let mut checked = 0usize;
         for (id, et) in schema.edge_types() {
-            for &src in self.nodes_of_type(et.source) {
+            for src in self.nodes_of_type(et.source).iter() {
                 for tgt in self.neighbors(id, src) {
                     if !self.neighbors(et.reverse, tgt).any(|n| n == src) {
                         return Err(format!(
@@ -664,7 +700,7 @@ pub(crate) mod tests {
         assert_eq!(g.label(ids[3]), "Nandi".into());
         // Row `r` of a type's columns is its `r`-th node.
         let authors = g.type_of(ids[3]);
-        assert_eq!(g.nodes_of_type(authors)[1], ids[3]);
+        assert_eq!(g.nodes_of_type(authors).node(1), ids[3]);
         assert_eq!(g.columns(authors)[1].get(1), "Nandi".into());
     }
 
@@ -684,7 +720,7 @@ pub(crate) mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
         let papers = g.type_of(ids[0]);
-        let entries = g.nodes_of_type(papers).iter().map(|&p| g.degree(et, p));
+        let entries = g.nodes_of_type(papers).iter().map(|p| g.degree(et, p));
         assert_eq!(entries.sum::<usize>(), 3);
     }
 
@@ -865,7 +901,7 @@ pub(crate) mod tests {
                     |r: usize, col: &str| table.value(r, table.schema().column_index(col).unwrap());
                 for r in 0..table.len() {
                     let src = match src_col {
-                        None => Some(g.nodes_of_type(def.source)[r]),
+                        None => Some(g.nodes_of_type(def.source).node(r as u32)),
                         Some(col) => tgdb.node_by_key(def.source, &cell(r, col)),
                     };
                     let tgt = tgdb.node_by_key(def.target, &cell(r, tgt_col));
@@ -874,6 +910,13 @@ pub(crate) mod tests {
                         naive[def.reverse.index()][t.index()].push(s);
                     }
                 }
+            }
+            // Every node lies in its type's span, empty types among them.
+            for v in g.node_ids() {
+                assert!(
+                    g.nodes_of_type(g.type_of(v)).row(v).is_some(),
+                    "seed {seed} {v}"
+                );
             }
             let mut directed = 0;
             for (et, _) in tgdb.schema.edge_types() {

@@ -24,7 +24,7 @@ pub mod tgdb;
 pub mod translate;
 
 pub use ids::{EdgeTypeId, NodeId, NodeTypeId};
-pub use instance_graph::{IdSlice, InstanceGraph};
+pub use instance_graph::{IdSlice, InstanceGraph, Span};
 pub use schema_graph::{
     AttrDef, EdgeProvenance, EdgeType, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };

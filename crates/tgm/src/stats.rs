@@ -34,7 +34,7 @@ pub fn degree_stats(tgdb: &Tgdb, edge: EdgeTypeId) -> DegreeStats {
     let sources = tgdb.instances.nodes_of_type(et.source);
     let mut degrees: Vec<usize> = sources
         .iter()
-        .map(|&n| tgdb.instances.degree(edge, n))
+        .map(|n| tgdb.instances.degree(edge, n))
         .collect();
     degrees.sort_unstable();
     let n = degrees.len();

@@ -11,6 +11,7 @@ use crate::translate::{instances_of, RelationCategory};
 use crate::Result;
 use etable_relational::database::Database;
 use etable_relational::value::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -79,17 +80,26 @@ impl Tgdb {
 
     /// The node of type `nt` keyed `key`, if this epoch holds one. An
     /// entity is found through the primary-key index (row `r` of an entity
-    /// relation is the `r`-th node of its type), a value node by binary
-    /// search over its type's nodes, which are in value order.
+    /// relation is row `r` of its type), a value node by binary search over
+    /// its type's one column, which is in value order.
     pub fn node_by_key(&self, nt: NodeTypeId, key: &Value) -> Option<NodeId> {
         let def = self.schema.node_type(nt);
         let nodes = self.instances.nodes_of_type(nt);
         if def.kind != NodeTypeKind::Entity {
-            let at = nodes.binary_search_by(|&n| self.instances.value(n, 0).total_cmp(key));
-            return at.ok().map(|i| nodes[i]);
+            let values = &self.instances.columns(nt)[0];
+            let (mut lo, mut hi) = (0, nodes.len());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                match values.get(mid).total_cmp(key) {
+                    Ordering::Less => lo = mid + 1,
+                    Ordering::Greater => hi = mid,
+                    Ordering::Equal => return Some(nodes.node(mid as u32)),
+                }
+            }
+            return None;
         }
         let table = self.db.table(&def.source_table).ok()?;
-        nodes.get(table.pk_row_index(&[*key])?).copied()
+        Some(nodes.node(table.pk_row_index(&[*key])? as u32))
     }
 
     /// Finds a node of any type by its label text (first match in insertion
@@ -99,11 +109,7 @@ impl Tgdb {
             Value::Text(s) => s.as_str() == label,
             other => other.to_string() == label,
         };
-        self.instances
-            .nodes_of_type(nt)
-            .iter()
-            .copied()
-            .find(matches)
+        self.instances.nodes_of_type(nt).iter().find(matches)
     }
 
     /// Paper Table 1 as this schema graph instantiates it: one entry per

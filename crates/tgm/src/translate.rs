@@ -19,7 +19,7 @@
 //! ([`Tgdb::at`]) ranked over the same cells is kept.
 
 use crate::ids::NodeTypeId;
-use crate::instance_graph::{InstanceGraph, TypeNodes};
+use crate::instance_graph::{InstanceGraph, Span, TypeNodes};
 use crate::schema_graph::{
     AttrDef, EdgeProvenance, EdgeTypeKind, NodeType, NodeTypeKind, SchemaGraph,
 };
@@ -459,7 +459,7 @@ pub(crate) fn instances_of(
         types.push(match def.kind {
             // The table's own columns, shared: row `r` is the `r`-th node.
             NodeTypeKind::Entity => TypeNodes {
-                ids: Vec::new(),
+                span: Span::default(),
                 columns: cols.iter().map(|&c| table.column(c).clone()).collect(),
                 label: def.label_attr,
                 ranked: None,
@@ -725,7 +725,7 @@ mod tests {
         let entries = |edge: &str| -> usize {
             let (et, _) = tgdb.schema.outgoing_by_name(papers, edge).unwrap();
             let nodes = tgdb.instances.nodes_of_type(papers).iter();
-            nodes.map(|&p| tgdb.instances.degree(et, p)).sum()
+            nodes.map(|p| tgdb.instances.degree(et, p)).sum()
         };
         assert_eq!(entries("Authors"), 3);
         assert_eq!(entries("Paper_Keywords: keyword"), 3);
@@ -871,7 +871,7 @@ mod tests {
         let by_type: Vec<NodeId> = tgdb
             .schema
             .node_types()
-            .flat_map(|(nt, _)| g.nodes_of_type(nt).iter().copied())
+            .flat_map(|(nt, _)| g.nodes_of_type(nt).iter())
             .collect();
         assert_eq!(by_type, g.node_ids().collect::<Vec<_>>());
         assert_eq!(
@@ -1081,12 +1081,12 @@ mod tests {
         let (items, _) = tgdb.schema.node_type_by_name("Items").unwrap();
         let (values, _) = tgdb.schema.node_type_by_name("Items: color").unwrap();
         let labels: Vec<String> = (g.nodes_of_type(values).iter())
-            .map(|&n| g.label(n).to_string())
+            .map(|n| g.label(n).to_string())
             .collect();
         assert_eq!(labels, ["blue", "red"]);
         let (et, _) = tgdb.schema.outgoing_by_name(items, "Items: color").unwrap();
         let linked: Vec<Vec<String>> = (g.nodes_of_type(items).iter())
-            .map(|&n| g.neighbors(et, n).map(|v| g.label(v).to_string()).collect())
+            .map(|n| g.neighbors(et, n).map(|v| g.label(v).to_string()).collect())
             .collect();
         assert_eq!(
             linked,

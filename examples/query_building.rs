@@ -52,7 +52,7 @@ fn main() {
 
     let m = matching::match_primary(&tgdb, &q).expect("match");
     println!("matched researchers: {}", m.rows().len());
-    for &node in m.rows().iter().take(8) {
+    for node in m.rows().take(8) {
         println!("  - {}", tgdb.instances.label(node));
     }
 
@@ -80,6 +80,6 @@ fn main() {
     };
     let back = from_sql::from_query(&tgdb, &grouped).expect("from_query");
     let m2 = matching::match_primary(&tgdb, &back).expect("match back");
-    assert_eq!(m.rows(), m2.rows());
+    assert!(m.rows().eq(m2.rows()));
     println!("round-trip SQL -> pattern -> execution agrees too.");
 }

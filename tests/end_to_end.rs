@@ -33,7 +33,7 @@ fn translation_preserves_all_relation_rows() {
     let entries = |edge: &str| -> usize {
         let (et, _) = tgdb.schema.outgoing_by_name(papers, edge).unwrap();
         let nodes = tgdb.instances.nodes_of_type(papers).iter();
-        nodes.map(|&p| tgdb.instances.degree(et, p)).sum()
+        nodes.map(|p| tgdb.instances.degree(et, p)).sum()
     };
     for (edge, table) in [
         ("Authors", "Paper_Authors"),
@@ -131,7 +131,7 @@ fn neighbor_counts_are_join_counts() {
     for row in pa.iter_rows() {
         *per_paper.entry(row[0].as_int().unwrap()).or_default() += 1;
     }
-    for &node in tgdb.instances.nodes_of_type(papers) {
+    for node in tgdb.instances.nodes_of_type(papers).iter() {
         let id = tgdb
             .instances
             .attr(&tgdb.schema, node, "id")
@@ -163,7 +163,7 @@ fn categorical_pivot_groups_by_year() {
         .instances
         .nodes_of_type(papers)
         .iter()
-        .map(|&p| tgdb.instances.degree(ye, p))
+        .map(|p| tgdb.instances.degree(ye, p))
         .sum();
     assert_eq!(total, db.table("Papers").unwrap().len());
     // Year value nodes = distinct years.
@@ -254,7 +254,7 @@ fn graph_edges_are_the_pairs_of_their_sql_joins() {
                 ),
             };
             let mut edges: Vec<(Value, Value)> = (g.nodes_of_type(s).iter())
-                .flat_map(|&a| g.neighbors(et, a).map(move |b| (a, b)))
+                .flat_map(|a| g.neighbors(et, a).map(move |b| (a, b)))
                 .map(|(a, b)| (key(a), key(b)))
                 .collect();
             edges.sort();
@@ -311,17 +311,17 @@ fn a_graph_keeps_reading_its_epoch_after_writes() {
     let (papers, def) = tgdb.schema.node_type_by_name("Papers").unwrap();
     let title = def.attr_index("title").unwrap();
     let nodes = g.nodes_of_type(papers);
-    let (renamed, doomed) = (nodes[0], nodes[nodes.len() - 1]);
+    let (renamed, doomed) = (nodes.first(), nodes.node(nodes.len() as u32 - 1));
     let (old_title, doomed_label) = (g.value(renamed, title), g.label(doomed));
     let (renamed_key, doomed_key) = (tgdb.key_of(renamed), tgdb.key_of(doomed));
     let (confs, _) = tgdb.schema.node_type_by_name("Conferences").unwrap();
-    let conf_key = tgdb.key_of(g.nodes_of_type(confs)[0]);
+    let conf_key = tgdb.key_of(g.nodes_of_type(confs).first());
     // The keys of the papers titled `t`, by a filtered match at `at`.
     let titled = |at: &Tgdb, t: Value| {
         let q = ops::initiate(at, papers).unwrap();
         let q = ops::select(at, &q, NodeFilter::cmp("title", CmpOp::Eq, t)).unwrap();
         let m = match_primary(at, &q).unwrap();
-        m.rows().iter().map(|&n| at.key_of(n)).collect::<Vec<_>>()
+        m.rows().map(|n| at.key_of(n)).collect::<Vec<_>>()
     };
     let later = Value::text("An epoch later");
     let before = titled(&tgdb, old_title);

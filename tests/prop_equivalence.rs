@@ -111,12 +111,13 @@ proptest! {
         let full = match_full(tgdb, &q).unwrap();
         let prim = match_primary(tgdb, &q).unwrap();
         for id in q.node_ids() {
-            // `allowed` is read as it stands: its order is part of the
-            // contract (ascending node id, as the projection sorts).
+            // The projection is read as the result holds it: its order is
+            // part of the contract (ascending node id, as the full
+            // relation's projection sorts).
             let mut want: Vec<_> = full.distinct_nodes(id).unwrap();
             want.sort();
             want.dedup();
-            prop_assert_eq!(&prim.allowed[id.0], &want, "projection mismatch at {} (seed {})", id, seed);
+            prop_assert_eq!(&prim.projection(id), &want, "projection mismatch at {} (seed {})", id, seed);
         }
     }
 
@@ -125,7 +126,7 @@ proptest! {
         let tgdb = env();
         let q = random_pattern(tgdb, seed, steps);
         let m = match_primary(tgdb, &q).unwrap();
-        let expected = node_keys(tgdb, m.rows().iter().copied());
+        let expected = node_keys(tgdb, m.rows());
         if let Err(msg) = check_translation(tgdb, &q, &expected, false) {
             prop_assert!(false, "seed {}: {}", seed, msg);
         }
@@ -136,7 +137,7 @@ proptest! {
         let tgdb = academic();
         let q = random_pattern(tgdb, seed, steps);
         let m = match_primary(tgdb, &q).unwrap();
-        let expected = node_keys(tgdb, m.rows().iter().copied());
+        let expected = node_keys(tgdb, m.rows());
         if let Err(msg) = check_translation(tgdb, &q, &expected, true) {
             prop_assert!(false, "seed {}: {}", seed, msg);
         }
@@ -153,7 +154,7 @@ proptest! {
         let prim = match_primary(tgdb, &q).unwrap();
         let ppos = full.attr_pos(q.primary).unwrap();
         // Check a sample of rows to bound runtime.
-        for &row in prim.rows().iter().take(5) {
+        for row in prim.rows().take(5) {
             for id in q.node_ids() {
                 if id == q.primary { continue; }
                 let tpos = full.attr_pos(id).unwrap();
@@ -249,11 +250,11 @@ fn selective_pattern(tgdb: &Tgdb, rng: &mut StdRng) -> QueryPattern {
         let at = PatternNodeId(rng.gen_range(0..q.len()));
         let nt = q.node(at).node_type;
         // Values of nodes that still match, so most filters keep some.
-        let matched = match_primary(tgdb, &q).unwrap().allowed.swap_remove(at.0);
+        let matched = match_primary(tgdb, &q).unwrap().projection(at);
         let nodes = if matched.is_empty() {
-            g.nodes_of_type(nt)
+            g.nodes_of_type(nt).iter().collect()
         } else {
-            &matched[..]
+            matched
         };
         let pick = |rng: &mut StdRng| nodes[rng.gen_range(0..nodes.len())];
         match rng.gen_range(0..7) {
@@ -354,7 +355,7 @@ fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) 
                 reached.dedup();
                 (Start::Expand, reached)
             }
-            (None, None) => (Start::Scan, all.to_vec()),
+            (None, None) => (Start::Scan, all.iter().collect()),
         };
         starts[step.node.0] = start;
         sets[step.node.0] = source
@@ -385,13 +386,13 @@ fn selective_patterns_match_from_every_seed_and_start() {
             want.sort();
             want.dedup();
             assert_eq!(
-                prim.allowed[id.0],
+                prim.projection(id),
                 want,
                 "seed {seed}: {id}\n{}",
                 q.diagram(tgdb)
             );
         }
-        let expected = node_keys(tgdb, prim.rows().iter().copied());
+        let expected = node_keys(tgdb, prim.rows());
         if let Err(msg) = check_translation(tgdb, &q, &expected, false) {
             panic!("seed {seed}: {msg}\n{}", q.diagram(tgdb));
         }
@@ -560,16 +561,24 @@ fn kernel_matches_evaluator(tgdb: &Tgdb, q: &QueryPattern, seed: u64) -> Result<
     for (nt, filter) in filters {
         let bound = filter.bind(tgdb, nt).map_err(|e| e.to_string())?;
         let all = tgdb.instances.nodes_of_type(nt);
-        let some: Vec<NodeId> = (all.iter().copied())
-            .filter(|_| rng.gen_range(0..2) == 0)
-            .collect();
+        let every: Vec<NodeId> = all.iter().collect();
+        let some: Vec<NodeId> = (all.iter()).filter(|_| rng.gen_range(0..2) == 0).collect();
         let passes = |nodes: &[NodeId]| -> Vec<NodeId> {
             let eval = |n: &NodeId| bound.eval(tgdb, *n).unwrap();
             nodes.iter().copied().filter(eval).collect()
         };
-        let cases = [(None, all), (Some(all), all), (Some(&some[..]), &some[..])];
+        // `select` reads and returns rows of the type; `None` is all rows.
+        let rows = |nodes: &[NodeId]| nodes.iter().map(|&n| all.row(n).unwrap()).collect();
+        let cases = [
+            (None, &every),
+            (Some(rows(&every)), &every),
+            (Some(rows(&some)), &some),
+        ];
         for (given, nodes) in cases {
-            let got = bound.select(tgdb, given);
+            let got: Vec<NodeId> = match bound.select(tgdb, given) {
+                Some(rows) => rows.into_iter().map(|r| all.node(r)).collect(),
+                None => every.clone(),
+            };
             if got != passes(nodes) {
                 return Err(format!(
                     "{filter:?} over {} of {} nodes: select {got:?}, eval {:?}",
@@ -624,11 +633,11 @@ proptest! {
         let m = match_primary(&tgdb, &q).unwrap();
         let mut full = match_full(&tgdb, &q).unwrap().distinct_nodes(q.primary).unwrap();
         full.sort();
-        prop_assert_eq!(&full, &m.rows().to_vec(), "seed {}: matchers disagree", seed);
+        prop_assert_eq!(&full, &m.rows().collect::<Vec<_>>(), "seed {}: matchers disagree", seed);
         if let Err(msg) = kernel_matches_evaluator(&tgdb, &q, seed) {
             prop_assert!(false, "seed {}: {}", seed, msg);
         }
-        let expected = node_keys(&tgdb, m.rows().iter().copied());
+        let expected = node_keys(&tgdb, m.rows());
         if let Err(msg) = check_translation(&tgdb, &q, &expected, true) {
             prop_assert!(false, "seed {}: {}\n{}", seed, msg, q.diagram(&tgdb));
         }

@@ -148,6 +148,11 @@ fn presentation(header: &[ColumnSpec], rng: &mut StdRng) -> (Action, Expect) {
     (action, expect)
 }
 
+/// A node id the graph does not have: every verb that names one refuses it.
+fn past_the_graph(tgdb: &Tgdb, rng: &mut StdRng) -> NodeId {
+    NodeId::from_index(tgdb.instances.node_count() + rng.gen_range(0..3))
+}
+
 /// With no table open only Open and Single apply: every other verb is
 /// refused.
 fn from_nothing(session: &Session, rng: &mut StdRng) -> (Action, Expect) {
@@ -162,6 +167,10 @@ fn from_nothing(session: &Session, rng: &mut StdRng) -> (Action, Expect) {
                 Action::Change(UserAction::Open { node_type }),
                 Expect::Accept,
             );
+        }
+        1 if rng.gen_range(0..4) == 0 => {
+            let node = past_the_graph(tgdb, rng);
+            return (Action::Change(UserAction::Single { node }), Expect::Refuse);
         }
         1 => return (Action::Change(UserAction::Single { node }), Expect::Either),
         2 => Action::Change(UserAction::Filter {
@@ -274,6 +283,17 @@ fn random_action(session: &mut Session, rng: &mut StdRng) -> Option<(Action, Exp
         2 => {
             let (column, expect) = pattern_column(rng);
             change(UserAction::Pivot { column }, expect)
+        }
+        3 | 4 if rng.gen_range(0..8) == 0 => {
+            let node = past_the_graph(&tgdb, rng);
+            let action = match rng.gen_range(0..2) {
+                0 => UserAction::Single { node },
+                _ => UserAction::Seeall {
+                    row: node,
+                    column: pattern_column(rng).0,
+                },
+            };
+            change(action, Expect::Refuse)
         }
         3 => {
             // A cell's count.
@@ -406,13 +426,13 @@ fn random_sessions_never_break_invariants() {
         }
     }
     // Every verb reached the session and was accepted, and every one but
-    // the two that start from nothing was also refused.
+    // Open was also refused (Single: an id the graph does not have).
     let verbs = [
         "open", "filter", "pivot", "single", "seeall", "sort", "hide", "show", "focus", "revert",
     ];
     for verb in verbs {
         let answered = answers.get(verb).cloned().unwrap_or_default();
-        let refusable = !matches!(verb, "open" | "single");
+        let refusable = verb != "open";
         assert!(answered.contains_key(&true), "{verb}: {answers:?}");
         assert_eq!(
             answered.contains_key(&false),
@@ -687,8 +707,9 @@ fn eager(tgdb: &Tgdb, q: &QueryPattern, shown: &Presentation) -> (Vec<ColumnSpec
             Cell::Refs(IdSlice::from(m.related(tgdb, node, at).unwrap()))
         }
     };
-    let mut rows: Vec<EagerRow> = (m.rows().iter())
-        .map(|&node| EagerRow {
+    let mut rows: Vec<EagerRow> = m
+        .rows()
+        .map(|node| EagerRow {
             node,
             cells: columns.iter().map(|c| cell(node, &c.kind)).collect(),
         })

@@ -4,19 +4,23 @@
 //! show and a re-render after a sort build no key and order no row, and a
 //! focus ranks the table once, reading labels once per distinct reference
 //! set, and a 12-row render builds the page's cells and reads at most
-//! `max_refs` labels per shown reference cell. The SQL executor's work (`etable_relational::work`) is held to the
-//! rows a join can match: Table 2's join tasks probe no more rows than
+//! `max_refs` labels per shown reference cell. The matcher holds only the
+//! rows an open names: none for a whole type, one for a `Single`. The SQL
+//! executor's work (`etable_relational::work`) is held to the rows a join
+//! can match: Table 2's join tasks probe no more rows than
 //! their joins emit, and a statement builds a reverse foreign-key index
 //! once per database, not once per run. The instance graph builds none
 //! at translation or re-pin, and reads the very reverse indexes the SQL
 //! joins read.
 
 use etable_repro::core::etable::{Cell, EnrichedTable};
+use etable_repro::core::pattern::NodeFilter;
 use etable_repro::core::render::{render_etable, RenderOptions};
 use etable_repro::core::session::Session;
 use etable_repro::core::work::{on_this_thread, Work};
 use etable_repro::datagen::tasks::{task_set, TaskSet};
 use etable_repro::datagen::{generate, GenConfig};
+use etable_repro::relational::expr::CmpOp;
 use etable_repro::relational::sql::executor::execute_query;
 use etable_repro::relational::sql::{execute, parse_statement, Statement};
 use etable_repro::relational::work;
@@ -147,6 +151,46 @@ fn a_render_reads_the_page_and_no_more() {
         cells[0], cells[1],
         "the same page at 3 000 and 12 000 papers"
     );
+}
+
+/// The matcher holds only the rows an open names, at both corpus sizes:
+/// an unfiltered open of Papers lists no row (its primary is every row of
+/// the type, and the table reads the match's rows in place, with no list of
+/// its own), a `Single` on one paper holds that one row, and a `title =`
+/// open holds exactly the papers so titled.
+#[test]
+fn the_matcher_holds_only_the_rows_an_open_names() {
+    for papers in [3_000, 12_000] {
+        let db = generate(&GenConfig::medium().with_papers(papers));
+        let tgdb = Arc::new(translate(&db, &TranslateOptions::default()).unwrap());
+        let mut s = Session::new(Arc::clone(&tgdb));
+        let shown = |s: &mut Session| s.etable().unwrap().len();
+        let w = work_of(|| {
+            s.open_by_name("Papers").unwrap();
+            assert_eq!(shown(&mut s), papers);
+        });
+        assert_eq!(w.rows_held, 0, "{papers}: {w:?}");
+
+        let paper = s.etable().unwrap().node_at(papers / 2).unwrap();
+        let w = work_of(|| {
+            s.single(paper).unwrap();
+            assert_eq!(shown(&mut s), 1);
+        });
+        assert_eq!(w.rows_held, 1, "{papers}: {w:?}");
+
+        let title = tgdb.instances.label(paper);
+        let (papers_type, _) = tgdb.schema.node_type_by_name("Papers").unwrap();
+        let titled = (tgdb.instances.label_column(papers_type).iter())
+            .filter(|t| *t == title)
+            .count();
+        let w = work_of(|| {
+            s.open_by_name("Papers").unwrap();
+            s.filter(NodeFilter::cmp("title", CmpOp::Eq, title))
+                .unwrap();
+            assert_eq!(shown(&mut s), titled);
+        });
+        assert_eq!(w.rows_held, titled as u64, "{papers}: {w:?}");
+    }
 }
 
 /// What `act` made the SQL executor do on this thread.
