@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod actions;
-pub mod cache;
 pub mod column_rank;
 pub mod connection;
 pub mod etable;

@@ -231,10 +231,12 @@ impl QueryPattern {
         self.tree(tgdb, self.primary).map(drop)
     }
 
-    /// A canonical string key for caching: stable under re-execution of the
-    /// same logical query, and injective — a filter is written as its
-    /// atoms' `Debug` form, in which text literals are escaped, so two
-    /// different filters never share a key.
+    /// A canonical string key: stable under re-execution of the same
+    /// logical query, and injective — a filter is written as its atoms'
+    /// `Debug` form, in which text literals are escaped, so two different
+    /// filters never share a key. Nothing in the workspace looks a match
+    /// up by it (a session finds its kept matches by pattern pointer); it
+    /// stays for the benchmark harness until ROADMAP 1(b)(ix).
     pub fn canonical_key(&self, tgdb: &Tgdb) -> String {
         use std::fmt::Write;
         let mut s = String::new();

@@ -7,9 +7,9 @@
 //! drive programmatically.
 
 use crate::actions::{self, Action, UserAction};
-use crate::cache::QueryCache;
 use crate::column_rank::rank_columns;
 use crate::etable::EnrichedTable;
+use crate::matching::{match_primary, MatchResult};
 use crate::pattern::{NodeFilter, QueryPattern};
 use crate::transform;
 use crate::{Error, Result};
@@ -48,11 +48,22 @@ pub struct Session {
     history: Vec<HistoryStep>,
     /// `None` until a table is open.
     view: Option<View>,
-    cache: QueryCache,
+    /// The matches of the last [`KEPT_MATCHES`] patterns shown, least
+    /// recently shown first. A pattern is found by pointer: a revert
+    /// shows its step's own `Arc`, and the `Arc` held here keeps its
+    /// address from being reused by another pattern.
+    matches: Vec<(Arc<QueryPattern>, Arc<MatchResult>)>,
+    /// How often a shown table found its match kept, and how often not.
+    hits: u64,
+    misses: u64,
     /// The table shown, sorted, before hiding; a new step, sort or graph
     /// drops it.
     window: Option<EnrichedTable>,
 }
+
+/// How many matches a session keeps (paper §9: reusing intermediate
+/// results). A session's history rarely exceeds a few dozen steps.
+const KEPT_MATCHES: usize = 64;
 
 fn no_table() -> Error {
     Error::InvalidAction("no table is open".into())
@@ -65,7 +76,9 @@ impl Session {
             tgdb,
             history: Vec::new(),
             view: None,
-            cache: QueryCache::new(),
+            matches: Vec::new(),
+            hits: 0,
+            misses: 0,
             window: None,
         }
     }
@@ -77,12 +90,12 @@ impl Session {
     }
 
     /// Browses `tgdb` from here on — the session's schema graph at
-    /// another epoch ([`Tgdb::at`]) — and drops the cached matches. The
+    /// another epoch ([`Tgdb::at`]) — and drops the kept matches. The
     /// history stays valid: a pattern names types by id and entities by
     /// key, and the schema graph does not change between epochs.
     pub fn repin(&mut self, tgdb: Arc<Tgdb>) {
         self.tgdb = tgdb;
-        self.cache.clear();
+        self.matches.clear();
         self.window = None;
     }
 
@@ -138,7 +151,7 @@ impl Session {
         let view = self.view.as_ref().ok_or_else(no_table)?;
         let sort = view.sort.clone();
         let pattern = Arc::clone(&self.history[view.step].pattern);
-        let m = self.cache.get_or_compute(&self.tgdb, &pattern)?;
+        let m = self.kept_match(pattern)?;
         let mut t = transform::transform(&self.tgdb, &m)?;
         if let Some((col, desc)) = sort {
             if let Some(idx) = t.column_index(&col) {
@@ -146,6 +159,31 @@ impl Session {
             }
         }
         Ok(self.window.insert(t))
+    }
+
+    /// The match of a pattern about to be shown: the kept one if the
+    /// pattern was shown before (moved to the back, as shown last), else
+    /// a new one, which evicts the least recently shown past
+    /// [`KEPT_MATCHES`].
+    fn kept_match(&mut self, pattern: Arc<QueryPattern>) -> Result<Arc<MatchResult>> {
+        let kept = (self.matches.iter()).position(|(p, _)| Arc::ptr_eq(p, &pattern));
+        let entry = match kept {
+            Some(i) => {
+                self.hits += 1;
+                self.matches.remove(i)
+            }
+            None => {
+                let m = Arc::new(match_primary(&self.tgdb, &pattern)?);
+                self.misses += 1;
+                if self.matches.len() == KEPT_MATCHES {
+                    self.matches.remove(0);
+                }
+                (pattern, m)
+            }
+        };
+        let m = Arc::clone(&entry.1);
+        self.matches.push(entry);
+        Ok(m)
     }
 
     /// Applies one action: the session's only entry point. A refused
@@ -306,9 +344,11 @@ impl Session {
         Ok(self.focused().to_vec())
     }
 
-    /// Cache statistics `(hits, misses)` — exercised by the reuse bench.
+    /// `(hits, misses)`: how many tables shown found their match kept
+    /// and how many matched their pattern. Kept for the benchmark
+    /// harness until ROADMAP 1(b)(ix).
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
+        (self.hits, self.misses)
     }
 }
 
@@ -357,10 +397,9 @@ mod tests {
         s.revert(0).unwrap();
         let after = s.etable().unwrap();
         assert_eq!(before.len(), after.len());
-        assert_eq!(s.history().len(), 3); // open, filter, revert
-                                          // Revert re-used the cached matching of step 0.
-        let (hits, _) = s.cache_stats();
-        assert!(hits >= 1);
+        // Open, filter, revert: the revert showed step 0's kept match.
+        assert_eq!(s.history().len(), 3);
+        assert_eq!(s.cache_stats(), (1, 2));
     }
 
     #[test]
@@ -597,6 +636,67 @@ mod tests {
         s.revert(0).unwrap();
         s.filter(acronym_in(&["KDD', 'SIGMOD"])).unwrap();
         assert_eq!(s.etable().unwrap().len(), 0);
+    }
+
+    #[test]
+    fn reverts_find_the_matches_they_showed_last() {
+        // Three trail steps, then laps that revert to each of them and
+        // apply one filter anew: each lap shows one new pattern, so a
+        // list kept in the order matches were made would lose the trail
+        // after 61 laps.
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let mut s = Session::new(tgdb.clone());
+        s.open_by_name("Papers").unwrap();
+        s.etable().unwrap();
+        s.filter(NodeFilter::cmp("year", CmpOp::Gt, 2010)).unwrap();
+        s.etable().unwrap();
+        s.pivot("Authors").unwrap();
+        s.etable().unwrap();
+        let laps = 200;
+        for _ in 0..laps {
+            for step in 0..3 {
+                s.revert(step).unwrap();
+                s.etable().unwrap();
+            }
+            s.filter(NodeFilter::like("name", "%a%")).unwrap();
+            s.etable().unwrap();
+            assert!(s.matches.len() <= KEPT_MATCHES);
+        }
+        assert_eq!(s.cache_stats(), (3 * laps, 3 + laps));
+    }
+
+    #[test]
+    fn a_revert_past_the_kept_matches_matches_again() {
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let mut s = Session::new(tgdb.clone());
+        s.open_by_name("Papers").unwrap();
+        let first: Vec<NodeId> = s.etable().unwrap().nodes().collect();
+        for i in 0..KEPT_MATCHES {
+            s.open_by_name(["Authors", "Papers"][i % 2]).unwrap();
+            s.etable().unwrap();
+        }
+        let shown = KEPT_MATCHES as u64 + 1;
+        assert_eq!(s.cache_stats(), (0, shown));
+        s.revert(0).unwrap();
+        assert_eq!(s.etable().unwrap().nodes().collect::<Vec<_>>(), first);
+        assert_eq!(s.cache_stats(), (0, shown + 1));
+        s.revert(0).unwrap();
+        s.etable().unwrap();
+        assert_eq!(s.cache_stats(), (1, shown + 1));
+    }
+
+    #[test]
+    fn a_repin_drops_the_kept_matches() {
+        let tgdb = std::sync::Arc::new(academic_tgdb());
+        let mut s = Session::new(tgdb.clone());
+        s.open_by_name("Papers").unwrap();
+        s.etable().unwrap();
+        s.repin(tgdb.clone());
+        s.etable().unwrap();
+        assert_eq!(s.cache_stats(), (0, 2));
+        s.revert(0).unwrap();
+        s.etable().unwrap();
+        assert_eq!(s.cache_stats(), (1, 2));
     }
 
     #[test]

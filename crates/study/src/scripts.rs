@@ -82,7 +82,7 @@ pub fn run_etable_task(
             )?;
             steps.push(UiStep::Read(6)); // locate the year cell
             let t = session.etable()?;
-            answer = read_column(&t, "year", usize::MAX);
+            answer = read_column(&t, "year", usize::MAX)?;
         }
         2 => {
             // All keywords of paper `title2`.
@@ -105,7 +105,7 @@ pub fn run_etable_task(
             session.seeall(row_node, "Paper_Keywords: keyword")?;
             let t = session.etable()?;
             steps.push(UiStep::Read(t.len()));
-            answer = read_column(&t, "keyword", usize::MAX);
+            answer = read_column(&t, "keyword", usize::MAX)?;
         }
         3 => {
             // Papers by `author` in `year`+.
@@ -136,7 +136,7 @@ pub fn run_etable_task(
             let t = session.etable()?;
             steps.push(UiStep::Read(t.len() + 8)); // verify titles and years
             steps.push(UiStep::Think);
-            answer = read_column(&t, "title", usize::MAX);
+            answer = read_column(&t, "title", usize::MAX)?;
         }
         4 => {
             // Papers by `institution` researchers at `conf_filter`.
@@ -199,7 +199,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Read(t.len().min(25)));
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            answer = read_column(&t, "title", usize::MAX);
+            answer = read_column(&t, "title", usize::MAX)?;
         }
         5 => {
             // Largest South Korean institution by researcher count: filter
@@ -229,7 +229,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            answer = read_column(&t, "name", 1);
+            answer = read_column(&t, "name", 1)?;
         }
         6 => {
             // Top 3 authors by paper count at `conf_agg`: this is the
@@ -273,7 +273,7 @@ pub fn run_etable_task(
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
             steps.push(UiStep::Think);
-            answer = read_column(&t, "name", 3);
+            answer = read_column(&t, "name", 3)?;
         }
         other => {
             return Err(etable_core::Error::InvalidAction(format!(
@@ -285,11 +285,21 @@ pub fn run_etable_task(
 }
 
 /// The first `n` values of attribute column `name`, as read off the table.
-fn read_column(t: &EnrichedTable, name: &str, n: usize) -> BTreeSet<String> {
-    let col = t.column_index(name).expect("the answer column is shown");
+fn read_column(
+    t: &EnrichedTable,
+    name: &str,
+    n: usize,
+) -> Result<BTreeSet<String>, etable_core::Error> {
+    let col = (t.column_index(name))
+        .ok_or_else(|| etable_core::Error::UnknownColumn(name.to_string()))?;
     t.column_values(col)
         .take(n)
-        .map(|c| c.value().expect("an attribute column").to_string())
+        .map(|c| match c.value() {
+            Some(v) => Ok(v.to_string()),
+            None => Err(etable_core::Error::InvalidAction(format!(
+                "column `{name}` holds references, not values"
+            ))),
+        })
         .collect()
 }
 
@@ -430,6 +440,22 @@ mod tests {
         let db = generate(&GenConfig::small());
         let tgdb = translate(&db, &TranslateOptions::default()).unwrap();
         (db, Arc::new(tgdb))
+    }
+
+    #[test]
+    fn reading_a_missing_or_reference_column_is_refused() {
+        let (_, tgdb) = setup();
+        let mut s = Session::new(Arc::clone(&tgdb));
+        s.open_by_name("Papers").unwrap();
+        let t = s.etable().unwrap();
+        assert_eq!(read_column(&t, "year", 2).unwrap().len(), 2);
+        let missing = read_column(&t, "nope", 1).unwrap_err();
+        assert_eq!(missing, etable_core::Error::UnknownColumn("nope".into()));
+        let refs = read_column(&t, "Authors", 1).unwrap_err();
+        assert!(
+            matches!(refs, etable_core::Error::InvalidAction(_)),
+            "{refs}"
+        );
     }
 
     #[test]

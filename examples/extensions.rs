@@ -39,13 +39,13 @@ fn main() {
     let kept = s.focus_top_columns(4).unwrap();
     println!("\nfocused columns: {}", kept.join(", "));
 
-    // --- §9 (2): result caching ---------------------------------------
+    // --- §9 (2): reusing matches --------------------------------------
     s.filter(NodeFilter::cmp("year", CmpOp::Ge, 2010)).unwrap();
     let _ = s.etable().unwrap();
-    s.revert(0).unwrap(); // cache hit: the unfiltered table was memoized
+    s.revert(0).unwrap(); // step 0's pattern: the session kept its match
     let _ = s.etable().unwrap();
     let (hits, misses) = s.cache_stats();
-    println!("cache: {hits} hits / {misses} misses after a revert");
+    println!("kept matches: {hits} hits / {misses} misses after a revert");
 
     // --- export --------------------------------------------------------
     let json = export::to_json(&table);

@@ -25,6 +25,10 @@
 //! writes left alone) must be the graph a fresh translation of that epoch
 //! loads.
 //!
+//! The long-session leg shows more patterns than a session keeps matches
+//! for, and reverts over the whole history: every table shown must list
+//! what a fresh match of its pattern lists.
+//!
 //! `PROPTEST_CASES` raises the number of seeded sessions (deep-verify
 //! runs 1024).
 
@@ -502,6 +506,50 @@ fn history_replay_reproduces_results() {
             assert_eq!(now, e, "step {step}");
         }
     }
+}
+
+/// A session keeps the matches of the last 64 patterns it showed. Over
+/// 200 actions, a quarter of them reverts to any step of the history and
+/// a quarter opens a table anew, so more patterns are shown than are kept
+/// and reverts reach evicted ones: every table shown must list what a
+/// fresh match of the current pattern lists.
+#[test]
+fn long_sessions_show_a_fresh_match() {
+    let tgdb = tgdb();
+    let tables = Session::new(tgdb.clone()).default_table_list();
+    // Reverts that found their step's match evicted, over all cases.
+    let mut rematched = 0;
+    for seed in 0..u64::from(cases(8)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut session = Session::new(tgdb.clone());
+        for step in 0..200 {
+            let steps = session.history().len();
+            let drawn = match rng.gen_range(0..4) {
+                0 if steps > 0 => (Action::Revert(rng.gen_range(0..steps)), Expect::Accept),
+                1 => {
+                    let (node_type, _) = tables[rng.gen_range(0..tables.len())];
+                    let open = UserAction::Open { node_type };
+                    (Action::Change(open), Expect::Accept)
+                }
+                _ => match random_action(&mut session, &mut rng) {
+                    Some(drawn) => drawn,
+                    None => continue,
+                },
+            };
+            let revert = matches!(drawn.0, Action::Revert(_));
+            checked(&mut session, drawn, &mut Presentation::default());
+            let Some(q) = session.current_pattern().cloned() else {
+                continue;
+            };
+            let (_, misses) = session.cache_stats();
+            let mut shown: Vec<NodeId> = session.etable().unwrap().nodes().collect();
+            rematched += usize::from(revert && session.cache_stats().1 > misses);
+            shown.sort();
+            let fresh: Vec<NodeId> = match_primary(tgdb, &q).unwrap().rows().collect();
+            assert_eq!(shown, fresh, "seed {seed} step {step}: {q:?}");
+        }
+    }
+    assert!(rematched > 0, "no revert reached an evicted match");
 }
 
 /// One random write through `c` to `Papers`, `Paper_Authors` or
