@@ -6,7 +6,10 @@
 //! `hide_after_sort` hides and shows a column of the sorted table, which
 //! orders nothing again; `focus_top_4` ranks the columns of SIGMOD's
 //! papers and hides all but the best four; `render_page` is the 12-row
-//! render alone, of an all-Papers table already shown once.
+//! render alone, of an all-Papers table already shown once; `chain_page`
+//! is the same render of Table 2's task-4 chain (`Institutions = CMU →
+//! Authors → Papers`, pivoted on to Conferences), whose Papers, Authors and
+//! Institutions cells walk one, two and three hops from each row.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etable_core::pattern::NodeFilter;
@@ -53,12 +56,26 @@ fn bench_present(c: &mut Criterion) {
     group.bench_function("focus_top_4", |b| {
         b.iter(|| sigmod.focus_top_columns(4).expect("focus ranks").len())
     });
-    let mut all = Session::new(tgdb);
+    let mut all = Session::new(tgdb.clone());
     all.open_by_name("Papers").expect("Papers opens");
     let page = all.etable().expect("table shows");
     render_etable(&page, &opts);
     group.bench_function("render_page", |b| {
         b.iter(|| render_etable(&page, &opts).len())
+    });
+    let mut chain = Session::new(tgdb);
+    chain
+        .open_by_name("Institutions")
+        .expect("Institutions opens");
+    let cmu = NodeFilter::cmp("name", CmpOp::Eq, "Carnegie Mellon University");
+    chain.filter(cmu).expect("CMU filters");
+    for to in ["Authors", "Papers", "Conferences"] {
+        chain.pivot(to).expect("the chain pivots");
+    }
+    let conferences = chain.etable().expect("table shows");
+    render_etable(&conferences, &opts);
+    group.bench_function("chain_page", |b| {
+        b.iter(|| render_etable(&conferences, &opts).len())
     });
     group.finish();
 }

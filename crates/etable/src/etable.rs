@@ -11,8 +11,14 @@
 //! in place ([`MatchResult::rows`]), not copied. No cell is stored. A cell
 //! is built when someone reads it: a base value through the graph, a
 //! neighbor cell as the node's shared run of the buffer its edge type is
-//! read from ([`IdSlice`]), a participating cell by one walk of the
-//! pattern path.
+//! read from ([`IdSlice`]), a participating cell as the frontier of its
+//! pattern node in one walk of the pattern tree from the row.
+//!
+//! The pattern tree is resolved from the primary once, when the table is
+//! made, into hops, parents first; a participating column names its hop.
+//! A read walks each row once, for the hops its columns need and the hops
+//! they start from: a page's or a row's participating cells share their
+//! path prefixes, and a lone cell walks only its own chain.
 //!
 //! The order is lazy too. A sort builds one word per row for the column
 //! sorted; a read orders only the prefix it reaches, with ORDER BY …
@@ -20,9 +26,9 @@
 //! it. Copies of a table share its order. The table stays `Send` and
 //! self-contained after the graph handle is gone.
 
-use crate::matching::{MatchResult, RelatedScratch};
+use crate::matching::{mark_chain, Frontiers, Hop, MatchResult};
 use crate::pattern::PatternNodeId;
-use crate::{work, Result};
+use crate::{work, Error, Result};
 use etable_relational::colrel::order_prefix;
 use etable_relational::table::ColumnStore;
 use etable_relational::value::Value;
@@ -109,13 +115,13 @@ pub struct ETableRow {
 }
 
 /// Where a column's cells come from: its [`ColumnKind`], with a
-/// participating column's pattern path resolved when the table is made,
-/// so no read can fail.
+/// participating column's pattern node resolved to its hop of the walk
+/// when the table is made, so no read can fail.
 #[derive(Debug, Clone)]
 enum Source {
     Base(usize),
     Neighbor(EdgeTypeId),
-    Participating(Vec<(PatternNodeId, EdgeTypeId)>),
+    Participating(usize),
 }
 
 /// The rows of an enriched table: the sort on the matched primary rows if
@@ -131,6 +137,8 @@ pub struct ETableRows {
     /// Shared by every copy: what one copy orders, all have in order.
     order: Option<Arc<Mutex<Order>>>,
     sources: Vec<Source>,
+    /// The pattern tree walked from the primary, parents first.
+    hops: Vec<Hop>,
     graph: Arc<InstanceGraph>,
     /// Its primary rows, ascending, are the rows in the order the table
     /// was made with.
@@ -144,11 +152,13 @@ struct Order {
     done: usize,
 }
 
-/// The buffers one pass over a column reuses from cell to cell.
-#[derive(Default)]
+/// What a pass over rows reads their participating cells with: the hops
+/// its columns need walked (the hops they start from included; `walks`:
+/// any), and the frontiers each row's walk fills, reused from row to row.
 struct Reader {
-    walk: RelatedScratch,
-    ids: Vec<NodeId>,
+    needs: Vec<bool>,
+    walks: bool,
+    walk: Frontiers,
 }
 
 impl ETableRows {
@@ -169,15 +179,16 @@ impl ETableRows {
 
     /// Every row top to bottom, each built when the iterator reaches it.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ETableRow> + '_ {
-        let mut reader = Reader::default();
-        (0..self.len())
-            .map(|row| self.node(row))
-            .map(move |node| ETableRow {
+        let mut reader = self.reader(&self.sources);
+        (0..self.len()).map(|row| self.node(row)).map(move |node| {
+            self.walk(node, &mut reader);
+            ETableRow {
                 node,
                 cells: (self.sources.iter())
-                    .map(|source| self.cell(node, source, &mut reader))
+                    .map(|source| self.cell(node, source, &reader))
                     .collect(),
-            })
+            }
+        })
     }
 
     /// The node shown at row `row` (`< len`). A read past the ordered rows
@@ -216,17 +227,40 @@ impl ETableRows {
         }
     }
 
-    /// The cell of `node` in the column `source` computes.
-    fn cell(&self, node: NodeId, source: &Source, reader: &mut Reader) -> Cell {
+    /// A reader of the cells of `sources`.
+    fn reader<'s>(&self, sources: impl IntoIterator<Item = &'s Source>) -> Reader {
+        let mut needs = vec![false; self.hops.len()];
+        for source in sources {
+            if let Source::Participating(at) = source {
+                mark_chain(&self.hops, *at, &mut needs);
+            }
+        }
+        Reader {
+            walks: needs.contains(&true),
+            needs,
+            walk: Frontiers::default(),
+        }
+    }
+
+    /// Walks the pattern tree from `node`'s row, once, for the hops
+    /// `reader` needs: its participating cells are then read from the walk.
+    fn walk(&self, node: NodeId, reader: &mut Reader) {
+        if reader.walks {
+            let (graph, hops) = (&self.graph, &self.hops);
+            (self.matched).walk_row(graph, hops, &reader.needs, node, &mut reader.walk);
+        }
+    }
+
+    /// The cell of `node` in the column `source` computes, a participating
+    /// one from `reader`'s walk of `node`'s row.
+    fn cell(&self, node: NodeId, source: &Source, reader: &Reader) -> Cell {
         match source {
             Source::Base(attr) => {
                 let (first, columns) = self.base_columns();
                 Cell::Atomic(columns[*attr].get((node.0 - first) as usize))
             }
             Source::Neighbor(edge) => Cell::Refs(self.graph.neighbor_slice(*edge, node)),
-            Source::Participating(path) => {
-                Cell::Refs(self.walk(node, path, reader).to_vec().into())
-            }
+            Source::Participating(at) => Cell::Refs(reader.walk.at(*at).to_vec().into()),
         }
     }
 
@@ -241,25 +275,25 @@ impl ETableRows {
     }
 
     /// The reference count of that cell, without building it.
-    fn count(&self, node: NodeId, source: &Source, reader: &mut Reader) -> usize {
+    fn count(&self, node: NodeId, source: &Source, reader: &Reader) -> usize {
         match source {
             Source::Base(_) => 0,
             Source::Neighbor(edge) => self.graph.degree(*edge, node),
-            Source::Participating(path) => self.walk(node, path, reader).len(),
+            Source::Participating(at) => reader.walk.at(*at).len(),
         }
     }
 
-    /// The nodes related to `node` at the end of a participating column's
-    /// path.
-    fn walk<'r>(
-        &self,
-        node: NodeId,
-        path: &[(PatternNodeId, EdgeTypeId)],
-        reader: &'r mut Reader,
-    ) -> &'r [NodeId] {
-        reader.ids.clear();
-        (self.matched).related_into(&self.graph, path, node, &mut reader.walk, &mut reader.ids);
-        &reader.ids
+    /// The cells of column `source` for `nodes`, in their order.
+    fn column<'a>(
+        &'a self,
+        source: &'a Source,
+        nodes: impl ExactSizeIterator<Item = NodeId> + 'a,
+    ) -> impl ExactSizeIterator<Item = Cell> + 'a {
+        let mut reader = self.reader([source]);
+        nodes.map(move |node| {
+            self.walk(node, &mut reader);
+            self.cell(node, source, &reader)
+        })
     }
 }
 
@@ -296,8 +330,8 @@ pub struct EnrichedTable {
 impl EnrichedTable {
     /// The table headed `primary_type_name` and `filter_desc` with
     /// `matched`'s rows under `columns`, whose participating columns name
-    /// nodes of `matched.pattern`: every column's source is resolved here,
-    /// once.
+    /// nodes of `matched.pattern` other than its primary: the pattern tree
+    /// and every column's source are resolved here, once.
     pub(crate) fn new(
         primary_type_name: String,
         filter_desc: String,
@@ -305,19 +339,21 @@ impl EnrichedTable {
         tgdb: &Tgdb,
         matched: &Arc<MatchResult>,
     ) -> Result<EnrichedTable> {
-        let pattern = &matched.pattern;
+        let hops = matched.hops(tgdb)?;
         let source = |c: &ColumnSpec| {
             Ok(match c.kind {
                 ColumnKind::Base { attr } => Source::Base(attr),
                 ColumnKind::Neighbor { edge } => Source::Neighbor(edge),
-                ColumnKind::Participating { node } => {
-                    Source::Participating(pattern.path(tgdb, pattern.primary, node)?)
-                }
+                ColumnKind::Participating { node } => Source::Participating(
+                    (hops.iter().position(|h| h.node == node))
+                        .ok_or_else(|| Error::InvalidNode(format!("{node} out of range")))?,
+                ),
             })
         };
         let rows = ETableRows {
             order: None,
             sources: columns.iter().map(source).collect::<Result<_>>()?,
+            hops,
             graph: Arc::clone(&tgdb.instances),
             matched: Arc::clone(matched),
         };
@@ -396,14 +432,18 @@ impl EnrichedTable {
     pub fn cell(&self, row: usize, col: usize) -> Option<Cell> {
         let source = self.rows.sources.get(col)?;
         let node = self.node_at(row)?;
-        Some(self.rows.cell(node, source, &mut Reader::default()))
+        self.rows.column(source, std::iter::once(node)).next()
     }
 
     /// The number of references in a cell (0 for an atomic cell or one
     /// the table does not have), counted without building the cell.
     pub fn ref_count(&self, row: usize, col: usize) -> usize {
         match (self.node_at(row), self.rows.sources.get(col)) {
-            (Some(node), Some(source)) => self.rows.count(node, source, &mut Reader::default()),
+            (Some(node), Some(source)) => {
+                let mut reader = self.rows.reader([source]);
+                self.rows.walk(node, &mut reader);
+                self.rows.count(node, source, &reader)
+            }
             _ => 0,
         }
     }
@@ -415,13 +455,17 @@ impl EnrichedTable {
     ///
     /// When `col` is not a column of the table.
     pub fn column_values(&self, col: usize) -> impl ExactSizeIterator<Item = Cell> + '_ {
-        let source = &self.rows.sources[col];
-        let mut reader = Reader::default();
-        (0..self.len()).map(move |row| self.rows.cell(self.rows.node(row), source, &mut reader))
+        let rows = &self.rows;
+        rows.column(
+            &rows.sources[col],
+            (0..self.len()).map(|row| rows.node(row)),
+        )
     }
 
     /// The first `rows` rows as a page shows them: their nodes are read
-    /// once, under one lock, and `visit(cell, label)` sees each column's
+    /// once, under one lock, each row's participating cells come from one
+    /// walk of the row (for the hops the shown columns need, hidden
+    /// ancestors included), and `visit(cell, label)` sees each column's
     /// cells top to bottom, columns left to right, where `label` reads the
     /// label of a node the cell refers to from its type's label column,
     /// looked up once per column (`type_labels`). Counts the cells built
@@ -431,12 +475,27 @@ impl EnrichedTable {
         rows: usize,
         mut visit: impl FnMut(&Cell, &mut dyn FnMut(NodeId) -> Value),
     ) {
-        let nodes = self.rows.page(rows.min(self.len()));
-        let (mut reader, mut read) = (Reader::default(), 0);
-        for source in &self.rows.sources {
-            let mut labels = None;
+        let page = &self.rows;
+        let nodes = page.page(rows.min(self.len()));
+        let mut reader = page.reader(&page.sources);
+        // The participating cells, row by row, one walk a row.
+        let mut walked: Vec<Vec<Cell>> = vec![Vec::new(); page.sources.len()];
+        if reader.walks {
             for &node in &nodes {
-                let cell = self.rows.cell(node, source, &mut reader);
+                page.walk(node, &mut reader);
+                for (source, cells) in page.sources.iter().zip(&mut walked) {
+                    if let Source::Participating(_) = source {
+                        cells.push(page.cell(node, source, &reader));
+                    }
+                }
+            }
+        }
+        let mut read = 0;
+        for (source, walked) in page.sources.iter().zip(walked) {
+            let (mut walked, mut labels) = (walked.into_iter(), None);
+            for &node in &nodes {
+                // Only a participating column has cells walked already.
+                let cell = (walked.next()).unwrap_or_else(|| page.cell(node, source, &reader));
                 if let (None, Some(id)) = (&labels, cell.refs().and_then(|mut ids| ids.next())) {
                     labels = Some(self.type_labels(id));
                 }
@@ -446,7 +505,7 @@ impl EnrichedTable {
                 });
             }
         }
-        let cells = (nodes.len() * self.rows.sources.len()) as u64;
+        let cells = (nodes.len() * page.sources.len()) as u64;
         work::count(|w| {
             w.page_cells += cells;
             w.page_labels += read;
@@ -456,9 +515,8 @@ impl EnrichedTable {
     /// Every cell of column `col`, rows in the order the table was made
     /// with: a reader blind to order (the column ranker) orders nothing.
     pub(crate) fn unordered_cells(&self, col: usize) -> impl Iterator<Item = Cell> + '_ {
-        let source = &self.rows.sources[col];
-        let mut reader = Reader::default();
-        (self.rows.matched.rows()).map(move |node| self.rows.cell(node, source, &mut reader))
+        let rows = &self.rows;
+        rows.column(&rows.sources[col], rows.matched.rows())
     }
 
     /// Drops every column `drop` selects (the session's hidden columns):
@@ -489,13 +547,16 @@ impl EnrichedTable {
         let rows = &self.rows;
         let source = &rows.sources[column];
         let (first, columns) = rows.base_columns();
-        let mut reader = Reader::default();
+        let mut reader = rows.reader([source]);
         let mut key = |node: NodeId| match source {
             Source::Base(attr) => {
                 let value = columns[*attr].get((node.0 - first) as usize);
                 value.order_word(|s| dict.rank(s))
             }
-            _ => rows.count(node, source, &mut reader) as u128,
+            _ => {
+                rows.walk(node, &mut reader);
+                rows.count(node, source, &reader) as u128
+            }
         };
         let flip = if descending { !0 << 32 } else { 0 };
         let words: Vec<u128> = (rows.matched.rows().zip(0u32..))
@@ -508,13 +569,16 @@ impl EnrichedTable {
     /// Total number of entity references across all cells (used by the
     /// duplication-factor analysis: a relational join would repeat rows
     /// multiplicatively, an ETable only additively). Counted without
-    /// building a cell.
+    /// building a cell, from one walk of each row.
     pub fn total_refs(&self) -> usize {
         let rows = &self.rows;
-        let mut reader = Reader::default();
-        (rows.sources.iter())
-            .flat_map(|source| rows.matched.rows().map(move |node| (node, source)))
-            .map(|(node, source)| rows.count(node, source, &mut reader))
+        let mut reader = rows.reader(&rows.sources);
+        (rows.matched.rows())
+            .map(|node| {
+                rows.walk(node, &mut reader);
+                let counts = rows.sources.iter().map(|s| rows.count(node, s, &reader));
+                counts.sum::<usize>()
+            })
             .sum()
     }
 }

@@ -17,15 +17,23 @@
 //!
 //! A node is a row of its type, so the matcher holds sets of rows: bitmaps
 //! through the passes, then one form per pattern node — the primary's
-//! rows listed, as the table lists them, any other's in the bitmap that
-//! [`MatchResult::related_into`] tests, or "every row", which holds none.
+//! rows listed, as the table lists them, any other's in the bitmap a
+//! row's walk tests, or "every row", which holds none.
+//!
+//! Each pattern-tree hop runs once per unit of work, through one hop
+//! routine. A table row's related sets come from one walk of the pattern
+//! tree from its primary row (`MatchResult::walk_row`): a hop's frontier
+//! is filled from its parent hop's, so participating columns that share a
+//! path prefix share its frontiers. The down pass re-checks, for a node
+//! grown from its parent's start, only the rows adjacent to the parent
+//! rows dropped since (`Recheck`).
 //!
 //! For tree-shaped patterns both agree:
 //! `Π_τ(match_full(Q)) == match_primary(Q).projection(τ)` (property-tested).
 
 use crate::graph_relation::GraphRelation;
 use crate::pattern::{PatternNodeId, QueryPattern};
-use crate::{work, Result};
+use crate::{work, Error, Result};
 use etable_relational::scan::Bits;
 use etable_tgm::{EdgeTypeId, InstanceGraph, NodeId, Span, Tgdb};
 
@@ -49,15 +57,92 @@ pub struct MatchResult {
     held: Vec<(Span, Held)>,
 }
 
-/// Buffers [`MatchResult::related_into`] reuses from row to row. Nothing
-/// is allocated until a walk needs it.
+/// One hop of the pattern tree walked from the primary: the pattern node
+/// it reaches, the edge type oriented towards it, and the hop whose
+/// frontier it starts from (`None`: the primary row). [`MatchResult::hops`]
+/// lists them parents first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hop {
+    pub(crate) node: PatternNodeId,
+    pub(crate) edge: EdgeTypeId,
+    pub(crate) from: Option<usize>,
+}
+
+/// Marks hop `at` and every hop it starts from in `needs`: what a walk
+/// must fill to reach `at`.
+pub(crate) fn mark_chain(hops: &[Hop], at: usize, needs: &mut [bool]) {
+    let mut at = Some(at);
+    while let Some(h) = at {
+        needs[h] = true;
+        at = hops[h].from;
+    }
+}
+
+/// The frontiers one row's walk fills, one per hop, reused from row to
+/// row. Nothing is allocated until a walk needs it.
 #[derive(Debug, Default)]
-pub struct RelatedScratch {
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
+pub(crate) struct Frontiers {
+    /// One per hop: the nodes it reached in the last walk that filled it.
+    frontiers: Vec<Vec<NodeId>>,
     /// Empty between hops: every row a hop adds it removes again. Grown by
     /// each hop that needs it to that hop's target type's rows.
     seen: Bits,
+    /// Neighbors visited by the walks, counted (`work::Work::walk_visits`)
+    /// once, when the frontiers are dropped, not once a row.
+    visited: u64,
+}
+
+impl Drop for Frontiers {
+    fn drop(&mut self) {
+        if self.visited > 0 {
+            work::count(|w| w.walk_visits += self.visited);
+        }
+    }
+}
+
+impl Frontiers {
+    /// The nodes hop `at` reached in the last walk that filled it, first
+    /// reached first.
+    pub(crate) fn at(&self, at: usize) -> &[NodeId] {
+        &self.frontiers[at]
+    }
+}
+
+/// One hop along `edge`: appends to `out` the neighbors of `from`'s nodes
+/// that are rows of `span` held by `keep` (`None`: every row), each once,
+/// first reached first, and returns how many neighbors it visited. One
+/// node's neighbor list holds no duplicates (an edge is a key of its source
+/// relation); only a wider `from` needs `seen`, which it leaves empty.
+fn hop(
+    graph: &InstanceGraph,
+    edge: EdgeTypeId,
+    from: &[NodeId],
+    (span, keep): (Span, Option<&Bits>),
+    seen: &mut Bits,
+    out: &mut Vec<NodeId>,
+) -> u64 {
+    let (first, start) = (span.first().0, out.len());
+    let dedup = from.len() > 1;
+    if dedup {
+        seen.grow(span.len());
+    }
+    let mut visited = 0;
+    for &f in from {
+        for nb in graph.neighbors(edge, f) {
+            visited += 1;
+            let row = nb.0 - first;
+            if keep.is_none_or(|bits| bits.contains(row)) && !(dedup && seen.contains(row)) {
+                if dedup {
+                    seen.set(row);
+                }
+                out.push(nb);
+            }
+        }
+    }
+    if dedup {
+        out[start..].iter().for_each(|nb| seen.unset(nb.0 - first));
+    }
+    visited
 }
 
 impl MatchResult {
@@ -115,72 +200,71 @@ impl MatchResult {
     }
 
     /// The nodes related to `row` (a matched primary node) at pattern node
-    /// `target`: `Π_type(target) σ_{τa = row}(m(Q))` computed by walking the
-    /// unique pattern path and intersecting with the matched sets.
+    /// `target`: `Π_type(target) σ_{τa = row}(m(Q))`, first reached first,
+    /// computed by walking the unique pattern path and intersecting with
+    /// the matched sets.
     pub fn related(&self, tgdb: &Tgdb, row: NodeId, target: PatternNodeId) -> Result<Vec<NodeId>> {
-        let path = self.pattern.path(tgdb, self.pattern.primary, target)?;
-        let mut out = Vec::new();
-        self.related_into(
-            &tgdb.instances,
-            &path,
-            row,
-            &mut RelatedScratch::default(),
-            &mut out,
-        );
-        Ok(out)
+        let hops = self.hops(tgdb)?;
+        if target == self.pattern.primary {
+            return Ok(vec![row]);
+        }
+        let at = (hops.iter().position(|h| h.node == target))
+            .ok_or_else(|| Error::InvalidNode(format!("{target} out of range")))?;
+        let mut needs = vec![false; hops.len()];
+        mark_chain(&hops, at, &mut needs);
+        let mut walk = Frontiers::default();
+        self.walk_row(&tgdb.instances, &hops, &needs, row, &mut walk);
+        Ok(walk.at(at).to_vec())
     }
 
-    /// [`MatchResult::related`] for callers that walk one `path` (from the
-    /// primary node, as [`QueryPattern::path`] returns it) for many rows:
-    /// appends the related nodes to `out`, first-reached first.
-    pub fn related_into(
+    /// The pattern tree walked from the primary, one [`Hop`] per other
+    /// node, parents first.
+    pub(crate) fn hops(&self, tgdb: &Tgdb) -> Result<Vec<Hop>> {
+        let tree = self.pattern.tree(tgdb, self.pattern.primary)?;
+        let mut hops: Vec<Hop> = Vec::with_capacity(tree.len() - 1);
+        for step in &tree {
+            if let Some(via) = step.via {
+                let from = hops.iter().position(|h| h.node == via.parent);
+                hops.push(Hop {
+                    node: step.node,
+                    edge: via.edge_type,
+                    from,
+                });
+            }
+        }
+        Ok(hops)
+    }
+
+    /// One walk of the pattern tree from `row` (a matched primary node):
+    /// fills the frontier of every hop `needs` marks (each with the hops it
+    /// starts from marked too, as [`mark_chain`] marks them) from its
+    /// parent hop's, so a shared path prefix is walked once.
+    pub(crate) fn walk_row(
         &self,
         graph: &InstanceGraph,
-        path: &[(PatternNodeId, EdgeTypeId)],
+        hops: &[Hop],
+        needs: &[bool],
         row: NodeId,
-        scratch: &mut RelatedScratch,
-        out: &mut Vec<NodeId>,
+        walk: &mut Frontiers,
     ) {
-        let RelatedScratch {
-            frontier,
-            next,
+        let Frontiers {
+            frontiers,
             seen,
-        } = scratch;
-        frontier.clear();
-        frontier.push(row);
-        for &(step, edge) in path {
-            // A step is never the primary, and its every neighbor along
-            // `edge` is a row of its type.
-            let (span, held) = &self.held[step.0];
-            let first = span.first().0;
-            // One node's neighbor list holds no duplicates (an edge is a key
-            // of its source relation); only a wider frontier needs `seen`.
-            let dedup = frontier.len() > 1;
-            if dedup {
-                seen.grow(span.len());
-            }
-            next.clear();
-            for &f in frontier.iter() {
-                for nb in graph.neighbors(edge, f) {
-                    let row = nb.0 - first;
-                    let matched = match held {
-                        Held::Marked(bits) => bits.contains(row),
-                        _ => true,
-                    };
-                    if matched && !(dedup && seen.contains(row)) {
-                        if dedup {
-                            seen.set(row);
-                        }
-                        next.push(nb);
-                    }
-                }
-            }
-            if dedup {
-                next.iter().for_each(|nb| seen.unset(nb.0 - first));
-            }
-            std::mem::swap(frontier, next);
+            visited,
+        } = walk;
+        frontiers.resize_with(hops.len(), Vec::new);
+        for (at, h) in hops.iter().enumerate().filter(|&(at, _)| needs[at]) {
+            let (done, rest) = frontiers.split_at_mut(at);
+            let from = h.from.map_or(std::slice::from_ref(&row), |p| &done[p]);
+            // A hop never reaches the primary, which alone is listed.
+            let (span, held) = &self.held[h.node.0];
+            let keep = match held {
+                Held::Marked(bits) => Some(bits),
+                _ => None,
+            };
+            rest[0].clear();
+            *visited += hop(graph, h.edge, from, (*span, keep), seen, &mut rest[0]);
         }
-        out.extend_from_slice(frontier);
     }
 }
 
@@ -212,8 +296,14 @@ pub fn match_full(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<GraphRelation> 
 /// full match (expanding from the parent is itself a semi-join), so the
 /// passes reach the same fixpoint — the projections of the full join —
 /// from any of them.
+///
+/// The down pass re-checks a node's rows against its parent's final rows.
+/// A node grown from its parent's start `S0` needs only the rows adjacent
+/// to `S0 \ S_final`: each of its rows has a neighbor in `S0`, the parent
+/// only loses rows, so a row with no neighbor left in `S_final` had one in
+/// what was dropped (`recheck_rule`).
 pub fn match_primary(tgdb: &Tgdb, pattern: &QueryPattern) -> Result<MatchResult> {
-    match_with(tgdb, pattern, None)
+    match_with(tgdb, pattern, None, None)
 }
 
 /// Where a pattern node other than the seed starts its candidates: its
@@ -238,12 +328,37 @@ pub(crate) fn start_rule(degrees: impl IntoIterator<Item = usize>, type_len: usi
     }
 }
 
-/// [`match_primary`], with every node's start chosen by [`start_rule`],
-/// or forced to `force` (tests compare the two starts with it).
+/// Which of a node's rows the down pass re-checks against its parent's
+/// final rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Recheck {
+    /// The rows adjacent to the parent rows dropped since the node started.
+    Dropped,
+    /// Every row the node holds.
+    All,
+}
+
+/// The down pass's candidate rule: a node whose start was expanded from
+/// its parent's start re-checks only the rows under the parent rows
+/// dropped since; a whole-type, `NodeIs` or whole-type-filtered start
+/// re-checks every row. `force` replaces the rule where `Dropped` is exact,
+/// on expanded nodes.
+pub(crate) fn recheck_rule(expanded: bool, force: Option<Recheck>) -> Recheck {
+    if expanded {
+        force.unwrap_or(Recheck::Dropped)
+    } else {
+        Recheck::All
+    }
+}
+
+/// [`match_primary`], with every node's start chosen by [`start_rule`] and
+/// its down-pass candidates by [`recheck_rule`], or forced to `start` and
+/// `recheck` (tests compare the strategies with it).
 pub(crate) fn match_with(
     tgdb: &Tgdb,
     pattern: &QueryPattern,
-    force: Option<Start>,
+    start: Option<Start>,
+    recheck: Option<Recheck>,
 ) -> Result<MatchResult> {
     let graph = &tgdb.instances;
     let filters = pattern
@@ -269,13 +384,14 @@ pub(crate) fn match_with(
     // Starting candidates, parents first, as bitmaps over their types'
     // rows; a node that starts as its whole type holds no row it picked.
     let mut held = vec![Bits::default(); pattern.len()];
+    let mut rechecks = vec![Recheck::All; pattern.len()];
     for step in &tree {
         let (span, filter) = (spans[step.node.0], &filters[step.node.0]);
         let expand = step.via.filter(|via| {
             let parent = spans[via.parent.0];
             let degrees = held[via.parent.0].rows().into_iter();
             let degrees = degrees.map(|r| graph.degree(via.edge_type, parent.node(r)));
-            force.unwrap_or_else(|| start_rule(degrees, span.len())) == Start::Expand
+            start.unwrap_or_else(|| start_rule(degrees, span.len())) == Start::Expand
         });
         // A `NodeIs` filter picks its one node out of the whole type.
         let reached = expand.filter(|_| filter.node_is().is_none()).map(|via| {
@@ -287,6 +403,7 @@ pub(crate) fn match_with(
             });
             bits
         });
+        rechecks[step.node.0] = recheck_rule(reached.is_some(), recheck);
         let start = match reached {
             Some(bits) if pattern.node(step.node).filter.is_empty() => bits,
             reached => match filter.select(tgdb, reached.map(|bits| bits.rows())) {
@@ -305,38 +422,81 @@ pub(crate) fn match_with(
         held[step.node.0] = start;
     }
 
-    // Drops from `cur`'s candidates every row that has no candidate of
-    // pattern node `other` among its `edge` neighbors.
-    let semi_join = |held: &mut [Bits], cur: PatternNodeId, other: PatternNodeId, edge| {
+    // Drops from `cur`'s candidates every one of `rows` (`None`: every row
+    // it holds) that has no candidate of pattern node `other` among its
+    // `edge` neighbors, and adds the rows dropped to `cur`'s in `lost`.
+    let semi_join = |held: &mut [Bits],
+                     lost: &mut [Vec<u32>],
+                     cur: PatternNodeId,
+                     rows: Option<&[u32]>,
+                     other: PatternNodeId,
+                     edge| {
         let (span, first) = (spans[cur.0], spans[other.0].first().0);
-        let (theirs, mut dropped) = (&held[other.0], Vec::new());
-        held[cur.0].each(|r| {
-            if !graph
-                .neighbors(edge, span.node(r))
-                .any(|nb| theirs.contains(nb.0 - first))
-            {
+        let (theirs, dropped) = (&held[other.0], &mut lost[cur.0]);
+        let from = dropped.len();
+        let mut check = |r: u32| {
+            if !(graph.neighbors(edge, span.node(r))).any(|nb| theirs.contains(nb.0 - first)) {
                 dropped.push(r);
             }
-        });
-        dropped.into_iter().for_each(|r| held[cur.0].unset(r));
+        };
+        match rows {
+            Some(rows) => rows.iter().for_each(|&r| check(r)),
+            None => held[cur.0].each(check),
+        }
+        dropped[from..].iter().for_each(|&r| held[cur.0].unset(r));
     };
+
+    let mut lost = vec![Vec::new(); pattern.len()];
 
     // Upward pass (children first: the tree lists parents before their
     // children, so read it backwards): a node survives only if, for every
     // child, it has at least one candidate neighbor.
     for step in tree.iter().rev() {
         if let Some(via) = step.via {
-            semi_join(&mut held, via.parent, step.node, via.edge_type);
+            semi_join(
+                &mut held,
+                &mut lost,
+                via.parent,
+                None,
+                step.node,
+                via.edge_type,
+            );
         }
     }
 
     // Downward pass (pre-order): a node survives only if it has a
-    // candidate parent.
+    // candidate parent. Its candidates are every row it holds, or those
+    // one hop from its parent's dropped rows.
+    let mut seen = Bits::default();
     for step in &tree {
-        if let Some(via) = step.via {
-            let up_edge = tgdb.schema.edge_type(via.edge_type).reverse;
-            semi_join(&mut held, step.node, via.parent, up_edge);
-        }
+        let Some(via) = step.via else { continue };
+        let (node, parent) = (step.node, via.parent);
+        let candidates = match rechecks[node.0] {
+            Recheck::All => None,
+            Recheck::Dropped => {
+                let from: Vec<NodeId> = lost[parent.0]
+                    .iter()
+                    .map(|&r| spans[parent.0].node(r))
+                    .collect();
+                let (keep, mut reached) = ((spans[node.0], Some(&held[node.0])), Vec::new());
+                hop(graph, via.edge_type, &from, keep, &mut seen, &mut reached);
+                let first = spans[node.0].first().0;
+                Some(reached.iter().map(|nb| nb.0 - first).collect::<Vec<u32>>())
+            }
+        };
+        let rechecked = candidates
+            .as_ref()
+            .map_or_else(|| held[node.0].count(), Vec::len);
+        work::count(|w| w.down_rechecked += rechecked as u64);
+        let up_edge = tgdb.schema.edge_type(via.edge_type).reverse;
+        semi_join(
+            &mut held,
+            &mut lost,
+            node,
+            candidates.as_deref(),
+            parent,
+            up_edge,
+        );
     }
 
     // Each node's one form.
@@ -468,13 +628,16 @@ mod tests {
         assert_eq!(m.rows().len(), 2);
         let full = match_full(&tgdb, &q).unwrap();
         let primary_pos = full.attr_pos(q.primary).unwrap();
-        let mut scratch = RelatedScratch::default();
+        let hops = m.hops(&tgdb).unwrap();
+        let mut walk = Frontiers::default();
         for target in q.node_ids() {
-            let path = q.path(&tgdb, q.primary, target).unwrap();
+            let at = hops.iter().position(|h| h.node == target);
+            let mut needs = vec![false; hops.len()];
+            at.inspect(|&at| mark_chain(&hops, at, &mut needs));
             let target_pos = full.attr_pos(target).unwrap();
             for row in m.rows() {
-                let mut got = Vec::new();
-                m.related_into(&tgdb.instances, &path, row, &mut scratch, &mut got);
+                m.walk_row(&tgdb.instances, &hops, &needs, row, &mut walk);
+                let mut got = at.map_or(vec![row], |at| walk.at(at).to_vec());
                 assert_eq!(got, m.related(&tgdb, row, target).unwrap());
                 let mut want: Vec<NodeId> = full
                     .tuples
@@ -842,21 +1005,62 @@ mod tests {
             let q = ops::initiate(tgdb, authors).unwrap();
             let q = ops::add(tgdb, &ops::add(tgdb, &q, pe).unwrap(), ae).unwrap();
             let q = ops::shift(&q, PatternNodeId(0)).unwrap();
-            let path = q.path(tgdb, q.primary, PatternNodeId(2)).unwrap();
-            (match_primary(tgdb, &q).unwrap(), path)
+            let m = match_primary(tgdb, &q).unwrap();
+            let hops = m.hops(tgdb).unwrap();
+            assert_eq!(hops[1].node, PatternNodeId(2));
+            (m, hops)
         };
-        let mut scratch = RelatedScratch::default();
+        let mut reused = Frontiers::default();
         for tgdb in [one_author_per_paper(2, 4), one_author_per_paper(80, 160)] {
-            let (m, path) = coauthors(&tgdb);
+            let (m, hops) = coauthors(&tgdb);
             for row in m.rows() {
-                let (mut reused, mut fresh) = (Vec::new(), Vec::new());
-                m.related_into(&tgdb.instances, &path, row, &mut scratch, &mut reused);
-                let mut own = RelatedScratch::default();
-                m.related_into(&tgdb.instances, &path, row, &mut own, &mut fresh);
-                assert_eq!(reused, fresh, "{row}");
-                assert_eq!(reused, [row], "{row}");
+                m.walk_row(&tgdb.instances, &hops, &[true, true], row, &mut reused);
+                let mut own = Frontiers::default();
+                m.walk_row(&tgdb.instances, &hops, &[true, true], row, &mut own);
+                assert_eq!(reused.at(1), own.at(1), "{row}");
+                assert_eq!(reused.at(1), [row], "{row}");
             }
         }
+    }
+
+    /// The down pass at its candidate rule: author 30 (the seed) wrote
+    /// papers 1 and 6, and from them the pattern reaches the papers each
+    /// cites and, again, their authors. Paper 6 cites none, so the up pass
+    /// drops it; author 30 is under both paper 6 (dropped) and paper 1
+    /// (kept), so the down pass re-checks it and keeps it. Re-checking only
+    /// rows under dropped parents gives the result re-checking every row
+    /// gives, and re-checks fewer rows.
+    #[test]
+    fn a_dropped_parent_sharing_a_child_with_a_kept_one_keeps_it() {
+        let tgdb = citation_chains();
+        let (authors, _) = tgdb.schema.node_type_by_name("A").unwrap();
+        let (papers, _) = tgdb.schema.node_type_by_name("P").unwrap();
+        let (pe, _) = tgdb.schema.outgoing_by_name(authors, "P").unwrap();
+        let (ce, _) = tgdb
+            .schema
+            .outgoing_by_name(papers, "P (referenced)")
+            .unwrap();
+        let (ae, _) = tgdb.schema.outgoing_by_name(papers, "A").unwrap();
+        let q = ops::initiate(&tgdb, authors).unwrap();
+        let q = ops::select(&tgdb, &q, NodeFilter::cmp("id", CmpOp::Eq, 30)).unwrap();
+        let q = ops::add(&tgdb, &ops::add(&tgdb, &q, pe).unwrap(), ce).unwrap();
+        let q = ops::add(&tgdb, &ops::shift(&q, PatternNodeId(1)).unwrap(), ae).unwrap();
+        let node = |key: i64, ty| tgdb.node_by_key(ty, &key.into()).unwrap();
+        let rechecked = |recheck| {
+            let before = work::on_this_thread();
+            let m = match_with(&tgdb, &q, Some(Start::Expand), recheck).unwrap();
+            (m, (work::on_this_thread() - before).down_rechecked)
+        };
+        let (delta, few) = rechecked(None);
+        let (all, every) = rechecked(Some(Recheck::All));
+        assert_eq!(delta.held, all.held);
+        assert_eq!(delta.projection(PatternNodeId(1)), [node(1, papers)]);
+        assert_eq!(delta.projection(PatternNodeId(3)), [node(30, authors)]);
+        // Author 30 under the dropped paper; every held row of the three
+        // nodes below the seed.
+        assert_eq!((few, every), (1, 3));
+        assert_eq!(delta.held, match_primary(&tgdb, &q).unwrap().held);
+        assert_projections_in_order(&tgdb, &q);
     }
 
     /// The start rule at its crossover: papers `id < m`, pivoted to their
@@ -882,7 +1086,7 @@ mod tests {
             let want = if m < n { Start::Expand } else { Start::Scan };
             assert_eq!(start_rule(degrees, n as usize), want, "m = {m}");
             for start in [Start::Expand, Start::Scan] {
-                let forced = match_with(&tgdb, &q, Some(start)).unwrap();
+                let forced = match_with(&tgdb, &q, Some(start), None).unwrap();
                 assert_eq!(forced.held, chosen.held, "m = {m}, {start:?}");
             }
         }

@@ -473,18 +473,28 @@ mod tests {
         etable_tgm::translate(&db, &Default::default()).unwrap()
     }
 
+    /// The number of tables in the menu.
+    const MENU: usize = 10;
+
     /// Table `which` of the menu: academic tables with neighbor and
-    /// participating columns, and the multi-byte fixture's.
+    /// participating columns, and the multi-byte fixture's. Table 8 is
+    /// three hops from its primary (Conferences) to Institutions, and
+    /// table 9 branches at its primary (Papers): Authors → Institutions on
+    /// one side, Conferences on the other. A hidden column there can be an
+    /// ancestor of a shown one on the walk.
     fn menu_table(academic: &Arc<Tgdb>, multibyte: &Arc<Tgdb>, which: usize) -> EnrichedTable {
+        let chain = ["Institutions", "Authors", "Papers", "Conferences", "Papers"];
         let (tgdb, steps): (&Arc<Tgdb>, &[&str]) = match which {
             0 => (academic, &["Papers"]),
             1 => (academic, &["Authors"]),
             2 => (academic, &["Papers", "Authors"]),
             3 => (academic, &["Conferences", "=SIGMOD", "Papers"]),
-            4 => (academic, &["Institutions", "Authors", "Papers"]),
+            4 => (academic, &chain[..3]),
             5 => (multibyte, &["People"]),
             6 => (multibyte, &["Groups"]),
-            _ => (multibyte, &["Groups", "People"]),
+            7 => (multibyte, &["Groups", "People"]),
+            8 => (academic, &chain[..4]),
+            _ => (academic, &chain),
         };
         let mut s = Session::new(Arc::clone(tgdb));
         s.open_by_name(steps[0]).unwrap();
@@ -507,7 +517,7 @@ mod tests {
         /// options down to 0 rows, references, label and cell characters.
         #[test]
         fn one_pass_render_equals_the_reference(
-            which in 0usize..8,
+            which in 0usize..MENU,
             sort in 0usize..24,
             hide in 0u32..512,
             max_rows in 0usize..=40,
@@ -542,7 +552,7 @@ mod tests {
             (3, 8, 12, 0),
             (40, 8, 0, 40),
         ];
-        for which in 0..8 {
+        for which in 0..MENU {
             let t = menu_table(&academic, &multibyte, which);
             for (max_rows, max_refs, max_label, max_cell) in edges {
                 let opts = RenderOptions {

@@ -10,6 +10,16 @@ use etable_relational::value::{DataType, Value};
 use etable_relational::Result;
 use etable_tgm::{translate, Tgdb, TranslateOptions};
 
+/// `match_primary` with its down pass forced to re-check every row a node
+/// holds: the reference the down pass's candidate rule is compared with.
+pub fn match_rechecking_every_row(
+    tgdb: &Tgdb,
+    q: &crate::pattern::QueryPattern,
+) -> crate::Result<crate::matching::MatchResult> {
+    use crate::matching::{match_with, Recheck};
+    match_with(tgdb, q, None, Some(Recheck::All))
+}
+
 /// Builds the relational form of the mini academic database.
 ///
 /// Contents:

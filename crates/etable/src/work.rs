@@ -1,6 +1,7 @@
 //! What the presentation layer did on this thread, counted: how many rows
 //! the matcher held, how many sort keys it built, how many rows it put in
-//! order, what the column ranker read, and what a page read to show. The
+//! order, what the column ranker read, what a page read to show, and how
+//! much of the graph the matcher's down pass and the row walks read. The
 //! counters are plain `u64`s, always on; a test reads them before and
 //! after an action ([`on_this_thread`]) to hold the layer to O(shown)
 //! work, which wall time on a shared host cannot show.
@@ -14,6 +15,11 @@ pub struct Work {
     /// rows each node's start listed or marked, none for a node that
     /// starts as its whole type.
     pub rows_held: u64,
+    /// Rows the matcher's down pass re-checked against their parent's
+    /// final rows.
+    pub down_rechecked: u64,
+    /// Neighbors visited by the walks that fill participating cells.
+    pub walk_visits: u64,
     /// Sort keys built: one per row of every table sorted.
     pub keys_built: u64,
     /// Rows put in order: the growth of every sorted table's ordered
@@ -38,6 +44,8 @@ impl std::ops::Sub for Work {
     fn sub(self, before: Work) -> Work {
         Work {
             rows_held: self.rows_held - before.rows_held,
+            down_rechecked: self.down_rechecked - before.down_rechecked,
+            walk_visits: self.walk_visits - before.walk_visits,
             keys_built: self.keys_built - before.keys_built,
             rows_ordered: self.rows_ordered - before.rows_ordered,
             rank_passes: self.rank_passes - before.rank_passes,
@@ -58,9 +66,10 @@ pub fn on_this_thread() -> Work {
     WORK.with(Cell::get)
 }
 
-/// Adds to this thread's counts.
+/// Adds to this thread's counts; does nothing once the thread is tearing
+/// its locals down, so a `Drop` may count.
 pub(crate) fn count(add: impl FnOnce(&mut Work)) {
-    WORK.with(|w| {
+    let _ = WORK.try_with(|w| {
         let mut now = w.get();
         add(&mut now);
         w.set(now);

@@ -14,6 +14,7 @@ use etable_repro::core::pattern::{
     FilterAtom, NodeFilter, PatternEdge, PatternNodeId, QueryPattern,
 };
 use etable_repro::core::Error;
+use etable_repro::core::{testutil, work};
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::database::Database;
 use etable_repro::relational::expr::CmpOp;
@@ -315,6 +316,21 @@ enum Start {
 /// or `"none"`, meaning the primary), and how each node starts, recomputed
 /// from its documented rule with the graph's public API.
 fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) {
+    let (seed, kind, mut starts) = started(tgdb, q);
+    starts.remove(seed.0);
+    (
+        kind,
+        starts.into_iter().map(|(start, _, _)| start).collect(),
+    )
+}
+
+/// How one pattern node starts, its parent in the tree rooted at the
+/// seed, and the nodes it starts with.
+type Started = (Start, Option<PatternNodeId>, Vec<NodeId>);
+
+/// The seed, its kind (as [`seed_and_starts`] names it), and how each
+/// pattern node starts.
+fn started(tgdb: &Tgdb, q: &QueryPattern) -> (PatternNodeId, &'static str, Vec<Started>) {
     let g = &tgdb.instances;
     let filters: Vec<_> = q
         .nodes
@@ -333,7 +349,7 @@ fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) 
         (None, None) => (q.primary, "none"),
     };
     let mut sets = vec![Vec::new(); q.len()];
-    let mut starts = vec![Start::Scan; q.len()];
+    let mut starts = vec![(Start::Scan, None); q.len()];
     for step in q.tree(tgdb, seed).unwrap() {
         let (filter, nt) = (&filters[step.node.0], q.node(step.node).node_type);
         let all = g.nodes_of_type(nt);
@@ -357,14 +373,18 @@ fn seed_and_starts(tgdb: &Tgdb, q: &QueryPattern) -> (&'static str, Vec<Start>) 
             }
             (None, None) => (Start::Scan, all.iter().collect()),
         };
-        starts[step.node.0] = start;
+        starts[step.node.0] = (start, step.via.map(|via| via.parent));
         sets[step.node.0] = source
             .into_iter()
             .filter(|&v| filter.eval(tgdb, v).unwrap())
             .collect();
     }
-    starts.remove(seed.0);
-    (kind, starts)
+    let starts = starts.into_iter().zip(sets);
+    (
+        seed,
+        kind,
+        starts.map(|((s, p), set)| (s, p, set)).collect(),
+    )
 }
 
 #[test]
@@ -410,6 +430,41 @@ fn selective_patterns_match_from_every_seed_and_start() {
             "no node started by {kind:?}: {starts:?}"
         );
     }
+}
+
+#[test]
+fn the_delta_down_pass_equals_rechecking_every_row() {
+    // The down pass re-checks a node grown from its parent's start only
+    // under the parent rows dropped since: on selective patterns that gives
+    // the match re-checking every row gives, with no more rows re-checked,
+    // and the case stream runs it where a parent did drop rows.
+    let tgdb = env();
+    let (mut dropped, mut fewer) = (0, 0);
+    for seed in 0..u64::from(cases(64).max(64)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = selective_pattern(tgdb, &mut rng);
+        let rechecked = |m: fn(&Tgdb, &QueryPattern) -> etable_repro::core::Result<_>| {
+            let before = work::on_this_thread();
+            let m = m(tgdb, &q).unwrap();
+            (m, (work::on_this_thread() - before).down_rechecked)
+        };
+        let (delta, some) = rechecked(match_primary);
+        let (every, all) = rechecked(testutil::match_rechecking_every_row);
+        let at = format!("seed {seed}\n{}", q.diagram(tgdb));
+        assert!(delta.rows().eq(every.rows()), "{at}");
+        for id in q.node_ids() {
+            assert_eq!(delta.projection(id), every.projection(id), "{id}, {at}");
+        }
+        assert!(some <= all, "{some} > {all}, {at}");
+        fewer += usize::from(some < all);
+        let (_, _, starts) = started(tgdb, &q);
+        dropped += (starts.iter())
+            .filter_map(|(start, parent, _)| parent.filter(|_| *start == Start::Expand))
+            .filter(|p| starts[p.0].2.len() > delta.projection(*p).len())
+            .count();
+    }
+    assert!(dropped > 0, "no expanded node's parent dropped a row");
+    assert!(fewer > 0, "the delta down pass never re-checked fewer rows");
 }
 
 /// Text values of the filter-semantics leg, quote and wildcard included.

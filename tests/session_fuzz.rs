@@ -1015,11 +1015,15 @@ proptest! {
     /// Every table a random session shows — after pattern actions, and
     /// after sorts, hides, shows and focuses on every column kind — equals
     /// the eager table: the header, every row's node and every cell, read
-    /// one at a time and a column at a time, every count, and both exports.
+    /// one at a time, a column at a time and as a page of a drawn length
+    /// (with the labels the page reads), every count, and both exports.
     #[test]
     fn windowed_tables_equal_the_eager_ones(seed in 0u64..1_000_000) {
         let tgdb = tgdb();
         let mut rng = StdRng::seed_from_u64(seed);
+        // Page lengths come from a generator of their own, so the actions
+        // drawn for a seed do not depend on them.
+        let mut pages = StdRng::seed_from_u64(!seed);
         let mut session = Session::new(tgdb.clone());
         let mut shown = Presentation::default();
         for step in 0..30 {
@@ -1047,6 +1051,18 @@ proptest! {
                 let whole: Vec<Cell> = t.column_values(c).collect();
                 prop_assert!(whole.iter().eq(rows.iter().map(|r| &r.cells[c])), "{} column {}", at, c);
             }
+            let n = pages.gen_range(0..=rows.len() + 1);
+            let (mut page, mut labels) = (Vec::new(), true);
+            t.read_page(n, |cell, label| {
+                for id in cell.refs().into_iter().flatten() {
+                    labels &= label(id) == t.label(id);
+                }
+                page.push(cell.clone());
+            });
+            let eager_page = (0..columns.len())
+                .flat_map(|c| rows.iter().take(n).map(move |r| &r.cells[c]));
+            prop_assert!(page.iter().eq(eager_page), "{} page of {}", at, n);
+            prop_assert!(labels, "{} page of {}: labels", at, n);
             let refs: usize = rows.iter().flat_map(|r| &r.cells).map(Cell::ref_count).sum();
             prop_assert_eq!(t.total_refs(), refs, "{}", at);
             prop_assert_eq!(to_json(&t), eager_json(tgdb, &t, &rows), "{}", at);

@@ -5,7 +5,11 @@
 //! focus ranks the table once, reading labels once per distinct reference
 //! set, and a 12-row render builds the page's cells and reads at most
 //! `max_refs` labels per shown reference cell. The matcher holds only the
-//! rows an open names: none for a whole type, one for a `Single`. The SQL
+//! rows an open names: none for a whole type, one for a `Single`; its down
+//! pass re-checks no row when no parent row with children was dropped; and
+//! a page walks each hop of the pattern tree once a row, so showing the
+//! columns on the way to a participating column costs no neighbor visit
+//! more than showing it alone. The SQL
 //! executor's work (`etable_relational::work`) is held to the rows a join
 //! can match: Table 2's join tasks probe no more rows than
 //! their joins emit, and a statement builds a reverse foreign-key index
@@ -18,7 +22,7 @@ use etable_repro::core::pattern::NodeFilter;
 use etable_repro::core::render::{render_etable, RenderOptions};
 use etable_repro::core::session::Session;
 use etable_repro::core::work::{on_this_thread, Work};
-use etable_repro::datagen::tasks::{task_set, TaskSet};
+use etable_repro::datagen::tasks::{params, task_set, TaskSet};
 use etable_repro::datagen::{generate, GenConfig};
 use etable_repro::relational::expr::CmpOp;
 use etable_repro::relational::sql::executor::execute_query;
@@ -190,6 +194,93 @@ fn the_matcher_holds_only_the_rows_an_open_names() {
             assert_eq!(shown(&mut s), titled);
         });
         assert_eq!(w.rows_held, titled as u64, "{papers}: {w:?}");
+    }
+}
+
+/// Table 2's task 4 at a corpus of `papers`: the session on
+/// `Institutions = CMU → Authors → Papers`, and the graph.
+fn task4(papers: usize) -> (Session, Arc<etable_repro::tgm::Tgdb>) {
+    let db = generate(&GenConfig::medium().with_papers(papers));
+    let tgdb = Arc::new(translate(&db, &TranslateOptions::default()).unwrap());
+    let mut s = Session::new(Arc::clone(&tgdb));
+    s.open_by_name("Institutions").unwrap();
+    let cmu = params(TaskSet::A).institution;
+    s.filter(NodeFilter::cmp("name", CmpOp::Eq, cmu)).unwrap();
+    s.pivot("Authors").unwrap();
+    s.pivot("Papers").unwrap();
+    (s, tgdb)
+}
+
+/// The down pass re-checks a node grown from its parent's rows only where
+/// the parent dropped a row with children. On `Institutions(name) →
+/// Authors → Papers` the institution seeds the match and each node grows
+/// from its parent; the authors the match drops wrote no paper (checked
+/// here through the graph), so the down pass re-checks no row at all.
+#[test]
+fn the_down_pass_rechecks_no_row_when_no_parent_with_children_was_dropped() {
+    for papers in [3_000, 12_000] {
+        let (mut s, tgdb) = task4(papers);
+        let g = &tgdb.instances;
+        let mut t = None;
+        let w = work_of(|| t = Some(s.etable().unwrap()));
+        let t = t.unwrap();
+        assert!(w.rows_held > 0 && !t.is_empty(), "{papers}: {w:?}");
+        assert_eq!(w.down_rechecked, 0, "{papers}: {w:?}");
+        // The premise: no author of the institution the match dropped has
+        // a paper.
+        let col = |name| t.column_index(name).unwrap();
+        let kept: HashSet<NodeId> = (t.column_values(col("Authors")))
+            .flat_map(|c| c.refs().unwrap().collect::<Vec<_>>())
+            .collect();
+        let inst = t
+            .cell(0, col("Institutions"))
+            .unwrap()
+            .refs()
+            .unwrap()
+            .next()
+            .unwrap();
+        let (institutions, _) = tgdb.schema.node_type_by_name("Institutions").unwrap();
+        let (to_authors, _) = tgdb
+            .schema
+            .outgoing_by_name(institutions, "Authors")
+            .unwrap();
+        let (authors, _) = tgdb.schema.node_type_by_name("Authors").unwrap();
+        let (to_papers, _) = tgdb.schema.outgoing_by_name(authors, "Papers").unwrap();
+        for a in g.neighbors(to_authors, inst) {
+            assert!(
+                kept.contains(&a) || g.degree(to_papers, a) == 0,
+                "{papers}: {a}"
+            );
+        }
+    }
+}
+
+/// A page of task 4's chain pivoted on to Conferences walks each row's
+/// pattern tree once: showing its Papers, Authors and Institutions
+/// columns visits exactly the neighbors showing Institutions alone visits
+/// (its walk passes through the other two), and showing Papers alone
+/// visits fewer.
+#[test]
+fn a_page_walks_each_hop_once_a_row() {
+    let opts = RenderOptions::default();
+    for papers in [3_000, 12_000] {
+        let (mut s, _) = task4(papers);
+        s.pivot("Conferences").unwrap();
+        let visits = |s: &mut Session, hidden: &[&str]| {
+            hidden.iter().for_each(|c| s.hide(c).unwrap());
+            let t = s.etable().unwrap();
+            let w = work_of(|| drop(render_etable(&t, &opts)));
+            hidden.iter().for_each(|c| s.show(c).unwrap());
+            w.walk_visits
+        };
+        let all = visits(&mut s, &[]);
+        let institutions = visits(&mut s, &["Papers", "Authors"]);
+        let papers_only = visits(&mut s, &["Authors", "Institutions"]);
+        assert_eq!(all, institutions, "{papers} papers");
+        assert!(
+            0 < papers_only && papers_only < all,
+            "{papers}: {papers_only} of {all}"
+        );
     }
 }
 
